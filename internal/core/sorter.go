@@ -155,7 +155,12 @@ func (s *Sorter) putKeyBuf(b []byte) {
 }
 
 // getRowSet returns an empty payload row set, recycled when available.
-func (s *Sorter) getRowSet() *row.RowSet { return s.sets.Get() }
+func (s *Sorter) getRowSet() *row.RowSet {
+	if rs := s.sets.Get(); rs != nil {
+		return rs
+	}
+	return row.NewRowSet(s.layout)
+}
 
 // putRowSet recycles a payload row set whose contents are dead.
 func (s *Sorter) putRowSet(rs *row.RowSet) {
@@ -302,14 +307,27 @@ func (s *Sorter) getRef(keyRow []byte) (runID, idx uint32) {
 // Sink is a per-thread ingestion point. It accumulates converted rows and
 // cuts a sorted run whenever RunSize rows are pending. Sinks are not safe
 // for concurrent use; create one per producing goroutine.
+//
+// A row is copied where Figure 11 copies it and nowhere else: scattered
+// into payload once at ingest, reordered into the run's own set once after
+// the keys are sorted. To keep it that way the sink owns, for its whole
+// life, the buffers a run only passes through — the pending payload set,
+// the radix scatter buffer, the reorder permutation — sized once (see
+// pendingCap) and emptied, not replaced, at each cut; only the key buffer
+// and the reordered payload, which stay resident as the run, are new per
+// run. All of it is charged to res (see account).
 type Sink struct {
 	s        *Sorter
 	ow       *obs.Worker      // this sink's trace lane (nil without telemetry)
-	res      *mem.Reservation // pending-run buffers, charged to the sorter's broker
+	res      *mem.Reservation // everything the sink retains, charged to the sorter's broker
 	planner  *strategy.Planner
-	keys     []byte
-	payload  *row.RowSet
+	keys     []byte           // pending key rows; leaves with each cut run
+	payload  *row.RowSet      // pending payload rows; emptied at each cut
+	scratch  []byte           // radix scatter buffer, key-buffer sized
+	idxs     []uint32         // payload reorder permutation
+	keyCols  []*vector.Vector // the current chunk's key columns
 	n        int
+	runs     int // runs this sink has cut
 	tieBreak bool
 	closed   bool
 }
@@ -317,39 +335,76 @@ type Sink struct {
 // NewSink registers and returns a new ingestion sink.
 func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0),
-		keys: s.getKeyBuf(), payload: s.getRowSet()}
+		keys: s.getKeyBuf(), payload: s.getRowSet(),
+		keyCols: make([]*vector.Vector, len(s.keys))}
 	k.account()
 	return k
 }
 
-// account syncs the sink's reservation with its buffers' capacity. The
-// return value is the budget verdict: false means the broker is over budget
-// and the pending run should be cut early (the bytes are charged either
-// way — accounting stays truthful, the caller sheds load).
+// account syncs the sink's reservation with the capacity of every buffer
+// it holds: pending keys and payload, radix scratch, reorder permutation.
+// The return value is the budget verdict: false means the broker is over
+// budget and the pending run should be cut early (the bytes are charged
+// either way — accounting stays truthful, the caller sheds load).
 func (k *Sink) account() bool {
-	return k.res.SetTo(int64(cap(k.keys)) + k.payload.CapBytes())
+	return k.res.SetTo(int64(cap(k.keys)) + k.payload.CapBytes() +
+		int64(cap(k.scratch)) + 4*int64(cap(k.idxs)))
+}
+
+// pendingCap returns the row capacity a pending buffer that holds have
+// rows should grow to so that it holds need.
+//
+// Without a budget the answer is the run size — every later chunk of every
+// later run then lands in place, with no growth copy — except for the
+// sink's very first chunk, which gets exactly its own size so that a sort
+// of one chunk per sink does not pay for a run. A declared input size
+// (SetExpectedRows) below the run size bounds the run instead, for as long
+// as the declaration holds.
+//
+// Under a budget the broker accounts capacity, not length: reserving a run
+// up front would spend most of a small budget on empty space and trip
+// pressure on the first chunk. There capacity doubles, capped at the run
+// size, so a buffer never holds more than twice what is live in it.
+func (k *Sink) pendingCap(have, need int) int {
+	s := k.s
+	c := s.opt.runSize()
+	switch {
+	case s.opt.limited():
+		c = min(max(2*have, 64), c)
+	case k.n == 0 && k.runs == 0:
+		c = need
+	default:
+		if exp := s.prog.RowsExpected.Load(); int64(need) <= exp && exp < int64(c) {
+			c = int(exp)
+		}
+	}
+	return max(c, need)
+}
+
+// reservePayload makes room in the pending payload set for n more rows,
+// following pendingCap. The string heap is sized with the row buffer, by
+// extrapolating the bytes per row seen so far plus an eighth; a heap that
+// outgrows the guess doubles inside RowSet like any other.
+func (k *Sink) reservePayload(n int) {
+	need := k.n + n
+	if k.payload.Cap() >= need {
+		return
+	}
+	c := k.pendingCap(k.payload.Cap(), need)
+	k.payload.Reserve(c)
+	if k.n > 0 && !k.s.opt.limited() {
+		perRow := (k.payload.HeapLen() + k.n - 1) / k.n
+		k.payload.ReserveHeap(c * (perRow + perRow/8))
+	}
 }
 
 // growKeys extends the sink's key buffer by n rows and returns the byte
-// offset of the new region. Capacity grows by doubling, amortized to the
-// run size — the previous append(make([]byte, n*rowWidth)...) allocated
-// (and zeroed) a throwaway slice on every chunk.
+// offset of the new region, growing capacity as pendingCap says.
 func (k *Sink) growKeys(n int) int {
 	rw := k.s.rowWidth
 	need := len(k.keys) + n*rw
 	if cap(k.keys) < need {
-		target := k.s.opt.runSize() * rw
-		newCap := 2 * cap(k.keys)
-		if newCap == 0 {
-			newCap = 64 * rw
-		}
-		if newCap > target {
-			newCap = target
-		}
-		if newCap < need {
-			newCap = need
-		}
-		nb := make([]byte, len(k.keys), newCap)
+		nb := make([]byte, len(k.keys), k.pendingCap(cap(k.keys)/rw, need/rw)*rw)
 		copy(nb, k.keys)
 		k.keys = nb
 	}
@@ -379,17 +434,18 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	s.markStart()
 	sp := k.ow.Begin(obs.PhaseIngest)
 	base := k.payload.Len()
+	k.reservePayload(n)
 	if err := k.payload.AppendChunk(c.Vectors); err != nil {
 		sp.End()
 		return err
 	}
 
-	keyCols := make([]*vector.Vector, len(s.keys))
 	for i, kc := range s.keys {
-		keyCols[i] = c.Vectors[kc.Column]
+		k.keyCols[i] = c.Vectors[kc.Column]
 	}
 	start := k.growKeys(n)
-	st, err := s.enc.EncodeChunk(keyCols, k.keys[start:], s.rowWidth, 0)
+	st, err := s.enc.EncodeChunk(k.keyCols, k.keys[start:], s.rowWidth, 0)
+	clear(k.keyCols) // the sink must not pin the caller's chunk
 	if err != nil {
 		sp.End()
 		return err
@@ -438,22 +494,63 @@ func (k *Sink) Close() error {
 	}
 	k.s.putKeyBuf(k.keys)
 	k.s.putRowSet(k.payload)
-	k.keys, k.payload = nil, nil
+	k.keys, k.payload, k.scratch, k.idxs = nil, nil, nil, nil
 	k.res.Release()
 	return err
+}
+
+// radixScratch returns the sink's radix scatter buffer, sized for keys. It
+// is allocated at the key buffer's capacity, so that one allocation serves
+// every run the sink cuts.
+func (k *Sink) radixScratch(keys []byte) []byte {
+	if cap(k.scratch) < len(keys) {
+		k.scratch = k.s.getKeyBuf()
+		if cap(k.scratch) < len(keys) {
+			k.s.putKeyBuf(k.scratch)
+			k.scratch = make([]byte, cap(keys))
+		}
+	}
+	return k.scratch[:len(keys)]
+}
+
+// recycle ends a flush's use of the cut payload set and the sort scratch.
+// Without a budget the sink keeps them for its next run, the set emptied.
+// Under one they go back through the pools, whose pressure rule drops what
+// the budget cannot hold: a sink sitting on run-sized buffers while the
+// broker is over budget would be memory no spill could recover.
+func (k *Sink) recycle(cut *row.RowSet) {
+	s := k.s
+	if !s.opt.limited() {
+		cut.Reset()
+		return
+	}
+	s.putRowSet(cut)
+	s.putKeyBuf(k.scratch)
+	k.scratch, k.idxs = nil, nil
 }
 
 // flush sorts the pending rows into a run and registers it globally.
 func (k *Sink) flush() error {
 	s := k.s
 	keys, payload, n := k.keys, k.payload, k.n
-	k.keys, k.payload, k.n = s.getKeyBuf(), s.getRowSet(), 0
+	k.keys, k.n = s.getKeyBuf(), 0
+	if s.opt.limited() {
+		// The cut set goes back through the pool when the run is built
+		// (see recycle); the next run starts in whatever the pool has.
+		k.payload = s.getRowSet()
+	}
+	k.runs++
 	tb := k.tieBreak
 	k.tieBreak = false
-	// The cut buffers leave the sink's reservation here and enter the
-	// resident-run one below, once sorted. The window in between (the sort
-	// plus the payload reorder, which briefly holds both payload copies) is
-	// the per-sink accounting slack documented in DESIGN.md.
+	// The cut key buffer leaves the sink's reservation here and enters the
+	// resident-run one below, once sorted, together with the reordered
+	// payload copy. In between — the sort plus the reorder — neither the
+	// cut keys nor the copy being built is charged anywhere: that is the
+	// per-sink accounting slack documented in DESIGN.md. Without a budget
+	// the pending payload set (which holds the cut rows until they are
+	// reordered), the radix scratch and the permutation stay in the sink's
+	// reservation throughout; under one the cut set joins the slack, and
+	// the scratch and permutation live only inside this window.
 	k.account()
 	sp := k.ow.Begin(obs.PhaseRunSort)
 
@@ -476,7 +573,7 @@ func (k *Sink) flush() error {
 		// tie-capable segment is the last one), so only full byte-equal
 		// blocks — dictionary escapes sharing a gap, truncation collisions
 		// — can be misordered after a plain byte sort.
-		radix.Sort(keys, s.rowWidth, s.keyWidth)
+		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 		s.repairTies(keys, n, payload)
 		s.runsTieRepaired.Add(1)
 		dec.Algo, dec.Forced = "radix+repair", "tie-break"
@@ -490,9 +587,9 @@ func (k *Sink) flush() error {
 		}
 	case s.opt.Adaptive:
 		plan = k.strategyPlanner().PlanRun(keys, n)
-		keys = s.sortRunPlanned(keys, payload, n, plan, &dec)
+		keys = k.sortRunPlanned(keys, payload, n, plan, &dec)
 	default:
-		keys = s.radixSortRun(keys, n, &dec)
+		keys = k.radixSortRun(keys, n, &dec)
 		dec.Forced = "static"
 	}
 
@@ -510,7 +607,10 @@ func (k *Sink) flush() error {
 	s.decisions = append(s.decisions, dec)
 	s.mu.Unlock()
 
-	idxs := make([]uint32, n)
+	if cap(k.idxs) < n {
+		k.idxs = make([]uint32, max(n, cap(keys)/s.rowWidth))
+	}
+	idxs := k.idxs[:n]
 	for i := 0; i < n; i++ {
 		keyRow := keys[i*s.rowWidth : (i+1)*s.rowWidth]
 		_, idxs[i] = s.getRef(keyRow)
@@ -518,8 +618,10 @@ func (k *Sink) flush() error {
 	}
 	sorted := s.getRowSet()
 	sorted.Reserve(n)
+	sorted.ReserveHeap(payload.HeapLen())
 	sorted.AppendRowsFrom(payload, idxs)
-	s.putRowSet(payload)
+	k.recycle(payload)
+	k.account()
 	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
 	s.mu.Lock()
 	run.keys = keys
@@ -604,15 +706,16 @@ func radixAlgoName(keyWidth int) string {
 // the expansion is byte-identical to sorting row at a time. Returns the
 // buffer now holding the sorted run — the expansion writes into a recycled
 // buffer and returns the input buffer to the pool.
-func (s *Sorter) radixSortRun(keys []byte, n int, dec *StrategyDecision) []byte {
+func (k *Sink) radixSortRun(keys []byte, n int, dec *StrategyDecision) []byte {
+	s := k.s
 	if s.opt.KeyComp&KeyCompRLE != 0 {
 		if reps, groups, ok := sortalgo.CollectDupGroups(keys, s.rowWidth, s.keyWidth); ok {
 			dec.Algo = strategy.AlgoDupGroup.String()
-			return s.expandGroups(keys, reps, groups, n)
+			return k.expandGroups(keys, reps, groups, n)
 		}
 	}
 	dec.Algo = radixAlgoName(s.keyWidth)
-	radix.Sort(keys, s.rowWidth, s.keyWidth)
+	radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	return keys
 }
 
@@ -620,8 +723,10 @@ func (s *Sorter) radixSortRun(keys []byte, n int, dec *StrategyDecision) []byte 
 // the representative rows on the key prefix (tags ride along), then group
 // expansion into a recycled buffer. Returns the buffer holding the sorted
 // run; the input buffer goes back to the pool.
-func (s *Sorter) expandGroups(keys, reps []byte, groups, n int) []byte {
-	radix.Sort(reps, s.keyWidth+sortalgo.GroupTagBytes, s.keyWidth)
+func (k *Sink) expandGroups(keys, reps []byte, groups, n int) []byte {
+	s := k.s
+	// reps holds at most one row per key row, none wider: the scratch fits.
+	radix.SortOpts(reps, s.keyWidth+sortalgo.GroupTagBytes, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	dst := s.getKeyBuf()
 	if cap(dst) < len(keys) {
 		s.putKeyBuf(dst)
@@ -640,7 +745,8 @@ func (s *Sorter) expandGroups(keys, reps []byte, groups, n int) []byte {
 // and records the decision. The duplicate-group arm re-checks the plan
 // against the full run (the sample may have oversold the duplication); a
 // miss falls back to plain radix and is recorded as such.
-func (s *Sorter) sortRunPlanned(keys []byte, payload *row.RowSet, n int, plan strategy.Plan, dec *StrategyDecision) []byte {
+func (k *Sink) sortRunPlanned(keys []byte, payload *row.RowSet, n int, plan strategy.Plan, dec *StrategyDecision) []byte {
+	s := k.s
 	st := plan.Stats
 	dec.Algo = plan.Algo.String()
 	dec.MergeRole = plan.MergeRole.String()
@@ -657,19 +763,19 @@ func (s *Sorter) sortRunPlanned(keys []byte, payload *row.RowSet, n int, plan st
 	case strategy.AlgoDupGroup:
 		reps, groups, ok := sortalgo.CollectDupGroupsMin(keys, s.rowWidth, s.keyWidth, plan.DupGroupMinAvg)
 		if ok {
-			return s.expandGroups(keys, reps, groups, n)
+			return k.expandGroups(keys, reps, groups, n)
 		}
 		dec.Forced = "dup-group-miss"
 		dec.Algo = radixAlgoName(s.keyWidth)
-		radix.Sort(keys, s.rowWidth, s.keyWidth)
+		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	case strategy.AlgoPdqsort:
 		r := sortalgo.NewRows(keys, s.rowWidth)
 		r.Compare = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
 		r.Pdqsort()
 	case strategy.AlgoMSDRadix:
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceMSD: true})
+		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceMSD: true, Scratch: k.radixScratch(keys)})
 	default:
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceLSD: true})
+		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceLSD: true, Scratch: k.radixScratch(keys)})
 	}
 	return keys
 }
@@ -923,7 +1029,10 @@ func (s *Sorter) finalizeLocked() error {
 	}
 
 	// Nothing on disk (the budget was never exceeded, or there is none):
-	// the ordinary in-memory merge.
+	// the ordinary in-memory merge. Nothing past this point takes from the
+	// pools, so what the closed sinks parked there is let go before the
+	// merged key buffer is allocated.
+	s.dropPools()
 	if len(s.runs) == 0 {
 		return nil
 	}

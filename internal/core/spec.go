@@ -105,17 +105,20 @@ type Options struct {
 	// applicable (for the algorithm-choice ablation).
 	ForcePdqsort bool
 	// Adaptive replaces the paper's fixed "radix unless strings" rule with
-	// the Future Work heuristic: per run, choose pdqsort when the input
-	// samples as nearly sorted or the effective key width is large relative
-	// to log2(n), else radix sort. Ignored when ForcePdqsort is set or a
-	// tie-break forces pdqsort anyway.
+	// a sampled plan per run: internal/strategy samples the pending keys
+	// and picks LSD radix, MSD radix, pdqsort or duplicate-group sorting
+	// from modeled costs, and hints the run's spill block shape and merge
+	// role. Ignored when ForcePdqsort is set or a tie-break dictates the
+	// run sort anyway.
 	Adaptive bool
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
 	// fixed-size blocks for a single-pass k-way merge — the
 	// unified-row-format offloading sketched in the paper's future work.
 	// Merge memory stays bounded at k runs × SpillBlockRows (plus the final
-	// materialization), and each spilled byte is read exactly once.
+	// materialization). The sequential streaming merge reads each spilled
+	// byte once; the fence-partitioned parallel final merge also decodes
+	// every run's boundary block in both neighbouring partitions.
 	//
 	// Without a memory budget (see MemoryLimit/Broker) every run spills as
 	// it is cut, preserving the original eager behavior. With a budget,

@@ -23,8 +23,12 @@ import (
 // written as fixed-size blocks (SpillBlockRows key rows followed by their
 // payload rows with a block-local string heap), and the merge streams all k
 // runs back block by block through one offset-value-coded loser tree:
-// resident memory is bounded by k blocks plus the materialized output, and
-// every spilled byte is read exactly once.
+// resident memory is bounded by k blocks plus the materialized output. The
+// sequential streaming merge reads every spilled byte exactly once; the
+// fence-partitioned parallel final merge (extparallel.go) re-reads the block
+// that straddles each partition boundary, once per neighbour — a read
+// amplification of 1.064 on the benchmark's ext-catalog-spill, left to
+// ROADMAP item 2.
 
 // spillMagic heads every spill file ("RSB2": row-sort blocks, format 2).
 const spillMagic = 0x52534232
@@ -252,6 +256,7 @@ func (s *Sorter) spillRun(r *sortedRun, ow *obs.Worker) error {
 func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 	sp := ow.Begin(obs.PhasePressureSpill)
 	defer sp.End()
+	s.dropPools()
 	for s.broker.OverBudget() {
 		run := s.claimSpillableRun()
 		if run == nil {
@@ -268,6 +273,15 @@ func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 		}
 	}
 	return nil
+}
+
+// dropPools releases every idle pooled buffer: the cheapest bytes a sorter
+// short of budget can give back, ahead of spilling a run or planning a
+// merge from what remains. Nothing else would: the pools are free lists,
+// which no GC cycle empties.
+func (s *Sorter) dropPools() {
+	s.sets.Drop()
+	s.keyBufs.Drop()
 }
 
 // claimSpillableRun picks the largest resident run and marks it claimed;
@@ -928,6 +942,7 @@ func (s *Sorter) planStreamingMerge() error {
 // (merge passes, final fan-in, pass bytes).
 func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 	buffers := s.opt.mergeBuffers()
+	s.dropPools()
 	for {
 		avg := s.approxRowBytes()
 		plan := mergepath.PlanMerge(len(ids), s.broker.Remaining(), avg, s.opt.spillBlockRows(), buffers)

@@ -64,9 +64,11 @@ type SortStats struct {
 	// stay raw and are not counted).
 	SpillBlocksFrontCoded int64
 	// SpillBytesWritten and SpillBytesRead account spill-file I/O. The
-	// streaming merge reads every spilled byte exactly once, so after
-	// Finalize read equals written; the cascaded ablation re-spills
-	// intermediates and reads a multiple.
+	// sequential streaming merge reads every spilled byte exactly once, so
+	// there read equals written; the partitioned parallel final merge
+	// re-reads each run's boundary blocks (read slightly exceeds written),
+	// and multi-pass and cascaded merges re-spill intermediates and read a
+	// multiple.
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	// SpillFilesRemoved counts spill files successfully deleted (during the

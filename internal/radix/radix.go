@@ -41,6 +41,11 @@ type Options struct {
 	// hybrid the paper's Future Work suggests. Buckets at or below the
 	// insertion cutoff still use insertion sort.
 	PdqCutoff int
+	// Scratch, when at least as long as the data, is used as the scatter
+	// buffer instead of allocating (and zeroing) one per call; its contents
+	// on entry do not matter and are garbage on return. A caller that sorts
+	// run after run keeps one buffer for all of them.
+	Scratch []byte
 }
 
 // Stats reports what a sort did, for tests and ablation benchmarks.
@@ -83,9 +88,13 @@ func SortOpts(data []byte, rowWidth, keyWidth int, opt Options) Stats {
 	if cutoff <= 0 {
 		cutoff = DefaultInsertionCutoff
 	}
+	aux := opt.Scratch
+	if len(aux) < len(data) {
+		aux = make([]byte, len(data))
+	}
 	s := &sorter{
 		data:      data,
-		aux:       make([]byte, len(data)),
+		aux:       aux[:len(data)],
 		rowW:      rowWidth,
 		keyW:      keyWidth,
 		cutoff:    cutoff,

@@ -23,17 +23,36 @@ func benchChunk(n int) ([]vector.Type, []*vector.Vector) {
 	return types, []*vector.Vector{i32, i64, f64, str}
 }
 
-// BenchmarkScatter measures the DSM-to-NSM conversion (Figure 1, left).
+// BenchmarkScatter measures the DSM-to-NSM conversion (Figure 1, left):
+// eight chunks into a set that starts empty and grows as they arrive, and
+// into one reserved once and emptied between rounds, as a sink's is.
 func BenchmarkScatter(b *testing.B) {
-	types, vecs := benchChunk(1 << 14)
+	const chunks = 8
+	types, vecs := benchChunk(1 << 11)
 	layout := NewLayout(types)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs := NewRowSet(layout)
-		if err := rs.AppendChunk(vecs); err != nil {
-			b.Fatal(err)
+	fill := func(b *testing.B, rs *RowSet) {
+		for c := 0; c < chunks; c++ {
+			if err := rs.AppendChunk(vecs); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fill(b, NewRowSet(layout))
+		}
+	})
+	b.Run("reserved", func(b *testing.B) {
+		rs := NewRowSet(layout)
+		fill(b, rs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rs.Reset()
+			fill(b, rs)
+		}
+	})
 }
 
 // BenchmarkGather measures the NSM-to-DSM conversion (Figure 1, right).

@@ -587,11 +587,7 @@ func (rs *RowSet) compactHeapFrom(srcAt func(o int) *RowSet, base, count int) {
 				total += int(binary.LittleEndian.Uint32(rowb[off+4:]))
 			}
 		}
-		if free := cap(rs.heap) - len(rs.heap); free < total {
-			nh := make([]byte, len(rs.heap), cap(rs.heap)+max(total, cap(rs.heap)))
-			copy(nh, rs.heap)
-			rs.heap = nh
-		}
+		rs.heap = reserveBytes(rs.heap, total)
 		for o := 0; o < count; o++ {
 			rowb := rs.Row(base + o)
 			if !l.valid(rowb, c) {
@@ -605,21 +601,21 @@ func (rs *RowSet) compactHeapFrom(srcAt func(o int) *RowSet, base, count int) {
 	}
 }
 
-// extendBytes grows b by n bytes with amortized doubling, returning the
-// lengthened slice. The new bytes are uninitialized spare capacity — every
-// caller overwrites the full extension.
-func extendBytes(b []byte, n int) []byte {
-	need := len(b) + n
-	if cap(b) < need {
-		newCap := 2 * cap(b)
-		if newCap < need {
-			newCap = need
-		}
-		nb := make([]byte, len(b), newCap)
-		copy(nb, b)
-		b = nb
+// reserveBytes returns b with room for n more bytes, growing by amortized
+// doubling. It is the package's one growth policy: append's own (1.25x
+// steps once a slice is large) recopies a run-sized buffer many times over.
+func reserveBytes(b []byte, n int) []byte {
+	if need := len(b) + n; cap(b) < need {
+		return withCap(b, max(2*cap(b), need))
 	}
-	return b[:need]
+	return b
+}
+
+// extendBytes lengthens b by n bytes, growing it as reserveBytes does. The
+// new bytes may be stale (spare capacity of a recycled buffer): a caller
+// either overwrites the whole extension or clears it.
+func extendBytes(b []byte, n int) []byte {
+	return reserveBytes(b, n)[:len(b)+n]
 }
 
 // Reset empties the row set, keeping its allocated buffers for reuse. The

@@ -14,21 +14,78 @@ import (
 // policy for free: when retaining a buffer would push the broker over
 // budget, the pool drops it for the garbage collector instead of keeping
 // it warm.
+//
+// The pools are plain free lists, not sync.Pools: the runtime empties a
+// sync.Pool on every GC cycle, and a sort that allocates hundreds of
+// megabytes runs many cycles, so a spilled run's buffers would rarely
+// survive until the next run asks for them. What bounds a free list is the
+// reservation (under a budget) and the life of the sorter that owns it.
+
+// freeList is the accounted LIFO both pools share. size reports the
+// capacity an item holds on to.
+type freeList[T any] struct {
+	res  *mem.Reservation
+	size func(T) int64
+
+	mu   sync.Mutex
+	idle []T
+}
+
+// get pops the most recently parked item and takes its bytes off the
+// reservation.
+func (f *freeList[T]) get() (v T, ok bool) {
+	f.mu.Lock()
+	if n := len(f.idle); n > 0 {
+		var zero T
+		v, ok = f.idle[n-1], true
+		f.idle[n-1] = zero
+		f.idle = f.idle[:n-1]
+	}
+	f.mu.Unlock()
+	if ok {
+		f.res.Shrink(f.size(v))
+	}
+	return v, ok
+}
+
+// put parks v, charging its capacity to the reservation — unless that
+// lands over budget, in which case v is left to the garbage collector.
+func (f *freeList[T]) put(v T) {
+	c := f.size(v)
+	if !f.res.Grow(c) {
+		f.res.Shrink(c)
+		return
+	}
+	f.mu.Lock()
+	f.idle = append(f.idle, v)
+	f.mu.Unlock()
+}
+
+// drop empties the list, leaving everything parked to the garbage
+// collector and taking it off the reservation.
+func (f *freeList[T]) drop() {
+	f.mu.Lock()
+	idle := f.idle
+	f.idle = nil
+	f.mu.Unlock()
+	for _, v := range idle {
+		f.res.Shrink(f.size(v))
+	}
+}
 
 // SetPool recycles RowSets of one layout. The zero value is unusable;
-// construct with NewSetPool. A nil *SetPool is a valid no-op source that
-// always allocates fresh sets (and discards returned ones).
+// construct with NewSetPool. A nil *SetPool is a valid no-op source: Get
+// returns nil (the caller allocates) and Put discards.
 type SetPool struct {
 	layout *Layout
-	res    *mem.Reservation
-	pool   sync.Pool
+	list   freeList[*RowSet]
 }
 
 // NewSetPool returns a pool producing RowSets with the given layout. res
 // (which may be nil for unaccounted pooling) is charged with the capacity
 // of every idle set the pool holds.
 func NewSetPool(layout *Layout, res *mem.Reservation) *SetPool {
-	return &SetPool{layout: layout, res: res}
+	return &SetPool{layout: layout, list: freeList[*RowSet]{res: res, size: (*RowSet).CapBytes}}
 }
 
 // Get returns an empty RowSet, recycled when one is pooled.
@@ -36,8 +93,7 @@ func (p *SetPool) Get() *RowSet {
 	if p == nil {
 		return nil
 	}
-	if rs, ok := p.pool.Get().(*RowSet); ok {
-		p.res.Shrink(rs.CapBytes())
+	if rs, ok := p.list.get(); ok {
 		return rs
 	}
 	return NewRowSet(p.layout)
@@ -50,26 +106,28 @@ func (p *SetPool) Put(rs *RowSet) {
 		return
 	}
 	rs.Reset()
-	c := rs.CapBytes()
-	if !p.res.Grow(c) {
-		p.res.Shrink(c)
-		return
+	p.list.put(rs)
+}
+
+// Drop releases every idle set: the cheapest memory a sorter over its
+// budget can give back.
+func (p *SetPool) Drop() {
+	if p != nil {
+		p.list.drop()
 	}
-	p.pool.Put(rs)
 }
 
 // BufPool recycles byte buffers (the sorter's key-row buffers) with the
 // same accounting and pressure policy as SetPool. A nil *BufPool always
 // allocates and never retains.
 type BufPool struct {
-	res  *mem.Reservation
-	pool sync.Pool
+	list freeList[[]byte]
 }
 
 // NewBufPool returns a buffer pool charging res (may be nil) with the
 // capacity of every idle buffer it holds.
 func NewBufPool(res *mem.Reservation) *BufPool {
-	return &BufPool{res: res}
+	return &BufPool{list: freeList[[]byte]{res: res, size: func(b []byte) int64 { return int64(cap(b)) }}}
 }
 
 // Get returns an empty (length-0) buffer, recycled when one is pooled.
@@ -77,11 +135,8 @@ func (p *BufPool) Get() []byte {
 	if p == nil {
 		return nil
 	}
-	if b, ok := p.pool.Get().(*[]byte); ok {
-		p.res.Shrink(int64(cap(*b)))
-		return (*b)[:0]
-	}
-	return nil
+	b, _ := p.list.get()
+	return b
 }
 
 // Put recycles a buffer whose contents are dead; under budget pressure it
@@ -90,11 +145,12 @@ func (p *BufPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
 	}
-	c := int64(cap(b))
-	if !p.res.Grow(c) {
-		p.res.Shrink(c)
-		return
+	p.list.put(b[:0])
+}
+
+// Drop releases every idle buffer, as SetPool.Drop does.
+func (p *BufPool) Drop() {
+	if p != nil {
+		p.list.drop()
 	}
-	b = b[:0]
-	p.pool.Put(&b)
 }

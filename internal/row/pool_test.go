@@ -1,6 +1,7 @@
 package row
 
 import (
+	"runtime"
 	"testing"
 
 	"rowsort/internal/mem"
@@ -93,6 +94,74 @@ func TestBufPoolAccounting(t *testing.T) {
 	}
 }
 
+// TestPoolsSurviveGC is why the pools are free lists and not sync.Pools,
+// which the runtime empties on every collection: what was parked comes
+// back after two GC cycles, what the budget cannot hold is dropped, and the
+// reservation is zero once everything is taken out again.
+func TestPoolsSurviveGC(t *testing.T) {
+	const bufCap = 4096
+	layout := NewLayout([]vector.Type{vector.Int64})
+	v := vector.NewDense(vector.Int64, 64)
+	filled := func() *RowSet {
+		rs := NewRowSet(layout)
+		if err := rs.AppendChunk([]*vector.Vector{v}); err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	rs := filled()
+	b := mem.NewBroker("test", rs.CapBytes()+bufCap)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	sets, bufs := NewSetPool(layout, res), NewBufPool(res)
+
+	buf := make([]byte, 100, bufCap)
+	sets.Put(rs)
+	bufs.Put(buf)
+	if got, want := res.Bytes(), rs.CapBytes()+bufCap; got != want {
+		t.Fatalf("parked capacity accounted %d bytes, want %d", got, want)
+	}
+	// The budget is full: one more of either must be dropped, not parked.
+	extra := filled()
+	sets.Put(extra)
+	bufs.Put(make([]byte, bufCap))
+	if got, want := res.Bytes(), rs.CapBytes()+bufCap; got != want {
+		t.Fatalf("after over-budget puts the reservation holds %d bytes, want %d", got, want)
+	}
+
+	runtime.GC()
+	runtime.GC()
+
+	if got := sets.Get(); got != rs {
+		t.Error("the parked set did not survive two GC cycles")
+	}
+	if got := bufs.Get(); cap(got) != bufCap || len(got) != 0 || &got[:1][0] != &buf[0] {
+		t.Error("the parked buffer did not survive two GC cycles")
+	}
+	if got := sets.Get(); got == extra || got.CapBytes() != 0 {
+		t.Error("the pool retained a set it had no budget for")
+	}
+	if got := bufs.Get(); got != nil {
+		t.Error("the pool retained a buffer it had no budget for")
+	}
+	if got := res.Bytes(); got != 0 {
+		t.Errorf("reservation holds %d bytes with both pools empty, want 0", got)
+	}
+
+	// Drop is the explicit form of what the GC did to a sync.Pool, with
+	// the books kept: everything idle goes, and so does its charge.
+	sets.Put(rs)
+	bufs.Put(buf)
+	sets.Drop()
+	bufs.Drop()
+	if got := res.Bytes(); got != 0 {
+		t.Errorf("reservation holds %d bytes after Drop, want 0", got)
+	}
+	if sets.Get() == rs || bufs.Get() != nil {
+		t.Error("Drop left something in a pool")
+	}
+}
+
 func TestNilPools(t *testing.T) {
 	var sp *SetPool
 	var bp *BufPool
@@ -104,4 +173,6 @@ func TestNilPools(t *testing.T) {
 		t.Fatal("nil BufPool.Get returned a buffer")
 	}
 	bp.Put(make([]byte, 4))
+	sp.Drop()
+	bp.Drop()
 }

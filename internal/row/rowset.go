@@ -59,14 +59,27 @@ func (rs *RowSet) Row(i int) []byte {
 	return rs.data[i*w : (i+1)*w]
 }
 
+// Cap returns the number of rows the row buffer can hold without growing.
+func (rs *RowSet) Cap() int { return cap(rs.data) / rs.layout.width }
+
+// HeapLen returns the bytes live in the string heap.
+func (rs *RowSet) HeapLen() int { return len(rs.heap) }
+
 // Reserve grows the row buffer capacity to hold at least n rows.
-func (rs *RowSet) Reserve(n int) {
-	need := n * rs.layout.width
-	if cap(rs.data) < need {
-		nd := make([]byte, len(rs.data), need)
-		copy(nd, rs.data)
-		rs.data = nd
+func (rs *RowSet) Reserve(n int) { rs.data = withCap(rs.data, n*rs.layout.width) }
+
+// ReserveHeap grows the string heap capacity to hold at least n bytes.
+func (rs *RowSet) ReserveHeap(n int) { rs.heap = withCap(rs.heap, n) }
+
+// withCap returns b with capacity at least c — exactly c when it has to
+// grow, since the caller has named the size it wants.
+func withCap(b []byte, c int) []byte {
+	if cap(b) >= c {
+		return b
 	}
+	nb := make([]byte, len(b), c)
+	copy(nb, b)
+	return nb
 }
 
 // AppendChunk scatters the chunk's vectors into rows (DSM to NSM). Vectors
@@ -94,8 +107,11 @@ func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error {
 
 	w := rs.layout.width
 	start := rs.n
-	rs.data = append(rs.data, make([]byte, n*w)...)
-	// All-valid masks by default; scatterColumn clears bits for NULLs.
+	rs.data = extendBytes(rs.data, n*w)
+	// Zero the extension — a recycled buffer carries an older run's bytes,
+	// and NULL slots and alignment padding are never written — then start
+	// every row all-valid; scatterColumn clears bits for NULLs.
+	clear(rs.data[start*w:])
 	for r := 0; r < n; r++ {
 		copy(rs.Row(start+r), rs.layout.maskInit)
 	}
@@ -228,6 +244,13 @@ func (rs *RowSet) scatterColumn(c int, v *vector.Vector, start int) {
 		}
 	case vector.Varchar:
 		vals := v.Strings()
+		total := 0
+		for r := 0; r < n; r++ {
+			if v.Valid(r) {
+				total += len(vals[r])
+			}
+		}
+		rs.heap = reserveBytes(rs.heap, total)
 		for r := 0; r < n; r++ {
 			row := rs.Row(start + r)
 			if !v.Valid(r) {
