@@ -273,3 +273,172 @@ func TestMultiPassMergePlanRecorded(t *testing.T) {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
 	}
 }
+
+// TestFinalizeShedsResidentRunsBeforeCascading pins what a budgeted Finalize
+// does when the plan is short because runs are still in memory: it sheds
+// residents, largest first, until the survivors can stream at once, instead
+// of cascading passes over everything. How many runs are resident at
+// Finalize is a matter of sink timing, so the test sets the state up by
+// hand: every run resident but one, and the budget all but taken.
+func TestFinalizeShedsResidentRunsBeforeCascading(t *testing.T) {
+	tbl := mixedTable(40_000, 107)
+	want := sortWith(t, tbl, parallelTestKeys, Options{Threads: 1, RunSize: 2500,
+		SpillDir: t.TempDir(), ReadAhead: -1, ExtMergeThreads: 1})
+
+	broker := mem.NewBroker("shed", 64<<20)
+	s, err := NewSorter(tbl.Schema, parallelTestKeys, Options{Threads: 1, RunSize: 2500, Broker: broker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.spillRun(s.runs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	s.dropPools()
+	hog := broker.Reserve("hog", broker.Remaining()-(32<<10))
+	defer hog.Release()
+
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	resident := 0
+	for _, id := range s.streamActive {
+		if s.runs[id].keys != nil {
+			resident++
+		}
+	}
+	if st.MergePasses != 0 || st.PressureSpills == 0 || resident == 0 || len(s.streamActive) != int(st.RunsGenerated) {
+		t.Fatalf("32KiB short of %d runs: %d passes, %d runs shed, %d of %d survivors resident; want no pass, some shed, some resident",
+			st.RunsGenerated, st.MergePasses, st.PressureSpills, resident, len(s.streamActive))
+	}
+	got, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rowify(t, got).Bytes(), rowify(t, want).Bytes()) {
+		t.Error("output after shedding differs from the single-pass sort")
+	}
+}
+
+// TestRangeTrimmedBlocksMergeLikeSequential pins the partitioned merge's
+// block trimming against the merger-held code carry: a partition's first
+// served block usually starts mid-block (padOff > 0 — its first key enters
+// the tree through the initial tournament, with no carry), later blocks are
+// coded against the carry, and the partitions' concatenated key rows must be
+// the sequential merge's, at every thread count.
+func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
+	tbl := mixedTable(40_000, 105)
+	opt := Options{Threads: 1, RunSize: 5000, SpillBlockRows: 64, SpillDir: t.TempDir()}
+
+	// White box: open the sequential merge and the range-bounded merges the
+	// partitioned path would, over the same spilled runs.
+	s, err := NewSorter(tbl.Schema, mergeTestKeys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint32, len(s.runs))
+	anyTie := false
+	for i, r := range s.runs {
+		if r.spill == nil {
+			t.Fatalf("run %d was not spilled", i)
+		}
+		ids[i] = uint32(i)
+		anyTie = anyTie || r.tieBreak
+	}
+	drain := func(lo, hi []byte) (keys []byte, trimmed int) {
+		res := s.broker.Reserve("test-merge", 0)
+		defer res.Release()
+		e, err := s.openExtMergeRange(ids, nil, res, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.close(false)
+		for _, id := range ids {
+			if e.readers[id].padOff > 0 {
+				trimmed++
+			}
+		}
+		e.dst = s.getRowSet()
+		defer s.putRowSet(e.dst)
+		for {
+			keyRow, ok := e.next()
+			if !ok {
+				break
+			}
+			keys = append(keys, keyRow...)
+			if len(e.pendIdxs) >= e.batch {
+				e.flushPend()
+				e.dst.Reset()
+			}
+		}
+		if err := e.readerErr(); err != nil {
+			t.Fatal(err)
+		}
+		return keys, trimmed
+	}
+	want, _ := drain(nil, nil)
+	if len(want) != tbl.NumRows()*s.rowWidth {
+		t.Fatalf("sequential merge produced %d key bytes for %d rows", len(want), tbl.NumRows())
+	}
+	splitters := s.partitionSplitters(ids, 4, s.ovcSafeWidth(anyTie))
+	if len(splitters) < 2 {
+		t.Fatalf("only %d splitters: the test needs interior partitions", len(splitters))
+	}
+	var got []byte
+	trimmed := 0
+	for w := 0; w <= len(splitters); w++ {
+		var lo, hi []byte
+		if w > 0 {
+			lo = splitters[w-1]
+		}
+		if w < len(splitters) {
+			hi = splitters[w]
+		}
+		keys, n := drain(lo, hi)
+		got = append(got, keys...)
+		trimmed += n
+	}
+	if trimmed == 0 {
+		t.Fatal("no partition started on a head-trimmed block: the case under test never ran")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("concatenated range merges differ from the sequential merge's key rows")
+	}
+
+	// End to end at every thread count (the merge fan-out follows Threads).
+	seq := opt
+	seq.SpillDir, seq.ExtMergeThreads, seq.ReadAhead = t.TempDir(), 1, -1
+	wantTbl, _ := budgetedSort(t, tbl, mergeTestKeys, seq)
+	wantRows := rowify(t, wantTbl)
+	for _, threads := range []int{1, 2, 4} {
+		o := opt
+		o.SpillDir, o.Threads = t.TempDir(), threads
+		gotTbl, st := parallelSort(t, tbl, mergeTestKeys, o)
+		if !bytes.Equal(rowify(t, gotTbl).Bytes(), wantRows.Bytes()) {
+			t.Errorf("threads=%d: output differs from the sequential merge", threads)
+		}
+		if threads >= 2 && st.ExtMergeParts < 2 {
+			t.Errorf("threads=%d: final merge ran on %d partitions, want >= 2", threads, st.ExtMergeParts)
+		}
+	}
+}

@@ -17,15 +17,15 @@ import (
 )
 
 // Spill read-ahead: each merge reader can run its block decoding on a
-// bounded prefetch goroutine, so the next block's file read, payload
-// decode, and offset-value code computation overlap the loser tree's
-// compute on the current block. The prefetcher charges every decoded block
-// to the merge's reservation before queuing it, so under a budget
-// read-ahead is planned as (1 + Options.ReadAhead) blocks per run and
-// never busts the limit.
+// bounded prefetch goroutine, so the next block's file read and payload
+// decode overlap the loser tree's compute on the current block (the tree
+// derives its offset-value codes itself, from the rows it steps over). The
+// prefetcher charges every decoded block to the merge's reservation before
+// queuing it, so under a budget read-ahead is planned as
+// (1 + Options.ReadAhead) blocks per run and never busts the limit.
 
-// spillBlock is one decoded block of a spilled run. keys/codes may be
-// sub-slices of buf/codesBuf when the reader is bounded to a key range
+// spillBlock is one decoded block of a spilled run. keys may be a
+// sub-slice of buf when the reader is bounded to a key range
 // (the partitioned merge trims partition-edge blocks); payload always
 // holds the full block, so a served key at position p resolves to payload
 // row p+padOff, and a key-row reference with absolute run index i to
@@ -33,8 +33,6 @@ import (
 type spillBlock struct {
 	buf          []byte // full decoded key rows (recycled in sync mode)
 	keys         []byte // served key rows
-	codesBuf     []uint32
-	codes        []uint32
 	payload      *row.RowSet
 	payloadStart int    // absolute run index of payload's first row
 	padOff       uint32 // keys[0]'s payload offset within the block
@@ -57,8 +55,6 @@ type blockDecoder struct {
 	ow    *obs.Worker // the decoding goroutine's trace lane
 	phase obs.Phase   // PhaseSpillRead (sync) or PhasePrefetch
 
-	withCodes bool
-	codeWidth int
 	safeWidth int
 	lo, hi    []byte
 
@@ -66,7 +62,6 @@ type blockDecoder struct {
 	numRows    int
 	startBlock int
 	readRows   int // absolute row cursor
-	lastKey    []byte
 	done       bool
 
 	fc     bool   // format-3 file: key sections carry a tag byte
@@ -75,17 +70,13 @@ type blockDecoder struct {
 
 // openBlockDecoder opens r's spill file, validates its header, and seeks
 // to the first block that can hold a row >= lo (per the fence index).
-func (s *Sorter) openBlockDecoder(r *sortedRun, withCodes bool, codeWidth int,
-	lo, hi []byte, safeWidth int) (*blockDecoder, error) {
+func (s *Sorter) openBlockDecoder(r *sortedRun, lo, hi []byte, safeWidth int) (*blockDecoder, error) {
 	sf := r.spill
 	f, err := os.Open(sf.path)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening spill file: %w", err)
 	}
-	d := &blockDecoder{s: s, run: r, f: f,
-		withCodes: withCodes, codeWidth: codeWidth,
-		safeWidth: safeWidth, lo: lo, hi: hi,
-	}
+	d := &blockDecoder{s: s, run: r, f: f, safeWidth: safeWidth, lo: lo, hi: hi}
 	d.cr = &countingReader{r: f, s: s}
 	d.br = bufio.NewReader(d.cr)
 	var hdr [spillHeaderLen]byte
@@ -128,9 +119,6 @@ func (s *Sorter) openBlockDecoder(r *sortedRun, withCodes bool, codeWidth int,
 
 // decode reads and decodes the run's next served block, recycling reuse's
 // buffers when it can. It returns (nil, nil) at end of the (bounded) run.
-// The offset-value codes carry across blocks: codes[0] of a block is
-// relative to the previous block's last row; the first served block's
-// codes[0] is never read by the tree.
 func (d *blockDecoder) decode(reuse *spillBlock) (*spillBlock, error) {
 	rw := d.s.rowWidth
 	for {
@@ -176,30 +164,8 @@ func (d *blockDecoder) decode(reuse *spillBlock) (*spillBlock, error) {
 				d.done = true
 			}
 		}
-		if d.withCodes {
-			codes := b.codesBuf
-			if cap(codes) < rows {
-				codes = make([]uint32, rows)
-			} else {
-				codes = codes[:rows]
-			}
-			if d.lastKey == nil {
-				codes[0] = 0 // the first served block's code is never read
-			} else {
-				codes[0] = mergepath.OVCCode(d.lastKey, blk.Row(0), d.codeWidth)
-			}
-			for i := 1; i < rows; i++ {
-				codes[i] = mergepath.OVCCode(blk.Row(i-1), blk.Row(i), d.codeWidth)
-			}
-			b.codesBuf = codes
-			b.codes = codes[a:e]
-		}
 		payloadStart := d.readRows
 		d.readRows += rows
-		// The carry for the next block is this block's last row; a
-		// tail-trimmed block is the run's last, so the full-block row is
-		// always the one the tree saw most recently.
-		d.lastKey = append(d.lastKey[:0], blk.Row(rows-1)...)
 		sp.End()
 		if a >= e {
 			if d.done {
@@ -220,8 +186,8 @@ func (d *blockDecoder) decode(reuse *spillBlock) (*spillBlock, error) {
 // readKeySection reads one block's key rows into buf (rows rows of stride
 // rw). Format-2 files store them raw; format-3 files prefix a tag byte —
 // raw rows (0) or a length-prefixed front-coded section (1) that decodes in
-// place through the scratch buffer. Everything downstream (offset-value
-// codes, fences, partition trims) sees the same decoded rows either way.
+// place through the scratch buffer. Everything downstream (the merge,
+// fences, partition trims) sees the same decoded rows either way.
 func (d *blockDecoder) readKeySection(buf []byte, rows, rw int) error {
 	if !d.fc {
 		if _, err := io.ReadFull(d.br, buf); err != nil {

@@ -293,6 +293,16 @@ func (s *Sorter) claimSpillableRun() *sortedRun {
 	if s.finalized {
 		return nil
 	}
+	best := s.largestResident()
+	if best != nil {
+		best.spilling = true
+	}
+	return best
+}
+
+// largestResident returns the largest run that is in memory and unclaimed,
+// or nil. The caller holds s.mu.
+func (s *Sorter) largestResident() *sortedRun {
 	var best *sortedRun
 	var bestBytes int64
 	for _, r := range s.runs {
@@ -302,9 +312,6 @@ func (s *Sorter) claimSpillableRun() *sortedRun {
 		if b := runBytes(r); best == nil || b > bestBytes {
 			best, bestBytes = r, b
 		}
-	}
-	if best != nil {
-		best.spilling = true
 	}
 	return best
 }
@@ -479,7 +486,6 @@ type runReader struct {
 
 	keys       []byte      // current block's served key rows
 	payload    *row.RowSet // current block's payload (always the full block)
-	codes      []uint32    // current block's offset-value codes
 	blockStart int         // absolute run index of payload's first row
 	padOff     uint32      // keys[0]'s offset into payload (head-bounded blocks)
 
@@ -491,8 +497,6 @@ type runReader struct {
 	resBytes int64
 
 	memory       bool
-	memWithCodes bool
-	memCodeWidth int
 	memServeRows int
 	served       bool
 	closed       bool
@@ -500,27 +504,26 @@ type runReader struct {
 }
 
 // openRunReader opens a full-run reader; see openRunReaderRange.
-func (s *Sorter) openRunReader(r *sortedRun, withCodes bool, codeWidth int, ow *obs.Worker, res *mem.Reservation) (*runReader, error) {
-	return s.openRunReaderRange(r, withCodes, codeWidth, ow, res, nil, nil, 0)
+func (s *Sorter) openRunReader(r *sortedRun, ow *obs.Worker, res *mem.Reservation) (*runReader, error) {
+	return s.openRunReaderRange(r, ow, res, nil, nil, 0)
 }
 
 // openRunReaderRange opens a reader over r's rows, optionally bounded to
 // the key range [lo, hi) on the safeWidth-byte prefix (nil bounds are
-// open). codeWidth is the byte-decisive key prefix the offset-value codes
-// cover (ignored when withCodes is false); ow is the trace lane block reads
-// are recorded on; res is charged with the decoded blocks' bytes. When the
-// run is on disk and Options.ReadAhead is enabled, a prefetcher goroutine
-// starts decoding immediately.
-func (s *Sorter) openRunReaderRange(r *sortedRun, withCodes bool, codeWidth int, ow *obs.Worker,
+// open). ow is the trace lane block reads are recorded on; res is charged
+// with the decoded blocks' bytes. When the run is on disk and
+// Options.ReadAhead is enabled, a prefetcher goroutine starts decoding
+// immediately.
+func (s *Sorter) openRunReaderRange(r *sortedRun, ow *obs.Worker,
 	res *mem.Reservation, lo, hi []byte, safeWidth int) (*runReader, error) {
 	rd := &runReader{s: s, run: r, ow: ow, res: res}
 	if r.spill == nil {
 		rd.memory = true
 		rd.numRows = len(r.keys) / s.rowWidth
-		rd.memBounds(withCodes, codeWidth, lo, hi, safeWidth)
+		rd.memBounds(lo, hi, safeWidth)
 		return rd, nil
 	}
-	dec, err := s.openBlockDecoder(r, withCodes, codeWidth, lo, hi, safeWidth)
+	dec, err := s.openBlockDecoder(r, lo, hi, safeWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -539,8 +542,8 @@ func (s *Sorter) openRunReaderRange(r *sortedRun, withCodes bool, codeWidth int,
 
 // memBounds precomputes a memory-mode reader's served slice: the rows of
 // [lo, hi) on the safe prefix, found by binary search over the (sorted)
-// resident keys. Codes are computed lazily on the first next.
-func (rd *runReader) memBounds(withCodes bool, codeWidth int, lo, hi []byte, safeWidth int) {
+// resident keys.
+func (rd *runReader) memBounds(lo, hi []byte, safeWidth int) {
 	rd.keys = rd.run.keys
 	rd.payload = rd.run.payload
 	rw := rd.s.rowWidth
@@ -558,18 +561,11 @@ func (rd *runReader) memBounds(withCodes bool, codeWidth int, lo, hi []byte, saf
 	rd.keys = rd.run.keys[a*rw : b*rw]
 	rd.padOff = uint32(a)
 	rd.blockStart = 0
-	if withCodes {
-		rd.memCodeWidth = codeWidth
-	}
 	rd.memServeRows = b - a
-	rd.memWithCodes = withCodes
 }
 
 // next loads the run's next block, retiring the previous one. It returns
-// false at end of the (range-bounded) run or on error (check rd.err). The
-// codes carry across blocks: codes[0] of a new block is relative to the
-// previous block's last row, which the merge has always just output when it
-// asks for a refill.
+// false at end of the (range-bounded) run or on error (check rd.err).
 func (rd *runReader) next() bool {
 	if rd.err != nil {
 		return false
@@ -579,10 +575,6 @@ func (rd *runReader) next() bool {
 			return false
 		}
 		rd.served = true
-		if rd.memWithCodes {
-			rd.codes = mergepath.ComputeOVC(
-				mergepath.Run{Data: rd.keys, Width: rd.s.rowWidth}, rd.memCodeWidth)
-		}
 		return true
 	}
 
@@ -620,7 +612,6 @@ func (rd *runReader) next() bool {
 	rd.cur = b
 	rd.keys = b.keys
 	rd.payload = b.payload
-	rd.codes = b.codes
 	rd.blockStart = b.payloadStart
 	rd.padOff = b.padOff
 	return true
@@ -688,7 +679,6 @@ func (s *Sorter) openExtMerge(ids []uint32, mw *obs.Worker, res *mem.Reservation
 // partitioned external merge's workers each stream a disjoint slice of the
 // output. For range-bounded merges e.total still counts the full runs.
 func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reservation, lo, hi []byte) (*extMerge, error) {
-	useOVC := s.opt.Merge != MergeLoserTreeNoOVC
 	anyTie := false
 	for _, id := range ids {
 		anyTie = anyTie || s.runs[id].tieBreak
@@ -703,7 +693,7 @@ func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reserv
 		readers: make([]*runReader, len(s.runs)),
 	}
 	for _, id := range ids {
-		rd, err := s.openRunReaderRange(s.runs[id], useOVC, ovcWidth, mw, res, lo, hi, ovcWidth)
+		rd, err := s.openRunReaderRange(s.runs[id], mw, res, lo, hi, ovcWidth)
 		if err != nil {
 			e.close(false)
 			return nil, err
@@ -714,12 +704,10 @@ func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reserv
 
 	// Prime every run's first block.
 	mruns := make([]mergepath.Run, len(ids))
-	mcodes := make([][]uint32, len(ids))
 	for i, id := range ids {
 		rd := e.readers[id]
 		if rd.next() {
 			mruns[i] = mergepath.Run{Data: rd.keys, Width: s.rowWidth}
-			mcodes[i] = rd.codes
 		} else if rd.err != nil {
 			err := rd.err
 			e.close(false)
@@ -738,31 +726,31 @@ func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reserv
 			return rd.payload, int(idx) - rd.blockStart
 		})
 	}
-	if useOVC {
-		e.m = mergepath.NewMerger(mruns, ovcWidth, mcodes, tie)
+	if s.opt.Merge != MergeLoserTreeNoOVC {
+		e.m = mergepath.NewMerger(mruns, ovcWidth, tie)
 	} else {
 		cmp := tie
 		if cmp == nil {
 			kw := s.keyWidth
 			cmp = func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
 		}
-		e.m = mergepath.NewMerger(mruns, 0, nil, cmp)
+		e.m = mergepath.NewMerger(mruns, 0, cmp)
 	}
 
 	e.batch = s.opt.spillBlockRows()
 	e.pendWhich = make([]uint32, 0, e.batch)
 	e.pendIdxs = make([]uint32, 0, e.batch)
 	e.srcs = make([]*row.RowSet, len(ids))
-	e.m.SetRefill(func(r int) (mergepath.Run, []uint32, bool) {
+	e.m.SetRefill(func(r int) (mergepath.Run, bool) {
 		// Pending gathers may reference the exhausted block; materialize
 		// them before the reader overwrites it. (Only rows already output
 		// can be pending, so everything they reference is still resident.)
 		e.flushPend()
 		rd := e.readers[e.active[r]]
 		if !rd.next() {
-			return mergepath.Run{}, nil, false
+			return mergepath.Run{}, false
 		}
-		return mergepath.Run{Data: rd.keys, Width: s.rowWidth}, rd.codes, true
+		return mergepath.Run{Data: rd.keys, Width: s.rowWidth}, true
 	})
 	return e, nil
 }
@@ -927,11 +915,11 @@ func (s *Sorter) planStreamingMerge() error {
 	return nil
 }
 
-// reduceFanIn merges contiguous batches of runs to disk until the remaining
-// budget can stream the survivors at once (mergepath.PlanMerge: the plan
-// prefers cascading extra passes over healthy-sized blocks to thrashing
-// tiny ones, and sizes each pass for the (1 + ReadAhead) resident blocks
-// per run that read-ahead holds). Batches are contiguous and each merged
+// reduceFanIn sheds resident runs, then merges contiguous batches of runs
+// to disk, until the remaining budget can stream the survivors at once
+// (mergepath.PlanMerge: the plan prefers cascading extra passes over
+// healthy-sized blocks to thrashing tiny ones, and sizes each pass for the
+// (1 + ReadAhead) resident blocks per run that read-ahead holds). Batches are contiguous and each merged
 // run takes its batch's position, so the final merge sees runs in original
 // run-id order — ties still resolve to the earlier input run, which keeps
 // budgeted output byte-identical to the unlimited sort. The strategy
@@ -949,6 +937,18 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 		if plan.FanIn >= len(ids) {
 			s.mergeFanIn.Store(int64(len(ids)))
 			return ids, nil
+		}
+		// Runs still in memory hold the budget the plan is short of, and
+		// how many there are is an accident of sink timing. Shedding one
+		// writes it once; a pass reads and rewrites every run in it.
+		if r := s.largestResident(); r != nil {
+			s.pressureSpills.Add(1)
+			s.prog.PressureSpills.Add(1)
+			if err := r.spillTo(s, mw); err != nil {
+				return nil, err
+			}
+			s.dropPools()
+			continue
 		}
 		var role func(i int) int
 		if s.opt.Adaptive {
@@ -1126,7 +1126,7 @@ func (r *sortedRun) unspill(s *Sorter, ow *obs.Worker) error {
 	if r.spill == nil {
 		return nil
 	}
-	rd, err := s.openRunReader(r, false, 0, ow, nil)
+	rd, err := s.openRunReader(r, ow, nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package mergepath
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -38,27 +39,82 @@ func BenchmarkParallelMerge(b *testing.B) {
 	}
 }
 
-func BenchmarkKWayVsCascade(b *testing.B) {
-	var runs []Run
-	total := 0
-	for r := 0; r < 16; r++ {
-		run := benchRun(1<<12, 8, uint64(r+10))
-		runs = append(runs, run)
-		total += run.Len()
+// benchKeyRuns builds k sorted runs of rows width-byte rows with kw-byte
+// keys: a constant first byte (the NULL indicator of a normalized key) and
+// random bytes after it, drawn from a pool of distinct keys when distinct > 0
+// (duplicate-heavy) and independently otherwise. The bytes after the key
+// hold the row's run and index, like the sorter's payload references.
+func benchKeyRuns(k, rows, width, kw, distinct int, seed uint64) []Run {
+	rng := workload.NewRNG(seed)
+	randKey := func(key []byte) {
+		key[0] = 1
+		for j := 1; j < kw; j += 4 {
+			var w [4]byte
+			binary.BigEndian.PutUint32(w[:], rng.Uint32())
+			copy(key[j:kw], w[:])
+		}
 	}
-	b.Run("kway", func(b *testing.B) {
-		dst := make([]byte, total*8)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			KWayMerge(dst, runs, nil)
+	pool := make([]byte, distinct*kw)
+	for i := 0; i < distinct; i++ {
+		randKey(pool[i*kw : (i+1)*kw])
+	}
+	runs := make([]Run, k)
+	for r := range runs {
+		keys := make([][]byte, rows)
+		for i := range keys {
+			if distinct > 0 {
+				d := int(rng.Uint32()) % distinct
+				keys[i] = pool[d*kw : (d+1)*kw]
+			} else {
+				keys[i] = make([]byte, kw)
+				randKey(keys[i])
+			}
 		}
-	})
-	b.Run("cascade", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			CascadeMerge(runs, nil, 2)
+		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+		data := make([]byte, rows*width)
+		for i, key := range keys {
+			row := data[i*width : (i+1)*width]
+			copy(row, key)
+			binary.LittleEndian.PutUint32(row[width-8:], uint32(r))
+			binary.LittleEndian.PutUint32(row[width-4:], uint32(i))
 		}
-	})
+		runs[r] = Run{Data: data, Width: width}
+	}
+	return runs
+}
+
+// BenchmarkKWayMergeOVC times the coded loser tree out of cache, at the
+// three run shapes the repository benchmark's workloads hand it
+// (mem-uniform-int, mem-customer-str, ext-catalog-spill), against the
+// reference tree it replaced (precomputed per-run code arrays included in
+// the reference's time, as they were in the old KWayMergeOVC).
+func BenchmarkKWayMergeOVC(b *testing.B) {
+	for _, sh := range []struct {
+		name                         string
+		k, rows, width, kw, distinct int
+	}{
+		{"16x128Ki/w24/key9", 16, 1 << 17, 24, 9, 0},
+		{"8x128Ki/w40/key26/dup", 8, 1 << 17, 40, 26, 1 << 14},
+		{"16x64Ki/w32/key20", 16, 1 << 16, 32, 20, 0},
+	} {
+		runs := benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 7)
+		total := sh.k * sh.rows
+		dst := make([]byte, total*sh.width)
+		for _, tree := range []struct {
+			name  string
+			merge func()
+		}{
+			{"packed", func() { KWayMergeOVC(dst, runs, sh.kw, nil, nil) }},
+			{"reference", func() { refKWayMergeOVC(dst, runs, sh.kw, nil) }},
+		} {
+			b.Run(sh.name+"/"+tree.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tree.merge()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/row")
+			})
+		}
+	}
 }
 
 func BenchmarkSplitPoint(b *testing.B) {

@@ -2,6 +2,8 @@ package mergepath
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"sync"
 )
 
@@ -18,6 +20,16 @@ import (
 // exactly like the rows, so two candidates whose codes differ compare in
 // O(1). Only equal codes — rows sharing their first difference against the
 // common base — need bytes compared, and then only from that offset on.
+//
+// The tournament state is one []uint64: each entry packs a candidate as
+// code<<32 | run, so a match between two candidates whose codes differ is
+// one integer min/max over the packed words — no cursor is touched, no
+// data-dependent branch is taken, and a run with no rows left carries the
+// code ^uint32(0), above every real code, so "exhausted" needs no flag.
+// Only a code tie leaves the replay loop for the row bytes. A row's
+// within-run code is derived when the tree steps onto it, from the row just
+// emitted (both are hot: they are about to be copied out), so callers hand
+// the merger nothing but rows.
 //
 // The loser tree maintains the invariant that makes code comparisons valid:
 // every match compares two rows whose codes are relative to the same base,
@@ -75,34 +87,23 @@ func OVCCode(base, row []byte, keyWidth int) uint32 {
 	return 0
 }
 
-// ComputeOVC returns the within-run codes of r: codes[i] is row i relative
-// to row i-1. codes[0] is left zero — the tree never reads the code of a
-// run's first row (the initial tournament is played with full comparisons);
-// block readers overwrite it with the cross-block carry.
-func ComputeOVC(r Run, keyWidth int) []uint32 {
-	n := r.Len()
-	codes := make([]uint32, n)
-	for i := 1; i < n; i++ {
-		codes[i] = OVCCode(r.Row(i-1), r.Row(i), keyWidth)
-	}
-	return codes
-}
+// exhausted is the code of a run with no current row. Real codes stay below
+// it (keyWidth < 1<<24), so a retired run loses every match on the integer
+// compare alone.
+const exhausted = ^uint32(0)
 
-// cursor is one run's read position in the tournament.
+// cursor is one run's read position: the current block and the row in it.
 type cursor struct {
-	run   Run
-	codes []uint32
-	pos   int
-	code  uint32 // current row's code relative to this path's last winner
-	done  bool
+	run Run
+	pos int
 }
 
 // Merger is a k-way loser-tree merge over sorted runs. With keyWidth > 0 it
 // compares offset-value codes first and row bytes only on code ties, calling
 // tie for byte-equal keys (nil means byte-equal rows are equal); with
-// keyWidth == 0 it plays every match with tie as the full comparator (nil
-// means bytes.Compare). Ties resolve to the lower run index, so the merge is
-// stable across runs either way.
+// keyWidth == 0 every code is zero, so every match is a code tie played with
+// tie as the full comparator (nil means bytes.Compare). Ties resolve to the
+// lower run index, so the merge is stable across runs either way.
 //
 // keyWidth must be a byte-decisive prefix: whenever two rows differ within
 // their first keyWidth bytes, that byte order must be the sort order, and
@@ -111,58 +112,71 @@ type cursor struct {
 // by more key columns) must pass the width up to that segment's end, not
 // the full key width, with tie as the remaining comparator.
 type Merger struct {
-	cur      []cursor
-	tree     []int32 // tree[1..k-1]: losers; leaf of run r is node r+k
+	cur []cursor
+	// tree[0] is the current winner, tree[1..k-1] each node's loser, packed
+	// code<<32 | run with the code relative to the winner that last passed
+	// the node. The leaf of run r is node r+k; node i's children are 2i, 2i+1.
+	tree     []uint64
 	k        int
 	keyWidth int // 0 disables offset-value coding
+	wordSpan int // keyWidth rounded up to whole 8-byte words
 	tie      CompareFunc
-	refill   func(r int) (Run, []uint32, bool)
+	refill   func(r int) (Run, bool)
+	carry    []byte // k × keyWidth: the last key of each run's previous block
 	stats    Stats
-	winner   int
 	started  bool
 }
 
-// NewMerger builds the tournament over runs. codes may be nil when
-// keyWidth == 0; otherwise codes[r] must be ComputeOVC(runs[r], keyWidth)
-// (or a block's codes with the cross-block carry in codes[0]).
-func NewMerger(runs []Run, keyWidth int, codes [][]uint32, tie CompareFunc) *Merger {
-	m := &Merger{k: len(runs), keyWidth: keyWidth, tie: tie, winner: -1}
+// NewMerger builds the tournament over runs.
+func NewMerger(runs []Run, keyWidth int, tie CompareFunc) *Merger {
+	m := &Merger{k: len(runs), keyWidth: keyWidth, wordSpan: (keyWidth + 7) &^ 7, tie: tie}
 	if keyWidth == 0 {
 		m.tie = cmpOrDefault(tie)
 	}
 	m.cur = make([]cursor, m.k)
 	for i := range runs {
-		c := cursor{run: runs[i], done: runs[i].Len() == 0}
-		if codes != nil {
-			c.codes = codes[i]
-		}
-		m.cur[i] = c
+		m.cur[i].run = runs[i]
 	}
-	if m.k == 0 {
-		return m
+	m.tree = make([]uint64, max(m.k, 1))
+	m.tree[0] = uint64(exhausted) << 32
+	if m.k > 0 {
+		m.tree[0] = m.build(1)
 	}
-	m.tree = make([]int32, m.k)
-	m.winner = m.build(1)
 	return m
 }
 
 // SetRefill installs the streaming callback: when run r's current block is
-// exhausted, refill may hand the merger r's next block (with codes[0] set
-// relative to the block's last output row) instead of retiring the run.
-func (m *Merger) SetRefill(f func(r int) (Run, []uint32, bool)) { m.refill = f }
+// exhausted, refill may hand the merger r's next block (rows of the same
+// width) instead of retiring the run. The merger keeps the exhausted
+// block's last key itself, so the old block may be overwritten by refill.
+func (m *Merger) SetRefill(f func(r int) (Run, bool)) {
+	m.refill = f
+	m.carry = make([]byte, m.k*m.keyWidth)
+}
 
 // Stats returns the merge counters accumulated so far.
 func (m *Merger) Stats() Stats { return m.stats }
 
-// build plays the initial tournament under node with full comparisons,
-// storing losers (with codes relative to their defeater) and returning the
-// subtree winner. Leaves are nodes k..2k-1; node i's children are 2i, 2i+1.
-func (m *Merger) build(node int) int {
+// build plays the initial tournament under node, storing losers (with codes
+// relative to their defeater) and returning the subtree winner. No row has a
+// base yet, so every first row enters with the code of a difference "before
+// byte 0": all such codes tie, and the tie is played on the bytes from
+// offset 0. A leaf without rows enters exhausted.
+func (m *Merger) build(node int) uint64 {
 	if node >= m.k {
-		return node - m.k
+		r := node - m.k
+		if m.cur[r].run.Len() == 0 {
+			return uint64(exhausted)<<32 | uint64(r)
+		}
+		return uint64(m.keyWidth+1)<<40 | uint64(r)
 	}
-	w, l := m.fullMatch(m.build(2*node), m.build(2*node+1))
-	m.tree[node] = int32(l)
+	a, b := m.build(2*node), m.build(2*node+1)
+	if (a^b)>>32 != 0 { // exactly one side has no rows
+		m.tree[node] = max(a, b)
+		return min(a, b)
+	}
+	w, l := m.byteMatch(a, b)
+	m.tree[node] = l
 	return w
 }
 
@@ -175,34 +189,54 @@ func (m *Merger) build(node int) int {
 //rowsort:hotpath
 func (m *Merger) Next() (run, pos int, row []byte, ok bool) {
 	if m.started {
-		m.advance(m.winner)
-	} else {
-		m.started = true
+		m.advance()
 	}
-	if m.winner < 0 || m.cur[m.winner].done {
+	m.started = true
+	win := m.tree[0]
+	if uint32(win>>32) == exhausted {
 		return 0, 0, nil, false
 	}
-	c := &m.cur[m.winner]
-	return m.winner, c.pos, c.run.Row(c.pos), true
+	c := &m.cur[uint32(win)]
+	return int(uint32(win)), c.pos, c.run.Row(c.pos), true
 }
 
-// advance steps run r to its next row (refilling or retiring it at block
-// end) and replays the matches from r's leaf to the root.
-func (m *Merger) advance(r int) {
+// advance steps the winner's run to its next row (refilling or retiring it
+// at block end), derives that row's code from the row just emitted, and
+// replays the matches from the run's leaf to the root.
+//
+//rowsort:hotpath
+func (m *Merger) advance() {
+	win := m.tree[0]
+	if uint32(win>>32) == exhausted {
+		return
+	}
+	r := int(uint32(win))
 	c := &m.cur[r]
+	w := c.run.Width
+	prev := c.run.Data[c.pos*w:]
 	c.pos++
-	if c.pos >= c.run.Len() {
-		c.done = true
-		if m.refill != nil {
-			if nr, codes, ok := m.refill(r); ok && nr.Len() > 0 {
-				c.run, c.codes, c.pos, c.done = nr, codes, 0, false
-				if m.keyWidth > 0 {
-					c.code = codes[0]
+	var code uint32
+	switch {
+	case len(prev) < 2*w:
+		code = m.nextBlock(r, prev)
+	case w >= m.wordSpan:
+		// 8-byte big-endian words order like the bytes, and the first set
+		// bit of a^b lies in the first differing byte. The last word may run
+		// past the key into the row's trailing bytes (w >= wordSpan keeps
+		// the load inside the row); a difference found there is not a key
+		// difference.
+		cur := prev[w:]
+		for j := 0; j < m.keyWidth; j += 8 {
+			a, b := binary.BigEndian.Uint64(prev[j:]), binary.BigEndian.Uint64(cur[j:])
+			if a != b {
+				if q := j + bits.LeadingZeros64(a^b)>>3; q < m.keyWidth {
+					code = uint32(m.keyWidth-q)<<8 | uint32(cur[q])
 				}
+				break
 			}
 		}
-	} else if m.keyWidth > 0 {
-		c.code = c.codes[c.pos]
+	default:
+		code = OVCCode(prev, prev[w:], m.keyWidth)
 	}
 	// Duplicate-run fast path: a within-run (or cross-block carry) code of 0
 	// means the new row is byte-equal to the row just emitted. That row beat
@@ -212,142 +246,104 @@ func (m *Merger) advance(r int) {
 	// valid: they are relative to the old winner's bytes, which the new
 	// winner repeats. With a tie-break installed byte-equal rows may still
 	// order semantically, so the tree must replay.
-	if m.keyWidth > 0 && m.tie == nil && !c.done && c.code == 0 {
+	if code == 0 && m.keyWidth > 0 && m.tie == nil {
 		m.stats.DupRunHits++
-		m.winner = r
 		return
 	}
-	x := r
-	for node := (r + m.k) / 2; node >= 1; node /= 2 {
-		w, l := m.match(x, int(m.tree[node]))
-		m.tree[node] = int32(l)
-		x = w
+	// Replay. Both codes at a node are relative to the same base (the last
+	// winner through it), so differing codes order like the rows: the
+	// smaller word moves up, the larger stays with its code unchanged —
+	// still valid relative to the new winner. A match against an exhausted
+	// run is not a comparison and is not counted.
+	tree := m.tree
+	x := uint64(code)<<32 | uint64(r)
+	var hits uint64
+	for node := (r + m.k) >> 1; node >= 1; node >>= 1 {
+		y := tree[node]
+		if (x^y)>>32 == 0 {
+			x, tree[node] = m.byteMatch(x, y)
+			continue
+		}
+		hi := max(x, y)
+		x = min(x, y)
+		tree[node] = hi
+		hits += 1 - (hi>>32+1)>>32
 	}
-	m.winner = x
+	tree[0] = x
+	m.stats.Comparisons += hits
+	m.stats.OVCHits += hits
 }
 
-// match plays candidate a against stored loser b, both codes relative to
-// the same base by the tree invariant. It returns (winner, loser) and
-// updates the loser's code to be relative to the winner when the bytes
-// decided or tied.
-func (m *Merger) match(a, b int) (w, l int) {
-	ca, cb := &m.cur[a], &m.cur[b]
-	if ca.done {
-		return b, a
+// nextBlock retires run r's exhausted block, whose last row is last, and
+// returns the code of the run's next row: relative to last when refill
+// supplies another block, exhausted otherwise. The key is copied out before
+// refill runs because refill may recycle the block's buffer.
+//
+//rowsort:hotpath
+func (m *Merger) nextBlock(r int, last []byte) uint32 {
+	if m.refill == nil {
+		return exhausted
 	}
-	if cb.done {
+	carry := m.carry[r*m.keyWidth : (r+1)*m.keyWidth]
+	copy(carry, last)
+	nr, ok := m.refill(r)
+	if !ok || nr.Len() == 0 {
+		return exhausted
+	}
+	m.cur[r] = cursor{run: nr}
+	return OVCCode(carry, nr.Data, m.keyWidth)
+}
+
+// byteMatch plays a match the codes could not decide. Equal codes relative
+// to a common base mean both rows agree with the base — and each other —
+// through the code's offset byte, so the bytes past it decide; byte-equal
+// keys go to the tie-break and then to the lower run index. The loser
+// leaves with its code relative to the winner; the winner keeps its own.
+//
+//rowsort:hotpath
+func (m *Merger) byteMatch(a, b uint64) (w, l uint64) {
+	code := uint32(a >> 32)
+	if code == exhausted {
 		return a, b
 	}
-	if m.keyWidth == 0 {
-		m.stats.Comparisons++
-		m.stats.FullCompares++
-		c := m.tie(ca.run.Row(ca.pos), cb.run.Row(cb.pos))
-		if c < 0 || (c == 0 && a < b) {
-			return a, b
-		}
-		return b, a
-	}
 	m.stats.Comparisons++
-	if ca.code != cb.code {
-		// Codes relative to a common base order like the rows: the loser
-		// keeps its code, which stays valid relative to the new winner.
-		m.stats.OVCHits++
-		if ca.code < cb.code {
-			return a, b
-		}
-		return b, a
-	}
 	m.stats.FullCompares++
+	ca, cb := &m.cur[uint32(a)], &m.cur[uint32(b)]
 	ra, rb := ca.run.Row(ca.pos), cb.run.Row(cb.pos)
-	j := m.keyWidth // equal zero codes: both rows equal the base
-	if ca.code != 0 {
-		// Equal nonzero codes: both rows match the base up to and including
-		// the offset byte, so they can first differ just past it.
-		j = m.keyWidth - int(ca.code>>8) + 1
-		for j < m.keyWidth && ra[j] == rb[j] {
+	kw := m.keyWidth
+	j := kw // equal zero codes: both rows equal the base
+	if code != 0 {
+		j = kw - int(code>>8) + 1
+		for j < kw && ra[j] == rb[j] {
 			j++
 		}
 	}
-	if j < m.keyWidth {
+	if j < kw {
 		if ra[j] < rb[j] {
-			cb.code = uint32(m.keyWidth-j)<<8 | uint32(rb[j])
-			return a, b
+			return a, uint64(kw-j)<<40 | uint64(rb[j])<<32 | b&0xffffffff
 		}
-		ca.code = uint32(m.keyWidth-j)<<8 | uint32(ra[j])
-		return b, a
+		return b, uint64(kw-j)<<40 | uint64(ra[j])<<32 | a&0xffffffff
 	}
 	var c int
 	if m.tie != nil {
-		m.stats.TieBreaks++
+		if kw > 0 {
+			m.stats.TieBreaks++
+		}
 		c = m.tie(ra, rb)
 	}
-	if c < 0 || (c == 0 && a < b) {
-		cb.code = 0
-		return a, b
+	if c < 0 || (c == 0 && uint32(a) < uint32(b)) {
+		return a, b & 0xffffffff
 	}
-	ca.code = 0
-	return b, a
-}
-
-// fullMatch is match with the codes ignored: the initial tournament has no
-// common base yet, so it compares bytes from offset 0 and seeds the losers'
-// codes relative to their defeaters.
-func (m *Merger) fullMatch(a, b int) (w, l int) {
-	ca, cb := &m.cur[a], &m.cur[b]
-	if ca.done {
-		return b, a
-	}
-	if cb.done {
-		return a, b
-	}
-	m.stats.Comparisons++
-	m.stats.FullCompares++
-	if m.keyWidth == 0 {
-		c := m.tie(ca.run.Row(ca.pos), cb.run.Row(cb.pos))
-		if c < 0 || (c == 0 && a < b) {
-			return a, b
-		}
-		return b, a
-	}
-	ra, rb := ca.run.Row(ca.pos), cb.run.Row(cb.pos)
-	j := 0
-	for j < m.keyWidth && ra[j] == rb[j] {
-		j++
-	}
-	if j < m.keyWidth {
-		if ra[j] < rb[j] {
-			cb.code = uint32(m.keyWidth-j)<<8 | uint32(rb[j])
-			return a, b
-		}
-		ca.code = uint32(m.keyWidth-j)<<8 | uint32(ra[j])
-		return b, a
-	}
-	var c int
-	if m.tie != nil {
-		m.stats.TieBreaks++
-		c = m.tie(ra, rb)
-	}
-	if c < 0 || (c == 0 && a < b) {
-		cb.code = 0
-		return a, b
-	}
-	ca.code = 0
-	return b, a
+	return b, a & 0xffffffff
 }
 
 // KWayMergeOVC merges k runs of normalized-key rows into dst with the
 // offset-value-coded loser tree. Rows compare as their first keyWidth bytes;
 // tie (may be nil) breaks byte-equal keys, and remaining ties resolve to the
-// lower run index. dst must hold the total number of rows. codes may be nil,
-// in which case the within-run codes are computed here.
+// lower run index. dst must hold the total number of rows. codes is ignored:
+// the merger derives every code from the rows.
 func KWayMergeOVC(dst []byte, runs []Run, keyWidth int, codes [][]uint32, tie CompareFunc) Stats {
-	if codes == nil {
-		codes = make([][]uint32, len(runs))
-		for r := range runs {
-			codes[r] = ComputeOVC(runs[r], keyWidth)
-		}
-	}
-	m := NewMerger(runs, keyWidth, codes, tie)
+	m := NewMerger(runs, keyWidth, tie)
 	drainMerger(m, dst, runWidth(runs))
 	return m.stats
 }
@@ -520,20 +516,6 @@ func ParallelKWayMergeSpans(dst []byte, runs []Run, keyWidth int, tie CompareFun
 		return 0
 	}
 
-	var codes [][]uint32
-	var wg sync.WaitGroup
-	if useOVC {
-		codes = make([][]uint32, len(runs))
-		for r := range runs {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				codes[r] = ComputeOVC(runs[r], keyWidth)
-			}(r)
-		}
-		wg.Wait()
-	}
-
 	if p < 1 {
 		p = 1
 	}
@@ -542,6 +524,7 @@ func ParallelKWayMergeSpans(dst []byte, runs []Run, keyWidth int, tie CompareFun
 	}
 	stats := make([]Stats, p)
 	prev := make([]int, len(runs))
+	var wg sync.WaitGroup
 	for part := 1; part <= p; part++ {
 		var cut []int
 		if part == p {
@@ -561,17 +544,8 @@ func ParallelKWayMergeSpans(dst []byte, runs []Run, keyWidth int, tie CompareFun
 			end += v
 		}
 		sub := make([]Run, len(runs))
-		var subCodes [][]uint32
-		if useOVC {
-			subCodes = make([][]uint32, len(runs))
-		}
 		for r := range runs {
 			sub[r] = Run{Data: runs[r].Data[prev[r]*w : cut[r]*w], Width: w}
-			if useOVC {
-				// codes[0] of a sub-run is never read: the initial
-				// tournament replays full comparisons.
-				subCodes[r] = codes[r][prev[r]:cut[r]]
-			}
 		}
 		out := dst[start*w : end*w]
 		wg.Add(1)
@@ -582,9 +556,9 @@ func ParallelKWayMergeSpans(dst []byte, runs []Run, keyWidth int, tie CompareFun
 			}
 			var m *Merger
 			if useOVC {
-				m = NewMerger(sub, keyWidth, subCodes, tie)
+				m = NewMerger(sub, keyWidth, tie)
 			} else {
-				m = NewMerger(sub, 0, nil, eff)
+				m = NewMerger(sub, 0, eff)
 			}
 			drainMerger(m, out, w)
 			stats[part] = m.stats

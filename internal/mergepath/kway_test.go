@@ -29,17 +29,6 @@ func TestOVCCode(t *testing.T) {
 	}
 }
 
-func TestComputeOVC(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	r := sortedRun(randVals(500, 40, rng), 8, 0)
-	codes := ComputeOVC(r, 4)
-	for i := 1; i < r.Len(); i++ {
-		if want := OVCCode(r.Row(i-1), r.Row(i), 4); codes[i] != want {
-			t.Fatalf("codes[%d] = %#x, want %#x", i, codes[i], want)
-		}
-	}
-}
-
 func TestKWayMergeOVCMatchesCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, numRuns := range []int{1, 2, 3, 8, 13} {
@@ -169,9 +158,47 @@ func TestParallelKWayMergeThreads(t *testing.T) {
 	}
 }
 
-// TestMergerRefillBlocks streams each run through fixed-size blocks with the
-// cross-block code carry, as the external merge does, and checks the output
-// matches the whole-run merge.
+// blockedMerge drains a Merger fed blockRows rows per refill. Every run's
+// blocks pass through one recycled buffer, as the synchronous spill reader's
+// do, so the exhausted block is gone by the time refill returns and only the
+// carry the Merger kept itself can code the next block's first row.
+func blockedMerge(full []Run, keyWidth int, tie CompareFunc, blockRows int) ([]byte, Stats) {
+	width := runWidth(full)
+	off := make([]int, len(full))
+	bufs := make([][]byte, len(full))
+	block := func(r int) (Run, bool) {
+		if off[r] >= full[r].Len() {
+			return Run{Width: width}, false
+		}
+		rows := min(blockRows, full[r].Len()-off[r])
+		bufs[r] = append(bufs[r][:0], full[r].Data[off[r]*width:(off[r]+rows)*width]...)
+		off[r] += rows
+		return Run{Data: bufs[r], Width: width}, true
+	}
+	first := make([]Run, len(full))
+	total := 0
+	for r := range full {
+		first[r], _ = block(r)
+		total += full[r].Len()
+	}
+	m := NewMerger(first, keyWidth, tie)
+	m.SetRefill(block)
+	out := make([]byte, 0, total*width)
+	for {
+		_, _, row, ok := m.Next()
+		if !ok {
+			break
+		}
+		out = append(out, row...)
+	}
+	st := m.Stats()
+	st.BytesMoved = uint64(len(out))
+	return out, st
+}
+
+// TestMergerRefillBlocks streams each run through fixed-size blocks, as the
+// external merge does, and checks the output and every counter match the
+// whole-run merge: the carry makes a block boundary invisible to the codes.
 func TestMergerRefillBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	const kw, width = 4, 8
@@ -182,59 +209,70 @@ func TestMergerRefillBlocks(t *testing.T) {
 		full[r] = sortedRun(randVals(150+rng.Intn(250), 24, rng), width, uint32(r)*100000)
 		total += full[r].Len()
 	}
-	want := make([]byte, total*width)
-	KWayMergeOVC(want, full, kw, nil, bytes.Compare)
+	for _, tie := range []CompareFunc{nil, bytes.Compare} {
+		want := make([]byte, total*width)
+		wantSt := KWayMergeOVC(want, full, kw, nil, tie)
+		for _, blockRows := range []int{1, 7, 64, 1000} {
+			got, st := blockedMerge(full, kw, tie, blockRows)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tie=%v blockRows=%d: streamed merge differs from whole-run merge", tie != nil, blockRows)
+			}
+			if st != wantSt {
+				t.Fatalf("tie=%v blockRows=%d: stats %+v, whole-run %+v", tie != nil, blockRows, st, wantSt)
+			}
+		}
+	}
+}
 
-	for _, blockRows := range []int{1, 7, 64, 1000} {
-		off := make([]int, k)
-		first := make([]Run, k)
-		codes := make([][]uint32, k)
-		for r := 0; r < k; r++ {
-			rows := min(blockRows, full[r].Len())
-			first[r] = Run{Data: full[r].Data[:rows*width], Width: width}
-			codes[r] = ComputeOVC(first[r], kw)
-			off[r] = rows
-		}
-		m := NewMerger(first, kw, codes, bytes.Compare)
-		m.SetRefill(func(r int) (Run, []uint32, bool) {
-			if off[r] >= full[r].Len() {
-				return Run{}, nil, false
-			}
-			rows := min(blockRows, full[r].Len()-off[r])
-			blk := Run{Data: full[r].Data[off[r]*width : (off[r]+rows)*width], Width: width}
-			c := ComputeOVC(blk, kw)
-			// codes[0] carries across the block boundary: the previous
-			// block's last row was the winner just output.
-			c[0] = OVCCode(full[r].Row(off[r]-1), blk.Row(0), kw)
-			off[r] += rows
-			return blk, c, true
-		})
-		got := make([]byte, 0, total*width)
-		for {
-			_, _, row, ok := m.Next()
-			if !ok {
-				break
-			}
-			got = append(got, row...)
-		}
+// TestDupRunAcrossBlockBoundary pins the carry's job: a duplicate key
+// spanning a block boundary has cross-block code 0 and still leaves through
+// the duplicate-run fast path, exactly as often as in the unblocked merge.
+func TestDupRunAcrossBlockBoundary(t *testing.T) {
+	// Two rows per block, runs of four equal keys: every second duplicate
+	// pair straddles a boundary.
+	runs := []Run{
+		sortedRun([]uint32{5, 5, 5, 5, 9, 9, 9, 9}, 8, 0),
+		sortedRun([]uint32{5, 5, 5, 5, 7, 7, 7, 7}, 8, 1000),
+	}
+	want := make([]byte, 16*8)
+	wantSt := KWayMergeOVC(want, runs, 4, nil, nil)
+	if wantSt.DupRunHits != 12 {
+		t.Fatalf("unblocked DupRunHits = %d, want 12 (three per group of four)", wantSt.DupRunHits)
+	}
+	for _, blockRows := range []int{1, 2, 3} {
+		got, st := blockedMerge(runs, 4, nil, blockRows)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("blockRows=%d: streamed merge differs from whole-run merge", blockRows)
+			t.Fatalf("blockRows=%d: output differs from the unblocked merge", blockRows)
+		}
+		if st != wantSt {
+			t.Fatalf("blockRows=%d: stats %+v, unblocked %+v", blockRows, st, wantSt)
 		}
 	}
 }
 
 // FuzzKWayMerge drives the loser tree against a stable sort oracle with
-// random run counts and sizes, duplicate-heavy keys, and the tie-break
-// comparator both off (run-index stability) and on (full-row order).
+// random run counts and sizes, duplicate-heavy keys, the tie-break
+// comparator both off (run-index stability) and on (full-row order), and
+// the runs fed whole or in blocks of 1, 2 or 4096 rows per refill.
 func FuzzKWayMerge(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint16(50), uint8(8))
-	f.Add(uint64(7), uint8(1), uint16(0), uint8(1))
-	f.Add(uint64(42), uint8(16), uint16(300), uint8(2))
-	f.Add(uint64(99), uint8(9), uint16(77), uint8(255))
-	f.Fuzz(func(t *testing.T, seed uint64, k uint8, maxRun uint16, mod uint8) {
+	f.Add(uint64(1), uint8(3), uint16(50), uint8(8), uint8(0))
+	f.Add(uint64(7), uint8(1), uint16(0), uint8(1), uint8(1))
+	f.Add(uint64(42), uint8(16), uint16(300), uint8(2), uint8(2))
+	f.Add(uint64(99), uint8(9), uint16(77), uint8(255), uint8(3))
+	f.Add(uint64(5), uint8(11), uint16(399), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, k uint8, maxRun uint16, mod uint8, block uint8) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		numRuns := int(k)%12 + 1
 		m := uint32(mod)%64 + 1
+		blockRows := []int{0, 1, 2, 4096}[block%4] // 0: whole runs, no refill
+		merge := func(dst []byte, runs []Run, tie CompareFunc) Stats {
+			if blockRows == 0 {
+				return KWayMergeOVC(dst, runs, 4, nil, tie)
+			}
+			out, st := blockedMerge(runs, 4, tie, blockRows)
+			copy(dst, out)
+			return st
+		}
 		runs := make([]Run, numRuns)
 		total := 0
 		for r := 0; r < numRuns; r++ {
@@ -260,12 +298,15 @@ func FuzzKWayMerge(f *testing.F) {
 		})
 		want := bytes.Join(byPrefix, nil)
 		got := make([]byte, total*8)
-		st := KWayMergeOVC(got, runs, 4, nil, nil)
+		st := merge(got, runs, nil)
 		if !bytes.Equal(got, want) {
 			t.Fatal("OVC k-way merge differs from stable sort oracle")
 		}
 		if st.Comparisons != st.OVCHits+st.FullCompares {
 			t.Fatalf("stats inconsistent: %+v", st)
+		}
+		if ref := refKWayMergeOVC(make([]byte, total*8), runs, 4, nil); st != ref {
+			t.Fatalf("stats %+v, reference tree %+v", st, ref)
 		}
 
 		// With the tie comparator: full-row order (tags make rows unique).
@@ -275,7 +316,7 @@ func FuzzKWayMerge(f *testing.F) {
 		})
 		wantFull := bytes.Join(byFull, nil)
 		gotFull := make([]byte, total*8)
-		KWayMergeOVC(gotFull, runs, 4, nil, bytes.Compare)
+		merge(gotFull, runs, bytes.Compare)
 		if !bytes.Equal(gotFull, wantFull) {
 			t.Fatal("tie-break k-way merge differs from full-row oracle")
 		}

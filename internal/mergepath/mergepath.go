@@ -191,6 +191,6 @@ func CascadeMerge(runs []Run, cmp CompareFunc, p int) Run {
 // matches; see KWayMergeOVC for the offset-value-coded variant that avoids
 // the full-width comparison in most matches.
 func KWayMerge(dst []byte, runs []Run, cmp CompareFunc) {
-	m := NewMerger(runs, 0, nil, cmp)
+	m := NewMerger(runs, 0, cmp)
 	drainMerger(m, dst, runWidth(runs))
 }

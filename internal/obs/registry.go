@@ -135,7 +135,8 @@ func (g *Registry) Register(o RunOptions) *RunHandle {
 	g.seq++
 	ri := &runInfo{id: fmt.Sprintf("run-%d", g.seq), opt: o, started: time.Now(), finalStatsFn: fn}
 	if stratFn != nil {
-		ri.strategyFn.Store(&stratFn)
+		held := stratFn // a fresh local: only its address reaches the atomic
+		ri.strategyFn.Store(&held)
 	}
 	g.runs = append(g.runs, ri)
 	g.mu.Unlock()
