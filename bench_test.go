@@ -187,14 +187,12 @@ func BenchmarkAblationAlignment(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGather isolates the Result scan — the sorted rows are
-// already materialized, so the benchmark measures only the NSM→DSM gather:
-// the scalar value-at-a-time reference, the typed vectorized kernels on one
-// thread, and the parallel chunk-partitioned scan.
-func BenchmarkAblationGather(b *testing.B) {
-	tbl := workload.Customer(1<<16, 9)
-	keys := []core.SortColumn{{Column: 4}, {Column: 5}}
-	s, err := core.NewSorter(tbl.Schema, keys, core.Options{Threads: 4})
+// finalizedSorter ingests tbl through one sink and finalizes the sort: the
+// state a drain of Rows starts from. A resident sort is re-iterable, so one
+// sorter serves every iteration of a drain benchmark.
+func finalizedSorter(b *testing.B, tbl *vector.Table, keys []core.SortColumn, opt core.Options) *core.Sorter {
+	b.Helper()
+	s, err := core.NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,20 +208,97 @@ func BenchmarkAblationGather(b *testing.B) {
 	if err := s.Finalize(); err != nil {
 		b.Fatal(err)
 	}
-	for _, v := range []struct {
+	b.Cleanup(func() { s.Close() })
+	return s
+}
+
+// benchDrain times full drains of s.Rows and reports ns per output row.
+func benchDrain(b *testing.B, s *core.Sorter) {
+	b.ReportAllocs()
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := s.Rows()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			c, err := it.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c == nil {
+				break
+			}
+			rows += c.Len()
+		}
+		if err := it.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+}
+
+// BenchmarkAblationGather isolates the last stage of Figure 11 on the
+// paper's string query — the lazy Merge Path merge of eight sorted runs fused
+// into the NSM→DSM gather — run inline on the consumer (Threads: 1) and
+// spread over four workers.
+func BenchmarkAblationGather(b *testing.B) {
+	tbl := workload.Customer(1<<18, 9) // four tasks of the drain
+	keys := []core.SortColumn{{Column: 4}, {Column: 5}}
+	for _, threads := range []int{1, 4} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			benchDrain(b, finalizedSorter(b, tbl, keys, core.Options{Threads: threads, RunSize: 1 << 15}))
+		})
+	}
+}
+
+// widePayloadTable is the benchmark module's mem-wide-payload shape: an
+// Int32 key, twelve Int64 and one 24-byte Varchar payload column, about 125
+// bytes a row.
+func widePayloadTable(n int, seed uint64) *vector.Table {
+	schema := vector.Schema{{Name: "k", Type: vector.Int32}}
+	for i := 0; i < 12; i++ {
+		schema = append(schema, vector.Column{Name: fmt.Sprintf("p%d", i), Type: vector.Int64})
+	}
+	schema = append(schema, vector.Column{Name: "s", Type: vector.Varchar})
+	rng := workload.NewRNG(seed)
+	t := vector.NewTable(schema)
+	for done := 0; done < n; {
+		count := min(vector.DefaultVectorSize, n-done)
+		c := vector.NewChunk(schema, count)
+		for r := 0; r < count; r++ {
+			c.Vectors[0].AppendInt32(int32(rng.Uint32()))
+			for p := 1; p <= 12; p++ {
+				c.Vectors[p].AppendInt64(int64(rng.Uint64()))
+			}
+			c.Vectors[13].AppendString(fmt.Sprintf("%024x", rng.Uint64()))
+		}
+		t.Chunks = append(t.Chunks, c)
+		done += count
+	}
+	return t
+}
+
+// BenchmarkRowsDrain is the drain of Sorter.Rows out of cache, on the two
+// benchmark shapes that bracket it — mem-uniform-int (2^21 rows, 9-byte key,
+// 8-byte payload: the merge dominates) and mem-wide-payload (2^20 rows of
+// 125 bytes: the gather does) — at the sorter's default run size, inline
+// (Threads: 1) against two workers.
+func BenchmarkRowsDrain(b *testing.B) {
+	for _, wl := range []struct {
 		name string
-		run  func() (*vector.Table, error)
+		gen  func() *vector.Table
 	}{
-		{"scalar", s.ResultScalar},
-		{"vectorized", func() (*vector.Table, error) { return s.ResultThreads(1) }},
-		{"parallel", func() (*vector.Table, error) { return s.ResultThreads(4) }},
+		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }},
+		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }},
 	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := v.run(); err != nil {
-					b.Fatal(err)
-				}
+		b.Run(wl.name, func(b *testing.B) {
+			tbl := wl.gen()
+			for _, threads := range []int{1, 2} {
+				b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+					benchDrain(b, finalizedSorter(b, tbl, []core.SortColumn{{Column: 0}}, core.Options{Threads: threads}))
+				})
 			}
 		})
 	}

@@ -10,15 +10,35 @@ import (
 )
 
 func init() {
-	register("gather", "Ablation: Result materialization — scalar vs vectorized vs parallel",
+	register("gather", "Ablation: Rows drain (final merge fused into the gather) — 1 thread vs parallel",
 		runGatherAblation)
 }
 
-// runGatherAblation isolates the final pipeline stage (scanning the sorted
-// rows back into vectors) and compares the value-at-a-time scalar reference
-// against the typed gather kernels, single-threaded and parallel. The
-// customer workload includes string keys and payload, so the varchar heap
-// compaction path is exercised alongside the fixed-width kernels.
+// finalizedSorter ingests tbl through one sink and finalizes the sort, ready
+// to be drained.
+func finalizedSorter(tbl *vector.Table, keys []core.SortColumn, opt core.Options) (*core.Sorter, error) {
+	s, err := core.NewSorter(tbl.Schema, keys, opt)
+	if err != nil {
+		return nil, err
+	}
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			return nil, err
+		}
+	}
+	if err := sink.Close(); err != nil {
+		return nil, err
+	}
+	return s, s.Finalize()
+}
+
+// runGatherAblation isolates the final pipeline stage — the lazy Merge Path
+// merge of the sorted runs fused into the scan back to vectors — and compares
+// the drain run inline on the consumer (Threads: 1) against the same tasks
+// spread over workers. The customer workload includes string keys and
+// payload, so the varchar heap compaction path is exercised alongside the
+// fixed-width kernels.
 func runGatherAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
@@ -39,44 +59,27 @@ func runGatherAblation(w io.Writer, cfg Config) error {
 			keys: []core.SortColumn{{Column: 4}, {Column: 5}},
 		},
 	} {
-		s, err := core.NewSorter(wl.tbl.Schema, wl.keys, core.Options{Threads: cfg.threads()})
-		if err != nil {
-			return err
-		}
-		sink := s.NewSink()
-		for _, c := range wl.tbl.Chunks {
-			if err := sink.Append(c); err != nil {
-				return err
-			}
-		}
-		if err := sink.Close(); err != nil {
-			return err
-		}
-		if err := s.Finalize(); err != nil {
-			return err
-		}
-
-		// Result does not consume the sorted rows, so each variant can be
-		// re-measured on the same finalized sorter.
 		t := &Table{
 			Title:  fmt.Sprintf("%s, %s rows", wl.name, Count(uint64(wl.tbl.NumRows()))),
 			Header: []string{"variant", "time"},
 		}
-		for _, v := range []struct {
-			name string
-			run  func() (*vector.Table, error)
-		}{
-			{"scalar (value-at-a-time)", s.ResultScalar},
-			{"vectorized, 1 thread", func() (*vector.Table, error) { return s.ResultThreads(1) }},
-			{fmt.Sprintf("vectorized, parallel (threads=%d)", cfg.threads()),
-				func() (*vector.Table, error) { return s.ResultThreads(cfg.threads()) }},
-		} {
+		// Eight runs, so that the drain has a merge to do. A resident sort is
+		// re-iterable, so each variant is re-measured on one finalized sorter.
+		runSize := max(1, wl.tbl.NumRows()/8)
+		for _, threads := range []int{1, cfg.threads()} {
+			s, err := finalizedSorter(wl.tbl, wl.keys, core.Options{Threads: threads, RunSize: runSize})
+			if err != nil {
+				return err
+			}
 			d := MedianTime(cfg.reps(), func() {
-				if _, err := v.run(); err != nil {
+				if _, err := s.Result(); err != nil {
 					panic(err)
 				}
 			})
-			t.AddRow(v.name, Seconds(d))
+			t.AddRow(fmt.Sprintf("merge + gather, threads=%d", threads), Seconds(d))
+			if err := s.Close(); err != nil {
+				return err
+			}
 		}
 		t.Render(w)
 	}

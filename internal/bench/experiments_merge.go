@@ -44,7 +44,8 @@ func mergeWorkloads(cfg Config) []struct {
 }
 
 // finalizeReady ingests tbl into a fresh sorter and stops right before
-// Finalize, so the merge phase alone can be timed.
+// Finalize, so the merge phase (Finalize plus, for resident runs, the drain
+// of Rows the merge is fused into) can be timed without run generation.
 func finalizeReady(tbl *vector.Table, keys []core.SortColumn, opt core.Options) *core.Sorter {
 	s, err := core.NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
@@ -62,9 +63,11 @@ func finalizeReady(tbl *vector.Table, keys []core.SortColumn, opt core.Options) 
 	return s
 }
 
-// runMergeAblation times the merge phase in isolation (run generation done,
-// Finalize timed) under the three algorithms, in memory over ~16 runs and
-// then streaming from disk. Cascade is the baseline the single-pass loser
+// runMergeAblation times the merge phase in isolation (run generation done;
+// Finalize and the drain of the result timed — in memory the tree arms merge
+// inside Rows, the cascade in Finalize, and all three pay the same gather)
+// under the three algorithms, in memory over ~16 runs and then streaming
+// from disk. Cascade is the baseline the single-pass loser
 // tree replaces; the no-OVC arm isolates the tree shape from the coding.
 func runMergeAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
@@ -95,6 +98,9 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 						Telemetry: cfg.Telemetry})
 			}, func(s *core.Sorter) {
 				if err := s.Finalize(); err != nil {
+					panic(err)
+				}
+				if _, err := s.Result(); err != nil {
 					panic(err)
 				}
 				last = s

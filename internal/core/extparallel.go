@@ -12,7 +12,7 @@ import (
 
 // Partitioned parallel external merge: the eager merge of spilled runs
 // fans out across Options.ExtMergeThreads workers, mirroring what the
-// in-memory path does with k-way Merge Path. The spill files' block
+// result iterator does for resident runs with k-way Merge Path. The spill files' block
 // indexes stand in for random access: KWaySplit over the runs' fence keys
 // (every block's first key row) picks balanced boundary keys, each worker
 // opens range-bounded block readers that seek straight to their first
@@ -70,8 +70,8 @@ func (s *Sorter) externalFinalizeParallel(ids []uint32) (bool, error) {
 
 	// Register the per-worker output runs up front (Finalize holds s.mu, so
 	// no further locking): worker w rewrites its key rows' references to
-	// run finalBase+w, and the concatenated key rows become finalKeys —
-	// Result resolves references per run, so per-worker payloads need no
+	// run finalBase+w, and the concatenated key rows become the one result
+	// run — Rows resolves references per run, so per-worker payloads need no
 	// rewriting into one set.
 	rw := s.rowWidth
 	finalBase := uint32(len(s.runs))
@@ -137,7 +137,7 @@ func (s *Sorter) externalFinalizeParallel(ids []uint32) (bool, error) {
 	}
 	st.BytesMoved = uint64(len(finalKeys))
 	s.mergeStats.Add(st)
-	s.finalKeys = finalKeys
+	s.setMergedResult(finalKeys, anyTie)
 	s.runRes.Grow(charge + int64(cap(finalKeys)))
 
 	// The inputs are fully consumed: their files go now (each was shared by
@@ -219,7 +219,7 @@ func (s *Sorter) partitionSplitters(ids []uint32, parts, safe int) [][]byte {
 		if d <= 0 || d >= totalF {
 			continue
 		}
-		cut := mergepath.KWaySplit(fences, d, cmp)
+		cut := mergepath.KWaySplit(fences, d, cmp, nil)
 		// The boundary is the (d+1)-th fence in merged order: the smallest
 		// fence just past the cut.
 		var key []byte

@@ -41,27 +41,9 @@ func TestOptionsValidation(t *testing.T) {
 // assignment deterministic, so outputs are byte-comparable across options.
 func budgetedSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) (*vector.Table, SortStats) {
 	t.Helper()
-	s, err := NewSorter(tbl.Schema, keys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := finalizedSorter(t, tbl, keys, opt)
 	defer s.Close()
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.ResultScalar()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := resultChecked(t, s)
 	st := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -106,10 +88,7 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ResultScalar()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resultChecked(t, s)
 
 	st := s.Stats()
 	if st.PressureSpills == 0 {
@@ -210,7 +189,7 @@ func TestConcurrentSortersSharedBroker(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			outs[i], errs[i] = s.ResultScalar()
+			outs[i], errs[i] = s.Result()
 			stats[i] = s.Stats()
 		}(i)
 	}
@@ -292,11 +271,7 @@ func TestRowsIteratorMatchesResult(t *testing.T) {
 
 	// In-memory results are re-materializable: the iterator does not
 	// consume the runs.
-	want, err := s.ResultScalar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rowify(t, streamed).Bytes(), rowify(t, want).Bytes()) {
+	if want := resultChecked(t, s); !bytes.Equal(rowify(t, streamed).Bytes(), rowify(t, want).Bytes()) {
 		t.Error("Rows() chunks differ from materialized Result")
 	}
 }

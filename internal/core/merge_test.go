@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rowsort/internal/mergepath"
 	"rowsort/internal/vector"
 )
 
@@ -16,28 +17,9 @@ import (
 // byte-identical (the merges are all stable with ties to the lower run).
 func sortWith(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) *vector.Table {
 	t.Helper()
-	s, err := NewSorter(tbl.Schema, keys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := finalizedSorter(t, tbl, keys, opt)
 	defer s.Close()
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.ResultScalar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return resultChecked(t, s)
 }
 
 // mergeTestKeys interleaves a tie-break-prone varchar between two numeric
@@ -131,10 +113,7 @@ func TestExternalMergeEquivalence(t *testing.T) {
 					t.Fatalf("algo=%d block=%d: read %d spill bytes, wrote %d (want exactly one pass)",
 						algo, blockRows, read, written)
 				}
-				got, err := s.ResultScalar()
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := resultChecked(t, s)
 				if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
 					t.Fatalf("algo=%d block=%d threads=%d: external merge differs from in-memory",
 						algo, blockRows, threads)
@@ -162,7 +141,9 @@ func TestExternalMergeCascadeAblation(t *testing.T) {
 
 // TestMergeStats checks the exported merge counters: comparisons are
 // counted, offset-value coding resolves matches, and the tie-break path is
-// exercised when string prefixes tie.
+// exercised when string prefixes tie. The merge of resident runs happens in
+// the result iterator, so the counters appear with the drain — and moving no
+// key row, it reports no bytes moved.
 func TestMergeStats(t *testing.T) {
 	tbl := mixedTable(3*vector.DefaultVectorSize, 95)
 	s, err := NewSorter(tbl.Schema, mergeTestKeys, Options{Threads: 1, RunSize: 400})
@@ -182,6 +163,10 @@ func TestMergeStats(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats().Merge; st != (mergepath.Stats{}) {
+		t.Fatalf("Finalize of an in-memory sort merged: %+v", st)
+	}
+	resultChecked(t, s)
 	st := s.Stats().Merge
 	if st.Comparisons == 0 {
 		t.Fatal("merge counted no comparisons")
@@ -192,8 +177,8 @@ func TestMergeStats(t *testing.T) {
 	if st.TieBreaks == 0 {
 		t.Fatal("tie-break comparator never ran despite tied string prefixes")
 	}
-	if st.BytesMoved == 0 {
-		t.Fatal("merge moved no bytes")
+	if st.BytesMoved != 0 {
+		t.Fatalf("in-memory merge reports %d key bytes moved; it copies none", st.BytesMoved)
 	}
 }
 

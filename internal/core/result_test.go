@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rowsort/internal/mergepath"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -50,7 +51,7 @@ func mixedTable(n int, seed uint64) *vector.Table {
 // rowify flattens a table into the row format so two tables can be compared
 // byte for byte (values, validity, and string contents all land in the flat
 // buffers deterministically when append order is fixed).
-func rowify(t *testing.T, tbl *vector.Table) *row.RowSet {
+func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 	t.Helper()
 	rs := row.NewRowSet(row.NewLayout(tbl.Schema.Types()))
 	for _, c := range tbl.Chunks {
@@ -61,117 +62,71 @@ func rowify(t *testing.T, tbl *vector.Table) *row.RowSet {
 	return rs
 }
 
-// TestResultParallelEquivalence checks the acceptance criterion directly:
-// the parallel vectorized Result is byte-identical to the scalar reference
-// at every thread count, including thread counts that do not divide the
-// chunk count.
-func TestResultParallelEquivalence(t *testing.T) {
-	tbl := mixedTable(3*vector.DefaultVectorSize+123, 81)
-	keys := []SortColumn{{Column: 1, NullsLast: true}, {Column: 2, Descending: true}, {Column: 0}}
-	s, err := NewSorter(tbl.Schema, keys, Options{Threads: 4, RunSize: 700})
-	if err != nil {
-		t.Fatal(err)
+// oracleResult is the reference result of a finalized sorter whose result
+// runs are resident, built with none of the machinery Rows uses: one
+// single-threaded mergepath.KWayMerge of the result runs under the sort's
+// whole-row comparator (no Merge Path split, no offset-value codes, no
+// tasks, no goroutines) into one key array, then a value-at-a-time gather
+// through RowSet.AppendTo (no typed kernels). A budgeted sort that deferred
+// its merge has only the streaming iterator to offer.
+func oracleResult(t testing.TB, s *Sorter) *vector.Table {
+	t.Helper()
+	if !s.finalized {
+		t.Fatal("oracleResult before Finalize")
 	}
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-
-	want, err := s.ResultScalar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, tbl, want, keys, "scalar reference")
-	wantRows := rowify(t, want)
-
-	for _, threads := range []int{1, 2, 3, 7, 64} {
-		got, err := s.ResultThreads(threads)
+	if s.streamMerge {
+		out, err := s.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Chunks) != len(want.Chunks) {
-			t.Fatalf("threads=%d: %d chunks, want %d", threads, len(got.Chunks), len(want.Chunks))
-		}
-		for i := range got.Chunks {
-			if got.Chunks[i].Len() != want.Chunks[i].Len() {
-				t.Fatalf("threads=%d: chunk %d has %d rows, want %d",
-					threads, i, got.Chunks[i].Len(), want.Chunks[i].Len())
+		return out
+	}
+	_, cmp := s.mergeOrder(s.resultTie, s.residentPayload)
+	keys := make([]byte, s.resultRows*s.rowWidth)
+	mergepath.KWayMerge(keys, s.resultRuns, cmp)
+	out := vector.NewTable(s.schema)
+	for start := 0; start < s.resultRows; start += vector.DefaultVectorSize {
+		count := min(vector.DefaultVectorSize, s.resultRows-start)
+		chunk := vector.NewChunk(s.schema, count)
+		for c := range s.schema {
+			for r := start; r < start+count; r++ {
+				runID, idx := s.getRef(keys[r*s.rowWidth:])
+				s.runs[runID].payload.AppendTo(chunk.Vectors[c], int(idx), c)
 			}
 		}
-		gotRows := rowify(t, got)
-		if !bytes.Equal(gotRows.Bytes(), wantRows.Bytes()) {
-			t.Fatalf("threads=%d: row bytes differ from scalar reference", threads)
-		}
-		// Row bytes pin every fixed-width value, validity bit, and string
-		// (offset, length); compare the string contents as well.
-		for r := 0; r < gotRows.Len(); r++ {
-			if gotRows.Valid(r, 2) && gotRows.String(r, 2) != wantRows.String(r, 2) {
-				t.Fatalf("threads=%d: row %d string %q, want %q",
-					threads, r, gotRows.String(r, 2), wantRows.String(r, 2))
-			}
-		}
-	}
-}
-
-// TestResultParallelEquivalenceSpill runs the same check through the
-// external (spilled) merge, where all references point at the single
-// reloaded final run.
-func TestResultParallelEquivalenceSpill(t *testing.T) {
-	tbl := mixedTable(2*vector.DefaultVectorSize+77, 82)
-	keys := []SortColumn{{Column: 2}, {Column: 3, Descending: true}}
-	s, err := NewSorter(tbl.Schema, keys, Options{Threads: 3, RunSize: 500, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
+		if err := out.AppendChunk(chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.ResultScalar()
+	return out
+}
+
+// resultChecked drains the sorter through Result — the production path —
+// and, when the result runs are resident, checks the table against
+// oracleResult before returning it.
+func resultChecked(t testing.TB, s *Sorter) *vector.Table {
+	t.Helper()
+	got, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSorted(t, tbl, want, keys, "spilled scalar reference")
-	wantRows := rowify(t, want)
-	for _, threads := range []int{1, 4} {
-		got, err := s.ResultThreads(threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-			t.Fatalf("threads=%d: spilled result differs from scalar reference", threads)
+	if !s.streamMerge {
+		if want := oracleResult(t, s); !bytes.Equal(rowify(t, got).Bytes(), rowify(t, want).Bytes()) {
+			t.Fatalf("Result (threads=%d) differs from the scalar-merge, value-at-a-time oracle", s.opt.threads())
 		}
 	}
+	return got
 }
 
-// TestResultEmptyAndErrors covers the degenerate paths of the parallel scan.
+// TestResultEmptyAndErrors covers the degenerate paths of the result scan.
 func TestResultEmptyAndErrors(t *testing.T) {
 	schema := vector.Schema{{Name: "x", Type: vector.Int64}}
-	s, err := NewSorter(schema, []SortColumn{{Column: 0}}, Options{})
+	s, err := NewSorter(schema, []SortColumn{{Column: 0}}, Options{Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ResultThreads(4); err == nil {
-		t.Fatal("ResultThreads before Finalize should error")
-	}
-	if _, err := s.ResultScalar(); err == nil {
-		t.Fatal("ResultScalar before Finalize should error")
+	if _, err := s.Result(); err == nil {
+		t.Fatal("Result before Finalize should error")
 	}
 	sink := s.NewSink()
 	if err := sink.Close(); err != nil {
@@ -180,10 +135,7 @@ func TestResultEmptyAndErrors(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ResultThreads(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resultChecked(t, s)
 	if got.NumRows() != 0 || len(got.Chunks) != 0 {
 		t.Fatal("empty sorter should produce an empty table")
 	}

@@ -1,0 +1,409 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"rowsort/internal/vector"
+	"rowsort/internal/workload"
+)
+
+// Key distributions of drainTable.
+const (
+	keysUnique = iota
+	keysDupHeavy
+	keysAllEqual
+)
+
+var drainKeyNames = [...]string{"unique", "dup-heavy", "all-equal"}
+
+// drainTable builds n rows of (k Int64, s Varchar, id Int32) in chunks of
+// chunkRows: k follows the named distribution, s is k's zero-padded decimal
+// and a tail — longer than the 12-byte key prefix, so a run keyed on it merges
+// under the tie-break comparator, which equal k reach on every match — and id
+// numbers the input rows, so that two outputs with equal row bytes hold the
+// same rows in the same order.
+func drainTable(n, chunkRows, dist int, seed uint64) *vector.Table {
+	rng := workload.NewRNG(seed)
+	schema := vector.Schema{
+		{Name: "k", Type: vector.Int64},
+		{Name: "s", Type: vector.Varchar},
+		{Name: "id", Type: vector.Int32},
+	}
+	tbl := vector.NewTable(schema)
+	for start := 0; start < n; start += chunkRows {
+		count := min(chunkRows, n-start)
+		c := vector.NewChunk(schema, count)
+		for r := 0; r < count; r++ {
+			k := int64(7)
+			switch dist {
+			case keysUnique:
+				k = int64(rng.Uint64() >> 1)
+			case keysDupHeavy:
+				k = int64(rng.Intn(8))
+			}
+			c.Vectors[0].AppendInt64(k)
+			c.Vectors[1].AppendString(fmt.Sprintf("%020d-tail", k))
+			c.Vectors[2].AppendInt32(int32(start + r))
+		}
+		tbl.Chunks = append(tbl.Chunks, c)
+	}
+	return tbl
+}
+
+// drainKeys returns drainTable's sort keys: the varchar first when the merge
+// is to run on the tie-break comparator, the integer alone otherwise.
+func drainKeys(tieBreak bool) []SortColumn {
+	if tieBreak {
+		return []SortColumn{{Column: 1}, {Column: 0}}
+	}
+	return []SortColumn{{Column: 0}}
+}
+
+// finalizedSorter ingests tbl through a single sink — so the runs, and with
+// them the output bytes, are a function of the options — and finalizes. The
+// caller closes the sorter.
+func finalizedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options) *Sorter {
+	t.Helper()
+	s, err := NewSorter(tbl.Schema, keys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// drainAll drains one Rows iterator to exhaustion and closes it.
+func drainAll(t testing.TB, s *Sorter) *vector.Table {
+	t.Helper()
+	out, err := s.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameChunks fails unless got equals want chunk for chunk: the same chunk
+// boundaries and the same values in every column. It knows the column types
+// of this file's tables, none of which holds a NULL.
+func sameChunks(t *testing.T, ctx string, got, want *vector.Table) {
+	t.Helper()
+	if len(got.Chunks) != len(want.Chunks) {
+		t.Fatalf("%s: %d chunks, want %d", ctx, len(got.Chunks), len(want.Chunks))
+	}
+	for i, g := range got.Chunks {
+		w := want.Chunks[i]
+		if g.Len() != w.Len() {
+			t.Fatalf("%s: chunk %d has %d rows, want %d", ctx, i, g.Len(), w.Len())
+		}
+		for c, col := range got.Schema {
+			same := false
+			switch col.Type {
+			case vector.Int64:
+				same = slices.Equal(g.Vectors[c].Int64s(), w.Vectors[c].Int64s())
+			case vector.Int32:
+				same = slices.Equal(g.Vectors[c].Int32s(), w.Vectors[c].Int32s())
+			case vector.Varchar:
+				same = slices.Equal(g.Vectors[c].Strings(), w.Vectors[c].Strings())
+			}
+			if !same {
+				t.Fatalf("%s: chunk %d column %d differs", ctx, i, c)
+			}
+		}
+	}
+}
+
+// TestRowsThreadGridByteIdentity is the byte-identity bar of the lazy merge:
+// whatever the worker count, Rows yields what the inline drain (Threads: 1)
+// yields, chunk for chunk — and that is the scalar-merge oracle's table —
+// across run counts on both sides of a power of two, merges with and
+// without the tie-break comparator, unique, duplicate-heavy and all-equal
+// keys, all three merge arms, and row counts that fill neither a chunk nor a
+// task, plus one that keeps eight workers busy and overflows two workers'
+// window.
+func TestRowsThreadGridByteIdentity(t *testing.T) {
+	sizes := []int{1000, 3*vector.DefaultVectorSize + 17, drainTaskRows + vector.DefaultVectorSize + 5}
+	check := func(n, runs, dist int) {
+		// A sink cuts a run at the first chunk boundary at or past RunSize:
+		// a run is perRun chunks of chunkRows, about n/runs rows together.
+		perRun := ((n+runs-1)/runs + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
+		chunkRows := ((n+runs-1)/runs + perRun - 1) / perRun
+		tbl := drainTable(n, chunkRows, dist, uint64(n+runs))
+		for _, tieBreak := range []bool{false, true} {
+			// The tree arms differ only inside Rows, which reads the options
+			// when it is called; the cascade arm merges in Finalize. So two
+			// finalized sorts, re-iterated, serve every drain shape.
+			for _, algos := range [][]MergeAlgo{{MergeLoserTree, MergeLoserTreeNoOVC}, {MergeCascade}} {
+				s := finalizedSorter(t, tbl, drainKeys(tieBreak),
+					Options{Threads: 1, RunSize: perRun * chunkRows, Merge: algos[0]})
+				ctx := fmt.Sprintf("rows=%d runs=%d keys=%s tie=%v", n, runs, drainKeyNames[dist], tieBreak)
+				if len(s.runs) != runs || s.resultTie != tieBreak {
+					t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), s.resultTie)
+				}
+				want := oracleResult(t, s)
+				for _, algo := range algos {
+					for _, threads := range []int{1, 2, 4, 8} {
+						s.opt.Merge, s.opt.Threads = algo, threads
+						sameChunks(t, fmt.Sprintf("%s algo=%d threads=%d", ctx, algo, threads), drainAll(t, s), want)
+					}
+				}
+				s.Close()
+			}
+		}
+	}
+	for _, n := range sizes {
+		for _, runs := range []int{1, 2, 3, 16, 17} {
+			for dist := range drainKeyNames {
+				check(n, runs, dist)
+			}
+		}
+	}
+	// Nine tasks and a tail: a task for each of eight workers, and more than
+	// two workers' window holds.
+	check(9*drainTaskRows+77, 16, keysDupHeavy)
+}
+
+// waitGoroutines polls until the goroutine count is back to base.
+func waitGoroutines(t *testing.T, ctx string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, %d before the iterator was opened\n%s",
+				ctx, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// lifecycleRows is six tasks and a tail: more than two workers' window
+// holds (so at Threads 2 a Close finds workers waiting for tickets), fewer
+// than eight workers' does (so at Threads 8 it finds them all mid-task).
+const lifecycleRows = 6*drainTaskRows + 999
+
+// TestRowsCloseJoinsWorkers abandons the iterator before any Next, after the
+// first chunk and in the middle of a task, inline and with workers running:
+// Close returns promptly and leaves no goroutine behind.
+func TestRowsCloseJoinsWorkers(t *testing.T) {
+	tbl := workload.UniformInt64s(lifecycleRows, 7)
+	for _, threads := range []int{1, 2, 8} {
+		s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: threads})
+		defer s.Close()
+		for _, chunks := range []int{0, 1, 5} {
+			ctx := fmt.Sprintf("threads=%d close after %d chunks", threads, chunks)
+			base := runtime.NumGoroutine()
+			it, err := s.Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < chunks; i++ {
+				if c, err := it.Next(); err != nil || c == nil {
+					t.Fatalf("%s: chunk %d: %v, %v", ctx, i, c, err)
+				}
+			}
+			start := time.Now()
+			if err := it.Close(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Errorf("%s: Close took %v", ctx, d)
+			}
+			waitGoroutines(t, ctx, base)
+			if c, err := it.Next(); c != nil || err != nil {
+				t.Errorf("%s: Next after Close = %v, %v", ctx, c, err)
+			}
+		}
+	}
+}
+
+// TestSorterCloseJoinsIteratorWorkers drops an iterator without closing it:
+// Sorter.Close stops and joins its workers, and the iterator, should its
+// owner come back to it, fails instead of waiting for chunks nobody makes.
+func TestSorterCloseJoinsIteratorWorkers(t *testing.T) {
+	tbl := workload.UniformInt64s(lifecycleRows, 8)
+	base := runtime.NumGoroutine()
+	s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: 2})
+	it, err := s.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := it.Next(); err != nil || c == nil {
+		t.Fatalf("first chunk: %v, %v", c, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, "Sorter.Close with an open iterator", base)
+	for rows := 0; ; {
+		c, err := it.Next()
+		if errors.Is(err, errSorterClosed) {
+			break
+		}
+		if err != nil || c == nil {
+			t.Fatalf("Next after Sorter.Close = %v, %v after %d rows; want the closed-sorter error", c, err, rows)
+		}
+		rows += c.Len()
+	}
+	if err := it.Close(); !errors.Is(err, errSorterClosed) {
+		t.Errorf("Close after the failure = %v, want the iterator's first error", err)
+	}
+}
+
+// TestRowsReiterationAndCounters drains one in-memory sort twice, then
+// abandons a third iterator after a chunk: the drains are identical, and the
+// counters say what happened — gather bytes per chunk actually gathered,
+// merge counters of the latest iteration, not the sum of all.
+func TestRowsReiterationAndCounters(t *testing.T) {
+	tbl := workload.UniformInt64s(lifecycleRows, 9)
+	for _, threads := range []int{1, 2} {
+		s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: threads})
+		defer s.Close()
+		full := int64(lifecycleRows) * int64(s.layout.Width())
+		if st := s.Stats(); st.GatherBytesMoved != 0 {
+			t.Fatalf("threads=%d: %d gather bytes before any Rows", threads, st.GatherBytesMoved)
+		}
+		first := drainAll(t, s)
+		st1 := s.Stats()
+		if st1.GatherBytesMoved != full {
+			t.Errorf("threads=%d: one drain moved %d gather bytes, want %d", threads, st1.GatherBytesMoved, full)
+		}
+		if st1.Merge.Comparisons == 0 {
+			t.Errorf("threads=%d: a drain of %d runs counted no comparisons", threads, len(s.runs))
+		}
+		sameChunks(t, fmt.Sprintf("threads=%d second drain", threads), drainAll(t, s), first)
+		st2 := s.Stats()
+		if st2.GatherBytesMoved != 2*full {
+			t.Errorf("threads=%d: two drains moved %d gather bytes, want %d", threads, st2.GatherBytesMoved, 2*full)
+		}
+		if threads == 1 && st2.Merge != st1.Merge {
+			// With workers, which of them ends up with which task (and so
+			// where a tree is rebuilt) varies a little from drain to drain.
+			t.Errorf("second drain's merge counters %+v, first's %+v", st2.Merge, st1.Merge)
+		}
+		if st2.Merge.Comparisons > st1.Merge.Comparisons*11/10 {
+			t.Errorf("threads=%d: merge comparisons %d after two drains, %d after one: added, not replaced",
+				threads, st2.Merge.Comparisons, st1.Merge.Comparisons)
+		}
+
+		it, err := s.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := it.Next(); err != nil || c == nil {
+			t.Fatalf("first chunk: %v, %v", c, err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st3 := s.Stats()
+		window := int64(drainWindowPerThread*threads*drainTaskRows) * int64(s.layout.Width())
+		if moved := st3.GatherBytesMoved - st2.GatherBytesMoved; moved <= 0 || moved > window || moved >= full {
+			t.Errorf("threads=%d: an iterator closed after one chunk moved %d gather bytes; want some, at most the window's %d, under the drain's %d",
+				threads, moved, window, full)
+		}
+		if st3.Merge.Comparisons >= st1.Merge.Comparisons {
+			t.Errorf("threads=%d: an iterator closed after one chunk reports %d comparisons, a drain %d",
+				threads, st3.Merge.Comparisons, st1.Merge.Comparisons)
+		}
+	}
+}
+
+// TestRowsMergesLazily pins the mechanism: Finalize of an in-memory sort
+// merges nothing, and when the first chunk is out, no more has been merged
+// than the window admits — the first chunk waited for one split and one
+// chunk's merge, not for the merge.
+func TestRowsMergesLazily(t *testing.T) {
+	const rows = 12*drainTaskRows + 5
+	tbl := workload.UniformInt64s(rows, 10)
+	for _, threads := range []int{1, 2} {
+		s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: threads})
+		defer s.Close()
+		if len(s.runs) < 2 {
+			t.Fatalf("%d runs: nothing to merge", len(s.runs))
+		}
+		if merged := s.prog.RowsMerged.Load(); merged != 0 {
+			t.Fatalf("threads=%d: Finalize merged %d rows", threads, merged)
+		}
+		it, err := s.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := it.Next(); err != nil || c == nil {
+			t.Fatalf("first chunk: %v, %v", c, err)
+		}
+		merged := s.prog.RowsMerged.Load()
+		if window := int64(drainWindowPerThread * threads * drainTaskRows); merged == 0 || merged > window {
+			t.Errorf("threads=%d: %d of %d rows merged when the first chunk returned; want at most the window's %d",
+				threads, merged, rows, window)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInMemorySortAllocatesNoMergedKeys pins what the lazy merge saves: an
+// in-memory sort no longer allocates a second key array (rows x rowWidth
+// bytes) to merge into. Finalize allocates next to nothing, and the drain
+// allocates the output chunks and little else.
+func TestInMemorySortAllocatesNoMergedKeys(t *testing.T) {
+	const rows = 4*drainTaskRows + 321
+	tbl := workload.UniformInt64s(rows, 11)
+	s, err := NewSorter(tbl.Schema, []SortColumn{{Column: 0}}, Options{Threads: 1, RunSize: rows / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mergedKeys := uint64(rows * s.rowWidth)
+
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	out := drainAll(t, s)
+	runtime.ReadMemStats(&m2)
+
+	if out.NumRows() != rows {
+		t.Fatalf("drained %d rows, want %d", out.NumRows(), rows)
+	}
+	// Two Int64 columns and their validity: the chunks the caller keeps.
+	outBytes := uint64(rows * (8 + 8 + 1))
+	finalize, drain := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
+	t.Logf("Finalize allocated %d bytes, the drain %d; a merged key array is %d, the output about %d",
+		finalize, drain, mergedKeys, outBytes)
+	if finalize > mergedKeys/8 {
+		t.Errorf("Finalize allocated %d bytes; a merged key array would be %d", finalize, mergedKeys)
+	}
+	if drain > outBytes+mergedKeys/2 {
+		t.Errorf("the drain allocated %d bytes for about %d of output: the merged key array (%d) moved into Rows?",
+			drain, outBytes, mergedKeys)
+	}
+}

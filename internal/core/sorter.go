@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -26,8 +27,8 @@ import (
 //	sink := s.NewSink()            // one per producing thread
 //	sink.Append(chunk)             // repeatedly
 //	sink.Close()
-//	s.Finalize()                   // parallel merge
-//	result, _ := s.Result()        // sorted table, columnar again
+//	s.Finalize()                   // plans the merge (runs it, for eager spills)
+//	result, _ := s.Result()        // merged and gathered: sorted table, columnar again
 //
 // SortTable wraps all of this for a materialized table.
 type Sorter struct {
@@ -44,17 +45,29 @@ type Sorter struct {
 	runs      []*sortedRun
 	decisions []StrategyDecision // one per generated run, appended under mu
 	finalized bool
-	finalKeys []byte
 
-	// Deferred streaming merge (budgeted external sorts): Finalize only
-	// reduces the fan-in to what the budget can stream and records the
-	// surviving runs here; the final pass runs inside the result iterator.
+	// What Finalize leaves the result iterator (rows.go), where the final
+	// merge runs. A resident sort records its result runs: the key rows of
+	// every in-memory run, unmerged, or the one run an eager external merge
+	// (or the cascade arm) produced; their payload references index runs. A
+	// budgeted external sort (streamMerge) reduces its fan-in to what the
+	// budget can stream and records the surviving run ids.
+	resultRuns   []mergepath.Run
+	resultTie    bool // some result run needs the tie-break comparator
+	resultRows   int
 	streamMerge  bool
 	streamUsed   bool // the single-pass streaming merge has been handed out
 	streamActive []uint32
-	streamTotal  int
 
+	// mergeStats is the merge work of Finalize and the streaming iterator;
+	// drainStats that of the latest iterator over the result runs (replaced
+	// when an in-memory sort is iterated again). Close cancels ctx, which
+	// stops those iterators' workers, and joins them on drainWG.
 	mergeStats mergepath.Stats
+	drainStats mergepath.Stats
+	ctx        context.Context
+	cancel     context.CancelFunc
+	drainWG    sync.WaitGroup
 
 	// Spill bookkeeping: every file the sorter creates is tracked until it
 	// is removed, so Close can clean up after aborted sorts; the byte
@@ -243,6 +256,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		epoch:    time.Now(),
 	}
 	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// The sorter always runs under a broker — a child of the shared one
 	// when Options.Broker is set, a private root otherwise — so peak
@@ -987,12 +1001,13 @@ func compareStrings(a, b string) int {
 	}
 }
 
-// Finalize merges all sorted runs into one. The default is a single-pass
-// k-way loser-tree merge with offset-value coding, partitioned across
-// Options.Threads workers with k-way Merge Path (each worker emits a
-// disjoint slice of the output, byte-identical to the scalar merge);
-// Options.Merge selects the ablation arms. It must be called after every
-// sink is closed.
+// Finalize ends run generation and plans the result. A sort whose runs are
+// all in memory merges nothing here: the result iterator cuts the output
+// into tasks with k-way Merge Path and merges each inside its gather (see
+// Rows), so the first chunk does not wait for the last. Spilled sorts merge
+// here, partitioned across workers, or, under a budget, reduce their fan-in
+// and leave the final pass to the iterator. Options.Merge selects the
+// ablation arms. It must be called after every sink is closed.
 func (s *Sorter) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1029,203 +1044,87 @@ func (s *Sorter) finalizeLocked() error {
 	}
 
 	// Nothing on disk (the budget was never exceeded, or there is none):
-	// the ordinary in-memory merge. Nothing past this point takes from the
-	// pools, so what the closed sinks parked there is let go before the
-	// merged key buffer is allocated.
+	// the resident runs are the result runs. Nothing past this point takes
+	// from the pools, so what the closed sinks parked there is let go.
 	s.dropPools()
-	if len(s.runs) == 0 {
-		return nil
-	}
-	if len(s.runs) == 1 {
-		s.finalKeys = s.runs[0].keys
-		s.prog.RowsMerged.Add(int64(s.runs[0].rows))
-		return nil
-	}
-
-	fw := s.rec.Worker("finalize")
-	sp := fw.Begin(obs.PhaseMerge)
-	defer sp.End()
-
-	anyTieBreak := false
 	runs := make([]mergepath.Run, len(s.runs))
-	total := 0
 	for i, r := range s.runs {
 		runs[i] = mergepath.Run{Data: r.keys, Width: s.rowWidth}
-		anyTieBreak = anyTieBreak || r.tieBreak
-		total += runs[i].Len()
+		s.resultTie = s.resultTie || r.tieBreak
+		s.resultRows += r.rows
 	}
-	inMemLookup := func(runID, idx uint32) (*row.RowSet, int) {
-		return s.runs[runID].payload, int(idx)
+	if len(runs) > 1 && s.opt.Merge == MergeCascade {
+		sp := s.rec.Worker("finalize").Begin(obs.PhaseMerge)
+		_, cmp := s.mergeOrder(s.resultTie, s.residentPayload)
+		runs = []mergepath.Run{mergepath.CascadeMerge(runs, cmp, s.opt.threads())}
+		s.mergeStats.BytesMoved = uint64(len(runs[0].Data))
+		sp.End()
 	}
-
-	if s.opt.Merge == MergeCascade {
-		var cmp mergepath.CompareFunc
-		if anyTieBreak {
-			cmp = s.comparator(inMemLookup)
-		} else {
-			kw := s.keyWidth
-			cmp = func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
-		}
-		merged := mergepath.CascadeMerge(runs, cmp, s.opt.threads())
-		s.finalKeys = merged.Data
-		s.mergeStats.BytesMoved = uint64(len(merged.Data))
-		s.prog.RowsMerged.Add(int64(total))
-		return nil
+	if len(runs) == 1 {
+		// Nothing is left to merge in Rows.
+		s.prog.RowsMerged.Add(int64(s.resultRows))
 	}
-
-	var tie mergepath.CompareFunc
-	if anyTieBreak {
-		tie = s.comparator(inMemLookup)
-	}
-	// With telemetry on, each merge partition gets its own trace lane.
-	var onWorker func(part int) func()
-	if s.rec != nil {
-		onWorker = func(int) func() {
-			return s.rec.Worker("merge").Begin(obs.PhaseMerge).End
-		}
-	}
-	dst := make([]byte, total*s.rowWidth)
-	s.mergeStats = mergepath.ParallelKWayMergeSpans(dst, runs, s.ovcSafeWidth(anyTieBreak), tie,
-		s.opt.threads(), s.opt.Merge != MergeLoserTreeNoOVC, onWorker)
-	s.finalKeys = dst
-	s.prog.RowsMerged.Add(int64(total))
+	s.resultRuns = runs
 	return nil
 }
 
+// setMergedResult records the single run an eager merge produced as the
+// result: Rows walks its references, which name the payloads of runs.
+func (s *Sorter) setMergedResult(keys []byte, tieBreak bool) {
+	s.resultRuns = []mergepath.Run{{Data: keys, Width: s.rowWidth}}
+	s.resultTie = tieBreak
+	s.resultRows = len(keys) / s.rowWidth
+}
+
+// residentPayload resolves a key row's payload reference against the
+// in-memory runs.
+func (s *Sorter) residentPayload(runID, idx uint32) (*row.RowSet, int) {
+	return s.runs[runID].payload, int(idx)
+}
+
+// mergeOrder returns the merge's comparators over key rows: tie orders rows
+// equal on the byte-decisive prefix (ovcSafeWidth) and is nil when no run can
+// tie, cmp is the whole order.
+func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
+	if anyTieBreak {
+		tie = s.comparator(lookup)
+		return tie, tie
+	}
+	kw := s.keyWidth
+	return nil, func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
+}
+
+// newMerger builds the loser tree over runs in mergeOrder's order: coded on
+// the byte-decisive prefix, or (MergeLoserTreeNoOVC) comparing whole rows.
+func (s *Sorter) newMerger(runs []mergepath.Run, anyTieBreak bool, tie, cmp mergepath.CompareFunc) *mergepath.Merger {
+	if s.opt.Merge == MergeLoserTreeNoOVC {
+		return mergepath.NewMerger(runs, 0, cmp)
+	}
+	return mergepath.NewMerger(runs, s.ovcSafeWidth(anyTieBreak), tie)
+}
+
 // NumRows returns the number of sorted rows; valid after Finalize.
-func (s *Sorter) NumRows() int {
-	if s.streamMerge {
-		return s.streamTotal
-	}
-	if s.rowWidth == 0 {
-		return 0
-	}
-	return len(s.finalKeys) / s.rowWidth
-}
+func (s *Sorter) NumRows() int { return s.resultRows }
 
-// Result gathers the sorted payload back into a columnar table (the final
-// conversion of Figure 11), in chunks of vector.DefaultVectorSize. The
-// gather is vectorized (one typed kernel pass per column, see package row)
-// and parallel: output chunks are independent, so they are distributed
-// over Options.Threads workers and the result is byte-identical at any
-// thread count.
+// Result materializes the sorted rows as a columnar table (the final
+// conversion of Figure 11) by draining Rows: merge and vectorized gather run
+// on Options.Threads workers, byte-identical at any thread count. Under a
+// memory budget the table itself is the documented budget slack.
 func (s *Sorter) Result() (*vector.Table, error) {
-	return s.ResultThreads(s.opt.threads())
-}
-
-// ResultThreads is Result with an explicit worker count, for the gather
-// ablation and for callers that want to bound materialization parallelism
-// separately from the sort.
-//
-//rowsort:pipeline
-func (s *Sorter) ResultThreads(threads int) (*vector.Table, error) {
-	if !s.finalized {
-		return nil, fmt.Errorf("core: Result before Finalize")
+	it, err := s.Rows()
+	if err != nil {
+		return nil, err
 	}
-	if s.streamMerge {
-		return s.resultStreamed()
-	}
-	s.prog.AdvanceTo(obs.StageGather)
-	gatherStart := s.sinceEpoch()
-	defer func() {
-		end := s.sinceEpoch()
-		s.durGather.Add(end - gatherStart)
-		s.tResultEnd.Store(end + 1)
-	}()
 	out := vector.NewTable(s.schema)
-	n := s.NumRows()
-	if n == 0 {
-		return out, nil
-	}
-	payloads := make([]*row.RowSet, len(s.runs))
-	for i, r := range s.runs {
-		payloads[i] = r.payload
-	}
-	numChunks := (n + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
-	chunks := make([]*vector.Chunk, numChunks)
-	threads = min(max(threads, 1), numChunks)
-	s.gatherBytes.Add(int64(n) * int64(s.layout.Width()))
-
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			gw := s.rec.Worker("gather")
-			sp := gw.Begin(obs.PhaseGather)
-			defer sp.End()
-			s.rec.Do("gather", func() {
-				// Per-worker reusable reference buffers.
-				which := make([]uint32, vector.DefaultVectorSize)
-				idxs := make([]uint32, vector.DefaultVectorSize)
-				for ci := w; ci < numChunks; ci += threads {
-					start := ci * vector.DefaultVectorSize
-					count := min(vector.DefaultVectorSize, n-start)
-					chunks[ci] = s.gatherChunk(payloads, which, idxs, start, count)
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	out.Chunks = chunks
-	return out, nil
-}
-
-// gatherChunk materializes output rows [start, start+count) of the merged
-// key order into a fresh columnar chunk, resolving payload references with
-// the typed gather kernels. which and idxs are caller-owned scratch of at
-// least count entries.
-func (s *Sorter) gatherChunk(payloads []*row.RowSet, which, idxs []uint32, start, count int) *vector.Chunk {
-	refW, refI := which[:count], idxs[:count]
-	for r := 0; r < count; r++ {
-		keyRow := s.finalKeys[(start+r)*s.rowWidth:]
-		refW[r], refI[r] = s.getRef(keyRow)
-	}
-	chunk := &vector.Chunk{Vectors: make([]*vector.Vector, len(s.schema))}
-	for c := range s.schema {
-		v := vector.NewDense(s.schema[c].Type, count)
-		row.GatherRefsColumn(payloads, refW, refI, c, v)
-		chunk.Vectors[c] = v
-	}
-	s.prog.RowsGathered.Add(int64(count))
-	return chunk
-}
-
-// ResultScalar is the value-at-a-time reference gather Result replaced: it
-// re-dispatches the column type switch once per value. It is kept for the
-// equivalence tests and the gather ablation benchmark.
-func (s *Sorter) ResultScalar() (*vector.Table, error) {
-	if !s.finalized {
-		return nil, fmt.Errorf("core: Result before Finalize")
-	}
-	if s.streamMerge {
-		return s.resultStreamed()
-	}
-	s.prog.AdvanceTo(obs.StageGather)
-	gatherStart := s.sinceEpoch()
-	defer func() {
-		end := s.sinceEpoch()
-		s.durGather.Add(end - gatherStart)
-		s.tResultEnd.Store(end + 1)
-	}()
-	out := vector.NewTable(s.schema)
-	n := s.NumRows()
-	s.gatherBytes.Add(int64(n) * int64(s.layout.Width()))
-	for start := 0; start < n; start += vector.DefaultVectorSize {
-		count := min(vector.DefaultVectorSize, n-start)
-		chunk := vector.NewChunk(s.schema, count)
-		for c := range s.schema {
-			vec := chunk.Vectors[c]
-			for r := start; r < start+count; r++ {
-				keyRow := s.finalKeys[r*s.rowWidth : (r+1)*s.rowWidth]
-				runID, idx := s.getRef(keyRow)
-				s.runs[runID].payload.AppendTo(vec, int(idx), c)
-			}
+	for {
+		chunk, err := it.Next()
+		if err != nil || chunk == nil {
+			break // Close reports the iterator's first error
 		}
-		if err := out.AppendChunk(chunk); err != nil {
-			return nil, err
-		}
-		s.prog.RowsGathered.Add(int64(count))
+		out.Chunks = append(out.Chunks, chunk)
+	}
+	if err := it.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -49,9 +49,10 @@ const (
 	// MergeLoserTree is the default: a single-pass k-way tournament (loser
 	// tree) over all runs with offset-value coding, so most comparisons
 	// resolve on cached (offset, value) integers instead of full-width key
-	// memcmp. In memory the output is partitioned across threads with k-way
-	// Merge Path; with SpillDir set, spilled runs are streamed through
-	// fixed-size blocks in one read pass.
+	// memcmp. In memory the result iterator cuts the output into tasks with
+	// k-way Merge Path and its workers merge them as they gather; with
+	// SpillDir set, spilled runs are streamed through fixed-size blocks in
+	// one read pass.
 	MergeLoserTree MergeAlgo = iota
 	// MergeLoserTreeNoOVC is the loser tree with offset-value coding
 	// disabled: every match compares key bytes (the ablation arm isolating

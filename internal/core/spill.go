@@ -111,12 +111,17 @@ func (s *Sorter) removeSpillFile(path string) error {
 // path; aborted sorts (a sink error, a sorter dropped before Finalize) must
 // call it to avoid leaking rowsort-run-*.bin files.
 //
+// Result iterators still running (Rows handed out, never closed) have their
+// workers stopped and joined first; such an iterator's next Next fails.
+//
 // Close is safe to call multiple times (including on sorters that never
 // spilled): a second Close after a clean one is a no-op returning the first
 // call's result, while files whose removal failed stay tracked and are
 // retried. Removal errors are not swallowed — every failed removal is
 // joined into the returned error and counted in Stats().SpillRemoveErrors.
 func (s *Sorter) Close() error {
+	s.cancel()
+	s.drainWG.Wait()
 	s.spillMu.Lock()
 	defer s.spillMu.Unlock()
 	if s.closed && len(s.spillPaths) == 0 && s.spillTmpDir == "" {
@@ -719,23 +724,11 @@ func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reserv
 
 	// Tie-break lookups resolve against the resident block: references
 	// store absolute run indexes, the reader knows its block's offset.
-	var tie mergepath.CompareFunc
-	if anyTie {
-		tie = s.comparator(func(runID, idx uint32) (*row.RowSet, int) {
-			rd := e.readers[runID]
-			return rd.payload, int(idx) - rd.blockStart
-		})
-	}
-	if s.opt.Merge != MergeLoserTreeNoOVC {
-		e.m = mergepath.NewMerger(mruns, ovcWidth, tie)
-	} else {
-		cmp := tie
-		if cmp == nil {
-			kw := s.keyWidth
-			cmp = func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
-		}
-		e.m = mergepath.NewMerger(mruns, 0, cmp)
-	}
+	tie, cmp := s.mergeOrder(anyTie, func(runID, idx uint32) (*row.RowSet, int) {
+		rd := e.readers[runID]
+		return rd.payload, int(idx) - rd.blockStart
+	})
+	e.m = s.newMerger(mruns, anyTie, tie, cmp)
 
 	e.batch = s.opt.spillBlockRows()
 	e.pendWhich = make([]uint32, 0, e.batch)
@@ -876,11 +869,11 @@ func (s *Sorter) externalFinalize() error {
 	st.BytesMoved = uint64(len(finalKeys))
 	s.mergeStats.Add(st)
 
-	// Register the final run; all references now point at it, so Result
-	// gathers sequentially like the in-memory path.
+	// Register the final run; all references now point at it, so Rows
+	// gathers sequentially.
 	final := &sortedRun{id: finalID, keys: finalKeys, payload: out, tieBreak: e.anyTie, rows: total}
 	s.runs = append(s.runs, final)
-	s.finalKeys = finalKeys
+	s.setMergedResult(finalKeys, e.anyTie)
 	s.runRes.Grow(runBytes(final))
 	// Inputs that were still memory-resident have been fully consumed.
 	for _, id := range ids {
@@ -911,7 +904,7 @@ func (s *Sorter) planStreamingMerge() error {
 	}
 	s.streamMerge = true
 	s.streamActive = ids
-	s.streamTotal = total
+	s.resultRows = total
 	return nil
 }
 
@@ -1194,7 +1187,7 @@ func (s *Sorter) externalFinalizeCascade() error {
 			return err
 		}
 	}
-	s.finalKeys = final.keys
+	s.setMergedResult(final.keys, final.tieBreak)
 	s.mergeStats.BytesMoved = uint64(len(final.keys))
 	return nil
 }
@@ -1209,15 +1202,7 @@ func (s *Sorter) mergeRunPair(a, b *sortedRun, ow *obs.Worker) (*sortedRun, erro
 		}
 	}
 
-	var cmp mergepath.CompareFunc
-	if a.tieBreak || b.tieBreak {
-		cmp = s.comparator(func(runID, idx uint32) (*row.RowSet, int) {
-			return s.runs[runID].payload, int(idx)
-		})
-	} else {
-		kw := s.keyWidth
-		cmp = func(x, y []byte) int { return compareBytes(x[:kw], y[:kw]) }
-	}
+	_, cmp := s.mergeOrder(a.tieBreak || b.tieBreak, s.residentPayload)
 
 	mergedKeys := make([]byte, len(a.keys)+len(b.keys))
 	mergepath.ParallelMerge(mergedKeys,

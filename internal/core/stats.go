@@ -77,7 +77,8 @@ type SortStats struct {
 	SpillFilesRemoved int64
 	SpillRemoveErrors int64
 	// GatherBytesMoved is the fixed-width payload row bytes moved by result
-	// materialization (rows gathered × payload row width).
+	// materialization (rows gathered × payload row width), counted per chunk
+	// gathered: an abandoned iterator adds only what it produced.
 	GatherBytesMoved int64
 	// PeakResidentRunBytes is the high-water mark of bytes charged to the
 	// sorter's memory broker at once: sink buffers, sorted runs (key rows
@@ -90,7 +91,12 @@ type SortStats struct {
 	// to disk in response. Both zero for unbudgeted sorts.
 	MemoryPressureEvents int64
 	PressureSpills       int64
-	// Merge is the merge phase's comparison counters (see mergepath.Stats).
+	// Merge is the merge's comparison counters (see mergepath.Stats): what
+	// Finalize merged plus what the result iterator did — the latest one;
+	// iterating an in-memory sort again replaces its share, and an iterator
+	// closed early reports what it merged. Merge.BytesMoved counts key rows
+	// a merge copied (external merges, the cascade arm): the in-memory merge
+	// hands payload references straight to the gather, so it reports 0.
 	Merge mergepath.Stats
 	// PrefetchedBlocks counts spill blocks decoded by read-ahead goroutines;
 	// PrefetchHits counts merge block requests served from the read-ahead
@@ -114,8 +120,10 @@ type SortStats struct {
 	ExtMergeParts int64
 	// DurRunGen, DurMerge and DurGather are the wall-clock durations of the
 	// three sequential pipeline stages: first Append to Finalize (run
-	// generation, including spill writes), Finalize itself (merge, including
-	// spill reads), and Result (materialization). DurTotal spans first
+	// generation, including spill writes), Finalize itself (the eager merge
+	// of spilled runs; near zero in memory, where the merge is fused into
+	// the next stage and its busy time sits under Phases), and the result
+	// iterators from Rows to exhaustion or Close. DurTotal spans first
 	// Append to the end of Result, so the three stages sum to DurTotal up to
 	// the caller's time between stages.
 	DurRunGen time.Duration
@@ -175,6 +183,7 @@ func (s *Sorter) Stats() SortStats {
 	}
 	s.mu.Lock()
 	st.Merge = s.mergeStats
+	st.Merge.Add(s.drainStats)
 	st.StrategyDecisions = append([]StrategyDecision(nil), s.decisions...)
 	if p := s.enc.Plan(); p != nil {
 		nkeys := s.enc.Keys()

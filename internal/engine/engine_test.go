@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"rowsort/internal/core"
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -143,6 +146,45 @@ func TestSortOperatorWithMemoryBudget(t *testing.T) {
 		if out.Column(0).Value(i) != full.Column(0).Value(i) {
 			t.Fatalf("limited budgeted sort diverges at row %d", i)
 		}
+	}
+}
+
+// TestLimitAbandonsInMemorySortEarly checks LIMIT over an in-memory sort
+// whose final merge runs inside the result iterator: the operator stops the
+// sort's workers when it closes (no goroutine outlives the plan), and the
+// sort did not merge and gather what nobody asked for.
+func TestLimitAbandonsInMemorySortEarly(t *testing.T) {
+	const rows = 600_000 // nine tasks of the iterator: the window holds four
+	tbl := workload.UniformInt64s(rows, 52)
+	keys := []core.SortColumn{{Column: 0}}
+	reg := obs.NewRegistry(4)
+	base := runtime.NumGoroutine()
+	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 2, Registry: reg}), 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 10 {
+		t.Fatalf("limit rows = %d", out.NumRows())
+	}
+	k := out.Column(0)
+	for i := 1; i < k.Len(); i++ {
+		if k.Value(i).(int64) < k.Value(i-1).(int64) {
+			t.Fatal("limited sort is not sorted")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the plan closed, %d before it opened", runtime.NumGoroutine(), base)
+		}
+	}
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 || !snaps[0].Done {
+		t.Fatalf("registry holds %d runs, want the one finished sort", len(snaps))
+	}
+	c := snaps[0].Counters
+	if c.RowsGathered == 0 || c.RowsGathered > rows/2 || c.RowsMerged > rows/2 {
+		t.Errorf("LIMIT 10 merged %d and gathered %d of %d rows; want some, and well under all",
+			c.RowsMerged, c.RowsGathered, rows)
 	}
 }
 

@@ -1,17 +1,16 @@
 package mergepath
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 // This file implements the single-pass k-way merge: a tournament (loser)
 // tree over k sorted runs, with offset-value coding (Do & Graefe) so that
 // most tree matches resolve by comparing two integers instead of two
-// full-width normalized keys, and a k-way generalization of Merge Path so
-// the output can be partitioned across threads in one pass.
+// full-width normalized keys, and a k-way generalization of Merge Path
+// (KWaySplit) so the output can be cut at exact ranks and the pieces merged
+// independently.
 //
 // Offset-value coding caches, per candidate row, where that row first
 // differs from the key it most recently lost to (or followed within its
@@ -370,9 +369,9 @@ func drainMerger(m *Merger, dst []byte, w int) {
 	m.stats.BytesMoved += uint64(k * w)
 }
 
-// lowerBound returns the first index in r whose row is not before e.
-func lowerBound(r Run, e []byte, c CompareFunc) int {
-	lo, hi := 0, r.Len()
+// lowerBound returns the first index in r[lo:hi] whose row is not before e
+// (hi when there is none).
+func lowerBound(r Run, lo, hi int, e []byte, c CompareFunc) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if c(r.Row(m), e) < 0 {
@@ -384,9 +383,9 @@ func lowerBound(r Run, e []byte, c CompareFunc) int {
 	return lo
 }
 
-// upperBound returns the first index in r whose row is after e.
-func upperBound(r Run, e []byte, c CompareFunc) int {
-	lo, hi := 0, r.Len()
+// upperBound returns the first index in r[lo:hi] whose row is after e (hi
+// when there is none).
+func upperBound(r Run, lo, hi int, e []byte, c CompareFunc) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if c(r.Row(m), e) <= 0 {
@@ -403,17 +402,28 @@ func upperBound(r Run, e []byte, c CompareFunc) int {
 // exactly runs[r][:s[r]] as its first d rows. It runs a multisequence
 // selection: each probe pivots on the middle of the widest undecided run and
 // tightens every run's bounds by the pivot's global rank.
-func KWaySplit(runs []Run, d int, cmp CompareFunc) []int {
+//
+// from, when non-nil, is the split at some rank at or below d (an earlier
+// boundary of the same runs). Splits are monotone in d, so run r's answer
+// lies in [from[r], from[r]+d-sum(from)] and only that window is searched:
+// cutting an output into consecutive tasks costs each boundary a search over
+// one task's rows, not over the runs. from is not modified.
+func KWaySplit(runs []Run, d int, cmp CompareFunc, from []int) []int {
 	c := cmpOrDefault(cmp)
 	k := len(runs)
 	lo := make([]int, k)
 	hi := make([]int, k)
-	sumLo, sumHi := 0, 0
+	sumLo := 0
+	for r := range from {
+		lo[r] = from[r]
+		sumLo += from[r]
+	}
+	sumHi := 0
 	for r := range runs {
-		hi[r] = runs[r].Len()
+		hi[r] = min(runs[r].Len(), lo[r]+max(d-sumLo, 0))
 		sumHi += hi[r]
 	}
-	if d <= 0 {
+	if d <= sumLo {
 		return lo
 	}
 	if d >= sumHi {
@@ -430,44 +440,44 @@ func KWaySplit(runs []Run, d int, cmp CompareFunc) []int {
 			}
 		}
 		mid := int(uint(lo[p]+hi[p]) >> 1)
+		// A window much wider than the rows still to place (the first
+		// probes after from) holds the answer near its low end: probe at
+		// twice a run's even share of them, so that the likely outcome,
+		// "outside", closes every window to about that far.
+		if x := lo[p] + 2*(d-sumLo)/k; x < mid {
+			mid = x
+		}
 		e := runs[p].Row(mid)
-		// rank(e): rows strictly before (p, mid) in the stable merge order.
+		// rank(e): rows strictly before (p, mid) in the stable merge order,
+		// each run's count clamped to its open range — the clamped total is
+		// below d exactly when the true rank is, and a bound only ever moves
+		// within its range.
 		tot := 0
 		for r := range runs {
 			switch {
 			case r < p:
-				cnt[r] = upperBound(runs[r], e, c) // earlier runs win ties
+				cnt[r] = upperBound(runs[r], lo[r], hi[r], e, c) // earlier runs win ties
 			case r == p:
 				cnt[r] = mid
 			default:
-				cnt[r] = lowerBound(runs[r], e, c)
+				cnt[r] = lowerBound(runs[r], lo[r], hi[r], e, c)
 			}
 			tot += cnt[r]
 		}
 		if tot < d {
 			// e is inside the first d rows, and so is everything before it.
 			for r := range runs {
-				if cnt[r] > lo[r] {
-					sumLo += cnt[r] - lo[r]
-					lo[r] = cnt[r]
-				}
+				sumLo += cnt[r] - lo[r]
+				lo[r] = cnt[r]
 			}
-			if mid+1 > lo[p] {
-				sumLo += mid + 1 - lo[p]
-				lo[p] = mid + 1
-			}
+			sumLo += mid + 1 - lo[p]
+			lo[p] = mid + 1
 		} else {
 			// e is outside the first d rows, and so is everything at or
 			// after its rank.
 			for r := range runs {
-				if cnt[r] < hi[r] {
-					sumHi -= hi[r] - cnt[r]
-					hi[r] = cnt[r]
-				}
-			}
-			if mid < hi[p] {
-				sumHi -= hi[p] - mid
-				hi[p] = mid
+				sumHi -= hi[r] - cnt[r]
+				hi[r] = cnt[r]
 			}
 		}
 	}
@@ -475,100 +485,4 @@ func KWaySplit(runs []Run, d int, cmp CompareFunc) []int {
 		return lo
 	}
 	return hi
-}
-
-// ParallelKWayMerge merges k runs into dst in a single pass using up to p
-// goroutines: KWaySplit cuts the output into p near-equal disjoint
-// partitions, each merged independently by a loser tree. With useOVC the
-// trees compare offset-value codes (keyWidth prefix bytes, tie for
-// byte-equal keys); without, every match compares keyWidth bytes and then
-// tie — the two ablation arms. The output is byte-identical to the scalar
-// stable merge at every p. dst must hold the total number of rows.
-func ParallelKWayMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p int, useOVC bool) Stats {
-	return ParallelKWayMergeSpans(dst, runs, keyWidth, tie, p, useOVC, nil)
-}
-
-// ParallelKWayMergeSpans is ParallelKWayMerge with a per-worker telemetry
-// hook: when onWorker is non-nil it runs on each partition's goroutine
-// before that partition merges, and the function it returns runs when the
-// partition finishes — the telemetry layer uses the pair to give every
-// merge worker its own trace lane.
-//
-//rowsort:pipeline
-func ParallelKWayMergeSpans(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p int, useOVC bool, onWorker func(part int) func()) Stats {
-	total := 0
-	for _, r := range runs {
-		total += r.Len()
-	}
-	if total == 0 {
-		return Stats{}
-	}
-	w := runWidth(runs)
-	// The split and the non-OVC tree compare with the merge's effective
-	// order: prefix bytes, then the tie-break.
-	eff := func(a, b []byte) int {
-		if c := bytes.Compare(a[:keyWidth], b[:keyWidth]); c != 0 {
-			return c
-		}
-		if tie != nil {
-			return tie(a, b)
-		}
-		return 0
-	}
-
-	if p < 1 {
-		p = 1
-	}
-	if p > total {
-		p = total
-	}
-	stats := make([]Stats, p)
-	prev := make([]int, len(runs))
-	var wg sync.WaitGroup
-	for part := 1; part <= p; part++ {
-		var cut []int
-		if part == p {
-			cut = make([]int, len(runs))
-			for r := range runs {
-				cut[r] = runs[r].Len()
-			}
-		} else {
-			cut = KWaySplit(runs, part*total/p, eff)
-		}
-		start := 0
-		for _, v := range prev {
-			start += v
-		}
-		end := 0
-		for _, v := range cut {
-			end += v
-		}
-		sub := make([]Run, len(runs))
-		for r := range runs {
-			sub[r] = Run{Data: runs[r].Data[prev[r]*w : cut[r]*w], Width: w}
-		}
-		out := dst[start*w : end*w]
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			if onWorker != nil {
-				defer onWorker(part)()
-			}
-			var m *Merger
-			if useOVC {
-				m = NewMerger(sub, keyWidth, tie)
-			} else {
-				m = NewMerger(sub, 0, eff)
-			}
-			drainMerger(m, out, w)
-			stats[part] = m.stats
-		}(part - 1)
-		prev = cut
-	}
-	wg.Wait()
-	var st Stats
-	for _, s := range stats {
-		st.Add(s)
-	}
-	return st
 }

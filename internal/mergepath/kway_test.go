@@ -102,7 +102,7 @@ func TestKWaySplitPrefixProperty(t *testing.T) {
 	KWayMerge(full, runs, cmpKey)
 
 	for d := 0; d <= total; d += 13 {
-		s := KWaySplit(runs, d, cmpKey)
+		s := KWaySplit(runs, d, cmpKey, nil)
 		sum := 0
 		for r := range runs {
 			if s[r] < 0 || s[r] > runs[r].Len() {
@@ -126,7 +126,48 @@ func TestKWaySplitPrefixProperty(t *testing.T) {
 	}
 }
 
-func TestParallelKWayMergeThreads(t *testing.T) {
+// partitionedMerge merges runs into dst as p consecutive pieces cut with
+// KWaySplit, each boundary found incrementally from the previous one and each
+// piece merged by its own loser tree: what a caller that hands pieces to
+// threads does, run on one. With useOVC the trees compare offset-value codes
+// (keyWidth prefix bytes, tie for byte-equal keys); without, every match
+// compares keyWidth bytes and then tie.
+func partitionedMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p int, useOVC bool) Stats {
+	total := 0
+	for _, r := range runs {
+		total += r.Len()
+	}
+	w := runWidth(runs)
+	eff := func(a, b []byte) int {
+		if c := bytes.Compare(a[:keyWidth], b[:keyWidth]); c != 0 {
+			return c
+		}
+		if tie != nil {
+			return tie(a, b)
+		}
+		return 0
+	}
+	var st Stats
+	prev := make([]int, len(runs))
+	for part := 1; part <= p; part++ {
+		start, end := (part-1)*total/p, part*total/p
+		cut := KWaySplit(runs, end, eff, prev)
+		sub := make([]Run, len(runs))
+		for r := range runs {
+			sub[r] = Run{Data: runs[r].Data[prev[r]*w : cut[r]*w], Width: w}
+		}
+		m := NewMerger(sub, 0, eff)
+		if useOVC {
+			m = NewMerger(sub, keyWidth, tie)
+		}
+		drainMerger(m, dst[start*w:end*w], w)
+		st.Add(m.stats)
+		prev = cut
+	}
+	return st
+}
+
+func TestPartitionedKWayMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	var runs []Run
 	total := 0
@@ -141,9 +182,9 @@ func TestParallelKWayMergeThreads(t *testing.T) {
 	for _, useOVC := range []bool{true, false} {
 		for p := 1; p <= 16; p++ {
 			got := make([]byte, total*8)
-			st := ParallelKWayMerge(got, runs, 4, bytes.Compare, p, useOVC)
+			st := partitionedMerge(got, runs, 4, bytes.Compare, p, useOVC)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("useOVC=%v p=%d: parallel merge differs from scalar", useOVC, p)
+				t.Fatalf("useOVC=%v p=%d: partitioned merge differs from scalar", useOVC, p)
 			}
 			if st.BytesMoved != uint64(total*8) {
 				t.Fatalf("useOVC=%v p=%d: BytesMoved %d", useOVC, p, st.BytesMoved)
@@ -321,11 +362,11 @@ func FuzzKWayMerge(f *testing.F) {
 			t.Fatal("tie-break k-way merge differs from full-row oracle")
 		}
 
-		// Parallel partitioning must be byte-identical to the scalar merge.
+		// Merge Path partitioning must be byte-identical to the scalar merge.
 		gotPar := make([]byte, total*8)
-		ParallelKWayMerge(gotPar, runs, 4, nil, 3, true)
+		partitionedMerge(gotPar, runs, 4, nil, 3, true)
 		if !bytes.Equal(gotPar, want) {
-			t.Fatal("parallel k-way merge differs from scalar")
+			t.Fatal("partitioned k-way merge differs from scalar")
 		}
 	})
 }

@@ -6,9 +6,10 @@
 // normalized keys, and the output is produced in one pass instead of the
 // O(log k) copy passes of a cascaded 2-way merge. Parallelism comes from a
 // k-way generalization of Merge Path (Green, Odeh and Birk): KWaySplit cuts
-// the merged output at evenly spaced ranks with binary searches, so each
-// thread merges a disjoint slice of every run into a disjoint slice of the
-// output, byte-identical to the scalar merge.
+// the merged output at exact ranks with binary searches, so each thread
+// merges a disjoint slice of every run into a disjoint slice of the output,
+// byte-identical to the scalar merge. The threads are the caller's (core's
+// result iterator hands such slices to its workers); this package only cuts.
 //
 // The 2-way primitives (SplitPoint, MergeInto, ParallelMerge) and the
 // cascaded CascadeMerge are kept as the ablation baseline and for the
