@@ -212,12 +212,18 @@ func finalizedSorter(b *testing.B, tbl *vector.Table, keys []core.SortColumn, op
 	return s
 }
 
-// benchDrain times full drains of s.Rows and reports ns per output row.
-func benchDrain(b *testing.B, s *core.Sorter) {
+// benchDrain times full drains of Rows and reports ns per output row. sorter
+// returns the finalized sort to drain next, untimed: the same one every
+// time when its runs are resident, a fresh one when they are on disk and can
+// be read once.
+func benchDrain(b *testing.B, sorter func() *core.Sorter) {
 	b.ReportAllocs()
 	rows := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := sorter()
+		b.StartTimer()
 		it, err := s.Rows()
 		if err != nil {
 			b.Fatal(err)
@@ -248,7 +254,8 @@ func BenchmarkAblationGather(b *testing.B) {
 	keys := []core.SortColumn{{Column: 4}, {Column: 5}}
 	for _, threads := range []int{1, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchDrain(b, finalizedSorter(b, tbl, keys, core.Options{Threads: threads, RunSize: 1 << 15}))
+			s := finalizedSorter(b, tbl, keys, core.Options{Threads: threads, RunSize: 1 << 15})
+			benchDrain(b, func() *core.Sorter { return s })
 		})
 	}
 }
@@ -281,23 +288,38 @@ func widePayloadTable(n int, seed uint64) *vector.Table {
 }
 
 // BenchmarkRowsDrain is the drain of Sorter.Rows out of cache, on the two
-// benchmark shapes that bracket it — mem-uniform-int (2^21 rows, 9-byte key,
-// 8-byte payload: the merge dominates) and mem-wide-payload (2^20 rows of
-// 125 bytes: the gather does) — at the sorter's default run size, inline
-// (Threads: 1) against two workers.
+// in-memory benchmark shapes that bracket it — mem-uniform-int (2^21 rows,
+// 9-byte key, 8-byte payload: the merge dominates) and mem-wide-payload (2^20
+// rows of 125 bytes: the gather does) — at the sorter's default run size, and
+// on ext-catalog-spill's (2^20 rows by four keys in 16 spilled runs of 2^16:
+// the same merge, its runs read back block by block), inline (Threads: 1)
+// against two workers.
 func BenchmarkRowsDrain(b *testing.B) {
+	one := []core.SortColumn{{Column: 0}}
 	for _, wl := range []struct {
 		name string
 		gen  func() *vector.Table
+		keys []core.SortColumn
+		opt  core.Options
 	}{
-		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }},
-		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }},
+		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }, one, core.Options{}},
+		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }, one, core.Options{}},
+		{"catalog-spill", func() *vector.Table { return workload.CatalogSales(1<<20, 10, 42) },
+			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, core.Options{RunSize: 1 << 16, SpillDir: b.TempDir()}},
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			tbl := wl.gen()
 			for _, threads := range []int{1, 2} {
 				b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-					benchDrain(b, finalizedSorter(b, tbl, []core.SortColumn{{Column: 0}}, core.Options{Threads: threads}))
+					opt := wl.opt
+					opt.Threads = threads
+					var s *core.Sorter
+					benchDrain(b, func() *core.Sorter {
+						if s == nil || opt.SpillDir != "" {
+							s = finalizedSorter(b, tbl, wl.keys, opt)
+						}
+						return s
+					})
 				})
 			}
 		})

@@ -119,9 +119,8 @@ func runFig11(w io.Writer, cfg Config) error {
 		Header: []string{"stage", "time"},
 	}
 	t.AddRow("convert to rows + normalize keys + run generation", Seconds(sinkTime))
-	// In memory Finalize only records the runs; the merge is fused into the
-	// scan (Sorter.Rows). Spilled sorts merge in Finalize.
-	t.AddRow("Finalize (merge of spilled runs; none in memory)", Seconds(mergeTime))
+	// Finalize only plans: the merge is fused into the scan (Sorter.Rows).
+	t.AddRow("Finalize (plans the merge; merges nothing)", Seconds(mergeTime))
 	t.AddRow("k-way loser-tree merge fused into the scan back to vectors", Seconds(scanTime))
 	t.Render(w)
 	return nil

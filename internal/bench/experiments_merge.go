@@ -44,8 +44,8 @@ func mergeWorkloads(cfg Config) []struct {
 }
 
 // finalizeReady ingests tbl into a fresh sorter and stops right before
-// Finalize, so the merge phase (Finalize plus, for resident runs, the drain
-// of Rows the merge is fused into) can be timed without run generation.
+// Finalize, so the merge phase (Finalize plus the drain of Rows the merge is
+// fused into) can be timed without run generation.
 func finalizeReady(tbl *vector.Table, keys []core.SortColumn, opt core.Options) *core.Sorter {
 	s, err := core.NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
@@ -66,9 +66,10 @@ func finalizeReady(tbl *vector.Table, keys []core.SortColumn, opt core.Options) 
 // runMergeAblation times the merge phase in isolation (run generation done;
 // Finalize and the drain of the result timed — in memory the tree arms merge
 // inside Rows, the cascade in Finalize, and all three pay the same gather)
-// under the three algorithms, in memory over ~16 runs and then streaming
-// from disk. Cascade is the baseline the single-pass loser
-// tree replaces; the no-OVC arm isolates the tree shape from the coding.
+// under the three algorithms in memory over ~16 runs, and then under the two
+// tree arms streaming the same runs from disk (a sort with spilled runs has
+// no cascade). Cascade is the baseline the single-pass loser tree replaces;
+// the no-OVC arm isolates the tree shape from the coding.
 func runMergeAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
@@ -82,7 +83,7 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 				wl.name, Count(uint64(rows)), cfg.threads()),
 			Header: []string{"merge", "time", "vs cascade", "compares", "ovc hits", "tie-breaks"},
 		}
-		var baseTime time.Duration
+		var baseTime, memTime time.Duration
 		for _, v := range []struct {
 			name string
 			algo core.MergeAlgo
@@ -108,6 +109,7 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 			if v.algo == core.MergeCascade {
 				baseTime = d
 			}
+			memTime = d
 			st := last.Stats().Merge
 			if err := last.Close(); err != nil {
 				return err
@@ -117,9 +119,10 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 		}
 		t.Render(w)
 
-		// External: the same runs spilled to disk. The cascade unspills and
-		// re-spills intermediates (O(n log k) I/O); the streaming loser tree
-		// reads each spilled byte once through fixed-size blocks.
+		// External: the same runs spilled to disk, where the cascade selects
+		// nothing: the loser tree streams them back through fixed-size
+		// blocks, reading each spilled byte once, inside the result iterator
+		// — so what is timed is Finalize (which only plans) plus the drain.
 		dir, err := os.MkdirTemp("", "rowsort-merge-bench-*")
 		if err != nil {
 			return err
@@ -127,13 +130,13 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 		te := &Table{
 			Title: fmt.Sprintf("%s, %s rows, ~16 runs, streaming from disk",
 				wl.name, Count(uint64(rows))),
-			Header: []string{"merge", "time", "vs cascade", "spill written", "spill read"},
+			Header: []string{"merge", "time", "vs in memory", "spill written", "spill read"},
 		}
 		for _, v := range []struct {
 			name string
 			algo core.MergeAlgo
 		}{
-			{"cascaded 2-way (unspill/re-spill)", core.MergeCascade},
+			{"k-way loser tree (single pass)", core.MergeLoserTreeNoOVC},
 			{"k-way + OVC (single pass)", core.MergeLoserTree},
 		} {
 			var written, read int64
@@ -145,16 +148,16 @@ func runMergeAblation(w io.Writer, cfg Config) error {
 				if err := s.Finalize(); err != nil {
 					panic(err)
 				}
+				if _, err := s.Result(); err != nil {
+					panic(err)
+				}
 				st := s.Stats()
 				written, read = st.SpillBytesWritten, st.SpillBytesRead
 				if err := s.Close(); err != nil {
 					panic(err)
 				}
 			})
-			if v.algo == core.MergeCascade {
-				baseTime = d
-			}
-			te.AddRow(v.name, Seconds(d), Ratio(baseTime, d),
+			te.AddRow(v.name, Seconds(d), Ratio(memTime, d),
 				Count(uint64(written)), Count(uint64(read)))
 		}
 		te.Render(w)

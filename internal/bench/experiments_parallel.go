@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register("parallel", "Parallel external sort: rungen/read-ahead/partitioned-merge ablation under spill",
+	register("parallel", "Parallel external sort: threads/read-ahead ablation under spill",
 		runParallelAblation)
 }
 
@@ -80,25 +80,25 @@ func extSortOnce(tbl *vector.Table, keys []core.SortColumn, opt core.Options, pa
 // runParallelAblation measures what each layer of the parallel external
 // sort buys on a spilling workload. The feature ladder is cumulative:
 //
-//	scalar      single sink, no read-ahead, sequential final merge
-//	+rungen     ingest fans out to Threads sinks (ParallelSink)
-//	+readahead  spill readers decode the next block on prefetch goroutines
-//	+partition  the final merge splits across key ranges (ExtMergeThreads)
+//	scalar      single sink, Threads: 1, no read-ahead: the final merge
+//	            decodes each block when it gets there
+//	+threads    Threads: N — ingest fans out to N sinks (ParallelSink), Rows
+//	            merges and gathers fence-cut tasks on N workers
+//	+readahead  the block stage decodes ahead of the merges, in forecast order
 //
 // The first grid spills eagerly (SpillDir, unlimited memory) across thread
 // counts; the second runs the scalar and full pipelines under memory
-// budgets, where the final merge is deferred and streams (so the
-// partitioned arm degenerates to read-ahead — the planner trades it for
-// bounded memory).
+// budgets, where the final merge is one task inside Next (so the threads
+// arm degenerates to parallel ingest plus read-ahead — the planner trades
+// merge workers for bounded memory).
 func runParallelAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
 	}
 	tbl := workload.CatalogSales(cfg.counterRows(), 10, cfg.seed())
 	keys := []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
-	// Few, large runs: each run spans several spill blocks, so the
-	// partitioned merge's boundary-block re-reads stay a small fraction of
-	// the bytes each worker streams.
+	// Few, large runs: each run spans several spill blocks, so the final
+	// merge is cut into several tasks.
 	runSize := max(1, tbl.NumRows()/8)
 
 	dir, err := os.MkdirTemp("", "rowsort-parallel-bench-*")
@@ -114,40 +114,37 @@ func runParallelAblation(w io.Writer, cfg Config) error {
 
 // runParallelGrids renders the two ablation grids into dir's spill files.
 func runParallelGrids(w io.Writer, cfg Config, tbl *vector.Table, keys []core.SortColumn, runSize int, dir string) error {
-	arm := func(t int, readAhead, extMergeThreads int) core.Options {
+	arm := func(t int, readAhead int) core.Options {
 		return core.Options{Threads: t, RunSize: runSize, SpillDir: dir,
-			ReadAhead: readAhead, ExtMergeThreads: extMergeThreads, Telemetry: cfg.Telemetry}
+			ReadAhead: readAhead, Telemetry: cfg.Telemetry}
 	}
 
 	var scalarStats core.SortStats
 	scalarTime := MedianTime(cfg.reps(), func() {
-		_, scalarStats = extSortOnce(tbl, keys, arm(1, -1, 1), false)
+		_, scalarStats = extSortOnce(tbl, keys, arm(1, -1), false)
 	})
 
 	grid := &Table{
 		Title: fmt.Sprintf("catalog_sales, %s rows by 4 keys, eager spill (%s), streamed drain (scalar arm: %s)",
 			Count(uint64(tbl.NumRows())), Bytes(int64(scalarStats.SpillBytesWritten)), Seconds(scalarTime)),
-		Header: []string{"threads", "+rungen", "+readahead", "+partition",
-			"speedup", "prefetch hit", "merge parts"},
+		Header: []string{"threads", "+threads", "+readahead",
+			"speedup", "prefetch hit", "merge tasks"},
 	}
 	threadArms := []int{1, 2, 4, 8}
 	for _, t := range threadArms {
-		rungenTime := MedianTime(cfg.reps(), func() {
-			extSortOnce(tbl, keys, arm(t, -1, 1), true)
-		})
-		readaheadTime := MedianTime(cfg.reps(), func() {
-			extSortOnce(tbl, keys, arm(t, 0, 1), true)
+		threadsTime := MedianTime(cfg.reps(), func() {
+			extSortOnce(tbl, keys, arm(t, -1), true)
 		})
 		var full core.SortStats
 		fullTime := MedianTime(cfg.reps(), func() {
-			_, full = extSortOnce(tbl, keys, arm(t, 0, 0), true)
+			_, full = extSortOnce(tbl, keys, arm(t, 0), true)
 		})
 		hitRate := "-"
 		if full.PrefetchedBlocks > 0 {
 			hitRate = fmt.Sprintf("%.0f%%", 100*float64(full.PrefetchHits)/float64(full.PrefetchedBlocks))
 		}
 		grid.AddRow(fmt.Sprintf("%d", t),
-			Seconds(rungenTime), Seconds(readaheadTime), Seconds(fullTime),
+			Seconds(threadsTime), Seconds(fullTime),
 			Ratio(scalarTime, fullTime), hitRate,
 			Count(uint64(full.ExtMergeParts)))
 	}
@@ -175,7 +172,7 @@ func runParallelGrids(w io.Writer, cfg Config, tbl *vector.Table, keys []core.So
 		sc := MedianTime(cfg.reps(), func() {
 			broker := mem.NewBroker("bench-parallel", budget)
 			o := core.Options{Threads: 1, RunSize: runSize, Broker: broker,
-				ReadAhead: -1, ExtMergeThreads: 1, Telemetry: cfg.Telemetry}
+				ReadAhead: -1, Telemetry: cfg.Telemetry}
 			_, _ = extSortOnce(tbl, keys, o, false)
 			leak += broker.Used()
 		})

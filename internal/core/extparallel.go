@@ -1,244 +1,127 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"sync"
+import "rowsort/internal/mergepath"
 
-	"rowsort/internal/mergepath"
-	"rowsort/internal/obs"
-	"rowsort/internal/row"
-)
+// The final merge of spilled runs is cut into tasks the way the resident
+// one is (rows.go), with the spill files' block indexes standing in for
+// random access: a run on disk can be entered at any block, and every
+// block's first key row — its fence — is in memory. The fences of all runs,
+// in merged order, are the order in which a merge first needs each block:
+// the block stage's forecast. Cutting that order every drainTaskFences
+// fences, at the fence key found there, gives tasks whose key ranges
+// [lower, upper) concatenate to the whole output. Bounds compare only
+// on the byte-decisive safe key prefix, so rows that tie beyond it are never
+// split across tasks and the output is byte-identical to the sequential
+// merge's at every task and worker count.
 
-// Partitioned parallel external merge: the eager merge of spilled runs
-// fans out across Options.ExtMergeThreads workers, mirroring what the
-// result iterator does for resident runs with k-way Merge Path. The spill files' block
-// indexes stand in for random access: KWaySplit over the runs' fence keys
-// (every block's first key row) picks balanced boundary keys, each worker
-// opens range-bounded block readers that seek straight to their first
-// relevant block, and the workers' outputs concatenate into the final
-// sorted order. Partition bounds are compared only on the byte-decisive
-// safe key prefix, so rows that tie beyond it are never split across
-// workers and the output is byte-identical to the sequential merge at
-// every worker count.
+// drainTaskFences is the blocks a task over spilled runs begins: as many as
+// make a resident task's rows at the default block size. Fixed by the null
+// arms in EXPERIMENTS.md ("Spilled runs stream through Rows").
+const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 
-// minExtPartitionRows gates the partitioned merge: below this many output
-// rows per worker the partition setup (splitter probes, boundary-block
-// re-reads, per-worker readers) costs more than the parallelism returns,
-// and the sequential single-pass merge runs instead.
-const minExtPartitionRows = 1 << 13
+// spillPlan is the task plan of one merge over runs of which some, usually
+// all, are on disk.
+type spillPlan struct {
+	ids    []uint32 // the runs, in merge (tie) order
+	index  []int32  // a run id's position in ids
+	anyTie bool     // some run needs the tie-break comparator
+	safe   int      // width of the byte-decisive key prefix
 
-// partResult is one worker's merged slice of the output.
-type partResult struct {
-	keys    []byte
-	payload *row.RowSet
-	rows    int
-	stats   mergepath.Stats
-	err     error
+	order  []blockRef // every block, by fence: the forecast
+	bounds [][]byte   // task t merges the keys in [bounds[t-1], bounds[t]); one fewer than tasks
+	refs   [][]int32  // per run and block: the tasks whose range overlaps it
 }
 
-// externalFinalizeParallel tries to run the eager external merge
-// partitioned across workers. It returns done=false (and no error) when
-// the sort should fall back to the sequential merge: too few rows per
-// worker, a run still memory-resident, or no usable boundary keys (all
-// fences tie on the safe prefix).
-//
-//rowsort:pipeline
-func (s *Sorter) externalFinalizeParallel(ids []uint32) (bool, error) {
-	parts := s.opt.extMergeThreads()
-	total := 0
-	anyTie := false
-	for _, id := range ids {
+// planSpillTasks plans the merge of runs ids. With single set, or a run
+// still in memory (which has no fences), the plan is one task; otherwise the
+// forecast is cut wherever drainTaskFences fences have gone by and the fence
+// there is above its predecessor — so that bounds strictly increase,
+// every block before a cut starts below it, and keys that all collide (a
+// constant column) degrade to one task, never to a wrong order.
+func (s *Sorter) planSpillTasks(ids []uint32, single bool) *spillPlan {
+	p := &spillPlan{ids: ids, index: make([]int32, len(s.runs)), refs: make([][]int32, len(ids))}
+	var fences []mergepath.Run // of the runs on disk
+	var owner []int32          // their positions in ids
+	blocks := 0
+	for i, id := range ids {
 		r := s.runs[id]
+		p.index[id] = int32(i)
+		p.anyTie = p.anyTie || r.tieBreak
 		if r.spill == nil {
-			return false, nil // fences only exist for spilled runs
+			single = true
+			continue
 		}
-		total += r.rows
-		anyTie = anyTie || r.tieBreak
+		p.refs[i] = make([]int32, r.spill.numBlocks())
+		fences = append(fences, mergepath.Run{Data: r.spill.fences, Width: s.rowWidth})
+		owner = append(owner, int32(i))
+		blocks += r.spill.numBlocks()
 	}
-	if mp := total / minExtPartitionRows; mp < parts {
-		parts = mp
-	}
-	if parts <= 1 {
-		return false, nil
-	}
-	safe := s.ovcSafeWidth(anyTie)
-	splitters := s.partitionSplitters(ids, parts, safe)
-	if len(splitters) == 0 {
-		return false, nil
-	}
+	p.safe = s.ovcSafeWidth(p.anyTie)
 
-	// Register the per-worker output runs up front (Finalize holds s.mu, so
-	// no further locking): worker w rewrites its key rows' references to
-	// run finalBase+w, and the concatenated key rows become the one result
-	// run — Rows resolves references per run, so per-worker payloads need no
-	// rewriting into one set.
-	rw := s.rowWidth
-	finalBase := uint32(len(s.runs))
-	nparts := len(splitters) + 1
-	outRuns := make([]*sortedRun, nparts)
-	for w := range outRuns {
-		outRuns[w] = &sortedRun{id: finalBase + uint32(w), tieBreak: anyTie}
-		s.runs = append(s.runs, outRuns[w])
-	}
-
-	results := make([]partResult, nparts)
-	hint := total/nparts + total/(nparts*8) + 64
-	var wg sync.WaitGroup
-	for w := 0; w < nparts; w++ {
-		var lo, hi []byte
-		if w > 0 {
-			lo = splitters[w-1]
-		}
-		if w < len(splitters) {
-			hi = splitters[w]
-		}
-		wg.Add(1)
-		go func(w int, lo, hi []byte) {
-			defer wg.Done()
-			s.rec.Do("merge", func() {
-				results[w] = s.mergePartition(ids, finalBase+uint32(w), lo, hi, hint)
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	var errs []error
-	for w := range results {
-		if results[w].err != nil {
-			errs = append(errs, results[w].err)
-		}
-	}
-	if len(errs) > 0 {
-		for w := range results {
-			if results[w].err == nil {
-				s.putRowSet(results[w].payload)
-			}
-		}
-		return true, errors.Join(errs...)
-	}
-	n := 0
-	for w := range results {
-		n += results[w].rows
-	}
-	if n != total {
-		return true, fmt.Errorf("core: partitioned external merge produced %d of %d rows", n, total)
-	}
-
-	finalKeys := make([]byte, 0, total*rw)
-	var st mergepath.Stats
-	charge := int64(0)
-	for w := range results {
-		finalKeys = append(finalKeys, results[w].keys...)
-		outRuns[w].payload = results[w].payload
-		outRuns[w].rows = results[w].rows
-		charge += outRuns[w].payload.CapBytes()
-		st.Add(results[w].stats)
-	}
-	st.BytesMoved = uint64(len(finalKeys))
-	s.mergeStats.Add(st)
-	s.setMergedResult(finalKeys, anyTie)
-	s.runRes.Grow(charge + int64(cap(finalKeys)))
-
-	// The inputs are fully consumed: their files go now (each was shared by
-	// every worker, so removal waits until all of them have finished).
-	for _, id := range ids {
-		r := s.runs[id]
-		if r.spill != nil {
-			s.removeSpillFile(r.spill.path)
-			r.spill = nil
-		}
-		s.releaseRun(r)
-	}
-	s.extMergeParts.Store(int64(nparts))
-	return true, nil
-}
-
-// mergePartition merges the key range [lo, hi) of the given runs on one
-// worker: range-bounded block readers (with read-ahead) feed the
-// offset-value-coded loser tree, and the output accumulates into a
-// worker-private key buffer and payload set registered as run outID.
-func (s *Sorter) mergePartition(ids []uint32, outID uint32, lo, hi []byte, hint int) partResult {
-	mw := s.rec.Worker("merge")
-	sp := mw.Begin(obs.PhaseMerge)
-	defer sp.End()
-	res := s.broker.Reserve("merge", 0)
-	defer res.Release()
-	e, err := s.openExtMergeRange(ids, mw, res, lo, hi)
-	if err != nil {
-		return partResult{err: err}
-	}
-	defer e.close(false)
-
-	rw := s.rowWidth
-	out := s.getRowSet()
-	out.Reserve(hint)
-	e.dst = out
-	keys := make([]byte, 0, hint*rw)
-	n := 0
-	for {
-		keyRow, ok := e.next()
+	// Each run's fences are sorted: their merged order is a loser-tree merge
+	// away (ties to the earlier run, then the earlier block).
+	p.order = make([]blockRef, 0, blocks)
+	for m := mergepath.NewMerger(fences, p.safe, nil); ; {
+		r, blk, _, ok := m.Next()
 		if !ok {
 			break
 		}
-		keys = append(keys, keyRow...)
-		s.putRef(keys[len(keys)-rw:], outID, uint32(n))
-		n++
-		if len(e.pendIdxs) >= e.batch {
-			e.flushPend()
+		p.order = append(p.order, blockRef{owner[r], int32(blk)})
+	}
+	for pos, start := 0, 0; pos < len(p.order) && !single; pos++ {
+		if key := p.fence(s, p.order[pos]); pos-start >= drainTaskFences &&
+			compareSafe(key, p.fence(s, p.order[pos-1]), p.safe) > 0 {
+			p.bounds = append(p.bounds, key)
+			start = pos
 		}
 	}
-	if err := e.readerErr(); err != nil {
-		s.putRowSet(out)
-		return partResult{err: err}
+
+	for t := 0; t < p.tasks(); t++ {
+		lo, hi := p.bound(t)
+		for i := range ids {
+			first, end := p.span(s, i, lo, hi)
+			for b := first; b < end; b++ {
+				p.refs[i][b]++
+			}
+		}
 	}
-	e.flushPend()
-	return partResult{keys: keys, payload: out, rows: n, stats: e.m.Stats()}
+	return p
 }
 
-// partitionSplitters picks parts-1 boundary keys over the runs' fence
-// indexes with KWaySplit: the fences of each spilled run form a sorted
-// mergepath.Run (one key row per block), so splitting their union at even
-// ranks lands boundaries that balance partitions in block — and therefore
-// approximately row — terms. Boundaries that collide on the safe prefix
-// are dropped (their partitions merge), so heavy duplicate keys degrade
-// the fan-out instead of breaking the order.
-func (s *Sorter) partitionSplitters(ids []uint32, parts, safe int) [][]byte {
-	rw := s.rowWidth
-	fences := make([]mergepath.Run, len(ids))
-	totalF := 0
-	for i, id := range ids {
-		sf := s.runs[id].spill
-		fences[i] = mergepath.Run{Data: sf.fences, Width: rw}
-		totalF += sf.numBlocks()
+func (p *spillPlan) tasks() int { return len(p.bounds) + 1 }
+
+// fence returns the first key row of block ref.
+func (p *spillPlan) fence(s *Sorter, ref blockRef) []byte {
+	return s.runs[p.ids[ref.run]].spill.fence(int(ref.blk), s.rowWidth)
+}
+
+// bound returns task t's key range [lo, hi); nil is an open end.
+func (p *spillPlan) bound(t int) (lo, hi []byte) {
+	if t > 0 {
+		lo = p.bounds[t-1]
 	}
-	cmp := func(a, b []byte) int { return compareSafe(a, b, safe) }
-	var out [][]byte
-	for p := 1; p < parts; p++ {
-		d := p * totalF / parts
-		if d <= 0 || d >= totalF {
-			continue
-		}
-		cut := mergepath.KWaySplit(fences, d, cmp, nil)
-		// The boundary is the (d+1)-th fence in merged order: the smallest
-		// fence just past the cut.
-		var key []byte
-		for r := range fences {
-			if cut[r] >= fences[r].Len() {
-				continue
-			}
-			row := fences[r].Row(cut[r])
-			if key == nil || compareSafe(row, key, safe) < 0 {
-				key = row
-			}
-		}
-		if key == nil {
-			continue
-		}
-		if len(out) > 0 && compareSafe(out[len(out)-1], key, safe) >= 0 {
-			continue
-		}
-		out = append(out, append([]byte(nil), key...))
+	if t < len(p.bounds) {
+		hi = p.bounds[t]
 	}
-	return out
+	return lo, hi
+}
+
+// span returns the blocks [first, end) of run i that can hold a key in
+// [lo, hi): from the last block whose fence is below lo — every earlier one
+// is wholly below it — up to the first whose fence is not below hi. The block
+// a bound falls into is in the span of the tasks on either side of it.
+func (p *spillPlan) span(s *Sorter, i int, lo, hi []byte) (first, end int) {
+	sf := s.runs[p.ids[i]].spill
+	if sf == nil {
+		return 0, 0
+	}
+	fences := mergepath.Run{Data: sf.fences, Width: s.rowWidth}
+	end = sf.numBlocks()
+	if hi != nil {
+		end = safeLowerBound(fences, hi, p.safe)
+	}
+	if lo != nil {
+		first = max(safeLowerBound(fences, lo, p.safe)-1, 0)
+	}
+	return first, end
 }

@@ -104,38 +104,25 @@ func TestExternalMergeEquivalence(t *testing.T) {
 				if err := s.Finalize(); err != nil {
 					t.Fatal(err)
 				}
+				got := resultChecked(t, s)
+				if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
+					t.Fatalf("algo=%d block=%d threads=%d: external merge differs from in-memory",
+						algo, blockRows, threads)
+				}
 				spill := s.Stats()
 				written, read := spill.SpillBytesWritten, spill.SpillBytesRead
 				if written == 0 {
 					t.Fatalf("block=%d: sort never spilled", blockRows)
 				}
 				if read != written {
-					t.Fatalf("algo=%d block=%d: read %d spill bytes, wrote %d (want exactly one pass)",
-						algo, blockRows, read, written)
-				}
-				got := resultChecked(t, s)
-				if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-					t.Fatalf("algo=%d block=%d threads=%d: external merge differs from in-memory",
-						algo, blockRows, threads)
+					t.Fatalf("algo=%d block=%d threads=%d: read %d spill bytes, wrote %d (want exactly one pass)",
+						algo, blockRows, threads, read, written)
 				}
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-	}
-}
-
-// TestExternalMergeCascadeAblation checks the cascaded external baseline
-// (full unspill/re-spill per level) still produces the same table.
-func TestExternalMergeCascadeAblation(t *testing.T) {
-	tbl := mixedTable(2*vector.DefaultVectorSize+77, 94)
-	want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 2, RunSize: 500})
-	wantRows := rowify(t, want)
-	opt := Options{Threads: 2, RunSize: 500, Merge: MergeCascade, SpillDir: t.TempDir()}
-	got := sortWith(t, tbl, mergeTestKeys, opt)
-	if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-		t.Fatal("external cascade merge differs from in-memory loser tree")
 	}
 }
 

@@ -20,9 +20,9 @@ var parallelTestKeys = []SortColumn{
 	{Column: 0},
 }
 
-// parallelSort runs the fully parallel pipeline — ParallelSink ingest,
-// partitioned external merge when eligible, parallel gather — and returns
-// the result plus the sorter's stats.
+// parallelSort runs the fully parallel pipeline — ParallelSink ingest, the
+// final merge and gather on Rows' workers — and returns the result plus the
+// sorter's stats.
 func parallelSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) (*vector.Table, SortStats) {
 	t.Helper()
 	s, err := NewSorter(tbl.Schema, keys, opt)
@@ -53,15 +53,14 @@ func parallelSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Option
 	return out, st
 }
 
-// TestParallelExternalSortByteIdentity is the tentpole's correctness bar:
-// the fully parallel external sort — parallel run generation, read-ahead,
-// partitioned merge — under a tight budget produces output byte-identical
-// to the scalar external path at every thread count, and hands every
-// reserved byte back on Close.
+// TestParallelExternalSortByteIdentity is the parallel external sort's
+// correctness bar: parallel run generation, read-ahead and the streamed final
+// merge under a tight budget produce output byte-identical to the scalar
+// external path at every thread count, and hand every reserved byte back on
+// Close.
 func TestParallelExternalSortByteIdentity(t *testing.T) {
 	tbl := mixedTable(40_000, 101)
-	scalar := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
-		ReadAhead: -1, ExtMergeThreads: 1}
+	scalar := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: -1}
 	want := sortWith(t, tbl, parallelTestKeys, scalar)
 	checkSorted(t, tbl, want, parallelTestKeys, "scalar external reference")
 	wantRows := rowify(t, want)
@@ -89,35 +88,36 @@ func TestParallelExternalSortByteIdentity(t *testing.T) {
 	}
 }
 
-// TestPartitionedMergeMatchesSequential pins the partitioned final merge
-// against the sequential one on deterministic runs (single sink): across
-// merge thread counts and read-ahead depths the output must stay
-// byte-identical — including on keys with tie-breaks, where partition
-// bounds may only cut on the byte-decisive safe prefix.
+// TestPartitionedMergeMatchesSequential pins the final merge cut into
+// fence-key tasks against the sequential one on deterministic runs (single
+// sink): across worker counts and read-ahead depths the output must stay
+// byte-identical — including on keys with tie-breaks, where task bounds may
+// only cut on the byte-decisive safe prefix — and the read-ahead counters
+// must say what ran.
 func TestPartitionedMergeMatchesSequential(t *testing.T) {
 	tbl := mixedTable(40_000, 102)
-	base := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
-		ReadAhead: -1, ExtMergeThreads: 1}
+	base := Options{Threads: 1, RunSize: 1500, SpillBlockRows: 40_000, SpillDir: t.TempDir(), ReadAhead: -1}
 	want, wantStats := budgetedSort(t, tbl, mergeTestKeys, base)
 	if wantStats.SpillBytesWritten == 0 {
 		t.Fatal("reference sort never spilled")
 	}
-	if wantStats.ExtMergeParts != 0 || wantStats.PrefetchedBlocks != 0 {
-		t.Fatalf("scalar reference ran parallel machinery: %+v", wantStats)
+	if wantStats.ExtMergeParts != 1 || wantStats.PrefetchedBlocks != 0 {
+		t.Fatalf("the reference, of one block a run and no read-ahead, ran in tasks or read ahead: %+v", wantStats)
 	}
 	wantRows := rowify(t, want)
 
-	for _, emt := range []int{1, 2, 4, 8} {
+	for _, threads := range []int{1, 2, 4, 8} {
 		for _, ra := range []int{-1, 0, 2} {
-			opt := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(),
-				ReadAhead: ra, ExtMergeThreads: emt}
+			opt := Options{Threads: threads, RunSize: 1500, SpillBlockRows: 256, SpillDir: t.TempDir(), ReadAhead: ra}
 			got, st := budgetedSort(t, tbl, mergeTestKeys, opt)
 			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Errorf("merge threads=%d readahead=%d: output differs from sequential merge", emt, ra)
+				t.Errorf("threads=%d readahead=%d: output differs from sequential merge", threads, ra)
 			}
-			if emt >= 2 && st.ExtMergeParts < 2 {
-				t.Errorf("merge threads=%d: final merge ran on %d partitions, want >= 2",
-					emt, st.ExtMergeParts)
+			if st.ExtMergeParts < 2 {
+				t.Errorf("threads=%d: final merge ran in %d tasks, want >= 2", threads, st.ExtMergeParts)
+			}
+			if st.SpillBytesRead != st.SpillBytesWritten {
+				t.Errorf("threads=%d readahead=%d: read %d spill bytes, wrote %d", threads, ra, st.SpillBytesRead, st.SpillBytesWritten)
 			}
 			if ra >= 0 && st.PrefetchedBlocks == 0 {
 				t.Errorf("readahead=%d: no blocks prefetched", ra)
@@ -188,9 +188,9 @@ func TestParallelSinkErrorPropagation(t *testing.T) {
 }
 
 // TestParallelStreamCancellation abandons a budgeted streaming merge — with
-// parallel ingest and read-ahead goroutines live — mid-stream: Close must
-// still stop the prefetchers, delete every spill file, and return every
-// broker byte.
+// parallel ingest and the read-ahead stage live — mid-stream: Close must
+// still stop the stage, delete every spill file, and return every broker
+// byte.
 func TestParallelStreamCancellation(t *testing.T) {
 	tbl := mixedTable(6*vector.DefaultVectorSize, 105)
 	broker := mem.NewBroker("cancel", 48<<10)
@@ -220,8 +220,8 @@ func TestParallelStreamCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One chunk in, the merge (and its prefetch goroutines) is mid-flight;
-	// walk away.
+	// One chunk in, the merge (and its read-ahead stage) is mid-flight; walk
+	// away.
 	if chunk, err := it.Next(); err != nil || chunk == nil {
 		t.Fatalf("first streamed chunk: %v, %v", chunk, err)
 	}
@@ -250,7 +250,7 @@ func TestParallelStreamCancellation(t *testing.T) {
 func TestMultiPassMergePlanRecorded(t *testing.T) {
 	tbl := mixedTable(40_000, 106)
 	want := sortWith(t, tbl, parallelTestKeys, Options{Threads: 1, RunSize: 600,
-		SpillDir: t.TempDir(), ReadAhead: -1, ExtMergeThreads: 1})
+		SpillDir: t.TempDir(), ReadAhead: -1})
 	wantRows := rowify(t, want)
 
 	broker := mem.NewBroker("multipass", 64<<10)
@@ -283,7 +283,7 @@ func TestMultiPassMergePlanRecorded(t *testing.T) {
 func TestFinalizeShedsResidentRunsBeforeCascading(t *testing.T) {
 	tbl := mixedTable(40_000, 107)
 	want := sortWith(t, tbl, parallelTestKeys, Options{Threads: 1, RunSize: 2500,
-		SpillDir: t.TempDir(), ReadAhead: -1, ExtMergeThreads: 1})
+		SpillDir: t.TempDir(), ReadAhead: -1})
 
 	broker := mem.NewBroker("shed", 64<<20)
 	s, err := NewSorter(tbl.Schema, parallelTestKeys, Options{Threads: 1, RunSize: 2500, Broker: broker})
@@ -330,104 +330,73 @@ func TestFinalizeShedsResidentRunsBeforeCascading(t *testing.T) {
 	}
 }
 
-// TestRangeTrimmedBlocksMergeLikeSequential pins the partitioned merge's
-// block trimming against the merger-held code carry: a partition's first
-// served block usually starts mid-block (padOff > 0 — its first key enters
-// the tree through the initial tournament, with no carry), later blocks are
-// coded against the carry, and the partitions' concatenated key rows must be
-// the sequential merge's, at every thread count.
+// TestRangeTrimmedBlocksMergeLikeSequential pins the fence-cut tasks' block
+// trimming against the merger-held code carry: a task's first block of a run
+// usually starts mid-block (pad > 0 — its first key enters the tree through
+// the initial tournament, with no carry), later blocks are coded against the
+// carry, and the tasks' concatenated key rows must be the sequential merge's,
+// at every thread count.
 func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 	tbl := mixedTable(40_000, 105)
 	opt := Options{Threads: 1, RunSize: 5000, SpillBlockRows: 64, SpillDir: t.TempDir()}
 
-	// White box: open the sequential merge and the range-bounded merges the
-	// partitioned path would, over the same spilled runs.
-	s, err := NewSorter(tbl.Schema, mergeTestKeys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]uint32, len(s.runs))
-	anyTie := false
-	for i, r := range s.runs {
-		if r.spill == nil {
-			t.Fatalf("run %d was not spilled", i)
-		}
-		ids[i] = uint32(i)
-		anyTie = anyTie || r.tieBreak
-	}
-	drain := func(lo, hi []byte) (keys []byte, trimmed int) {
-		res := s.broker.Reserve("test-merge", 0)
-		defer res.Release()
-		e, err := s.openExtMergeRange(ids, nil, res, lo, hi)
+	// White box: merge the same spilled runs (a single sink cuts the same
+	// ones every time) as one task, and as the tasks the plan cuts, each
+	// through a stage of its own — a stage reads its files once.
+	drain := func(single bool) (keys []byte, tasks, trimmed int) {
+		s := finalizedSorter(t, tbl, mergeTestKeys, opt)
+		defer s.Close()
+		plan := s.planSpillTasks(s.streamActive, single)
+		st, err := s.newBlockStage(plan, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.close(false)
-		for _, id := range ids {
-			if e.readers[id].padOff > 0 {
-				trimmed++
+		defer st.close(false)
+		e := s.newExtMerge(s.ctx, st, nil)
+		for task := 0; task < plan.tasks(); task++ {
+			if err := e.open(task); err != nil {
+				t.Fatal(err)
+			}
+			for i := range e.cur {
+				if e.cur[i].pad > 0 {
+					trimmed++
+				}
+			}
+			for {
+				keyRow, _, _, ok := e.next()
+				if !ok {
+					break
+				}
+				keys = append(keys, keyRow...)
+				e.settle()
+			}
+			if e.err != nil {
+				t.Fatal(e.err)
 			}
 		}
-		e.dst = s.getRowSet()
-		defer s.putRowSet(e.dst)
-		for {
-			keyRow, ok := e.next()
-			if !ok {
-				break
-			}
-			keys = append(keys, keyRow...)
-			if len(e.pendIdxs) >= e.batch {
-				e.flushPend()
-				e.dst.Reset()
-			}
+		if st.res.Bytes() != 0 {
+			t.Errorf("the stage holds %d bytes after its last task", st.res.Bytes())
 		}
-		if err := e.readerErr(); err != nil {
-			t.Fatal(err)
-		}
-		return keys, trimmed
+		return keys, plan.tasks(), trimmed
 	}
-	want, _ := drain(nil, nil)
-	if len(want) != tbl.NumRows()*s.rowWidth {
+	want, _, _ := drain(true)
+	if len(want) != tbl.NumRows()*((len(want)/tbl.NumRows())&^7) || len(want) == 0 {
 		t.Fatalf("sequential merge produced %d key bytes for %d rows", len(want), tbl.NumRows())
 	}
-	splitters := s.partitionSplitters(ids, 4, s.ovcSafeWidth(anyTie))
-	if len(splitters) < 2 {
-		t.Fatalf("only %d splitters: the test needs interior partitions", len(splitters))
-	}
-	var got []byte
-	trimmed := 0
-	for w := 0; w <= len(splitters); w++ {
-		var lo, hi []byte
-		if w > 0 {
-			lo = splitters[w-1]
-		}
-		if w < len(splitters) {
-			hi = splitters[w]
-		}
-		keys, n := drain(lo, hi)
-		got = append(got, keys...)
-		trimmed += n
+	got, tasks, trimmed := drain(false)
+	if tasks < 3 {
+		t.Fatalf("only %d tasks: the test needs interior ones", tasks)
 	}
 	if trimmed == 0 {
-		t.Fatal("no partition started on a head-trimmed block: the case under test never ran")
+		t.Fatal("no task started on a head-trimmed block: the case under test never ran")
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("concatenated range merges differ from the sequential merge's key rows")
+		t.Fatal("concatenated task merges differ from the sequential merge's key rows")
 	}
 
-	// End to end at every thread count (the merge fan-out follows Threads).
+	// End to end at every thread count.
 	seq := opt
-	seq.SpillDir, seq.ExtMergeThreads, seq.ReadAhead = t.TempDir(), 1, -1
+	seq.SpillDir, seq.SpillBlockRows, seq.ReadAhead = t.TempDir(), 5000, -1
 	wantTbl, _ := budgetedSort(t, tbl, mergeTestKeys, seq)
 	wantRows := rowify(t, wantTbl)
 	for _, threads := range []int{1, 2, 4} {
@@ -437,8 +406,8 @@ func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 		if !bytes.Equal(rowify(t, gotTbl).Bytes(), wantRows.Bytes()) {
 			t.Errorf("threads=%d: output differs from the sequential merge", threads)
 		}
-		if threads >= 2 && st.ExtMergeParts < 2 {
-			t.Errorf("threads=%d: final merge ran on %d partitions, want >= 2", threads, st.ExtMergeParts)
+		if st.ExtMergeParts < 2 {
+			t.Errorf("threads=%d: final merge ran in %d tasks, want >= 2", threads, st.ExtMergeParts)
 		}
 	}
 }

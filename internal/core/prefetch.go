@@ -1,12 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"rowsort/internal/mem"
@@ -16,319 +17,455 @@ import (
 	"rowsort/internal/row"
 )
 
-// Spill read-ahead: each merge reader can run its block decoding on a
-// bounded prefetch goroutine, so the next block's file read and payload
-// decode overlap the loser tree's compute on the current block (the tree
-// derives its offset-value codes itself, from the rows it steps over). The
-// prefetcher charges every decoded block to the merge's reservation before
-// queuing it, so under a budget read-ahead is planned as
-// (1 + Options.ReadAhead) blocks per run and never busts the limit.
+// The block stage: run reading as its own pipeline stage (Polyntsov et al.).
+// Every merge over spilled runs — the tasks of the result iterator, an
+// intermediate fan-in pass — takes its blocks from one stage, which reads
+// each block of each run exactly once and decodes it where it landed. The
+// spill files' fences say in which order the merge will want the blocks
+// before a byte is read (Knuth's forecasting): with read-ahead enabled one
+// goroutine decodes in that order, ahead of the claimants — whichever tasks
+// they are on — until ReadAhead blocks per run and claimant are decoded and
+// not yet asked for; all of it is charged to the broker. A claimant that asks
+// for a block the forecast has not reached decodes it itself, at once, and is
+// never refused — so neither a skewed run nor a slow stage can make a merge
+// wait for anything but the read it needs. A block that straddles a task
+// boundary is handed, decoded, to every task whose key range overlaps it, and
+// freed by the last.
+//
+// A read is one positioned read of a block — or, where blocks are small (a
+// budget under pressure plans them down to 16 rows), of as many consecutive
+// blocks of the run as make stageReadRows rows, so that small blocks cost a
+// system call per healthy block's worth, as they did behind a buffered reader.
 
-// spillBlock is one decoded block of a spilled run. keys may be a
-// sub-slice of buf when the reader is bounded to a key range
-// (the partitioned merge trims partition-edge blocks); payload always
-// holds the full block, so a served key at position p resolves to payload
-// row p+padOff, and a key-row reference with absolute run index i to
-// payload row i-payloadStart.
+// stageReadRows is the rows a read gathers blocks up to: the block size
+// below which mergepath.PlanMerge, too, stops shrinking blocks, because
+// per-block overhead then outweighs what a smaller block saves.
+const stageReadRows = 512
+
+// spillBlock is one decoded block of a spilled run.
 type spillBlock struct {
-	buf          []byte // full decoded key rows (recycled in sync mode)
-	keys         []byte // served key rows
-	payload      *row.RowSet
-	payloadStart int    // absolute run index of payload's first row
-	padOff       uint32 // keys[0]'s payload offset within the block
-	bytes        int64  // accounted footprint (buffer capacities)
+	keys    []byte      // the block's key rows
+	payload *row.RowSet // its payload rows: row i of the run is row i-start
+	start   int         // absolute run index of the block's first row
+	bytes   int64       // accounted footprint
 }
 
-// blockDecoder sequentially decodes a spilled run's blocks, optionally
-// bounded to the key range [lo, hi) on the safeWidth-byte prefix: the
-// block index locates the first block that can hold a row >= lo (skipped
-// blocks are never read), the fences stop the scan at the first block
-// wholly >= hi, and partition-edge blocks are trimmed by binary search.
-// It is confined to one goroutine — the merge thread (synchronous mode) or
-// a prefetcher.
-type blockDecoder struct {
+// blockRef names a block: run is the run's index in the plan's merge order.
+type blockRef struct{ run, blk int32 }
+
+// A staged block is pending until somebody decodes it, ready until the last
+// task that wants it lets go, and freed from then on.
+const (
+	blockPending uint8 = iota
+	blockDecoding
+	blockReady
+	blockFreed
+)
+
+// stageBlock is one block's place in the stage.
+type stageBlock struct {
+	blk   *spillBlock
+	refs  int32 // tasks that have yet to release it
+	state uint8
+	asked bool // a claimant has asked for it: hits are counted once
+	ahead bool // decoded, or being, and not asked for yet
+}
+
+// stageRun is one run's open file and blocks; a resident run has neither.
+type stageRun struct {
+	run    *sortedRun
+	f      *os.File
+	fc     bool // format 3: key sections carry a tag byte
+	blocks []stageBlock
+	live   int // blocks not freed yet; the file goes with the last
+}
+
+// blockStage serves the blocks of one spillPlan. All fields below mu are
+// guarded by it; wake is closed, and replaced, whenever a waiter may have
+// something to do.
+type blockStage struct {
 	s     *Sorter
-	run   *sortedRun
-	f     *os.File
-	cr    *countingReader
-	br    *bufio.Reader
-	ow    *obs.Worker // the decoding goroutine's trace lane
-	phase obs.Phase   // PhaseSpillRead (sync) or PhasePrefetch
+	plan  *spillPlan
+	res   *mem.Reservation
+	limit int // rows the forecast may hold decoded and not asked for; 0 without read-ahead
 
-	safeWidth int
-	lo, hi    []byte
-
-	blockRows  int
-	numRows    int
-	startBlock int
-	readRows   int // absolute row cursor
-	done       bool
-
-	fc     bool   // format-3 file: key sections carry a tag byte
-	encBuf []byte // scratch for front-coded key sections
+	mu    sync.Mutex
+	runs  []stageRun
+	next  int // the forecast's position in plan.order
+	ahead int // rows decoded, or being, and not asked for
+	wake  chan struct{}
+	err   error
+	wg    sync.WaitGroup
 }
 
-// openBlockDecoder opens r's spill file, validates its header, and seeks
-// to the first block that can hold a row >= lo (per the fence index).
-func (s *Sorter) openBlockDecoder(r *sortedRun, lo, hi []byte, safeWidth int) (*blockDecoder, error) {
-	sf := r.spill
+// newBlockStage opens the plan's spill files for claimants concurrent
+// merges. Per run and claimant the stage holds the block a merge is on and
+// ReadAhead blocks (or reads, where those are larger) ahead of it — what
+// mergepath.PlanMerge reserves under a budget — and, until their rows are
+// gathered, the blocks a chunk's rows came from: about a chunk of rows, the
+// slack a staging buffer would be.
+func (s *Sorter) newBlockStage(plan *spillPlan, claimants int) (*blockStage, error) {
+	st := &blockStage{s: s, plan: plan, runs: make([]stageRun, len(plan.ids))}
+	for i, id := range plan.ids {
+		sr := &st.runs[i]
+		sr.run = s.runs[id]
+		sf := sr.run.spill
+		if sf == nil {
+			continue
+		}
+		if err := sr.open(s); err != nil {
+			st.closeFiles(false)
+			return nil, err
+		}
+		sr.live = sf.numBlocks()
+		sr.blocks = make([]stageBlock, sr.live)
+		for b := range sr.blocks {
+			sr.blocks[b].refs = plan.refs[i][b]
+		}
+		st.limit += claimants * s.opt.readAhead() * max(sf.blockRows, stageReadRows)
+	}
+	st.res = s.broker.Reserve("merge", 0)
+	return st, nil
+}
+
+// open opens the run's spill file and checks its header against the block
+// index kept in memory.
+func (sr *stageRun) open(s *Sorter) error {
+	sf := sr.run.spill
 	f, err := os.Open(sf.path)
 	if err != nil {
-		return nil, fmt.Errorf("core: opening spill file: %w", err)
+		return fmt.Errorf("core: opening spill file: %w", err)
 	}
-	d := &blockDecoder{s: s, run: r, f: f, safeWidth: safeWidth, lo: lo, hi: hi}
-	d.cr = &countingReader{r: f, s: s}
-	d.br = bufio.NewReader(d.cr)
 	var hdr [spillHeaderLen]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
+	n, err := f.ReadAt(hdr[:], 0)
+	s.countSpillRead(n)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("core: reading spill header: %w", err)
+		return fmt.Errorf("core: reading spill header of %s: %w", sf.path, err)
 	}
 	switch binary.LittleEndian.Uint32(hdr[0:]) {
 	case spillMagic:
 	case spillMagicFC:
-		d.fc = true
+		sr.fc = true
 	default:
 		f.Close()
-		return nil, fmt.Errorf("core: bad spill magic in %s", sf.path)
+		return fmt.Errorf("core: bad spill magic in %s", sf.path)
 	}
-	d.blockRows = int(binary.LittleEndian.Uint32(hdr[4:]))
-	d.numRows = int(binary.LittleEndian.Uint64(hdr[8:]))
-	if d.blockRows <= 0 {
+	if rows, total := binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint64(hdr[8:]); int(rows) != sf.blockRows || total != uint64(sr.run.rows) {
 		f.Close()
-		return nil, fmt.Errorf("core: bad spill block size in %s", sf.path)
+		return fmt.Errorf("core: spill header of %s says %d rows in blocks of %d, the run has %d in blocks of %d",
+			sf.path, total, rows, sr.run.rows, sf.blockRows)
 	}
-	if lo != nil && sf.numBlocks() > 0 {
-		// The first row >= lo is in the last block whose fence is < lo
-		// (every earlier block is wholly < lo), or at a later block's start.
-		fences := mergepath.Run{Data: sf.fences, Width: s.rowWidth}
-		if j := safeLowerBound(fences, lo, safeWidth); j > 0 {
-			d.startBlock = j - 1
-		}
-		if d.startBlock > 0 {
-			if _, err := f.Seek(sf.offs[d.startBlock], io.SeekStart); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("core: seeking spill block: %w", err)
-			}
-			d.br.Reset(d.cr)
-			d.readRows = d.startBlock * d.blockRows
-		}
-	}
-	return d, nil
+	sr.f = f
+	return nil
 }
 
-// decode reads and decodes the run's next served block, recycling reuse's
-// buffers when it can. It returns (nil, nil) at end of the (bounded) run.
-func (d *blockDecoder) decode(reuse *spillBlock) (*spillBlock, error) {
-	rw := d.s.rowWidth
-	for {
-		if d.done || d.readRows >= d.numRows {
-			return nil, nil
-		}
-		blockIdx := d.readRows / d.blockRows
-		if d.hi != nil && compareSafe(d.run.spill.fence(blockIdx, rw), d.hi, d.safeWidth) >= 0 {
-			// Every row of this block (and all later ones) is >= hi.
-			d.done = true
-			return nil, nil
-		}
-		sp := d.ow.Begin(d.phase)
-		rows := min(d.blockRows, d.numRows-d.readRows)
-		b := reuse
-		reuse = nil
-		if b == nil {
-			b = &spillBlock{}
-		}
-		buf := b.buf
-		if cap(buf) < rows*rw {
-			buf = make([]byte, rows*rw)
-		} else {
-			buf = buf[:rows*rw]
-		}
-		b.buf = buf
-		if err := d.readKeySection(buf, rows, rw); err != nil {
-			sp.End()
-			return nil, err
-		}
-		payload, err := row.ReadRowSet(d.br, d.s.layout)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: reading spill block payload: %w", err)
-		}
-		blk := mergepath.Run{Data: buf, Width: rw}
-		a, e := 0, rows
-		if d.lo != nil && blockIdx == d.startBlock {
-			a = safeLowerBound(blk, d.lo, d.safeWidth)
-		}
-		if d.hi != nil {
-			if e = safeLowerBound(blk, d.hi, d.safeWidth); e < rows {
-				d.done = true
-			}
-		}
-		payloadStart := d.readRows
-		d.readRows += rows
-		sp.End()
-		if a >= e {
-			if d.done {
-				return nil, nil
-			}
-			reuse = b // whole block below lo: recycle and read the next
-			continue
-		}
-		b.keys = buf[a*rw : e*rw]
-		b.payload = payload
-		b.payloadStart = payloadStart
-		b.padOff = uint32(a)
-		b.bytes = int64(cap(buf)) + payload.CapBytes()
-		return b, nil
-	}
+// blockRows returns the rows of the run's block b.
+func (sr *stageRun) blockRows(b int) int {
+	return min(sr.run.spill.blockRows, sr.run.rows-b*sr.run.spill.blockRows)
 }
 
-// readKeySection reads one block's key rows into buf (rows rows of stride
-// rw). Format-2 files store them raw; format-3 files prefix a tag byte —
-// raw rows (0) or a length-prefixed front-coded section (1) that decodes in
-// place through the scratch buffer. Everything downstream (the merge,
-// fences, partition trims) sees the same decoded rows either way.
-func (d *blockDecoder) readKeySection(buf []byte, rows, rw int) error {
-	if !d.fc {
-		if _, err := io.ReadFull(d.br, buf); err != nil {
-			return fmt.Errorf("core: reading spill block keys: %w", err)
-		}
-		return nil
-	}
-	tag, err := d.br.ReadByte()
-	if err != nil {
-		return fmt.Errorf("core: reading spill block key tag: %w", err)
-	}
-	switch tag {
-	case 0:
-		if _, err := io.ReadFull(d.br, buf); err != nil {
-			return fmt.Errorf("core: reading spill block keys: %w", err)
-		}
-		return nil
-	case 1:
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(d.br, lenBuf[:]); err != nil {
-			return fmt.Errorf("core: reading spill block key length: %w", err)
-		}
-		encLen := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if encLen <= 0 || encLen > rows*rw {
-			return fmt.Errorf("core: front-coded key section of %d bytes for %d rows", encLen, rows)
-		}
-		if cap(d.encBuf) < encLen {
-			d.encBuf = make([]byte, encLen)
-		}
-		enc := d.encBuf[:encLen]
-		if _, err := io.ReadFull(d.br, enc); err != nil {
-			return fmt.Errorf("core: reading spill block keys: %w", err)
-		}
-		if err := normkey.DecodeFrontCoded(buf, enc, rw, d.s.keyWidth, rows); err != nil {
-			return fmt.Errorf("core: decoding spill block keys: %w", err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: unknown spill key-section tag %d", tag)
-	}
+// countSpillRead publishes n bytes read back from a spill file.
+func (s *Sorter) countSpillRead(n int) {
+	s.spillRead.Add(int64(n))
+	s.prog.SpillBytesRead.Add(int64(n))
 }
 
-// close releases the decoder's file handle.
-func (d *blockDecoder) close() {
-	if d.f != nil {
-		d.f.Close()
-		d.f = nil
-	}
-}
-
-// prefetcher runs a blockDecoder on its own goroutine, keeping up to depth
-// decoded blocks queued ahead of the consumer. Every queued block's bytes
-// are charged to res before it is enqueued; the consumer releases a
-// block's share when it retires it, and close drains and releases
-// whatever is still in flight.
-type prefetcher struct {
-	dec  *blockDecoder
-	res  *mem.Reservation
-	out  chan *spillBlock
-	stop chan struct{}
-	done chan struct{}
-	err  error // set before out closes; read only after out is drained
-}
-
-// startPrefetcher launches the read-ahead goroutine over dec.
+// start launches the forecast goroutine, if read-ahead is on. It is joined by
+// close and, should the stage's owner drop it, by Sorter.Close.
 //
 //rowsort:pipeline
-func startPrefetcher(dec *blockDecoder, depth int, res *mem.Reservation) *prefetcher {
-	pf := &prefetcher{dec: dec, res: res,
-		out:  make(chan *spillBlock, depth),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+func (st *blockStage) start(ctx context.Context) {
+	if st.limit == 0 {
+		return
 	}
-	go pf.run()
-	return pf
+	st.wg.Add(1)
+	st.s.drainWG.Add(1)
+	go func() {
+		defer st.s.drainWG.Done()
+		defer st.wg.Done()
+		st.s.rec.Do("prefetch", func() { st.forecast(ctx) })
+	}()
 }
 
-// run decodes ahead until end of run, error, or stop. The decoder (and its
-// file handle) is owned by this goroutine; close(out) publishes err.
-func (pf *prefetcher) run() {
-	defer close(pf.done)
-	defer pf.dec.close()
-	defer close(pf.out)
+// forecast decodes ahead of the claimants until ctx is done or a read fails.
+func (st *blockStage) forecast(ctx context.Context) {
+	ow := st.s.rec.Worker("prefetch")
 	for {
-		select {
-		case <-pf.stop:
-			return
-		default:
+		st.mu.Lock()
+		for st.next < len(st.plan.order) && st.block(st.plan.order[st.next]).state != blockPending {
+			st.next++
 		}
-		b, err := pf.dec.decode(nil)
-		if err != nil {
-			pf.err = err
-			return
+		if st.err != nil || st.next == len(st.plan.order) || st.ahead >= st.limit {
+			// Nothing to do until a block is asked for, or ever.
+			wait := st.waitLocked()
+			st.mu.Unlock()
+			select {
+			case <-wait:
+				continue
+			case <-ctx.Done():
+				return
+			}
 		}
-		if b == nil {
-			return
-		}
-		pf.res.Grow(b.bytes)
-		pf.dec.s.prefetchBlocks.Add(1)
-		pf.dec.s.prog.PrefetchedBlocks.Add(1)
-		select {
-		case pf.out <- b:
-		case <-pf.stop:
-			pf.res.Shrink(b.bytes)
+		ref := st.plan.order[st.next]
+		n := st.claimLocked(ref, 0)
+		st.mu.Unlock()
+		if st.read(ref, n, ow, obs.PhasePrefetch) != nil {
 			return
 		}
 	}
 }
 
-// next returns the next decoded block, nil at end of run or error (check
-// pf.err then). A block already queued counts as a read-ahead hit; an
-// empty queue blocks the merge, and the wait is accounted as stall time.
-func (pf *prefetcher) next(s *Sorter) *spillBlock {
-	select {
-	case b, ok := <-pf.out:
-		if ok {
-			s.prefetchHits.Add(1)
-			s.prog.PrefetchHits.Add(1)
-			return b
+// claimLocked marks block ref for decoding by the caller, and with it the
+// undecoded blocks that follow it in its run, up to stageReadRows rows in all:
+// one read's worth. Every block of it past the first asked is decoded ahead of
+// being asked for. It returns how many blocks.
+func (st *blockStage) claimLocked(ref blockRef, asked int) (n int) {
+	sr := &st.runs[ref.run]
+	for b, rows := int(ref.blk), 0; b < len(sr.blocks) && sr.blocks[b].state == blockPending; b++ {
+		if rows += sr.blockRows(b); n > 0 && rows > stageReadRows {
+			break
 		}
-		return nil
-	default:
+		sr.blocks[b].state = blockDecoding
+		if n >= asked {
+			sr.blocks[b].ahead = true
+			st.ahead += sr.blockRows(b)
+		}
+		n++
+	}
+	return n
+}
+
+func (st *blockStage) block(ref blockRef) *stageBlock { return &st.runs[ref.run].blocks[ref.blk] }
+
+// waitLocked returns the channel the next change of state closes.
+func (st *blockStage) waitLocked() <-chan struct{} {
+	if st.wake == nil {
+		st.wake = make(chan struct{})
+	}
+	return st.wake
+}
+
+func (st *blockStage) wakeLocked() {
+	if st.wake != nil {
+		close(st.wake)
+		st.wake = nil
+	}
+}
+
+// notAheadLocked ends block b of sr's time as read ahead, if it is: somebody
+// has asked for it, or its read failed. The forecast is woken when that
+// leaves it room again.
+func (st *blockStage) notAheadLocked(sr *stageRun, b int) {
+	if sb := &sr.blocks[b]; sb.ahead {
+		sb.ahead = false
+		was := st.ahead
+		if st.ahead -= sr.blockRows(b); was >= st.limit && st.ahead < st.limit {
+			st.wakeLocked()
+		}
+	}
+}
+
+// read decodes the n blocks from ref on that its caller claimed, and
+// publishes them, charged to the broker — or the stage's first error, which
+// it returns.
+func (st *blockStage) read(ref blockRef, n int, ow *obs.Worker, phase obs.Phase) error {
+	blks, err := st.decode(ref, n, ow, phase)
+	sr := &st.runs[ref.run]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := 0; i < n; i++ {
+		b := int(ref.blk) + i
+		if sb := &sr.blocks[b]; err != nil {
+			sb.state = blockPending
+			st.notAheadLocked(sr, b)
+		} else {
+			sb.blk, sb.state = blks[i], blockReady
+			st.res.Grow(blks[i].bytes)
+		}
+	}
+	if err != nil && st.err == nil {
+		st.err = err
+	}
+	if err == nil && st.limit > 0 {
+		st.s.prefetchBlocks.Add(int64(n))
+		st.s.prog.PrefetchedBlocks.Add(int64(n))
+	}
+	st.wakeLocked()
+	return err
+}
+
+// acquire returns a block of the caller's task, decoded: at once when it was
+// read ahead (a read-ahead hit), else after reading it on the spot, or
+// waiting for whoever is. ow is the caller's trace lane. The block stays
+// valid until the caller releases it.
+func (st *blockStage) acquire(ctx context.Context, ref blockRef, ow *obs.Worker) (*spillBlock, error) {
+	if ctx.Err() != nil {
+		return nil, errSorterClosed
+	}
+	sr := &st.runs[ref.run]
+	sb := &sr.blocks[ref.blk]
+	st.mu.Lock()
+	first := !sb.asked
+	sb.asked = true
+	st.notAheadLocked(sr, int(ref.blk))
+	if sb.state == blockReady {
+		if first && st.limit > 0 {
+			st.s.prefetchHits.Add(1)
+			st.s.prog.PrefetchHits.Add(1)
+		}
+		blk := sb.blk
+		st.mu.Unlock()
+		return blk, nil
 	}
 	t0 := time.Now()
-	b, ok := <-pf.out
-	s.prefetchStallNs.Add(int64(time.Since(t0)))
-	if !ok {
-		return nil
+	for sb.state != blockReady {
+		if err := st.err; err != nil {
+			st.mu.Unlock()
+			return nil, err
+		}
+		switch sb.state {
+		case blockPending:
+			n := st.claimLocked(ref, 1)
+			st.mu.Unlock()
+			_ = st.read(ref, n, ow, obs.PhaseSpillRead) // a failure is st.err by now
+			st.mu.Lock()
+			continue
+		case blockFreed:
+			panic("core: a task asked for a spill block after the last task due it let go")
+		}
+		wait := st.waitLocked()
+		st.mu.Unlock()
+		select {
+		case <-wait:
+		case <-ctx.Done():
+			return nil, errSorterClosed
+		}
+		st.mu.Lock()
 	}
-	return b
+	blk := sb.blk
+	st.mu.Unlock()
+	if st.limit > 0 {
+		st.s.prefetchStallNs.Add(int64(time.Since(t0)))
+	}
+	return blk, nil
 }
 
-// close stops the goroutine and releases every block still queued. After
-// it returns the decoder's file is closed and no charge remains for
-// undelivered blocks (the consumer still owns its current block's share).
-func (pf *prefetcher) close() {
-	close(pf.stop)
-	for b := range pf.out {
-		pf.res.Shrink(b.bytes)
+// release ends one task's use of a block. The last release frees the block;
+// the last block freed takes its run's file with it. A failed removal leaves
+// the file tracked: Sorter.Close tries again and reports it.
+func (st *blockStage) release(ref blockRef) {
+	sr := &st.runs[ref.run]
+	sb := &sr.blocks[ref.blk]
+	var f *os.File
+	st.mu.Lock()
+	if sb.refs--; sb.refs == 0 {
+		st.res.Shrink(sb.blk.bytes)
+		sb.blk, sb.state = nil, blockFreed
+		if sr.live--; sr.live == 0 {
+			f, sr.f = sr.f, nil
+		}
 	}
-	<-pf.done
+	st.mu.Unlock()
+	if f != nil {
+		f.Close()
+		st.s.removeSpillFile(sr.run.spill.path)
+	}
+}
+
+// close ends the stage once its claimants have stopped and its context is
+// done: the forecast goroutine is joined, every block still held goes back
+// to the budget and the files are closed — and, when the merge consumed
+// them (remove), deleted; otherwise they stay tracked for Sorter.Close.
+func (st *blockStage) close(remove bool) {
+	st.wg.Wait()
+	st.res.Release()
+	for i := range st.runs {
+		st.runs[i].blocks = nil
+	}
+	st.closeFiles(remove)
+}
+
+func (st *blockStage) closeFiles(remove bool) {
+	for i := range st.runs {
+		if sr := &st.runs[i]; sr.f != nil {
+			sr.f.Close()
+			sr.f = nil
+			if remove {
+				st.s.removeSpillFile(sr.run.spill.path)
+			}
+		}
+	}
+}
+
+// decode reads the n blocks from ref on with one positioned read and decodes
+// them in place: key rows and payloads alias the read buffer (which lives
+// until the last of them is freed; each is accounted its share). Format-3
+// files prefix the key section with a tag byte — raw rows (0) or a
+// length-prefixed front-coded section (1), which decodes into a buffer of its
+// own. Whatever does not add up to exactly the blocks the index promised is
+// an error.
+func (st *blockStage) decode(ref blockRef, n int, ow *obs.Worker, phase obs.Phase) ([]*spillBlock, error) {
+	sp := ow.Begin(phase)
+	defer sp.End()
+	s, sr := st.s, &st.runs[ref.run]
+	sf := sr.run.spill
+	first, rw := int(ref.blk), s.rowWidth
+	raw := make([]byte, sf.blockEnd(first+n-1)-sf.offs[first])
+	got, err := sr.f.ReadAt(raw, sf.offs[first])
+	s.countSpillRead(got)
+	if got < len(raw) {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("core: reading block %d of %s: %w", first, sf.path, err)
+	}
+	blks := make([]*spillBlock, n)
+	for i := range blks {
+		b := first + i
+		from, to := sf.offs[b]-sf.offs[first], sf.blockEnd(b)-sf.offs[first]
+		rest := raw[from:to:to]
+		rows := sr.blockRows(b)
+		blk := &spillBlock{start: b * sf.blockRows, bytes: int64(len(rest))}
+		var tag byte
+		if sr.fc {
+			if len(rest) == 0 {
+				return nil, fmt.Errorf("core: block %d of %s has no key-section tag", b, sf.path)
+			}
+			tag, rest = rest[0], rest[1:]
+		}
+		switch tag {
+		case 0:
+			if len(rest) < rows*rw {
+				return nil, fmt.Errorf("core: block %d of %s is shorter than its %d key rows", b, sf.path, rows)
+			}
+			blk.keys, rest = rest[:rows*rw:rows*rw], rest[rows*rw:]
+		case 1:
+			if len(rest) < 4 {
+				return nil, fmt.Errorf("core: block %d of %s has no front-coded length", b, sf.path)
+			}
+			encLen := int(binary.LittleEndian.Uint32(rest))
+			if rest = rest[4:]; encLen <= 0 || encLen > len(rest) {
+				return nil, fmt.Errorf("core: block %d of %s: front-coded key section of %d bytes for %d rows", b, sf.path, encLen, rows)
+			}
+			blk.keys = make([]byte, rows*rw)
+			blk.bytes += int64(len(blk.keys))
+			if err := normkey.DecodeFrontCoded(blk.keys, rest[:encLen], rw, s.keyWidth, rows); err != nil {
+				return nil, fmt.Errorf("core: decoding keys of block %d of %s: %w", b, sf.path, err)
+			}
+			rest = rest[encLen:]
+		default:
+			return nil, fmt.Errorf("core: block %d of %s: unknown key-section tag %d", b, sf.path, tag)
+		}
+		if blk.payload, err = row.ViewRowSet(rest, s.layout); err != nil {
+			return nil, fmt.Errorf("core: payload of block %d of %s: %w", b, sf.path, err)
+		}
+		if blk.payload.Len() != rows {
+			return nil, fmt.Errorf("core: block %d of %s holds %d payload rows for %d key rows", b, sf.path, blk.payload.Len(), rows)
+		}
+		blks[i] = blk
+	}
+	return blks, nil
 }
 
 // compareSafe compares two key rows on the byte-decisive safe prefix —

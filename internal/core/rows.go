@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 
-	"rowsort/internal/mem"
 	"rowsort/internal/mergepath"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
@@ -30,32 +29,26 @@ const (
 var errSorterClosed = errors.New("core: result iterator used after Sorter.Close")
 
 // RowIter streams the sorted result as columnar chunks of up to
-// vector.DefaultVectorSize rows; the final merge runs inside it. Over
-// resident result runs (in-memory sorts; eagerly merged external ones, whose
-// one run needs no merging) Options.Threads workers each merge and gather a
-// Merge Path task at a time, ahead of the consumer, delivered strictly in
-// order (see rowsDrain). For budgeted external sorts (where Finalize deferred
-// the final merge) each Next advances the streaming k-way merge itself, so
-// the whole output is never resident at once — the consumer's chunk plus one
-// block per run is.
+// vector.DefaultVectorSize rows; the final merge runs inside it. The output
+// is cut into tasks, and Options.Threads workers each merge and gather a
+// task at a time, ahead of the consumer, delivered strictly in order (see
+// rowsDrain) — over runs in memory and over runs on disk alike, whose blocks
+// the workers take from one block stage (prefetch.go). Under a memory budget
+// a sort that spilled is one task, merged inside Next itself, so the whole
+// output is never resident at once: the consumer's chunk plus the stage's
+// blocks is.
 //
-// A RowIter is not safe for concurrent use. Iterators over a deferred
-// streaming merge are single-use: the merge consumes its spill files as it
-// reads them; a resident sort may be iterated any number of times. Close
-// releases the iterator's resources and joins its workers; it is required
-// when the iterator is abandoned before exhaustion and harmless otherwise.
+// A RowIter is not safe for concurrent use. A result that reads from disk is
+// single-use: the merge consumes its spill files as it reads them, and an
+// iterator abandoned before the end leaves the rest for Sorter.Close; a
+// resident sort may be iterated any number of times. Close releases the
+// iterator's resources and joins its workers; it is required when the
+// iterator is abandoned before exhaustion and harmless otherwise.
 type RowIter struct {
 	s   *Sorter
 	gw  *obs.Worker
 	err error
-
-	// Resident mode: the lazy merge over the sorter's result runs.
-	d *rowsDrain
-
-	// Streaming mode: the final merge of spilled runs.
-	em      *extMerge
-	res     *mem.Reservation // staging + block bytes for the merge's lifetime
-	staging *row.RowSet
+	d   *rowsDrain
 
 	pos      int
 	n        int
@@ -65,36 +58,29 @@ type RowIter struct {
 }
 
 // Rows returns a chunked iterator over the sorted result; valid after
-// Finalize. Result is a thin wrapper that drains it into a table —
-// operators that consume the sort incrementally (LIMIT, streaming
-// exchange) should use Rows directly and Close early.
+// Finalize, and once only when the sort has runs on disk. Result is a thin
+// wrapper that drains it into a table — operators that consume the sort
+// incrementally (LIMIT, streaming exchange) should use Rows directly and
+// Close early.
 func (s *Sorter) Rows() (*RowIter, error) {
 	if !s.finalized {
 		return nil, fmt.Errorf("core: Rows before Finalize")
 	}
+	if s.streamMerge {
+		s.mu.Lock()
+		used := s.streamUsed
+		s.streamUsed = true
+		s.mu.Unlock()
+		if used {
+			return nil, fmt.Errorf("core: streaming result already consumed (the merge of spilled runs is single-pass; sort again to iterate again)")
+		}
+	}
 	s.prog.AdvanceTo(obs.StageGather)
 	it := &RowIter{s: s, gw: s.rec.Worker("gather"), started: s.sinceEpoch(), n: s.resultRows}
-	if !s.streamMerge {
-		it.d = s.newRowsDrain(it.gw)
-		return it, nil
-	}
-
-	s.mu.Lock()
-	if s.streamUsed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("core: streaming result already consumed (a budgeted external merge is single-pass; sort again to iterate again)")
-	}
-	s.streamUsed = true
-	s.mu.Unlock()
-	it.res = s.broker.Reserve("stream-merge", 0)
-	em, err := s.openExtMerge(s.streamActive, it.gw, it.res)
-	if err != nil {
-		it.res.Release()
+	var err error
+	if it.d, err = s.newRowsDrain(it.gw); err != nil {
 		return nil, err
 	}
-	it.em = em
-	it.staging = s.getRowSet()
-	em.dst = it.staging
 	return it, nil
 }
 
@@ -109,90 +95,33 @@ func (it *RowIter) Next() (*vector.Chunk, error) {
 		it.stop(true)
 		return nil, nil
 	}
-	if it.em == nil {
-		chunk, err := it.d.next()
-		if err != nil {
-			it.fail(err)
-			return nil, it.err
-		}
-		it.pos += chunk.Len()
-		if it.pos >= it.n {
-			it.stop(true)
-		}
-		return chunk, nil
-	}
-
-	// Streaming: pull count rows through the loser tree into the staging
-	// row set, then gather them out as one columnar chunk.
-	count := min(vector.DefaultVectorSize, it.n-it.pos)
-	sp := it.gw.Begin(obs.PhaseGather)
-	defer sp.End()
-	it.staging.Reset()
-	got := 0
-	for got < count {
-		if _, ok := it.em.next(); !ok {
-			break
-		}
-		got++
-	}
-	if got < count {
-		err := it.em.readerErr()
-		if err == nil {
-			err = fmt.Errorf("core: streaming merge produced %d of %d rows", it.pos+got, it.n)
-		}
-		it.fail(err)
+	chunk, err := it.d.next()
+	if err != nil {
+		it.err = err
+		it.stop(false)
 		return nil, it.err
 	}
-	it.em.flushPend()
-	chunk := &vector.Chunk{Vectors: it.staging.GatherChunk(0, got)}
-	it.s.countGathered(got)
-	it.pos += got
+	it.pos += chunk.Len()
 	if it.pos >= it.n {
 		it.stop(true)
 	}
 	return chunk, nil
 }
 
-// stop tears the iterator down, once. drained says the result was consumed to
-// the end: a streaming merge then folds its counters into the sorter's stats
-// and removes the spill files it read; otherwise they stay tracked for
-// Sorter.Close. Either way the resident drain's workers are joined, the
-// streaming merge's memory goes back to the budget and the gather stage's
-// clock stops.
+// stop tears the iterator down, once: the drain's workers and block stage are
+// joined, its memory goes back to the budget and the gather stage's clock
+// stops. drained says the result was consumed to the end, so that whatever a
+// merge of spilled runs has not yet removed of them goes now; otherwise their
+// files stay tracked for Sorter.Close.
 func (it *RowIter) stop(drained bool) {
 	if it.finished {
 		return
 	}
 	it.finished = true
-	s := it.s
-	if it.d != nil {
-		it.d.close()
-	}
-	if em := it.em; em != nil {
-		em.close(drained)
-		if drained {
-			st := em.m.Stats()
-			st.BytesMoved = uint64(it.pos * s.rowWidth)
-			s.mu.Lock()
-			s.mergeStats.Add(st)
-			s.mu.Unlock()
-			for _, id := range em.active {
-				s.releaseRun(s.runs[id])
-			}
-		}
-		it.res.Release()
-		s.putRowSet(it.staging)
-		it.staging = nil
-	}
-	end := s.sinceEpoch()
-	s.durGather.Add(end - it.started)
-	s.tResultEnd.Store(end + 1)
-}
-
-// fail records the error and releases resources without consuming files.
-func (it *RowIter) fail(err error) {
-	it.err = err
-	it.stop(false)
+	it.d.close(drained)
+	end := it.s.sinceEpoch()
+	it.s.durGather.Add(end - it.started)
+	it.s.tResultEnd.Store(end + 1)
 }
 
 // Close releases the iterator. Required when abandoning it before
@@ -204,86 +133,121 @@ func (it *RowIter) Close() error {
 	return it.err
 }
 
-// rowsDrain is the resident half of RowIter: the final merge over the
-// sorter's result runs, fused into the gather and run lazily.
+// rowsDrain is the final merge, fused into the gather and run lazily.
 //
-// The output's ranks are cut into tasks of drainTaskRows rows. Claiming a
-// task finds its end boundary with mergepath.KWaySplit, continued from the
-// previous task's — each boundary is computed once, by a search over one
-// task's rows — and hands the claimant the slice of every run between the
-// two. The claimant produces the task a chunk at a time: a loser-tree merge
-// of the next 2,048 key rows, whose payload references go straight to the
-// cross-run gather kernels; no merged key row is written. One result run
-// needs no merging: its references are walked.
+// The output is cut into tasks. Over resident runs a task is drainTaskRows
+// ranks: claiming one finds its end boundary with mergepath.KWaySplit,
+// continued from the previous task's — each boundary is computed once, by a
+// search over one task's rows — and hands the claimant the slice of every
+// run between the two. Over spilled runs a task is a key range between two
+// fence keys (see spillPlan), about as many rows, and the claimant streams
+// the blocks that hold it from the block stage. Either way the claimant
+// produces the task a chunk at a time: a loser-tree merge of the next 2,048
+// key rows, whose payload references go straight to the cross-run gather
+// kernels; no merged key row is written, and no payload row moves but into
+// the chunk. One resident result run needs no merging: its references are
+// walked.
 //
 // With one thread (or one task) the consumer does that itself, inside Next.
 // Otherwise Options.Threads workers claim tasks in order and push a task's
-// chunks into its slot, a channel with room for all of them, from which Next
-// takes them in order. A worker takes a ticket before it claims and the
-// consumer returns one per task drained, so at most len(slots) tasks are
-// claimed and unconsumed: the chunks in flight are bounded, slot t mod
-// len(slots) is free when task t is claimed, and — tasks being claimed lowest
-// first — the task the consumer waits for is always held by a worker that
-// waits for nothing.
+// chunks, then a nil, into its slot, a channel with room for all of a
+// resident task's, from which Next takes them in order. A worker takes a
+// ticket before it claims and the consumer returns one per task drained, so
+// at most len(slots) tasks are claimed and unconsumed: the chunks in flight
+// are bounded, slot t mod len(slots) is free when task t is claimed, and —
+// tasks being claimed lowest first — the task the consumer waits for is
+// always held by a worker that waits for nothing but the consumer and the
+// reads it needs.
 type rowsDrain struct {
-	s        *Sorter
+	s     *Sorter
+	tasks int // tasks the output is cut into
+
+	// Resident form.
 	runs     []mergepath.Run // result runs, in merge (tie) order
 	payloads []*row.RowSet   // by the run id in a key row's reference
 	tie, cmp mergepath.CompareFunc
+
+	// Spilled form.
+	plan  *spillPlan
+	stage *blockStage
 
 	mu      sync.Mutex
 	claimed int             // tasks claimed so far: the next task's index
 	cut     []int           // Merge Path split at the start of task claimed
 	stats   mergepath.Stats // merge counters of the tasks worked on
+	err     error           // the first failure of a worker
 
 	self *drainTask // the consumer's own claimant state; nil with workers
 
-	slots    []chan *vector.Chunk
-	tickets  chan struct{}
-	ctx      context.Context // done when the iterator, or the sorter, is closed
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
-	cur, got int // the consumer's position: task, chunks taken from it
+	slots   []chan *vector.Chunk
+	tickets chan struct{}
+	ctx     context.Context // done when the iterator, or the sorter, is closed
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
+	cur     int // the task the consumer is on
 }
 
 // drainTask is one claimant's state: its scratch, and the task it is on.
 type drainTask struct {
 	ow          *obs.Worker
-	sub         []mergepath.Run   // the task's slice of every run
-	m           *mergepath.Merger // over sub; nil when there is one result run
+	sub         []mergepath.Run   // the task's slice of every resident run
+	m           *mergepath.Merger // the task's loser tree; nil when there is one result run
+	em          *extMerge         // the task's merge over spilled runs, whose tree m is
 	which, idxs []uint32          // one chunk's payload references
 	index       int               // task index
-	left        int               // rows of the task still to produce
+	left        int               // rows of a resident task still to produce
+	open        bool              // on a task that has not ended
 }
 
-// newRowsDrain plans a drain of the result runs and starts its workers, if
-// it is to have any. gw is the consumer's trace lane, for when it runs the
-// tasks itself.
-func (s *Sorter) newRowsDrain(gw *obs.Worker) *rowsDrain {
-	d := &rowsDrain{s: s, runs: s.resultRuns, cut: make([]int, len(s.resultRuns)),
-		payloads: make([]*row.RowSet, len(s.runs))}
-	for i, r := range s.runs {
-		d.payloads[i] = r.payload
+// newRowsDrain plans a drain of the result and starts its workers, if it is
+// to have any. gw is the consumer's trace lane, for when it runs the tasks
+// itself.
+func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
+	d := &rowsDrain{s: s}
+	if s.streamMerge {
+		d.plan = s.planSpillTasks(s.streamActive, s.opt.limited())
+		d.tasks = d.plan.tasks()
+	} else {
+		d.runs, d.cut = s.resultRuns, make([]int, len(s.resultRuns))
+		d.payloads = make([]*row.RowSet, len(s.runs))
+		for i, r := range s.runs {
+			d.payloads[i] = r.payload
+		}
+		d.tie, d.cmp = s.mergeOrder(s.resultTie, s.residentPayload)
+		d.tasks = (s.resultRows + drainTaskRows - 1) / drainTaskRows
 	}
-	d.tie, d.cmp = s.mergeOrder(s.resultTie, s.residentPayload)
+	workers := min(s.opt.threads(), d.tasks)
 	d.ctx, d.cancel = context.WithCancel(s.ctx)
-	workers := min(s.opt.threads(), (s.resultRows+drainTaskRows-1)/drainTaskRows)
+	if d.plan != nil {
+		var err error
+		if d.stage, err = s.newBlockStage(d.plan, max(workers, 1)); err != nil {
+			d.cancel()
+			return nil, err
+		}
+		d.stage.start(d.ctx)
+	}
 	if workers <= 1 {
 		d.self = d.newTask(gw)
-		return d
+		return d, nil
 	}
 	d.slots = make([]chan *vector.Chunk, drainWindowPerThread*workers)
 	for i := range d.slots {
-		d.slots[i] = make(chan *vector.Chunk, drainTaskChunks) // a whole task: its worker never waits to send
+		// A whole resident task and its end mark: its worker never waits to send.
+		d.slots[i] = make(chan *vector.Chunk, drainTaskChunks+1)
 	}
 	d.tickets = make(chan struct{}, len(d.slots))
 	d.start(workers)
-	return d
+	return d, nil
 }
 
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
-	return &drainTask{ow: ow, sub: make([]mergepath.Run, len(d.runs)),
-		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
+	t := &drainTask{ow: ow, which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
+	if d.stage != nil {
+		t.em = d.s.newExtMerge(d.ctx, d.stage, ow)
+	} else {
+		t.sub = make([]mergepath.Run, len(d.runs))
+	}
+	return t
 }
 
 // start launches the drain's workers. Each is joined by the iterator's
@@ -308,13 +272,19 @@ func (d *rowsDrain) start(workers int) {
 					case <-d.ctx.Done():
 						return
 					}
-					if !d.claim(t) {
+					if ok, err := d.claim(t); !ok {
+						d.fail(err)
 						return
 					}
 					slot := d.slots[t.index%len(d.slots)]
-					for t.left > 0 {
+					for t.open {
+						chunk, err := d.nextChunk(t)
+						if err != nil {
+							d.fail(err)
+							return
+						}
 						select {
-						case slot <- d.nextChunk(t):
+						case slot <- chunk:
 							// With every CPU on a worker, a consumer woken by
 							// the send would wait out this worker's time
 							// slice (~10 ms) for the chunk: let it run now.
@@ -329,30 +299,53 @@ func (d *rowsDrain) start(workers int) {
 	}
 }
 
-// claim moves t to the next unclaimed task, cutting its slice of the runs;
-// false when no task is left.
-func (d *rowsDrain) claim(t *drainTask) bool {
+// fail records a worker's failure, if err is one, and stops the drain: the
+// consumer's next Next returns it.
+func (d *rowsDrain) fail(err error) {
+	if err == nil {
+		return
+	}
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
+	}
+	d.mu.Unlock()
+	d.cancel()
+}
+
+// claim moves t to the next unclaimed task — cutting its slice of the
+// resident runs, or opening its key range of the spilled ones — and reports
+// whether there was one.
+func (d *rowsDrain) claim(t *drainTask) (bool, error) {
 	d.retire(t)
 	d.mu.Lock()
-	start := d.claimed * drainTaskRows
-	if start >= d.s.resultRows {
+	if d.claimed >= d.tasks {
 		d.mu.Unlock()
-		return false
+		return false, nil
 	}
 	t.index = d.claimed
 	d.claimed++
-	t.left = min(drainTaskRows, d.s.resultRows-start)
-	end := mergepath.KWaySplit(d.runs, start+t.left, d.cmp, d.cut)
-	w := d.s.rowWidth
-	for r, run := range d.runs {
-		t.sub[r] = mergepath.Run{Data: run.Data[d.cut[r]*w : end[r]*w], Width: w}
+	if d.stage == nil {
+		start := t.index * drainTaskRows
+		t.left = min(drainTaskRows, d.s.resultRows-start)
+		end := mergepath.KWaySplit(d.runs, start+t.left, d.cmp, d.cut)
+		w := d.s.rowWidth
+		for r, run := range d.runs {
+			t.sub[r] = mergepath.Run{Data: run.Data[d.cut[r]*w : end[r]*w], Width: w}
+		}
+		d.cut = end
 	}
-	d.cut = end
 	d.mu.Unlock()
-	if len(t.sub) > 1 {
+	t.open = true
+	if t.em != nil {
+		if err := t.em.open(t.index); err != nil {
+			return false, err
+		}
+		t.m = t.em.m
+	} else if len(t.sub) > 1 {
 		t.m = d.s.newMerger(t.sub, d.s.resultTie, d.tie, d.cmp)
 	}
-	return true
+	return true, nil
 }
 
 // retire folds the merge counters of the task t was on into the drain's.
@@ -366,62 +359,130 @@ func (d *rowsDrain) retire(t *drainTask) {
 }
 
 // nextChunk produces the next chunk of t's task: merge (or walk) the chunk's
-// payload references out of the key rows, then gather them.
-func (d *rowsDrain) nextChunk(t *drainTask) *vector.Chunk {
+// payload references out of the key rows, then gather them. A nil chunk is
+// the task's end; the chunk before it may be short.
+func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	s := d.s
 	count := min(vector.DefaultVectorSize, t.left)
-	which, idxs := t.which[:count], t.idxs[:count]
-	if t.m != nil {
+	payloads := d.payloads
+	switch {
+	case t.em != nil:
 		sp := t.ow.Begin(obs.PhaseMerge)
-		s.mergeRefs(t.m, which, idxs)
+		count = t.em.refs(t.which, t.idxs)
+		sp.End()
+		if err := t.em.err; err != nil {
+			return nil, err
+		}
+		payloads = t.em.sets
+		s.prog.RowsMerged.Add(int64(count))
+	case t.m != nil:
+		sp := t.ow.Begin(obs.PhaseMerge)
+		s.mergeRefs(t.m, t.which[:count], t.idxs[:count])
 		sp.End()
 		s.prog.RowsMerged.Add(int64(count))
-	} else {
-		s.walkRefs(t.sub[0].Data, which, idxs)
+		t.left -= count
+	default:
+		s.walkRefs(t.sub[0].Data, t.which[:count], t.idxs[:count])
 		t.sub[0].Data = t.sub[0].Data[count*s.rowWidth:]
+		t.left -= count
+	}
+	if count == 0 {
+		t.open = false
+		return nil, nil
 	}
 	sp := t.ow.Begin(obs.PhaseGather)
-	chunk := s.gatherChunk(d.payloads, which, idxs)
+	chunk := s.gatherChunk(payloads, t.which[:count], t.idxs[:count])
 	sp.End()
-	t.left -= count
-	return chunk
+	if t.em != nil {
+		t.em.settle()
+	}
+	return chunk, nil
 }
 
 // next returns the drain's next chunk, in output order; the caller knows
 // there is one.
 func (d *rowsDrain) next() (*vector.Chunk, error) {
 	if t := d.self; t != nil {
-		if t.left == 0 {
-			d.claim(t)
+		for {
+			if !t.open {
+				if ok, err := d.claim(t); err != nil {
+					return nil, err
+				} else if !ok {
+					return nil, d.short()
+				}
+			}
+			if chunk, err := d.nextChunk(t); chunk != nil || err != nil {
+				return chunk, err
+			}
 		}
-		return d.nextChunk(t), nil
 	}
-	select {
-	case chunk := <-d.slots[d.cur%len(d.slots)]:
-		d.got++
-		if d.got == drainTaskChunks || d.cur*drainTaskRows+d.got*vector.DefaultVectorSize >= d.s.resultRows {
+	for d.cur < d.tasks {
+		select {
+		case chunk := <-d.slots[d.cur%len(d.slots)]:
+			if chunk != nil {
+				return chunk, nil
+			}
 			// The task is drained; its worker's ticket is in the channel.
 			<-d.tickets
-			d.cur, d.got = d.cur+1, 0
+			d.cur++
+		case <-d.ctx.Done():
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			if d.err != nil {
+				return nil, d.err
+			}
+			return nil, errSorterClosed
 		}
-		return chunk, nil
-	case <-d.ctx.Done():
-		return nil, errSorterClosed
 	}
+	return nil, d.short()
 }
 
-// close ends the drain: the workers are stopped and joined, and the drain's
-// merge counters become the sorter's — this iteration's alone, however many
-// came before it.
-func (d *rowsDrain) close() {
+// short is the failure of a drain whose tasks ended before its rows did.
+func (d *rowsDrain) short() error {
+	return fmt.Errorf("core: the final merge's %d tasks ended short of the result's %d rows", d.tasks, d.s.resultRows)
+}
+
+// close ends the drain: the workers and the block stage are stopped and
+// joined, and the drain's merge counters become the sorter's — this
+// iteration's alone, however many came before it. drained says the consumer
+// got every row: the runs a merge of spilled runs read are then done with,
+// their files deleted and what was still in memory of them released.
+func (d *rowsDrain) close(drained bool) {
 	d.cancel()
 	d.wg.Wait()
 	if d.self != nil {
 		d.retire(d.self)
 	}
-	d.s.mu.Lock()
-	d.s.drainStats = d.stats
-	d.s.mu.Unlock()
+	s := d.s
+	if d.stage != nil {
+		d.stage.close(drained)
+		s.extMergeParts.Store(int64(d.claimed))
+		if drained {
+			for _, id := range d.plan.ids {
+				s.releaseRun(s.runs[id])
+				s.runs[id].spill = nil
+			}
+		}
+	}
+	s.mu.Lock()
+	s.drainStats = d.stats
+	s.mu.Unlock()
+}
+
+// refs advances the merge by up to len(which) rows and stores their payload
+// references, returning how many: fewer at the end of the range and after a
+// failed read.
+//
+//rowsort:hotpath
+func (e *extMerge) refs(which, idxs []uint32) int {
+	for i := range which {
+		_, slot, idx, ok := e.next()
+		if !ok {
+			return i
+		}
+		which[i], idxs[i] = slot, idx
+	}
+	return len(which)
 }
 
 // mergeRefs advances the merge by len(which) rows and stores their payload

@@ -27,7 +27,7 @@ import (
 //	sink := s.NewSink()            // one per producing thread
 //	sink.Append(chunk)             // repeatedly
 //	sink.Close()
-//	s.Finalize()                   // plans the merge (runs it, for eager spills)
+//	s.Finalize()                   // plans the merge; it runs inside Rows
 //	result, _ := s.Result()        // merged and gathered: sorted table, columnar again
 //
 // SortTable wraps all of this for a materialized table.
@@ -48,21 +48,23 @@ type Sorter struct {
 
 	// What Finalize leaves the result iterator (rows.go), where the final
 	// merge runs. A resident sort records its result runs: the key rows of
-	// every in-memory run, unmerged, or the one run an eager external merge
-	// (or the cascade arm) produced; their payload references index runs. A
-	// budgeted external sort (streamMerge) reduces its fan-in to what the
-	// budget can stream and records the surviving run ids.
+	// every in-memory run, unmerged (or the one run the cascade arm made of
+	// them); their payload references index runs. A sort with runs on disk
+	// (streamMerge) records the ids of the runs to merge — all of them, or
+	// under a budget the survivors of reducing the fan-in to what the budget
+	// can stream — and may be iterated once.
 	resultRuns   []mergepath.Run
 	resultTie    bool // some result run needs the tie-break comparator
 	resultRows   int
 	streamMerge  bool
-	streamUsed   bool // the single-pass streaming merge has been handed out
+	streamUsed   bool // the single-pass merge of spilled runs has been handed out
 	streamActive []uint32
 
-	// mergeStats is the merge work of Finalize and the streaming iterator;
-	// drainStats that of the latest iterator over the result runs (replaced
+	// mergeStats is the merge work of Finalize (intermediate passes, the
+	// cascade arm); drainStats that of the latest result iterator (replaced
 	// when an in-memory sort is iterated again). Close cancels ctx, which
-	// stops those iterators' workers, and joins them on drainWG.
+	// stops those iterators' workers and block stages, and joins them on
+	// drainWG.
 	mergeStats mergepath.Stats
 	drainStats mergepath.Stats
 	ctx        context.Context
@@ -71,7 +73,7 @@ type Sorter struct {
 
 	// Spill bookkeeping: every file the sorter creates is tracked until it
 	// is removed, so Close can clean up after aborted sorts; the byte
-	// counters verify the streaming merge's single read pass.
+	// counters verify that a merge reads what was written exactly once.
 	spillMu      sync.Mutex
 	spillPaths   map[string]struct{}
 	spillTmpDir  string // lazily created when spilling without SpillDir (guarded by spillMu)
@@ -128,10 +130,10 @@ type Sorter struct {
 	tFinalizeEnd    atomic.Int64
 	tResultEnd      atomic.Int64
 
-	// Parallel external merge counters: spill read-ahead effectiveness
-	// (blocks decoded ahead, blocks already queued when the merge asked,
-	// time the merge stalled waiting for a block), the executed multi-pass
-	// merge plan, and the final merge's partition fan-out.
+	// External merge counters: spill read-ahead effectiveness (blocks the
+	// stage decoded, blocks already decoded when a merge asked, time merges
+	// waited for a block), the executed multi-pass merge plan, and the tasks
+	// the final merge was claimed in.
 	prefetchBlocks  atomic.Int64
 	prefetchHits    atomic.Int64
 	prefetchStallNs atomic.Int64
@@ -835,8 +837,8 @@ func (s *Sorter) repairTies(keys []byte, n int, payload *row.RowSet) {
 // tie-break is needed, otherwise a segment-wise compare that resolves tied
 // lossy segments against the payload fetched through the row's reference.
 // lookup maps a payload reference to the RowSet holding it and the row's
-// index there (the streaming external merge keeps only one block of each
-// run resident, so the index is block-local).
+// index there (a merge over spilled runs keeps only one block of each run
+// current, so the index is block-local).
 //
 // Per-encoding tie handling, decided per segment at build time:
 //
@@ -1001,13 +1003,14 @@ func compareStrings(a, b string) int {
 	}
 }
 
-// Finalize ends run generation and plans the result. A sort whose runs are
-// all in memory merges nothing here: the result iterator cuts the output
-// into tasks with k-way Merge Path and merges each inside its gather (see
-// Rows), so the first chunk does not wait for the last. Spilled sorts merge
-// here, partitioned across workers, or, under a budget, reduce their fan-in
-// and leave the final pass to the iterator. Options.Merge selects the
-// ablation arms. It must be called after every sink is closed.
+// Finalize ends run generation and plans the result; it merges nothing. The
+// result iterator cuts the output into tasks — at exact ranks with k-way
+// Merge Path over runs in memory, at fence keys over runs on disk — and
+// merges each inside its gather (see Rows), so the first chunk does not wait
+// for the last. Only a budgeted sort whose runs outnumber what the budget can
+// stream at once does merge work here: the passes that reduce its fan-in.
+// Options.Merge selects the ablation arms. It must be called after every sink
+// is closed.
 func (s *Sorter) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1027,20 +1030,10 @@ func (s *Sorter) Finalize() error {
 // finalizeLocked is Finalize's body, run under s.mu and the merge pprof
 // label.
 func (s *Sorter) finalizeLocked() error {
-	anySpilled := false
 	for _, r := range s.runs {
-		anySpilled = anySpilled || r.spill != nil
-	}
-	if anySpilled || (s.opt.SpillDir != "" && !s.opt.limited()) {
-		if s.opt.Merge == MergeCascade {
-			// The cascade ablation unspills whole runs; under a budget it
-			// still works but does not respect the limit.
-			return s.externalFinalizeCascade()
+		if r.spill != nil {
+			return s.planSpilledMerge()
 		}
-		if s.opt.limited() {
-			return s.planStreamingMerge()
-		}
-		return s.externalFinalize()
 	}
 
 	// Nothing on disk (the budget was never exceeded, or there is none):
@@ -1066,14 +1059,6 @@ func (s *Sorter) finalizeLocked() error {
 	}
 	s.resultRuns = runs
 	return nil
-}
-
-// setMergedResult records the single run an eager merge produced as the
-// result: Rows walks its references, which name the payloads of runs.
-func (s *Sorter) setMergedResult(keys []byte, tieBreak bool) {
-	s.resultRuns = []mergepath.Run{{Data: keys, Width: s.rowWidth}}
-	s.resultTie = tieBreak
-	s.resultRows = len(keys) / s.rowWidth
 }
 
 // residentPayload resolves a key row's payload reference against the

@@ -49,18 +49,19 @@ const (
 	// MergeLoserTree is the default: a single-pass k-way tournament (loser
 	// tree) over all runs with offset-value coding, so most comparisons
 	// resolve on cached (offset, value) integers instead of full-width key
-	// memcmp. In memory the result iterator cuts the output into tasks with
-	// k-way Merge Path and its workers merge them as they gather; with
-	// SpillDir set, spilled runs are streamed through fixed-size blocks in
-	// one read pass.
+	// memcmp. The result iterator cuts the output into tasks — with k-way
+	// Merge Path in memory, at fence keys over spilled runs, which stream
+	// through fixed-size blocks in one read pass — and its workers merge them
+	// as they gather.
 	MergeLoserTree MergeAlgo = iota
 	// MergeLoserTreeNoOVC is the loser tree with offset-value coding
 	// disabled: every match compares key bytes (the ablation arm isolating
 	// the coding from the tree shape).
 	MergeLoserTreeNoOVC
 	// MergeCascade is the cascaded pairwise 2-way merge (the previous
-	// default), kept as the ablation baseline. With SpillDir set it merges
-	// spilled runs pairwise with full unspill/re-spill of intermediates.
+	// default), kept as the in-memory ablation baseline. It selects nothing
+	// for a sort with spilled runs, which always streams through the loser
+	// tree.
 	MergeCascade
 )
 
@@ -116,10 +117,10 @@ type Options struct {
 	// directory after run generation and streams them back through
 	// fixed-size blocks for a single-pass k-way merge — the
 	// unified-row-format offloading sketched in the paper's future work.
-	// Merge memory stays bounded at k runs × SpillBlockRows (plus the final
-	// materialization). The sequential streaming merge reads each spilled
-	// byte once; the fence-partitioned parallel final merge also decodes
-	// every run's boundary block in both neighbouring partitions.
+	// The merge runs inside the result iterator; its memory stays bounded at
+	// Threads × k runs × (1 + ReadAhead) blocks of SpillBlockRows rows,
+	// whatever the output's size, and every spilled byte is read exactly
+	// once. A result that reads from disk can be iterated once.
 	//
 	// Without a memory budget (see MemoryLimit/Broker) every run spills as
 	// it is cut, preserving the original eager behavior. With a budget,
@@ -136,21 +137,14 @@ type Options struct {
 	// DefaultSpillBlockRows, or — under a memory budget — a block size
 	// planned from the remaining reservation (mergepath.PlanBlockRows).
 	SpillBlockRows int
-	// ReadAhead is the number of spill blocks each merge reader prefetches
-	// on a background goroutine while the loser tree consumes the current
-	// one: 0 means DefaultReadAhead (double buffering), a negative value
-	// disables read-ahead (the synchronous ablation arm). Prefetched
-	// blocks are charged to the sorter's broker, so under a budget the
-	// merge planner reserves (1 + ReadAhead) blocks per run.
+	// ReadAhead is the number of spill blocks per run a merge's block stage
+	// decodes ahead, on one background goroutine, of the block the loser tree
+	// is consuming: 0 means DefaultReadAhead (double buffering), a negative
+	// value disables read-ahead (the synchronous ablation arm: a merge
+	// decodes each block when it gets there). Decoded blocks are charged to
+	// the sorter's broker, so under a budget the merge planner reserves
+	// (1 + ReadAhead) blocks per run.
 	ReadAhead int
-	// ExtMergeThreads bounds the partitioned parallel external merge: the
-	// final merge of spilled runs fans out across this many workers, each
-	// merging a disjoint key range located through the spill files' block
-	// index (k-way split over run key ranges). 0 means Threads; 1 forces
-	// the sequential streaming merge (the ablation arm). The budgeted
-	// streaming path (deferred merge inside Rows) is always sequential —
-	// it produces one chunk stream — so this only governs eager merges.
-	ExtMergeThreads int
 	// MemoryLimit, when positive, bounds this sorter's resident bytes:
 	// sink buffers, sorted runs, pooled buffers, merge blocks. Crossing
 	// the limit does not fail the sort — it flips it into degraded mode:
@@ -227,7 +221,7 @@ func (o Options) spillBlockRows() int {
 	return DefaultSpillBlockRows
 }
 
-// readAhead returns the prefetch depth per spill reader; 0 means disabled.
+// readAhead returns the read-ahead depth per spilled run; 0 means disabled.
 func (o Options) readAhead() int {
 	if o.ReadAhead < 0 {
 		return 0
@@ -241,13 +235,6 @@ func (o Options) readAhead() int {
 // mergeBuffers is the resident blocks the merge plans per run: the one
 // being consumed plus any read-ahead.
 func (o Options) mergeBuffers() int { return 1 + o.readAhead() }
-
-func (o Options) extMergeThreads() int {
-	if o.ExtMergeThreads > 0 {
-		return o.ExtMergeThreads
-	}
-	return o.threads()
-}
 
 // limited reports whether a memory budget governs this sort — its own
 // MemoryLimit, a shared Broker, or both.
@@ -274,8 +261,7 @@ func (o Options) Fingerprint() string {
 		fmt.Fprintf(&b, " budget=%d", o.MemoryLimit)
 	}
 	if o.SpillDir != "" || o.limited() {
-		fmt.Fprintf(&b, " blockrows=%d readahead=%d extthreads=%d",
-			o.spillBlockRows(), o.readAhead(), o.extMergeThreads())
+		fmt.Fprintf(&b, " blockrows=%d readahead=%d", o.spillBlockRows(), o.readAhead())
 	}
 	if o.KeyComp != 0 {
 		b.WriteString(" keycomp=")
@@ -315,9 +301,6 @@ func (o Options) Validate() error {
 	}
 	if o.MemoryLimit < 0 {
 		return fmt.Errorf("core: Options.MemoryLimit is negative (%d); use 0 for unlimited", o.MemoryLimit)
-	}
-	if o.ExtMergeThreads < 0 {
-		return fmt.Errorf("core: Options.ExtMergeThreads is negative (%d); use 0 for Threads or 1 for the sequential merge", o.ExtMergeThreads)
 	}
 	if o.KeyComp&^KeyCompAll != 0 {
 		return fmt.Errorf("core: Options.KeyComp has unknown bits %#x", uint8(o.KeyComp&^KeyCompAll))

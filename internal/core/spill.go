@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"rowsort/internal/mem"
 	"rowsort/internal/mergepath"
 	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
@@ -21,14 +21,12 @@ import (
 // just flat key rows plus a row-format payload, it can be offloaded to
 // secondary storage in one unified format with no conversion. Runs are
 // written as fixed-size blocks (SpillBlockRows key rows followed by their
-// payload rows with a block-local string heap), and the merge streams all k
-// runs back block by block through one offset-value-coded loser tree:
-// resident memory is bounded by k blocks plus the materialized output. The
-// sequential streaming merge reads every spilled byte exactly once; the
-// fence-partitioned parallel final merge (extparallel.go) re-reads the block
-// that straddles each partition boundary, once per neighbour — a read
-// amplification of 1.064 on the benchmark's ext-catalog-spill, left to
-// ROADMAP item 2.
+// payload rows with a block-local string heap) and merged back like any
+// other run: every merge over spilled runs — the tasks of the result
+// iterator, an intermediate fan-in pass — streams all k runs block by block
+// through one offset-value-coded loser tree, its blocks served by the block
+// stage (prefetch.go). Resident memory is bounded by the stage's blocks, not
+// by the output, and every spilled byte is read exactly once.
 
 // spillMagic heads every spill file ("RSB2": row-sort blocks, format 2).
 const spillMagic = 0x52534232
@@ -52,21 +50,30 @@ const fcPlanCutoff = 0.95
 // spillFile records where a sorted run lives on disk, plus the in-memory
 // block index recorded while writing it: the byte offset of every block's
 // key section and the block's first key row (the fences, concatenated at
-// the key-row stride so they form a mergepath.Run the partition planner
-// can KWaySplit directly). The offsets let a partitioned merge worker open
-// a run mid-file; the fences bound each block's key range without reading
-// it. The index costs one key row plus one offset per block (rowWidth+8
-// bytes per SpillBlockRows rows) and is part of the documented budget
-// slack.
+// the key-row stride so they form a mergepath.Run the task planner can
+// search directly), and the file's length, which ends the last block.
+// The offsets let a merge read any block with one positioned read; the fences
+// bound each block's key range without reading it. The index costs one key row
+// plus one offset per block (rowWidth+8 bytes per SpillBlockRows rows) and is
+// part of the documented budget slack.
 type spillFile struct {
 	path      string
 	blockRows int
 	offs      []int64
 	fences    []byte
+	size      int64
 }
 
 // numBlocks returns how many blocks the file holds.
 func (sf *spillFile) numBlocks() int { return len(sf.offs) }
+
+// blockEnd returns the offset block b ends at.
+func (sf *spillFile) blockEnd(b int) int64 {
+	if b+1 < len(sf.offs) {
+		return sf.offs[b+1]
+	}
+	return sf.size
+}
 
 // fence returns block b's first key row.
 //
@@ -94,8 +101,8 @@ func (s *Sorter) untrackSpill(path string) {
 
 // removeSpillFile deletes a tracked spill file, keeping the removal
 // counters in SortStats current. On failure the file stays tracked so a
-// later Close retries it, and the error is returned (callers on the
-// streaming path may defer it to Close rather than fail the merge).
+// later Close retries it, and the error is returned (a merge that has read
+// the file leaves it to Close rather than fail).
 func (s *Sorter) removeSpillFile(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		s.spillRemoveErrs.Add(1)
@@ -106,10 +113,11 @@ func (s *Sorter) removeSpillFile(path string) error {
 	return nil
 }
 
-// Close removes any spill files the sorter still has on disk. A completed
-// Finalize removes them as it streams, so this is a no-op on the happy
-// path; aborted sorts (a sink error, a sorter dropped before Finalize) must
-// call it to avoid leaking rowsort-run-*.bin files.
+// Close removes any spill files the sorter still has on disk. A result
+// drained to its end has removed them as it read, so this is a no-op on the
+// happy path; aborted sorts (a sink error, a sorter dropped before Finalize,
+// a result iterator abandoned early) must call it to avoid leaking
+// rowsort-run-*.bin files.
 //
 // Result iterators still running (Rows handed out, never closed) have their
 // workers stopped and joined first; such an iterator's next Next fails.
@@ -172,20 +180,6 @@ type countingWriter struct {
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
-	return n, err
-}
-
-// countingReader adds the bytes read through it to the sorter's spill-read
-// counter (the single-read-pass accounting).
-type countingReader struct {
-	r io.Reader
-	s *Sorter
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.s.spillRead.Add(int64(n))
-	c.s.prog.SpillBytesRead.Add(int64(n))
 	return n, err
 }
 
@@ -340,46 +334,121 @@ func (s *Sorter) releaseRun(r *sortedRun) {
 func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	sp := ow.Begin(obs.PhaseSpillWrite)
 	defer sp.End()
-	path, err := s.spillPath(r.id)
+	n := len(r.keys) / s.rowWidth
+	blockRows := s.spillBlockRowsFor(r)
+	w, err := s.newSpillWriter(r.id, blockRows, n, s.opt.Adaptive && r.frontCode)
 	if err != nil {
 		return err
+	}
+	blockSet := s.getRowSet()
+	defer s.putRowSet(blockSet)
+	idxs := make([]uint32, 0, blockRows)
+	for start := 0; start < n; start += blockRows {
+		rows := min(blockRows, n-start)
+		blockSet.Reset()
+		idxs = idxs[:0]
+		for i := 0; i < rows; i++ {
+			idxs = append(idxs, uint32(start+i))
+		}
+		blockSet.AppendRowsFrom(r.payload, idxs)
+		if err := w.writeBlock(r.keys[start*s.rowWidth:(start+rows)*s.rowWidth], blockSet); err != nil {
+			return w.abort(err)
+		}
+	}
+	if r.spill, err = w.finish(); err != nil {
+		return err
+	}
+	// The in-memory buffers are dead once the run is on disk: give their
+	// bytes back to the budget and recycle them for the next pending run.
+	s.releaseRun(r)
+	return nil
+}
+
+// spillWriter writes one run's spill file: a header, then per block the key
+// rows (raw, or tagged and possibly front-coded when the run's strategy plan
+// asked for it) followed by the block's payload rows (with a block-local
+// string heap, so a reader needs only that block resident to resolve
+// tie-break lookups). It records the file's block index (offsets and fences)
+// as the blocks stream out.
+type spillWriter struct {
+	s  *Sorter
+	f  *os.File
+	bw *bufio.Writer
+	cw countingWriter
+	sf *spillFile
+	fc bool
+	// fcScratch is the reusable front-coding encode buffer.
+	fcScratch []byte
+}
+
+// newSpillWriter creates run id's spill file, tracked for cleanup from here
+// on, and writes its header.
+func (s *Sorter) newSpillWriter(id uint32, blockRows, rows int, fc bool) (*spillWriter, error) {
+	path, err := s.spillPath(id)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("core: creating spill file: %w", err)
+		return nil, fmt.Errorf("core: creating spill file: %w", err)
 	}
 	s.trackSpill(path)
-	cleanup := func() { s.removeSpillFile(path) }
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw}
-	blockRows := s.spillBlockRowsFor(r)
-	sf, err := r.writeBlocks(s, cw, blockRows)
-	if err != nil {
-		f.Close()
-		cleanup()
+	numBlocks := (rows + blockRows - 1) / blockRows
+	w := &spillWriter{s: s, f: f, bw: bufio.NewWriter(f), fc: fc, sf: &spillFile{path: path, blockRows: blockRows,
+		offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*s.rowWidth)}}
+	w.cw.w = w.bw
+	magic := uint32(spillMagic)
+	if fc {
+		magic = spillMagicFC
+	}
+	var hdr [spillHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], magic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(rows))
+	if _, err := w.cw.Write(hdr[:]); err != nil {
+		return nil, w.abort(err)
+	}
+	return w, nil
+}
+
+// writeBlock appends one block: keys' rows, then their payload.
+func (w *spillWriter) writeBlock(keys []byte, payload *row.RowSet) error {
+	rw := w.s.rowWidth
+	w.sf.offs = append(w.sf.offs, w.cw.n)
+	w.sf.fences = append(w.sf.fences, keys[:rw]...)
+	if err := w.s.writeKeySection(&w.cw, &w.fcScratch, keys, len(keys)/rw, w.fc); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		cleanup()
-		return err
+	_, err := payload.WriteTo(&w.cw)
+	return err
+}
+
+// finish flushes and closes the file and returns its index. On failure the
+// partial file is removed.
+func (w *spillWriter) finish() (*spillFile, error) {
+	if err := w.bw.Flush(); err != nil {
+		return nil, w.abort(err)
 	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return err
+	if err := w.f.Close(); err != nil {
+		w.f = nil
+		return nil, w.abort(err)
 	}
-	s.spillWritten.Add(cw.n)
-	s.prog.SpillBytesWritten.Add(cw.n)
-	sf.path = path
-	r.spill = sf
-	// The in-memory buffers are dead once the run is on disk: give their
-	// bytes back to the budget and recycle them for the next pending run.
-	s.runRes.Shrink(runBytes(r))
-	s.putKeyBuf(r.keys)
-	s.putRowSet(r.payload)
-	r.keys = nil
-	r.payload = nil
-	return nil
+	w.s.spillWritten.Add(w.cw.n)
+	w.s.prog.SpillBytesWritten.Add(w.cw.n)
+	w.sf.size = w.cw.n
+	return w.sf, nil
+}
+
+// abort removes the partial file and returns err, joined with the removal's
+// own failure if it has one.
+func (w *spillWriter) abort(err error) error {
+	if w.f != nil {
+		w.f.Close()
+	}
+	if rerr := w.s.removeSpillFile(w.sf.path); rerr != nil {
+		err = errors.Join(err, rerr)
+	}
+	return err
 }
 
 // writeKeySection writes one spill block's key rows. Raw format: the rows
@@ -419,492 +488,201 @@ func (s *Sorter) writeKeySection(w io.Writer, scratch *[]byte, keys []byte, rows
 	return err
 }
 
-// writeBlocks serializes the run: a header, then per block the key rows
-// (raw, or tagged and possibly front-coded when the run's strategy plan
-// asked for it) followed by the block's payload rows (with a block-local
-// string heap, so a reader needs only that block resident to resolve
-// tie-break lookups). It returns the spill file's block index (offsets and
-// fences), recorded as the blocks stream out; the caller fills in the path.
-func (r *sortedRun) writeBlocks(s *Sorter, w *countingWriter, blockRows int) (*spillFile, error) {
-	rw := s.rowWidth
-	n := len(r.keys) / rw
-	fc := s.opt.Adaptive && r.frontCode
-	magic := uint32(spillMagic)
-	if fc {
-		magic = spillMagicFC
-	}
-	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	numBlocks := (n + blockRows - 1) / blockRows
-	sf := &spillFile{
-		blockRows: blockRows,
-		offs:      make([]int64, 0, numBlocks),
-		fences:    make([]byte, 0, numBlocks*rw),
-	}
-	blockSet := s.getRowSet()
-	defer s.putRowSet(blockSet)
-	idxs := make([]uint32, 0, blockRows)
-	var fcScratch []byte
-	for start := 0; start < n; start += blockRows {
-		rows := min(blockRows, n-start)
-		sf.offs = append(sf.offs, w.n)
-		sf.fences = append(sf.fences, r.keys[start*rw:start*rw+rw]...)
-		if err := s.writeKeySection(w, &fcScratch, r.keys[start*rw:(start+rows)*rw], rows, fc); err != nil {
-			return nil, err
-		}
-		blockSet.Reset()
-		idxs = idxs[:0]
-		for i := 0; i < rows; i++ {
-			idxs = append(idxs, uint32(start+i))
-		}
-		blockSet.AppendRowsFrom(r.payload, idxs)
-		if _, err := blockSet.WriteTo(w); err != nil {
-			return nil, err
-		}
-	}
-	return sf, nil
-}
-
-// runReader streams one run back from its spill file, one decoded block
-// resident at a time — synchronously through a blockDecoder, or through a
-// prefetcher goroutine that keeps Options.ReadAhead blocks decoded ahead of
-// the merge (see prefetch.go). For runs that were never spilled it serves
-// the in-memory buffers as a single block, so the merge handles mixed
-// residency uniformly. A reader may be bounded to a key range (the
-// partitioned external merge): keys then start at the first row whose
-// byte-decisive safe prefix is >= lo and stop before the first >= hi.
-type runReader struct {
-	s   *Sorter
-	run *sortedRun
-	ow  *obs.Worker // trace lane block reads are recorded on
-
-	dec *blockDecoder // synchronous disk mode
-	pf  *prefetcher   // read-ahead disk mode
-	cur *spillBlock   // current block (reused as the decode target in sync mode)
-
-	numRows int // full-run row count (range readers serve a subset)
-
-	keys       []byte      // current block's served key rows
-	payload    *row.RowSet // current block's payload (always the full block)
-	blockStart int         // absolute run index of payload's first row
-	padOff     uint32      // keys[0]'s offset into payload (head-bounded blocks)
-
-	// res, when set, is charged with the resident decoded blocks' bytes
-	// (resBytes tracks the current block's share; the prefetcher charges
-	// queued blocks itself). Memory-mode readers leave it nil: their run's
-	// buffers are already accounted under runRes.
-	res      *mem.Reservation
-	resBytes int64
-
-	memory       bool
-	memServeRows int
-	served       bool
-	closed       bool
-	err          error
-}
-
-// openRunReader opens a full-run reader; see openRunReaderRange.
-func (s *Sorter) openRunReader(r *sortedRun, ow *obs.Worker, res *mem.Reservation) (*runReader, error) {
-	return s.openRunReaderRange(r, ow, res, nil, nil, 0)
-}
-
-// openRunReaderRange opens a reader over r's rows, optionally bounded to
-// the key range [lo, hi) on the safeWidth-byte prefix (nil bounds are
-// open). ow is the trace lane block reads are recorded on; res is charged
-// with the decoded blocks' bytes. When the run is on disk and
-// Options.ReadAhead is enabled, a prefetcher goroutine starts decoding
-// immediately.
-func (s *Sorter) openRunReaderRange(r *sortedRun, ow *obs.Worker,
-	res *mem.Reservation, lo, hi []byte, safeWidth int) (*runReader, error) {
-	rd := &runReader{s: s, run: r, ow: ow, res: res}
-	if r.spill == nil {
-		rd.memory = true
-		rd.numRows = len(r.keys) / s.rowWidth
-		rd.memBounds(lo, hi, safeWidth)
-		return rd, nil
-	}
-	dec, err := s.openBlockDecoder(r, lo, hi, safeWidth)
-	if err != nil {
-		return nil, err
-	}
-	rd.numRows = dec.numRows
-	if depth := s.opt.readAhead(); depth > 0 {
-		dec.ow = s.rec.Worker("prefetch")
-		dec.phase = obs.PhasePrefetch
-		rd.pf = startPrefetcher(dec, depth, res)
-	} else {
-		dec.ow = ow
-		dec.phase = obs.PhaseSpillRead
-		rd.dec = dec
-	}
-	return rd, nil
-}
-
-// memBounds precomputes a memory-mode reader's served slice: the rows of
-// [lo, hi) on the safe prefix, found by binary search over the (sorted)
-// resident keys.
-func (rd *runReader) memBounds(lo, hi []byte, safeWidth int) {
-	rd.keys = rd.run.keys
-	rd.payload = rd.run.payload
-	rw := rd.s.rowWidth
-	full := mergepath.Run{Data: rd.run.keys, Width: rw}
-	a, b := 0, rd.numRows
-	if lo != nil {
-		a = safeLowerBound(full, lo, safeWidth)
-	}
-	if hi != nil {
-		b = safeLowerBound(full, hi, safeWidth)
-	}
-	if a > b {
-		b = a
-	}
-	rd.keys = rd.run.keys[a*rw : b*rw]
-	rd.padOff = uint32(a)
-	rd.blockStart = 0
-	rd.memServeRows = b - a
-}
-
-// next loads the run's next block, retiring the previous one. It returns
-// false at end of the (range-bounded) run or on error (check rd.err).
-func (rd *runReader) next() bool {
-	if rd.err != nil {
-		return false
-	}
-	if rd.memory {
-		if rd.served || rd.memServeRows == 0 {
-			return false
-		}
-		rd.served = true
-		return true
-	}
-
-	var b *spillBlock
-	if rd.pf != nil {
-		b = rd.pf.next(rd.s)
-		if b == nil {
-			if err := rd.pf.err; err != nil {
-				rd.err = err
-			}
-			return false
-		}
-	} else {
-		sp := rd.ow.Begin(obs.PhaseSpillRead)
-		var err error
-		b, err = rd.dec.decode(rd.cur)
-		sp.End()
-		if err != nil {
-			rd.err = err
-			return false
-		}
-		if b == nil {
-			return false
-		}
-	}
-	// Retire the previous block's charge. The prefetcher charged the new
-	// block when it decoded it; in sync mode the buffers are reused, so
-	// charging nets out to the capacity delta.
-	if rd.pf != nil {
-		rd.res.Shrink(rd.resBytes)
-	} else {
-		rd.res.Grow(b.bytes - rd.resBytes)
-	}
-	rd.resBytes = b.bytes
-	rd.cur = b
-	rd.keys = b.keys
-	rd.payload = b.payload
-	rd.blockStart = b.payloadStart
-	rd.padOff = b.padOff
-	return true
-}
-
-// close releases the reader — stopping and draining its prefetcher, giving
-// the decoded blocks' bytes back to the budget, closing the file. With
-// remove set the (fully consumed) spill file is deleted; a failed removal
-// keeps the file tracked, so Close retries it and reports the error.
-func (rd *runReader) close(remove bool) {
-	if rd.closed {
-		return
-	}
-	rd.closed = true
-	if rd.pf != nil {
-		rd.pf.close()
-	}
-	if rd.dec != nil {
-		rd.dec.close()
-	}
-	rd.res.Shrink(rd.resBytes)
-	rd.resBytes = 0
-	if rd.run.spill != nil && remove {
-		rd.s.removeSpillFile(rd.run.spill.path)
-		rd.run.spill = nil
-	}
-}
-
-// extMerge is one streaming k-way merge over a mix of spilled and resident
-// runs: block readers, the offset-value-coded loser tree, and a pending
-// gather batch materialized into dst. It is shared by the eager merge
-// (externalFinalize), the fan-in-reducing intermediate passes
-// (mergeRunsToSpill), and the chunked result iterator (Sorter.Rows), which
-// each drain it differently.
+// extMerge is one claimant's streaming k-way merge over a key range of runs
+// served by a block stage: the offset-value-coded loser tree over each run's
+// current block (a resident run is one block, its own buffers), refilled
+// from the stage as blocks run out. It emits payload references, not rows —
+// next names each merged row as (slot in sets, row in that set), ready for
+// the cross-set gather kernels — so whoever drives it moves every payload
+// row once, from the decoded block to wherever it is going: an output chunk
+// (the result iterator's tasks) or a spill block (mergeRunsToSpill). The
+// blocks the references point into stay held until the driver has gathered
+// them and says so (settle): at most the blocks a chunk's, or an output
+// block's, rows came from.
 type extMerge struct {
-	s      *Sorter
-	mw     *obs.Worker
-	res    *mem.Reservation // block buffers; the readers grow/shrink it
-	active []uint32         // the participating run ids, merger order
-	// readers is indexed by absolute run id (sparse): key-row references
-	// carry the original run id, so tie-break lookups and refills resolve
-	// without translation.
-	readers []*runReader
+	s        *Sorter
+	st       *blockStage
+	ctx      context.Context
+	ow       *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
+	tie, cmp mergepath.CompareFunc
+
+	lo, hi  []byte // the key range being merged, on the safe prefix; nil is open
+	cur     []extCursor
 	m       *mergepath.Merger
-	total   int
-	anyTie  bool
-
-	batch     int
-	srcs      []*row.RowSet
-	pendWhich []uint32
-	pendIdxs  []uint32
-	dst       *row.RowSet // gather destination, owned by the drainer
+	sets    []*row.RowSet // gather sources; the first len(cur) are the runs' current blocks at the last settle
+	retired []blockRef    // blocks run out, still referenced since the last settle
+	pending int           // references handed out since the last settle
+	err     error         // a refill's failure: the merge ran on without the run
 }
 
-// openExtMerge opens block readers over the given runs, primes their first
-// blocks and builds the loser tree. res is charged with the resident block
-// bytes for the merge's lifetime (the caller releases it after close).
-func (s *Sorter) openExtMerge(ids []uint32, mw *obs.Worker, res *mem.Reservation) (*extMerge, error) {
-	return s.openExtMergeRange(ids, mw, res, nil, nil)
+// extCursor is one run's current block in an extMerge.
+type extCursor struct {
+	payload    *row.RowSet
+	start      int    // absolute run index of payload's first row
+	pad        uint32 // the served keys' first row within payload (a block trimmed at lo)
+	slot       uint32 // payload's place in sets
+	first, end int    // the run's blocks in the key range
+	blk        int    // the current one; end when the run is exhausted
 }
 
-// openExtMergeRange is openExtMerge bounded to the key range [lo, hi) on
-// the byte-decisive safe prefix (nil bounds are open): each reader starts
-// at its run's first row >= lo and stops before the first >= hi, so the
-// partitioned external merge's workers each stream a disjoint slice of the
-// output. For range-bounded merges e.total still counts the full runs.
-func (s *Sorter) openExtMergeRange(ids []uint32, mw *obs.Worker, res *mem.Reservation, lo, hi []byte) (*extMerge, error) {
-	anyTie := false
-	for _, id := range ids {
-		anyTie = anyTie || s.runs[id].tieBreak
-	}
-	// Byte order is only decisive up to the first tied varchar segment; the
-	// codes must cover exactly that prefix so byte-equal rows fall to the
-	// segment-wise comparator.
-	ovcWidth := s.ovcSafeWidth(anyTie)
+// newExtMerge returns a claimant's merge over st's runs, not yet on any range.
+func (s *Sorter) newExtMerge(ctx context.Context, st *blockStage, ow *obs.Worker) *extMerge {
+	k := len(st.plan.ids)
+	e := &extMerge{s: s, st: st, ctx: ctx, ow: ow,
+		cur: make([]extCursor, k), sets: make([]*row.RowSet, k, 2*k)}
+	// Tie-break lookups resolve against the run's current block: references
+	// store absolute run indexes, the cursor knows its block's offset.
+	e.tie, e.cmp = s.mergeOrder(st.plan.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
+		c := &e.cur[st.plan.index[runID]]
+		return c.payload, int(idx) - c.start
+	})
+	return e
+}
 
-	e := &extMerge{s: s, mw: mw, res: res, anyTie: anyTie,
-		active:  append([]uint32(nil), ids...),
-		readers: make([]*runReader, len(s.runs)),
-	}
-	for _, id := range ids {
-		rd, err := s.openRunReaderRange(s.runs[id], mw, res, lo, hi, ovcWidth)
-		if err != nil {
-			e.close(false)
-			return nil, err
-		}
-		e.readers[id] = rd
-		e.total += rd.numRows
-	}
-
-	// Prime every run's first block.
-	mruns := make([]mergepath.Run, len(ids))
-	for i, id := range ids {
-		rd := e.readers[id]
-		if rd.next() {
-			mruns[i] = mergepath.Run{Data: rd.keys, Width: s.rowWidth}
-		} else if rd.err != nil {
-			err := rd.err
-			e.close(false)
-			return nil, err
+// open starts the merge of plan task t: every run's first block holding a
+// key of the task's range, trimmed to it, under a fresh loser tree.
+func (e *extMerge) open(t int) error {
+	s, p := e.s, e.st.plan
+	e.lo, e.hi = p.bound(t)
+	e.err = nil
+	mruns := make([]mergepath.Run, len(e.cur))
+	for i := range e.cur {
+		c, r := &e.cur[i], s.runs[p.ids[i]]
+		keys := r.keys
+		if r.spill == nil {
+			*c = extCursor{payload: r.payload}
 		} else {
-			mruns[i] = mergepath.Run{Width: s.rowWidth}
+			*c = extCursor{}
+			c.first, c.end = p.span(s, i, e.lo, e.hi)
+			c.blk = c.first
+			var err error
+			if keys, err = e.load(i); err != nil {
+				return err
+			}
 		}
+		c.slot, e.sets[i] = uint32(i), c.payload
+		mruns[i] = mergepath.Run{Data: keys, Width: s.rowWidth}
 	}
-
-	// Tie-break lookups resolve against the resident block: references
-	// store absolute run indexes, the reader knows its block's offset.
-	tie, cmp := s.mergeOrder(anyTie, func(runID, idx uint32) (*row.RowSet, int) {
-		rd := e.readers[runID]
-		return rd.payload, int(idx) - rd.blockStart
-	})
-	e.m = s.newMerger(mruns, anyTie, tie, cmp)
-
-	e.batch = s.opt.spillBlockRows()
-	e.pendWhich = make([]uint32, 0, e.batch)
-	e.pendIdxs = make([]uint32, 0, e.batch)
-	e.srcs = make([]*row.RowSet, len(ids))
-	e.m.SetRefill(func(r int) (mergepath.Run, bool) {
-		// Pending gathers may reference the exhausted block; materialize
-		// them before the reader overwrites it. (Only rows already output
-		// can be pending, so everything they reference is still resident.)
-		e.flushPend()
-		rd := e.readers[e.active[r]]
-		if !rd.next() {
-			return mergepath.Run{}, false
-		}
-		return mergepath.Run{Data: rd.keys, Width: s.rowWidth}, true
-	})
-	return e, nil
-}
-
-// next emits the next merged key row (valid until the following next call)
-// and queues its payload reference for the next flushPend. ok is false at
-// end of input; check readerErr then. The winner's position is within its
-// served keys, which on a range-bounded partition-edge block sit padOff
-// rows into the block's payload.
-func (e *extMerge) next() (keyRow []byte, ok bool) {
-	run, pos, keyRow, ok := e.m.Next()
-	if !ok {
-		return nil, false
-	}
-	e.pendWhich = append(e.pendWhich, uint32(run))
-	e.pendIdxs = append(e.pendIdxs, uint32(pos)+e.readers[e.active[run]].padOff)
-	return keyRow, true
-}
-
-// flushPend gathers the queued payload references into dst with the typed
-// batch kernels and clears the queue.
-func (e *extMerge) flushPend() {
-	if len(e.pendIdxs) == 0 {
-		return
-	}
-	for i, id := range e.active {
-		e.srcs[i] = e.readers[id].payload
-	}
-	e.dst.AppendRowsGather(e.srcs, e.pendWhich, e.pendIdxs)
-	// Every merged row drains through here exactly once (eager final merge,
-	// intermediate passes, partitioned workers, and the streamed result),
-	// making it the single live merge-progress publication point.
-	e.s.prog.RowsMerged.Add(int64(len(e.pendIdxs)))
-	e.pendWhich = e.pendWhich[:0]
-	e.pendIdxs = e.pendIdxs[:0]
-}
-
-// readerErr returns the first reader error, if any.
-func (e *extMerge) readerErr() error {
-	for _, id := range e.active {
-		if rd := e.readers[id]; rd != nil && rd.err != nil {
-			return rd.err
-		}
-	}
+	e.m = s.newMerger(mruns, p.anyTie, e.tie, e.cmp)
+	e.m.SetRefill(e.refill)
 	return nil
 }
 
-// close releases every reader (and its charged block bytes); with remove
-// set the fully consumed spill files are deleted. Without remove the files
-// stay tracked, so an abandoned merge leaks nothing — Sorter.Close sweeps
-// them.
-func (e *extMerge) close(remove bool) {
-	for _, rd := range e.readers {
-		if rd != nil {
-			rd.close(remove)
+// load makes run i's block c.blk — or the first one after it with a key in
+// range — the cursor's, and returns its keys in range; nil when the run has
+// none left.
+func (e *extMerge) load(i int) ([]byte, error) {
+	c := &e.cur[i]
+	rw, safe := e.s.rowWidth, e.st.plan.safe
+	for ; c.blk < c.end; c.blk++ {
+		ref := blockRef{int32(i), int32(c.blk)}
+		b, err := e.st.acquire(e.ctx, ref, e.ow)
+		if err != nil {
+			return nil, err
 		}
+		keys := mergepath.Run{Data: b.keys, Width: rw}
+		from, to := 0, keys.Len()
+		if c.blk == c.first && e.lo != nil {
+			from = safeLowerBound(keys, e.lo, safe)
+		}
+		if c.blk == c.end-1 && e.hi != nil {
+			to = safeLowerBound(keys, e.hi, safe)
+		}
+		if from < to {
+			c.payload, c.start, c.pad = b.payload, b.start, uint32(from)
+			return b.keys[from*rw : to*rw], nil
+		}
+		e.st.release(ref)
+	}
+	c.payload = nil
+	return nil, nil
+}
+
+// refill is the loser tree's callback: run r's block has run out. The block
+// goes back to the stage — now, or at the next settle when references handed
+// out since the last still point into it — and the run's next takes its
+// place, in a new slot: the old one is what those references name.
+func (e *extMerge) refill(r int) (mergepath.Run, bool) {
+	c := &e.cur[r]
+	if c.blk >= c.end {
+		return mergepath.Run{}, false // a resident run, or one already exhausted
+	}
+	if ref := (blockRef{int32(r), int32(c.blk)}); e.pending == 0 {
+		e.st.release(ref)
+	} else {
+		e.retired = append(e.retired, ref)
+	}
+	c.blk++
+	keys, err := e.load(r)
+	if err != nil {
+		e.err = err
+	}
+	if keys == nil {
+		return mergepath.Run{}, false
+	}
+	c.slot = uint32(len(e.sets))
+	e.sets = append(e.sets, c.payload)
+	return mergepath.Run{Data: keys, Width: e.s.rowWidth}, true
+}
+
+// next emits the next merged row: its key row (valid until the following
+// next), and its payload as row idx of sets[which]. ok is false at the end of
+// the range and after a failed read: check err then.
+//
+//rowsort:hotpath
+func (e *extMerge) next() (keyRow []byte, which, idx uint32, ok bool) {
+	run, pos, keyRow, ok := e.m.Next()
+	if !ok || e.err != nil {
+		return nil, 0, 0, false
+	}
+	c := &e.cur[run]
+	e.pending++
+	return keyRow, c.slot, uint32(pos) + c.pad, true
+}
+
+// settle tells the merge that every reference handed out so far has been
+// gathered: the blocks that ran out since the last settle go back to the
+// stage, and sets shrinks back to the runs' current blocks.
+func (e *extMerge) settle() {
+	for _, ref := range e.retired {
+		e.st.release(ref)
+	}
+	e.retired = e.retired[:0]
+	e.pending = 0
+	if k := len(e.cur); len(e.sets) > k {
+		for i := range e.cur {
+			e.cur[i].slot, e.sets[i] = uint32(i), e.cur[i].payload
+		}
+		clear(e.sets[k:])
+		e.sets = e.sets[:k]
 	}
 }
 
-// externalFinalize merges all spilled runs in a single streaming pass: each
-// run is read through a fixed-size block reader (resident memory = k runs ×
-// (1 + ReadAhead) × SpillBlockRows), the offset-value-coded loser tree
-// interleaves the key rows, and payload rows are gathered into the final
-// run in block-sized batches with the typed AppendRowsGather kernels. When
-// the sort is big enough and ExtMergeThreads allows, the merge itself is
-// partitioned across workers over disjoint key ranges (see extparallel.go);
-// otherwise it runs sequentially, reading every spilled byte exactly once,
-// versus O(n log k) for the cascaded pairwise merge.
-func (s *Sorter) externalFinalize() error {
-	if len(s.runs) == 0 {
-		return nil
-	}
-	mw := s.rec.Worker("merge")
-	msp := mw.Begin(obs.PhaseMerge)
-	defer msp.End()
-
+// planSpilledMerge is Finalize for a sort with runs on disk. It merges
+// nothing and reads nothing: the final merge runs inside the result iterator
+// (Sorter.Rows), which is handed the runs to merge. Under a budget their
+// number is first reduced to a fan-in the remaining budget can stream.
+func (s *Sorter) planSpilledMerge() error {
 	ids := make([]uint32, len(s.runs))
 	for i := range s.runs {
 		ids[i] = uint32(i)
+	}
+	s.dropPools()
+	if s.opt.limited() {
+		mw := s.rec.Worker("merge")
+		sp := mw.Begin(obs.PhaseMerge)
+		defer sp.End()
+		var err error
+		if ids, err = s.reduceFanIn(ids, mw); err != nil {
+			return err
+		}
 	}
 	s.mergeFanIn.Store(int64(len(ids)))
-	if done, err := s.externalFinalizeParallel(ids); done || err != nil {
-		return err
-	}
-	res := s.broker.Reserve("merge", 0)
-	defer res.Release()
-	e, err := s.openExtMerge(ids, mw, res)
-	if err != nil {
-		return err
-	}
-	defer e.close(true)
-
-	total := e.total
-	finalID := uint32(len(s.runs))
-	out := s.getRowSet()
-	out.Reserve(total)
-	e.dst = out
-	finalKeys := make([]byte, total*s.rowWidth)
-	outPos := 0
-	rw := s.rowWidth
-	for {
-		keyRow, ok := e.next()
-		if !ok {
-			break
-		}
-		dst := finalKeys[outPos*rw : (outPos+1)*rw]
-		copy(dst, keyRow)
-		s.putRef(dst, finalID, uint32(outPos))
-		outPos++
-		if len(e.pendIdxs) >= e.batch {
-			e.flushPend()
-		}
-	}
-	if err := e.readerErr(); err != nil {
-		return err
-	}
-	if outPos != total {
-		return fmt.Errorf("core: external merge produced %d of %d rows", outPos, total)
-	}
-	e.flushPend()
-
-	st := e.m.Stats()
-	st.BytesMoved = uint64(len(finalKeys))
-	s.mergeStats.Add(st)
-
-	// Register the final run; all references now point at it, so Rows
-	// gathers sequentially.
-	final := &sortedRun{id: finalID, keys: finalKeys, payload: out, tieBreak: e.anyTie, rows: total}
-	s.runs = append(s.runs, final)
-	s.setMergedResult(finalKeys, e.anyTie)
-	s.runRes.Grow(runBytes(final))
-	// Inputs that were still memory-resident have been fully consumed.
 	for _, id := range ids {
-		s.releaseRun(s.runs[id])
-	}
-	return nil
-}
-
-// planStreamingMerge is the budgeted external arm of Finalize: an eager
-// merge would hold the entire materialized output resident, so instead it
-// only reduces the run count to a fan-in the remaining budget can stream
-// and defers the final pass to the chunked result iterator (Sorter.Rows).
-func (s *Sorter) planStreamingMerge() error {
-	mw := s.rec.Worker("merge")
-	sp := mw.Begin(obs.PhaseMerge)
-	defer sp.End()
-	ids := make([]uint32, len(s.runs))
-	for i := range s.runs {
-		ids[i] = uint32(i)
-	}
-	ids, err := s.reduceFanIn(ids, mw)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, id := range ids {
-		total += s.runs[id].rows
+		s.resultRows += s.runs[id].rows
 	}
 	s.streamMerge = true
 	s.streamActive = ids
-	s.resultRows = total
 	return nil
 }
 
@@ -912,7 +690,8 @@ func (s *Sorter) planStreamingMerge() error {
 // to disk, until the remaining budget can stream the survivors at once
 // (mergepath.PlanMerge: the plan prefers cascading extra passes over
 // healthy-sized blocks to thrashing tiny ones, and sizes each pass for the
-// (1 + ReadAhead) resident blocks per run that read-ahead holds). Batches are contiguous and each merged
+// (1 + ReadAhead) resident blocks per run that the block stage holds).
+// Batches are contiguous and each merged
 // run takes its batch's position, so the final merge sees runs in original
 // run-id order — ties still resolve to the earlier input run, which keeps
 // budgeted output byte-identical to the unlimited sort. The strategy
@@ -923,12 +702,10 @@ func (s *Sorter) planStreamingMerge() error {
 // (merge passes, final fan-in, pass bytes).
 func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 	buffers := s.opt.mergeBuffers()
-	s.dropPools()
 	for {
 		avg := s.approxRowBytes()
 		plan := mergepath.PlanMerge(len(ids), s.broker.Remaining(), avg, s.opt.spillBlockRows(), buffers)
 		if plan.FanIn >= len(ids) {
-			s.mergeFanIn.Store(int64(len(ids)))
 			return ids, nil
 		}
 		// Runs still in memory hold the budget the plan is short of, and
@@ -967,280 +744,119 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 // mergeRunsToSpill streams one intermediate merge pass over the given runs
 // directly into a new spilled run (blocked format, refs rewritten to the
 // merged run), registers it — Finalize already holds s.mu, so no locking —
-// and releases the consumed inputs. Resident memory is the readers' blocks
-// plus one output block. blockRows sizes the output blocks; 0 plans them
-// from the remaining budget. Each pass is one PhaseMergePass span and is
-// counted in SortStats (passes, input runs, bytes rewritten).
+// and releases the consumed inputs, whose files the pass's block stage
+// deleted as it finished with them. Resident memory is the stage's blocks
+// plus one output block of blockRows rows. Each pass is one PhaseMergePass
+// span and is counted in SortStats (passes, input runs, bytes rewritten).
 func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (uint32, error) {
 	psp := mw.Begin(obs.PhaseMergePass)
 	defer psp.End()
-	res := s.broker.Reserve("fan-in-merge", 0)
-	defer res.Release()
-	e, err := s.openExtMerge(ids, mw, res)
+	st, err := s.newBlockStage(s.planSpillTasks(ids, true), 1)
 	if err != nil {
 		return 0, err
 	}
-	// An intermediate pass moves every input row again; grow the plan so
-	// the progress fraction accounts for the extra work instead of jumping
-	// past 100%.
-	s.prog.MergeRowsPlanned.Add(int64(e.total))
+	// Once the stage is joined the inputs, if the pass consumed them, are done
+	// with: whatever it has not yet deleted of their files goes, and what was
+	// still in memory of them is released.
 	consumed := false
-	defer func() { e.close(consumed) }()
+	ctx, cancel := context.WithCancel(s.ctx)
+	defer func() {
+		cancel()
+		st.close(consumed)
+		if consumed {
+			for _, id := range ids {
+				s.releaseRun(s.runs[id])
+				s.runs[id].spill = nil
+			}
+		}
+	}()
+	st.start(ctx)
+	e := s.newExtMerge(ctx, st, mw)
+	if err := e.open(0); err != nil {
+		return 0, err
+	}
 
 	// A merged run inherits its inputs' common merge role (mixed batches
 	// demote to normal) and, under Adaptive, keeps attempting front-coded
 	// spill blocks: writeKeySection re-samples every block of every
 	// generation, so the decision tracks what this merge actually produced
 	// rather than what the original runs looked like.
-	fc := s.opt.Adaptive
+	total := 0
 	role := s.runs[ids[0]].role
-	for _, id := range ids[1:] {
+	for _, id := range ids {
+		total += s.runs[id].rows
 		if s.runs[id].role != role {
 			role = strategy.RoleNormal
-			break
 		}
 	}
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: e.anyTie, rows: e.total,
-		role: role, frontCode: fc}
+	// An intermediate pass moves every input row again; grow the plan so
+	// the progress fraction accounts for the extra work instead of jumping
+	// past 100%.
+	s.prog.MergeRowsPlanned.Add(int64(total))
+	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: st.plan.anyTie, rows: total,
+		role: role, frontCode: s.opt.Adaptive}
 	s.runs = append(s.runs, merged)
-
-	path, err := s.spillPath(merged.id)
+	w, err := s.newSpillWriter(merged.id, blockRows, total, merged.frontCode)
 	if err != nil {
-		return 0, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("core: creating spill file: %w", err)
-	}
-	s.trackSpill(path)
-	fail := func(err error) (uint32, error) {
-		f.Close()
-		if rerr := s.removeSpillFile(path); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
 		return 0, err
 	}
 
 	rw := s.rowWidth
-	if blockRows <= 0 {
-		blockRows = s.spillBlockRowsFor(merged)
-	}
-	bw := bufio.NewWriter(f)
-	cw := &countingWriter{w: bw}
-	magic := uint32(spillMagic)
-	if fc {
-		magic = spillMagicFC
-	}
-	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(e.total))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return fail(err)
-	}
-
-	sf := &spillFile{path: path, blockRows: blockRows}
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
-	e.dst = staging
 	keyBlock := make([]byte, 0, blockRows*rw)
-	var fcScratch []byte
-	outPos := 0
-	writeBlock := func() error {
-		if len(keyBlock) == 0 {
-			return nil
-		}
-		sf.offs = append(sf.offs, cw.n)
-		sf.fences = append(sf.fences, keyBlock[:rw]...)
-		if err := s.writeKeySection(cw, &fcScratch, keyBlock, len(keyBlock)/rw, fc); err != nil {
-			return err
-		}
-		e.flushPend()
-		if _, err := staging.WriteTo(cw); err != nil {
-			return err
-		}
-		staging.Reset()
-		keyBlock = keyBlock[:0]
-		return nil
+	which := make([]uint32, 0, blockRows)
+	idxs := make([]uint32, 0, blockRows)
+	// gather moves the payload rows merged since the last call into the
+	// output block, after which the merge may let their input blocks go.
+	gather := func() {
+		staging.AppendRowsGather(e.sets, which, idxs)
+		s.prog.RowsMerged.Add(int64(len(idxs)))
+		which, idxs = which[:0], idxs[:0]
+		e.settle()
 	}
+	outPos := 0
 	for {
-		keyRow, ok := e.next()
+		keyRow, slot, idx, ok := e.next()
 		if !ok {
 			break
 		}
 		keyBlock = append(keyBlock, keyRow...)
 		s.putRef(keyBlock[len(keyBlock)-rw:], merged.id, uint32(outPos))
+		which, idxs = append(which, slot), append(idxs, idx)
 		outPos++
-		if len(keyBlock) >= blockRows*rw {
-			if err := writeBlock(); err != nil {
-				return fail(err)
+		if len(keyBlock) == blockRows*rw {
+			gather()
+			if err := w.writeBlock(keyBlock, staging); err != nil {
+				return 0, w.abort(err)
 			}
+			staging.Reset()
+			keyBlock = keyBlock[:0]
 		}
 	}
-	if err := e.readerErr(); err != nil {
-		return fail(err)
+	if err := e.err; err != nil {
+		return 0, w.abort(err)
 	}
-	if outPos != e.total {
-		return fail(fmt.Errorf("core: fan-in merge produced %d of %d rows", outPos, e.total))
+	if outPos != total {
+		return 0, w.abort(fmt.Errorf("core: fan-in merge produced %d of %d rows", outPos, total))
 	}
-	if err := writeBlock(); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		if rerr := s.removeSpillFile(path); rerr != nil {
-			err = errors.Join(err, rerr)
+	gather()
+	if len(keyBlock) > 0 {
+		if err := w.writeBlock(keyBlock, staging); err != nil {
+			return 0, w.abort(err)
 		}
+	}
+	if merged.spill, err = w.finish(); err != nil {
 		return 0, err
 	}
 
-	s.spillWritten.Add(cw.n)
-	s.prog.SpillBytesWritten.Add(cw.n)
-	merged.spill = sf
 	consumed = true
-	for _, id := range ids {
-		s.releaseRun(s.runs[id])
-	}
-	st := e.m.Stats()
-	st.BytesMoved = uint64(outPos * rw)
-	s.mergeStats.Add(st)
+	mst := e.m.Stats()
+	mst.BytesMoved = uint64(outPos * rw)
+	s.mergeStats.Add(mst)
 	s.mergePasses.Add(1)
 	s.prog.MergePasses.Add(1)
 	s.mergePassRuns.Add(int64(len(ids)))
-	s.mergePassBytes.Add(cw.n)
+	s.mergePassBytes.Add(merged.spill.size)
 	return merged.id, nil
-}
-
-// unspill reads the run back into memory (used by the cascaded ablation
-// path) and removes its file. ow is the calling worker's trace lane.
-func (r *sortedRun) unspill(s *Sorter, ow *obs.Worker) error {
-	if r.spill == nil {
-		return nil
-	}
-	rd, err := s.openRunReader(r, ow, nil)
-	if err != nil {
-		return err
-	}
-	keys := make([]byte, 0, rd.numRows*s.rowWidth)
-	payload := s.getRowSet()
-	payload.Reserve(rd.numRows)
-	var idxs []uint32
-	for rd.next() {
-		keys = append(keys, rd.keys...)
-		n := rd.payload.Len()
-		if cap(idxs) < n {
-			idxs = make([]uint32, n)
-		}
-		idxs = idxs[:n]
-		for i := range idxs {
-			idxs[i] = uint32(i)
-		}
-		payload.AppendRowsFrom(rd.payload, idxs)
-	}
-	if rd.err != nil {
-		rd.close(false)
-		s.putRowSet(payload)
-		return rd.err
-	}
-	rd.close(true)
-	r.keys = keys
-	r.payload = payload
-	s.runRes.Grow(runBytes(r))
-	return nil
-}
-
-// externalFinalizeCascade is the ablation baseline (the previous design):
-// spilled runs merged pairwise with full unspill/re-spill of intermediates,
-// so each row's spill I/O is multiplied by the cascade depth. Kept for the
-// -exp merge ablation and as a reference implementation.
-func (s *Sorter) externalFinalizeCascade() error {
-	queue := make([]uint32, len(s.runs))
-	for i := range s.runs {
-		queue[i] = uint32(i)
-	}
-	if len(queue) == 0 {
-		return nil
-	}
-	mw := s.rec.Worker("merge")
-	msp := mw.Begin(obs.PhaseMerge)
-	defer msp.End()
-	for len(queue) > 1 {
-		a, b := s.runs[queue[0]], s.runs[queue[1]]
-		queue = queue[2:]
-		merged, err := s.mergeRunPair(a, b, mw)
-		if err != nil {
-			return err
-		}
-		queue = append(queue, merged.id)
-		if len(queue) > 1 {
-			// More merging ahead: push the result out of memory again.
-			if err := merged.spillTo(s, mw); err != nil {
-				return err
-			}
-		}
-	}
-	final := s.runs[queue[0]]
-	if final.spill != nil {
-		if err := final.unspill(s, mw); err != nil {
-			return err
-		}
-	}
-	s.setMergedResult(final.keys, final.tieBreak)
-	s.mergeStats.BytesMoved = uint64(len(final.keys))
-	return nil
-}
-
-// mergeRunPair loads two runs, merges their keys and payloads into a new
-// run (payload physically reordered, refs rewritten), registers it, and
-// releases the inputs. ow is the calling worker's trace lane.
-func (s *Sorter) mergeRunPair(a, b *sortedRun, ow *obs.Worker) (*sortedRun, error) {
-	for _, r := range []*sortedRun{a, b} {
-		if err := r.unspill(s, ow); err != nil {
-			return nil, err
-		}
-	}
-
-	_, cmp := s.mergeOrder(a.tieBreak || b.tieBreak, s.residentPayload)
-
-	mergedKeys := make([]byte, len(a.keys)+len(b.keys))
-	mergepath.ParallelMerge(mergedKeys,
-		mergepath.Run{Data: a.keys, Width: s.rowWidth},
-		mergepath.Run{Data: b.keys, Width: s.rowWidth},
-		cmp, s.opt.threads())
-
-	// Finalize already holds s.mu; run generation is over, so registering
-	// the merged run needs no further locking.
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: a.tieBreak || b.tieBreak}
-	s.runs = append(s.runs, merged)
-
-	// Reorder both payloads into the merged run with the batched permute:
-	// decode every reference once, rewrite it to the merged run, then move
-	// the rows (and compact the string heaps) with the typed kernels.
-	n := len(mergedKeys) / s.rowWidth
-	payloads := make([]*row.RowSet, len(s.runs))
-	for i, r := range s.runs {
-		payloads[i] = r.payload
-	}
-	which := make([]uint32, n)
-	idxs := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		keyRow := mergedKeys[i*s.rowWidth : (i+1)*s.rowWidth]
-		which[i], idxs[i] = s.getRef(keyRow)
-		s.putRef(keyRow, merged.id, uint32(i))
-	}
-	payload := s.getRowSet()
-	payload.Reserve(n)
-	payload.AppendRowsGather(payloads, which, idxs)
-	merged.keys = mergedKeys
-	merged.payload = payload
-	merged.rows = n
-	s.prog.RowsMerged.Add(int64(n))
-	s.runRes.Grow(runBytes(merged))
-
-	// Release the inputs into the pools.
-	s.releaseRun(a)
-	s.releaseRun(b)
-	return merged, nil
 }

@@ -1,0 +1,492 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+
+	"rowsort/internal/mem"
+	"rowsort/internal/vector"
+	"rowsort/internal/workload"
+)
+
+// spilledSorter ingests tbl through a single sink with every run kept in
+// memory, then spills by hand the runs spill selects — front-coded (RSB3
+// files) when opt.Adaptive says so — and finalizes. The runs are those of an
+// in-memory sort under the same options, so its oracle is this sort's too.
+// The caller closes the sorter.
+func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, spill func(run int) bool) *Sorter {
+	t.Helper()
+	s, err := NewSorter(tbl.Schema, keys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range s.runs {
+		if r.spill != nil {
+			t.Fatalf("run %d spilled during ingest", i)
+		}
+		if r.frontCode = opt.Adaptive; spill(i) {
+			if err := s.spillRun(r, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func allRuns(int) bool { return true }
+
+// within runs f on its own goroutine and fails the test, with every
+// goroutine's stack, if it has not returned in time: a hung merge must not
+// hang the suite.
+func within(t *testing.T, ctx string, limit time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: not done after %v\n%s", ctx, limit, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestSpilledRowsGridByteIdentity is the byte-identity bar of the merge over
+// spilled runs: whatever the worker count, the block size, the file format
+// and which runs are on disk, Rows yields the rows the scalar-merge oracle
+// yields for the same runs in memory — compared as rows, since a task's last
+// chunk may be short — across run counts on both sides of a power of two,
+// merges with and without the tie-break comparator, and unique,
+// duplicate-heavy and all-equal keys (where every fence ties, and the plan
+// must degrade to one task).
+func TestSpilledRowsGridByteIdentity(t *testing.T) {
+	const n = 3*vector.DefaultVectorSize + 17
+	sorts, tasks, frontCoded := 0, int64(0), int64(0)
+	for _, runs := range []int{1, 2, 3, 16, 17} {
+		// A sink cuts a run at the first chunk boundary at or past RunSize: a
+		// run is a whole number of chunks, about n/runs rows together.
+		chunks := ((n+runs-1)/runs + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
+		chunkRows := ((n+runs-1)/runs + chunks - 1) / chunks
+		perRun := chunks * chunkRows
+		tables := [len(drainKeyNames)]*vector.Table{}
+		for dist := range tables {
+			tables[dist] = drainTable(n, chunkRows, dist, uint64(n+runs))
+		}
+		for _, tieBreak := range []bool{false, true} {
+			for dist, tbl := range tables {
+				for _, adaptive := range []bool{false, true} {
+					keys := drainKeys(tieBreak)
+					base := Options{Threads: 1, RunSize: perRun, Adaptive: adaptive}
+					mem0 := finalizedSorter(t, tbl, keys, base)
+					if len(mem0.runs) != runs {
+						t.Fatalf("%d runs generated, want %d", len(mem0.runs), runs)
+					}
+					want := rowify(t, oracleResult(t, mem0)).Bytes()
+					mem0.Close()
+					// One block a run, the default, one that leaves a ragged
+					// last block, and blocks of a few rows.
+					for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
+						check := func(ctx string, opt Options, spill func(int) bool) {
+							opt.RunSize, opt.Adaptive, opt.SpillBlockRows = perRun, adaptive, blockRows
+							s := spilledSorter(t, tbl, keys, opt, spill)
+							ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v adaptive=%v block=%d threads=%d",
+								ctx, runs, drainKeyNames[dist], tieBreak, adaptive, blockRows, opt.Threads)
+							got := drainAll(t, s)
+							if !bytes.Equal(rowify(t, got).Bytes(), want) {
+								t.Fatalf("%s: rows differ from the oracle's", ctx)
+							}
+							st := s.Stats()
+							if st.SpillBytesRead != st.SpillBytesWritten {
+								t.Fatalf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
+							}
+							if dist == keysAllEqual && st.ExtMergeParts != 1 {
+								t.Fatalf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, st.ExtMergeParts)
+							}
+							sorts++
+							tasks += st.ExtMergeParts
+							frontCoded += st.SpillBlocksFrontCoded
+							if err := s.Close(); err != nil {
+								t.Fatalf("%s: %v", ctx, err)
+							}
+						}
+						threads := []int{1, 2, 4, 8}
+						if adaptive {
+							threads = []int{1, 4}
+						}
+						for _, th := range threads {
+							check("all spilled", Options{Threads: th}, allRuns)
+						}
+						check("mixed, budgeted", Options{Threads: 2, Broker: mem.NewBroker("grid", 1<<30)},
+							func(run int) bool { return run%2 == 1 || runs == 1 })
+					}
+				}
+			}
+		}
+	}
+	if tasks < 4*int64(sorts) || frontCoded == 0 {
+		t.Errorf("%d sorts ran %d tasks and wrote %d front-coded blocks: the grid missed what it is for", sorts, tasks, frontCoded)
+	}
+}
+
+// TestSpilledDrainSurvivesSkew is the case the demand read exists for: every
+// block of one run lies between two consecutive fences of the other, past
+// the last key of the block before them. The forecast — which orders blocks
+// by their first key — wants all of the dense run's blocks before the wide
+// run's next one; the merge cannot emit a dense row until it has seen that
+// one. With the stage at its smallest the drain must still finish.
+func TestSpilledDrainSurvivesSkew(t *testing.T) {
+	const perRun, blockRows = 4096, 16
+	schema := vector.Schema{{Name: "k", Type: vector.Int64}}
+	tbl := vector.NewTable(schema)
+	for run := 0; run < 2; run++ {
+		for start := 0; start < perRun; start += vector.DefaultVectorSize {
+			c := vector.NewChunk(schema, vector.DefaultVectorSize)
+			for i := start; i < start+vector.DefaultVectorSize; i++ {
+				k := int64(i) * 1_000_000 // the wide run: a block spans 16,000,000
+				if run == 1 {
+					k = 31_000_001 + int64(i) // the dense run: all between the wide run's second block and its third
+				}
+				c.Vectors[0].AppendInt64(k)
+			}
+			tbl.Chunks = append(tbl.Chunks, c)
+		}
+	}
+	keys := []SortColumn{{Column: 0}}
+	mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
+	want := rowify(t, oracleResult(t, mem0)).Bytes()
+	mem0.Close()
+	for _, threads := range []int{1, 4} {
+		for _, readAhead := range []int{-1, 1} {
+			ctx := fmt.Sprintf("threads=%d readahead=%d", threads, readAhead)
+			s := spilledSorter(t, tbl, keys, Options{Threads: threads, RunSize: perRun,
+				SpillBlockRows: blockRows, ReadAhead: readAhead}, allRuns)
+			var got *vector.Table
+			var err error
+			within(t, ctx, 30*time.Second, func() { got, err = s.Result() })
+			if err != nil || !bytes.Equal(rowify(t, got).Bytes(), want) {
+				t.Errorf("%s: rows differ from the oracle's (%v)", ctx, err)
+			}
+			if err := s.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// sixteenSpilledRuns is a sort of sixteen runs of sixteen blocks each, all on
+// disk: sixteen tasks or so.
+func sixteenSpilledRuns(t testing.TB, opt Options) (*Sorter, *vector.Table) {
+	const perRun, blockRows = 8 * vector.DefaultVectorSize, 1024
+	tbl := workload.CatalogSales(16*perRun, 10, 17)
+	opt.RunSize, opt.SpillBlockRows = perRun, blockRows
+	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, allRuns)
+	if len(s.runs) != 16 || s.runs[0].spill.numBlocks() != 16 {
+		t.Fatalf("%d runs of %d blocks", len(s.runs), s.runs[0].spill.numBlocks())
+	}
+	return s, tbl
+}
+
+// decodedBlocks counts the blocks a stage has read so far.
+func decodedBlocks(st *blockStage) (n int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := range st.runs {
+		for b := range st.runs[i].blocks {
+			if st.runs[i].blocks[b].state != blockPending {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSpilledRowsMergesLazily pins the mechanism: Finalize of a sort whose
+// runs are on disk reads and merges nothing, and when the first chunk is out
+// no more blocks have been read than the stage may hold — the first chunk
+// waited for one block of each run, not for the merge — with no more
+// goroutines running than the workers and the stage's one.
+func TestSpilledRowsMergesLazily(t *testing.T) {
+	for _, threads := range []int{1, 2} {
+		s, _ := sixteenSpilledRuns(t, Options{Threads: threads})
+		defer s.Close()
+		if st := s.Stats(); st.SpillBytesRead != 0 || s.prog.RowsMerged.Load() != 0 || st.Merge.Comparisons != 0 {
+			t.Fatalf("threads=%d: Finalize read %d spill bytes and merged %d rows", threads, st.SpillBytesRead, s.prog.RowsMerged.Load())
+		}
+		base := runtime.NumGoroutine()
+		it, err := s.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := it.Next(); err != nil || c == nil {
+			t.Fatalf("first chunk: %v, %v", c, err)
+		}
+		st := it.d.stage
+		// A block of each run for each task begun, and the forecast's rows.
+		if n, most := decodedBlocks(st), 16*threads+st.limit/1024; n < 16 || n > most || most > 16*16/2 {
+			t.Errorf("threads=%d: %d of 256 blocks read when the first chunk returned; want one a run at least, at most %d",
+				threads, n, most)
+		}
+		if merged, window := s.prog.RowsMerged.Load(), int64(drainWindowPerThread*threads*drainTaskRows); merged == 0 || merged > window {
+			t.Errorf("threads=%d: %d rows merged when the first chunk returned; want at most the window's %d", threads, merged, window)
+		}
+		if extra, most := runtime.NumGoroutine()-base, threads+1; extra > most || (threads == 1 && extra != 1) {
+			t.Errorf("threads=%d: %d goroutines more than before Rows; want the stage's, and a worker a thread beyond one", threads, extra)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, fmt.Sprintf("threads=%d", threads), base)
+	}
+}
+
+// TestSpilledDrainReadsEachBlockOnce pins the read amplification at 1: a
+// block that straddles a task boundary is decoded once and handed to both
+// tasks, whatever the worker count.
+func TestSpilledDrainReadsEachBlockOnce(t *testing.T) {
+	for _, threads := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 2; rep++ {
+			s, tbl := sixteenSpilledRuns(t, Options{Threads: threads})
+			if out := drainAll(t, s); out.NumRows() != tbl.NumRows() {
+				t.Fatalf("drained %d of %d rows", out.NumRows(), tbl.NumRows())
+			}
+			st := s.Stats()
+			if st.SpillBytesRead != st.SpillBytesWritten || st.SpillBytesWritten == 0 {
+				t.Errorf("threads=%d: read %d spill bytes, wrote %d", threads, st.SpillBytesRead, st.SpillBytesWritten)
+			}
+			if st.ExtMergeParts < 8 || st.MergeFanIn != 16 || st.Merge.BytesMoved != 0 {
+				t.Errorf("threads=%d: %d tasks, fan-in %d, %d key bytes moved", threads, st.ExtMergeParts, st.MergeFanIn, st.Merge.BytesMoved)
+			}
+			if left := spillFiles(t, s.spillTmpDir); len(left) != 0 {
+				t.Errorf("threads=%d: %d spill files left by a drain that ran to the end", threads, len(left))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSpilledSortHoldsNoOutput pins what the lazy merge saves a spilled sort:
+// Finalize and the drain hold no more than the stage's blocks — the peak stays
+// run generation's — and allocate the blocks they read and the chunks they
+// return, not a merged key array (rows x rowWidth bytes) nor a second copy
+// of the payload.
+func TestSpilledSortHoldsNoOutput(t *testing.T) {
+	const perRun, blockRows = 8 * vector.DefaultVectorSize, 1024
+	tbl := workload.CatalogSales(16*perRun, 10, 18)
+	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
+	s, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: perRun, SpillBlockRows: blockRows, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rungenPeak := s.broker.Peak()
+	mergedKeys := uint64(tbl.NumRows() * s.rowWidth)
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	out := drainAll(t, s)
+	runtime.ReadMemStats(&m1)
+	if out.NumRows() != tbl.NumRows() {
+		t.Fatalf("drained %d rows, want %d", out.NumRows(), tbl.NumRows())
+	}
+
+	st := s.Stats()
+	blockBytes := st.SpillBytesWritten / (16 * 16)
+	if most := rungenPeak + 16*2*blockBytes; st.PeakResidentRunBytes > most {
+		t.Errorf("peak %d bytes; run generation's was %d and the stage holds two blocks a run of about %d each",
+			st.PeakResidentRunBytes, rungenPeak, blockBytes)
+	}
+	outBytes := uint64(rowify(t, out).MemSize())
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("Finalize and the drain allocated %d bytes: %d of blocks read, about %d of output; a merged key array is %d",
+		alloc, st.SpillBytesRead, outBytes, mergedKeys)
+	if most := uint64(st.SpillBytesRead) + 2*outBytes + mergedKeys/2; alloc > most {
+		t.Errorf("Finalize and the drain allocated %d bytes, want at most %d: is the output materialised again?", alloc, most)
+	}
+}
+
+// spillFaults are ways a spill file can be bad by the time it is read back.
+// Each damages block b of the run's file, whose index is sf, and reports
+// whether the fault applies to the file's format.
+var spillFaults = []struct {
+	name  string
+	apply func(t *testing.T, s *Sorter, sf *spillFile, b int)
+}{
+	{"truncated", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
+		if err := os.Truncate(sf.path, sf.offs[b]+int64(s.rowWidth)+3); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"bad tag byte", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
+		overwrite(t, sf.path, sf.offs[b], []byte{7})
+	}},
+	{"short payload", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
+		// The payload's row count, one short: past the tag byte and the raw
+		// key rows of a block the front coding did not shrink.
+		rows := min(sf.blockRows, s.runs[0].rows-b*sf.blockRows)
+		var n [4]byte
+		binary.LittleEndian.PutUint32(n[:], uint32(rows-1))
+		overwrite(t, sf.path, sf.offs[b]+1+int64(rows*s.rowWidth)+4, n[:])
+	}},
+	{"deleted", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
+		if err := os.Remove(sf.path); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
+
+func overwrite(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// faultySorter is a sort of eight spilled runs of eight tagged (RSB3) blocks
+// of raw key rows — unique keys do not front-code — and the directory they
+// are in.
+func faultySorter(t *testing.T, threads int) (*Sorter, string) {
+	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
+	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
+	s := spilledSorter(t, tbl, drainKeys(false), Options{Threads: threads, RunSize: perRun,
+		SpillBlockRows: blockRows, Adaptive: true}, allRuns)
+	if st := s.Stats(); len(s.runs) != 8 || st.SpillBlocksFrontCoded != 0 {
+		t.Fatalf("%d runs, %d front-coded blocks", len(s.runs), st.SpillBlocksFrontCoded)
+	}
+	return s, s.spillTmpDir
+}
+
+// noLeaks checks what every end of a spilled sort must leave behind: no
+// goroutine, no file, no broker byte.
+func noLeaks(t *testing.T, ctx string, s *Sorter, dir string, base int) {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Errorf("%s: Sorter.Close: %v", ctx, err)
+	}
+	waitGoroutines(t, ctx, base)
+	if left := spillFiles(t, dir); len(left) != 0 {
+		t.Errorf("%s: %d spill files left after Close", ctx, len(left))
+	}
+	if used := s.broker.Used(); used != 0 {
+		t.Errorf("%s: broker holds %d bytes after Close", ctx, used)
+	}
+}
+
+// TestSpilledDrainFaults damages or deletes one run's file between Finalize
+// and Rows: whichever block, whichever fault, inline or with workers, the
+// sort ends in an error returned from Rows or Next — never a short or wrong
+// result, never a hang — and leaks nothing.
+func TestSpilledDrainFaults(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		for _, fault := range spillFaults {
+			for _, b := range []int{0, 3, 7} {
+				ctx := fmt.Sprintf("threads=%d %s block %d", threads, fault.name, b)
+				base := runtime.NumGoroutine()
+				s, dir := faultySorter(t, threads)
+				fault.apply(t, s, s.runs[5].spill, b)
+				within(t, ctx, 30*time.Second, func() {
+					rows := 0
+					it, err := s.Rows()
+					for err == nil {
+						var c *vector.Chunk
+						if c, err = it.Next(); c == nil {
+							break
+						}
+						rows += c.Len()
+					}
+					if err == nil {
+						t.Errorf("%s: the drain returned %d rows and no error", ctx, rows)
+					}
+					if it != nil {
+						if cerr := it.Close(); cerr != err {
+							t.Errorf("%s: Close returned %v, Next %v", ctx, cerr, err)
+						}
+					}
+				})
+				noLeaks(t, ctx, s, dir, base)
+			}
+		}
+	}
+}
+
+// TestSpilledDrainAbandoned closes the iterator over spilled runs mid-task,
+// and the sorter under a live iterator: both leak nothing, the iterator is
+// single-use either way, and one the sorter was closed under fails.
+func TestSpilledDrainAbandoned(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		for _, closeSorter := range []bool{false, true} {
+			ctx := fmt.Sprintf("threads=%d sorter closed first=%v", threads, closeSorter)
+			base := runtime.NumGoroutine()
+			s, dir := faultySorter(t, threads)
+			it, err := s.Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if c, err := it.Next(); err != nil || c == nil {
+					t.Fatalf("%s: chunk %d: %v, %v", ctx, i, c, err)
+				}
+			}
+			if closeSorter {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				within(t, ctx, 30*time.Second, func() {
+					for err == nil {
+						_, err = it.Next()
+					}
+				})
+				if err != errSorterClosed {
+					t.Errorf("%s: Next under a closed sorter: %v", ctx, err)
+				}
+			}
+			if cerr := it.Close(); cerr != err {
+				t.Errorf("%s: Close returned %v, want %v", ctx, cerr, err)
+			}
+			if _, err := s.Rows(); err == nil {
+				t.Errorf("%s: a second Rows over spilled runs succeeded", ctx)
+			}
+			noLeaks(t, ctx, s, dir, base)
+		}
+	}
+}

@@ -63,17 +63,17 @@ type SortStats struct {
 	// written front-coded (adaptive sorts; blocks that would not shrink
 	// stay raw and are not counted).
 	SpillBlocksFrontCoded int64
-	// SpillBytesWritten and SpillBytesRead account spill-file I/O. The
-	// sequential streaming merge reads every spilled byte exactly once, so
-	// there read equals written; the partitioned parallel final merge
-	// re-reads each run's boundary blocks (read slightly exceeds written),
-	// and multi-pass and cascaded merges re-spill intermediates and read a
-	// multiple.
+	// SpillBytesWritten and SpillBytesRead account spill-file I/O. A merge
+	// reads every byte of its runs exactly once, whatever its task and
+	// worker count (a block that straddles two tasks is decoded once and
+	// handed to both), so after a result drained to its end read equals
+	// written; multi-pass merges re-spill intermediates, and both count
+	// those too. Without passes nothing is read before Rows.
 	SpillBytesWritten int64
 	SpillBytesRead    int64
-	// SpillFilesRemoved counts spill files successfully deleted (during the
-	// streaming merge and by Close); SpillRemoveErrors counts failed
-	// removal attempts, whose errors Close also returns.
+	// SpillFilesRemoved counts spill files successfully deleted (by the
+	// merges, as they finish with them, and by Close); SpillRemoveErrors
+	// counts failed removal attempts, whose errors Close also returns.
 	SpillFilesRemoved int64
 	SpillRemoveErrors int64
 	// GatherBytesMoved is the fixed-width payload row bytes moved by result
@@ -95,14 +95,16 @@ type SortStats struct {
 	// Finalize merged plus what the result iterator did — the latest one;
 	// iterating an in-memory sort again replaces its share, and an iterator
 	// closed early reports what it merged. Merge.BytesMoved counts key rows
-	// a merge copied (external merges, the cascade arm): the in-memory merge
-	// hands payload references straight to the gather, so it reports 0.
+	// a merge copied (intermediate passes, the cascade arm): the final merge
+	// hands payload references straight to the gather, over runs in memory
+	// and over spilled ones alike, so a sort without passes reports 0.
 	Merge mergepath.Stats
-	// PrefetchedBlocks counts spill blocks decoded by read-ahead goroutines;
-	// PrefetchHits counts merge block requests served from the read-ahead
-	// queue without blocking (hits/prefetched is the read-ahead hit rate);
-	// MergeStall is the total time the merge spent blocked waiting for a
-	// block that was not decoded yet. All zero with ReadAhead disabled.
+	// PrefetchedBlocks counts spill blocks decoded through a read-ahead
+	// block stage; PrefetchHits counts those already decoded when a merge
+	// first asked for them (hits/prefetched is the read-ahead hit rate);
+	// MergeStall is the total time merges spent without a block they asked
+	// for — decoding it themselves, or waiting for whoever was. All zero
+	// with ReadAhead disabled.
 	PrefetchedBlocks int64
 	PrefetchHits     int64
 	MergeStall       time.Duration
@@ -115,14 +117,15 @@ type SortStats struct {
 	MergePassRuns  int64
 	MergePassBytes int64
 	MergeFanIn     int64
-	// ExtMergeParts is the partitioned external merge's worker count (0 =
-	// the final merge ran sequentially or in memory).
+	// ExtMergeParts is the fence-cut tasks the final merge of spilled runs
+	// was claimed in by the latest result iterator (0 = nothing was merged
+	// from disk; 1 under a budget, or when every fence ties).
 	ExtMergeParts int64
 	// DurRunGen, DurMerge and DurGather are the wall-clock durations of the
 	// three sequential pipeline stages: first Append to Finalize (run
-	// generation, including spill writes), Finalize itself (the eager merge
-	// of spilled runs; near zero in memory, where the merge is fused into
-	// the next stage and its busy time sits under Phases), and the result
+	// generation, including spill writes), Finalize itself (a budgeted sort's
+	// fan-in-reducing passes; otherwise near zero, since the final merge is
+	// fused into the next stage and its busy time sits under Phases), and the result
 	// iterators from Rows to exhaustion or Close. DurTotal spans first
 	// Append to the end of Result, so the three stages sum to DurTotal up to
 	// the caller's time between stages.
@@ -325,7 +328,7 @@ func (st SortStats) String() string {
 	if st.MergeFanIn > 0 {
 		fan := fmt.Sprintf("%d-way", st.MergeFanIn)
 		if st.ExtMergeParts > 0 {
-			fan += fmt.Sprintf(" x %d partitions", st.ExtMergeParts)
+			fan += fmt.Sprintf(" in %d tasks", st.ExtMergeParts)
 		}
 		row("final merge", fan)
 	}
@@ -382,14 +385,14 @@ func (st SortStats) WritePrometheus(w io.Writer) error {
 	counter("rowsort_merge_ovc_hits_total", "Matches decided by offset-value codes alone.", float64(st.Merge.OVCHits))
 	counter("rowsort_merge_tie_breaks_total", "Matches resolved by the tie-break comparator.", float64(st.Merge.TieBreaks))
 	counter("rowsort_merge_dup_run_hits_total", "Merge steps decided by the duplicate-run fast path.", float64(st.Merge.DupRunHits))
-	counter("rowsort_prefetch_blocks_total", "Spill blocks decoded by read-ahead goroutines.", float64(st.PrefetchedBlocks))
-	counter("rowsort_prefetch_hits_total", "Merge block requests served without blocking.", float64(st.PrefetchHits))
+	counter("rowsort_prefetch_blocks_total", "Spill blocks decoded through a read-ahead block stage.", float64(st.PrefetchedBlocks))
+	counter("rowsort_prefetch_hits_total", "Spill blocks already decoded when a merge first asked.", float64(st.PrefetchHits))
 	gauge("rowsort_merge_stall_seconds", "Time the merge spent waiting for spill blocks.", st.MergeStall.Seconds())
 	counter("rowsort_merge_passes_total", "Intermediate fan-in-reducing merge passes.", float64(st.MergePasses))
 	counter("rowsort_merge_pass_runs_total", "Input runs consumed by intermediate merge passes.", float64(st.MergePassRuns))
 	counter("rowsort_merge_pass_bytes_total", "Bytes rewritten to disk by intermediate merge passes.", float64(st.MergePassBytes))
 	gauge("rowsort_merge_fan_in", "The final external merge's fan-in (0 = none ran).", float64(st.MergeFanIn))
-	gauge("rowsort_ext_merge_partitions", "Partitioned external merge worker count (0 = sequential).", float64(st.ExtMergeParts))
+	gauge("rowsort_ext_merge_partitions", "Tasks the final merge of spilled runs was claimed in (0 = none ran).", float64(st.ExtMergeParts))
 	gauge("rowsort_stage_run_generation_seconds", "Wall time of the run-generation stage.", st.DurRunGen.Seconds())
 	gauge("rowsort_stage_merge_seconds", "Wall time of the merge stage.", st.DurMerge.Seconds())
 	gauge("rowsort_stage_gather_seconds", "Wall time of the materialization stage.", st.DurGather.Seconds())

@@ -13,21 +13,20 @@ import (
 )
 
 // spillSortStats runs a spilling multi-run sort with telemetry and returns
-// its stats. It pins the scalar external path (no read-ahead, sequential
-// final merge) so the strict invariants below — every spilled byte read
-// exactly once, decode time on the spill-read phase — stay checkable; the
-// pipelined and partitioned paths have their own tests in parallel_test.go.
+// its stats. It pins the synchronous external path (no read-ahead) so the
+// strict invariant below — decode time on the spill-read phase — stays
+// checkable; the read-ahead stage has its own tests in parallel_test.go and
+// spilldrain_test.go.
 func spillSortStats(t *testing.T, rows int) SortStats {
 	t.Helper()
 	tbl := workload.CatalogSales(rows, 10, 7)
 	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
 	opt := Options{
-		Threads:         2,
-		RunSize:         max(1, rows/8),
-		SpillDir:        t.TempDir(),
-		Telemetry:       obs.NewRecorder(),
-		ReadAhead:       -1,
-		ExtMergeThreads: 1,
+		Threads:   2,
+		RunSize:   max(1, rows/8),
+		SpillDir:  t.TempDir(),
+		Telemetry: obs.NewRecorder(),
+		ReadAhead: -1,
 	}
 	out, st, err := SortTableStats(tbl, keys, opt)
 	if err != nil {
@@ -125,8 +124,9 @@ func TestSortStatsWithoutTelemetry(t *testing.T) {
 
 func TestUnifiedStatsCoverMergeAndSpill(t *testing.T) {
 	// Stats() is the sorter's single telemetry surface (the MergeStats and
-	// SpillStats accessors are gone): after an external finalize it must
-	// carry both the merge counters and the spill byte accounting.
+	// SpillStats accessors are gone): after an external sort's result is
+	// drained it must carry both the merge counters and the spill byte
+	// accounting — the merge of spilled runs is the iterator's.
 	tbl := workload.CatalogSales(10_000, 10, 7)
 	keys := []SortColumn{{Column: 0}, {Column: 1}}
 	s, err := NewSorter(tbl.Schema, keys, Options{Threads: 2, RunSize: 1 << 10, SpillDir: t.TempDir()})
@@ -146,9 +146,15 @@ func TestUnifiedStatsCoverMergeAndSpill(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+	if st := s.Stats(); st.Merge.Comparisons != 0 || st.SpillBytesRead != 0 {
+		t.Errorf("Finalize merged or read: %+v, %d spill bytes read", st.Merge, st.SpillBytesRead)
+	}
+	if out, err := s.Result(); err != nil || out.NumRows() != tbl.NumRows() {
+		t.Fatalf("Result: %v", err)
+	}
 	st := s.Stats()
-	if st.Merge.Comparisons == 0 || st.Merge.BytesMoved == 0 {
-		t.Errorf("merge counters missing from Stats(): %+v", st.Merge)
+	if st.Merge.Comparisons == 0 || st.Merge.BytesMoved != 0 {
+		t.Errorf("merge counters of a lazily merged spilled sort: %+v; want comparisons, and no key bytes moved", st.Merge)
 	}
 	if st.SpillBytesWritten == 0 || st.SpillBytesRead != st.SpillBytesWritten {
 		t.Errorf("spill accounting off: written %d, read %d (want equal, nonzero)",

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -185,6 +186,52 @@ func TestLimitAbandonsInMemorySortEarly(t *testing.T) {
 	if c.RowsGathered == 0 || c.RowsGathered > rows/2 || c.RowsMerged > rows/2 {
 		t.Errorf("LIMIT 10 merged %d and gathered %d of %d rows; want some, and well under all",
 			c.RowsMerged, c.RowsGathered, rows)
+	}
+}
+
+// TestLimitAbandonsSpilledSortEarly is the same LIMIT over a sort whose 16
+// runs are on disk: the merge runs inside the result iterator there too, so
+// the ten rows cost the first blocks of each run and what the stage read
+// ahead — two blocks a run — not the runs; closing the plan stops the stage
+// and removes every file.
+func TestLimitAbandonsSpilledSortEarly(t *testing.T) {
+	const runs, perRun, blockRows = 16, 1 << 14, 1 << 10
+	tbl := workload.UniformInt64s(runs*perRun, 53)
+	keys := []core.SortColumn{{Column: 0}}
+	reg := obs.NewRegistry(4)
+	dir := t.TempDir()
+	base := runtime.NumGoroutine()
+	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 1, RunSize: perRun,
+		SpillBlockRows: blockRows, SpillDir: dir, Registry: reg}), 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 10 {
+		t.Fatalf("limit rows = %d", out.NumRows())
+	}
+	k := out.Column(0)
+	for i := 1; i < k.Len(); i++ {
+		if k.Value(i).(int64) < k.Value(i-1).(int64) {
+			t.Fatal("limited sort is not sorted")
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the plan closed, %d before it opened", runtime.NumGoroutine(), base)
+		}
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("%d spill files left after the plan closed (%v)", len(left), err)
+	}
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 || !snaps[0].Done {
+		t.Fatalf("registry holds %d runs, want the one finished sort", len(snaps))
+	}
+	c := snaps[0].Counters
+	if c.RunsGenerated != runs || c.PrefetchedBlocks < runs || c.PrefetchedBlocks > 2*runs ||
+		c.SpillBytesRead > c.SpillBytesWritten/4 || c.RowsMerged > perRun {
+		t.Errorf("LIMIT 10 over %d spilled runs read %d blocks (%d of %d spill bytes) and merged %d rows; want at most two blocks a run",
+			c.RunsGenerated, c.PrefetchedBlocks, c.SpillBytesRead, c.SpillBytesWritten, c.RowsMerged)
 	}
 }
 

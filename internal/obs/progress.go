@@ -17,12 +17,12 @@ const (
 	// StageRunGen covers ingestion and thread-local run sorting (including
 	// eager and pressure-driven spill writes).
 	StageRunGen
-	// StageMerge covers Finalize: the k-way merge, including intermediate
-	// fan-in-reducing passes and spill reads.
+	// StageMerge covers Finalize: planning the final merge and, for a
+	// budgeted sort, the intermediate fan-in-reducing passes with their
+	// spill reads.
 	StageMerge
 	// StageGather covers result materialization (Result or the Rows
-	// iterator, which for budgeted sorts also runs the deferred final
-	// merge).
+	// iterator), which runs the final merge, spill reads included.
 	StageGather
 	// StageDone is a closed run; its final stats snapshot is frozen.
 	StageDone

@@ -1,6 +1,8 @@
 package row
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,6 +141,56 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 				}
 			}
 			r++
+		}
+	}
+}
+
+// TestViewRowSetRoundTrip serializes a set and views it back in place: the
+// same rows, values and strings, aliasing the buffer; and anything that is
+// not exactly one serialized set — cut short, padded, a row count that does
+// not match its bytes — is an error, not a set.
+func TestViewRowSetRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	layout := NewLayout(allTypes)
+	rs := NewRowSet(layout)
+	if err := rs.AppendChunk(buildRandomChunk(allTypes, 200, 0.2, rng)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rs.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	view, err := ViewRowSet(raw, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Len() != rs.Len() || !bytes.Equal(view.Bytes(), rs.Bytes()) {
+		t.Fatalf("viewed %d rows, want %d with the same bytes", view.Len(), rs.Len())
+	}
+	want, got := rs.GatherChunk(0, rs.Len()), view.GatherChunk(0, view.Len())
+	for c := range allTypes {
+		for i := 0; i < rs.Len(); i++ {
+			if want[c].Value(i) != got[c].Value(i) {
+				t.Fatalf("row %d col %d: got %v, want %v", i, c, got[c].Value(i), want[c].Value(i))
+			}
+		}
+	}
+	if &view.Bytes()[0] != &raw[20] {
+		t.Error("the view copied its rows")
+	}
+
+	short := bytes.Clone(raw)
+	binary.LittleEndian.PutUint32(short[4:], uint32(rs.Len()-1))
+	for name, bad := range map[string][]byte{
+		"no header":       raw[:10],
+		"cut short":       raw[:len(raw)-1],
+		"padded":          append(bytes.Clone(raw), 0),
+		"bad magic":       append([]byte{0}, raw[1:]...),
+		"row count short": short,
+	} {
+		if _, err := ViewRowSet(bad, layout); err == nil {
+			t.Errorf("%s: viewed without an error", name)
 		}
 	}
 }

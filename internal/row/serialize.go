@@ -30,29 +30,30 @@ func (rs *RowSet) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadRowSet deserializes a row set written by WriteTo, using the given
-// layout (which must match the writer's).
-func ReadRowSet(r io.Reader, layout *Layout) (*RowSet, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("row: reading header: %w", err)
+// ViewRowSet decodes a row set serialized by WriteTo from buf, which must
+// hold exactly that, using the given layout (which must match the writer's).
+// Nothing is copied: the set's rows and heap alias buf, so a spill block read
+// in one piece is decoded where it landed. buf must not be written while the
+// set is in use, and the set must not be appended to.
+func ViewRowSet(buf []byte, layout *Layout) (*RowSet, error) {
+	const hdr = 20
+	if len(buf) < hdr {
+		return nil, fmt.Errorf("row: serialized row set of %d bytes has no header", len(buf))
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != serializeMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != serializeMagic {
 		return nil, fmt.Errorf("row: bad magic in serialized row set")
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dataLen := int(binary.LittleEndian.Uint64(hdr[8:]))
-	heapLen := int(binary.LittleEndian.Uint32(hdr[16:]))
-	if dataLen != n*layout.Width() {
+	n := int(binary.LittleEndian.Uint32(buf[4:]))
+	dataLen := binary.LittleEndian.Uint64(buf[8:])
+	heapLen := uint64(binary.LittleEndian.Uint32(buf[16:]))
+	if dataLen != uint64(n)*uint64(layout.Width()) {
 		return nil, fmt.Errorf("row: serialized data length %d does not match %d rows of width %d",
 			dataLen, n, layout.Width())
 	}
-	rs := &RowSet{layout: layout, n: n, data: make([]byte, dataLen), heap: make([]byte, heapLen)}
-	if _, err := io.ReadFull(r, rs.data); err != nil {
-		return nil, fmt.Errorf("row: reading rows: %w", err)
+	if dataLen+heapLen != uint64(len(buf)-hdr) {
+		return nil, fmt.Errorf("row: serialized row set holds %d bytes, its header says %d",
+			len(buf)-hdr, dataLen+heapLen)
 	}
-	if _, err := io.ReadFull(r, rs.heap); err != nil {
-		return nil, fmt.Errorf("row: reading heap: %w", err)
-	}
-	return rs, nil
+	end := hdr + int(dataLen)
+	return &RowSet{layout: layout, n: n, data: buf[hdr:end:end], heap: buf[end:]}, nil
 }
