@@ -344,31 +344,6 @@ func BenchmarkAblationRunSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAlgorithmChoice compares the paper's radix-by-default
-// run generation against forcing pdqsort (the Future Work heuristic
-// question).
-func BenchmarkAblationAlgorithmChoice(b *testing.B) {
-	for _, dist := range []workload.Dist{{Random: true, Name: "Random"}, {P: 0.9, Name: "Correlated0.90"}} {
-		cols := dist.Generate(1<<16, 4, 7)
-		tbl := workload.UintColumnsTable(cols)
-		keys := []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
-		for _, force := range []bool{false, true} {
-			name := dist.Name + "/radix"
-			if force {
-				name = dist.Name + "/pdqsort"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.SortTable(tbl, keys, core.Options{Threads: 2, ForcePdqsort: force}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationHybridPdq measures the Future Work hybrid: MSD radix
 // recursing into pdqsort for mid-size buckets.
 func BenchmarkAblationHybridPdq(b *testing.B) {

@@ -39,10 +39,6 @@
 // something live to look at:
 //
 //	sortbench -serve :6060
-//
-// The -json flag makes the trajectory experiment write its machine-readable
-// report (BENCH_sort.json) there; `benchdiff base.json new.json` compares
-// two such reports and fails on regression.
 package main
 
 import (
@@ -83,7 +79,6 @@ func run() int {
 		phases     = flag.Bool("phases", false, "print per-phase span tables after end-to-end experiments")
 		memLimit   = flag.Int64("mem", 0, "memory budget in bytes for the experiments' sorts (0 = unlimited; the \"memory\" experiment measures this single budget instead of its sweep)")
 		serve      = flag.String("serve", "", "serve the live observability plane (/debug/rowsort/, /metrics) on this address, e.g. :6060; without -exp, loops a forced-spill demo sort until interrupted")
-		jsonOut    = flag.String("json", "", "write the trajectory experiment's machine-readable report (BENCH_sort.json) to this file")
 	)
 	flag.Parse()
 
@@ -142,7 +137,6 @@ func run() int {
 		Seed:           *seed,
 		MemoryLimit:    *memLimit,
 		PhaseBreakdown: *phases,
-		BenchJSON:      *jsonOut,
 	}
 	if *traceFile != "" || *metrics != "" {
 		cfg.Telemetry = obs.NewRecorder()

@@ -46,10 +46,6 @@ type Config struct {
 	// over HTTP (cmd/sortbench -serve) exposes progress, ETA and metrics
 	// for every sort in flight. Nil costs nothing.
 	Registry *obs.Registry
-	// BenchJSON, when non-empty, is where the trajectory experiment writes
-	// its machine-readable report (the BENCH_sort.json the benchdiff
-	// comparator consumes). Other experiments ignore it.
-	BenchJSON string
 }
 
 // DefaultConfig returns the small-scale configuration.

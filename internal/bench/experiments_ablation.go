@@ -5,32 +5,11 @@ import (
 	"io"
 
 	"rowsort/internal/core"
-	"rowsort/internal/vector"
-	"rowsort/internal/workload"
 )
 
 func init() {
 	register("gather", "Ablation: Rows drain (final merge fused into the gather) — 1 thread vs parallel",
 		runGatherAblation)
-}
-
-// finalizedSorter ingests tbl through one sink and finalizes the sort, ready
-// to be drained.
-func finalizedSorter(tbl *vector.Table, keys []core.SortColumn, opt core.Options) (*core.Sorter, error) {
-	s, err := core.NewSorter(tbl.Schema, keys, opt)
-	if err != nil {
-		return nil, err
-	}
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	return s, s.Finalize()
 }
 
 // runGatherAblation isolates the final pipeline stage — the lazy Merge Path
@@ -43,22 +22,7 @@ func runGatherAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
 	}
-	for _, wl := range []struct {
-		name string
-		tbl  *vector.Table
-		keys []core.SortColumn
-	}{
-		{
-			name: "catalog_sales (integers, 4 keys)",
-			tbl:  workload.CatalogSales(cfg.counterRows(), 10, cfg.seed()),
-			keys: []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}},
-		},
-		{
-			name: "customer (strings, 2 keys)",
-			tbl:  workload.Customer(cfg.counterRows(), cfg.seed()),
-			keys: []core.SortColumn{{Column: 4}, {Column: 5}},
-		},
-	} {
+	for _, wl := range mergeWorkloads(cfg) {
 		t := &Table{
 			Title:  fmt.Sprintf("%s, %s rows", wl.name, Count(uint64(wl.tbl.NumRows()))),
 			Header: []string{"variant", "time"},
@@ -67,8 +31,8 @@ func runGatherAblation(w io.Writer, cfg Config) error {
 		// re-iterable, so each variant is re-measured on one finalized sorter.
 		runSize := max(1, wl.tbl.NumRows()/8)
 		for _, threads := range []int{1, cfg.threads()} {
-			s, err := finalizedSorter(wl.tbl, wl.keys, core.Options{Threads: threads, RunSize: runSize})
-			if err != nil {
+			s := ingestSorter(wl.tbl, wl.keys, core.Options{Threads: threads, RunSize: runSize}, false)
+			if err := s.Finalize(); err != nil {
 				return err
 			}
 			d := MedianTime(cfg.reps(), func() {

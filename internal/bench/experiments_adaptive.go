@@ -12,33 +12,27 @@ import (
 )
 
 func init() {
-	register("adaptive", "Adaptive strategy: static radix vs static pdqsort vs sampled planner",
+	register("adaptive", "Adaptive strategy: the static rule vs the sampled planner",
 		runAdaptive)
 }
 
-// runAdaptive is the strategy-planner ablation: workload shapes where the
-// run-sort crossover lands on different sides — nearly sorted (pdqsort's
+// runAdaptive compares the sorter's two run-sort rules on workload shapes
+// where the crossover lands on different sides — nearly sorted (pdqsort's
 // pattern detection wins), an adversarial sawtooth (locally sorted, globally
 // shuffled: the planner must NOT read it as presorted), uniform integers
 // (radix wins), a wide four-column key, and duplicate-heavy runs (the
-// grouped sort wins) — each sorted under a pinned static radix arm, a pinned
-// static pdqsort arm, and the sampled per-run planner. The planner's job is
-// to track the best static arm everywhere without being told which one that
-// is; the "run sorts" column shows what it chose, from the decision log.
+// grouped sort wins) — each sorted under the paper's static rule (radix
+// unless string prefixes may tie) and under the sampled per-run planner. The
+// planner's job is to beat the static rule where another kernel wins and
+// cost nothing where radix does; the "run sorts" column shows what each
+// chose, from the decision log.
 func runAdaptive(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
 	}
 	n := cfg.counterRows()
 	seed := cfg.seed()
-	arms := []struct {
-		name string
-		mod  func(*core.Options)
-	}{
-		{"static-radix", nil},
-		{"static-pdqsort", func(o *core.Options) { o.ForcePdqsort = true }},
-		{"adaptive", func(o *core.Options) { o.Adaptive = true }},
-	}
+	arms := []string{"static", "adaptive"}
 	col0 := []core.SortColumn{{Column: 0}}
 	wide := workload.UintColumnsTable(workload.Dist{Random: true}.Generate(n, 4, seed))
 	workloads := []struct {
@@ -60,15 +54,12 @@ func runAdaptive(w io.Writer, cfg Config) error {
 	for _, wl := range workloads {
 		t := &Table{
 			Title:  wl.name,
-			Header: []string{"arm", "time", "ns/row", "vs best static", "run sorts"},
+			Header: []string{"arm", "time", "ns/row", "vs static", "run sorts"},
 		}
 		opts := make([]core.Options, len(arms))
 		fns := make([]func(), len(arms))
 		for i, arm := range arms {
-			opts[i] = core.Options{Threads: cfg.threads()}
-			if arm.mod != nil {
-				arm.mod(&opts[i])
-			}
+			opts[i] = core.Options{Threads: cfg.threads(), Adaptive: arm == "adaptive"}
 			opt := opts[i]
 			fns[i] = func() {
 				if _, err := core.SortTable(wl.tbl, wl.keys, opt); err != nil {
@@ -92,13 +83,12 @@ func runAdaptive(w io.Writer, cfg Config) error {
 		for i, arm := range arms {
 			ratios := make([]float64, len(rounds[i]))
 			for r := range rounds[i] {
-				best := min(rounds[0][r], rounds[1][r])
-				ratios[r] = float64(best) / float64(rounds[i][r])
+				ratios[r] = float64(rounds[0][r]) / float64(rounds[i][r])
 			}
 			sort.Float64s(ratios)
 			med := MedianDuration(rounds[i])
 			nsPerRow := float64(med.Nanoseconds()) / float64(wl.tbl.NumRows())
-			t.AddRow(arm.name, Seconds(med), fmt.Sprintf("%.1f", nsPerRow),
+			t.AddRow(arm, Seconds(med), fmt.Sprintf("%.1f", nsPerRow),
 				fmt.Sprintf("%.2f", ratios[len(ratios)/2]), algos[i])
 		}
 		t.Render(w)

@@ -1,165 +1,139 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
 	"rowsort/internal/core"
+	"rowsort/internal/mergepath"
+	"rowsort/internal/normkey"
+	"rowsort/internal/radix"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
 
 func init() {
-	register("merge", "Ablation: merge phase — cascaded 2-way vs k-way loser tree vs offset-value coding",
+	register("merge", "Ablation: merge kernels — cascaded 2-way vs k-way loser tree vs offset-value coding",
 		runMergeAblation)
 }
 
-// mergeWorkloads are the two merge-phase inputs: wide integer keys (a
-// 20-byte normalized key, where offset-value coding skips the shared
-// prefixes the cascade re-compares every level) and string keys (where the
-// tie-break comparator rides along).
-func mergeWorkloads(cfg Config) []struct {
+// sortedKeyRuns encodes tbl's sort keys as normalized key rows at the
+// sorter's key-row stride (key bytes, then room for the payload reference)
+// and radix-sorts them in runs consecutive slices: what run generation
+// leaves the merge.
+func sortedKeyRuns(tbl *vector.Table, keys []core.SortColumn, runs int) ([]mergepath.Run, int, error) {
+	nkeys := make([]normkey.SortKey, len(keys))
+	for i, k := range keys {
+		nkeys[i] = normkey.SortKey{Column: k.Column, Type: tbl.Schema[k.Column].Type}
+	}
+	enc, err := normkey.NewEncoder(nkeys)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, kw := tbl.NumRows(), enc.Width()
+	rw := (kw + 8 + 7) &^ 7
+	rows := make([]byte, n*rw)
+	keyCols := make([]*vector.Vector, len(nkeys))
+	off := 0
+	for _, c := range tbl.Chunks {
+		for i, k := range nkeys {
+			keyCols[i] = c.Vectors[k.Column]
+		}
+		if _, err := enc.EncodeChunk(keyCols, rows[off:], rw, 0); err != nil {
+			return nil, 0, err
+		}
+		off += c.Len() * rw
+	}
+	perRun := (n + runs - 1) / runs * rw
+	var out []mergepath.Run
+	for from := 0; from < len(rows); from += perRun {
+		run := rows[from:min(from+perRun, len(rows))]
+		radix.Sort(run, rw, kw)
+		out = append(out, mergepath.Run{Data: run, Width: rw})
+	}
+	return out, kw, nil
+}
+
+// mergeWorkloads are the two merge-phase inputs: wide integer keys (a 20-byte
+// normalized key, where offset-value codes skip the shared prefixes a plain
+// tree re-compares at every match) and string keys with string payload.
+type mergeWorkload struct {
 	name string
 	tbl  *vector.Table
 	keys []core.SortColumn
-} {
-	return []struct {
-		name string
-		tbl  *vector.Table
-		keys []core.SortColumn
-	}{
-		{
-			name: "catalog_sales (integers, 4 keys)",
-			tbl:  workload.CatalogSales(cfg.counterRows(), 10, cfg.seed()),
-			keys: []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}},
-		},
-		{
-			name: "customer (strings, 2 keys)",
-			tbl:  workload.Customer(cfg.counterRows(), cfg.seed()),
-			keys: []core.SortColumn{{Column: 4}, {Column: 5}},
-		},
+}
+
+func mergeWorkloads(cfg Config) []mergeWorkload {
+	return []mergeWorkload{
+		{"catalog_sales (integers, 4 keys)", workload.CatalogSales(cfg.counterRows(), 10, cfg.seed()),
+			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}},
+		{"customer (strings, 2 keys)", workload.Customer(cfg.counterRows(), cfg.seed()),
+			[]core.SortColumn{{Column: 4}, {Column: 5}}},
 	}
 }
 
-// finalizeReady ingests tbl into a fresh sorter and stops right before
-// Finalize, so the merge phase (Finalize plus the drain of Rows the merge is
-// fused into) can be timed without run generation.
-func finalizeReady(tbl *vector.Table, keys []core.SortColumn, opt core.Options) *core.Sorter {
-	s, err := core.NewSorter(tbl.Schema, keys, opt)
-	if err != nil {
-		panic(err)
-	}
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			panic(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// runMergeAblation times the merge phase in isolation (run generation done;
-// Finalize and the drain of the result timed — in memory the tree arms merge
-// inside Rows, the cascade in Finalize, and all three pay the same gather)
-// under the three algorithms in memory over ~16 runs, and then under the two
-// tree arms streaming the same runs from disk (a sort with spilled runs has
-// no cascade). Cascade is the baseline the single-pass loser tree replaces;
-// the no-OVC arm isolates the tree shape from the coding.
+// runMergeAblation times the three merge kernels on the same ~16
+// radix-sorted key runs: the paper's cascaded 2-way Merge Path merge, the
+// k-way loser tree that replaces its log2(k) passes with one, and the tree
+// with offset-value coding, which the sorter runs (the cascade on the
+// configured threads, the trees on one: the sorter parallelises its tree by
+// cutting the output into tasks, not inside the kernel). One more row puts
+// the sorter's own merge phase next to them, streaming the same rows'
+// runs back from disk: Finalize, which only plans, plus the drain of the
+// result the merge is fused into.
 func runMergeAblation(w io.Writer, cfg Config) error {
 	if err := cfg.valid(); err != nil {
 		return err
 	}
 	for _, wl := range mergeWorkloads(cfg) {
 		rows := wl.tbl.NumRows()
-		runSize := max(1, rows/16)
+		runs, kw, err := sortedKeyRuns(wl.tbl, wl.keys, 16)
+		if err != nil {
+			return err
+		}
+		cmp := func(a, b []byte) int { return bytes.Compare(a[:kw], b[:kw]) }
+		dst := make([]byte, rows*runs[0].Width)
 
 		t := &Table{
-			Title: fmt.Sprintf("%s, %s rows, ~16 runs, in memory (threads=%d)",
-				wl.name, Count(uint64(rows)), cfg.threads()),
-			Header: []string{"merge", "time", "vs cascade", "compares", "ovc hits", "tie-breaks"},
+			Title: fmt.Sprintf("%s, %s rows, %d sorted key runs (threads=%d)",
+				wl.name, Count(uint64(rows)), len(runs), cfg.threads()),
+			Header: []string{"merge kernel", "time", "ns/row", "vs cascade"},
 		}
-		var baseTime, memTime time.Duration
-		for _, v := range []struct {
-			name string
-			algo core.MergeAlgo
+		var base time.Duration
+		for _, k := range []struct {
+			name  string
+			merge func()
 		}{
-			{"cascaded 2-way", core.MergeCascade},
-			{"k-way loser tree", core.MergeLoserTreeNoOVC},
-			{"k-way + OVC", core.MergeLoserTree},
+			{"cascaded 2-way (Merge Path)", func() { mergepath.CascadeMerge(runs, cmp, cfg.threads()) }},
+			{"k-way loser tree", func() { mergepath.KWayMerge(dst, runs, cmp) }},
+			{"k-way + OVC", func() { mergepath.KWayMergeOVC(dst, runs, kw, nil, nil) }},
 		} {
-			var last *core.Sorter
-			d := MedianTimePrep(cfg.reps(), func() *core.Sorter {
-				return finalizeReady(wl.tbl, wl.keys,
-					core.Options{Threads: cfg.threads(), RunSize: runSize, Merge: v.algo,
-						Telemetry: cfg.Telemetry})
-			}, func(s *core.Sorter) {
-				if err := s.Finalize(); err != nil {
-					panic(err)
-				}
-				if _, err := s.Result(); err != nil {
-					panic(err)
-				}
-				last = s
-			})
-			if v.algo == core.MergeCascade {
-				baseTime = d
+			d := MedianTime(cfg.reps(), k.merge)
+			if base == 0 {
+				base = d
 			}
-			memTime = d
-			st := last.Stats().Merge
-			if err := last.Close(); err != nil {
-				return err
-			}
-			t.AddRow(v.name, Seconds(d), Ratio(baseTime, d),
-				Count(st.Comparisons), Count(st.OVCHits), Count(st.TieBreaks))
+			t.AddRow(k.name, Seconds(d), fmt.Sprintf("%.1f", float64(d.Nanoseconds())/float64(rows)), Ratio(base, d))
 		}
 		t.Render(w)
 
-		// External: the same runs spilled to disk, where the cascade selects
-		// nothing: the loser tree streams them back through fixed-size
-		// blocks, reading each spilled byte once, inside the result iterator
-		// — so what is timed is Finalize (which only plans) plus the drain.
 		dir, err := os.MkdirTemp("", "rowsort-merge-bench-*")
 		if err != nil {
 			return err
 		}
+		var st core.SortStats
+		d := MedianTimePrep(cfg.reps(), func() *core.Sorter {
+			return ingestSorter(wl.tbl, wl.keys, core.Options{Threads: cfg.threads(),
+				RunSize: max(1, rows/16), SpillDir: dir, Telemetry: cfg.Telemetry}, false)
+		}, func(s *core.Sorter) { st = drainSorter(s, rows) })
 		te := &Table{
-			Title: fmt.Sprintf("%s, %s rows, ~16 runs, streaming from disk",
-				wl.name, Count(uint64(rows))),
-			Header: []string{"merge", "time", "vs in memory", "spill written", "spill read"},
+			Title:  fmt.Sprintf("%s, the sorter's merge phase over the same rows' runs, streaming from disk", wl.name),
+			Header: []string{"merge", "time", "runs", "spill written", "spill read"},
 		}
-		for _, v := range []struct {
-			name string
-			algo core.MergeAlgo
-		}{
-			{"k-way loser tree (single pass)", core.MergeLoserTreeNoOVC},
-			{"k-way + OVC (single pass)", core.MergeLoserTree},
-		} {
-			var written, read int64
-			d := MedianTimePrep(cfg.reps(), func() *core.Sorter {
-				return finalizeReady(wl.tbl, wl.keys,
-					core.Options{Threads: cfg.threads(), RunSize: runSize, Merge: v.algo, SpillDir: dir,
-						Telemetry: cfg.Telemetry})
-			}, func(s *core.Sorter) {
-				if err := s.Finalize(); err != nil {
-					panic(err)
-				}
-				if _, err := s.Result(); err != nil {
-					panic(err)
-				}
-				st := s.Stats()
-				written, read = st.SpillBytesWritten, st.SpillBytesRead
-				if err := s.Close(); err != nil {
-					panic(err)
-				}
-			})
-			te.AddRow(v.name, Seconds(d), Ratio(memTime, d),
-				Count(uint64(written)), Count(uint64(read)))
-		}
+		te.AddRow("k-way + OVC, gather fused (single pass)", Seconds(d), fmt.Sprintf("%d", st.RunsGenerated),
+			Count(uint64(st.SpillBytesWritten)), Count(uint64(st.SpillBytesRead)))
 		te.Render(w)
 		if err := os.RemoveAll(dir); err != nil {
 			return err

@@ -23,10 +23,17 @@ type chunkSink interface {
 	Close() error
 }
 
-// extSortOnce runs one end-to-end external sort — ingest (single Sink or
-// ParallelSink), finalize, streamed drain — and returns wall time + stats.
+// extSortOnce runs one end-to-end external sort — ingest, finalize, streamed
+// drain — and returns wall time + stats.
 func extSortOnce(tbl *vector.Table, keys []core.SortColumn, opt core.Options, parIngest bool) (time.Duration, core.SortStats) {
 	start := time.Now()
+	st := drainSorter(ingestSorter(tbl, keys, opt, parIngest), tbl.NumRows())
+	return time.Since(start), st
+}
+
+// ingestSorter feeds tbl to a fresh sorter (through a single Sink or a
+// ParallelSink) and stops right before Finalize.
+func ingestSorter(tbl *vector.Table, keys []core.SortColumn, opt core.Options, parIngest bool) *core.Sorter {
 	s, err := core.NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
 		panic(err)
@@ -45,6 +52,13 @@ func extSortOnce(tbl *vector.Table, keys []core.SortColumn, opt core.Options, pa
 	if err := sink.Close(); err != nil {
 		panic(err)
 	}
+	return s
+}
+
+// drainSorter is a sort's merge phase: Finalize, then the drain of the result
+// iterator the merge is fused into, which must yield want rows. It closes the
+// sorter and returns its stats.
+func drainSorter(s *core.Sorter, want int) core.SortStats {
 	if err := s.Finalize(); err != nil {
 		panic(err)
 	}
@@ -66,15 +80,14 @@ func extSortOnce(tbl *vector.Table, keys []core.SortColumn, opt core.Options, pa
 	if err := it.Close(); err != nil {
 		panic(err)
 	}
-	if rows != tbl.NumRows() {
-		panic(fmt.Sprintf("bench: parallel experiment produced %d of %d rows", rows, tbl.NumRows()))
+	if rows != want {
+		panic(fmt.Sprintf("bench: the drain produced %d of %d rows", rows, want))
 	}
-	d := time.Since(start)
 	st := s.Stats()
 	if err := s.Close(); err != nil {
 		panic(err)
 	}
-	return d, st
+	return st
 }
 
 // runParallelAblation measures what each layer of the parallel external

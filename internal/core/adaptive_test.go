@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"rowsort/internal/obs"
+	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
 
@@ -38,46 +40,83 @@ func TestAdaptiveSortCorrectness(t *testing.T) {
 	checkSorted(t, tbl, got, keys, "adaptive presorted")
 }
 
-// TestStrategyDecisionsRecorded pins the decision log's shape: one entry
-// per generated run on every path (adaptive and static), run ids unique and
-// in range, algorithms named, and sampled statistics present exactly when
-// the plan was sampled rather than dictated.
+// TestStrategyDecisionsRecorded pins the one-executor property: however a
+// run's plan came about — sampled, the static rule, dictated by a tie-break —
+// its decision is recorded through the same path (one entry per generated
+// run, run ids unique and in range, every field a plan has filled in,
+// sampled statistics present exactly when the plan was sampled), and Algo
+// names the kernel that ran, which the kernels' own counters confirm.
 func TestStrategyDecisionsRecorded(t *testing.T) {
-	cols := workload.Dist{Random: true}.Generate(8_000, 2, 144)
-	tbl := workload.UintColumnsTable(cols)
-	keys := []SortColumn{{Column: 0}, {Column: 1}}
+	uints := workload.UintColumnsTable(workload.Dist{Random: true}.Generate(8_000, 2, 144))
+	uintKeys := []SortColumn{{Column: 0}, {Column: 1}}
+	col0 := []SortColumn{{Column: 0}}
 
 	for _, tc := range []struct {
 		name   string
+		tbl    *vector.Table
+		keys   []SortColumn
 		opt    Options
-		forced string // expected Forced value, "" = sampled plan
+		sample *vector.Table // when set, what the key compression is planned from
+		forced string        // expected Forced value, "" = sampled plan
+		algos  []string      // the kernels the runs may name; nil = any
 	}{
-		{"adaptive", Options{Adaptive: true, Threads: 2, RunSize: 1000}, ""},
-		{"static radix", Options{Threads: 2, RunSize: 1000}, "static"},
-		{"forced pdqsort", Options{ForcePdqsort: true, Threads: 2, RunSize: 1000}, "option"},
+		{"sampled", uints, uintKeys, Options{Adaptive: true}, nil, "", nil},
+		{"static", uints, uintKeys, Options{}, nil, "static", []string{"msd-radix"}},
+		{"static, KeyCompRLE", workload.DupHeavyInts(8_000, 50, 32), col0,
+			Options{KeyComp: KeyCompRLE}, nil, "static", []string{"dup-group"}},
+		{"tie-break", mixedTable(8_000, 91), mergeTestKeys, Options{}, nil, "tie-break", []string{"pdqsort"}},
+		// A dictionary planned from a quarter of the value pool: the rest
+		// escape to gap codes, which tie.
+		{"compressed tie-break", workload.LowCardStrings(6_000, 256, 33), col0,
+			Options{KeyComp: KeyCompDict}, workload.LowCardStrings(2_000, 64, 133), "tie-break", []string{"radix+repair"}},
 	} {
-		_, st, err := SortTableStats(tbl, keys, tc.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tc.opt.Threads, tc.opt.RunSize = 2, 1000
+		s := finalizedSorter(t, tc.tbl, tc.keys, tc.opt, func(s *Sorter) {
+			if tc.sample == nil {
+				return
+			}
+			if err := s.PlanCompression(tc.sample.Chunks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkSorted(t, tc.tbl, resultChecked(t, s), tc.keys, tc.name)
+		st := s.Stats()
+		s.Close()
 		if int64(len(st.StrategyDecisions)) != st.RunsGenerated {
 			t.Fatalf("%s: %d decisions for %d runs", tc.name, len(st.StrategyDecisions), st.RunsGenerated)
 		}
 		seen := map[int]bool{}
+		ran := map[string]int64{}
+		asPlanned := 0 // runs whose plan came about the way under test
 		for _, d := range st.StrategyDecisions {
 			if seen[d.Run] || d.Run < 0 || d.Run >= int(st.RunsGenerated) {
 				t.Fatalf("%s: bad or duplicate run id %d", tc.name, d.Run)
 			}
 			seen[d.Run] = true
-			if d.Algo == "" || d.Rows <= 0 {
+			ran[d.Algo]++
+			if d.Algo == "" || d.Rows <= 0 || d.MergeRole == "" {
 				t.Fatalf("%s: incomplete decision %+v", tc.name, d)
 			}
-			if d.Forced != tc.forced {
+			algos := tc.algos
+			if tc.forced == "tie-break" && d.Forced == "static" {
+				// A run none of whose chunks reported a possible tie.
+				algos = []string{"msd-radix"}
+			} else if asPlanned++; d.Forced != tc.forced {
 				t.Fatalf("%s: forced = %q, want %q", tc.name, d.Forced, tc.forced)
 			}
-			if tc.forced == "" && (d.MergeRole == "" || d.RadixCost <= 0 || d.PdqCost <= 0) {
-				t.Fatalf("%s: sampled decision missing statistics: %+v", tc.name, d)
+			if algos != nil && !slices.Contains(algos, d.Algo) {
+				t.Fatalf("%s: run sorted by %q, want one of %v", tc.name, d.Algo, algos)
 			}
+			if sampled := d.RadixCost > 0 && d.PdqCost > 0; sampled != (tc.forced == "") {
+				t.Fatalf("%s: sampled statistics on a dictated plan, or none on a sampled one: %+v", tc.name, d)
+			}
+		}
+		if asPlanned == 0 {
+			t.Fatalf("%s: no run's plan came about the way under test", tc.name)
+		}
+		if ran["dup-group"] != st.RunsGroupSorted || ran["radix+repair"] != st.RunsTieRepaired {
+			t.Fatalf("%s: decisions name %v; the kernels counted %d grouped and %d repaired runs",
+				tc.name, ran, st.RunsGroupSorted, st.RunsTieRepaired)
 		}
 	}
 }

@@ -55,13 +55,19 @@ func TestQuickRandomSchemasAndSpecs(t *testing.T) {
 				keys[i].PrefixLen = 1 + rng.Intn(6) // stress string truncation
 			}
 		}
-		opt := Options{
-			Threads:      1 + rng.Intn(4),
-			RunSize:      64 + rng.Intn(2000),
-			ForcePdqsort: rng.Intn(4) == 0,
-			Adaptive:     rng.Intn(4) == 0,
+		s, err := NewSorter(tbl.Schema, keys, Options{
+			Threads:  1 + rng.Intn(4),
+			RunSize:  64 + rng.Intn(2000),
+			Adaptive: rng.Intn(4) == 0,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, err := SortTable(tbl, keys, opt)
+		defer s.Close()
+		// One sort in four runs every run through pdqsort and the comparator,
+		// whatever its plan would be.
+		s.pinPdqsort = rng.Intn(4) == 0
+		got, err := sortTable(s, tbl)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -237,7 +237,4 @@ func TestKeyCompOptionValidation(t *testing.T) {
 	if _, err := SortTable(tbl, keys, Options{KeyComp: KeyComp(0x80)}); err == nil {
 		t.Fatal("unknown KeyComp bits should fail validation")
 	}
-	if _, err := SortTable(tbl, keys, Options{KeyCompSampleRows: -1}); err == nil {
-		t.Fatal("negative KeyCompSampleRows should fail validation")
-	}
 }

@@ -81,12 +81,10 @@ func fullSegWidth(nk normkey.SortKey) int {
 	return 1 + nk.Type.Width()
 }
 
-// keySampleChunks picks a spread of chunks covering about target rows, so
-// the plan sees the whole table rather than its (possibly clustered) start.
-func keySampleChunks(chunks []*vector.Chunk, target int) []*vector.Chunk {
-	if target <= 0 {
-		target = DefaultKeyCompSampleRows
-	}
+// keySampleChunks picks a spread of chunks covering about
+// DefaultKeyCompSampleRows rows, so the plan sees the whole table rather
+// than its (possibly clustered) start.
+func keySampleChunks(chunks []*vector.Chunk) []*vector.Chunk {
 	n := len(chunks)
 	if n == 0 {
 		return nil
@@ -95,7 +93,7 @@ func keySampleChunks(chunks []*vector.Chunk, target int) []*vector.Chunk {
 	if per <= 0 {
 		per = 1
 	}
-	want := (target + per - 1) / per
+	want := (DefaultKeyCompSampleRows + per - 1) / per
 	if want >= n {
 		return chunks
 	}

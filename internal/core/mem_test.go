@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"negative threads", Options{Threads: -1}, "Threads"},
 		{"negative run size", Options{RunSize: -5}, "RunSize"},
-		{"negative block rows", Options{SpillBlockRows: -2}, "SpillBlockRows"},
 		{"negative memory limit", Options{MemoryLimit: -100}, "MemoryLimit"},
 	}
 	for _, c := range cases {
@@ -36,12 +36,47 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestFingerprintShowsEveryBehaviouralOption sets each Options field away
+// from its zero value, alone, and requires the fingerprint to show it: an
+// option that changes what a sort does and is missing from the run's
+// signature makes two different setups read the same. The observer fields —
+// who watches, and under what name — are the only exceptions.
+func TestFingerprintShowsEveryBehaviouralOption(t *testing.T) {
+	observers := map[string]bool{"Telemetry": true, "Registry": true, "RunLabel": true}
+	zero := Options{}.Fingerprint()
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		var o Options
+		f, v := typ.Field(i), reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(12345)
+		case reflect.Uint8:
+			v.SetUint(1)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("Options.%s: the test cannot set a %s", f.Name, v.Kind())
+		}
+		if err := o.Validate(); err != nil {
+			t.Fatalf("Options.%s: %v", f.Name, err)
+		}
+		if got := o.Fingerprint(); (got == zero) != observers[f.Name] {
+			t.Errorf("Options.%s set: fingerprint %q, the zero value's %q", f.Name, got, zero)
+		}
+	}
+}
+
 // budgetedSort runs a single-sink sort of tbl under opt and returns the
 // result plus the sorter's stats. A single sequential sink makes run
 // assignment deterministic, so outputs are byte-comparable across options.
-func budgetedSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) (*vector.Table, SortStats) {
+func budgetedSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) (*vector.Table, SortStats) {
 	t.Helper()
-	s := finalizedSorter(t, tbl, keys, opt)
+	s := finalizedSorter(t, tbl, keys, opt, prep...)
 	defer s.Close()
 	out := resultChecked(t, s)
 	st := s.Stats()

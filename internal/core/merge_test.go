@@ -13,11 +13,11 @@ import (
 
 // sortWith runs a full single-sink sort of tbl under opt and returns the
 // result table. A single sequential sink makes run assignment deterministic,
-// so two sorts of the same table differing only in merge algorithm must be
-// byte-identical (the merges are all stable with ties to the lower run).
-func sortWith(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) *vector.Table {
+// so two sorts of the same table differing only in where their runs live
+// must be byte-identical (the merge is stable, with ties to the lower run).
+func sortWith(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) *vector.Table {
 	t.Helper()
-	s := finalizedSorter(t, tbl, keys, opt)
+	s := finalizedSorter(t, tbl, keys, opt, prep...)
 	defer s.Close()
 	return resultChecked(t, s)
 }
@@ -32,95 +32,34 @@ var mergeTestKeys = []SortColumn{
 	{Column: 0},
 }
 
-// TestMergeAlgoEquivalence checks that the loser tree (with and without
-// offset-value coding, at every thread count) produces exactly the cascaded
-// pairwise merge's output on a workload with NULLs, descending keys, and
-// string prefixes that tie.
-func TestMergeAlgoEquivalence(t *testing.T) {
-	tbl := mixedTable(3*vector.DefaultVectorSize+123, 91)
-	base := Options{Threads: 1, RunSize: 700, Merge: MergeCascade}
-	want := sortWith(t, tbl, mergeTestKeys, base)
-	checkSorted(t, tbl, want, mergeTestKeys, "cascade reference")
-	wantRows := rowify(t, want)
-
-	for _, algo := range []MergeAlgo{MergeLoserTree, MergeLoserTreeNoOVC} {
-		for _, threads := range []int{1, 2, 3, 4, 8, 16} {
-			opt := Options{Threads: threads, RunSize: 700, Merge: algo}
-			got := sortWith(t, tbl, mergeTestKeys, opt)
-			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Fatalf("algo=%d threads=%d: merge output differs from cascade", algo, threads)
-			}
-		}
-	}
-}
-
-// TestMergeAlgoEquivalenceNoTies repeats the equivalence check on pure
-// integer keys, where the whole normalized key is byte-decisive and the
-// merge runs without a tie comparator.
-func TestMergeAlgoEquivalenceNoTies(t *testing.T) {
-	tbl := mixedTable(2*vector.DefaultVectorSize+55, 92)
-	keys := []SortColumn{{Column: 1}, {Column: 0, Descending: true}}
-	want := sortWith(t, tbl, keys, Options{Threads: 1, RunSize: 300, Merge: MergeCascade})
-	checkSorted(t, tbl, want, keys, "cascade reference")
-	wantRows := rowify(t, want)
-	for _, algo := range []MergeAlgo{MergeLoserTree, MergeLoserTreeNoOVC} {
-		for _, threads := range []int{1, 3, 16} {
-			got := sortWith(t, tbl, keys, Options{Threads: threads, RunSize: 300, Merge: algo})
-			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Fatalf("algo=%d threads=%d: merge output differs from cascade", algo, threads)
-			}
-		}
-	}
-}
-
 // TestExternalMergeEquivalence checks that the streaming external merge is
-// byte-identical to the in-memory merge across block sizes, thread counts,
-// and both OVC arms — and that the stream reads each spilled byte exactly
-// once.
+// byte-identical to the in-memory merge across block sizes and thread counts
+// — and that the stream reads each spilled byte exactly once.
 func TestExternalMergeEquivalence(t *testing.T) {
 	tbl := mixedTable(3*vector.DefaultVectorSize+123, 93)
 	want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 1, RunSize: 700})
 	checkSorted(t, tbl, want, mergeTestKeys, "in-memory reference")
 	wantRows := rowify(t, want)
 
-	for _, algo := range []MergeAlgo{MergeLoserTree, MergeLoserTreeNoOVC} {
-		for _, blockRows := range []int{1, 64, 512, 100000} {
-			for _, threads := range []int{1, 4, 16} {
-				opt := Options{Threads: threads, RunSize: 700, Merge: algo,
-					SpillDir: t.TempDir(), SpillBlockRows: blockRows}
-				s, err := NewSorter(tbl.Schema, mergeTestKeys, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sink := s.NewSink()
-				for _, c := range tbl.Chunks {
-					if err := sink.Append(c); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := sink.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Finalize(); err != nil {
-					t.Fatal(err)
-				}
-				got := resultChecked(t, s)
-				if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-					t.Fatalf("algo=%d block=%d threads=%d: external merge differs from in-memory",
-						algo, blockRows, threads)
-				}
-				spill := s.Stats()
-				written, read := spill.SpillBytesWritten, spill.SpillBytesRead
-				if written == 0 {
-					t.Fatalf("block=%d: sort never spilled", blockRows)
-				}
-				if read != written {
-					t.Fatalf("algo=%d block=%d threads=%d: read %d spill bytes, wrote %d (want exactly one pass)",
-						algo, blockRows, threads, read, written)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
+	for _, blockRows := range []int{1, 64, 512, 100000} {
+		for _, threads := range []int{1, 4, 16} {
+			s := finalizedSorter(t, tbl, mergeTestKeys,
+				Options{Threads: threads, RunSize: 700, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
+			got := resultChecked(t, s)
+			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
+				t.Fatalf("block=%d threads=%d: external merge differs from in-memory", blockRows, threads)
+			}
+			spill := s.Stats()
+			written, read := spill.SpillBytesWritten, spill.SpillBytesRead
+			if written == 0 {
+				t.Fatalf("block=%d: sort never spilled", blockRows)
+			}
+			if read != written {
+				t.Fatalf("block=%d threads=%d: read %d spill bytes, wrote %d (want exactly one pass)",
+					blockRows, threads, read, written)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -267,7 +206,7 @@ func TestExternalMergeManyRunCounts(t *testing.T) {
 		want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 1, RunSize: runSize})
 		wantRows := rowify(t, want)
 		got := sortWith(t, tbl, mergeTestKeys,
-			Options{Threads: 1, RunSize: runSize, SpillDir: t.TempDir(), SpillBlockRows: 64})
+			Options{Threads: 1, RunSize: runSize, SpillDir: t.TempDir()}, pinBlockRows(64))
 		if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
 			t.Fatalf("%s: external merge differs from in-memory", name)
 		}

@@ -23,13 +23,16 @@ var parallelTestKeys = []SortColumn{
 // parallelSort runs the fully parallel pipeline — ParallelSink ingest, the
 // final merge and gather on Rows' workers — and returns the result plus the
 // sorter's stats.
-func parallelSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options) (*vector.Table, SortStats) {
+func parallelSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) (*vector.Table, SortStats) {
 	t.Helper()
 	s, err := NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	for _, p := range prep {
+		p(s)
+	}
 	sink := s.NewParallelSink()
 	for _, c := range tbl.Chunks {
 		if err := sink.Append(c); err != nil {
@@ -96,8 +99,8 @@ func TestParallelExternalSortByteIdentity(t *testing.T) {
 // must say what ran.
 func TestPartitionedMergeMatchesSequential(t *testing.T) {
 	tbl := mixedTable(40_000, 102)
-	base := Options{Threads: 1, RunSize: 1500, SpillBlockRows: 40_000, SpillDir: t.TempDir(), ReadAhead: -1}
-	want, wantStats := budgetedSort(t, tbl, mergeTestKeys, base)
+	base := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: -1}
+	want, wantStats := budgetedSort(t, tbl, mergeTestKeys, base, pinBlockRows(40_000))
 	if wantStats.SpillBytesWritten == 0 {
 		t.Fatal("reference sort never spilled")
 	}
@@ -108,8 +111,8 @@ func TestPartitionedMergeMatchesSequential(t *testing.T) {
 
 	for _, threads := range []int{1, 2, 4, 8} {
 		for _, ra := range []int{-1, 0, 2} {
-			opt := Options{Threads: threads, RunSize: 1500, SpillBlockRows: 256, SpillDir: t.TempDir(), ReadAhead: ra}
-			got, st := budgetedSort(t, tbl, mergeTestKeys, opt)
+			opt := Options{Threads: threads, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: ra}
+			got, st := budgetedSort(t, tbl, mergeTestKeys, opt, pinBlockRows(256))
 			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
 				t.Errorf("threads=%d readahead=%d: output differs from sequential merge", threads, ra)
 			}
@@ -338,13 +341,13 @@ func TestFinalizeShedsResidentRunsBeforeCascading(t *testing.T) {
 // at every thread count.
 func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 	tbl := mixedTable(40_000, 105)
-	opt := Options{Threads: 1, RunSize: 5000, SpillBlockRows: 64, SpillDir: t.TempDir()}
+	opt := Options{Threads: 1, RunSize: 5000, SpillDir: t.TempDir()}
 
 	// White box: merge the same spilled runs (a single sink cuts the same
 	// ones every time) as one task, and as the tasks the plan cuts, each
 	// through a stage of its own — a stage reads its files once.
 	drain := func(single bool) (keys []byte, tasks, trimmed int) {
-		s := finalizedSorter(t, tbl, mergeTestKeys, opt)
+		s := finalizedSorter(t, tbl, mergeTestKeys, opt, pinBlockRows(64))
 		defer s.Close()
 		plan := s.planSpillTasks(s.streamActive, single)
 		st, err := s.newBlockStage(plan, 1)
@@ -396,13 +399,13 @@ func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 
 	// End to end at every thread count.
 	seq := opt
-	seq.SpillDir, seq.SpillBlockRows, seq.ReadAhead = t.TempDir(), 5000, -1
-	wantTbl, _ := budgetedSort(t, tbl, mergeTestKeys, seq)
+	seq.SpillDir, seq.ReadAhead = t.TempDir(), -1
+	wantTbl, _ := budgetedSort(t, tbl, mergeTestKeys, seq, pinBlockRows(5000))
 	wantRows := rowify(t, wantTbl)
 	for _, threads := range []int{1, 2, 4} {
 		o := opt
 		o.SpillDir, o.Threads = t.TempDir(), threads
-		gotTbl, st := parallelSort(t, tbl, mergeTestKeys, o)
+		gotTbl, st := parallelSort(t, tbl, mergeTestKeys, o, pinBlockRows(64))
 		if !bytes.Equal(rowify(t, gotTbl).Bytes(), wantRows.Bytes()) {
 			t.Errorf("threads=%d: output differs from the sequential merge", threads)
 		}

@@ -75,7 +75,6 @@ type stageBlock struct {
 type stageRun struct {
 	run    *sortedRun
 	f      *os.File
-	fc     bool // format 3: key sections carry a tag byte
 	blocks []stageBlock
 	live   int // blocks not freed yet; the file goes with the last
 }
@@ -143,11 +142,7 @@ func (sr *stageRun) open(s *Sorter) error {
 		f.Close()
 		return fmt.Errorf("core: reading spill header of %s: %w", sf.path, err)
 	}
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case spillMagic:
-	case spillMagicFC:
-		sr.fc = true
-	default:
+	if binary.LittleEndian.Uint32(hdr[0:]) != spillMagic {
 		f.Close()
 		return fmt.Errorf("core: bad spill magic in %s", sf.path)
 	}
@@ -400,11 +395,10 @@ func (st *blockStage) closeFiles(remove bool) {
 
 // decode reads the n blocks from ref on with one positioned read and decodes
 // them in place: key rows and payloads alias the read buffer (which lives
-// until the last of them is freed; each is accounted its share). Format-3
-// files prefix the key section with a tag byte — raw rows (0) or a
-// length-prefixed front-coded section (1), which decodes into a buffer of its
-// own. Whatever does not add up to exactly the blocks the index promised is
-// an error.
+// until the last of them is freed; each is accounted its share). A key
+// section opens with its tag byte — raw rows (0) or a length-prefixed
+// front-coded section (1), which decodes into a buffer of its own. Whatever
+// does not add up to exactly the blocks the index promised is an error.
 func (st *blockStage) decode(ref blockRef, n int, ow *obs.Worker, phase obs.Phase) ([]*spillBlock, error) {
 	sp := ow.Begin(phase)
 	defer sp.End()
@@ -427,13 +421,10 @@ func (st *blockStage) decode(ref blockRef, n int, ow *obs.Worker, phase obs.Phas
 		rest := raw[from:to:to]
 		rows := sr.blockRows(b)
 		blk := &spillBlock{start: b * sf.blockRows, bytes: int64(len(rest))}
-		var tag byte
-		if sr.fc {
-			if len(rest) == 0 {
-				return nil, fmt.Errorf("core: block %d of %s has no key-section tag", b, sf.path)
-			}
-			tag, rest = rest[0], rest[1:]
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("core: block %d of %s has no key-section tag", b, sf.path)
 		}
+		tag, rest := rest[0], rest[1:]
 		switch tag {
 		case 0:
 			if len(rest) < rows*rw {

@@ -343,7 +343,7 @@ func (d *rowsDrain) claim(t *drainTask) (bool, error) {
 		}
 		t.m = t.em.m
 	} else if len(t.sub) > 1 {
-		t.m = d.s.newMerger(t.sub, d.s.resultTie, d.tie, d.cmp)
+		t.m = mergepath.NewMerger(t.sub, d.s.ovcSafeWidth(d.s.resultTie), d.tie)
 	}
 	return true, nil
 }

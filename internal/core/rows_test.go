@@ -64,14 +64,21 @@ func drainKeys(tieBreak bool) []SortColumn {
 	return []SortColumn{{Column: 0}}
 }
 
-// finalizedSorter ingests tbl through a single sink — so the runs, and with
-// them the output bytes, are a function of the options — and finalizes. The
-// caller closes the sorter.
-func finalizedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options) *Sorter {
+// pinBlockRows pins a test sorter's spill blocks to n rows (0 pins nothing).
+func pinBlockRows(n int) func(*Sorter) { return func(s *Sorter) { s.pinBlockRows = n } }
+
+// ingestedSorter ingests tbl through a single sink — so the runs, and with
+// them the output bytes, are a function of the options — and stops short of
+// Finalize. Each prep sees the sorter before the first row goes in: to set a
+// test pin, to plan its key compression. The caller closes the sorter.
+func ingestedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) *Sorter {
 	t.Helper()
 	s, err := NewSorter(tbl.Schema, keys, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range prep {
+		p(s)
 	}
 	sink := s.NewSink()
 	for _, c := range tbl.Chunks {
@@ -82,6 +89,13 @@ func finalizedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Opt
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// finalizedSorter is ingestedSorter, finalized.
+func finalizedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) *Sorter {
+	t.Helper()
+	s := ingestedSorter(t, tbl, keys, opt, prep...)
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +147,8 @@ func sameChunks(t *testing.T, ctx string, got, want *vector.Table) {
 // yields, chunk for chunk — and that is the scalar-merge oracle's table —
 // across run counts on both sides of a power of two, merges with and
 // without the tie-break comparator, unique, duplicate-heavy and all-equal
-// keys, all three merge arms, and row counts that fill neither a chunk nor a
-// task, plus one that keeps eight workers busy and overflows two workers'
-// window.
+// keys, and row counts that fill neither a chunk nor a task, plus one that
+// keeps eight workers busy and overflows two workers' window.
 func TestRowsThreadGridByteIdentity(t *testing.T) {
 	sizes := []int{1000, 3*vector.DefaultVectorSize + 17, drainTaskRows + vector.DefaultVectorSize + 5}
 	check := func(n, runs, dist int) {
@@ -145,25 +158,19 @@ func TestRowsThreadGridByteIdentity(t *testing.T) {
 		chunkRows := ((n+runs-1)/runs + perRun - 1) / perRun
 		tbl := drainTable(n, chunkRows, dist, uint64(n+runs))
 		for _, tieBreak := range []bool{false, true} {
-			// The tree arms differ only inside Rows, which reads the options
-			// when it is called; the cascade arm merges in Finalize. So two
-			// finalized sorts, re-iterated, serve every drain shape.
-			for _, algos := range [][]MergeAlgo{{MergeLoserTree, MergeLoserTreeNoOVC}, {MergeCascade}} {
-				s := finalizedSorter(t, tbl, drainKeys(tieBreak),
-					Options{Threads: 1, RunSize: perRun * chunkRows, Merge: algos[0]})
-				ctx := fmt.Sprintf("rows=%d runs=%d keys=%s tie=%v", n, runs, drainKeyNames[dist], tieBreak)
-				if len(s.runs) != runs || s.resultTie != tieBreak {
-					t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), s.resultTie)
-				}
-				want := oracleResult(t, s)
-				for _, algo := range algos {
-					for _, threads := range []int{1, 2, 4, 8} {
-						s.opt.Merge, s.opt.Threads = algo, threads
-						sameChunks(t, fmt.Sprintf("%s algo=%d threads=%d", ctx, algo, threads), drainAll(t, s), want)
-					}
-				}
-				s.Close()
+			// Rows reads the options when it is called: one finalized sort,
+			// re-iterated, serves every drain shape.
+			s := finalizedSorter(t, tbl, drainKeys(tieBreak), Options{Threads: 1, RunSize: perRun * chunkRows})
+			ctx := fmt.Sprintf("rows=%d runs=%d keys=%s tie=%v", n, runs, drainKeyNames[dist], tieBreak)
+			if len(s.runs) != runs || s.resultTie != tieBreak {
+				t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), s.resultTie)
 			}
+			want := oracleResult(t, s)
+			for _, threads := range []int{1, 2, 4, 8} {
+				s.opt.Threads = threads
+				sameChunks(t, fmt.Sprintf("%s threads=%d", ctx, threads), drainAll(t, s), want)
+			}
+			s.Close()
 		}
 	}
 	for _, n := range sizes {

@@ -48,8 +48,8 @@ type Sorter struct {
 
 	// What Finalize leaves the result iterator (rows.go), where the final
 	// merge runs. A resident sort records its result runs: the key rows of
-	// every in-memory run, unmerged (or the one run the cascade arm made of
-	// them); their payload references index runs. A sort with runs on disk
+	// every in-memory run, unmerged; their payload references index runs. A
+	// sort with runs on disk
 	// (streamMerge) records the ids of the runs to merge — all of them, or
 	// under a budget the survivors of reducing the fan-in to what the budget
 	// can stream — and may be iterated once.
@@ -60,8 +60,8 @@ type Sorter struct {
 	streamUsed   bool // the single-pass merge of spilled runs has been handed out
 	streamActive []uint32
 
-	// mergeStats is the merge work of Finalize (intermediate passes, the
-	// cascade arm); drainStats that of the latest result iterator (replaced
+	// mergeStats is the merge work of Finalize (intermediate passes);
+	// drainStats that of the latest result iterator (replaced
 	// when an in-memory sort is iterated again). Close cancels ctx, which
 	// stops those iterators' workers and block stages, and joins them on
 	// drainWG.
@@ -142,6 +142,13 @@ type Sorter struct {
 	mergePassBytes  atomic.Int64
 	mergeFanIn      atomic.Int64
 	extMergeParts   atomic.Int64
+
+	// Test pins, written only by this package's tests and each read at one
+	// site: spill blocks of this many rows whatever the budget and the plan
+	// say (spillBlockRowsFor), and pdqsort under the comparator for every run
+	// whatever its plan would be (planRun).
+	pinBlockRows int
+	pinPdqsort   bool
 }
 
 // sinceEpoch returns the sorter's monotonic clock reading in nanoseconds.
@@ -187,9 +194,8 @@ func (s *Sorter) putRowSet(rs *row.RowSet) {
 
 // sortedRun is one thread-local sorted run: sorted key rows plus the
 // payload physically reordered to match (so scans read it sequentially).
-// The strategy fields carry the run's sampled execution plan forward into
-// the spill and merge phases; they are zero for unplanned (non-adaptive)
-// runs.
+// The strategy fields carry the run's plan forward into the spill and merge
+// phases; they are zero unless the plan was sampled (Adaptive).
 type sortedRun struct {
 	id       uint32
 	keys     []byte
@@ -201,7 +207,7 @@ type sortedRun struct {
 
 	role      strategy.MergeRole // merge-scheduling hint from the run's plan
 	blockHint int                // planned spill block rows (0 = default)
-	frontCode bool               // attempt spill-block key front coding
+	frontCode bool               // spill blocks try front-coding their keys (tag 1)
 }
 
 // runBytes is a resident run's accounted footprint: key-buffer plus payload
@@ -545,69 +551,20 @@ func (k *Sink) recycle(cut *row.RowSet) {
 	k.scratch, k.idxs = nil, nil
 }
 
-// flush sorts the pending rows into a run and registers it globally.
+// flush turns the pending rows into a run: cut them loose, derive the run's
+// plan, execute it, publish the sorted run and hand it to the spill policy.
 func (k *Sink) flush() error {
 	s := k.s
-	keys, payload, n := k.keys, k.payload, k.n
-	k.keys, k.n = s.getKeyBuf(), 0
-	if s.opt.limited() {
-		// The cut set goes back through the pool when the run is built
-		// (see recycle); the next run starts in whatever the pool has.
-		k.payload = s.getRowSet()
-	}
-	k.runs++
-	tb := k.tieBreak
-	k.tieBreak = false
-	// The cut key buffer leaves the sink's reservation here and enters the
-	// resident-run one below, once sorted, together with the reordered
-	// payload copy. In between — the sort plus the reorder — neither the
-	// cut keys nor the copy being built is charged anywhere: that is the
-	// per-sink accounting slack documented in DESIGN.md. Without a budget
-	// the pending payload set (which holds the cut rows until they are
-	// reordered), the radix scratch and the permutation stay in the sink's
-	// reservation throughout; under one the cut set joins the slack, and
-	// the scratch and permutation live only inside this window.
-	k.account()
+	keys, payload, n, tb := k.cut()
 	sp := k.ow.Begin(obs.PhaseRunSort)
-
-	// Sort the normalized keys: radix sort when plain byte order is the
-	// tuple order; pdqsort with a tie-breaking comparator when truncated
-	// string prefixes may collide (the paper's algorithm choice). With
-	// Adaptive set, the strategy planner samples the pending run and picks
-	// the run sort from modeled costs (see internal/strategy). Two
-	// compressed-key refinements: a lossy compressed run whose tie-capable
-	// segment is last radix-sorts its bytes and repairs the byte-equal
-	// blocks, and a byte-decisive duplicate-heavy run may sort grouped
-	// (KeyCompRLE) — both byte-identical to the baseline paths. Every arm
-	// records its decision, so SortStats.StrategyDecisions explains each
-	// run even when the plan was dictated rather than sampled.
-	var plan strategy.Plan
-	dec := StrategyDecision{Rows: n}
-	switch {
-	case tb && !s.opt.ForcePdqsort && s.enc.Plan().Active() && s.ovcSafeWidth(true) == s.keyWidth:
-		// Byte order is exact between rows whose bytes differ (the sole
-		// tie-capable segment is the last one), so only full byte-equal
-		// blocks — dictionary escapes sharing a gap, truncation collisions
-		// — can be misordered after a plain byte sort.
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-		s.repairTies(keys, n, payload)
-		s.runsTieRepaired.Add(1)
-		dec.Algo, dec.Forced = "radix+repair", "tie-break"
-	case tb || s.opt.ForcePdqsort:
-		r := sortalgo.NewRows(keys, s.rowWidth)
-		r.Compare = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
-		r.Pdqsort()
-		dec.Algo, dec.Forced = strategy.AlgoPdqsort.String(), "option"
-		if tb {
-			dec.Forced = "tie-break"
-		}
-	case s.opt.Adaptive:
-		plan = k.strategyPlanner().PlanRun(keys, n)
-		keys = k.sortRunPlanned(keys, payload, n, plan, &dec)
-	default:
-		keys = k.radixSortRun(keys, n, &dec)
-		dec.Forced = "static"
-	}
+	plan, forced := k.planRun(keys, n, tb)
+	st := plan.Stats
+	dec := StrategyDecision{Rows: n, Forced: forced, MergeRole: plan.MergeRole.String(),
+		Sortedness: st.Sortedness, EffectiveKeyBytes: st.EffectiveBytes, DistinctRatio: st.DistinctRatio,
+		FirstByteEntropy: st.FirstByteEntropy, DupRunFrac: st.DupRunFrac,
+		RadixCost: plan.RadixCost, PdqCost: plan.PdqCost,
+		SpillBlockRows: plan.SpillBlockRows, FrontCode: plan.FrontCode}
+	keys = k.sortRun(keys, payload, n, plan, tb, &dec)
 
 	// Register the run id first (so merge order is stable), then physically
 	// reorder the payload to the sorted order and point the key refs at the
@@ -653,27 +610,83 @@ func (k *Sink) flush() error {
 	// emitted — the gap is the compression saving.
 	s.normKeyBytes.Add(int64(n) * int64(s.enc.FullWidth()))
 	s.physKeyBytes.Add(int64(n) * int64(s.keyWidth))
+	return s.placeRun(run, withinBudget, k.ow)
+}
 
+// cut detaches the pending rows from the sink, which goes on with an empty
+// key buffer, and returns them with whether their keys may tie on bytes.
+func (k *Sink) cut() (keys []byte, payload *row.RowSet, n int, tieBreak bool) {
+	s := k.s
+	keys, payload, n, tieBreak = k.keys, k.payload, k.n, k.tieBreak
+	k.keys, k.n, k.tieBreak = s.getKeyBuf(), 0, false
 	if s.opt.limited() {
-		if !withinBudget || s.broker.OverBudget() {
-			return s.spillUnderPressure(k.ow)
-		}
-		return nil
+		// The cut set goes back through the pool when the run is built
+		// (see recycle); the next run starts in whatever the pool has.
+		k.payload = s.getRowSet()
 	}
-	if s.opt.SpillDir != "" {
-		// Unbudgeted external sort: the original eager policy, every run
-		// goes to disk as it is cut.
-		return s.spillRun(run, k.ow)
+	k.runs++
+	// The cut key buffer leaves the sink's reservation here and enters the
+	// resident-run one once sorted, together with the reordered payload
+	// copy. In between — the sort plus the reorder — neither the cut keys
+	// nor the copy being built is charged anywhere: that is the per-sink
+	// accounting slack documented in DESIGN.md. Without a budget the pending
+	// payload set (which holds the cut rows until they are reordered), the
+	// radix scratch and the permutation stay in the sink's reservation
+	// throughout; under one the cut set joins the slack, and the scratch and
+	// permutation live only inside this window.
+	k.account()
+	return keys, payload, n, tieBreak
+}
+
+// placeRun is the spill policy for a run just published: under a budget
+// runs go to disk, largest first, only while the broker is over it; without
+// one, a sort given a SpillDir writes every run as it is cut (the original
+// eager policy).
+func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) error {
+	switch {
+	case s.opt.limited():
+		if !withinBudget || s.broker.OverBudget() {
+			return s.spillUnderPressure(ow)
+		}
+	case s.opt.SpillDir != "":
+		return s.spillRun(run, ow)
 	}
 	return nil
+}
+
+// planRun derives the cut run's plan — the only way its sort, its spill
+// shape and its merge role vary — and why it was dictated, "" when it was
+// sampled. A run whose keys may tie on their bytes (tieBreak) sorts as the
+// paper's rule says, pdqsort under the tie-breaking comparator; unless the
+// keys are compressed and the sole tie-capable segment is the last one, when
+// byte order is exact between rows whose bytes differ and only full
+// byte-equal blocks — dictionary escapes sharing a gap, truncation
+// collisions — can be misordered by a radix sort, which sortRun repairs.
+// A byte-decisive run is radix-sorted — grouped, when KeyCompRLE asks and the
+// run is duplicate-heavy enough — or, with Adaptive set, sorted as the
+// strategy planner's sample of it says (see internal/strategy).
+func (k *Sink) planRun(keys []byte, n int, tieBreak bool) (plan strategy.Plan, forced string) {
+	s := k.s
+	switch {
+	case s.pinPdqsort:
+		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "pin"
+	case tieBreak && s.enc.Plan().Active() && s.ovcSafeWidth(true) == s.keyWidth:
+		return strategy.Plan{Algo: s.radixAlgo()}, "tie-break"
+	case tieBreak:
+		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "tie-break"
+	case s.opt.Adaptive:
+		return k.strategyPlanner().PlanRun(keys, n), ""
+	case s.opt.KeyComp&KeyCompRLE != 0:
+		return strategy.Plan{Algo: strategy.AlgoDupGroup, DupGroupMinAvg: 2}, "static"
+	}
+	return strategy.Plan{Algo: s.radixAlgo()}, "static"
 }
 
 // strategyPlanner lazily builds this sink's per-run planner (Adaptive
 // sorts only). The planner owns sampling scratch and is reused across the
 // sink's runs; the config captures the sort's fixed shape — key segment
 // offsets for the per-segment sketches, and the spill-block default the
-// plan's block hint is relative to (zero when the user pinned the block
-// shape or a budget makes mergepath size blocks dynamically).
+// plan's block hint is relative to.
 func (k *Sink) strategyPlanner() *strategy.Planner {
 	if k.planner == nil {
 		s := k.s
@@ -681,18 +694,14 @@ func (k *Sink) strategyPlanner() *strategy.Planner {
 		for i := range s.keys {
 			segOffs[i] = s.enc.Offset(i)
 		}
-		blockRows := 0
-		if s.opt.SpillBlockRows == 0 && !s.opt.limited() {
-			blockRows = DefaultSpillBlockRows
-		}
 		k.planner = strategy.NewPlanner(strategy.Config{
 			RowWidth: s.rowWidth,
 			KeyWidth: s.keyWidth,
 			SegOffs:  segOffs,
-			// The adaptive arm is only reached for byte-decisive runs (no
-			// tie-break), so grouping byte-equal rows is always sound here.
+			// Only byte-decisive runs are sampled (no tie-break), so grouping
+			// byte-equal rows is always sound here.
 			AllowDupGroup:         true,
-			DefaultSpillBlockRows: blockRows,
+			DefaultSpillBlockRows: DefaultSpillBlockRows,
 		})
 	}
 	return k.planner
@@ -706,92 +715,71 @@ func (s *Sorter) strategyDecisions() []StrategyDecision {
 	return append([]StrategyDecision(nil), s.decisions...)
 }
 
-// radixAlgoName names the arm radix.Sort picks for the key width, so
-// decisions recorded by non-adaptive paths still say what actually ran.
-func radixAlgoName(keyWidth int) string {
-	if keyWidth <= radix.LSDThreshold {
-		return strategy.AlgoLSDRadix.String()
+// radixAlgo is the radix sort the paper's rule gives a byte-decisive run:
+// least significant digit first while the key is narrow (radix.Sort's own
+// rule, named so that a dictated plan says what will run).
+func (s *Sorter) radixAlgo() strategy.Algo {
+	if s.keyWidth <= radix.LSDThreshold {
+		return strategy.AlgoLSDRadix
 	}
-	return strategy.AlgoMSDRadix.String()
+	return strategy.AlgoMSDRadix
 }
 
-// radixSortRun sorts a byte-decisive run. Under KeyCompRLE a
-// duplicate-heavy run (adjacent byte-equal key groups averaging two or more
-// rows) sorts one representative row per group and expands, moving each
-// distinct key through the radix sort once; because radix.Sort is stable,
-// the expansion is byte-identical to sorting row at a time. Returns the
-// buffer now holding the sorted run — the expansion writes into a recycled
-// buffer and returns the input buffer to the pool.
-func (k *Sink) radixSortRun(keys []byte, n int, dec *StrategyDecision) []byte {
+// sortRun executes plan on the cut run, the one place each run-sort kernel
+// is started from, and names in dec the kernel that ran. It returns the
+// buffer holding the sorted run: the duplicate-group expansion writes into a
+// recycled one and returns keys to the pool.
+//
+// A duplicate-group plan is checked against the whole run first (a sample may
+// have oversold the duplication; KeyCompRLE plans it for every run): adjacent
+// byte-equal key groups must average DupGroupMinAvg rows. Then one
+// representative row per group is radix-sorted and the groups are expanded,
+// so that each distinct key moves through the sort once; radix.Sort being
+// stable, the result is byte-identical to sorting row at a time. A miss falls
+// back to plain radix. A radix sort of keys that may tie (tieBreak) is
+// followed by the repair of its byte-equal blocks.
+func (k *Sink) sortRun(keys []byte, payload *row.RowSet, n int, plan strategy.Plan, tieBreak bool, dec *StrategyDecision) []byte {
 	s := k.s
-	if s.opt.KeyComp&KeyCompRLE != 0 {
-		if reps, groups, ok := sortalgo.CollectDupGroups(keys, s.rowWidth, s.keyWidth); ok {
-			dec.Algo = strategy.AlgoDupGroup.String()
-			return k.expandGroups(keys, reps, groups, n)
+	algo := plan.Algo
+	rows, stride, groups := keys, s.rowWidth, 0
+	if algo == strategy.AlgoDupGroup {
+		if reps, g, ok := sortalgo.CollectDupGroupsMin(keys, s.rowWidth, s.keyWidth, plan.DupGroupMinAvg); ok {
+			// The tags ride behind the key prefix; reps holds at most one row
+			// per key row, none wider, so the run's scratch fits.
+			rows, stride, groups = reps, s.keyWidth+sortalgo.GroupTagBytes, g
+		} else {
+			algo = s.radixAlgo()
+			if dec.Forced == "" {
+				dec.Forced = "dup-group-miss"
+			}
 		}
 	}
-	dec.Algo = radixAlgoName(s.keyWidth)
-	radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-	return keys
-}
-
-// expandGroups finishes a duplicate-group run sort: stable radix sort of
-// the representative rows on the key prefix (tags ride along), then group
-// expansion into a recycled buffer. Returns the buffer holding the sorted
-// run; the input buffer goes back to the pool.
-func (k *Sink) expandGroups(keys, reps []byte, groups, n int) []byte {
-	s := k.s
-	// reps holds at most one row per key row, none wider: the scratch fits.
-	radix.SortOpts(reps, s.keyWidth+sortalgo.GroupTagBytes, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-	dst := s.getKeyBuf()
-	if cap(dst) < len(keys) {
-		s.putKeyBuf(dst)
-		dst = make([]byte, len(keys))
-	} else {
-		dst = dst[:len(keys)]
-	}
-	sortalgo.ExpandDupGroups(dst, keys, s.rowWidth, reps, s.keyWidth)
-	s.putKeyBuf(keys)
-	s.runsGrouped.Add(1)
-	s.dupGroupRows.Add(int64(n - groups))
-	return dst
-}
-
-// sortRunPlanned executes a sampled strategy plan for a byte-decisive run
-// and records the decision. The duplicate-group arm re-checks the plan
-// against the full run (the sample may have oversold the duplication); a
-// miss falls back to plain radix and is recorded as such.
-func (k *Sink) sortRunPlanned(keys []byte, payload *row.RowSet, n int, plan strategy.Plan, dec *StrategyDecision) []byte {
-	s := k.s
-	st := plan.Stats
-	dec.Algo = plan.Algo.String()
-	dec.MergeRole = plan.MergeRole.String()
-	dec.Sortedness = st.Sortedness
-	dec.EffectiveKeyBytes = st.EffectiveBytes
-	dec.DistinctRatio = st.DistinctRatio
-	dec.FirstByteEntropy = st.FirstByteEntropy
-	dec.DupRunFrac = st.DupRunFrac
-	dec.RadixCost = plan.RadixCost
-	dec.PdqCost = plan.PdqCost
-	dec.SpillBlockRows = plan.SpillBlockRows
-	dec.FrontCode = plan.FrontCode
-	switch plan.Algo {
-	case strategy.AlgoDupGroup:
-		reps, groups, ok := sortalgo.CollectDupGroupsMin(keys, s.rowWidth, s.keyWidth, plan.DupGroupMinAvg)
-		if ok {
-			return k.expandGroups(keys, reps, groups, n)
-		}
-		dec.Forced = "dup-group-miss"
-		dec.Algo = radixAlgoName(s.keyWidth)
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-	case strategy.AlgoPdqsort:
+	dec.Algo = algo.String()
+	if algo == strategy.AlgoPdqsort {
 		r := sortalgo.NewRows(keys, s.rowWidth)
 		r.Compare = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
 		r.Pdqsort()
-	case strategy.AlgoMSDRadix:
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceMSD: true, Scratch: k.radixScratch(keys)})
-	default:
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{ForceLSD: true, Scratch: k.radixScratch(keys)})
+		return keys
+	}
+	radix.SortOpts(rows, stride, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys),
+		ForceLSD: algo == strategy.AlgoLSDRadix, ForceMSD: algo == strategy.AlgoMSDRadix})
+	switch {
+	case groups > 0:
+		dst := s.getKeyBuf()
+		if cap(dst) < len(keys) {
+			s.putKeyBuf(dst)
+			dst = make([]byte, len(keys))
+		}
+		dst = dst[:len(keys)]
+		sortalgo.ExpandDupGroups(dst, keys, s.rowWidth, rows, s.keyWidth)
+		s.putKeyBuf(keys)
+		s.runsGrouped.Add(1)
+		s.dupGroupRows.Add(int64(n - groups))
+		return dst
+	case tieBreak:
+		s.repairTies(keys, n, payload)
+		s.runsTieRepaired.Add(1)
+		dec.Algo = "radix+repair"
 	}
 	return keys
 }
@@ -1008,9 +996,8 @@ func compareStrings(a, b string) int {
 // Merge Path over runs in memory, at fence keys over runs on disk — and
 // merges each inside its gather (see Rows), so the first chunk does not wait
 // for the last. Only a budgeted sort whose runs outnumber what the budget can
-// stream at once does merge work here: the passes that reduce its fan-in.
-// Options.Merge selects the ablation arms. It must be called after every sink
-// is closed.
+// stream at once does merge work here: the passes that reduce its fan-in. It
+// must be called after every sink is closed.
 func (s *Sorter) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1046,13 +1033,6 @@ func (s *Sorter) finalizeLocked() error {
 		s.resultTie = s.resultTie || r.tieBreak
 		s.resultRows += r.rows
 	}
-	if len(runs) > 1 && s.opt.Merge == MergeCascade {
-		sp := s.rec.Worker("finalize").Begin(obs.PhaseMerge)
-		_, cmp := s.mergeOrder(s.resultTie, s.residentPayload)
-		runs = []mergepath.Run{mergepath.CascadeMerge(runs, cmp, s.opt.threads())}
-		s.mergeStats.BytesMoved = uint64(len(runs[0].Data))
-		sp.End()
-	}
 	if len(runs) == 1 {
 		// Nothing is left to merge in Rows.
 		s.prog.RowsMerged.Add(int64(s.resultRows))
@@ -1068,8 +1048,8 @@ func (s *Sorter) residentPayload(runID, idx uint32) (*row.RowSet, int) {
 }
 
 // mergeOrder returns the merge's comparators over key rows: tie orders rows
-// equal on the byte-decisive prefix (ovcSafeWidth) and is nil when no run can
-// tie, cmp is the whole order.
+// equal on the byte-decisive prefix (ovcSafeWidth), the one a loser tree is
+// coded on, and is nil when no run can tie; cmp is the whole order.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
 		tie = s.comparator(lookup)
@@ -1077,15 +1057,6 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 	}
 	kw := s.keyWidth
 	return nil, func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
-}
-
-// newMerger builds the loser tree over runs in mergeOrder's order: coded on
-// the byte-decisive prefix, or (MergeLoserTreeNoOVC) comparing whole rows.
-func (s *Sorter) newMerger(runs []mergepath.Run, anyTieBreak bool, tie, cmp mergepath.CompareFunc) *mergepath.Merger {
-	if s.opt.Merge == MergeLoserTreeNoOVC {
-		return mergepath.NewMerger(runs, 0, cmp)
-	}
-	return mergepath.NewMerger(runs, s.ovcSafeWidth(anyTieBreak), tie)
 }
 
 // NumRows returns the number of sorted rows; valid after Finalize.
@@ -1157,7 +1128,7 @@ func sortTable(s *Sorter, t *vector.Table) (*vector.Table, error) {
 	}
 	s.SetExpectedRows(int64(total))
 	if s.opt.KeyComp&(KeyCompDict|KeyCompTrunc) != 0 {
-		if err := s.PlanCompression(keySampleChunks(t.Chunks, s.opt.KeyCompSampleRows)); err != nil {
+		if err := s.PlanCompression(keySampleChunks(t.Chunks)); err != nil {
 			return nil, err
 		}
 	}

@@ -191,17 +191,6 @@ func TestSortTableNULStrings(t *testing.T) {
 	checkSorted(t, tbl, got, keys, "NUL strings")
 }
 
-func TestSortTableForcePdqsort(t *testing.T) {
-	cols := workload.Dist{P: 0.5}.Generate(5_000, 2, 76)
-	tbl := workload.UintColumnsTable(cols)
-	keys := []SortColumn{{Column: 0}, {Column: 1}}
-	got, err := SortTable(tbl, keys, Options{ForcePdqsort: true, Threads: 2, RunSize: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSorted(t, tbl, got, keys, "forced pdqsort")
-}
-
 func TestSortTableSpill(t *testing.T) {
 	dir := t.TempDir()
 	tbl := workload.Customer(6_000, 77)

@@ -41,30 +41,6 @@ type SortColumn struct {
 	CaseInsensitive bool
 }
 
-// MergeAlgo selects the merge-phase algorithm.
-type MergeAlgo int
-
-// The available merge algorithms.
-const (
-	// MergeLoserTree is the default: a single-pass k-way tournament (loser
-	// tree) over all runs with offset-value coding, so most comparisons
-	// resolve on cached (offset, value) integers instead of full-width key
-	// memcmp. The result iterator cuts the output into tasks — with k-way
-	// Merge Path in memory, at fence keys over spilled runs, which stream
-	// through fixed-size blocks in one read pass — and its workers merge them
-	// as they gather.
-	MergeLoserTree MergeAlgo = iota
-	// MergeLoserTreeNoOVC is the loser tree with offset-value coding
-	// disabled: every match compares key bytes (the ablation arm isolating
-	// the coding from the tree shape).
-	MergeLoserTreeNoOVC
-	// MergeCascade is the cascaded pairwise 2-way merge (the previous
-	// default), kept as the in-memory ablation baseline. It selects nothing
-	// for a sort with spilled runs, which always streams through the loser
-	// tree.
-	MergeCascade
-)
-
 // KeyComp is a bitmask enabling compressed normalized-key encodings. The
 // zero value disables compression (the seed behavior). Compression is
 // sample-driven: the materialized-table entry points (SortTable, or an
@@ -103,24 +79,23 @@ type Options struct {
 	// DefaultRunSize. Smaller runs mean more merging; larger runs mean more
 	// run-generation work per thread (Section II's comparison-count model).
 	RunSize int
-	// ForcePdqsort uses pdqsort for run generation even when radix sort is
-	// applicable (for the algorithm-choice ablation).
-	ForcePdqsort bool
 	// Adaptive replaces the paper's fixed "radix unless strings" rule with
 	// a sampled plan per run: internal/strategy samples the pending keys
 	// and picks LSD radix, MSD radix, pdqsort or duplicate-group sorting
 	// from modeled costs, and hints the run's spill block shape and merge
-	// role. Ignored when ForcePdqsort is set or a tie-break dictates the
-	// run sort anyway.
+	// role. A run whose keys may tie on their bytes is sorted as the tie-break
+	// dictates either way.
 	Adaptive bool
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
 	// fixed-size blocks for a single-pass k-way merge — the
 	// unified-row-format offloading sketched in the paper's future work.
 	// The merge runs inside the result iterator; its memory stays bounded at
-	// Threads × k runs × (1 + ReadAhead) blocks of SpillBlockRows rows,
-	// whatever the output's size, and every spilled byte is read exactly
-	// once. A result that reads from disk can be iterated once.
+	// Threads × k runs × (1 + ReadAhead) blocks, whatever the output's size,
+	// and every spilled byte is read exactly once. A block holds
+	// DefaultSpillBlockRows rows, or — under a memory budget — as many as the
+	// remaining reservation affords (mergepath.PlanBlockRows). A result that
+	// reads from disk can be iterated once.
 	//
 	// Without a memory budget (see MemoryLimit/Broker) every run spills as
 	// it is cut, preserving the original eager behavior. With a budget,
@@ -129,14 +104,6 @@ type Options struct {
 	// empty, a private directory under os.TempDir() is created on first
 	// spill and removed by Close.
 	SpillDir string
-	// Merge selects the merge-phase algorithm; the zero value is the
-	// offset-value-coded loser tree. The other values are ablation arms.
-	Merge MergeAlgo
-	// SpillBlockRows is the number of rows per spill-file block (the unit
-	// of streaming-merge I/O and resident memory per run); 0 means
-	// DefaultSpillBlockRows, or — under a memory budget — a block size
-	// planned from the remaining reservation (mergepath.PlanBlockRows).
-	SpillBlockRows int
 	// ReadAhead is the number of spill blocks per run a merge's block stage
 	// decodes ahead, on one background goroutine, of the block the loser tree
 	// is consuming: 0 means DefaultReadAhead (double buffering), a negative
@@ -168,9 +135,6 @@ type Options struct {
 	// Append. KeyCompRLE needs no sample and applies to any run whose key
 	// bytes are decisive.
 	KeyComp KeyComp
-	// KeyCompSampleRows bounds the rows SortTable samples for the
-	// compression plan; 0 means DefaultKeyCompSampleRows.
-	KeyCompSampleRows int
 	// Telemetry, when non-nil, records phase spans (ingest, run sort, spill
 	// I/O, merge, gather) and per-thread timelines into the recorder,
 	// exportable as Chrome trace_event JSON and Prometheus text; it also
@@ -214,13 +178,6 @@ func (o Options) runSize() int {
 	return DefaultRunSize
 }
 
-func (o Options) spillBlockRows() int {
-	if o.SpillBlockRows > 0 {
-		return o.SpillBlockRows
-	}
-	return DefaultSpillBlockRows
-}
-
 // readAhead returns the read-ahead depth per spilled run; 0 means disabled.
 func (o Options) readAhead() int {
 	if o.ReadAhead < 0 {
@@ -242,26 +199,24 @@ func (o Options) limited() bool { return o.MemoryLimit > 0 || o.Broker != nil }
 
 // Fingerprint renders the options as a compact one-line summary — the run's
 // configuration signature in the observability registry, so an operator can
-// tell two concurrent runs' setups apart at a glance.
+// tell two concurrent runs' setups apart at a glance. It says what the
+// options fix: the resolved parallelism and run size, then every behavioural
+// option set away from its default. What a sort plans as it goes — the block
+// shape, the fan-in — is in its SortStats, not here.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threads=%d runsize=%d", o.threads(), o.runSize())
-	switch o.Merge {
-	case MergeLoserTreeNoOVC:
-		b.WriteString(" merge=loser-noovc")
-	case MergeCascade:
-		b.WriteString(" merge=cascade")
-	default:
-		b.WriteString(" merge=loser")
+	if o.SpillDir != "" && !o.limited() {
+		b.WriteString(" spill=eager") // under a budget SpillDir only names where
 	}
-	if o.SpillDir != "" {
-		b.WriteString(" spill=eager")
-	}
-	if o.limited() {
+	if o.MemoryLimit > 0 {
 		fmt.Fprintf(&b, " budget=%d", o.MemoryLimit)
 	}
-	if o.SpillDir != "" || o.limited() {
-		fmt.Fprintf(&b, " blockrows=%d readahead=%d", o.spillBlockRows(), o.readAhead())
+	if o.Broker != nil {
+		b.WriteString(" broker=shared")
+	}
+	if o.ReadAhead != 0 {
+		fmt.Fprintf(&b, " readahead=%d", o.readAhead())
 	}
 	if o.KeyComp != 0 {
 		b.WriteString(" keycomp=")
@@ -276,9 +231,6 @@ func (o Options) Fingerprint() string {
 				sep = "+"
 			}
 		}
-	}
-	if o.ForcePdqsort {
-		b.WriteString(" pdqsort=forced")
 	}
 	if o.Adaptive {
 		b.WriteString(" adaptive")
@@ -296,17 +248,11 @@ func (o Options) Validate() error {
 	if o.RunSize < 0 {
 		return fmt.Errorf("core: Options.RunSize is negative (%d); use 0 for the default (%d)", o.RunSize, DefaultRunSize)
 	}
-	if o.SpillBlockRows < 0 {
-		return fmt.Errorf("core: Options.SpillBlockRows is negative (%d); use 0 for the default (%d)", o.SpillBlockRows, DefaultSpillBlockRows)
-	}
 	if o.MemoryLimit < 0 {
 		return fmt.Errorf("core: Options.MemoryLimit is negative (%d); use 0 for unlimited", o.MemoryLimit)
 	}
 	if o.KeyComp&^KeyCompAll != 0 {
 		return fmt.Errorf("core: Options.KeyComp has unknown bits %#x", uint8(o.KeyComp&^KeyCompAll))
-	}
-	if o.KeyCompSampleRows < 0 {
-		return fmt.Errorf("core: Options.KeyCompSampleRows is negative (%d); use 0 for the default (%d)", o.KeyCompSampleRows, DefaultKeyCompSampleRows)
 	}
 	return nil
 }

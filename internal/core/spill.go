@@ -20,31 +20,28 @@ import (
 // Spilling demonstrates the paper's future-work direction: because a run is
 // just flat key rows plus a row-format payload, it can be offloaded to
 // secondary storage in one unified format with no conversion. Runs are
-// written as fixed-size blocks (SpillBlockRows key rows followed by their
-// payload rows with a block-local string heap) and merged back like any
-// other run: every merge over spilled runs — the tasks of the result
-// iterator, an intermediate fan-in pass — streams all k runs block by block
+// written as fixed-size blocks (the key rows, then their payload rows with a
+// block-local string heap) and merged back like any other run: every merge
+// over spilled runs — the tasks of the result iterator, an intermediate
+// fan-in pass — streams all k runs block by block
 // through one offset-value-coded loser tree, its blocks served by the block
 // stage (prefetch.go). Resident memory is bounded by the stage's blocks, not
 // by the output, and every spilled byte is read exactly once.
 
-// spillMagic heads every spill file ("RSB2": row-sort blocks, format 2).
-const spillMagic = 0x52534232
-
-// spillMagicFC heads spill files whose key sections may be front-coded
-// ("RSB3"): each block's key section starts with a tag byte — 0 for raw key
-// rows, 1 for a little-endian uint32 encoded length followed by the
-// front-coded rows (normkey.AppendFrontCoded). Payload sections and the
-// block index are unchanged. Written only by adaptive sorts; format-2 files
-// stay byte-for-byte what they always were.
-const spillMagicFC = 0x52534233
+// spillMagic heads every spill file ("RSB3": row-sort blocks, format 3).
+// Each block's key section starts with a tag byte — 0 for raw key rows, 1
+// for a little-endian uint32 encoded length followed by the front-coded rows
+// (normkey.AppendFrontCoded) — and its payload section follows. A spill file
+// is a temp file read back by the process that wrote it: there is no other
+// format to stay compatible with.
+const spillMagic = 0x52534233
 
 // spillHeaderLen is the file header: magic, block rows, total rows.
 const spillHeaderLen = 16
 
-// fcPlanCutoff is the sampled encoded-to-raw ratio below which a block's
-// key section attempts front-coding; blocks predicted to barely shrink
-// skip the encode work entirely.
+// fcPlanCutoff is the sampled encoded-to-raw ratio below which a block of a
+// run whose plan asked for front-coding attempts it; blocks predicted to
+// barely shrink skip the encode work entirely.
 const fcPlanCutoff = 0.95
 
 // spillFile records where a sorted run lives on disk, plus the in-memory
@@ -54,7 +51,7 @@ const fcPlanCutoff = 0.95
 // search directly), and the file's length, which ends the last block.
 // The offsets let a merge read any block with one positioned read; the fences
 // bound each block's key range without reading it. The index costs one key row
-// plus one offset per block (rowWidth+8 bytes per SpillBlockRows rows) and is
+// plus one offset per block (rowWidth+8 bytes per blockRows rows) and is
 // part of the documented budget slack.
 type spillFile struct {
 	path      string
@@ -209,26 +206,25 @@ func (s *Sorter) spillPath(id uint32) (string, error) {
 // the exact buffers are not at hand.
 func (s *Sorter) approxRowBytes() int64 { return int64(s.rowWidth + s.layout.Width()) }
 
-// spillBlockRowsFor plans the spill-block size for a run about to be
-// written: the configured SpillBlockRows when set, the default when
-// unbudgeted, else a block sized from the remaining budget and the run's
-// average row footprint (mergepath.PlanBlockRows) — small blocks under
-// pressure, default-sized ones when there is headroom.
+// spillBlockRowsFor is the block-size decision for a run about to be written,
+// and it has two owners. A budget sizes the block from what remains of it and
+// the run's average row footprint (mergepath.PlanBlockRows): small blocks
+// under pressure, default-sized ones when there is headroom. Without one the
+// run's plan may hint a shape, and otherwise the default stands.
 func (s *Sorter) spillBlockRowsFor(r *sortedRun) int {
-	if s.opt.SpillBlockRows > 0 || !s.opt.limited() {
-		// The strategy plan's block-shape hint applies only when neither the
-		// user (SpillBlockRows) nor a budget (mergepath planning below) owns
-		// the block size.
-		if s.opt.SpillBlockRows == 0 && r.blockHint > 0 {
-			return r.blockHint
+	switch {
+	case s.pinBlockRows > 0:
+		return s.pinBlockRows
+	case s.opt.limited():
+		avg := s.approxRowBytes()
+		if r.keys != nil && r.rows > 0 {
+			avg = runBytes(r) / int64(r.rows)
 		}
-		return s.opt.spillBlockRows()
+		return mergepath.PlanBlockRows(s.broker.Remaining(), avg, DefaultSpillBlockRows)
+	case r.blockHint > 0:
+		return r.blockHint
 	}
-	avg := s.approxRowBytes()
-	if r.keys != nil && r.rows > 0 {
-		avg = runBytes(r) / int64(r.rows)
-	}
-	return mergepath.PlanBlockRows(s.broker.Remaining(), avg, DefaultSpillBlockRows)
+	return DefaultSpillBlockRows
 }
 
 // spillRun spills one specific run if it is still resident, claiming it
@@ -336,7 +332,7 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	defer sp.End()
 	n := len(r.keys) / s.rowWidth
 	blockRows := s.spillBlockRowsFor(r)
-	w, err := s.newSpillWriter(r.id, blockRows, n, s.opt.Adaptive && r.frontCode)
+	w, err := s.newSpillWriter(r.id, blockRows, n, r.frontCode)
 	if err != nil {
 		return err
 	}
@@ -364,21 +360,23 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	return nil
 }
 
-// spillWriter writes one run's spill file: a header, then per block the key
-// rows (raw, or tagged and possibly front-coded when the run's strategy plan
-// asked for it) followed by the block's payload rows (with a block-local
-// string heap, so a reader needs only that block resident to resolve
-// tie-break lookups). It records the file's block index (offsets and fences)
-// as the blocks stream out.
+// spillWriter writes one run's spill file: a header, then per block the
+// tagged key section (raw rows, or front-coded when the run's plan asked for
+// the attempt and the block shrank) followed by the block's payload rows
+// (with a block-local string heap, so a reader needs only that block resident
+// to resolve tie-break lookups). It records the file's block index (offsets
+// and fences) as the blocks stream out.
 type spillWriter struct {
 	s  *Sorter
 	f  *os.File
 	bw *bufio.Writer
 	cw countingWriter
 	sf *spillFile
-	fc bool
-	// fcScratch is the reusable front-coding encode buffer.
+	fc bool // the run's plan bit: blocks try front-coding (tag 1)
+	// fcScratch is the reusable front-coding encode buffer; pre the key
+	// section's tag byte and encoded length.
 	fcScratch []byte
+	pre       [5]byte
 }
 
 // newSpillWriter creates run id's spill file, tracked for cleanup from here
@@ -397,12 +395,8 @@ func (s *Sorter) newSpillWriter(id uint32, blockRows, rows int, fc bool) (*spill
 	w := &spillWriter{s: s, f: f, bw: bufio.NewWriter(f), fc: fc, sf: &spillFile{path: path, blockRows: blockRows,
 		offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*s.rowWidth)}}
 	w.cw.w = w.bw
-	magic := uint32(spillMagic)
-	if fc {
-		magic = spillMagicFC
-	}
 	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
+	binary.LittleEndian.PutUint32(hdr[0:], spillMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(rows))
 	if _, err := w.cw.Write(hdr[:]); err != nil {
@@ -416,7 +410,7 @@ func (w *spillWriter) writeBlock(keys []byte, payload *row.RowSet) error {
 	rw := w.s.rowWidth
 	w.sf.offs = append(w.sf.offs, w.cw.n)
 	w.sf.fences = append(w.sf.fences, keys[:rw]...)
-	if err := w.s.writeKeySection(&w.cw, &w.fcScratch, keys, len(keys)/rw, w.fc); err != nil {
+	if err := w.writeKeySection(keys, len(keys)/rw); err != nil {
 		return err
 	}
 	_, err := payload.WriteTo(&w.cw)
@@ -451,40 +445,30 @@ func (w *spillWriter) abort(err error) error {
 	return err
 }
 
-// writeKeySection writes one spill block's key rows. Raw format: the rows
-// as they are. Front-coding format (fc): a tag byte, then either the raw
-// rows (tag 0) or a length-prefixed front-coded encoding (tag 1). The
-// encode is attempted only when a fresh sample of the block predicts a
-// saving (re-checked per block, so intermediate merge generations re-sample
-// what the merge actually produced), and kept only when the block really
-// shrank. scratch is the caller's reusable encode buffer.
-func (s *Sorter) writeKeySection(w io.Writer, scratch *[]byte, keys []byte, rows int, fc bool) error {
-	if !fc {
-		_, err := w.Write(keys)
-		return err
-	}
-	rw, kw := s.rowWidth, s.keyWidth
-	if normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
-		enc := normkey.AppendFrontCoded((*scratch)[:0], keys, rw, kw, rows)
-		*scratch = enc
-		if len(enc) < len(keys) {
-			var pre [5]byte
-			pre[0] = 1
-			binary.LittleEndian.PutUint32(pre[1:], uint32(len(enc)))
-			if _, err := w.Write(pre[:]); err != nil {
-				return err
-			}
-			if _, err := w.Write(enc); err != nil {
-				return err
-			}
-			s.spillBlocksFC.Add(1)
-			return nil
+// writeKeySection writes one spill block's key rows: a tag byte, then either
+// the raw rows (tag 0) or a length-prefixed front-coded encoding (tag 1). The
+// encode is attempted only for a run whose plan asked for it, and then only
+// when a fresh sample of the block predicts a saving (re-checked per block,
+// so intermediate merge generations re-sample what the merge actually
+// produced), and kept only when the block really shrank.
+func (w *spillWriter) writeKeySection(keys []byte, rows int) error {
+	rw, kw := w.s.rowWidth, w.s.keyWidth
+	section := keys
+	w.pre[0] = 0
+	tagged := w.pre[:1]
+	if w.fc && normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
+		w.fcScratch = normkey.AppendFrontCoded(w.fcScratch[:0], keys, rw, kw, rows)
+		if len(w.fcScratch) < len(keys) {
+			w.pre[0] = 1
+			binary.LittleEndian.PutUint32(w.pre[1:], uint32(len(w.fcScratch)))
+			section, tagged = w.fcScratch, w.pre[:]
+			w.s.spillBlocksFC.Add(1)
 		}
 	}
-	if _, err := w.Write([]byte{0}); err != nil {
+	if _, err := w.cw.Write(tagged); err != nil {
 		return err
 	}
-	_, err := w.Write(keys)
+	_, err := w.cw.Write(section)
 	return err
 }
 
@@ -500,11 +484,11 @@ func (s *Sorter) writeKeySection(w io.Writer, scratch *[]byte, keys []byte, rows
 // them and says so (settle): at most the blocks a chunk's, or an output
 // block's, rows came from.
 type extMerge struct {
-	s        *Sorter
-	st       *blockStage
-	ctx      context.Context
-	ow       *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
-	tie, cmp mergepath.CompareFunc
+	s   *Sorter
+	st  *blockStage
+	ctx context.Context
+	ow  *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
+	tie mergepath.CompareFunc
 
 	lo, hi  []byte // the key range being merged, on the safe prefix; nil is open
 	cur     []extCursor
@@ -532,7 +516,7 @@ func (s *Sorter) newExtMerge(ctx context.Context, st *blockStage, ow *obs.Worker
 		cur: make([]extCursor, k), sets: make([]*row.RowSet, k, 2*k)}
 	// Tie-break lookups resolve against the run's current block: references
 	// store absolute run indexes, the cursor knows its block's offset.
-	e.tie, e.cmp = s.mergeOrder(st.plan.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
+	e.tie, _ = s.mergeOrder(st.plan.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
 		c := &e.cur[st.plan.index[runID]]
 		return c.payload, int(idx) - c.start
 	})
@@ -563,7 +547,7 @@ func (e *extMerge) open(t int) error {
 		c.slot, e.sets[i] = uint32(i), c.payload
 		mruns[i] = mergepath.Run{Data: keys, Width: s.rowWidth}
 	}
-	e.m = s.newMerger(mruns, p.anyTie, e.tie, e.cmp)
+	e.m = mergepath.NewMerger(mruns, p.safe, e.tie)
 	e.m.SetRefill(e.refill)
 	return nil
 }
@@ -704,7 +688,7 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 	buffers := s.opt.mergeBuffers()
 	for {
 		avg := s.approxRowBytes()
-		plan := mergepath.PlanMerge(len(ids), s.broker.Remaining(), avg, s.opt.spillBlockRows(), buffers)
+		plan := mergepath.PlanMerge(len(ids), s.broker.Remaining(), avg, DefaultSpillBlockRows, buffers)
 		if plan.FanIn >= len(ids) {
 			return ids, nil
 		}

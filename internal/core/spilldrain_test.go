@@ -15,30 +15,19 @@ import (
 )
 
 // spilledSorter ingests tbl through a single sink with every run kept in
-// memory, then spills by hand the runs spill selects — front-coded (RSB3
-// files) when opt.Adaptive says so — and finalizes. The runs are those of an
+// memory, then spills by hand the runs spill selects — in blocks of blockRows
+// rows (0: as the sorter would), their keys front-coded where that shrinks
+// them when frontCode says so — and finalizes. The runs are those of an
 // in-memory sort under the same options, so its oracle is this sort's too.
 // The caller closes the sorter.
-func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, spill func(run int) bool) *Sorter {
+func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, blockRows int, frontCode bool, spill func(run int) bool) *Sorter {
 	t.Helper()
-	s, err := NewSorter(tbl.Schema, keys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
 	for i, r := range s.runs {
 		if r.spill != nil {
 			t.Fatalf("run %d spilled during ingest", i)
 		}
-		if r.frontCode = opt.Adaptive; spill(i) {
+		if r.frontCode = frontCode; spill(i) {
 			if err := s.spillRun(r, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -71,8 +60,8 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 }
 
 // TestSpilledRowsGridByteIdentity is the byte-identity bar of the merge over
-// spilled runs: whatever the worker count, the block size, the file format
-// and which runs are on disk, Rows yields the rows the scalar-merge oracle
+// spilled runs: whatever the worker count, the block size, the key sections'
+// coding and which runs are on disk, Rows yields the rows the scalar-merge oracle
 // yields for the same runs in memory — compared as rows, since a task's last
 // chunk may be short — across run counts on both sides of a power of two,
 // merges with and without the tie-break comparator, and unique,
@@ -93,23 +82,22 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 		}
 		for _, tieBreak := range []bool{false, true} {
 			for dist, tbl := range tables {
-				for _, adaptive := range []bool{false, true} {
-					keys := drainKeys(tieBreak)
-					base := Options{Threads: 1, RunSize: perRun, Adaptive: adaptive}
-					mem0 := finalizedSorter(t, tbl, keys, base)
-					if len(mem0.runs) != runs {
-						t.Fatalf("%d runs generated, want %d", len(mem0.runs), runs)
-					}
-					want := rowify(t, oracleResult(t, mem0)).Bytes()
-					mem0.Close()
+				keys := drainKeys(tieBreak)
+				mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
+				if len(mem0.runs) != runs {
+					t.Fatalf("%d runs generated, want %d", len(mem0.runs), runs)
+				}
+				want := rowify(t, oracleResult(t, mem0)).Bytes()
+				mem0.Close()
+				for _, frontCode := range []bool{false, true} {
 					// One block a run, the default, one that leaves a ragged
 					// last block, and blocks of a few rows.
 					for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
 						check := func(ctx string, opt Options, spill func(int) bool) {
-							opt.RunSize, opt.Adaptive, opt.SpillBlockRows = perRun, adaptive, blockRows
-							s := spilledSorter(t, tbl, keys, opt, spill)
-							ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v adaptive=%v block=%d threads=%d",
-								ctx, runs, drainKeyNames[dist], tieBreak, adaptive, blockRows, opt.Threads)
+							opt.RunSize = perRun
+							s := spilledSorter(t, tbl, keys, opt, blockRows, frontCode, spill)
+							ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v frontcode=%v block=%d threads=%d",
+								ctx, runs, drainKeyNames[dist], tieBreak, frontCode, blockRows, opt.Threads)
 							got := drainAll(t, s)
 							if !bytes.Equal(rowify(t, got).Bytes(), want) {
 								t.Fatalf("%s: rows differ from the oracle's", ctx)
@@ -129,7 +117,7 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 							}
 						}
 						threads := []int{1, 2, 4, 8}
-						if adaptive {
+						if frontCode {
 							threads = []int{1, 4}
 						}
 						for _, th := range threads {
@@ -144,6 +132,88 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	}
 	if tasks < 4*int64(sorts) || frontCoded == 0 {
 		t.Errorf("%d sorts ran %d tasks and wrote %d front-coded blocks: the grid missed what it is for", sorts, tasks, frontCoded)
+	}
+}
+
+// TestSpillFilesAreOneFormat pins the one spill format: whoever wrote a run's
+// file — a default sort, a sort whose plans ask for front-coding, an
+// intermediate merge pass — it starts with the one magic and every block's
+// key section opens with tag 0 (raw rows) or 1 (front-coded), and a merge
+// over a mix of them drains byte-identical to the in-memory oracle.
+func TestSpillFilesAreOneFormat(t *testing.T) {
+	// tags checks run r's file and counts its key sections by tag.
+	tags := func(ctx string, r *sortedRun) (n [2]int) {
+		t.Helper()
+		data, err := os.ReadFile(r.spill.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if magic := binary.LittleEndian.Uint32(data); magic != spillMagic {
+			t.Fatalf("%s: run %d's file starts with magic %#x, want %#x", ctx, r.id, magic, spillMagic)
+		}
+		for b, off := range r.spill.offs {
+			if data[off] > 1 {
+				t.Fatalf("%s: block %d of run %d opens with tag %d", ctx, b, r.id, data[off])
+			}
+			n[data[off]]++
+		}
+		return n
+	}
+	const perRun, blockRows = vector.DefaultVectorSize, 512
+	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
+	keys := drainKeys(false)
+
+	// A default sort tries no front-coding: every section is raw.
+	def := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
+	for _, r := range def.runs {
+		if n := tags("default sort", r); n != [2]int{perRun / blockRows, 0} {
+			t.Errorf("default sort, run %d: %d raw and %d front-coded key sections", r.id, n[0], n[1])
+		}
+	}
+	def.Close()
+
+	// The mix: an adaptive sort, whose plans ask for front-coding on these
+	// keys — eight values, so every block shrinks — except that every other run
+	// is told not to try, as a default sort's are. With the budget all but
+	// taken, Finalize merges the five files down to two in passes of two:
+	// ((0 1) (2 3)) and 4.
+	opt := Options{Threads: 1, RunSize: perRun, Adaptive: true}
+	mem0 := finalizedSorter(t, tbl, keys, opt)
+	want := rowify(t, oracleResult(t, mem0)).Bytes()
+	mem0.Close()
+	broker := mem.NewBroker("one-format", 1<<30)
+	opt.Broker, opt.ReadAhead = broker, -1
+	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
+	defer s.Close()
+	for i, r := range s.runs {
+		if !r.frontCode {
+			t.Fatalf("run %d's plan does not ask for front-coding", i)
+		}
+		r.frontCode = i%2 == 1
+		if err := s.spillRun(r, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := tags("adaptive sort", r); n[0]+n[1] != perRun/blockRows || (n[1] > 0) != r.frontCode {
+			t.Errorf("run %d, front-coding %v: %d raw and %d front-coded key sections", i, r.frontCode, n[0], n[1])
+		}
+	}
+	s.dropPools()
+	hog := broker.Reserve("hog", broker.Remaining()-(1<<10))
+	defer hog.Release()
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.MergePasses != 3 || len(s.streamActive) != 2 || s.streamActive[1] != 4 {
+		t.Fatalf("%d passes left runs %v, want three and a pass's output beside run 4", st.MergePasses, s.streamActive)
+	}
+	if n := tags("merge pass", s.runs[s.streamActive[0]]); n[1] == 0 {
+		t.Errorf("the last pass wrote %d raw and no front-coded key sections", n[0])
+	}
+	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
+		t.Error("the merge of a pass's output and a default-shaped run differs from the oracle")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -177,8 +247,8 @@ func TestSpilledDrainSurvivesSkew(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		for _, readAhead := range []int{-1, 1} {
 			ctx := fmt.Sprintf("threads=%d readahead=%d", threads, readAhead)
-			s := spilledSorter(t, tbl, keys, Options{Threads: threads, RunSize: perRun,
-				SpillBlockRows: blockRows, ReadAhead: readAhead}, allRuns)
+			s := spilledSorter(t, tbl, keys, Options{Threads: threads, RunSize: perRun, ReadAhead: readAhead},
+				blockRows, false, allRuns)
 			var got *vector.Table
 			var err error
 			within(t, ctx, 30*time.Second, func() { got, err = s.Result() })
@@ -197,8 +267,8 @@ func TestSpilledDrainSurvivesSkew(t *testing.T) {
 func sixteenSpilledRuns(t testing.TB, opt Options) (*Sorter, *vector.Table) {
 	const perRun, blockRows = 8 * vector.DefaultVectorSize, 1024
 	tbl := workload.CatalogSales(16*perRun, 10, 17)
-	opt.RunSize, opt.SpillBlockRows = perRun, blockRows
-	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, allRuns)
+	opt.RunSize = perRun
+	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, blockRows, false, allRuns)
 	if len(s.runs) != 16 || s.runs[0].spill.numBlocks() != 16 {
 		t.Fatalf("%d runs of %d blocks", len(s.runs), s.runs[0].spill.numBlocks())
 	}
@@ -294,20 +364,8 @@ func TestSpilledSortHoldsNoOutput(t *testing.T) {
 	const perRun, blockRows = 8 * vector.DefaultVectorSize, 1024
 	tbl := workload.CatalogSales(16*perRun, 10, 18)
 	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
-	s, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: perRun, SpillBlockRows: blockRows, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := ingestedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
 	defer s.Close()
-	sink := s.NewSink()
-	for _, c := range tbl.Chunks {
-		if err := sink.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
 	rungenPeak := s.broker.Peak()
 	mergedKeys := uint64(tbl.NumRows() * s.rowWidth)
 
@@ -339,8 +397,7 @@ func TestSpilledSortHoldsNoOutput(t *testing.T) {
 }
 
 // spillFaults are ways a spill file can be bad by the time it is read back.
-// Each damages block b of the run's file, whose index is sf, and reports
-// whether the fault applies to the file's format.
+// Each damages block b of the run's file, whose index is sf.
 var spillFaults = []struct {
 	name  string
 	apply func(t *testing.T, s *Sorter, sf *spillFile, b int)
@@ -355,7 +412,7 @@ var spillFaults = []struct {
 	}},
 	{"short payload", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
 		// The payload's row count, one short: past the tag byte and the raw
-		// key rows of a block the front coding did not shrink.
+		// key rows.
 		rows := min(sf.blockRows, s.runs[0].rows-b*sf.blockRows)
 		var n [4]byte
 		binary.LittleEndian.PutUint32(n[:], uint32(rows-1))
@@ -382,16 +439,14 @@ func overwrite(t *testing.T, path string, off int64, b []byte) {
 	}
 }
 
-// faultySorter is a sort of eight spilled runs of eight tagged (RSB3) blocks
-// of raw key rows — unique keys do not front-code — and the directory they
-// are in.
+// faultySorter is a default sort of eight spilled runs of eight blocks, and
+// the directory they are in.
 func faultySorter(t *testing.T, threads int) (*Sorter, string) {
 	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
 	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
-	s := spilledSorter(t, tbl, drainKeys(false), Options{Threads: threads, RunSize: perRun,
-		SpillBlockRows: blockRows, Adaptive: true}, allRuns)
-	if st := s.Stats(); len(s.runs) != 8 || st.SpillBlocksFrontCoded != 0 {
-		t.Fatalf("%d runs, %d front-coded blocks", len(s.runs), st.SpillBlocksFrontCoded)
+	s := spilledSorter(t, tbl, drainKeys(false), Options{Threads: threads, RunSize: perRun}, blockRows, false, allRuns)
+	if len(s.runs) != 8 {
+		t.Fatalf("%d runs", len(s.runs))
 	}
 	return s, s.spillTmpDir
 }

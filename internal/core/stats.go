@@ -95,7 +95,7 @@ type SortStats struct {
 	// Finalize merged plus what the result iterator did — the latest one;
 	// iterating an in-memory sort again replaces its share, and an iterator
 	// closed early reports what it merged. Merge.BytesMoved counts key rows
-	// a merge copied (intermediate passes, the cascade arm): the final merge
+	// a merge copied (intermediate passes): the final merge
 	// hands payload references straight to the gather, over runs in memory
 	// and over spilled ones alike, so a sort without passes reports 0.
 	Merge mergepath.Stats

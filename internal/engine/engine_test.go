@@ -190,19 +190,20 @@ func TestLimitAbandonsInMemorySortEarly(t *testing.T) {
 }
 
 // TestLimitAbandonsSpilledSortEarly is the same LIMIT over a sort whose 16
-// runs are on disk: the merge runs inside the result iterator there too, so
+// runs are on disk, in sixteen blocks of the default size each: the merge
+// runs inside the result iterator there too, so
 // the ten rows cost the first blocks of each run and what the stage read
 // ahead — two blocks a run — not the runs; closing the plan stops the stage
 // and removes every file.
 func TestLimitAbandonsSpilledSortEarly(t *testing.T) {
-	const runs, perRun, blockRows = 16, 1 << 14, 1 << 10
+	const runs, perRun = 16, 16 * core.DefaultSpillBlockRows
 	tbl := workload.UniformInt64s(runs*perRun, 53)
 	keys := []core.SortColumn{{Column: 0}}
 	reg := obs.NewRegistry(4)
 	dir := t.TempDir()
 	base := runtime.NumGoroutine()
 	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 1, RunSize: perRun,
-		SpillBlockRows: blockRows, SpillDir: dir, Registry: reg}), 10, 3))
+		SpillDir: dir, Registry: reg}), 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@
 // result iterator hands such slices to its workers); this package only cuts.
 //
 // The 2-way primitives (SplitPoint, MergeInto, ParallelMerge) and the
-// cascaded CascadeMerge are kept as the ablation baseline and for the
-// modeled systems.
+// cascaded CascadeMerge are the paper's Merge Path merge. The sorter does not
+// call them: `sortbench -exp merge` times the cascade beside the two trees on
+// the same key runs, which is where the comparison lives.
 package mergepath
 
 import (

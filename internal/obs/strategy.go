@@ -13,18 +13,19 @@ type StrategyDecision struct {
 	// "pdqsort", "dup-group", "radix+repair").
 	Algo string `json:"algo"`
 	// Forced, when non-empty, names why the plan was dictated rather than
-	// sampled ("tie-break", "option", "static", "dup-group-miss").
+	// sampled ("tie-break", "static"), or that a sampled duplicate-group plan
+	// missed on the whole run ("dup-group-miss").
 	Forced string `json:"forced,omitempty"`
 	// MergeRole is the run's merge-scheduling hint ("normal", "dup-heavy",
-	// "presorted"); empty when no plan was sampled.
+	// "presorted"); "normal" when the plan was dictated.
 	MergeRole string `json:"merge_role,omitempty"`
-	// Sampled statistics behind the decision (zero when Forced).
+	// Sampled statistics behind the decision (zero when the plan was dictated).
 	Sortedness        float64 `json:"sortedness,omitempty"`
 	EffectiveKeyBytes int     `json:"effective_key_bytes,omitempty"`
 	DistinctRatio     float64 `json:"distinct_ratio,omitempty"`
 	FirstByteEntropy  float64 `json:"first_byte_entropy,omitempty"`
 	DupRunFrac        float64 `json:"dup_run_frac,omitempty"`
-	// Modeled per-row costs the crossover compared (zero when Forced).
+	// Modeled per-row costs the crossover compared (zero when dictated).
 	RadixCost float64 `json:"radix_cost,omitempty"`
 	PdqCost   float64 `json:"pdq_cost,omitempty"`
 	// SpillBlockRows is the plan's spill block-shape hint (0 = default).
