@@ -6,6 +6,8 @@
 package rowsort
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"rowsort/internal/radix"
 	"rowsort/internal/row"
 	"rowsort/internal/rowcmp"
+	"rowsort/internal/sortalgo"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -366,27 +369,34 @@ func BenchmarkAblationHybridPdq(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptive measures the Future Work algorithm-choice
-// heuristic against the paper's fixed rule on inputs where they disagree.
+// BenchmarkAblationAdaptive measures the kernels the Future Work
+// algorithm-choice planner chooses between, on the input where they disagree
+// most: a presorted run, which the paper's fixed rule would radix-sort and the
+// sampled plan hands to pdqsort's pattern detector (sortbench -exp adaptive
+// has the other shapes and the planner's regret on each).
 func BenchmarkAblationAdaptive(b *testing.B) {
-	n := 1 << 16
-	sortedVals := make([]uint32, n)
-	for i := range sortedVals {
-		sortedVals[i] = uint32(i)
+	const n, rowW, keyW = 1 << 16, 16, 8
+	base := make([]byte, n*rowW)
+	for i := 0; i < n; i++ {
+		binary.BigEndian.PutUint64(base[i*rowW:], uint64(i))
 	}
-	tbl := workload.UintColumnsTable([][]uint32{sortedVals})
-	keys := []core.SortColumn{{Column: 0}}
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed-rule"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run("presorted/"+name, func(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		sort func(data []byte)
+	}{
+		{"radix", func(data []byte) { radix.Sort(data, rowW, keyW) }},
+		{"pdqsort", func(data []byte) {
+			r := sortalgo.NewRows(data, rowW)
+			r.Compare = func(a, b []byte) int { return bytes.Compare(a[:keyW], b[:keyW]) }
+			r.Pdqsort()
+		}},
+	} {
+		b.Run("presorted/"+k.name, func(b *testing.B) {
+			data := make([]byte, len(base))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SortTable(tbl, keys, core.Options{Threads: 1, Adaptive: adaptive}); err != nil {
-					b.Fatal(err)
-				}
+				copy(data, base)
+				k.sort(data)
 			}
 		})
 	}

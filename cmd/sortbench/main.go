@@ -140,7 +140,6 @@ func run() int {
 	}
 	if *traceFile != "" || *metrics != "" {
 		cfg.Telemetry = obs.NewRecorder()
-		cfg.Telemetry.PublishExpvar("rowsort")
 	}
 
 	ctx := context.Background()

@@ -37,8 +37,9 @@ func MedianTime(reps int, f func()) time.Duration {
 // systematic thermal/turbo penalty. It returns times[fn][round], so callers
 // comparing arms can form per-round (paired) ratios, which cancel whatever
 // drift remains within a round; use it for ablations whose verdict is a
-// ratio between arms.
-func InterleavedRounds(reps int, fns []func()) [][]time.Duration {
+// ratio between arms. prep runs, untimed, before every timed call: arms that
+// consume their input get a fresh one.
+func InterleavedRounds(reps int, prep func(), fns []func()) [][]time.Duration {
 	if reps < 1 {
 		reps = 1
 	}
@@ -49,6 +50,7 @@ func InterleavedRounds(reps int, fns []func()) [][]time.Duration {
 	for r := 0; r < reps; r++ {
 		for k := range fns {
 			i := (r + k) % len(fns)
+			prep()
 			start := time.Now()
 			fns[i]()
 			times[i][r] = time.Since(start)

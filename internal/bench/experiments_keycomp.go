@@ -11,14 +11,15 @@ import (
 )
 
 func init() {
-	register("keycomp", "Compressed normalized keys: full vs dictionary vs truncated vs RLE",
+	register("keycomp", "Compressed normalized keys: full vs dictionary vs truncated",
 		runKeyComp)
 }
 
 // runKeyComp is the compressed-key ablation: each workload shape the
-// encodings target (low-cardinality strings, shared-prefix strings,
-// duplicate-run integers) plus a uniform high-cardinality control is
-// sorted under every Options.KeyComp arm. The table reports wall time,
+// encodings target (low-cardinality strings, shared-prefix strings), the
+// duplicate-run integers every arm group-sorts alike (the planner's doing,
+// no KeyComp bit's) and a uniform high-cardinality control are sorted under
+// every Options.KeyComp arm. The table reports wall time,
 // the logical vs physical normalized-key volume (the gap is what
 // compression saved), and the spill bytes of a forced-spill run of the
 // same sort (smaller keys spill fewer bytes). The uniform control pins
@@ -36,7 +37,6 @@ func runKeyComp(w io.Writer, cfg Config) error {
 		{"full", 0},
 		{"dict", core.KeyCompDict},
 		{"trunc", core.KeyCompTrunc},
-		{"rle", core.KeyCompRLE},
 		{"all", core.KeyCompAll},
 	}
 	workloads := []struct {

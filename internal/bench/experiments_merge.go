@@ -20,22 +20,21 @@ func init() {
 		runMergeAblation)
 }
 
-// sortedKeyRuns encodes tbl's sort keys as normalized key rows at the
-// sorter's key-row stride (key bytes, then room for the payload reference)
-// and radix-sorts them in runs consecutive slices: what run generation
-// leaves the merge.
-func sortedKeyRuns(tbl *vector.Table, keys []core.SortColumn, runs int) ([]mergepath.Run, int, error) {
+// encodeKeyRows encodes tbl's sort keys as normalized key rows at the sorter's
+// key-row stride (key bytes, then room for the payload reference): what a sink
+// hands its run sort.
+func encodeKeyRows(tbl *vector.Table, keys []core.SortColumn) (rows []byte, rw, kw int, err error) {
 	nkeys := make([]normkey.SortKey, len(keys))
 	for i, k := range keys {
 		nkeys[i] = normkey.SortKey{Column: k.Column, Type: tbl.Schema[k.Column].Type}
 	}
 	enc, err := normkey.NewEncoder(nkeys)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	n, kw := tbl.NumRows(), enc.Width()
-	rw := (kw + 8 + 7) &^ 7
-	rows := make([]byte, n*rw)
+	kw = enc.Width()
+	rw = (kw + 8 + 7) &^ 7
+	rows = make([]byte, tbl.NumRows()*rw)
 	keyCols := make([]*vector.Vector, len(nkeys))
 	off := 0
 	for _, c := range tbl.Chunks {
@@ -43,11 +42,21 @@ func sortedKeyRuns(tbl *vector.Table, keys []core.SortColumn, runs int) ([]merge
 			keyCols[i] = c.Vectors[k.Column]
 		}
 		if _, err := enc.EncodeChunk(keyCols, rows[off:], rw, 0); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		off += c.Len() * rw
 	}
-	perRun := (n + runs - 1) / runs * rw
+	return rows, rw, kw, nil
+}
+
+// sortedKeyRuns radix-sorts tbl's key rows in runs consecutive slices: what
+// run generation leaves the merge.
+func sortedKeyRuns(tbl *vector.Table, keys []core.SortColumn, runs int) ([]mergepath.Run, int, error) {
+	rows, rw, kw, err := encodeKeyRows(tbl, keys)
+	if err != nil {
+		return nil, 0, err
+	}
+	perRun := (tbl.NumRows() + runs - 1) / runs * rw
 	var out []mergepath.Run
 	for from := 0; from < len(rows); from += perRun {
 		run := rows[from:min(from+perRun, len(rows))]

@@ -56,9 +56,8 @@ func TestQuickRandomSchemasAndSpecs(t *testing.T) {
 			}
 		}
 		s, err := NewSorter(tbl.Schema, keys, Options{
-			Threads:  1 + rng.Intn(4),
-			RunSize:  64 + rng.Intn(2000),
-			Adaptive: rng.Intn(4) == 0,
+			Threads: 1 + rng.Intn(4),
+			RunSize: 64 + rng.Intn(2000),
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -68,7 +68,6 @@ func TestKeyCompEquivalence(t *testing.T) {
 	}{
 		{"dict", KeyCompDict},
 		{"trunc", KeyCompTrunc},
-		{"rle", KeyCompRLE},
 		{"all", KeyCompAll},
 	}
 	for _, w := range workloads {
@@ -165,12 +164,13 @@ func TestKeyCompStatsDictEscapes(t *testing.T) {
 	}
 }
 
-// TestKeyCompStatsRLE asserts duplicate-run group sorting engages on
-// duplicate-heavy integers.
+// TestKeyCompStatsRLE asserts duplicate-run group sorting ("rle group sort"
+// in the stats) engages on duplicate-heavy integers with no option asking for
+// it: the planner's sample of each run does.
 func TestKeyCompStatsRLE(t *testing.T) {
 	tbl := workload.DupHeavyInts(12_000, 50, 32)
 	keys := []SortColumn{{Column: 0}}
-	_, st, err := SortTableStats(tbl, keys, Options{Threads: 2, RunSize: 2_000, KeyComp: KeyCompRLE})
+	_, st, err := SortTableStats(tbl, keys, Options{Threads: 2, RunSize: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +230,15 @@ func TestPlanCompressionOrdering(t *testing.T) {
 	}
 }
 
-// TestKeyCompOptionValidation pins the Options.KeyComp bit check.
+// TestKeyCompOptionValidation pins the Options.KeyComp bit check: two bits
+// exist, and the third, which once asked for duplicate-run grouping, is as
+// unknown as any other.
 func TestKeyCompOptionValidation(t *testing.T) {
 	tbl := workload.UniformInt64s(100, 36)
 	keys := []SortColumn{{Column: 0}}
-	if _, err := SortTable(tbl, keys, Options{KeyComp: KeyComp(0x80)}); err == nil {
-		t.Fatal("unknown KeyComp bits should fail validation")
+	for _, kc := range []KeyComp{0x80, 1 << 2, KeyCompAll | 1<<2} {
+		if _, err := SortTable(tbl, keys, Options{KeyComp: kc}); err == nil {
+			t.Fatalf("KeyComp %#x has unknown bits and should fail validation", uint8(kc))
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,5 +260,65 @@ func TestDisabledObservabilityHooksAllocateNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability hooks allocate %v per run, want 0", allocs)
+	}
+}
+
+// TestAdaptiveRunSnapshotCarriesStrategy wires the decision log through the
+// observability registry: the run's HTTP snapshot must list the decisions,
+// and the Prometheus export must carry the per-algorithm run counts.
+func TestAdaptiveRunSnapshotCarriesStrategy(t *testing.T) {
+	cols := workload.Dist{Random: true}.Generate(6_000, 1, 145)
+	tbl := workload.UintColumnsTable(cols)
+	keys := []SortColumn{{Column: 0}}
+
+	reg := obs.NewRegistry(0)
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+
+	_, st, err := SortTableStats(tbl, keys, Options{
+		Threads: 1, RunSize: 1000,
+		Registry: reg, RunLabel: "strategy-snap",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.StrategyDecisions) == 0 {
+		t.Fatal("no decisions recorded")
+	}
+
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 {
+		t.Fatalf("registry holds %d runs, want 1", len(snaps))
+	}
+	snap := getSnapshot(t, srv.URL, snaps[0].ID)
+	if len(snap.Strategy) != len(st.StrategyDecisions) {
+		t.Fatalf("snapshot carries %d decisions, stats %d", len(snap.Strategy), len(st.StrategyDecisions))
+	}
+	for i, d := range snap.Strategy {
+		if d != st.StrategyDecisions[i] {
+			t.Fatalf("decision %d differs: snapshot %+v, stats %+v", i, d, st.StrategyDecisions[i])
+		}
+	}
+
+	// The sort's own export and the registry's tally the log the same way.
+	var prom, regProm strings.Builder
+	if err := st.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidatePrometheus([]byte(prom.String())); err != nil {
+		t.Fatalf("invalid Prometheus output: %v", err)
+	}
+	if err := reg.WritePrometheus(&regProm); err != nil {
+		t.Fatal(err)
+	}
+	for _, ac := range obs.AlgoCounts(st.StrategyDecisions) {
+		want := fmt.Sprintf("rowsort_strategy_runs_total{algo=%q} %d", ac.Algo, ac.Runs)
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("SortStats export is missing %s", want)
+		}
+		want = fmt.Sprintf("rowsort_run_strategy_runs_total{run=%q,label=\"strategy-snap\",algo=%q} %d", snaps[0].ID, ac.Algo, ac.Runs)
+		if !strings.Contains(regProm.String(), want) {
+			t.Errorf("registry export is missing %s", want)
+		}
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/row"
+	"rowsort/internal/strategy"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -342,5 +345,144 @@ func TestBudgetedSinkReservesNothingAhead(t *testing.T) {
 	}
 	if slack, chunk := peakSlack(Options{Threads: 1, RunSize: runSize}); slack <= chunk {
 		t.Errorf("unbudgeted sink never reserved ahead (largest excess %d bytes, one chunk is %d)", slack, chunk)
+	}
+}
+
+// TestStrategyDecisionsRecorded pins the one-executor property: however a
+// run's plan came about — sampled, or dictated by a tie-break — its decision
+// is recorded through the same path (one entry per generated run, run ids
+// unique and in range, every field a plan has filled in, sampled statistics
+// present exactly when the plan was sampled), and Algo names the kernel that
+// ran, which the kernels' own counters confirm.
+func TestStrategyDecisionsRecorded(t *testing.T) {
+	uints := workload.UintColumnsTable(workload.Dist{Random: true}.Generate(8_000, 2, 144))
+	uintKeys := []SortColumn{{Column: 0}, {Column: 1}}
+	col0 := []SortColumn{{Column: 0}}
+	// Sorted, in 64-row duplicate groups: every sample sees DupRunFrac ~ 63/64.
+	groups := make([]uint32, 16_000)
+	// Groups of two with a single row after every twelfth: adjacent groups
+	// average 1.92 rows in every run, under the collector's bar of two, while
+	// 48 % of adjacent pairs are equal — so a good share of the 256-row samples
+	// read one half or more, and their duplicate-group plans miss.
+	nearPairs := make([]uint32, 40_000)
+	for i := range groups {
+		groups[i] = uint32(i / 64)
+	}
+	for i := range nearPairs {
+		nearPairs[i] = uint32(i/25*13+i%25/2) * 2654435761
+	}
+
+	for _, tc := range []struct {
+		name   string
+		tbl    *vector.Table
+		keys   []SortColumn
+		opt    Options
+		sample *vector.Table // when set, what the key compression is planned from
+		forced string        // expected Forced value, "" = sampled plan
+		algos  []string      // the kernels the runs may name; nil = any
+	}{
+		{"sampled", uints, uintKeys, Options{}, nil, "", []string{"msd-radix"}},
+		{"sampled dup-group", workload.UintColumnsTable([][]uint32{groups}), col0, Options{}, nil, "", []string{"dup-group"}},
+		{"dup-group miss", workload.UintColumnsTable([][]uint32{nearPairs}), col0, Options{}, nil, "dup-group-miss", []string{"msd-radix"}},
+		{"tie-break", mixedTable(8_000, 91), mergeTestKeys, Options{}, nil, "tie-break", []string{"pdqsort"}},
+		// A dictionary planned from a quarter of the value pool: the rest
+		// escape to gap codes, which tie.
+		{"compressed tie-break", workload.LowCardStrings(6_000, 256, 33), col0,
+			Options{KeyComp: KeyCompDict}, workload.LowCardStrings(2_000, 64, 133), "tie-break", []string{"radix+repair"}},
+	} {
+		tc.opt.Threads, tc.opt.RunSize = 2, 1000
+		s := finalizedSorter(t, tc.tbl, tc.keys, tc.opt, func(s *Sorter) {
+			if tc.sample == nil {
+				return
+			}
+			if err := s.PlanCompression(tc.sample.Chunks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkSorted(t, tc.tbl, resultChecked(t, s), tc.keys, tc.name)
+		st := s.Stats()
+		s.Close()
+		if int64(len(st.StrategyDecisions)) != st.RunsGenerated {
+			t.Fatalf("%s: %d decisions for %d runs", tc.name, len(st.StrategyDecisions), st.RunsGenerated)
+		}
+		seen := map[int]bool{}
+		ran := map[string]int64{}
+		asPlanned := 0 // runs whose plan came about the way under test
+		for _, d := range st.StrategyDecisions {
+			if seen[d.Run] || d.Run < 0 || d.Run >= int(st.RunsGenerated) {
+				t.Fatalf("%s: bad or duplicate run id %d", tc.name, d.Run)
+			}
+			seen[d.Run] = true
+			ran[d.Algo]++
+			if d.Algo == "" || d.Rows <= 0 || d.MergeRole == "" {
+				t.Fatalf("%s: incomplete decision %+v", tc.name, d)
+			}
+			algos := tc.algos
+			if tc.forced != "" && d.Forced == "" {
+				// Sampled where the row expects otherwise: a run none of whose
+				// chunks reported a possible tie, or whose sample read under the
+				// duplicate-group gate.
+				algos = []string{"msd-radix"}
+			} else if asPlanned++; d.Forced != tc.forced {
+				t.Fatalf("%s: forced = %q, want %q", tc.name, d.Forced, tc.forced)
+			}
+			if !slices.Contains(algos, d.Algo) {
+				t.Fatalf("%s: run sorted by %q, want one of %v", tc.name, d.Algo, algos)
+			}
+			if sampled := d.RadixCost > 0 && d.PdqCost > 0; sampled != (d.Forced != "tie-break") {
+				t.Fatalf("%s: sampled statistics on a dictated plan, or none on a sampled one: %+v", tc.name, d)
+			}
+			if d.Algo == "dup-group" && (d.DupRunFrac < 0.5 || d.MergeRole != "dup-heavy" || !d.FrontCode) {
+				t.Fatalf("%s: a duplicate-group run's plan should read half its pairs equal, merge dup-heavy and front-code: %+v", tc.name, d)
+			}
+		}
+		if asPlanned == 0 {
+			t.Fatalf("%s: no run's plan came about the way under test", tc.name)
+		}
+		if ran["dup-group"] != st.RunsGroupSorted || ran["radix+repair"] != st.RunsTieRepaired {
+			t.Fatalf("%s: decisions name %v; the kernels counted %d grouped and %d repaired runs",
+				tc.name, ran, st.RunsGroupSorted, st.RunsTieRepaired)
+		}
+	}
+}
+
+// TestSortRunComparesBytesUnlessTied pins the paper's memcmp: a run whose
+// keys cannot tie is compared, when its plan is a comparison sort, with one
+// bytes.Compare over the key prefix — never through the segment-wise
+// tie-breaking comparator, whose payload lookup the varchar key's equal
+// values would reach on every match. The lookup handed to sortRun fails the
+// test if it is ever called.
+func TestSortRunComparesBytesUnlessTied(t *testing.T) {
+	// 14-byte names under a 16-byte prefix, so the run is byte-decisive, drawn
+	// from 40 values, so equal keys meet all the time.
+	tbl := workload.LowCardStrings(3_000, 40, 77)
+	s, err := NewSorter(tbl.Schema, []SortColumn{{Column: 0, PrefixLen: 16}}, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k := s.NewSink()
+	for _, c := range tbl.Chunks {
+		if err := k.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys, _, n, tieBreak := k.cut()
+	if tieBreak || !s.enc.SegCanTie(0) {
+		t.Fatalf("the run should be byte-decisive (tieBreak = %v) on a segment that could tie", tieBreak)
+	}
+	var dec StrategyDecision
+	keys = k.sortRun(keys, n, strategy.Plan{Algo: strategy.AlgoPdqsort}, false,
+		func(uint32, uint32) (*row.RowSet, int) {
+			t.Error("a byte-decisive run was compared through the payload lookup")
+			return k.payload, 0
+		}, &dec)
+	if dec.Algo != "pdqsort" {
+		t.Fatalf("sortRun ran %q, want pdqsort", dec.Algo)
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(keys[(i-1)*s.rowWidth:][:s.keyWidth], keys[i*s.rowWidth:][:s.keyWidth]) > 0 {
+			t.Fatalf("key rows %d and %d are out of order", i-1, i)
+		}
 	}
 }

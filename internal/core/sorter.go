@@ -195,7 +195,7 @@ func (s *Sorter) putRowSet(rs *row.RowSet) {
 // sortedRun is one thread-local sorted run: sorted key rows plus the
 // payload physically reordered to match (so scans read it sequentially).
 // The strategy fields carry the run's plan forward into the spill and merge
-// phases; they are zero unless the plan was sampled (Adaptive).
+// phases; they are zero when the plan was dictated, not sampled.
 type sortedRun struct {
 	id       uint32
 	keys     []byte
@@ -564,7 +564,9 @@ func (k *Sink) flush() error {
 		FirstByteEntropy: st.FirstByteEntropy, DupRunFrac: st.DupRunFrac,
 		RadixCost: plan.RadixCost, PdqCost: plan.PdqCost,
 		SpillBlockRows: plan.SpillBlockRows, FrontCode: plan.FrontCode}
-	keys = k.sortRun(keys, payload, n, plan, tb, &dec)
+	// Until the run is published its payload references are row indexes into
+	// the cut set.
+	keys = k.sortRun(keys, n, plan, tb, func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) }, &dec)
 
 	// Register the run id first (so merge order is stable), then physically
 	// reorder the payload to the sorted order and point the key refs at the
@@ -662,31 +664,27 @@ func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) err
 // byte order is exact between rows whose bytes differ and only full
 // byte-equal blocks — dictionary escapes sharing a gap, truncation
 // collisions — can be misordered by a radix sort, which sortRun repairs.
-// A byte-decisive run is radix-sorted — grouped, when KeyCompRLE asks and the
-// run is duplicate-heavy enough — or, with Adaptive set, sorted as the
-// strategy planner's sample of it says (see internal/strategy).
+// A byte-decisive run is sorted as the strategy planner's sample of it says
+// (see internal/strategy): radix, pdqsort when it arrived in order, or one
+// representative per duplicate group.
 func (k *Sink) planRun(keys []byte, n int, tieBreak bool) (plan strategy.Plan, forced string) {
 	s := k.s
 	switch {
 	case s.pinPdqsort:
 		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "pin"
 	case tieBreak && s.enc.Plan().Active() && s.ovcSafeWidth(true) == s.keyWidth:
-		return strategy.Plan{Algo: s.radixAlgo()}, "tie-break"
+		return strategy.Plan{Algo: strategy.RadixAlgo(s.keyWidth)}, "tie-break"
 	case tieBreak:
 		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "tie-break"
-	case s.opt.Adaptive:
-		return k.strategyPlanner().PlanRun(keys, n), ""
-	case s.opt.KeyComp&KeyCompRLE != 0:
-		return strategy.Plan{Algo: strategy.AlgoDupGroup, DupGroupMinAvg: 2}, "static"
 	}
-	return strategy.Plan{Algo: s.radixAlgo()}, "static"
+	return k.strategyPlanner().PlanRun(keys, n), ""
 }
 
-// strategyPlanner lazily builds this sink's per-run planner (Adaptive
-// sorts only). The planner owns sampling scratch and is reused across the
-// sink's runs; the config captures the sort's fixed shape — key segment
-// offsets for the per-segment sketches, and the spill-block default the
-// plan's block hint is relative to.
+// strategyPlanner lazily builds this sink's per-run planner (the key shape
+// is final only once ingestion has begun). The planner owns sampling scratch
+// and is reused across the sink's runs; the config captures the sort's fixed
+// shape — key segment offsets for the per-segment sketches, and the
+// spill-block default the plan's block hint is relative to.
 func (k *Sink) strategyPlanner() *strategy.Planner {
 	if k.planner == nil {
 		s := k.s
@@ -715,30 +713,21 @@ func (s *Sorter) strategyDecisions() []StrategyDecision {
 	return append([]StrategyDecision(nil), s.decisions...)
 }
 
-// radixAlgo is the radix sort the paper's rule gives a byte-decisive run:
-// least significant digit first while the key is narrow (radix.Sort's own
-// rule, named so that a dictated plan says what will run).
-func (s *Sorter) radixAlgo() strategy.Algo {
-	if s.keyWidth <= radix.LSDThreshold {
-		return strategy.AlgoLSDRadix
-	}
-	return strategy.AlgoMSDRadix
-}
-
 // sortRun executes plan on the cut run, the one place each run-sort kernel
 // is started from, and names in dec the kernel that ran. It returns the
 // buffer holding the sorted run: the duplicate-group expansion writes into a
-// recycled one and returns keys to the pool.
+// recycled one and returns keys to the pool. lookup resolves a key row's
+// payload reference; only a run whose keys may tie (tieBreak) is ever compared
+// through it — any other is compared, if at all, as plain bytes.
 //
 // A duplicate-group plan is checked against the whole run first (a sample may
-// have oversold the duplication; KeyCompRLE plans it for every run): adjacent
-// byte-equal key groups must average DupGroupMinAvg rows. Then one
-// representative row per group is radix-sorted and the groups are expanded,
-// so that each distinct key moves through the sort once; radix.Sort being
-// stable, the result is byte-identical to sorting row at a time. A miss falls
-// back to plain radix. A radix sort of keys that may tie (tieBreak) is
-// followed by the repair of its byte-equal blocks.
-func (k *Sink) sortRun(keys []byte, payload *row.RowSet, n int, plan strategy.Plan, tieBreak bool, dec *StrategyDecision) []byte {
+// have oversold the duplication): adjacent byte-equal key groups must average
+// DupGroupMinAvg rows. Then one representative row per group is radix-sorted
+// and the groups are expanded, so that each distinct key moves through the
+// sort once; radix.Sort being stable, the result is byte-identical to sorting
+// row at a time. A miss falls back to plain radix. A radix sort of keys that
+// may tie is followed by the repair of its byte-equal blocks.
+func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int), dec *StrategyDecision) []byte {
 	s := k.s
 	algo := plan.Algo
 	rows, stride, groups := keys, s.rowWidth, 0
@@ -748,21 +737,21 @@ func (k *Sink) sortRun(keys []byte, payload *row.RowSet, n int, plan strategy.Pl
 			// per key row, none wider, so the run's scratch fits.
 			rows, stride, groups = reps, s.keyWidth+sortalgo.GroupTagBytes, g
 		} else {
-			algo = s.radixAlgo()
-			if dec.Forced == "" {
-				dec.Forced = "dup-group-miss"
-			}
+			algo = strategy.RadixAlgo(s.keyWidth)
+			dec.Forced = "dup-group-miss"
 		}
 	}
 	dec.Algo = algo.String()
+	tie, cmp := s.mergeOrder(tieBreak, lookup)
 	if algo == strategy.AlgoPdqsort {
 		r := sortalgo.NewRows(keys, s.rowWidth)
-		r.Compare = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
+		r.Compare = cmp
 		r.Pdqsort()
 		return keys
 	}
-	radix.SortOpts(rows, stride, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys),
-		ForceLSD: algo == strategy.AlgoLSDRadix, ForceMSD: algo == strategy.AlgoMSDRadix})
+	// Which radix sort runs is radix's own width rule, the one a radix plan's
+	// Algo is named by.
+	radix.SortOpts(rows, stride, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	switch {
 	case groups > 0:
 		dst := s.getKeyBuf()
@@ -777,7 +766,7 @@ func (k *Sink) sortRun(keys []byte, payload *row.RowSet, n int, plan strategy.Pl
 		s.dupGroupRows.Add(int64(n - groups))
 		return dst
 	case tieBreak:
-		s.repairTies(keys, n, payload)
+		repairTies(keys, n, s.rowWidth, s.keyWidth, tie)
 		s.runsTieRepaired.Add(1)
 		dec.Algo = "radix+repair"
 	}
@@ -790,10 +779,8 @@ func (k *Sink) sortRun(keys []byte, payload *row.RowSet, n int, plan strategy.Pl
 // (ovcSafeWidth == keyWidth): then a byte difference anywhere decides the
 // semantic order, so misordered pairs are confined to byte-equal blocks.
 // Blocks are expected small (escapes sharing one dictionary gap, truncation
-// collisions), so an insertion sort with the semantic comparator suffices.
-func (s *Sorter) repairTies(keys []byte, n int, payload *row.RowSet) {
-	cmp := s.comparator(func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
-	rw, kw := s.rowWidth, s.keyWidth
+// collisions), so an insertion sort with the semantic comparator cmp suffices.
+func repairTies(keys []byte, n, rw, kw int, cmp mergepath.CompareFunc) {
 	var tmp []byte
 	for i := 0; i < n; {
 		j := i + 1
@@ -821,12 +808,13 @@ func (s *Sorter) repairTies(keys []byte, n int, payload *row.RowSet) {
 	}
 }
 
-// comparator returns the key-row comparator: a single bytes.Compare when no
-// tie-break is needed, otherwise a segment-wise compare that resolves tied
-// lossy segments against the payload fetched through the row's reference.
-// lookup maps a payload reference to the RowSet holding it and the row's
-// index there (a merge over spilled runs keeps only one block of each run
-// current, so the index is block-local).
+// comparator returns the tie-breaking key-row comparator: a segment-wise
+// compare that resolves tied lossy segments against the payload fetched
+// through the row's reference. Rows that cannot tie never need it: mergeOrder
+// hands those callers one bytes.Compare over the key prefix, the paper's
+// memcmp. lookup maps a payload reference to the RowSet holding it and the
+// row's index there (a merge over spilled runs keeps only one block of each
+// run current, so the index is block-local).
 //
 // Per-encoding tie handling, decided per segment at build time:
 //

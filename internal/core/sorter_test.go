@@ -393,3 +393,62 @@ func TestSortTableCaseInsensitive(t *testing.T) {
 		t.Fatal("output is not a permutation of input words")
 	}
 }
+
+// TestOrderShapesMatchOracle sorts every order shape the workload package
+// generates — the inputs on which the planner leaves radix — through default
+// SortTable, resident and spilled, on one thread and four: the output must
+// equal the stable-sort oracle on key sequence and row multiset whatever each
+// run's sample picked, and pdqsort pinned on every run must yield the same key
+// sequence. Across the shapes every kernel a sampled plan can name must run.
+func TestOrderShapesMatchOracle(t *testing.T) {
+	const n, runSize = 20_000, 2_500
+	keys := []SortColumn{{Column: 0}}
+	ran := map[string]bool{}
+	for _, sh := range []struct {
+		name string
+		tbl  *vector.Table
+	}{
+		{"sorted", workload.NearlySorted(n, 0, 51)},
+		{"0.01% disorder", workload.NearlySorted(n, 0.0001, 52)},
+		{"0.1% disorder", workload.NearlySorted(n, 0.001, 53)},
+		{"sawtooth", workload.SawtoothRuns(n, 1024, 54)},
+		{"duplicate runs", workload.DupHeavyInts(n, 500, 55)},
+		{"all equal", workload.DupHeavyInts(n, 1, 56)},
+		{"one row", workload.NearlySorted(1, 0, 57)},
+		{"empty", workload.NearlySorted(0, 0, 58)},
+	} {
+		for _, threads := range []int{1, 4} {
+			for _, spilled := range []bool{false, true} {
+				ctx := fmt.Sprintf("%s, threads=%d, spilled=%v", sh.name, threads, spilled)
+				opt := Options{Threads: threads, RunSize: runSize}
+				if spilled {
+					opt.SpillDir = t.TempDir()
+				}
+				got, st, err := SortTableStats(sh.tbl, keys, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				checkSorted(t, sh.tbl, got, keys, ctx)
+				for _, d := range st.StrategyDecisions {
+					ran[d.Algo] = true
+				}
+
+				s, err := NewSorter(sh.tbl.Schema, keys, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.pinPdqsort = true
+				pinned, err := sortTable(s, sh.tbl)
+				if cerr := s.Close(); err != nil || cerr != nil {
+					t.Fatalf("%s, pdqsort pinned: %v, close: %v", ctx, err, cerr)
+				}
+				checkKeyColumnsEqual(t, got, pinned, keys, ctx+", pdqsort pinned")
+			}
+		}
+	}
+	for _, algo := range []string{"msd-radix", "pdqsort", "dup-group"} {
+		if !ran[algo] {
+			t.Errorf("no run of any shape was sorted by %s: the shapes missed what they are for", algo)
+		}
+	}
+}

@@ -4,8 +4,10 @@
 // (Figure 11):
 //
 //	input chunks → per-thread sinks → normalized keys + payload row format
-//	→ thread-local run generation (radix sort, or pdqsort when string
-//	prefixes may tie) → single-pass k-way loser-tree merge with
+//	→ thread-local run generation (each run sorted as its plan says: pdqsort
+//	when string prefixes may tie, else the kernel a sample of the run picks —
+//	radix, pdqsort or duplicate-group sorting; see internal/strategy)
+//	→ single-pass k-way loser-tree merge with
 //	offset-value coding, partitioned across threads with k-way Merge Path
 //	→ columnar scan of the result
 //
@@ -61,14 +63,9 @@ const (
 	// elision: the key keeps only the sampled discriminating prefix of its
 	// order-preserving encoding.
 	KeyCompTrunc
-	// KeyCompRLE enables duplicate-run group sorting: runs whose adjacent
-	// byte-equal key groups average two or more rows sort one representative
-	// per group and expand, moving each distinct key through the radix sort
-	// once. Output stays byte-identical (the radix sort is stable).
-	KeyCompRLE
 
 	// KeyCompAll enables every key-compression feature.
-	KeyCompAll = KeyCompDict | KeyCompTrunc | KeyCompRLE
+	KeyCompAll = KeyCompDict | KeyCompTrunc
 )
 
 // Options tune the sorter; the zero value is a good default.
@@ -79,13 +76,6 @@ type Options struct {
 	// DefaultRunSize. Smaller runs mean more merging; larger runs mean more
 	// run-generation work per thread (Section II's comparison-count model).
 	RunSize int
-	// Adaptive replaces the paper's fixed "radix unless strings" rule with
-	// a sampled plan per run: internal/strategy samples the pending keys
-	// and picks LSD radix, MSD radix, pdqsort or duplicate-group sorting
-	// from modeled costs, and hints the run's spill block shape and merge
-	// role. A run whose keys may tie on their bytes is sorted as the tie-break
-	// dictates either way.
-	Adaptive bool
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
 	// fixed-size blocks for a single-pass k-way merge — the
@@ -132,8 +122,7 @@ type Options struct {
 	// constants); 0 keeps the full encoding. Dictionary and truncation
 	// require an ingest-time sample: SortTable samples automatically, and
 	// streaming callers opt in with Sorter.PlanCompression before the first
-	// Append. KeyCompRLE needs no sample and applies to any run whose key
-	// bytes are decisive.
+	// Append.
 	KeyComp KeyComp
 	// Telemetry, when non-nil, records phase spans (ingest, run sort, spill
 	// I/O, merge, gather) and per-thread timelines into the recorder,
@@ -224,16 +213,13 @@ func (o Options) Fingerprint() string {
 		for _, f := range []struct {
 			bit  KeyComp
 			name string
-		}{{KeyCompDict, "dict"}, {KeyCompTrunc, "trunc"}, {KeyCompRLE, "rle"}} {
+		}{{KeyCompDict, "dict"}, {KeyCompTrunc, "trunc"}} {
 			if o.KeyComp&f.bit != 0 {
 				b.WriteString(sep)
 				b.WriteString(f.name)
 				sep = "+"
 			}
 		}
-	}
-	if o.Adaptive {
-		b.WriteString(" adaptive")
 	}
 	return b.String()
 }

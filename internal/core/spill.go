@@ -41,8 +41,13 @@ const spillHeaderLen = 16
 
 // fcPlanCutoff is the sampled encoded-to-raw ratio below which a block of a
 // run whose plan asked for front-coding attempts it; blocks predicted to
-// barely shrink skip the encode work entirely.
-const fcPlanCutoff = 0.95
+// shrink by less than a fifth skip the encode work entirely. A plan asks
+// whenever the key's first byte is constant (any NOT NULL leading column), so
+// this is what keeps high-cardinality keys raw: sorted uniform int64 keys
+// predict 0.92, and at the former cutoff of 0.95 coding them saved 2.4 % of
+// the spill bytes for 15 % more wall time (EXPERIMENTS.md "Every run is
+// planned"); duplicate-heavy keys predict 0.5–0.75.
+const fcPlanCutoff = 0.8
 
 // spillFile records where a sorted run lives on disk, plus the in-memory
 // block index recorded while writing it: the byte offset of every block's
@@ -704,10 +709,7 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 			s.dropPools()
 			continue
 		}
-		var role func(i int) int
-		if s.opt.Adaptive {
-			role = func(i int) int { return int(s.runs[ids[i]].role) }
-		}
+		role := func(i int) int { return int(s.runs[ids[i]].role) }
 		next := make([]uint32, 0, (len(ids)+plan.FanIn-1)/plan.FanIn)
 		for _, span := range mergepath.BatchRuns(len(ids), plan.FanIn, role) {
 			batch := ids[span[0]:span[1]]
@@ -761,10 +763,10 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	}
 
 	// A merged run inherits its inputs' common merge role (mixed batches
-	// demote to normal) and, under Adaptive, keeps attempting front-coded
-	// spill blocks: writeKeySection re-samples every block of every
-	// generation, so the decision tracks what this merge actually produced
-	// rather than what the original runs looked like.
+	// demote to normal) and attempts front-coded spill blocks whatever its
+	// inputs did: writeKeySection re-samples every block of every generation,
+	// so the decision tracks what this merge actually produced rather than
+	// what the original runs looked like.
 	total := 0
 	role := s.runs[ids[0]].role
 	for _, id := range ids {
@@ -778,7 +780,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	// past 100%.
 	s.prog.MergeRowsPlanned.Add(int64(total))
 	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: st.plan.anyTie, rows: total,
-		role: role, frontCode: s.opt.Adaptive}
+		role: role, frontCode: true}
 	s.runs = append(s.runs, merged)
 	w, err := s.newSpillWriter(merged.id, blockRows, total, merged.frontCode)
 	if err != nil {

@@ -136,8 +136,8 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 }
 
 // TestSpillFilesAreOneFormat pins the one spill format: whoever wrote a run's
-// file — a default sort, a sort whose plans ask for front-coding, an
-// intermediate merge pass — it starts with the one magic and every block's
+// file — a run whose plan was dictated, one whose sampled plan asks for
+// front-coding, an intermediate merge pass — it starts with the one magic and every block's
 // key section opens with tag 0 (raw rows) or 1 (front-coded), and a merge
 // over a mix of them drains byte-identical to the in-memory oracle.
 func TestSpillFilesAreOneFormat(t *testing.T) {
@@ -163,21 +163,22 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
 	keys := drainKeys(false)
 
-	// A default sort tries no front-coding: every section is raw.
-	def := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
+	// A run sorted as a tie-break dictates was not sampled, so nothing asked
+	// for front-coding: every section is raw.
+	def := finalizedSorter(t, tbl, drainKeys(true), Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
 	for _, r := range def.runs {
-		if n := tags("default sort", r); n != [2]int{perRun / blockRows, 0} {
-			t.Errorf("default sort, run %d: %d raw and %d front-coded key sections", r.id, n[0], n[1])
+		if n := tags("dictated plan", r); n != [2]int{perRun / blockRows, 0} {
+			t.Errorf("dictated plan, run %d: %d raw and %d front-coded key sections", r.id, n[0], n[1])
 		}
 	}
 	def.Close()
 
-	// The mix: an adaptive sort, whose plans ask for front-coding on these
-	// keys — eight values, so every block shrinks — except that every other run
-	// is told not to try, as a default sort's are. With the budget all but
-	// taken, Finalize merges the five files down to two in passes of two:
-	// ((0 1) (2 3)) and 4.
-	opt := Options{Threads: 1, RunSize: perRun, Adaptive: true}
+	// The mix: byte-decisive runs, whose sampled plans ask for front-coding
+	// on these keys — eight values, so every block shrinks — except that every
+	// other run is told not to try, as a dictated plan's are. With the budget
+	// all but taken, Finalize merges the five files down to two in passes of
+	// two: ((0 1) (2 3)) and 4.
+	opt := Options{Threads: 1, RunSize: perRun}
 	mem0 := finalizedSorter(t, tbl, keys, opt)
 	want := rowify(t, oracleResult(t, mem0)).Bytes()
 	mem0.Close()
@@ -193,7 +194,7 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 		if err := s.spillRun(r, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n := tags("adaptive sort", r); n[0]+n[1] != perRun/blockRows || (n[1] > 0) != r.frontCode {
+		if n := tags("sampled plan", r); n[0]+n[1] != perRun/blockRows || (n[1] > 0) != r.frontCode {
 			t.Errorf("run %d, front-coding %v: %d raw and %d front-coded key sections", i, r.frontCode, n[0], n[1])
 		}
 	}
@@ -210,10 +211,57 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 		t.Errorf("the last pass wrote %d raw and no front-coded key sections", n[0])
 	}
 	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
-		t.Error("the merge of a pass's output and a default-shaped run differs from the oracle")
+		t.Error("the merge of a pass's output and a raw run differs from the oracle")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdaptiveFrontCodedSpillMatchesResident is the front-coding round trip
+// through the public options: an external sort whose sampled plans front-code
+// their spill blocks must produce exactly the rows of the same sort run fully
+// in memory. Run cuts and planner inputs are identical (one thread, fixed run
+// size), so the only difference is the spill encode/decode under test.
+func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
+	n := 20_000
+	vals := make([]uint32, n)
+	for i := range vals {
+		vals[i] = uint32(i / 32)
+	}
+	tbl := workload.UintColumnsTable([][]uint32{vals})
+	keys := []SortColumn{{Column: 0}}
+	base := Options{Threads: 1, RunSize: 1500}
+
+	resident, err := SortTable(tbl, keys, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := base
+	ext.SpillDir = t.TempDir()
+	spilled, st, err := SortTableStats(tbl, keys, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SpillBlocksFrontCoded == 0 {
+		t.Fatal("no spill block was front-coded; the round trip was not exercised")
+	}
+	tablesEqual(t, resident, spilled, "front-coded spill vs resident")
+
+	// The plans of NOT NULL high-cardinality keys ask as well (their first key
+	// byte is constant), and every block declines: neighbours share too little
+	// for the coding to be worth its encode and decode. (One run of 65,536
+	// rows: the longer a sorted run, the more leading bits its neighbours
+	// share — two bytes and the validity byte of nine here.)
+	tbl = workload.UniformInt64s(1<<16, 7)
+	ext.RunSize = 1 << 16
+	_, st, err = SortTableStats(tbl, keys, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.StrategyDecisions[0].FrontCode || st.SpillBlocksFrontCoded != 0 {
+		t.Fatalf("uniform keys: plan asks for front-coding = %v, %d blocks front-coded; want asked and none",
+			st.StrategyDecisions[0].FrontCode, st.SpillBlocksFrontCoded)
 	}
 }
 

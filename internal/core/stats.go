@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -46,9 +45,10 @@ type SortStats struct {
 	// shared prefixes did not cover (dictionary escape codes and
 	// shared-prefix class-0/2 encodings).
 	DictEscapes int64
-	// RunsGroupSorted counts runs sorted via duplicate-run grouping
-	// (KeyCompRLE); DupGroupRows is the rows those runs did not move
-	// through the radix sort individually (run rows minus groups).
+	// RunsGroupSorted counts runs sorted via duplicate-run grouping (a
+	// sampled plan that held on the whole run); DupGroupRows is the rows
+	// those runs did not move through the radix sort individually (run rows
+	// minus groups).
 	RunsGroupSorted int64
 	DupGroupRows    int64
 	// RunsTieRepaired counts lossy compressed runs sorted with the
@@ -56,12 +56,12 @@ type SortStats struct {
 	RunsTieRepaired int64
 	// StrategyDecisions records, per generated run, the execution-plan
 	// choice and the sampled statistics it came from. Populated on every
-	// path (non-adaptive runs record their dictated choice with Forced
+	// path (a run whose plan a tie-break dictated records it with Forced
 	// set), so the log always explains what ran and why.
 	StrategyDecisions []StrategyDecision
 	// SpillBlocksFrontCoded counts spill blocks whose key section was
-	// written front-coded (adaptive sorts; blocks that would not shrink
-	// stay raw and are not counted).
+	// written front-coded (a sampled plan asked for the attempt; blocks that
+	// would not shrink stay raw and are not counted).
 	SpillBlocksFrontCoded int64
 	// SpillBytesWritten and SpillBytesRead account spill-file I/O. A merge
 	// reads every byte of its runs exactly once, whatever its task and
@@ -237,30 +237,6 @@ func (s *Sorter) Stats() SortStats {
 	return st
 }
 
-// algoCount is one algorithm's run tally in the decision log.
-type algoCount struct {
-	algo string
-	runs int
-}
-
-// strategyAlgoCounts tallies the decision log by executed algorithm, in
-// stable (sorted) algorithm-name order.
-func (st SortStats) strategyAlgoCounts() []algoCount {
-	if len(st.StrategyDecisions) == 0 {
-		return nil
-	}
-	byAlgo := make(map[string]int)
-	for _, d := range st.StrategyDecisions {
-		byAlgo[d.Algo]++
-	}
-	out := make([]algoCount, 0, len(byAlgo))
-	for algo, runs := range byAlgo {
-		out = append(out, algoCount{algo, runs})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].algo < out[j].algo })
-	return out
-}
-
 // String renders the stats as an aligned multi-line report.
 func (st SortStats) String() string {
 	var b strings.Builder
@@ -289,10 +265,10 @@ func (st SortStats) String() string {
 	if st.RunsTieRepaired > 0 {
 		row("tie-repaired runs", fmt.Sprintf("%d", st.RunsTieRepaired))
 	}
-	if byAlgo := st.strategyAlgoCounts(); len(byAlgo) > 0 {
+	if byAlgo := obs.AlgoCounts(st.StrategyDecisions); len(byAlgo) > 0 {
 		parts := make([]string, len(byAlgo))
 		for i, ac := range byAlgo {
-			parts[i] = fmt.Sprintf("%s=%d", ac.algo, ac.runs)
+			parts[i] = fmt.Sprintf("%s=%d", ac.Algo, ac.Runs)
 		}
 		row("run sort strategy", strings.Join(parts, ", "))
 	}
@@ -365,10 +341,10 @@ func (st SortStats) WritePrometheus(w io.Writer) error {
 	counter("rowsort_rle_runs_total", "Runs sorted via duplicate-run grouping.", float64(st.RunsGroupSorted))
 	counter("rowsort_rle_dup_rows_total", "Rows grouped away from individual sorting.", float64(st.DupGroupRows))
 	counter("rowsort_tie_repaired_runs_total", "Lossy compressed runs sorted radix-plus-repair.", float64(st.RunsTieRepaired))
-	if byAlgo := st.strategyAlgoCounts(); len(byAlgo) > 0 {
+	if byAlgo := obs.AlgoCounts(st.StrategyDecisions); len(byAlgo) > 0 {
 		pw.Family("rowsort_strategy_runs_total", "counter", "Runs generated per selected sort algorithm.")
 		for _, ac := range byAlgo {
-			pw.Sample([]string{"algo", ac.algo}, float64(ac.runs))
+			pw.Sample([]string{"algo", ac.Algo}, float64(ac.Runs))
 		}
 	}
 	counter("rowsort_spill_fc_blocks_total", "Spill blocks written with front-coded key sections.", float64(st.SpillBlocksFrontCoded))

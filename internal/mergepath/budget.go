@@ -123,8 +123,8 @@ func PlanMerge(k int, remaining, rowBytes int64, maxRows, buffers int) MergePlan
 }
 
 // BatchRuns splits n runs into contiguous batches of at most fanIn runs,
-// returned as [start, end) index pairs. When the caller supplies per-run
-// merge roles (the strategy planner's hints: dup-heavy, presorted, normal),
+// returned as [start, end) index pairs. role gives each run's merge role
+// (the strategy planner's hints: dup-heavy, presorted, normal):
 // a batch prefers to end where the role changes — merging like-role
 // neighbors keeps the duplicate-run fast path and the presorted streak
 // detection effective through intermediate passes — but only once the batch
@@ -132,8 +132,7 @@ func PlanMerge(k int, remaining, rowBytes int64, maxRows, buffers int) MergePlan
 // degrade the cascade into tiny batches. Batches stay contiguous regardless
 // of role: the fan-in reducer relies on contiguity for its byte-identical
 // tie ordering, so roles may only move the cut points, never reorder runs.
-// With uniform roles (or a nil role func) the cuts land exactly every fanIn
-// runs — the role-blind batching.
+// With uniform roles the cuts land exactly every fanIn runs.
 func BatchRuns(n, fanIn int, role func(i int) int) [][2]int {
 	if n <= 0 {
 		return nil
@@ -147,7 +146,7 @@ func BatchRuns(n, fanIn int, role func(i int) int) [][2]int {
 	for i := 1; i <= n; i++ {
 		size := i - start
 		cut := i == n || size >= fanIn
-		if !cut && role != nil && size >= minCut && role(i) != role(i-1) {
+		if !cut && size >= minCut && role(i) != role(i-1) {
 			cut = true
 		}
 		if cut {

@@ -6,7 +6,6 @@ import (
 	"html/template"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 )
 
@@ -167,8 +166,8 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	}
 
 	// Per-run strategy decisions: sorted runs generated, broken down by the
-	// run-generation sort the planner executed. Only runs with a planner
-	// carry decisions, so the family is absent for unplanned sorts.
+	// run-generation sort that was executed. The family is absent until some
+	// run has cut a sorted run.
 	hasStrategy := false
 	for _, s := range snaps {
 		if len(s.Strategy) > 0 {
@@ -180,20 +179,8 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		pw.Family("rowsort_run_strategy_runs_total", "counter",
 			"Sorted runs generated, by chosen run-generation algorithm.")
 		for _, s := range snaps {
-			if len(s.Strategy) == 0 {
-				continue
-			}
-			byAlgo := map[string]int64{}
-			for _, d := range s.Strategy {
-				byAlgo[d.Algo]++
-			}
-			algos := make([]string, 0, len(byAlgo))
-			for a := range byAlgo {
-				algos = append(algos, a)
-			}
-			sort.Strings(algos)
-			for _, a := range algos {
-				pw.SampleInt([]string{"run", s.ID, "label", s.Label, "algo", a}, byAlgo[a])
+			for _, ac := range AlgoCounts(s.Strategy) {
+				pw.SampleInt([]string{"run", s.ID, "label", s.Label, "algo", ac.Algo}, int64(ac.Runs))
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package obs is the sort pipeline's telemetry layer: hierarchical phase
 // spans with nanosecond timers recorded into per-worker buffers, aggregated
 // phase counters, and exporters for Chrome trace_event JSON (chrome://tracing
-// and Perfetto), Prometheus text, and expvar snapshots.
+// and Perfetto) and Prometheus text.
 //
 // The package is built around a nil fast path: a nil *Recorder hands out nil
 // *Workers, and every method on a nil receiver is a no-op that performs zero

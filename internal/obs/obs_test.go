@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,40 +171,6 @@ func TestDisabledPathAllocates(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v per run, want 0", allocs)
-	}
-}
-
-func TestPrometheusAndExpvar(t *testing.T) {
-	r := NewRecorderClock(tickClock())
-	w := r.Worker("sink")
-	w.Begin(PhaseIngest).End()
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`rowsort_phase_busy_seconds{phase="ingest"} 1e-07`,
-		`rowsort_phase_spans_total{phase="ingest"} 1`,
-		"rowsort_trace_workers 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-
-	r.PublishExpvar("obs_test_recorder")
-	v := expvar.Get("obs_test_recorder")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var s Summary
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar snapshot does not parse: %v", err)
-	}
-	if s.Phases[PhaseIngest].Count != 1 {
-		t.Fatalf("expvar ingest count = %d, want 1", s.Phases[PhaseIngest].Count)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestValidatePrometheusRejectsViolations(t *testing.T) {
 }
 
 func TestRecorderWritePrometheusValidates(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorderClock(tickClock()) // every span lasts 100 ns
 	w := rec.Worker("w")
 	w.Begin(PhaseIngest).End()
 	w.Begin(PhaseMerge).End()
@@ -92,7 +92,13 @@ func TestRecorderWritePrometheusValidates(t *testing.T) {
 	if err := ValidatePrometheus([]byte(b.String())); err != nil {
 		t.Fatalf("recorder exposition invalid: %v\n%s", err, b.String())
 	}
-	if !strings.Contains(b.String(), `rowsort_phase_busy_seconds{phase="ingest"}`) {
-		t.Fatalf("missing phase sample:\n%s", b.String())
+	for _, want := range []string{
+		`rowsort_phase_busy_seconds{phase="ingest"} 1e-07`,
+		`rowsort_phase_spans_total{phase="ingest"} 1`,
+		"rowsort_trace_workers 1",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, b.String())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -260,4 +261,16 @@ func TestStrategySnapshotLifecycle(t *testing.T) {
 		}
 	}
 	t.Fatal("retained done run still pins the Strategy closure's captures")
+}
+
+// TestAlgoCountsTalliesInNameOrder pins the one per-algorithm tally that
+// SortStats.String and both Prometheus exports print.
+func TestAlgoCountsTalliesInNameOrder(t *testing.T) {
+	got := AlgoCounts([]StrategyDecision{{Algo: "pdqsort"}, {Algo: "dup-group"}, {Algo: "pdqsort"}})
+	if want := []AlgoCount{{"dup-group", 1}, {"pdqsort", 2}}; !slices.Equal(got, want) {
+		t.Fatalf("AlgoCounts = %v, want %v", got, want)
+	}
+	if got := AlgoCounts(nil); len(got) != 0 {
+		t.Fatalf("an empty log tallies to %v", got)
+	}
 }

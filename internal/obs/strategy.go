@@ -1,5 +1,7 @@
 package obs
 
+import "sort"
+
 // StrategyDecision is one run's recorded execution-plan choice, as the
 // observability plane surfaces it: which sort generated the run and the
 // sampled statistics the decision came from. It lives here (not in the
@@ -13,8 +15,8 @@ type StrategyDecision struct {
 	// "pdqsort", "dup-group", "radix+repair").
 	Algo string `json:"algo"`
 	// Forced, when non-empty, names why the plan was dictated rather than
-	// sampled ("tie-break", "static"), or that a sampled duplicate-group plan
-	// missed on the whole run ("dup-group-miss").
+	// sampled ("tie-break", or "pin" in the sorter's own tests), or that a
+	// sampled duplicate-group plan missed on the whole run ("dup-group-miss").
 	Forced string `json:"forced,omitempty"`
 	// MergeRole is the run's merge-scheduling hint ("normal", "dup-heavy",
 	// "presorted"); "normal" when the plan was dictated.
@@ -33,4 +35,26 @@ type StrategyDecision struct {
 	// FrontCode reports whether spill-block key front-coding was enabled
 	// for the run.
 	FrontCode bool `json:"front_code,omitempty"`
+}
+
+// AlgoCount is one algorithm's run tally in a decision log.
+type AlgoCount struct {
+	Algo string
+	Runs int
+}
+
+// AlgoCounts tallies a decision log by executed algorithm, in algorithm-name
+// order: the one tally behind SortStats.String, rowsort_strategy_runs_total
+// and rowsort_run_strategy_runs_total.
+func AlgoCounts(decisions []StrategyDecision) []AlgoCount {
+	byAlgo := make(map[string]int)
+	for _, d := range decisions {
+		byAlgo[d.Algo]++
+	}
+	out := make([]AlgoCount, 0, len(byAlgo))
+	for algo, runs := range byAlgo {
+		out = append(out, AlgoCount{algo, runs})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Algo < out[j].Algo })
+	return out
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -112,15 +111,4 @@ func (s Summary) writePrometheus(pw *PromWriter, extra []string) {
 	}
 	pw.Family("rowsort_trace_workers", "gauge", "Trace lanes registered.")
 	pw.SampleInt(append([]string(nil), extra...), int64(s.Workers))
-}
-
-// PublishExpvar registers the recorder's live Summary under name in the
-// process-wide expvar registry (readable at /debug/vars when net/http/pprof
-// or expvar's handler is mounted). Like expvar.Publish it panics if name is
-// already registered; publish each recorder once. No-op on a nil recorder.
-func (r *Recorder) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Summary() }))
 }

@@ -21,11 +21,22 @@ import (
 // Defaults matching the paper's implementation.
 const (
 	// LSDThreshold is the largest key width sorted with LSD radix sort.
+	// The rule is on the whole key width, not on the bytes that vary: a
+	// "skipped" LSD pass over a constant byte position still pays a full
+	// counting scan, so a wide key with a narrow varying band does not favor
+	// LSD (measured: MSD is ~6% faster at 3 varying bytes of 8, and even at 2
+	// varying of 64).
 	LSDThreshold = 4
 	// DefaultInsertionCutoff is the bucket size at or below which MSD radix
 	// sort falls back to insertion sort.
 	DefaultInsertionCutoff = 24
 )
+
+// UseLSD is the key-width rule: Sort runs least significant digit first on
+// keys this narrow, most significant digit first on wider ones. Whoever names
+// the sort a run will get (the strategy planner, the sorter's decision log)
+// asks here.
+func UseLSD(keyWidth int) bool { return keyWidth <= LSDThreshold }
 
 // Options tune the sort; the zero value gives the paper's configuration.
 type Options struct {
@@ -58,8 +69,8 @@ type Stats struct {
 
 // Sort sorts rows byte-lexicographically on their first keyWidth bytes.
 // Rows are rowWidth bytes each, stored back to back in data; bytes beyond
-// keyWidth travel with their row. LSD is used for keyWidth <= LSDThreshold,
-// MSD otherwise.
+// keyWidth travel with their row. LSD is used where UseLSD says, MSD
+// otherwise.
 //
 // Sort is STABLE: rows with byte-equal key prefixes keep their input order.
 // Every default path preserves order — LSD and MSD scatter with counting
@@ -101,7 +112,7 @@ func SortOpts(data []byte, rowWidth, keyWidth int, opt Options) Stats {
 		pdqCutoff: opt.PdqCutoff,
 		skip:      !opt.NoSingleBucketSkip,
 	}
-	useLSD := keyWidth <= LSDThreshold
+	useLSD := UseLSD(keyWidth)
 	if opt.ForceLSD {
 		useLSD = true
 	}

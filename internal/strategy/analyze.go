@@ -5,9 +5,8 @@ import (
 	"math"
 )
 
-// Sampling bounds: positions are picked with a multiplicative jump (the
-// same Knuth constant the old heuristic's distinct sampler used) rather
-// than a fixed stride, so periodic inputs — a sawtooth whose period
+// Sampling bounds: positions are picked with a multiplicative jump (Knuth's
+// constant) rather than a fixed stride, so periodic inputs — a sawtooth whose period
 // divides the stride — cannot alias with the sampling.
 const (
 	maxSamples = 256 // rows sampled for sketches, varying bytes, local pairs

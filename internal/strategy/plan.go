@@ -1,5 +1,7 @@
 package strategy
 
+import "rowsort/internal/radix"
+
 // Algo is the run-generation sort a plan selects.
 type Algo uint8
 
@@ -34,6 +36,15 @@ func (a Algo) String() string {
 		return "dup-group"
 	}
 	return "unknown"
+}
+
+// RadixAlgo names the radix sort radix.Sort runs on keys of this width — the
+// one width rule, so a plan or a decision log can say what will run.
+func RadixAlgo(keyWidth int) Algo {
+	if radix.UseLSD(keyWidth) {
+		return AlgoLSDRadix
+	}
+	return AlgoMSDRadix
 }
 
 // MergeRole hints how a run should be treated by the multi-pass merge

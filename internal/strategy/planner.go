@@ -6,8 +6,8 @@ import (
 
 // Decision thresholds. The sort crossover itself is NOT a threshold — it
 // falls out of perfmodel's cost curves — but a few structural gates remain:
-// when grouping pays, when a run counts as presorted, and when radix should
-// run least-significant-digit first.
+// when grouping pays and when a run counts as presorted. (Which radix sort a
+// radix plan names is the radix package's own width rule; see RadixAlgo.)
 const (
 	// dupGroupFrac: adjacent equal-key pair fraction at which the
 	// duplicate-group sort is worth attempting (>= 0.5 means adjacent
@@ -17,13 +17,6 @@ const (
 	presortedCut = 0.95
 	// dupRoleRatio: distinct fraction below which a run merges dup-heavy.
 	dupRoleRatio = 0.05
-	// lsdMaxKeyBytes: LSD radix runs only for keys at most this wide,
-	// mirroring the radix package's own width rule. The gate is on total
-	// key width, not the varying band: a "skipped" LSD pass over a
-	// constant byte position still pays a full counting scan, so a wide
-	// key with a narrow varying band does not favor LSD (measured: MSD is
-	// ~6% faster at 3 varying bytes of 8, and even at 2 varying of 64).
-	lsdMaxKeyBytes = 4
 	// frontCodeMaxRatio: spill-block front-coding is attempted when the
 	// sampled distinct fraction is at or below this (repeats mean shared
 	// prefixes worth eliding) or the key has a constant prefix.
@@ -61,7 +54,7 @@ func NewPlanner(cfg Config) *Planner {
 // plan. Runs once per run cut; does not allocate.
 func (p *Planner) PlanRun(keys []byte, n int) Plan {
 	if n < 2 {
-		return Plan{Algo: AlgoLSDRadix, Stats: Stats{Rows: n, Sampled: n, FirstVarying: -1}}
+		return Plan{Algo: RadixAlgo(p.cfg.KeyWidth), Stats: Stats{Rows: n, Sampled: n, FirstVarying: -1}}
 	}
 	st := p.an.Analyze(keys, p.cfg.RowWidth, n)
 	sh := perfmodel.RunShape{
@@ -92,10 +85,8 @@ func (p *Planner) PlanRun(keys []byte, n int) Plan {
 		}
 	case pl.PdqCost < pl.RadixCost:
 		pl.Algo = AlgoPdqsort
-	case p.cfg.KeyWidth <= lsdMaxKeyBytes:
-		pl.Algo = AlgoLSDRadix
 	default:
-		pl.Algo = AlgoMSDRadix
+		pl.Algo = RadixAlgo(p.cfg.KeyWidth)
 	}
 
 	// Merge role.

@@ -3,6 +3,7 @@ package strategy
 import (
 	"testing"
 
+	"rowsort/internal/radix"
 	"rowsort/internal/workload"
 )
 
@@ -192,44 +193,6 @@ func TestPlanDegenerate(t *testing.T) {
 	}
 }
 
-// Fallback rule ports of the original core heuristic tests.
-
-func TestChooseRadixFallback(t *testing.T) {
-	rng := workload.NewRNG(140)
-	n := 1 << 14
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = rng.Uint32()
-	}
-	if !ChooseRadix(buildKeyRows(vals, 8), 8, 4, n) {
-		t.Fatal("random 4-byte keys should pick radix")
-	}
-	for i := range vals {
-		vals[i] = uint32(i)
-	}
-	if ChooseRadix(buildKeyRows(vals, 8), 8, 4, n) {
-		t.Fatal("sorted input should pick pdqsort (pattern detection)")
-	}
-	if !ChooseRadix(nil, 8, 4, 0) || !ChooseRadix(make([]byte, 8), 8, 4, 1) {
-		t.Fatal("degenerate inputs should default to radix")
-	}
-	keys := make([]byte, 1000*8)
-	if !ChooseRadix(keys, 8, 4, 1000) {
-		t.Fatal("all-equal keys should pick radix (single skip pass)")
-	}
-}
-
-func TestSampleDistinctKeys(t *testing.T) {
-	vals := make([]uint32, 1000)
-	for i := range vals {
-		vals[i] = uint32(i % 3)
-	}
-	keys := buildKeyRows(vals, 8)
-	if got := SampleDistinctKeys(keys, 8, 4, 1000); got != 3 {
-		t.Fatalf("distinct estimate = %d, want 3", got)
-	}
-}
-
 func TestAnalyzeAllocs(t *testing.T) {
 	n := 1 << 14
 	rng := workload.NewRNG(19)
@@ -242,5 +205,19 @@ func TestAnalyzeAllocs(t *testing.T) {
 	p.PlanRun(keys, n) // warm up
 	if allocs := testing.AllocsPerRun(20, func() { p.PlanRun(keys, n) }); allocs > 0 {
 		t.Fatalf("PlanRun allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRadixAlgoNamesWhatRadixSortRuns pins the one width rule: the sorter
+// passes radix.Sort no override, so the algorithm a radix plan names must be
+// the one radix.Sort picks by itself at that key width.
+func TestRadixAlgoNamesWhatRadixSortRuns(t *testing.T) {
+	for kw := 1; kw <= 12; kw++ {
+		rows := make([]byte, 4*16)
+		rows[0], rows[16+kw-1] = 2, 1 // two distinct keys, so a pass runs
+		ranMSD := radix.Sort(rows, 16, kw).UsedMSD
+		if named := RadixAlgo(kw); ranMSD != (named == AlgoMSDRadix) {
+			t.Errorf("key width %d: a radix plan says %v, radix.Sort ran MSD = %v", kw, named, ranMSD)
+		}
 	}
 }

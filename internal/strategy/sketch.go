@@ -4,9 +4,10 @@
 // combined through perfmodel's run-sort cost curves into a per-run
 // strategy.Plan — which sort generates the run (LSD/MSD radix, pdqsort, or
 // duplicate-group counting), how its spill blocks are shaped, and what role
-// it plays in the merge. It replaces the monolithic Options-driven
-// configuration with per-run decisions (the paper's Future Work: algorithm
-// choice should follow key size, tuple count and uniqueness).
+// it plays in the merge. Per-run decisions in place of a configured rule are
+// the paper's Future Work: algorithm choice should follow key size, tuple
+// count and uniqueness. Every run whose key bytes decide its order is sorted
+// this way; there is no other rule to fall back to.
 package strategy
 
 import (
@@ -73,8 +74,7 @@ func (h *HLL) Estimate() float64 {
 	return est
 }
 
-// HashBytes is the sketch's byte-string hash (FNV-1a over 8-byte words,
-// matching the hash the old core heuristic sampled with).
+// HashBytes is the sketch's byte-string hash (FNV-1a over 8-byte words).
 //
 //rowsort:hotpath
 //rowsort:pure
