@@ -103,9 +103,11 @@ func run(path, by string, threads int, memLimit int64, traceFile, metrics string
 	if err != nil {
 		return err
 	}
-	opt := core.Options{Threads: threads, MemoryLimit: memLimit, Registry: reg, RunLabel: "csvsort"}
+	opt := core.Options{Threads: threads, MemoryLimit: memLimit}
 	if traceFile != "" || metrics != "" || reg != nil {
-		opt.Telemetry = obs.NewRecorder()
+		// The registry's recorder makes the sort a run it serves; without
+		// -serve reg is nil and this is a plain span recorder.
+		opt.Telemetry = reg.Recorder("csvsort")
 	}
 	sorted, stats, err := core.SortTableStats(table, keys, opt)
 	if err != nil {
@@ -117,18 +119,18 @@ func run(path, by string, threads int, memLimit int64, traceFile, metrics string
 		}
 	}
 	if metrics != "" {
-		if metrics == "-" {
-			if err := stats.WritePrometheus(os.Stderr); err != nil {
-				return err
-			}
-		} else if err := writeFile(metrics, stats.WritePrometheus); err != nil {
+		if err := writeFile(metrics, stats.WritePrometheus); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
 	return writeCSV(out, header, sorted)
 }
 
+// writeFile writes what emit produces to path; "-" is stderr.
 func writeFile(path string, emit func(io.Writer) error) error {
+	if path == "-" {
+		return emit(os.Stderr)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -45,6 +45,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -143,9 +144,9 @@ func run() int {
 	}
 
 	ctx := context.Background()
+	var reg *obs.Registry
 	if *serve != "" {
-		reg := obs.NewRegistry(obs.DefaultKeepDone)
-		cfg.Registry = reg
+		reg = obs.NewRegistry(obs.DefaultKeepDone)
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sortbench: -serve: %v\n", err)
@@ -163,7 +164,7 @@ func run() int {
 	if *exp == "" {
 		// Serve-only mode: keep a forced-spill sort in flight so the
 		// endpoints always have a live run to show.
-		if err := demoLoop(ctx, cfg); err != nil {
+		if err := demoLoop(ctx, cfg, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
 			return 1
 		}
@@ -192,14 +193,14 @@ func run() int {
 	}
 
 	if *traceFile != "" {
-		if err := writeTrace(cfg.Telemetry, *traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
+		if err := writeFile(*traceFile, cfg.Telemetry.WriteTrace); err != nil {
+			fmt.Fprintf(os.Stderr, "sortbench: writing trace: %v\n", err)
 			return 1
 		}
 	}
 	if *metrics != "" {
-		if err := writeMetrics(cfg.Telemetry, *metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
+		if err := writeFile(*metrics, cfg.Telemetry.WritePrometheus); err != nil {
+			fmt.Fprintf(os.Stderr, "sortbench: writing metrics: %v\n", err)
 			return 1
 		}
 	}
@@ -207,10 +208,10 @@ func run() int {
 }
 
 // demoLoop sorts a budgeted TPC-DS catalog_sales workload over and over
-// until ctx is cancelled, registering every run with cfg.Registry. The
-// budget forces pressure-driven spilling and a multi-pass external merge,
-// so the served endpoints show every phase and counter moving.
-func demoLoop(ctx context.Context, cfg bench.Config) error {
+// until ctx is cancelled, every run watched by reg. The budget forces
+// pressure-driven spilling and a multi-pass external merge, so the served
+// endpoints show every phase and counter moving.
+func demoLoop(ctx context.Context, cfg bench.Config, reg *obs.Registry) error {
 	n := 1 << 20
 	switch cfg.Scale {
 	case bench.ScaleTiny:
@@ -228,9 +229,7 @@ func demoLoop(ctx context.Context, cfg bench.Config) error {
 		opt := core.Options{
 			Threads:     cfg.Threads,
 			MemoryLimit: limit,
-			Registry:    cfg.Registry,
-			RunLabel:    fmt.Sprintf("demo-%d", i),
-			Telemetry:   obs.NewRecorder(), // per-run recorder: each run gets its own waterfall and trace
+			Telemetry:   reg.Recorder(fmt.Sprintf("demo-%d", i)), // per-run recorder: each run gets its own waterfall and trace
 		}
 		if _, _, err := core.SortTableStats(tbl, keys, opt); err != nil {
 			return err
@@ -243,29 +242,18 @@ func demoLoop(ctx context.Context, cfg bench.Config) error {
 	return nil
 }
 
-func writeTrace(rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating trace file: %w", err)
-	}
-	if err := rec.WriteTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing trace: %w", err)
-	}
-	return f.Close()
-}
-
-func writeMetrics(rec *obs.Recorder, path string) error {
+// writeFile writes what emit produces to path; "-" is stderr.
+func writeFile(path string, emit func(io.Writer) error) error {
 	if path == "-" {
-		return rec.WritePrometheus(os.Stderr)
+		return emit(os.Stderr)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("creating metrics file: %w", err)
+		return err
 	}
-	if err := rec.WritePrometheus(f); err != nil {
+	if err := emit(f); err != nil {
 		f.Close()
-		return fmt.Errorf("writing metrics: %w", err)
+		return err
 	}
 	return f.Close()
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rowsort/internal/core"
+	"rowsort/internal/engine"
 	"rowsort/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func main() {
 
 	start := time.Now()
 	// Join on (cs_warehouse_sk, cs_ship_mode_sk); NULL keys never match.
-	out, err := core.MergeJoin(left, right, []int{0, 1}, []int{0, 1}, core.Options{})
+	out, err := engine.MergeJoin(left, right, []int{0, 1}, []int{0, 1}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

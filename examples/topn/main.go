@@ -42,6 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := top.Close(); err != nil { // a no-op after Result; what an abandoned operator owes
+		log.Fatal(err)
+	}
 	topTime := time.Since(start)
 
 	start = time.Now()

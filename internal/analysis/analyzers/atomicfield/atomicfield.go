@@ -9,7 +9,7 @@
 // same variable or field.
 //
 // It also covers the typed API (atomic.Int64, atomic.Bool, ...), which the
-// progress counters of obs.Progress and the recorder's phase arrays use:
+// counter block (obs.Block) and the recorder's phase arrays use:
 // any expression of a sync/atomic struct type that is not the receiver of
 // a method call or explicitly addressed is a by-value copy — the copy is
 // racy to produce and useless to keep — and is flagged.

@@ -39,33 +39,34 @@ func (p *plainOnly) inc() { p.n++ }
 
 func (p *plainOnly) get() int64 { return p.n }
 
-// progress uses the typed sync/atomic API, like obs.Progress.
-type progress struct {
-	rows  atomic.Int64
+// block uses the typed sync/atomic API, like obs.Block: an array of counters
+// indexed by an enum, a stage word, a flag.
+type block struct {
+	stage atomic.Int32
 	done  atomic.Bool
-	ticks [3]atomic.Int64
+	vals  [3]atomic.Int64
 }
 
 // methods and explicit addresses are the legitimate uses: clean.
-func (p *progress) advance(n int64) {
-	p.rows.Add(n)
-	p.ticks[0].Add(1)
-	p.done.Store(true)
-	sink(&p.rows)
+func (b *block) advance(n int64) {
+	b.stage.Add(1)
+	b.vals[0].Add(n)
+	b.done.Store(true)
+	sink(&b.vals[1])
 }
 
 func sink(*atomic.Int64) {}
 
-func (p *progress) snapshot() int64 {
-	_ = p.rows     // want "sync/atomic value of type sync/atomic.Int64 copied"
-	_ = p.ticks[1] // want "sync/atomic value of type sync/atomic.Int64 copied"
-	return p.rows.Load()
+func (b *block) snapshot() int64 {
+	_ = b.stage   // want "sync/atomic value of type sync/atomic.Int32 copied"
+	_ = b.vals[1] // want "sync/atomic value of type sync/atomic.Int64 copied"
+	return b.vals[1].Load()
 }
 
-func swap(p *progress) {
+func swap(b *block) {
 	var scratch atomic.Int64 // a declaration is not a copy: clean
-	scratch.Store(p.rows.Load())
+	scratch.Store(b.vals[2].Load())
 	// Assigning copies both sides: the write tears, the read races.
-	scratch = p.rows // want "sync/atomic value" "sync/atomic value"
+	scratch = b.vals[2] // want "sync/atomic value" "sync/atomic value"
 	_ = scratch.Load()
 }

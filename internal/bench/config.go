@@ -40,12 +40,6 @@ type Config struct {
 	// PhaseBreakdown makes experiments that sort end to end print the
 	// per-phase span table after their result rows.
 	PhaseBreakdown bool
-
-	// Registry, when non-nil, registers the experiments' sorts with the
-	// live observability plane (core.Options.Registry), so a run served
-	// over HTTP (cmd/sortbench -serve) exposes progress, ETA and metrics
-	// for every sort in flight. Nil costs nothing.
-	Registry *obs.Registry
 }
 
 // DefaultConfig returns the small-scale configuration.

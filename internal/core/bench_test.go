@@ -65,28 +65,6 @@ func BenchmarkTopNVsFullSort(b *testing.B) {
 	})
 }
 
-func BenchmarkMergeJoin(b *testing.B) {
-	left := workload.CatalogSales(1<<14, 10, 4)
-	right := workload.CatalogSales(1<<13, 10, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MergeJoin(left, right, []int{0, 1}, []int{0, 1}, Options{Threads: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWindowRank(b *testing.B) {
-	tbl := workload.Customer(1<<15, 6)
-	spec := WindowSpec{PartitionBy: []int{4}, OrderBy: []SortColumn{{Column: 1}}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Window(tbl, spec, []WindowFunc{Rank}, Options{Threads: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTelemetryOverhead measures what the telemetry layer costs on a
 // 1M-row multi-key sort: "disabled" is the nil-recorder fast path every
 // untraced sort takes, "enabled" records full phase spans into a fresh
@@ -120,7 +98,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		reg := obs.NewRegistry(4)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := SortTableStats(tbl, keys, Options{Threads: 4, Telemetry: obs.NewRecorder(), Registry: reg}); err != nil {
+			if _, _, err := SortTableStats(tbl, keys, Options{Threads: 4, Telemetry: reg.Recorder("bench")}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -159,7 +160,7 @@ func TestKeyCompStatsDictEscapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSorted(t, tbl, got, keys, "escape-heavy dict sort")
-	if st := s.Stats(); st.DictEscapes == 0 {
+	if st := s.Stats(); st.Counters[obs.KeyEscapes] == 0 {
 		t.Fatal("narrow sample produced no dictionary escapes")
 	}
 }
@@ -174,10 +175,10 @@ func TestKeyCompStatsRLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RunsGroupSorted == 0 {
+	if st.Counters[obs.DupGroupRuns] == 0 {
 		t.Fatal("rle: no runs were group-sorted on a 50-distinct-key workload")
 	}
-	if st.DupGroupRows == 0 {
+	if st.Counters[obs.DupGroupRows] == 0 {
 		t.Fatal("rle: group sorting reported zero grouped duplicate rows")
 	}
 }

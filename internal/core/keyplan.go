@@ -31,7 +31,7 @@ func (s *Sorter) PlanCompression(sample []*vector.Chunk) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.finalized || len(s.runs) > 0 || s.rowsIn.Load() != 0 {
+	if s.finalized || len(s.runs) > 0 || s.ctr.Value(obs.RowsIngested) != 0 {
 		return fmt.Errorf("core: PlanCompression must run before ingestion starts")
 	}
 	sp := s.rec.Worker("main").Begin(obs.PhaseKeyPlan)
@@ -67,9 +67,46 @@ func (s *Sorter) PlanCompression(sample []*vector.Chunk) error {
 	return nil
 }
 
+// KeyEncodingStat is one sort key's sampled compression decision.
+type KeyEncodingStat struct {
+	// Column is the key's schema column index.
+	Column int
+	// Encoding describes the decision, e.g. "dict(n=12,w=1)",
+	// "trunc(skip=7,keep=1)" or "full".
+	Encoding string
+	// Width and FullWidth are the emitted and uncompressed segment widths
+	// in bytes, validity byte included.
+	Width, FullWidth int
+}
+
+// keyEncodings reports the active compression plan per sort key (for
+// SortStats.KeyEncodings); nil without a plan.
+func (s *Sorter) keyEncodings() []KeyEncodingStat {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.enc.Plan()
+	if p == nil {
+		return nil
+	}
+	nkeys := s.enc.Keys()
+	out := make([]KeyEncodingStat, len(nkeys))
+	for i, nk := range nkeys {
+		end := s.enc.Width()
+		if i+1 < len(nkeys) {
+			end = s.enc.Offset(i + 1)
+		}
+		out[i] = KeyEncodingStat{
+			Column:    nk.Column,
+			Encoding:  p.Cols[i].String(),
+			Width:     end - s.enc.Offset(i),
+			FullWidth: fullSegWidth(nk),
+		}
+	}
+	return out
+}
+
 // fullSegWidth is the uncompressed width of one key's segment, validity
-// byte included (the core-side mirror of the encoder's layout rule), used
-// to report per-column savings in SortStats.KeyEncodings.
+// byte included (the core-side mirror of the encoder's layout rule).
 func fullSegWidth(nk normkey.SortKey) int {
 	if nk.Type == vector.Varchar {
 		p := nk.PrefixLen

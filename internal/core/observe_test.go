@@ -43,28 +43,13 @@ func getSnapshot(t *testing.T, base, id string) obs.RunSnapshot {
 }
 
 // monotonicCounters returns a descriptive error when next regressed any
-// counter relative to prev.
-func monotonicCounters(prev, next obs.ProgressCounters) error {
-	type pair struct {
-		name     string
-		old, new int64
-	}
-	for _, c := range []pair{
-		{"rows_ingested", prev.RowsIngested, next.RowsIngested},
-		{"rows_sorted", prev.RowsSorted, next.RowsSorted},
-		{"runs_generated", prev.RunsGenerated, next.RunsGenerated},
-		{"spill_bytes_written", prev.SpillBytesWritten, next.SpillBytesWritten},
-		{"spill_bytes_read", prev.SpillBytesRead, next.SpillBytesRead},
-		{"merge_rows_planned", prev.MergeRowsPlanned, next.MergeRowsPlanned},
-		{"rows_merged", prev.RowsMerged, next.RowsMerged},
-		{"merge_passes", prev.MergePasses, next.MergePasses},
-		{"rows_gathered", prev.RowsGathered, next.RowsGathered},
-		{"prefetched_blocks", prev.PrefetchedBlocks, next.PrefetchedBlocks},
-		{"prefetch_hits", prev.PrefetchHits, next.PrefetchHits},
-		{"pressure_spills", prev.PressureSpills, next.PressureSpills},
-	} {
-		if c.new < c.old {
-			return fmt.Errorf("%s went backwards: %d -> %d", c.name, c.old, c.new)
+// counter of the table relative to prev. (The merge comparison counters are
+// totals their publisher stores, once per pass and per drain; one drain per
+// sort, as here, keeps them monotonic too.)
+func monotonicCounters(prev, next obs.RunSnapshot) error {
+	for c, d := range obs.Descs {
+		if !d.Gauge && next.Counters[c] < prev.Counters[c] {
+			return fmt.Errorf("%s went backwards: %d -> %d", d.Name, prev.Counters[c], next.Counters[c])
 		}
 	}
 	if stageIndex[next.Stage] < stageIndex[prev.Stage] {
@@ -92,17 +77,16 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 		Threads:     2,
 		RunSize:     600,
 		MemoryLimit: 64 << 10, // far below fan-in × healthy blocks: forces pressure spills and merge passes
-		Registry:    reg,
-		RunLabel:    "acceptance",
-		Telemetry:   obs.NewRecorder(),
+		Telemetry:   reg.Recorder("acceptance"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := s.obsRun.ID()
-	if id == "" {
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 {
 		t.Fatal("sorter did not register with the registry")
 	}
+	id := snaps[0].ID
 
 	done := make(chan error, 1)
 	var sorted int
@@ -143,7 +127,7 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 		snap := getSnapshot(t, srv.URL, id)
-		if merr := monotonicCounters(prev.Counters, snap.Counters); merr != nil {
+		if merr := monotonicCounters(prev, snap); merr != nil {
 			t.Fatalf("poll %d: %v", polls, merr)
 		}
 		if snap.Fraction < 0 || snap.Fraction > 1 {
@@ -155,10 +139,10 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 		t.Fatalf("sorted %d rows, want %d", sorted, rows)
 	}
 
-	// The completed snapshot agrees with the sorter's own stats, field by
-	// field.
+	// The completed snapshot is the sorter's own stats: both are read from
+	// the one counter block, so every descriptor agrees, not a chosen few.
 	final := getSnapshot(t, srv.URL, id)
-	if !final.Done || final.Stage != "done" || final.Fraction != 1 || final.ETA != 0 {
+	if !final.Done || final.Stage != "done" || final.Fraction != 1 || final.ETA != 0 || final.Label != "acceptance" {
 		t.Fatalf("final snapshot not settled: %+v", final)
 	}
 	st := s.Stats()
@@ -166,39 +150,17 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 		t.Fatalf("budget forced no multi-pass/pressure work (passes=%d, pressure spills=%d); the test lost its teeth",
 			st.MergePasses, st.PressureSpills)
 	}
-	c := final.Counters
-	for _, chk := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"rows_ingested", c.RowsIngested, st.RowsIngested},
-		{"rows_sorted", c.RowsSorted, st.RowsIngested}, // every ingested row leaves run generation sorted
-		{"runs_generated", c.RunsGenerated, st.RunsGenerated},
-		{"spill_bytes_written", c.SpillBytesWritten, st.SpillBytesWritten},
-		{"spill_bytes_read", c.SpillBytesRead, st.SpillBytesRead},
-		{"merge_passes", c.MergePasses, st.MergePasses},
-		{"pressure_spills", c.PressureSpills, st.PressureSpills},
-		{"prefetched_blocks", c.PrefetchedBlocks, st.PrefetchedBlocks},
-		{"prefetch_hits", c.PrefetchHits, st.PrefetchHits},
-		{"rows_gathered", c.RowsGathered, int64(rows)},
-	} {
-		if chk.got != chk.want {
-			t.Errorf("final %s = %d, want %d (SortStats)", chk.name, chk.got, chk.want)
+	for c, d := range obs.Descs {
+		if got, want := final.Counters[c], st.Counters[c]; got != want {
+			t.Errorf("final %s = %d, want %d (SortStats)", d.Name, got, want)
 		}
 	}
-
-	// The frozen Final record is the authoritative SortStats, captured once
-	// at Close: it must round-trip through JSON into an equal struct.
-	finalJSON, err := json.Marshal(final.Final)
-	if err != nil {
-		t.Fatal(err)
+	if c := final.Counters; c[obs.RowsSorted] != rows || c[obs.RowsGathered] != rows || c[obs.RowsIngested] != rows {
+		t.Errorf("every row is ingested, sorted and gathered once: %d / %d / %d of %d",
+			c[obs.RowsIngested], c[obs.RowsSorted], c[obs.RowsGathered], rows)
 	}
-	var frozen SortStats
-	if err := json.Unmarshal(finalJSON, &frozen); err != nil {
-		t.Fatalf("Final is not a SortStats: %v", err)
-	}
-	if !reflect.DeepEqual(frozen, st) {
-		t.Errorf("frozen final stats diverge from Stats():\nfrozen: %+v\nstats:  %+v", frozen, st)
+	if !reflect.DeepEqual(final.Strategy, st.StrategyDecisions) {
+		t.Errorf("the snapshot's decisions diverge from Stats():\nsnapshot: %+v\nstats:    %+v", final.Strategy, st.StrategyDecisions)
 	}
 }
 
@@ -214,9 +176,7 @@ func TestStageDurationsSumWithRegistryEnabled(t *testing.T) {
 		Threads:   2,
 		RunSize:   2_500,
 		SpillDir:  t.TempDir(),
-		Telemetry: obs.NewRecorder(),
-		Registry:  reg,
-		RunLabel:  "durations",
+		Telemetry: reg.Recorder("durations"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,9 +199,9 @@ func TestStageDurationsSumWithRegistryEnabled(t *testing.T) {
 }
 
 // TestDisabledObservabilityHooksAllocateNothing pins the disabled fast
-// path: with no registry, the hooks the hot paths call — progress counter
-// adds, stage advances, nil-registry registration and the nil handle's
-// Done — must not allocate.
+// path: with no observer, the hooks the hot paths call — counter adds, stage
+// advances, the nil recorder's registration and the nil handle's Done — must
+// not allocate.
 func TestDisabledObservabilityHooksAllocateNothing(t *testing.T) {
 	tbl := workload.CatalogSales(16, 10, 7)
 	s, err := NewSorter(tbl.Schema, []SortColumn{{Column: 0}}, Options{})
@@ -249,14 +209,14 @@ func TestDisabledObservabilityHooksAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var reg *obs.Registry
+	var rec *obs.Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		h := reg.Register(obs.RunOptions{Label: "off"})
+		h := rec.Register(obs.RunOptions{Fingerprint: "off"})
 		h.Done()
-		s.prog.RowsIngested.Add(1)
-		s.prog.SpillBytesWritten.Add(64)
-		s.prog.AdvanceTo(obs.StageRunGen)
-		_ = s.prog.Stage()
+		s.ctr.Add(obs.RowsIngested, 1)
+		s.ctr.Add(obs.SpillBytesWritten, 64)
+		s.ctr.AdvanceTo(obs.StageRunGen)
+		_ = s.ctr.Stage()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability hooks allocate %v per run, want 0", allocs)
@@ -277,7 +237,7 @@ func TestAdaptiveRunSnapshotCarriesStrategy(t *testing.T) {
 
 	_, st, err := SortTableStats(tbl, keys, Options{
 		Threads: 1, RunSize: 1000,
-		Registry: reg, RunLabel: "strategy-snap",
+		Telemetry: reg.Recorder("strategy-snap"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +276,7 @@ func TestAdaptiveRunSnapshotCarriesStrategy(t *testing.T) {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("SortStats export is missing %s", want)
 		}
-		want = fmt.Sprintf("rowsort_run_strategy_runs_total{run=%q,label=\"strategy-snap\",algo=%q} %d", snaps[0].ID, ac.Algo, ac.Runs)
+		want = fmt.Sprintf("rowsort_strategy_runs_total{run=%q,label=\"strategy-snap\",algo=%q} %d", snaps[0].ID, ac.Algo, ac.Runs)
 		if !strings.Contains(regProm.String(), want) {
 			t.Errorf("registry export is missing %s", want)
 		}

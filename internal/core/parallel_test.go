@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 )
 
@@ -263,8 +264,8 @@ func TestMultiPassMergePlanRecorded(t *testing.T) {
 		t.Fatalf("64KiB budget over %d runs forced no intermediate merge passes: %+v",
 			st.RunsGenerated, st)
 	}
-	if st.MergePassRuns < 2*st.MergePasses {
-		t.Errorf("%d merge passes consumed only %d runs", st.MergePasses, st.MergePassRuns)
+	if passRuns := st.Counters[obs.MergePassRuns]; passRuns < 2*st.MergePasses {
+		t.Errorf("%d merge passes consumed only %d runs", st.MergePasses, passRuns)
 	}
 	if st.MergePassBytes == 0 {
 		t.Error("merge passes rewrote no bytes")

@@ -137,7 +137,7 @@ func (sr *stageRun) open(s *Sorter) error {
 	}
 	var hdr [spillHeaderLen]byte
 	n, err := f.ReadAt(hdr[:], 0)
-	s.countSpillRead(n)
+	s.ctr.Add(obs.SpillBytesRead, int64(n))
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("core: reading spill header of %s: %w", sf.path, err)
@@ -158,12 +158,6 @@ func (sr *stageRun) open(s *Sorter) error {
 // blockRows returns the rows of the run's block b.
 func (sr *stageRun) blockRows(b int) int {
 	return min(sr.run.spill.blockRows, sr.run.rows-b*sr.run.spill.blockRows)
-}
-
-// countSpillRead publishes n bytes read back from a spill file.
-func (s *Sorter) countSpillRead(n int) {
-	s.spillRead.Add(int64(n))
-	s.prog.SpillBytesRead.Add(int64(n))
 }
 
 // start launches the forecast goroutine, if read-ahead is on. It is joined by
@@ -283,8 +277,7 @@ func (st *blockStage) read(ref blockRef, n int, ow *obs.Worker, phase obs.Phase)
 		st.err = err
 	}
 	if err == nil && st.limit > 0 {
-		st.s.prefetchBlocks.Add(int64(n))
-		st.s.prog.PrefetchedBlocks.Add(int64(n))
+		st.s.ctr.Add(obs.PrefetchedBlocks, int64(n))
 	}
 	st.wakeLocked()
 	return err
@@ -306,8 +299,7 @@ func (st *blockStage) acquire(ctx context.Context, ref blockRef, ow *obs.Worker)
 	st.notAheadLocked(sr, int(ref.blk))
 	if sb.state == blockReady {
 		if first && st.limit > 0 {
-			st.s.prefetchHits.Add(1)
-			st.s.prog.PrefetchHits.Add(1)
+			st.s.ctr.Add(obs.PrefetchHits, 1)
 		}
 		blk := sb.blk
 		st.mu.Unlock()
@@ -341,7 +333,7 @@ func (st *blockStage) acquire(ctx context.Context, ref blockRef, ow *obs.Worker)
 	blk := sb.blk
 	st.mu.Unlock()
 	if st.limit > 0 {
-		st.s.prefetchStallNs.Add(int64(time.Since(t0)))
+		st.s.ctr.Add(obs.MergeStall, int64(time.Since(t0)))
 	}
 	return blk, nil
 }
@@ -407,7 +399,7 @@ func (st *blockStage) decode(ref blockRef, n int, ow *obs.Worker, phase obs.Phas
 	first, rw := int(ref.blk), s.rowWidth
 	raw := make([]byte, sf.blockEnd(first+n-1)-sf.offs[first])
 	got, err := sr.f.ReadAt(raw, sf.offs[first])
-	s.countSpillRead(got)
+	s.ctr.Add(obs.SpillBytesRead, int64(got))
 	if got < len(raw) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

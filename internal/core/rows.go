@@ -75,8 +75,8 @@ func (s *Sorter) Rows() (*RowIter, error) {
 			return nil, fmt.Errorf("core: streaming result already consumed (the merge of spilled runs is single-pass; sort again to iterate again)")
 		}
 	}
-	s.prog.AdvanceTo(obs.StageGather)
-	it := &RowIter{s: s, gw: s.rec.Worker("gather"), started: s.sinceEpoch(), n: s.resultRows}
+	s.ctr.AdvanceTo(obs.StageGather)
+	it := &RowIter{s: s, gw: s.rec.Worker("gather"), started: s.ctr.Now(), n: s.resultRows}
 	var err error
 	if it.d, err = s.newRowsDrain(it.gw); err != nil {
 		return nil, err
@@ -119,9 +119,8 @@ func (it *RowIter) stop(drained bool) {
 	}
 	it.finished = true
 	it.d.close(drained)
-	end := it.s.sinceEpoch()
-	it.s.durGather.Add(end - it.started)
-	it.s.tResultEnd.Store(end + 1)
+	it.s.ctr.Add(obs.DurGather, it.s.ctr.Now()-it.started)
+	it.s.ctr.StopClock(obs.DurTotal)
 }
 
 // Close releases the iterator. Required when abandoning it before
@@ -374,12 +373,12 @@ func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 			return nil, err
 		}
 		payloads = t.em.sets
-		s.prog.RowsMerged.Add(int64(count))
+		s.ctr.Add(obs.RowsMerged, int64(count))
 	case t.m != nil:
 		sp := t.ow.Begin(obs.PhaseMerge)
 		s.mergeRefs(t.m, t.which[:count], t.idxs[:count])
 		sp.End()
-		s.prog.RowsMerged.Add(int64(count))
+		s.ctr.Add(obs.RowsMerged, int64(count))
 		t.left -= count
 	default:
 		s.walkRefs(t.sub[0].Data, t.which[:count], t.idxs[:count])
@@ -456,7 +455,7 @@ func (d *rowsDrain) close(drained bool) {
 	s := d.s
 	if d.stage != nil {
 		d.stage.close(drained)
-		s.extMergeParts.Store(int64(d.claimed))
+		s.ctr.Store(obs.ExtMergeParts, int64(d.claimed))
 		if drained {
 			for _, id := range d.plan.ids {
 				s.releaseRun(s.runs[id])
@@ -465,8 +464,10 @@ func (d *rowsDrain) close(drained bool) {
 		}
 	}
 	s.mu.Lock()
-	s.drainStats = d.stats
+	total := s.mergeStats
 	s.mu.Unlock()
+	total.Add(d.stats)
+	s.publishMerge(total)
 }
 
 // refs advances the merge by up to len(which) rows and stores their payload
@@ -526,6 +527,6 @@ func (s *Sorter) gatherChunk(payloads []*row.RowSet, which, idxs []uint32) *vect
 
 // countGathered publishes n rows materialized into an output chunk.
 func (s *Sorter) countGathered(n int) {
-	s.prog.RowsGathered.Add(int64(n))
-	s.gatherBytes.Add(int64(n) * int64(s.layout.Width()))
+	s.ctr.Add(obs.RowsGathered, int64(n))
+	s.ctr.Add(obs.GatherBytes, int64(n)*int64(s.layout.Width()))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -344,7 +345,7 @@ func TestRowsMergesLazily(t *testing.T) {
 		if len(s.runs) < 2 {
 			t.Fatalf("%d runs: nothing to merge", len(s.runs))
 		}
-		if merged := s.prog.RowsMerged.Load(); merged != 0 {
+		if merged := s.ctr.Value(obs.RowsMerged); merged != 0 {
 			t.Fatalf("threads=%d: Finalize merged %d rows", threads, merged)
 		}
 		it, err := s.Rows()
@@ -354,7 +355,7 @@ func TestRowsMergesLazily(t *testing.T) {
 		if c, err := it.Next(); err != nil || c == nil {
 			t.Fatalf("first chunk: %v, %v", c, err)
 		}
-		merged := s.prog.RowsMerged.Load()
+		merged := s.ctr.Value(obs.RowsMerged)
 		if window := int64(drainWindowPerThread * threads * drainTaskRows); merged == 0 || merged > window {
 			t.Errorf("threads=%d: %d of %d rows merged when the first chunk returned; want at most the window's %d",
 				threads, merged, rows, window)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/strategy"
 	"rowsort/internal/vector"
@@ -439,9 +440,9 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 		if asPlanned == 0 {
 			t.Fatalf("%s: no run's plan came about the way under test", tc.name)
 		}
-		if ran["dup-group"] != st.RunsGroupSorted || ran["radix+repair"] != st.RunsTieRepaired {
+		if ran["dup-group"] != st.Counters[obs.DupGroupRuns] || ran["radix+repair"] != st.Counters[obs.TieRepairedRuns] {
 			t.Fatalf("%s: decisions name %v; the kernels counted %d grouped and %d repaired runs",
-				tc.name, ran, st.RunsGroupSorted, st.RunsTieRepaired)
+				tc.name, ran, st.Counters[obs.DupGroupRuns], st.Counters[obs.TieRepairedRuns])
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rowsort/internal/mem"
 	"rowsort/internal/mergepath"
@@ -43,7 +42,6 @@ type Sorter struct {
 
 	mu        sync.Mutex
 	runs      []*sortedRun
-	decisions []StrategyDecision // one per generated run, appended under mu
 	finalized bool
 
 	// What Finalize leaves the result iterator (rows.go), where the final
@@ -60,27 +58,22 @@ type Sorter struct {
 	streamUsed   bool // the single-pass merge of spilled runs has been handed out
 	streamActive []uint32
 
-	// mergeStats is the merge work of Finalize (intermediate passes);
-	// drainStats that of the latest result iterator (replaced
-	// when an in-memory sort is iterated again). Close cancels ctx, which
-	// stops those iterators' workers and block stages, and joins them on
-	// drainWG.
+	// mergeStats is the merge work of Finalize (intermediate passes), to
+	// which each result iterator adds its own before publishing the total.
+	// Close cancels ctx, which stops those iterators' workers and block
+	// stages, and joins them on drainWG.
 	mergeStats mergepath.Stats
-	drainStats mergepath.Stats
 	ctx        context.Context
 	cancel     context.CancelFunc
 	drainWG    sync.WaitGroup
 
 	// Spill bookkeeping: every file the sorter creates is tracked until it
-	// is removed, so Close can clean up after aborted sorts; the byte
-	// counters verify that a merge reads what was written exactly once.
-	spillMu      sync.Mutex
-	spillPaths   map[string]struct{}
-	spillTmpDir  string // lazily created when spilling without SpillDir (guarded by spillMu)
-	closed       bool   // Close has run (guarded by spillMu)
-	closeErr     error  // the last Close's result (guarded by spillMu)
-	spillWritten atomic.Int64
-	spillRead    atomic.Int64
+	// is removed, so Close can clean up after aborted sorts.
+	spillMu     sync.Mutex
+	spillPaths  map[string]struct{}
+	spillTmpDir string // lazily created when spilling without SpillDir (guarded by spillMu)
+	closed      bool   // Close has run (guarded by spillMu)
+	closeErr    error  // the last Close's result (guarded by spillMu)
 
 	// Memory governance: every resident byte the sorter holds is charged to
 	// broker — sink buffers through per-sink reservations, sorted runs
@@ -89,59 +82,27 @@ type Sorter struct {
 	// high-water mark feeds SortStats.PeakResidentRunBytes; crossing the
 	// budget fires the pressure subscription, which flips pressured so
 	// sinks cut their pending runs early and shed resident runs to disk.
-	broker         *mem.Broker
-	runRes         *mem.Reservation // resident sorted runs (keys + payload capacity)
-	poolRes        *mem.Reservation // recycled buffers parked in the pools
-	unsub          func()
-	keyBufs        *row.BufPool
-	sets           *row.SetPool
-	pressured      atomic.Bool
-	pressureSpills atomic.Int64
+	// (pressured is its own allocation: the subscription must not reach the
+	// sorter, or whoever keeps the broker — the counter block samples it —
+	// would keep the sort's buffers.)
+	broker    *mem.Broker
+	runRes    *mem.Reservation // resident sorted runs (keys + payload capacity)
+	poolRes   *mem.Reservation // recycled buffers parked in the pools
+	unsub     func()
+	keyBufs   *row.BufPool
+	sets      *row.SetPool
+	pressured *atomic.Bool
 
 	// Telemetry: rec records phase spans when Options.Telemetry is set (nil
-	// disables span recording at zero cost); the counters below feed
-	// SortStats and are maintained unconditionally. Lifecycle timestamps
-	// are nanoseconds since epoch, stored +1 so zero means "not reached".
-	//
-	// prog is the live progress block the observability registry serves:
-	// the hot paths mirror their counters into it with plain atomic adds.
-	// It is always allocated (so hooks never nil-check); obsRun is non-nil
-	// only when Options.Registry registered the run, and Close marks it
-	// done, freezing the final SortStats into the registry.
-	rec             *obs.Recorder
-	prog            *obs.Progress
-	obsRun          *obs.RunHandle
-	epoch           time.Time
-	rowsIn          atomic.Int64
-	runsGen         atomic.Int64
-	normKeyBytes    atomic.Int64
-	physKeyBytes    atomic.Int64
-	dictEscapes     atomic.Int64
-	runsGrouped     atomic.Int64
-	dupGroupRows    atomic.Int64
-	runsTieRepaired atomic.Int64
-	spillBlocksFC   atomic.Int64
-	gatherBytes     atomic.Int64
-	durGather       atomic.Int64
-	spillRemoved    atomic.Int64
-	spillRemoveErrs atomic.Int64
-	tFirstAppend    atomic.Int64
-	tFinalizeStart  atomic.Int64
-	tFinalizeEnd    atomic.Int64
-	tResultEnd      atomic.Int64
-
-	// External merge counters: spill read-ahead effectiveness (blocks the
-	// stage decoded, blocks already decoded when a merge asked, time merges
-	// waited for a block), the executed multi-pass merge plan, and the tasks
-	// the final merge was claimed in.
-	prefetchBlocks  atomic.Int64
-	prefetchHits    atomic.Int64
-	prefetchStallNs atomic.Int64
-	mergePasses     atomic.Int64
-	mergePassRuns   atomic.Int64
-	mergePassBytes  atomic.Int64
-	mergeFanIn      atomic.Int64
-	extMergeParts   atomic.Int64
+	// disables span recording at zero cost). ctr is the sort's counter block,
+	// always there: every counter, the lifecycle clock and the run-sort
+	// decision log live in it and nowhere else, published once per chunk, run
+	// or block, and SortStats and the registry's views are read from it. run
+	// is non-nil only when the recorder came from a registry; Close marks it
+	// done.
+	rec *obs.Recorder
+	ctr *obs.Block
+	run *obs.RunHandle
 
 	// Test pins, written only by this package's tests and each read at one
 	// site: spill blocks of this many rows whatever the budget and the plan
@@ -149,18 +110,6 @@ type Sorter struct {
 	// whatever its plan would be (planRun).
 	pinBlockRows int
 	pinPdqsort   bool
-}
-
-// sinceEpoch returns the sorter's monotonic clock reading in nanoseconds.
-func (s *Sorter) sinceEpoch() int64 { return int64(time.Since(s.epoch)) }
-
-// markStart records the first Append's timestamp (the start of the
-// run-generation stage). One relaxed load per chunk on the steady path.
-func (s *Sorter) markStart() {
-	if s.tFirstAppend.Load() == 0 {
-		s.tFirstAppend.CompareAndSwap(0, s.sinceEpoch()+1)
-		s.prog.AdvanceTo(obs.StageRunGen)
-	}
 }
 
 // getKeyBuf returns an empty key buffer, recycled when available. Pool
@@ -260,8 +209,6 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		layout:   row.NewLayout(schema.Types()),
 		keyWidth: enc.Width(),
 		rec:      opt.Telemetry,
-		prog:     &obs.Progress{},
-		epoch:    time.Now(),
 	}
 	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -276,35 +223,24 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.keyBufs = row.NewBufPool(s.poolRes)
 	s.sets = row.NewSetPool(s.layout, s.poolRes)
 	if opt.limited() {
-		s.unsub = s.broker.Subscribe(func(int64) { s.pressured.Store(true) })
+		pressured := new(atomic.Bool)
+		s.pressured = pressured
+		s.unsub = s.broker.Subscribe(func(int64) { pressured.Store(true) })
 	}
-	if opt.Registry != nil {
-		external := opt.SpillDir != "" || opt.limited()
-		w := perfmodel.SortPhaseWeights(s.keyWidth, s.layout.Width(), external)
-		s.obsRun = opt.Registry.Register(obs.RunOptions{
-			Label:          opt.RunLabel,
-			Fingerprint:    opt.Fingerprint(),
-			Progress:       s.prog,
-			Recorder:       s.rec,
-			Weights:        obs.PhaseWeights{Ingest: w.Ingest, RunSort: w.RunSort, Merge: w.Merge, Gather: w.Gather},
-			MemUsed:        s.broker.Used,
-			MemPeak:        s.broker.Peak,
-			MemLimit:       opt.MemoryLimit,
-			PressureEvents: s.broker.PressureEvents,
-			FinalStats: func() any {
-				st := s.Stats()
-				return &st
-			},
-			Strategy: s.strategyDecisions,
-		})
-	}
+	s.ctr = obs.NewBlock(s.broker)
+	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
+	s.run = s.rec.Register(obs.RunOptions{
+		Fingerprint: opt.Fingerprint(),
+		Block:       s.ctr,
+		Weights:     perfmodel.SortPhaseWeights(s.keyWidth, s.layout.Width(), opt.SpillDir != "" || opt.limited()),
+	})
 	return s, nil
 }
 
 // SetExpectedRows declares the total input rows up front, when the caller
 // knows them (SortTable does), so the registry's progress estimation has a
 // denominator before ingestion finishes. Optional; harmless to skip.
-func (s *Sorter) SetExpectedRows(n int64) { s.prog.RowsExpected.Store(n) }
+func (s *Sorter) SetExpectedRows(n int64) { s.ctr.Store(obs.RowsExpected, n) }
 
 // refBytes is the payload reference appended to every key row: the run id
 // and the row index within the run's payload.
@@ -396,7 +332,7 @@ func (k *Sink) pendingCap(have, need int) int {
 	case k.n == 0 && k.runs == 0:
 		c = need
 	default:
-		if exp := s.prog.RowsExpected.Load(); int64(need) <= exp && exp < int64(c) {
+		if exp := s.ctr.Value(obs.RowsExpected); int64(need) <= exp && exp < int64(c) {
 			c = int(exp)
 		}
 	}
@@ -453,7 +389,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	if n == 0 {
 		return nil
 	}
-	s.markStart()
+	s.ctr.AdvanceTo(obs.StageRunGen)
 	sp := k.ow.Begin(obs.PhaseIngest)
 	base := k.payload.Len()
 	k.reservePayload(n)
@@ -476,8 +412,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		s.putRef(k.keys[start+r*s.rowWidth:start+(r+1)*s.rowWidth], 0, uint32(base+r))
 	}
 	k.n += n
-	s.rowsIn.Add(int64(n))
-	s.prog.RowsIngested.Add(int64(n))
+	s.ctr.Add(obs.RowsIngested, int64(n))
 
 	// The encoder reports per-chunk whether any encoded key could byte-tie
 	// with a different value's encoding (overlong or NUL-bearing string
@@ -487,7 +422,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		k.tieBreak = true
 	}
 	if st.Escapes != 0 {
-		s.dictEscapes.Add(st.Escapes)
+		s.ctr.Add(obs.KeyEscapes, st.Escapes)
 	}
 	overBudget := !k.account()
 	sp.End()
@@ -579,7 +514,7 @@ func (k *Sink) flush() error {
 		role: plan.MergeRole, blockHint: plan.SpillBlockRows, frontCode: plan.FrontCode}
 	s.runs = append(s.runs, run)
 	dec.Run = int(runID)
-	s.decisions = append(s.decisions, dec)
+	s.ctr.Decide(dec) // under mu: the log is in run-id order
 	s.mu.Unlock()
 
 	if cap(k.idxs) < n {
@@ -604,14 +539,10 @@ func (k *Sink) flush() error {
 	s.mu.Unlock()
 	sp.End()
 
-	s.runsGen.Add(1)
-	s.prog.RowsSorted.Add(int64(n))
-	s.prog.RunsGenerated.Add(1)
-	// NormKeyBytes stays in logical (uncompressed) terms so the number is
-	// comparable across encodings; PhysKeyBytes is what was actually
-	// emitted — the gap is the compression saving.
-	s.normKeyBytes.Add(int64(n) * int64(s.enc.FullWidth()))
-	s.physKeyBytes.Add(int64(n) * int64(s.keyWidth))
+	s.ctr.Add(obs.RunsGenerated, 1)
+	s.ctr.Add(obs.RowsSorted, int64(n))
+	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.enc.FullWidth()))
+	s.ctr.Add(obs.PhysKeyBytes, int64(n)*int64(s.keyWidth))
 	return s.placeRun(run, withinBudget, k.ow)
 }
 
@@ -705,14 +636,6 @@ func (k *Sink) strategyPlanner() *strategy.Planner {
 	return k.planner
 }
 
-// strategyDecisions snapshots the per-run decision log for the
-// observability registry (registered as the run's Strategy closure).
-func (s *Sorter) strategyDecisions() []StrategyDecision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]StrategyDecision(nil), s.decisions...)
-}
-
 // sortRun executes plan on the cut run, the one place each run-sort kernel
 // is started from, and names in dec the kernel that ran. It returns the
 // buffer holding the sorted run: the duplicate-group expansion writes into a
@@ -762,12 +685,12 @@ func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lo
 		dst = dst[:len(keys)]
 		sortalgo.ExpandDupGroups(dst, keys, s.rowWidth, rows, s.keyWidth)
 		s.putKeyBuf(keys)
-		s.runsGrouped.Add(1)
-		s.dupGroupRows.Add(int64(n - groups))
+		s.ctr.Add(obs.DupGroupRuns, 1)
+		s.ctr.Add(obs.DupGroupRows, int64(n-groups))
 		return dst
 	case tieBreak:
 		repairTies(keys, n, s.rowWidth, s.keyWidth, tie)
-		s.runsTieRepaired.Add(1)
+		s.ctr.Add(obs.TieRepairedRuns, 1)
 		dec.Algo = "radix+repair"
 	}
 	return keys
@@ -993,10 +916,10 @@ func (s *Sorter) Finalize() error {
 		return fmt.Errorf("core: Finalize called twice")
 	}
 	s.finalized = true
-	s.tFinalizeStart.Store(s.sinceEpoch() + 1)
-	s.prog.AdvanceTo(obs.StageMerge)
-	s.prog.MergeRowsPlanned.Add(s.rowsIn.Load())
-	defer func() { s.tFinalizeEnd.Store(s.sinceEpoch() + 1) }()
+	s.ctr.AdvanceTo(obs.StageMerge)
+	s.ctr.StopClock(obs.DurRunGen)
+	s.ctr.Add(obs.MergeRowsPlanned, s.ctr.Value(obs.RowsIngested))
+	defer s.ctr.StopClock(obs.DurMerge)
 	var err error
 	s.rec.Do("merge", func() { err = s.finalizeLocked() })
 	return err
@@ -1023,7 +946,7 @@ func (s *Sorter) finalizeLocked() error {
 	}
 	if len(runs) == 1 {
 		// Nothing is left to merge in Rows.
-		s.prog.RowsMerged.Add(int64(s.resultRows))
+		s.ctr.Add(obs.RowsMerged, int64(s.resultRows))
 	}
 	s.resultRuns = runs
 	return nil

@@ -124,23 +124,17 @@ type Options struct {
 	// streaming callers opt in with Sorter.PlanCompression before the first
 	// Append.
 	KeyComp KeyComp
-	// Telemetry, when non-nil, records phase spans (ingest, run sort, spill
-	// I/O, merge, gather) and per-thread timelines into the recorder,
-	// exportable as Chrome trace_event JSON and Prometheus text; it also
-	// labels worker goroutines for pprof. SortStats counters and stage
-	// durations are collected either way; nil only disables span recording
-	// (the zero-allocation fast path).
+	// Telemetry, when non-nil, is the sort's observer: it records phase
+	// spans (ingest, run sort, spill I/O, merge, gather) and per-thread
+	// timelines, exportable as Chrome trace_event JSON and Prometheus text,
+	// and labels worker goroutines for pprof. A recorder made by an
+	// obs.Registry (Registry.Recorder(label)) also registers the sort as a
+	// live run there: its counters, progress, ETA and decisions are served by
+	// the registry's HTTP handler (/debug/rowsort/, /metrics) while it runs
+	// and after Close. SortStats counters and stage durations are collected
+	// either way (plain atomic adds); nil only means no spans and nobody
+	// watching (the zero-allocation fast path).
 	Telemetry *obs.Recorder
-	// Registry, when non-nil, registers the sort as a live run in the
-	// observability plane: per-phase progress counters published from the
-	// hot paths, memory-broker gauges, and — at Close — the frozen final
-	// SortStats, all served by the registry's HTTP handler
-	// (/debug/rowsort/). Progress counters are always maintained (plain
-	// atomic adds); nil only means nobody is watching.
-	Registry *obs.Registry
-	// RunLabel names the run in the registry ("csvsort", an experiment
-	// id); empty means "sort".
-	RunLabel string
 }
 
 // DefaultRunSize is the default thread-local run size in rows.

@@ -107,11 +107,11 @@ func (s *Sorter) untrackSpill(path string) {
 // the file leaves it to Close rather than fail).
 func (s *Sorter) removeSpillFile(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		s.spillRemoveErrs.Add(1)
+		s.ctr.Add(obs.SpillRemoveErrors, 1)
 		return err
 	}
 	s.untrackSpill(path)
-	s.spillRemoved.Add(1)
+	s.ctr.Add(obs.SpillFilesRemoved, 1)
 	return nil
 }
 
@@ -128,7 +128,7 @@ func (s *Sorter) removeSpillFile(path string) error {
 // spilled): a second Close after a clean one is a no-op returning the first
 // call's result, while files whose removal failed stay tracked and are
 // retried. Removal errors are not swallowed — every failed removal is
-// joined into the returned error and counted in Stats().SpillRemoveErrors.
+// joined into the returned error and counted as spill_remove_errors.
 func (s *Sorter) Close() error {
 	s.cancel()
 	s.drainWG.Wait()
@@ -151,12 +151,12 @@ func (s *Sorter) Close() error {
 	var errs []error
 	for path := range s.spillPaths {
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			s.spillRemoveErrs.Add(1)
+			s.ctr.Add(obs.SpillRemoveErrors, 1)
 			errs = append(errs, fmt.Errorf("core: removing spill file: %w", err))
 			continue
 		}
 		delete(s.spillPaths, path)
-		s.spillRemoved.Add(1)
+		s.ctr.Add(obs.SpillFilesRemoved, 1)
 	}
 	if s.spillTmpDir != "" && len(s.spillPaths) == 0 {
 		if err := os.RemoveAll(s.spillTmpDir); err != nil {
@@ -166,10 +166,8 @@ func (s *Sorter) Close() error {
 		}
 	}
 	s.closeErr = errors.Join(errs...)
-	// The run is over: freeze its final stats into the observability
-	// registry (idempotent; Stats only takes s.mu, which Close never
-	// holds).
-	s.obsRun.Done()
+	// The run is over; a registry watching it may now let it go.
+	s.run.Done()
 	return s.closeErr
 }
 
@@ -262,8 +260,7 @@ func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 		if run == nil {
 			return nil
 		}
-		s.pressureSpills.Add(1)
-		s.prog.PressureSpills.Add(1)
+		s.ctr.Add(obs.PressureSpills, 1)
 		err := run.spillTo(s, ow)
 		s.mu.Lock()
 		run.spilling = false
@@ -432,8 +429,7 @@ func (w *spillWriter) finish() (*spillFile, error) {
 		w.f = nil
 		return nil, w.abort(err)
 	}
-	w.s.spillWritten.Add(w.cw.n)
-	w.s.prog.SpillBytesWritten.Add(w.cw.n)
+	w.s.ctr.Add(obs.SpillBytesWritten, w.cw.n)
 	w.sf.size = w.cw.n
 	return w.sf, nil
 }
@@ -467,7 +463,7 @@ func (w *spillWriter) writeKeySection(keys []byte, rows int) error {
 			w.pre[0] = 1
 			binary.LittleEndian.PutUint32(w.pre[1:], uint32(len(w.fcScratch)))
 			section, tagged = w.fcScratch, w.pre[:]
-			w.s.spillBlocksFC.Add(1)
+			w.s.ctr.Add(obs.SpillFCBlocks, 1)
 		}
 	}
 	if _, err := w.cw.Write(tagged); err != nil {
@@ -666,7 +662,7 @@ func (s *Sorter) planSpilledMerge() error {
 			return err
 		}
 	}
-	s.mergeFanIn.Store(int64(len(ids)))
+	s.ctr.Store(obs.MergeFanIn, int64(len(ids)))
 	for _, id := range ids {
 		s.resultRows += s.runs[id].rows
 	}
@@ -701,8 +697,7 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 		// how many there are is an accident of sink timing. Shedding one
 		// writes it once; a pass reads and rewrites every run in it.
 		if r := s.largestResident(); r != nil {
-			s.pressureSpills.Add(1)
-			s.prog.PressureSpills.Add(1)
+			s.ctr.Add(obs.PressureSpills, 1)
 			if err := r.spillTo(s, mw); err != nil {
 				return nil, err
 			}
@@ -778,7 +773,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	// An intermediate pass moves every input row again; grow the plan so
 	// the progress fraction accounts for the extra work instead of jumping
 	// past 100%.
-	s.prog.MergeRowsPlanned.Add(int64(total))
+	s.ctr.Add(obs.MergeRowsPlanned, int64(total))
 	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: st.plan.anyTie, rows: total,
 		role: role, frontCode: true}
 	s.runs = append(s.runs, merged)
@@ -797,7 +792,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	// output block, after which the merge may let their input blocks go.
 	gather := func() {
 		staging.AppendRowsGather(e.sets, which, idxs)
-		s.prog.RowsMerged.Add(int64(len(idxs)))
+		s.ctr.Add(obs.RowsMerged, int64(len(idxs)))
 		which, idxs = which[:0], idxs[:0]
 		e.settle()
 	}
@@ -840,9 +835,9 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	mst := e.m.Stats()
 	mst.BytesMoved = uint64(outPos * rw)
 	s.mergeStats.Add(mst)
-	s.mergePasses.Add(1)
-	s.prog.MergePasses.Add(1)
-	s.mergePassRuns.Add(int64(len(ids)))
-	s.mergePassBytes.Add(merged.spill.size)
+	s.publishMerge(s.mergeStats)
+	s.ctr.Add(obs.MergePasses, 1)
+	s.ctr.Add(obs.MergePassRuns, int64(len(ids)))
+	s.ctr.Add(obs.MergePassBytes, merged.spill.size)
 	return merged.id, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -111,7 +112,7 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 							}
 							sorts++
 							tasks += st.ExtMergeParts
-							frontCoded += st.SpillBlocksFrontCoded
+							frontCoded += st.Counters[obs.SpillFCBlocks]
 							if err := s.Close(); err != nil {
 								t.Fatalf("%s: %v", ctx, err)
 							}
@@ -243,7 +244,7 @@ func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpillBlocksFrontCoded == 0 {
+	if st.Counters[obs.SpillFCBlocks] == 0 {
 		t.Fatal("no spill block was front-coded; the round trip was not exercised")
 	}
 	tablesEqual(t, resident, spilled, "front-coded spill vs resident")
@@ -259,9 +260,9 @@ func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.StrategyDecisions[0].FrontCode || st.SpillBlocksFrontCoded != 0 {
+	if !st.StrategyDecisions[0].FrontCode || st.Counters[obs.SpillFCBlocks] != 0 {
 		t.Fatalf("uniform keys: plan asks for front-coding = %v, %d blocks front-coded; want asked and none",
-			st.StrategyDecisions[0].FrontCode, st.SpillBlocksFrontCoded)
+			st.StrategyDecisions[0].FrontCode, st.Counters[obs.SpillFCBlocks])
 	}
 }
 
@@ -346,8 +347,8 @@ func TestSpilledRowsMergesLazily(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		s, _ := sixteenSpilledRuns(t, Options{Threads: threads})
 		defer s.Close()
-		if st := s.Stats(); st.SpillBytesRead != 0 || s.prog.RowsMerged.Load() != 0 || st.Merge.Comparisons != 0 {
-			t.Fatalf("threads=%d: Finalize read %d spill bytes and merged %d rows", threads, st.SpillBytesRead, s.prog.RowsMerged.Load())
+		if st := s.Stats(); st.SpillBytesRead != 0 || s.ctr.Value(obs.RowsMerged) != 0 || st.Merge.Comparisons != 0 {
+			t.Fatalf("threads=%d: Finalize read %d spill bytes and merged %d rows", threads, st.SpillBytesRead, s.ctr.Value(obs.RowsMerged))
 		}
 		base := runtime.NumGoroutine()
 		it, err := s.Rows()
@@ -363,7 +364,7 @@ func TestSpilledRowsMergesLazily(t *testing.T) {
 			t.Errorf("threads=%d: %d of 256 blocks read when the first chunk returned; want one a run at least, at most %d",
 				threads, n, most)
 		}
-		if merged, window := s.prog.RowsMerged.Load(), int64(drainWindowPerThread*threads*drainTaskRows); merged == 0 || merged > window {
+		if merged, window := s.ctr.Value(obs.RowsMerged), int64(drainWindowPerThread*threads*drainTaskRows); merged == 0 || merged > window {
 			t.Errorf("threads=%d: %d rows merged when the first chunk returned; want at most the window's %d", threads, merged, window)
 		}
 		if extra, most := runtime.NumGoroutine()-base, threads+1; extra > most || (threads == 1 && extra != 1) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -58,11 +60,11 @@ func TestSortStatsSpillingSort(t *testing.T) {
 	if st.SpillBytesRead != st.SpillBytesWritten {
 		t.Errorf("SpillBytesRead = %d, want %d (single read pass)", st.SpillBytesRead, st.SpillBytesWritten)
 	}
-	if st.SpillFilesRemoved != st.RunsGenerated {
-		t.Errorf("SpillFilesRemoved = %d, want %d", st.SpillFilesRemoved, st.RunsGenerated)
+	if st.Counters[obs.SpillFilesRemoved] != st.RunsGenerated {
+		t.Errorf("SpillFilesRemoved = %d, want %d", st.Counters[obs.SpillFilesRemoved], st.RunsGenerated)
 	}
-	if st.SpillRemoveErrors != 0 {
-		t.Errorf("SpillRemoveErrors = %d, want 0", st.SpillRemoveErrors)
+	if st.Counters[obs.SpillRemoveErrors] != 0 {
+		t.Errorf("SpillRemoveErrors = %d, want 0", st.Counters[obs.SpillRemoveErrors])
 	}
 	if st.GatherBytesMoved <= 0 {
 		t.Errorf("GatherBytesMoved = %d, want > 0", st.GatherBytesMoved)
@@ -184,14 +186,14 @@ func TestCloseIsIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
-	removed := s.Stats().SpillFilesRemoved
+	removed := s.Stats().Counters[obs.SpillFilesRemoved]
 	if removed == 0 {
 		t.Fatal("first Close removed no spill files")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got := s.Stats().SpillFilesRemoved; got != removed {
+	if got := s.Stats().Counters[obs.SpillFilesRemoved]; got != removed {
 		t.Fatalf("second Close changed SpillFilesRemoved: %d -> %d", removed, got)
 	}
 	ents, err := os.ReadDir(dir)
@@ -224,7 +226,7 @@ func TestCloseSurfacesRemovalErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "removing spill file") {
 		t.Fatalf("Close error %q does not identify the removal failure", err)
 	}
-	if got := s.Stats().SpillRemoveErrors; got == 0 {
+	if got := s.Stats().Counters[obs.SpillRemoveErrors]; got == 0 {
 		t.Fatal("SpillRemoveErrors not counted")
 	}
 	// Double Close retries the stuck file and reports it again, safely.
@@ -270,7 +272,7 @@ func TestTopNStats(t *testing.T) {
 func TestSortStatsRendering(t *testing.T) {
 	st := spillSortStats(t, 8_000)
 	text := st.String()
-	for _, want := range []string{"rows ingested", "spill written / read", "merge", "gather"} {
+	for _, want := range []string{"rows ingested", "spill written bytes", "spill read bytes", "stage merge", "stage gather", "run sort strategy"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("String() missing %q:\n%s", want, text)
 		}
@@ -284,6 +286,8 @@ func TestSortStatsRendering(t *testing.T) {
 		"rowsort_rows_ingested_total 8000",
 		"rowsort_spill_written_bytes_total",
 		"rowsort_stage_merge_seconds",
+		"# TYPE rowsort_merge_stall_seconds_total counter",
+		"rowsort_dup_group_runs_total 0",
 		`rowsort_phase_busy_seconds{phase="spill-read"}`,
 	} {
 		if !strings.Contains(prom, want) {
@@ -318,6 +322,150 @@ func TestTraceFromSpillingSort(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %s", want)
+		}
+	}
+}
+
+// TestSortStatsViewsCoverTable pins SortStats as a view of the descriptor
+// table: String prints every descriptor exactly once (a counter at zero is
+// left out, so the snapshot here has none), and every numeric field of the
+// struct is a copy of some descriptor's value, no two of the same one — a
+// field cannot count something the table does not know.
+func TestSortStatsViewsCoverTable(t *testing.T) {
+	var v obs.Values
+	backs := map[int64]string{} // distinct value -> descriptor name
+	for c := range v {
+		v[c] = int64(c+1) * 1_000_003
+		backs[v[c]] = obs.Descs[c].Name
+	}
+	st := statsOf(v)
+
+	text := st.String()
+	for _, d := range obs.Descs {
+		label := strings.TrimSuffix(strings.ReplaceAll(d.Name, "_", " "), " seconds")
+		if n := strings.Count(text, " "+label+" "); n != 1 {
+			t.Errorf("String() prints %q %d times, want once:\n%s", label, n, text)
+		}
+	}
+	if rows := strings.Count(text, "\n"); rows != obs.NumCounters {
+		t.Errorf("String() prints %d rows for %d descriptors:\n%s", rows, obs.NumCounters, text)
+	}
+
+	fields := 0
+	var walk func(prefix string, rv reflect.Value)
+	walk = func(prefix string, rv reflect.Value) {
+		for i := 0; i < rv.NumField(); i++ {
+			name, f := prefix+rv.Type().Field(i).Name, rv.Field(i)
+			var n int64
+			switch {
+			case name == "Counters" || name == "Phases":
+				continue
+			case f.Kind() == reflect.Struct:
+				walk(name+".", f)
+				continue
+			case f.CanInt():
+				n = f.Int()
+			case f.CanUint():
+				n = int64(f.Uint())
+			default:
+				continue // slices: key encodings, decisions
+			}
+			if _, ok := backs[n]; !ok {
+				t.Errorf("SortStats.%s = %d is backed by no descriptor", name, n)
+			}
+			delete(backs, n) // a second field of the same counter is not backed either
+			fields++
+		}
+	}
+	walk("", reflect.ValueOf(st))
+	if fields < 21 {
+		t.Errorf("only %d counter fields found in SortStats; benchmark/ alone reads 21", fields)
+	}
+}
+
+// TestRegistrySnapshotEqualsStats: for a forced-spill sort after Close, the
+// registry's snapshot and Stats() agree on every descriptor and on the
+// decision log — they are two reads of one block.
+func TestRegistrySnapshotEqualsStats(t *testing.T) {
+	tbl := workload.CatalogSales(12_000, 10, 7)
+	reg := obs.NewRegistry(0)
+	_, st, err := SortTableStats(tbl, []SortColumn{{Column: 0}, {Column: 1}}, Options{
+		Threads: 2, RunSize: 1_500, SpillDir: t.TempDir(), Telemetry: reg.Recorder("equal"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := reg.Snapshots()
+	if len(snaps) != 1 || !snaps[0].Done || snaps[0].Stage != "done" {
+		t.Fatalf("registry holds %+v, want the one finished run", snaps)
+	}
+	if st.SpillBytesRead == 0 || st.SpillBytesRead != st.SpillBytesWritten || st.DurTotal == 0 {
+		t.Fatalf("the sort did not spill and drain: %+v", st)
+	}
+	for c, d := range obs.Descs {
+		if got, want := snaps[0].Counters[c], st.Counters[c]; got != want {
+			t.Errorf("snapshot %s = %d, Stats() %d", d.Name, got, want)
+		}
+	}
+	if !reflect.DeepEqual(snaps[0].Strategy, st.StrategyDecisions) {
+		t.Errorf("snapshot decisions %+v, Stats() %+v", snaps[0].Strategy, st.StrategyDecisions)
+	}
+}
+
+// TestRetainedRunLeavesSorterCollectable: a registry that retains a run —
+// finished or still live — holds its counter block, decisions and recorder,
+// none of which can refer to the sorter, so the sorter and its buffers are
+// garbage the moment the caller drops them. (The block samples the sort's
+// broker, so the broker's pressure subscription must not reach the sorter
+// either: the live run here is a budgeted one.)
+func TestRetainedRunLeavesSorterCollectable(t *testing.T) {
+	tbl := workload.CatalogSales(4_096, 10, 7)
+	for _, finish := range []bool{true, false} {
+		reg := obs.NewRegistry(8)
+		s, err := NewSorter(tbl.Schema, []SortColumn{{Column: 0}}, Options{
+			MemoryLimit: 1 << 30, Telemetry: reg.Recorder("retained"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := s.NewSink()
+		for _, c := range tbl.Chunks {
+			if err := sink.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if finish {
+			if err := s.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Result(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		freed := make(chan struct{})
+		runtime.SetFinalizer(s, func(*Sorter) { close(freed) })
+		s, sink = nil, nil
+		collected := false
+		for i := 0; i < 50 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		snaps := reg.Snapshots()
+		if len(snaps) != 1 || snaps[0].Done != finish || snaps[0].Counters[obs.RowsIngested] != 4_096 {
+			t.Fatalf("finish=%v: the registry retains %+v, want the one run with its rows", finish, snaps)
+		}
+		if !collected {
+			t.Errorf("finish=%v: the run the registry retains still pins its sorter", finish)
 		}
 	}
 }

@@ -35,14 +35,18 @@ func NewTopN(schema vector.Schema, keys []SortColumn, limit int, opt Options) (*
 		return nil, err
 	}
 	t := &TopN{s: s, ow: s.rec.Worker("topn"), limit: limit, payload: row.NewRowSet(s.layout)}
-	t.h = &keyHeap{}
+	t.h = &keyHeap{cmp: s.comparator(func(_, idx uint32) (*row.RowSet, int) { return t.payload, int(idx) })}
 	return t, nil
 }
 
-// Stats snapshots the operator's telemetry: rows ingested, ingest spans and
-// stage durations (merge and spill counters stay zero — Top-N never runs
-// those phases).
+// Stats snapshots the operator's telemetry: rows ingested and gathered,
+// ingest spans and stage durations (merge and spill counters stay zero —
+// Top-N never runs those phases).
 func (t *TopN) Stats() SortStats { return t.s.Stats() }
+
+// Close ends the operator's run, so that a registry watching it can let it
+// go. Result calls it; an operator abandoned before Result must. Idempotent.
+func (t *TopN) Close() error { return t.s.Close() }
 
 // keyHeap is a max-heap of key rows: the root is the current worst of the
 // best n, so a new row only enters if it beats the root.
@@ -76,13 +80,10 @@ func (t *TopN) Append(c *vector.Chunk) error {
 	if n == 0 || t.limit == 0 {
 		return nil
 	}
-	s.markStart()
+	s.ctr.AdvanceTo(obs.StageRunGen)
 	sp := t.ow.Begin(obs.PhaseIngest)
 	defer sp.End()
-	s.rowsIn.Add(int64(n))
-	if t.h.cmp == nil {
-		t.h.cmp = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return t.payload, int(idx) })
-	}
+	s.ctr.Add(obs.RowsIngested, int64(n))
 
 	base := t.payload.Len()
 	if err := t.payload.AppendChunk(c.Vectors); err != nil {
@@ -113,20 +114,26 @@ func (t *TopN) Append(c *vector.Chunk) error {
 }
 
 // Result returns the top-N rows in sorted order as a columnar table. The
-// operator is exhausted afterwards.
-func (t *TopN) Result() (*vector.Table, error) {
+// operator is exhausted afterwards and its run is over.
+func (t *TopN) Result() (out *vector.Table, err error) {
 	s := t.s
+	s.ctr.AdvanceTo(obs.StageGather)
+	s.ctr.StopClock(obs.DurRunGen)
+	defer func() {
+		s.ctr.StopClock(obs.DurGather)
+		s.ctr.StopClock(obs.DurTotal)
+		if cerr := t.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	sp := t.ow.Begin(obs.PhaseGather)
 	defer sp.End()
-	if t.h.cmp == nil {
-		t.h.cmp = s.comparator(func(_, idx uint32) (*row.RowSet, int) { return t.payload, int(idx) })
-	}
 	// Drain the heap: pops come worst-first, so fill backwards.
 	ordered := make([][]byte, t.h.Len())
 	for i := len(ordered) - 1; i >= 0; i-- {
 		ordered[i] = heap.Pop(t.h).([]byte)
 	}
-	out := vector.NewTable(s.schema)
+	out = vector.NewTable(s.schema)
 	idxs := make([]uint32, vector.DefaultVectorSize)
 	for start := 0; start < len(ordered); start += vector.DefaultVectorSize {
 		count := min(vector.DefaultVectorSize, len(ordered)-start)
@@ -140,6 +147,7 @@ func (t *TopN) Result() (*vector.Table, error) {
 			t.payload.GatherColumn(c, refs, v)
 			chunk.Vectors[c] = v
 		}
+		s.countGathered(count)
 		if err := out.AppendChunk(chunk); err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -145,6 +146,53 @@ func TestTopNDescendingIntegers(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		if got.Column(0).Value(i).(int32) != int32(9999-i) {
 			t.Fatalf("row %d = %v", i, got.Column(0).Value(i))
+		}
+	}
+}
+
+// TestTopNRunReachesDone registers a Top-N with a registry and drains it: the
+// run must end — done, stage done, evictable — and the registry must have
+// counted the rows the operator's own stats counted. (Top-N used to add its
+// rows to the sorter's counter and not to the registry's, and, having no
+// Close, stayed a live run for ever.)
+func TestTopNRunReachesDone(t *testing.T) {
+	tbl := workload.CatalogSales(3_000, 10, 7)
+	reg := obs.NewRegistry(1)
+	for round := 0; round < 2; round++ {
+		top, err := NewTopN(tbl.Schema, []SortColumn{{Column: 3, Descending: true}}, 25,
+			Options{Telemetry: reg.Recorder("topn")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tbl.Chunks {
+			if err := top.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if live := reg.Snapshots()[0]; live.Done || live.Stage != "run-generation" {
+			t.Fatalf("before Result the run is %q, done=%v", live.Stage, live.Done)
+		}
+		out, err := top.Result()
+		if err != nil || out.NumRows() != 25 {
+			t.Fatalf("Result: %d rows, %v", out.NumRows(), err)
+		}
+		if err := top.Close(); err != nil {
+			t.Fatalf("Close after Result: %v", err)
+		}
+		st := top.Stats()
+		snaps := reg.Snapshots()
+		if len(snaps) != 1 { // keep is 1: the first round's run is evicted by the second's
+			t.Fatalf("round %d: the registry retains %d runs, want 1", round, len(snaps))
+		}
+		snap := snaps[0]
+		if !snap.Done || snap.Stage != "done" || snap.Fraction != 1 {
+			t.Errorf("a drained Top-N is %q, done=%v, fraction %v", snap.Stage, snap.Done, snap.Fraction)
+		}
+		if got := snap.Counters[obs.RowsIngested]; got != st.RowsIngested || got != 3_000 {
+			t.Errorf("snapshot rows ingested %d, Stats() %d, want 3000", got, st.RowsIngested)
+		}
+		if snap.Counters[obs.RowsGathered] != 25 || st.DurTotal <= 0 || st.DurTotal < st.DurRunGen {
+			t.Errorf("rows gathered %d, total %v, run generation %v", snap.Counters[obs.RowsGathered], st.DurTotal, st.DurRunGen)
 		}
 	}
 }

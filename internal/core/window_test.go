@@ -1,8 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"rowsort/internal/core"
+	"rowsort/internal/engine"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -35,10 +37,10 @@ func windowTable(t *testing.T) *vector.Table {
 
 func TestWindowRankingFunctions(t *testing.T) {
 	tbl := windowTable(t)
-	out, err := Window(tbl, WindowSpec{
+	out, err := engine.Window(tbl, engine.WindowSpec{
 		PartitionBy: []int{0},
-		OrderBy:     []SortColumn{{Column: 1}},
-	}, []WindowFunc{RowNumber, Rank, DenseRank}, Options{})
+		OrderBy:     []core.SortColumn{{Column: 1}},
+	}, []engine.WindowFunc{engine.RowNumber, engine.Rank, engine.DenseRank}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +81,9 @@ func TestWindowRankingFunctions(t *testing.T) {
 
 func TestWindowNoPartition(t *testing.T) {
 	tbl := windowTable(t)
-	out, err := Window(tbl, WindowSpec{
-		OrderBy: []SortColumn{{Column: 1, Descending: true}},
-	}, []WindowFunc{RowNumber}, Options{})
+	out, err := engine.Window(tbl, engine.WindowSpec{
+		OrderBy: []core.SortColumn{{Column: 1, Descending: true}},
+	}, []engine.WindowFunc{engine.RowNumber}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestWindowNoPartition(t *testing.T) {
 
 func TestWindowNoOrderAllPeers(t *testing.T) {
 	tbl := windowTable(t)
-	out, err := Window(tbl, WindowSpec{PartitionBy: []int{0}}, []WindowFunc{Rank, DenseRank}, Options{})
+	out, err := engine.Window(tbl, engine.WindowSpec{PartitionBy: []int{0}}, []engine.WindowFunc{engine.Rank, engine.DenseRank}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +118,10 @@ func TestWindowNoOrderAllPeers(t *testing.T) {
 
 func TestWindowLargerAgainstCounts(t *testing.T) {
 	tbl := workload.Customer(3000, 150)
-	out, err := Window(tbl, WindowSpec{
+	out, err := engine.Window(tbl, engine.WindowSpec{
 		PartitionBy: []int{4}, // last name
-		OrderBy:     []SortColumn{{Column: 0}},
-	}, []WindowFunc{RowNumber}, Options{Threads: 2})
+		OrderBy:     []core.SortColumn{{Column: 0}},
+	}, []engine.WindowFunc{engine.RowNumber}, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +146,20 @@ func TestWindowLargerAgainstCounts(t *testing.T) {
 
 func TestWindowErrors(t *testing.T) {
 	tbl := windowTable(t)
-	if _, err := Window(tbl, WindowSpec{}, nil, Options{}); err == nil {
+	if _, err := engine.Window(tbl, engine.WindowSpec{}, nil, core.Options{}); err == nil {
 		t.Fatal("no functions should error")
 	}
-	if _, err := Window(tbl, WindowSpec{PartitionBy: []int{9}}, []WindowFunc{Rank}, Options{}); err == nil {
+	if _, err := engine.Window(tbl, engine.WindowSpec{PartitionBy: []int{9}}, []engine.WindowFunc{engine.Rank}, core.Options{}); err == nil {
 		t.Fatal("bad partition column should error")
 	}
-	if _, err := Window(tbl, WindowSpec{}, []WindowFunc{WindowFunc(99)}, Options{}); err == nil {
+	if _, err := engine.Window(tbl, engine.WindowSpec{}, []engine.WindowFunc{engine.WindowFunc(99)}, core.Options{}); err == nil {
 		t.Fatal("unknown function should error")
 	}
 }
 
 func TestWindowFuncString(t *testing.T) {
-	if RowNumber.String() != "row_number" || Rank.String() != "rank" ||
-		DenseRank.String() != "dense_rank" || WindowFunc(9).String() == "" {
-		t.Fatal("WindowFunc.String broken")
+	if engine.RowNumber.String() != "row_number" || engine.Rank.String() != "rank" ||
+		engine.DenseRank.String() != "dense_rank" || engine.WindowFunc(9).String() == "" {
+		t.Fatal("engine.WindowFunc.String broken")
 	}
 }

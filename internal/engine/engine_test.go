@@ -160,7 +160,7 @@ func TestLimitAbandonsInMemorySortEarly(t *testing.T) {
 	keys := []core.SortColumn{{Column: 0}}
 	reg := obs.NewRegistry(4)
 	base := runtime.NumGoroutine()
-	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 2, Registry: reg}), 10, 3))
+	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 2, Telemetry: reg.Recorder("limit")}), 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,9 @@ func TestLimitAbandonsInMemorySortEarly(t *testing.T) {
 		t.Fatalf("registry holds %d runs, want the one finished sort", len(snaps))
 	}
 	c := snaps[0].Counters
-	if c.RowsGathered == 0 || c.RowsGathered > rows/2 || c.RowsMerged > rows/2 {
+	if c[obs.RowsGathered] == 0 || c[obs.RowsGathered] > rows/2 || c[obs.RowsMerged] > rows/2 {
 		t.Errorf("LIMIT 10 merged %d and gathered %d of %d rows; want some, and well under all",
-			c.RowsMerged, c.RowsGathered, rows)
+			c[obs.RowsMerged], c[obs.RowsGathered], rows)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestLimitAbandonsSpilledSortEarly(t *testing.T) {
 	dir := t.TempDir()
 	base := runtime.NumGoroutine()
 	out, err := Run(Limit(Sort(Scan(tbl), keys, core.Options{Threads: 1, RunSize: perRun,
-		SpillDir: dir, Registry: reg}), 10, 3))
+		SpillDir: dir, Telemetry: reg.Recorder("limit")}), 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,10 @@ func TestLimitAbandonsSpilledSortEarly(t *testing.T) {
 		t.Fatalf("registry holds %d runs, want the one finished sort", len(snaps))
 	}
 	c := snaps[0].Counters
-	if c.RunsGenerated != runs || c.PrefetchedBlocks < runs || c.PrefetchedBlocks > 2*runs ||
-		c.SpillBytesRead > c.SpillBytesWritten/4 || c.RowsMerged > perRun {
+	if c[obs.RunsGenerated] != runs || c[obs.PrefetchedBlocks] < runs || c[obs.PrefetchedBlocks] > 2*runs ||
+		c[obs.SpillBytesRead] > c[obs.SpillBytesWritten]/4 || c[obs.RowsMerged] > perRun {
 		t.Errorf("LIMIT 10 over %d spilled runs read %d blocks (%d of %d spill bytes) and merged %d rows; want at most two blocks a run",
-			c.RunsGenerated, c.PrefetchedBlocks, c.SpillBytesRead, c.SpillBytesWritten, c.RowsMerged)
+			c[obs.RunsGenerated], c[obs.PrefetchedBlocks], c[obs.SpillBytesRead], c[obs.SpillBytesWritten], c[obs.RowsMerged])
 	}
 }
 

@@ -1,22 +1,23 @@
-package core
+package engine
 
 import (
 	"fmt"
 
+	"rowsort/internal/core"
 	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
 // MergeJoin computes the inner equi-join of two tables with a sort-merge
 // join: both inputs are sorted on their join keys by the relational sorter,
-// then merged with full tuple comparisons. It exists here because the paper
+// then merged with full tuple comparisons. It exists because the paper
 // (Section V-B) singles out exactly this pattern — iterating sorted runs
 // and fully comparing tuples — as the operation an interpreted engine
 // cannot run through the subsort trick, motivating normalized keys.
 //
 // Join semantics follow SQL: rows whose key contains a NULL never match.
 // The output schema is the left schema followed by the right schema.
-func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt Options) (*vector.Table, error) {
+func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt core.Options) (*vector.Table, error) {
 	if len(leftKeys) == 0 || len(leftKeys) != len(rightKeys) {
 		return nil, fmt.Errorf("core: merge join needs matching non-empty key lists (got %d and %d)",
 			len(leftKeys), len(rightKeys))
@@ -32,11 +33,11 @@ func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt Options
 		}
 	}
 
-	sortedLeft, err := SortTable(left, sortSpec(leftKeys), opt)
+	sortedLeft, err := core.SortTable(left, sortSpec(leftKeys), opt)
 	if err != nil {
 		return nil, err
 	}
-	sortedRight, err := SortTable(right, sortSpec(rightKeys), opt)
+	sortedRight, err := core.SortTable(right, sortSpec(rightKeys), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +123,10 @@ func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt Options
 	return out, nil
 }
 
-func sortSpec(cols []int) []SortColumn {
-	keys := make([]SortColumn, len(cols))
+func sortSpec(cols []int) []core.SortColumn {
+	keys := make([]core.SortColumn, len(cols))
 	for i, c := range cols {
-		keys[i] = SortColumn{Column: c}
+		keys[i] = core.SortColumn{Column: c}
 	}
 	return keys
 }

@@ -126,7 +126,7 @@ func TopN(child Operator, keys []core.SortColumn, limit, offset int, opt core.Op
 func (t *TopNOp) Schema() vector.Schema { return t.child.Schema() }
 
 // Open implements Operator.
-func (t *TopNOp) Open() error {
+func (t *TopNOp) Open() (err error) {
 	if err := t.child.Open(); err != nil {
 		return err
 	}
@@ -134,6 +134,12 @@ func (t *TopNOp) Open() error {
 	if err != nil {
 		return err
 	}
+	// Result ends the operator's run; an error before it must.
+	defer func() {
+		if cerr := top.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	for {
 		c, err := t.child.Next()
 		if err != nil {

@@ -1,8 +1,9 @@
-package core
+package engine
 
 import (
 	"fmt"
 
+	"rowsort/internal/core"
 	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
@@ -46,14 +47,14 @@ type WindowSpec struct {
 	PartitionBy []int
 	// OrderBy lists the window's sort keys (may be empty, in which case all
 	// partition rows are peers).
-	OrderBy []SortColumn
+	OrderBy []core.SortColumn
 }
 
 // Window evaluates the given ranking functions over t and returns the input
 // columns extended with one BIGINT column per function (named after it),
 // with rows ordered by (PARTITION BY, ORDER BY) — the order the window sort
 // produces.
-func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt Options) (*vector.Table, error) {
+func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt core.Options) (*vector.Table, error) {
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("core: window needs at least one function")
 	}
@@ -69,15 +70,15 @@ func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt Options) (
 	}
 
 	// Sort by partition columns first, then the window order.
-	sortKeys := make([]SortColumn, 0, len(spec.PartitionBy)+len(spec.OrderBy))
+	sortKeys := make([]core.SortColumn, 0, len(spec.PartitionBy)+len(spec.OrderBy))
 	for _, c := range spec.PartitionBy {
-		sortKeys = append(sortKeys, SortColumn{Column: c})
+		sortKeys = append(sortKeys, core.SortColumn{Column: c})
 	}
 	sortKeys = append(sortKeys, spec.OrderBy...)
 	sorted := t
 	if len(sortKeys) > 0 {
 		var err error
-		sorted, err = SortTable(t, sortKeys, opt)
+		sorted, err = core.SortTable(t, sortKeys, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -155,8 +156,8 @@ func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt Options) (
 	return out, nil
 }
 
-// toNormKey converts a SortColumn to the reference key descriptor.
-func toNormKey(schema vector.Schema, k SortColumn) normkey.SortKey {
+// toNormKey converts a core.SortColumn to the reference key descriptor.
+func toNormKey(schema vector.Schema, k core.SortColumn) normkey.SortKey {
 	order := normkey.Ascending
 	if k.Descending {
 		order = normkey.Descending

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"math"
 	"net/http"
 	"time"
 )
@@ -17,7 +18,8 @@ import (
 //	/debug/rowsort/trace     ?id=run-N Chrome trace_event download
 //	                         (409 while the run is still in flight:
 //	                         WriteTrace reads unsynchronized span buffers)
-//	/metrics                 Prometheus text exposition, per-run labels
+//	/metrics                 Prometheus text exposition: a sort's own
+//	                         families, labelled per run
 //
 // Mount it at the server root (the paths are absolute):
 //
@@ -42,10 +44,7 @@ func (g *Registry) serveRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		// Too late for an error status; the connection is likely gone.
-		return
-	}
+	_ = enc.Encode(snap) // too late for an error status; the connection is likely gone
 }
 
 func (g *Registry) serveTrace(w http.ResponseWriter, r *http.Request) {
@@ -59,7 +58,7 @@ func (g *Registry) serveTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("run %q has no trace recorder", id), http.StatusNotFound)
 		return
 	}
-	if !ri.done.Load() {
+	if !ri.done() {
 		// WriteTrace reads the per-worker span buffers without
 		// synchronization; it is only safe once the run's work has
 		// finished.
@@ -68,157 +67,64 @@ func (g *Registry) serveTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+"-trace.json"))
-	if err := ri.opt.Recorder.WriteTrace(w); err != nil {
-		return
-	}
+	_ = ri.opt.Recorder.WriteTrace(w)
 }
 
 func (g *Registry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := g.WritePrometheus(w); err != nil {
-		return
-	}
+	_ = g.WritePrometheus(w)
 }
 
-// WritePrometheus writes the registry-wide Prometheus exposition: registry
-// gauges plus every retained run's progress counters, memory gauges, and
-// overall fraction/ETA, each labeled with its run id. On a nil registry it
-// writes nothing.
+// WritePrometheus writes the registry-wide Prometheus exposition: the
+// registry's own gauges, then the families of a sort's own exposition
+// (obs.WritePrometheus) with one sample per retained run, labelled with its
+// run id and label, then each run's completion, elapsed time, progress and
+// ETA. On a nil registry it writes nothing.
 func (g *Registry) WritePrometheus(w io.Writer) error {
 	if g == nil {
 		return nil
 	}
 	snaps := g.Snapshots()
+	runs := make([]PromRun, len(snaps))
 	live := 0
-	for _, s := range snaps {
+	for i, s := range snaps {
+		runs[i] = PromRun{Labels: []string{"run", s.ID, "label", s.Label},
+			Counters: s.Counters, Decisions: s.Strategy, Trace: s.Trace}
 		if !s.Done {
 			live++
 		}
 	}
 	var pw PromWriter
 	pw.Family("rowsort_runs_live", "gauge", "Registered sort runs currently in flight.")
-	pw.SampleInt(nil, int64(live))
+	pw.Sample(nil, float64(live))
 	pw.Family("rowsort_runs_retained", "gauge", "Sort runs retained in the registry (live + recent).")
-	pw.SampleInt(nil, int64(len(snaps)))
+	pw.Sample(nil, float64(len(snaps)))
+	pw.counterFamilies(runs)
+	pw.phaseFamilies(runs)
 
-	runLbl := func(s RunSnapshot) []string { return []string{"run", s.ID, "label", s.Label} }
-	intFamily := func(name, typ, help string, get func(RunSnapshot) int64) {
-		pw.Family(name, typ, help)
-		for _, s := range snaps {
-			pw.SampleInt(runLbl(s), get(s))
+	// A negative value is an unknown one (the ETA before there is signal);
+	// its sample is left out.
+	perRun := func(name, help string, get func(RunSnapshot) float64) {
+		pw.Family(name, "gauge", help)
+		for i, s := range snaps {
+			if v := get(s); v >= 0 {
+				pw.Sample(runs[i].Labels, v)
+			}
 		}
 	}
-	floatFamily := func(name, typ, help string, get func(RunSnapshot) float64) {
-		pw.Family(name, typ, help)
-		for _, s := range snaps {
-			pw.Sample(runLbl(s), get(s))
-		}
-	}
-
-	intFamily("rowsort_run_done", "gauge", "1 when the run has completed, 0 while in flight.",
-		func(s RunSnapshot) int64 {
+	perRun("rowsort_run_done", "1 when the run has completed, 0 while in flight.",
+		func(s RunSnapshot) float64 {
 			if s.Done {
 				return 1
 			}
 			return 0
 		})
-	floatFamily("rowsort_run_elapsed_seconds", "gauge", "Run wall time so far (total runtime once done).",
+	perRun("rowsort_run_elapsed_seconds", "Run wall time so far (total runtime once done).",
 		func(s RunSnapshot) float64 { return s.Elapsed.Seconds() })
-	intFamily("rowsort_run_rows_expected", "gauge", "Declared input rows (0 when unknown).",
-		func(s RunSnapshot) int64 { return s.Counters.RowsExpected })
-	intFamily("rowsort_run_rows_ingested_total", "counter", "Rows converted into pending runs.",
-		func(s RunSnapshot) int64 { return s.Counters.RowsIngested })
-	intFamily("rowsort_run_rows_sorted_total", "counter", "Rows that left run generation inside a sorted run.",
-		func(s RunSnapshot) int64 { return s.Counters.RowsSorted })
-	intFamily("rowsort_run_runs_generated_total", "counter", "Thread-local sorted runs cut.",
-		func(s RunSnapshot) int64 { return s.Counters.RunsGenerated })
-	intFamily("rowsort_run_spill_written_bytes_total", "counter", "Bytes written to spill files.",
-		func(s RunSnapshot) int64 { return s.Counters.SpillBytesWritten })
-	intFamily("rowsort_run_spill_read_bytes_total", "counter", "Bytes read back from spill files.",
-		func(s RunSnapshot) int64 { return s.Counters.SpillBytesRead })
-	intFamily("rowsort_run_rows_merged_total", "counter", "Rows emitted by merges, including intermediate passes.",
-		func(s RunSnapshot) int64 { return s.Counters.RowsMerged })
-	intFamily("rowsort_run_merge_passes_total", "counter", "Completed intermediate fan-in-reducing merge passes.",
-		func(s RunSnapshot) int64 { return s.Counters.MergePasses })
-	intFamily("rowsort_run_rows_gathered_total", "counter", "Rows materialized back into columnar chunks.",
-		func(s RunSnapshot) int64 { return s.Counters.RowsGathered })
-	intFamily("rowsort_run_prefetched_blocks_total", "counter", "Spill blocks decoded ahead by the read-ahead goroutines.",
-		func(s RunSnapshot) int64 { return s.Counters.PrefetchedBlocks })
-	intFamily("rowsort_run_prefetch_hits_total", "counter", "Merge block requests served from the prefetch buffer.",
-		func(s RunSnapshot) int64 { return s.Counters.PrefetchHits })
-	intFamily("rowsort_run_pressure_spills_total", "counter", "Resident runs shed to disk under memory pressure.",
-		func(s RunSnapshot) int64 { return s.Counters.PressureSpills })
-	intFamily("rowsort_run_mem_used_bytes", "gauge", "Memory-broker bytes currently reserved by the run.",
-		func(s RunSnapshot) int64 { return s.Mem.UsedBytes })
-	intFamily("rowsort_run_mem_peak_bytes", "gauge", "Memory-broker peak reservation over the run's life.",
-		func(s RunSnapshot) int64 { return s.Mem.PeakBytes })
-	intFamily("rowsort_run_mem_limit_bytes", "gauge", "Configured memory budget (0 = unlimited).",
-		func(s RunSnapshot) int64 { return s.Mem.LimitBytes })
-	intFamily("rowsort_run_mem_pressure_events_total", "counter", "Broker pressure callbacks observed by the run.",
-		func(s RunSnapshot) int64 { return s.Mem.PressureEvents })
-	floatFamily("rowsort_run_progress_ratio", "gauge", "Weighted overall completion estimate in [0, 1].",
+	perRun("rowsort_run_progress_ratio", "Weighted overall completion estimate in [0, 1].",
 		func(s RunSnapshot) float64 { return s.Fraction })
-	pw.Family("rowsort_run_eta_seconds", "gauge", "Estimated remaining seconds; absent while unknown.")
-	for _, s := range snaps {
-		if s.ETA >= 0 {
-			pw.Sample(runLbl(s), s.ETA.Seconds())
-		}
-	}
-
-	// Per-run strategy decisions: sorted runs generated, broken down by the
-	// run-generation sort that was executed. The family is absent until some
-	// run has cut a sorted run.
-	hasStrategy := false
-	for _, s := range snaps {
-		if len(s.Strategy) > 0 {
-			hasStrategy = true
-			break
-		}
-	}
-	if hasStrategy {
-		pw.Family("rowsort_run_strategy_runs_total", "counter",
-			"Sorted runs generated, by chosen run-generation algorithm.")
-		for _, s := range snaps {
-			for _, ac := range AlgoCounts(s.Strategy) {
-				pw.SampleInt([]string{"run", s.ID, "label", s.Label, "algo", ac.Algo}, int64(ac.Runs))
-			}
-		}
-	}
-
-	// Per-run phase spans, for runs that carry a span recorder.
-	tracedIdx := -1
-	for i, s := range snaps {
-		if s.Trace != nil {
-			tracedIdx = i
-		}
-	}
-	if tracedIdx >= 0 {
-		// The Summary families must each appear once with all runs'
-		// samples, so the per-run emission is inlined here rather than
-		// reusing Summary.writePrometheus (which writes whole families).
-		phaseFamily := func(name, typ, help string, get func(PhaseStat) float64, isInt bool) {
-			pw.Family(name, typ, help)
-			for _, s := range snaps {
-				if s.Trace == nil {
-					continue
-				}
-				for p := 0; p < NumPhases; p++ {
-					lbl := []string{"run", s.ID, "label", s.Label, "phase", Phase(p).String()}
-					if isInt {
-						pw.SampleInt(lbl, int64(get(s.Trace.Phases[p])))
-					} else {
-						pw.Sample(lbl, get(s.Trace.Phases[p]))
-					}
-				}
-			}
-		}
-		phaseFamily("rowsort_run_phase_busy_seconds", "counter", "Summed span time per sort phase across workers.",
-			func(ps PhaseStat) float64 { return ps.Busy.Seconds() }, false)
-		phaseFamily("rowsort_run_phase_wall_seconds", "gauge", "Earliest-begin to latest-end wall time per sort phase.",
-			func(ps PhaseStat) float64 { return ps.Wall.Seconds() }, false)
-		phaseFamily("rowsort_run_phase_spans_total", "counter", "Spans recorded per sort phase.",
-			func(ps PhaseStat) float64 { return float64(ps.Count) }, true)
-	}
+	perRun("rowsort_run_eta_seconds", "Estimated remaining seconds; absent while unknown.",
+		func(s RunSnapshot) float64 { return s.ETA.Seconds() })
 	return pw.Flush(w)
 }
 
@@ -230,7 +136,10 @@ type indexData struct {
 
 type indexRun struct {
 	RunSnapshot
-	Bars []waterBar
+	// Rows, Spill and Mem are the counter cells: rows in/sorted/merged/out,
+	// spill bytes written/read, broker bytes used/peak/limit.
+	Rows, Spill, Mem string
+	Bars             []waterBar
 }
 
 // waterBar is one phase's bar on the per-run waterfall, in percent of the
@@ -281,9 +190,9 @@ small { color: #888; }
 <td>{{.Stage}}</td>
 <td><span class="meter"><div style="width: {{pct .Fraction}}"></div></span> {{pct .Fraction}}</td>
 <td>{{if .Done}}—{{else if lt .ETA 0}}?{{else}}{{dur .ETA}}{{end}}</td>
-<td>{{.Counters.RowsIngested}} / {{.Counters.RowsSorted}} / {{.Counters.RowsMerged}} / {{.Counters.RowsGathered}}</td>
-<td>{{.Counters.SpillBytesWritten}} / {{.Counters.SpillBytesRead}}</td>
-<td>{{.Mem.UsedBytes}} / {{.Mem.PeakBytes}} / {{.Mem.LimitBytes}}</td>
+<td>{{.Rows}}</td>
+<td>{{.Spill}}</td>
+<td>{{.Mem}}</td>
 <td>{{dur .Elapsed}}</td>
 <td>{{if and .Done .Trace}}<a href="/debug/rowsort/trace?id={{.ID}}">trace</a>{{end}}</td>
 </tr>
@@ -305,12 +214,14 @@ func (g *Registry) serveIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	data := indexData{Now: time.Now()}
 	for _, s := range g.Snapshots() {
-		data.Runs = append(data.Runs, indexRun{RunSnapshot: s, Bars: waterfall(s.Trace)})
+		c := s.Counters
+		data.Runs = append(data.Runs, indexRun{RunSnapshot: s, Bars: waterfall(s.Trace),
+			Rows:  fmt.Sprintf("%d / %d / %d / %d", c[RowsIngested], c[RowsSorted], c[RowsMerged], c[RowsGathered]),
+			Spill: fmt.Sprintf("%d / %d", c[SpillBytesWritten], c[SpillBytesRead]),
+			Mem:   fmt.Sprintf("%d / %d / %d", c[MemUsed], c[MemPeak], c[MemLimit])})
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := indexTmpl.Execute(w, data); err != nil {
-		return
-	}
+	_ = indexTmpl.Execute(w, data)
 }
 
 // waterfall lays the traced phases out as bars over the recorder's full
@@ -320,23 +231,13 @@ func waterfall(sum *Summary) []waterBar {
 	if sum == nil {
 		return nil
 	}
-	var lo, hi time.Duration
-	first := true
-	for p := 0; p < NumPhases; p++ {
-		ps := sum.Phases[p]
-		if ps.Count == 0 {
-			continue
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(0)
+	for _, ps := range sum.Phases {
+		if ps.Count > 0 {
+			lo, hi = min(lo, ps.Start), max(hi, ps.Start+ps.Wall)
 		}
-		end := ps.Start + ps.Wall
-		if first || ps.Start < lo {
-			lo = ps.Start
-		}
-		if first || end > hi {
-			hi = end
-		}
-		first = false
 	}
-	if first || hi <= lo {
+	if hi <= lo {
 		return nil
 	}
 	span := float64(hi - lo)

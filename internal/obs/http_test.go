@@ -42,7 +42,7 @@ func TestHTTPIndex(t *testing.T) {
 
 	h := g.Register(RunOptions{Label: "idx-sort", Fingerprint: "threads=2"})
 	_, body = get("/debug/rowsort/")
-	for _, want := range []string{"idx-sort", h.ID(), ">live<"} {
+	for _, want := range []string{"idx-sort", h.ri.id, ">live<"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("index missing %q:\n%s", want, body)
 		}
@@ -64,12 +64,12 @@ func TestHTTPRunSnapshot(t *testing.T) {
 		t.Fatalf("unknown run status = %d, want 404", resp.StatusCode)
 	}
 
-	p := &Progress{}
-	h := g.Register(RunOptions{Label: "json-sort", Progress: p})
+	p := NewBlock(nil)
+	h := g.Register(RunOptions{Label: "json-sort", Block: p})
 	p.AdvanceTo(StageRunGen)
-	p.RowsIngested.Store(42)
+	p.Add(RowsIngested, 42)
 
-	resp, body := get("/debug/rowsort/run?id=" + h.ID())
+	resp, body := get("/debug/rowsort/run?id=" + h.ri.id)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status = %d", resp.StatusCode)
 	}
@@ -80,7 +80,7 @@ func TestHTTPRunSnapshot(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("run body is not a RunSnapshot: %v\n%s", err, body)
 	}
-	if snap.ID != h.ID() || snap.Counters.RowsIngested != 42 || snap.Stage != "run-generation" {
+	if snap.ID != h.ri.id || snap.Counters[RowsIngested] != 42 || snap.Stage != "run-generation" {
 		t.Fatalf("snapshot off: %+v", snap)
 	}
 }
@@ -95,7 +95,7 @@ func TestHTTPTraceGatedOnCompletion(t *testing.T) {
 	}
 
 	noTrace := g.Register(RunOptions{})
-	resp, _ = get("/debug/rowsort/trace?id=" + noTrace.ID())
+	resp, _ = get("/debug/rowsort/trace?id=" + noTrace.ri.id)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("recorder-less run trace status = %d, want 404", resp.StatusCode)
 	}
@@ -107,17 +107,17 @@ func TestHTTPTraceGatedOnCompletion(t *testing.T) {
 
 	// WriteTrace reads unsynchronized span buffers: live runs must be
 	// refused, not raced.
-	resp, _ = get("/debug/rowsort/trace?id=" + h.ID())
+	resp, _ = get("/debug/rowsort/trace?id=" + h.ri.id)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("live run trace status = %d, want 409", resp.StatusCode)
 	}
 
 	h.Done()
-	resp, body := get("/debug/rowsort/trace?id=" + h.ID())
+	resp, body := get("/debug/rowsort/trace?id=" + h.ri.id)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("done run trace status = %d", resp.StatusCode)
 	}
-	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, h.ID()+"-trace.json") {
+	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, h.ri.id+"-trace.json") {
 		t.Fatalf("trace disposition = %q", cd)
 	}
 	if !strings.Contains(body, `"traceEvents"`) || !strings.Contains(body, `"merge"`) {
@@ -129,22 +129,19 @@ func TestHTTPMetricsValidate(t *testing.T) {
 	g := NewRegistry(0)
 	get := serveReg(t, g)
 
-	p := &Progress{}
+	p := NewBlock(fakeGauges{used: 7})
 	rec := NewRecorder()
 	rec.Worker("w").Begin(PhaseSort).End()
-	live := g.Register(RunOptions{Label: "live-run", Progress: p, Recorder: rec,
-		MemUsed: func() int64 { return 7 }, MemLimit: 1024})
+	live := g.Register(RunOptions{Label: "live-run", Block: p, Recorder: rec})
 	p.AdvanceTo(StageRunGen)
-	p.RowsIngested.Store(5)
+	p.Add(RowsIngested, 5)
 	finished := g.Register(RunOptions{Label: "done-run"})
 	finished.Done()
-	planned := g.Register(RunOptions{Label: "planned-run", Strategy: func() []StrategyDecision {
-		return []StrategyDecision{
-			{Run: 0, Rows: 10, Algo: "lsd-radix"},
-			{Run: 1, Rows: 10, Algo: "pdqsort"},
-			{Run: 2, Rows: 10, Algo: "lsd-radix"},
-		}
-	}})
+	plans := NewBlock(nil)
+	planned := g.Register(RunOptions{Label: "planned-run", Block: plans})
+	for i, algo := range []string{"lsd-radix", "pdqsort", "lsd-radix"} {
+		plans.Decide(StrategyDecision{Run: i, Rows: 10, Algo: algo})
+	}
 
 	resp, body := get("/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -159,12 +156,12 @@ func TestHTTPMetricsValidate(t *testing.T) {
 	for _, want := range []string{
 		"rowsort_runs_live 2",
 		"rowsort_runs_retained 3",
-		`rowsort_run_rows_ingested_total{run="` + live.ID() + `",label="live-run"} 5`,
-		`rowsort_run_done{run="` + finished.ID() + `",label="done-run"} 1`,
-		`rowsort_run_mem_used_bytes{run="` + live.ID() + `",label="live-run"} 7`,
-		`rowsort_run_phase_busy_seconds{run="` + live.ID() + `",label="live-run",phase="sort"}`,
-		`rowsort_run_strategy_runs_total{run="` + planned.ID() + `",label="planned-run",algo="lsd-radix"} 2`,
-		`rowsort_run_strategy_runs_total{run="` + planned.ID() + `",label="planned-run",algo="pdqsort"} 1`,
+		`rowsort_rows_ingested_total{run="` + live.ri.id + `",label="live-run"} 5`,
+		`rowsort_run_done{run="` + finished.ri.id + `",label="done-run"} 1`,
+		`rowsort_mem_used_bytes{run="` + live.ri.id + `",label="live-run"} 7`,
+		`rowsort_phase_busy_seconds{run="` + live.ri.id + `",label="live-run",phase="sort"}`,
+		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="lsd-radix"} 2`,
+		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="pdqsort"} 1`,
 		"# HELP rowsort_run_progress_ratio",
 		"# TYPE rowsort_run_progress_ratio gauge",
 	} {

@@ -1,7 +1,11 @@
-// Package obs is the sort pipeline's telemetry layer: hierarchical phase
-// spans with nanosecond timers recorded into per-worker buffers, aggregated
-// phase counters, and exporters for Chrome trace_event JSON (chrome://tracing
-// and Perfetto) and Prometheus text.
+// Package obs is the one module that knows what a sort counts. A sort
+// publishes into one counter block (Block); the descriptor table (Descs)
+// says what each counter is; and every view — core.SortStats, both
+// Prometheus expositions, the registry's JSON snapshot — is generated from
+// the two (counters.go, prom.go, registry.go). Beside the counters it records
+// hierarchical phase spans with nanosecond timers into per-worker buffers
+// (Recorder), exported as Chrome trace_event JSON (chrome://tracing and
+// Perfetto), and serves the runs a Registry watches over HTTP.
 //
 // The package is built around a nil fast path: a nil *Recorder hands out nil
 // *Workers, and every method on a nil receiver is a no-op that performs zero
@@ -92,6 +96,11 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	workers []*Worker
+
+	// reg and label, set by Registry.Recorder, name the registry that watches
+	// the runs recorded here and what it calls them.
+	reg   *Registry
+	label string
 }
 
 // NewRecorder returns a recorder whose clock is the monotonic time since
@@ -112,6 +121,18 @@ func NewRecorderClock(now func() int64) *Recorder {
 		r.last[p].Store(-1)
 	}
 	return r
+}
+
+// Register adds a run recorded here to the registry the recorder came from
+// (Registry.Recorder), under the recorder's label, and returns its handle. A
+// nil recorder, or one no registry made, returns nil — which every handle
+// method accepts — so a sorter registers unconditionally.
+func (r *Recorder) Register(o RunOptions) *RunHandle {
+	if r == nil {
+		return nil
+	}
+	o.Label, o.Recorder = r.label, r
+	return r.reg.Register(o)
 }
 
 // Worker registers a new trace lane (one Chrome-trace tid) and returns its

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -20,13 +22,14 @@ type PromWriter struct {
 // "counter" or "gauge".
 func (pw *PromWriter) Family(name, typ, help string) {
 	pw.cur = name
-	fmt.Fprintf(&pw.b, "# HELP %s %s\n", name, escapeHelp(help))
+	fmt.Fprintf(&pw.b, "# HELP %s %s\n", name, helpEscaper.Replace(help))
 	fmt.Fprintf(&pw.b, "# TYPE %s %s\n", name, typ)
 }
 
 // Sample emits one sample of the open family. labels alternate name, value
 // ("phase", "merge", "run", "run-3"); label values are escaped per the text
-// format.
+// format. The value is rendered without an exponent, so counts read as the
+// integers they are.
 func (pw *PromWriter) Sample(labels []string, v float64) {
 	pw.b.WriteString(pw.cur)
 	if len(labels) > 0 {
@@ -37,32 +40,14 @@ func (pw *PromWriter) Sample(labels []string, v float64) {
 			}
 			pw.b.WriteString(labels[i])
 			pw.b.WriteString(`="`)
-			pw.b.WriteString(escapeLabel(labels[i+1]))
+			pw.b.WriteString(labelEscaper.Replace(labels[i+1]))
 			pw.b.WriteByte('"')
 		}
 		pw.b.WriteByte('}')
 	}
-	fmt.Fprintf(&pw.b, " %g\n", v)
-}
-
-// SampleInt emits one integer-valued sample (rendered without an exponent,
-// matching the historical %d output for counts).
-func (pw *PromWriter) SampleInt(labels []string, v int64) {
-	pw.b.WriteString(pw.cur)
-	if len(labels) > 0 {
-		pw.b.WriteByte('{')
-		for i := 0; i+1 < len(labels); i += 2 {
-			if i > 0 {
-				pw.b.WriteByte(',')
-			}
-			pw.b.WriteString(labels[i])
-			pw.b.WriteString(`="`)
-			pw.b.WriteString(escapeLabel(labels[i+1]))
-			pw.b.WriteByte('"')
-		}
-		pw.b.WriteByte('}')
-	}
-	fmt.Fprintf(&pw.b, " %d\n", v)
+	pw.b.WriteByte(' ')
+	pw.b.WriteString(strconv.FormatFloat(v, 'f', -1, 64))
+	pw.b.WriteByte('\n')
 }
 
 // Flush writes the accumulated exposition to w. (Not named WriteTo: the
@@ -73,20 +58,83 @@ func (pw *PromWriter) Flush(w io.Writer) error {
 	return err
 }
 
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+// The text format's escapes: a label value's backslash, quote and newline; a
+// help string's backslash and newline.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
+// PromRun is one sort as the Prometheus view takes it: the labels that tell
+// it from the others in the exposition (none for a sort on its own), its
+// counters, its decision log and, when it recorded spans, their summary.
+type PromRun struct {
+	Labels    []string
+	Counters  Values
+	Decisions []StrategyDecision
+	Trace     *Summary
 }
 
-func escapeHelp(s string) string {
-	if !strings.ContainsAny(s, "\\\n") {
-		return s
+// WritePrometheus writes one sort's exposition: a family per descriptor of
+// the table, the run tally by sort algorithm, and the per-phase span families
+// when the sort recorded spans. The registry's /metrics emits the same
+// families through the same two functions, labelled by run, so the two
+// expositions cannot disagree on a name, a type or a help string.
+func WritePrometheus(w io.Writer, run PromRun) error {
+	var pw PromWriter
+	pw.counterFamilies([]PromRun{run})
+	pw.phaseFamilies([]PromRun{run})
+	return pw.Flush(w)
+}
+
+// counterFamilies emits every descriptor's family, one sample per run, then
+// the per-algorithm run tally of the runs that have cut a sorted run.
+func (pw *PromWriter) counterFamilies(runs []PromRun) {
+	for c := range Descs {
+		d := &Descs[c]
+		name, typ := d.Family()
+		pw.Family(name, typ, d.Help)
+		for _, r := range runs {
+			pw.Sample(r.Labels, d.Float(r.Counters[c]))
+		}
 	}
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
+	if !slices.ContainsFunc(runs, func(r PromRun) bool { return len(r.Decisions) > 0 }) {
+		return
+	}
+	pw.Family("rowsort_strategy_runs_total", "counter", "Sorted runs generated, by executed run-generation algorithm.")
+	for _, r := range runs {
+		for _, ac := range AlgoCounts(r.Decisions) {
+			pw.Sample(append(slices.Clip(r.Labels), "algo", ac.Algo), float64(ac.Runs))
+		}
+	}
+}
+
+// phaseFamilies emits the span families of the runs that recorded spans;
+// nothing when none did.
+func (pw *PromWriter) phaseFamilies(runs []PromRun) {
+	if !slices.ContainsFunc(runs, func(r PromRun) bool { return r.Trace != nil }) {
+		return
+	}
+	family := func(name, typ, help string, get func(PhaseStat) float64) {
+		pw.Family(name, typ, help)
+		for _, r := range runs {
+			for p := 0; r.Trace != nil && p < NumPhases; p++ {
+				pw.Sample(append(slices.Clip(r.Labels), "phase", Phase(p).String()), get(r.Trace.Phases[p]))
+			}
+		}
+	}
+	family("rowsort_phase_busy_seconds", "counter", "Summed span time per sort phase across workers.",
+		func(ps PhaseStat) float64 { return ps.Busy.Seconds() })
+	family("rowsort_phase_wall_seconds", "gauge", "Earliest-begin to latest-end wall time per sort phase.",
+		func(ps PhaseStat) float64 { return ps.Wall.Seconds() })
+	family("rowsort_phase_spans_total", "counter", "Spans recorded per sort phase.",
+		func(ps PhaseStat) float64 { return float64(ps.Count) })
+	pw.Family("rowsort_trace_workers", "gauge", "Trace lanes registered.")
+	for _, r := range runs {
+		if r.Trace != nil {
+			pw.Sample(r.Labels, float64(r.Trace.Workers))
+		}
+	}
 }
 
 // ValidatePrometheus parses data as Prometheus text exposition format and
@@ -154,13 +202,9 @@ func ValidatePrometheus(data []byte) error {
 			continue
 		}
 
-		name, labels, value, err := parsePromSample(line)
+		name, value, err := parsePromSample(line)
 		if err != nil {
 			return fmt.Errorf("line %d: %v", ln, err)
-		}
-		_ = labels
-		if !validMetricName(name) {
-			return fmt.Errorf("line %d: invalid metric name %q", ln, name)
 		}
 		if strings.HasPrefix(name, "rowsort") && !strings.HasPrefix(name, "rowsort_") {
 			return fmt.Errorf("line %d: metric %q missing rowsort_ prefix", ln, name)
@@ -183,110 +227,61 @@ func ValidatePrometheus(data []byte) error {
 	return nil
 }
 
-// parsePromSample splits "name{l1=\"v\",l2=\"v\"} value" into its parts,
-// validating label syntax and escape sequences.
-func parsePromSample(line string) (name string, labels map[string]string, value string, err error) {
-	i := 0
-	for i < len(line) && isNameChar(line[i], i == 0) {
-		i++
-	}
-	name = line[:i]
+// The text format's tokens: a metric or label name; a quoted label value
+// with only the escapes the format allows; the same with any escape, to tell
+// a bad escape from a missing quote.
+var (
+	promName    = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
+	promQuoted  = regexp.MustCompile(`^"(?:[^"\\]|\\[\\"n])*"`)
+	promEscaped = regexp.MustCompile(`^"(?:[^"\\]|\\.)*"`)
+)
+
+// validMetricName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
+func validMetricName(s string) bool { return s != "" && promName.FindString(s) == s }
+
+// parsePromSample splits `name{l1="v",l2="v"} value` into its name and
+// value, validating label syntax and escape sequences on the way.
+func parsePromSample(line string) (name, value string, err error) {
+	name = promName.FindString(line)
 	if name == "" {
-		return "", nil, "", fmt.Errorf("missing metric name")
+		return "", "", fmt.Errorf("missing metric name")
 	}
-	labels = map[string]string{}
-	if i < len(line) && line[i] == '{' {
-		i++
-		for {
-			if i >= len(line) {
-				return "", nil, "", fmt.Errorf("unterminated label set")
-			}
-			if line[i] == '}' {
-				i++
-				break
-			}
-			j := i
-			for j < len(line) && isNameChar(line[j], j == i) {
-				j++
-			}
-			lname := line[i:j]
-			if lname == "" || j >= len(line) || line[j] != '=' {
-				return "", nil, "", fmt.Errorf("malformed label name at byte %d", i)
-			}
-			j++ // '='
-			if j >= len(line) || line[j] != '"' {
-				return "", nil, "", fmt.Errorf("label value for %s not quoted", lname)
-			}
-			j++
-			var val strings.Builder
-			for {
-				if j >= len(line) {
-					return "", nil, "", fmt.Errorf("unterminated label value for %s", lname)
-				}
-				c := line[j]
-				if c == '"' {
-					j++
-					break
-				}
-				if c == '\\' {
-					if j+1 >= len(line) {
-						return "", nil, "", fmt.Errorf("dangling escape in label value for %s", lname)
-					}
-					switch line[j+1] {
-					case '\\', '"':
-						val.WriteByte(line[j+1])
-					case 'n':
-						val.WriteByte('\n')
-					default:
-						return "", nil, "", fmt.Errorf("invalid escape \\%c in label value for %s", line[j+1], lname)
-					}
-					j += 2
-					continue
-				}
-				val.WriteByte(c)
-				j++
-			}
-			if _, dup := labels[lname]; dup {
-				return "", nil, "", fmt.Errorf("duplicate label %s", lname)
-			}
-			labels[lname] = val.String()
-			if j < len(line) && line[j] == ',' {
-				j++
-			}
-			i = j
+	rest, labelled := strings.CutPrefix(line[len(name):], "{")
+	for seen := map[string]bool{}; labelled; {
+		if rest == "" {
+			return "", "", fmt.Errorf("unterminated label set")
 		}
+		if rest[0] == '}' {
+			rest = rest[1:]
+			break
+		}
+		lname := promName.FindString(rest)
+		if lname == "" || !strings.HasPrefix(rest[len(lname):], "=") {
+			return "", "", fmt.Errorf("malformed label name at %q", rest)
+		}
+		rest = rest[len(lname)+1:]
+		val := promQuoted.FindString(rest)
+		switch {
+		case !strings.HasPrefix(rest, `"`):
+			return "", "", fmt.Errorf("label value for %s not quoted", lname)
+		case val == "" && promEscaped.MatchString(rest):
+			return "", "", fmt.Errorf("invalid escape in label value for %s", lname)
+		case val == "":
+			return "", "", fmt.Errorf("unterminated label value for %s", lname)
+		case seen[lname]:
+			return "", "", fmt.Errorf("duplicate label %s", lname)
+		}
+		seen[lname] = true
+		rest = strings.TrimPrefix(rest[len(val):], ",")
 	}
-	if i >= len(line) || line[i] != ' ' {
-		return "", nil, "", fmt.Errorf("missing space before sample value")
+	value, ok := strings.CutPrefix(rest, " ")
+	if !ok {
+		return "", "", fmt.Errorf("missing space before sample value")
 	}
-	value = line[i+1:]
 	if value == "" || strings.ContainsAny(value, " \t") {
 		// A trailing timestamp would show up as a second field; the rowsort
 		// expositions never emit one.
-		return "", nil, "", fmt.Errorf("malformed sample value %q", value)
+		return "", "", fmt.Errorf("malformed sample value %q", value)
 	}
-	return name, labels, value, nil
-}
-
-// validMetricName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isNameChar(s[i], i == 0) {
-			return false
-		}
-	}
-	return true
-}
-
-func isNameChar(c byte, first bool) bool {
-	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		return true
-	case c >= '0' && c <= '9':
-		return !first
-	}
-	return false
+	return name, value, nil
 }

@@ -8,7 +8,7 @@ import (
 func TestPromWriterFormat(t *testing.T) {
 	var pw PromWriter
 	pw.Family("rowsort_things_total", "counter", "Things counted.")
-	pw.SampleInt(nil, 3)
+	pw.Sample(nil, 3)
 	pw.Family("rowsort_ratio", "gauge", "A ratio with\nnewline and \\slash in help.")
 	pw.Sample([]string{"run", "run-1", "label", `quote"back\slash` + "\nnl"}, 0.25)
 
@@ -93,7 +93,7 @@ func TestRecorderWritePrometheusValidates(t *testing.T) {
 		t.Fatalf("recorder exposition invalid: %v\n%s", err, b.String())
 	}
 	for _, want := range []string{
-		`rowsort_phase_busy_seconds{phase="ingest"} 1e-07`,
+		`rowsort_phase_busy_seconds{phase="ingest"} 0.0000001`,
 		`rowsort_phase_spans_total{phase="ingest"} 1`,
 		"rowsort_trace_workers 1",
 	} {

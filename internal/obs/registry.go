@@ -2,9 +2,12 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rowsort/internal/perfmodel"
 )
 
 // DefaultKeepDone is how many completed runs a registry retains when
@@ -12,14 +15,13 @@ import (
 const DefaultKeepDone = 32
 
 // Registry tracks every in-flight and recently completed sort registered
-// with it: each run's options fingerprint, live progress counters, memory
-// gauges and (optionally) its span recorder. It is the process-wide surface
-// the HTTP observability plane serves — one registry per server, shared by
-// any number of concurrent sorters.
+// with it: each run's options fingerprint, its counter block and its span
+// recorder. It is the process-wide surface the HTTP observability plane
+// serves — one registry per server, shared by any number of concurrent
+// sorters. A sort joins by being given the registry's Recorder.
 //
 // A nil *Registry follows the package's nil fast path: Register returns a
-// nil *RunHandle and every method is a no-op, so callers thread a registry
-// through unconditionally and pay nothing when observability is off.
+// nil *RunHandle and every method is a no-op.
 type Registry struct {
 	mu   sync.Mutex
 	keep int
@@ -36,44 +38,36 @@ func NewRegistry(keepDone int) *Registry {
 	return &Registry{keep: keepDone}
 }
 
-// RunOptions describe one sort run being registered.
+// Recorder returns a fresh span recorder whose sorts the registry watches:
+// a sorter handed it (core.Options.Telemetry) registers itself as a run
+// named label ("csvsort", an experiment id; it need not be unique, and empty
+// means "sort"). On a nil registry it is NewRecorder: spans, nobody watching.
+func (g *Registry) Recorder(label string) *Recorder {
+	r := NewRecorder()
+	r.reg, r.label = g, label
+	return r
+}
+
+// RunOptions describe one sort run being registered. None of it can refer
+// to the sorter: a retained run holds counters, decisions and spans, never a
+// sort's buffers.
 type RunOptions struct {
-	// Label names the run for display ("csvsort", an experiment id); it
-	// need not be unique. Empty means "sort".
+	// Label names the run for display. Empty means "sort".
 	Label string
 	// Fingerprint is a compact rendering of the run's sort options, so an
 	// operator can tell two runs' configurations apart at a glance.
 	Fingerprint string
-	// Progress is the run's live counter block. Required: Register
-	// allocates one when nil so snapshots never have to nil-check.
-	Progress *Progress
+	// Block is the run's live counter block; Register allocates one when
+	// nil so snapshots never have to nil-check.
+	Block *Block
 	// Recorder, when non-nil, is the run's span recorder: the HTTP plane
 	// renders its per-phase waterfall and serves its Chrome trace.
 	Recorder *Recorder
-	// Weights combine per-phase progress into the overall fraction and
-	// ETA; the zero value means DefaultPhaseWeights.
-	Weights PhaseWeights
-	// MemUsed and MemPeak, when non-nil, are sampled on every snapshot
-	// (typically mem.Broker method values — lock-free atomic reads).
-	MemUsed func() int64
-	MemPeak func() int64
-	// MemLimit is the run's configured budget (0 = unlimited).
-	MemLimit int64
-	// PressureEvents, when non-nil, samples the broker's pressure-event
-	// count.
-	PressureEvents func() int64
-	// FinalStats, when non-nil, is called exactly once when the run is
-	// marked Done; its result (typically *core.SortStats) is frozen into
-	// the run's snapshot as the authoritative completed-run record. The
-	// closure is released immediately after that call, so a retained
-	// completed run does not pin whatever the closure captured (usually
-	// the entire sorter and its buffers).
-	FinalStats func() any
-	// Strategy, when non-nil, samples the run's per-run execution-plan
-	// decisions for live snapshots. Like FinalStats it typically captures
-	// the sorter, so Done freezes its last result and releases the
-	// closure; snapshots taken after completion serve the frozen copy.
-	Strategy func() []StrategyDecision
+	// Weights are the phases' relative per-row costs, which combine
+	// per-phase progress into the overall fraction and ETA (core seeds them
+	// from perfmodel.SortPhaseWeights); the zero value means equal weights
+	// with a cheaper gather.
+	Weights perfmodel.PhaseWeights
 }
 
 // runInfo is one registered run's registry record.
@@ -81,29 +75,12 @@ type runInfo struct {
 	id      string
 	opt     RunOptions
 	started time.Time
-
-	// finalStatsFn is RunOptions.FinalStats, moved out of opt at Register
-	// time. The closure typically captures the whole sorter — run buffers,
-	// pools, the result table — so a retained completed run must not keep
-	// it alive. Only Done touches this field (guarded by doneOnce), which
-	// lets Done nil it without racing snapshot's read of opt.
-	finalStatsFn func() any
-
-	// strategyFn is RunOptions.Strategy, moved out of opt the same way —
-	// but snapshots call it while the run is live, so the release must be
-	// an atomic swap rather than a guarded nil. Done freezes the last
-	// result into strategy (published by the done handshake below) and
-	// swaps the pointer out.
-	strategyFn atomic.Pointer[func() []StrategyDecision]
-	strategy   []StrategyDecision
-
-	// Completion handshake: Done writes final and finishedNs, then flips
-	// done — readers that observe done.Load() == true therefore see both.
-	doneOnce   atomic.Bool
+	// finishedNs is when Done ran, in unix nanoseconds; 0 while the run is
+	// live.
 	finishedNs atomic.Int64
-	final      any
-	done       atomic.Bool
 }
+
+func (ri *runInfo) done() bool { return ri.finishedNs.Load() != 0 }
 
 // RunHandle is a registered run's publisher-side handle. A nil handle is a
 // no-op (the nil-registry fast path).
@@ -118,101 +95,54 @@ func (g *Registry) Register(o RunOptions) *RunHandle {
 	if g == nil {
 		return nil
 	}
-	if o.Progress == nil {
-		o.Progress = &Progress{}
+	if o.Block == nil {
+		o.Block = NewBlock(nil)
 	}
 	if o.Label == "" {
 		o.Label = "sort"
 	}
-	if !o.Weights.valid() {
-		o.Weights = DefaultPhaseWeights
+	if w := o.Weights; w.Ingest+w.RunSort+w.Merge+w.Gather <= 0 {
+		o.Weights = perfmodel.PhaseWeights{Ingest: 1, RunSort: 1, Merge: 1, Gather: 0.5}
 	}
-	fn := o.FinalStats
-	o.FinalStats = nil // held in finalStatsFn; dropped once captured
-	stratFn := o.Strategy
-	o.Strategy = nil // held in strategyFn; released at Done
 	g.mu.Lock()
 	g.seq++
-	ri := &runInfo{id: fmt.Sprintf("run-%d", g.seq), opt: o, started: time.Now(), finalStatsFn: fn}
-	if stratFn != nil {
-		held := stratFn // a fresh local: only its address reaches the atomic
-		ri.strategyFn.Store(&held)
-	}
+	ri := &runInfo{id: fmt.Sprintf("run-%d", g.seq), opt: o, started: time.Now()}
 	g.runs = append(g.runs, ri)
 	g.mu.Unlock()
 	return &RunHandle{g: g, ri: ri}
 }
 
-// ID returns the run's registry id ("run-3"); empty on a nil handle.
-func (h *RunHandle) ID() string {
-	if h == nil {
-		return ""
-	}
-	return h.ri.id
-}
-
-// Done marks the run completed: the lifecycle stage advances to StageDone,
-// FinalStats (if any) is captured as the frozen completed-run record, and
-// the registry may evict the oldest completed runs beyond its keep count.
-// Done is idempotent and safe from any goroutine.
+// Done marks the run completed: the lifecycle stage advances to StageDone
+// and the registry may evict the oldest completed runs beyond its keep
+// count. Done is idempotent and safe from any goroutine.
 func (h *RunHandle) Done() {
 	if h == nil {
 		return
 	}
-	ri := h.ri
-	if !ri.doneOnce.CompareAndSwap(false, true) {
-		return
+	h.ri.opt.Block.AdvanceTo(StageDone)
+	if h.ri.finishedNs.CompareAndSwap(0, time.Now().UnixNano()) {
+		h.g.retire()
 	}
-	ri.opt.Progress.AdvanceTo(StageDone)
-	if ri.finalStatsFn != nil {
-		ri.final = ri.finalStatsFn()
-		ri.finalStatsFn = nil // release the sorter the closure captured
-	}
-	if fn := ri.strategyFn.Swap(nil); fn != nil {
-		// Freeze the decisions before the done handshake publishes them;
-		// a snapshot in the tiny swap-to-done window simply omits them.
-		ri.strategy = (*fn)()
-	}
-	ri.finishedNs.Store(time.Now().UnixNano())
-	ri.done.Store(true)
-	h.g.retire()
 }
 
 // retire evicts the oldest completed runs beyond the keep count.
 func (g *Registry) retire() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	doneCount := 0
+	evict := -g.keep
 	for _, ri := range g.runs {
-		if ri.done.Load() {
-			doneCount++
+		if ri.done() {
+			evict++
 		}
 	}
-	if doneCount <= g.keep {
-		return
-	}
-	evict := doneCount - g.keep
-	kept := g.runs[:0]
-	for _, ri := range g.runs {
-		if evict > 0 && ri.done.Load() {
+	// DeleteFunc zeroes the tail, so evicted runs are collectable.
+	g.runs = slices.DeleteFunc(g.runs, func(ri *runInfo) bool {
+		if evict > 0 && ri.done() {
 			evict--
-			continue
+			return true
 		}
-		kept = append(kept, ri)
-	}
-	// Drop the tail references so evicted runs are collectable.
-	for i := len(kept); i < len(g.runs); i++ {
-		g.runs[i] = nil
-	}
-	g.runs = kept
-}
-
-// MemStats is a run's memory-broker gauge snapshot.
-type MemStats struct {
-	UsedBytes      int64 `json:"used_bytes"`
-	PeakBytes      int64 `json:"peak_bytes"`
-	LimitBytes     int64 `json:"limit_bytes"`
-	PressureEvents int64 `json:"pressure_events"`
+		return false
+	})
 }
 
 // PhaseProgress is one logical phase's progress toward its planned work.
@@ -230,8 +160,9 @@ type PhaseProgress struct {
 }
 
 // RunSnapshot is a point-in-time view of one registered run: identity,
-// counters, memory gauges, weighted overall progress and ETA, and — once
-// the run completes — the frozen final stats.
+// counters, weighted overall progress and ETA, decisions and spans. A
+// completed run's snapshot is its final record: the block stops moving when
+// the sorter closes.
 type RunSnapshot struct {
 	ID          string    `json:"id"`
 	Label       string    `json:"label"`
@@ -239,12 +170,12 @@ type RunSnapshot struct {
 	Started     time.Time `json:"started"`
 	// Elapsed is time since start for live runs, total runtime for
 	// completed ones.
-	Elapsed  time.Duration    `json:"elapsed_ns"`
-	Done     bool             `json:"done"`
-	Stage    string           `json:"stage"`
-	Counters ProgressCounters `json:"counters"`
-	Mem      MemStats         `json:"mem"`
-	Phases   []PhaseProgress  `json:"phases"`
+	Elapsed time.Duration `json:"elapsed_ns"`
+	Done    bool          `json:"done"`
+	Stage   string        `json:"stage"`
+	// Counters is every counter of the descriptor table, keyed by name.
+	Counters Values          `json:"counters"`
+	Phases   []PhaseProgress `json:"phases"`
 	// Fraction is the weighted overall completion estimate in [0, 1].
 	Fraction float64 `json:"fraction"`
 	// ETA is the estimated remaining time (elapsed scaled by the remaining
@@ -252,11 +183,8 @@ type RunSnapshot struct {
 	ETA time.Duration `json:"eta_ns"`
 	// Trace is the run's per-phase span aggregate when it has a Recorder.
 	Trace *Summary `json:"trace,omitempty"`
-	// Final is the frozen completed-run record (FinalStats' result); nil
-	// while the run is live.
-	Final any `json:"final,omitempty"`
 	// Strategy is the run's per-run execution-plan decisions so far (all
-	// of them once the run is done); nil when the run has no planner.
+	// of them once the run is done).
 	Strategy []StrategyDecision `json:"strategy,omitempty"`
 }
 
@@ -278,18 +206,15 @@ func (g *Registry) Snapshots() []RunSnapshot {
 	g.mu.Lock()
 	runs := append([]*runInfo(nil), g.runs...)
 	g.mu.Unlock()
-	out := make([]RunSnapshot, 0, len(runs))
+	var live, done []RunSnapshot
 	for i := len(runs) - 1; i >= 0; i-- { // newest first
-		if !runs[i].done.Load() {
-			out = append(out, runs[i].snapshot())
+		if s := runs[i].snapshot(); s.Done {
+			done = append(done, s)
+		} else {
+			live = append(live, s)
 		}
 	}
-	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].done.Load() {
-			out = append(out, runs[i].snapshot())
-		}
-	}
-	return out
+	return append(live, done...)
 }
 
 // run finds a retained run by id; nil when unknown (or on a nil registry).
@@ -310,12 +235,11 @@ func (g *Registry) run(id string) *runInfo {
 // snapshot builds the run's current RunSnapshot.
 func (ri *runInfo) snapshot() RunSnapshot {
 	o := ri.opt
-	p := o.Progress
-	done := ri.done.Load()
-	now := time.Now()
-	elapsed := now.Sub(ri.started)
-	if done {
-		elapsed = time.Unix(0, ri.finishedNs.Load()).Sub(ri.started)
+	b := o.Block
+	finished := ri.finishedNs.Load()
+	elapsed := time.Since(ri.started)
+	if finished != 0 {
+		elapsed = time.Unix(0, finished).Sub(ri.started)
 	}
 	s := RunSnapshot{
 		ID:          ri.id,
@@ -323,40 +247,25 @@ func (ri *runInfo) snapshot() RunSnapshot {
 		Fingerprint: o.Fingerprint,
 		Started:     ri.started,
 		Elapsed:     elapsed,
-		Done:        done,
-		Stage:       p.Stage().String(),
-		Counters:    p.Counters(),
-		Mem:         MemStats{LimitBytes: o.MemLimit},
+		Done:        finished != 0,
+		Stage:       b.Stage().String(),
+		Counters:    b.Snapshot(),
+		Strategy:    b.Decisions(),
 		ETA:         -1,
-	}
-	if o.MemUsed != nil {
-		s.Mem.UsedBytes = o.MemUsed()
-	}
-	if o.MemPeak != nil {
-		s.Mem.PeakBytes = o.MemPeak()
-	}
-	if o.PressureEvents != nil {
-		s.Mem.PressureEvents = o.PressureEvents()
 	}
 	if o.Recorder != nil {
 		sum := o.Recorder.Summary()
 		s.Trace = &sum
 	}
-	if done {
-		s.Final = ri.final
-		s.Strategy = ri.strategy
-	} else if fn := ri.strategyFn.Load(); fn != nil {
-		s.Strategy = (*fn)()
-	}
 
-	s.Phases = phaseProgress(p, o.Weights, now)
+	s.Phases = phaseProgress(b, s.Counters, o.Weights)
 	var doneUnits, plannedUnits float64
 	for _, ph := range s.Phases {
-		doneUnits += ph.Weight * float64(min64(ph.Done, ph.Planned))
+		doneUnits += ph.Weight * float64(min(ph.Done, ph.Planned))
 		plannedUnits += ph.Weight * float64(ph.Planned)
 	}
 	switch {
-	case done:
+	case s.Done:
 		s.Fraction = 1
 		s.ETA = 0
 	case plannedUnits > 0:
@@ -375,45 +284,23 @@ func (ri *runInfo) snapshot() RunSnapshot {
 // it, else the rows ingested so far (a moving target: progress reads low
 // until ingestion finishes, which is the honest answer for an unbounded
 // stream).
-func phaseProgress(p *Progress, w PhaseWeights, now time.Time) []PhaseProgress {
-	expected := p.RowsExpected.Load()
-	ingested := p.RowsIngested.Load()
-	total := max64(expected, ingested)
-	if total == 0 {
-		total = 1 // a registered run that has not started; all fractions 0
-	}
-	mergePlanned := max64(p.MergeRowsPlanned.Load(), total)
+func phaseProgress(b *Block, v Values, w perfmodel.PhaseWeights) []PhaseProgress {
+	// A registered run that has not started plans one row; all fractions 0.
+	total := max(v[RowsExpected], v[RowsIngested], 1)
+	mergePlanned := max(v[MergeRowsPlanned], total)
 	phases := []PhaseProgress{
-		{Name: "ingest", Done: ingested, Planned: total, Weight: w.Ingest},
-		{Name: "run-sort", Done: p.RowsSorted.Load(), Planned: total, Weight: w.RunSort},
-		{Name: "merge", Done: p.RowsMerged.Load(), Planned: mergePlanned, Weight: w.Merge},
-		{Name: "gather", Done: p.RowsGathered.Load(), Planned: total, Weight: w.Gather},
+		{Name: "ingest", Done: v[RowsIngested], Planned: total, Weight: w.Ingest},
+		{Name: "run-sort", Done: v[RowsSorted], Planned: total, Weight: w.RunSort},
+		{Name: "merge", Done: v[RowsMerged], Planned: mergePlanned, Weight: w.Merge},
+		{Name: "gather", Done: v[RowsGathered], Planned: total, Weight: w.Gather},
 	}
 	stageOf := [...]Stage{StageRunGen, StageRunGen, StageMerge, StageGather}
 	for i := range phases {
 		ph := &phases[i]
-		if ph.Planned > 0 {
-			ph.Fraction = float64(min64(ph.Done, ph.Planned)) / float64(ph.Planned)
-		}
-		if entered := p.StageEntered(stageOf[i]); !entered.IsZero() && ph.Done > 0 {
-			if dt := now.Sub(entered).Seconds(); dt > 0 {
-				ph.RowsPerSec = float64(ph.Done) / dt
-			}
+		ph.Fraction = float64(min(ph.Done, ph.Planned)) / float64(ph.Planned)
+		if dt := b.StageElapsed(stageOf[i]).Seconds(); dt > 0 {
+			ph.RowsPerSec = float64(ph.Done) / dt
 		}
 	}
 	return phases
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

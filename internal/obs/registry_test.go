@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -14,9 +13,6 @@ func TestNilRegistryAndHandleAreNoOps(t *testing.T) {
 	h := g.Register(RunOptions{Label: "x"})
 	if h != nil {
 		t.Fatal("nil registry must return a nil handle")
-	}
-	if id := h.ID(); id != "" {
-		t.Fatalf("nil handle ID = %q, want empty", id)
 	}
 	h.Done() // must not panic
 	if snaps := g.Snapshots(); snaps != nil {
@@ -34,45 +30,42 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
+// fakeGauges stands in for the sort's memory broker.
+type fakeGauges struct{ used, peak, events int64 }
+
+func (f fakeGauges) Used() int64           { return f.used }
+func (f fakeGauges) Peak() int64           { return f.peak }
+func (f fakeGauges) PressureEvents() int64 { return f.events }
+
 func TestRegistrySnapshotLifecycle(t *testing.T) {
 	g := NewRegistry(4)
-	p := &Progress{}
-	h := g.Register(RunOptions{
-		Label:       "test-sort",
-		Fingerprint: "threads=2",
-		Progress:    p,
-		MemUsed:     func() int64 { return 100 },
-		MemPeak:     func() int64 { return 200 },
-		MemLimit:    1 << 20,
-		FinalStats:  func() any { return map[string]int{"rows": 8} },
-	})
-	if h.ID() != "run-1" {
-		t.Fatalf("first run id = %q, want run-1", h.ID())
+	p := NewBlock(fakeGauges{used: 100, peak: 200, events: 3})
+	p.Store(MemLimit, 1<<20)
+	h := g.Register(RunOptions{Label: "test-sort", Fingerprint: "threads=2", Block: p})
+	if h.ri.id != "run-1" {
+		t.Fatalf("first run id = %q, want run-1", h.ri.id)
 	}
 
-	snap, ok := g.Snapshot(h.ID())
+	snap, ok := g.Snapshot(h.ri.id)
 	if !ok {
 		t.Fatal("snapshot of registered run not found")
 	}
 	if snap.Done || snap.Stage != "pending" || snap.Fraction != 0 || snap.ETA != -1 {
 		t.Fatalf("fresh run snapshot off: %+v", snap)
 	}
-	if snap.Mem.UsedBytes != 100 || snap.Mem.PeakBytes != 200 || snap.Mem.LimitBytes != 1<<20 {
-		t.Fatalf("mem gauges not sampled: %+v", snap.Mem)
-	}
-	if snap.Final != nil {
-		t.Fatal("live run must not carry final stats")
+	if c := snap.Counters; c[MemUsed] != 100 || c[MemPeak] != 200 || c[MemPressureEvents] != 3 || c[MemLimit] != 1<<20 {
+		t.Fatalf("mem gauges not sampled: %+v", c)
 	}
 
 	// Publish some progress: fraction moves, stays in (0, 1), ETA appears.
-	p.RowsExpected.Store(1000)
+	p.Store(RowsExpected, 1000)
 	p.AdvanceTo(StageRunGen)
-	p.RowsIngested.Store(1000)
-	p.RowsSorted.Store(1000)
+	p.Add(RowsIngested, 1000)
+	p.Add(RowsSorted, 1000)
 	p.AdvanceTo(StageMerge)
-	p.MergeRowsPlanned.Store(1000)
-	p.RowsMerged.Store(500)
-	snap, _ = g.Snapshot(h.ID())
+	p.Add(MergeRowsPlanned, 1000)
+	p.Add(RowsMerged, 500)
+	snap, _ = g.Snapshot(h.ri.id)
 	if snap.Stage != "merge" {
 		t.Fatalf("stage = %q, want merge", snap.Stage)
 	}
@@ -93,17 +86,17 @@ func TestRegistrySnapshotLifecycle(t *testing.T) {
 
 	h.Done()
 	h.Done() // idempotent
-	snap, _ = g.Snapshot(h.ID())
+	snap, _ = g.Snapshot(h.ri.id)
 	if !snap.Done || snap.Stage != "done" || snap.Fraction != 1 || snap.ETA != 0 {
 		t.Fatalf("done snapshot off: done=%v stage=%q fraction=%v eta=%v",
 			snap.Done, snap.Stage, snap.Fraction, snap.ETA)
 	}
-	if snap.Final == nil {
-		t.Fatal("done run lost its final stats")
+	if snap.Counters[RowsMerged] != 500 {
+		t.Fatal("done run lost its counters")
 	}
 	elapsed := snap.Elapsed
 	time.Sleep(5 * time.Millisecond)
-	snap, _ = g.Snapshot(h.ID())
+	snap, _ = g.Snapshot(h.ri.id)
 	if snap.Elapsed != elapsed {
 		t.Fatalf("completed run's elapsed moved: %v -> %v", elapsed, snap.Elapsed)
 	}
@@ -112,7 +105,7 @@ func TestRegistrySnapshotLifecycle(t *testing.T) {
 func TestRegistrySnapshotJSONRoundTrips(t *testing.T) {
 	g := NewRegistry(0)
 	h := g.Register(RunOptions{Recorder: NewRecorder()})
-	snap, _ := g.Snapshot(h.ID())
+	snap, _ := g.Snapshot(h.ri.id)
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -140,127 +133,134 @@ func TestRegistryEvictsOldestDoneRuns(t *testing.T) {
 	if len(snaps) != 3 { // 1 live + keep(2) done
 		t.Fatalf("retained %d runs, want 3", len(snaps))
 	}
-	if snaps[0].ID != live.ID() || snaps[0].Done {
+	if snaps[0].ID != live.ri.id || snaps[0].Done {
 		t.Fatalf("live run must come first: %+v", snaps[0])
 	}
 	// The newest completed runs are the ones kept.
-	if snaps[1].ID != handles[4].ID() || snaps[2].ID != handles[3].ID() {
+	if snaps[1].ID != handles[4].ri.id || snaps[2].ID != handles[3].ri.id {
 		t.Fatalf("kept wrong runs: %s, %s", snaps[1].ID, snaps[2].ID)
 	}
 	// Evicted runs are gone, in-flight ones never evicted.
-	if _, ok := g.Snapshot(handles[0].ID()); ok {
+	if _, ok := g.Snapshot(handles[0].ri.id); ok {
 		t.Fatal("oldest done run should have been evicted")
 	}
-	if _, ok := g.Snapshot(live.ID()); !ok {
+	if _, ok := g.Snapshot(live.ri.id); !ok {
 		t.Fatal("live run must never be evicted")
 	}
 }
 
 func TestRegistryETAUnknownBelowSignalFloor(t *testing.T) {
 	g := NewRegistry(0)
-	p := &Progress{}
-	h := g.Register(RunOptions{Progress: p})
-	p.RowsExpected.Store(1_000_000)
+	p := NewBlock(nil)
+	h := g.Register(RunOptions{Block: p})
+	p.Store(RowsExpected, 1_000_000)
 	p.AdvanceTo(StageRunGen)
-	p.RowsIngested.Store(10) // fraction far below 0.5%
-	snap, _ := g.Snapshot(h.ID())
+	p.Add(RowsIngested, 10) // fraction far below 0.5%
+	snap, _ := g.Snapshot(h.ri.id)
 	if snap.ETA != -1 {
 		t.Fatalf("ETA = %v with ~0%% progress, want -1 (unknown)", snap.ETA)
 	}
 }
 
 func TestProgressAdvanceToIsMonotonic(t *testing.T) {
-	p := &Progress{}
+	p := NewBlock(nil)
 	p.AdvanceTo(StageMerge)
-	entered := p.StageEntered(StageMerge)
-	if entered.IsZero() {
+	entered := p.entered[StageMerge].Load()
+	if entered == 0 {
 		t.Fatal("entry timestamp not recorded")
 	}
 	p.AdvanceTo(StageRunGen) // behind: no-op
 	if p.Stage() != StageMerge {
 		t.Fatalf("stage went backwards: %v", p.Stage())
 	}
+	time.Sleep(time.Millisecond)
 	p.AdvanceTo(StageMerge) // repeat: timestamp unchanged
-	if got := p.StageEntered(StageMerge); !got.Equal(entered) {
+	if got := p.entered[StageMerge].Load(); got != entered {
 		t.Fatalf("re-advance changed entry time: %v -> %v", entered, got)
 	}
-	if !p.StageEntered(StageDone).IsZero() {
+	if p.StageElapsed(StageMerge) < time.Millisecond {
+		t.Fatalf("a stage entered a millisecond ago reads %v", p.StageElapsed(StageMerge))
+	}
+	if p.StageElapsed(StageDone) != 0 {
 		t.Fatal("unreached stage has an entry time")
 	}
 }
 
-// TestDoneReleasesFinalStatsClosure pins the memory behavior of retained
-// completed runs: the FinalStats closure captures the whole sorter, and a
-// registry keeping N done runs must not keep N sorters' buffers alive.
-// (Observed as a 2x wall-time regression on repeated registered sorts
-// before the release was added.)
-func TestDoneReleasesFinalStatsClosure(t *testing.T) {
-	g := NewRegistry(8)
-	type sorterStandIn struct{ buf []byte }
-	s := &sorterStandIn{buf: make([]byte, 1<<10)}
-	freed := make(chan struct{})
-	runtime.SetFinalizer(s, func(*sorterStandIn) { close(freed) })
-	h := g.Register(RunOptions{
-		Label:      "pinned",
-		FinalStats: func() any { return map[string]int{"rows": len(s.buf)} },
-	})
-	h.Done()
-	if snap, ok := g.Snapshot(h.ID()); !ok || snap.Final == nil {
-		t.Fatal("final stats not captured before release")
+// TestStageClockRunsUntilStopped pins the lifecycle clock's one rule: a stage
+// clock reads as the time since its stage began until the pipeline stores
+// its final value, and as that value afterwards.
+func TestStageClockRunsUntilStopped(t *testing.T) {
+	b := NewBlock(nil)
+	if v := b.Value(DurRunGen); v != 0 {
+		t.Fatalf("run generation took %d ns before it began", v)
 	}
-	s = nil
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+	b.AdvanceTo(StageRunGen)
+	time.Sleep(2 * time.Millisecond)
+	live := b.Value(DurRunGen)
+	if live < int64(2*time.Millisecond) {
+		t.Fatalf("a running stage clock reads %d ns after 2 ms", live)
 	}
-	t.Fatal("retained done run still pins the FinalStats closure's captures")
+	b.AdvanceTo(StageMerge)
+	b.StopClock(DurRunGen)
+	stopped := b.Value(DurRunGen)
+	time.Sleep(2 * time.Millisecond)
+	if got := b.Value(DurRunGen); got != stopped || stopped < live {
+		t.Fatalf("a stopped stage clock moved: %d -> %d (it read %d while running)", stopped, got, live)
+	}
+	if total := b.Value(DurTotal); total <= stopped {
+		t.Fatalf("the total clock, still running, reads %d ns after a %d ns stage", total, stopped)
+	}
 }
 
-// TestStrategySnapshotLifecycle pins the Strategy closure contract: live
-// snapshots sample it, Done freezes its last result and releases the
-// closure (same pinning hazard as FinalStats), and snapshots after
-// completion serve the frozen copy.
+// TestStrategySnapshotLifecycle pins that live and done snapshots carry the
+// run's decisions — all that have been logged when the snapshot is taken,
+// as a copy the log's growth cannot reach. (That retaining the run keeps no
+// sorter alive is core's TestRetainedRunLeavesSorterCollectable: the registry
+// holds the block, and the block has no way to refer to a sorter.)
 func TestStrategySnapshotLifecycle(t *testing.T) {
 	g := NewRegistry(8)
-	decisions := []StrategyDecision{{Run: 0, Rows: 100, Algo: "lsd-radix"}}
-	type sorterStandIn struct{ buf []byte }
-	s := &sorterStandIn{buf: make([]byte, 1<<10)}
-	freed := make(chan struct{})
-	runtime.SetFinalizer(s, func(*sorterStandIn) { close(freed) })
-	h := g.Register(RunOptions{
-		Label: "strat",
-		Strategy: func() []StrategyDecision {
-			_ = len(s.buf) // stand in for capturing the sorter
-			return decisions
-		},
-	})
+	b := NewBlock(nil)
+	h := g.Register(RunOptions{Label: "strat", Block: b})
+	b.Decide(StrategyDecision{Run: 0, Rows: 100, Algo: "lsd-radix"})
 
-	snap, ok := g.Snapshot(h.ID())
-	if !ok || len(snap.Strategy) != 1 || snap.Strategy[0].Algo != "lsd-radix" {
-		t.Fatalf("live snapshot strategy = %+v", snap.Strategy)
+	live, ok := g.Snapshot(h.ri.id)
+	if !ok || len(live.Strategy) != 1 || live.Strategy[0].Algo != "lsd-radix" {
+		t.Fatalf("live snapshot strategy = %+v", live.Strategy)
 	}
 
-	decisions = append(decisions, StrategyDecision{Run: 1, Rows: 50, Algo: "pdqsort"})
+	b.Decide(StrategyDecision{Run: 1, Rows: 50, Algo: "pdqsort"})
 	h.Done()
-	snap, ok = g.Snapshot(h.ID())
+	snap, ok := g.Snapshot(h.ri.id)
 	if !ok || len(snap.Strategy) != 2 || snap.Strategy[1].Algo != "pdqsort" {
-		t.Fatalf("frozen snapshot strategy = %+v", snap.Strategy)
+		t.Fatalf("done snapshot strategy = %+v", snap.Strategy)
 	}
+	if len(live.Strategy) != 1 {
+		t.Fatalf("a later decision reached an earlier snapshot: %+v", live.Strategy)
+	}
+}
 
-	s = nil
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+// TestRecorderFromRegistryRegistersRuns pins the one way a sort joins a
+// registry: through the recorder the registry hands out. Any other recorder,
+// and a nil one, registers nothing.
+func TestRecorderFromRegistryRegistersRuns(t *testing.T) {
+	g := NewRegistry(0)
+	rec := g.Recorder("watched")
+	h := rec.Register(RunOptions{Fingerprint: "threads=1"})
+	snap, ok := g.Snapshot(h.ri.id)
+	if !ok || snap.Label != "watched" || snap.Fingerprint != "threads=1" || snap.Trace == nil {
+		t.Fatalf("run registered through the registry's recorder: %+v (found %v)", snap, ok)
 	}
-	t.Fatal("retained done run still pins the Strategy closure's captures")
+	if h := NewRecorder().Register(RunOptions{}); h != nil {
+		t.Fatal("a recorder no registry made registered a run")
+	}
+	var nilReg *Registry
+	if rec := nilReg.Recorder("x"); rec == nil || rec.Register(RunOptions{}) != nil {
+		t.Fatal("a nil registry's recorder must record spans and register nothing")
+	}
+	var nilRec *Recorder
+	if nilRec.Register(RunOptions{}) != nil || len(g.Snapshots()) != 1 {
+		t.Fatal("a nil recorder registered a run")
+	}
 }
 
 // TestAlgoCountsTalliesInNameOrder pins the one per-algorithm tally that

@@ -79,36 +79,15 @@ func (s Summary) String() string {
 	return b.String()
 }
 
-// WritePrometheus writes the recorder's phase counters in Prometheus text
-// exposition format. On a nil recorder it writes nothing.
+// WritePrometheus writes the recorder's span families in Prometheus text
+// exposition format (the families a sort's own exposition ends with). On a
+// nil recorder it writes nothing.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	s := r.Summary()
 	var pw PromWriter
-	s.writePrometheus(&pw, nil)
+	pw.phaseFamilies([]PromRun{{Trace: &s}})
 	return pw.Flush(w)
-}
-
-// writePrometheus emits the summary's families into pw. extra labels (e.g.
-// a registry run id) are prepended to every sample's label set.
-func (s Summary) writePrometheus(pw *PromWriter, extra []string) {
-	phaseLabels := func(p int) []string {
-		return append(append([]string(nil), extra...), "phase", Phase(p).String())
-	}
-	pw.Family("rowsort_phase_busy_seconds", "counter", "Summed span time per sort phase across workers.")
-	for p := 0; p < NumPhases; p++ {
-		pw.Sample(phaseLabels(p), s.Phases[p].Busy.Seconds())
-	}
-	pw.Family("rowsort_phase_wall_seconds", "gauge", "Earliest-begin to latest-end wall time per sort phase.")
-	for p := 0; p < NumPhases; p++ {
-		pw.Sample(phaseLabels(p), s.Phases[p].Wall.Seconds())
-	}
-	pw.Family("rowsort_phase_spans_total", "counter", "Spans recorded per sort phase.")
-	for p := 0; p < NumPhases; p++ {
-		pw.SampleInt(phaseLabels(p), s.Phases[p].Count)
-	}
-	pw.Family("rowsort_trace_workers", "gauge", "Trace lanes registered.")
-	pw.SampleInt(append([]string(nil), extra...), int64(s.Workers))
 }
