@@ -1,9 +1,8 @@
 // Command rowsortlint runs the module's static-analysis suite: the
 // analyzers under internal/analysis/analyzers, which machine-check the
 // sort pipeline's un-typeable invariants (byte-comparable key encodings,
-// pure comparators, allocation-free hot loops, atomic stats access,
-// tracked spill-file removal, and the concurrency lifecycle of pipeline
-// goroutines). See DESIGN.md's "Static analysis" section for what each
+// pure comparators, allocation-free hot loops, atomic stats access, and the
+// concurrency lifecycle of pipeline goroutines). See DESIGN.md's "Static analysis" section for what each
 // analyzer enforces and how to suppress a finding with //rowsort:allow.
 //
 // Usage:

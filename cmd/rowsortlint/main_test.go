@@ -108,6 +108,17 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 			t.Fatalf("-list output missing %s:\n%s", a.Name, out)
 		}
 	}
+	// The three whose rules now hold by construction (spillclose: every file
+	// is spill.Dir's; memacct: every reservation is a struct field released in
+	// Close; deprecated: the tree has no Deprecated: paragraph) are gone.
+	if lines := strings.Count(out, "\n"); lines != 7 {
+		t.Fatalf("-list names %d analyzers, want 7:\n%s", lines, out)
+	}
+	for _, retired := range []string{"spillclose", "memacct", "deprecated"} {
+		if strings.Contains(out, retired) {
+			t.Fatalf("-list still names %s:\n%s", retired, out)
+		}
+	}
 }
 
 func TestSuppressionCounts(t *testing.T) {

@@ -8,13 +8,10 @@ import (
 	"rowsort/internal/analysis/analyzers/atomicfield"
 	"rowsort/internal/analysis/analyzers/chanclose"
 	"rowsort/internal/analysis/analyzers/ctxdone"
-	"rowsort/internal/analysis/analyzers/deprecated"
 	"rowsort/internal/analysis/analyzers/goroutinejoin"
 	"rowsort/internal/analysis/analyzers/hotpathalloc"
 	"rowsort/internal/analysis/analyzers/keyorder"
-	"rowsort/internal/analysis/analyzers/memacct"
 	"rowsort/internal/analysis/analyzers/purecmp"
-	"rowsort/internal/analysis/analyzers/spillclose"
 )
 
 // Suite is every analyzer, in reporting order.
@@ -22,11 +19,8 @@ var Suite = []*analysis.Analyzer{
 	atomicfield.Analyzer,
 	chanclose.Analyzer,
 	ctxdone.Analyzer,
-	deprecated.Analyzer,
 	goroutinejoin.Analyzer,
 	hotpathalloc.Analyzer,
 	keyorder.Analyzer,
-	memacct.Analyzer,
 	purecmp.Analyzer,
-	spillclose.Analyzer,
 }

@@ -1,10 +1,9 @@
 // Package flow builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems on them. It is the
-// engine behind the flow-sensitive analyzers (memacct, spillclose,
-// chanclose): where the syntactic checkers ask "does a Release appear
-// anywhere in this function", the flow-based ones ask "does the acquired
-// resource reach a release on every path to return" — which is the question
-// the sort pipeline's resource discipline actually depends on.
+// engine behind the flow-sensitive analyzer, chanclose: where a syntactic
+// checker asks "does a close appear anywhere in this function", the
+// flow-based one asks "can a send or a second close follow it on some path"
+// — which is the question the pipeline's channel discipline depends on.
 //
 // The graph is statement-granular: each basic block holds the ast.Nodes
 // executed in order (statements, plus the condition expressions of if/for
@@ -416,25 +415,6 @@ func hasDeferredRecover(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// Shallow returns the subtrees of one CFG node that belong to its block.
-// The only compound statement a block carries whole is the RangeStmt in a
-// range.head: its key, value, and range expression execute there, but its
-// body's statements live in their own blocks and must not be scanned from
-// the head. Every other node is returned as-is.
-func Shallow(n ast.Node) []ast.Node {
-	rs, ok := n.(*ast.RangeStmt)
-	if !ok {
-		return []ast.Node{n}
-	}
-	var out []ast.Node
-	for _, e := range []ast.Expr{rs.Key, rs.Value, rs.X} {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Reachable returns the set of blocks reachable from Entry.

@@ -6,9 +6,7 @@ package flow
 // versus union of what each predecessor established).
 //
 // Transfer and Join must treat their inputs as read-only: a transfer that
-// wants to change a map fact copies it first. Edge, when set, refines the
-// fact flowing along one specific edge after Transfer — the hook that lets
-// a client kill facts on the false arm of an `err != nil` branch.
+// wants to change a map fact copies it first.
 type Lattice[F any] struct {
 	// Join combines the facts arriving over two edges into one.
 	Join func(a, b F) F
@@ -16,9 +14,6 @@ type Lattice[F any] struct {
 	Equal func(a, b F) bool
 	// Transfer pushes a fact through one block's nodes.
 	Transfer func(b *Block, in F) F
-	// Edge optionally refines the block's out-fact per successor edge.
-	// nil means the out-fact flows to every successor unchanged.
-	Edge func(from, to *Block, out F) F
 }
 
 // Solve runs the forward dataflow problem to fixpoint and returns the fact
@@ -38,14 +33,10 @@ func Solve[F any](g *Graph, init F, l Lattice[F]) map[*Block]F {
 		queued[blk] = false
 		out := l.Transfer(blk, in[blk])
 		for _, succ := range blk.Succs {
-			edgeOut := out
-			if l.Edge != nil {
-				edgeOut = l.Edge(blk, succ, out)
-			}
 			cur, seen := in[succ]
-			next := edgeOut
+			next := out
 			if seen {
-				next = l.Join(cur, edgeOut)
+				next = l.Join(cur, out)
 			}
 			if !seen || !l.Equal(cur, next) {
 				in[succ] = next

@@ -2,9 +2,6 @@ package flow_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"testing"
 
 	"rowsort/internal/analysis/flow"
@@ -101,214 +98,5 @@ func f(n int) {
 	g, in := mustAssigned(t, src, "f")
 	if !in[g.Exit]["i"] {
 		t.Fatalf("i assigned before the loop must hold at exit: %v", in[g.Exit])
-	}
-}
-
-// --- MustRelease over a mock acquire/release protocol ---
-
-// checkLeaks type-checks src (no imports) and runs the obligation engine on
-// fn with a classifier for the mock protocol: `v := acquire()` acquires,
-// `v, err := acquireErr()` acquires with an error pairing, `release(v)`
-// releases, `adopt(v)` escapes.
-func checkLeaks(t *testing.T, src, fn string) []flow.Leak {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "fixture.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types: make(map[ast.Expr]types.TypeAndValue),
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-	}
-	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("type-check: %v", err)
-	}
-	var body *ast.BlockStmt
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == fn {
-			body = fd.Body
-		}
-	}
-	if body == nil {
-		t.Fatalf("function %s not found", fn)
-	}
-
-	defVar := func(id *ast.Ident) *types.Var {
-		if v, ok := info.Defs[id].(*types.Var); ok {
-			return v
-		}
-		v, _ := info.Uses[id].(*types.Var)
-		return v
-	}
-	calleeName := func(call *ast.CallExpr) string {
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			return id.Name
-		}
-		return ""
-	}
-	classify := func(n ast.Node) []flow.VarEvent {
-		var evs []flow.VarEvent
-		ast.Inspect(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			v := flow.BareVar(info, call.Args[0])
-			if v == nil {
-				return true
-			}
-			switch calleeName(call) {
-			case "release":
-				evs = append(evs, flow.VarEvent{Var: v, Kind: flow.EventRelease})
-			case "adopt":
-				evs = append(evs, flow.VarEvent{Var: v, Kind: flow.EventEscape})
-			}
-			return true
-		})
-		if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-			if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-				switch calleeName(call) {
-				case "acquire":
-					if id, ok := as.Lhs[0].(*ast.Ident); ok {
-						evs = append(evs, flow.VarEvent{Var: defVar(id), Kind: flow.EventAcquire, Node: call})
-					}
-				case "acquireErr":
-					if id, ok := as.Lhs[0].(*ast.Ident); ok && len(as.Lhs) == 2 {
-						ev := flow.VarEvent{Var: defVar(id), Kind: flow.EventAcquire, Node: call}
-						if errID, ok := as.Lhs[1].(*ast.Ident); ok {
-							ev.ErrVar = defVar(errID)
-						}
-						evs = append(evs, ev)
-					}
-				}
-			}
-		}
-		return evs
-	}
-	return flow.MustRelease(fset, info, flow.Build(body), classify)
-}
-
-const mockHeader = `package p
-func acquire() int { return 0 }
-func acquireErr() (int, error) { return 0, nil }
-func release(int) {}
-func adopt(int) {}
-func cond() bool { return false }
-`
-
-func TestMustReleaseBranchLeak(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() {
-	v := acquire()
-	if cond() {
-		release(v)
-	}
-}`, "f")
-	if len(leaks) != 1 {
-		t.Fatalf("release on one branch only must leak, got %v", leaks)
-	}
-}
-
-func TestMustReleaseAllPathsClean(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() {
-	v := acquire()
-	if cond() {
-		release(v)
-		return
-	}
-	release(v)
-}`, "f")
-	if len(leaks) != 0 {
-		t.Fatalf("released on every path, got %v", leaks)
-	}
-}
-
-func TestMustReleaseEarlyReturnLeak(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() {
-	v := acquire()
-	if cond() {
-		return
-	}
-	release(v)
-}`, "f")
-	if len(leaks) != 1 {
-		t.Fatalf("early return before release must leak, got %v", leaks)
-	}
-}
-
-func TestMustReleaseErrPathExempt(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() error {
-	v, err := acquireErr()
-	if err != nil {
-		return err
-	}
-	release(v)
-	return nil
-}`, "f")
-	if len(leaks) != 0 {
-		t.Fatalf("failed-acquire error return is not a leak, got %v", leaks)
-	}
-}
-
-func TestMustReleaseSecondReturnStillLeaks(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() error {
-	v, err := acquireErr()
-	if err != nil {
-		return err
-	}
-	if cond() {
-		return nil
-	}
-	release(v)
-	return nil
-}`, "f")
-	if len(leaks) != 1 {
-		t.Fatalf("return after successful acquire must leak, got %v", leaks)
-	}
-}
-
-func TestMustReleaseEscapeDischarges(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f() {
-	v := acquire()
-	adopt(v)
-}`, "f")
-	if len(leaks) != 0 {
-		t.Fatalf("escape transfers ownership, got %v", leaks)
-	}
-}
-
-func TestMustReleaseLoopReacquire(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f(n int) {
-	for i := 0; i < n; i++ {
-		v := acquire()
-		release(v)
-	}
-}`, "f")
-	if len(leaks) != 0 {
-		t.Fatalf("acquire/release per iteration is balanced, got %v", leaks)
-	}
-}
-
-func TestMustReleaseLoopBreakLeak(t *testing.T) {
-	leaks := checkLeaks(t, mockHeader+`
-func f(n int) {
-	for i := 0; i < n; i++ {
-		v := acquire()
-		if cond() {
-			break
-		}
-		release(v)
-	}
-}`, "f")
-	if len(leaks) != 1 {
-		t.Fatalf("break between acquire and release must leak, got %v", leaks)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"rowsort/internal/mem"
 	"rowsort/internal/vector"
+	"rowsort/internal/workload"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -149,7 +150,7 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 	checkSorted(t, tbl, got, mergeTestKeys, "budgeted")
 
 	// SpillDir is empty, so the sorter made itself a private temp dir.
-	tmp := s.spillTmpDir
+	tmp := s.spills.Root()
 	if tmp == "" {
 		t.Error("no private spill directory despite empty SpillDir")
 	}
@@ -259,6 +260,29 @@ func TestConcurrentSortersSharedBroker(t *testing.T) {
 
 // TestRowsIteratorMatchesResult checks the chunked iterator against the
 // materialized Result on an in-memory sort.
+// TestFailedSortTableReturnsSharedBudget pins that a sink its owner walks
+// away from cannot leak: SortTable stops at the first Append that fails —
+// here a chunk whose second column has the wrong type — without closing that
+// worker's sink, and Sorter.Close hands every sink's bytes back to the broker
+// the sort shares with others.
+func TestFailedSortTableReturnsSharedBudget(t *testing.T) {
+	tbl := workload.UniformInt64s(1<<14, 7)
+	last := tbl.Chunks[len(tbl.Chunks)-1]
+	wrong := vector.New(vector.Varchar, last.Len())
+	for i := 0; i < last.Len(); i++ {
+		wrong.AppendString("x")
+	}
+	last.Vectors[1] = wrong
+	shared := mem.NewBroker("shared", 1<<30)
+	_, err := SortTable(tbl, []SortColumn{{Column: 0}}, Options{Threads: 2, Broker: shared})
+	if err == nil || !strings.Contains(err.Error(), "layout wants") {
+		t.Fatalf("SortTable of a chunk with a mistyped column: %v", err)
+	}
+	if used := shared.Used(); used != 0 {
+		t.Errorf("the shared broker holds %d bytes after a failed SortTable", used)
+	}
+}
+
 func TestRowsIteratorMatchesResult(t *testing.T) {
 	tbl := mixedTable(3*vector.DefaultVectorSize+57, 98)
 	s, err := NewSorter(tbl.Schema, mergeTestKeys, Options{Threads: 2, RunSize: 800})
@@ -363,7 +387,7 @@ func TestStreamingRowsSingleUse(t *testing.T) {
 
 	// Close must reclaim the unconsumed spill files, the private temp dir,
 	// and every reservation the abandoned merge held.
-	tmp := s.spillTmpDir
+	tmp := s.spills.Root()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func TestParallelStreamCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tmp := s.spillTmpDir
+	tmp := s.spills.Root()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +351,14 @@ func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 		s := finalizedSorter(t, tbl, mergeTestKeys, opt, pinBlockRows(64))
 		defer s.Close()
 		plan := s.planSpillTasks(s.streamActive, single)
-		st, err := s.newBlockStage(plan, 1)
+		res := s.broker.Reserve("merge", 0)
+		st, err := s.spills.NewStage(plan.Plan, res, s.opt.readAhead(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.close(false)
-		e := s.newExtMerge(s.ctx, st, nil)
-		for task := 0; task < plan.tasks(); task++ {
+		defer st.Close(false)
+		e := s.newExtMerge(s.ctx, plan, st, nil)
+		for task := 0; task < plan.Tasks(); task++ {
 			if err := e.open(task); err != nil {
 				t.Fatal(err)
 			}
@@ -378,10 +379,10 @@ func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 				t.Fatal(e.err)
 			}
 		}
-		if st.res.Bytes() != 0 {
-			t.Errorf("the stage holds %d bytes after its last task", st.res.Bytes())
+		if res.Bytes() != 0 {
+			t.Errorf("the stage holds %d bytes after its last task", res.Bytes())
 		}
-		return keys, plan.tasks(), trimmed
+		return keys, plan.Tasks(), trimmed
 	}
 	want, _, _ := drain(true)
 	if len(want) != tbl.NumRows()*((len(want)/tbl.NumRows())&^7) || len(want) == 0 {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"rowsort/internal/mergepath"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
+	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 )
 
@@ -33,7 +35,7 @@ var errSorterClosed = errors.New("core: result iterator used after Sorter.Close"
 // is cut into tasks, and Options.Threads workers each merge and gather a
 // task at a time, ahead of the consumer, delivered strictly in order (see
 // rowsDrain) — over runs in memory and over runs on disk alike, whose blocks
-// the workers take from one block stage (prefetch.go). Under a memory budget
+// the workers take from one block stage (internal/spill). Under a memory budget
 // a sort that spilled is one task, merged inside Next itself, so the whole
 // output is never resident at once: the consumer's chunk plus the stage's
 // blocks is.
@@ -139,7 +141,7 @@ func (it *RowIter) Close() error {
 // continued from the previous task's — each boundary is computed once, by a
 // search over one task's rows — and hands the claimant the slice of every
 // run between the two. Over spilled runs a task is a key range between two
-// fence keys (see spillPlan), about as many rows, and the claimant streams
+// fence keys (see spill.PlanTasks), about as many rows, and the claimant streams
 // the blocks that hold it from the block stage. Either way the claimant
 // produces the task a chunk at a time: a loser-tree merge of the next 2,048
 // key rows, whose payload references go straight to the cross-run gather
@@ -167,8 +169,8 @@ type rowsDrain struct {
 	tie, cmp mergepath.CompareFunc
 
 	// Spilled form.
-	plan  *spillPlan
-	stage *blockStage
+	plan  *mergePlan
+	stage *spill.Stage
 
 	mu      sync.Mutex
 	claimed int             // tasks claimed so far: the next task's index
@@ -205,7 +207,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 	d := &rowsDrain{s: s}
 	if s.streamMerge {
 		d.plan = s.planSpillTasks(s.streamActive, s.opt.limited())
-		d.tasks = d.plan.tasks()
+		d.tasks = d.plan.Tasks()
 	} else {
 		d.runs, d.cut = s.resultRuns, make([]int, len(s.resultRuns))
 		d.payloads = make([]*row.RowSet, len(s.runs))
@@ -223,7 +225,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 			d.cancel()
 			return nil, err
 		}
-		d.stage.start(d.ctx)
+		d.stage.Start(d.ctx, &s.drainWG)
 	}
 	if workers <= 1 {
 		d.self = d.newTask(gw)
@@ -242,7 +244,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
 	t := &drainTask{ow: ow, which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
 	if d.stage != nil {
-		t.em = d.s.newExtMerge(d.ctx, d.stage, ow)
+		t.em = d.s.newExtMerge(d.ctx, d.plan, d.stage, ow)
 	} else {
 		t.sub = make([]mergepath.Run, len(d.runs))
 	}
@@ -260,6 +262,13 @@ func (d *rowsDrain) start(workers int) {
 		go func() {
 			defer d.s.drainWG.Done()
 			defer d.wg.Done()
+			// A worker's panic — a merge's broken invariant, a filesystem's —
+			// is the drain's failure, not the process's: Next returns it.
+			defer func() {
+				if r := recover(); r != nil {
+					d.fail(fmt.Errorf("core: a result worker panicked: %v\n%s", r, debug.Stack()))
+				}
+			}()
 			d.s.rec.Do("rows", func() {
 				t := d.newTask(d.s.rec.Worker("rows"))
 				defer d.retire(t)
@@ -317,10 +326,28 @@ func (d *rowsDrain) fail(err error) {
 // whether there was one.
 func (d *rowsDrain) claim(t *drainTask) (bool, error) {
 	d.retire(t)
-	d.mu.Lock()
-	if d.claimed >= d.tasks {
-		d.mu.Unlock()
+	if !d.take(t) {
 		return false, nil
+	}
+	t.open = true
+	if t.em != nil {
+		if err := t.em.open(t.index); err != nil {
+			return false, err
+		}
+		t.m = t.em.m
+	} else if len(t.sub) > 1 {
+		t.m = mergepath.NewMerger(t.sub, d.s.ovcSafeWidth(d.s.resultTie), d.tie)
+	}
+	return true, nil
+}
+
+// take gives t the next unclaimed task's index and, of resident runs, its
+// slices; false when no task is left.
+func (d *rowsDrain) take(t *drainTask) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock() // deferred: a comparator that panics must not keep the lock from fail
+	if d.claimed >= d.tasks {
+		return false
 	}
 	t.index = d.claimed
 	d.claimed++
@@ -334,17 +361,7 @@ func (d *rowsDrain) claim(t *drainTask) (bool, error) {
 		}
 		d.cut = end
 	}
-	d.mu.Unlock()
-	t.open = true
-	if t.em != nil {
-		if err := t.em.open(t.index); err != nil {
-			return false, err
-		}
-		t.m = t.em.m
-	} else if len(t.sub) > 1 {
-		t.m = mergepath.NewMerger(t.sub, d.s.ovcSafeWidth(d.s.resultTie), d.tie)
-	}
-	return true, nil
+	return true
 }
 
 // retire folds the merge counters of the task t was on into the drain's.
@@ -454,13 +471,10 @@ func (d *rowsDrain) close(drained bool) {
 	}
 	s := d.s
 	if d.stage != nil {
-		d.stage.close(drained)
+		d.stage.Close(drained)
 		s.ctr.Store(obs.ExtMergeParts, int64(d.claimed))
 		if drained {
-			for _, id := range d.plan.ids {
-				s.releaseRun(s.runs[id])
-				s.runs[id].spill = nil
-			}
+			s.releaseMerged(d.plan.ids)
 		}
 	}
 	s.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rowsort/internal/obs"
+	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -67,6 +68,11 @@ func drainKeys(tieBreak bool) []SortColumn {
 
 // pinBlockRows pins a test sorter's spill blocks to n rows (0 pins nothing).
 func pinBlockRows(n int) func(*Sorter) { return func(s *Sorter) { s.pinBlockRows = n } }
+
+// pinFS puts a test sorter's spill files on fsys.
+func pinFS(fsys spill.FS) func(*Sorter) {
+	return func(s *Sorter) { s.spills = spill.NewDir(fsys, s.opt.SpillDir, s.ctr, s.rec) }
+}
 
 // ingestedSorter ingests tbl through a single sink — so the runs, and with
 // them the output bytes, are a function of the options — and stops short of

@@ -16,6 +16,7 @@ import (
 	"rowsort/internal/radix"
 	"rowsort/internal/row"
 	"rowsort/internal/sortalgo"
+	"rowsort/internal/spill"
 	"rowsort/internal/strategy"
 	"rowsort/internal/vector"
 )
@@ -67,13 +68,10 @@ type Sorter struct {
 	cancel     context.CancelFunc
 	drainWG    sync.WaitGroup
 
-	// Spill bookkeeping: every file the sorter creates is tracked until it
-	// is removed, so Close can clean up after aborted sorts.
-	spillMu     sync.Mutex
-	spillPaths  map[string]struct{}
-	spillTmpDir string // lazily created when spilling without SpillDir (guarded by spillMu)
-	closed      bool   // Close has run (guarded by spillMu)
-	closeErr    error  // the last Close's result (guarded by spillMu)
+	// spills is the sort's files on disk: every file the sorter creates is
+	// tracked there until it is removed, so Close can clean up after aborted
+	// sorts.
+	spills *spill.Dir
 
 	// Memory governance: every resident byte the sorter holds is charged to
 	// broker — sink buffers through per-sink reservations, sorted runs
@@ -86,8 +84,9 @@ type Sorter struct {
 	// sorter, or whoever keeps the broker — the counter block samples it —
 	// would keep the sort's buffers.)
 	broker    *mem.Broker
-	runRes    *mem.Reservation // resident sorted runs (keys + payload capacity)
-	poolRes   *mem.Reservation // recycled buffers parked in the pools
+	runRes    *mem.Reservation   // resident sorted runs (keys + payload capacity)
+	poolRes   *mem.Reservation   // recycled buffers parked in the pools
+	sinkRes   []*mem.Reservation // every sink's, for Close to release (guarded by mu)
 	unsub     func()
 	keyBufs   *row.BufPool
 	sets      *row.SetPool
@@ -152,7 +151,7 @@ type sortedRun struct {
 	rows     int  // row count, valid even after the buffers move to disk
 	tieBreak bool // some string may exceed its prefix (or embed NUL)
 	spilling bool // claimed by a spiller (guarded by Sorter.mu)
-	spill    *spillFile
+	spill    *spill.File
 
 	role      strategy.MergeRole // merge-scheduling hint from the run's plan
 	blockHint int                // planned spill block rows (0 = default)
@@ -229,6 +228,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	}
 	s.ctr = obs.NewBlock(s.broker)
 	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
+	s.spills = spill.NewDir(spill.OS(), opt.SpillDir, s.ctr, s.rec)
 	s.run = s.rec.Register(obs.RunOptions{
 		Fingerprint: opt.Fingerprint(),
 		Block:       s.ctr,
@@ -295,6 +295,11 @@ func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0),
 		keys: s.getKeyBuf(), payload: s.getRowSet(),
 		keyCols: make([]*vector.Vector, len(s.keys))}
+	// A sink its owner abandons — an Append failed, a producer gave up —
+	// still holds its buffers' bytes: Sorter.Close gives them back.
+	s.mu.Lock()
+	s.sinkRes = append(s.sinkRes, k.res)
+	s.mu.Unlock()
 	k.account()
 	return k
 }

@@ -1,118 +1,31 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"rowsort/internal/mergepath"
-	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
+	"rowsort/internal/spill"
 	"rowsort/internal/strategy"
 )
 
 // Spilling demonstrates the paper's future-work direction: because a run is
 // just flat key rows plus a row-format payload, it can be offloaded to
-// secondary storage in one unified format with no conversion. Runs are
-// written as fixed-size blocks (the key rows, then their payload rows with a
-// block-local string heap) and merged back like any other run: every merge
-// over spilled runs — the tasks of the result iterator, an intermediate
-// fan-in pass — streams all k runs block by block
-// through one offset-value-coded loser tree, its blocks served by the block
-// stage (prefetch.go). Resident memory is bounded by the stage's blocks, not
-// by the output, and every spilled byte is read exactly once.
+// secondary storage in one unified format with no conversion. The format, the
+// files and the stage that reads them back are internal/spill's; this file is
+// what the sorter decides — which runs go to disk and when, in blocks of how
+// many rows, how many runs a budget can merge at once — and the merge itself:
+// every merge over spilled runs — the tasks of the result iterator, an
+// intermediate fan-in pass — streams all k runs block by block through one
+// offset-value-coded loser tree (extMerge), its blocks served by the block
+// stage. Resident memory is bounded by the stage's blocks, not by the output,
+// and every spilled byte is read exactly once.
 
-// spillMagic heads every spill file ("RSB3": row-sort blocks, format 3).
-// Each block's key section starts with a tag byte — 0 for raw key rows, 1
-// for a little-endian uint32 encoded length followed by the front-coded rows
-// (normkey.AppendFrontCoded) — and its payload section follows. A spill file
-// is a temp file read back by the process that wrote it: there is no other
-// format to stay compatible with.
-const spillMagic = 0x52534233
-
-// spillHeaderLen is the file header: magic, block rows, total rows.
-const spillHeaderLen = 16
-
-// fcPlanCutoff is the sampled encoded-to-raw ratio below which a block of a
-// run whose plan asked for front-coding attempts it; blocks predicted to
-// shrink by less than a fifth skip the encode work entirely. A plan asks
-// whenever the key's first byte is constant (any NOT NULL leading column), so
-// this is what keeps high-cardinality keys raw: sorted uniform int64 keys
-// predict 0.92, and at the former cutoff of 0.95 coding them saved 2.4 % of
-// the spill bytes for 15 % more wall time (EXPERIMENTS.md "Every run is
-// planned"); duplicate-heavy keys predict 0.5–0.75.
-const fcPlanCutoff = 0.8
-
-// spillFile records where a sorted run lives on disk, plus the in-memory
-// block index recorded while writing it: the byte offset of every block's
-// key section and the block's first key row (the fences, concatenated at
-// the key-row stride so they form a mergepath.Run the task planner can
-// search directly), and the file's length, which ends the last block.
-// The offsets let a merge read any block with one positioned read; the fences
-// bound each block's key range without reading it. The index costs one key row
-// plus one offset per block (rowWidth+8 bytes per blockRows rows) and is
-// part of the documented budget slack.
-type spillFile struct {
-	path      string
-	blockRows int
-	offs      []int64
-	fences    []byte
-	size      int64
-}
-
-// numBlocks returns how many blocks the file holds.
-func (sf *spillFile) numBlocks() int { return len(sf.offs) }
-
-// blockEnd returns the offset block b ends at.
-func (sf *spillFile) blockEnd(b int) int64 {
-	if b+1 < len(sf.offs) {
-		return sf.offs[b+1]
-	}
-	return sf.size
-}
-
-// fence returns block b's first key row.
-//
-//rowsort:hotpath
-func (sf *spillFile) fence(b, rowWidth int) []byte {
-	return sf.fences[b*rowWidth : (b+1)*rowWidth]
-}
-
-// trackSpill registers a spill file for cleanup by Close.
-func (s *Sorter) trackSpill(path string) {
-	s.spillMu.Lock()
-	if s.spillPaths == nil {
-		s.spillPaths = make(map[string]struct{})
-	}
-	s.spillPaths[path] = struct{}{}
-	s.spillMu.Unlock()
-}
-
-// untrackSpill forgets a spill file that no longer exists on disk.
-func (s *Sorter) untrackSpill(path string) {
-	s.spillMu.Lock()
-	delete(s.spillPaths, path)
-	s.spillMu.Unlock()
-}
-
-// removeSpillFile deletes a tracked spill file, keeping the removal
-// counters in SortStats current. On failure the file stays tracked so a
-// later Close retries it, and the error is returned (a merge that has read
-// the file leaves it to Close rather than fail).
-func (s *Sorter) removeSpillFile(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		s.ctr.Add(obs.SpillRemoveErrors, 1)
-		return err
-	}
-	s.untrackSpill(path)
-	s.ctr.Add(obs.SpillFilesRemoved, 1)
-	return nil
+// spillFormat is the shape of this sort's rows, as its spill files hold them.
+func (s *Sorter) spillFormat() spill.Format {
+	return spill.Format{RowWidth: s.rowWidth, KeyWidth: s.keyWidth, Layout: s.layout}
 }
 
 // Close removes any spill files the sorter still has on disk. A result
@@ -125,83 +38,34 @@ func (s *Sorter) removeSpillFile(path string) error {
 // workers stopped and joined first; such an iterator's next Next fails.
 //
 // Close is safe to call multiple times (including on sorters that never
-// spilled): a second Close after a clean one is a no-op returning the first
-// call's result, while files whose removal failed stay tracked and are
-// retried. Removal errors are not swallowed — every failed removal is
-// joined into the returned error and counted as spill_remove_errors.
+// spilled): after a clean one it has nothing left to do and returns nil,
+// while files whose removal failed stay tracked and are retried. Removal
+// errors are not swallowed — every failed removal is joined into the returned
+// error and counted as spill_remove_errors.
 func (s *Sorter) Close() error {
 	s.cancel()
 	s.drainWG.Wait()
-	s.spillMu.Lock()
-	defer s.spillMu.Unlock()
-	if s.closed && len(s.spillPaths) == 0 && s.spillTmpDir == "" {
-		return s.closeErr
-	}
-	s.closed = true
-	// Hand the budget back: anything still charged to the broker —
-	// resident runs, pooled buffers — is dead once the sorter is closed.
-	// Releases are idempotent, so a retried Close is harmless; the
-	// broker's peak (Stats().PeakResidentRunBytes) survives.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Hand the budget back: anything still charged to the broker — resident
+	// runs, pooled buffers, the buffers of a sink its owner walked away from —
+	// is dead once the sorter is closed. Releases are idempotent, so a
+	// retried Close is harmless; the broker's peak
+	// (Stats().PeakResidentRunBytes) survives.
 	if s.unsub != nil {
 		s.unsub()
 		s.unsub = nil
 	}
 	s.runRes.Release()
 	s.poolRes.Release()
-	var errs []error
-	for path := range s.spillPaths {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			s.ctr.Add(obs.SpillRemoveErrors, 1)
-			errs = append(errs, fmt.Errorf("core: removing spill file: %w", err))
-			continue
-		}
-		delete(s.spillPaths, path)
-		s.ctr.Add(obs.SpillFilesRemoved, 1)
+	for _, res := range s.sinkRes {
+		res.Release()
 	}
-	if s.spillTmpDir != "" && len(s.spillPaths) == 0 {
-		if err := os.RemoveAll(s.spillTmpDir); err != nil {
-			errs = append(errs, fmt.Errorf("core: removing spill directory: %w", err))
-		} else {
-			s.spillTmpDir = ""
-		}
-	}
-	s.closeErr = errors.Join(errs...)
+	s.sinkRes = nil
+	err := s.spills.Close()
 	// The run is over; a registry watching it may now let it go.
 	s.run.Done()
-	return s.closeErr
-}
-
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// spillPath names run id's spill file: under Options.SpillDir when set,
-// else under a private temp directory created on first use (and removed by
-// Close once its files are gone).
-func (s *Sorter) spillPath(id uint32) (string, error) {
-	dir := s.opt.SpillDir
-	if dir == "" {
-		s.spillMu.Lock()
-		if s.spillTmpDir == "" {
-			d, err := os.MkdirTemp("", "rowsort-spill-*")
-			if err != nil {
-				s.spillMu.Unlock()
-				return "", fmt.Errorf("core: creating spill directory: %w", err)
-			}
-			s.spillTmpDir = d
-		}
-		dir = s.spillTmpDir
-		s.spillMu.Unlock()
-	}
-	return filepath.Join(dir, fmt.Sprintf("rowsort-run-%d.bin", id)), nil
+	return err
 }
 
 // approxRowBytes estimates one row's resident footprint (key row plus
@@ -325,152 +189,35 @@ func (s *Sorter) releaseRun(r *sortedRun) {
 	r.keys, r.payload = nil, nil
 }
 
-// spillTo writes the run to its spill file in the blocked format and
-// releases its in-memory buffers. On any error the partial file is
-// removed; nothing is leaked. ow is the calling worker's trace lane.
-// Callers on concurrent paths must hold the run's claim (see spillRun).
+// spillTo writes the run to its spill file and releases its in-memory
+// buffers. On any error the partial file is removed; nothing is leaked. ow is
+// the calling worker's trace lane. Callers on concurrent paths must hold the
+// run's claim (see spillRun).
 func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	sp := ow.Begin(obs.PhaseSpillWrite)
 	defer sp.End()
-	n := len(r.keys) / s.rowWidth
-	blockRows := s.spillBlockRowsFor(r)
-	w, err := s.newSpillWriter(r.id, blockRows, n, r.frontCode)
+	staging := s.getRowSet()
+	defer s.putRowSet(staging)
+	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRowsFor(r), r.rows, r.frontCode, staging)
 	if err != nil {
 		return err
 	}
-	blockSet := s.getRowSet()
-	defer s.putRowSet(blockSet)
-	idxs := make([]uint32, 0, blockRows)
-	for start := 0; start < n; start += blockRows {
-		rows := min(blockRows, n-start)
-		blockSet.Reset()
-		idxs = idxs[:0]
-		for i := 0; i < rows; i++ {
-			idxs = append(idxs, uint32(start+i))
+	rw, payload := s.rowWidth, []*row.RowSet{r.payload}
+	for i := 0; i < r.rows; {
+		n := min(w.Room(), r.rows-i)
+		w.AddRows(r.keys[i*rw:(i+n)*rw], 0, uint32(i))
+		if _, err := w.Flush(payload); err != nil {
+			return err
 		}
-		blockSet.AppendRowsFrom(r.payload, idxs)
-		if err := w.writeBlock(r.keys[start*s.rowWidth:(start+rows)*s.rowWidth], blockSet); err != nil {
-			return w.abort(err)
-		}
+		i += n
 	}
-	if r.spill, err = w.finish(); err != nil {
+	if r.spill, err = w.Finish(); err != nil {
 		return err
 	}
 	// The in-memory buffers are dead once the run is on disk: give their
 	// bytes back to the budget and recycle them for the next pending run.
 	s.releaseRun(r)
 	return nil
-}
-
-// spillWriter writes one run's spill file: a header, then per block the
-// tagged key section (raw rows, or front-coded when the run's plan asked for
-// the attempt and the block shrank) followed by the block's payload rows
-// (with a block-local string heap, so a reader needs only that block resident
-// to resolve tie-break lookups). It records the file's block index (offsets
-// and fences) as the blocks stream out.
-type spillWriter struct {
-	s  *Sorter
-	f  *os.File
-	bw *bufio.Writer
-	cw countingWriter
-	sf *spillFile
-	fc bool // the run's plan bit: blocks try front-coding (tag 1)
-	// fcScratch is the reusable front-coding encode buffer; pre the key
-	// section's tag byte and encoded length.
-	fcScratch []byte
-	pre       [5]byte
-}
-
-// newSpillWriter creates run id's spill file, tracked for cleanup from here
-// on, and writes its header.
-func (s *Sorter) newSpillWriter(id uint32, blockRows, rows int, fc bool) (*spillWriter, error) {
-	path, err := s.spillPath(id)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: creating spill file: %w", err)
-	}
-	s.trackSpill(path)
-	numBlocks := (rows + blockRows - 1) / blockRows
-	w := &spillWriter{s: s, f: f, bw: bufio.NewWriter(f), fc: fc, sf: &spillFile{path: path, blockRows: blockRows,
-		offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*s.rowWidth)}}
-	w.cw.w = w.bw
-	var hdr [spillHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], spillMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(blockRows))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(rows))
-	if _, err := w.cw.Write(hdr[:]); err != nil {
-		return nil, w.abort(err)
-	}
-	return w, nil
-}
-
-// writeBlock appends one block: keys' rows, then their payload.
-func (w *spillWriter) writeBlock(keys []byte, payload *row.RowSet) error {
-	rw := w.s.rowWidth
-	w.sf.offs = append(w.sf.offs, w.cw.n)
-	w.sf.fences = append(w.sf.fences, keys[:rw]...)
-	if err := w.writeKeySection(keys, len(keys)/rw); err != nil {
-		return err
-	}
-	_, err := payload.WriteTo(&w.cw)
-	return err
-}
-
-// finish flushes and closes the file and returns its index. On failure the
-// partial file is removed.
-func (w *spillWriter) finish() (*spillFile, error) {
-	if err := w.bw.Flush(); err != nil {
-		return nil, w.abort(err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.f = nil
-		return nil, w.abort(err)
-	}
-	w.s.ctr.Add(obs.SpillBytesWritten, w.cw.n)
-	w.sf.size = w.cw.n
-	return w.sf, nil
-}
-
-// abort removes the partial file and returns err, joined with the removal's
-// own failure if it has one.
-func (w *spillWriter) abort(err error) error {
-	if w.f != nil {
-		w.f.Close()
-	}
-	if rerr := w.s.removeSpillFile(w.sf.path); rerr != nil {
-		err = errors.Join(err, rerr)
-	}
-	return err
-}
-
-// writeKeySection writes one spill block's key rows: a tag byte, then either
-// the raw rows (tag 0) or a length-prefixed front-coded encoding (tag 1). The
-// encode is attempted only for a run whose plan asked for it, and then only
-// when a fresh sample of the block predicts a saving (re-checked per block,
-// so intermediate merge generations re-sample what the merge actually
-// produced), and kept only when the block really shrank.
-func (w *spillWriter) writeKeySection(keys []byte, rows int) error {
-	rw, kw := w.s.rowWidth, w.s.keyWidth
-	section := keys
-	w.pre[0] = 0
-	tagged := w.pre[:1]
-	if w.fc && normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
-		w.fcScratch = normkey.AppendFrontCoded(w.fcScratch[:0], keys, rw, kw, rows)
-		if len(w.fcScratch) < len(keys) {
-			w.pre[0] = 1
-			binary.LittleEndian.PutUint32(w.pre[1:], uint32(len(w.fcScratch)))
-			section, tagged = w.fcScratch, w.pre[:]
-			w.s.ctr.Add(obs.SpillFCBlocks, 1)
-		}
-	}
-	if _, err := w.cw.Write(tagged); err != nil {
-		return err
-	}
-	_, err := w.cw.Write(section)
-	return err
 }
 
 // extMerge is one claimant's streaming k-way merge over a key range of runs
@@ -486,7 +233,8 @@ func (w *spillWriter) writeKeySection(keys []byte, rows int) error {
 // block's, rows came from.
 type extMerge struct {
 	s   *Sorter
-	st  *blockStage
+	p   *mergePlan
+	st  *spill.Stage
 	ctx context.Context
 	ow  *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
 	tie mergepath.CompareFunc
@@ -494,10 +242,10 @@ type extMerge struct {
 	lo, hi  []byte // the key range being merged, on the safe prefix; nil is open
 	cur     []extCursor
 	m       *mergepath.Merger
-	sets    []*row.RowSet // gather sources; the first len(cur) are the runs' current blocks at the last settle
-	retired []blockRef    // blocks run out, still referenced since the last settle
-	pending int           // references handed out since the last settle
-	err     error         // a refill's failure: the merge ran on without the run
+	sets    []*row.RowSet    // gather sources; the first len(cur) are the runs' current blocks at the last settle
+	retired []spill.BlockRef // blocks run out, still referenced since the last settle
+	pending int              // references handed out since the last settle
+	err     error            // a refill's failure: the merge ran on without the run
 }
 
 // extCursor is one run's current block in an extMerge.
@@ -510,15 +258,16 @@ type extCursor struct {
 	blk        int    // the current one; end when the run is exhausted
 }
 
-// newExtMerge returns a claimant's merge over st's runs, not yet on any range.
-func (s *Sorter) newExtMerge(ctx context.Context, st *blockStage, ow *obs.Worker) *extMerge {
-	k := len(st.plan.ids)
-	e := &extMerge{s: s, st: st, ctx: ctx, ow: ow,
+// newExtMerge returns a claimant's merge over p's runs, whose blocks st serves,
+// not yet on any range.
+func (s *Sorter) newExtMerge(ctx context.Context, p *mergePlan, st *spill.Stage, ow *obs.Worker) *extMerge {
+	k := len(p.ids)
+	e := &extMerge{s: s, p: p, st: st, ctx: ctx, ow: ow,
 		cur: make([]extCursor, k), sets: make([]*row.RowSet, k, 2*k)}
 	// Tie-break lookups resolve against the run's current block: references
 	// store absolute run indexes, the cursor knows its block's offset.
-	e.tie, _ = s.mergeOrder(st.plan.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
-		c := &e.cur[st.plan.index[runID]]
+	e.tie, _ = s.mergeOrder(p.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
+		c := &e.cur[p.index[runID]]
 		return c.payload, int(idx) - c.start
 	})
 	return e
@@ -527,8 +276,8 @@ func (s *Sorter) newExtMerge(ctx context.Context, st *blockStage, ow *obs.Worker
 // open starts the merge of plan task t: every run's first block holding a
 // key of the task's range, trimmed to it, under a fresh loser tree.
 func (e *extMerge) open(t int) error {
-	s, p := e.s, e.st.plan
-	e.lo, e.hi = p.bound(t)
+	s, p := e.s, e.p
+	e.lo, e.hi = p.Bound(t)
 	e.err = nil
 	mruns := make([]mergepath.Run, len(e.cur))
 	for i := range e.cur {
@@ -538,7 +287,7 @@ func (e *extMerge) open(t int) error {
 			*c = extCursor{payload: r.payload}
 		} else {
 			*c = extCursor{}
-			c.first, c.end = p.span(s, i, e.lo, e.hi)
+			c.first, c.end = p.Span(i, e.lo, e.hi)
 			c.blk = c.first
 			var err error
 			if keys, err = e.load(i); err != nil {
@@ -558,26 +307,29 @@ func (e *extMerge) open(t int) error {
 // none left.
 func (e *extMerge) load(i int) ([]byte, error) {
 	c := &e.cur[i]
-	rw, safe := e.s.rowWidth, e.st.plan.safe
+	rw, safe := e.s.rowWidth, e.p.safe
 	for ; c.blk < c.end; c.blk++ {
-		ref := blockRef{int32(i), int32(c.blk)}
-		b, err := e.st.acquire(e.ctx, ref, e.ow)
+		ref := spill.BlockRef{Run: int32(i), Blk: int32(c.blk)}
+		b, err := e.st.Acquire(e.ctx, ref, e.ow)
 		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				err = errSorterClosed
+			}
 			return nil, err
 		}
-		keys := mergepath.Run{Data: b.keys, Width: rw}
+		keys := mergepath.Run{Data: b.Keys, Width: rw}
 		from, to := 0, keys.Len()
 		if c.blk == c.first && e.lo != nil {
-			from = safeLowerBound(keys, e.lo, safe)
+			from = spill.LowerBound(keys, e.lo, safe)
 		}
 		if c.blk == c.end-1 && e.hi != nil {
-			to = safeLowerBound(keys, e.hi, safe)
+			to = spill.LowerBound(keys, e.hi, safe)
 		}
 		if from < to {
-			c.payload, c.start, c.pad = b.payload, b.start, uint32(from)
-			return b.keys[from*rw : to*rw], nil
+			c.payload, c.start, c.pad = b.Payload, b.Start, uint32(from)
+			return b.Keys[from*rw : to*rw], nil
 		}
-		e.st.release(ref)
+		e.st.Release(ref)
 	}
 	c.payload = nil
 	return nil, nil
@@ -592,8 +344,8 @@ func (e *extMerge) refill(r int) (mergepath.Run, bool) {
 	if c.blk >= c.end {
 		return mergepath.Run{}, false // a resident run, or one already exhausted
 	}
-	if ref := (blockRef{int32(r), int32(c.blk)}); e.pending == 0 {
-		e.st.release(ref)
+	if ref := (spill.BlockRef{Run: int32(r), Blk: int32(c.blk)}); e.pending == 0 {
+		e.st.Release(ref)
 	} else {
 		e.retired = append(e.retired, ref)
 	}
@@ -630,7 +382,7 @@ func (e *extMerge) next() (keyRow []byte, which, idx uint32, ok bool) {
 // stage, and sets shrinks back to the runs' current blocks.
 func (e *extMerge) settle() {
 	for _, ref := range e.retired {
-		e.st.release(ref)
+		e.st.Release(ref)
 	}
 	e.retired = e.retired[:0]
 	e.pending = 0
@@ -723,16 +475,17 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 }
 
 // mergeRunsToSpill streams one intermediate merge pass over the given runs
-// directly into a new spilled run (blocked format, refs rewritten to the
-// merged run), registers it — Finalize already holds s.mu, so no locking —
-// and releases the consumed inputs, whose files the pass's block stage
-// deleted as it finished with them. Resident memory is the stage's blocks
-// plus one output block of blockRows rows. Each pass is one PhaseMergePass
-// span and is counted in SortStats (passes, input runs, bytes rewritten).
+// directly into a new spilled run (refs rewritten to the merged run),
+// registers it — Finalize already holds s.mu, so no locking — and releases
+// the consumed inputs, whose files the pass's block stage deleted as it
+// finished with them. Resident memory is the stage's blocks plus one output
+// block of blockRows rows. Each pass is one PhaseMergePass span and is counted
+// in SortStats (passes, input runs, bytes rewritten).
 func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (uint32, error) {
 	psp := mw.Begin(obs.PhaseMergePass)
 	defer psp.End()
-	st, err := s.newBlockStage(s.planSpillTasks(ids, true), 1)
+	p := s.planSpillTasks(ids, true)
+	st, err := s.newBlockStage(p, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -743,25 +496,22 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer func() {
 		cancel()
-		st.close(consumed)
+		st.Close(consumed)
 		if consumed {
-			for _, id := range ids {
-				s.releaseRun(s.runs[id])
-				s.runs[id].spill = nil
-			}
+			s.releaseMerged(ids)
 		}
 	}()
-	st.start(ctx)
-	e := s.newExtMerge(ctx, st, mw)
+	st.Start(ctx, &s.drainWG)
+	e := s.newExtMerge(ctx, p, st, mw)
 	if err := e.open(0); err != nil {
 		return 0, err
 	}
 
 	// A merged run inherits its inputs' common merge role (mixed batches
 	// demote to normal) and attempts front-coded spill blocks whatever its
-	// inputs did: writeKeySection re-samples every block of every generation,
-	// so the decision tracks what this merge actually produced rather than
-	// what the original runs looked like.
+	// inputs did: the writer re-samples every block of every generation, so
+	// the decision tracks what this merge actually produced rather than what
+	// the original runs looked like.
 	total := 0
 	role := s.runs[ids[0]].role
 	for _, id := range ids {
@@ -774,70 +524,103 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	// the progress fraction accounts for the extra work instead of jumping
 	// past 100%.
 	s.ctr.Add(obs.MergeRowsPlanned, int64(total))
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: st.plan.anyTie, rows: total,
+	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: p.anyTie, rows: total,
 		role: role, frontCode: true}
 	s.runs = append(s.runs, merged)
-	w, err := s.newSpillWriter(merged.id, blockRows, total, merged.frontCode)
+	staging := s.getRowSet()
+	defer s.putRowSet(staging)
+	w, err := s.spills.NewWriter(merged.id, s.spillFormat(), blockRows, total, merged.frontCode, staging)
 	if err != nil {
 		return 0, err
 	}
-
-	rw := s.rowWidth
-	staging := s.getRowSet()
-	defer s.putRowSet(staging)
-	keyBlock := make([]byte, 0, blockRows*rw)
-	which := make([]uint32, 0, blockRows)
-	idxs := make([]uint32, 0, blockRows)
-	// gather moves the payload rows merged since the last call into the
-	// output block, after which the merge may let their input blocks go.
-	gather := func() {
-		staging.AppendRowsGather(e.sets, which, idxs)
-		s.ctr.Add(obs.RowsMerged, int64(len(idxs)))
-		which, idxs = which[:0], idxs[:0]
+	// flush moves the payload rows merged since the last call into the output
+	// block, after which the merge may let their input blocks go.
+	flush := func() error {
+		n, err := w.Flush(e.sets)
+		s.ctr.Add(obs.RowsMerged, int64(n))
 		e.settle()
+		return err
 	}
-	outPos := 0
-	for {
+	for outPos := uint32(0); ; outPos++ {
 		keyRow, slot, idx, ok := e.next()
 		if !ok {
 			break
 		}
-		keyBlock = append(keyBlock, keyRow...)
-		s.putRef(keyBlock[len(keyBlock)-rw:], merged.id, uint32(outPos))
-		which, idxs = append(which, slot), append(idxs, idx)
-		outPos++
-		if len(keyBlock) == blockRows*rw {
-			gather()
-			if err := w.writeBlock(keyBlock, staging); err != nil {
-				return 0, w.abort(err)
+		s.putRef(w.Add(keyRow, slot, idx), merged.id, outPos)
+		if w.Room() == 0 {
+			if err := flush(); err != nil {
+				return 0, err
 			}
-			staging.Reset()
-			keyBlock = keyBlock[:0]
 		}
 	}
 	if err := e.err; err != nil {
-		return 0, w.abort(err)
+		return 0, w.Abort(err)
 	}
-	if outPos != total {
-		return 0, w.abort(fmt.Errorf("core: fan-in merge produced %d of %d rows", outPos, total))
+	if err := flush(); err != nil {
+		return 0, err
 	}
-	gather()
-	if len(keyBlock) > 0 {
-		if err := w.writeBlock(keyBlock, staging); err != nil {
-			return 0, w.abort(err)
-		}
-	}
-	if merged.spill, err = w.finish(); err != nil {
+	// A merge that ended short of its inputs' rows fails here.
+	if merged.spill, err = w.Finish(); err != nil {
 		return 0, err
 	}
 
 	consumed = true
 	mst := e.m.Stats()
-	mst.BytesMoved = uint64(outPos * rw)
+	mst.BytesMoved = uint64(total * s.rowWidth)
 	s.mergeStats.Add(mst)
 	s.publishMerge(s.mergeStats)
 	s.ctr.Add(obs.MergePasses, 1)
 	s.ctr.Add(obs.MergePassRuns, int64(len(ids)))
-	s.ctr.Add(obs.MergePassBytes, merged.spill.size)
+	s.ctr.Add(obs.MergePassBytes, merged.spill.Size())
 	return merged.id, nil
+}
+
+// mergePlan is one merge over runs of which some, usually all, are on disk:
+// the runs, and the tasks internal/spill's planner cuts it into.
+type mergePlan struct {
+	*spill.Plan
+	ids    []uint32 // the runs, in merge (tie) order
+	index  []int32  // a run id's position in ids
+	anyTie bool     // some run needs the tie-break comparator
+	safe   int      // width of the byte-decisive key prefix
+}
+
+// drainTaskFences is the blocks a task over spilled runs begins: as many as
+// make a resident task's rows at the default block size. Fixed by the null
+// arms in EXPERIMENTS.md ("Spilled runs stream through Rows").
+const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
+
+// planSpillTasks plans the merge of runs ids: one task when single says so,
+// else as many as the fences afford (see spill.PlanTasks).
+func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
+	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
+	files := make([]*spill.File, len(ids))
+	for i, id := range ids {
+		r := s.runs[id]
+		p.index[id] = int32(i)
+		p.anyTie = p.anyTie || r.tieBreak
+		files[i] = r.spill
+	}
+	p.safe = s.ovcSafeWidth(p.anyTie)
+	taskFences := drainTaskFences
+	if single {
+		taskFences = 0
+	}
+	p.Plan = spill.PlanTasks(files, p.safe, taskFences)
+	return p
+}
+
+// newBlockStage opens the stage that serves p's blocks to claimants
+// concurrent merges, charged to a reservation of its own.
+func (s *Sorter) newBlockStage(p *mergePlan, claimants int) (*spill.Stage, error) {
+	return s.spills.NewStage(p.Plan, s.broker.Reserve("merge", 0), s.opt.readAhead(), claimants)
+}
+
+// releaseMerged lets go of runs a merge has consumed: their files are gone
+// with the merge's stage, and what was still in memory of them is released.
+func (s *Sorter) releaseMerged(ids []uint32) {
+	for _, id := range ids {
+		s.releaseRun(s.runs[id])
+		s.runs[id].spill = nil
+	}
 }

@@ -2,15 +2,17 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
 	"rowsort/internal/mem"
 	"rowsort/internal/obs"
+	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -136,29 +138,24 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSpillFilesAreOneFormat pins the one spill format: whoever wrote a run's
-// file — a run whose plan was dictated, one whose sampled plan asks for
-// front-coding, an intermediate merge pass — it starts with the one magic and every block's
-// key section opens with tag 0 (raw rows) or 1 (front-coded), and a merge
-// over a mix of them drains byte-identical to the in-memory oracle.
+// TestSpillFilesAreOneFormat pins that every writer of a run's file — a run
+// whose plan was dictated, one whose sampled plan asks for front-coding, an
+// intermediate merge pass — goes through the one spill.Writer and so the one
+// format (whose bytes internal/spill's own tests pin): a dictated plan's
+// blocks stay raw, a sampled plan's are front-coded when the run says to try,
+// a pass re-samples what it produced, and a merge over a mix of them drains
+// byte-identical to the in-memory oracle. A stage opens a file only if it
+// starts with the format's header.
 func TestSpillFilesAreOneFormat(t *testing.T) {
-	// tags checks run r's file and counts its key sections by tag.
-	tags := func(ctx string, r *sortedRun) (n [2]int) {
+	// coded spills run r and returns how many of its blocks, and how many
+	// front-coded, that wrote.
+	coded := func(s *Sorter, r *sortedRun) (blocks int, frontCoded int64) {
 		t.Helper()
-		data, err := os.ReadFile(r.spill.path)
-		if err != nil {
+		before := s.ctr.Value(obs.SpillFCBlocks)
+		if err := s.spillRun(r, nil); err != nil {
 			t.Fatal(err)
 		}
-		if magic := binary.LittleEndian.Uint32(data); magic != spillMagic {
-			t.Fatalf("%s: run %d's file starts with magic %#x, want %#x", ctx, r.id, magic, spillMagic)
-		}
-		for b, off := range r.spill.offs {
-			if data[off] > 1 {
-				t.Fatalf("%s: block %d of run %d opens with tag %d", ctx, b, r.id, data[off])
-			}
-			n[data[off]]++
-		}
-		return n
+		return r.spill.NumBlocks(), s.ctr.Value(obs.SpillFCBlocks) - before
 	}
 	const perRun, blockRows = vector.DefaultVectorSize, 512
 	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
@@ -166,10 +163,10 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 
 	// A run sorted as a tie-break dictates was not sampled, so nothing asked
 	// for front-coding: every section is raw.
-	def := finalizedSorter(t, tbl, drainKeys(true), Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
+	def := ingestedSorter(t, tbl, drainKeys(true), Options{Threads: 1, RunSize: perRun}, pinBlockRows(blockRows))
 	for _, r := range def.runs {
-		if n := tags("dictated plan", r); n != [2]int{perRun / blockRows, 0} {
-			t.Errorf("dictated plan, run %d: %d raw and %d front-coded key sections", r.id, n[0], n[1])
+		if n, fc := coded(def, r); n != perRun/blockRows || fc != 0 {
+			t.Errorf("dictated plan, run %d: %d blocks, %d front-coded", r.id, n, fc)
 		}
 	}
 	def.Close()
@@ -192,24 +189,22 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 			t.Fatalf("run %d's plan does not ask for front-coding", i)
 		}
 		r.frontCode = i%2 == 1
-		if err := s.spillRun(r, nil); err != nil {
-			t.Fatal(err)
-		}
-		if n := tags("sampled plan", r); n[0]+n[1] != perRun/blockRows || (n[1] > 0) != r.frontCode {
-			t.Errorf("run %d, front-coding %v: %d raw and %d front-coded key sections", i, r.frontCode, n[0], n[1])
+		if n, fc := coded(s, r); n != perRun/blockRows || (fc > 0) != r.frontCode {
+			t.Errorf("run %d, front-coding %v: %d blocks, %d front-coded", i, r.frontCode, n, fc)
 		}
 	}
 	s.dropPools()
 	hog := broker.Reserve("hog", broker.Remaining()-(1<<10))
 	defer hog.Release()
+	before := s.ctr.Value(obs.SpillFCBlocks)
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.MergePasses != 3 || len(s.streamActive) != 2 || s.streamActive[1] != 4 {
 		t.Fatalf("%d passes left runs %v, want three and a pass's output beside run 4", st.MergePasses, s.streamActive)
 	}
-	if n := tags("merge pass", s.runs[s.streamActive[0]]); n[1] == 0 {
-		t.Errorf("the last pass wrote %d raw and no front-coded key sections", n[0])
+	if s.ctr.Value(obs.SpillFCBlocks) == before {
+		t.Error("the passes wrote no front-coded key sections")
 	}
 	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
 		t.Error("the merge of a pass's output and a raw run differs from the oracle")
@@ -318,24 +313,10 @@ func sixteenSpilledRuns(t testing.TB, opt Options) (*Sorter, *vector.Table) {
 	tbl := workload.CatalogSales(16*perRun, 10, 17)
 	opt.RunSize = perRun
 	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, blockRows, false, allRuns)
-	if len(s.runs) != 16 || s.runs[0].spill.numBlocks() != 16 {
-		t.Fatalf("%d runs of %d blocks", len(s.runs), s.runs[0].spill.numBlocks())
+	if len(s.runs) != 16 || s.runs[0].spill.NumBlocks() != 16 {
+		t.Fatalf("%d runs of %d blocks", len(s.runs), s.runs[0].spill.NumBlocks())
 	}
 	return s, tbl
-}
-
-// decodedBlocks counts the blocks a stage has read so far.
-func decodedBlocks(st *blockStage) (n int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := range st.runs {
-		for b := range st.runs[i].blocks {
-			if st.runs[i].blocks[b].state != blockPending {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // TestSpilledRowsMergesLazily pins the mechanism: Finalize of a sort whose
@@ -358,9 +339,9 @@ func TestSpilledRowsMergesLazily(t *testing.T) {
 		if c, err := it.Next(); err != nil || c == nil {
 			t.Fatalf("first chunk: %v, %v", c, err)
 		}
-		st := it.d.stage
-		// A block of each run for each task begun, and the forecast's rows.
-		if n, most := decodedBlocks(st), 16*threads+st.limit/1024; n < 16 || n > most || most > 16*16/2 {
+		// A block of each run for each task begun, and as many read ahead
+		// (with read-ahead on every block read is a prefetched one).
+		if n, most := s.ctr.Value(obs.PrefetchedBlocks), int64(2*16*threads); n < 16 || n > most || most > 16*16/2 {
 			t.Errorf("threads=%d: %d of 256 blocks read when the first chunk returned; want one a run at least, at most %d",
 				threads, n, most)
 		}
@@ -394,7 +375,7 @@ func TestSpilledDrainReadsEachBlockOnce(t *testing.T) {
 			if st.ExtMergeParts < 8 || st.MergeFanIn != 16 || st.Merge.BytesMoved != 0 {
 				t.Errorf("threads=%d: %d tasks, fan-in %d, %d key bytes moved", threads, st.ExtMergeParts, st.MergeFanIn, st.Merge.BytesMoved)
 			}
-			if left := spillFiles(t, s.spillTmpDir); len(left) != 0 {
+			if left := spillFiles(t, s.spills.Root()); len(left) != 0 {
 				t.Errorf("threads=%d: %d spill files left by a drain that ran to the end", threads, len(left))
 			}
 			if err := s.Close(); err != nil {
@@ -445,49 +426,6 @@ func TestSpilledSortHoldsNoOutput(t *testing.T) {
 	}
 }
 
-// spillFaults are ways a spill file can be bad by the time it is read back.
-// Each damages block b of the run's file, whose index is sf.
-var spillFaults = []struct {
-	name  string
-	apply func(t *testing.T, s *Sorter, sf *spillFile, b int)
-}{
-	{"truncated", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
-		if err := os.Truncate(sf.path, sf.offs[b]+int64(s.rowWidth)+3); err != nil {
-			t.Fatal(err)
-		}
-	}},
-	{"bad tag byte", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
-		overwrite(t, sf.path, sf.offs[b], []byte{7})
-	}},
-	{"short payload", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
-		// The payload's row count, one short: past the tag byte and the raw
-		// key rows.
-		rows := min(sf.blockRows, s.runs[0].rows-b*sf.blockRows)
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(rows-1))
-		overwrite(t, sf.path, sf.offs[b]+1+int64(rows*s.rowWidth)+4, n[:])
-	}},
-	{"deleted", func(t *testing.T, s *Sorter, sf *spillFile, b int) {
-		if err := os.Remove(sf.path); err != nil {
-			t.Fatal(err)
-		}
-	}},
-}
-
-func overwrite(t *testing.T, path string, off int64, b []byte) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(b, off); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // faultySorter is a default sort of eight spilled runs of eight blocks, and
 // the directory they are in.
 func faultySorter(t *testing.T, threads int) (*Sorter, string) {
@@ -497,7 +435,7 @@ func faultySorter(t *testing.T, threads int) (*Sorter, string) {
 	if len(s.runs) != 8 {
 		t.Fatalf("%d runs", len(s.runs))
 	}
-	return s, s.spillTmpDir
+	return s, s.spills.Root()
 }
 
 // noLeaks checks what every end of a spilled sort must leave behind: no
@@ -511,43 +449,183 @@ func noLeaks(t *testing.T, ctx string, s *Sorter, dir string, base int) {
 	if left := spillFiles(t, dir); len(left) != 0 {
 		t.Errorf("%s: %d spill files left after Close", ctx, len(left))
 	}
+	if _, err := os.Stat(dir); dir != "" && !os.IsNotExist(err) {
+		t.Errorf("%s: the private spill directory is still there after Close (%v)", ctx, err)
+	}
 	if used := s.broker.Used(); used != 0 {
 		t.Errorf("%s: broker holds %d bytes after Close", ctx, used)
 	}
 }
 
-// TestSpilledDrainFaults damages or deletes one run's file between Finalize
-// and Rows: whichever block, whichever fault, inline or with workers, the
-// sort ends in an error returned from Rows or Next — never a short or wrong
-// result, never a hang — and leaks nothing.
+// A sort with runs on disk goes through these stages, in this order; a fault
+// is armed as the sort enters one.
+const (
+	stageRunSpill     = iota // resident runs are written out
+	stagePassRewrite         // Finalize, its budget all but gone, merges files into files
+	stageForecastRead        // the drain, read-ahead on: the fault is the forecast goroutine's
+	stageDemandRead          // the drain, read-ahead off: every read is a claimant's
+	stageClose               // Sorter.Close after a drain abandoned
+	numFaultStages
+)
+
+var faultStageNames = [numFaultStages]string{"run spill", "pass rewrite", "forecast read", "demand read", "close"}
+
+// spillFaults is the fault table's first axis: what the filesystem does, as
+// a function of the stage it does it in, and the stages it can be done in.
+var spillFaults = []struct {
+	name   string
+	stages []int
+	fault  func(stage int) fsFault
+}{
+	{"ENOSPC at byte 100000", []int{stageRunSpill, stagePassRewrite},
+		func(int) fsFault { return fsFault{writeErr: syscall.ENOSPC, writeAt: 100_000} }},
+	{"short write", []int{stageRunSpill, stagePassRewrite},
+		func(int) fsFault { return fsFault{writeErr: io.ErrShortWrite, writeAt: 7} }},
+	{"ENOSPC and a remove that fails", []int{stageRunSpill, stagePassRewrite},
+		func(int) fsFault { return fsFault{writeErr: syscall.ENOSPC, writeAt: 40_000, keepFiles: true} }},
+	{"EIO on read", []int{stagePassRewrite, stageForecastRead, stageDemandRead}, func(stage int) fsFault {
+		if stage == stageForecastRead {
+			return fsFault{readErr: syscall.EIO, from: "(*Stage).forecast"}
+		}
+		return fsFault{readErr: syscall.EIO, readAt: 10} // past the headers
+	}},
+	{"truncated file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
+		func(int) fsFault { return fsFault{truncateAt: 100_000} }},
+	{"missing file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
+		func(int) fsFault { return fsFault{missing: true} }},
+	{"failing remove", []int{stagePassRewrite, stageForecastRead, stageDemandRead, stageClose},
+		func(int) fsFault { return fsFault{keepFiles: true} }},
+	{"panicking FS", []int{stageForecastRead, stageDemandRead}, func(stage int) fsFault {
+		if stage == stageForecastRead {
+			return fsFault{panics: true, from: "(*Stage).forecast"}
+		}
+		return fsFault{panics: true, from: "(*Stage).Acquire"} // not under Rows, which is the caller's
+	}},
+}
+
+// TestSpilledDrainFaults is the fault table: every fault the filesystem seam
+// can produce, in every stage of a spilled sort it can occur in, inline and
+// with workers, under a private and a shared broker. Every cell ends in a
+// returned error — from the stage it hit, or from Sorter.Close when all that
+// failed was a removal, and then with the right rows — never a short or wrong
+// result, never a hang; a worker's or the forecast's panic is such an error
+// too. When the fault is gone a second Close succeeds, and nothing is left:
+// no file, no goroutine, no broker byte.
 func TestSpilledDrainFaults(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		for _, fault := range spillFaults {
-			for _, b := range []int{0, 3, 7} {
-				ctx := fmt.Sprintf("threads=%d %s block %d", threads, fault.name, b)
-				base := runtime.NumGoroutine()
-				s, dir := faultySorter(t, threads)
-				fault.apply(t, s, s.runs[5].spill, b)
-				within(t, ctx, 30*time.Second, func() {
-					rows := 0
-					it, err := s.Rows()
-					for err == nil {
-						var c *vector.Chunk
-						if c, err = it.Next(); c == nil {
-							break
+	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
+	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
+	keys := drainKeys(false)
+	mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
+	want := rowify(t, oracleResult(t, mem0)).Bytes()
+	mem0.Close()
+
+	for _, f := range spillFaults {
+		for _, stage := range f.stages {
+			for _, threads := range []int{1, 4} {
+				for _, shared := range []bool{false, true} {
+					ctx := fmt.Sprintf("%s in %s, threads=%d shared broker=%v", f.name, faultStageNames[stage], threads, shared)
+					base := runtime.NumGoroutine()
+					opt := Options{Threads: threads, RunSize: perRun}
+					if stage == stageDemandRead {
+						opt.ReadAhead = -1
+					}
+					var broker *mem.Broker
+					switch {
+					case shared:
+						broker = mem.NewBroker("shared", 1<<30)
+						opt.Broker = broker
+					case stage == stagePassRewrite:
+						opt.MemoryLimit = 1 << 30 // passes are a budget's doing
+					}
+					ffs := &faultFS{FS: spill.OS()}
+					s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows), pinFS(ffs))
+					var out *vector.Table
+					var err error
+					var dir string
+					panicked := false
+					within(t, ctx, 30*time.Second, func() {
+						// The sort, stage by stage, until something fails.
+						steps := [numFaultStages]func() error{
+							stageRunSpill: func() error {
+								for _, r := range s.runs {
+									if err := s.spillRun(r, nil); err != nil {
+										return err
+									}
+								}
+								return nil
+							},
+							stagePassRewrite: func() error {
+								if stage == stagePassRewrite {
+									s.dropPools()
+									hog := s.broker.Reserve("hog", s.broker.Remaining()-(1<<10))
+									defer hog.Release()
+								}
+								return s.Finalize()
+							},
+							stageDemandRead: func() (err error) {
+								it, err := s.Rows()
+								if err != nil {
+									return err
+								}
+								defer func() {
+									if r := recover(); r != nil {
+										panicked, err = true, fmt.Errorf("Next panicked: %v", r)
+									}
+									if cerr := it.Close(); err == nil {
+										err = cerr
+									}
+								}()
+								out = vector.NewTable(tbl.Schema)
+								for len(out.Chunks) < 3 || stage != stageClose {
+									c, err := it.Next()
+									if c == nil {
+										return err
+									}
+									out.Chunks = append(out.Chunks, c)
+								}
+								return nil
+							},
 						}
-						rows += c.Len()
-					}
-					if err == nil {
-						t.Errorf("%s: the drain returned %d rows and no error", ctx, rows)
-					}
-					if it != nil {
-						if cerr := it.Close(); cerr != err {
-							t.Errorf("%s: Close returned %v, Next %v", ctx, cerr, err)
+						for at, step := range steps {
+							if at == stage || (at == stageDemandRead && stage == stageForecastRead) {
+								ffs.arm(f.fault(stage))
+							}
+							if at == stagePassRewrite {
+								dir = s.spills.Root() // every run is out, or none will be
+							}
+							if step != nil && err == nil {
+								err = step()
+							}
 						}
+					})
+					// With Threads 1, and under any budget (the merge is then one
+					// task), the merge runs on the caller's goroutine and a panic
+					// under it is the caller's; a worker's must not be.
+					if panicked && threads > 1 && !shared {
+						t.Errorf("%s: %v", ctx, err)
 					}
-				})
-				noLeaks(t, ctx, s, dir, base)
+					cerr := s.Close()
+					if err == nil && cerr == nil {
+						t.Errorf("%s: the fault went off %d times and no error was returned", ctx, ffs.fired)
+					}
+					if err == nil && stage != stageClose && !bytes.Equal(rowify(t, out).Bytes(), want) {
+						t.Errorf("%s: no step failed and the rows differ from the oracle's", ctx)
+					}
+					if ffs.fired == 0 {
+						t.Errorf("%s: the fault never went off", ctx)
+					}
+					// (Workers run ahead of an abandoned drain: by Close they may have
+					// read, and removed, every file, and what fails to go is the
+					// directory, which is reported and not counted.)
+					if removeErrs := s.ctr.Value(obs.SpillRemoveErrors); (removeErrs > 0) != f.fault(stage).keepFiles && stage != stageClose {
+						t.Errorf("%s: %d removals counted failed", ctx, removeErrs)
+					}
+					ffs.arm(fsFault{})
+					noLeaks(t, ctx, s, dir, base)
+					if used := broker.Used(); used != 0 {
+						t.Errorf("%s: the shared broker holds %d bytes after Close", ctx, used)
+					}
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"rowsort/internal/obs"
+	"rowsort/internal/spill"
 	"rowsort/internal/workload"
 )
 
@@ -206,20 +206,16 @@ func TestCloseIsIdempotent(t *testing.T) {
 }
 
 func TestCloseSurfacesRemovalErrors(t *testing.T) {
-	schema := workload.CatalogSales(16, 10, 7).Schema
-	s, err := NewSorter(schema, []SortColumn{{Column: 0}}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	tbl := workload.CatalogSales(2_000, 10, 7)
+	ffs := &faultFS{FS: spill.OS()}
+	s := ingestedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{RunSize: 1 << 10, SpillDir: t.TempDir()}, pinFS(ffs))
+	if s.Stats().SpillBytesWritten == 0 {
+		t.Fatal("nothing spilled")
 	}
-	// Track a "spill file" that cannot be removed: a non-empty directory.
-	dir := t.TempDir()
-	stuck := filepath.Join(dir, "stuck-run")
-	if err := os.MkdirAll(filepath.Join(stuck, "child"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	s.trackSpill(stuck)
+	// The spilled runs' files cannot be removed.
+	ffs.arm(fsFault{keepFiles: true})
 
-	err = s.Close()
+	err := s.Close()
 	if err == nil {
 		t.Fatal("Close swallowed the removal error")
 	}
@@ -229,16 +225,17 @@ func TestCloseSurfacesRemovalErrors(t *testing.T) {
 	if got := s.Stats().Counters[obs.SpillRemoveErrors]; got == 0 {
 		t.Fatal("SpillRemoveErrors not counted")
 	}
-	// Double Close retries the stuck file and reports it again, safely.
+	// Double Close retries the stuck files and reports them again, safely.
 	if err := s.Close(); err == nil {
 		t.Fatal("second Close swallowed the persistent removal error")
 	}
-	// Once the obstacle is gone, Close succeeds and the file is untracked.
-	if err := os.RemoveAll(filepath.Join(stuck, "child")); err != nil {
-		t.Fatal(err)
-	}
+	// Once the obstacle is gone, Close succeeds and the files are untracked.
+	ffs.arm(fsFault{})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after clearing the obstacle: %v", err)
+	}
+	if left := spillFiles(t, s.spills.Root()); len(left) != 0 {
+		t.Fatalf("%d spill files left", len(left))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("final idempotent Close: %v", err)

@@ -206,9 +206,10 @@ func (b *Broker) discharge(n int64) {
 
 // Reserve opens a named reservation of n bytes against the broker. The
 // bytes are charged immediately (see Grow for the over-budget contract).
-// Every Reserve must be balanced by Release — the memacct analyzer
-// enforces the pairing. On a nil broker it returns a nil *Reservation,
-// whose methods are all no-ops. Nil-safe.
+// Every Reserve must be balanced by Release: the sorter keeps each
+// reservation in the struct that owns the bytes and releases them all in its
+// Close. On a nil broker it returns a nil *Reservation, whose methods are all
+// no-ops. Nil-safe.
 func (b *Broker) Reserve(name string, n int64) *Reservation {
 	if b == nil {
 		return nil

@@ -1,0 +1,386 @@
+package spill
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"rowsort/internal/mergepath"
+	"rowsort/internal/obs"
+	"rowsort/internal/row"
+	"rowsort/internal/vector"
+)
+
+// testFormat is a sort of one int64 key over an (int64, varchar) payload: a
+// 9-byte normalized key in 24-byte key rows.
+var testFormat = Format{RowWidth: 24, KeyWidth: 9, Layout: row.NewLayout([]vector.Type{vector.Int64, vector.Varchar})}
+
+// testRun returns n sorted key rows and their payload: row i's key is
+// key(i), big-endian behind a validity byte, its payload reference (id, i),
+// and its payload (key(i), "row <i>").
+func testRun(id uint32, n int, key func(i int) uint64) ([]byte, *row.RowSet) {
+	keys := make([]byte, n*testFormat.RowWidth)
+	ints, strs := vector.New(vector.Int64, n), vector.New(vector.Varchar, n)
+	for i := 0; i < n; i++ {
+		kr := keys[i*testFormat.RowWidth:]
+		kr[0] = 1
+		binary.BigEndian.PutUint64(kr[1:], key(i))
+		binary.LittleEndian.PutUint32(kr[9:], id)
+		binary.LittleEndian.PutUint32(kr[13:], uint32(i))
+		ints.AppendInt64(int64(key(i)))
+		strs.AppendString(fmt.Sprintf("row %d", i))
+	}
+	payload := row.NewRowSet(testFormat.Layout)
+	if err := payload.AppendChunk([]*vector.Vector{ints, strs}); err != nil {
+		panic(err)
+	}
+	return keys, payload
+}
+
+// writeRun writes keys and payload as run id's file in blocks of blockRows.
+func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet, blockRows int, frontCode bool) *File {
+	t.Helper()
+	n := len(keys) / testFormat.RowWidth
+	w, err := d.NewWriter(id, testFormat, blockRows, n, frontCode, row.NewRowSet(testFormat.Layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even blocks a row at a time, as a merge names them; odd ones at once, as
+	// a run leaving memory does.
+	sets := []*row.RowSet{payload}
+	rw := testFormat.RowWidth
+	for i, b := 0, 0; i < n; b++ {
+		take := min(w.Room(), n-i)
+		if b%2 == 1 {
+			w.AddRows(keys[i*rw:(i+take)*rw], 0, uint32(i))
+		} else {
+			for j := i; j < i+take; j++ {
+				w.Add(keys[j*rw:(j+1)*rw], 0, uint32(j))
+			}
+		}
+		if _, err := w.Flush(sets); err != nil {
+			t.Fatal(err)
+		}
+		i += take
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFileFormat pins the bytes on disk: the header ("RSB3", rows per block,
+// rows), every block at the offset the index says, opening with tag 0 before
+// raw key rows or tag 1 before a length and a front-coded section that is
+// shorter, and the file ending where the index says — and that a stage hands
+// back, block by block, exactly the rows that went in.
+func TestFileFormat(t *testing.T) {
+	const n, blockRows = 1000, 256
+	for _, frontCode := range []bool{false, true} {
+		ctr := obs.NewBlock(nil)
+		d := NewDir(OS(), t.TempDir(), ctr, nil)
+		// Eight distinct keys: front-coding shrinks every block.
+		keys, payload := testRun(3, n, func(i int) uint64 { return uint64(i / 125) })
+		f := writeRun(t, d, 3, keys, payload, blockRows, frontCode)
+
+		data, err := os.ReadFile(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[:4]) != "3BSR" || binary.LittleEndian.Uint32(data[4:]) != blockRows || binary.LittleEndian.Uint64(data[8:]) != n {
+			t.Fatalf("frontCode=%v: header % x", frontCode, data[:headerLen])
+		}
+		if f.NumBlocks() != 4 || f.Size() != int64(len(data)) || ctr.Value(obs.SpillBytesWritten) != f.Size() {
+			t.Fatalf("frontCode=%v: %d blocks, index says %d bytes, counter %d, file has %d",
+				frontCode, f.NumBlocks(), f.Size(), ctr.Value(obs.SpillBytesWritten), len(data))
+		}
+		for b, off := range f.offs {
+			rows := f.blockLen(b)
+			rawKeys := keys[b*blockRows*testFormat.RowWidth:][:rows*testFormat.RowWidth]
+			switch section := data[off:]; {
+			case !frontCode:
+				if section[0] != 0 || !bytes.Equal(section[1:1+len(rawKeys)], rawKeys) {
+					t.Errorf("block %d: tag %d, want 0 and the raw key rows", b, section[0])
+				}
+			default:
+				if encLen := int(binary.LittleEndian.Uint32(section[1:])); section[0] != 1 || encLen >= len(rawKeys) {
+					t.Errorf("block %d: tag %d and %d encoded bytes for %d raw, want 1 and fewer", b, section[0], encLen, len(rawKeys))
+				}
+			}
+			if !bytes.Equal(f.fence(b), rawKeys[:testFormat.RowWidth]) {
+				t.Errorf("block %d: fence is not its first key row", b)
+			}
+		}
+		if got := ctr.Value(obs.SpillFCBlocks); (got == 4) != frontCode || (got == 0) == frontCode {
+			t.Errorf("frontCode=%v: %d blocks counted front-coded", frontCode, got)
+		}
+
+		// Read it back, without read-ahead: every block on demand.
+		st, err := d.NewStage(PlanTasks([]*File{f}, testFormat.KeyWidth, 0), nil, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < f.NumBlocks(); b++ {
+			ref := BlockRef{Run: 0, Blk: int32(b)}
+			blk, err := st.Acquire(context.Background(), ref, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := f.blockLen(b)
+			if blk.Start != b*blockRows || !bytes.Equal(blk.Keys, keys[b*blockRows*testFormat.RowWidth:][:rows*testFormat.RowWidth]) {
+				t.Errorf("block %d: decoded keys differ from those written", b)
+			}
+			for i := 0; i < rows; i++ {
+				if got, want := blk.Payload.String(i, 1), fmt.Sprintf("row %d", blk.Start+i); got != want {
+					t.Fatalf("block %d row %d: payload %q, want %q", b, i, got, want)
+				}
+			}
+			st.Release(ref)
+		}
+		st.Close(true)
+		if read := ctr.Value(obs.SpillBytesRead); read != f.Size() {
+			t.Errorf("frontCode=%v: read %d bytes of %d", frontCode, read, f.Size())
+		}
+		if _, err := os.Stat(f.name); !os.IsNotExist(err) {
+			t.Errorf("the file outlived the stage that consumed it: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stubbornFS is the operating system's filesystem, except that while stuck it
+// removes nothing and while full it writes nothing.
+type stubbornFS struct {
+	FS
+	stuck, full bool
+}
+
+func (s *stubbornFS) Remove(name string) error {
+	if s.stuck {
+		return errors.New("stuck")
+	}
+	return s.FS.Remove(name)
+}
+
+func (s *stubbornFS) Create(name string) (io.WriteCloser, error) {
+	w, err := s.FS.Create(name)
+	if err == nil && s.full {
+		return fullWriter{w}, nil
+	}
+	return w, err
+}
+
+type fullWriter struct{ io.WriteCloser }
+
+func (fullWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestDirLifecycle pins who owns what: a Dir given no directory names a
+// private one, which the first file creates and Close removes; a directory it
+// was given is never removed; a removal that fails is counted, leaves the file
+// tracked, is reported by Close and retried by the next; a Close with nothing
+// to do returns nil.
+func TestDirLifecycle(t *testing.T) {
+	keys, payload := testRun(0, 100, func(i int) uint64 { return uint64(i) })
+
+	ctr := obs.NewBlock(nil)
+	fsys := &stubbornFS{FS: OS()}
+	d := NewDir(fsys, "", ctr, nil)
+	if d.Root() != "" {
+		t.Fatalf("a private directory, %s, before any file", d.Root())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close of a Dir that made nothing: %v", err)
+	}
+	f := writeRun(t, d, 0, keys, payload, 32, false)
+	root := d.Root()
+	if fi, err := os.Stat(root); err != nil || !fi.IsDir() || fi.Mode().Perm() != 0o700 || filepath.Dir(f.name) != root {
+		t.Fatalf("private directory %s: %v, %v; the file is %s", root, fi, err, f.name)
+	}
+	fsys.stuck = true
+	for try := int64(1); try <= 2; try++ {
+		if err := d.Close(); err == nil || !strings.Contains(err.Error(), "removing spill file") {
+			t.Fatalf("Close %d with a file that cannot be removed: %v", try, err)
+		}
+		if got := ctr.Value(obs.SpillRemoveErrors); got != try || ctr.Value(obs.SpillFilesRemoved) != 0 {
+			t.Fatalf("Close %d: %d removal errors, %d removals counted", try, got, ctr.Value(obs.SpillFilesRemoved))
+		}
+	}
+	fsys.stuck = false
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close once the file can go: %v", err)
+	}
+	if _, err := os.Stat(root); !os.IsNotExist(err) || d.Root() != "" || ctr.Value(obs.SpillFilesRemoved) != 1 {
+		t.Fatalf("after Close: stat %v, root %q, %d removals counted", err, d.Root(), ctr.Value(obs.SpillFilesRemoved))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close again: %v", err)
+	}
+
+	given := t.TempDir()
+	d = NewDir(OS(), given, obs.NewBlock(nil), nil)
+	writeRun(t, d, 7, keys, payload, 32, false)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(given); err != nil || len(ents) != 0 {
+		t.Fatalf("the directory the Dir was given: %v, %d entries left", err, len(ents))
+	}
+}
+
+// TestFailedWriteLeavesNoFile pins the writer's promise: whichever call hits
+// the failure — the header's, a block's, the final flush's — the partial file
+// is gone, and nothing stays tracked, when it returns.
+func TestFailedWriteLeavesNoFile(t *testing.T) {
+	keys, payload := testRun(0, 100, func(i int) uint64 { return uint64(i) })
+	dir := t.TempDir()
+	ctr := obs.NewBlock(nil)
+	d := NewDir(&stubbornFS{FS: OS(), full: true}, dir, ctr, nil)
+	// The header fits the writer's buffer; a block does not.
+	w, err := d.NewWriter(0, testFormat, 100, 100, false, row.NewRowSet(testFormat.Layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.AddRows(keys, 0, 0)
+	if _, err := w.Flush([]*row.RowSet{payload}); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Flush to a full disk: %v", err)
+	}
+	// A file that was fed too few rows is a failure too, found at Finish.
+	w, err = d.NewWriter(1, testFormat, 100, 100, false, row.NewRowSet(testFormat.Layout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finish(); err == nil || !strings.Contains(err.Error(), "0 of its 100 rows") {
+		t.Fatalf("Finish of an empty writer: %v", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 || len(d.files) != 0 || ctr.Value(obs.SpillFilesRemoved) != 2 {
+		t.Fatalf("%d files on disk, %d tracked, %d removals counted", len(ents), len(d.files), ctr.Value(obs.SpillFilesRemoved))
+	}
+}
+
+// TestPlanTasks checks the planner on three runs of interleaved keys: the
+// forecast holds every block once, in fence order; bounds strictly increase
+// on the safe prefix; every block is due to the tasks whose range can hold
+// one of its keys, and to at least one; a run in memory, or keys that all
+// collide, make one task.
+func TestPlanTasks(t *testing.T) {
+	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
+	defer d.Close()
+	var files []*File
+	for id := 0; id < 3; id++ {
+		keys, payload := testRun(uint32(id), 640, func(i int) uint64 { return uint64(3*i + id) })
+		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64, false))
+	}
+	safe := testFormat.KeyWidth
+	p := PlanTasks(files, safe, 4)
+	if len(p.order) != 30 || p.Tasks() < 5 {
+		t.Fatalf("%d blocks forecast, %d tasks", len(p.order), p.Tasks())
+	}
+	for i := 1; i < len(p.order); i++ {
+		if compareSafe(p.fence(p.order[i-1]), p.fence(p.order[i]), safe) > 0 {
+			t.Fatalf("forecast position %d is below its predecessor", i)
+		}
+	}
+	due := make([][]int32, len(files))
+	for i, f := range files {
+		due[i] = make([]int32, f.NumBlocks())
+	}
+	for task := 0; task < p.Tasks(); task++ {
+		lo, hi := p.Bound(task)
+		if lo != nil && hi != nil && compareSafe(lo, hi, safe) >= 0 {
+			t.Fatalf("task %d: bounds do not increase", task)
+		}
+		for i, f := range files {
+			first, end := p.Span(i, lo, hi)
+			for b := 0; b < f.NumBlocks(); b++ {
+				// The block's keys run from its fence to just below the next.
+				holds := (hi == nil || compareSafe(f.fence(b), hi, safe) < 0) &&
+					(lo == nil || b+1 == f.NumBlocks() || compareSafe(f.fence(b+1), lo, safe) > 0)
+				if holds && (b < first || b >= end) {
+					t.Fatalf("task %d: block %d of run %d can hold a key of its range and is not in its span [%d,%d)", task, b, i, first, end)
+				}
+				if b >= first && b < end {
+					due[i][b]++
+				}
+			}
+		}
+	}
+	for i := range files {
+		for b, n := range due[i] {
+			if n == 0 || n != p.refs[i][b] {
+				t.Fatalf("block %d of run %d: in %d spans, planned for %d tasks", b, i, n, p.refs[i][b])
+			}
+		}
+	}
+
+	if p := PlanTasks([]*File{files[0], nil, files[2]}, safe, 4); p.Tasks() != 1 || len(p.order) != 20 {
+		t.Errorf("with a run in memory: %d tasks over %d blocks, want 1 over 20", p.Tasks(), len(p.order))
+	}
+	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
+	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64, false)}, safe, 4); p.Tasks() != 1 {
+		t.Errorf("keys that all collide: %d tasks, want 1", p.Tasks())
+	}
+	if got := LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), safe); got != 3 {
+		t.Errorf("LowerBound of a run's fourth fence among its fences: %d", got)
+	}
+}
+
+// TestStageForecastServesClaimants runs two claimants over a stage with
+// read-ahead: every block is decoded once however the two interleave, the
+// forecast's reads are counted as hits when a claimant finds them done, and a
+// cancelled context fails Acquire with its error and stops the forecast.
+func TestStageForecastServesClaimants(t *testing.T) {
+	ctr := obs.NewBlock(nil)
+	d := NewDir(OS(), t.TempDir(), ctr, nil)
+	defer d.Close()
+	var files []*File
+	for id := 0; id < 2; id++ {
+		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
+		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512, false))
+	}
+	p := PlanTasks(files, testFormat.KeyWidth, 0)
+	st, err := d.NewStage(p, nil, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var join, claimants sync.WaitGroup
+	st.Start(ctx, &join)
+	for i := range files {
+		claimants.Add(1)
+		go func() {
+			defer claimants.Done()
+			for b := 0; b < files[i].NumBlocks(); b++ {
+				ref := BlockRef{Run: int32(i), Blk: int32(b)}
+				if _, err := st.Acquire(ctx, ref, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				st.Release(ref)
+			}
+		}()
+	}
+	claimants.Wait()
+	if read, want := ctr.Value(obs.SpillBytesRead), files[0].Size()+files[1].Size(); read != want {
+		t.Errorf("read %d bytes of %d: a block was decoded twice, or not at all", read, want)
+	}
+	if ctr.Value(obs.PrefetchedBlocks) != 16 {
+		t.Errorf("%d blocks decoded, want 16", ctr.Value(obs.PrefetchedBlocks))
+	}
+	cancel()
+	if _, err := st.Acquire(ctx, BlockRef{}, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Acquire under a cancelled context: %v", err)
+	}
+	st.Close(true)
+	join.Wait()
+}
