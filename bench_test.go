@@ -347,28 +347,6 @@ func BenchmarkAblationRunSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHybridPdq measures the Future Work hybrid: MSD radix
-// recursing into pdqsort for mid-size buckets.
-func BenchmarkAblationHybridPdq(b *testing.B) {
-	const n, rowW, keyW = 1 << 16, 16, 12
-	rng := workload.NewRNG(8)
-	base := make([]byte, n*rowW)
-	for i := range base {
-		base[i] = byte(rng.Intn(256))
-	}
-	for _, cutoff := range []int{0, 256, 2048} {
-		name := fmt.Sprintf("pdqCutoff=%d", cutoff)
-		b.Run(name, func(b *testing.B) {
-			data := make([]byte, len(base))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(data, base)
-				radix.SortOpts(data, rowW, keyW, radix.Options{PdqCutoff: cutoff})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAdaptive measures the kernels the Future Work
 // algorithm-choice planner chooses between, on the input where they disagree
 // most: a presorted run, which the paper's fixed rule would radix-sort and the

@@ -373,9 +373,6 @@ func (k *Sink) growKeys(n int) int {
 	}
 	start := len(k.keys)
 	k.keys = k.keys[:need]
-	// Zero the extension: recycled buffers carry stale bytes, and the
-	// alignment padding past each row's payload ref is never written.
-	clear(k.keys[start:])
 	return start
 }
 
@@ -413,8 +410,16 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		sp.End()
 		return err
 	}
-	for r := 0; r < n; r++ {
-		s.putRef(k.keys[start+r*s.rowWidth:start+(r+1)*s.rowWidth], 0, uint32(base+r))
+	// Behind each key goes its payload reference — run 0, the row's index in
+	// the pending set — as one store, after one that zeroes the alignment
+	// padding past it: a recycled buffer carries stale bytes there.
+	kw, rw := s.keyWidth, s.rowWidth
+	ref := uint64(base) << 32
+	for o := start; o < len(k.keys); o += rw {
+		keyRow := k.keys[o : o+rw : o+rw]
+		binary.LittleEndian.PutUint64(keyRow[rw-refBytes:], 0)
+		binary.LittleEndian.PutUint64(keyRow[kw:], ref)
+		ref += 1 << 32
 	}
 	k.n += n
 	s.ctr.Add(obs.RowsIngested, int64(n))
@@ -526,10 +531,12 @@ func (k *Sink) flush() error {
 		k.idxs = make([]uint32, max(n, cap(keys)/s.rowWidth))
 	}
 	idxs := k.idxs[:n]
-	for i := 0; i < n; i++ {
-		keyRow := keys[i*s.rowWidth : (i+1)*s.rowWidth]
-		_, idxs[i] = s.getRef(keyRow)
-		s.putRef(keyRow, runID, uint32(i))
+	ref := uint64(runID)
+	for i, o := 0, s.keyWidth; i < n; i, o = i+1, o+s.rowWidth {
+		at := keys[o : o+refBytes : o+refBytes]
+		idxs[i] = uint32(binary.LittleEndian.Uint64(at) >> 32)
+		binary.LittleEndian.PutUint64(at, ref)
+		ref += 1 << 32
 	}
 	sorted := s.getRowSet()
 	sorted.Reserve(n)

@@ -2,6 +2,8 @@ package normkey
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"rowsort/internal/vector"
@@ -44,6 +46,58 @@ func BenchmarkEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEncodeChunk times one key column at a time, per type and direction,
+// with and without NULLs, into key rows laid out as the sorter lays them out
+// (the key, an 8-byte reference, padded to 8). Varchar draws mixed-case names
+// and runs under both collations.
+func BenchmarkEncodeChunk(b *testing.B) {
+	const n = vector.DefaultVectorSize
+	rng := rand.New(rand.NewSource(5))
+	for _, typ := range allTypes {
+		for _, nullRate := range []float64{0, 0.04} {
+			vec := randomVector(typ, n, nullRate, false, rng)
+			if typ == vector.Varchar {
+				vec = vector.New(typ, n)
+				for i := 0; i < n; i++ {
+					if rng.Float64() < nullRate {
+						vec.AppendNull()
+					} else {
+						vec.AppendString(lastNamesSample[rng.Intn(len(lastNamesSample))])
+					}
+				}
+			}
+			for _, order := range []Order{Ascending, Descending} {
+				key := SortKey{Type: typ, Order: order}
+				name := fmt.Sprintf("%v/%v/nulls=%v", typ, order, nullRate > 0)
+				benchEncodeColumn(b, name, key, vec)
+				if typ == vector.Varchar {
+					key.Collation = CollationNoCase
+					benchEncodeColumn(b, name+"/nocase", key, vec)
+				}
+			}
+		}
+	}
+}
+
+func benchEncodeColumn(b *testing.B, name string, key SortKey, vec *vector.Vector) {
+	enc, err := NewEncoder([]SortKey{key})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stride := (enc.Width() + 8 + 7) &^ 7
+	out := make([]byte, vec.Len()*stride)
+	cols := []*vector.Vector{vec}
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := enc.EncodeChunk(cols, out, stride, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(vec.Len()), "ns/row")
+	})
 }
 
 // BenchmarkCompareKeysVsTuples contrasts one bytes.Compare on normalized

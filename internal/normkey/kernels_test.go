@@ -1,0 +1,301 @@
+package normkey
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"rowsort/internal/vector"
+)
+
+// refEncodeChunk is the encoder as it was before the typed kernels: one row
+// at a time, deciding validity, encoding and type per value, then a second
+// pass inverting DESC segments. It is kept here as the oracle the kernels
+// must match byte for byte and stat for stat.
+func refEncodeChunk(e *Encoder, cols []*vector.Vector, out []byte, stride, offset int) EncodeStats {
+	var st EncodeStats
+	for k, vec := range cols {
+		cs := refEncodeColumn(e, k, vec, out, stride, offset)
+		st.Ties = st.Ties || cs.Ties
+		st.Escapes += cs.Escapes
+	}
+	return st
+}
+
+func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, offset int) EncodeStats {
+	key := e.keys[k]
+	cp := e.colPlan(k)
+	segOff := offset + e.offsets[k]
+	segW := 1 + cp.valueWidth(key)
+	n := vec.Len()
+
+	effFirst := (key.Nulls == NullsFirst) != (key.Order == Descending)
+	var nullByte, validByte byte
+	if effFirst {
+		nullByte, validByte = 0x00, 0x01
+	} else {
+		nullByte, validByte = 0x01, 0x00
+	}
+
+	var st EncodeStats
+	for r := 0; r < n; r++ {
+		seg := out[r*stride+segOff : r*stride+segOff+segW]
+		if !vec.Valid(r) {
+			seg[0] = nullByte
+			for i := 1; i < segW; i++ {
+				seg[i] = 0
+			}
+			continue
+		}
+		seg[0] = validByte
+		switch cp.Enc {
+		case EncDict:
+			encodeDict(key, cp, vec, r, seg[1:], &st)
+		case EncTrunc:
+			encodeTrunc(key, cp, vec, r, seg[1:], &st)
+		default:
+			refEncodeValue(key, vec, r, seg[1:])
+			if key.Type == vector.Varchar && !st.Ties {
+				s := key.Collation.Apply(vec.Strings()[r])
+				st.Ties = lossyString(s, key.prefixLen())
+			}
+		}
+	}
+
+	if key.Order == Descending {
+		for r := 0; r < n; r++ {
+			seg := out[r*stride+segOff : r*stride+segOff+segW]
+			for i := range seg {
+				seg[i] = ^seg[i]
+			}
+		}
+	}
+	return st
+}
+
+func refEncodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
+	if key.Type != vector.Varchar {
+		encodeValue(key, vec, r, dst)
+		return
+	}
+	s := key.Collation.Apply(vec.Strings()[r])
+	p := key.prefixLen()
+	nc := copy(dst[:p], s)
+	for i := nc; i < p; i++ {
+		dst[i] = 0
+	}
+}
+
+// kernelStrings are the varchar cases the kernels must agree with the
+// reference on, relative to prefix p: short, exactly p, overlong, an embedded
+// NUL inside and outside the prefix, mixed case, empty.
+func kernelStrings(p int, rng *rand.Rand) []string {
+	letters := "abcXYZ"
+	word := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = letters[rng.Intn(len(letters))]
+		}
+		return string(b)
+	}
+	return []string{
+		"", word(1), word(p), word(p + 1), word(3 * p), word(max(p-1, 0)),
+		word(p/2) + "\x00" + word(p/2), word(p) + "\x00", "\x00", "Mixed" + word(2), "ID-" + word(3), "id-" + word(1),
+	}
+}
+
+// nullShapes are the validity layouts a vector can arrive with.
+var nullShapes = []string{"nil-bitmap", "none", "some", "all"}
+
+// withNulls builds the column for one cell of the grid. A NULL row keeps a
+// meaningless value in its slot — for strings a lossy one, which must not
+// reach the tie flag.
+func withNulls(t vector.Type, n int, shape string, p int, rng *rand.Rand) *vector.Vector {
+	v := randomVector(t, n, 0, false, rng)
+	if t == vector.Varchar {
+		strs := kernelStrings(p, rng)
+		for i := range v.Strings() {
+			v.Strings()[i] = strs[rng.Intn(len(strs))]
+		}
+	}
+	switch shape {
+	case "none":
+		v.SetNull(0)
+		v.Validity().SetValid(0)
+	case "some":
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				v.SetNull(i)
+			}
+		}
+	case "all":
+		for i := 0; i < n; i++ {
+			v.SetNull(i)
+		}
+	}
+	return v
+}
+
+var allTypes = []vector.Type{
+	vector.Bool, vector.Int8, vector.Int16, vector.Int32, vector.Int64,
+	vector.Uint8, vector.Uint16, vector.Uint32, vector.Uint64,
+	vector.Float32, vector.Float64, vector.Varchar,
+}
+
+type namedPlan struct {
+	name string
+	cp   ColumnPlan
+}
+
+// kernelPlans returns the column plans to run a key under: full, and every
+// compressed encoding the type admits.
+func kernelPlans(t *testing.T, key SortKey) []namedPlan {
+	plans := []namedPlan{{"full", ColumnPlan{Enc: EncFull}}}
+	if key.Type == vector.Varchar {
+		dict, err := NewDictionary([]string{"abc", "id-a", "mixedaa", "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(plans,
+			namedPlan{"dict", ColumnPlan{Enc: EncDict, Dict: dict, Width: dict.Width()}},
+			namedPlan{"trunc", ColumnPlan{Enc: EncTrunc, Width: 3}},
+			namedPlan{"trunc-skip", ColumnPlan{Enc: EncTrunc, Skip: "id-", Width: 1 + 2}})
+	}
+	if w := key.Type.Width(); w > 1 {
+		zero := vector.New(key.Type, 1)
+		zero.AppendNull() // the slot holds the type's zero value
+		var enc [8]byte
+		encodeValue(key, zero, 0, enc[:w])
+		plans = append(plans,
+			namedPlan{"trunc", ColumnPlan{Enc: EncTrunc, Width: w - 1}},
+			namedPlan{"trunc-skip", ColumnPlan{Enc: EncTrunc, Skip: string(enc[:w-1]), Width: 1 + 1}})
+	}
+	return plans
+}
+
+// TestEncodeKernelsMatchReference runs the typed kernels against the per-row
+// reference encoder over type × direction × NULL placement × validity layout
+// × collation × prefix length × encoding, comparing every byte of the output
+// block (the bytes around each segment included) and the stats.
+func TestEncodeKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const n = 150 // three validity words, the last one partial
+	cells := 0
+	for _, typ := range allTypes {
+		prefixes, collations := []int{0}, []Collation{CollationBinary}
+		if typ == vector.Varchar {
+			prefixes, collations = []int{1, 8, 12, 40}, []Collation{CollationBinary, CollationNoCase}
+		}
+		for _, order := range []Order{Ascending, Descending} {
+			for _, nulls := range []NullOrder{NullsFirst, NullsLast} {
+				for _, coll := range collations {
+					for _, p := range prefixes {
+						key := SortKey{Type: typ, Order: order, Nulls: nulls, Collation: coll, PrefixLen: p}
+						for _, plan := range kernelPlans(t, key) {
+							name, cp := plan.name, plan.cp
+							for _, shape := range nullShapes {
+								ctx := fmt.Sprintf("%v %v %v coll=%d prefix=%d %s %s", typ, order, nulls, coll, p, name, shape)
+								vec := withNulls(typ, n, shape, key.prefixLen(), rng)
+								checkAgainstReference(t, ctx, key, cp, vec)
+								cells++
+							}
+							if typ != vector.Varchar {
+								continue
+							}
+							// One string alone decides the tie flag; the NULL row
+							// beside it holds a lossy one that must not.
+							for _, s := range kernelStrings(key.prefixLen(), rng) {
+								vec := vector.FromStrings([]string{s, "\x00" + s + s + s, s})
+								vec.SetNull(1)
+								checkAgainstReference(t, fmt.Sprintf("%v %v coll=%d prefix=%d %s %q", order, nulls, coll, p, name, s), key, cp, vec)
+								cells++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cells", cells)
+}
+
+func checkAgainstReference(t *testing.T, ctx string, key SortKey, cp ColumnPlan, vec *vector.Vector) {
+	t.Helper()
+	// A second key after the one under test shows a kernel writing past its
+	// segment; the stride leaves untouched bytes on both sides.
+	keys := []SortKey{key, {Type: vector.Uint8}}
+	enc, err := NewEncoderPlan(keys, &Plan{Cols: []ColumnPlan{cp, {Enc: EncFull}}})
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	n := vec.Len()
+	tail := vector.New(vector.Uint8, n)
+	for i := 0; i < n; i++ {
+		tail.AppendUint8(uint8(i))
+	}
+	cols := []*vector.Vector{vec, tail}
+	const offset = 3
+	stride := offset + enc.Width() + 5
+	got := bytes.Repeat([]byte{0xA5}, n*stride)
+	want := bytes.Repeat([]byte{0xA5}, n*stride)
+	gotSt, err := enc.EncodeChunk(cols, got, stride, offset)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	wantSt := refEncodeChunk(enc, cols, want, stride, offset)
+	if gotSt != wantSt {
+		t.Fatalf("%s: stats %+v, reference %+v", ctx, gotSt, wantSt)
+	}
+	// The sink hands the encoder recycled buffers: every key byte must be
+	// written, whatever was there.
+	other := bytes.Repeat([]byte{0x5A}, n*stride)
+	if _, err := enc.EncodeChunk(cols, other, stride, offset); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	for r := 0; r < n; r++ {
+		g, w := got[r*stride:(r+1)*stride], want[r*stride:(r+1)*stride]
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s: row %d (valid=%v value=%v):\n got %x\nwant %x", ctx, r, vec.Valid(r), vec.Value(r), g, w)
+		}
+		from, to := r*stride+offset, r*stride+offset+enc.Width()
+		if !bytes.Equal(got[from:to], other[from:to]) {
+			t.Fatalf("%s: row %d: key bytes depend on what the buffer held: %x / %x", ctx, r, got[from:to], other[from:to])
+		}
+	}
+}
+
+// TestEncodeChunkAllocatesNothing pins the encoder's hot path at zero
+// allocations, case-insensitive keys over mixed-case strings included (they
+// used to cost two collated copies per row).
+func TestEncodeChunkAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const n = 512
+	strs := vector.New(vector.Varchar, n)
+	ints := vector.New(vector.Int64, n)
+	for i := 0; i < n; i++ {
+		strs.AppendString(kernelStrings(12, rng)[9]) // "Mixed…"
+		ints.AppendInt64(int64(rng.Uint64()))
+		if i%7 == 0 {
+			strs.SetNull(i)
+			ints.SetNull(i)
+		}
+	}
+	enc, err := NewEncoder([]SortKey{
+		{Type: vector.Varchar, Collation: CollationNoCase, Order: Descending},
+		{Type: vector.Int64, Nulls: NullsLast},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []*vector.Vector{strs, ints}
+	out := make([]byte, n*enc.Width())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := enc.EncodeChunk(cols, out, enc.Width(), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EncodeChunk allocated %.0f times per call", allocs)
+	}
+}

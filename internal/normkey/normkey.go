@@ -24,6 +24,7 @@
 package normkey
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -102,12 +103,20 @@ func (c Collation) Apply(s string) string {
 	//rowsort:allow hotpathalloc allocates only when an upper-case byte forces a rewrite; all-lower strings return s untouched
 	b := []byte(s)
 	for i := lower; i < len(b); i++ {
-		if b[i] >= 'A' && b[i] <= 'Z' {
-			b[i] += 'a' - 'A'
-		}
+		b[i] = lowerASCII(b[i])
 	}
 	//rowsort:allow hotpathalloc the rewritten collated string must not alias the mutable scratch buffer
 	return string(b)
+}
+
+// lowerASCII is CollationNoCase on one byte.
+//
+//rowsort:pure
+func lowerASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
 }
 
 // DefaultStringPrefixLen is the number of string bytes encoded into the
@@ -329,62 +338,229 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 	return st, nil
 }
 
-// encodeColumn encodes all rows of key k from vec, reporting lossiness.
+// encodeColumn encodes all rows of key k from vec, reporting lossiness. What
+// varies per column — the type, the encoding, whether any row is NULL, the
+// direction — is decided here, once; the loops below it decide nothing per
+// row.
+//
+// DESC inverts every byte of the segment. It is folded into what is stored
+// (inv, XORed into every byte on its way out) rather than applied in a second
+// pass; the validity byte is chosen so that the requested NULL placement
+// survives the inversion.
 //
 //rowsort:hotpath
 //rowsort:keyencoder
 func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, offset int) EncodeStats {
 	key := e.keys[k]
 	cp := e.colPlan(k)
-	segOff := offset + e.offsets[k]
-	segW := 1 + cp.valueWidth(key)
 	n := vec.Len()
-
-	// The validity byte is chosen in "pre-inversion" terms: if the column is
-	// DESC the whole segment is inverted afterwards, which also swaps the
-	// NULL placement, so the placement is pre-swapped here.
-	effFirst := (key.Nulls == NullsFirst) != (key.Order == Descending)
-	var nullByte, validByte byte
-	if effFirst {
-		nullByte, validByte = 0x00, 0x01
-	} else {
-		nullByte, validByte = 0x01, 0x00
+	seg := segment{out: out[offset+e.offsets[k]:], stride: stride, width: 1 + cp.valueWidth(key)}
+	seg.null, seg.valid = 0x00, 0x01
+	if (key.Nulls == NullsFirst) == (key.Order == Descending) {
+		seg.null, seg.valid = 0x01, 0x00
+	}
+	if key.Order == Descending {
+		seg.inv = 0xFF
+		seg.null, seg.valid = ^seg.null, ^seg.valid
+	}
+	nulls := vec.Validity()
+	if nulls.AllValid() {
+		nulls = nil
 	}
 
 	var st EncodeStats
-	for r := 0; r < n; r++ {
-		seg := out[r*stride+segOff : r*stride+segOff+segW]
-		if !vec.Valid(r) {
-			seg[0] = nullByte
-			for i := 1; i < segW; i++ {
-				seg[i] = 0
-			}
-			continue
-		}
-		seg[0] = validByte
-		switch cp.Enc {
-		case EncDict:
-			encodeDict(key, cp, vec, r, seg[1:], &st)
-		case EncTrunc:
-			encodeTrunc(key, cp, vec, r, seg[1:], &st)
-		default:
-			encodeValue(key, vec, r, seg[1:])
-			if key.Type == vector.Varchar && !st.Ties {
-				s := key.Collation.Apply(vec.Strings()[r])
-				st.Ties = lossyString(s, key.prefixLen())
-			}
-		}
+	switch {
+	case cp.Enc != EncFull:
+		seg.encodePlanned(key, cp, vec, nulls, n, &st)
+	case key.Type == vector.Varchar:
+		st.Ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
+	default:
+		seg.encodeFixed(vec, n)
 	}
-
-	if key.Order == Descending {
-		for r := 0; r < n; r++ {
-			seg := out[r*stride+segOff : r*stride+segOff+segW]
-			for i := range seg {
-				seg[i] = ^seg[i]
-			}
+	// The loops above give a NULL row whatever its slot in the vector holds
+	// (or skip it); its segment is the NULL validity byte over zero bytes.
+	for r := nulls.NextNull(0); r >= 0; r = nulls.NextNull(r + 1) {
+		row := seg.row(r * stride)
+		row[0] = seg.null
+		for i := 1; i < len(row); i++ {
+			row[i] = seg.inv
 		}
 	}
 	return st
+}
+
+// segment is one key column's slot in a block of key rows: row r's segment
+// is the width bytes at out[r*stride:], opening with the byte valid for a
+// value or the byte null for a NULL, the value bytes XORed with inv.
+type segment struct {
+	out         []byte
+	stride      int
+	width       int
+	valid, null byte
+	inv         byte
+}
+
+// row returns the segment at byte offset o of out.
+func (g *segment) row(o int) []byte { return g.out[o : o+g.width : o+g.width] }
+
+// encodeFixed writes the full encoding of every row of a fixed-width column,
+// NULL rows included: one loop per type, its slice fetched once.
+//
+//rowsort:hotpath
+//rowsort:keyencoder
+func (g *segment) encodeFixed(vec *vector.Vector, n int) {
+	o, stride, valid := 0, g.stride, g.valid
+	inv64 := uint64(0)
+	if g.inv != 0 {
+		inv64 = ^inv64
+	}
+	inv32, inv16, inv8 := uint32(inv64), uint16(inv64), uint8(inv64)
+	switch vec.Type() {
+	case vector.Bool:
+		for _, v := range vec.Bools()[:n] {
+			row := g.row(o)
+			row[0], row[1] = valid, inv8
+			if v {
+				row[1] = 1 ^ inv8
+			}
+			o += stride
+		}
+	case vector.Uint8:
+		for _, v := range vec.Uint8s()[:n] {
+			row := g.row(o)
+			row[0], row[1] = valid, v^inv8
+			o += stride
+		}
+	case vector.Int8:
+		for _, v := range vec.Int8s()[:n] {
+			row := g.row(o)
+			row[0], row[1] = valid, uint8(v)^0x80^inv8
+			o += stride
+		}
+	case vector.Uint16:
+		for _, v := range vec.Uint16s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint16(row[1:], v^inv16)
+			o += stride
+		}
+	case vector.Int16:
+		for _, v := range vec.Int16s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint16(row[1:], uint16(v)^0x8000^inv16)
+			o += stride
+		}
+	case vector.Uint32:
+		for _, v := range vec.Uint32s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint32(row[1:], v^inv32)
+			o += stride
+		}
+	case vector.Int32:
+		for _, v := range vec.Int32s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint32(row[1:], uint32(v)^0x80000000^inv32)
+			o += stride
+		}
+	case vector.Float32:
+		for _, v := range vec.Float32s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint32(row[1:], encodeFloat32(v)^inv32)
+			o += stride
+		}
+	case vector.Uint64:
+		for _, v := range vec.Uint64s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint64(row[1:], v^inv64)
+			o += stride
+		}
+	case vector.Int64:
+		for _, v := range vec.Int64s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint64(row[1:], uint64(v)^0x8000000000000000^inv64)
+			o += stride
+		}
+	case vector.Float64:
+		for _, v := range vec.Float64s()[:n] {
+			row := g.row(o)
+			row[0] = valid
+			binary.BigEndian.PutUint64(row[1:], encodeFloat64(v)^inv64)
+			o += stride
+		}
+	}
+}
+
+// encodeStrings writes the zero-padded, collated prefix of every non-NULL
+// string and reports whether any of them can byte-tie with a different
+// string: it overflows the prefix, or one of the bytes just copied is a NUL,
+// which the padding cannot be told from. fold is CollationNoCase, evaluated
+// on the bytes as they are copied.
+//
+//rowsort:hotpath
+//rowsort:keyencoder
+func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int, fold bool) (ties bool) {
+	o, inv := 0, g.inv
+	for r, s := range vals {
+		if nulls != nil && !nulls.Valid(r) {
+			o += g.stride
+			continue
+		}
+		row := g.row(o)
+		o += g.stride
+		row[0] = g.valid
+		dst := row[1:]
+		if len(s) > prefix {
+			s, ties = s[:prefix], true
+		}
+		for i := 0; i < len(s) && i < len(dst); i++ {
+			c := s[i]
+			if fold {
+				c = lowerASCII(c)
+			}
+			if c == 0 {
+				ties = true
+			}
+			dst[i] = c ^ inv
+		}
+		for i := len(s); i < len(dst); i++ {
+			dst[i] = inv
+		}
+	}
+	return ties
+}
+
+// encodePlanned writes the compressed encodings, one value at a time through
+// encodeDict and encodeTrunc, with the validity byte and the DESC inversion
+// applied around them.
+//
+//rowsort:hotpath
+//rowsort:keyencoder
+func (g *segment) encodePlanned(key SortKey, cp ColumnPlan, vec *vector.Vector, nulls *vector.Bitmap, n int, st *EncodeStats) {
+	o := 0
+	for r := 0; r < n; r++ {
+		row := g.row(o)
+		o += g.stride
+		if nulls != nil && !nulls.Valid(r) {
+			continue
+		}
+		row[0] = g.valid
+		if cp.Enc == EncDict {
+			encodeDict(key, cp, vec, r, row[1:], st)
+		} else {
+			encodeTrunc(key, cp, vec, r, row[1:], st)
+		}
+		if g.inv != 0 {
+			for i := 1; i < len(row); i++ {
+				row[i] = ^row[i]
+			}
+		}
+	}
 }
 
 // encodeDict writes row r's order-preserving dictionary code into dst.
@@ -403,7 +579,7 @@ func encodeDict(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byt
 	if cp.Width == 1 {
 		dst[0] = byte(code)
 	} else {
-		putU16(dst, code)
+		binary.BigEndian.PutUint16(dst, code)
 	}
 }
 
@@ -488,8 +664,9 @@ func encodeTrunc(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []by
 	}
 }
 
-// encodeValue writes the order-preserving encoding of row r into dst, which
-// has the key's value width.
+// encodeValue writes the order-preserving encoding of row r of a fixed-width
+// column into dst, which has the type's width: encodeFixed, one value at a
+// time, for the truncating encoder and the compression sampler.
 //
 //rowsort:hotpath
 //rowsort:keyencoder
@@ -504,30 +681,23 @@ func encodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
 	case vector.Uint8:
 		dst[0] = vec.Uint8s()[r]
 	case vector.Uint16:
-		putU16(dst, vec.Uint16s()[r])
+		binary.BigEndian.PutUint16(dst, vec.Uint16s()[r])
 	case vector.Uint32:
-		putU32(dst, vec.Uint32s()[r])
+		binary.BigEndian.PutUint32(dst, vec.Uint32s()[r])
 	case vector.Uint64:
-		putU64(dst, vec.Uint64s()[r])
+		binary.BigEndian.PutUint64(dst, vec.Uint64s()[r])
 	case vector.Int8:
 		dst[0] = uint8(vec.Int8s()[r]) ^ 0x80
 	case vector.Int16:
-		putU16(dst, uint16(vec.Int16s()[r])^0x8000)
+		binary.BigEndian.PutUint16(dst, uint16(vec.Int16s()[r])^0x8000)
 	case vector.Int32:
-		putU32(dst, uint32(vec.Int32s()[r])^0x80000000)
+		binary.BigEndian.PutUint32(dst, uint32(vec.Int32s()[r])^0x80000000)
 	case vector.Int64:
-		putU64(dst, uint64(vec.Int64s()[r])^0x8000000000000000)
+		binary.BigEndian.PutUint64(dst, uint64(vec.Int64s()[r])^0x8000000000000000)
 	case vector.Float32:
-		putU32(dst, encodeFloat32(vec.Float32s()[r]))
+		binary.BigEndian.PutUint32(dst, encodeFloat32(vec.Float32s()[r]))
 	case vector.Float64:
-		putU64(dst, encodeFloat64(vec.Float64s()[r]))
-	case vector.Varchar:
-		s := key.Collation.Apply(vec.Strings()[r])
-		p := key.prefixLen()
-		nc := copy(dst[:p], s)
-		for i := nc; i < p; i++ {
-			dst[i] = 0
-		}
+		binary.BigEndian.PutUint64(dst, encodeFloat64(vec.Float64s()[r]))
 	}
 }
 
@@ -606,29 +776,6 @@ func encodeFloat64(f float64) uint64 {
 		return ^bits
 	}
 	return bits | 0x8000000000000000
-}
-
-func putU16(b []byte, v uint16) {
-	b[0] = byte(v >> 8)
-	b[1] = byte(v)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func putU64(b []byte, v uint64) {
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }
 
 func getU16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }

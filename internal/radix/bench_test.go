@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -39,5 +40,79 @@ func BenchmarkSortDuplicateHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(data, base)
 		Sort(data, rowW, keyW)
+	}
+}
+
+// sorterShapes are the key rows the sorter hands to Sort on the benchmark's
+// workloads: a validity byte before every value, an 8-byte payload reference
+// behind the key, the row padded to a multiple of 8.
+var sorterShapes = []struct {
+	name       string
+	keyW, rowW int
+	fill       func(key []byte, rng *rand.Rand)
+}{
+	{"int64", 9, 24, func(key []byte, rng *rand.Rand) {
+		key[0] = 1
+		binary.BigEndian.PutUint64(key[1:], rng.Uint64())
+	}},
+	{"int32", 5, 16, func(key []byte, rng *rand.Rand) {
+		key[0] = 1
+		binary.BigEndian.PutUint32(key[1:], rng.Uint32())
+	}},
+	// Four int32 keys, the leading ones drawn from small domains.
+	{"4xint32-lowcard", 20, 32, func(key []byte, rng *rand.Rand) {
+		for i, domain := range []int{12, 200, 5000, 1 << 30} {
+			key[5*i] = 1
+			binary.BigEndian.PutUint32(key[5*i+1:], 0x80000000|uint32(rng.Intn(domain)))
+		}
+	}},
+	// Two 12-byte zero-padded names, each one of a few hundred values.
+	{"2xname", 26, 40, func(key []byte, rng *rand.Rand) {
+		for i := 0; i < 2; i++ {
+			key[13*i] = 1
+			copy(key[13*i+1:13*i+13], benchNames[rng.Intn(len(benchNames))])
+		}
+	}},
+}
+
+var benchNames = func() []string {
+	rng := rand.New(rand.NewSource(3))
+	names := make([]string, 300)
+	for i := range names {
+		b := make([]byte, 3+rng.Intn(8))
+		b[0] = 'A' + byte(rng.Intn(26))
+		for j := 1; j < len(b); j++ {
+			b[j] = 'a' + byte(rng.Intn(26))
+		}
+		names[i] = string(b)
+	}
+	return names
+}()
+
+// BenchmarkSortShapes times Sort as the sorter calls it: run-sized inputs of
+// its own key-row shapes, the scatter buffer supplied.
+func BenchmarkSortShapes(b *testing.B) {
+	const n = 1 << 17
+	for _, sh := range sorterShapes {
+		rng := rand.New(rand.NewSource(4))
+		base := make([]byte, n*sh.rowW)
+		for i := 0; i < n; i++ {
+			row := base[i*sh.rowW : (i+1)*sh.rowW]
+			sh.fill(row[:sh.keyW], rng)
+			binary.LittleEndian.PutUint64(row[sh.keyW:], uint64(i))
+		}
+		b.Run(fmt.Sprintf("%s/key=%d/row=%d", sh.name, sh.keyW, sh.rowW), func(b *testing.B) {
+			data := make([]byte, len(base))
+			scratch := make([]byte, len(base))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(data, base)
+				b.StartTimer()
+				SortOpts(data, sh.rowW, sh.keyW, Options{Scratch: scratch})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
 	}
 }

@@ -7,15 +7,22 @@
 // overhead of interpreted engines. Two variants are provided, selected by
 // key width as in the paper: least-significant-digit (LSD) for keys of at
 // most 4 bytes, and most-significant-digit (MSD) otherwise, with MSD
-// recursing into insertion sort for buckets of at most 24 rows. Both skip
-// the data copy for a pass whose rows all fall into a single bucket, which
-// softens radix sort's weakness on long common prefixes and duplicates.
+// recursing into insertion sort for buckets of at most 24 rows.
+//
+// Both move a row once per counting pass, as 8-byte words where the stride
+// allows, between the caller's buffer and one scratch buffer of the same
+// size. MSD scatters a bucket into whichever of the two does not hold it and
+// recurses there; a branch that ends in the scratch is copied home once.
+// Before it counts, MSD steps over the key bytes a bucket's rows all share —
+// however many there are — in one scan, which softens radix sort's weakness
+// on long common prefixes and duplicates; LSD skips the data copy for a byte
+// position on which every row agrees.
 package radix
 
 import (
 	"bytes"
-
-	"rowsort/internal/sortalgo"
+	"encoding/binary"
+	"math/bits"
 )
 
 // Defaults matching the paper's implementation.
@@ -43,15 +50,12 @@ type Options struct {
 	// ForceLSD and ForceMSD override the key-width selection rule.
 	ForceLSD bool
 	ForceMSD bool
-	// NoSingleBucketSkip disables the skip-copy optimization (for ablation).
+	// NoSingleBucketSkip disables the shared-prefix skip (for ablation):
+	// every key byte of every bucket is counted and scattered, even when all
+	// rows agree on it.
 	NoSingleBucketSkip bool
 	// InsertionCutoff overrides DefaultInsertionCutoff when positive.
 	InsertionCutoff int
-	// PdqCutoff, when positive, sorts MSD buckets of at most this many rows
-	// with pdqsort on the remaining key bytes instead of recursing — the
-	// hybrid the paper's Future Work suggests. Buckets at or below the
-	// insertion cutoff still use insertion sort.
-	PdqCutoff int
 	// Scratch, when at least as long as the data, is used as the scatter
 	// buffer instead of allocating (and zeroing) one per call; its contents
 	// on entry do not matter and are garbage on return. A caller that sorts
@@ -61,10 +65,12 @@ type Options struct {
 
 // Stats reports what a sort did, for tests and ablation benchmarks.
 type Stats struct {
-	UsedMSD       bool
-	Passes        int // counting passes that scattered data
-	SkippedPasses int // passes skipped because one bucket held every row
-	PdqBuckets    int // MSD buckets handed to pdqsort (hybrid mode)
+	UsedMSD bool
+	Passes  int // counting passes that scattered data
+	// SkippedPasses counts the key bytes stepped over without a scatter
+	// because every row of the bucket agreed on them: byte positions for LSD,
+	// bytes of shared prefix summed over buckets for MSD.
+	SkippedPasses int
 }
 
 // Sort sorts rows byte-lexicographically on their first keyWidth bytes.
@@ -73,12 +79,10 @@ type Stats struct {
 // otherwise.
 //
 // Sort is STABLE: rows with byte-equal key prefixes keep their input order.
-// Every default path preserves order — LSD and MSD scatter with counting
-// sort, and the insertion fallback only moves strictly-smaller rows. The
+// Every path preserves order — LSD and MSD scatter with counting sort, and
+// the insertion fallback only moves strictly-smaller rows. The
 // duplicate-group run sort (sortalgo.CollectDupGroups) relies on this to
-// make grouped sorting byte-identical to sorting row-at-a-time. The one
-// exception is the opt-in Options.PdqCutoff hybrid, which hands buckets to
-// an unstable pdqsort.
+// make grouped sorting byte-identical to sorting row-at-a-time.
 func Sort(data []byte, rowWidth, keyWidth int) Stats {
 	return SortOpts(data, rowWidth, keyWidth, Options{})
 }
@@ -104,13 +108,13 @@ func SortOpts(data []byte, rowWidth, keyWidth int, opt Options) Stats {
 		aux = make([]byte, len(data))
 	}
 	s := &sorter{
-		data:      data,
-		aux:       aux[:len(data)],
-		rowW:      rowWidth,
-		keyW:      keyWidth,
-		cutoff:    cutoff,
-		pdqCutoff: opt.PdqCutoff,
-		skip:      !opt.NoSingleBucketSkip,
+		data:   data,
+		aux:    aux[:len(data)],
+		rowW:   rowWidth,
+		keyW:   keyWidth,
+		cutoff: cutoff * rowWidth,
+		skip:   !opt.NoSingleBucketSkip,
+		tmp:    make([]byte, rowWidth),
 	}
 	useLSD := UseLSD(keyWidth)
 	if opt.ForceLSD {
@@ -123,163 +127,371 @@ func SortOpts(data []byte, rowWidth, keyWidth int, opt Options) Stats {
 		s.lsd()
 	} else {
 		s.stats.UsedMSD = true
-		s.msd(0, n, 0)
+		s.msd(s.data, s.aux, 0, len(data), 0, true)
 	}
 	return s.stats
 }
 
 type sorter struct {
-	data      []byte
-	aux       []byte
-	rowW      int
-	keyW      int
-	cutoff    int
-	pdqCutoff int
-	skip      bool
-	tmp       []byte // scratch row for insertion sort
-	stats     Stats
+	data   []byte
+	aux    []byte
+	rowW   int
+	keyW   int
+	cutoff int // insertion cutoff in bytes of rows
+	skip   bool
+	tmp    []byte // the row insertion sort holds out
+	stats  Stats
+}
+
+// scatter moves every row of src to dst at the byte offset pos holds for the
+// row's key byte d, advancing that offset by one row: one stable counting-sort
+// permutation. dst and src do not overlap. The row mover follows the stride:
+// unrolled word moves for the strides the sorter's key rows have, a word loop
+// for any other multiple of 8, copy for the rest.
+//
+//rowsort:hotpath
+func (s *sorter) scatter(dst, src []byte, d int, pos *[256]int) {
+	switch rowW := s.rowW; {
+	case rowW == 16:
+		scatter16(dst, src, d, pos)
+	case rowW == 24:
+		scatter24(dst, src, d, pos)
+	case rowW == 32:
+		scatter32(dst, src, d, pos)
+	case rowW == 40:
+		scatter40(dst, src, d, pos)
+	case rowW%8 == 0:
+		scatterWords(dst, src, rowW, d, pos)
+	default:
+		scatterCopy(dst, src, rowW, d, pos)
+	}
+}
+
+// The scatter loops for the strides the sorter's key rows have.
+
+//rowsort:hotpath
+func scatter16(dst, src []byte, d int, pos *[256]int) {
+	for ; len(src) >= 16; src = src[16:] {
+		p := pos[src[d]]
+		pos[src[d]] = p + 16
+		move16(dst[p:], src)
+	}
+}
+
+//rowsort:hotpath
+func scatter24(dst, src []byte, d int, pos *[256]int) {
+	for ; len(src) >= 24; src = src[24:] {
+		p := pos[src[d]]
+		pos[src[d]] = p + 24
+		move24(dst[p:], src)
+	}
+}
+
+//rowsort:hotpath
+func scatter32(dst, src []byte, d int, pos *[256]int) {
+	for ; len(src) >= 32; src = src[32:] {
+		p := pos[src[d]]
+		pos[src[d]] = p + 32
+		move32(dst[p:], src)
+	}
+}
+
+//rowsort:hotpath
+func scatter40(dst, src []byte, d int, pos *[256]int) {
+	for ; len(src) >= 40; src = src[40:] {
+		p := pos[src[d]]
+		pos[src[d]] = p + 40
+		move40(dst[p:], src)
+	}
+}
+
+// scatterWords serves any stride that is a multiple of 8.
+//
+//rowsort:hotpath
+func scatterWords(dst, src []byte, rowW, d int, pos *[256]int) {
+	for ; len(src) >= rowW; src = src[rowW:] {
+		row := src[:rowW]
+		p := pos[row[d]]
+		pos[row[d]] = p + rowW
+		out := dst[p : p+rowW]
+		for o := 0; o+8 <= len(row) && o+8 <= len(out); o += 8 {
+			binary.LittleEndian.PutUint64(out[o:], binary.LittleEndian.Uint64(row[o:]))
+		}
+	}
+}
+
+// scatterCopy serves every other stride (the duplicate-group representatives
+// are keyWidth+8 bytes wide, whatever keyWidth is).
+//
+//rowsort:hotpath
+func scatterCopy(dst, src []byte, rowW, d int, pos *[256]int) {
+	for ; len(src) >= rowW; src = src[rowW:] {
+		row := src[:rowW]
+		p := pos[row[d]]
+		pos[row[d]] = p + rowW
+		copy(dst[p:], row)
+	}
+}
+
+// countByte adds to count the occurrences of each value of key byte d over
+// rows.
+//
+//rowsort:hotpath
+func (s *sorter) countByte(rows []byte, d int, count *[256]int) {
+	for o := d; o < len(rows); o += s.rowW {
+		count[rows[o]]++
+	}
+}
+
+// offsets turns per-bucket row counts into the byte offset each bucket
+// starts at, the first at lo. A scatter leaves in their place the offset
+// each bucket ends at.
+func (s *sorter) offsets(count *[256]int, lo int) {
+	for b, c := range count {
+		count[b] = lo
+		lo += c * s.rowW
+	}
 }
 
 // lsd runs stable counting-sort passes from the least significant key byte
 // to the most significant, alternating between data and aux.
 func (s *sorter) lsd() {
-	n := len(s.data) / s.rowW
-	src, dst := s.data, s.aux
-	srcIsData := true
-	var count [256]int
+	src, dst, home := s.data, s.aux, true
 	for d := s.keyW - 1; d >= 0; d-- {
-		for i := range count {
-			count[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			count[src[i*s.rowW+d]]++
-		}
-		if s.skip && s.singleBucket(&count, n) {
-			s.stats.SkippedPasses++
-			continue
-		}
-		// Prefix-sum into starting offsets.
-		sum := 0
-		for b := 0; b < 256; b++ {
-			c := count[b]
-			count[b] = sum
-			sum += c
-		}
-		for i := 0; i < n; i++ {
-			row := src[i*s.rowW : (i+1)*s.rowW]
-			pos := count[row[d]]
-			count[row[d]]++
-			copy(dst[pos*s.rowW:], row)
-		}
-		src, dst = dst, src
-		srcIsData = !srcIsData
-		s.stats.Passes++
-	}
-	if !srcIsData {
-		copy(s.data, s.aux)
-	}
-}
-
-func (s *sorter) singleBucket(count *[256]int, n int) bool {
-	for _, c := range count {
-		if c == n {
-			return true
-		}
-		if c > 0 {
-			return false
-		}
-	}
-	return false
-}
-
-// msd recursively sorts rows [lo,hi) on key byte d. Bytes 0..d-1 are equal
-// across the range by construction.
-func (s *sorter) msd(lo, hi, d int) {
-	for d < s.keyW {
-		n := hi - lo
-		if n <= s.cutoff {
-			s.insertion(lo, hi, d)
-			return
-		}
-		if s.pdqCutoff > 0 && n <= s.pdqCutoff {
-			s.pdqBucket(lo, hi, d)
-			return
-		}
 		var count [256]int
-		for i := lo; i < hi; i++ {
-			count[s.data[i*s.rowW+d]]++
-		}
-		if s.skip && s.singleBucket(&count, n) {
-			// Every row shares this byte: advance to the next byte without
-			// moving any data.
+		s.countByte(src, d, &count)
+		if s.skip && count[src[d]] == len(src)/s.rowW {
 			s.stats.SkippedPasses++
-			d++
 			continue
 		}
-
-		// Scatter rows into aux ordered by bucket, then copy back.
-		var offset [256]int
-		sum := lo
-		for b := 0; b < 256; b++ {
-			offset[b] = sum
-			sum += count[b]
-		}
-		pos := offset
-		for i := lo; i < hi; i++ {
-			row := s.data[i*s.rowW : (i+1)*s.rowW]
-			p := pos[row[d]]
-			pos[row[d]]++
-			copy(s.aux[p*s.rowW:], row)
-		}
-		copy(s.data[lo*s.rowW:hi*s.rowW], s.aux[lo*s.rowW:hi*s.rowW])
+		s.offsets(&count, 0)
+		s.scatter(dst, src, d, &count)
+		src, dst, home = dst, src, !home
 		s.stats.Passes++
+	}
+	if !home {
+		copy(s.data, src)
+	}
+}
 
-		// Recurse into each bucket on the next byte.
-		for b := 0; b < 256; b++ {
-			if count[b] > 1 {
-				s.msd(offset[b], offset[b]+count[b], d+1)
+// msd sorts the rows at byte offsets [lo,hi), which cur holds and which
+// agree on every key byte before d, and leaves them in s.data. oth is the
+// other of the sorter's two buffers; home says cur is s.data. Each counting
+// pass scatters the range into oth and sorts the buckets there, so a row is
+// moved once per pass; where a bucket needs no further pass it stays, and if
+// that place is the scratch it is copied home — neighbouring such buckets
+// together.
+//
+//rowsort:hotpath
+func (s *sorter) msd(cur, oth []byte, lo, hi, d int, home bool) {
+	if s.skip {
+		// Every key byte the rows share is stepped over at once; a range of
+		// equal keys ends here without being counted.
+		shared := s.commonPrefix(cur[lo:hi], d) - d
+		s.stats.SkippedPasses += shared
+		d += shared
+	}
+	if d >= s.keyW || hi-lo <= s.cutoff {
+		s.insertion(cur[lo:hi], d)
+		if !home {
+			copy(oth[lo:hi], cur[lo:hi])
+		}
+		return
+	}
+	var pos [256]int
+	s.countByte(cur[lo:hi], d, &pos)
+	s.offsets(&pos, lo)
+	s.scatter(oth, cur[lo:hi], d, &pos)
+	s.stats.Passes++
+
+	// The buckets are in oth now, bucket b ending at pos[b]. Those that are
+	// done after an insertion sort wait in [done,start) to go home together.
+	d++
+	start, done := lo, lo
+	for b := range pos {
+		end := pos[b]
+		switch {
+		case end-start <= s.cutoff || d >= s.keyW:
+			if end-start > s.rowW {
+				s.insertion(oth[start:end], d)
+			}
+		default:
+			if home && done < start {
+				copy(cur[done:start], oth[done:start])
+			}
+			s.msd(oth, cur, start, end, d, !home)
+			done = end
+		}
+		start = end
+	}
+	if home && done < hi {
+		copy(cur[done:hi], oth[done:hi])
+	}
+}
+
+// commonPrefix returns the first key byte at or after d on which rows
+// differ, keyW if they agree on all of them. It is one scan comparing every
+// row with the first, a word at a time, that stops at the first row to
+// differ in byte d itself: a bucket with nothing to skip costs a few rows.
+//
+//rowsort:hotpath
+func (s *sorter) commonPrefix(rows []byte, d int) int {
+	rowW := s.rowW
+	first := rows[:rowW]
+	// The rows seen so far agree on [d,diff) and differ, in the bits acc
+	// holds, within the word at diff.
+	diff, acc, o := s.keyW, uint64(0), rowW
+	for ; o < len(rows) && diff > d; o += rowW {
+		row := rows[o : o+rowW]
+		for w := d; w <= diff && w < s.keyW; w += 8 {
+			x := s.word(row, w) ^ s.word(first, w)
+			if x == 0 {
+				continue
+			}
+			if w < diff {
+				diff, acc = w, 0
+			}
+			acc |= x
+			break
+		}
+	}
+	// Once a row differs within the first word, only that word matters.
+	fw := s.word(first, d)
+	for ; o < len(rows) && acc>>56 == 0; o += rowW {
+		acc |= s.word(rows[o:o+rowW], d) ^ fw
+	}
+	if acc == 0 {
+		return s.keyW
+	}
+	return diff + bits.LeadingZeros64(acc)/8
+}
+
+// word returns key bytes [o, o+8) of row as a big-endian integer, zero past
+// the end of the key: comparing words compares those key bytes.
+//
+//rowsort:hotpath
+func (s *sorter) word(row []byte, o int) uint64 {
+	if o+8 <= len(row) {
+		w := binary.BigEndian.Uint64(row[o:])
+		if over := o + 8 - s.keyW; over > 0 {
+			w &= ^uint64(0) << (8 * uint(over))
+		}
+		return w
+	}
+	return s.tailWord(row, o)
+}
+
+// tailWord is word where the row ends before the word does.
+//
+//rowsort:hotpath
+func (s *sorter) tailWord(row []byte, o int) uint64 {
+	var w uint64
+	for i := o; i < o+8; i++ {
+		w <<= 8
+		if i < s.keyW {
+			w |= uint64(row[i])
+		}
+	}
+	return w
+}
+
+// insertion sorts rows, which agree on every key byte before d, comparing
+// the next eight key bytes as one word and the rest, when those tie, with
+// bytes.Compare. Only a strictly smaller row moves ahead of another.
+//
+//rowsort:hotpath
+func (s *sorter) insertion(rows []byte, d int) {
+	rowW, keyW := s.rowW, s.keyW
+	if d >= keyW {
+		return
+	}
+	rest := min(d+8, keyW) // where the key bytes a word does not cover begin
+	tmp := s.tmp
+	// prev is the word of the row before i: the last row that stayed put.
+	prev := s.word(rows[:rowW], d)
+	for i := rowW; i < len(rows); i += rowW {
+		row := rows[i : i+rowW]
+		w := s.word(row, d)
+		if w > prev || w == prev && bytes.Compare(row[rest:keyW], rows[i-rowW : i][rest:keyW]) >= 0 {
+			prev = w
+			continue
+		}
+		moveRow(tmp, row)
+		j := i
+		for {
+			moveRow(rows[j:j+rowW], rows[j-rowW:j])
+			if j -= rowW; j == 0 {
+				break
+			}
+			before := rows[j-rowW : j]
+			if bw := s.word(before, d); w > bw || w == bw && bytes.Compare(tmp[rest:keyW], before[rest:keyW]) >= 0 {
+				break
 			}
 		}
-		return
+		moveRow(rows[j:j+rowW], tmp)
 	}
 }
 
-// insertion sorts rows [lo,hi) comparing key bytes from d onward (the
-// preceding bytes are equal across the range).
-func (s *sorter) insertion(lo, hi, d int) {
-	if d >= s.keyW {
-		return
-	}
-	if s.tmp == nil {
-		s.tmp = make([]byte, s.rowW)
-	}
-	tmp := s.tmp
-	for i := lo + 1; i < hi; i++ {
-		j := i
-		if !s.lessSuffix(j, j-1, d) {
-			continue
-		}
-		copy(tmp, s.row(j))
-		for j > lo && bytes.Compare(tmp[d:s.keyW], s.row(j - 1)[d:s.keyW]) < 0 {
-			copy(s.row(j), s.row(j-1))
-			j--
-		}
-		copy(s.row(j), tmp)
+// moveRow copies the row src to dst, as words when the stride is one of the
+// sorter's.
+//
+//rowsort:hotpath
+func moveRow(dst, src []byte) {
+	switch len(src) {
+	case 16:
+		move16(dst, src)
+	case 24:
+		move24(dst, src)
+	case 32:
+		move32(dst, src)
+	case 40:
+		move40(dst, src)
+	default:
+		copy(dst, src)
 	}
 }
 
-// pdqBucket sorts rows [lo,hi) with pdqsort comparing key bytes from d
-// onward — the hybrid MSD+pdqsort of the paper's Future Work.
-func (s *sorter) pdqBucket(lo, hi, d int) {
-	s.stats.PdqBuckets++
-	r := sortalgo.NewRows(s.data[lo*s.rowW:hi*s.rowW], s.rowW)
-	keyW := s.keyW
-	r.Compare = func(a, b []byte) int { return bytes.Compare(a[d:keyW], b[d:keyW]) }
-	r.Pdqsort()
+// move16 to move40 copy that many bytes from the front of src to the front of
+// dst, which do not overlap, as 8-byte loads and stores: the loads first, so
+// that one bounds check a slice covers them all.
+
+//rowsort:hotpath
+func move16(dst, src []byte) {
+	dst, src = dst[:16:16], src[:16:16]
+	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
 }
 
-func (s *sorter) row(i int) []byte { return s.data[i*s.rowW : (i+1)*s.rowW] }
+//rowsort:hotpath
+func move24(dst, src []byte) {
+	dst, src = dst[:24:24], src[:24:24]
+	w0, w1, w2 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:]), binary.LittleEndian.Uint64(src[16:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+	binary.LittleEndian.PutUint64(dst[16:], w2)
+}
 
-func (s *sorter) lessSuffix(i, j, d int) bool {
-	return bytes.Compare(s.row(i)[d:s.keyW], s.row(j)[d:s.keyW]) < 0
+//rowsort:hotpath
+func move32(dst, src []byte) {
+	dst, src = dst[:32:32], src[:32:32]
+	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
+	w2, w3 := binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+	binary.LittleEndian.PutUint64(dst[16:], w2)
+	binary.LittleEndian.PutUint64(dst[24:], w3)
+}
+
+//rowsort:hotpath
+func move40(dst, src []byte) {
+	dst, src = dst[:40:40], src[:40:40]
+	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
+	w2, w3 := binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:])
+	w4 := binary.LittleEndian.Uint64(src[32:])
+	binary.LittleEndian.PutUint64(dst, w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+	binary.LittleEndian.PutUint64(dst[16:], w2)
+	binary.LittleEndian.PutUint64(dst[24:], w3)
+	binary.LittleEndian.PutUint64(dst[32:], w4)
 }

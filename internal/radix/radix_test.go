@@ -3,6 +3,7 @@ package radix
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -236,36 +237,10 @@ func TestSortQuick(t *testing.T) {
 	}
 }
 
-func TestHybridPdqCutoffMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for _, cutoff := range []int{64, 512, 4096} {
-		data := makeRows(6000, 16, 10, rng)
-		want := sortedOracle(data, 16, 10)
-		st := SortOpts(data, 16, 10, Options{PdqCutoff: cutoff})
-		if !bytes.Equal(data, want) {
-			t.Fatalf("cutoff=%d: hybrid sort mismatch", cutoff)
-		}
-		if !st.UsedMSD {
-			t.Fatal("10-byte keys should use MSD")
-		}
-		if st.PdqBuckets == 0 {
-			t.Fatalf("cutoff=%d: expected pdq buckets to be used", cutoff)
-		}
-	}
-}
-
-func TestHybridDisabledByDefault(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	data := makeRows(3000, 16, 10, rng)
-	st := Sort(data, 16, 10)
-	if st.PdqBuckets != 0 {
-		t.Fatal("hybrid should be off by default")
-	}
-}
-
 // TestSortStable pins the stability guarantee the duplicate-group run sort
 // depends on: rows with byte-equal key prefixes keep their input order, in
-// both the LSD and MSD variants and through the insertion fallback.
+// both the LSD and MSD variants and through the insertion fallback, whichever
+// row mover the stride selects.
 func TestSortStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct {
@@ -278,25 +253,157 @@ func TestSortStable(t *testing.T) {
 		{"msd-insertion", 8, Options{InsertionCutoff: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const rowWidth, n = 16, 3000
-			data := make([]byte, n*rowWidth)
-			for i := 0; i < n; i++ {
-				row := data[i*rowWidth:]
-				// Tiny key domain: massive duplicate groups.
-				binary.BigEndian.PutUint64(row, uint64(rng.Intn(7)))
-				binary.BigEndian.PutUint64(row[8:], uint64(i)) // input order tag
-			}
-			SortOpts(data, rowWidth, tc.keyWidth, tc.opt)
-			for i := 1; i < n; i++ {
-				prev, cur := data[(i-1)*rowWidth:i*rowWidth], data[i*rowWidth:(i+1)*rowWidth]
-				c := bytes.Compare(prev[:tc.keyWidth], cur[:tc.keyWidth])
-				if c > 0 {
-					t.Fatalf("out of order at %d", i)
+			for _, rowWidth := range testStrides {
+				if rowWidth < tc.keyWidth+4 {
+					continue
 				}
-				if c == 0 && binary.BigEndian.Uint64(prev[8:]) > binary.BigEndian.Uint64(cur[8:]) {
-					t.Fatalf("stability violated at %d", i)
+				const n = 3000
+				data := make([]byte, n*rowWidth)
+				for i := 0; i < n; i++ {
+					row := data[i*rowWidth : (i+1)*rowWidth]
+					// Tiny key domain: massive duplicate groups.
+					row[tc.keyWidth-1] = byte(rng.Intn(7))
+					binary.BigEndian.PutUint32(row[rowWidth-4:], uint32(i)) // input order tag
+				}
+				SortOpts(data, rowWidth, tc.keyWidth, tc.opt)
+				for i := 1; i < n; i++ {
+					prev, cur := data[(i-1)*rowWidth:i*rowWidth], data[i*rowWidth:(i+1)*rowWidth]
+					c := bytes.Compare(prev[:tc.keyWidth], cur[:tc.keyWidth])
+					if c > 0 {
+						t.Fatalf("stride %d: out of order at %d", rowWidth, i)
+					}
+					if c == 0 && binary.BigEndian.Uint32(prev[rowWidth-4:]) > binary.BigEndian.Uint32(cur[rowWidth-4:]) {
+						t.Fatalf("stride %d: stability violated at %d", rowWidth, i)
+					}
 				}
 			}
 		})
 	}
+}
+
+// testStrides are the row widths the property tests run at: the four with an
+// unrolled mover, another multiple of 8 and strides that are none.
+var testStrides = []int{8, 12, 16, 20, 24, 32, 40, 48}
+
+// keyPatterns fill the key bytes of n rows so as to drive Sort down its
+// different branches.
+var keyPatterns = []struct {
+	name string
+	fill func(key []byte, row int, rng *rand.Rand)
+}{
+	{"random", func(key []byte, _ int, rng *rand.Rand) { rng.Read(key) }},
+	// Every byte one of three values: long recursions, duplicate keys, and
+	// branches that end at every depth.
+	{"lowcard", func(key []byte, _ int, rng *rand.Rand) {
+		for i := range key {
+			key[i] = byte(rng.Intn(3))
+		}
+	}},
+	{"all-equal", func(key []byte, _ int, _ *rand.Rand) {
+		for i := range key {
+			key[i] = 0x5A
+		}
+	}},
+	// A shared prefix longer than a word, ending inside one.
+	{"prefix-11", func(key []byte, _ int, rng *rand.Rand) { prefixed(key, 11, rng) }},
+	{"prefix-17", func(key []byte, _ int, rng *rand.Rand) { prefixed(key, 17, rng) }},
+	// All but one byte shared: the only scatter happens at that depth, an
+	// even one and an odd one, so the last pass lands in either buffer.
+	{"only-last-byte", func(key []byte, _ int, rng *rand.Rand) { key[len(key)-1] = byte(rng.Intn(256)) }},
+	{"only-two-bytes", func(key []byte, _ int, rng *rand.Rand) {
+		key[len(key)-1] = byte(rng.Intn(256))
+		key[max(len(key)-2, 0)] = byte(rng.Intn(256))
+	}},
+	{"sorted", func(key []byte, row int, _ *rand.Rand) {
+		for i := len(key) - 1; i >= 0 && row > 0; i, row = i-1, row>>8 {
+			key[i] = byte(row)
+		}
+	}},
+}
+
+func prefixed(key []byte, shared int, rng *rand.Rand) {
+	shared = min(shared, len(key)-1)
+	for i := range key[:shared] {
+		key[i] = byte(0xC0 + i)
+	}
+	rng.Read(key[shared:])
+}
+
+// patternRows builds n rows of the pattern, the bytes behind each key holding
+// the row's input position so that a stable sort has one right answer.
+func patternRows(n, rowW, keyW int, fill func([]byte, int, *rand.Rand), rng *rand.Rand) []byte {
+	data := make([]byte, n*rowW)
+	for i := 0; i < n; i++ {
+		row := data[i*rowW : (i+1)*rowW]
+		fill(row[:keyW], i, rng)
+		for j, tag := keyW, i; j < rowW; j, tag = j+1, tag>>8 {
+			row[j] = byte(tag)
+		}
+	}
+	return data
+}
+
+// checkAgainstOracle sorts copies of data with the shared-prefix skip on and
+// off, into a scratch buffer full of garbage and into none, and requires each
+// result to equal the stable oracle's byte for byte.
+func checkAgainstOracle(t *testing.T, ctx string, data []byte, rowW, keyW int, opt Options) {
+	t.Helper()
+	want := sortedOracle(data, rowW, keyW)
+	for _, noSkip := range []bool{false, true} {
+		for _, scratch := range [][]byte{nil, bytes.Repeat([]byte{0xCC}, len(data)+rowW)} {
+			got := append([]byte(nil), data...)
+			opt.NoSingleBucketSkip, opt.Scratch = noSkip, scratch
+			st := SortOpts(got, rowW, keyW, opt)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s noSkip=%v scratch=%d: differs from the stable oracle (stats %+v)", ctx, noSkip, len(scratch), st)
+			}
+			if noSkip && st.SkippedPasses != 0 {
+				t.Fatalf("%s: %d passes skipped with the skip off", ctx, st.SkippedPasses)
+			}
+		}
+	}
+}
+
+// TestSortMatchesStableOracle is the property the rewrite must keep: for every
+// stride, key width, size around the insertion cutoff and key pattern, under
+// both digit orders, Sort's output is the stable oracle's.
+func TestSortMatchesStableOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	sizes := []int{0, 1, 2, DefaultInsertionCutoff, DefaultInsertionCutoff + 1, 300}
+	for _, rowW := range testStrides {
+		for keyW := 1; keyW <= rowW; keyW++ {
+			for _, pat := range keyPatterns {
+				for _, n := range sizes {
+					data := patternRows(n, rowW, keyW, pat.fill, rng)
+					for _, opt := range []Options{{}, {InsertionCutoff: 2}, {ForceLSD: true}, {ForceMSD: true}} {
+						if opt.ForceLSD && keyW > 8 {
+							continue // a pass per byte: covered at the widths LSD serves
+						}
+						ctx := fmt.Sprintf("row=%d key=%d %s n=%d %+v", rowW, keyW, pat.name, n, opt)
+						checkAgainstOracle(t, ctx, data, rowW, keyW, opt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzRadixSort checks Sort against the stable oracle on arbitrary bytes cut
+// into rows of an arbitrary stride and key width.
+func FuzzRadixSort(f *testing.F) {
+	// Seeds are a few rows each: the engine minimises every input that adds
+	// coverage a byte at a time.
+	f.Add(uint8(23), uint8(8), bytes.Repeat([]byte{3, 1, 2, 2}, 36))
+	f.Add(uint8(39), uint8(25), bytes.Repeat([]byte("Smith\x00\x00Jones\x00"), 12))
+	f.Add(uint8(15), uint8(15), []byte("the quick brown fox jumps over the lazy dog, twice over"))
+	f.Add(uint8(12), uint8(4), bytes.Repeat([]byte{0}, 13*30))
+	f.Add(uint8(0), uint8(0), []byte{9, 8, 7, 7, 7, 1})
+	f.Fuzz(func(t *testing.T, rowW, keyW uint8, data []byte) {
+		rw := 1 + int(rowW)%64
+		kw := 1 + int(keyW)%rw
+		data = data[:len(data)/rw*rw]
+		for _, opt := range []Options{{}, {InsertionCutoff: 2}} {
+			checkAgainstOracle(t, fmt.Sprintf("row=%d key=%d n=%d %+v", rw, kw, len(data)/rw, opt), data, rw, kw, opt)
+		}
+	})
 }

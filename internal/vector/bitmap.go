@@ -72,6 +72,23 @@ func (b *Bitmap) AllValid() bool {
 	return b.CountNull() == 0
 }
 
+// NextNull returns the first NULL row at or after i, -1 when there is none:
+// a loop over it visits the NULL rows alone, a word of valid rows at a step.
+func (b *Bitmap) NextNull(i int) int {
+	if b == nil {
+		return -1
+	}
+	for w := i >> 6; i < b.n; w, i = w+1, (w+1)<<6 {
+		if nulls := ^b.words[w] >> (uint(i) & 63); nulls != 0 {
+			if i += bits.TrailingZeros64(nulls); i < b.n {
+				return i
+			}
+			break
+		}
+	}
+	return -1
+}
+
 // CountNull returns the number of NULL rows.
 func (b *Bitmap) CountNull() int {
 	if b == nil || len(b.words) == 0 {

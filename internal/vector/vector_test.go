@@ -88,6 +88,19 @@ func TestBitmapBasics(t *testing.T) {
 	}
 }
 
+func TestBitmapNextNullStopsAtLen(t *testing.T) {
+	bm := NewBitmap(130)
+	bm.SetNull(129)
+	bm.Resize(129) // the NULL bit is past the end now
+	if got := bm.NextNull(0); got != -1 {
+		t.Fatalf("NextNull = %d past a bitmap of %d rows", got, bm.Len())
+	}
+	var none *Bitmap
+	if none.NextNull(0) != -1 || new(Bitmap).NextNull(0) != -1 {
+		t.Fatal("nil and zero bitmaps have no NULL rows")
+	}
+}
+
 func TestBitmapNilTreatsAllValid(t *testing.T) {
 	var bm *Bitmap
 	if !bm.Valid(12345) {
@@ -141,7 +154,15 @@ func TestBitmapQuickCountNull(t *testing.T) {
 			bm.SetNull(i)
 			seen[i] = true
 		}
-		return bm.CountNull() == len(seen)
+		// NextNull visits exactly the NULL rows, in order.
+		visited, last := 0, -1
+		for i := bm.NextNull(0); i >= 0; i = bm.NextNull(i + 1) {
+			if !seen[i] || i <= last {
+				return false
+			}
+			visited, last = visited+1, i
+		}
+		return bm.CountNull() == len(seen) && visited == len(seen)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
