@@ -40,8 +40,6 @@ const ingestQueueDepth = 2
 
 // NewParallelSink starts Options.Threads ingestion workers and returns
 // the dispatching sink. Close must be called to join them.
-//
-//rowsort:pipeline
 func (s *Sorter) NewParallelSink() *ParallelSink {
 	p := &ParallelSink{s: s, in: make([]chan *vector.Chunk, s.opt.threads())}
 	for w := range p.in {

@@ -253,8 +253,6 @@ func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
 
 // start launches the drain's workers. Each is joined by the iterator's
 // teardown and, for an iterator its owner dropped, by Sorter.Close.
-//
-//rowsort:pipeline
 func (d *rowsDrain) start(workers int) {
 	for w := 0; w < workers; w++ {
 		d.wg.Add(1)
@@ -487,8 +485,6 @@ func (d *rowsDrain) close(drained bool) {
 // refs advances the merge by up to len(which) rows and stores their payload
 // references, returning how many: fewer at the end of the range and after a
 // failed read.
-//
-//rowsort:hotpath
 func (e *extMerge) refs(which, idxs []uint32) int {
 	for i := range which {
 		_, slot, idx, ok := e.next()
@@ -503,8 +499,6 @@ func (e *extMerge) refs(which, idxs []uint32) int {
 // mergeRefs advances the merge by len(which) rows and stores their payload
 // references. The merger was built over exactly the task's rows, so it
 // cannot run dry first.
-//
-//rowsort:hotpath
 func (s *Sorter) mergeRefs(m *mergepath.Merger, which, idxs []uint32) {
 	for i := range which {
 		_, _, keyRow, ok := m.Next()
@@ -517,8 +511,6 @@ func (s *Sorter) mergeRefs(m *mergepath.Merger, which, idxs []uint32) {
 
 // walkRefs stores the payload references of the len(which) key rows at the
 // head of keys.
-//
-//rowsort:hotpath
 func (s *Sorter) walkRefs(keys []byte, which, idxs []uint32) {
 	for i := range which {
 		which[i], idxs[i] = s.getRef(keys[i*s.rowWidth:])

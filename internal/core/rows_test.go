@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rowsort/internal/mergepath"
 	"rowsort/internal/obs"
 	"rowsort/internal/spill"
 	"rowsort/internal/vector"
@@ -282,9 +283,14 @@ func TestSorterCloseJoinsIteratorWorkers(t *testing.T) {
 // TestRowsReiterationAndCounters drains one in-memory sort twice, then
 // abandons a third iterator after a chunk: the drains are identical, and the
 // counters say what happened — gather bytes per chunk actually gathered,
-// merge counters of the latest iteration, not the sum of all.
+// merge counters of the latest iteration, not the sum of all. The iterator
+// joins its workers before it publishes, so a drain's merge counters are all
+// of its tasks', whichever worker ran which: the same at any thread count. (A
+// worker left unjoined folds its last task in after the publish, in about
+// four drains of five.)
 func TestRowsReiterationAndCounters(t *testing.T) {
 	tbl := workload.UniformInt64s(lifecycleRows, 9)
+	var serial mergepath.Stats // a drain's merge counters at Threads 1
 	for _, threads := range []int{1, 2} {
 		s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: threads})
 		defer s.Close()
@@ -294,6 +300,9 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 		}
 		first := drainAll(t, s)
 		st1 := s.Stats()
+		if threads == 1 {
+			serial = st1.Merge
+		}
 		if st1.GatherBytesMoved != full {
 			t.Errorf("threads=%d: one drain moved %d gather bytes, want %d", threads, st1.GatherBytesMoved, full)
 		}
@@ -305,10 +314,10 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 		if st2.GatherBytesMoved != 2*full {
 			t.Errorf("threads=%d: two drains moved %d gather bytes, want %d", threads, st2.GatherBytesMoved, 2*full)
 		}
-		if threads == 1 && st2.Merge != st1.Merge {
-			// With workers, which of them ends up with which task (and so
-			// where a tree is rebuilt) varies a little from drain to drain.
-			t.Errorf("second drain's merge counters %+v, first's %+v", st2.Merge, st1.Merge)
+		for i, m := range []mergepath.Stats{st1.Merge, st2.Merge} {
+			if m != serial {
+				t.Errorf("threads=%d: drain %d's merge counters %+v, a serial drain's %+v", threads, i+1, m, serial)
+			}
 		}
 		if st2.Merge.Comparisons > st1.Merge.Comparisons*11/10 {
 			t.Errorf("threads=%d: merge comparisons %d after two drains, %d after one: added, not replaced",
@@ -334,6 +343,13 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 		if st3.Merge.Comparisons >= st1.Merge.Comparisons {
 			t.Errorf("threads=%d: an iterator closed after one chunk reports %d comparisons, a drain %d",
 				threads, st3.Merge.Comparisons, st1.Merge.Comparisons)
+		}
+		for i := 0; i < 4; i++ {
+			drainAll(t, s)
+			if m := s.Stats().Merge; m != serial {
+				t.Errorf("threads=%d: drain %d's merge counters %+v, a serial drain's %+v", threads, i+3, m, serial)
+				break
+			}
 		}
 	}
 }

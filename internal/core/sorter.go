@@ -249,14 +249,11 @@ const refBytes = 8
 // putRef stores the payload reference behind the key bytes. The reference
 // is never part of the compared prefix, so its byte order is free to be
 // native little-endian.
-//
-//rowsort:hotpath
 func (s *Sorter) putRef(keyRow []byte, runID, idx uint32) {
 	binary.LittleEndian.PutUint32(keyRow[s.keyWidth:], runID)
 	binary.LittleEndian.PutUint32(keyRow[s.keyWidth+4:], idx)
 }
 
-//rowsort:hotpath
 func (s *Sorter) getRef(keyRow []byte) (runID, idx uint32) {
 	return binary.LittleEndian.Uint32(keyRow[s.keyWidth:]),
 		binary.LittleEndian.Uint32(keyRow[s.keyWidth+4:])
@@ -766,8 +763,6 @@ func repairTies(keys []byte, n, rw, kw int, cmp mergepath.CompareFunc) {
 //
 // NULLs never fetch: byte-tied segments share their validity byte, so one
 // leading-byte probe classifies both rows as NULL (equal) or both valid.
-//
-//rowsort:pure
 func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) func(a, b []byte) int {
 	keys := s.enc.Keys()
 	type seg struct {
@@ -876,7 +871,6 @@ func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) f
 	}
 }
 
-//rowsort:pure
 func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
 
 // ovcSafeWidth returns the normalized-key prefix width over which plain
@@ -902,7 +896,6 @@ func (s *Sorter) ovcSafeWidth(anyTieBreak bool) int {
 	return s.keyWidth
 }
 
-//rowsort:pure
 func compareStrings(a, b string) int {
 	switch {
 	case a < b:
@@ -1039,8 +1032,6 @@ func SortTableStats(t *vector.Table, keys []SortColumn, opt Options) (*vector.Ta
 }
 
 // sortTable runs the sort pipeline over t's chunks.
-//
-//rowsort:pipeline
 func sortTable(s *Sorter, t *vector.Table) (*vector.Table, error) {
 	root := s.rec.Worker("main")
 	sp := root.Begin(obs.PhaseSort)

@@ -365,8 +365,6 @@ func (e *extMerge) refill(r int) (mergepath.Run, bool) {
 // next emits the next merged row: its key row (valid until the following
 // next), and its payload as row idx of sets[which]. ok is false at the end of
 // the range and after a failed read: check err then.
-//
-//rowsort:hotpath
 func (e *extMerge) next() (keyRow []byte, which, idx uint32, ok bool) {
 	run, pos, keyRow, ok := e.m.Next()
 	if !ok || e.err != nil {

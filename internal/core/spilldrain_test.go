@@ -633,42 +633,71 @@ func TestSpilledDrainFaults(t *testing.T) {
 
 // TestSpilledDrainAbandoned closes the iterator over spilled runs mid-task,
 // and the sorter under a live iterator: both leak nothing, the iterator is
-// single-use either way, and one the sorter was closed under fails.
+// single-use either way, and one the sorter was closed under fails. In the
+// last shape a task is about 64 chunks, more than a slot holds, and the
+// iterator is closed with every worker blocked on a full slot: a send that
+// cannot see the drain stop hangs Close there.
 func TestSpilledDrainAbandoned(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		for _, closeSorter := range []bool{false, true} {
-			ctx := fmt.Sprintf("threads=%d sorter closed first=%v", threads, closeSorter)
-			base := runtime.NumGoroutine()
-			s, dir := faultySorter(t, threads)
-			it, err := s.Rows()
-			if err != nil {
+	type shape struct {
+		threads               int
+		closeSorter, oversize bool
+	}
+	shapes := []shape{{1, false, false}, {1, true, false}, {4, false, false}, {4, true, false}, {4, false, true}}
+	for _, sh := range shapes {
+		ctx := fmt.Sprintf("threads=%d sorter closed first=%v oversized tasks=%v", sh.threads, sh.closeSorter, sh.oversize)
+		base := runtime.NumGoroutine()
+		var s *Sorter
+		if sh.oversize {
+			const perRun = 1 << 15
+			tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 23)
+			s = spilledSorter(t, tbl, drainKeys(false), Options{Threads: sh.threads, RunSize: perRun}, 8192, false, allRuns)
+		} else {
+			s, _ = faultySorter(t, sh.threads)
+		}
+		dir := s.spills.Root()
+		it, err := s.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.oversize && s.resultRows/it.d.tasks <= (drainTaskChunks+1)*vector.DefaultVectorSize {
+			t.Fatalf("%s: %d tasks of %d rows fit a slot", ctx, it.d.tasks, s.resultRows)
+		}
+		for i := 0; i < 3; i++ {
+			if c, err := it.Next(); err != nil || c == nil {
+				t.Fatalf("%s: chunk %d: %v, %v", ctx, i, c, err)
+			}
+		}
+		if sh.oversize {
+			// Close only once every worker is blocked on its full slot.
+			within(t, ctx, 10*time.Second, func() {
+				for _, slot := range it.d.slots[:it.d.tasks] {
+					for len(slot) < cap(slot) {
+						time.Sleep(time.Millisecond)
+					}
+				}
+			})
+		}
+		if sh.closeSorter {
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 3; i++ {
-				if c, err := it.Next(); err != nil || c == nil {
-					t.Fatalf("%s: chunk %d: %v, %v", ctx, i, c, err)
+			within(t, ctx, 30*time.Second, func() {
+				for err == nil {
+					_, err = it.Next()
 				}
+			})
+			if err != errSorterClosed {
+				t.Errorf("%s: Next under a closed sorter: %v", ctx, err)
 			}
-			if closeSorter {
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				within(t, ctx, 30*time.Second, func() {
-					for err == nil {
-						_, err = it.Next()
-					}
-				})
-				if err != errSorterClosed {
-					t.Errorf("%s: Next under a closed sorter: %v", ctx, err)
-				}
-			}
-			if cerr := it.Close(); cerr != err {
-				t.Errorf("%s: Close returned %v, want %v", ctx, cerr, err)
-			}
-			if _, err := s.Rows(); err == nil {
-				t.Errorf("%s: a second Rows over spilled runs succeeded", ctx)
-			}
-			noLeaks(t, ctx, s, dir, base)
 		}
+		var cerr error
+		within(t, ctx, 10*time.Second, func() { cerr = it.Close() })
+		if cerr != err {
+			t.Errorf("%s: Close returned %v, want %v", ctx, cerr, err)
+		}
+		if _, err := s.Rows(); err == nil {
+			t.Errorf("%s: a second Rows over spilled runs succeeded", ctx)
+		}
+		noLeaks(t, ctx, s, dir, base)
 	}
 }

@@ -74,9 +74,6 @@ func (s *Stats) Add(o Stats) {
 // first keyWidth bytes: 0 when they are byte-equal, else
 // (keyWidth-q)<<8 | row[q] where q is the first differing byte. For
 // row >= base the code orders like the row.
-//
-//rowsort:hotpath
-//rowsort:pure
 func OVCCode(base, row []byte, keyWidth int) uint32 {
 	for q := 0; q < keyWidth; q++ {
 		if base[q] != row[q] {
@@ -184,8 +181,6 @@ func (m *Merger) build(node int) uint64 {
 // before the following Next, which may refill the block). The previous
 // winner is advanced lazily here, so a streaming caller can flush work that
 // references the old block from inside its refill callback.
-//
-//rowsort:hotpath
 func (m *Merger) Next() (run, pos int, row []byte, ok bool) {
 	if m.started {
 		m.advance()
@@ -202,8 +197,6 @@ func (m *Merger) Next() (run, pos int, row []byte, ok bool) {
 // advance steps the winner's run to its next row (refilling or retiring it
 // at block end), derives that row's code from the row just emitted, and
 // replays the matches from the run's leaf to the root.
-//
-//rowsort:hotpath
 func (m *Merger) advance() {
 	win := m.tree[0]
 	if uint32(win>>32) == exhausted {
@@ -277,8 +270,6 @@ func (m *Merger) advance() {
 // returns the code of the run's next row: relative to last when refill
 // supplies another block, exhausted otherwise. The key is copied out before
 // refill runs because refill may recycle the block's buffer.
-//
-//rowsort:hotpath
 func (m *Merger) nextBlock(r int, last []byte) uint32 {
 	if m.refill == nil {
 		return exhausted
@@ -298,8 +289,6 @@ func (m *Merger) nextBlock(r int, last []byte) uint32 {
 // through the code's offset byte, so the bytes past it decide; byte-equal
 // keys go to the tie-break and then to the lower run index. The loser
 // leaves with its code relative to the winner; the winner keeps its own.
-//
-//rowsort:hotpath
 func (m *Merger) byteMatch(a, b uint64) (w, l uint64) {
 	code := uint32(a >> 32)
 	if code == exhausted {

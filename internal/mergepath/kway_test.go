@@ -399,6 +399,28 @@ func TestOVCSkipsSharedPrefixes(t *testing.T) {
 	}
 }
 
+// TestMergerNextAllocates pins the loser tree's steady state at zero
+// allocations per Next, on unique keys and on duplicate-heavy ones under a
+// tie comparator (every match played on the bytes).
+func TestMergerNextAllocates(t *testing.T) {
+	for _, sh := range []struct {
+		name                         string
+		k, rows, width, kw, distinct int
+		tie                          CompareFunc
+	}{
+		{"8x4Ki/w24/key9", 8, 1 << 12, 24, 9, 0, nil},
+		{"8x4Ki/w40/key26/dup/tie", 8, 1 << 12, 40, 26, 64, bytes.Compare},
+	} {
+		m := NewMerger(benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 11), sh.kw, sh.tie)
+		for i := 0; i < 64; i++ {
+			m.Next()
+		}
+		if allocs := testing.AllocsPerRun(16, func() { m.Next() }); allocs != 0 {
+			t.Errorf("%s: %.2f allocations per Next", sh.name, allocs)
+		}
+	}
+}
+
 // TestMergerDupRunFastPath checks the duplicate-run fast path: with no tie
 // comparator, a winner whose successor is byte-equal (within-run code 0)
 // keeps the tournament without replaying matches — and the output must stay

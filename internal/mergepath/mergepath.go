@@ -99,8 +99,6 @@ func MergeInto(dst []byte, a, b Run, cmp CompareFunc) {
 // ParallelMerge merges a and b into dst using up to p goroutines, splitting
 // the output into p near-equal partitions with SplitPoint. dst must hold
 // a.Len()+b.Len() rows.
-//
-//rowsort:pipeline
 func ParallelMerge(dst []byte, a, b Run, cmp CompareFunc, p int) {
 	total := a.Len() + b.Len()
 	if p < 2 || total < 2*p {
@@ -139,8 +137,6 @@ func ParallelMerge(dst []byte, a, b Run, cmp CompareFunc, p int) {
 // than threads, each pair merge is itself parallelized with Merge Path, so
 // parallelism does not degrade as the tree narrows. p is the total number
 // of goroutines to use.
-//
-//rowsort:pipeline
 func CascadeMerge(runs []Run, cmp CompareFunc, p int) Run {
 	if p < 1 {
 		p = 1

@@ -19,8 +19,6 @@ import (
 // reference ("oracle") comparator and also serves as the dynamic
 // tuple-at-a-time comparator of an interpreted engine: one call per
 // comparison, one type dispatch per key column.
-//
-//rowsort:pure
 func CompareRows(keys []SortKey, cols []*vector.Vector, i, j int) int {
 	for k, key := range keys {
 		c := compareOne(key, cols[k], i, j)
@@ -39,8 +37,6 @@ func compareOne(key SortKey, col *vector.Vector, i, j int) int {
 // one key; both columns must have the key's type. It backs both the
 // same-table oracle comparison and cross-table comparisons such as the
 // merge join's.
-//
-//rowsort:pure
 func CompareValues(key SortKey, a *vector.Vector, i int, b *vector.Vector, j int) int {
 	vi, vj := a.Valid(i), b.Valid(j)
 	if !vi || !vj {

@@ -101,9 +101,6 @@ func (d *Dictionary) Width() int { return d.width }
 // Code maps a collated value to its order-preserving code. exact reports
 // whether s is a dictionary member; escaped codes may tie with other values
 // in the same gap and need a semantic tie-break.
-//
-//rowsort:pure
-//rowsort:hotpath
 func (d *Dictionary) Code(s string) (code uint16, exact bool) {
 	// Hand-rolled lower bound: first index with Values[i] >= s.
 	lo, hi := 0, len(d.Values)
@@ -395,9 +392,6 @@ func discriminatingLen(distinct []string, skip int) int {
 
 // compareBytesStr is bytes.Compare between a byte slice and the bytes of a
 // string, without converting either.
-//
-//rowsort:pure
-//rowsort:hotpath
 func compareBytesStr(b []byte, s string) int {
 	n := len(b)
 	if len(s) < n {
@@ -423,9 +417,6 @@ func compareBytesStr(b []byte, s string) int {
 // lossyString reports whether encoding s into kept zero-padded bytes can
 // collide with a different string's encoding: s overflows the kept prefix,
 // or contains a NUL that the zero padding cannot be distinguished from.
-//
-//rowsort:pure
-//rowsort:hotpath
 func lossyString(s string, kept int) bool {
 	if len(s) > kept {
 		return true

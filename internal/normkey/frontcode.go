@@ -16,9 +16,6 @@ import "fmt"
 const maxFrontCodePrefix = 255
 
 // sharedPrefixLen returns the length of a and b's common prefix, capped.
-//
-//rowsort:hotpath
-//rowsort:pure
 func sharedPrefixLen(a, b []byte, limit int) int {
 	p := 0
 	for p < limit && a[p] == b[p] {

@@ -89,7 +89,10 @@ func refEncodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
 
 // kernelStrings are the varchar cases the kernels must agree with the
 // reference on, relative to prefix p: short, exactly p, overlong, an embedded
-// NUL inside and outside the prefix, mixed case, empty.
+// NUL inside and outside the prefix, mixed case, empty, and non-ASCII UTF-8 —
+// which NOCASE leaves alone byte for byte (a fold through unicode.ToLower
+// rewrites lead bytes such as É's 0xC3) — one of them cut by the prefix
+// inside a rune.
 func kernelStrings(p int, rng *rand.Rand) []string {
 	letters := "abcXYZ"
 	word := func(n int) string {
@@ -102,6 +105,7 @@ func kernelStrings(p int, rng *rand.Rand) []string {
 	return []string{
 		"", word(1), word(p), word(p + 1), word(3 * p), word(max(p-1, 0)),
 		word(p/2) + "\x00" + word(p/2), word(p) + "\x00", "\x00", "Mixed" + word(2), "ID-" + word(3), "id-" + word(1),
+		"École", "ÉCOLE", "straße", "İstanbul", word(max(p-1, 0)) + "Éé",
 	}
 }
 

@@ -83,8 +83,6 @@ const (
 
 // Apply evaluates the collation on s, returning the string whose binary
 // order equals s's collated order.
-//
-//rowsort:pure
 func (c Collation) Apply(s string) string {
 	if c != CollationNoCase {
 		return s
@@ -100,18 +98,15 @@ func (c Collation) Apply(s string) string {
 	if lower < 0 {
 		return s
 	}
-	//rowsort:allow hotpathalloc allocates only when an upper-case byte forces a rewrite; all-lower strings return s untouched
 	b := []byte(s)
 	for i := lower; i < len(b); i++ {
 		b[i] = lowerASCII(b[i])
 	}
-	//rowsort:allow hotpathalloc the rewritten collated string must not alias the mutable scratch buffer
+	// the rewritten collated string must not alias the mutable scratch buffer
 	return string(b)
 }
 
 // lowerASCII is CollationNoCase on one byte.
-//
-//rowsort:pure
 func lowerASCII(c byte) byte {
 	if c >= 'A' && c <= 'Z' {
 		c += 'a' - 'A'
@@ -347,9 +342,6 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 // (inv, XORed into every byte on its way out) rather than applied in a second
 // pass; the validity byte is chosen so that the requested NULL placement
 // survives the inversion.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, offset int) EncodeStats {
 	key := e.keys[k]
 	cp := e.colPlan(k)
@@ -405,9 +397,6 @@ func (g *segment) row(o int) []byte { return g.out[o : o+g.width : o+g.width] }
 
 // encodeFixed writes the full encoding of every row of a fixed-width column,
 // NULL rows included: one loop per type, its slice fetched once.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func (g *segment) encodeFixed(vec *vector.Vector, n int) {
 	o, stride, valid := 0, g.stride, g.valid
 	inv64 := uint64(0)
@@ -501,9 +490,6 @@ func (g *segment) encodeFixed(vec *vector.Vector, n int) {
 // string: it overflows the prefix, or one of the bytes just copied is a NUL,
 // which the padding cannot be told from. fold is CollationNoCase, evaluated
 // on the bytes as they are copied.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int, fold bool) (ties bool) {
 	o, inv := 0, g.inv
 	for r, s := range vals {
@@ -538,9 +524,6 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 // encodePlanned writes the compressed encodings, one value at a time through
 // encodeDict and encodeTrunc, with the validity byte and the DESC inversion
 // applied around them.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func (g *segment) encodePlanned(key SortKey, cp ColumnPlan, vec *vector.Vector, nulls *vector.Bitmap, n int, st *EncodeStats) {
 	o := 0
 	for r := 0; r < n; r++ {
@@ -564,9 +547,6 @@ func (g *segment) encodePlanned(key SortKey, cp ColumnPlan, vec *vector.Vector, 
 }
 
 // encodeDict writes row r's order-preserving dictionary code into dst.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func encodeDict(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byte, st *EncodeStats) {
 	s := key.Collation.Apply(vec.Strings()[r])
 	code, exact := cp.Dict.Code(s)
@@ -586,9 +566,6 @@ func encodeDict(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byt
 // encodeTrunc writes row r's truncated encoding into dst: either a plain
 // discriminating prefix of the full encoding, or (Skip set) a class byte
 // followed by the encoding with the sampled shared prefix removed.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func encodeTrunc(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byte, st *EncodeStats) {
 	if key.Type == vector.Varchar {
 		s := key.Collation.Apply(vec.Strings()[r])
@@ -667,9 +644,6 @@ func encodeTrunc(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []by
 // encodeValue writes the order-preserving encoding of row r of a fixed-width
 // column into dst, which has the type's width: encodeFixed, one value at a
 // time, for the truncating encoder and the compression sampler.
-//
-//rowsort:hotpath
-//rowsort:keyencoder
 func encodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
 	switch key.Type {
 	case vector.Bool:
@@ -707,9 +681,6 @@ func encodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
 // sorter's tie-break compares truncated fixed segments against the payload
 // through it, without boxing the value. Varchar has no fixed encoding and
 // returns 0; callers dispatch strings to the collated comparison instead.
-//
-//rowsort:pure
-//rowsort:hotpath
 func OrdFixed(typ vector.Type, raw []byte) uint64 {
 	switch typ {
 	case vector.Bool, vector.Uint8:

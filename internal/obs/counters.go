@@ -201,7 +201,7 @@ var Descs = [NumCounters]Desc{
 // the sorter, so an observer that keeps a block (the Registry does) keeps no
 // sort buffer alive.
 //
-// Reach the values only through the methods: the atomicfield analyzer flags
+// Reach the values only through the methods: go vet's copylocks check flags
 // by-value copies of the atomics.
 type Block struct {
 	epoch time.Time
@@ -222,8 +222,6 @@ type Block struct {
 func NewBlock(mem Gauges) *Block { return &Block{epoch: time.Now(), mem: mem} }
 
 // Add adds n to a counter.
-//
-//rowsort:hotpath
 func (b *Block) Add(c Counter, n int64) { b.vals[c].Add(n) }
 
 // Store sets a counter: a declared or planned figure, or one the publisher
@@ -237,8 +235,6 @@ func (b *Block) Now() int64 { return int64(time.Since(b.epoch)) }
 // the first arrival. Calls with a stage at or behind the current one are
 // no-ops — one atomic load — so racing publishers (two sinks observing the
 // first append) and a call per chunk are both fine.
-//
-//rowsort:hotpath
 func (b *Block) AdvanceTo(st Stage) {
 	for {
 		cur := b.stage.Load()

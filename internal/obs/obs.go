@@ -191,8 +191,6 @@ type Span struct {
 // Begin opens a span of phase p at the current time. Spans nest: a Begin
 // before the previous span's End records one level deeper, and Chrome
 // tracing renders the containment. On a nil worker it returns a no-op span.
-//
-//rowsort:hotpath
 func (w *Worker) Begin(p Phase) Span {
 	if w == nil {
 		return Span{}
@@ -206,8 +204,6 @@ func (w *Worker) Begin(p Phase) Span {
 
 // End closes the span, recording it into the worker's buffer and the
 // recorder's phase counters. End on the zero Span is a no-op.
-//
-//rowsort:hotpath
 func (s Span) End() {
 	if s.w == nil {
 		return
@@ -215,7 +211,7 @@ func (s Span) End() {
 	r := s.w.r
 	end := r.now()
 	s.w.depth--
-	//rowsort:allow hotpathalloc amortized span-buffer growth; the telemetry test pins AllocsPerRun at zero in the steady state
+	// amortized span-buffer growth; the telemetry test pins AllocsPerRun at zero in the steady state
 	s.w.spans = append(s.w.spans, spanRec{phase: s.phase, depth: s.depth, start: s.start, dur: end - s.start})
 	r.busy[s.phase].Add(end - s.start)
 	r.count[s.phase].Add(1)

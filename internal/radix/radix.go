@@ -148,8 +148,6 @@ type sorter struct {
 // permutation. dst and src do not overlap. The row mover follows the stride:
 // unrolled word moves for the strides the sorter's key rows have, a word loop
 // for any other multiple of 8, copy for the rest.
-//
-//rowsort:hotpath
 func (s *sorter) scatter(dst, src []byte, d int, pos *[256]int) {
 	switch rowW := s.rowW; {
 	case rowW == 16:
@@ -169,7 +167,6 @@ func (s *sorter) scatter(dst, src []byte, d int, pos *[256]int) {
 
 // The scatter loops for the strides the sorter's key rows have.
 
-//rowsort:hotpath
 func scatter16(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 16; src = src[16:] {
 		p := pos[src[d]]
@@ -178,7 +175,6 @@ func scatter16(dst, src []byte, d int, pos *[256]int) {
 	}
 }
 
-//rowsort:hotpath
 func scatter24(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 24; src = src[24:] {
 		p := pos[src[d]]
@@ -187,7 +183,6 @@ func scatter24(dst, src []byte, d int, pos *[256]int) {
 	}
 }
 
-//rowsort:hotpath
 func scatter32(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 32; src = src[32:] {
 		p := pos[src[d]]
@@ -196,7 +191,6 @@ func scatter32(dst, src []byte, d int, pos *[256]int) {
 	}
 }
 
-//rowsort:hotpath
 func scatter40(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 40; src = src[40:] {
 		p := pos[src[d]]
@@ -206,8 +200,6 @@ func scatter40(dst, src []byte, d int, pos *[256]int) {
 }
 
 // scatterWords serves any stride that is a multiple of 8.
-//
-//rowsort:hotpath
 func scatterWords(dst, src []byte, rowW, d int, pos *[256]int) {
 	for ; len(src) >= rowW; src = src[rowW:] {
 		row := src[:rowW]
@@ -222,8 +214,6 @@ func scatterWords(dst, src []byte, rowW, d int, pos *[256]int) {
 
 // scatterCopy serves every other stride (the duplicate-group representatives
 // are keyWidth+8 bytes wide, whatever keyWidth is).
-//
-//rowsort:hotpath
 func scatterCopy(dst, src []byte, rowW, d int, pos *[256]int) {
 	for ; len(src) >= rowW; src = src[rowW:] {
 		row := src[:rowW]
@@ -235,8 +225,6 @@ func scatterCopy(dst, src []byte, rowW, d int, pos *[256]int) {
 
 // countByte adds to count the occurrences of each value of key byte d over
 // rows.
-//
-//rowsort:hotpath
 func (s *sorter) countByte(rows []byte, d int, count *[256]int) {
 	for o := d; o < len(rows); o += s.rowW {
 		count[rows[o]]++
@@ -281,8 +269,6 @@ func (s *sorter) lsd() {
 // moved once per pass; where a bucket needs no further pass it stays, and if
 // that place is the scratch it is copied home — neighbouring such buckets
 // together.
-//
-//rowsort:hotpath
 func (s *sorter) msd(cur, oth []byte, lo, hi, d int, home bool) {
 	if s.skip {
 		// Every key byte the rows share is stepped over at once; a range of
@@ -333,8 +319,6 @@ func (s *sorter) msd(cur, oth []byte, lo, hi, d int, home bool) {
 // differ, keyW if they agree on all of them. It is one scan comparing every
 // row with the first, a word at a time, that stops at the first row to
 // differ in byte d itself: a bucket with nothing to skip costs a few rows.
-//
-//rowsort:hotpath
 func (s *sorter) commonPrefix(rows []byte, d int) int {
 	rowW := s.rowW
 	first := rows[:rowW]
@@ -368,8 +352,6 @@ func (s *sorter) commonPrefix(rows []byte, d int) int {
 
 // word returns key bytes [o, o+8) of row as a big-endian integer, zero past
 // the end of the key: comparing words compares those key bytes.
-//
-//rowsort:hotpath
 func (s *sorter) word(row []byte, o int) uint64 {
 	if o+8 <= len(row) {
 		w := binary.BigEndian.Uint64(row[o:])
@@ -382,8 +364,6 @@ func (s *sorter) word(row []byte, o int) uint64 {
 }
 
 // tailWord is word where the row ends before the word does.
-//
-//rowsort:hotpath
 func (s *sorter) tailWord(row []byte, o int) uint64 {
 	var w uint64
 	for i := o; i < o+8; i++ {
@@ -398,8 +378,6 @@ func (s *sorter) tailWord(row []byte, o int) uint64 {
 // insertion sorts rows, which agree on every key byte before d, comparing
 // the next eight key bytes as one word and the rest, when those tie, with
 // bytes.Compare. Only a strictly smaller row moves ahead of another.
-//
-//rowsort:hotpath
 func (s *sorter) insertion(rows []byte, d int) {
 	rowW, keyW := s.rowW, s.keyW
 	if d >= keyW {
@@ -434,8 +412,6 @@ func (s *sorter) insertion(rows []byte, d int) {
 
 // moveRow copies the row src to dst, as words when the stride is one of the
 // sorter's.
-//
-//rowsort:hotpath
 func moveRow(dst, src []byte) {
 	switch len(src) {
 	case 16:
@@ -455,7 +431,6 @@ func moveRow(dst, src []byte) {
 // dst, which do not overlap, as 8-byte loads and stores: the loads first, so
 // that one bounds check a slice covers them all.
 
-//rowsort:hotpath
 func move16(dst, src []byte) {
 	dst, src = dst[:16:16], src[:16:16]
 	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
@@ -463,7 +438,6 @@ func move16(dst, src []byte) {
 	binary.LittleEndian.PutUint64(dst[8:], w1)
 }
 
-//rowsort:hotpath
 func move24(dst, src []byte) {
 	dst, src = dst[:24:24], src[:24:24]
 	w0, w1, w2 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:]), binary.LittleEndian.Uint64(src[16:])
@@ -472,7 +446,6 @@ func move24(dst, src []byte) {
 	binary.LittleEndian.PutUint64(dst[16:], w2)
 }
 
-//rowsort:hotpath
 func move32(dst, src []byte) {
 	dst, src = dst[:32:32], src[:32:32]
 	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
@@ -483,7 +456,6 @@ func move32(dst, src []byte) {
 	binary.LittleEndian.PutUint64(dst[24:], w3)
 }
 
-//rowsort:hotpath
 func move40(dst, src []byte) {
 	dst, src = dst[:40:40], src[:40:40]
 	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])

@@ -388,6 +388,30 @@ func TestSortMatchesStableOracle(t *testing.T) {
 	}
 }
 
+// TestSortOptsAllocs pins what a sort allocates once the caller supplies the
+// scratch: the row insertion sort holds out, and nothing per pass or per
+// bucket. A [256]int table handed to a func value rather than through the
+// scatter switch escapes to the heap, once per MSD call (259 allocations at
+// 2^16 rows).
+func TestSortOptsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, sh := range []struct{ rowW, keyW int }{{24, 16}, {8, 4}} {
+		for _, n := range []int{1 << 10, 1 << 16} {
+			data := makeRows(n, sh.rowW, sh.keyW, rng)
+			work := make([]byte, len(data))
+			opt := Options{Scratch: make([]byte, len(data))}
+			var st Stats
+			allocs := testing.AllocsPerRun(5, func() {
+				copy(work, data)
+				st = SortOpts(work, sh.rowW, sh.keyW, opt)
+			})
+			if allocs > 1 {
+				t.Errorf("row=%d key=%d n=%d (msd=%v): %.0f allocations per sort, want at most 1", sh.rowW, sh.keyW, n, st.UsedMSD, allocs)
+			}
+		}
+	}
+}
+
 // FuzzRadixSort checks Sort against the stable oracle on arbitrary bytes cut
 // into rows of an arbitrary stride and key width.
 func FuzzRadixSort(f *testing.F) {

@@ -20,8 +20,6 @@ import (
 // [start, start+count) into v, a dense vector of count rows (see
 // vector.NewDense). It is the sequential fast path of GatherChunk: no index
 // list is materialized.
-//
-//rowsort:hotpath
 func (rs *RowSet) GatherRangeColumn(c, start, count int, v *vector.Vector) {
 	l := rs.layout
 	w := l.width
@@ -179,8 +177,6 @@ func (rs *RowSet) GatherRangeColumn(c, start, count int, v *vector.Vector) {
 // vector of len(idxs) rows. Indices may repeat and appear in any order —
 // this is the payload retrieval of a sorted run, where the sorted keys
 // carry the row indices.
-//
-//rowsort:hotpath
 func (rs *RowSet) GatherColumn(c int, idxs []uint32, v *vector.Vector) {
 	l := rs.layout
 	w := l.width
@@ -338,8 +334,6 @@ func (rs *RowSet) GatherColumn(c int, idxs []uint32, v *vector.Vector) {
 // referenced by which may be nil. This is the merged-output gather: after
 // the cascaded merge, consecutive output rows reference payload scattered
 // across the sorted runs.
-//
-//rowsort:hotpath
 func GatherRefsColumn(sets []*RowSet, which, idxs []uint32, c int, v *vector.Vector) {
 	if len(idxs) == 0 {
 		return

@@ -50,10 +50,8 @@ func BuildRows(cols [][]uint32) []Row {
 // is specialized code with an inlinable comparator — the analog of a
 // compiling query engine generating a comparison function for the query.
 
-//rowsort:pure
 func less1(a, b Row) bool { return a.Keys[0] < b.Keys[0] }
 
-//rowsort:pure
 func less2(a, b Row) bool {
 	if a.Keys[0] != b.Keys[0] {
 		return a.Keys[0] < b.Keys[0]
@@ -61,7 +59,6 @@ func less2(a, b Row) bool {
 	return a.Keys[1] < b.Keys[1]
 }
 
-//rowsort:pure
 func less3(a, b Row) bool {
 	if a.Keys[0] != b.Keys[0] {
 		return a.Keys[0] < b.Keys[0]
@@ -72,7 +69,6 @@ func less3(a, b Row) bool {
 	return a.Keys[2] < b.Keys[2]
 }
 
-//rowsort:pure
 func less4(a, b Row) bool {
 	if a.Keys[0] != b.Keys[0] {
 		return a.Keys[0] < b.Keys[0]
@@ -116,8 +112,6 @@ type ColumnCompare func(a, b Row) int
 // DynamicComparator builds the interpreted-engine comparator: a loop over
 // per-column compare callbacks, each invoked through a function pointer on
 // every comparison. This is the function-call overhead Figure 6 measures.
-//
-//rowsort:pure
 func DynamicComparator(numKeys int) sortalgo.LessFunc[Row] {
 	if numKeys < 1 || numKeys > MaxKeys {
 		panic(fmt.Sprintf("rowcmp: numKeys must be 1..%d, got %d", MaxKeys, numKeys))
@@ -191,8 +185,6 @@ func NormalizedRowWidth(numKeys int) (rowWidth, keyWidth int) {
 // row is the big-endian concatenation of its key values (order-preserving
 // for uint32) followed by the row id. The result can be compared with
 // bytes.Compare or sorted with radix sort.
-//
-//rowsort:keyencoder
 func EncodeNormalized(cols [][]uint32) (data []byte, rowWidth, keyWidth int) {
 	if len(cols) == 0 || len(cols) > MaxKeys {
 		panic(fmt.Sprintf("rowcmp: need 1..%d key columns, got %d", MaxKeys, len(cols)))
@@ -208,7 +200,7 @@ func EncodeNormalized(cols [][]uint32) (data []byte, rowWidth, keyWidth int) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		//rowsort:allow keyorder row ids are generated non-negative and sit outside the compared key prefix
+		// row ids are generated non-negative and sit outside the compared key prefix
 		binary.BigEndian.PutUint32(data[i*rowWidth+keyWidth:], uint32(i))
 	}
 	return data, rowWidth, keyWidth
@@ -233,7 +225,6 @@ func SortNormalizedRadix(data []byte, rowWidth, keyWidth int) radix.Stats {
 // non-inlinable call, modeling a memcmp invoked dynamically with a size
 // parameter known only at run time (the interpreted engine's situation).
 //
-//rowsort:pure
 //go:noinline
 func dynamicMemcmp(a, b []byte) int { return bytes.Compare(a, b) }
 

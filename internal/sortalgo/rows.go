@@ -58,7 +58,6 @@ func (r *Rows) rowLess(row []byte, i int) bool { return r.cmp(row, r.Row(i)) < 0
 // Swap exchanges rows i and j by copying bytes through a scratch row.
 func (r *Rows) Swap(i, j int) {
 	if r.tmp == nil {
-		//rowsort:allow hotpathalloc one-time scratch row, amortized over every later swap
 		r.tmp = make([]byte, r.Width)
 	}
 	a, b := r.Row(i), r.Row(j)
@@ -73,7 +72,6 @@ func (r *Rows) copyRow(dst, src int) { copy(r.Row(dst), r.Row(src)) }
 // savePivot copies row i into the pivot scratch buffer and returns it.
 func (r *Rows) savePivot(i int) []byte {
 	if r.pivot == nil {
-		//rowsort:allow hotpathalloc one-time pivot scratch row, amortized over every later partition
 		r.pivot = make([]byte, r.Width)
 	}
 	copy(r.pivot, r.Row(i))
@@ -128,8 +126,6 @@ func (r *Rows) Heapsort(lo, hi int) {
 }
 
 // Introsort sorts all rows with introspective sort.
-//
-//rowsort:hotpath
 func (r *Rows) Introsort() {
 	n := r.Len()
 	if n < 2 {
@@ -197,8 +193,6 @@ func (r *Rows) sort3(i0, i1, i2 int) {
 
 // Pdqsort sorts all rows with pattern-defeating quicksort, the comparison
 // sort DuckDB uses on normalized keys when strings are present.
-//
-//rowsort:hotpath
 func (r *Rows) Pdqsort() {
 	n := r.Len()
 	if n < 2 {

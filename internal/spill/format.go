@@ -90,8 +90,6 @@ func (f *File) blockEnd(b int) int64 {
 func (f *File) blockLen(b int) int { return min(f.blockRows, f.rows-b*f.blockRows) }
 
 // fence returns block b's first key row.
-//
-//rowsort:hotpath
 func (f *File) fence(b int) []byte {
 	return f.fences[b*f.format.RowWidth : (b+1)*f.format.RowWidth]
 }

@@ -125,9 +125,6 @@ func (p *Plan) Span(i int, lo, hi []byte) (first, end int) {
 // compareSafe compares two key rows on the byte-decisive safe prefix — the
 // only region where plain byte order is guaranteed to agree with the sort's
 // total order.
-//
-//rowsort:hotpath
-//rowsort:pure
 func compareSafe(a, b []byte, safe int) int {
 	return bytes.Compare(a[:safe], b[:safe])
 }
@@ -137,8 +134,6 @@ func compareSafe(a, b []byte, safe int) int {
 // every bound, which is what keeps range partitioning consistent with the
 // tie-broken total order; a merge trims a task's first and last block of a
 // run with it.
-//
-//rowsort:hotpath
 func LowerBound(r mergepath.Run, key []byte, safe int) int {
 	lo, hi := 0, r.Len()
 	for lo < hi {

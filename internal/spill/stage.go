@@ -112,8 +112,6 @@ func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants in
 // Start launches the forecast goroutine, if read-ahead is on. It stops when
 // ctx is done and is joined by Close; join, too, counts it, for the owner of
 // ctx to wait on should the stage's owner drop it.
-//
-//rowsort:pipeline
 func (st *Stage) Start(ctx context.Context, join *sync.WaitGroup) {
 	if st.limit == 0 {
 		return

@@ -91,9 +91,6 @@ func NewAnalyzer(keyWidth int, segOffs []int) *Analyzer {
 }
 
 // samplePos returns the j-th sampled row index in [0, n).
-//
-//rowsort:hotpath
-//rowsort:pure
 func samplePos(j, n int) int {
 	return int((uint64(j)*2654435761 + 12345) % uint64(n))
 }
@@ -102,8 +99,6 @@ func samplePos(j, n int) int {
 // on their first keyWidth bytes) and returns its distribution estimates.
 // It runs once per run cut — off the per-chunk ingest path — and does not
 // allocate.
-//
-//rowsort:hotpath
 func (a *Analyzer) Analyze(keys []byte, rowWidth, n int) Stats {
 	kw := a.keyWidth
 	st := Stats{Rows: n, FirstVarying: -1}
@@ -244,8 +239,6 @@ func (a *Analyzer) Analyze(keys []byte, rowWidth, n int) Stats {
 // confirmSorted rechecks adjacent-pair order with up to confirmPairs pairs
 // (all of them when the run is small enough) and returns the in-order
 // fraction. Zero-alloc, byte compares only.
-//
-//rowsort:hotpath
 func (a *Analyzer) confirmSorted(keys []byte, rowWidth, n int) float64 {
 	kw := a.keyWidth
 	pairs := n - 1

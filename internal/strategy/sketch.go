@@ -39,8 +39,6 @@ func (h *HLL) Reset() { clear(h.reg[:]) }
 // splitmix64-style avalanche first: FNV-1a's trailing multiply leaves
 // low-order input differences out of the high bits, and the register
 // index is exactly those bits.
-//
-//rowsort:hotpath
 func (h *HLL) Add(hash uint64) {
 	hash ^= hash >> 33
 	hash *= 0xff51afd7ed558ccd
@@ -75,9 +73,6 @@ func (h *HLL) Estimate() float64 {
 }
 
 // HashBytes is the sketch's byte-string hash (FNV-1a over 8-byte words).
-//
-//rowsort:hotpath
-//rowsort:pure
 func HashBytes(b []byte) uint64 {
 	h := uint64(1469598103934665603)
 	for len(b) >= 8 {

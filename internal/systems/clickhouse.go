@@ -38,8 +38,6 @@ func (c *ClickHouse) numThreads() int {
 }
 
 // Sort implements System.
-//
-//rowsort:pipeline
 func (c *ClickHouse) Sort(t *vector.Table, keys []core.SortColumn) (*vector.Table, error) {
 	if err := validateSpec(t.Schema, keys); err != nil {
 		return nil, err

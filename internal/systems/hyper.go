@@ -72,8 +72,6 @@ type keyMeta struct {
 }
 
 // Sort implements System.
-//
-//rowsort:pipeline
 func (h *compiled) Sort(t *vector.Table, keys []core.SortColumn) (*vector.Table, error) {
 	if err := validateSpec(t.Schema, keys); err != nil {
 		return nil, err
@@ -251,8 +249,6 @@ func compareCrows(a, b *crow, meta []keyMeta, numKeys int) int {
 // parallelKWayCrows merges sorted tuple runs. The output is split into p
 // partitions by value splitters; each partition is k-way merged
 // independently and in parallel.
-//
-//rowsort:pipeline
 func parallelKWayCrows(runs [][]crow, meta []keyMeta, numKeys, p int) []crow {
 	total := 0
 	longest := 0

@@ -115,8 +115,6 @@ func keyColumns(cols []*vector.Vector, keys []core.SortColumn) []*vector.Vector 
 // vector.GatherInto) and output chunks are distributed over threads
 // workers; chunks are independent, so the output is identical at any
 // thread count. Single-threaded models pass threads=1.
-//
-//rowsort:pipeline
 func gather(schema vector.Schema, cols []*vector.Vector, order []uint32, threads int) *vector.Table {
 	out := vector.NewTable(schema)
 	n := len(order)

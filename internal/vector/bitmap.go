@@ -12,7 +12,7 @@ type Bitmap struct {
 
 // NewBitmap returns an all-valid bitmap covering n rows.
 func NewBitmap(n int) *Bitmap {
-	//rowsort:allow hotpathalloc validity bitmaps are lazy: allocated once on the first NULL, never in the steady state
+	// validity bitmaps are lazy: allocated once on the first NULL, never in the steady state
 	bm := &Bitmap{}
 	bm.Resize(n)
 	return bm
@@ -25,7 +25,7 @@ func (b *Bitmap) Len() int { return b.n }
 func (b *Bitmap) Resize(n int) {
 	words := (n + 63) / 64
 	for len(b.words) < words {
-		//rowsort:allow hotpathalloc amortized bitmap growth, hit only when a vector first sees NULLs at a new length
+		// amortized bitmap growth, hit only when a vector first sees NULLs at a new length
 		b.words = append(b.words, ^uint64(0))
 	}
 	b.words = b.words[:words]
