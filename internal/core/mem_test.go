@@ -41,7 +41,7 @@ func TestOptionsValidation(t *testing.T) {
 // from its zero value, alone, and requires the fingerprint to show it: an
 // option that changes what a sort does and is missing from the run's
 // signature makes two different setups read the same. The observer — who
-// watches — is the only exception. The field list is pinned too: a ninth
+// watches — is the only exception. The field list is pinned too: an eighth
 // option is a decision, not an accident.
 func TestFingerprintShowsEveryBehaviouralOption(t *testing.T) {
 	observers := map[string]bool{"Telemetry": true}
@@ -55,8 +55,6 @@ func TestFingerprintShowsEveryBehaviouralOption(t *testing.T) {
 		switch v.Kind() {
 		case reflect.Int, reflect.Int64:
 			v.SetInt(12345)
-		case reflect.Uint8:
-			v.SetUint(1)
 		case reflect.Bool:
 			v.SetBool(true)
 		case reflect.String:
@@ -73,7 +71,7 @@ func TestFingerprintShowsEveryBehaviouralOption(t *testing.T) {
 			t.Errorf("Options.%s set: fingerprint %q, the zero value's %q", f.Name, got, zero)
 		}
 	}
-	if want := "Threads RunSize SpillDir ReadAhead MemoryLimit Broker KeyComp Telemetry"; strings.Join(fields, " ") != want {
+	if want := "Threads RunSize SpillDir ReadAhead MemoryLimit Broker Telemetry"; strings.Join(fields, " ") != want {
 		t.Errorf("Options fields are %q, want %q", strings.Join(fields, " "), want)
 	}
 }

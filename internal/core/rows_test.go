@@ -77,8 +77,8 @@ func pinFS(fsys spill.FS) func(*Sorter) {
 
 // ingestedSorter ingests tbl through a single sink — so the runs, and with
 // them the output bytes, are a function of the options — and stops short of
-// Finalize. Each prep sees the sorter before the first row goes in: to set a
-// test pin, to plan its key compression. The caller closes the sorter.
+// Finalize. Each prep sees the sorter before the first row goes in, to set a
+// test pin. The caller closes the sorter.
 func ingestedSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, prep ...func(*Sorter)) *Sorter {
 	t.Helper()
 	s, err := NewSorter(tbl.Schema, keys, opt)

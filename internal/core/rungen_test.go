@@ -384,29 +384,15 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 		name   string
 		tbl    *vector.Table
 		keys   []SortColumn
-		opt    Options
-		sample *vector.Table // when set, what the key compression is planned from
-		forced string        // expected Forced value, "" = sampled plan
-		algos  []string      // the kernels the runs may name; nil = any
+		forced string   // expected Forced value, "" = sampled plan
+		algos  []string // the kernels the runs may name; nil = any
 	}{
-		{"sampled", uints, uintKeys, Options{}, nil, "", []string{"msd-radix"}},
-		{"sampled dup-group", workload.UintColumnsTable([][]uint32{groups}), col0, Options{}, nil, "", []string{"dup-group"}},
-		{"dup-group miss", workload.UintColumnsTable([][]uint32{nearPairs}), col0, Options{}, nil, "dup-group-miss", []string{"msd-radix"}},
-		{"tie-break", mixedTable(8_000, 91), mergeTestKeys, Options{}, nil, "tie-break", []string{"pdqsort"}},
-		// A dictionary planned from a quarter of the value pool: the rest
-		// escape to gap codes, which tie.
-		{"compressed tie-break", workload.LowCardStrings(6_000, 256, 33), col0,
-			Options{KeyComp: KeyCompDict}, workload.LowCardStrings(2_000, 64, 133), "tie-break", []string{"radix+repair"}},
+		{"sampled", uints, uintKeys, "", []string{"msd-radix"}},
+		{"sampled dup-group", workload.UintColumnsTable([][]uint32{groups}), col0, "", []string{"dup-group"}},
+		{"dup-group miss", workload.UintColumnsTable([][]uint32{nearPairs}), col0, "dup-group-miss", []string{"msd-radix"}},
+		{"tie-break", mixedTable(8_000, 91), mergeTestKeys, "tie-break", []string{"pdqsort"}},
 	} {
-		tc.opt.Threads, tc.opt.RunSize = 2, 1000
-		s := finalizedSorter(t, tc.tbl, tc.keys, tc.opt, func(s *Sorter) {
-			if tc.sample == nil {
-				return
-			}
-			if err := s.PlanCompression(tc.sample.Chunks); err != nil {
-				t.Fatal(err)
-			}
-		})
+		s := finalizedSorter(t, tc.tbl, tc.keys, Options{Threads: 2, RunSize: 1000})
 		checkSorted(t, tc.tbl, resultChecked(t, s), tc.keys, tc.name)
 		st := s.Stats()
 		s.Close()
@@ -447,9 +433,9 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 		if asPlanned == 0 {
 			t.Fatalf("%s: no run's plan came about the way under test", tc.name)
 		}
-		if ran["dup-group"] != st.Counters[obs.DupGroupRuns] || ran["radix+repair"] != st.Counters[obs.TieRepairedRuns] {
-			t.Fatalf("%s: decisions name %v; the kernels counted %d grouped and %d repaired runs",
-				tc.name, ran, st.Counters[obs.DupGroupRuns], st.Counters[obs.TieRepairedRuns])
+		if ran["dup-group"] != st.Counters[obs.DupGroupRuns] || (ran["dup-group"] > 0) != (st.Counters[obs.DupGroupRows] > 0) {
+			t.Fatalf("%s: decisions name %v; the kernel counted %d grouped runs and %d grouped rows",
+				tc.name, ran, st.Counters[obs.DupGroupRuns], st.Counters[obs.DupGroupRows])
 		}
 	}
 }

@@ -36,6 +36,7 @@ type Sorter struct {
 	keys   []SortColumn
 	opt    Options
 
+	// The key shape, fixed by NewSorter: read without s.mu.
 	enc      *normkey.Encoder
 	layout   *row.Layout // payload layout: all schema columns
 	keyWidth int         // normalized key bytes per row
@@ -422,14 +423,11 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	s.ctr.Add(obs.RowsIngested, int64(n))
 
 	// The encoder reports per-chunk whether any encoded key could byte-tie
-	// with a different value's encoding (overlong or NUL-bearing string
-	// prefixes, dictionary escapes, truncation collisions) — runs built only
-	// from lossless chunks keep the comparison-free radix path.
+	// with a different value's encoding (an overlong or NUL-bearing string
+	// prefix) — runs built only from lossless chunks keep the comparison-free
+	// radix path.
 	if st.Ties {
 		k.tieBreak = true
-	}
-	if st.Escapes != 0 {
-		s.ctr.Add(obs.KeyEscapes, st.Escapes)
 	}
 	overBudget := !k.account()
 	sp.End()
@@ -550,8 +548,7 @@ func (k *Sink) flush() error {
 
 	s.ctr.Add(obs.RunsGenerated, 1)
 	s.ctr.Add(obs.RowsSorted, int64(n))
-	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.enc.FullWidth()))
-	s.ctr.Add(obs.PhysKeyBytes, int64(n)*int64(s.keyWidth))
+	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.keyWidth))
 	return s.placeRun(run, withinBudget, k.ow)
 }
 
@@ -599,32 +596,25 @@ func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) err
 // planRun derives the cut run's plan — the only way its sort, its spill
 // shape and its merge role vary — and why it was dictated, "" when it was
 // sampled. A run whose keys may tie on their bytes (tieBreak) sorts as the
-// paper's rule says, pdqsort under the tie-breaking comparator; unless the
-// keys are compressed and the sole tie-capable segment is the last one, when
-// byte order is exact between rows whose bytes differ and only full
-// byte-equal blocks — dictionary escapes sharing a gap, truncation
-// collisions — can be misordered by a radix sort, which sortRun repairs.
-// A byte-decisive run is sorted as the strategy planner's sample of it says
+// paper's rule says, pdqsort under the tie-breaking comparator. A
+// byte-decisive run is sorted as the strategy planner's sample of it says
 // (see internal/strategy): radix, pdqsort when it arrived in order, or one
 // representative per duplicate group.
 func (k *Sink) planRun(keys []byte, n int, tieBreak bool) (plan strategy.Plan, forced string) {
-	s := k.s
 	switch {
-	case s.pinPdqsort:
+	case k.s.pinPdqsort:
 		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "pin"
-	case tieBreak && s.enc.Plan().Active() && s.ovcSafeWidth(true) == s.keyWidth:
-		return strategy.Plan{Algo: strategy.RadixAlgo(s.keyWidth)}, "tie-break"
 	case tieBreak:
 		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "tie-break"
 	}
 	return k.strategyPlanner().PlanRun(keys, n), ""
 }
 
-// strategyPlanner lazily builds this sink's per-run planner (the key shape
-// is final only once ingestion has begun). The planner owns sampling scratch
-// and is reused across the sink's runs; the config captures the sort's fixed
-// shape — key segment offsets for the per-segment sketches, and the
-// spill-block default the plan's block hint is relative to.
+// strategyPlanner lazily builds this sink's per-run planner, on the sink's
+// first byte-decisive run. The planner owns sampling scratch and is reused
+// across the sink's runs; the config captures the sort's fixed shape — key
+// segment offsets for the per-segment sketches, and the spill-block default
+// the plan's block hint is relative to.
 func (k *Sink) strategyPlanner() *strategy.Planner {
 	if k.planner == nil {
 		s := k.s
@@ -657,8 +647,7 @@ func (k *Sink) strategyPlanner() *strategy.Planner {
 // DupGroupMinAvg rows. Then one representative row per group is radix-sorted
 // and the groups are expanded, so that each distinct key moves through the
 // sort once; radix.Sort being stable, the result is byte-identical to sorting
-// row at a time. A miss falls back to plain radix. A radix sort of keys that
-// may tie is followed by the repair of its byte-equal blocks.
+// row at a time. A miss falls back to plain radix.
 func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int), dec *StrategyDecision) []byte {
 	s := k.s
 	algo := plan.Algo
@@ -674,18 +663,16 @@ func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lo
 		}
 	}
 	dec.Algo = algo.String()
-	tie, cmp := s.mergeOrder(tieBreak, lookup)
 	if algo == strategy.AlgoPdqsort {
 		r := sortalgo.NewRows(keys, s.rowWidth)
-		r.Compare = cmp
+		_, r.Compare = s.mergeOrder(tieBreak, lookup)
 		r.Pdqsort()
 		return keys
 	}
 	// Which radix sort runs is radix's own width rule, the one a radix plan's
 	// Algo is named by.
 	radix.SortOpts(rows, stride, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-	switch {
-	case groups > 0:
+	if groups > 0 {
 		dst := s.getKeyBuf()
 		if cap(dst) < len(keys) {
 			s.putKeyBuf(dst)
@@ -697,69 +684,18 @@ func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lo
 		s.ctr.Add(obs.DupGroupRuns, 1)
 		s.ctr.Add(obs.DupGroupRows, int64(n-groups))
 		return dst
-	case tieBreak:
-		repairTies(keys, n, s.rowWidth, s.keyWidth, tie)
-		s.ctr.Add(obs.TieRepairedRuns, 1)
-		dec.Algo = "radix+repair"
 	}
 	return keys
 }
 
-// repairTies restores semantic order inside each maximal block of rows
-// whose full key bytes tie, after a plain byte sort of a lossy compressed
-// run. Sound only when the sole tie-capable segment is the last one
-// (ovcSafeWidth == keyWidth): then a byte difference anywhere decides the
-// semantic order, so misordered pairs are confined to byte-equal blocks.
-// Blocks are expected small (escapes sharing one dictionary gap, truncation
-// collisions), so an insertion sort with the semantic comparator cmp suffices.
-func repairTies(keys []byte, n, rw, kw int, cmp mergepath.CompareFunc) {
-	var tmp []byte
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && bytes.Equal(keys[(j-1)*rw:(j-1)*rw+kw], keys[j*rw:j*rw+kw]) {
-			j++
-		}
-		if j-i > 1 {
-			if tmp == nil {
-				tmp = make([]byte, rw)
-			}
-			for p := i + 1; p < j; p++ {
-				if cmp(keys[p*rw:(p+1)*rw], keys[(p-1)*rw:p*rw]) >= 0 {
-					continue
-				}
-				copy(tmp, keys[p*rw:(p+1)*rw])
-				q := p
-				for q > i && cmp(tmp, keys[(q-1)*rw:q*rw]) < 0 {
-					copy(keys[q*rw:(q+1)*rw], keys[(q-1)*rw:q*rw])
-					q--
-				}
-				copy(keys[q*rw:(q+1)*rw], tmp)
-			}
-		}
-		i = j
-	}
-}
-
 // comparator returns the tie-breaking key-row comparator: a segment-wise
-// compare that resolves tied lossy segments against the payload fetched
-// through the row's reference. Rows that cannot tie never need it: mergeOrder
-// hands those callers one bytes.Compare over the key prefix, the paper's
-// memcmp. lookup maps a payload reference to the RowSet holding it and the
-// row's index there (a merge over spilled runs keeps only one block of each
-// run current, so the index is block-local).
-//
-// Per-encoding tie handling, decided per segment at build time:
-//
-//   - Full varchar / truncated varchar: tied prefixes fall back to the
-//     collated full strings (the original rule).
-//   - Dictionary: an odd (exact) code is a dictionary member, so equal codes
-//     are equal values and the payload fetch is skipped; even (escape gap)
-//     codes compare the strings.
-//   - Shared-prefix-elided fixed segments whose class-1 arm keeps the whole
-//     remaining encoding: tied class-1 segments are equal, no fetch; escape
-//     classes compare the values.
-//   - Other truncated fixed segments: compare the values through their
-//     order-preserving integer form (normkey.OrdFixed), no boxing.
+// compare that resolves a tied varchar prefix — the only segment that can
+// tie — against the collated full strings in the payload, fetched through the
+// row's reference. Rows that cannot tie never need it: mergeOrder hands those
+// callers one bytes.Compare over the key prefix, the paper's memcmp. lookup
+// maps a payload reference to the RowSet holding it and the row's index there
+// (a merge over spilled runs keeps only one block of each run current, so the
+// index is block-local).
 //
 // NULLs never fetch: byte-tied segments share their validity byte, so one
 // leading-byte probe classifies both rows as NULL (equal) or both valid.
@@ -768,11 +704,8 @@ func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) f
 	type seg struct {
 		off, end int
 		col      int // schema column, for the payload fetch
-		typ      vector.Type
 		desc     bool
 		canTie   bool
-		enc      normkey.ColumnEncoding
-		exact1   bool // EncTrunc fixed with an exact class-1 suffix
 		nullB    byte // the segment's leading byte when the value is NULL
 		coll     normkey.Collation
 	}
@@ -781,14 +714,9 @@ func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) f
 		sg := seg{
 			off:    s.enc.Offset(i),
 			col:    nk.Column,
-			typ:    nk.Type,
 			desc:   nk.Order == normkey.Descending,
 			canTie: s.enc.SegCanTie(i),
-			exact1: s.enc.SegExactSuffix(i),
 			coll:   nk.Collation,
-		}
-		if p := s.enc.Plan(); p != nil {
-			sg.enc = p.Cols[i].Enc
 		}
 		if i+1 < len(keys) {
 			sg.end = s.enc.Offset(i + 1)
@@ -820,46 +748,11 @@ func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) f
 			if a[sg.off] == sg.nullB {
 				continue
 			}
-			switch sg.enc {
-			case normkey.EncDict:
-				last := a[sg.end-1]
-				if sg.desc {
-					last = ^last
-				}
-				if last&1 == 1 {
-					continue // exact code: equal dictionary members
-				}
-			case normkey.EncTrunc:
-				if sg.exact1 {
-					cls := a[sg.off+1]
-					if sg.desc {
-						cls = ^cls
-					}
-					if cls == 1 {
-						continue // the whole remaining encoding was kept
-					}
-				}
-			}
 			ra, ia := s.getRef(a)
 			rb, ib := s.getRef(b)
 			pa, la := lookup(ra, ia)
 			pb, lb := lookup(rb, ib)
-			if sg.typ == vector.Varchar {
-				sa := sg.coll.Apply(pa.String(la, sg.col))
-				sb := sg.coll.Apply(pb.String(lb, sg.col))
-				c = compareStrings(sa, sb)
-			} else {
-				ua := normkey.OrdFixed(sg.typ, pa.Row(la)[pa.Layout().Offset(sg.col):])
-				ub := normkey.OrdFixed(sg.typ, pb.Row(lb)[pb.Layout().Offset(sg.col):])
-				switch {
-				case ua < ub:
-					c = -1
-				case ua > ub:
-					c = 1
-				default:
-					c = 0
-				}
-			}
+			c = compareStrings(sg.coll.Apply(pa.String(la, sg.col)), sg.coll.Apply(pb.String(lb, sg.col)))
 			if sg.desc {
 				c = -c
 			}
@@ -875,11 +768,10 @@ func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
 
 // ovcSafeWidth returns the normalized-key prefix width over which plain
 // byte order is the sort order: the whole key when no segment encoded a
-// possible tie, else only up to the end of the first tie-capable segment
-// (a varchar prefix, or any lossy compressed encoding). Beyond a tied
-// lossy segment the semantic values decide before any later segment's
-// bytes, so byte (and offset-value-code) comparisons must stop there and
-// byte-equal rows fall to the segment-wise tie comparator.
+// possible tie, else only up to the end of the first tie-capable segment,
+// a varchar prefix. Beyond a tied prefix the full strings decide before any
+// later segment's bytes, so byte (and offset-value-code) comparisons must
+// stop there and byte-equal rows fall to the segment-wise tie comparator.
 func (s *Sorter) ovcSafeWidth(anyTieBreak bool) int {
 	if !anyTieBreak {
 		return s.keyWidth
@@ -1041,11 +933,6 @@ func sortTable(s *Sorter, t *vector.Table) (*vector.Table, error) {
 		total += c.Len()
 	}
 	s.SetExpectedRows(int64(total))
-	if s.opt.KeyComp&(KeyCompDict|KeyCompTrunc) != 0 {
-		if err := s.PlanCompression(keySampleChunks(t.Chunks)); err != nil {
-			return nil, err
-		}
-	}
 	threads := min(s.opt.threads(), max(1, len(t.Chunks)))
 	errs := make([]error, threads)
 	var wg sync.WaitGroup

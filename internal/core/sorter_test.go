@@ -395,11 +395,14 @@ func TestSortTableCaseInsensitive(t *testing.T) {
 }
 
 // TestOrderShapesMatchOracle sorts every order shape the workload package
-// generates — the inputs on which the planner leaves radix — through default
+// generates — the inputs on which the planner leaves radix — and two string
+// shapes whose every run takes the tie-break (low-cardinality names two bytes
+// longer than the prefix, URLs whose shared start fills it) through default
 // SortTable, resident and spilled, on one thread and four: the output must
 // equal the stable-sort oracle on key sequence and row multiset whatever each
-// run's sample picked, and pdqsort pinned on every run must yield the same key
-// sequence. Across the shapes every kernel a sampled plan can name must run.
+// run's plan was, and pdqsort pinned on every run must yield the same key
+// sequence. Across the shapes every kernel a sampled (not forced) plan can
+// name must run.
 func TestOrderShapesMatchOracle(t *testing.T) {
 	const n, runSize = 20_000, 2_500
 	keys := []SortColumn{{Column: 0}}
@@ -407,15 +410,18 @@ func TestOrderShapesMatchOracle(t *testing.T) {
 	for _, sh := range []struct {
 		name string
 		tbl  *vector.Table
+		ties bool // every run's string prefixes tie
 	}{
-		{"sorted", workload.NearlySorted(n, 0, 51)},
-		{"0.01% disorder", workload.NearlySorted(n, 0.0001, 52)},
-		{"0.1% disorder", workload.NearlySorted(n, 0.001, 53)},
-		{"sawtooth", workload.SawtoothRuns(n, 1024, 54)},
-		{"duplicate runs", workload.DupHeavyInts(n, 500, 55)},
-		{"all equal", workload.DupHeavyInts(n, 1, 56)},
-		{"one row", workload.NearlySorted(1, 0, 57)},
-		{"empty", workload.NearlySorted(0, 0, 58)},
+		{"sorted", workload.NearlySorted(n, 0, 51), false},
+		{"0.01% disorder", workload.NearlySorted(n, 0.0001, 52), false},
+		{"0.1% disorder", workload.NearlySorted(n, 0.001, 53), false},
+		{"sawtooth", workload.SawtoothRuns(n, 1024, 54), false},
+		{"duplicate runs", workload.DupHeavyInts(n, 500, 55), false},
+		{"all equal", workload.DupHeavyInts(n, 1, 56), false},
+		{"low-cardinality strings", workload.LowCardStrings(n, 300, 59), true},
+		{"shared-prefix strings", workload.SharedPrefixStrings(n, 60), true},
+		{"one row", workload.NearlySorted(1, 0, 57), false},
+		{"empty", workload.NearlySorted(0, 0, 58), false},
 	} {
 		for _, threads := range []int{1, 4} {
 			for _, spilled := range []bool{false, true} {
@@ -430,7 +436,12 @@ func TestOrderShapesMatchOracle(t *testing.T) {
 				}
 				checkSorted(t, sh.tbl, got, keys, ctx)
 				for _, d := range st.StrategyDecisions {
-					ran[d.Algo] = true
+					if d.Forced == "" {
+						ran[d.Algo] = true
+					}
+					if (d.Forced == "tie-break") != sh.ties {
+						t.Fatalf("%s: run %d forced %q", ctx, d.Run, d.Forced)
+					}
 				}
 
 				s, err := NewSorter(sh.tbl.Schema, keys, opt)

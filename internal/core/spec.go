@@ -43,31 +43,6 @@ type SortColumn struct {
 	CaseInsensitive bool
 }
 
-// KeyComp is a bitmask enabling compressed normalized-key encodings. The
-// zero value disables compression (the seed behavior). Compression is
-// sample-driven: the materialized-table entry points (SortTable, or an
-// explicit Sorter.PlanCompression call) inspect a spread of input chunks
-// before ingestion and shrink the normalized key wherever the sample says a
-// cheaper order-preserving encoding discriminates; lossy encodings are
-// backed by the sorter's semantic tie-break, so the sorted output is
-// byte-identical to the uncompressed sort.
-type KeyComp uint8
-
-// The key-compression features.
-const (
-	// KeyCompDict enables sampled order-preserving dictionary encoding for
-	// low-cardinality varchar keys (out-of-sample values escape to gap
-	// codes resolved by the tie-break).
-	KeyCompDict KeyComp = 1 << iota
-	// KeyCompTrunc enables adaptive prefix truncation and shared-prefix
-	// elision: the key keeps only the sampled discriminating prefix of its
-	// order-preserving encoding.
-	KeyCompTrunc
-
-	// KeyCompAll enables every key-compression feature.
-	KeyCompAll = KeyCompDict | KeyCompTrunc
-)
-
 // Options tune the sorter; the zero value is a good default.
 type Options struct {
 	// Threads bounds the sorter's parallelism; 0 means GOMAXPROCS.
@@ -118,12 +93,6 @@ type Options struct {
 	// instead of OOMing. When nil, a private broker is created; peak
 	// accounting (Stats().PeakResidentRunBytes) works either way.
 	Broker *mem.Broker
-	// KeyComp enables compressed normalized-key encodings (see the KeyComp
-	// constants); 0 keeps the full encoding. Dictionary and truncation
-	// require an ingest-time sample: SortTable samples automatically, and
-	// streaming callers opt in with Sorter.PlanCompression before the first
-	// Append.
-	KeyComp KeyComp
 	// Telemetry, when non-nil, is the sort's observer: it records phase
 	// spans (ingest, run sort, spill I/O, merge, gather) and per-thread
 	// timelines, exportable as Chrome trace_event JSON and Prometheus text,
@@ -201,20 +170,6 @@ func (o Options) Fingerprint() string {
 	if o.ReadAhead != 0 {
 		fmt.Fprintf(&b, " readahead=%d", o.readAhead())
 	}
-	if o.KeyComp != 0 {
-		b.WriteString(" keycomp=")
-		sep := ""
-		for _, f := range []struct {
-			bit  KeyComp
-			name string
-		}{{KeyCompDict, "dict"}, {KeyCompTrunc, "trunc"}} {
-			if o.KeyComp&f.bit != 0 {
-				b.WriteString(sep)
-				b.WriteString(f.name)
-				sep = "+"
-			}
-		}
-	}
 	return b.String()
 }
 
@@ -230,9 +185,6 @@ func (o Options) Validate() error {
 	}
 	if o.MemoryLimit < 0 {
 		return fmt.Errorf("core: Options.MemoryLimit is negative (%d); use 0 for unlimited", o.MemoryLimit)
-	}
-	if o.KeyComp&^KeyCompAll != 0 {
-		return fmt.Errorf("core: Options.KeyComp has unknown bits %#x", uint8(o.KeyComp&^KeyCompAll))
 	}
 	return nil
 }

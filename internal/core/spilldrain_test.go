@@ -17,6 +17,22 @@ import (
 	"rowsort/internal/workload"
 )
 
+// tablesEqual asserts a and b hold identical rows in identical order.
+func tablesEqual(t *testing.T, want, got *vector.Table, ctx string) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: got %d rows, want %d", ctx, got.NumRows(), want.NumRows())
+	}
+	for c := range want.Schema {
+		wc, gc := want.Column(c), got.Column(c)
+		for i := 0; i < want.NumRows(); i++ {
+			if wv, gv := wc.Value(i), gc.Value(i); wv != gv {
+				t.Fatalf("%s: row %d col %d: got %v, want %v", ctx, i, c, gv, wv)
+			}
+		}
+	}
+}
+
 // spilledSorter ingests tbl through a single sink with every run kept in
 // memory, then spills by hand the runs spill selects — in blocks of blockRows
 // rows (0: as the sorter would), their keys front-coded where that shrinks

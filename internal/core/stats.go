@@ -32,9 +32,9 @@ type SortStats struct {
 
 	RowsIngested  int64
 	RunsGenerated int64
-	// NormKeyBytes is in logical (uncompressed) terms, so it stays comparable
-	// across Options.KeyComp settings; PhysKeyBytes is what was emitted.
-	NormKeyBytes int64
+	NormKeyBytes  int64
+	// PhysKeyBytes equals NormKeyBytes; it stays only because benchmark/
+	// reads it.
 	PhysKeyBytes int64
 	// A merge reads every byte of its runs exactly once, whatever its task
 	// and worker count, so after a result drained to its end read equals
@@ -79,9 +79,6 @@ type SortStats struct {
 	DurGather time.Duration
 	DurTotal  time.Duration
 
-	// KeyEncodings is the sampled per-column encoding decisions, one per sort
-	// key; empty when no compression plan is active.
-	KeyEncodings []KeyEncodingStat
 	// StrategyDecisions records, per generated run, the execution-plan choice
 	// and the sampled statistics it came from — on every path (a plan a
 	// tie-break dictated has Forced set), so the log always says what ran and
@@ -100,7 +97,7 @@ func statsOf(v obs.Values) SortStats {
 		RowsIngested:         v[obs.RowsIngested],
 		RunsGenerated:        v[obs.RunsGenerated],
 		NormKeyBytes:         v[obs.NormKeyBytes],
-		PhysKeyBytes:         v[obs.PhysKeyBytes],
+		PhysKeyBytes:         v[obs.NormKeyBytes],
 		SpillBytesWritten:    v[obs.SpillBytesWritten],
 		SpillBytesRead:       v[obs.SpillBytesRead],
 		GatherBytesMoved:     v[obs.GatherBytes],
@@ -147,13 +144,12 @@ func (s *Sorter) Stats() SortStats {
 	st := statsOf(s.ctr.Snapshot())
 	st.StrategyDecisions = s.ctr.Decisions()
 	st.Phases = s.rec.Summary()
-	st.KeyEncodings = s.keyEncodings()
 	return st
 }
 
 // String renders the stats as an aligned multi-line report: one row per
 // counter that is not zero, in descriptor order under its layer, then the
-// key encodings, the run tally by sort algorithm and the span table.
+// run tally by sort algorithm and the span table.
 func (st SortStats) String() string {
 	var b strings.Builder
 	row := func(layer, name, val string) { fmt.Fprintf(&b, "%-8s %-28s %s\n", layer, name, val) }
@@ -167,13 +163,6 @@ func (st SortStats) String() string {
 			name, val = strings.TrimSuffix(name, " seconds"), time.Duration(v).Round(time.Microsecond).String()
 		}
 		row(d.Layer, name, val)
-	}
-	if len(st.KeyEncodings) > 0 {
-		parts := make([]string, len(st.KeyEncodings))
-		for i, ke := range st.KeyEncodings {
-			parts[i] = fmt.Sprintf("col%d=%s %d/%dB", ke.Column, ke.Encoding, ke.Width, ke.FullWidth)
-		}
-		row("ingest", "key encodings", strings.Join(parts, ", "))
 	}
 	if byAlgo := obs.AlgoCounts(st.StrategyDecisions); len(byAlgo) > 0 {
 		parts := make([]string, len(byAlgo))

@@ -68,100 +68,27 @@ func cmpSign(c int) int {
 	}
 }
 
-// fuzzPlan derives a compression plan for the key from the fuzzer's
-// selector and plan bits. Plans are deliberately arbitrary — not just what
-// AnalyzeSample would pick — because the order contract must hold for any
-// dictionary or skip prefix, sampled well or badly. Returns nil when the
-// selected arm does not apply to the key's type.
-func fuzzPlan(key SortKey, encSel uint8, planBits uint64, as, bs string) *Plan {
-	col := ColumnPlan{Enc: EncFull}
-	switch encSel % 4 {
-	case 1: // dictionary (varchar only)
-		if key.Type != vector.Varchar {
-			return nil
-		}
-		// Candidate members drawn from the pair under test and fixed
-		// probes, so exact hits, near misses and far escapes all occur.
-		cands := []string{"", "a", "m", "zz", key.Collation.Apply(as), key.Collation.Apply(bs), key.Collation.Apply(as) + "0"}
-		var vals []string
-		for i, c := range cands {
-			if planBits&(1<<i) != 0 {
-				vals = append(vals, c)
-			}
-		}
-		sortStrings(vals)
-		vals = dedupSorted(vals)
-		dict, err := NewDictionary(vals)
-		if err != nil {
-			return nil
-		}
-		col = ColumnPlan{Enc: EncDict, Dict: dict, Width: dict.Width()}
-	case 2: // plain prefix truncation
-		if key.Type == vector.Varchar {
-			col = ColumnPlan{Enc: EncTrunc, Width: 1 + int(planBits%uint64(key.prefixLen()))}
-		} else if w := key.Type.Width(); w >= 2 {
-			col = ColumnPlan{Enc: EncTrunc, Width: 1 + int(planBits%uint64(w-1))}
-		} else {
-			return nil
-		}
-	case 3: // shared-prefix elision
-		if key.Type == vector.Varchar {
-			skip := key.Collation.Apply(as)
-			if n := int(planBits % 8); n < len(skip) {
-				skip = skip[:n]
-			}
-			if skip == "" {
-				return nil
-			}
-			col = ColumnPlan{Enc: EncTrunc, Skip: skip, Width: 1 + int((planBits>>3)%4)}
-		} else if w := key.Type.Width(); w >= 2 {
-			var scratch [8]byte
-			va := fuzzValueVector(key.Type, planBits, "", false)
-			encodeValue(key, va, 0, scratch[:w])
-			skip := 1 + int((planBits>>32)%uint64(w-1))
-			kept := 1 + int((planBits>>40)%uint64(w-skip))
-			col = ColumnPlan{Enc: EncTrunc, Skip: string(scratch[:skip]), Width: 1 + kept}
-		} else {
-			return nil
-		}
-	default:
-		return nil
-	}
-	return &Plan{Cols: []ColumnPlan{col}}
-}
-
-// sortStrings is insertion sort, enough for the tiny fuzz dictionaries.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // FuzzNormKeyOrder checks the paper's central claim on arbitrary value
 // pairs: the unsigned byte order of encoded normalized keys agrees with the
 // semantic comparison of the values, across every type, ASC/DESC, NULLS
-// FIRST/LAST, both collations, and every compressed encoding arm
-// (dictionary with escape gaps, prefix truncation, shared-prefix elision).
-// The sanctioned divergence is a lossy byte-tie: encoded keys may tie where
-// the values differ only if the encoder flagged the chunk as needing a
-// tie-break (EncodeStats.Ties) — for the uncompressed varchar arm that must
-// moreover coincide with genuinely identical collated padded prefixes.
+// FIRST/LAST and both collations. The sanctioned divergence is a lossy
+// byte-tie: encoded keys may tie where the values differ only if the encoder
+// flagged the chunk as needing a tie-break (EncodeStats.Ties), and only for
+// a varchar whose collated padded prefixes are genuinely identical.
 func FuzzNormKeyOrder(f *testing.F) {
-	f.Add(uint8(4), uint8(0), uint8(0), uint64(5), uint64(1<<63), "", "", uint8(0), uint64(0))                                // int64 sign straddle
-	f.Add(uint8(10), uint8(1), uint8(0), uint64(0), uint64(1)<<63, "", "", uint8(0), uint64(0))                               // float64 +0 vs -0, DESC
-	f.Add(uint8(10), uint8(0), uint8(0), uint64(0x7FF8000000000001), uint64(0x7FF0000000000000), "", "", uint8(0), uint64(0)) // NaN vs +Inf
-	f.Add(uint8(11), uint8(0), uint8(3), uint64(0), uint64(0), "abc", "abd", uint8(0), uint64(0))                             // varchar within prefix
-	f.Add(uint8(11), uint8(16), uint8(1), uint64(0), uint64(0), "Aa", "aA", uint8(0), uint64(0))                              // nocase collation, 2-byte prefix
-	f.Add(uint8(2), uint8(14), uint8(0), uint64(7), uint64(7), "", "", uint8(0), uint64(0))                                   // NULL vs non-NULL, NULLS LAST
-	f.Add(uint8(11), uint8(0), uint8(7), uint64(0), uint64(0), "ca", "cb", uint8(1), uint64(0x3F))                            // dict: exact vs same-gap escape
-	f.Add(uint8(11), uint8(1), uint8(7), uint64(0), uint64(0), "wa", "wz", uint8(1), uint64(0x2B))                            // dict DESC with top escape
-	f.Add(uint8(4), uint8(0), uint8(0), uint64(300), uint64(301), "", "", uint8(2), uint64(2))                                // int64 plain trunc tie
-	f.Add(uint8(11), uint8(0), uint8(9), uint64(0), uint64(0), "id-0001", "id-0002", uint8(3), uint64(3|8<<3))                // varchar skip elision
-	f.Add(uint8(4), uint8(2), uint8(0), uint64(96), uint64(1<<50), "", "", uint8(3), uint64(96|6<<32|1<<40))                  // int64 skip with class-2 escape
+	f.Add(uint8(4), uint8(0), uint8(0), uint64(5), uint64(1<<63), "", "")                                // int64 sign straddle
+	f.Add(uint8(10), uint8(1), uint8(0), uint64(0), uint64(1)<<63, "", "")                               // float64 +0 vs -0, DESC
+	f.Add(uint8(10), uint8(0), uint8(0), uint64(0x7FF8000000000001), uint64(0x7FF0000000000000), "", "") // NaN vs +Inf
+	f.Add(uint8(11), uint8(0), uint8(3), uint64(0), uint64(0), "abc", "abd")                             // varchar within prefix
+	f.Add(uint8(11), uint8(16), uint8(1), uint64(0), uint64(0), "Aa", "aA")                              // nocase collation, 2-byte prefix
+	f.Add(uint8(2), uint8(14), uint8(0), uint64(7), uint64(7), "", "")                                   // NULL vs non-NULL, NULLS LAST
+	f.Add(uint8(11), uint8(0), uint8(3), uint64(0), uint64(0), "abcdX", "abcdY")                         // varchar overflowing its prefix: a flagged tie
+	f.Add(uint8(11), uint8(0), uint8(7), uint64(0), uint64(0), "ab\x00", "ab")                           // embedded NUL against the padding
+	f.Add(uint8(11), uint8(5), uint8(2), uint64(0), uint64(0), "x", "wz")                                // DESC, NULLS FIRST, a NULL string
+	f.Add(uint8(11), uint8(17), uint8(1), uint64(0), uint64(0), "ABc", "abD")                            // nocase DESC tie past the prefix
+	f.Add(uint8(9), uint8(3), uint8(0), uint64(0x7FC00001), uint64(0xFF800000), "", "")                  // float32 NaN vs -Inf, DESC NULLS LAST
 
-	f.Fuzz(func(t *testing.T, typeSel, flags, prefix uint8, abits, bbits uint64, as, bs string, encSel uint8, planBits uint64) {
+	f.Fuzz(func(t *testing.T, typeSel, flags, prefix uint8, abits, bbits uint64, as, bs string) {
 		typ := fuzzTypes[int(typeSel)%len(fuzzTypes)]
 		key := SortKey{Type: typ}
 		if flags&1 != 0 {
@@ -181,10 +108,9 @@ func FuzzNormKeyOrder(f *testing.F) {
 		va := fuzzValueVector(typ, abits, as, aNull)
 		vb := fuzzValueVector(typ, bbits, bs, bNull)
 
-		plan := fuzzPlan(key, encSel, planBits, as, bs)
-		enc, err := NewEncoderPlan([]SortKey{key}, plan)
+		enc, err := NewEncoder([]SortKey{key})
 		if err != nil {
-			t.Fatalf("NewEncoderPlan(%+v, %+v): %v", key, plan, err)
+			t.Fatalf("NewEncoder(%+v): %v", key, err)
 		}
 		ea := make([]byte, enc.Width())
 		eb := make([]byte, enc.Width())
@@ -205,30 +131,27 @@ func FuzzNormKeyOrder(f *testing.F) {
 		if got != 0 {
 			// Encoded keys ordered one way, the oracle the other (or tied):
 			// a hard violation of byte-comparability.
-			t.Fatalf("key %+v plan %+v: bytes.Compare = %d but CompareValues = %d\na = % x (null=%v)\nb = % x (null=%v)",
-				key, plan, got, want, ea, aNull, eb, bNull)
+			t.Fatalf("key %+v: bytes.Compare = %d but CompareValues = %d\na = % x (null=%v)\nb = % x (null=%v)",
+				key, got, want, ea, aNull, eb, bNull)
 		}
 		// A byte-tie with a semantic difference is legal only when the
 		// encoder told the sorter a tie-break is needed — that flag is what
-		// keeps lossy encodings correct end to end.
+		// keeps lossy prefixes correct end to end — and only as varchar prefix
+		// truncation with identical collated padded prefixes.
 		if aNull || bNull {
-			t.Fatalf("key %+v plan %+v: NULL mismatch ties: CompareValues = %d", key, plan, want)
+			t.Fatalf("key %+v: NULL mismatch ties: CompareValues = %d", key, want)
 		}
 		if !sta.Ties && !stb.Ties {
-			t.Fatalf("key %+v plan %+v: unreported lossy tie (oracle = %d)\na = % x\nb = % x", key, plan, want, ea, eb)
+			t.Fatalf("key %+v: unreported lossy tie (oracle = %d)\na = % x\nb = % x", key, want, ea, eb)
 		}
-		if plan == nil {
-			// Uncompressed arm: the tie must be exactly varchar prefix
-			// truncation with identical collated padded prefixes.
-			if typ != vector.Varchar {
-				t.Fatalf("key %+v: encoded keys tie but CompareValues = %d", key, want)
-			}
-			p := key.prefixLen()
-			pa := prefixPad(key.Collation.Apply(as), p)
-			pb := prefixPad(key.Collation.Apply(bs), p)
-			if pa != pb {
-				t.Fatalf("key %+v: encoded keys tie but collated prefixes differ: %q vs %q", key, pa, pb)
-			}
+		if typ != vector.Varchar {
+			t.Fatalf("key %+v: encoded keys tie but CompareValues = %d", key, want)
+		}
+		p := key.prefixLen()
+		pa := prefixPad(key.Collation.Apply(as), p)
+		pb := prefixPad(key.Collation.Apply(bs), p)
+		if pa != pb {
+			t.Fatalf("key %+v: encoded keys tie but collated prefixes differ: %q vs %q", key, pa, pb)
 		}
 	})
 }

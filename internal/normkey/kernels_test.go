@@ -2,32 +2,33 @@ package normkey
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rowsort/internal/vector"
 )
 
 // refEncodeChunk is the encoder as it was before the typed kernels: one row
-// at a time, deciding validity, encoding and type per value, then a second
-// pass inverting DESC segments. It is kept here as the oracle the kernels
-// must match byte for byte and stat for stat.
+// at a time, deciding validity and type per value, then a second pass
+// inverting DESC segments. It is kept here as the oracle the kernels must
+// match byte for byte and stat for stat.
 func refEncodeChunk(e *Encoder, cols []*vector.Vector, out []byte, stride, offset int) EncodeStats {
 	var st EncodeStats
 	for k, vec := range cols {
-		cs := refEncodeColumn(e, k, vec, out, stride, offset)
-		st.Ties = st.Ties || cs.Ties
-		st.Escapes += cs.Escapes
+		if refEncodeColumn(e, k, vec, out, stride, offset) {
+			st.Ties = true
+		}
 	}
 	return st
 }
 
-func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, offset int) EncodeStats {
+func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, offset int) (ties bool) {
 	key := e.keys[k]
-	cp := e.colPlan(k)
 	segOff := offset + e.offsets[k]
-	segW := 1 + cp.valueWidth(key)
+	segW := key.segWidth()
 	n := vec.Len()
 
 	effFirst := (key.Nulls == NullsFirst) != (key.Order == Descending)
@@ -38,7 +39,6 @@ func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, 
 		nullByte, validByte = 0x01, 0x00
 	}
 
-	var st EncodeStats
 	for r := 0; r < n; r++ {
 		seg := out[r*stride+segOff : r*stride+segOff+segW]
 		if !vec.Valid(r) {
@@ -49,17 +49,20 @@ func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, 
 			continue
 		}
 		seg[0] = validByte
-		switch cp.Enc {
-		case EncDict:
-			encodeDict(key, cp, vec, r, seg[1:], &st)
-		case EncTrunc:
-			encodeTrunc(key, cp, vec, r, seg[1:], &st)
-		default:
-			refEncodeValue(key, vec, r, seg[1:])
-			if key.Type == vector.Varchar && !st.Ties {
-				s := key.Collation.Apply(vec.Strings()[r])
-				st.Ties = lossyString(s, key.prefixLen())
-			}
+		if key.Type != vector.Varchar {
+			encodeValue(key, vec, r, seg[1:])
+			continue
+		}
+		s := key.Collation.Apply(vec.Strings()[r])
+		p := key.prefixLen()
+		nc := copy(seg[1:1+p], s)
+		for i := 1 + nc; i < segW; i++ {
+			seg[i] = 0
+		}
+		// An overlong string, or a NUL the zero padding cannot be told from,
+		// may collide with a different string's prefix.
+		if len(s) > p || strings.IndexByte(s, 0) >= 0 {
+			ties = true
 		}
 	}
 
@@ -71,19 +74,40 @@ func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, 
 			}
 		}
 	}
-	return st
+	return ties
 }
 
-func refEncodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
-	if key.Type != vector.Varchar {
-		encodeValue(key, vec, r, dst)
-		return
-	}
-	s := key.Collation.Apply(vec.Strings()[r])
-	p := key.prefixLen()
-	nc := copy(dst[:p], s)
-	for i := nc; i < p; i++ {
-		dst[i] = 0
+// encodeValue writes the order-preserving encoding of row r of a fixed-width
+// column into dst, which has the type's width: the per-value form of
+// encodeFixed.
+func encodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
+	switch key.Type {
+	case vector.Bool:
+		if vec.Bools()[r] {
+			dst[0] = 1
+		} else {
+			dst[0] = 0
+		}
+	case vector.Uint8:
+		dst[0] = vec.Uint8s()[r]
+	case vector.Uint16:
+		binary.BigEndian.PutUint16(dst, vec.Uint16s()[r])
+	case vector.Uint32:
+		binary.BigEndian.PutUint32(dst, vec.Uint32s()[r])
+	case vector.Uint64:
+		binary.BigEndian.PutUint64(dst, vec.Uint64s()[r])
+	case vector.Int8:
+		dst[0] = uint8(vec.Int8s()[r]) ^ 0x80
+	case vector.Int16:
+		binary.BigEndian.PutUint16(dst, uint16(vec.Int16s()[r])^0x8000)
+	case vector.Int32:
+		binary.BigEndian.PutUint32(dst, uint32(vec.Int32s()[r])^0x80000000)
+	case vector.Int64:
+		binary.BigEndian.PutUint64(dst, uint64(vec.Int64s()[r])^0x8000000000000000)
+	case vector.Float32:
+		binary.BigEndian.PutUint32(dst, encodeFloat32(vec.Float32s()[r]))
+	case vector.Float64:
+		binary.BigEndian.PutUint64(dst, encodeFloat64(vec.Float64s()[r]))
 	}
 }
 
@@ -147,41 +171,10 @@ var allTypes = []vector.Type{
 	vector.Float32, vector.Float64, vector.Varchar,
 }
 
-type namedPlan struct {
-	name string
-	cp   ColumnPlan
-}
-
-// kernelPlans returns the column plans to run a key under: full, and every
-// compressed encoding the type admits.
-func kernelPlans(t *testing.T, key SortKey) []namedPlan {
-	plans := []namedPlan{{"full", ColumnPlan{Enc: EncFull}}}
-	if key.Type == vector.Varchar {
-		dict, err := NewDictionary([]string{"abc", "id-a", "mixedaa", "x"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(plans,
-			namedPlan{"dict", ColumnPlan{Enc: EncDict, Dict: dict, Width: dict.Width()}},
-			namedPlan{"trunc", ColumnPlan{Enc: EncTrunc, Width: 3}},
-			namedPlan{"trunc-skip", ColumnPlan{Enc: EncTrunc, Skip: "id-", Width: 1 + 2}})
-	}
-	if w := key.Type.Width(); w > 1 {
-		zero := vector.New(key.Type, 1)
-		zero.AppendNull() // the slot holds the type's zero value
-		var enc [8]byte
-		encodeValue(key, zero, 0, enc[:w])
-		plans = append(plans,
-			namedPlan{"trunc", ColumnPlan{Enc: EncTrunc, Width: w - 1}},
-			namedPlan{"trunc-skip", ColumnPlan{Enc: EncTrunc, Skip: string(enc[:w-1]), Width: 1 + 1}})
-	}
-	return plans
-}
-
 // TestEncodeKernelsMatchReference runs the typed kernels against the per-row
 // reference encoder over type × direction × NULL placement × validity layout
-// × collation × prefix length × encoding, comparing every byte of the output
-// block (the bytes around each segment included) and the stats.
+// × collation × prefix length, comparing every byte of the output block (the
+// bytes around each segment included) and the stats.
 func TestEncodeKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const n = 150 // three validity words, the last one partial
@@ -196,25 +189,22 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 				for _, coll := range collations {
 					for _, p := range prefixes {
 						key := SortKey{Type: typ, Order: order, Nulls: nulls, Collation: coll, PrefixLen: p}
-						for _, plan := range kernelPlans(t, key) {
-							name, cp := plan.name, plan.cp
-							for _, shape := range nullShapes {
-								ctx := fmt.Sprintf("%v %v %v coll=%d prefix=%d %s %s", typ, order, nulls, coll, p, name, shape)
-								vec := withNulls(typ, n, shape, key.prefixLen(), rng)
-								checkAgainstReference(t, ctx, key, cp, vec)
-								cells++
-							}
-							if typ != vector.Varchar {
-								continue
-							}
-							// One string alone decides the tie flag; the NULL row
-							// beside it holds a lossy one that must not.
-							for _, s := range kernelStrings(key.prefixLen(), rng) {
-								vec := vector.FromStrings([]string{s, "\x00" + s + s + s, s})
-								vec.SetNull(1)
-								checkAgainstReference(t, fmt.Sprintf("%v %v coll=%d prefix=%d %s %q", order, nulls, coll, p, name, s), key, cp, vec)
-								cells++
-							}
+						for _, shape := range nullShapes {
+							ctx := fmt.Sprintf("%v %v %v coll=%d prefix=%d %s", typ, order, nulls, coll, p, shape)
+							vec := withNulls(typ, n, shape, key.prefixLen(), rng)
+							checkAgainstReference(t, ctx, key, vec)
+							cells++
+						}
+						if typ != vector.Varchar {
+							continue
+						}
+						// One string alone decides the tie flag; the NULL row
+						// beside it holds a lossy one that must not.
+						for _, s := range kernelStrings(key.prefixLen(), rng) {
+							vec := vector.FromStrings([]string{s, "\x00" + s + s + s, s})
+							vec.SetNull(1)
+							checkAgainstReference(t, fmt.Sprintf("%v %v coll=%d prefix=%d %q", order, nulls, coll, p, s), key, vec)
+							cells++
 						}
 					}
 				}
@@ -224,12 +214,12 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 	t.Logf("%d cells", cells)
 }
 
-func checkAgainstReference(t *testing.T, ctx string, key SortKey, cp ColumnPlan, vec *vector.Vector) {
+func checkAgainstReference(t *testing.T, ctx string, key SortKey, vec *vector.Vector) {
 	t.Helper()
 	// A second key after the one under test shows a kernel writing past its
 	// segment; the stride leaves untouched bytes on both sides.
 	keys := []SortKey{key, {Type: vector.Uint8}}
-	enc, err := NewEncoderPlan(keys, &Plan{Cols: []ColumnPlan{cp, {Enc: EncFull}}})
+	enc, err := NewEncoder(keys)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}

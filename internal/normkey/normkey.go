@@ -27,7 +27,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"rowsort/internal/vector"
 )
@@ -158,124 +157,47 @@ func (k SortKey) prefixLen() int {
 // Encoder turns tuples of key-column values into normalized keys. It is
 // built once per sort (interpreting the type and order of each key exactly
 // once) and then applied vector at a time, which is how a vectorized engine
-// amortizes interpretation overhead. An encoder built with a compression
-// Plan emits the planned per-column encodings instead of the full ones.
+// amortizes interpretation overhead.
 type Encoder struct {
-	keys      []SortKey
-	offsets   []int
-	width     int
-	fullWidth int
-	canTie    bool
-	plan      *Plan
+	keys    []SortKey
+	offsets []int
+	width   int
+	canTie  bool
 }
 
-// NewEncoder validates the key specification and returns an uncompressed
-// encoder.
+// NewEncoder validates the key specification and returns an encoder.
 func NewEncoder(keys []SortKey) (*Encoder, error) {
-	return NewEncoderPlan(keys, nil)
-}
-
-// NewEncoderPlan validates the key specification and returns an encoder
-// applying the given compression plan. A nil plan (or one whose columns are
-// all EncFull) reproduces the full encoding byte for byte.
-func NewEncoderPlan(keys []SortKey, plan *Plan) (*Encoder, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("normkey: no sort keys")
 	}
-	if plan != nil && len(plan.Cols) != len(keys) {
-		return nil, fmt.Errorf("normkey: plan has %d columns for %d keys", len(plan.Cols), len(keys))
-	}
-	e := &Encoder{keys: append([]SortKey(nil), keys...), plan: plan}
+	e := &Encoder{keys: append([]SortKey(nil), keys...)}
 	for i, k := range e.keys {
 		if !k.Type.IsValid() {
 			return nil, fmt.Errorf("normkey: key %d has invalid type %v", i, k.Type)
 		}
-		cp := e.colPlan(i)
-		if err := validateColPlan(k, cp, i); err != nil {
-			return nil, err
-		}
 		e.offsets = append(e.offsets, e.width)
-		e.width += 1 + cp.valueWidth(k)
-		e.fullWidth += k.segWidth()
-		if cp.canTie(k) {
+		e.width += k.segWidth()
+		if e.SegCanTie(i) {
 			e.canTie = true
 		}
 	}
 	return e, nil
 }
 
-// validateColPlan rejects plans the encoder cannot honor.
-func validateColPlan(k SortKey, cp ColumnPlan, i int) error {
-	switch cp.Enc {
-	case EncFull:
-		return nil
-	case EncDict:
-		if k.Type != vector.Varchar {
-			return fmt.Errorf("normkey: key %d: dictionary encoding requires varchar, got %v", i, k.Type)
-		}
-		if cp.Dict == nil || cp.Width != cp.Dict.Width() {
-			return fmt.Errorf("normkey: key %d: invalid dictionary plan", i)
-		}
-	case EncTrunc:
-		// A lone class byte (width 1, skip set) is legal: it encodes a
-		// sampled-constant column in two segment bytes.
-		if cp.Width < 1 {
-			return fmt.Errorf("normkey: key %d: truncation width %d too small", i, cp.Width)
-		}
-		if k.Type != vector.Varchar {
-			w := k.Type.Width()
-			if len(cp.Skip) >= w {
-				return fmt.Errorf("normkey: key %d: skip %d covers whole %d-byte value", i, len(cp.Skip), w)
-			}
-			kept := cp.Width
-			if len(cp.Skip) > 0 {
-				kept = cp.Width - 1
-			}
-			if kept > w {
-				return fmt.Errorf("normkey: key %d: truncation keeps %d of %d bytes", i, kept, w)
-			}
-		}
-	default:
-		return fmt.Errorf("normkey: key %d: unknown encoding %d", i, cp.Enc)
-	}
-	return nil
-}
-
-// colPlan returns key k's column plan (EncFull when no plan is set).
-func (e *Encoder) colPlan(k int) ColumnPlan {
-	if e.plan == nil {
-		return ColumnPlan{Enc: EncFull}
-	}
-	return e.plan.Cols[k]
-}
-
-// Width returns the total normalized key width in bytes as emitted.
+// Width returns the total normalized key width in bytes.
 func (e *Encoder) Width() int { return e.width }
-
-// FullWidth returns the uncompressed key width — what Width would be with
-// no compression plan. The gap is the per-row key-byte saving.
-func (e *Encoder) FullWidth() int { return e.fullWidth }
 
 // Keys returns the encoder's key specification.
 func (e *Encoder) Keys() []SortKey { return e.keys }
 
-// Plan returns the encoder's compression plan, nil when uncompressed.
-func (e *Encoder) Plan() *Plan { return e.plan }
-
 // TiesPossible reports whether byte-equal normalized keys may belong to
 // unequal tuples, requiring a tie-break against the original values: a
-// string key's prefix may truncate, and every compressed encoding is
-// potentially lossy.
+// string key's prefix may truncate.
 func (e *Encoder) TiesPossible() bool { return e.canTie }
 
 // SegCanTie reports whether key k's segment alone may byte-tie between
-// unequal values.
-func (e *Encoder) SegCanTie(k int) bool { return e.colPlan(k).canTie(e.keys[k]) }
-
-// SegExactSuffix reports whether key k is a shared-prefix-elided fixed
-// segment whose class-1 arm is exact (byte-equal class-1 segments are
-// semantically equal).
-func (e *Encoder) SegExactSuffix(k int) bool { return e.colPlan(k).exactSuffix(e.keys[k]) }
+// unequal values: only a string prefix can.
+func (e *Encoder) SegCanTie(k int) bool { return e.keys[k].Type == vector.Varchar }
 
 // Offset returns the byte offset of key k's segment within the key.
 func (e *Encoder) Offset(k int) int { return e.offsets[k] }
@@ -286,9 +208,6 @@ type EncodeStats struct {
 	// value's encoding — the run holding these rows needs the semantic
 	// tie-break.
 	Ties bool
-	// Escapes counts dictionary escapes and shared-prefix class-0/2
-	// encodings (values the sample did not cover).
-	Escapes int64
 }
 
 // Encode writes one normalized key per row into out. cols[i] supplies the
@@ -326,27 +245,26 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 		return st, fmt.Errorf("normkey: out has %d bytes, need %d", len(out), n*stride)
 	}
 	for i, c := range cols {
-		cs := e.encodeColumn(i, c, out, stride, offset)
-		st.Ties = st.Ties || cs.Ties
-		st.Escapes += cs.Escapes
+		if e.encodeColumn(i, c, out, stride, offset) {
+			st.Ties = true
+		}
 	}
 	return st, nil
 }
 
-// encodeColumn encodes all rows of key k from vec, reporting lossiness. What
-// varies per column — the type, the encoding, whether any row is NULL, the
-// direction — is decided here, once; the loops below it decide nothing per
-// row.
+// encodeColumn encodes all rows of key k from vec, reporting whether any of
+// them may byte-tie with a different value. What varies per column — the
+// type, whether any row is NULL, the direction — is decided here, once; the
+// loops below it decide nothing per row.
 //
 // DESC inverts every byte of the segment. It is folded into what is stored
 // (inv, XORed into every byte on its way out) rather than applied in a second
 // pass; the validity byte is chosen so that the requested NULL placement
 // survives the inversion.
-func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, offset int) EncodeStats {
+func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, offset int) (ties bool) {
 	key := e.keys[k]
-	cp := e.colPlan(k)
 	n := vec.Len()
-	seg := segment{out: out[offset+e.offsets[k]:], stride: stride, width: 1 + cp.valueWidth(key)}
+	seg := segment{out: out[offset+e.offsets[k]:], stride: stride, width: key.segWidth()}
 	seg.null, seg.valid = 0x00, 0x01
 	if (key.Nulls == NullsFirst) == (key.Order == Descending) {
 		seg.null, seg.valid = 0x01, 0x00
@@ -360,13 +278,9 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 		nulls = nil
 	}
 
-	var st EncodeStats
-	switch {
-	case cp.Enc != EncFull:
-		seg.encodePlanned(key, cp, vec, nulls, n, &st)
-	case key.Type == vector.Varchar:
-		st.Ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
-	default:
+	if key.Type == vector.Varchar {
+		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
+	} else {
 		seg.encodeFixed(vec, n)
 	}
 	// The loops above give a NULL row whatever its slot in the vector holds
@@ -378,7 +292,7 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 			row[i] = seg.inv
 		}
 	}
-	return st
+	return ties
 }
 
 // segment is one key column's slot in a block of key rows: row r's segment
@@ -519,203 +433,6 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 		}
 	}
 	return ties
-}
-
-// encodePlanned writes the compressed encodings, one value at a time through
-// encodeDict and encodeTrunc, with the validity byte and the DESC inversion
-// applied around them.
-func (g *segment) encodePlanned(key SortKey, cp ColumnPlan, vec *vector.Vector, nulls *vector.Bitmap, n int, st *EncodeStats) {
-	o := 0
-	for r := 0; r < n; r++ {
-		row := g.row(o)
-		o += g.stride
-		if nulls != nil && !nulls.Valid(r) {
-			continue
-		}
-		row[0] = g.valid
-		if cp.Enc == EncDict {
-			encodeDict(key, cp, vec, r, row[1:], st)
-		} else {
-			encodeTrunc(key, cp, vec, r, row[1:], st)
-		}
-		if g.inv != 0 {
-			for i := 1; i < len(row); i++ {
-				row[i] = ^row[i]
-			}
-		}
-	}
-}
-
-// encodeDict writes row r's order-preserving dictionary code into dst.
-func encodeDict(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byte, st *EncodeStats) {
-	s := key.Collation.Apply(vec.Strings()[r])
-	code, exact := cp.Dict.Code(s)
-	if !exact {
-		// Escaped values share their gap code with every other value in
-		// the same gap; the run needs the semantic tie-break.
-		st.Escapes++
-		st.Ties = true
-	}
-	if cp.Width == 1 {
-		dst[0] = byte(code)
-	} else {
-		binary.BigEndian.PutUint16(dst, code)
-	}
-}
-
-// encodeTrunc writes row r's truncated encoding into dst: either a plain
-// discriminating prefix of the full encoding, or (Skip set) a class byte
-// followed by the encoding with the sampled shared prefix removed.
-func encodeTrunc(key SortKey, cp ColumnPlan, vec *vector.Vector, r int, dst []byte, st *EncodeStats) {
-	if key.Type == vector.Varchar {
-		s := key.Collation.Apply(vec.Strings()[r])
-		if len(cp.Skip) == 0 {
-			kept := cp.Width
-			nc := copy(dst[:kept], s)
-			for i := nc; i < kept; i++ {
-				dst[i] = 0
-			}
-			if lossyString(s, kept) {
-				st.Ties = true
-			}
-			return
-		}
-		kept := cp.Width - 1
-		var part string
-		switch {
-		case strings.HasPrefix(s, cp.Skip):
-			dst[0] = 1
-			part = s[len(cp.Skip):]
-		case s < cp.Skip:
-			dst[0] = 0
-			part = s
-			st.Escapes++
-		default:
-			dst[0] = 2
-			part = s
-			st.Escapes++
-		}
-		nc := copy(dst[1:1+kept], part)
-		for i := nc; i < kept; i++ {
-			dst[1+i] = 0
-		}
-		if lossyString(part, kept) {
-			st.Ties = true
-		}
-		return
-	}
-
-	var scratch [8]byte
-	w := key.Type.Width()
-	encodeValue(key, vec, r, scratch[:w])
-	if len(cp.Skip) == 0 {
-		copy(dst[:cp.Width], scratch[:cp.Width])
-		// Any dropped suffix may have discriminated; the run must
-		// tie-break.
-		st.Ties = true
-		return
-	}
-	skip := len(cp.Skip)
-	kept := cp.Width - 1
-	switch cmp := compareBytesStr(scratch[:skip], cp.Skip); {
-	case cmp == 0:
-		dst[0] = 1
-		copy(dst[1:1+kept], scratch[skip:skip+kept])
-		if skip+kept < w {
-			st.Ties = true
-		}
-	case cmp < 0:
-		dst[0] = 0
-		copy(dst[1:1+kept], scratch[:kept])
-		st.Escapes++
-		if kept < w {
-			st.Ties = true
-		}
-	default:
-		dst[0] = 2
-		copy(dst[1:1+kept], scratch[:kept])
-		st.Escapes++
-		if kept < w {
-			st.Ties = true
-		}
-	}
-}
-
-// encodeValue writes the order-preserving encoding of row r of a fixed-width
-// column into dst, which has the type's width: encodeFixed, one value at a
-// time, for the truncating encoder and the compression sampler.
-func encodeValue(key SortKey, vec *vector.Vector, r int, dst []byte) {
-	switch key.Type {
-	case vector.Bool:
-		if vec.Bools()[r] {
-			dst[0] = 1
-		} else {
-			dst[0] = 0
-		}
-	case vector.Uint8:
-		dst[0] = vec.Uint8s()[r]
-	case vector.Uint16:
-		binary.BigEndian.PutUint16(dst, vec.Uint16s()[r])
-	case vector.Uint32:
-		binary.BigEndian.PutUint32(dst, vec.Uint32s()[r])
-	case vector.Uint64:
-		binary.BigEndian.PutUint64(dst, vec.Uint64s()[r])
-	case vector.Int8:
-		dst[0] = uint8(vec.Int8s()[r]) ^ 0x80
-	case vector.Int16:
-		binary.BigEndian.PutUint16(dst, uint16(vec.Int16s()[r])^0x8000)
-	case vector.Int32:
-		binary.BigEndian.PutUint32(dst, uint32(vec.Int32s()[r])^0x80000000)
-	case vector.Int64:
-		binary.BigEndian.PutUint64(dst, uint64(vec.Int64s()[r])^0x8000000000000000)
-	case vector.Float32:
-		binary.BigEndian.PutUint32(dst, encodeFloat32(vec.Float32s()[r]))
-	case vector.Float64:
-		binary.BigEndian.PutUint64(dst, encodeFloat64(vec.Float64s()[r]))
-	}
-}
-
-// OrdFixed maps the native little-endian bytes of a fixed-width value — the
-// payload row format of package row — to a uint64 whose unsigned order is
-// the value's ascending sort order: the integer form of encodeValue. The
-// sorter's tie-break compares truncated fixed segments against the payload
-// through it, without boxing the value. Varchar has no fixed encoding and
-// returns 0; callers dispatch strings to the collated comparison instead.
-func OrdFixed(typ vector.Type, raw []byte) uint64 {
-	switch typ {
-	case vector.Bool, vector.Uint8:
-		return uint64(raw[0])
-	case vector.Int8:
-		return uint64(raw[0] ^ 0x80)
-	case vector.Uint16:
-		return uint64(leU16(raw))
-	case vector.Int16:
-		return uint64(leU16(raw) ^ 0x8000)
-	case vector.Uint32:
-		return uint64(leU32(raw))
-	case vector.Int32:
-		return uint64(leU32(raw) ^ 0x80000000)
-	case vector.Uint64:
-		return leU64(raw)
-	case vector.Int64:
-		return leU64(raw) ^ 0x8000000000000000
-	case vector.Float32:
-		return uint64(encodeFloat32(math.Float32frombits(leU32(raw))))
-	case vector.Float64:
-		return encodeFloat64(math.Float64frombits(leU64(raw)))
-	}
-	return 0
-}
-
-func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // encodeFloat32 maps a float32 to a uint32 whose unsigned order equals the

@@ -56,13 +56,10 @@ const (
 	RowsExpected Counter = iota
 	RowsIngested
 	NormKeyBytes
-	PhysKeyBytes
-	KeyEscapes
 	RowsSorted
 	RunsGenerated
 	DupGroupRuns
 	DupGroupRows
-	TieRepairedRuns
 	SpillBytesWritten
 	SpillBytesRead
 	SpillFCBlocks
@@ -152,14 +149,11 @@ func (d *Desc) Float(v int64) float64 {
 var Descs = [NumCounters]Desc{
 	RowsExpected:      {Name: "rows_expected", Unit: "rows", Layer: "ingest", Gauge: true, Help: "Declared input rows (0 when unknown)."},
 	RowsIngested:      {Name: "rows_ingested", Unit: "rows", Layer: "ingest", Help: "Rows appended through sinks (or TopN)."},
-	NormKeyBytes:      {Name: "normalized_key_bytes", Unit: "bytes", Layer: "ingest", Help: "Logical (uncompressed) normalized key bytes produced."},
-	PhysKeyBytes:      {Name: "physical_key_bytes", Unit: "bytes", Layer: "ingest", Help: "Normalized key bytes actually emitted (compressed encodings)."},
-	KeyEscapes:        {Name: "key_escapes", Unit: "values", Layer: "ingest", Help: "Values outside the sampled dictionary or shared prefix."},
+	NormKeyBytes:      {Name: "normalized_key_bytes", Unit: "bytes", Layer: "ingest", Help: "Normalized key bytes produced."},
 	RowsSorted:        {Name: "rows_sorted", Unit: "rows", Layer: "run-sort", Help: "Rows that left run generation inside a sorted run."},
 	RunsGenerated:     {Name: "runs_generated", Unit: "runs", Layer: "run-sort", Help: "Thread-local sorted runs cut."},
 	DupGroupRuns:      {Name: "dup_group_runs", Unit: "runs", Layer: "run-sort", Help: "Runs sorted one representative per duplicate group."},
 	DupGroupRows:      {Name: "dup_group_rows", Unit: "rows", Layer: "run-sort", Help: "Rows those runs did not sort individually (run rows minus groups)."},
-	TieRepairedRuns:   {Name: "tie_repaired_runs", Unit: "runs", Layer: "run-sort", Help: "Lossy compressed runs sorted radix-plus-repair."},
 	SpillBytesWritten: {Name: "spill_written_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes written to spill files, intermediate passes included."},
 	SpillBytesRead:    {Name: "spill_read_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes read back from spill files."},
 	SpillFCBlocks:     {Name: "spill_fc_blocks", Unit: "blocks", Layer: "spill", Help: "Spill blocks written with front-coded key sections."},

@@ -33,9 +33,15 @@ func families(t *testing.T, exposition string) []string {
 	return out
 }
 
+// retiredCounters are the descriptor names key compression took with it: the
+// physical bytes of its encodings, its dictionary escapes and its tie-repaired
+// runs.
+var retiredCounters = []string{"physical_key_bytes", "key_escapes", "tie_repaired_runs"}
+
 // TestDescriptorTableIsComplete pins the table every view is generated from:
 // each row is fully described and named once, and the JSON snapshot carries
-// each name exactly once, round-tripping to the values it was made from.
+// each name exactly once, round-tripping to the values it was made from. No
+// retired name is back.
 func TestDescriptorTableIsComplete(t *testing.T) {
 	snake := regexp.MustCompile(`^[a-z]+(_[a-z]+)*$`)
 	seen := map[string]bool{}
@@ -52,6 +58,11 @@ func TestDescriptorTableIsComplete(t *testing.T) {
 		}
 		if d.Since != StagePending && d.Unit != "seconds" {
 			t.Errorf("descriptor %q is a stage clock in %q", d.Name, d.Unit)
+		}
+	}
+	for _, name := range retiredCounters {
+		if seen[name] {
+			t.Errorf("descriptor name %q was retired", name)
 		}
 	}
 
@@ -77,7 +88,8 @@ func TestDescriptorTableIsComplete(t *testing.T) {
 // TestExpositionsShareFamilies pins the single metric namespace: a sort's own
 // exposition and the registry's both validate, declare every descriptor's
 // family exactly once, and name the same families — the registry adds only
-// its own rowsort_runs_* and rowsort_run_* gauges.
+// its own rowsort_runs_* and rowsort_run_* gauges — and none that was
+// retired.
 func TestExpositionsShareFamilies(t *testing.T) {
 	rec := NewRecorder()
 	rec.Worker("w").Begin(PhaseMerge).End()
@@ -126,6 +138,16 @@ func TestExpositionsShareFamilies(t *testing.T) {
 	for _, f := range regFams {
 		if count(ownFams, f) == 0 && !strings.HasPrefix(f, "rowsort_runs_") && !strings.HasPrefix(f, "rowsort_run_") {
 			t.Errorf("the registry declares %s, which is neither a sort's family nor a registry gauge", f)
+		}
+	}
+	// Key compression's sampling pass was the span phase key-plan.
+	gone := []string{`phase="key-plan"`}
+	for _, name := range retiredCounters {
+		gone = append(gone, "rowsort_"+name+"_total")
+	}
+	for _, series := range gone {
+		if strings.Contains(own.String(), series) || strings.Contains(reg.String(), series) {
+			t.Errorf("an exposition still carries %s", series)
 		}
 	}
 	if len(ownFams) <= NumCounters || len(regFams) <= len(ownFams) {

@@ -62,18 +62,14 @@ const (
 	// spilled runs rewritten as a single wider run because the budget
 	// cannot stream all of them at once (the multi-pass merge plan).
 	PhaseMergePass
-	// PhaseKeyPlan is the ingest-time sampling pass that decides per-column
-	// compressed key encodings (dictionary, truncation, shared-prefix
-	// elision) before any rows are encoded.
-	PhaseKeyPlan
 
 	// NumPhases is the number of distinct phases.
-	NumPhases = int(PhaseKeyPlan) + 1
+	NumPhases = int(PhaseMergePass) + 1
 )
 
 var phaseNames = [NumPhases]string{
 	"sort", "ingest", "run-sort", "spill-write", "spill-read", "merge", "gather",
-	"pressure-spill", "prefetch", "merge-pass", "key-plan",
+	"pressure-spill", "prefetch", "merge-pass",
 }
 
 // String returns the phase's trace/metric name.

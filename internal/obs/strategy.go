@@ -12,7 +12,7 @@ type StrategyDecision struct {
 	Run  int `json:"run"`
 	Rows int `json:"rows"`
 	// Algo is the executed run-generation sort ("lsd-radix", "msd-radix",
-	// "pdqsort", "dup-group", "radix+repair").
+	// "pdqsort", "dup-group").
 	Algo string `json:"algo"`
 	// Forced, when non-empty, names why the plan was dictated rather than
 	// sampled ("tie-break", or "pin" in the sorter's own tests), or that a

@@ -236,40 +236,3 @@ func SortNormalizedIntro(data []byte, rowWidth, keyWidth int) {
 	r.Compare = func(a, b []byte) int { return dynamicMemcmp(a[:keyWidth], b[:keyWidth]) }
 	r.Introsort()
 }
-
-// SortNormalizedTruncated sorts normalized key rows comparing only the
-// first truncWidth bytes of the key and, when the truncated prefixes tie,
-// falling back to the original key columns through the row id — the
-// micro-benchmark analog of the sorter's adaptive prefix truncation: a
-// shorter memcmp decides almost every comparison and the semantic
-// tie-break restores the exact order. cols must be the columns the rows
-// were encoded from. truncWidth must be in (0, keyWidth]; a multiple of 4
-// truncates at a column boundary, anything else mid-column (the partially
-// covered column is re-compared in full by the fallback).
-func SortNormalizedTruncated(data []byte, rowWidth, keyWidth, truncWidth int, cols [][]uint32) {
-	if truncWidth <= 0 || truncWidth > keyWidth {
-		panic(fmt.Sprintf("rowcmp: truncWidth must be in (0, %d], got %d", keyWidth, truncWidth))
-	}
-	// Columns wholly inside the truncated prefix are decided by the memcmp;
-	// the tie-break resumes at the first column it may have cut short.
-	firstTied := truncWidth / 4
-	r := sortalgo.NewRows(data, rowWidth)
-	r.Compare = func(a, b []byte) int {
-		if c := dynamicMemcmp(a[:truncWidth], b[:truncWidth]); c != 0 {
-			return c
-		}
-		ia := binary.BigEndian.Uint32(a[keyWidth:])
-		ib := binary.BigEndian.Uint32(b[keyWidth:])
-		for c := firstTied; c < len(cols); c++ {
-			va, vb := cols[c][ia], cols[c][ib]
-			switch {
-			case va < vb:
-				return -1
-			case va > vb:
-				return 1
-			}
-		}
-		return 0
-	}
-	r.Pdqsort()
-}

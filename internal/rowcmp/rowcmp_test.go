@@ -180,42 +180,3 @@ func TestEncodeNormalizedPanics(t *testing.T) {
 	}()
 	EncodeNormalized(make([][]uint32, 5))
 }
-
-func TestSortNormalizedTruncatedMatchesOracle(t *testing.T) {
-	for _, dist := range workload.StandardDists() {
-		for numKeys := 2; numKeys <= 4; numKeys++ {
-			cols := dist.Generate(3000, numKeys, 65)
-			// Tie-heavy prefix: clamp the leading column to a tiny domain so
-			// the truncated memcmp actually collides.
-			for i := range cols[0] {
-				cols[0][i] %= 7
-			}
-			_, keyW := NormalizedRowWidth(numKeys)
-			// Column-aligned and mid-column truncation widths.
-			for _, truncW := range []int{4, 6, keyW - 1} {
-				data, rowW, _ := EncodeNormalized(cols)
-				SortNormalizedTruncated(data, rowW, keyW, truncW, cols)
-				want := sortedTuples(cols)
-				for i, w := range want {
-					for c := range w {
-						if got := binary.BigEndian.Uint32(data[i*rowW+c*4:]); got != w[c] {
-							t.Fatalf("%s keys=%d truncW=%d: row %d col %d = %d, want %d",
-								dist, numKeys, truncW, i, c, got, w[c])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSortNormalizedTruncatedPanics(t *testing.T) {
-	cols := [][]uint32{{3, 1, 2}}
-	data, rowW, keyW := EncodeNormalized(cols)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SortNormalizedTruncated(data, rowW, keyW, keyW+1, cols)
-}

@@ -26,7 +26,7 @@ func NearlySorted(n int, disorder float64, seed uint64) *vector.Table {
 			keys[i], keys[j] = keys[j], keys[i]
 		}
 	}
-	t := vector.NewTable(KeyCompIntSchema)
+	t := vector.NewTable(IntKeySchema)
 	i := 0
 	appendRows(t, n, func(c *vector.Chunk) {
 		k := keys[i]
@@ -48,7 +48,7 @@ func SawtoothRuns(n, period int, seed uint64) *vector.Table {
 		period = 2
 	}
 	rng := NewRNG(seed)
-	t := vector.NewTable(KeyCompIntSchema)
+	t := vector.NewTable(IntKeySchema)
 	base, pos := int64(0), 0
 	appendRows(t, n, func(c *vector.Chunk) {
 		if pos == 0 {
