@@ -1,8 +1,8 @@
 // Package rowsort's top-level benchmarks regenerate every table and figure
 // of the paper through the bench harness (one Benchmark per experiment id,
 // at tiny scale so `go test -bench=.` stays fast — use cmd/sortbench with
-// -scale small|paper for the real runs), plus ablation benchmarks for the
-// design choices called out in DESIGN.md.
+// -scale small|paper for the real runs), plus the drain of Sorter.Rows and
+// the two ablations no package benchmark or benchmark/ workload measures yet.
 package rowsort
 
 import (
@@ -14,10 +14,7 @@ import (
 
 	"rowsort/internal/bench"
 	"rowsort/internal/core"
-	"rowsort/internal/mergepath"
 	"rowsort/internal/radix"
-	"rowsort/internal/row"
-	"rowsort/internal/rowcmp"
 	"rowsort/internal/sortalgo"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -58,89 +55,6 @@ func BenchmarkCompModel(b *testing.B) { benchExperiment(b, "compmodel") }
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationRadixSkip measures the single-bucket skip optimization
-// on keys with a long shared prefix (where it matters most).
-func BenchmarkAblationRadixSkip(b *testing.B) {
-	const n, rowW, keyW = 1 << 15, 16, 12
-	rng := workload.NewRNG(1)
-	base := make([]byte, n*rowW)
-	for i := 0; i < n; i++ {
-		// 8 constant bytes, then 4 random: 8 skippable MSD levels.
-		copy(base[i*rowW:], []byte{9, 9, 9, 9, 9, 9, 9, 9})
-		for j := 8; j < keyW; j++ {
-			base[i*rowW+j] = byte(rng.Intn(256))
-		}
-	}
-	for _, opt := range []struct {
-		name string
-		o    radix.Options
-	}{
-		{"skip-on", radix.Options{}},
-		{"skip-off", radix.Options{NoSingleBucketSkip: true}},
-	} {
-		b.Run(opt.name, func(b *testing.B) {
-			data := make([]byte, len(base))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(data, base)
-				radix.SortOpts(data, rowW, keyW, opt.o)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLSDvsMSD sweeps key width to expose the LSD/MSD
-// crossover behind the paper's "LSD when keyWidth <= 4" rule.
-func BenchmarkAblationLSDvsMSD(b *testing.B) {
-	const n = 1 << 15
-	rng := workload.NewRNG(2)
-	for _, keyW := range []int{2, 4, 8, 16} {
-		rowW := (keyW + 4 + 7) &^ 7
-		base := make([]byte, n*rowW)
-		for i := 0; i < n*rowW; i++ {
-			base[i] = byte(rng.Intn(256))
-		}
-		for _, variant := range []struct {
-			name string
-			o    radix.Options
-		}{
-			{"lsd", radix.Options{ForceLSD: true}},
-			{"msd", radix.Options{ForceMSD: true}},
-		} {
-			b.Run(fmt.Sprintf("keyW=%d/%s", keyW, variant.name), func(b *testing.B) {
-				data := make([]byte, len(base))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					copy(data, base)
-					radix.SortOpts(data, rowW, keyW, variant.o)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationMergePath compares the final 2-run merge with and
-// without Merge Path parallelism — the phase the algorithm exists for.
-func BenchmarkAblationMergePath(b *testing.B) {
-	const n = 1 << 17
-	cols := workload.Dist{Random: true}.Generate(n, 1, 3)
-	data, rowW, keyW := rowcmp.EncodeNormalized(cols)
-	half := (n / 2) * rowW
-	radix.Sort(data[:half], rowW, keyW)
-	radix.Sort(data[half:], rowW, keyW)
-	a := mergepath.Run{Data: data[:half], Width: rowW}
-	c := mergepath.Run{Data: data[half:], Width: rowW}
-	dst := make([]byte, len(data))
-	for _, p := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mergepath.ParallelMerge(dst, a, c, nil, p)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPrefixLen sweeps the normalized string prefix length:
 // short prefixes shrink keys but force more tie-breaks.
 func BenchmarkAblationPrefixLen(b *testing.B) {
@@ -153,38 +67,6 @@ func BenchmarkAblationPrefixLen(b *testing.B) {
 				if _, err := core.SortTable(tbl, keys, core.Options{Threads: 2}); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAlignment measures the 8-byte row alignment the paper
-// adopted for memcpy performance against packed rows.
-func BenchmarkAblationAlignment(b *testing.B) {
-	types := []vector.Type{vector.Int32, vector.Int16, vector.Int8}
-	tbl := workload.CatalogSales(1<<14, 10, 5)
-	chunk := tbl.Chunks[0]
-	// Re-type the first three columns to the layout under test.
-	vecs := []*vector.Vector{
-		vector.New(vector.Int32, chunk.Len()),
-		vector.New(vector.Int16, chunk.Len()),
-		vector.New(vector.Int8, chunk.Len()),
-	}
-	for i := 0; i < chunk.Len(); i++ {
-		vecs[0].AppendInt32(int32(i))
-		vecs[1].AppendInt16(int16(i))
-		vecs[2].AppendInt8(int8(i))
-	}
-	for _, align := range []int{1, 8} {
-		b.Run(fmt.Sprintf("align=%d", align), func(b *testing.B) {
-			layout := row.NewLayoutAligned(types, align)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs := row.NewRowSet(layout)
-				if err := rs.AppendChunk(vecs); err != nil {
-					b.Fatal(err)
-				}
-				rs.GatherChunk(0, rs.Len())
 			}
 		})
 	}
@@ -248,21 +130,6 @@ func benchDrain(b *testing.B, sorter func() *core.Sorter) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
 
-// BenchmarkAblationGather isolates the last stage of Figure 11 on the
-// paper's string query — the lazy Merge Path merge of eight sorted runs fused
-// into the NSM→DSM gather — run inline on the consumer (Threads: 1) and
-// spread over four workers.
-func BenchmarkAblationGather(b *testing.B) {
-	tbl := workload.Customer(1<<18, 9) // four tasks of the drain
-	keys := []core.SortColumn{{Column: 4}, {Column: 5}}
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			s := finalizedSorter(b, tbl, keys, core.Options{Threads: threads, RunSize: 1 << 15})
-			benchDrain(b, func() *core.Sorter { return s })
-		})
-	}
-}
-
 // widePayloadTable is the benchmark module's mem-wide-payload shape: an
 // Int32 key, twelve Int64 and one 24-byte Varchar payload column, about 125
 // bytes a row.
@@ -324,24 +191,6 @@ func BenchmarkRowsDrain(b *testing.B) {
 						return s
 					})
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationRunSize sweeps the thread-local run size: the
-// run-generation vs merge trade-off of the Section II model.
-func BenchmarkAblationRunSize(b *testing.B) {
-	cols := workload.Dist{Random: true}.Generate(1<<16, 2, 6)
-	tbl := workload.UintColumnsTable(cols)
-	keys := []core.SortColumn{{Column: 0}, {Column: 1}}
-	for _, runSize := range []int{1 << 12, 1 << 14, 1 << 16} {
-		b.Run(fmt.Sprintf("runSize=%d", runSize), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SortTable(tbl, keys, core.Options{Threads: 4, RunSize: runSize}); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

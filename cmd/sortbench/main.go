@@ -7,36 +7,23 @@
 //	sortbench -exp fig9
 //	sortbench -exp all -scale paper -threads 16
 //	sortbench -exp fig12 -cpuprofile cpu.out -memprofile mem.out
-//	sortbench -exp phases -trace trace.json -metrics -
 //
 // Each experiment prints the paper-style rows or relative-runtime grids to
 // stdout. The -scale flag trades fidelity for runtime: "tiny" finishes in
 // seconds, "small" (the default) in a few minutes, and "paper" uses the
 // paper's input sizes where memory allows. The -cpuprofile and -memprofile
 // flags write pprof profiles for `go tool pprof`, so hot-path work (run
-// generation, merge, the gather kernels) is directly measurable.
+// generation, merge, the gather kernels) is directly measurable. To trace
+// or export the counters of one sort, use csvsort's -trace and -metrics.
 //
-// The -trace flag records phase spans of every instrumented sort and writes
-// them as Chrome trace_event JSON — open the file in chrome://tracing or
-// https://ui.perfetto.dev to see run generation, spill, merge and gather
-// workers on a timeline. The -metrics flag dumps the same run's counters in
-// Prometheus text format to a file ("-" for stderr), and -phases appends a
-// per-phase span table to experiments that sort end to end.
-//
-// The -mem flag budgets the experiments' sorts (bytes): over-budget sorts
-// degrade by adaptively spilling instead of growing, and the "memory"
-// experiment reports that single budget instead of its default sweep of
-// 1/2, 1/4 and 1/8 of the measured unlimited peak.
-//
-// The -serve flag mounts the live observability plane on an HTTP listener:
-// /debug/rowsort/ is an HTML index of every sort in flight (per-phase
-// progress, ETA, memory pressure, a phase waterfall), /debug/rowsort/run?id=
-// the JSON snapshot of one run, /debug/rowsort/trace?id= its Chrome trace
-// once finished, and /metrics the Prometheus exposition. With -exp the
-// experiments' sorts appear there as they run (the server stays up after
-// the experiment until interrupted); without -exp, sortbench loops a
-// budgeted forced-spill demo sort until interrupted so there is always
-// something live to look at:
+// The -serve flag mounts the live observability plane on an HTTP listener
+// and loops a budgeted forced-spill demo sort until interrupted, so there
+// is always something live to look at: /debug/rowsort/ is an HTML index of
+// every sort in flight (per-phase progress, ETA, memory pressure, a phase
+// waterfall), /debug/rowsort/run?id= the JSON snapshot of one run,
+// /debug/rowsort/trace?id= its Chrome trace once finished, and /metrics the
+// Prometheus exposition. The experiments' sorts are not registered, so
+// -serve does not combine with -exp:
 //
 //	sortbench -serve :6060
 package main
@@ -45,7 +32,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -75,13 +61,14 @@ func run() int {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceFile  = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file")
-		metrics    = flag.String("metrics", "", "write Prometheus-text phase metrics to this file (\"-\" = stderr)")
-		phases     = flag.Bool("phases", false, "print per-phase span tables after end-to-end experiments")
-		memLimit   = flag.Int64("mem", 0, "memory budget in bytes for the experiments' sorts (0 = unlimited; the \"memory\" experiment measures this single budget instead of its sweep)")
-		serve      = flag.String("serve", "", "serve the live observability plane (/debug/rowsort/, /metrics) on this address, e.g. :6060; without -exp, loops a forced-spill demo sort until interrupted")
+		serve      = flag.String("serve", "", "loop a forced-spill demo sort and serve the live observability plane (/debug/rowsort/, /metrics) on this address, e.g. :6060; not with -exp")
 	)
 	flag.Parse()
+
+	if *serve != "" && *exp != "" {
+		fmt.Fprintln(os.Stderr, "sortbench: -serve runs the demo sort and does not combine with -exp")
+		return 2
+	}
 
 	if *list || (*exp == "" && *serve == "") {
 		fmt.Println("experiments:")
@@ -132,21 +119,14 @@ func run() int {
 	}()
 
 	cfg := bench.Config{
-		Scale:          bench.Scale(*scale),
-		Threads:        *threads,
-		Reps:           *reps,
-		Seed:           *seed,
-		MemoryLimit:    *memLimit,
-		PhaseBreakdown: *phases,
-	}
-	if *traceFile != "" || *metrics != "" {
-		cfg.Telemetry = obs.NewRecorder()
+		Scale:   bench.Scale(*scale),
+		Threads: *threads,
+		Reps:    *reps,
+		Seed:    *seed,
 	}
 
-	ctx := context.Background()
-	var reg *obs.Registry
 	if *serve != "" {
-		reg = obs.NewRegistry(obs.DefaultKeepDone)
+		reg := obs.NewRegistry(obs.DefaultKeepDone)
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sortbench: -serve: %v\n", err)
@@ -156,14 +136,8 @@ func run() int {
 		go srv.Serve(ln)
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "sortbench: serving http://%s/debug/rowsort/ and /metrics (interrupt to stop)\n", ln.Addr())
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-	}
-
-	if *exp == "" {
-		// Serve-only mode: keep a forced-spill sort in flight so the
-		// endpoints always have a live run to show.
 		if err := demoLoop(ctx, cfg, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
 			return 1
@@ -187,23 +161,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sortbench: %v\n", err)
 		return 1
 	}
-	if *serve != "" {
-		fmt.Fprintf(os.Stderr, "sortbench: experiment done; still serving completed-run snapshots (interrupt to exit)\n")
-		<-ctx.Done()
-	}
-
-	if *traceFile != "" {
-		if err := writeFile(*traceFile, cfg.Telemetry.WriteTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "sortbench: writing trace: %v\n", err)
-			return 1
-		}
-	}
-	if *metrics != "" {
-		if err := writeFile(*metrics, cfg.Telemetry.WritePrometheus); err != nil {
-			fmt.Fprintf(os.Stderr, "sortbench: writing metrics: %v\n", err)
-			return 1
-		}
-	}
 	return 0
 }
 
@@ -219,10 +176,7 @@ func demoLoop(ctx context.Context, cfg bench.Config, reg *obs.Registry) error {
 	case bench.ScalePaper:
 		n = 1 << 22
 	}
-	limit := cfg.MemoryLimit
-	if limit <= 0 {
-		limit = int64(n) * 8
-	}
+	limit := int64(n) * 8
 	tbl := workload.CatalogSales(n, 10, cfg.Seed)
 	keys := []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}}
 	for i := 1; ctx.Err() == nil; i++ {
@@ -240,20 +194,4 @@ func demoLoop(ctx context.Context, cfg bench.Config, reg *obs.Registry) error {
 		}
 	}
 	return nil
-}
-
-// writeFile writes what emit produces to path; "-" is stderr.
-func writeFile(path string, emit func(io.Writer) error) error {
-	if path == "-" {
-		return emit(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

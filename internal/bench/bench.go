@@ -145,19 +145,6 @@ func Count(n uint64) string {
 	return string(out)
 }
 
-// Bytes formats a byte count in binary units.
-func Bytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
-}
-
 // MedianTimePrep is MedianTime for workloads that consume their input:
 // prep builds a fresh input outside the timed section, run is timed.
 func MedianTimePrep[T any](reps int, prep func() T, run func(T)) time.Duration {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,19 +85,22 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestRegistryCoversEveryTableAndFigure pins the registry to the paper: its
+// 18 tables and figures in paper order, then the run-sort planner's
+// experiment, and nothing else. A non-paper experiment belongs in a package
+// benchmark or in benchmark/.
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 	want := []string{
-		"table1", "table2", "table3", "table4",
-		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "compmodel",
+		"table1", "compmodel", "fig2", "fig3", "table2", "fig4", "fig5", "table3",
+		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+		"table4", "fig14", "adaptive",
 	}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("experiment %s missing from registry", id)
-		}
+	var got []string
+	for _, e := range Registry() {
+		got = append(got, e.ID)
 	}
-	if len(Registry()) < len(want) {
-		t.Fatalf("registry has %d entries, want >= %d", len(Registry()), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("Registry() = %v\nwant %v", got, want)
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id should not resolve")

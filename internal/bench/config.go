@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-
-	"rowsort/internal/obs"
 )
 
 // Scale selects how closely an experiment matches the paper's input sizes.
@@ -26,20 +24,6 @@ type Config struct {
 	Threads int // 0 means GOMAXPROCS
 	Reps    int // 0 means the scale's default (the paper uses 5)
 	Seed    uint64
-
-	// MemoryLimit, when positive, budgets the experiments' sorts
-	// (core.Options.MemoryLimit): over-budget sorts degrade by adaptively
-	// spilling instead of growing. The "memory" experiment uses it as the
-	// single budget to measure instead of its default sweep.
-	MemoryLimit int64
-
-	// Telemetry, when non-nil, is threaded into the experiments' sorts so a
-	// run can be exported as a Chrome trace or Prometheus text afterwards
-	// (cmd/sortbench's -trace and -metrics flags). Nil costs nothing.
-	Telemetry *obs.Recorder
-	// PhaseBreakdown makes experiments that sort end to end print the
-	// per-phase span table after their result rows.
-	PhaseBreakdown bool
 }
 
 // DefaultConfig returns the small-scale configuration.

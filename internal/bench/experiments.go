@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"rowsort/internal/colsort"
@@ -32,7 +33,8 @@ var paperOrder = []string{
 	"table4", "fig14",
 }
 
-// Registry returns all experiments in paper order.
+// Registry returns every experiment: the paper's in paper order, then any
+// other in registration order.
 func Registry() []Experiment {
 	out := make([]Experiment, 0, len(registry))
 	for _, id := range paperOrder {
@@ -40,21 +42,10 @@ func Registry() []Experiment {
 			out = append(out, e)
 		}
 	}
-	// Append anything not in the canonical list, keeping registration order.
 	for _, e := range registry {
-		if _, listed := ByID(e.ID); listed {
-			found := false
-			for _, id := range paperOrder {
-				if id == e.ID {
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
+		if !slices.Contains(paperOrder, e.ID) {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
 	return out
 }

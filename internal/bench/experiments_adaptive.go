@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"rowsort/internal/core"
+	"rowsort/internal/normkey"
 	"rowsort/internal/radix"
 	"rowsort/internal/sortalgo"
 	"rowsort/internal/strategy"
@@ -103,4 +104,33 @@ func runAdaptive(w io.Writer, cfg Config) error {
 		t.Render(w)
 	}
 	return nil
+}
+
+// encodeKeyRows encodes tbl's sort keys as normalized key rows at the sorter's
+// key-row stride (key bytes, then room for the payload reference): what a sink
+// hands its run sort.
+func encodeKeyRows(tbl *vector.Table, keys []core.SortColumn) (rows []byte, rw, kw int, err error) {
+	nkeys := make([]normkey.SortKey, len(keys))
+	for i, k := range keys {
+		nkeys[i] = normkey.SortKey{Column: k.Column, Type: tbl.Schema[k.Column].Type}
+	}
+	enc, err := normkey.NewEncoder(nkeys)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	kw = enc.Width()
+	rw = (kw + 8 + 7) &^ 7
+	rows = make([]byte, tbl.NumRows()*rw)
+	keyCols := make([]*vector.Vector, len(nkeys))
+	off := 0
+	for _, c := range tbl.Chunks {
+		for i, k := range nkeys {
+			keyCols[i] = c.Vectors[k.Column]
+		}
+		if _, err := enc.EncodeChunk(keyCols, rows[off:], rw, 0); err != nil {
+			return nil, 0, 0, err
+		}
+		off += c.Len() * rw
+	}
+	return rows, rw, kw, nil
 }

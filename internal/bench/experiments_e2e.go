@@ -84,8 +84,7 @@ func runFig11(w io.Writer, cfg Config) error {
 	tbl := workload.CatalogSales(n, 10, cfg.seed())
 	keys := []core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
 
-	s, err := core.NewSorter(tbl.Schema, keys,
-		core.Options{Threads: cfg.threads(), MemoryLimit: cfg.MemoryLimit})
+	s, err := core.NewSorter(tbl.Schema, keys, core.Options{Threads: cfg.threads()})
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,8 @@
 //
 // The 2-way primitives (SplitPoint, MergeInto, ParallelMerge) and the
 // cascaded CascadeMerge are the paper's Merge Path merge. The sorter does not
-// call them: `sortbench -exp merge` times the cascade beside the two trees on
-// the same key runs, which is where the comparison lives.
+// call them: BenchmarkParallelMerge times the 2-way merge, and the k-way
+// trees' tests use the cascade as their oracle.
 package mergepath
 
 import (

@@ -79,26 +79,3 @@ func TestValidatePrometheusRejectsViolations(t *testing.T) {
 		}
 	}
 }
-
-func TestRecorderWritePrometheusValidates(t *testing.T) {
-	rec := NewRecorderClock(tickClock()) // every span lasts 100 ns
-	w := rec.Worker("w")
-	w.Begin(PhaseIngest).End()
-	w.Begin(PhaseMerge).End()
-	var b strings.Builder
-	if err := rec.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePrometheus([]byte(b.String())); err != nil {
-		t.Fatalf("recorder exposition invalid: %v\n%s", err, b.String())
-	}
-	for _, want := range []string{
-		`rowsort_phase_busy_seconds{phase="ingest"} 0.0000001`,
-		`rowsort_phase_spans_total{phase="ingest"} 1`,
-		"rowsort_trace_workers 1",
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, b.String())
-		}
-	}
-}

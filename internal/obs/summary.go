@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"time"
@@ -77,17 +76,4 @@ func (s Summary) String() string {
 			Phase(p).String(), st.Busy.Round(time.Microsecond), st.Wall.Round(time.Microsecond), st.Count)
 	}
 	return b.String()
-}
-
-// WritePrometheus writes the recorder's span families in Prometheus text
-// exposition format (the families a sort's own exposition ends with). On a
-// nil recorder it writes nothing.
-func (r *Recorder) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	s := r.Summary()
-	var pw PromWriter
-	pw.phaseFamilies([]PromRun{{Trace: &s}})
-	return pw.Flush(w)
 }

@@ -50,10 +50,6 @@ type Options struct {
 	// ForceLSD and ForceMSD override the key-width selection rule.
 	ForceLSD bool
 	ForceMSD bool
-	// NoSingleBucketSkip disables the shared-prefix skip (for ablation):
-	// every key byte of every bucket is counted and scattered, even when all
-	// rows agree on it.
-	NoSingleBucketSkip bool
 	// InsertionCutoff overrides DefaultInsertionCutoff when positive.
 	InsertionCutoff int
 	// Scratch, when at least as long as the data, is used as the scatter
@@ -113,7 +109,6 @@ func SortOpts(data []byte, rowWidth, keyWidth int, opt Options) Stats {
 		rowW:   rowWidth,
 		keyW:   keyWidth,
 		cutoff: cutoff * rowWidth,
-		skip:   !opt.NoSingleBucketSkip,
 		tmp:    make([]byte, rowWidth),
 	}
 	useLSD := UseLSD(keyWidth)
@@ -137,8 +132,7 @@ type sorter struct {
 	aux    []byte
 	rowW   int
 	keyW   int
-	cutoff int // insertion cutoff in bytes of rows
-	skip   bool
+	cutoff int    // insertion cutoff in bytes of rows
 	tmp    []byte // the row insertion sort holds out
 	stats  Stats
 }
@@ -248,7 +242,7 @@ func (s *sorter) lsd() {
 	for d := s.keyW - 1; d >= 0; d-- {
 		var count [256]int
 		s.countByte(src, d, &count)
-		if s.skip && count[src[d]] == len(src)/s.rowW {
+		if count[src[d]] == len(src)/s.rowW {
 			s.stats.SkippedPasses++
 			continue
 		}
@@ -270,13 +264,11 @@ func (s *sorter) lsd() {
 // that place is the scratch it is copied home — neighbouring such buckets
 // together.
 func (s *sorter) msd(cur, oth []byte, lo, hi, d int, home bool) {
-	if s.skip {
-		// Every key byte the rows share is stepped over at once; a range of
-		// equal keys ends here without being counted.
-		shared := s.commonPrefix(cur[lo:hi], d) - d
-		s.stats.SkippedPasses += shared
-		d += shared
-	}
+	// Every key byte the rows share is stepped over at once; a range of equal
+	// keys ends here without being counted.
+	shared := s.commonPrefix(cur[lo:hi], d) - d
+	s.stats.SkippedPasses += shared
+	d += shared
 	if d >= s.keyW || hi-lo <= s.cutoff {
 		s.insertion(cur[lo:hi], d)
 		if !home {

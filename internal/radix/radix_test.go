@@ -125,8 +125,8 @@ func TestSelectionRule(t *testing.T) {
 }
 
 func TestSingleBucketSkip(t *testing.T) {
-	// All rows share the first 6 key bytes; with skip enabled, MSD should
-	// skip those levels without scatter passes.
+	// All rows share the first 6 key bytes: MSD should skip those levels
+	// without scatter passes.
 	rng := rand.New(rand.NewSource(15))
 	const n, rowW, keyW = 5000, 8, 8
 	data := make([]byte, n*rowW)
@@ -136,21 +136,11 @@ func TestSingleBucketSkip(t *testing.T) {
 		row[6] = byte(rng.Intn(256))
 		row[7] = byte(rng.Intn(256))
 	}
-	cp := append([]byte(nil), data...)
-
 	st := Sort(data, rowW, keyW)
 	if st.SkippedPasses < 6 {
 		t.Fatalf("expected >=6 skipped passes, got %d", st.SkippedPasses)
 	}
 	checkSorted(t, data, rowW, keyW, "with skip")
-
-	st2 := SortOpts(cp, rowW, keyW, Options{NoSingleBucketSkip: true})
-	if st2.SkippedPasses != 0 {
-		t.Fatalf("skip disabled but %d passes skipped", st2.SkippedPasses)
-	}
-	if !bytes.Equal(data, cp) {
-		t.Fatal("skip on/off disagree")
-	}
 }
 
 func TestLSDSkipOnConstantBytes(t *testing.T) {
@@ -343,23 +333,18 @@ func patternRows(n, rowW, keyW int, fill func([]byte, int, *rand.Rand), rng *ran
 	return data
 }
 
-// checkAgainstOracle sorts copies of data with the shared-prefix skip on and
-// off, into a scratch buffer full of garbage and into none, and requires each
-// result to equal the stable oracle's byte for byte.
+// checkAgainstOracle sorts copies of data into a scratch buffer full of
+// garbage and into none, and requires each result to equal the stable
+// oracle's byte for byte.
 func checkAgainstOracle(t *testing.T, ctx string, data []byte, rowW, keyW int, opt Options) {
 	t.Helper()
 	want := sortedOracle(data, rowW, keyW)
-	for _, noSkip := range []bool{false, true} {
-		for _, scratch := range [][]byte{nil, bytes.Repeat([]byte{0xCC}, len(data)+rowW)} {
-			got := append([]byte(nil), data...)
-			opt.NoSingleBucketSkip, opt.Scratch = noSkip, scratch
-			st := SortOpts(got, rowW, keyW, opt)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s noSkip=%v scratch=%d: differs from the stable oracle (stats %+v)", ctx, noSkip, len(scratch), st)
-			}
-			if noSkip && st.SkippedPasses != 0 {
-				t.Fatalf("%s: %d passes skipped with the skip off", ctx, st.SkippedPasses)
-			}
+	for _, scratch := range [][]byte{nil, bytes.Repeat([]byte{0xCC}, len(data)+rowW)} {
+		got := append([]byte(nil), data...)
+		opt.Scratch = scratch
+		st := SortOpts(got, rowW, keyW, opt)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s scratch=%d: differs from the stable oracle (stats %+v)", ctx, len(scratch), st)
 		}
 	}
 }
