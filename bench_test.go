@@ -2,20 +2,16 @@
 // of the paper through the bench harness (one Benchmark per experiment id,
 // at tiny scale so `go test -bench=.` stays fast — use cmd/sortbench with
 // -scale small|paper for the real runs), plus the drain of Sorter.Rows and
-// the two ablations no package benchmark or benchmark/ workload measures yet.
+// the one ablation no package benchmark or benchmark/ workload measures yet.
 package rowsort
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"testing"
 
 	"rowsort/internal/bench"
 	"rowsort/internal/core"
-	"rowsort/internal/radix"
-	"rowsort/internal/sortalgo"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -191,39 +187,6 @@ func BenchmarkRowsDrain(b *testing.B) {
 						return s
 					})
 				})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationAdaptive measures the kernels the Future Work
-// algorithm-choice planner chooses between, on the input where they disagree
-// most: a presorted run, which the paper's fixed rule would radix-sort and the
-// sampled plan hands to pdqsort's pattern detector (sortbench -exp adaptive
-// has the other shapes and the planner's regret on each).
-func BenchmarkAblationAdaptive(b *testing.B) {
-	const n, rowW, keyW = 1 << 16, 16, 8
-	base := make([]byte, n*rowW)
-	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint64(base[i*rowW:], uint64(i))
-	}
-	for _, k := range []struct {
-		name string
-		sort func(data []byte)
-	}{
-		{"radix", func(data []byte) { radix.Sort(data, rowW, keyW) }},
-		{"pdqsort", func(data []byte) {
-			r := sortalgo.NewRows(data, rowW)
-			r.Compare = func(a, b []byte) int { return bytes.Compare(a[:keyW], b[:keyW]) }
-			r.Pdqsort()
-		}},
-	} {
-		b.Run("presorted/"+k.name, func(b *testing.B) {
-			data := make([]byte, len(base))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(data, base)
-				k.sort(data)
 			}
 		})
 	}

@@ -28,44 +28,6 @@ func MedianTime(reps int, f func()) time.Duration {
 	return times[reps/2]
 }
 
-// InterleavedRounds times competing functions with their repetitions
-// interleaved instead of run as per-function blocks, so slow drift in
-// background load biases every arm equally rather than whichever arm
-// happened to run during a noisy stretch. The starting arm rotates each
-// round, so every arm also follows every other arm equally often — a fixed
-// round-robin order would hand whichever arm runs after the slowest one a
-// systematic thermal/turbo penalty. It returns times[fn][round], so callers
-// comparing arms can form per-round (paired) ratios, which cancel whatever
-// drift remains within a round; use it for ablations whose verdict is a
-// ratio between arms. prep runs, untimed, before every timed call: arms that
-// consume their input get a fresh one.
-func InterleavedRounds(reps int, prep func(), fns []func()) [][]time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	times := make([][]time.Duration, len(fns))
-	for i := range times {
-		times[i] = make([]time.Duration, reps)
-	}
-	for r := 0; r < reps; r++ {
-		for k := range fns {
-			i := (r + k) % len(fns)
-			prep()
-			start := time.Now()
-			fns[i]()
-			times[i][r] = time.Since(start)
-		}
-	}
-	return times
-}
-
-// MedianDuration returns the median of ts without reordering it.
-func MedianDuration(ts []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ts...)
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	return s[len(s)/2]
-}
-
 // Table renders an aligned ASCII table.
 type Table struct {
 	Title  string

@@ -86,14 +86,13 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestRegistryCoversEveryTableAndFigure pins the registry to the paper: its
-// 18 tables and figures in paper order, then the run-sort planner's
-// experiment, and nothing else. A non-paper experiment belongs in a package
-// benchmark or in benchmark/.
+// 18 tables and figures in paper order, and nothing else. A non-paper
+// experiment belongs in a package benchmark or in benchmark/.
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 	want := []string{
 		"table1", "compmodel", "fig2", "fig3", "table2", "fig4", "fig5", "table3",
 		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"table4", "fig14", "adaptive",
+		"table4", "fig14",
 	}
 	var got []string
 	for _, e := range Registry() {

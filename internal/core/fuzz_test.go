@@ -64,7 +64,7 @@ func TestQuickRandomSchemasAndSpecs(t *testing.T) {
 		}
 		defer s.Close()
 		// One sort in four runs every run through pdqsort and the comparator,
-		// whatever its plan would be.
+		// whatever its rule would be.
 		s.pinPdqsort = rng.Intn(4) == 0
 		got, err := sortTable(s, tbl)
 		if err != nil {

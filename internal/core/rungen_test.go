@@ -6,13 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 
 	"rowsort/internal/mem"
-	"rowsort/internal/obs"
 	"rowsort/internal/row"
-	"rowsort/internal/strategy"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -356,92 +353,64 @@ func TestBudgetedSinkReservesNothingAhead(t *testing.T) {
 	}
 }
 
-// TestStrategyDecisionsRecorded pins the one-executor property: however a
-// run's plan came about — sampled, or dictated by a tie-break — its decision
-// is recorded through the same path (one entry per generated run, run ids
-// unique and in range, every field a plan has filled in, sampled statistics
-// present exactly when the plan was sampled), and Algo names the kernel that
-// ran, which the kernels' own counters confirm.
+// TestStrategyDecisionsRecorded pins the run-sort rules and their log: one
+// decision per generated run, run ids unique and in range, each naming the
+// kernel that ran and, where a rule other than radix's decided, why. Random
+// keys radix-sort; runs that arrive in order — sorted, all equal — are not
+// sorted at all; a run in order but for its last row radix-sorts; keys that
+// may tie go to pdqsort under the comparator.
 func TestStrategyDecisionsRecorded(t *testing.T) {
-	uints := workload.UintColumnsTable(workload.Dist{Random: true}.Generate(8_000, 2, 144))
-	uintKeys := []SortColumn{{Column: 0}, {Column: 1}}
+	const runRows, runs = vector.DefaultVectorSize, 4
+	sorted, lastOut := make([]uint32, runs*runRows), make([]uint32, runs*runRows)
+	for i := range sorted {
+		sorted[i], lastOut[i] = uint32(i), uint32(i)
+		if i%runRows == runRows-1 {
+			lastOut[i] = 0
+		}
+	}
 	col0 := []SortColumn{{Column: 0}}
-	// Sorted, in 64-row duplicate groups: every sample sees DupRunFrac ~ 63/64.
-	groups := make([]uint32, 16_000)
-	// Groups of two with a single row after every twelfth: adjacent groups
-	// average 1.92 rows in every run, under the collector's bar of two, while
-	// 48 % of adjacent pairs are equal — so a good share of the 256-row samples
-	// read one half or more, and their duplicate-group plans miss.
-	nearPairs := make([]uint32, 40_000)
-	for i := range groups {
-		groups[i] = uint32(i / 64)
-	}
-	for i := range nearPairs {
-		nearPairs[i] = uint32(i/25*13+i%25/2) * 2654435761
-	}
-
 	for _, tc := range []struct {
-		name   string
-		tbl    *vector.Table
-		keys   []SortColumn
-		forced string   // expected Forced value, "" = sampled plan
-		algos  []string // the kernels the runs may name; nil = any
+		name      string
+		tbl       *vector.Table
+		keys      []SortColumn
+		algo, why string
 	}{
-		{"sampled", uints, uintKeys, "", []string{"msd-radix"}},
-		{"sampled dup-group", workload.UintColumnsTable([][]uint32{groups}), col0, "", []string{"dup-group"}},
-		{"dup-group miss", workload.UintColumnsTable([][]uint32{nearPairs}), col0, "dup-group-miss", []string{"msd-radix"}},
-		{"tie-break", mixedTable(8_000, 91), mergeTestKeys, "tie-break", []string{"pdqsort"}},
+		{"random", workload.UintColumnsTable(workload.Dist{Random: true}.Generate(len(sorted), 2, 144)),
+			[]SortColumn{{Column: 0}, {Column: 1}}, "msd-radix", ""},
+		{"sorted", workload.UintColumnsTable([][]uint32{sorted}), col0, "none", "presorted"},
+		{"all equal", workload.UintColumnsTable([][]uint32{make([]uint32, len(sorted))}), col0, "none", "presorted"},
+		{"in order but the last row", workload.UintColumnsTable([][]uint32{lastOut}), col0, "msd-radix", ""},
+		{"tie-break", mixedTable(len(sorted), 91), mergeTestKeys, "pdqsort", "tie-break"},
 	} {
-		s := finalizedSorter(t, tc.tbl, tc.keys, Options{Threads: 2, RunSize: 1000})
+		// One sink, a run a chunk.
+		s := finalizedSorter(t, tc.tbl, tc.keys, Options{Threads: 2, RunSize: runRows})
 		checkSorted(t, tc.tbl, resultChecked(t, s), tc.keys, tc.name)
 		st := s.Stats()
 		s.Close()
-		if int64(len(st.StrategyDecisions)) != st.RunsGenerated {
-			t.Fatalf("%s: %d decisions for %d runs", tc.name, len(st.StrategyDecisions), st.RunsGenerated)
+		if len(st.StrategyDecisions) != runs || st.RunsGenerated != runs {
+			t.Fatalf("%s: %d decisions for %d runs, want %d", tc.name, len(st.StrategyDecisions), st.RunsGenerated, runs)
 		}
-		seen := map[int]bool{}
-		ran := map[string]int64{}
-		asPlanned := 0 // runs whose plan came about the way under test
-		for _, d := range st.StrategyDecisions {
-			if seen[d.Run] || d.Run < 0 || d.Run >= int(st.RunsGenerated) {
-				t.Fatalf("%s: bad or duplicate run id %d", tc.name, d.Run)
+		ruled := 0 // runs decided by the rule under test
+		for i, d := range st.StrategyDecisions {
+			want := StrategyDecision{Run: i, Rows: runRows, Algo: tc.algo, Why: tc.why}
+			if tc.why == "tie-break" && d.Why == "" {
+				// A run none of whose chunks reported a possible tie.
+				want.Algo, want.Why = "msd-radix", ""
+			} else {
+				ruled++
 			}
-			seen[d.Run] = true
-			ran[d.Algo]++
-			if d.Algo == "" || d.Rows <= 0 || d.MergeRole == "" {
-				t.Fatalf("%s: incomplete decision %+v", tc.name, d)
-			}
-			algos := tc.algos
-			if tc.forced != "" && d.Forced == "" {
-				// Sampled where the row expects otherwise: a run none of whose
-				// chunks reported a possible tie, or whose sample read under the
-				// duplicate-group gate.
-				algos = []string{"msd-radix"}
-			} else if asPlanned++; d.Forced != tc.forced {
-				t.Fatalf("%s: forced = %q, want %q", tc.name, d.Forced, tc.forced)
-			}
-			if !slices.Contains(algos, d.Algo) {
-				t.Fatalf("%s: run sorted by %q, want one of %v", tc.name, d.Algo, algos)
-			}
-			if sampled := d.RadixCost > 0 && d.PdqCost > 0; sampled != (d.Forced != "tie-break") {
-				t.Fatalf("%s: sampled statistics on a dictated plan, or none on a sampled one: %+v", tc.name, d)
-			}
-			if d.Algo == "dup-group" && (d.DupRunFrac < 0.5 || d.MergeRole != "dup-heavy" || !d.FrontCode) {
-				t.Fatalf("%s: a duplicate-group run's plan should read half its pairs equal, merge dup-heavy and front-code: %+v", tc.name, d)
+			if d != want {
+				t.Fatalf("%s: decision %+v, want %+v", tc.name, d, want)
 			}
 		}
-		if asPlanned == 0 {
-			t.Fatalf("%s: no run's plan came about the way under test", tc.name)
-		}
-		if ran["dup-group"] != st.Counters[obs.DupGroupRuns] || (ran["dup-group"] > 0) != (st.Counters[obs.DupGroupRows] > 0) {
-			t.Fatalf("%s: decisions name %v; the kernel counted %d grouped runs and %d grouped rows",
-				tc.name, ran, st.Counters[obs.DupGroupRuns], st.Counters[obs.DupGroupRows])
+		if ruled == 0 {
+			t.Fatalf("%s: no run was decided by the rule under test", tc.name)
 		}
 	}
 }
 
 // TestSortRunComparesBytesUnlessTied pins the paper's memcmp: a run whose
-// keys cannot tie is compared, when its plan is a comparison sort, with one
+// keys cannot tie is compared, when pdqsort sorts it, with one
 // bytes.Compare over the key prefix — never through the segment-wise
 // tie-breaking comparator, whose payload lookup the varchar key's equal
 // values would reach on every match. The lookup handed to sortRun fails the
@@ -465,15 +434,10 @@ func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 	if tieBreak || !s.enc.SegCanTie(0) {
 		t.Fatalf("the run should be byte-decisive (tieBreak = %v) on a segment that could tie", tieBreak)
 	}
-	var dec StrategyDecision
-	keys = k.sortRun(keys, n, strategy.Plan{Algo: strategy.AlgoPdqsort}, false,
-		func(uint32, uint32) (*row.RowSet, int) {
-			t.Error("a byte-decisive run was compared through the payload lookup")
-			return k.payload, 0
-		}, &dec)
-	if dec.Algo != "pdqsort" {
-		t.Fatalf("sortRun ran %q, want pdqsort", dec.Algo)
-	}
+	k.sortRun(keys, "pdqsort", false, func(uint32, uint32) (*row.RowSet, int) {
+		t.Error("a byte-decisive run was compared through the payload lookup")
+		return k.payload, 0
+	})
 	for i := 1; i < n; i++ {
 		if bytes.Compare(keys[(i-1)*s.rowWidth:][:s.keyWidth], keys[i*s.rowWidth:][:s.keyWidth]) > 0 {
 			t.Fatalf("key rows %d and %d are out of order", i-1, i)

@@ -17,7 +17,6 @@ import (
 	"rowsort/internal/row"
 	"rowsort/internal/sortalgo"
 	"rowsort/internal/spill"
-	"rowsort/internal/strategy"
 	"rowsort/internal/vector"
 )
 
@@ -105,11 +104,13 @@ type Sorter struct {
 	run *obs.RunHandle
 
 	// Test pins, written only by this package's tests and each read at one
-	// site: spill blocks of this many rows whatever the budget and the plan
-	// say (spillBlockRowsFor), and pdqsort under the comparator for every run
-	// whatever its plan would be (planRun).
+	// site: spill blocks of this many rows whatever the budget says
+	// (spillBlockRowsFor), pdqsort under the comparator for every run whatever
+	// its rule would be (planRun), and front-coded key sections tried in the
+	// blocks of runs a sink cut, which by rule are written raw (spillTo).
 	pinBlockRows int
 	pinPdqsort   bool
+	pinFrontCode bool
 }
 
 // getKeyBuf returns an empty key buffer, recycled when available. Pool
@@ -143,8 +144,6 @@ func (s *Sorter) putRowSet(rs *row.RowSet) {
 
 // sortedRun is one thread-local sorted run: sorted key rows plus the
 // payload physically reordered to match (so scans read it sequentially).
-// The strategy fields carry the run's plan forward into the spill and merge
-// phases; they are zero when the plan was dictated, not sampled.
 type sortedRun struct {
 	id       uint32
 	keys     []byte
@@ -153,10 +152,6 @@ type sortedRun struct {
 	tieBreak bool // some string may exceed its prefix (or embed NUL)
 	spilling bool // claimed by a spiller (guarded by Sorter.mu)
 	spill    *spill.File
-
-	role      strategy.MergeRole // merge-scheduling hint from the run's plan
-	blockHint int                // planned spill block rows (0 = default)
-	frontCode bool               // spill blocks try front-coding their keys (tag 1)
 }
 
 // runBytes is a resident run's accounted footprint: key-buffer plus payload
@@ -276,7 +271,6 @@ type Sink struct {
 	s        *Sorter
 	ow       *obs.Worker      // this sink's trace lane (nil without telemetry)
 	res      *mem.Reservation // everything the sink retains, charged to the sorter's broker
-	planner  *strategy.Planner
 	keys     []byte           // pending key rows; leaves with each cut run
 	payload  *row.RowSet      // pending payload rows; emptied at each cut
 	scratch  []byte           // radix scatter buffer, key-buffer sized
@@ -491,22 +485,16 @@ func (k *Sink) recycle(cut *row.RowSet) {
 	k.scratch, k.idxs = nil, nil
 }
 
-// flush turns the pending rows into a run: cut them loose, derive the run's
-// plan, execute it, publish the sorted run and hand it to the spill policy.
+// flush turns the pending rows into a run: cut them loose, decide its sort,
+// execute it, publish the sorted run and hand it to the spill policy.
 func (k *Sink) flush() error {
 	s := k.s
 	keys, payload, n, tb := k.cut()
 	sp := k.ow.Begin(obs.PhaseRunSort)
-	plan, forced := k.planRun(keys, n, tb)
-	st := plan.Stats
-	dec := StrategyDecision{Rows: n, Forced: forced, MergeRole: plan.MergeRole.String(),
-		Sortedness: st.Sortedness, EffectiveKeyBytes: st.EffectiveBytes, DistinctRatio: st.DistinctRatio,
-		FirstByteEntropy: st.FirstByteEntropy, DupRunFrac: st.DupRunFrac,
-		RadixCost: plan.RadixCost, PdqCost: plan.PdqCost,
-		SpillBlockRows: plan.SpillBlockRows, FrontCode: plan.FrontCode}
+	dec := k.planRun(keys, n, tb)
 	// Until the run is published its payload references are row indexes into
 	// the cut set.
-	keys = k.sortRun(keys, n, plan, tb, func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) }, &dec)
+	k.sortRun(keys, dec.Algo, tb, func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
 
 	// Register the run id first (so merge order is stable), then physically
 	// reorder the payload to the sorted order and point the key refs at the
@@ -515,8 +503,7 @@ func (k *Sink) flush() error {
 	// observe a half-built run.
 	s.mu.Lock()
 	runID := uint32(len(s.runs))
-	run := &sortedRun{id: runID, tieBreak: tb, rows: n,
-		role: plan.MergeRole, blockHint: plan.SpillBlockRows, frontCode: plan.FrontCode}
+	run := &sortedRun{id: runID, tieBreak: tb, rows: n}
 	s.runs = append(s.runs, run)
 	dec.Run = int(runID)
 	s.ctr.Decide(dec) // under mu: the log is in run-id order
@@ -593,99 +580,57 @@ func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) err
 	return nil
 }
 
-// planRun derives the cut run's plan — the only way its sort, its spill
-// shape and its merge role vary — and why it was dictated, "" when it was
-// sampled. A run whose keys may tie on their bytes (tieBreak) sorts as the
-// paper's rule says, pdqsort under the tie-breaking comparator. A
-// byte-decisive run is sorted as the strategy planner's sample of it says
-// (see internal/strategy): radix, pdqsort when it arrived in order, or one
-// representative per duplicate group.
-func (k *Sink) planRun(keys []byte, n int, tieBreak bool) (plan strategy.Plan, forced string) {
-	switch {
-	case k.s.pinPdqsort:
-		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "pin"
-	case tieBreak:
-		return strategy.Plan{Algo: strategy.AlgoPdqsort}, "tie-break"
-	}
-	return k.strategyPlanner().PlanRun(keys, n), ""
-}
-
-// strategyPlanner lazily builds this sink's per-run planner, on the sink's
-// first byte-decisive run. The planner owns sampling scratch and is reused
-// across the sink's runs; the config captures the sort's fixed shape — key
-// segment offsets for the per-segment sketches, and the spill-block default
-// the plan's block hint is relative to.
-func (k *Sink) strategyPlanner() *strategy.Planner {
-	if k.planner == nil {
-		s := k.s
-		segOffs := make([]int, len(s.keys))
-		for i := range s.keys {
-			segOffs[i] = s.enc.Offset(i)
-		}
-		k.planner = strategy.NewPlanner(strategy.Config{
-			RowWidth: s.rowWidth,
-			KeyWidth: s.keyWidth,
-			SegOffs:  segOffs,
-			// Only byte-decisive runs are sampled (no tie-break), so grouping
-			// byte-equal rows is always sound here.
-			AllowDupGroup:         true,
-			DefaultSpillBlockRows: DefaultSpillBlockRows,
-		})
-	}
-	return k.planner
-}
-
-// sortRun executes plan on the cut run, the one place each run-sort kernel
-// is started from, and names in dec the kernel that ran. It returns the
-// buffer holding the sorted run: the duplicate-group expansion writes into a
-// recycled one and returns keys to the pool. lookup resolves a key row's
-// payload reference; only a run whose keys may tie (tieBreak) is ever compared
-// through it — any other is compared, if at all, as plain bytes.
-//
-// A duplicate-group plan is checked against the whole run first (a sample may
-// have oversold the duplication): adjacent byte-equal key groups must average
-// DupGroupMinAvg rows. Then one representative row per group is radix-sorted
-// and the groups are expanded, so that each distinct key moves through the
-// sort once; radix.Sort being stable, the result is byte-identical to sorting
-// row at a time. A miss falls back to plain radix.
-func (k *Sink) sortRun(keys []byte, n int, plan strategy.Plan, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int), dec *StrategyDecision) []byte {
+// planRun decides the cut run's sort by three exact rules, sampling
+// nothing, and returns the decision to log. A run whose keys may tie on their
+// bytes (tieBreak) sorts as the paper's rule says, pdqsort under the
+// tie-breaking comparator. A byte-decisive run is radix-sorted, unless it
+// arrived in order (inOrder): radix.Sort is stable, so such a run is left as
+// it is, byte-identical to sorting it. Why names the rule when radix's did not
+// decide.
+func (k *Sink) planRun(keys []byte, n int, tieBreak bool) StrategyDecision {
 	s := k.s
-	algo := plan.Algo
-	rows, stride, groups := keys, s.rowWidth, 0
-	if algo == strategy.AlgoDupGroup {
-		if reps, g, ok := sortalgo.CollectDupGroupsMin(keys, s.rowWidth, s.keyWidth, plan.DupGroupMinAvg); ok {
-			// The tags ride behind the key prefix; reps holds at most one row
-			// per key row, none wider, so the run's scratch fits.
-			rows, stride, groups = reps, s.keyWidth+sortalgo.GroupTagBytes, g
-		} else {
-			algo = strategy.RadixAlgo(s.keyWidth)
-			dec.Forced = "dup-group-miss"
+	switch {
+	case s.pinPdqsort:
+		return StrategyDecision{Rows: n, Algo: "pdqsort", Why: "pin"}
+	case tieBreak:
+		return StrategyDecision{Rows: n, Algo: "pdqsort", Why: "tie-break"}
+	case inOrder(keys, s.rowWidth, s.keyWidth):
+		return StrategyDecision{Rows: n, Algo: "none", Why: "presorted"}
+	case radix.UseLSD(s.keyWidth):
+		return StrategyDecision{Rows: n, Algo: "lsd-radix"}
+	}
+	return StrategyDecision{Rows: n, Algo: "msd-radix"}
+}
+
+// inOrder reports whether key rows are already non-decreasing on their key
+// prefix. It stops at the first descent, so on unsorted input it reads a few
+// rows.
+func inOrder(keys []byte, rowWidth, keyWidth int) bool {
+	for o := rowWidth; o < len(keys); o += rowWidth {
+		if bytes.Compare(keys[o-rowWidth:o-rowWidth+keyWidth], keys[o:o+keyWidth]) > 0 {
+			return false
 		}
 	}
-	dec.Algo = algo.String()
-	if algo == strategy.AlgoPdqsort {
+	return true
+}
+
+// sortRun sorts the cut run in place with the kernel algo names, the one place
+// each run-sort kernel is started from. lookup resolves a key row's payload
+// reference; only a run whose keys may tie (tieBreak) is ever compared through
+// it — any other is compared, if at all, as plain bytes.
+func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) {
+	s := k.s
+	switch algo {
+	case "none":
+	case "pdqsort":
 		r := sortalgo.NewRows(keys, s.rowWidth)
 		_, r.Compare = s.mergeOrder(tieBreak, lookup)
 		r.Pdqsort()
-		return keys
+	default:
+		// Which radix sort runs is radix's own width rule, the one planRun
+		// names the decision by.
+		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	}
-	// Which radix sort runs is radix's own width rule, the one a radix plan's
-	// Algo is named by.
-	radix.SortOpts(rows, stride, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
-	if groups > 0 {
-		dst := s.getKeyBuf()
-		if cap(dst) < len(keys) {
-			s.putKeyBuf(dst)
-			dst = make([]byte, len(keys))
-		}
-		dst = dst[:len(keys)]
-		sortalgo.ExpandDupGroups(dst, keys, s.rowWidth, rows, s.keyWidth)
-		s.putKeyBuf(keys)
-		s.ctr.Add(obs.DupGroupRuns, 1)
-		s.ctr.Add(obs.DupGroupRows, int64(n-groups))
-		return dst
-	}
-	return keys
 }
 
 // comparator returns the tie-breaking key-row comparator: a segment-wise

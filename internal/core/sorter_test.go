@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -395,14 +397,14 @@ func TestSortTableCaseInsensitive(t *testing.T) {
 }
 
 // TestOrderShapesMatchOracle sorts every order shape the workload package
-// generates — the inputs on which the planner leaves radix — and two string
-// shapes whose every run takes the tie-break (low-cardinality names two bytes
-// longer than the prefix, URLs whose shared start fills it) through default
-// SortTable, resident and spilled, on one thread and four: the output must
-// equal the stable-sort oracle on key sequence and row multiset whatever each
-// run's plan was, and pdqsort pinned on every run must yield the same key
-// sequence. Across the shapes every kernel a sampled (not forced) plan can
-// name must run.
+// generates and two string shapes whose every run takes the tie-break
+// (low-cardinality names two bytes longer than the prefix, URLs whose shared
+// start fills it) through default SortTable, resident and spilled, on one
+// thread and four: the output must equal the stable-sort oracle on key
+// sequence and row multiset whatever each run's rule was, and pdqsort pinned
+// on every run must yield the same key sequence. A byte-decisive run is left
+// unsorted, recorded "presorted", exactly when it arrived in order, which
+// cutRuns replays; across the shapes radix, pdqsort and no sort all run.
 func TestOrderShapesMatchOracle(t *testing.T) {
 	const n, runSize = 20_000, 2_500
 	keys := []SortColumn{{Column: 0}}
@@ -435,13 +437,24 @@ func TestOrderShapesMatchOracle(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				checkSorted(t, sh.tbl, got, keys, ctx)
+				// Runs as (rows, left unsorted), as logged and as cut.
+				type run struct {
+					rows     int
+					unsorted bool
+				}
+				logged, cut := map[run]int{}, map[run]int{}
 				for _, d := range st.StrategyDecisions {
-					if d.Forced == "" {
-						ran[d.Algo] = true
+					ran[d.Algo] = true
+					if (d.Why == "tie-break") != sh.ties || (d.Why == "presorted") != (d.Algo == "none") {
+						t.Fatalf("%s: run %d sorted by %q because %q", ctx, d.Run, d.Algo, d.Why)
 					}
-					if (d.Forced == "tie-break") != sh.ties {
-						t.Fatalf("%s: run %d forced %q", ctx, d.Run, d.Forced)
-					}
+					logged[run{d.Rows, d.Algo == "none"}]++
+				}
+				for _, ks := range cutRuns(sh.tbl, threads, runSize) {
+					cut[run{len(ks), !sh.ties && slices.IsSorted(ks)}]++
+				}
+				if !maps.Equal(logged, cut) {
+					t.Fatalf("%s: runs (rows, left unsorted) logged %v, cut %v", ctx, logged, cut)
 				}
 
 				s, err := NewSorter(sh.tbl.Schema, keys, opt)
@@ -457,9 +470,35 @@ func TestOrderShapesMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, algo := range []string{"msd-radix", "pdqsort", "dup-group"} {
+	for _, algo := range []string{"msd-radix", "pdqsort", "none"} {
 		if !ran[algo] {
 			t.Errorf("no run of any shape was sorted by %s: the shapes missed what they are for", algo)
 		}
 	}
+}
+
+// cutRuns replays sortTable's run cuts without a budget — sink w appends
+// chunks w, w+threads, ... and cuts a run once runSize rows are pending, then
+// the rest when it closes — and returns each run's first-column values, as
+// int64 for an integer column and as 0 for any other.
+func cutRuns(tbl *vector.Table, threads, runSize int) [][]int64 {
+	threads = min(threads, max(1, len(tbl.Chunks)))
+	var runs [][]int64
+	for w := 0; w < threads; w++ {
+		var pending []int64
+		for i := w; i < len(tbl.Chunks); i += threads {
+			col := tbl.Chunks[i].Vectors[0]
+			for r := 0; r < col.Len(); r++ {
+				v, _ := col.Value(r).(int64)
+				pending = append(pending, v)
+			}
+			if len(pending) >= runSize {
+				runs, pending = append(runs, pending), nil
+			}
+		}
+		if len(pending) > 0 {
+			runs = append(runs, pending)
+		}
+	}
+	return runs
 }

@@ -4,9 +4,9 @@
 // (Figure 11):
 //
 //	input chunks → per-thread sinks → normalized keys + payload row format
-//	→ thread-local run generation (each run sorted as its plan says: pdqsort
-//	when string prefixes may tie, else the kernel a sample of the run picks —
-//	radix, pdqsort or duplicate-group sorting; see internal/strategy)
+//	→ thread-local run generation (each run sorted by rule: pdqsort when
+//	string prefixes may tie, no sort when the run arrived in order, else
+//	radix)
 //	→ single-pass k-way loser-tree merge with
 //	offset-value coding, partitioned across threads with k-way Merge Path
 //	→ columnar scan of the result

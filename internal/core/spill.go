@@ -8,7 +8,6 @@ import (
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
-	"rowsort/internal/strategy"
 )
 
 // Spilling demonstrates the paper's future-work direction: because a run is
@@ -73,11 +72,10 @@ func (s *Sorter) Close() error {
 // the exact buffers are not at hand.
 func (s *Sorter) approxRowBytes() int64 { return int64(s.rowWidth + s.layout.Width()) }
 
-// spillBlockRowsFor is the block-size decision for a run about to be written,
-// and it has two owners. A budget sizes the block from what remains of it and
-// the run's average row footprint (mergepath.PlanBlockRows): small blocks
-// under pressure, default-sized ones when there is headroom. Without one the
-// run's plan may hint a shape, and otherwise the default stands.
+// spillBlockRowsFor is the block-size decision for a run about to be written.
+// A budget sizes the block from what remains of it and the run's average row
+// footprint (mergepath.PlanBlockRows): small blocks under pressure,
+// default-sized ones when there is headroom. Without one the default stands.
 func (s *Sorter) spillBlockRowsFor(r *sortedRun) int {
 	switch {
 	case s.pinBlockRows > 0:
@@ -88,8 +86,6 @@ func (s *Sorter) spillBlockRowsFor(r *sortedRun) int {
 			avg = runBytes(r) / int64(r.rows)
 		}
 		return mergepath.PlanBlockRows(s.broker.Remaining(), avg, DefaultSpillBlockRows)
-	case r.blockHint > 0:
-		return r.blockHint
 	}
 	return DefaultSpillBlockRows
 }
@@ -193,12 +189,17 @@ func (s *Sorter) releaseRun(r *sortedRun) {
 // buffers. On any error the partial file is removed; nothing is leaked. ow is
 // the calling worker's trace lane. Callers on concurrent paths must hold the
 // run's claim (see spillRun).
+//
+// A run a sink cut is written in raw blocks; only a merge pass's output tries
+// front-coding (mergeRunsToSpill). Letting every block try codes the cut runs
+// of the catalog benchmark workload for 12 % more sort time and 21 % more
+// allocation (DESIGN.md, "One spill format").
 func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	sp := ow.Begin(obs.PhaseSpillWrite)
 	defer sp.End()
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
-	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRowsFor(r), r.rows, r.frontCode, staging)
+	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRowsFor(r), r.rows, s.pinFrontCode, staging)
 	if err != nil {
 		return err
 	}
@@ -429,12 +430,8 @@ func (s *Sorter) planSpilledMerge() error {
 // Batches are contiguous and each merged
 // run takes its batch's position, so the final merge sees runs in original
 // run-id order — ties still resolve to the earlier input run, which keeps
-// budgeted output byte-identical to the unlimited sort. The strategy
-// planner's merge-role hints steer where the contiguous cuts land
-// (mergepath.BatchRuns groups like-role neighbors into the same pass, which
-// keeps the duplicate-run fast path hot); they never reorder runs, so the
-// tie guarantee is untouched. The executed plan is recorded in SortStats
-// (merge passes, final fan-in, pass bytes).
+// budgeted output byte-identical to the unlimited sort. The executed plan is
+// recorded in SortStats (merge passes, final fan-in, pass bytes).
 func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 	buffers := s.opt.mergeBuffers()
 	for {
@@ -454,9 +451,8 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 			s.dropPools()
 			continue
 		}
-		role := func(i int) int { return int(s.runs[ids[i]].role) }
 		next := make([]uint32, 0, (len(ids)+plan.FanIn-1)/plan.FanIn)
-		for _, span := range mergepath.BatchRuns(len(ids), plan.FanIn, role) {
+		for _, span := range mergepath.BatchRuns(len(ids), plan.FanIn) {
 			batch := ids[span[0]:span[1]]
 			if len(batch) == 1 {
 				next = append(next, batch[0])
@@ -505,29 +501,21 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 		return 0, err
 	}
 
-	// A merged run inherits its inputs' common merge role (mixed batches
-	// demote to normal) and attempts front-coded spill blocks whatever its
-	// inputs did: the writer re-samples every block of every generation, so
-	// the decision tracks what this merge actually produced rather than what
-	// the original runs looked like.
 	total := 0
-	role := s.runs[ids[0]].role
 	for _, id := range ids {
 		total += s.runs[id].rows
-		if s.runs[id].role != role {
-			role = strategy.RoleNormal
-		}
 	}
 	// An intermediate pass moves every input row again; grow the plan so
 	// the progress fraction accounts for the extra work instead of jumping
 	// past 100%.
 	s.ctr.Add(obs.MergeRowsPlanned, int64(total))
-	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: p.anyTie, rows: total,
-		role: role, frontCode: true}
+	merged := &sortedRun{id: uint32(len(s.runs)), tieBreak: p.anyTie, rows: total}
 	s.runs = append(s.runs, merged)
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
-	w, err := s.spills.NewWriter(merged.id, s.spillFormat(), blockRows, total, merged.frontCode, staging)
+	// A pass's output tries front-coded key sections, block by block: the
+	// writer keeps a block raw unless coding shrinks it.
+	w, err := s.spills.NewWriter(merged.id, s.spillFormat(), blockRows, total, true, staging)
 	if err != nil {
 		return 0, err
 	}

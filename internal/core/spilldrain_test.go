@@ -36,17 +36,18 @@ func tablesEqual(t *testing.T, want, got *vector.Table, ctx string) {
 // spilledSorter ingests tbl through a single sink with every run kept in
 // memory, then spills by hand the runs spill selects — in blocks of blockRows
 // rows (0: as the sorter would), their keys front-coded where that shrinks
-// them when frontCode says so — and finalizes. The runs are those of an
+// them when frontCode says so, as a merge pass's output is — and finalizes. The runs are those of an
 // in-memory sort under the same options, so its oracle is this sort's too.
 // The caller closes the sorter.
 func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, blockRows int, frontCode bool, spill func(run int) bool) *Sorter {
 	t.Helper()
 	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
+	s.pinFrontCode = frontCode
 	for i, r := range s.runs {
 		if r.spill != nil {
 			t.Fatalf("run %d spilled during ingest", i)
 		}
-		if r.frontCode = frontCode; spill(i) {
+		if spill(i) {
 			if err := s.spillRun(r, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -154,14 +155,14 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSpillFilesAreOneFormat pins that every writer of a run's file — a run
-// whose plan was dictated, one whose sampled plan asks for front-coding, an
-// intermediate merge pass — goes through the one spill.Writer and so the one
-// format (whose bytes internal/spill's own tests pin): a dictated plan's
-// blocks stay raw, a sampled plan's are front-coded when the run says to try,
-// a pass re-samples what it produced, and a merge over a mix of them drains
-// byte-identical to the in-memory oracle. A stage opens a file only if it
-// starts with the format's header.
+// TestSpillFilesAreOneFormat pins that every writer of a run's file — a run a
+// sink cut, one pinned to try front-coding, an intermediate merge pass — goes
+// through the one spill.Writer and so the one format (whose bytes
+// internal/spill's own tests pin): a cut run's blocks stay raw even where
+// coding would shrink them, a pinned run's are front-coded, a pass codes what
+// it produced, and a merge over a mix of them drains byte-identical to the
+// in-memory oracle. A stage opens a file only if it starts with the format's
+// header.
 func TestSpillFilesAreOneFormat(t *testing.T) {
 	// coded spills run r and returns how many of its blocks, and how many
 	// front-coded, that wrote.
@@ -175,21 +176,19 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	}
 	const perRun, blockRows = vector.DefaultVectorSize, 512
 	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
-	keys := drainKeys(false)
 
-	// A run sorted as a tie-break dictates was not sampled, so nothing asked
-	// for front-coding: every section is raw.
-	def := ingestedSorter(t, tbl, drainKeys(true), Options{Threads: 1, RunSize: perRun}, pinBlockRows(blockRows))
+	// A run a sink cut is written raw, on these keys too — eight values, so
+	// every block would shrink.
+	keys := drainKeys(false)
+	def := ingestedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun}, pinBlockRows(blockRows))
 	for _, r := range def.runs {
 		if n, fc := coded(def, r); n != perRun/blockRows || fc != 0 {
-			t.Errorf("dictated plan, run %d: %d blocks, %d front-coded", r.id, n, fc)
+			t.Errorf("cut run %d: %d blocks, %d front-coded", r.id, n, fc)
 		}
 	}
 	def.Close()
 
-	// The mix: byte-decisive runs, whose sampled plans ask for front-coding
-	// on these keys — eight values, so every block shrinks — except that every
-	// other run is told not to try, as a dictated plan's are. With the budget
+	// The mix: every other run pinned to try front-coding. With the budget
 	// all but taken, Finalize merges the five files down to two in passes of
 	// two: ((0 1) (2 3)) and 4.
 	opt := Options{Threads: 1, RunSize: perRun}
@@ -201,14 +200,12 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
 	defer s.Close()
 	for i, r := range s.runs {
-		if !r.frontCode {
-			t.Fatalf("run %d's plan does not ask for front-coding", i)
-		}
-		r.frontCode = i%2 == 1
-		if n, fc := coded(s, r); n != perRun/blockRows || (fc > 0) != r.frontCode {
-			t.Errorf("run %d, front-coding %v: %d blocks, %d front-coded", i, r.frontCode, n, fc)
+		s.pinFrontCode = i%2 == 1
+		if n, fc := coded(s, r); n != perRun/blockRows || (fc > 0) != s.pinFrontCode {
+			t.Errorf("run %d, front-coding %v: %d blocks, %d front-coded", i, s.pinFrontCode, n, fc)
 		}
 	}
+	s.pinFrontCode = false
 	s.dropPools()
 	hog := broker.Reserve("hog", broker.Remaining()-(1<<10))
 	defer hog.Release()
@@ -231,49 +228,52 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 }
 
 // TestAdaptiveFrontCodedSpillMatchesResident is the front-coding round trip
-// through the public options: an external sort whose sampled plans front-code
-// their spill blocks must produce exactly the rows of the same sort run fully
-// in memory. Run cuts and planner inputs are identical (one thread, fixed run
-// size), so the only difference is the spill encode/decode under test.
+// through the public options, and its refusal: an external sort — eager, or
+// under a budget small enough to force merge passes — must produce exactly
+// the rows of the same sort run fully in memory. A run a sink cuts is written
+// raw, so an eager spill front-codes nothing, even of duplicate-heavy keys; a
+// merge pass's output tries, and front-codes duplicate-heavy keys. Sorted
+// high-cardinality keys it leaves raw: a pass's neighbours share two key
+// bytes and the validity byte of nine, a predicted ratio above the writer's
+// cutoff, and coding them costs more time than it saves bytes.
 func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
-	n := 20_000
-	vals := make([]uint32, n)
+	vals := make([]uint32, 40_000)
 	for i := range vals {
 		vals[i] = uint32(i / 32)
 	}
-	tbl := workload.UintColumnsTable([][]uint32{vals})
+	dupHeavy := workload.UintColumnsTable([][]uint32{vals})
+	uniform := workload.UniformInt64s(1<<16, 7)
 	keys := []SortColumn{{Column: 0}}
-	base := Options{Threads: 1, RunSize: 1500}
-
-	resident, err := SortTable(tbl, keys, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := base
-	ext.SpillDir = t.TempDir()
-	spilled, st, err := SortTableStats(tbl, keys, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Counters[obs.SpillFCBlocks] == 0 {
-		t.Fatal("no spill block was front-coded; the round trip was not exercised")
-	}
-	tablesEqual(t, resident, spilled, "front-coded spill vs resident")
-
-	// The plans of NOT NULL high-cardinality keys ask as well (their first key
-	// byte is constant), and every block declines: neighbours share too little
-	// for the coding to be worth its encode and decode. (One run of 65,536
-	// rows: the longer a sorted run, the more leading bits its neighbours
-	// share — two bytes and the validity byte of nine here.)
-	tbl = workload.UniformInt64s(1<<16, 7)
-	ext.RunSize = 1 << 16
-	_, st, err = SortTableStats(tbl, keys, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.StrategyDecisions[0].FrontCode || st.Counters[obs.SpillFCBlocks] != 0 {
-		t.Fatalf("uniform keys: plan asks for front-coding = %v, %d blocks front-coded; want asked and none",
-			st.StrategyDecisions[0].FrontCode, st.Counters[obs.SpillFCBlocks])
+	for _, c := range []struct {
+		name   string
+		tbl    *vector.Table
+		budget bool
+		coded  bool
+	}{
+		{"duplicate-heavy, eager spill", dupHeavy, false, false},
+		{"duplicate-heavy, merge passes", dupHeavy, true, true},
+		{"uniform, merge passes", uniform, true, false},
+	} {
+		base := Options{Threads: 1, RunSize: 1500}
+		resident, err := SortTable(c.tbl, keys, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := base
+		if c.budget {
+			ext.Broker = mem.NewBroker("passes", 64<<10)
+		} else {
+			ext.SpillDir = t.TempDir()
+		}
+		spilled, st, err := SortTableStats(c.tbl, keys, ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := st.Counters[obs.SpillFCBlocks]
+		if st.SpillBytesWritten == 0 || (st.MergePasses > 0) != c.budget || (fc > 0) != c.coded {
+			t.Errorf("%s: %d spill bytes, %d merge passes, %d blocks front-coded", c.name, st.SpillBytesWritten, st.MergePasses, fc)
+		}
+		tablesEqual(t, resident, spilled, c.name)
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 	"rowsort/internal/obs"
 )
 
-// StrategyDecision is one run's recorded execution-plan choice: the sort
-// that generated the run, the sampled statistics and modeled costs behind
-// the choice, and the run's spill/merge hints. It aliases the obs wire type
-// so the observability registry serializes decisions without conversion.
+// StrategyDecision is one run's recorded run-sort: the kernel that generated
+// the run and the rule that chose it. It aliases the obs wire type so the
+// observability registry serializes decisions without conversion.
 type StrategyDecision = obs.StrategyDecision
 
 // SortStats is the typed snapshot of one sorter's telemetry: a view of its
@@ -79,10 +78,9 @@ type SortStats struct {
 	DurGather time.Duration
 	DurTotal  time.Duration
 
-	// StrategyDecisions records, per generated run, the execution-plan choice
-	// and the sampled statistics it came from — on every path (a plan a
-	// tie-break dictated has Forced set), so the log always says what ran and
-	// why.
+	// StrategyDecisions records, per generated run, the kernel that sorted
+	// it and, when a rule other than radix decided, why (see planRun), so the
+	// log always says what ran.
 	StrategyDecisions []StrategyDecision
 	// Phases is the span-level breakdown: per-phase busy time, wall window and
 	// span count across all workers.

@@ -284,7 +284,7 @@ func TestSortStatsRendering(t *testing.T) {
 		"rowsort_spill_written_bytes_total",
 		"rowsort_stage_merge_seconds",
 		"# TYPE rowsort_merge_stall_seconds_total counter",
-		"rowsort_dup_group_runs_total 0",
+		"rowsort_spill_fc_blocks_total 0",
 		`rowsort_phase_busy_seconds{phase="spill-read"}`,
 	} {
 		if !strings.Contains(prom, want) {

@@ -122,37 +122,18 @@ func PlanMerge(k int, remaining, rowBytes int64, maxRows, buffers int) MergePlan
 	return MergePlan{FanIn: f, BlockRows: rows}
 }
 
-// BatchRuns splits n runs into contiguous batches of at most fanIn runs,
-// returned as [start, end) index pairs. role gives each run's merge role
-// (the strategy planner's hints: dup-heavy, presorted, normal):
-// a batch prefers to end where the role changes — merging like-role
-// neighbors keeps the duplicate-run fast path and the presorted streak
-// detection effective through intermediate passes — but only once the batch
-// holds at least max(2, fanIn/2) runs, so role-alternating inputs cannot
-// degrade the cascade into tiny batches. Batches stay contiguous regardless
-// of role: the fan-in reducer relies on contiguity for its byte-identical
-// tie ordering, so roles may only move the cut points, never reorder runs.
-// With uniform roles the cuts land exactly every fanIn runs.
-func BatchRuns(n, fanIn int, role func(i int) int) [][2]int {
+// BatchRuns splits n runs into contiguous batches of fanIn runs, the last
+// one holding the remainder, returned as [start, end) index pairs. Batches
+// stay contiguous: the fan-in reducer relies on that for its byte-identical
+// tie ordering.
+func BatchRuns(n, fanIn int) [][2]int {
 	if n <= 0 {
 		return nil
 	}
-	if fanIn < minFanIn {
-		fanIn = minFanIn
-	}
-	minCut := max(2, fanIn/2)
+	fanIn = max(fanIn, minFanIn)
 	out := make([][2]int, 0, (n+fanIn-1)/fanIn)
-	start := 0
-	for i := 1; i <= n; i++ {
-		size := i - start
-		cut := i == n || size >= fanIn
-		if !cut && size >= minCut && role(i) != role(i-1) {
-			cut = true
-		}
-		if cut {
-			out = append(out, [2]int{start, i})
-			start = i
-		}
+	for start := 0; start < n; start += fanIn {
+		out = append(out, [2]int{start, min(start+fanIn, n)})
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package mergepath
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -78,58 +79,20 @@ func TestPlanFanIn(t *testing.T) {
 	}
 }
 
-func TestBatchRunsUniformRolesMatchFixedStride(t *testing.T) {
-	// Uniform roles must reproduce the role-blind batching exactly: cuts
-	// every fanIn runs, trailing remainder in its own batch.
-	for _, c := range []struct{ n, fanIn int }{{10, 4}, {8, 4}, {1, 4}, {5, 2}, {7, 16}} {
-		got := BatchRuns(c.n, c.fanIn, func(int) int { return 0 })
+// TestBatchRunsCutEveryFanIn pins the fan-in reducer's batching: cuts every
+// fanIn runs, the trailing remainder in its own batch, fan-in clamped to two.
+func TestBatchRunsCutEveryFanIn(t *testing.T) {
+	for _, c := range []struct{ n, fanIn int }{{10, 4}, {8, 4}, {1, 4}, {5, 2}, {7, 16}, {5, 1}} {
+		got := BatchRuns(c.n, c.fanIn)
 		var want [][2]int
-		for i := 0; i < c.n; i += c.fanIn {
-			want = append(want, [2]int{i, min(i+c.fanIn, c.n)})
+		for i, f := 0, max(c.fanIn, 2); i < c.n; i += f {
+			want = append(want, [2]int{i, min(i+f, c.n)})
 		}
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("n=%d fanIn=%d: %v, want %v", c.n, c.fanIn, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d fanIn=%d: %v, want %v", c.n, c.fanIn, got, want)
-			}
-		}
 	}
-}
-
-func TestBatchRunsCutsAtRoleBoundary(t *testing.T) {
-	// 8 runs, roles 0,0,0,1,1,1,1,1 and fanIn 6: the role change at index 3
-	// should cut there (batch size 3 >= max(2, 6/2)), grouping the
-	// dup-heavy tail into its own batch.
-	roles := []int{0, 0, 0, 1, 1, 1, 1, 1}
-	got := BatchRuns(len(roles), 6, func(i int) int { return roles[i] })
-	want := [][2]int{{0, 3}, {3, 8}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("role-boundary batches = %v, want %v", got, want)
-	}
-}
-
-func TestBatchRunsAlternatingRolesKeepsProgress(t *testing.T) {
-	// Role changes every run must not shrink batches below max(2, fanIn/2):
-	// the cascade still halves (or better) the run count each pass.
-	n, fanIn := 64, 8
-	got := BatchRuns(n, fanIn, func(i int) int { return i % 2 })
-	covered := 0
-	for _, b := range got {
-		size := b[1] - b[0]
-		if b[0] != covered {
-			t.Fatalf("batches not contiguous: %v", got)
-		}
-		if size < max(2, fanIn/2) && b[1] != n {
-			t.Fatalf("batch %v smaller than progress floor", b)
-		}
-		covered = b[1]
-	}
-	if covered != n {
-		t.Fatalf("batches cover %d of %d runs", covered, n)
-	}
-	if len(got) >= n {
-		t.Fatalf("no fan-in reduction: %d batches for %d runs", len(got), n)
+	if got := BatchRuns(0, 4); got != nil {
+		t.Fatalf("no runs: %v, want none", got)
 	}
 }

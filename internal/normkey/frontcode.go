@@ -8,9 +8,9 @@ import "fmt"
 // key bytes against its predecessor. The encoding is block-local — row 0 is
 // stored whole — so a block decodes with nothing but its own bytes, and the
 // non-key tail of every row (payload reference, alignment padding) is kept
-// raw so decoding is a straight copy. The strategy planner samples each run
-// (and each intermediate merge generation re-samples per block) to decide
-// when the coding pays; PlanFrontCoding is that sample.
+// raw so decoding is a straight copy. The sorter tries the coding only in the
+// blocks of a merge pass's output, and there only where it pays: the spill
+// writer samples each block with PlanFrontCoding.
 
 // maxFrontCodePrefix is the largest shared-prefix length one byte encodes.
 const maxFrontCodePrefix = 255

@@ -58,8 +58,6 @@ const (
 	NormKeyBytes
 	RowsSorted
 	RunsGenerated
-	DupGroupRuns
-	DupGroupRows
 	SpillBytesWritten
 	SpillBytesRead
 	SpillFCBlocks
@@ -152,8 +150,6 @@ var Descs = [NumCounters]Desc{
 	NormKeyBytes:      {Name: "normalized_key_bytes", Unit: "bytes", Layer: "ingest", Help: "Normalized key bytes produced."},
 	RowsSorted:        {Name: "rows_sorted", Unit: "rows", Layer: "run-sort", Help: "Rows that left run generation inside a sorted run."},
 	RunsGenerated:     {Name: "runs_generated", Unit: "runs", Layer: "run-sort", Help: "Thread-local sorted runs cut."},
-	DupGroupRuns:      {Name: "dup_group_runs", Unit: "runs", Layer: "run-sort", Help: "Runs sorted one representative per duplicate group."},
-	DupGroupRows:      {Name: "dup_group_rows", Unit: "rows", Layer: "run-sort", Help: "Rows those runs did not sort individually (run rows minus groups)."},
 	SpillBytesWritten: {Name: "spill_written_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes written to spill files, intermediate passes included."},
 	SpillBytesRead:    {Name: "spill_read_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes read back from spill files."},
 	SpillFCBlocks:     {Name: "spill_fc_blocks", Unit: "blocks", Layer: "spill", Help: "Spill blocks written with front-coded key sections."},
@@ -287,7 +283,7 @@ func (b *Block) Snapshot() Values {
 	return v
 }
 
-// Decide appends one run's execution-plan decision to the log.
+// Decide appends one run's run-sort decision to the log.
 func (b *Block) Decide(d StrategyDecision) {
 	b.mu.Lock()
 	b.decisions = append(b.decisions, d)

@@ -33,10 +33,10 @@ func families(t *testing.T, exposition string) []string {
 	return out
 }
 
-// retiredCounters are the descriptor names key compression took with it: the
-// physical bytes of its encodings, its dictionary escapes and its tie-repaired
-// runs.
-var retiredCounters = []string{"physical_key_bytes", "key_escapes", "tie_repaired_runs"}
+// retiredCounters are descriptor names that left with what they counted: key
+// compression's physical key bytes, dictionary escapes and tie-repaired runs,
+// and the duplicate-group run sort's runs and rows.
+var retiredCounters = []string{"physical_key_bytes", "key_escapes", "tie_repaired_runs", "dup_group_runs", "dup_group_rows"}
 
 // TestDescriptorTableIsComplete pins the table every view is generated from:
 // each row is fully described and named once, and the JSON snapshot carries

@@ -183,7 +183,7 @@ type RunSnapshot struct {
 	ETA time.Duration `json:"eta_ns"`
 	// Trace is the run's per-phase span aggregate when it has a Recorder.
 	Trace *Summary `json:"trace,omitempty"`
-	// Strategy is the run's per-run execution-plan decisions so far (all
+	// Strategy is the run's run-sort decisions so far (all
 	// of them once the run is done).
 	Strategy []StrategyDecision `json:"strategy,omitempty"`
 }

@@ -228,7 +228,7 @@ func TestStrategySnapshotLifecycle(t *testing.T) {
 		t.Fatalf("live snapshot strategy = %+v", live.Strategy)
 	}
 
-	b.Decide(StrategyDecision{Run: 1, Rows: 50, Algo: "pdqsort"})
+	b.Decide(StrategyDecision{Run: 1, Rows: 50, Algo: "pdqsort", Why: "tie-break"})
 	h.Done()
 	snap, ok := g.Snapshot(h.ri.id)
 	if !ok || len(snap.Strategy) != 2 || snap.Strategy[1].Algo != "pdqsort" {
@@ -236,6 +236,15 @@ func TestStrategySnapshotLifecycle(t *testing.T) {
 	}
 	if len(live.Strategy) != 1 {
 		t.Fatalf("a later decision reached an earlier snapshot: %+v", live.Strategy)
+	}
+	// A decision is run, rows, kernel and why on the wire: the sampled plan's
+	// statistics, costs, merge role and spill hints are gone.
+	raw, err := json.Marshal(snap.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[{"run":0,"rows":100,"algo":"lsd-radix"},{"run":1,"rows":50,"algo":"pdqsort","why":"tie-break"}]`; string(raw) != want {
+		t.Fatalf("decisions serialize as %s, want %s", raw, want)
 	}
 }
 
@@ -266,8 +275,8 @@ func TestRecorderFromRegistryRegistersRuns(t *testing.T) {
 // TestAlgoCountsTalliesInNameOrder pins the one per-algorithm tally that
 // SortStats.String and both Prometheus exports print.
 func TestAlgoCountsTalliesInNameOrder(t *testing.T) {
-	got := AlgoCounts([]StrategyDecision{{Algo: "pdqsort"}, {Algo: "dup-group"}, {Algo: "pdqsort"}})
-	if want := []AlgoCount{{"dup-group", 1}, {"pdqsort", 2}}; !slices.Equal(got, want) {
+	got := AlgoCounts([]StrategyDecision{{Algo: "pdqsort"}, {Algo: "none"}, {Algo: "pdqsort"}})
+	if want := []AlgoCount{{"none", 1}, {"pdqsort", 2}}; !slices.Equal(got, want) {
 		t.Fatalf("AlgoCounts = %v, want %v", got, want)
 	}
 	if got := AlgoCounts(nil); len(got) != 0 {

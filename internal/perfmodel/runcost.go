@@ -5,7 +5,8 @@ import "math"
 // Run-sort cost models: per-row cost estimates (in the same cache-line
 // units as SortPhaseWeights) for the two run-generation sorts, driven by
 // the sampled distribution of the run about to be sorted. The strategy
-// planner compares them to pick the sort per run — the paper's Future Work
+// planner, which the sorter no longer consults, compares them to pick the
+// sort per run — the paper's Future Work
 // asks for exactly this: algorithm choice following key size, tuple count
 // and uniqueness instead of a static rule. The old heuristic's hard-coded
 // "effective <= 2*log2(n)" crossover falls out of these curves instead of

@@ -41,8 +41,7 @@ const (
 
 // UseLSD is the key-width rule: Sort runs least significant digit first on
 // keys this narrow, most significant digit first on wider ones. Whoever names
-// the sort a run will get (the strategy planner, the sorter's decision log)
-// asks here.
+// the sort a run will get (the sorter's decision log) asks here.
 func UseLSD(keyWidth int) bool { return keyWidth <= LSDThreshold }
 
 // Options tune the sort; the zero value gives the paper's configuration.
@@ -76,9 +75,9 @@ type Stats struct {
 //
 // Sort is STABLE: rows with byte-equal key prefixes keep their input order.
 // Every path preserves order — LSD and MSD scatter with counting sort, and
-// the insertion fallback only moves strictly-smaller rows. The
-// duplicate-group run sort (sortalgo.CollectDupGroups) relies on this to
-// make grouped sorting byte-identical to sorting row-at-a-time.
+// the insertion fallback only moves strictly-smaller rows. The sorter relies
+// on this to leave a run that arrived in order unsorted: that is
+// byte-identical to sorting it.
 func Sort(data []byte, rowWidth, keyWidth int) Stats {
 	return SortOpts(data, rowWidth, keyWidth, Options{})
 }

@@ -38,13 +38,12 @@ const (
 )
 
 // fcPlanCutoff is the sampled encoded-to-raw ratio below which a block of a
-// run whose plan asked for front-coding attempts it; blocks predicted to
-// shrink by less than a fifth skip the encode work entirely. A plan asks
-// whenever the key's first byte is constant (any NOT NULL leading column), so
-// this is what keeps high-cardinality keys raw: sorted uniform int64 keys
-// predict 0.92, and at the former cutoff of 0.95 coding them saved 2.4 % of
-// the spill bytes for 15 % more wall time (EXPERIMENTS.md "Every run is
-// planned"); duplicate-heavy keys predict 0.5–0.75.
+// writer that tries front-coding attempts it; blocks predicted to shrink by
+// less than a fifth skip the encode work entirely. A merge pass tries on every
+// block whatever its keys, so this is what keeps high-cardinality keys raw:
+// sorted uniform int64 keys predict 0.92, and at a cutoff of 0.95 coding them
+// saved 2.4 % of the spill bytes for 15 % more wall time (EXPERIMENTS.md
+// "Every run is planned"); duplicate-heavy keys predict 0.5–0.75.
 const fcPlanCutoff = 0.8
 
 // Format is the shape of the rows in a sort's spill files.

@@ -28,7 +28,7 @@ type Writer struct {
 	wc io.WriteCloser
 	bw *bufio.Writer
 	cw countingWriter // over bw: the file's length so far
-	fc bool           // the run's plan bit: blocks try front-coding
+	fc bool           // blocks try front-coding (the caller's choice)
 
 	flushed int // rows written so far
 	// One block under construction: its pending rows' key rows — in buf,
@@ -174,10 +174,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // writeKeySection writes one block's key rows: a tag byte, then either the
 // raw rows or a length-prefixed front-coded encoding. The encode is attempted
-// only for a run whose plan asked for it, and then only when a fresh sample of
-// the block predicts a saving (re-checked per block, so intermediate merge
-// generations re-sample what the merge actually produced), and kept only when
-// the block really shrank.
+// only when the writer's caller asked for it, and then only when a sample of
+// the block predicts a saving (checked per block, so a merge pass's output is
+// judged by what the merge produced), and kept only when the block really
+// shrank.
 func (w *Writer) writeKeySection(keys []byte, rows int) error {
 	rw, kw := w.f.format.RowWidth, w.f.format.KeyWidth
 	section := keys

@@ -6,8 +6,9 @@
 // duplicate-group counting), how its spill blocks are shaped, and what role
 // it plays in the merge. Per-run decisions in place of a configured rule are
 // the paper's Future Work: algorithm choice should follow key size, tuple
-// count and uniqueness. Every run whose key bytes decide its order is sorted
-// this way; there is no other rule to fall back to.
+// count and uniqueness. The sorter no longer asks it: every run is sorted by
+// exact rules (core's Sink.planRun). The package stays only while the
+// benchmark module replays it, and no package of this module may import it.
 package strategy
 
 import (
