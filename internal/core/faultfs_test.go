@@ -29,9 +29,11 @@ type fsFault struct {
 	// bytes takes what fits and fails with writeErr.
 	writeErr error
 	writeAt  int64
-	// The readAt-th read fails with readErr, having read nothing.
+	// The readAt-th read fails with readErr, having read nothing — or, with
+	// flip, returns what it read with one bit of it flipped.
 	readErr error
 	readAt  int
+	flip    bool
 	// With from set, only reads made under a function whose name ends in it
 	// go wrong, or are counted.
 	from string
@@ -124,7 +126,7 @@ func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	nth := -1
 	if on := fault.from == "" || calledFrom(fault.from); !on {
 		fault = fsFault{}
-	} else if fault.readErr != nil {
+	} else if fault.readErr != nil || fault.flip {
 		nth = f.reads
 		f.reads++
 	}
@@ -136,6 +138,13 @@ func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	case nth == fault.readAt && fault.readErr != nil:
 		f.fire()
 		return 0, fault.readErr
+	case nth == fault.readAt && fault.flip:
+		f.fire()
+		n, err := r.ReadAtCloser.ReadAt(p, off)
+		if n > 0 {
+			p[n/2] ^= 1 << 3
+		}
+		return n, err
 	case fault.truncateAt > 0 && off+int64(len(p)) > fault.truncateAt:
 		f.fire()
 		n, _ := r.ReadAtCloser.ReadAt(p[:max(fault.truncateAt-off, 0)], off)

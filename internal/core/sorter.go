@@ -105,12 +105,10 @@ type Sorter struct {
 
 	// Test pins, written only by this package's tests and each read at one
 	// site: spill blocks of this many rows whatever the budget says
-	// (spillBlockRowsFor), pdqsort under the comparator for every run whatever
-	// its rule would be (planRun), and front-coded key sections tried in the
-	// blocks of runs a sink cut, which by rule are written raw (spillTo).
+	// (spillBlockRows), and pdqsort under the comparator for every run
+	// whatever its rule would be (planRun).
 	pinBlockRows int
 	pinPdqsort   bool
-	pinFrontCode bool
 }
 
 // getKeyBuf returns an empty key buffer, recycled when available. Pool

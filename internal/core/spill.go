@@ -24,7 +24,7 @@ import (
 
 // spillFormat is the shape of this sort's rows, as its spill files hold them.
 func (s *Sorter) spillFormat() spill.Format {
-	return spill.Format{RowWidth: s.rowWidth, KeyWidth: s.keyWidth, Layout: s.layout}
+	return spill.Format{RowWidth: s.rowWidth, Layout: s.layout}
 }
 
 // Close removes any spill files the sorter still has on disk. A result
@@ -67,25 +67,15 @@ func (s *Sorter) Close() error {
 	return err
 }
 
-// approxRowBytes estimates one row's resident footprint (key row plus
-// fixed-width payload row; string heaps unknown) for budget planning when
-// the exact buffers are not at hand.
-func (s *Sorter) approxRowBytes() int64 { return int64(s.rowWidth + s.layout.Width()) }
-
-// spillBlockRowsFor is the block-size decision for a run about to be written.
-// A budget sizes the block from what remains of it and the run's average row
-// footprint (mergepath.PlanBlockRows): small blocks under pressure,
-// default-sized ones when there is headroom. Without one the default stands.
-func (s *Sorter) spillBlockRowsFor(r *sortedRun) int {
+// spillBlockRows is the rows of every block of every spill file of this
+// sort: budgetSpillBlockRows under a budget, whose fan-in plan reserves
+// blocks of that size (reduceFanIn), else DefaultSpillBlockRows.
+func (s *Sorter) spillBlockRows() int {
 	switch {
 	case s.pinBlockRows > 0:
 		return s.pinBlockRows
 	case s.opt.limited():
-		avg := s.approxRowBytes()
-		if r.keys != nil && r.rows > 0 {
-			avg = runBytes(r) / int64(r.rows)
-		}
-		return mergepath.PlanBlockRows(s.broker.Remaining(), avg, DefaultSpillBlockRows)
+		return budgetSpillBlockRows
 	}
 	return DefaultSpillBlockRows
 }
@@ -189,17 +179,12 @@ func (s *Sorter) releaseRun(r *sortedRun) {
 // buffers. On any error the partial file is removed; nothing is leaked. ow is
 // the calling worker's trace lane. Callers on concurrent paths must hold the
 // run's claim (see spillRun).
-//
-// A run a sink cut is written in raw blocks; only a merge pass's output tries
-// front-coding (mergeRunsToSpill). Letting every block try codes the cut runs
-// of the catalog benchmark workload for 12 % more sort time and 21 % more
-// allocation (DESIGN.md, "One spill format").
 func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	sp := ow.Begin(obs.PhaseSpillWrite)
 	defer sp.End()
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
-	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRowsFor(r), r.rows, s.pinFrontCode, staging)
+	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRows(), r.rows, staging)
 	if err != nil {
 		return err
 	}
@@ -424,20 +409,18 @@ func (s *Sorter) planSpilledMerge() error {
 
 // reduceFanIn sheds resident runs, then merges contiguous batches of runs
 // to disk, until the remaining budget can stream the survivors at once
-// (mergepath.PlanMerge: the plan prefers cascading extra passes over
-// healthy-sized blocks to thrashing tiny ones, and sizes each pass for the
-// (1 + ReadAhead) resident blocks per run that the block stage holds).
-// Batches are contiguous and each merged
-// run takes its batch's position, so the final merge sees runs in original
-// run-id order — ties still resolve to the earlier input run, which keeps
-// budgeted output byte-identical to the unlimited sort. The executed plan is
-// recorded in SortStats (merge passes, final fan-in, pass bytes).
+// (mergepath.PlanFanIn, for the (1 + ReadAhead) blocks per run the block
+// stage holds, at the block size every file of the sort is written at).
+// Batches are contiguous and each merged run takes its batch's position, so
+// the final merge sees runs in original run-id order — ties still resolve to
+// the earlier input run, which keeps budgeted output byte-identical to the
+// unlimited sort. The executed plan is recorded in SortStats (merge passes,
+// final fan-in, pass bytes).
 func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
-	buffers := s.opt.mergeBuffers()
+	blockBytes := int64(s.spillBlockRows()*(s.rowWidth+s.layout.Width())) * int64(s.opt.mergeBuffers())
 	for {
-		avg := s.approxRowBytes()
-		plan := mergepath.PlanMerge(len(ids), s.broker.Remaining(), avg, DefaultSpillBlockRows, buffers)
-		if plan.FanIn >= len(ids) {
+		fanIn := mergepath.PlanFanIn(len(ids), s.broker.Remaining(), blockBytes)
+		if fanIn >= len(ids) {
 			return ids, nil
 		}
 		// Runs still in memory hold the budget the plan is short of, and
@@ -451,14 +434,14 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 			s.dropPools()
 			continue
 		}
-		next := make([]uint32, 0, (len(ids)+plan.FanIn-1)/plan.FanIn)
-		for _, span := range mergepath.BatchRuns(len(ids), plan.FanIn) {
+		next := make([]uint32, 0, (len(ids)+fanIn-1)/fanIn)
+		for _, span := range mergepath.BatchRuns(len(ids), fanIn) {
 			batch := ids[span[0]:span[1]]
 			if len(batch) == 1 {
 				next = append(next, batch[0])
 				continue
 			}
-			id, err := s.mergeRunsToSpill(batch, plan.BlockRows, mw)
+			id, err := s.mergeRunsToSpill(batch, mw)
 			if err != nil {
 				return nil, err
 			}
@@ -473,9 +456,9 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 // registers it — Finalize already holds s.mu, so no locking — and releases
 // the consumed inputs, whose files the pass's block stage deleted as it
 // finished with them. Resident memory is the stage's blocks plus one output
-// block of blockRows rows. Each pass is one PhaseMergePass span and is counted
-// in SortStats (passes, input runs, bytes rewritten).
-func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (uint32, error) {
+// block. Each pass is one PhaseMergePass span and is counted in SortStats
+// (passes, input runs, bytes rewritten).
+func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) {
 	psp := mw.Begin(obs.PhaseMergePass)
 	defer psp.End()
 	p := s.planSpillTasks(ids, true)
@@ -513,9 +496,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, blockRows int, mw *obs.Worker) (
 	s.runs = append(s.runs, merged)
 	staging := s.getRowSet()
 	defer s.putRowSet(staging)
-	// A pass's output tries front-coded key sections, block by block: the
-	// writer keeps a block raw unless coding shrinks it.
-	w, err := s.spills.NewWriter(merged.id, s.spillFormat(), blockRows, total, true, staging)
+	w, err := s.spills.NewWriter(merged.id, s.spillFormat(), s.spillBlockRows(), total, staging)
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -35,14 +37,12 @@ func tablesEqual(t *testing.T, want, got *vector.Table, ctx string) {
 
 // spilledSorter ingests tbl through a single sink with every run kept in
 // memory, then spills by hand the runs spill selects — in blocks of blockRows
-// rows (0: as the sorter would), their keys front-coded where that shrinks
-// them when frontCode says so, as a merge pass's output is — and finalizes. The runs are those of an
+// rows (0: as the sorter would) — and finalizes. The runs are those of an
 // in-memory sort under the same options, so its oracle is this sort's too.
 // The caller closes the sorter.
-func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, blockRows int, frontCode bool, spill func(run int) bool) *Sorter {
+func spilledSorter(t testing.TB, tbl *vector.Table, keys []SortColumn, opt Options, blockRows int, spill func(run int) bool) *Sorter {
 	t.Helper()
 	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
-	s.pinFrontCode = frontCode
 	for i, r := range s.runs {
 		if r.spill != nil {
 			t.Fatalf("run %d spilled during ingest", i)
@@ -80,8 +80,8 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 }
 
 // TestSpilledRowsGridByteIdentity is the byte-identity bar of the merge over
-// spilled runs: whatever the worker count, the block size, the key sections'
-// coding and which runs are on disk, Rows yields the rows the scalar-merge oracle
+// spilled runs: whatever the worker count, the block size and which runs are
+// on disk, Rows yields the rows the scalar-merge oracle
 // yields for the same runs in memory — compared as rows, since a task's last
 // chunk may be short — across run counts on both sides of a power of two,
 // merges with and without the tie-break comparator, and unique,
@@ -89,7 +89,7 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 // must degrade to one task).
 func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	const n = 3*vector.DefaultVectorSize + 17
-	sorts, tasks, frontCoded := 0, int64(0), int64(0)
+	sorts, tasks := 0, int64(0)
 	for _, runs := range []int{1, 2, 3, 16, 17} {
 		// A sink cuts a run at the first chunk boundary at or past RunSize: a
 		// run is a whole number of chunks, about n/runs rows together.
@@ -109,133 +109,112 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 				}
 				want := rowify(t, oracleResult(t, mem0)).Bytes()
 				mem0.Close()
-				for _, frontCode := range []bool{false, true} {
-					// One block a run, the default, one that leaves a ragged
-					// last block, and blocks of a few rows.
-					for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
-						check := func(ctx string, opt Options, spill func(int) bool) {
-							opt.RunSize = perRun
-							s := spilledSorter(t, tbl, keys, opt, blockRows, frontCode, spill)
-							ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v frontcode=%v block=%d threads=%d",
-								ctx, runs, drainKeyNames[dist], tieBreak, frontCode, blockRows, opt.Threads)
-							got := drainAll(t, s)
-							if !bytes.Equal(rowify(t, got).Bytes(), want) {
-								t.Fatalf("%s: rows differ from the oracle's", ctx)
-							}
-							st := s.Stats()
-							if st.SpillBytesRead != st.SpillBytesWritten {
-								t.Fatalf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
-							}
-							if dist == keysAllEqual && st.ExtMergeParts != 1 {
-								t.Fatalf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, st.ExtMergeParts)
-							}
-							sorts++
-							tasks += st.ExtMergeParts
-							frontCoded += st.Counters[obs.SpillFCBlocks]
-							if err := s.Close(); err != nil {
-								t.Fatalf("%s: %v", ctx, err)
-							}
+				// One block a run, the default, one that leaves a ragged last
+				// block, and blocks of a few rows.
+				for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
+					check := func(ctx string, opt Options, spill func(int) bool) {
+						opt.RunSize = perRun
+						s := spilledSorter(t, tbl, keys, opt, blockRows, spill)
+						ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v block=%d threads=%d",
+							ctx, runs, drainKeyNames[dist], tieBreak, blockRows, opt.Threads)
+						got := drainAll(t, s)
+						if !bytes.Equal(rowify(t, got).Bytes(), want) {
+							t.Fatalf("%s: rows differ from the oracle's", ctx)
 						}
-						threads := []int{1, 2, 4, 8}
-						if frontCode {
-							threads = []int{1, 4}
+						st := s.Stats()
+						if st.SpillBytesRead != st.SpillBytesWritten {
+							t.Fatalf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
 						}
-						for _, th := range threads {
-							check("all spilled", Options{Threads: th}, allRuns)
+						if dist == keysAllEqual && st.ExtMergeParts != 1 {
+							t.Fatalf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, st.ExtMergeParts)
 						}
-						check("mixed, budgeted", Options{Threads: 2, Broker: mem.NewBroker("grid", 1<<30)},
-							func(run int) bool { return run%2 == 1 || runs == 1 })
+						sorts++
+						tasks += st.ExtMergeParts
+						if err := s.Close(); err != nil {
+							t.Fatalf("%s: %v", ctx, err)
+						}
 					}
+					for _, th := range []int{1, 2, 4, 8} {
+						check("all spilled", Options{Threads: th}, allRuns)
+					}
+					check("mixed, budgeted", Options{Threads: 2, Broker: mem.NewBroker("grid", 1<<30)},
+						func(run int) bool { return run%2 == 1 || runs == 1 })
 				}
 			}
 		}
 	}
-	if tasks < 4*int64(sorts) || frontCoded == 0 {
-		t.Errorf("%d sorts ran %d tasks and wrote %d front-coded blocks: the grid missed what it is for", sorts, tasks, frontCoded)
+	if tasks < 4*int64(sorts) {
+		t.Errorf("%d sorts ran %d tasks: the grid missed what it is for", sorts, tasks)
 	}
 }
 
-// TestSpillFilesAreOneFormat pins that every writer of a run's file — a run a
-// sink cut, one pinned to try front-coding, an intermediate merge pass — goes
-// through the one spill.Writer and so the one format (whose bytes
-// internal/spill's own tests pin): a cut run's blocks stay raw even where
-// coding would shrink them, a pinned run's are front-coded, a pass codes what
-// it produced, and a merge over a mix of them drains byte-identical to the
-// in-memory oracle. A stage opens a file only if it starts with the format's
-// header.
+// TestSpillFilesAreOneFormat pins that every writer of a run's file under a
+// budget — a sink shedding under pressure, Finalize shedding what is still
+// resident, an intermediate merge pass — goes through the one spill.Writer
+// at the budget's one block size: every block but a run's last holds exactly
+// budgetSpillBlockRows rows, the size the fan-in plan reserved. A merge over
+// all of them drains byte-identical to the in-memory oracle, which it could
+// not if a block held other than the rows its file's index says: a block's
+// rows are counted as it is decoded, and a stage opens a file only if it
+// starts with the format's header.
 func TestSpillFilesAreOneFormat(t *testing.T) {
-	// coded spills run r and returns how many of its blocks, and how many
-	// front-coded, that wrote.
-	coded := func(s *Sorter, r *sortedRun) (blocks int, frontCoded int64) {
-		t.Helper()
-		before := s.ctr.Value(obs.SpillFCBlocks)
-		if err := s.spillRun(r, nil); err != nil {
-			t.Fatal(err)
-		}
-		return r.spill.NumBlocks(), s.ctr.Value(obs.SpillFCBlocks) - before
-	}
-	const perRun, blockRows = vector.DefaultVectorSize, 512
+	const perRun = 1300 // two full blocks and a ragged last
 	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
-
-	// A run a sink cut is written raw, on these keys too — eight values, so
-	// every block would shrink.
 	keys := drainKeys(false)
-	def := ingestedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun}, pinBlockRows(blockRows))
-	for _, r := range def.runs {
-		if n, fc := coded(def, r); n != perRun/blockRows || fc != 0 {
-			t.Errorf("cut run %d: %d blocks, %d front-coded", r.id, n, fc)
-		}
-	}
-	def.Close()
-
-	// The mix: every other run pinned to try front-coding. With the budget
-	// all but taken, Finalize merges the five files down to two in passes of
-	// two: ((0 1) (2 3)) and 4.
 	opt := Options{Threads: 1, RunSize: perRun}
 	mem0 := finalizedSorter(t, tbl, keys, opt)
 	want := rowify(t, oracleResult(t, mem0)).Bytes()
 	mem0.Close()
+
 	broker := mem.NewBroker("one-format", 1<<30)
 	opt.Broker, opt.ReadAhead = broker, -1
-	s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows))
+	s := ingestedSorter(t, tbl, keys, opt)
 	defer s.Close()
-	for i, r := range s.runs {
-		s.pinFrontCode = i%2 == 1
-		if n, fc := coded(s, r); n != perRun/blockRows || (fc > 0) != s.pinFrontCode {
-			t.Errorf("run %d, front-coding %v: %d blocks, %d front-coded", i, s.pinFrontCode, n, fc)
+	check := func(who string, r *sortedRun) {
+		t.Helper()
+		switch f := r.spill; {
+		case f == nil:
+			t.Errorf("%s run %d is not on disk", who, r.id)
+		case f.BlockRows() != budgetSpillBlockRows || f.NumBlocks() != (r.rows+budgetSpillBlockRows-1)/budgetSpillBlockRows:
+			t.Errorf("%s run %d of %d rows: %d blocks of %d", who, r.id, r.rows, f.NumBlocks(), f.BlockRows())
 		}
 	}
-	s.pinFrontCode = false
+	// With the budget a byte over, a sink sheds the largest resident run.
 	s.dropPools()
-	hog := broker.Reserve("hog", broker.Remaining()-(1<<10))
+	hog := broker.Reserve("hog", broker.Remaining()+1)
+	if err := s.spillUnderPressure(nil); err != nil {
+		t.Fatal(err)
+	}
+	hog.Release()
+	check("pressure-shed", s.runs[0])
+
+	// With the budget all but taken once the four runs still resident are
+	// shed, Finalize sheds them and merges the five files down to two in
+	// passes of two: ((0 1) (2 3)) and 4.
+	s.dropPools()
+	hog = broker.Reserve("hog", broker.Remaining()+s.runRes.Bytes()-(1<<10))
 	defer hog.Release()
-	before := s.ctr.Value(obs.SpillFCBlocks)
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.MergePasses != 3 || len(s.streamActive) != 2 || s.streamActive[1] != 4 {
-		t.Fatalf("%d passes left runs %v, want three and a pass's output beside run 4", st.MergePasses, s.streamActive)
+	if st := s.Stats(); st.MergePasses != 3 || st.PressureSpills != 5 || !slices.Equal(s.streamActive, []uint32{7, 4}) {
+		t.Fatalf("%d passes and %d runs shed left runs %v, want three and five leaving a pass's output beside run 4",
+			st.MergePasses, st.PressureSpills, s.streamActive)
 	}
-	if s.ctr.Value(obs.SpillFCBlocks) == before {
-		t.Error("the passes wrote no front-coded key sections")
-	}
+	check("Finalize-shed", s.runs[4])
+	check("pass output", s.runs[7])
 	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
-		t.Error("the merge of a pass's output and a raw run differs from the oracle")
+		t.Error("the merge of a pass's output and a shed run differs from the oracle")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAdaptiveFrontCodedSpillMatchesResident is the front-coding round trip
-// through the public options, and its refusal: an external sort — eager, or
-// under a budget small enough to force merge passes — must produce exactly
-// the rows of the same sort run fully in memory. A run a sink cuts is written
-// raw, so an eager spill front-codes nothing, even of duplicate-heavy keys; a
-// merge pass's output tries, and front-codes duplicate-heavy keys. Sorted
-// high-cardinality keys it leaves raw: a pass's neighbours share two key
-// bytes and the validity byte of nine, a predicted ratio above the writer's
-// cutoff, and coding them costs more time than it saves bytes.
+// TestAdaptiveFrontCodedSpillMatchesResident is the spill round trip through
+// the public options: an external sort of duplicate-heavy and of uniform keys
+// — eager, or under a budget small enough to force merge passes — must
+// produce exactly the rows of the same sort run fully in memory.
 func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 	vals := make([]uint32, 40_000)
 	for i := range vals {
@@ -248,11 +227,10 @@ func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 		name   string
 		tbl    *vector.Table
 		budget bool
-		coded  bool
 	}{
-		{"duplicate-heavy, eager spill", dupHeavy, false, false},
-		{"duplicate-heavy, merge passes", dupHeavy, true, true},
-		{"uniform, merge passes", uniform, true, false},
+		{"duplicate-heavy, eager spill", dupHeavy, false},
+		{"duplicate-heavy, merge passes", dupHeavy, true},
+		{"uniform, merge passes", uniform, true},
 	} {
 		base := Options{Threads: 1, RunSize: 1500}
 		resident, err := SortTable(c.tbl, keys, base)
@@ -269,9 +247,8 @@ func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := st.Counters[obs.SpillFCBlocks]
-		if st.SpillBytesWritten == 0 || (st.MergePasses > 0) != c.budget || (fc > 0) != c.coded {
-			t.Errorf("%s: %d spill bytes, %d merge passes, %d blocks front-coded", c.name, st.SpillBytesWritten, st.MergePasses, fc)
+		if st.SpillBytesWritten == 0 || (st.MergePasses > 0) != c.budget {
+			t.Errorf("%s: %d spill bytes, %d merge passes", c.name, st.SpillBytesWritten, st.MergePasses)
 		}
 		tablesEqual(t, resident, spilled, c.name)
 	}
@@ -308,7 +285,7 @@ func TestSpilledDrainSurvivesSkew(t *testing.T) {
 		for _, readAhead := range []int{-1, 1} {
 			ctx := fmt.Sprintf("threads=%d readahead=%d", threads, readAhead)
 			s := spilledSorter(t, tbl, keys, Options{Threads: threads, RunSize: perRun, ReadAhead: readAhead},
-				blockRows, false, allRuns)
+				blockRows, allRuns)
 			var got *vector.Table
 			var err error
 			within(t, ctx, 30*time.Second, func() { got, err = s.Result() })
@@ -328,7 +305,7 @@ func sixteenSpilledRuns(t testing.TB, opt Options) (*Sorter, *vector.Table) {
 	const perRun, blockRows = 8 * vector.DefaultVectorSize, 1024
 	tbl := workload.CatalogSales(16*perRun, 10, 17)
 	opt.RunSize = perRun
-	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, blockRows, false, allRuns)
+	s := spilledSorter(t, tbl, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, opt, blockRows, allRuns)
 	if len(s.runs) != 16 || s.runs[0].spill.NumBlocks() != 16 {
 		t.Fatalf("%d runs of %d blocks", len(s.runs), s.runs[0].spill.NumBlocks())
 	}
@@ -465,7 +442,7 @@ func TestSpilledSortHoldsNoOutput(t *testing.T) {
 func faultySorter(t *testing.T, threads int) (*Sorter, string) {
 	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
 	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
-	s := spilledSorter(t, tbl, drainKeys(false), Options{Threads: threads, RunSize: perRun}, blockRows, false, allRuns)
+	s := spilledSorter(t, tbl, drainKeys(false), Options{Threads: threads, RunSize: perRun}, blockRows, allRuns)
 	if len(s.runs) != 8 {
 		t.Fatalf("%d runs", len(s.runs))
 	}
@@ -523,6 +500,12 @@ var spillFaults = []struct {
 		}
 		return fsFault{readErr: syscall.EIO, readAt: 10} // past the headers
 	}},
+	{"bit flip", []int{stagePassRewrite, stageForecastRead, stageDemandRead}, func(stage int) fsFault {
+		if stage == stageForecastRead {
+			return fsFault{flip: true, from: "(*Stage).forecast"}
+		}
+		return fsFault{flip: true, readAt: 10} // past the headers
+	}},
 	{"truncated file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
 		func(int) fsFault { return fsFault{truncateAt: 100_000} }},
 	{"missing file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
@@ -543,7 +526,7 @@ var spillFaults = []struct {
 // returned error — from the stage it hit, or from Sorter.Close when all that
 // failed was a removal, and then with the right rows — never a short or wrong
 // result, never a hang; a worker's or the forecast's panic is such an error
-// too. When the fault is gone a second Close succeeds, and nothing is left:
+// too, and a flipped bit is spill.ErrCorrupt. When the fault is gone a second Close succeeds, and nothing is left:
 // no file, no goroutine, no broker byte.
 func TestSpilledDrainFaults(t *testing.T) {
 	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
@@ -642,6 +625,9 @@ func TestSpilledDrainFaults(t *testing.T) {
 					if err == nil && cerr == nil {
 						t.Errorf("%s: the fault went off %d times and no error was returned", ctx, ffs.fired)
 					}
+					if f.fault(stage).flip && !errors.Is(err, spill.ErrCorrupt) {
+						t.Errorf("%s: %v, want spill.ErrCorrupt", ctx, err)
+					}
 					if err == nil && stage != stageClose && !bytes.Equal(rowify(t, out).Bytes(), want) {
 						t.Errorf("%s: no step failed and the rows differ from the oracle's", ctx)
 					}
@@ -684,7 +670,7 @@ func TestSpilledDrainAbandoned(t *testing.T) {
 		if sh.oversize {
 			const perRun = 1 << 15
 			tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 23)
-			s = spilledSorter(t, tbl, drainKeys(false), Options{Threads: sh.threads, RunSize: perRun}, 8192, false, allRuns)
+			s = spilledSorter(t, tbl, drainKeys(false), Options{Threads: sh.threads, RunSize: perRun}, 8192, allRuns)
 		} else {
 			s, _ = faultySorter(t, sh.threads)
 		}

@@ -284,7 +284,6 @@ func TestSortStatsRendering(t *testing.T) {
 		"rowsort_spill_written_bytes_total",
 		"rowsort_stage_merge_seconds",
 		"# TYPE rowsort_merge_stall_seconds_total counter",
-		"rowsort_spill_fc_blocks_total 0",
 		`rowsort_phase_busy_seconds{phase="spill-read"}`,
 	} {
 		if !strings.Contains(prom, want) {

@@ -1,60 +1,13 @@
 package mergepath
 
 import (
-	"math"
 	"slices"
 	"testing"
 )
 
-func TestPlanBlockRows(t *testing.T) {
-	cases := []struct {
-		name      string
-		remaining int64
-		rowBytes  int64
-		maxRows   int
-		want      int
-	}{
-		{"unlimited budget hits maxRows", math.MaxInt64, 100, 4096, 4096},
-		{"huge budget capped by maxBlockBytes", 1 << 40, 64, 1 << 20, maxBlockBytes / 64},
-		{"moderate budget splits a share", 16 << 20, 1 << 10, 4096, 1024},
-		{"tiny budget clamps to floor", 100, 100, 4096, minBlockRows},
-		{"negative headroom clamps to floor", -5000, 100, 4096, minBlockRows},
-		{"zero row bytes does not divide by zero", 1 << 20, 0, 4096, 4096},
-	}
-	for _, c := range cases {
-		if got := PlanBlockRows(c.remaining, c.rowBytes, c.maxRows); got != c.want {
-			t.Errorf("%s: PlanBlockRows(%d, %d, %d) = %d, want %d",
-				c.name, c.remaining, c.rowBytes, c.maxRows, got, c.want)
-		}
-	}
-}
-
-func TestPlanMerge(t *testing.T) {
-	// rowBytes 100, maxRows 4096 → healthy blocks are 512 rows (51200
-	// bytes per buffer).
-	cases := []struct {
-		name      string
-		k         int
-		remaining int64
-		buffers   int
-		want      MergePlan
-	}{
-		{"huge budget merges flat at max blocks", 4, 1 << 30, 1, MergePlan{4, 4096}},
-		{"exact healthy budget merges flat", 4, 4 * 51200, 1, MergePlan{4, 512}},
-		{"tight budget forces passes, blocks stay healthy", 64, 8 * 51200, 1, MergePlan{8, 512}},
-		{"read-ahead doubles the footprint, halving fan-in", 64, 8 * 51200, 2, MergePlan{4, 512}},
-		{"starved budget shrinks blocks last", 64, 51200, 1, MergePlan{2, 256}},
-		{"zero budget clamps to floors", 8, 0, 1, MergePlan{2, 16}},
-		{"negative headroom clamps to floors", 8, -4096, 2, MergePlan{2, 16}},
-	}
-	for _, c := range cases {
-		if got := PlanMerge(c.k, c.remaining, 100, 4096, c.buffers); got != c.want {
-			t.Errorf("%s: PlanMerge(%d, %d, 100, 4096, %d) = %+v, want %+v",
-				c.name, c.k, c.remaining, c.buffers, got, c.want)
-		}
-	}
-}
-
+// TestPlanFanIn pins the fan-in a budget affords: the remaining bytes over
+// what each run holds resident, clamped to [2, k] — including when the
+// budget is gone, or was never enough for a 2-way merge.
 func TestPlanFanIn(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -70,6 +23,10 @@ func TestPlanFanIn(t *testing.T) {
 		{"k below the floor passes through", 1, 0, 1 << 10, minFanIn},
 		{"two runs always merge directly", 2, 0, 1 << 10, 2},
 		{"zero block bytes does not divide by zero", 8, 4, 0, 4},
+		{"tight budget forces passes", 64, 8 * 51200, 51200, 8},
+		{"read-ahead doubles the footprint, halving fan-in", 64, 8 * 51200, 2 * 51200, 4},
+		{"budget below two blocks still merges pairwise", 64, 51200, 51200, minFanIn},
+		{"huge budget merges flat", 4, 1 << 30, 51200, 4},
 	}
 	for _, c := range cases {
 		if got := PlanFanIn(c.k, c.remaining, c.blockBytes); got != c.want {

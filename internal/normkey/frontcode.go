@@ -2,15 +2,14 @@ package normkey
 
 import "fmt"
 
-// Spill-block key front coding: consecutive sorted key rows share long
-// prefixes (duplicates, dictionary codes, shared-prefix elision leftovers,
-// clustered values), so a spilled block can elide each row's shared leading
-// key bytes against its predecessor. The encoding is block-local — row 0 is
-// stored whole — so a block decodes with nothing but its own bytes, and the
-// non-key tail of every row (payload reference, alignment padding) is kept
-// raw so decoding is a straight copy. The sorter tries the coding only in the
-// blocks of a merge pass's output, and there only where it pays: the spill
-// writer samples each block with PlanFrontCoding.
+// Key-block front coding: consecutive sorted key rows share long prefixes
+// (duplicates, dictionary codes, clustered values), so a block of them can
+// elide each row's shared leading key bytes against its predecessor. The
+// encoding is block-local — row 0 is stored whole — so a block decodes with
+// nothing but its own bytes, and the non-key tail of every row (payload
+// reference, alignment padding) is kept raw so decoding is a straight copy.
+// The sorter does not use it: spill blocks hold their key rows raw (DESIGN.md
+// "Spill files"). It is kept for the benchmark's kernel replay.
 
 // maxFrontCodePrefix is the largest shared-prefix length one byte encodes.
 const maxFrontCodePrefix = 255
@@ -22,32 +21,6 @@ func sharedPrefixLen(a, b []byte, limit int) int {
 		p++
 	}
 	return p
-}
-
-// PlanFrontCoding samples adjacent row pairs of a sorted block and returns
-// the predicted encoded-to-raw size ratio (< 1 means the coding shrinks the
-// block). keys holds n rows of stride rowWidth whose first keyWidth bytes
-// are the compared key.
-func PlanFrontCoding(keys []byte, rowWidth, keyWidth, n int) float64 {
-	if n < 2 || keyWidth <= 0 || rowWidth <= 0 {
-		return 1
-	}
-	const samplePairs = 16
-	step := max(1, n/samplePairs)
-	limit := min(keyWidth, maxFrontCodePrefix)
-	pairs, shared := 0, 0
-	for i := step; i < n; i += step {
-		a := keys[(i-1)*rowWidth : (i-1)*rowWidth+keyWidth]
-		b := keys[i*rowWidth : i*rowWidth+keyWidth]
-		shared += sharedPrefixLen(a, b, limit)
-		pairs++
-	}
-	if pairs == 0 {
-		return 1
-	}
-	avg := float64(shared) / float64(pairs)
-	perRow := 1 + (float64(keyWidth) - avg) + float64(rowWidth-keyWidth)
-	return perRow / float64(rowWidth)
 }
 
 // AppendFrontCoded appends the front-coded encoding of n key rows to dst

@@ -75,23 +75,6 @@ func TestFrontCodeShrinksDuplicates(t *testing.T) {
 	if len(enc) >= len(keys) {
 		t.Fatalf("duplicate-heavy block did not shrink: %d >= %d", len(enc), len(keys))
 	}
-	if ratio := PlanFrontCoding(keys, 16, 8, 1024); ratio >= 1 {
-		t.Fatalf("plan predicted no saving on duplicate-heavy block: %.2f", ratio)
-	}
-}
-
-func TestFrontCodePlanOnIncompressible(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n, rowW, keyW := 512, 16, 8
-	keys := make([]byte, n*rowW)
-	for i := range keys {
-		keys[i] = byte(rng.Intn(256))
-	}
-	// Random bytes share almost no prefixes: the predicted ratio must be
-	// close to (1 row-overhead byte + full row) / row.
-	if ratio := PlanFrontCoding(keys, rowW, keyW, n); ratio < 1 {
-		t.Fatalf("plan predicted saving on random keys: %.2f", ratio)
-	}
 }
 
 func TestFrontCodeDecodeRejectsCorrupt(t *testing.T) {

@@ -60,7 +60,6 @@ const (
 	RunsGenerated
 	SpillBytesWritten
 	SpillBytesRead
-	SpillFCBlocks
 	SpillFilesRemoved
 	SpillRemoveErrors
 	PressureSpills
@@ -152,7 +151,6 @@ var Descs = [NumCounters]Desc{
 	RunsGenerated:     {Name: "runs_generated", Unit: "runs", Layer: "run-sort", Help: "Thread-local sorted runs cut."},
 	SpillBytesWritten: {Name: "spill_written_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes written to spill files, intermediate passes included."},
 	SpillBytesRead:    {Name: "spill_read_bytes", Unit: "bytes", Layer: "spill", Help: "Bytes read back from spill files."},
-	SpillFCBlocks:     {Name: "spill_fc_blocks", Unit: "blocks", Layer: "spill", Help: "Spill blocks written with front-coded key sections."},
 	SpillFilesRemoved: {Name: "spill_files_removed", Unit: "files", Layer: "spill", Help: "Spill files deleted."},
 	SpillRemoveErrors: {Name: "spill_remove_errors", Unit: "errors", Layer: "spill", Help: "Failed spill-file removals."},
 	PressureSpills:    {Name: "pressure_spills", Unit: "runs", Layer: "spill", Help: "Resident runs shed to disk under memory pressure."},

@@ -35,8 +35,8 @@ func families(t *testing.T, exposition string) []string {
 
 // retiredCounters are descriptor names that left with what they counted: key
 // compression's physical key bytes, dictionary escapes and tie-repaired runs,
-// and the duplicate-group run sort's runs and rows.
-var retiredCounters = []string{"physical_key_bytes", "key_escapes", "tie_repaired_runs", "dup_group_runs", "dup_group_rows"}
+// the duplicate-group run sort's runs and rows, and front-coded spill blocks.
+var retiredCounters = []string{"physical_key_bytes", "key_escapes", "tie_repaired_runs", "dup_group_runs", "dup_group_rows", "spill_fc_blocks"}
 
 // TestDescriptorTableIsComplete pins the table every view is generated from:
 // each row is fully described and named once, and the JSON snapshot carries

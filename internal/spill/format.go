@@ -1,55 +1,52 @@
 // Package spill is the one module that knows a spill file: a sorted run —
 // flat key rows plus a row-format payload — offloaded to secondary storage in
 // one unified format with no conversion (the paper's §IX). It holds the
-// format and its block codec, the writer, the index a written file leaves in
-// memory (block offsets and fences), the stage that reads the blocks back for
-// a merge, and the planner that cuts a merge into tasks at the fences. It
-// knows nothing of the sorter: key and payload shapes, a broker reservation
-// and the counter block come in as values, and the disk is reached only
-// through FS. What to spill and when, and the merge itself, are the
-// sorter's.
+// format and its checksummed block, the writer, the index a written file
+// leaves in memory (block offsets and fences), the stage that reads the
+// blocks back for a merge, and the planner that cuts a merge into tasks at
+// the fences. It knows nothing of the sorter: key and payload shapes, a
+// broker reservation and the counter block come in as values, and the disk
+// is reached only through FS. What to spill and when, and the merge itself,
+// are the sorter's.
 package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
-	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 )
 
 // A spill file is a header — magic, rows per block, rows in all — and then
-// its blocks, each a key section followed by the payload rows as
+// its blocks, each the block's key rows as they are, then its payload rows as
 // row.RowSet.WriteTo lays them out (with a block-local string heap, so a
-// reader needs only that block resident to resolve a tie-break lookup). A key
-// section opens with a tag byte: tagRaw, then the key rows as they are, or
-// tagFrontCoded, then a little-endian uint32 length and that many bytes of
-// normkey.AppendFrontCoded's encoding. A spill file is a temp file read back
-// by the process that wrote it: there is no other format to stay compatible
+// reader needs only that block resident to resolve a tie-break lookup), then
+// the CRC-32C of those two sections, little-endian. Every block but the last
+// holds the header's rows per block. A spill file is a temp file read back by
+// the process that wrote it: there is no other format to stay compatible
 // with.
 const (
-	magic     = 0x52534233 // "RSB3": row-sort blocks, format 3
-	headerLen = 16
-
-	tagRaw        = 0
-	tagFrontCoded = 1
+	magic       = 0x52534233 // "RSB3": row-sort blocks, format 3
+	headerLen   = 16
+	checksumLen = 4
 )
 
-// fcPlanCutoff is the sampled encoded-to-raw ratio below which a block of a
-// writer that tries front-coding attempts it; blocks predicted to shrink by
-// less than a fifth skip the encode work entirely. A merge pass tries on every
-// block whatever its keys, so this is what keeps high-cardinality keys raw:
-// sorted uniform int64 keys predict 0.92, and at a cutoff of 0.95 coding them
-// saved 2.4 % of the spill bytes for 15 % more wall time (EXPERIMENTS.md
-// "Every run is planned"); duplicate-heavy keys predict 0.5–0.75.
-const fcPlanCutoff = 0.8
+// castagnoli is the checksum's polynomial table: CRC-32C, which the hardware
+// computes at memory speed.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt is what a read of a spill file whose bytes are not those written
+// returns, wrapped: a header that disagrees with the run's index, or a block
+// that does not match its checksum.
+var ErrCorrupt = errors.New("corrupt spill file")
 
 // Format is the shape of the rows in a sort's spill files.
 type Format struct {
 	RowWidth int         // key row stride: the key, the payload reference, padding
-	KeyWidth int         // normalized key bytes at the head of a key row
 	Layout   *row.Layout // payload rows
 }
 
@@ -73,6 +70,9 @@ type File struct {
 
 // NumBlocks returns how many blocks the file holds.
 func (f *File) NumBlocks() int { return len(f.offs) }
+
+// BlockRows returns the rows of every block but the last.
+func (f *File) BlockRows() int { return f.blockRows }
 
 // Size returns the file's length in bytes.
 func (f *File) Size() int64 { return f.size }
@@ -111,7 +111,7 @@ func (f *File) open(d *Dir) (ReadAtCloser, error) {
 	n, err := r.ReadAt(hdr[:], 0)
 	d.ctr.Add(obs.SpillBytesRead, int64(n))
 	if err == nil && hdr != f.header() {
-		err = fmt.Errorf("header says magic %#x and %d rows in blocks of %d, the run has %d in blocks of %d",
+		err = fmt.Errorf("%w: header says magic %#x and %d rows in blocks of %d, the run has %d in blocks of %d", ErrCorrupt,
 			binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint32(hdr[4:]), f.rows, f.blockRows)
 	}
 	if err != nil {
@@ -129,65 +129,39 @@ type Block struct {
 	bytes   int64       // accounted footprint
 }
 
-// read reads blocks [first, first+n) with one positioned read and decodes
-// them in place: key rows and payloads alias the read buffer (which lives
-// until the last of them is freed; each is accounted its share), except a
-// front-coded key section, which decodes into a buffer of its own. Whatever
-// does not add up to exactly the blocks the index promised is an error.
-func (f *File) read(r io.ReaderAt, first, n int, ctr *obs.Block) ([]*Block, error) {
-	raw := make([]byte, f.blockEnd(first+n-1)-f.offs[first])
-	got, err := r.ReadAt(raw, f.offs[first])
+// read reads block b with one positioned read, checks it against its
+// checksum and decodes it in place: its key rows and payload alias the read
+// buffer. Bytes that are not those the block was written with are ErrCorrupt.
+func (f *File) read(r io.ReaderAt, b int, ctr *obs.Block) (*Block, error) {
+	raw := make([]byte, f.blockEnd(b)-f.offs[b])
+	got, err := r.ReadAt(raw, f.offs[b])
 	ctr.Add(obs.SpillBytesRead, int64(got))
 	if got < len(raw) {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("spill: reading block %d of %s: %w", first, f.name, err)
+		return nil, fmt.Errorf("spill: reading block %d of %s: %w", b, f.name, err)
 	}
-	blks := make([]*Block, n)
-	for i := range blks {
-		b := first + i
-		from, to := f.offs[b]-f.offs[first], f.blockEnd(b)-f.offs[first]
-		if blks[i], err = f.decode(raw[from:to:to], b); err != nil {
-			return nil, fmt.Errorf("spill: block %d of %s: %w", b, f.name, err)
-		}
+	blk, err := f.decode(raw, b)
+	if err != nil {
+		return nil, fmt.Errorf("spill: block %d of %s: %w: %w", b, f.name, ErrCorrupt, err)
 	}
-	return blks, nil
+	return blk, nil
 }
 
-// decode decodes block b from the bytes the index says are its.
-func (f *File) decode(rest []byte, b int) (*Block, error) {
+// decode checks and decodes block b from the bytes the index says are its.
+func (f *File) decode(raw []byte, b int) (*Block, error) {
 	rows, rw := f.blockLen(b), f.format.RowWidth
-	blk := &Block{Start: b * f.blockRows, bytes: int64(len(rest))}
-	if len(rest) == 0 {
-		return nil, fmt.Errorf("no key-section tag")
+	if len(raw) < rows*rw+checksumLen {
+		return nil, fmt.Errorf("shorter than its %d key rows", rows)
 	}
-	tag, rest := rest[0], rest[1:]
-	switch tag {
-	case tagRaw:
-		if len(rest) < rows*rw {
-			return nil, fmt.Errorf("shorter than its %d key rows", rows)
-		}
-		blk.Keys, rest = rest[:rows*rw:rows*rw], rest[rows*rw:]
-	case tagFrontCoded:
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("no front-coded length")
-		}
-		encLen := int(binary.LittleEndian.Uint32(rest))
-		if rest = rest[4:]; encLen <= 0 || encLen > len(rest) {
-			return nil, fmt.Errorf("front-coded key section of %d bytes for %d rows", encLen, rows)
-		}
-		blk.Keys = make([]byte, rows*rw)
-		blk.bytes += int64(len(blk.Keys))
-		if err := normkey.DecodeFrontCoded(blk.Keys, rest[:encLen], rw, f.format.KeyWidth, rows); err != nil {
-			return nil, fmt.Errorf("decoding keys: %w", err)
-		}
-		rest = rest[encLen:]
-	default:
-		return nil, fmt.Errorf("unknown key-section tag %d", tag)
+	body := raw[:len(raw)-checksumLen]
+	if want, got := binary.LittleEndian.Uint32(raw[len(body):]), crc32.Checksum(body, castagnoli); got != want {
+		return nil, fmt.Errorf("checksum %#08x, written as %#08x", got, want)
 	}
+	blk := &Block{Keys: body[: rows*rw : rows*rw], Start: b * f.blockRows, bytes: int64(len(raw))}
 	var err error
-	if blk.Payload, err = row.ViewRowSet(rest, f.format.Layout); err != nil {
+	if blk.Payload, err = row.ViewRowSet(body[rows*rw:], f.format.Layout); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
 	if blk.Payload.Len() != rows {

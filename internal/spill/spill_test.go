@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -20,8 +21,10 @@ import (
 )
 
 // testFormat is a sort of one int64 key over an (int64, varchar) payload: a
-// 9-byte normalized key in 24-byte key rows.
-var testFormat = Format{RowWidth: 24, KeyWidth: 9, Layout: row.NewLayout([]vector.Type{vector.Int64, vector.Varchar})}
+// testKeyWidth-byte normalized key in 24-byte key rows.
+var testFormat = Format{RowWidth: 24, Layout: row.NewLayout([]vector.Type{vector.Int64, vector.Varchar})}
+
+const testKeyWidth = 9
 
 // testRun returns n sorted key rows and their payload: row i's key is
 // key(i), big-endian behind a validity byte, its payload reference (id, i),
@@ -46,10 +49,10 @@ func testRun(id uint32, n int, key func(i int) uint64) ([]byte, *row.RowSet) {
 }
 
 // writeRun writes keys and payload as run id's file in blocks of blockRows.
-func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet, blockRows int, frontCode bool) *File {
+func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet, blockRows int) *File {
 	t.Helper()
 	n := len(keys) / testFormat.RowWidth
-	w, err := d.NewWriter(id, testFormat, blockRows, n, frontCode, row.NewRowSet(testFormat.Layout))
+	w, err := d.NewWriter(id, testFormat, blockRows, n, row.NewRowSet(testFormat.Layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,82 +82,125 @@ func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet,
 }
 
 // TestFileFormat pins the bytes on disk: the header ("RSB3", rows per block,
-// rows), every block at the offset the index says, opening with tag 0 before
-// raw key rows or tag 1 before a length and a front-coded section that is
-// shorter, and the file ending where the index says — and that a stage hands
-// back, block by block, exactly the rows that went in.
+// rows), every block at the offset the index says, its raw key rows followed
+// by its payload and the CRC-32C of both, and the file ending where the index
+// says — and that a stage hands back, block by block, exactly the rows that
+// went in.
 func TestFileFormat(t *testing.T) {
 	const n, blockRows = 1000, 256
-	for _, frontCode := range []bool{false, true} {
-		ctr := obs.NewBlock(nil)
-		d := NewDir(OS(), t.TempDir(), ctr, nil)
-		// Eight distinct keys: front-coding shrinks every block.
-		keys, payload := testRun(3, n, func(i int) uint64 { return uint64(i / 125) })
-		f := writeRun(t, d, 3, keys, payload, blockRows, frontCode)
+	ctr := obs.NewBlock(nil)
+	d := NewDir(OS(), t.TempDir(), ctr, nil)
+	keys, payload := testRun(3, n, func(i int) uint64 { return uint64(i / 125) })
+	f := writeRun(t, d, 3, keys, payload, blockRows)
 
-		data, err := os.ReadFile(f.name)
+	data, err := os.ReadFile(f.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:4]) != "3BSR" || binary.LittleEndian.Uint32(data[4:]) != blockRows || binary.LittleEndian.Uint64(data[8:]) != n {
+		t.Fatalf("header % x", data[:headerLen])
+	}
+	if f.NumBlocks() != 4 || f.BlockRows() != blockRows || f.Size() != int64(len(data)) || ctr.Value(obs.SpillBytesWritten) != f.Size() {
+		t.Fatalf("%d blocks of %d rows, index says %d bytes, counter %d, file has %d",
+			f.NumBlocks(), f.BlockRows(), f.Size(), ctr.Value(obs.SpillBytesWritten), len(data))
+	}
+	for b, off := range f.offs {
+		rawKeys := keys[b*blockRows*testFormat.RowWidth:][:f.blockLen(b)*testFormat.RowWidth]
+		block := data[off:f.blockEnd(b)]
+		body := block[:len(block)-checksumLen]
+		if !bytes.Equal(body[:len(rawKeys)], rawKeys) {
+			t.Errorf("block %d does not open with its raw key rows", b)
+		}
+		if sum := binary.LittleEndian.Uint32(block[len(body):]); sum != crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) {
+			t.Errorf("block %d: trailer %#08x is not the CRC-32C of its keys and payload", b, sum)
+		}
+		if !bytes.Equal(f.fence(b), rawKeys[:testFormat.RowWidth]) {
+			t.Errorf("block %d: fence is not its first key row", b)
+		}
+	}
+
+	// Read it back, without read-ahead: every block on demand.
+	st, err := d.NewStage(PlanTasks([]*File{f}, testKeyWidth, 0), nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < f.NumBlocks(); b++ {
+		ref := BlockRef{Run: 0, Blk: int32(b)}
+		blk, err := st.Acquire(context.Background(), ref, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(data[:4]) != "3BSR" || binary.LittleEndian.Uint32(data[4:]) != blockRows || binary.LittleEndian.Uint64(data[8:]) != n {
-			t.Fatalf("frontCode=%v: header % x", frontCode, data[:headerLen])
+		rows := f.blockLen(b)
+		if blk.Start != b*blockRows || !bytes.Equal(blk.Keys, keys[b*blockRows*testFormat.RowWidth:][:rows*testFormat.RowWidth]) {
+			t.Errorf("block %d: decoded keys differ from those written", b)
 		}
-		if f.NumBlocks() != 4 || f.Size() != int64(len(data)) || ctr.Value(obs.SpillBytesWritten) != f.Size() {
-			t.Fatalf("frontCode=%v: %d blocks, index says %d bytes, counter %d, file has %d",
-				frontCode, f.NumBlocks(), f.Size(), ctr.Value(obs.SpillBytesWritten), len(data))
-		}
-		for b, off := range f.offs {
-			rows := f.blockLen(b)
-			rawKeys := keys[b*blockRows*testFormat.RowWidth:][:rows*testFormat.RowWidth]
-			switch section := data[off:]; {
-			case !frontCode:
-				if section[0] != 0 || !bytes.Equal(section[1:1+len(rawKeys)], rawKeys) {
-					t.Errorf("block %d: tag %d, want 0 and the raw key rows", b, section[0])
-				}
-			default:
-				if encLen := int(binary.LittleEndian.Uint32(section[1:])); section[0] != 1 || encLen >= len(rawKeys) {
-					t.Errorf("block %d: tag %d and %d encoded bytes for %d raw, want 1 and fewer", b, section[0], encLen, len(rawKeys))
-				}
-			}
-			if !bytes.Equal(f.fence(b), rawKeys[:testFormat.RowWidth]) {
-				t.Errorf("block %d: fence is not its first key row", b)
+		for i := 0; i < rows; i++ {
+			if got, want := blk.Payload.String(i, 1), fmt.Sprintf("row %d", blk.Start+i); got != want {
+				t.Fatalf("block %d row %d: payload %q, want %q", b, i, got, want)
 			}
 		}
-		if got := ctr.Value(obs.SpillFCBlocks); (got == 4) != frontCode || (got == 0) == frontCode {
-			t.Errorf("frontCode=%v: %d blocks counted front-coded", frontCode, got)
-		}
+		st.Release(ref)
+	}
+	st.Close(true)
+	if read := ctr.Value(obs.SpillBytesRead); read != f.Size() {
+		t.Errorf("read %d bytes of %d", read, f.Size())
+	}
+	if _, err := os.Stat(f.name); !os.IsNotExist(err) {
+		t.Errorf("the file outlived the stage that consumed it: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-		// Read it back, without read-ahead: every block on demand.
-		st, err := d.NewStage(PlanTasks([]*File{f}, testFormat.KeyWidth, 0), nil, 0, 1)
+// flippedFS serves every file as data, and removes nothing.
+type flippedFS struct {
+	FS
+	data []byte
+}
+
+func (f flippedFS) Open(string) (ReadAtCloser, error) {
+	return flippedFile{bytes.NewReader(f.data)}, nil
+}
+
+func (flippedFS) Remove(string) error { return nil }
+
+type flippedFile struct{ *bytes.Reader }
+
+func (flippedFile) Close() error { return nil }
+
+// TestEveryBitFlipIsCaught flips each bit of a three-block file in turn: the
+// read that covers it — the header's when the file is opened, else the
+// block's — fails with ErrCorrupt, never with a panic or wrong rows, and
+// every other read succeeds.
+func TestEveryBitFlipIsCaught(t *testing.T) {
+	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
+	defer d.Close()
+	keys, payload := testRun(0, 10, func(i int) uint64 { return uint64(i) })
+	f := writeRun(t, d, 0, keys, payload, 4)
+	data, err := os.ReadFile(f.name)
+	if err != nil || f.NumBlocks() != 3 {
+		t.Fatalf("%d blocks: %v", f.NumBlocks(), err)
+	}
+	for bit := 0; bit < 8*len(data); bit++ {
+		flipped := bytes.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		fd := NewDir(flippedFS{OS(), flipped}, "", obs.NewBlock(nil), nil)
+		r, err := f.open(fd)
+		if bit < 8*headerLen {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("bit %d of the header: open returned %v", bit, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("bit %d: open: %v", bit, err)
 		}
-		for b := 0; b < f.NumBlocks(); b++ {
-			ref := BlockRef{Run: 0, Blk: int32(b)}
-			blk, err := st.Acquire(context.Background(), ref, nil)
-			if err != nil {
-				t.Fatal(err)
+		for b := range f.NumBlocks() {
+			covers := int64(bit/8) >= f.offs[b] && int64(bit/8) < f.blockEnd(b)
+			if _, err := f.read(r, b, fd.ctr); covers && !errors.Is(err, ErrCorrupt) || !covers && err != nil {
+				t.Fatalf("bit %d, block %d of [%d, %d): %v", bit, b, f.offs[b], f.blockEnd(b), err)
 			}
-			rows := f.blockLen(b)
-			if blk.Start != b*blockRows || !bytes.Equal(blk.Keys, keys[b*blockRows*testFormat.RowWidth:][:rows*testFormat.RowWidth]) {
-				t.Errorf("block %d: decoded keys differ from those written", b)
-			}
-			for i := 0; i < rows; i++ {
-				if got, want := blk.Payload.String(i, 1), fmt.Sprintf("row %d", blk.Start+i); got != want {
-					t.Fatalf("block %d row %d: payload %q, want %q", b, i, got, want)
-				}
-			}
-			st.Release(ref)
-		}
-		st.Close(true)
-		if read := ctr.Value(obs.SpillBytesRead); read != f.Size() {
-			t.Errorf("frontCode=%v: read %d bytes of %d", frontCode, read, f.Size())
-		}
-		if _, err := os.Stat(f.name); !os.IsNotExist(err) {
-			t.Errorf("the file outlived the stage that consumed it: %v", err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -202,7 +248,7 @@ func TestDirLifecycle(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close of a Dir that made nothing: %v", err)
 	}
-	f := writeRun(t, d, 0, keys, payload, 32, false)
+	f := writeRun(t, d, 0, keys, payload, 32)
 	root := d.Root()
 	if fi, err := os.Stat(root); err != nil || !fi.IsDir() || fi.Mode().Perm() != 0o700 || filepath.Dir(f.name) != root {
 		t.Fatalf("private directory %s: %v, %v; the file is %s", root, fi, err, f.name)
@@ -229,7 +275,7 @@ func TestDirLifecycle(t *testing.T) {
 
 	given := t.TempDir()
 	d = NewDir(OS(), given, obs.NewBlock(nil), nil)
-	writeRun(t, d, 7, keys, payload, 32, false)
+	writeRun(t, d, 7, keys, payload, 32)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +293,7 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 	ctr := obs.NewBlock(nil)
 	d := NewDir(&stubbornFS{FS: OS(), full: true}, dir, ctr, nil)
 	// The header fits the writer's buffer; a block does not.
-	w, err := d.NewWriter(0, testFormat, 100, 100, false, row.NewRowSet(testFormat.Layout))
+	w, err := d.NewWriter(0, testFormat, 100, 100, row.NewRowSet(testFormat.Layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +302,7 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 		t.Fatalf("Flush to a full disk: %v", err)
 	}
 	// A file that was fed too few rows is a failure too, found at Finish.
-	w, err = d.NewWriter(1, testFormat, 100, 100, false, row.NewRowSet(testFormat.Layout))
+	w, err = d.NewWriter(1, testFormat, 100, 100, row.NewRowSet(testFormat.Layout))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +325,9 @@ func TestPlanTasks(t *testing.T) {
 	var files []*File
 	for id := 0; id < 3; id++ {
 		keys, payload := testRun(uint32(id), 640, func(i int) uint64 { return uint64(3*i + id) })
-		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64, false))
+		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64))
 	}
-	safe := testFormat.KeyWidth
+	safe := testKeyWidth
 	p := PlanTasks(files, safe, 4)
 	if len(p.order) != 30 || p.Tasks() < 5 {
 		t.Fatalf("%d blocks forecast, %d tasks", len(p.order), p.Tasks())
@@ -327,7 +373,7 @@ func TestPlanTasks(t *testing.T) {
 		t.Errorf("with a run in memory: %d tasks over %d blocks, want 1 over 20", p.Tasks(), len(p.order))
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
-	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64, false)}, safe, 4); p.Tasks() != 1 {
+	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64)}, safe, 4); p.Tasks() != 1 {
 		t.Errorf("keys that all collide: %d tasks, want 1", p.Tasks())
 	}
 	if got := LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), safe); got != 3 {
@@ -346,9 +392,9 @@ func TestStageForecastServesClaimants(t *testing.T) {
 	var files []*File
 	for id := 0; id < 2; id++ {
 		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
-		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512, false))
+		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512))
 	}
-	p := PlanTasks(files, testFormat.KeyWidth, 0)
+	p := PlanTasks(files, testKeyWidth, 0)
 	st, err := d.NewStage(p, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -24,17 +24,7 @@ import (
 // refused — so neither a skewed run nor a slow stage can make a merge wait
 // for anything but the read it needs. A block that straddles a task boundary
 // is handed, decoded, to every task whose key range overlaps it, and freed by
-// the last.
-//
-// A read is one positioned read of a block — or, where blocks are small (a
-// budget under pressure plans them down to 16 rows), of as many consecutive
-// blocks of the run as make stageReadRows rows, so that small blocks cost a
-// system call per healthy block's worth, as they did behind a buffered reader.
-
-// stageReadRows is the rows a read gathers blocks up to: the block size
-// below which mergepath.PlanMerge, too, stops shrinking blocks, because
-// per-block overhead then outweighs what a smaller block saves.
-const stageReadRows = 512
+// the last. A read is one positioned read of one block.
 
 // A staged block is pending until somebody decodes it, ready until the last
 // task that wants it lets go, and freed from then on.
@@ -81,11 +71,11 @@ type Stage struct {
 
 // NewStage opens the plan's files for claimants concurrent merges. Per run
 // and claimant the stage holds the block a merge is on and readAhead blocks
-// (or reads, where those are larger) ahead of it — what mergepath.PlanMerge
-// reserves under a budget — and, until their rows are gathered, the blocks a
-// chunk's rows came from: about a chunk of rows, the slack a staging buffer
-// would be. Decoded blocks are charged to res, which is the stage's from here
-// on: Close releases it, as does a NewStage that fails.
+// ahead of it — what the sorter's fan-in plan reserves under a budget — and,
+// until their rows are gathered, the blocks a chunk's rows came from: about a
+// chunk of rows, the slack a staging buffer would be. Decoded blocks are
+// charged to res, which is the stage's from here on: Close releases it, as
+// does a NewStage that fails.
 func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants int) (*Stage, error) {
 	st := &Stage{d: d, plan: plan, res: res, runs: make([]stageRun, len(plan.files))}
 	for i, f := range plan.files {
@@ -104,7 +94,7 @@ func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants in
 		for b := range sr.blocks {
 			sr.blocks[b].refs = plan.refs[i][b]
 		}
-		st.limit += claimants * readAhead * max(f.blockRows, stageReadRows)
+		st.limit += claimants * readAhead * f.blockRows
 	}
 	return st, nil
 }
@@ -152,9 +142,11 @@ func (st *Stage) forecast(ctx context.Context) {
 			}
 		}
 		ref := st.plan.order[st.next]
-		n := st.claimLocked(ref, 0)
+		sb := st.block(ref)
+		sb.state, sb.ahead = blockDecoding, true
+		st.ahead += st.runs[ref.Run].file.blockLen(int(ref.Blk))
 		st.mu.Unlock()
-		if st.read(ref, n, ow, obs.PhasePrefetch) != nil {
+		if st.read(ref, ow, obs.PhasePrefetch) != nil {
 			return
 		}
 	}
@@ -169,26 +161,6 @@ func (st *Stage) fail(err error) {
 	}
 	st.wakeLocked()
 	st.mu.Unlock()
-}
-
-// claimLocked marks block ref for decoding by the caller, and with it the
-// undecoded blocks that follow it in its run, up to stageReadRows rows in all:
-// one read's worth. Every block of it past the first asked is decoded ahead of
-// being asked for. It returns how many blocks.
-func (st *Stage) claimLocked(ref BlockRef, asked int) (n int) {
-	sr := &st.runs[ref.Run]
-	for b, rows := int(ref.Blk), 0; b < len(sr.blocks) && sr.blocks[b].state == blockPending; b++ {
-		if rows += sr.file.blockLen(b); n > 0 && rows > stageReadRows {
-			break
-		}
-		sr.blocks[b].state = blockDecoding
-		if n >= asked {
-			sr.blocks[b].ahead = true
-			st.ahead += sr.file.blockLen(b)
-		}
-		n++
-	}
-	return n
 }
 
 func (st *Stage) block(ref BlockRef) *stageBlock { return &st.runs[ref.Run].blocks[ref.Blk] }
@@ -221,31 +193,27 @@ func (st *Stage) notAheadLocked(sr *stageRun, b int) {
 	}
 }
 
-// read decodes the n blocks from ref on that its caller claimed, and
-// publishes them, charged to the broker — or the stage's first error, which
-// it returns.
-func (st *Stage) read(ref BlockRef, n int, ow *obs.Worker, phase obs.Phase) error {
+// read decodes block ref, which its caller marked decoding, and publishes
+// it, charged to the broker — or the stage's first error, which it returns.
+func (st *Stage) read(ref BlockRef, ow *obs.Worker, phase obs.Phase) error {
 	sp := ow.Begin(phase)
 	sr := &st.runs[ref.Run]
-	blks, err := sr.file.read(sr.r, int(ref.Blk), n, st.d.ctr)
+	blk, err := sr.file.read(sr.r, int(ref.Blk), st.d.ctr)
 	sp.End()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for i := 0; i < n; i++ {
-		b := int(ref.Blk) + i
-		if sb := &sr.blocks[b]; err != nil {
-			sb.state = blockPending
-			st.notAheadLocked(sr, b)
-		} else {
-			sb.blk, sb.state = blks[i], blockReady
-			st.res.Grow(blks[i].bytes)
+	if sb := &sr.blocks[ref.Blk]; err != nil {
+		sb.state = blockPending
+		st.notAheadLocked(sr, int(ref.Blk))
+		if st.err == nil {
+			st.err = err
 		}
-	}
-	if err != nil && st.err == nil {
-		st.err = err
-	}
-	if err == nil && st.limit > 0 {
-		st.d.ctr.Add(obs.PrefetchedBlocks, int64(n))
+	} else {
+		sb.blk, sb.state = blk, blockReady
+		st.res.Grow(blk.bytes)
+		if st.limit > 0 {
+			st.d.ctr.Add(obs.PrefetchedBlocks, 1)
+		}
 	}
 	st.wakeLocked()
 	return err
@@ -282,9 +250,9 @@ func (st *Stage) Acquire(ctx context.Context, ref BlockRef, ow *obs.Worker) (*Bl
 		}
 		switch sb.state {
 		case blockPending:
-			n := st.claimLocked(ref, 1)
+			sb.state = blockDecoding
 			st.mu.Unlock()
-			_ = st.read(ref, n, ow, obs.PhaseSpillRead) // a failure is st.err by now
+			_ = st.read(ref, ow, obs.PhaseSpillRead) // a failure is st.err by now
 			st.mu.Lock()
 			continue
 		case blockFreed:

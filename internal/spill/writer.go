@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 
-	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 )
@@ -27,8 +27,7 @@ type Writer struct {
 	f  *File
 	wc io.WriteCloser
 	bw *bufio.Writer
-	cw countingWriter // over bw: the file's length so far
-	fc bool           // blocks try front-coding (the caller's choice)
+	cw countingWriter // over bw: the file's length so far, and the block's checksum
 
 	flushed int // rows written so far
 	// One block under construction: its pending rows' key rows — in buf,
@@ -39,23 +38,19 @@ type Writer struct {
 	keys, buf   []byte
 	which, idxs []uint32
 	staging     *row.RowSet
-	// fcScratch is the reusable front-coding encode buffer; pre the key
-	// section's tag byte and encoded length.
-	fcScratch []byte
-	pre       [5]byte
+	sum         [checksumLen]byte // the block's checksum, as written
 }
 
 // NewWriter creates the file of run id — rows rows of shape format, in blocks
-// of blockRows, whose keys are front-coded where that pays if frontCode says
-// to try — and writes its header. staging is an empty row set of the format's
-// layout that is the writer's until Finish or a failure.
-func (d *Dir) NewWriter(id uint32, format Format, blockRows, rows int, frontCode bool, staging *row.RowSet) (*Writer, error) {
+// of blockRows — and writes its header. staging is an empty row set of the
+// format's layout that is the writer's until Finish or a failure.
+func (d *Dir) NewWriter(id uint32, format Format, blockRows, rows int, staging *row.RowSet) (*Writer, error) {
 	name, wc, err := d.create(id)
 	if err != nil {
 		return nil, err
 	}
 	numBlocks := (rows + blockRows - 1) / blockRows
-	w := &Writer{d: d, wc: wc, bw: bufio.NewWriter(wc), fc: frontCode, staging: staging,
+	w := &Writer{d: d, wc: wc, bw: bufio.NewWriter(wc), staging: staging,
 		f: &File{name: name, format: format, blockRows: blockRows, rows: rows,
 			offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*format.RowWidth)},
 		which: make([]uint32, blockRows), idxs: make([]uint32, blockRows)}
@@ -113,9 +108,14 @@ func (w *Writer) Flush(sets []*row.RowSet) (int, error) {
 	w.staging.AppendRowsGather(sets, w.which[:rows], w.idxs[:rows])
 	w.f.offs = append(w.f.offs, w.cw.n)
 	w.f.fences = append(w.f.fences, w.keys[:rw]...)
-	err := w.writeKeySection(w.keys, rows)
+	w.cw.sum = 0
+	_, err := w.cw.Write(w.keys)
 	if err == nil {
 		_, err = w.staging.WriteTo(&w.cw)
+	}
+	if err == nil {
+		binary.LittleEndian.PutUint32(w.sum[:], w.cw.sum)
+		_, err = w.cw.Write(w.sum[:])
 	}
 	if err != nil {
 		return rows, w.fail(err)
@@ -160,41 +160,17 @@ func (w *Writer) fail(err error) error {
 	return w.Abort(fmt.Errorf("spill: writing %s: %w", w.f.name, err))
 }
 
-// countingWriter counts the bytes written through it.
+// countingWriter counts the bytes written through it, and checksums them
+// from wherever its sum was last set to 0.
 type countingWriter struct {
-	w io.Writer
-	n int64
+	w   io.Writer
+	n   int64
+	sum uint32
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
+	c.sum = crc32.Update(c.sum, castagnoli, p[:n])
 	return n, err
-}
-
-// writeKeySection writes one block's key rows: a tag byte, then either the
-// raw rows or a length-prefixed front-coded encoding. The encode is attempted
-// only when the writer's caller asked for it, and then only when a sample of
-// the block predicts a saving (checked per block, so a merge pass's output is
-// judged by what the merge produced), and kept only when the block really
-// shrank.
-func (w *Writer) writeKeySection(keys []byte, rows int) error {
-	rw, kw := w.f.format.RowWidth, w.f.format.KeyWidth
-	section := keys
-	w.pre[0] = tagRaw
-	tagged := w.pre[:1]
-	if w.fc && normkey.PlanFrontCoding(keys, rw, kw, rows) < fcPlanCutoff {
-		w.fcScratch = normkey.AppendFrontCoded(w.fcScratch[:0], keys, rw, kw, rows)
-		if len(w.fcScratch) < len(keys) {
-			w.pre[0] = tagFrontCoded
-			binary.LittleEndian.PutUint32(w.pre[1:], uint32(len(w.fcScratch)))
-			section, tagged = w.fcScratch, w.pre[:]
-			w.d.ctr.Add(obs.SpillFCBlocks, 1)
-		}
-	}
-	if _, err := w.cw.Write(tagged); err != nil {
-		return err
-	}
-	_, err := w.cw.Write(section)
-	return err
 }

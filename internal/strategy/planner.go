@@ -100,8 +100,8 @@ func (p *Planner) PlanRun(keys []byte, n int) Plan {
 	// Spill shape: duplicate-heavy runs take double-size blocks (bounded
 	// decode buffers are cheap there — repeated keys front-code away) so
 	// each block carries more mergeable context; everyone else keeps the
-	// default. A hint: under a memory budget the budget sizes the blocks
-	// (core's spillBlockRowsFor is where the two meet).
+	// default. A hint the sorter no longer reads: it sizes every spill block
+	// by rule (core's spillBlockRows).
 	if pl.MergeRole == RoleDupHeavy && p.cfg.DefaultSpillBlockRows > 0 {
 		pl.SpillBlockRows = 2 * p.cfg.DefaultSpillBlockRows
 	}
