@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"rowsort/internal/spill"
 )
@@ -30,10 +31,12 @@ type fsFault struct {
 	writeErr error
 	writeAt  int64
 	// The readAt-th read fails with readErr, having read nothing — or, with
-	// flip, returns what it read with one bit of it flipped.
+	// flip, returns what it read with one bit of it flipped; or, with stall,
+	// takes that long and then succeeds: a slow device.
 	readErr error
 	readAt  int
 	flip    bool
+	stall   time.Duration
 	// With from set, only reads made under a function whose name ends in it
 	// go wrong, or are counted.
 	from string
@@ -126,7 +129,7 @@ func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	nth := -1
 	if on := fault.from == "" || calledFrom(fault.from); !on {
 		fault = fsFault{}
-	} else if fault.readErr != nil || fault.flip {
+	} else if fault.readErr != nil || fault.flip || fault.stall > 0 {
 		nth = f.reads
 		f.reads++
 	}
@@ -138,6 +141,9 @@ func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	case nth == fault.readAt && fault.readErr != nil:
 		f.fire()
 		return 0, fault.readErr
+	case nth == fault.readAt && fault.stall > 0:
+		f.fire()
+		time.Sleep(fault.stall)
 	case nth == fault.readAt && fault.flip:
 		f.fire()
 		n, err := r.ReadAtCloser.ReadAt(p, off)

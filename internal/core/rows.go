@@ -35,10 +35,10 @@ var errSorterClosed = errors.New("core: result iterator used after Sorter.Close"
 // is cut into tasks, and Options.Threads workers each merge and gather a
 // task at a time, ahead of the consumer, delivered strictly in order (see
 // rowsDrain) — over runs in memory and over runs on disk alike, whose blocks
-// the workers take from one block stage (internal/spill). Under a memory budget
-// a sort that spilled is one task, merged inside Next itself, so the whole
-// output is never resident at once: the consumer's chunk plus the stage's
-// blocks is.
+// the workers take from one block stage (internal/spill). Under a memory
+// budget a sort that spilled runs as many workers as the budget Finalize left
+// affords, each holding its blocks and a window of tasks (drainClaimants), and
+// at least Next itself: the whole output is never resident at once.
 //
 // A RowIter is not safe for concurrent use. A result that reads from disk is
 // single-use: the merge consumes its spill files as it reads them, and an
@@ -149,13 +149,16 @@ func (it *RowIter) Close() error {
 // the chunk. One resident result run needs no merging: its references are
 // walked.
 //
-// With one thread (or one task) the consumer does that itself, inside Next.
-// Otherwise Options.Threads workers claim tasks in order and push a task's
-// chunks, then a nil, into its slot, a channel with room for all of a
-// resident task's, from which Next takes them in order. A worker takes a
-// ticket before it claims and the consumer returns one per task drained, so
-// at most len(slots) tasks are claimed and unconsumed: the chunks in flight
-// are bounded, slot t mod len(slots) is free when task t is claimed, and —
+// With one claimant — one thread, one task, or a budget that affords no more
+// — the consumer does that itself, inside Next. Otherwise that many workers
+// (Options.Threads, or under a budget what drainClaimants affords) claim
+// tasks in order and push a task's chunks, then a nil, into its slot, a
+// channel with room for all of a resident task's, from which Next takes them
+// in order. A worker takes a ticket before it claims and the consumer returns
+// one per task drained, so at most len(slots) tasks are claimed and
+// unconsumed: the chunks in flight are bounded (under a budget, by the
+// window it was charged), slot t mod len(slots) is free when task t is
+// claimed, and —
 // tasks being claimed lowest first — the task the consumer waits for is
 // always held by a worker that waits for nothing but the consumer and the
 // reads it needs.
@@ -202,12 +205,13 @@ type drainTask struct {
 }
 
 // newRowsDrain plans a drain of the result and starts its workers, if it is
-// to have any. gw is the consumer's trace lane, for when it runs the tasks
-// itself.
+// to have any: under a budget as many as drainClaimants affords, their window
+// charged with the stage's blocks. gw is the consumer's trace lane, for when
+// it runs the tasks itself.
 func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 	d := &rowsDrain{s: s}
 	if s.streamMerge {
-		d.plan = s.planSpillTasks(s.streamActive, s.opt.limited())
+		d.plan = s.planSpillTasks(s.streamActive, false)
 		d.tasks = d.plan.Tasks()
 	} else {
 		d.runs, d.cut = s.resultRuns, make([]int, len(s.resultRuns))
@@ -219,10 +223,14 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 		d.tasks = (s.resultRows + drainTaskRows - 1) / drainTaskRows
 	}
 	workers := min(s.opt.threads(), d.tasks)
+	var window int64
+	if d.plan != nil && s.opt.limited() && workers > 1 {
+		workers, window = s.drainClaimants(d.plan, workers)
+	}
 	d.ctx, d.cancel = context.WithCancel(s.ctx)
 	if d.plan != nil {
 		var err error
-		if d.stage, err = s.newBlockStage(d.plan, max(workers, 1)); err != nil {
+		if d.stage, err = s.newBlockStage(d.plan, max(workers, 1), window); err != nil {
 			d.cancel()
 			return nil, err
 		}

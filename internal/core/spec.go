@@ -59,9 +59,10 @@ type Options struct {
 	// Threads × k runs × (1 + ReadAhead) blocks, whatever the output's size,
 	// and every spilled byte is read exactly once. A block holds
 	// DefaultSpillBlockRows rows, or 512 under a memory budget, whose merge
-	// plans its fan-in for blocks of that size; every block is checksummed,
-	// and a read that does not match fails the sort. A result that reads from
-	// disk can be iterated once.
+	// plans its fan-in for one thread's blocks of the size its files hold —
+	// and then runs on as many of Threads as the budget left affords. Every
+	// block is checksummed, and a read that does not match fails the sort. A
+	// result that reads from disk can be iterated once.
 	//
 	// Without a memory budget (see MemoryLimit/Broker) every run spills as
 	// it is cut, preserving the original eager behavior. With a budget,
@@ -79,7 +80,8 @@ type Options struct {
 	// (1 + ReadAhead) blocks per run.
 	ReadAhead int
 	// MemoryLimit, when positive, bounds this sorter's resident bytes:
-	// sink buffers, sorted runs, pooled buffers, merge blocks. Crossing
+	// sink buffers, sorted runs, pooled buffers, merge blocks, the chunks a
+	// parallel merge has produced ahead of the consumer. Crossing
 	// the limit does not fail the sort — it flips it into degraded mode:
 	// pending runs are cut early, resident runs spill to disk
 	// (SpillDir or a temp directory), and the final merge plans its fan-in

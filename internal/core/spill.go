@@ -8,6 +8,7 @@ import (
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
+	"rowsort/internal/vector"
 )
 
 // Spilling demonstrates the paper's future-work direction: because a run is
@@ -208,7 +209,8 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 
 // extMerge is one claimant's streaming k-way merge over a key range of runs
 // served by a block stage: the offset-value-coded loser tree over each run's
-// current block (a resident run is one block, its own buffers), refilled
+// current block (a resident run is one block: its own buffers, trimmed to
+// the range), refilled
 // from the stage as blocks run out. It emits payload references, not rows —
 // next names each merged row as (slot in sets, row in that set), ready for
 // the cross-set gather kernels — so whoever drives it moves every payload
@@ -238,7 +240,7 @@ type extMerge struct {
 type extCursor struct {
 	payload    *row.RowSet
 	start      int    // absolute run index of payload's first row
-	pad        uint32 // the served keys' first row within payload (a block trimmed at lo)
+	pad        uint32 // the served keys' first row within payload (a block or resident run trimmed at lo)
 	slot       uint32 // payload's place in sets
 	first, end int    // the run's blocks in the key range
 	blk        int    // the current one; end when the run is exhausted
@@ -260,7 +262,8 @@ func (s *Sorter) newExtMerge(ctx context.Context, p *mergePlan, st *spill.Stage,
 }
 
 // open starts the merge of plan task t: every run's first block holding a
-// key of the task's range, trimmed to it, under a fresh loser tree.
+// key of the task's range — or the run itself, when it is in memory —
+// trimmed to it, under a fresh loser tree.
 func (e *extMerge) open(t int) error {
 	s, p := e.s, e.p
 	e.lo, e.hi = p.Bound(t)
@@ -268,9 +271,11 @@ func (e *extMerge) open(t int) error {
 	mruns := make([]mergepath.Run, len(e.cur))
 	for i := range e.cur {
 		c, r := &e.cur[i], s.runs[p.ids[i]]
-		keys := r.keys
+		var keys []byte
 		if r.spill == nil {
-			*c = extCursor{payload: r.payload}
+			from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, e.lo, e.hi, p.safe)
+			*c = extCursor{payload: r.payload, pad: uint32(from)}
+			keys = r.keys[from*s.rowWidth : to*s.rowWidth]
 		} else {
 			*c = extCursor{}
 			c.first, c.end = p.Span(i, e.lo, e.hi)
@@ -293,7 +298,7 @@ func (e *extMerge) open(t int) error {
 // none left.
 func (e *extMerge) load(i int) ([]byte, error) {
 	c := &e.cur[i]
-	rw, safe := e.s.rowWidth, e.p.safe
+	rw := e.s.rowWidth
 	for ; c.blk < c.end; c.blk++ {
 		ref := spill.BlockRef{Run: int32(i), Blk: int32(c.blk)}
 		b, err := e.st.Acquire(e.ctx, ref, e.ow)
@@ -303,14 +308,7 @@ func (e *extMerge) load(i int) ([]byte, error) {
 			}
 			return nil, err
 		}
-		keys := mergepath.Run{Data: b.Keys, Width: rw}
-		from, to := 0, keys.Len()
-		if c.blk == c.first && e.lo != nil {
-			from = spill.LowerBound(keys, e.lo, safe)
-		}
-		if c.blk == c.end-1 && e.hi != nil {
-			to = spill.LowerBound(keys, e.hi, safe)
-		}
+		from, to := keyRange(mergepath.Run{Data: b.Keys, Width: rw}, e.lo, e.hi, e.p.safe)
 		if from < to {
 			c.payload, c.start, c.pad = b.Payload, b.Start, uint32(from)
 			return b.Keys[from*rw : to*rw], nil
@@ -319,6 +317,20 @@ func (e *extMerge) load(i int) ([]byte, error) {
 	}
 	c.payload = nil
 	return nil, nil
+}
+
+// keyRange returns the rows [from, to) of sorted keys in the key range
+// [lo, hi) on the byte-decisive safe prefix; a nil bound is open. Only a
+// task's first and last block of a run can hold a key outside its range.
+func keyRange(keys mergepath.Run, lo, hi []byte, safe int) (from, to int) {
+	to = keys.Len()
+	if lo != nil {
+		from = spill.LowerBound(keys, lo, safe)
+	}
+	if hi != nil {
+		to = spill.LowerBound(keys, hi, safe)
+	}
+	return from, to
 }
 
 // refill is the loser tree's callback: run r's block has run out. The block
@@ -410,16 +422,18 @@ func (s *Sorter) planSpilledMerge() error {
 // reduceFanIn sheds resident runs, then merges contiguous batches of runs
 // to disk, until the remaining budget can stream the survivors at once
 // (mergepath.PlanFanIn, for the (1 + ReadAhead) blocks per run the block
-// stage holds, at the block size every file of the sort is written at).
+// stage holds for one claimant, each as large as the largest block of the
+// runs on disk: mergeBlockBytes). The plan is for one claimant whatever
+// Options.Threads says: more are the drain's to afford from what is left
+// (drainClaimants), so parallelism never forces a shed or a pass.
 // Batches are contiguous and each merged run takes its batch's position, so
 // the final merge sees runs in original run-id order — ties still resolve to
 // the earlier input run, which keeps budgeted output byte-identical to the
 // unlimited sort. The executed plan is recorded in SortStats (merge passes,
 // final fan-in, pass bytes).
 func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
-	blockBytes := int64(s.spillBlockRows()*(s.rowWidth+s.layout.Width())) * int64(s.opt.mergeBuffers())
 	for {
-		fanIn := mergepath.PlanFanIn(len(ids), s.broker.Remaining(), blockBytes)
+		fanIn := mergepath.PlanFanIn(len(ids), s.broker.Remaining(), s.mergeBlockBytes(ids)*int64(s.opt.mergeBuffers()))
 		if fanIn >= len(ids) {
 			return ids, nil
 		}
@@ -462,7 +476,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 	psp := mw.Begin(obs.PhaseMergePass)
 	defer psp.End()
 	p := s.planSpillTasks(ids, true)
-	st, err := s.newBlockStage(p, 1)
+	st, err := s.newBlockStage(p, 1, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -552,35 +566,113 @@ type mergePlan struct {
 	safe   int      // width of the byte-decisive key prefix
 }
 
-// drainTaskFences is the blocks a task over spilled runs begins: as many as
-// make a resident task's rows at the default block size. Fixed by the null
-// arms in EXPERIMENTS.md ("Spilled runs stream through Rows").
+// drainTaskFences is the fences a task of the drain begins: as many as make
+// a resident task's rows at the default block size, and 8,192 rows at a
+// budget's 512-row block. Fixed by the null arms in EXPERIMENTS.md ("Spilled
+// runs stream through Rows", and "A budgeted sort drains on every thread"
+// for the budget's).
 const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 
-// planSpillTasks plans the merge of runs ids: one task when single says so,
-// else as many as the fences afford (see spill.PlanTasks).
+// planSpillTasks plans the merge of runs ids: as many tasks as the fences
+// afford (see spill.PlanTasks) — a run still in memory given one every
+// spillBlockRows of its key rows — or, when single says so, one: a merge
+// pass writes one output file.
 func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
-	files := make([]*spill.File, len(ids))
+	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
 	for i, id := range ids {
 		r := s.runs[id]
 		p.index[id] = int32(i)
 		p.anyTie = p.anyTie || r.tieBreak
-		files[i] = r.spill
+		if files[i] = r.spill; r.spill == nil && !single {
+			resident[i] = s.residentFences(r)
+		}
 	}
 	p.safe = s.ovcSafeWidth(p.anyTie)
 	taskFences := drainTaskFences
 	if single {
 		taskFences = 0
 	}
-	p.Plan = spill.PlanTasks(files, p.safe, taskFences)
+	p.Plan = spill.PlanTasks(files, resident, p.safe, taskFences)
 	return p
 }
 
+// residentFences returns the fences of a run in memory: its key rows at
+// every spillBlockRows, where its blocks would start were it on disk.
+func (s *Sorter) residentFences(r *sortedRun) mergepath.Run {
+	rw, stride := s.rowWidth, s.spillBlockRows()
+	fences := make([]byte, 0, (r.rows+stride-1)/stride*rw)
+	for i := 0; i < r.rows; i += stride {
+		fences = append(fences, r.keys[i*rw:(i+1)*rw]...)
+	}
+	return mergepath.Run{Data: fences, Width: rw}
+}
+
+// mergeBlockBytes is the bytes a merge over runs ids plans a block at: the
+// largest block of any of them on disk, string heap and all.
+func (s *Sorter) mergeBlockBytes(ids []uint32) int64 {
+	var most int64
+	for _, id := range ids {
+		if f := s.runs[id].spill; f != nil {
+			most = max(most, f.MaxBlockBytes())
+		}
+	}
+	return most
+}
+
+// drainClaimants returns how many of at most most claimants a budgeted drain
+// of p can afford, and the window they hold between them. A claimant holds
+// (1 + ReadAhead) blocks of every run on disk and, when there is more than
+// one, a window: the output of drainWindowPerThread tasks it has produced
+// and the consumer not yet taken. A task's rows are bounded by the blocks its
+// key range spans of the runs on disk and counted in those in memory; an
+// output row holds what a row on disk does, on average, less its key row,
+// with a string's 16-byte header where the row format has an 8-byte
+// reference. Every claimant must fit in the budget Finalize left, the first
+// of them the one reduceFanIn planned for.
+func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window int64) {
+	blockRows := s.spillBlockRows()
+	disk, diskRows, taskRows := 0, 0, 0
+	var diskBytes int64
+	for _, id := range p.ids {
+		if r := s.runs[id]; r.spill != nil {
+			disk, diskRows, diskBytes = disk+1, diskRows+r.rows, diskBytes+r.spill.Size()
+		}
+	}
+	for t := 0; t < p.Tasks(); t++ {
+		lo, hi := p.Bound(t)
+		rows := 0
+		for i, id := range p.ids {
+			if r := s.runs[id]; r.spill != nil {
+				first, end := p.Span(i, lo, hi)
+				rows += (end - first) * blockRows
+			} else {
+				from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, lo, hi, p.safe)
+				rows += to - from
+			}
+		}
+		taskRows = max(taskRows, rows)
+	}
+	rowBytes := (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.rowWidth)
+	for _, t := range s.layout.Types() {
+		if t == vector.Varchar {
+			rowBytes += 8
+		}
+	}
+	blocks := int64(disk*s.opt.mergeBuffers()) * s.mergeBlockBytes(p.ids)
+	window = int64(drainWindowPerThread*taskRows) * rowBytes
+	claimants = min(most, int(s.broker.Remaining()/max(blocks+window, 1)))
+	if claimants <= 1 {
+		return 1, 0
+	}
+	return claimants, int64(claimants) * window
+}
+
 // newBlockStage opens the stage that serves p's blocks to claimants
-// concurrent merges, charged to a reservation of its own.
-func (s *Sorter) newBlockStage(p *mergePlan, claimants int) (*spill.Stage, error) {
-	return s.spills.NewStage(p.Plan, s.broker.Reserve("merge", 0), s.opt.readAhead(), claimants)
+// concurrent merges, charged to a reservation of its own that starts at
+// window bytes: the drain's chunks in flight, where a budget counts them.
+func (s *Sorter) newBlockStage(p *mergePlan, claimants int, window int64) (*spill.Stage, error) {
+	return s.spills.NewStage(p.Plan, s.broker.Reserve("merge", window), s.opt.readAhead(), claimants)
 }
 
 // releaseMerged lets go of runs a merge has consumed: their files are gone

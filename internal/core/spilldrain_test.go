@@ -86,7 +86,9 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 // chunk may be short — across run counts on both sides of a power of two,
 // merges with and without the tie-break comparator, and unique,
 // duplicate-heavy and all-equal keys (where every fence ties, and the plan
-// must degrade to one task).
+// must degrade to one task). A budgeted drain over runs some of which are
+// still in memory cuts, at a pinned block size, the tasks the all-spilled
+// drain cuts: a resident run's fences stand where its file's would.
 func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	const n = 3*vector.DefaultVectorSize + 17
 	sorts, tasks := 0, int64(0)
@@ -112,7 +114,7 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 				// One block a run, the default, one that leaves a ragged last
 				// block, and blocks of a few rows.
 				for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
-					check := func(ctx string, opt Options, spill func(int) bool) {
+					check := func(ctx string, opt Options, spill func(int) bool) int64 {
 						opt.RunSize = perRun
 						s := spilledSorter(t, tbl, keys, opt, blockRows, spill)
 						ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v block=%d threads=%d",
@@ -133,12 +135,20 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 						if err := s.Close(); err != nil {
 							t.Fatalf("%s: %v", ctx, err)
 						}
+						return st.ExtMergeParts
+					}
+					var spilledTasks int64
+					for _, th := range []int{1, 2, 4, 8} {
+						spilledTasks = check("all spilled", Options{Threads: th}, allRuns)
 					}
 					for _, th := range []int{1, 2, 4, 8} {
-						check("all spilled", Options{Threads: th}, allRuns)
+						parts := check("mixed, budgeted", Options{Threads: th, Broker: mem.NewBroker("grid", 1<<30)},
+							func(run int) bool { return run%2 == 1 || runs == 1 })
+						if blockRows != 0 && parts != spilledTasks {
+							t.Fatalf("runs=%d keys=%s tie=%v block=%d threads=%d: the mixed drain ran %d tasks, the all-spilled one %d",
+								runs, drainKeyNames[dist], tieBreak, blockRows, th, parts, spilledTasks)
+						}
 					}
-					check("mixed, budgeted", Options{Threads: 2, Broker: mem.NewBroker("grid", 1<<30)},
-						func(run int) bool { return run%2 == 1 || runs == 1 })
 				}
 			}
 		}
@@ -208,6 +218,126 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFanInPlanCountsStringHeap pins the block a budgeted merge plans for:
+// the largest block of the files it merges, string heap and all — what the
+// block stage charges for one. Eight spilled runs with a 64-byte varchar
+// payload are left a budget of four runs' (1 + ReadAhead) blocks and a half:
+// the plan must merge them in passes, and no merge, pass or drain, may hold
+// more than that budget beyond the documented slack — a block a run whose
+// rows are still being gathered.
+func TestFanInPlanCountsStringHeap(t *testing.T) {
+	const runs, perRun = 8, 4 * budgetSpillBlockRows
+	schema := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "s", Type: vector.Varchar}}
+	tbl := vector.NewTable(schema)
+	rng := workload.NewRNG(29)
+	for start := 0; start < runs*perRun; start += vector.DefaultVectorSize {
+		c := vector.NewChunk(schema, vector.DefaultVectorSize)
+		for i := 0; i < vector.DefaultVectorSize; i++ {
+			k := int64(rng.Uint64() >> 1)
+			c.Vectors[0].AppendInt64(k)
+			c.Vectors[1].AppendString(fmt.Sprintf("%064d", k))
+		}
+		tbl.Chunks = append(tbl.Chunks, c)
+	}
+	keys := []SortColumn{{Column: 0}}
+	mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
+	want := rowify(t, oracleResult(t, mem0)).Bytes()
+	mem0.Close()
+
+	root := mem.NewBroker("root", 1<<30)
+	s := ingestedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun, Broker: root})
+	defer s.Close()
+	if len(s.runs) != runs {
+		t.Fatalf("%d runs", len(s.runs))
+	}
+	for _, r := range s.runs {
+		if err := s.spillRun(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := s.runs[0].spill
+	block := f.Size() / int64(f.NumBlocks()) // every block holds as many bytes, and the header is a few more
+	// Every merge's stage reserves from the sorter's broker: a child of it in
+	// its place sees their charges alone.
+	s.dropPools()
+	merges := s.broker.Child("merges", 0)
+	s.broker = merges
+	budget := 4*int64(1+DefaultReadAhead)*block + block/2
+	hog := root.Reserve("hog", s.broker.Remaining()-budget)
+	defer hog.Release()
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
+		t.Error("rows differ from the oracle's")
+	}
+	if peak, most := merges.Peak(), budget+4*block; peak > most {
+		t.Errorf("the merges held %d bytes at their peak: %.1f blocks of %d bytes, where the plan had %.1f and the slack is 4",
+			peak, float64(peak)/float64(block), block, float64(budget)/float64(block))
+	}
+	if st := s.Stats(); st.MergePasses == 0 {
+		t.Errorf("a fan-in of %d planned for %d runs in a budget of 4 runs' blocks", st.MergeFanIn, runs)
+	}
+}
+
+// TestBudgetDecidesDrainClaimants pins that a budgeted drain runs on as
+// many workers as the budget Finalize left affords — one, the consumer
+// itself, when it affords no more, all of Threads when it affords them, and
+// never fewer for more budget — over runs half of which are still in
+// memory, and that every count drains the oracle's rows and leaves no byte
+// charged.
+func TestBudgetDecidesDrainClaimants(t *testing.T) {
+	const perRun, threads = 2 * vector.DefaultVectorSize, 4
+	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 31)
+	keys := drainKeys(false)
+	mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
+	want := rowify(t, oracleResult(t, mem0)).Bytes()
+	mem0.Close()
+
+	last, seen := 0, map[int]bool{}
+	for _, left := range []int64{0, 512 << 10, 1 << 20, 2 << 20, 3 << 20, 4 << 20, 8 << 20, 1 << 29} {
+		ctx := fmt.Sprintf("%d bytes left", left)
+		root := mem.NewBroker("root", 1<<30)
+		s := spilledSorter(t, tbl, keys, Options{Threads: threads, RunSize: perRun, Broker: root}, 0,
+			func(run int) bool { return run%2 == 1 })
+		s.dropPools()
+		hog := root.Reserve("hog", s.broker.Remaining()-left)
+		it, err := s.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		claimants := max(len(it.d.slots)/drainWindowPerThread, 1)
+		if claimants < last || claimants > threads {
+			t.Errorf("%s: %d claimants, after %d for less", ctx, claimants, last)
+		}
+		last, seen[claimants] = claimants, true
+		out := vector.NewTable(tbl.Schema)
+		for {
+			c, err := it.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if c == nil {
+				break
+			}
+			out.Chunks = append(out.Chunks, c)
+		}
+		if !bytes.Equal(rowify(t, out).Bytes(), want) {
+			t.Errorf("%s: rows differ from the oracle's", ctx)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hog.Release()
+		if used := root.Used(); used != 0 {
+			t.Errorf("%s: %d bytes still charged after Close", ctx, used)
+		}
+	}
+	if !seen[1] || !seen[threads] || len(seen) < 3 {
+		t.Errorf("claimant counts %v over the budgets: want one, %d and one between", seen, threads)
 	}
 }
 
@@ -339,7 +469,7 @@ func TestSpilledRowsMergesLazily(t *testing.T) {
 		// forecast holds at most ReadAhead blocks a run and claimant that
 		// nobody asked for. That bounds the reads however the goroutines
 		// were scheduled.
-		plan := s.planSpillTasks(s.streamActive, s.opt.limited())
+		plan := it.d.plan
 		window := 1
 		if threads > 1 {
 			window = drainWindowPerThread * threads
@@ -506,6 +636,12 @@ var spillFaults = []struct {
 		}
 		return fsFault{flip: true, readAt: 10} // past the headers
 	}},
+	{"slow device", []int{stageForecastRead, stageDemandRead}, func(stage int) fsFault {
+		if stage == stageForecastRead {
+			return fsFault{stall: 20 * time.Millisecond, from: "(*Stage).forecast"}
+		}
+		return fsFault{stall: 20 * time.Millisecond, readAt: 10} // past the headers
+	}},
 	{"truncated file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
 		func(int) fsFault { return fsFault{truncateAt: 100_000} }},
 	{"missing file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
@@ -526,8 +662,9 @@ var spillFaults = []struct {
 // returned error — from the stage it hit, or from Sorter.Close when all that
 // failed was a removal, and then with the right rows — never a short or wrong
 // result, never a hang; a worker's or the forecast's panic is such an error
-// too, and a flipped bit is spill.ErrCorrupt. When the fault is gone a second Close succeeds, and nothing is left:
-// no file, no goroutine, no broker byte.
+// too, and a flipped bit is spill.ErrCorrupt. A slow device is no fault: its
+// cells end with the right rows and no error. When the fault is gone a second
+// Close succeeds, and nothing is left: no file, no goroutine, no broker byte.
 func TestSpilledDrainFaults(t *testing.T) {
 	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
 	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
@@ -615,15 +752,18 @@ func TestSpilledDrainFaults(t *testing.T) {
 							}
 						}
 					})
-					// With Threads 1, and under any budget (the merge is then one
-					// task), the merge runs on the caller's goroutine and a panic
-					// under it is the caller's; a worker's must not be.
-					if panicked && threads > 1 && !shared {
+					// With Threads 1 the merge runs on the caller's goroutine and a
+					// panic under it is the caller's; a worker's must not be.
+					if panicked && threads > 1 {
 						t.Errorf("%s: %v", ctx, err)
 					}
 					cerr := s.Close()
-					if err == nil && cerr == nil {
+					slow := f.fault(stage).stall > 0
+					if err == nil && cerr == nil && !slow {
 						t.Errorf("%s: the fault went off %d times and no error was returned", ctx, ffs.fired)
+					}
+					if slow && (err != nil || cerr != nil) {
+						t.Errorf("%s: %v, %v from a read that was only slow", ctx, err, cerr)
 					}
 					if f.fault(stage).flip && !errors.Is(err, spill.ErrCorrupt) {
 						t.Errorf("%s: %v, want spill.ErrCorrupt", ctx, err)

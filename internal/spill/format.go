@@ -77,6 +77,17 @@ func (f *File) BlockRows() int { return f.blockRows }
 // Size returns the file's length in bytes.
 func (f *File) Size() int64 { return f.size }
 
+// MaxBlockBytes returns the length of the file's largest block: what a
+// merge holds, decoded, for one block of the run at most — its key rows, its
+// payload and the payload's string heap.
+func (f *File) MaxBlockBytes() int64 {
+	var most int64
+	for b := range f.offs {
+		most = max(most, f.blockEnd(b)-f.offs[b])
+	}
+	return most
+}
+
 // blockEnd returns the offset block b ends at.
 func (f *File) blockEnd(b int) int64 {
 	if b+1 < len(f.offs) {

@@ -9,13 +9,15 @@ import (
 // A merge of spilled runs is cut into tasks the way a resident one is, with
 // the files' block indexes standing in for random access: a run on disk can
 // be entered at any block, and every block's first key row — its fence — is
-// in memory. The fences of all runs, in merged order, are the order in which
-// a merge first needs each block: the block stage's forecast. Cutting that
-// order every so many fences, at the fence key found there, gives tasks whose
-// key ranges [lower, upper) concatenate to the whole output. Bounds compare
-// only on the byte-decisive safe key prefix, so rows that tie beyond it are
-// never split across tasks and the output is byte-identical to the sequential
-// merge's at every task and worker count.
+// in memory. A run still in memory is given fences too, every so many of its
+// key rows: they cut tasks as a file's do, and the stage never reads them. The
+// fences of all runs, in merged order, cut every so many fences at the fence
+// key found there, give tasks whose key ranges [lower, upper) concatenate to
+// the whole output; those of the runs on disk, in that order, are the order
+// in which a merge first needs each block: the block stage's forecast. Bounds
+// compare only on the byte-decisive safe key prefix, so rows that tie beyond
+// it are never split across tasks and the output is byte-identical to the
+// sequential merge's at every task and worker count.
 
 // BlockRef names a block of a plan: Run is the run's place in the merge order.
 type BlockRef struct{ Run, Blk int32 }
@@ -23,58 +25,65 @@ type BlockRef struct{ Run, Blk int32 }
 // Plan is the task plan of one merge over runs of which some, usually all,
 // are on disk.
 type Plan struct {
-	files []*File // the runs, in merge (tie) order; nil for one in memory
-	safe  int     // width of the byte-decisive key prefix
+	files  []*File         // the runs, in merge (tie) order; nil for one in memory
+	fences []mergepath.Run // every run's fences: a file's, or those a run in memory was given
+	safe   int             // width of the byte-decisive key prefix
 
-	order  []BlockRef // every block, by fence: the forecast
+	order  []BlockRef // every block on disk, by fence: the forecast
 	bounds [][]byte   // task t merges the keys in [bounds[t-1], bounds[t]); one fewer than tasks
-	refs   [][]int32  // per run and block: the tasks whose range overlaps it
+	refs   [][]int32  // per run on disk and block: the tasks whose range overlaps it
 }
 
 // PlanTasks plans the merge of runs, given in merge order with nil for a run
 // still in memory, whose keys order by their bytes on the first safe of them.
-// With a run in memory (it has no fences), or taskFences 0, the plan is one
-// task; otherwise the forecast is cut wherever taskFences fences have gone by
-// and the fence there is above its predecessor — so that bounds strictly
-// increase, every block before a cut starts below it, and keys that all
-// collide (a constant column) degrade to one task, never to a wrong order.
-func PlanTasks(runs []*File, safe, taskFences int) *Plan {
-	p := &Plan{files: runs, safe: safe, refs: make([][]int32, len(runs))}
-	var fences []mergepath.Run // of the runs on disk
-	var owner []int32          // their places in runs
+// resident[i], when runs[i] is nil, is that run's fences — every so many of
+// its key rows, at the files' stride — and may be empty (nil: none for any
+// run). With taskFences 0 the plan is one task; otherwise the merged fences
+// are cut wherever taskFences of them have gone by and the fence there is
+// above its predecessor — so that bounds strictly increase, every block
+// before a cut starts below it, and keys that all collide (a constant column)
+// degrade to one task, never to a wrong order. A run in memory is trimmed to
+// a task's range by its keys, not its fences: they only balance the tasks.
+func PlanTasks(runs []*File, resident []mergepath.Run, safe, taskFences int) *Plan {
+	p := &Plan{files: runs, fences: make([]mergepath.Run, len(runs)), safe: safe, refs: make([][]int32, len(runs))}
 	blocks := 0
 	for i, f := range runs {
 		if f == nil {
-			taskFences = 0
+			if resident != nil {
+				p.fences[i] = resident[i]
+			}
 			continue
 		}
 		p.refs[i] = make([]int32, f.NumBlocks())
-		fences = append(fences, mergepath.Run{Data: f.fences, Width: f.format.RowWidth})
-		owner = append(owner, int32(i))
+		p.fences[i] = mergepath.Run{Data: f.fences, Width: f.format.RowWidth}
 		blocks += f.NumBlocks()
 	}
 
 	// Each run's fences are sorted: their merged order is a loser-tree merge
-	// away (ties to the earlier run, then the earlier block).
+	// away (ties to the earlier run, then the earlier fence).
 	p.order = make([]BlockRef, 0, blocks)
-	for m := mergepath.NewMerger(fences, safe, nil); ; {
-		r, blk, _, ok := m.Next()
+	var prev []byte
+	for pos, start, m := 0, 0, mergepath.NewMerger(p.fences, safe, nil); ; pos++ {
+		r, blk, key, ok := m.Next()
 		if !ok {
 			break
 		}
-		p.order = append(p.order, BlockRef{owner[r], int32(blk)})
-	}
-	for pos, start := 0, 0; pos < len(p.order) && taskFences > 0; pos++ {
-		if key := p.fence(p.order[pos]); pos-start >= taskFences &&
-			compareSafe(key, p.fence(p.order[pos-1]), safe) > 0 {
+		if taskFences > 0 && pos-start >= taskFences && compareSafe(key, prev, safe) > 0 {
 			p.bounds = append(p.bounds, key)
 			start = pos
 		}
+		if runs[r] != nil {
+			p.order = append(p.order, BlockRef{int32(r), int32(blk)})
+		}
+		prev = key
 	}
 
 	for t := 0; t < p.Tasks(); t++ {
 		lo, hi := p.Bound(t)
-		for i := range runs {
+		for i, f := range runs {
+			if f == nil {
+				continue
+			}
 			first, end := p.Span(i, lo, hi)
 			for b := first; b < end; b++ {
 				p.refs[i][b]++
@@ -86,9 +95,6 @@ func PlanTasks(runs []*File, safe, taskFences int) *Plan {
 
 // Tasks returns how many tasks the merge is cut into.
 func (p *Plan) Tasks() int { return len(p.bounds) + 1 }
-
-// fence returns the first key row of block ref.
-func (p *Plan) fence(ref BlockRef) []byte { return p.files[ref.Run].fence(int(ref.Blk)) }
 
 // Bound returns task t's key range [lo, hi); nil is an open end.
 func (p *Plan) Bound(t int) (lo, hi []byte) {
@@ -104,15 +110,11 @@ func (p *Plan) Bound(t int) (lo, hi []byte) {
 // Span returns the blocks [first, end) of run i that can hold a key in
 // [lo, hi): from the last block whose fence is below lo — every earlier one
 // is wholly below it — up to the first whose fence is not below hi. The block
-// a bound falls into is in the span of the tasks on either side of it. A run
-// in memory has none.
+// a bound falls into is in the span of the tasks on either side of it. For a
+// run in memory the blocks are the stretches its fences begin.
 func (p *Plan) Span(i int, lo, hi []byte) (first, end int) {
-	f := p.files[i]
-	if f == nil {
-		return 0, 0
-	}
-	fences := mergepath.Run{Data: f.fences, Width: f.format.RowWidth}
-	end = f.NumBlocks()
+	fences := p.fences[i]
+	end = fences.Len()
 	if hi != nil {
 		end = LowerBound(fences, hi, p.safe)
 	}

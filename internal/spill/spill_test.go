@@ -120,7 +120,7 @@ func TestFileFormat(t *testing.T) {
 	}
 
 	// Read it back, without read-ahead: every block on demand.
-	st, err := d.NewStage(PlanTasks([]*File{f}, testKeyWidth, 0), nil, 0, 1)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, testKeyWidth, 0), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,15 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 	}
 }
 
+// fence returns the first key row of block ref.
+func (p *Plan) fence(ref BlockRef) []byte { return p.files[ref.Run].fence(int(ref.Blk)) }
+
 // TestPlanTasks checks the planner on three runs of interleaved keys: the
 // forecast holds every block once, in fence order; bounds strictly increase
 // on the safe prefix; every block is due to the tasks whose range can hold
-// one of its keys, and to at least one; a run in memory, or keys that all
-// collide, make one task.
+// one of its keys, and to at least one; a run in memory cuts tasks by the
+// fences it is given and is never forecast; keys that all collide make one
+// task.
 func TestPlanTasks(t *testing.T) {
 	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
 	defer d.Close()
@@ -328,7 +332,7 @@ func TestPlanTasks(t *testing.T) {
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64))
 	}
 	safe := testKeyWidth
-	p := PlanTasks(files, safe, 4)
+	p := PlanTasks(files, nil, safe, 4)
 	if len(p.order) != 30 || p.Tasks() < 5 {
 		t.Fatalf("%d blocks forecast, %d tasks", len(p.order), p.Tasks())
 	}
@@ -369,11 +373,38 @@ func TestPlanTasks(t *testing.T) {
 		}
 	}
 
-	if p := PlanTasks([]*File{files[0], nil, files[2]}, safe, 4); p.Tasks() != 1 || len(p.order) != 20 {
-		t.Errorf("with a run in memory: %d tasks over %d blocks, want 1 over 20", p.Tasks(), len(p.order))
+	// Run 1 in memory, given a fence every 64 of its key rows — where its
+	// blocks start on disk: its fences cut the same tasks as its file's, it
+	// spans as many blocks, and the forecast holds the 20 blocks on disk only.
+	rw := testFormat.RowWidth
+	keys1, _ := testRun(1, 640, func(i int) uint64 { return uint64(3*i + 1) })
+	var fences []byte
+	for i := 0; i < 640; i += 64 {
+		fences = append(fences, keys1[i*rw:(i+1)*rw]...)
+	}
+	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, safe, 4)
+	if mixed.Tasks() != p.Tasks() || len(mixed.order) != 20 || mixed.refs[1] != nil {
+		t.Errorf("with a run in memory: %d tasks over %d blocks, want %d over 20", mixed.Tasks(), len(mixed.order), p.Tasks())
+	}
+	for task := 0; task < min(mixed.Tasks(), p.Tasks()); task++ {
+		lo, hi := mixed.Bound(task)
+		wlo, whi := p.Bound(task)
+		first, end := mixed.Span(1, lo, hi)
+		wfirst, wend := p.Span(1, wlo, whi)
+		if !bytes.Equal(lo, wlo) || !bytes.Equal(hi, whi) || first != wfirst || end != wend {
+			t.Errorf("with a run in memory, task %d differs from the all-disk plan's", task)
+		}
+	}
+	for _, ref := range mixed.order {
+		if ref.Run == 1 {
+			t.Fatal("the forecast holds a block of the run in memory")
+		}
+	}
+	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, safe, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
+		t.Errorf("a run in memory without fences: %d tasks, want fewer than %d, and more than one", q.Tasks(), p.Tasks())
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
-	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64)}, safe, 4); p.Tasks() != 1 {
+	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64)}, nil, safe, 4); p.Tasks() != 1 {
 		t.Errorf("keys that all collide: %d tasks, want 1", p.Tasks())
 	}
 	if got := LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), safe); got != 3 {
@@ -394,7 +425,7 @@ func TestStageForecastServesClaimants(t *testing.T) {
 		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512))
 	}
-	p := PlanTasks(files, testKeyWidth, 0)
+	p := PlanTasks(files, nil, testKeyWidth, 0)
 	st, err := d.NewStage(p, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
