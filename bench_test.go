@@ -159,23 +159,26 @@ func widePayloadTable(n int, seed uint64) *vector.Table {
 // rows of 125 bytes: the gather does) — at the sorter's default run size, and
 // on ext-catalog-spill's (2^20 rows by four keys in 16 spilled runs of 2^16:
 // the same merge, its runs read back block by block), inline (Threads: 1)
-// against two workers.
+// against two workers; and, inline, on a result of one run (2^17 rows, the
+// default run size), which merges through a one-run tree.
 func BenchmarkRowsDrain(b *testing.B) {
 	one := []core.SortColumn{{Column: 0}}
 	for _, wl := range []struct {
-		name string
-		gen  func() *vector.Table
-		keys []core.SortColumn
-		opt  core.Options
+		name    string
+		gen     func() *vector.Table
+		keys    []core.SortColumn
+		opt     core.Options
+		threads []int
 	}{
-		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }, one, core.Options{}},
-		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }, one, core.Options{}},
+		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }, one, core.Options{}, []int{1, 2}},
+		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }, one, core.Options{}, []int{1, 2}},
 		{"catalog-spill", func() *vector.Table { return workload.CatalogSales(1<<20, 10, 42) },
-			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, core.Options{RunSize: 1 << 16, SpillDir: b.TempDir()}},
+			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, core.Options{RunSize: 1 << 16, SpillDir: b.TempDir()}, []int{1, 2}},
+		{"one-run", func() *vector.Table { return workload.UniformInt64s(core.DefaultRunSize, 42) }, one, core.Options{}, []int{1}},
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			tbl := wl.gen()
-			for _, threads := range []int{1, 2} {
+			for _, threads := range wl.threads {
 				b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 					opt := wl.opt
 					opt.Threads = threads

@@ -363,7 +363,7 @@ func TestStreamingRowsSingleUse(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.streamMerge {
+	if !s.onDisk {
 		t.Fatal("48KiB budget did not defer the final merge to the iterator")
 	}
 

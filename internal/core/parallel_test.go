@@ -216,7 +216,7 @@ func TestParallelStreamCancellation(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.streamMerge {
+	if !s.onDisk {
 		t.Fatal("48KiB budget did not defer the final merge to the iterator")
 	}
 
@@ -316,14 +316,14 @@ func TestFinalizeShedsResidentRunsBeforeCascading(t *testing.T) {
 	}
 	st := s.Stats()
 	resident := 0
-	for _, id := range s.streamActive {
+	for _, id := range s.resultIDs {
 		if s.runs[id].keys != nil {
 			resident++
 		}
 	}
-	if st.MergePasses != 0 || st.PressureSpills == 0 || resident == 0 || len(s.streamActive) != int(st.RunsGenerated) {
+	if st.MergePasses != 0 || st.PressureSpills == 0 || resident == 0 || len(s.resultIDs) != int(st.RunsGenerated) {
 		t.Fatalf("32KiB short of %d runs: %d passes, %d runs shed, %d of %d survivors resident; want no pass, some shed, some resident",
-			st.RunsGenerated, st.MergePasses, st.PressureSpills, resident, len(s.streamActive))
+			st.RunsGenerated, st.MergePasses, st.PressureSpills, resident, len(s.resultIDs))
 	}
 	got, err := s.Result()
 	if err != nil {
@@ -350,7 +350,7 @@ func TestRangeTrimmedBlocksMergeLikeSequential(t *testing.T) {
 	drain := func(single bool) (keys []byte, tasks, trimmed int) {
 		s := finalizedSorter(t, tbl, mergeTestKeys, opt, pinBlockRows(64))
 		defer s.Close()
-		plan := s.planSpillTasks(s.streamActive, single)
+		plan := s.planSpillTasks(s.resultIDs, single)
 		res := s.broker.Reserve("merge", 0)
 		st, err := s.spills.NewStage(plan.Plan, res, s.opt.readAhead(), 1)
 		if err != nil {

@@ -62,28 +62,34 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 	return rs
 }
 
-// oracleResult is the reference result of a finalized sorter whose result
-// runs are resident, built with none of the machinery Rows uses: one
-// single-threaded mergepath.KWayMerge of the result runs under the sort's
-// whole-row comparator (no Merge Path split, no offset-value codes, no
-// tasks, no goroutines) into one key array, then a value-at-a-time gather
-// through RowSet.AppendTo (no typed kernels). A budgeted sort that deferred
-// its merge has only the streaming iterator to offer.
+// oracleResult is the reference result of a finalized sorter whose runs are
+// all in memory, built with none of the machinery Rows uses: one
+// single-threaded mergepath.KWayMerge of the runs under the sort's whole-row
+// comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
+// one key array, then a value-at-a-time gather through RowSet.AppendTo (no
+// typed kernels). A sort with a run on disk has only the streaming iterator
+// to offer.
 func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
 	if !s.finalized {
 		t.Fatal("oracleResult before Finalize")
 	}
-	if s.streamMerge {
+	if s.onDisk {
 		out, err := s.Result()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	_, cmp := s.mergeOrder(s.resultTie, s.residentPayload)
+	runs := make([]mergepath.Run, len(s.runs))
+	anyTie := false
+	for i, r := range s.runs {
+		runs[i] = mergepath.Run{Data: r.keys, Width: s.rowWidth}
+		anyTie = anyTie || r.tieBreak
+	}
+	_, cmp := s.mergeOrder(anyTie, s.residentPayload)
 	keys := make([]byte, s.resultRows*s.rowWidth)
-	mergepath.KWayMerge(keys, s.resultRuns, cmp)
+	mergepath.KWayMerge(keys, runs, cmp)
 	out := vector.NewTable(s.schema)
 	for start := 0; start < s.resultRows; start += vector.DefaultVectorSize {
 		count := min(vector.DefaultVectorSize, s.resultRows-start)
@@ -102,7 +108,7 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 }
 
 // resultChecked drains the sorter through Result — the production path —
-// and, when the result runs are resident, checks the table against
+// and, when the runs are all in memory, checks the table against
 // oracleResult before returning it.
 func resultChecked(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
@@ -110,7 +116,7 @@ func resultChecked(t testing.TB, s *Sorter) *vector.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.streamMerge {
+	if !s.onDisk {
 		if want := oracleResult(t, s); !bytes.Equal(rowify(t, got).Bytes(), rowify(t, want).Bytes()) {
 			t.Fatalf("Result (threads=%d) differs from the scalar-merge, value-at-a-time oracle", s.opt.threads())
 		}

@@ -15,12 +15,13 @@ import (
 	"rowsort/internal/vector"
 )
 
-// The resident drain's shape, fixed by the null arms in EXPERIMENTS.md ("Rows
-// is the merge"). A task is the run of output chunks one worker merges and
-// gathers back to back: long enough that its Merge Path split is about 2 % of
-// its work, short enough that the next task's first chunk is never far off.
-// The window is the tasks that may be claimed and not yet consumed, per
-// worker: one being produced, one finished and waiting for the consumer.
+// The drain's shape, fixed by the null arms in EXPERIMENTS.md ("Rows is the
+// merge"). A task is the run of output chunks one worker merges and gathers
+// back to back, about drainTaskRows of them (drainTaskFences): long enough
+// that opening it is a small part of its work, short enough that the next
+// task's first chunk is never far off. The window is the tasks that may be
+// claimed and not yet consumed, per worker: one being produced, one finished
+// and waiting for the consumer.
 const (
 	drainTaskChunks      = 32
 	drainTaskRows        = drainTaskChunks * vector.DefaultVectorSize
@@ -32,13 +33,14 @@ var errSorterClosed = errors.New("core: result iterator used after Sorter.Close"
 
 // RowIter streams the sorted result as columnar chunks of up to
 // vector.DefaultVectorSize rows; the final merge runs inside it. The output
-// is cut into tasks, and Options.Threads workers each merge and gather a
-// task at a time, ahead of the consumer, delivered strictly in order (see
-// rowsDrain) — over runs in memory and over runs on disk alike, whose blocks
-// the workers take from one block stage (internal/spill). Under a memory
-// budget a sort that spilled runs as many workers as the budget Finalize left
-// affords, each holding its blocks and a window of tasks (drainClaimants), and
-// at least Next itself: the whole output is never resident at once.
+// is cut into tasks at fences of the runs by Merge Path's stable rule, and
+// Options.Threads workers each merge and gather a task at a time, ahead of
+// the consumer, delivered strictly in order (see rowsDrain) — over runs in
+// memory and over runs on disk alike, whose blocks the workers take from one
+// block stage (internal/spill). Under a memory budget a sort that spilled
+// runs as many workers as the budget Finalize left affords, each holding its
+// blocks and a window of tasks (drainClaimants), and at least Next itself:
+// the whole output is never resident at once.
 //
 // A RowIter is not safe for concurrent use. A result that reads from disk is
 // single-use: the merge consumes its spill files as it reads them, and an
@@ -68,12 +70,12 @@ func (s *Sorter) Rows() (*RowIter, error) {
 	if !s.finalized {
 		return nil, fmt.Errorf("core: Rows before Finalize")
 	}
-	if s.streamMerge {
+	if s.onDisk {
 		s.mu.Lock()
-		used := s.streamUsed
-		s.streamUsed = true
+		taken := s.diskTaken
+		s.diskTaken = true
 		s.mu.Unlock()
-		if used {
+		if taken {
 			return nil, fmt.Errorf("core: streaming result already consumed (the merge of spilled runs is single-pass; sort again to iterate again)")
 		}
 	}
@@ -136,48 +138,37 @@ func (it *RowIter) Close() error {
 
 // rowsDrain is the final merge, fused into the gather and run lazily.
 //
-// The output is cut into tasks. Over resident runs a task is drainTaskRows
-// ranks: claiming one finds its end boundary with mergepath.KWaySplit,
-// continued from the previous task's — each boundary is computed once, by a
-// search over one task's rows — and hands the claimant the slice of every
-// run between the two. Over spilled runs a task is a key range between two
-// fence keys (see spill.PlanTasks), about as many rows, and the claimant streams
-// the blocks that hold it from the block stage. Either way the claimant
-// produces the task a chunk at a time: a loser-tree merge of the next 2,048
-// key rows, whose payload references go straight to the cross-run gather
-// kernels; no merged key row is written, and no payload row moves but into
-// the chunk. One resident result run needs no merging: its references are
-// walked.
+// The output is cut into tasks at fences of the runs (see planSpillTasks and
+// spill.PlanTasks): a task is the range of rows between two bound rows, about
+// drainTaskRows of them, and a bound's LowerBound in every run under the
+// merge's whole order is where the stable merge would cut it — Merge Path's
+// rule. A run in memory and a run on disk are cut alike; the claimant streams
+// the blocks of those on disk from the block stage. It produces the task a
+// chunk at a time: a loser-tree merge (extMerge) of the next 2,048 key rows,
+// whose payload references go straight to the cross-run gather kernels; no
+// merged key row is written, and no payload row moves but into the chunk. A
+// task's last chunk may be short.
 //
 // With one claimant — one thread, one task, or a budget that affords no more
 // — the consumer does that itself, inside Next. Otherwise that many workers
 // (Options.Threads, or under a budget what drainClaimants affords) claim
 // tasks in order and push a task's chunks, then a nil, into its slot, a
-// channel with room for all of a resident task's, from which Next takes them
-// in order. A worker takes a ticket before it claims and the consumer returns
+// channel with room for about a task's chunks, from which Next takes them in
+// order. A worker takes a ticket before it claims and the consumer returns
 // one per task drained, so at most len(slots) tasks are claimed and
 // unconsumed: the chunks in flight are bounded (under a budget, by the
 // window it was charged), slot t mod len(slots) is free when task t is
-// claimed, and —
-// tasks being claimed lowest first — the task the consumer waits for is
-// always held by a worker that waits for nothing but the consumer and the
-// reads it needs.
+// claimed, and — tasks being claimed lowest first — the task the consumer
+// waits for is always held by a worker that waits for nothing but the
+// consumer and the reads it needs.
 type rowsDrain struct {
 	s     *Sorter
-	tasks int // tasks the output is cut into
-
-	// Resident form.
-	runs     []mergepath.Run // result runs, in merge (tie) order
-	payloads []*row.RowSet   // by the run id in a key row's reference
-	tie, cmp mergepath.CompareFunc
-
-	// Spilled form.
-	plan  *mergePlan
-	stage *spill.Stage
+	tasks int          // tasks the output is cut into
+	plan  *mergePlan   // the tasks
+	stage *spill.Stage // serves the blocks of the runs on disk; nil with none
 
 	mu      sync.Mutex
 	claimed int             // tasks claimed so far: the next task's index
-	cut     []int           // Merge Path split at the start of task claimed
 	stats   mergepath.Stats // merge counters of the tasks worked on
 	err     error           // the first failure of a worker
 
@@ -194,41 +185,28 @@ type rowsDrain struct {
 // drainTask is one claimant's state: its scratch, and the task it is on.
 type drainTask struct {
 	ow          *obs.Worker
-	sub         []mergepath.Run   // the task's slice of every resident run
-	m           *mergepath.Merger // the task's loser tree; nil when there is one result run
-	em          *extMerge         // the task's merge over spilled runs, whose tree m is
+	em          *extMerge         // the claimant's merge
+	m           *mergepath.Merger // em's loser tree on the task, until its counters are folded in
 	which, idxs []uint32          // one chunk's payload references
 	g           *row.Gather       // the gather of its rows
 	index       int               // task index
-	left        int               // rows of a resident task still to produce
 	open        bool              // on a task that has not ended
 }
 
 // newRowsDrain plans a drain of the result and starts its workers, if it is
-// to have any: under a budget as many as drainClaimants affords, their window
-// charged with the stage's blocks. gw is the consumer's trace lane, for when
-// it runs the tasks itself.
+// to have any: under a budget, when a run is on disk, as many as
+// drainClaimants affords, their window charged with the stage's blocks. gw is
+// the consumer's trace lane, for when it runs the tasks itself.
 func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
-	d := &rowsDrain{s: s}
-	if s.streamMerge {
-		d.plan = s.planSpillTasks(s.streamActive, false)
-		d.tasks = d.plan.Tasks()
-	} else {
-		d.runs, d.cut = s.resultRuns, make([]int, len(s.resultRuns))
-		d.payloads = make([]*row.RowSet, len(s.runs))
-		for i, r := range s.runs {
-			d.payloads[i] = r.payload
-		}
-		d.tie, d.cmp = s.mergeOrder(s.resultTie, s.residentPayload)
-		d.tasks = (s.resultRows + drainTaskRows - 1) / drainTaskRows
-	}
+	d := &rowsDrain{s: s, plan: s.planSpillTasks(s.resultIDs, false)}
+	d.tasks = d.plan.Tasks()
 	workers := min(s.opt.threads(), d.tasks)
 	var window int64
-	if d.plan != nil && s.opt.limited() && workers > 1 {
+	if s.onDisk && s.opt.limited() && workers > 1 {
 		workers, window = s.drainClaimants(d.plan, workers)
 	}
 	d.ctx, d.cancel = context.WithCancel(s.ctx)
-	if d.plan != nil {
+	if s.onDisk {
 		var err error
 		if d.stage, err = s.newBlockStage(d.plan, max(workers, 1), window); err != nil {
 			d.cancel()
@@ -242,7 +220,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 	}
 	d.slots = make([]chan *vector.Chunk, drainWindowPerThread*workers)
 	for i := range d.slots {
-		// A whole resident task and its end mark: its worker never waits to send.
+		// About a task's chunks and its end mark: its worker seldom waits to send.
 		d.slots[i] = make(chan *vector.Chunk, drainTaskChunks+1)
 	}
 	d.tickets = make(chan struct{}, len(d.slots))
@@ -251,14 +229,8 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 }
 
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
-	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout),
+	return &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
 		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
-	if d.stage != nil {
-		t.em = d.s.newExtMerge(d.ctx, d.plan, d.stage, ow)
-	} else {
-		t.sub = make([]mergepath.Run, len(d.runs))
-	}
-	return t
 }
 
 // start launches the drain's workers. Each is joined by the iterator's
@@ -329,46 +301,30 @@ func (d *rowsDrain) fail(err error) {
 	d.cancel()
 }
 
-// claim moves t to the next unclaimed task — cutting its slice of the
-// resident runs, or opening its key range of the spilled ones — and reports
-// whether there was one.
+// claim moves t to the next unclaimed task, opening its range of the runs,
+// and reports whether there was one.
 func (d *rowsDrain) claim(t *drainTask) (bool, error) {
 	d.retire(t)
 	if !d.take(t) {
 		return false, nil
 	}
 	t.open = true
-	if t.em != nil {
-		if err := t.em.open(t.index); err != nil {
-			return false, err
-		}
-		t.m = t.em.m
-	} else if len(t.sub) > 1 {
-		t.m = mergepath.NewMerger(t.sub, d.s.ovcSafeWidth(d.s.resultTie), d.tie)
+	if err := t.em.open(t.index); err != nil {
+		return false, err
 	}
+	t.m = t.em.m
 	return true, nil
 }
 
-// take gives t the next unclaimed task's index and, of resident runs, its
-// slices; false when no task is left.
+// take gives t the next unclaimed task's index; false when no task is left.
 func (d *rowsDrain) take(t *drainTask) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock() // deferred: a comparator that panics must not keep the lock from fail
+	defer d.mu.Unlock()
 	if d.claimed >= d.tasks {
 		return false
 	}
 	t.index = d.claimed
 	d.claimed++
-	if d.stage == nil {
-		start := t.index * drainTaskRows
-		t.left = min(drainTaskRows, d.s.resultRows-start)
-		end := mergepath.KWaySplit(d.runs, start+t.left, d.cmp, d.cut)
-		w := d.s.rowWidth
-		for r, run := range d.runs {
-			t.sub[r] = mergepath.Run{Data: run.Data[d.cut[r]*w : end[r]*w], Width: w}
-		}
-		d.cut = end
-	}
 	return true
 }
 
@@ -382,46 +338,28 @@ func (d *rowsDrain) retire(t *drainTask) {
 	}
 }
 
-// nextChunk produces the next chunk of t's task: merge (or walk) the chunk's
-// payload references out of the key rows, then gather them. A nil chunk is
-// the task's end; the chunk before it may be short.
+// nextChunk produces the next chunk of t's task: merge the chunk's payload
+// references out of the key rows, then gather them. A nil chunk is the
+// task's end; the chunk before it may be short.
 func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	s := d.s
-	count := min(vector.DefaultVectorSize, t.left)
-	payloads := d.payloads
-	switch {
-	case t.em != nil:
-		sp := t.ow.Begin(obs.PhaseMerge)
-		count = t.em.refs(t.which, t.idxs)
-		sp.End()
-		if err := t.em.err; err != nil {
-			return nil, err
-		}
-		payloads = t.em.sets
-		s.ctr.Add(obs.RowsMerged, int64(count))
-	case t.m != nil:
-		sp := t.ow.Begin(obs.PhaseMerge)
-		s.mergeRefs(t.m, t.which[:count], t.idxs[:count])
-		sp.End()
-		s.ctr.Add(obs.RowsMerged, int64(count))
-		t.left -= count
-	default:
-		s.walkRefs(t.sub[0].Data, t.which[:count], t.idxs[:count])
-		t.sub[0].Data = t.sub[0].Data[count*s.rowWidth:]
-		t.left -= count
+	sp := t.ow.Begin(obs.PhaseMerge)
+	count := t.em.refs(t.which, t.idxs)
+	sp.End()
+	if err := t.em.err; err != nil {
+		return nil, err
 	}
 	if count == 0 {
 		t.open = false
 		return nil, nil
 	}
-	sp := t.ow.Begin(obs.PhaseGather)
-	t.g.Refs(payloads, t.which[:count], t.idxs[:count])
+	s.ctr.Add(obs.RowsMerged, int64(count))
+	sp = t.ow.Begin(obs.PhaseGather)
+	t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count])
 	chunk := &vector.Chunk{Vectors: t.g.Vectors()}
 	s.countGathered(count)
 	sp.End()
-	if t.em != nil {
-		t.em.settle()
-	}
+	t.em.settle()
 	return chunk, nil
 }
 
@@ -506,27 +444,6 @@ func (e *extMerge) refs(which, idxs []uint32) int {
 		which[i], idxs[i] = slot, idx
 	}
 	return len(which)
-}
-
-// mergeRefs advances the merge by len(which) rows and stores their payload
-// references. The merger was built over exactly the task's rows, so it
-// cannot run dry first.
-func (s *Sorter) mergeRefs(m *mergepath.Merger, which, idxs []uint32) {
-	for i := range which {
-		_, _, keyRow, ok := m.Next()
-		if !ok {
-			panic("core: Merge Path task ended before its last row")
-		}
-		which[i], idxs[i] = s.getRef(keyRow)
-	}
-}
-
-// walkRefs stores the payload references of the len(which) key rows at the
-// head of keys.
-func (s *Sorter) walkRefs(keys []byte, which, idxs []uint32) {
-	for i := range which {
-		which[i], idxs[i] = s.getRef(keys[i*s.rowWidth:])
-	}
 }
 
 // countGathered publishes n rows materialized into an output chunk.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -150,13 +151,26 @@ func sameChunks(t *testing.T, ctx string, got, want *vector.Table) {
 	}
 }
 
+// resultFences returns how many fences a drain's plan has over the result's
+// runs: a fence every spillBlockRows rows of each, on disk or in memory.
+func resultFences(s *Sorter) int {
+	n, stride := 0, s.spillBlockRows()
+	for _, id := range s.resultIDs {
+		n += (s.runs[id].rows + stride - 1) / stride
+	}
+	return n
+}
+
 // TestRowsThreadGridByteIdentity is the byte-identity bar of the lazy merge:
 // whatever the worker count, Rows yields what the inline drain (Threads: 1)
-// yields, chunk for chunk — and that is the scalar-merge oracle's table —
-// across run counts on both sides of a power of two, merges with and
-// without the tie-break comparator, unique, duplicate-heavy and all-equal
-// keys, and row counts that fill neither a chunk nor a task, plus one that
-// keeps eight workers busy and overflows two workers' window.
+// yields, chunk for chunk, and that is the scalar-merge oracle's rows — as
+// rows, since a task's last chunk may be short — across run counts on both
+// sides of a power of two, merges with and without the tie-break comparator,
+// unique, duplicate-heavy and all-equal keys, and row counts that fill
+// neither a chunk nor a task, plus one that keeps eight workers busy and
+// overflows two workers' window. Whatever the keys, equal ones and those
+// tying on their prefix included, a drain whose runs have more fences than a
+// task begins runs more than one task.
 func TestRowsThreadGridByteIdentity(t *testing.T) {
 	sizes := []int{1000, 3*vector.DefaultVectorSize + 17, drainTaskRows + vector.DefaultVectorSize + 5}
 	check := func(n, runs, dist int) {
@@ -170,13 +184,20 @@ func TestRowsThreadGridByteIdentity(t *testing.T) {
 			// re-iterated, serves every drain shape.
 			s := finalizedSorter(t, tbl, drainKeys(tieBreak), Options{Threads: 1, RunSize: perRun * chunkRows})
 			ctx := fmt.Sprintf("rows=%d runs=%d keys=%s tie=%v", n, runs, drainKeyNames[dist], tieBreak)
-			if len(s.runs) != runs || s.resultTie != tieBreak {
-				t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), s.resultTie)
+			anyTie := slices.ContainsFunc(s.runs, func(r *sortedRun) bool { return r.tieBreak })
+			if len(s.runs) != runs || anyTie != tieBreak {
+				t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), anyTie)
 			}
-			want := oracleResult(t, s)
-			for _, threads := range []int{1, 2, 4, 8} {
+			inline, tasks := drainAll(t, s), s.planSpillTasks(s.resultIDs, false).Tasks()
+			if !bytes.Equal(rowify(t, inline).Bytes(), rowify(t, oracleResult(t, s)).Bytes()) {
+				t.Fatalf("%s: rows differ from the oracle's", ctx)
+			}
+			if fences := resultFences(s); fences > drainTaskFences && tasks < 2 {
+				t.Fatalf("%s: %d task over %d fences", ctx, tasks, fences)
+			}
+			for _, threads := range []int{2, 4, 8} {
 				s.opt.Threads = threads
-				sameChunks(t, fmt.Sprintf("%s threads=%d", ctx, threads), drainAll(t, s), want)
+				sameChunks(t, fmt.Sprintf("%s threads=%d", ctx, threads), drainAll(t, s), inline)
 			}
 			s.Close()
 		}
@@ -335,7 +356,7 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		st3 := s.Stats()
-		window := int64(drainWindowPerThread*threads*drainTaskRows) * int64(s.layout.Width())
+		window := leadingRows(s, it.d.plan, drainWindowPerThread*threads) * int64(s.layout.Width())
 		if moved := st3.GatherBytesMoved - st2.GatherBytesMoved; moved <= 0 || moved > window || moved >= full {
 			t.Errorf("threads=%d: an iterator closed after one chunk moved %d gather bytes; want some, at most the window's %d, under the drain's %d",
 				threads, moved, window, full)
@@ -354,10 +375,22 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 	}
 }
 
+// leadingRows returns the rows of the first n tasks of a plan p over runs in
+// memory: every run's rows below the n-th task's upper bound.
+func leadingRows(s *Sorter, p *mergePlan, n int) int64 {
+	_, hi := p.Bound(min(n, p.Tasks()) - 1)
+	rows := 0
+	for _, id := range p.ids {
+		_, to := keyRange(mergepath.Run{Data: s.runs[id].keys, Width: s.rowWidth}, nil, hi, p.cmp)
+		rows += to
+	}
+	return int64(rows)
+}
+
 // TestRowsMergesLazily pins the mechanism: Finalize of an in-memory sort
 // merges nothing, and when the first chunk is out, no more has been merged
-// than the window admits — the first chunk waited for one split and one
-// chunk's merge, not for the merge.
+// than the window's tasks in the drain's plan hold — the first chunk waited
+// for the plan and one chunk's merge, not for the merge.
 func TestRowsMergesLazily(t *testing.T) {
 	const rows = 12*drainTaskRows + 5
 	tbl := workload.UniformInt64s(rows, 10)
@@ -378,7 +411,7 @@ func TestRowsMergesLazily(t *testing.T) {
 			t.Fatalf("first chunk: %v, %v", c, err)
 		}
 		merged := s.ctr.Value(obs.RowsMerged)
-		if window := int64(drainWindowPerThread * threads * drainTaskRows); merged == 0 || merged > window {
+		if window := leadingRows(s, it.d.plan, drainWindowPerThread*threads); merged == 0 || merged > window {
 			t.Errorf("threads=%d: %d of %d rows merged when the first chunk returned; want at most the window's %d",
 				threads, merged, rows, window)
 		}

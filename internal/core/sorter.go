@@ -46,18 +46,14 @@ type Sorter struct {
 	finalized bool
 
 	// What Finalize leaves the result iterator (rows.go), where the final
-	// merge runs. A resident sort records its result runs: the key rows of
-	// every in-memory run, unmerged; their payload references index runs. A
-	// sort with runs on disk
-	// (streamMerge) records the ids of the runs to merge — all of them, or
-	// under a budget the survivors of reducing the fan-in to what the budget
-	// can stream — and may be iterated once.
-	resultRuns   []mergepath.Run
-	resultTie    bool // some result run needs the tie-break comparator
-	resultRows   int
-	streamMerge  bool
-	streamUsed   bool // the single-pass merge of spilled runs has been handed out
-	streamActive []uint32
+	// merge runs: the ids of the runs to merge — every run, or under a budget
+	// the survivors of reducing the fan-in to what the budget can stream —
+	// and their rows. A result with a run on disk (onDisk) may be iterated
+	// once: its merge consumes the files as it reads them.
+	resultIDs  []uint32
+	resultRows int
+	onDisk     bool
+	diskTaken  bool // the single-pass merge of spilled runs has been handed out
 
 	// mergeStats is the merge work of Finalize (intermediate passes), to
 	// which each result iterator adds its own before publishing the total.
@@ -743,12 +739,12 @@ func compareStrings(a, b string) int {
 }
 
 // Finalize ends run generation and plans the result; it merges nothing. The
-// result iterator cuts the output into tasks — at exact ranks with k-way
-// Merge Path over runs in memory, at fence keys over runs on disk — and
-// merges each inside its gather (see Rows), so the first chunk does not wait
-// for the last. Only a budgeted sort whose runs outnumber what the budget can
-// stream at once does merge work here: the passes that reduce its fan-in. It
-// must be called after every sink is closed.
+// result iterator cuts the output into tasks at fences of the runs — in
+// memory, on disk or both — by Merge Path's stable rule, and merges each
+// inside its gather (see Rows), so the first chunk does not wait for the
+// last. Only a budgeted sort whose runs outnumber what the budget can stream
+// at once does merge work here: the passes that reduce its fan-in. It must be
+// called after every sink is closed.
 func (s *Sorter) Finalize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -766,29 +762,33 @@ func (s *Sorter) Finalize() error {
 }
 
 // finalizeLocked is Finalize's body, run under s.mu and the merge pprof
-// label.
+// label: it records the runs the result iterator is to merge. What the
+// closed sinks parked in the pools is let go first. Under a budget a sort
+// with runs on disk then reduces their number to a fan-in the remaining
+// budget can stream.
 func (s *Sorter) finalizeLocked() error {
-	for _, r := range s.runs {
-		if r.spill != nil {
-			return s.planSpilledMerge()
-		}
-	}
-
-	// Nothing on disk (the budget was never exceeded, or there is none):
-	// the resident runs are the result runs. Nothing past this point takes
-	// from the pools, so what the closed sinks parked there is let go.
-	s.dropPools()
-	runs := make([]mergepath.Run, len(s.runs))
+	ids := make([]uint32, len(s.runs))
 	for i, r := range s.runs {
-		runs[i] = mergepath.Run{Data: r.keys, Width: s.rowWidth}
-		s.resultTie = s.resultTie || r.tieBreak
-		s.resultRows += r.rows
+		ids[i] = uint32(i)
+		s.onDisk = s.onDisk || r.spill != nil
 	}
-	if len(runs) == 1 {
-		// Nothing is left to merge in Rows.
-		s.ctr.Add(obs.RowsMerged, int64(s.resultRows))
+	s.dropPools()
+	if s.onDisk {
+		if s.opt.limited() {
+			mw := s.rec.Worker("merge")
+			sp := mw.Begin(obs.PhaseMerge)
+			defer sp.End()
+			var err error
+			if ids, err = s.reduceFanIn(ids, mw); err != nil {
+				return err
+			}
+		}
+		s.ctr.Store(obs.MergeFanIn, int64(len(ids)))
 	}
-	s.resultRuns = runs
+	for _, id := range ids {
+		s.resultRows += s.runs[id].rows
+	}
+	s.resultIDs = ids
 	return nil
 }
 

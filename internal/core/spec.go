@@ -7,9 +7,10 @@
 //	→ thread-local run generation (each run sorted by rule: pdqsort when
 //	string prefixes may tie, no sort when the run arrived in order, else
 //	radix)
-//	→ single-pass k-way loser-tree merge with
-//	offset-value coding, partitioned across threads with k-way Merge Path
-//	→ columnar scan of the result
+//	→ single-pass k-way loser-tree merge with offset-value coding, cut
+//	into tasks at fences of the runs by Merge Path's stable rule and run
+//	on Options.Threads workers, fused with
+//	→ the columnar scan of the result
 //
 // Keys are compared as plain bytes (one dynamic bytes.Compare per
 // comparison), so the interpreted engine pays no per-column interpretation

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 
@@ -17,11 +19,11 @@ import (
 // files and the stage that reads them back are internal/spill's; this file is
 // what the sorter decides — which runs go to disk and when, in blocks of how
 // many rows, how many runs a budget can merge at once — and the merge itself:
-// every merge over spilled runs — the tasks of the result iterator, an
-// intermediate fan-in pass — streams all k runs block by block through one
-// offset-value-coded loser tree (extMerge), its blocks served by the block
-// stage. Resident memory is bounded by the stage's blocks, not by the output,
-// and every spilled byte is read exactly once.
+// every merge — the tasks of the result iterator, over runs in memory, on
+// disk or both, and an intermediate fan-in pass — streams all k runs through
+// one offset-value-coded loser tree (extMerge), the blocks of those on disk
+// served by the block stage. Resident memory is bounded by the stage's
+// blocks, not by the output, and every spilled byte is read exactly once.
 
 // spillFormat is the shape of this sort's rows, as its spill files hold them.
 func (s *Sorter) spillFormat() spill.Format {
@@ -207,11 +209,11 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	return nil
 }
 
-// extMerge is one claimant's streaming k-way merge over a key range of runs
-// served by a block stage: the offset-value-coded loser tree over each run's
+// extMerge is one claimant's streaming k-way merge over a range of runs in
+// memory, on disk or both: the offset-value-coded loser tree over each run's
 // current block (a resident run is one block: its own buffers, trimmed to
-// the range), refilled
-// from the stage as blocks run out. It emits payload references, not rows —
+// the range), refilled from the block stage as blocks of runs on disk run
+// out. It emits payload references, not rows —
 // next names each merged row as (slot in sets, row in that set), ready for
 // the cross-set gather kernels — so whoever drives it moves every payload
 // row once, from the decoded block to wherever it is going: an output chunk
@@ -227,7 +229,7 @@ type extMerge struct {
 	ow  *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
 	tie mergepath.CompareFunc
 
-	lo, hi  []byte // the key range being merged, on the safe prefix; nil is open
+	lo, hi  []byte // the range being merged, under the plan's bound order; nil is open
 	cur     []extCursor
 	m       *mergepath.Merger
 	sets    []*row.RowSet    // gather sources; the first len(cur) are the runs' current blocks at the last settle
@@ -242,12 +244,12 @@ type extCursor struct {
 	start      int    // absolute run index of payload's first row
 	pad        uint32 // the served keys' first row within payload (a block or resident run trimmed at lo)
 	slot       uint32 // payload's place in sets
-	first, end int    // the run's blocks in the key range
+	first, end int    // the run's blocks in the range
 	blk        int    // the current one; end when the run is exhausted
 }
 
-// newExtMerge returns a claimant's merge over p's runs, whose blocks st serves,
-// not yet on any range.
+// newExtMerge returns a claimant's merge over p's runs, whose blocks on disk
+// st serves (nil when none is), not yet on any range.
 func (s *Sorter) newExtMerge(ctx context.Context, p *mergePlan, st *spill.Stage, ow *obs.Worker) *extMerge {
 	k := len(p.ids)
 	e := &extMerge{s: s, p: p, st: st, ctx: ctx, ow: ow,
@@ -273,7 +275,7 @@ func (e *extMerge) open(t int) error {
 		c, r := &e.cur[i], s.runs[p.ids[i]]
 		var keys []byte
 		if r.spill == nil {
-			from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, e.lo, e.hi, p.safe)
+			from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, e.lo, e.hi, p.cmp)
 			*c = extCursor{payload: r.payload, pad: uint32(from)}
 			keys = r.keys[from*s.rowWidth : to*s.rowWidth]
 		} else {
@@ -308,7 +310,7 @@ func (e *extMerge) load(i int) ([]byte, error) {
 			}
 			return nil, err
 		}
-		from, to := keyRange(mergepath.Run{Data: b.Keys, Width: rw}, e.lo, e.hi, e.p.safe)
+		from, to := keyRange(mergepath.Run{Data: b.Keys, Width: rw}, e.lo, e.hi, e.p.cmp)
 		if from < to {
 			c.payload, c.start, c.pad = b.Payload, b.Start, uint32(from)
 			return b.Keys[from*rw : to*rw], nil
@@ -319,16 +321,16 @@ func (e *extMerge) load(i int) ([]byte, error) {
 	return nil, nil
 }
 
-// keyRange returns the rows [from, to) of sorted keys in the key range
-// [lo, hi) on the byte-decisive safe prefix; a nil bound is open. Only a
-// task's first and last block of a run can hold a key outside its range.
-func keyRange(keys mergepath.Run, lo, hi []byte, safe int) (from, to int) {
+// keyRange returns the rows [from, to) of sorted keys in the range [lo, hi)
+// under cmp, a plan's bound order; a nil bound is open. Only a task's first
+// and last block of a run can hold a row outside its range.
+func keyRange(keys mergepath.Run, lo, hi []byte, cmp mergepath.CompareFunc) (from, to int) {
 	to = keys.Len()
 	if lo != nil {
-		from = spill.LowerBound(keys, lo, safe)
+		from = mergepath.LowerBound(keys, lo, cmp)
 	}
 	if hi != nil {
-		to = spill.LowerBound(keys, hi, safe)
+		to = mergepath.LowerBound(keys, hi, cmp)
 	}
 	return from, to
 }
@@ -389,34 +391,6 @@ func (e *extMerge) settle() {
 		clear(e.sets[k:])
 		e.sets = e.sets[:k]
 	}
-}
-
-// planSpilledMerge is Finalize for a sort with runs on disk. It merges
-// nothing and reads nothing: the final merge runs inside the result iterator
-// (Sorter.Rows), which is handed the runs to merge. Under a budget their
-// number is first reduced to a fan-in the remaining budget can stream.
-func (s *Sorter) planSpilledMerge() error {
-	ids := make([]uint32, len(s.runs))
-	for i := range s.runs {
-		ids[i] = uint32(i)
-	}
-	s.dropPools()
-	if s.opt.limited() {
-		mw := s.rec.Worker("merge")
-		sp := mw.Begin(obs.PhaseMerge)
-		defer sp.End()
-		var err error
-		if ids, err = s.reduceFanIn(ids, mw); err != nil {
-			return err
-		}
-	}
-	s.ctr.Store(obs.MergeFanIn, int64(len(ids)))
-	for _, id := range ids {
-		s.resultRows += s.runs[id].rows
-	}
-	s.streamMerge = true
-	s.streamActive = ids
-	return nil
 }
 
 // reduceFanIn sheds resident runs, then merges contiguous batches of runs
@@ -556,21 +530,22 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 	return merged.id, nil
 }
 
-// mergePlan is one merge over runs of which some, usually all, are on disk:
-// the runs, and the tasks internal/spill's planner cuts it into.
+// mergePlan is one merge over runs in memory, on disk or both: the runs, and
+// the tasks internal/spill's planner cuts it into.
 type mergePlan struct {
 	*spill.Plan
-	ids    []uint32 // the runs, in merge (tie) order
-	index  []int32  // a run id's position in ids
-	anyTie bool     // some run needs the tie-break comparator
-	safe   int      // width of the byte-decisive key prefix
+	ids    []uint32              // the runs, in merge (tie) order
+	index  []int32               // a run id's position in ids
+	anyTie bool                  // some run needs the tie-break comparator
+	safe   int                   // width of the byte-decisive key prefix
+	cmp    mergepath.CompareFunc // the order task bounds compare in (boundOrder)
 }
 
 // drainTaskFences is the fences a task of the drain begins: as many as make
-// a resident task's rows at the default block size, and 8,192 rows at a
-// budget's 512-row block. Fixed by the null arms in EXPERIMENTS.md ("Spilled
-// runs stream through Rows", and "A budgeted sort drains on every thread"
-// for the budget's).
+// drainTaskRows at the default block size, and 8,192 rows at a budget's
+// 512-row block. Fixed by the null arms in EXPERIMENTS.md ("Spilled runs
+// stream through Rows", and "A budgeted sort drains on every thread" for the
+// budget's).
 const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 
 // planSpillTasks plans the merge of runs ids: as many tasks as the fences
@@ -580,21 +555,52 @@ const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
 	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
+	disk := false
 	for i, id := range ids {
 		r := s.runs[id]
 		p.index[id] = int32(i)
 		p.anyTie = p.anyTie || r.tieBreak
+		disk = disk || r.spill != nil
 		if files[i] = r.spill; r.spill == nil && !single {
 			resident[i] = s.residentFences(r)
 		}
 	}
 	p.safe = s.ovcSafeWidth(p.anyTie)
+	p.cmp = s.boundOrder(p, disk)
 	taskFences := drainTaskFences
 	if single {
 		taskFences = 0
 	}
-	p.Plan = spill.PlanTasks(files, resident, p.safe, taskFences)
+	p.Plan = spill.PlanTasks(files, resident, p.cmp, taskFences)
 	return p
+}
+
+// boundOrder returns the order p's task bounds compare in: the merge's whole
+// order — the key, then the run's place in the merge, then the row's place in
+// its run, both read off the row's payload reference. It is total, and every
+// run, block and fence list is sorted under it, so a bound row's LowerBound in
+// a run is its Merge Path rank there, and rows of equal keys are split
+// between tasks where the stable merge would. The tie comparator, though,
+// reads a row's payload, which a fence of a run on disk does not have at
+// hand: a plan whose keys may tie and that has a run on disk compares the
+// byte-decisive prefix alone, so rows tying on it stay in one task.
+func (s *Sorter) boundOrder(p *mergePlan, disk bool) mergepath.CompareFunc {
+	if p.anyTie && disk {
+		safe := p.safe
+		return func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }
+	}
+	_, key := s.mergeOrder(p.anyTie, s.residentPayload)
+	return func(a, b []byte) int {
+		if c := key(a, b); c != 0 {
+			return c
+		}
+		ra, ia := s.getRef(a)
+		rb, ib := s.getRef(b)
+		if c := cmp.Compare(p.index[ra], p.index[rb]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ia, ib)
+	}
 }
 
 // residentFences returns the fences of a run in memory: its key rows at
@@ -647,7 +653,7 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 				first, end := p.Span(i, lo, hi)
 				rows += (end - first) * blockRows
 			} else {
-				from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, lo, hi, p.safe)
+				from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, lo, hi, p.cmp)
 				rows += to - from
 			}
 		}

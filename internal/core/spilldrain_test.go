@@ -85,10 +85,14 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 // yields for the same runs in memory — compared as rows, since a task's last
 // chunk may be short — across run counts on both sides of a power of two,
 // merges with and without the tie-break comparator, and unique,
-// duplicate-heavy and all-equal keys (where every fence ties, and the plan
-// must degrade to one task). A budgeted drain over runs some of which are
-// still in memory cuts, at a pinned block size, the tasks the all-spilled
-// drain cuts: a resident run's fences stand where its file's would.
+// duplicate-heavy and all-equal keys. Byte-decisive keys are cut in the
+// merge's whole order: a drain whose runs have more fences than a task
+// begins runs more than one task, equal keys or not. Keys that may tie, with
+// a run on disk, are cut on the byte-decisive prefix: all-equal ones, where
+// every fence ties, make one task. A budgeted drain over runs some of which
+// are still in memory cuts, at a pinned block size, the tasks the
+// all-spilled drain cuts: a resident run's fences stand where its file's
+// would.
 func TestSpilledRowsGridByteIdentity(t *testing.T) {
 	const n = 3*vector.DefaultVectorSize + 17
 	sorts, tasks := 0, int64(0)
@@ -119,6 +123,7 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 						s := spilledSorter(t, tbl, keys, opt, blockRows, spill)
 						ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v block=%d threads=%d",
 							ctx, runs, drainKeyNames[dist], tieBreak, blockRows, opt.Threads)
+						fences := resultFences(s)
 						got := drainAll(t, s)
 						if !bytes.Equal(rowify(t, got).Bytes(), want) {
 							t.Fatalf("%s: rows differ from the oracle's", ctx)
@@ -127,8 +132,11 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 						if st.SpillBytesRead != st.SpillBytesWritten {
 							t.Fatalf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
 						}
-						if dist == keysAllEqual && st.ExtMergeParts != 1 {
+						switch {
+						case dist == keysAllEqual && tieBreak && st.ExtMergeParts != 1:
 							t.Fatalf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, st.ExtMergeParts)
+						case !tieBreak && fences > drainTaskFences && st.ExtMergeParts < 2:
+							t.Fatalf("%s: %d task over %d fences", ctx, st.ExtMergeParts, fences)
 						}
 						sorts++
 						tasks += st.ExtMergeParts
@@ -166,9 +174,12 @@ func TestSpilledRowsGridByteIdentity(t *testing.T) {
 // all of them drains byte-identical to the in-memory oracle, which it could
 // not if a block held other than the rows its file's index says: a block's
 // rows are counted as it is decoded, and a stage opens a file only if it
-// starts with the format's header.
+// starts with the format's header. The drain's runs — a pass's output, run
+// 7, then run 4, which followed its inputs — are out of run-id order, and
+// their 18 fences make two tasks: a bound splits their equal keys in merge
+// order.
 func TestSpillFilesAreOneFormat(t *testing.T) {
-	const perRun = 1300 // two full blocks and a ragged last
+	const perRun = 1700 // three full blocks and a ragged last
 	tbl := drainTable(5*perRun, perRun, keysDupHeavy, 23)
 	keys := drainKeys(false)
 	opt := Options{Threads: 1, RunSize: perRun}
@@ -207,14 +218,17 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.MergePasses != 3 || st.PressureSpills != 5 || !slices.Equal(s.streamActive, []uint32{7, 4}) {
+	if st := s.Stats(); st.MergePasses != 3 || st.PressureSpills != 5 || !slices.Equal(s.resultIDs, []uint32{7, 4}) {
 		t.Fatalf("%d passes and %d runs shed left runs %v, want three and five leaving a pass's output beside run 4",
-			st.MergePasses, st.PressureSpills, s.streamActive)
+			st.MergePasses, st.PressureSpills, s.resultIDs)
 	}
 	check("Finalize-shed", s.runs[4])
 	check("pass output", s.runs[7])
 	if got := rowify(t, drainAll(t, s)).Bytes(); !bytes.Equal(got, want) {
 		t.Error("the merge of a pass's output and a shed run differs from the oracle")
+	}
+	if parts := s.Stats().ExtMergeParts; parts != 2 {
+		t.Errorf("the drain of %d fences ran %d tasks, want 2", resultFences(s), parts)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

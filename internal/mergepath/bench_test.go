@@ -126,37 +126,3 @@ func BenchmarkSplitPoint(b *testing.B) {
 		SplitPoint(a, c, (i*7919)%total, nil)
 	}
 }
-
-// BenchmarkKWaySplit times cutting a merged output into consecutive tasks of
-// taskRows rows, at two of the repository benchmark's run shapes: every
-// boundary searched over the whole runs by the reference it replaced
-// ("whole-run"), and each continued from the one before it ("incremental",
-// what core's result iterator does). One op is one boundary.
-func BenchmarkKWaySplit(b *testing.B) {
-	const taskRows = 1 << 16
-	for _, sh := range []struct {
-		name                         string
-		k, rows, width, kw, distinct int
-	}{
-		{"16x128Ki/w24/key9", 16, 1 << 17, 24, 9, 0},
-		{"8x128Ki/w40/key26/dup", 8, 1 << 17, 40, 26, 1 << 14},
-	} {
-		runs := benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 7)
-		tasks := sh.k * sh.rows / taskRows
-		cmp := func(x, y []byte) int { return bytes.Compare(x[:sh.kw], y[:sh.kw]) }
-		b.Run(sh.name+"/whole-run", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				refKWaySplit(runs, (i%tasks+1)*taskRows, cmp)
-			}
-		})
-		b.Run(sh.name+"/incremental", func(b *testing.B) {
-			var from []int
-			for i := 0; i < b.N; i++ {
-				if i%tasks == 0 {
-					from = nil
-				}
-				from = KWaySplit(runs, (i%tasks+1)*taskRows, cmp, from)
-			}
-		})
-	}
-}

@@ -8,9 +8,9 @@ import (
 // This file implements the single-pass k-way merge: a tournament (loser)
 // tree over k sorted runs, with offset-value coding (Do & Graefe) so that
 // most tree matches resolve by comparing two integers instead of two
-// full-width normalized keys, and a k-way generalization of Merge Path
-// (KWaySplit) so the output can be cut at exact ranks and the pieces merged
-// independently.
+// full-width normalized keys. Its output can be cut into pieces merged
+// independently: every run split at a bound row with LowerBound under the
+// merge's whole order (see mergepath.go).
 //
 // Offset-value coding caches, per candidate row, where that row first
 // differs from the key it most recently lost to (or followed within its
@@ -182,10 +182,18 @@ func (m *Merger) build(node int) uint64 {
 // winner is advanced lazily here, so a streaming caller can flush work that
 // references the old block from inside its refill callback.
 func (m *Merger) Next() (run, pos int, row []byte, ok bool) {
-	if m.started {
+	switch {
+	case !m.started:
+		m.started = true
+	case m.k == 1 && uint32(m.tree[0]>>32) != exhausted && (m.cur[0].pos+2)*m.cur[0].run.Width <= len(m.cur[0].run.Data):
+		// One run, short of its block's end: its next row wins with no match
+		// to play, and no code is derived for it.
+		c := &m.cur[0]
+		c.pos++
+		return 0, c.pos, c.run.Row(c.pos), true
+	default:
 		m.advance()
 	}
-	m.started = true
 	win := m.tree[0]
 	if uint32(win>>32) == exhausted {
 		return 0, 0, nil, false
@@ -207,6 +215,12 @@ func (m *Merger) advance() {
 	w := c.run.Width
 	prev := c.run.Data[c.pos*w:]
 	c.pos++
+	if m.k == 1 {
+		// One run at its block's end (Next steps within a block itself): the
+		// code only says whether the run goes on.
+		m.tree[0] = uint64(m.nextBlock(r, prev))<<32 | uint64(r)
+		return
+	}
 	var code uint32
 	switch {
 	case len(prev) < 2*w:
@@ -356,122 +370,4 @@ func drainMerger(m *Merger, dst []byte, w int) {
 		k++
 	}
 	m.stats.BytesMoved += uint64(k * w)
-}
-
-// lowerBound returns the first index in r[lo:hi] whose row is not before e
-// (hi when there is none).
-func lowerBound(r Run, lo, hi int, e []byte, c CompareFunc) int {
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c(r.Row(m), e) < 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first index in r[lo:hi] whose row is after e (hi
-// when there is none).
-func upperBound(r Run, lo, hi int, e []byte, c CompareFunc) int {
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c(r.Row(m), e) <= 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// KWaySplit generalizes SplitPoint to k runs: it returns s with sum(s) = d
-// such that the stable k-way merge (ties to the lower run index) outputs
-// exactly runs[r][:s[r]] as its first d rows. It runs a multisequence
-// selection: each probe pivots on the middle of the widest undecided run and
-// tightens every run's bounds by the pivot's global rank.
-//
-// from, when non-nil, is the split at some rank at or below d (an earlier
-// boundary of the same runs). Splits are monotone in d, so run r's answer
-// lies in [from[r], from[r]+d-sum(from)] and only that window is searched:
-// cutting an output into consecutive tasks costs each boundary a search over
-// one task's rows, not over the runs. from is not modified.
-func KWaySplit(runs []Run, d int, cmp CompareFunc, from []int) []int {
-	c := cmpOrDefault(cmp)
-	k := len(runs)
-	lo := make([]int, k)
-	hi := make([]int, k)
-	sumLo := 0
-	for r := range from {
-		lo[r] = from[r]
-		sumLo += from[r]
-	}
-	sumHi := 0
-	for r := range runs {
-		hi[r] = min(runs[r].Len(), lo[r]+max(d-sumLo, 0))
-		sumHi += hi[r]
-	}
-	if d <= sumLo {
-		return lo
-	}
-	if d >= sumHi {
-		return hi
-	}
-	cnt := make([]int, k)
-	for sumLo != d && sumHi != d {
-		// Pivot on the widest open range; the loop invariant
-		// lo[r] <= s[r] <= hi[r] guarantees one exists while the sums differ.
-		p, width := -1, 0
-		for r := range runs {
-			if hi[r]-lo[r] > width {
-				p, width = r, hi[r]-lo[r]
-			}
-		}
-		mid := int(uint(lo[p]+hi[p]) >> 1)
-		// A window much wider than the rows still to place (the first
-		// probes after from) holds the answer near its low end: probe at
-		// twice a run's even share of them, so that the likely outcome,
-		// "outside", closes every window to about that far.
-		if x := lo[p] + 2*(d-sumLo)/k; x < mid {
-			mid = x
-		}
-		e := runs[p].Row(mid)
-		// rank(e): rows strictly before (p, mid) in the stable merge order,
-		// each run's count clamped to its open range — the clamped total is
-		// below d exactly when the true rank is, and a bound only ever moves
-		// within its range.
-		tot := 0
-		for r := range runs {
-			switch {
-			case r < p:
-				cnt[r] = upperBound(runs[r], lo[r], hi[r], e, c) // earlier runs win ties
-			case r == p:
-				cnt[r] = mid
-			default:
-				cnt[r] = lowerBound(runs[r], lo[r], hi[r], e, c)
-			}
-			tot += cnt[r]
-		}
-		if tot < d {
-			// e is inside the first d rows, and so is everything before it.
-			for r := range runs {
-				sumLo += cnt[r] - lo[r]
-				lo[r] = cnt[r]
-			}
-			sumLo += mid + 1 - lo[p]
-			lo[p] = mid + 1
-		} else {
-			// e is outside the first d rows, and so is everything at or
-			// after its rank.
-			for r := range runs {
-				sumHi -= hi[r] - cnt[r]
-				hi[r] = cnt[r]
-			}
-		}
-	}
-	if sumLo == d {
-		return lo
-	}
-	return hi
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 )
@@ -14,7 +13,8 @@ import (
 // cursors, come precomputed per run (refComputeOVC), and every match
 // dereferences both cursors. It is kept test-only as the oracle the
 // differential test compares the production Merger against — output bytes
-// and every Stats counter.
+// and every Stats counter. It follows the production tree in one change made
+// since: a one-run tree plays no match and counts no duplicate-run hit.
 
 // refComputeOVC returns the within-run codes of r: codes[i] is row i relative
 // to row i-1. codes[0] is left zero — the tree never reads the code of a
@@ -142,6 +142,11 @@ func (m *refMerger) advance(r int) {
 		}
 	} else if m.keyWidth > 0 {
 		c.code = c.codes[c.pos]
+	}
+	// One run: its next row wins with no match played and no hit counted.
+	if m.k == 1 {
+		m.winner = r
+		return
 	}
 	// Duplicate-run fast path: a within-run (or cross-block carry) code of 0
 	// means the new row is byte-equal to the row just emitted. That row beat
@@ -431,121 +436,6 @@ func TestNoSlackRowsStayInBounds(t *testing.T) {
 		got := make([]byte, total*kw)
 		if st := KWayMergeOVC(got, runs, kw, nil, nil); st != wantSt || !bytes.Equal(got, want) {
 			t.Fatalf("kw=%d: no-slack merge differs from the reference (stats %+v, want %+v)", kw, st, wantSt)
-		}
-	}
-}
-
-// refKWaySplit is the whole-run multisequence selection KWaySplit replaced:
-// every probe binary-searches each run from end to end. Kept as the oracle
-// for the bounded, incremental search.
-func refKWaySplit(runs []Run, d int, cmp CompareFunc) []int {
-	c := cmpOrDefault(cmp)
-	k := len(runs)
-	lo := make([]int, k)
-	hi := make([]int, k)
-	sumLo, sumHi := 0, 0
-	for r := range runs {
-		hi[r] = runs[r].Len()
-		sumHi += hi[r]
-	}
-	if d <= 0 {
-		return lo
-	}
-	if d >= sumHi {
-		return hi
-	}
-	cnt := make([]int, k)
-	for sumLo != d && sumHi != d {
-		p, width := -1, 0
-		for r := range runs {
-			if hi[r]-lo[r] > width {
-				p, width = r, hi[r]-lo[r]
-			}
-		}
-		mid := int(uint(lo[p]+hi[p]) >> 1)
-		e := runs[p].Row(mid)
-		tot := 0
-		for r := range runs {
-			switch {
-			case r < p:
-				cnt[r] = upperBound(runs[r], 0, runs[r].Len(), e, c)
-			case r == p:
-				cnt[r] = mid
-			default:
-				cnt[r] = lowerBound(runs[r], 0, runs[r].Len(), e, c)
-			}
-			tot += cnt[r]
-		}
-		if tot < d {
-			for r := range runs {
-				if cnt[r] > lo[r] {
-					sumLo += cnt[r] - lo[r]
-					lo[r] = cnt[r]
-				}
-			}
-			if mid+1 > lo[p] {
-				sumLo += mid + 1 - lo[p]
-				lo[p] = mid + 1
-			}
-		} else {
-			for r := range runs {
-				if cnt[r] < hi[r] {
-					sumHi -= hi[r] - cnt[r]
-					hi[r] = cnt[r]
-				}
-			}
-			if mid < hi[p] {
-				sumHi -= hi[p] - mid
-				hi[p] = mid
-			}
-		}
-	}
-	if sumLo == d {
-		return lo
-	}
-	return hi
-}
-
-// TestKWaySplitMatchesReference is the differential test for the bounded
-// search: at every rank the split equals the whole-run search's, from
-// scratch and continued from an earlier boundary (the previous rank's, and
-// one a random distance back), over random, duplicate-heavy and all-equal
-// keys, runs that are empty or hold one row, and with the tie comparator on
-// (full-row order) and off (ties to the lower run).
-func TestKWaySplitMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	const kw, width = 4, 8
-	prefix := func(a, b []byte) int { return bytes.Compare(a[:kw], b[:kw]) }
-	for _, k := range []int{1, 2, 3, 5, 16, 17} {
-		for _, allEqual := range []bool{false, true} {
-			for _, cmp := range []CompareFunc{prefix, nil} {
-				runs := diffRuns(rng, k, kw, width, allEqual)
-				total := 0
-				for _, r := range runs {
-					total += r.Len()
-				}
-				cuts := make([][]int, total+1)
-				for d := 0; d <= total; d++ {
-					cuts[d] = refKWaySplit(runs, d, cmp)
-				}
-				for d := -1; d <= total+1; d++ {
-					want := cuts[min(max(d, 0), total)]
-					froms := [][]int{nil}
-					if d > 0 && d <= total {
-						froms = append(froms, cuts[d-1], cuts[rng.Intn(d+1)])
-					}
-					for _, from := range froms {
-						keep := append([]int(nil), from...)
-						if got := KWaySplit(runs, d, cmp, from); !slices.Equal(got, want) {
-							t.Fatalf("k=%d allEqual=%v tie=%v d=%d from=%v: split %v, reference %v",
-								k, allEqual, cmp == nil, d, from, got, want)
-						}
-						if !slices.Equal(from, keep) {
-							t.Fatalf("KWaySplit modified from: %v, was %v", from, keep)
-						}
-					}
-				}
-			}
 		}
 	}
 }

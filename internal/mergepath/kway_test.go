@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -89,54 +90,16 @@ func TestKWayMergeOVCTieComparator(t *testing.T) {
 	}
 }
 
-func TestKWaySplitPrefixProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	var runs []Run
-	total := 0
-	for r := 0; r < 6; r++ {
-		n := rng.Intn(300)
-		runs = append(runs, sortedRun(randVals(n, 20, rng), 8, uint32(r)*100000))
-		total += n
-	}
-	full := make([]byte, total*8)
-	KWayMerge(full, runs, cmpKey)
-
-	for d := 0; d <= total; d += 13 {
-		s := KWaySplit(runs, d, cmpKey, nil)
-		sum := 0
-		for r := range runs {
-			if s[r] < 0 || s[r] > runs[r].Len() {
-				t.Fatalf("d=%d: split %d out of range for run %d", d, s[r], r)
-			}
-			sum += s[r]
-		}
-		if sum != d {
-			t.Fatalf("d=%d: split sums to %d", d, sum)
-		}
-		// Merging the prefixes must reproduce exactly the first d output rows.
-		prefix := make([]Run, len(runs))
-		for r := range runs {
-			prefix[r] = Run{Data: runs[r].Data[:s[r]*8], Width: 8}
-		}
-		got := make([]byte, d*8)
-		KWayMerge(got, prefix, cmpKey)
-		if !bytes.Equal(got, full[:d*8]) {
-			t.Fatalf("d=%d: prefix merge differs from full merge prefix", d)
-		}
-	}
-}
-
-// partitionedMerge merges runs into dst as p consecutive pieces cut with
-// KWaySplit, each boundary found incrementally from the previous one and each
-// piece merged by its own loser tree: what a caller that hands pieces to
-// threads does, run on one. With useOVC the trees compare offset-value codes
-// (keyWidth prefix bytes, tie for byte-equal keys); without, every match
-// compares keyWidth bytes and then tie.
+// partitionedMerge merges runs into dst as p consecutive pieces, each merged
+// by its own loser tree: what a caller that hands pieces to threads does, run
+// on one. The pieces are cut at bound rows, the rows at ranks part×total/p of
+// the merge, each found in every run by LowerBound under the merge's whole
+// order: the key (keyWidth prefix bytes, then tie), then sortedRun's tag,
+// which numbers a row by its run and its place there as core's payload
+// reference does. With useOVC the trees compare offset-value codes (keyWidth
+// prefix bytes, tie for byte-equal keys); without, every match compares
+// keyWidth bytes and then tie.
 func partitionedMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p int, useOVC bool) Stats {
-	total := 0
-	for _, r := range runs {
-		total += r.Len()
-	}
 	w := runWidth(runs)
 	eff := func(a, b []byte) int {
 		if c := bytes.Compare(a[:keyWidth], b[:keyWidth]); c != 0 {
@@ -147,14 +110,32 @@ func partitionedMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p i
 		}
 		return 0
 	}
+	whole := func(a, b []byte) int {
+		if c := eff(a, b); c != 0 {
+			return c
+		}
+		return bytes.Compare(a[4:8], b[4:8])
+	}
+	var rows [][]byte
+	for _, r := range runs {
+		for i := 0; i < r.Len(); i++ {
+			rows = append(rows, r.Row(i))
+		}
+	}
+	slices.SortFunc(rows, whole)
+	total := len(rows)
 	var st Stats
 	prev := make([]int, len(runs))
 	for part := 1; part <= p; part++ {
 		start, end := (part-1)*total/p, part*total/p
-		cut := KWaySplit(runs, end, eff, prev)
+		cut := make([]int, len(runs))
 		sub := make([]Run, len(runs))
-		for r := range runs {
-			sub[r] = Run{Data: runs[r].Data[prev[r]*w : cut[r]*w], Width: w}
+		for r, run := range runs {
+			cut[r] = run.Len()
+			if end < total {
+				cut[r] = LowerBound(run, rows[end], whole)
+			}
+			sub[r] = Run{Data: run.Data[prev[r]*w : cut[r]*w], Width: w}
 		}
 		m := NewMerger(sub, 0, eff)
 		if useOVC {
@@ -167,33 +148,43 @@ func partitionedMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p i
 	return st
 }
 
+// TestPartitionedKWayMerge cuts merges of duplicate-heavy keys, of keys that
+// are all equal and of runs some of which are empty into 1 to 16 pieces at
+// bound rows: the pieces' merges concatenate to the scalar merge's output,
+// so a bound's LowerBound in every run is its Merge Path rank, equal keys
+// included.
 func TestPartitionedKWayMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	var runs []Run
-	total := 0
-	for r := 0; r < 10; r++ {
-		n := rng.Intn(500)
-		runs = append(runs, sortedRun(randVals(n, 30, rng), 8, uint32(r)*100000))
-		total += n
-	}
-	want := make([]byte, total*8)
-	KWayMergeOVC(want, runs, 4, nil, bytes.Compare)
+	for _, mod := range []uint32{30, 1} {
+		var runs []Run
+		total := 0
+		for r := 0; r < 10; r++ {
+			n := rng.Intn(500)
+			if r%4 == 3 {
+				n = 0
+			}
+			runs = append(runs, sortedRun(randVals(n, mod, rng), 8, uint32(r)*100000))
+			total += n
+		}
+		want := make([]byte, total*8)
+		KWayMergeOVC(want, runs, 4, nil, bytes.Compare)
 
-	for _, useOVC := range []bool{true, false} {
-		for p := 1; p <= 16; p++ {
-			got := make([]byte, total*8)
-			st := partitionedMerge(got, runs, 4, bytes.Compare, p, useOVC)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("useOVC=%v p=%d: partitioned merge differs from scalar", useOVC, p)
-			}
-			if st.BytesMoved != uint64(total*8) {
-				t.Fatalf("useOVC=%v p=%d: BytesMoved %d", useOVC, p, st.BytesMoved)
-			}
-			if useOVC && st.OVCHits == 0 {
-				t.Fatalf("p=%d: no OVC hits in OVC mode", p)
-			}
-			if !useOVC && st.OVCHits != 0 {
-				t.Fatalf("p=%d: OVC hits counted without OVC", p)
+		for _, useOVC := range []bool{true, false} {
+			for p := 1; p <= 16; p++ {
+				got := make([]byte, total*8)
+				st := partitionedMerge(got, runs, 4, bytes.Compare, p, useOVC)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("mod=%d useOVC=%v p=%d: partitioned merge differs from scalar", mod, useOVC, p)
+				}
+				if st.BytesMoved != uint64(total*8) {
+					t.Fatalf("mod=%d useOVC=%v p=%d: BytesMoved %d", mod, useOVC, p, st.BytesMoved)
+				}
+				if useOVC && mod > 1 && st.OVCHits == 0 {
+					t.Fatalf("p=%d: no OVC hits in OVC mode", p)
+				}
+				if !useOVC && st.OVCHits != 0 {
+					t.Fatalf("p=%d: OVC hits counted without OVC", p)
+				}
 			}
 		}
 	}

@@ -4,12 +4,16 @@
 // sorted runs at once, accelerated with offset-value coding (see kway.go):
 // most tree matches compare two cached integers instead of two full-width
 // normalized keys, and the output is produced in one pass instead of the
-// O(log k) copy passes of a cascaded 2-way merge. Parallelism comes from a
-// k-way generalization of Merge Path (Green, Odeh and Birk): KWaySplit cuts
-// the merged output at exact ranks with binary searches, so each thread
-// merges a disjoint slice of every run into a disjoint slice of the output,
-// byte-identical to the scalar merge. The threads are the caller's (core's
-// result iterator hands such slices to its workers); this package only cuts.
+// O(log k) copy passes of a cascaded 2-way merge. Parallelism follows Merge
+// Path (Green, Odeh and Birk), which splits the output at ranks of the
+// stable merge order: under the merge's whole order — the key, then the
+// run's place in the merge, then the row's place in its run — every row has
+// a distinct rank, so a bound row's LowerBound in each run is that run's
+// share of the output below it, and the pieces between consecutive bounds
+// merge independently, byte-identical to the scalar merge. The caller
+// chooses the bounds and owns the threads (core's result iterator cuts at
+// fence rows of its runs, see internal/spill); this package merges and
+// searches.
 //
 // The 2-way primitives (SplitPoint, MergeInto, ParallelMerge) and the
 // cascaded CascadeMerge are the paper's Merge Path merge. The sorter does not
@@ -47,6 +51,24 @@ func cmpOrDefault(cmp CompareFunc) CompareFunc {
 		return bytes.Compare
 	}
 	return cmp
+}
+
+// LowerBound returns the first index in r whose row is not below key under
+// cmp (nil means bytes.Compare), or r.Len() when there is none. Under the
+// merge's whole order it is the rank split of Merge Path; under an order
+// that ties, rows tying with key all land at or above it.
+func LowerBound(r Run, key []byte, cmp CompareFunc) int {
+	c := cmpOrDefault(cmp)
+	lo, hi := 0, r.Len()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c(r.Row(m), key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // SplitPoint returns the Merge Path split (i, j) with i+j = d such that a

@@ -1,22 +1,19 @@
 package spill
 
-import (
-	"bytes"
+import "rowsort/internal/mergepath"
 
-	"rowsort/internal/mergepath"
-)
-
-// A merge of spilled runs is cut into tasks the way a resident one is, with
-// the files' block indexes standing in for random access: a run on disk can
-// be entered at any block, and every block's first key row — its fence — is
-// in memory. A run still in memory is given fences too, every so many of its
-// key rows: they cut tasks as a file's do, and the stage never reads them. The
+// A merge of spilled runs is cut into tasks at fences: a run on disk can be
+// entered at any block, and every block's first key row — its fence — is in
+// memory. A run still in memory is given fences too, every so many of its key
+// rows: they cut tasks as a file's do, and the stage never reads them. The
 // fences of all runs, in merged order, cut every so many fences at the fence
-// key found there, give tasks whose key ranges [lower, upper) concatenate to
-// the whole output; those of the runs on disk, in that order, are the order
-// in which a merge first needs each block: the block stage's forecast. Bounds
-// compare only on the byte-decisive safe key prefix, so rows that tie beyond
-// it are never split across tasks and the output is byte-identical to the
+// found there, give tasks whose ranges [lower, upper) concatenate to the whole
+// output; those of the runs on disk, in that order, are the order in which a
+// merge first needs each block: the block stage's forecast. Bounds compare in
+// the order the caller gives: the merge's whole order, under which every row
+// is distinct and a bound splits even equal keys where the stable merge
+// would (Merge Path's rule), or an order that ties — a byte-decisive prefix —
+// whose ties are never split. Either way the output is byte-identical to the
 // sequential merge's at every task and worker count.
 
 // BlockRef names a block of a plan: Run is the run's place in the merge order.
@@ -25,27 +22,27 @@ type BlockRef struct{ Run, Blk int32 }
 // Plan is the task plan of one merge over runs of which some, usually all,
 // are on disk.
 type Plan struct {
-	files  []*File         // the runs, in merge (tie) order; nil for one in memory
-	fences []mergepath.Run // every run's fences: a file's, or those a run in memory was given
-	safe   int             // width of the byte-decisive key prefix
+	files  []*File               // the runs, in merge (tie) order; nil for one in memory
+	fences []mergepath.Run       // every run's fences: a file's, or those a run in memory was given
+	cmp    mergepath.CompareFunc // the order bounds compare in
 
 	order  []BlockRef // every block on disk, by fence: the forecast
-	bounds [][]byte   // task t merges the keys in [bounds[t-1], bounds[t]); one fewer than tasks
+	bounds [][]byte   // task t merges the rows in [bounds[t-1], bounds[t]); one fewer than tasks
 	refs   [][]int32  // per run on disk and block: the tasks whose range overlaps it
 }
 
 // PlanTasks plans the merge of runs, given in merge order with nil for a run
-// still in memory, whose keys order by their bytes on the first safe of them.
-// resident[i], when runs[i] is nil, is that run's fences — every so many of
-// its key rows, at the files' stride — and may be empty (nil: none for any
-// run). With taskFences 0 the plan is one task; otherwise the merged fences
-// are cut wherever taskFences of them have gone by and the fence there is
-// above its predecessor — so that bounds strictly increase, every block
-// before a cut starts below it, and keys that all collide (a constant column)
-// degrade to one task, never to a wrong order. A run in memory is trimmed to
-// a task's range by its keys, not its fences: they only balance the tasks.
-func PlanTasks(runs []*File, resident []mergepath.Run, safe, taskFences int) *Plan {
-	p := &Plan{files: runs, fences: make([]mergepath.Run, len(runs)), safe: safe, refs: make([][]int32, len(runs))}
+// still in memory, whose rows are sorted under cmp. resident[i], when runs[i]
+// is nil, is that run's fences — every so many of its key rows, at the files'
+// stride — and may be empty (nil: none for any run). With taskFences 0 the
+// plan is one task; otherwise the merged fences are cut wherever taskFences
+// of them have gone by and the fence there is above its predecessor under
+// cmp — always, when cmp is total; under one that ties, keys that all collide
+// (a constant column) degrade to one task, never to a wrong order. A run in
+// memory is trimmed to a task's range by its rows, not its fences: they only
+// balance the tasks.
+func PlanTasks(runs []*File, resident []mergepath.Run, cmp mergepath.CompareFunc, taskFences int) *Plan {
+	p := &Plan{files: runs, fences: make([]mergepath.Run, len(runs)), cmp: cmp, refs: make([][]int32, len(runs))}
 	blocks := 0
 	for i, f := range runs {
 		if f == nil {
@@ -60,15 +57,15 @@ func PlanTasks(runs []*File, resident []mergepath.Run, safe, taskFences int) *Pl
 	}
 
 	// Each run's fences are sorted: their merged order is a loser-tree merge
-	// away (ties to the earlier run, then the earlier fence).
+	// away (ties under cmp to the earlier run, then the earlier fence).
 	p.order = make([]BlockRef, 0, blocks)
 	var prev []byte
-	for pos, start, m := 0, 0, mergepath.NewMerger(p.fences, safe, nil); ; pos++ {
+	for pos, start, m := 0, 0, mergepath.NewMerger(p.fences, 0, cmp); ; pos++ {
 		r, blk, key, ok := m.Next()
 		if !ok {
 			break
 		}
-		if taskFences > 0 && pos-start >= taskFences && compareSafe(key, prev, safe) > 0 {
+		if taskFences > 0 && pos-start >= taskFences && cmp(key, prev) > 0 {
 			p.bounds = append(p.bounds, key)
 			start = pos
 		}
@@ -96,7 +93,7 @@ func PlanTasks(runs []*File, resident []mergepath.Run, safe, taskFences int) *Pl
 // Tasks returns how many tasks the merge is cut into.
 func (p *Plan) Tasks() int { return len(p.bounds) + 1 }
 
-// Bound returns task t's key range [lo, hi); nil is an open end.
+// Bound returns task t's range [lo, hi) of rows; nil is an open end.
 func (p *Plan) Bound(t int) (lo, hi []byte) {
 	if t > 0 {
 		lo = p.bounds[t-1]
@@ -116,35 +113,10 @@ func (p *Plan) Span(i int, lo, hi []byte) (first, end int) {
 	fences := p.fences[i]
 	end = fences.Len()
 	if hi != nil {
-		end = LowerBound(fences, hi, p.safe)
+		end = mergepath.LowerBound(fences, hi, p.cmp)
 	}
 	if lo != nil {
-		first = max(LowerBound(fences, lo, p.safe)-1, 0)
+		first = max(mergepath.LowerBound(fences, lo, p.cmp)-1, 0)
 	}
 	return first, end
-}
-
-// compareSafe compares two key rows on the byte-decisive safe prefix — the
-// only region where plain byte order is guaranteed to agree with the sort's
-// total order.
-func compareSafe(a, b []byte, safe int) int {
-	return bytes.Compare(a[:safe], b[:safe])
-}
-
-// LowerBound returns the first index in r whose row's safe prefix is not
-// below key's. Rows tying on the safe prefix stay together on one side of
-// every bound, which is what keeps range partitioning consistent with the
-// tie-broken total order; a merge trims a task's first and last block of a
-// run with it.
-func LowerBound(r mergepath.Run, key []byte, safe int) int {
-	lo, hi := 0, r.Len()
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if compareSafe(r.Row(m), key, safe) < 0 {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }

@@ -2,6 +2,7 @@ package spill
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -120,7 +121,7 @@ func TestFileFormat(t *testing.T) {
 	}
 
 	// Read it back, without read-ahead: every block on demand.
-	st, err := d.NewStage(PlanTasks([]*File{f}, nil, testKeyWidth, 0), nil, 0, 1)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, byKey, 0), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,15 +315,32 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 	}
 }
 
+// byKey orders test key rows by their key bytes alone: an order under which
+// equal keys tie.
+func byKey(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }
+
+// wholeOrder is byKey, then the run and the row the payload reference names:
+// the merge's whole order over testRun's rows (run ids in merge order), under
+// which no two rows tie.
+func wholeOrder(a, b []byte) int {
+	if c := byKey(a, b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(binary.LittleEndian.Uint32(a[9:]), binary.LittleEndian.Uint32(b[9:])); c != 0 {
+		return c
+	}
+	return cmp.Compare(binary.LittleEndian.Uint32(a[13:]), binary.LittleEndian.Uint32(b[13:]))
+}
+
 // fence returns the first key row of block ref.
 func (p *Plan) fence(ref BlockRef) []byte { return p.files[ref.Run].fence(int(ref.Blk)) }
 
 // TestPlanTasks checks the planner on three runs of interleaved keys: the
-// forecast holds every block once, in fence order; bounds strictly increase
-// on the safe prefix; every block is due to the tasks whose range can hold
-// one of its keys, and to at least one; a run in memory cuts tasks by the
-// fences it is given and is never forecast; keys that all collide make one
-// task.
+// forecast holds every block once, in fence order; bounds strictly increase;
+// every block is due to the tasks whose range can hold one of its keys, and
+// to at least one; a run in memory cuts tasks by the fences it is given and
+// is never forecast. Keys that all collide make one task under an order that
+// ties them, and a task every taskFences fences under the whole order.
 func TestPlanTasks(t *testing.T) {
 	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
 	defer d.Close()
@@ -331,13 +349,12 @@ func TestPlanTasks(t *testing.T) {
 		keys, payload := testRun(uint32(id), 640, func(i int) uint64 { return uint64(3*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64))
 	}
-	safe := testKeyWidth
-	p := PlanTasks(files, nil, safe, 4)
+	p := PlanTasks(files, nil, byKey, 4)
 	if len(p.order) != 30 || p.Tasks() < 5 {
 		t.Fatalf("%d blocks forecast, %d tasks", len(p.order), p.Tasks())
 	}
 	for i := 1; i < len(p.order); i++ {
-		if compareSafe(p.fence(p.order[i-1]), p.fence(p.order[i]), safe) > 0 {
+		if byKey(p.fence(p.order[i-1]), p.fence(p.order[i])) > 0 {
 			t.Fatalf("forecast position %d is below its predecessor", i)
 		}
 	}
@@ -347,15 +364,15 @@ func TestPlanTasks(t *testing.T) {
 	}
 	for task := 0; task < p.Tasks(); task++ {
 		lo, hi := p.Bound(task)
-		if lo != nil && hi != nil && compareSafe(lo, hi, safe) >= 0 {
+		if lo != nil && hi != nil && byKey(lo, hi) >= 0 {
 			t.Fatalf("task %d: bounds do not increase", task)
 		}
 		for i, f := range files {
 			first, end := p.Span(i, lo, hi)
 			for b := 0; b < f.NumBlocks(); b++ {
 				// The block's keys run from its fence to just below the next.
-				holds := (hi == nil || compareSafe(f.fence(b), hi, safe) < 0) &&
-					(lo == nil || b+1 == f.NumBlocks() || compareSafe(f.fence(b+1), lo, safe) > 0)
+				holds := (hi == nil || byKey(f.fence(b), hi) < 0) &&
+					(lo == nil || b+1 == f.NumBlocks() || byKey(f.fence(b+1), lo) > 0)
 				if holds && (b < first || b >= end) {
 					t.Fatalf("task %d: block %d of run %d can hold a key of its range and is not in its span [%d,%d)", task, b, i, first, end)
 				}
@@ -382,7 +399,7 @@ func TestPlanTasks(t *testing.T) {
 	for i := 0; i < 640; i += 64 {
 		fences = append(fences, keys1[i*rw:(i+1)*rw]...)
 	}
-	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, safe, 4)
+	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, byKey, 4)
 	if mixed.Tasks() != p.Tasks() || len(mixed.order) != 20 || mixed.refs[1] != nil {
 		t.Errorf("with a run in memory: %d tasks over %d blocks, want %d over 20", mixed.Tasks(), len(mixed.order), p.Tasks())
 	}
@@ -400,14 +417,18 @@ func TestPlanTasks(t *testing.T) {
 			t.Fatal("the forecast holds a block of the run in memory")
 		}
 	}
-	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, safe, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
+	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, byKey, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
 		t.Errorf("a run in memory without fences: %d tasks, want fewer than %d, and more than one", q.Tasks(), p.Tasks())
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
-	if p := PlanTasks([]*File{writeRun(t, d, 9, keys, payload, 64)}, nil, safe, 4); p.Tasks() != 1 {
-		t.Errorf("keys that all collide: %d tasks, want 1", p.Tasks())
+	constant := writeRun(t, d, 9, keys, payload, 64)
+	if p := PlanTasks([]*File{constant}, nil, byKey, 4); p.Tasks() != 1 {
+		t.Errorf("keys that all collide, compared by key: %d tasks, want 1", p.Tasks())
 	}
-	if got := LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), safe); got != 3 {
+	if p := PlanTasks([]*File{constant}, nil, wholeOrder, 4); p.Tasks() != 3 {
+		t.Errorf("keys that all collide, in the whole order: %d tasks of 10 fences, want 3", p.Tasks())
+	}
+	if got := mergepath.LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), byKey); got != 3 {
 		t.Errorf("LowerBound of a run's fourth fence among its fences: %d", got)
 	}
 }
@@ -425,7 +446,7 @@ func TestStageForecastServesClaimants(t *testing.T) {
 		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512))
 	}
-	p := PlanTasks(files, nil, testKeyWidth, 0)
+	p := PlanTasks(files, nil, byKey, 0)
 	st, err := d.NewStage(p, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
