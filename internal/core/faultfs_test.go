@@ -20,9 +20,14 @@ type faultFS struct {
 
 	mu    sync.Mutex
 	armed fsFault
-	reads int // reads the armed fault has seen
-	fired int // times it has gone off
+	reads int           // reads the armed fault has seen
+	fired int           // times it has gone off
+	went  chan struct{} // closed when the armed fault first goes off
 }
+
+// fromFirst bounds how long a claimant's read outside the armed fault's from
+// waits for the fault to go off first.
+const fromFirst = 5 * time.Second
 
 // fsFault is one way the filesystem goes wrong. The zero value is no fault.
 type fsFault struct {
@@ -38,7 +43,10 @@ type fsFault struct {
 	flip    bool
 	stall   time.Duration
 	// With from set, only reads made under a function whose name ends in it
-	// go wrong, or are counted.
+	// go wrong, or are counted, and a claimant's read (under Acquire) waits
+	// for the fault to go off first, fromFirst at most: the forecast's reads
+	// race the claimants' for the same blocks, and a forecast that lost every
+	// race would leave its fault untried.
 	from string
 	// Files read as if they ended at byte truncateAt.
 	truncateAt int64
@@ -49,7 +57,7 @@ type fsFault struct {
 // arm sets the fault off from now on; arm(fsFault{}) disarms.
 func (f *faultFS) arm(fault fsFault) {
 	f.mu.Lock()
-	f.armed, f.reads = fault, 0
+	f.armed, f.reads, f.went = fault, 0, make(chan struct{})
 	f.mu.Unlock()
 }
 
@@ -62,6 +70,10 @@ func (f *faultFS) fault() fsFault {
 func (f *faultFS) fire() {
 	f.mu.Lock()
 	f.fired++
+	if f.went != nil {
+		close(f.went)
+		f.went = nil
+	}
 	f.mu.Unlock()
 }
 
@@ -125,10 +137,18 @@ type faultReader struct {
 func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	f := r.fs
 	f.mu.Lock()
-	fault := f.armed
+	fault, went := f.armed, f.went
 	nth := -1
 	if on := fault.from == "" || calledFrom(fault.from); !on {
 		fault = fsFault{}
+		if went != nil && calledFrom("(*Stage).Acquire") {
+			f.mu.Unlock()
+			select {
+			case <-went:
+			case <-time.After(fromFirst):
+			}
+			return r.ReadAtCloser.ReadAt(p, off)
+		}
 	} else if fault.readErr != nil || fault.flip || fault.stall > 0 {
 		nth = f.reads
 		f.reads++

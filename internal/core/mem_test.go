@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +175,90 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 	if broker.Peak() >= unlimited.PeakResidentRunBytes {
 		t.Errorf("budgeted peak %d not below unlimited peak %d",
 			broker.Peak(), unlimited.PeakResidentRunBytes)
+	}
+}
+
+// TestPrivateBudgetCutsSameRuns pins that under a private budget the runs
+// are a function of the input: the budget fixes the run size before ingest
+// (planIngest), so five sorts of one table cut as many runs, and merge in as
+// many passes, whatever the sinks' interleaving. Each output is value for
+// value the unlimited sort's (the keys take in a unique column, so the order
+// is total), and the peak stays within half the limit over it. Customer's
+// names add a string heap to the bytes the cut counts. (A run the heap ends
+// before its planned rows is TestBudgetedSinkCutsAtPlannedRunSize's.)
+func TestPrivateBudgetCutsSameRuns(t *testing.T) {
+	const rows, limit, sorts = 1 << 17, 2 << 20, 5
+	cases := []struct {
+		name    string
+		tbl     *vector.Table
+		keys    []SortColumn
+		threads []int
+	}{
+		{"catalog", workload.CatalogSales(rows, 10, 42),
+			[]SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}, {Column: 4}}, []int{2, 4}},
+		{"customer", workload.Customer(rows, 42),
+			[]SortColumn{{Column: 4}, {Column: 5}, {Column: 0}}, []int{2}},
+	}
+	for _, c := range cases {
+		want, _, err := SortTableStats(c.tbl, c.keys, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range c.threads {
+			t.Run(fmt.Sprintf("%s/threads=%d", c.name, threads), func(t *testing.T) {
+				var first SortStats
+				for i := 0; i < sorts; i++ {
+					got, st, err := SortTableStats(c.tbl, c.keys, Options{Threads: threads, MemoryLimit: limit})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						first = st
+					} else if st.RunsGenerated != first.RunsGenerated || st.MergePasses != first.MergePasses {
+						t.Errorf("sort %d cut %d runs in %d passes, sort 1 cut %d in %d",
+							i+1, st.RunsGenerated, st.MergePasses, first.RunsGenerated, first.MergePasses)
+					}
+					tablesEqual(t, want, got, fmt.Sprintf("sort %d", i+1))
+					if st.PeakResidentRunBytes > limit*3/2 {
+						t.Errorf("sort %d: peak %d is over 1.5 times the %d-byte limit", i+1, st.PeakResidentRunBytes, limit)
+					}
+				}
+				if first.SpillBytesWritten == 0 {
+					t.Error("the budget sent nothing to disk; it is meant to be tight")
+				}
+			})
+		}
+	}
+}
+
+// TestBudgetedSortAllocatesLikeEagerSpill pins what a budgeted sort
+// allocates against the eager-spill sort of the same input: within twice its
+// bytes a row. A budgeted sink fills the same run-sized buffers an unbudgeted
+// one does and keeps them from run to run, so what a budget adds is its
+// smaller runs' merge state, not a buffer per run.
+func TestBudgetedSortAllocatesLikeEagerSpill(t *testing.T) {
+	const rows = 1 << 17
+	tbl := workload.CatalogSales(rows, 10, 7)
+	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
+	perRow := func(opt Options) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		_, st, err := SortTableStats(tbl, keys, opt)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SpillBytesWritten == 0 {
+			t.Fatalf("%+v spilled nothing", opt)
+		}
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / rows
+	}
+	eager := perRow(Options{Threads: 2, RunSize: rows / 8, SpillDir: t.TempDir()})
+	budgeted := perRow(Options{Threads: 2, MemoryLimit: 4 << 20, SpillDir: t.TempDir()})
+	t.Logf("allocated %.1f B/row under a budget, %.1f B/row spilling eagerly", budgeted, eager)
+	if budgeted > 2*eager {
+		t.Errorf("a budgeted sort allocated %.1f B/row, more than twice the eager-spill sort's %.1f", budgeted, eager)
 	}
 }
 

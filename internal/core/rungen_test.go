@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"rowsort/internal/mem"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -302,54 +301,145 @@ func TestRecycledBuffersLeakNoStaleBytes(t *testing.T) {
 	}
 }
 
-// TestBudgetedSinkReservesNothingAhead is the other side of run-sized
-// pending buffers: under a budget the broker accounts capacity, so a sink
-// must never hold more than twice what is live in it plus the chunk it is
-// taking in. The same input unbudgeted reserves the whole run by its
+// TestBudgetedSinkCutsAtPlannedRunSize is the budgeted side of run-sized
+// pending buffers. A budget fixes the run size up front (planIngest), and a
+// sink reserves that run as an unbudgeted one reserves RunSize: its
+// reservation never exceeds its share of the budget plus the chunk it is
+// taking in, and on fixed-width input every run but the last holds exactly
+// the planned rows; on strings that fill the share first, runs end sooner,
+// all of one length. The same input unbudgeted reserves the whole run by its
 // second chunk, which the test checks too — otherwise the budgeted bound
 // would hold for the wrong reason.
-func TestBudgetedSinkReservesNothingAhead(t *testing.T) {
+func TestBudgetedSinkCutsAtPlannedRunSize(t *testing.T) {
 	const runSize = 32 * vector.DefaultVectorSize
-	tbl := widePayloadTable(runSize-vector.DefaultVectorSize, 5)
 	keys := []SortColumn{{Column: 0}}
 
-	// peakSlack feeds one sink the table (short of a run, so it never cuts)
-	// and returns the largest excess of its reservation over twice its live
-	// bytes.
-	peakSlack := func(opt Options) (slack, chunk int64) {
-		s, err := NewSorter(tbl.Schema, keys, opt)
-		if err != nil {
+	// A budget whose sink share holds four chunks of fixed-width rows, far
+	// below what the table needs, so runs spill as the sink goes.
+	fixed := workload.CatalogSales(runSize, 10, 5)
+	planned := 4 * vector.DefaultVectorSize
+	probe, err := NewSorter(fixed.Schema, keys, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := probe.pendingRowBytes()
+	probe.Close()
+	limit := 2 * int64(planned) * perRow
+	s, err := NewSorter(fixed.Schema, keys, Options{Threads: 1, RunSize: runSize, MemoryLimit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.runRows != planned || s.sinkShare != limit/2 {
+		t.Fatalf("a %d-byte budget planned runs of %d rows and a %d-byte share, want %d rows and %d bytes",
+			limit, s.runRows, s.sinkShare, planned, limit/2)
+	}
+	sink := s.NewSink()
+	chunk := int64(vector.DefaultVectorSize) * perRow
+	for _, c := range fixed.Chunks {
+		if err := sink.Append(c); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		sink := s.NewSink()
-		for _, c := range tbl.Chunks {
-			if err := sink.Append(c); err != nil {
-				t.Fatal(err)
-			}
-			if sink.runs != 0 {
-				t.Fatal("sink cut a run; the budget is meant to be roomy")
-			}
-			live := int64(len(sink.keys) + sink.payload.MemSize())
-			chunk = max(chunk, live/int64(sink.n)*int64(c.Len()))
-			slack = max(slack, sink.res.Bytes()-2*live)
+		if got := sink.res.Bytes(); got > s.sinkShare+chunk {
+			t.Fatalf("budgeted sink reserved %d bytes, more than its %d-byte share plus one %d-byte chunk",
+				got, s.sinkShare, chunk)
 		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.runs) != runSize/planned {
+		t.Fatalf("sink cut %d runs, want %d", len(s.runs), runSize/planned)
+	}
+	for i, r := range s.runs {
+		if r.rows != planned {
+			t.Errorf("run %d holds %d rows, want the planned %d", i, r.rows, planned)
 		}
-		return slack, chunk
 	}
-
-	broker := mem.NewBroker("roomy", 1<<30)
-	slack, chunk := peakSlack(Options{Threads: 1, RunSize: runSize, Broker: broker})
-	if slack > chunk {
-		t.Errorf("budgeted sink reserved %d bytes beyond twice its live bytes, more than one %d-byte chunk", slack, chunk)
+	if st := s.Stats(); st.PressureSpills == 0 {
+		t.Error("the budget forced no run to disk; it is meant to be tight")
 	}
-	if used := broker.Used(); used != 0 {
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if used := s.broker.Used(); used != 0 {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
 	}
-	if slack, chunk := peakSlack(Options{Threads: 1, RunSize: runSize}); slack <= chunk {
-		t.Errorf("unbudgeted sink never reserved ahead (largest excess %d bytes, one chunk is %d)", slack, chunk)
+
+	// Under the same plan, 120-byte strings fill the share first: runs end
+	// before the planned rows, all of one length, and the sink reserves no
+	// string heap for rows its share cannot hold.
+	schema := vector.Schema{{Name: "k", Type: vector.Int32}, {Name: "s", Type: vector.Varchar}}
+	strs := vector.NewTable(schema)
+	rng := workload.NewRNG(3)
+	for start := 0; start < runSize; start += vector.DefaultVectorSize {
+		c := vector.NewChunk(schema, vector.DefaultVectorSize)
+		for r := 0; r < vector.DefaultVectorSize; r++ {
+			c.Vectors[0].AppendInt32(int32(rng.Uint32()))
+			c.Vectors[1].AppendString(fmt.Sprintf("%0120d", rng.Uint64()))
+		}
+		if err := strs.AppendChunk(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := NewSorter(schema, keys, Options{Threads: 1, RunSize: runSize, MemoryLimit: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	hsink := h.NewSink()
+	var strChunk int64 // one chunk's live bytes, strings and all
+	for _, c := range strs.Chunks {
+		if err := hsink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+		if strChunk == 0 {
+			strChunk = hsink.liveBytes()
+		}
+		if got := hsink.res.Bytes(); got > h.sinkShare+strChunk {
+			t.Fatalf("string sink reserved %d bytes, more than its %d-byte share plus one %d-byte chunk",
+				got, h.sinkShare, strChunk)
+		}
+	}
+	if err := hsink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range h.runs[:len(h.runs)-1] {
+		if r.rows >= h.runRows || r.rows != h.runs[0].rows {
+			t.Errorf("string run %d holds %d rows, run 0 %d; want every run but the last as long, and under the planned %d",
+				i, r.rows, h.runs[0].rows, h.runRows)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Unbudgeted, the same sink reserves the whole run ahead: its largest
+	// excess of reservation over twice its live bytes passes one chunk.
+	tbl := widePayloadTable(runSize-vector.DefaultVectorSize, 5)
+	u, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: runSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	usink := u.NewSink()
+	var slack, wide int64
+	for _, c := range tbl.Chunks {
+		if err := usink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+		if usink.runs != 0 {
+			t.Fatal("unbudgeted sink cut a run short of RunSize")
+		}
+		live := int64(len(usink.keys) + usink.payload.MemSize())
+		wide = max(wide, live/int64(usink.n)*int64(c.Len()))
+		slack = max(slack, usink.res.Bytes()-2*live)
+	}
+	if err := usink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if slack <= wide {
+		t.Errorf("unbudgeted sink never reserved ahead (largest excess %d bytes, one chunk is %d)", slack, wide)
 	}
 }
 

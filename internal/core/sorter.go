@@ -5,8 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 
 	"rowsort/internal/mem"
 	"rowsort/internal/mergepath"
@@ -73,20 +73,21 @@ type Sorter struct {
 	// broker — sink buffers through per-sink reservations, sorted runs
 	// through runRes, recycled buffers parked in the pools through poolRes,
 	// merge block buffers through per-merge reservations. The broker's
-	// high-water mark feeds SortStats.PeakResidentRunBytes; crossing the
-	// budget fires the pressure subscription, which flips pressured so
-	// sinks cut their pending runs early and shed resident runs to disk.
-	// (pressured is its own allocation: the subscription must not reach the
-	// sorter, or whoever keeps the broker — the counter block samples it —
-	// would keep the sort's buffers.)
-	broker    *mem.Broker
-	runRes    *mem.Reservation   // resident sorted runs (keys + payload capacity)
-	poolRes   *mem.Reservation   // recycled buffers parked in the pools
-	sinkRes   []*mem.Reservation // every sink's, for Close to release (guarded by mu)
-	unsub     func()
-	keyBufs   *row.BufPool
-	sets      *row.SetPool
-	pressured *atomic.Bool
+	// high-water mark feeds SortStats.PeakResidentRunBytes; a run published
+	// while the broker chain is over budget sheds resident runs to disk
+	// (placeRun).
+	broker  *mem.Broker
+	runRes  *mem.Reservation   // resident sorted runs (keys + payload capacity)
+	poolRes *mem.Reservation   // recycled buffers parked in the pools
+	sinkRes []*mem.Reservation // every sink's, for Close to release (guarded by mu)
+	keyBufs *row.BufPool
+	sets    *row.SetPool
+
+	// The ingest plan, fixed by NewSorter: a sink cuts its pending run at
+	// runRows rows, or earlier when its live bytes pass sinkShare (see
+	// planIngest).
+	runRows   int
+	sinkShare int64
 
 	// Telemetry: rec records phase spans when Options.Telemetry is set (nil
 	// disables span recording at zero cost). ctr is the sort's counter block,
@@ -211,11 +212,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.poolRes = s.broker.Reserve("pools", 0)
 	s.keyBufs = row.NewBufPool(s.poolRes)
 	s.sets = row.NewSetPool(s.layout, s.poolRes)
-	if opt.limited() {
-		pressured := new(atomic.Bool)
-		s.pressured = pressured
-		s.unsub = s.broker.Subscribe(func(int64) { pressured.Store(true) })
-	}
+	s.planIngest()
 	s.ctr = obs.NewBlock(s.broker)
 	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
 	s.spills = spill.NewDir(spill.OS(), opt.SpillDir, s.ctr, s.rec)
@@ -225,6 +222,33 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		Weights:     perfmodel.SortPhaseWeights(s.keyWidth, s.layout.Width(), opt.SpillDir != "" || opt.limited()),
 	})
 	return s, nil
+}
+
+// planIngest fixes the run size. Without a budget a run is RunSize rows and
+// nothing else ends it. Under one — a limit somewhere in the broker chain,
+// judged by the headroom it has now — the sinks' pending buffers get half the
+// budget, split evenly over Threads sinks; resident runs, the run being
+// flushed and the drain get the other half. A run is then as many whole
+// vectors as a sink's share holds at pendingRowBytes, capped at RunSize and
+// never under one vector; only a string heap can end it sooner. Whole
+// vectors, because a sink cuts between chunks: a run planned a few rows past
+// a chunk would take in the next one whole, and its sink twice its share.
+func (s *Sorter) planIngest() {
+	s.runRows, s.sinkShare = s.opt.runSize(), math.MaxInt64
+	rem := s.broker.Remaining()
+	if rem == math.MaxInt64 {
+		return
+	}
+	s.sinkShare = rem / int64(2*s.opt.threads())
+	v := vector.DefaultVectorSize
+	s.runRows = min(s.runRows, max(int(s.sinkShare/s.pendingRowBytes())/v*v, v))
+}
+
+// pendingRowBytes is what a sink's reservation holds for one fixed-width
+// pending row: a key row, a radix-scratch row, a payload row and a
+// permutation entry.
+func (s *Sorter) pendingRowBytes() int64 {
+	return int64(2*s.rowWidth + s.layout.Width() + 4)
 }
 
 // SetExpectedRows declares the total input rows up front, when the caller
@@ -250,8 +274,8 @@ func (s *Sorter) getRef(keyRow []byte) (runID, idx uint32) {
 }
 
 // Sink is a per-thread ingestion point. It accumulates converted rows and
-// cuts a sorted run whenever RunSize rows are pending. Sinks are not safe
-// for concurrent use; create one per producing goroutine.
+// cuts a sorted run where the sorter's ingest plan says (planIngest). Sinks
+// are not safe for concurrent use; create one per producing goroutine.
 //
 // A row is copied where Figure 11 copies it and nowhere else: scattered
 // into payload once at ingest, reordered into the run's own set once after
@@ -271,7 +295,8 @@ type Sink struct {
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
 	n        int
-	runs     int // runs this sink has cut
+	runs     int   // runs this sink has cut
+	heapRow  int64 // string-heap bytes a pending row carried, last seen
 	tieBreak bool
 	closed   bool
 }
@@ -292,40 +317,37 @@ func (s *Sorter) NewSink() *Sink {
 
 // account syncs the sink's reservation with the capacity of every buffer
 // it holds: pending keys and payload, radix scratch, reorder permutation.
-// The return value is the budget verdict: false means the broker is over
-// budget and the pending run should be cut early (the bytes are charged
-// either way — accounting stays truthful, the caller sheds load).
-func (k *Sink) account() bool {
-	return k.res.SetTo(int64(cap(k.keys)) + k.payload.CapBytes() +
+func (k *Sink) account() {
+	k.res.SetTo(int64(cap(k.keys)) + k.payload.CapBytes() +
 		int64(cap(k.scratch)) + 4*int64(cap(k.idxs)))
 }
 
-// pendingCap returns the row capacity a pending buffer that holds have
-// rows should grow to so that it holds need.
+// liveBytes is what the pending run holds, by length: its key rows, as many
+// again for the radix scratch, a permutation entry a row and the payload with
+// its string heap. A recycled buffer's spare capacity cannot move a cut.
+func (k *Sink) liveBytes() int64 {
+	return int64(k.n)*int64(2*k.s.rowWidth+4) + int64(k.payload.MemSize())
+}
+
+// pendingCap returns the row capacity a pending buffer should grow to so
+// that it holds need rows.
 //
-// Without a budget the answer is the run size — every later chunk of every
-// later run then lands in place, with no growth copy — except for the
+// The answer is the planned run size (planIngest) — every later chunk of
+// every later run then lands in place, with no growth copy — except for the
 // sink's very first chunk, which gets exactly its own size so that a sort
 // of one chunk per sink does not pay for a run. A declared input size
 // (SetExpectedRows) below the run size bounds the run instead, for as long
-// as the declaration holds.
-//
-// Under a budget the broker accounts capacity, not length: reserving a run
-// up front would spend most of a small budget on empty space and trip
-// pressure on the first chunk. There capacity doubles, capped at the run
-// size, so a buffer never holds more than twice what is live in it.
-func (k *Sink) pendingCap(have, need int) int {
+// as the declaration holds. Under a budget the run size is what the sink's
+// share holds, so reserving it ahead stays within the share; where the string
+// heap the sink has seen fills the share first, the run is sized for the rows
+// the share holds with it, as the cut will end it there.
+func (k *Sink) pendingCap(need int) int {
 	s := k.s
-	c := s.opt.runSize()
-	switch {
-	case s.opt.limited():
-		c = min(max(2*have, 64), c)
-	case k.n == 0 && k.runs == 0:
+	c := int(min(int64(s.runRows), s.sinkShare/(s.pendingRowBytes()+k.heapRow)))
+	if k.n == 0 && k.runs == 0 {
 		c = need
-	default:
-		if exp := s.ctr.Value(obs.RowsExpected); int64(need) <= exp && exp < int64(c) {
-			c = int(exp)
-		}
+	} else if exp := s.ctr.Value(obs.RowsExpected); int64(need) <= exp && exp < int64(c) {
+		c = int(exp)
 	}
 	return max(c, need)
 }
@@ -339,9 +361,9 @@ func (k *Sink) reservePayload(n int) {
 	if k.payload.Cap() >= need {
 		return
 	}
-	c := k.pendingCap(k.payload.Cap(), need)
+	c := k.pendingCap(need)
 	k.payload.Reserve(c)
-	if k.n > 0 && !k.s.opt.limited() {
+	if k.n > 0 {
 		perRow := (k.payload.HeapLen() + k.n - 1) / k.n
 		k.payload.ReserveHeap(c * (perRow + perRow/8))
 	}
@@ -353,7 +375,7 @@ func (k *Sink) growKeys(n int) int {
 	rw := k.s.rowWidth
 	need := len(k.keys) + n*rw
 	if cap(k.keys) < need {
-		nb := make([]byte, len(k.keys), k.pendingCap(cap(k.keys)/rw, need/rw)*rw)
+		nb := make([]byte, len(k.keys), k.pendingCap(need/rw)*rw)
 		copy(nb, k.keys)
 		k.keys = nb
 	}
@@ -408,6 +430,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		ref += 1 << 32
 	}
 	k.n += n
+	k.heapRow = int64(k.payload.HeapLen() / k.n)
 	s.ctr.Add(obs.RowsIngested, int64(n))
 
 	// The encoder reports per-chunk whether any encoded key could byte-tie
@@ -417,15 +440,12 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	if st.Ties {
 		k.tieBreak = true
 	}
-	overBudget := !k.account()
+	k.account()
 	sp.End()
 
-	// Cut the run at the configured size — or early, when the broker
-	// reports pressure (this sink's growth pushed past the budget, or any
-	// sharer of the broker did): a cut run is something the pressure
-	// spiller can shed to disk, a pending one is not.
-	if k.n >= s.opt.runSize() ||
-		(s.opt.limited() && (overBudget || s.pressured.Swap(false))) {
+	// Cut the run at the planned size, or when the pending rows outgrow the
+	// sink's share of a budget, which only a string heap makes them do.
+	if k.n >= s.runRows || k.liveBytes() > s.sinkShare {
 		return k.flush()
 	}
 	return nil
@@ -461,22 +481,6 @@ func (k *Sink) radixScratch(keys []byte) []byte {
 		}
 	}
 	return k.scratch[:len(keys)]
-}
-
-// recycle ends a flush's use of the cut payload set and the sort scratch.
-// Without a budget the sink keeps them for its next run, the set emptied.
-// Under one they go back through the pools, whose pressure rule drops what
-// the budget cannot hold: a sink sitting on run-sized buffers while the
-// broker is over budget would be memory no spill could recover.
-func (k *Sink) recycle(cut *row.RowSet) {
-	s := k.s
-	if !s.opt.limited() {
-		cut.Reset()
-		return
-	}
-	s.putRowSet(cut)
-	s.putKeyBuf(k.scratch)
-	k.scratch, k.idxs = nil, nil
 }
 
 // flush turns the pending rows into a run: cut them loose, decide its sort,
@@ -518,7 +522,7 @@ func (k *Sink) flush() error {
 	sorted.Reserve(n)
 	sorted.ReserveHeap(payload.HeapLen())
 	sorted.AppendRowsFrom(payload, idxs)
-	k.recycle(payload)
+	payload.Reset() // the sink's own set: the next run fills it
 	k.account()
 	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
 	s.mu.Lock()
@@ -539,21 +543,14 @@ func (k *Sink) cut() (keys []byte, payload *row.RowSet, n int, tieBreak bool) {
 	s := k.s
 	keys, payload, n, tieBreak = k.keys, k.payload, k.n, k.tieBreak
 	k.keys, k.n, k.tieBreak = s.getKeyBuf(), 0, false
-	if s.opt.limited() {
-		// The cut set goes back through the pool when the run is built
-		// (see recycle); the next run starts in whatever the pool has.
-		k.payload = s.getRowSet()
-	}
 	k.runs++
 	// The cut key buffer leaves the sink's reservation here and enters the
 	// resident-run one once sorted, together with the reordered payload
 	// copy. In between — the sort plus the reorder — neither the cut keys
 	// nor the copy being built is charged anywhere: that is the per-sink
-	// accounting slack documented in DESIGN.md. Without a budget the pending
-	// payload set (which holds the cut rows until they are reordered), the
-	// radix scratch and the permutation stay in the sink's reservation
-	// throughout; under one the cut set joins the slack, and the scratch and
-	// permutation live only inside this window.
+	// accounting slack documented in DESIGN.md. The pending payload set
+	// (which holds the cut rows until they are reordered), the radix scratch
+	// and the permutation stay in the sink's reservation throughout.
 	k.account()
 	return keys, payload, n, tieBreak
 }

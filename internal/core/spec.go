@@ -51,6 +51,8 @@ type Options struct {
 	// RunSize is the number of rows per thread-local sorted run; 0 means
 	// DefaultRunSize. Smaller runs mean more merging; larger runs mean more
 	// run-generation work per thread (Section II's comparison-count model).
+	// Under a memory budget it is a cap: the sorter plans a run that fits
+	// each sink's share of the budget (see MemoryLimit).
 	RunSize int
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
@@ -82,14 +84,15 @@ type Options struct {
 	ReadAhead int
 	// MemoryLimit, when positive, bounds this sorter's resident bytes:
 	// sink buffers, sorted runs, pooled buffers, merge blocks, the chunks a
-	// parallel merge has produced ahead of the consumer. Crossing
-	// the limit does not fail the sort — it flips it into degraded mode:
-	// pending runs are cut early, resident runs spill to disk
-	// (SpillDir or a temp directory), and the final merge plans its fan-in
-	// from the remaining budget. Peak usage can
-	// transiently exceed the limit by bounded slack (one run being
-	// reordered, the merge's staging chunk; see DESIGN.md "Memory
-	// governance").
+	// parallel merge has produced ahead of the consumer. The budget fixes
+	// the run size up front: the sinks' pending runs get half of it, split
+	// evenly over Threads sinks, so a run is a function of the input and
+	// the budget, not of when pressure struck. Crossing the limit does not
+	// fail the sort — resident runs spill to disk, largest first (SpillDir
+	// or a temp directory), and the final merge plans its fan-in from the
+	// remaining budget. Peak usage can transiently exceed the limit by
+	// bounded slack (a run a sink being reordered, the merge's staging
+	// chunk; see DESIGN.md "Memory governance").
 	MemoryLimit int64
 	// Broker, when non-nil, shares a memory budget across sorters: the
 	// sorter carves a child broker (further bounded by MemoryLimit, if
@@ -163,8 +166,9 @@ func (o Options) limited() bool { return o.MemoryLimit > 0 || o.Broker != nil }
 // Fingerprint renders the options as a compact one-line summary — the run's
 // configuration signature in the observability registry, so an operator can
 // tell two concurrent runs' setups apart at a glance. It says what the
-// options fix: the resolved parallelism and run size, then every behavioural
-// option set away from its default. What a sort plans as it goes — the block
+// options fix: the resolved parallelism and RunSize, then every behavioural
+// option set away from its default. Under a budget runsize= is the cap the
+// sorter plans its runs under; what a sort plans — its runs, the block
 // shape, the fan-in — is in its SortStats, not here.
 func (o Options) Fingerprint() string {
 	var b strings.Builder

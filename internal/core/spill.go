@@ -54,10 +54,6 @@ func (s *Sorter) Close() error {
 	// is dead once the sorter is closed. Releases are idempotent, so a
 	// retried Close is harmless; the broker's peak
 	// (Stats().PeakResidentRunBytes) survives.
-	if s.unsub != nil {
-		s.unsub()
-		s.unsub = nil
-	}
 	s.runRes.Release()
 	s.poolRes.Release()
 	for _, res := range s.sinkRes {

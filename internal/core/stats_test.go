@@ -418,8 +418,8 @@ func TestRegistrySnapshotEqualsStats(t *testing.T) {
 // finished or still live — holds its counter block, decisions and recorder,
 // none of which can refer to the sorter, so the sorter and its buffers are
 // garbage the moment the caller drops them. (The block samples the sort's
-// broker, so the broker's pressure subscription must not reach the sorter
-// either: the live run here is a budgeted one.)
+// broker, so nothing the broker holds may reach the sorter either: the live
+// run here is a budgeted one.)
 func TestRetainedRunLeavesSorterCollectable(t *testing.T) {
 	tbl := workload.CatalogSales(4_096, 10, 7)
 	for _, finish := range []bool{true, false} {

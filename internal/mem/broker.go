@@ -7,11 +7,12 @@
 //
 // The broker never refuses memory — by the time a caller asks, the bytes
 // are already allocated — it answers whether the budget still holds. A
-// Grow that lands over any limit in the chain returns false and fires the
-// pressure subscribers, and the caller degrades: the sorter cuts its
-// pending run early and spills resident runs until the balance recovers.
-// Accounting therefore stays truthful under pressure, and the atomic
-// high-water mark (Peak) reports what was really held, not what was
+// Grow that lands over any limit in the chain returns false and counts a
+// pressure event, and the caller degrades: the sorter spills resident runs
+// until the balance recovers. A caller plans ahead from Remaining (the
+// sorter sizes its runs from it) and reacts to OverBudget; the broker calls
+// nobody back. Accounting therefore stays truthful under pressure, and the
+// atomic high-water mark (Peak) reports what was really held, not what was
 // wished for.
 //
 // A nil *Broker is a valid unlimited no-op (the same convention as a nil
@@ -22,7 +23,6 @@ package mem
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,10 +38,6 @@ type Broker struct {
 	peak atomic.Int64
 
 	pressureEvents atomic.Int64
-
-	mu      sync.Mutex
-	subs    map[int]func(need int64)
-	nextSub int
 }
 
 // NewBroker returns a root broker. limit is the budget in bytes; 0 means
@@ -135,47 +131,9 @@ func (b *Broker) OverBudget() bool {
 	return false
 }
 
-// Subscribe registers a pressure callback, fired (with the size of the
-// grow that could not be satisfied) whenever a Grow through this broker
-// ends over budget. Callbacks run on the growing goroutine with no broker
-// locks held, so they may inspect the broker freely; they must not block.
-// The returned function cancels the subscription. Nil-safe: on a nil
-// broker the callback never fires and the cancel is a no-op.
-func (b *Broker) Subscribe(fn func(need int64)) (cancel func()) {
-	if b == nil {
-		return func() {}
-	}
-	b.mu.Lock()
-	if b.subs == nil {
-		b.subs = make(map[int]func(int64))
-	}
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = fn
-	b.mu.Unlock()
-	return func() {
-		b.mu.Lock()
-		delete(b.subs, id)
-		b.mu.Unlock()
-	}
-}
-
-// notify fires the pressure subscribers outside any lock.
-func (b *Broker) notify(need int64) {
-	b.mu.Lock()
-	fns := make([]func(int64), 0, len(b.subs))
-	for _, fn := range b.subs {
-		fns = append(fns, fn)
-	}
-	b.mu.Unlock()
-	for _, fn := range fns {
-		fn(need)
-	}
-}
-
 // charge adds n bytes at this level and every ancestor, updating peaks,
-// and reports whether the whole chain is still within budget. On an
-// over-budget result the leaf's pressure subscribers are notified.
+// and reports whether the whole chain is still within budget. An
+// over-budget grow counts a pressure event at the leaf.
 func (b *Broker) charge(n int64) bool {
 	ok := true
 	for p := b; p != nil; p = p.parent {
@@ -192,7 +150,6 @@ func (b *Broker) charge(n int64) bool {
 	}
 	if !ok && n > 0 {
 		b.pressureEvents.Add(1)
-		b.notify(n)
 	}
 	return ok
 }
