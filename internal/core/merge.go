@@ -7,202 +7,233 @@ import (
 	"errors"
 
 	"rowsort/internal/mergepath"
+	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 )
 
-// Spilling demonstrates the paper's future-work direction: because a run is
-// just flat key rows plus a row-format payload, it can be offloaded to
-// secondary storage in one unified format with no conversion. The format, the
-// files and the stage that reads them back are internal/spill's; this file is
-// what the sorter decides — which runs go to disk and when, in blocks of how
-// many rows, how many runs a budget can merge at once — and the merge itself:
-// every merge — the tasks of the result iterator, over runs in memory, on
-// disk or both, and an intermediate fan-in pass — streams all k runs through
-// one offset-value-coded loser tree (extMerge), the blocks of those on disk
-// served by the block stage. Resident memory is bounded by the stage's
+// The merge. Every merge — the tasks of the result iterator, over runs in
+// memory, on disk or both, and an intermediate fan-in pass — streams all k
+// runs through one offset-value-coded loser tree (extMerge), the blocks of
+// those on disk served by internal/spill's block stage. This file plans it —
+// the order over key rows, the tasks and the order their bounds compare in,
+// how many runs a budget can merge at once and how many claimants a budgeted
+// drain affords — and runs it. Resident memory is bounded by the stage's
 // blocks, not by the output, and every spilled byte is read exactly once.
 
-// spillFormat is the shape of this sort's rows, as its spill files hold them.
-func (s *Sorter) spillFormat() spill.Format {
-	return spill.Format{RowWidth: s.rowWidth, Layout: s.layout}
-}
-
-// Close removes any spill files the sorter still has on disk. A result
-// drained to its end has removed them as it read, so this is a no-op on the
-// happy path; aborted sorts (a sink error, a sorter dropped before Finalize,
-// a result iterator abandoned early) must call it to avoid leaking
-// rowsort-run-*.bin files.
-//
-// Result iterators still running (Rows handed out, never closed) have their
-// workers stopped and joined first; such an iterator's next Next fails.
-//
-// Close is safe to call multiple times (including on sorters that never
-// spilled): after a clean one it has nothing left to do and returns nil,
-// while files whose removal failed stay tracked and are retried. Removal
-// errors are not swallowed — every failed removal is joined into the returned
-// error and counted as spill_remove_errors.
-func (s *Sorter) Close() error {
-	s.cancel()
-	s.drainWG.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Hand the budget back: anything still charged to the broker — resident
-	// runs, pooled buffers, the buffers of a sink its owner walked away from —
-	// is dead once the sorter is closed. Releases are idempotent, so a
-	// retried Close is harmless; the broker's peak
-	// (Stats().PeakResidentRunBytes) survives.
-	s.runRes.Release()
-	s.poolRes.Release()
-	for _, res := range s.sinkRes {
-		res.Release()
+// mergeOrder returns the merge's comparators over key rows: tie orders rows
+// equal on the byte-decisive prefix (ovcSafeWidth), the one a loser tree is
+// coded on, and is nil when no run can tie; cmp is the whole order.
+func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
+	if anyTieBreak {
+		tie = s.comparator(lookup)
+		return tie, tie
 	}
-	s.sinkRes = nil
-	err := s.spills.Close()
-	// The run is over; a registry watching it may now let it go.
-	s.run.Done()
-	return err
+	kw := s.keyWidth
+	return nil, func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
 }
 
-// spillBlockRows is the rows of every block of every spill file of this
-// sort: budgetSpillBlockRows under a budget, whose fan-in plan reserves
-// blocks of that size (reduceFanIn), else DefaultSpillBlockRows.
-func (s *Sorter) spillBlockRows() int {
+// comparator returns the tie-breaking key-row comparator: a segment-wise
+// compare that resolves a tied varchar prefix — the only segment that can
+// tie — against the collated full strings in the payload, fetched through the
+// row's reference. Rows that cannot tie never need it: mergeOrder hands those
+// callers one bytes.Compare over the key prefix, the paper's memcmp. lookup
+// maps a payload reference to the RowSet holding it and the row's index there
+// (a merge over spilled runs keeps only one block of each run current, so the
+// index is block-local).
+//
+// NULLs never fetch: byte-tied segments share their validity byte, so one
+// leading-byte probe classifies both rows as NULL (equal) or both valid.
+func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) func(a, b []byte) int {
+	keys := s.enc.Keys()
+	type seg struct {
+		off, end int
+		col      int // schema column, for the payload fetch
+		desc     bool
+		canTie   bool
+		nullB    byte // the segment's leading byte when the value is NULL
+		coll     normkey.Collation
+	}
+	segs := make([]seg, len(keys))
+	for i, nk := range keys {
+		sg := seg{
+			off:    s.enc.Offset(i),
+			col:    nk.Column,
+			desc:   nk.Order == normkey.Descending,
+			canTie: s.enc.SegCanTie(i),
+			coll:   nk.Collation,
+		}
+		if i+1 < len(keys) {
+			sg.end = s.enc.Offset(i + 1)
+		} else {
+			sg.end = s.keyWidth
+		}
+		// The encoder pre-swaps NULL placement for DESC and then inverts
+		// the segment; reproduce that to recognize NULL from the key byte.
+		effFirst := (nk.Nulls == normkey.NullsFirst) != sg.desc
+		if !effFirst {
+			sg.nullB = 0x01
+		}
+		if sg.desc {
+			sg.nullB = ^sg.nullB
+		}
+		segs[i] = sg
+	}
+	return func(a, b []byte) int {
+		for _, sg := range segs {
+			c := compareBytes(a[sg.off:sg.end], b[sg.off:sg.end])
+			if c != 0 {
+				return c
+			}
+			if !sg.canTie {
+				continue
+			}
+			// Segment bytes tied; both rows share the validity byte, so
+			// they are both NULL (equal) or both valid.
+			if a[sg.off] == sg.nullB {
+				continue
+			}
+			ra, ia := s.getRef(a)
+			rb, ib := s.getRef(b)
+			pa, la := lookup(ra, ia)
+			pb, lb := lookup(rb, ib)
+			c = compareStrings(sg.coll.Apply(pa.String(la, sg.col)), sg.coll.Apply(pb.String(lb, sg.col)))
+			if sg.desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+}
+
+func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
+
+func compareStrings(a, b string) int {
 	switch {
-	case s.pinBlockRows > 0:
-		return s.pinBlockRows
-	case s.opt.limited():
-		return budgetSpillBlockRows
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
 	}
-	return DefaultSpillBlockRows
 }
 
-// spillRun spills one specific run if it is still resident, claiming it
-// against concurrent pressure spillers so a run is written at most once.
-func (s *Sorter) spillRun(r *sortedRun, ow *obs.Worker) error {
-	s.mu.Lock()
-	if r.spilling || r.spill != nil || r.keys == nil {
-		s.mu.Unlock()
-		return nil
+// ovcSafeWidth returns the normalized-key prefix width over which plain
+// byte order is the sort order: the whole key when no segment encoded a
+// possible tie, else only up to the end of the first tie-capable segment,
+// a varchar prefix. Beyond a tied prefix the full strings decide before any
+// later segment's bytes, so byte (and offset-value-code) comparisons must
+// stop there and byte-equal rows fall to the segment-wise tie comparator.
+func (s *Sorter) ovcSafeWidth(anyTieBreak bool) int {
+	if !anyTieBreak {
+		return s.keyWidth
 	}
-	r.spilling = true
-	s.mu.Unlock()
-	err := r.spillTo(s, ow)
-	// The lock also publishes spillTo's field writes to the next claimer.
-	s.mu.Lock()
-	r.spilling = false
-	s.mu.Unlock()
-	return err
-}
-
-// spillUnderPressure sheds resident runs to disk, largest first, until the
-// broker is back under budget (or nothing spillable is left). Multiple
-// sinks may shed concurrently; each claims runs under s.mu.
-func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
-	sp := ow.Begin(obs.PhasePressureSpill)
-	defer sp.End()
-	s.dropPools()
-	for s.broker.OverBudget() {
-		run := s.claimSpillableRun()
-		if run == nil {
-			return nil
-		}
-		s.ctr.Add(obs.PressureSpills, 1)
-		err := run.spillTo(s, ow)
-		s.mu.Lock()
-		run.spilling = false
-		s.mu.Unlock()
-		if err != nil {
-			return err
+	keys := s.enc.Keys()
+	for i := range keys {
+		if s.enc.SegCanTie(i) {
+			if i+1 < len(keys) {
+				return s.enc.Offset(i + 1)
+			}
+			break
 		}
 	}
-	return nil
+	return s.keyWidth
 }
 
-// dropPools releases every idle pooled buffer: the cheapest bytes a sorter
-// short of budget can give back, ahead of spilling a run or planning a
-// merge from what remains. Nothing else would: the pools are free lists,
-// which no GC cycle empties.
-func (s *Sorter) dropPools() {
-	s.sets.Drop()
-	s.keyBufs.Drop()
+// mergePlan is one merge over runs in memory, on disk or both: the runs, and
+// the tasks internal/spill's planner cuts it into.
+type mergePlan struct {
+	*spill.Plan
+	ids    []uint32              // the runs, in merge (tie) order
+	index  []int32               // a run id's position in ids
+	anyTie bool                  // some run needs the tie-break comparator
+	safe   int                   // width of the byte-decisive key prefix
+	cmp    mergepath.CompareFunc // the order task bounds compare in (boundOrder)
 }
 
-// claimSpillableRun picks the largest resident run and marks it claimed;
-// nil when every run is on disk, claimed, or the sort has moved on to its
-// merge (which owns the remaining residents).
-func (s *Sorter) claimSpillableRun() *sortedRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finalized {
-		return nil
-	}
-	best := s.largestResident()
-	if best != nil {
-		best.spilling = true
-	}
-	return best
-}
+// drainTaskFences is the fences a task of the drain begins: as many as make
+// drainTaskRows at the default block size, and 8,192 rows at a budget's
+// 512-row block. Fixed by the null arms in EXPERIMENTS.md ("Spilled runs
+// stream through Rows", and "A budgeted sort drains on every thread" for the
+// budget's).
+const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 
-// largestResident returns the largest run that is in memory and unclaimed,
-// or nil. The caller holds s.mu.
-func (s *Sorter) largestResident() *sortedRun {
-	var best *sortedRun
-	var bestBytes int64
-	for _, r := range s.runs {
-		if r.spilling || r.spill != nil || r.keys == nil {
-			continue
-		}
-		if b := runBytes(r); best == nil || b > bestBytes {
-			best, bestBytes = r, b
+// planSpillTasks plans the merge of runs ids: as many tasks as the fences
+// afford (see spill.PlanTasks) — a run still in memory given one every
+// spillBlockRows of its key rows — or, when single says so, one: a merge
+// pass writes one output file.
+func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
+	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
+	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
+	disk := false
+	for i, id := range ids {
+		r := s.runs[id]
+		p.index[id] = int32(i)
+		p.anyTie = p.anyTie || r.tieBreak
+		disk = disk || r.spill != nil
+		if files[i] = r.spill; r.spill == nil && !single {
+			resident[i] = s.residentFences(r)
 		}
 	}
-	return best
+	p.safe = s.ovcSafeWidth(p.anyTie)
+	p.cmp = s.boundOrder(p, disk)
+	taskFences := drainTaskFences
+	if single {
+		taskFences = 0
+	}
+	p.Plan = spill.PlanTasks(files, resident, p.cmp, taskFences)
+	return p
 }
 
-// releaseRun returns a consumed run's buffers to the pools and its bytes to
-// the budget; runs already on disk (keys nil) are untouched.
-func (s *Sorter) releaseRun(r *sortedRun) {
-	if r.keys == nil {
-		return
+// boundOrder returns the order p's task bounds compare in: the merge's whole
+// order — the key, then the run's place in the merge, then the row's place in
+// its run, both read off the row's payload reference. It is total, and every
+// run, block and fence list is sorted under it, so a bound row's LowerBound in
+// a run is its Merge Path rank there, and rows of equal keys are split
+// between tasks where the stable merge would. The tie comparator, though,
+// reads a row's payload, which a fence of a run on disk does not have at
+// hand: a plan whose keys may tie and that has a run on disk compares the
+// byte-decisive prefix alone, so rows tying on it stay in one task.
+func (s *Sorter) boundOrder(p *mergePlan, disk bool) mergepath.CompareFunc {
+	if p.anyTie && disk {
+		safe := p.safe
+		return func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }
 	}
-	s.runRes.Shrink(runBytes(r))
-	s.putKeyBuf(r.keys)
-	s.putRowSet(r.payload)
-	r.keys, r.payload = nil, nil
-}
-
-// spillTo writes the run to its spill file and releases its in-memory
-// buffers. On any error the partial file is removed; nothing is leaked. ow is
-// the calling worker's trace lane. Callers on concurrent paths must hold the
-// run's claim (see spillRun).
-func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
-	sp := ow.Begin(obs.PhaseSpillWrite)
-	defer sp.End()
-	staging := s.getRowSet()
-	defer s.putRowSet(staging)
-	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRows(), r.rows, staging)
-	if err != nil {
-		return err
-	}
-	rw, payload := s.rowWidth, []*row.RowSet{r.payload}
-	for i := 0; i < r.rows; {
-		n := min(w.Room(), r.rows-i)
-		w.AddRows(r.keys[i*rw:(i+n)*rw], 0, uint32(i))
-		if _, err := w.Flush(payload); err != nil {
-			return err
+	_, key := s.mergeOrder(p.anyTie, s.residentPayload)
+	return func(a, b []byte) int {
+		if c := key(a, b); c != 0 {
+			return c
 		}
-		i += n
+		ra, ia := s.getRef(a)
+		rb, ib := s.getRef(b)
+		if c := cmp.Compare(p.index[ra], p.index[rb]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ia, ib)
 	}
-	if r.spill, err = w.Finish(); err != nil {
-		return err
+}
+
+// residentPayload resolves a key row's payload reference against the
+// in-memory runs.
+func (s *Sorter) residentPayload(runID, idx uint32) (*row.RowSet, int) {
+	return s.runs[runID].payload, int(idx)
+}
+
+// residentFences returns the fences of a run in memory: its key rows at
+// every spillBlockRows, where its blocks would start were it on disk.
+func (s *Sorter) residentFences(r *sortedRun) mergepath.Run {
+	rw, stride := s.rowWidth, s.spillBlockRows()
+	fences := make([]byte, 0, (r.rows+stride-1)/stride*rw)
+	for i := 0; i < r.rows; i += stride {
+		fences = append(fences, r.keys[i*rw:(i+1)*rw]...)
 	}
-	// The in-memory buffers are dead once the run is on disk: give their
-	// bytes back to the budget and recycle them for the next pending run.
-	s.releaseRun(r)
-	return nil
+	return mergepath.Run{Data: fences, Width: rw}
 }
 
 // extMerge is one claimant's streaming k-way merge over a range of runs in
@@ -524,90 +555,6 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 	s.ctr.Add(obs.MergePassRuns, int64(len(ids)))
 	s.ctr.Add(obs.MergePassBytes, merged.spill.Size())
 	return merged.id, nil
-}
-
-// mergePlan is one merge over runs in memory, on disk or both: the runs, and
-// the tasks internal/spill's planner cuts it into.
-type mergePlan struct {
-	*spill.Plan
-	ids    []uint32              // the runs, in merge (tie) order
-	index  []int32               // a run id's position in ids
-	anyTie bool                  // some run needs the tie-break comparator
-	safe   int                   // width of the byte-decisive key prefix
-	cmp    mergepath.CompareFunc // the order task bounds compare in (boundOrder)
-}
-
-// drainTaskFences is the fences a task of the drain begins: as many as make
-// drainTaskRows at the default block size, and 8,192 rows at a budget's
-// 512-row block. Fixed by the null arms in EXPERIMENTS.md ("Spilled runs
-// stream through Rows", and "A budgeted sort drains on every thread" for the
-// budget's).
-const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
-
-// planSpillTasks plans the merge of runs ids: as many tasks as the fences
-// afford (see spill.PlanTasks) — a run still in memory given one every
-// spillBlockRows of its key rows — or, when single says so, one: a merge
-// pass writes one output file.
-func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
-	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
-	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
-	disk := false
-	for i, id := range ids {
-		r := s.runs[id]
-		p.index[id] = int32(i)
-		p.anyTie = p.anyTie || r.tieBreak
-		disk = disk || r.spill != nil
-		if files[i] = r.spill; r.spill == nil && !single {
-			resident[i] = s.residentFences(r)
-		}
-	}
-	p.safe = s.ovcSafeWidth(p.anyTie)
-	p.cmp = s.boundOrder(p, disk)
-	taskFences := drainTaskFences
-	if single {
-		taskFences = 0
-	}
-	p.Plan = spill.PlanTasks(files, resident, p.cmp, taskFences)
-	return p
-}
-
-// boundOrder returns the order p's task bounds compare in: the merge's whole
-// order — the key, then the run's place in the merge, then the row's place in
-// its run, both read off the row's payload reference. It is total, and every
-// run, block and fence list is sorted under it, so a bound row's LowerBound in
-// a run is its Merge Path rank there, and rows of equal keys are split
-// between tasks where the stable merge would. The tie comparator, though,
-// reads a row's payload, which a fence of a run on disk does not have at
-// hand: a plan whose keys may tie and that has a run on disk compares the
-// byte-decisive prefix alone, so rows tying on it stay in one task.
-func (s *Sorter) boundOrder(p *mergePlan, disk bool) mergepath.CompareFunc {
-	if p.anyTie && disk {
-		safe := p.safe
-		return func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }
-	}
-	_, key := s.mergeOrder(p.anyTie, s.residentPayload)
-	return func(a, b []byte) int {
-		if c := key(a, b); c != 0 {
-			return c
-		}
-		ra, ia := s.getRef(a)
-		rb, ib := s.getRef(b)
-		if c := cmp.Compare(p.index[ra], p.index[rb]); c != 0 {
-			return c
-		}
-		return cmp.Compare(ia, ib)
-	}
-}
-
-// residentFences returns the fences of a run in memory: its key rows at
-// every spillBlockRows, where its blocks would start were it on disk.
-func (s *Sorter) residentFences(r *sortedRun) mergepath.Run {
-	rw, stride := s.rowWidth, s.spillBlockRows()
-	fences := make([]byte, 0, (r.rows+stride-1)/stride*rw)
-	for i := 0; i < r.rows; i += stride {
-		fences = append(fences, r.keys[i*rw:(i+1)*rw]...)
-	}
-	return mergepath.Run{Data: fences, Width: rw}
 }
 
 // mergeBlockBytes is the bytes a merge over runs ids plans a block at: the
