@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rowsort/internal/core"
+	"rowsort/internal/engine"
 	"rowsort/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	start := time.Now()
-	top, err := core.NewTopN(table.Schema, keys, *limit, core.Options{})
+	top, err := engine.NewTopNHeap(table.Schema, keys, *limit, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,11 +39,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	topResult, err := top.Result()
+	topResult, err := top.Result() // ends the operator's run: no Close owed
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := top.Close(); err != nil { // a no-op after Result; what an abandoned operator owes
 		log.Fatal(err)
 	}
 	topTime := time.Since(start)

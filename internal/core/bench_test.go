@@ -35,36 +35,6 @@ func BenchmarkSortTableStringKeys(b *testing.B) {
 	}
 }
 
-func BenchmarkTopNVsFullSort(b *testing.B) {
-	tbl := workload.CatalogSales(1<<16, 10, 3)
-	keys := []SortColumn{{Column: 3, Descending: true}}
-	b.Run("top100", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			top, err := NewTopN(tbl.Schema, keys, 100, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, c := range tbl.Chunks {
-				if err := top.Append(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := top.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fullsort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SortTable(tbl, keys, Options{Threads: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkTelemetryOverhead measures what the telemetry layer costs on a
 // 1M-row multi-key sort: "disabled" is the nil-recorder fast path every
 // untraced sort takes, "enabled" records full phase spans into a fresh

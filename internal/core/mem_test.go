@@ -342,8 +342,6 @@ func TestConcurrentSortersSharedBroker(t *testing.T) {
 	}
 }
 
-// TestRowsIteratorMatchesResult checks the chunked iterator against the
-// materialized Result on an in-memory sort.
 // TestFailedSortTableReturnsSharedBudget pins that a sink its owner walks
 // away from cannot leak: SortTable stops at the first Append that fails —
 // here a chunk whose second column has the wrong type — without closing that
@@ -367,6 +365,8 @@ func TestFailedSortTableReturnsSharedBudget(t *testing.T) {
 	}
 }
 
+// TestRowsIteratorMatchesResult checks the chunked iterator against the
+// materialized Result on an in-memory sort.
 func TestRowsIteratorMatchesResult(t *testing.T) {
 	tbl := mixedTable(3*vector.DefaultVectorSize+57, 98)
 	s, err := NewSorter(tbl.Schema, mergeTestKeys, Options{Threads: 2, RunSize: 800})

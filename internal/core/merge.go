@@ -7,7 +7,6 @@ import (
 	"errors"
 
 	"rowsort/internal/mergepath"
-	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
@@ -24,126 +23,23 @@ import (
 // blocks, not by the output, and every spilled byte is read exactly once.
 
 // mergeOrder returns the merge's comparators over key rows: tie orders rows
-// equal on the byte-decisive prefix (ovcSafeWidth), the one a loser tree is
-// coded on, and is nil when no run can tie; cmp is the whole order.
+// equal on the byte-decisive prefix (normkey's DecisiveWidth), the one a
+// loser tree is coded on, and is nil when no run can tie; cmp is the whole
+// order. A tie is resolved against the full strings in the payload, which
+// lookup finds through the row's reference: the RowSet holding it and the
+// row's index there (a merge over spilled runs keeps only one block of each
+// run current, so the index is block-local). Rows that cannot tie are
+// compared with one bytes.Compare over the key, the paper's memcmp.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
-		tie = s.comparator(lookup)
+		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
+			p, i := lookup(s.getRef(keyRow))
+			return p.StringBytes(i, s.keys[k].Column)
+		})
 		return tie, tie
 	}
 	kw := s.keyWidth
-	return nil, func(a, b []byte) int { return compareBytes(a[:kw], b[:kw]) }
-}
-
-// comparator returns the tie-breaking key-row comparator: a segment-wise
-// compare that resolves a tied varchar prefix — the only segment that can
-// tie — against the collated full strings in the payload, fetched through the
-// row's reference. Rows that cannot tie never need it: mergeOrder hands those
-// callers one bytes.Compare over the key prefix, the paper's memcmp. lookup
-// maps a payload reference to the RowSet holding it and the row's index there
-// (a merge over spilled runs keeps only one block of each run current, so the
-// index is block-local).
-//
-// NULLs never fetch: byte-tied segments share their validity byte, so one
-// leading-byte probe classifies both rows as NULL (equal) or both valid.
-func (s *Sorter) comparator(lookup func(runID, idx uint32) (*row.RowSet, int)) func(a, b []byte) int {
-	keys := s.enc.Keys()
-	type seg struct {
-		off, end int
-		col      int // schema column, for the payload fetch
-		desc     bool
-		canTie   bool
-		nullB    byte // the segment's leading byte when the value is NULL
-		coll     normkey.Collation
-	}
-	segs := make([]seg, len(keys))
-	for i, nk := range keys {
-		sg := seg{
-			off:    s.enc.Offset(i),
-			col:    nk.Column,
-			desc:   nk.Order == normkey.Descending,
-			canTie: s.enc.SegCanTie(i),
-			coll:   nk.Collation,
-		}
-		if i+1 < len(keys) {
-			sg.end = s.enc.Offset(i + 1)
-		} else {
-			sg.end = s.keyWidth
-		}
-		// The encoder pre-swaps NULL placement for DESC and then inverts
-		// the segment; reproduce that to recognize NULL from the key byte.
-		effFirst := (nk.Nulls == normkey.NullsFirst) != sg.desc
-		if !effFirst {
-			sg.nullB = 0x01
-		}
-		if sg.desc {
-			sg.nullB = ^sg.nullB
-		}
-		segs[i] = sg
-	}
-	return func(a, b []byte) int {
-		for _, sg := range segs {
-			c := compareBytes(a[sg.off:sg.end], b[sg.off:sg.end])
-			if c != 0 {
-				return c
-			}
-			if !sg.canTie {
-				continue
-			}
-			// Segment bytes tied; both rows share the validity byte, so
-			// they are both NULL (equal) or both valid.
-			if a[sg.off] == sg.nullB {
-				continue
-			}
-			ra, ia := s.getRef(a)
-			rb, ib := s.getRef(b)
-			pa, la := lookup(ra, ia)
-			pb, lb := lookup(rb, ib)
-			c = compareStrings(sg.coll.Apply(pa.String(la, sg.col)), sg.coll.Apply(pb.String(lb, sg.col)))
-			if sg.desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-}
-
-func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
-
-func compareStrings(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ovcSafeWidth returns the normalized-key prefix width over which plain
-// byte order is the sort order: the whole key when no segment encoded a
-// possible tie, else only up to the end of the first tie-capable segment,
-// a varchar prefix. Beyond a tied prefix the full strings decide before any
-// later segment's bytes, so byte (and offset-value-code) comparisons must
-// stop there and byte-equal rows fall to the segment-wise tie comparator.
-func (s *Sorter) ovcSafeWidth(anyTieBreak bool) int {
-	if !anyTieBreak {
-		return s.keyWidth
-	}
-	keys := s.enc.Keys()
-	for i := range keys {
-		if s.enc.SegCanTie(i) {
-			if i+1 < len(keys) {
-				return s.enc.Offset(i + 1)
-			}
-			break
-		}
-	}
-	return s.keyWidth
+	return nil, func(a, b []byte) int { return bytes.Compare(a[:kw], b[:kw]) }
 }
 
 // mergePlan is one merge over runs in memory, on disk or both: the runs, and
@@ -181,7 +77,10 @@ func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 			resident[i] = s.residentFences(r)
 		}
 	}
-	p.safe = s.ovcSafeWidth(p.anyTie)
+	p.safe = s.keyWidth
+	if p.anyTie {
+		p.safe = s.enc.DecisiveWidth()
+	}
 	p.cmp = s.boundOrder(p, disk)
 	taskFences := drainTaskFences
 	if single {

@@ -521,7 +521,7 @@ func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 		}
 	}
 	keys, _, n, tieBreak := k.cut()
-	if tieBreak || !s.enc.SegCanTie(0) {
+	if tieBreak || !s.enc.TiesPossible() {
 		t.Fatalf("the run should be byte-decisive (tieBreak = %v) on a segment that could tie", tieBreak)
 	}
 	k.sortRun(keys, "pdqsort", false, func(uint32, uint32) (*row.RowSet, int) {

@@ -109,31 +109,9 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := validateKeys(schema, keys); err != nil {
+	nkeys, err := NormKeys(schema, keys)
+	if err != nil {
 		return nil, err
-	}
-	nkeys := make([]normkey.SortKey, len(keys))
-	for i, k := range keys {
-		order := normkey.Ascending
-		if k.Descending {
-			order = normkey.Descending
-		}
-		nulls := normkey.NullsFirst
-		if k.NullsLast {
-			nulls = normkey.NullsLast
-		}
-		coll := normkey.CollationBinary
-		if k.CaseInsensitive {
-			coll = normkey.CollationNoCase
-		}
-		nkeys[i] = normkey.SortKey{
-			Column:    k.Column,
-			Type:      schema[k.Column].Type,
-			Order:     order,
-			Nulls:     nulls,
-			PrefixLen: k.PrefixLen,
-			Collation: coll,
-		}
 	}
 	enc, err := normkey.NewEncoder(nkeys)
 	if err != nil {

@@ -502,3 +502,25 @@ func cutRuns(tbl *vector.Table, threads, runSize int) [][]int64 {
 	}
 	return runs
 }
+
+// checkKeyColumnsEqual compares only key columns positionally (rows tied on
+// every key may legitimately differ between top-N and full sort).
+func checkKeyColumnsEqual(t *testing.T, want, got *vector.Table, keys []SortColumn, ctx string) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: got %d rows, want %d", ctx, got.NumRows(), want.NumRows())
+	}
+	for _, k := range keys {
+		wc, gc := want.Column(k.Column), got.Column(k.Column)
+		for i := 0; i < wc.Len(); i++ {
+			if wc.Value(i) != gc.Value(i) {
+				t.Fatalf("%s: row %d key col %d: got %v, want %v",
+					ctx, i, k.Column, gc.Value(i), wc.Value(i))
+			}
+		}
+	}
+}
+
+// CheckKeyColumnsEqual is checkKeyColumnsEqual for the external test package
+// (the Top-N tests).
+var CheckKeyColumnsEqual = checkKeyColumnsEqual

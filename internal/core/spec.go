@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 )
@@ -91,8 +92,8 @@ type Options struct {
 	// fail the sort — resident runs spill to disk, largest first (SpillDir
 	// or a temp directory), and the final merge plans its fan-in from the
 	// remaining budget. Peak usage can transiently exceed the limit by
-	// bounded slack (a run a sink being reordered, the merge's staging
-	// chunk; see DESIGN.md "Memory governance").
+	// bounded slack (the run a sink is sorting and reordering, the merge's
+	// staging chunk; see DESIGN.md "Memory governance").
 	MemoryLimit int64
 	// Broker, when non-nil, shares a memory budget across sorters: the
 	// sorter carves a child broker (further bounded by MemoryLimit, if
@@ -204,18 +205,35 @@ func (o Options) Validate() error {
 	return nil
 }
 
-func validateKeys(schema vector.Schema, keys []SortColumn) error {
+// NormKeys maps a sort specification over schema to the key encoder's
+// descriptors, each key's Column still the schema's, and rejects a
+// specification with no key or with a column out of range or of an invalid
+// type. It is the one mapping from SortColumn to normkey.SortKey: the
+// sorter, the engine's operators and the system models all use it.
+func NormKeys(schema vector.Schema, keys []SortColumn) ([]normkey.SortKey, error) {
 	if len(keys) == 0 {
-		return fmt.Errorf("core: sort needs at least one key column")
+		return nil, fmt.Errorf("core: sort needs at least one key column")
 	}
+	nkeys := make([]normkey.SortKey, len(keys))
 	for i, k := range keys {
 		if k.Column < 0 || k.Column >= len(schema) {
-			return fmt.Errorf("core: key %d column index %d out of range (schema has %d columns)",
+			return nil, fmt.Errorf("core: key %d column index %d out of range (schema has %d columns)",
 				i, k.Column, len(schema))
 		}
 		if !schema[k.Column].Type.IsValid() {
-			return fmt.Errorf("core: key %d column %q has invalid type", i, schema[k.Column].Name)
+			return nil, fmt.Errorf("core: key %d column %q has invalid type", i, schema[k.Column].Name)
 		}
+		nk := normkey.SortKey{Column: k.Column, Type: schema[k.Column].Type, PrefixLen: k.PrefixLen}
+		if k.Descending {
+			nk.Order = normkey.Descending
+		}
+		if k.NullsLast {
+			nk.Nulls = normkey.NullsLast
+		}
+		if k.CaseInsensitive {
+			nk.Collation = normkey.CollationNoCase
+		}
+		nkeys[i] = nk
 	}
-	return nil
+	return nkeys, nil
 }

@@ -62,7 +62,9 @@ type SortStats struct {
 	MergeStall       time.Duration
 	// The executed multi-pass plan, the final merge's fan-in (0 when nothing
 	// merged from disk) and the fence-cut tasks the latest result iterator
-	// claimed it in (1 under a budget, or when every fence ties).
+	// over runs on disk claimed. Tasks split equal keys, but a plan whose keys
+	// may tie and that has a run on disk cuts on the byte-decisive prefix, so
+	// rows tying on it share a task (one, when every key does).
 	MergePasses    int64
 	MergePassBytes int64
 	MergeFanIn     int64
@@ -138,10 +140,15 @@ func (s *Sorter) publishMerge(m mergepath.Stats) {
 
 // Stats snapshots the sorter's telemetry. It is safe to call at any point
 // in the sorter's life, including concurrently with ingestion.
-func (s *Sorter) Stats() SortStats {
-	st := statsOf(s.ctr.Snapshot())
-	st.StrategyDecisions = s.ctr.Decisions()
-	st.Phases = s.rec.Summary()
+func (s *Sorter) Stats() SortStats { return BlockStats(s.ctr, s.rec) }
+
+// BlockStats is the SortStats view of an operator's counter block and of the
+// spans its recorder (nil for none) holds: what Sorter.Stats reports, and
+// what an operator that counts in the same block, such as Top-N, reports.
+func BlockStats(ctr *obs.Block, rec *obs.Recorder) SortStats {
+	st := statsOf(ctr.Snapshot())
+	st.StrategyDecisions = ctr.Decisions()
+	st.Phases = rec.Summary()
 	return st
 }
 

@@ -242,30 +242,6 @@ func TestCloseSurfacesRemovalErrors(t *testing.T) {
 	}
 }
 
-func TestTopNStats(t *testing.T) {
-	tbl := workload.CatalogSales(4_096, 10, 7)
-	top, err := NewTopN(tbl.Schema, []SortColumn{{Column: 3, Descending: true}}, 10,
-		Options{Telemetry: obs.NewRecorder()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range tbl.Chunks {
-		if err := top.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := top.Result(); err != nil {
-		t.Fatal(err)
-	}
-	st := top.Stats()
-	if st.RowsIngested != 4_096 {
-		t.Errorf("RowsIngested = %d, want 4096", st.RowsIngested)
-	}
-	if st.Phases.Get(obs.PhaseIngest).Count == 0 || st.Phases.Get(obs.PhaseGather).Count == 0 {
-		t.Errorf("TopN recorded no ingest/gather spans: %+v", st.Phases)
-	}
-}
-
 func TestSortStatsRendering(t *testing.T) {
 	st := spillSortStats(t, 8_000)
 	text := st.String()

@@ -1,18 +1,24 @@
-package core
+// Top-N lives in internal/engine (engine.TopNHeap). Like the merge join's
+// and the window's, its tests stay in this directory as an external test
+// package, so that their suite ids (rowsort/internal/core:TestTopN…) do not
+// change.
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"rowsort/internal/core"
+	"rowsort/internal/engine"
 	"rowsort/internal/obs"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
 
 // topNOracle sorts the whole table and truncates to limit.
-func topNOracle(t *testing.T, tbl *vector.Table, keys []SortColumn, limit int) *vector.Table {
+func topNOracle(t *testing.T, tbl *vector.Table, keys []core.SortColumn, limit int) *vector.Table {
 	t.Helper()
-	full, err := SortTable(tbl, keys, Options{Threads: 1})
+	full, err := core.SortTable(tbl, keys, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +43,9 @@ func topNOracle(t *testing.T, tbl *vector.Table, keys []SortColumn, limit int) *
 	return out
 }
 
-func runTopN(t *testing.T, tbl *vector.Table, keys []SortColumn, limit int) *vector.Table {
+func runTopN(t *testing.T, tbl *vector.Table, keys []core.SortColumn, limit int) *vector.Table {
 	t.Helper()
-	top, err := NewTopN(tbl.Schema, keys, limit, Options{})
+	top, err := engine.NewTopNHeap(tbl.Schema, keys, limit, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,37 +61,19 @@ func runTopN(t *testing.T, tbl *vector.Table, keys []SortColumn, limit int) *vec
 	return res
 }
 
-// checkKeyColumnsEqual compares only key columns positionally (rows tied on
-// every key may legitimately differ between top-N and full sort).
-func checkKeyColumnsEqual(t *testing.T, want, got *vector.Table, keys []SortColumn, ctx string) {
-	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("%s: got %d rows, want %d", ctx, got.NumRows(), want.NumRows())
-	}
-	for _, k := range keys {
-		wc, gc := want.Column(k.Column), got.Column(k.Column)
-		for i := 0; i < wc.Len(); i++ {
-			if wc.Value(i) != gc.Value(i) {
-				t.Fatalf("%s: row %d key col %d: got %v, want %v",
-					ctx, i, k.Column, gc.Value(i), wc.Value(i))
-			}
-		}
-	}
-}
-
 func TestTopNMatchesFullSort(t *testing.T) {
 	tbl := workload.CatalogSales(5_000, 10, 101)
-	keys := []SortColumn{{Column: 0, NullsLast: true}, {Column: 3, Descending: true}}
+	keys := []core.SortColumn{{Column: 0, NullsLast: true}, {Column: 3, Descending: true}}
 	for _, limit := range []int{1, 10, 100, 2_499, 5_000, 7_000} {
 		got := runTopN(t, tbl, keys, limit)
 		want := topNOracle(t, tbl, keys, min(limit, 5_000))
-		checkKeyColumnsEqual(t, want, got, keys, fmt.Sprintf("limit=%d", limit))
+		core.CheckKeyColumnsEqual(t, want, got, keys, fmt.Sprintf("limit=%d", limit))
 	}
 }
 
 func TestTopNZeroLimit(t *testing.T) {
 	tbl := workload.CatalogSales(500, 1, 102)
-	got := runTopN(t, tbl, []SortColumn{{Column: 0}}, 0)
+	got := runTopN(t, tbl, []core.SortColumn{{Column: 0}}, 0)
 	if got.NumRows() != 0 {
 		t.Fatalf("limit 0 returned %d rows", got.NumRows())
 	}
@@ -93,10 +81,10 @@ func TestTopNZeroLimit(t *testing.T) {
 
 func TestTopNStringsWithTies(t *testing.T) {
 	tbl := workload.Customer(3_000, 103)
-	keys := []SortColumn{{Column: 4}, {Column: 5}} // names: heavy duplicates
+	keys := []core.SortColumn{{Column: 4}, {Column: 5}} // names: heavy duplicates
 	got := runTopN(t, tbl, keys, 50)
 	want := topNOracle(t, tbl, keys, 50)
-	checkKeyColumnsEqual(t, want, got, keys, "names top 50")
+	core.CheckKeyColumnsEqual(t, want, got, keys, "names top 50")
 }
 
 func TestTopNLongStringTieBreak(t *testing.T) {
@@ -110,21 +98,21 @@ func TestTopNLongStringTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []SortColumn{{Column: 0}}
+	keys := []core.SortColumn{{Column: 0}}
 	got := runTopN(t, tbl, keys, 25)
 	want := topNOracle(t, tbl, keys, 25)
-	checkKeyColumnsEqual(t, want, got, keys, "long string ties")
+	core.CheckKeyColumnsEqual(t, want, got, keys, "long string ties")
 }
 
 func TestTopNErrors(t *testing.T) {
 	schema := vector.Schema{{Name: "x", Type: vector.Int32}}
-	if _, err := NewTopN(schema, []SortColumn{{Column: 0}}, -1, Options{}); err == nil {
+	if _, err := engine.NewTopNHeap(schema, []core.SortColumn{{Column: 0}}, -1, core.Options{}); err == nil {
 		t.Fatal("negative limit should error")
 	}
-	if _, err := NewTopN(schema, nil, 5, Options{}); err == nil {
+	if _, err := engine.NewTopNHeap(schema, nil, 5, core.Options{}); err == nil {
 		t.Fatal("no keys should error")
 	}
-	top, err := NewTopN(schema, []SortColumn{{Column: 0}}, 5, Options{})
+	top, err := engine.NewTopNHeap(schema, []core.SortColumn{{Column: 0}}, 5, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +129,7 @@ func TestTopNDescendingIntegers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []SortColumn{{Column: 0, Descending: true}}
+	keys := []core.SortColumn{{Column: 0, Descending: true}}
 	got := runTopN(t, tbl, keys, 7)
 	for i := 0; i < 7; i++ {
 		if got.Column(0).Value(i).(int32) != int32(9999-i) {
@@ -159,8 +147,8 @@ func TestTopNRunReachesDone(t *testing.T) {
 	tbl := workload.CatalogSales(3_000, 10, 7)
 	reg := obs.NewRegistry(1)
 	for round := 0; round < 2; round++ {
-		top, err := NewTopN(tbl.Schema, []SortColumn{{Column: 3, Descending: true}}, 25,
-			Options{Telemetry: reg.Recorder("topn")})
+		top, err := engine.NewTopNHeap(tbl.Schema, []core.SortColumn{{Column: 3, Descending: true}}, 25,
+			core.Options{Telemetry: reg.Recorder("topn")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,9 +164,7 @@ func TestTopNRunReachesDone(t *testing.T) {
 		if err != nil || out.NumRows() != 25 {
 			t.Fatalf("Result: %d rows, %v", out.NumRows(), err)
 		}
-		if err := top.Close(); err != nil {
-			t.Fatalf("Close after Result: %v", err)
-		}
+		top.Close() // a no-op after Result
 		st := top.Stats()
 		snaps := reg.Snapshots()
 		if len(snaps) != 1 { // keep is 1: the first round's run is evicted by the second's
@@ -194,5 +180,29 @@ func TestTopNRunReachesDone(t *testing.T) {
 		if snap.Counters[obs.RowsGathered] != 25 || st.DurTotal <= 0 || st.DurTotal < st.DurRunGen {
 			t.Errorf("rows gathered %d, total %v, run generation %v", snap.Counters[obs.RowsGathered], st.DurTotal, st.DurRunGen)
 		}
+	}
+}
+
+func TestTopNStats(t *testing.T) {
+	tbl := workload.CatalogSales(4_096, 10, 7)
+	top, err := engine.NewTopNHeap(tbl.Schema, []core.SortColumn{{Column: 3, Descending: true}}, 10,
+		core.Options{Telemetry: obs.NewRecorder()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range tbl.Chunks {
+		if err := top.Append(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := top.Result(); err != nil {
+		t.Fatal(err)
+	}
+	st := top.Stats()
+	if st.RowsIngested != 4_096 {
+		t.Errorf("RowsIngested = %d, want 4096", st.RowsIngested)
+	}
+	if st.Phases.Get(obs.PhaseIngest).Count == 0 || st.Phases.Get(obs.PhaseGather).Count == 0 {
+		t.Errorf("TopN recorded no ingest/gather spans: %+v", st.Phases)
 	}
 }

@@ -28,3 +28,33 @@ func BenchmarkWindowRank(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkTopNVsFullSort(b *testing.B) {
+	tbl := workload.CatalogSales(1<<16, 10, 3)
+	keys := []core.SortColumn{{Column: 3, Descending: true}}
+	b.Run("top100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			top, err := NewTopNHeap(tbl.Schema, keys, 100, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range tbl.Chunks {
+				if err := top.Append(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := top.Result(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fullsort", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.SortTable(tbl, keys, core.Options{Threads: 2}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -33,7 +33,13 @@ func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt core.Op
 		}
 	}
 
-	sortedLeft, err := core.SortTable(left, sortSpec(leftKeys), opt)
+	// The scan compares keys in the order the sort put them in.
+	leftSpec := sortSpec(leftKeys)
+	nkeys, err := core.NormKeys(left.Schema, leftSpec)
+	if err != nil {
+		return nil, err
+	}
+	sortedLeft, err := core.SortTable(left, leftSpec, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -47,10 +53,6 @@ func MergeJoin(left, right *vector.Table, leftKeys, rightKeys []int, opt core.Op
 	rcols := materializeColumns(sortedRight)
 	lkeyCols := pick(lcols, leftKeys)
 	rkeyCols := pick(rcols, rightKeys)
-	nkeys := make([]normkey.SortKey, len(leftKeys))
-	for i, k := range leftKeys {
-		nkeys[i] = normkey.SortKey{Type: left.Schema[k].Type}
-	}
 
 	outSchema := append(append(vector.Schema{}, left.Schema...), right.Schema...)
 	out := vector.NewTable(outSchema)

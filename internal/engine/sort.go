@@ -126,20 +126,16 @@ func TopN(child Operator, keys []core.SortColumn, limit, offset int, opt core.Op
 func (t *TopNOp) Schema() vector.Schema { return t.child.Schema() }
 
 // Open implements Operator.
-func (t *TopNOp) Open() (err error) {
+func (t *TopNOp) Open() error {
 	if err := t.child.Open(); err != nil {
 		return err
 	}
-	top, err := core.NewTopN(t.child.Schema(), t.keys, t.limit+t.offset, t.opt)
+	top, err := NewTopNHeap(t.child.Schema(), t.keys, t.limit+t.offset, t.opt)
 	if err != nil {
 		return err
 	}
 	// Result ends the operator's run; an error before it must.
-	defer func() {
-		if cerr := top.Close(); err == nil {
-			err = cerr
-		}
-	}()
+	defer top.Close()
 	for {
 		c, err := t.child.Next()
 		if err != nil {

@@ -63,11 +63,6 @@ func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt core.Optio
 			return nil, fmt.Errorf("core: unknown window function %d", uint8(f))
 		}
 	}
-	for _, c := range spec.PartitionBy {
-		if c < 0 || c >= len(t.Schema) {
-			return nil, fmt.Errorf("core: partition column %d out of range", c)
-		}
-	}
 
 	// Sort by partition columns first, then the window order.
 	sortKeys := make([]core.SortColumn, 0, len(spec.PartitionBy)+len(spec.OrderBy))
@@ -76,27 +71,25 @@ func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt core.Optio
 	}
 	sortKeys = append(sortKeys, spec.OrderBy...)
 	sorted := t
+	var nkeys []normkey.SortKey
 	if len(sortKeys) > 0 {
 		var err error
-		sorted, err = core.SortTable(t, sortKeys, opt)
-		if err != nil {
+		if nkeys, err = core.NormKeys(t.Schema, sortKeys); err != nil {
+			return nil, err
+		}
+		if sorted, err = core.SortTable(t, sortKeys, opt); err != nil {
 			return nil, err
 		}
 	}
 
 	cols := materializeColumns(sorted)
-	partKeys := make([]normkey.SortKey, len(spec.PartitionBy))
-	partCols := make([]*vector.Vector, len(spec.PartitionBy))
-	for i, c := range spec.PartitionBy {
-		partKeys[i] = normkey.SortKey{Type: t.Schema[c].Type}
-		partCols[i] = cols[c]
+	kcols := make([]*vector.Vector, len(nkeys))
+	for i, nk := range nkeys {
+		kcols[i] = cols[nk.Column]
 	}
-	orderKeys := make([]normkey.SortKey, len(spec.OrderBy))
-	orderCols := make([]*vector.Vector, len(spec.OrderBy))
-	for i, k := range spec.OrderBy {
-		orderKeys[i] = toNormKey(t.Schema, k)
-		orderCols[i] = cols[k.Column]
-	}
+	p := len(spec.PartitionBy)
+	partKeys, partCols := nkeys[:p], kcols[:p]
+	orderKeys, orderCols := nkeys[p:], kcols[p:]
 
 	n := sorted.NumRows()
 	results := make([][]int64, len(funcs))
@@ -154,24 +147,4 @@ func Window(t *vector.Table, spec WindowSpec, funcs []WindowFunc, opt core.Optio
 		}
 	}
 	return out, nil
-}
-
-// toNormKey converts a core.SortColumn to the reference key descriptor.
-func toNormKey(schema vector.Schema, k core.SortColumn) normkey.SortKey {
-	order := normkey.Ascending
-	if k.Descending {
-		order = normkey.Descending
-	}
-	nulls := normkey.NullsFirst
-	if k.NullsLast {
-		nulls = normkey.NullsLast
-	}
-	coll := normkey.CollationBinary
-	if k.CaseInsensitive {
-		coll = normkey.CollationNoCase
-	}
-	return normkey.SortKey{
-		Column: k.Column, Type: schema[k.Column].Type,
-		Order: order, Nulls: nulls, PrefixLen: k.PrefixLen, Collation: coll,
-	}
 }

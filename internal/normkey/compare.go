@@ -1,6 +1,8 @@
 package normkey
 
 import (
+	"bytes"
+	"cmp"
 	"strings"
 
 	"rowsort/internal/vector"
@@ -27,6 +29,55 @@ func CompareRows(keys []SortKey, cols []*vector.Vector, i, j int) int {
 		}
 	}
 	return 0
+}
+
+// Comparator returns the sort order over the key rows the encoder wrote, each
+// row's key at its start: their bytes, segment by segment, where a segment
+// that may tie (a varchar prefix) and did is resolved against the collated
+// full values. full(keyRow, k) fetches key k's whole string for the row, in
+// place: the comparator neither keeps nor writes it. It is called only on
+// such a tie, and never for a NULL: byte-tied segments share their validity
+// byte, so both rows are NULL, and equal, or both valid. A caller whose rows
+// cannot tie compares the key bytes alone (the paper's memcmp) and needs no
+// Comparator.
+func (e *Encoder) Comparator(full func(keyRow []byte, k int) []byte) func(a, b []byte) int {
+	type seg struct {
+		off, end int
+		canTie   bool
+		desc     bool
+		null     byte
+		coll     Collation
+	}
+	segs := make([]seg, len(e.keys))
+	for k, key := range e.keys {
+		_, null := key.validity()
+		segs[k] = seg{off: e.offsets[k], end: e.offsets[k] + key.segWidth(), canTie: e.segCanTie(k),
+			desc: key.Order == Descending, null: null, coll: key.Collation}
+	}
+	return func(a, b []byte) int {
+		for k, sg := range segs {
+			if c := bytes.Compare(a[sg.off:sg.end], b[sg.off:sg.end]); c != 0 {
+				return c
+			}
+			if !sg.canTie || a[sg.off] == sg.null {
+				continue
+			}
+			fa, fb := full(a, k), full(b, k)
+			var c int
+			if sg.coll == CollationBinary {
+				c = bytes.Compare(fa, fb)
+			} else {
+				c = cmp.Compare(sg.coll.Apply(string(fa)), sg.coll.Apply(string(fb)))
+			}
+			if sg.desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
 }
 
 func compareOne(key SortKey, col *vector.Vector, i, j int) int {

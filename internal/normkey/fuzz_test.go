@@ -71,7 +71,8 @@ func cmpSign(c int) int {
 // FuzzNormKeyOrder checks the paper's central claim on arbitrary value
 // pairs: the unsigned byte order of encoded normalized keys agrees with the
 // semantic comparison of the values, across every type, ASC/DESC, NULLS
-// FIRST/LAST and both collations. The sanctioned divergence is a lossy
+// FIRST/LAST and both collations, and Comparator, which resolves byte ties
+// against the full values, agrees with it exactly. The sanctioned divergence is a lossy
 // byte-tie: encoded keys may tie where the values differ only if the encoder
 // flagged the chunk as needing a tie-break (EncodeStats.Ties), and only for
 // a varchar whose collated padded prefixes are genuinely identical.
@@ -125,6 +126,18 @@ func FuzzNormKeyOrder(f *testing.F) {
 
 		got := cmpSign(bytes.Compare(ea, eb))
 		want := cmpSign(CompareValues(key, va, 0, vb, 0))
+		// The order over key rows fetches the full values only on a tie, and
+		// with them agrees with the oracle everywhere.
+		full := func(keyRow []byte, _ int) []byte {
+			if &keyRow[0] == &ea[0] {
+				return []byte(as)
+			}
+			return []byte(bs)
+		}
+		if c := cmpSign(enc.Comparator(full)(ea, eb)); c != want {
+			t.Fatalf("key %+v: Comparator = %d but CompareValues = %d\na = % x (null=%v)\nb = % x (null=%v)",
+				key, c, want, ea, aNull, eb, bNull)
+		}
 		if got == want {
 			return
 		}

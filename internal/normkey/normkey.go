@@ -17,8 +17,8 @@
 //     canonicalized to a positive quiet NaN (ordering after +Inf) and -0 is
 //     normalized to +0.
 //   - Strings contribute a fixed-length prefix, zero-padded; rows whose
-//     prefixes tie must be resolved against the full strings (the sorter
-//     does this through the row's payload reference).
+//     prefixes tie must be resolved against the full strings (Comparator
+//     does this, fetching them through the caller's function).
 //   - DESC inverts every byte of the column's segment; the validity byte is
 //     chosen so the requested NULL placement survives the inversion.
 package normkey
@@ -69,7 +69,7 @@ func (n NullOrder) String() string {
 // Collation selects the string comparison rule for a Varchar key. The
 // paper notes that collations are handled by evaluating the collation
 // before encoding the string prefix; the encoder does exactly that, and the
-// oracle comparator and the sorter's tie-break apply the same rule.
+// oracle comparator and Comparator apply the same rule.
 type Collation uint8
 
 // The supported collations.
@@ -177,7 +177,7 @@ func NewEncoder(keys []SortKey) (*Encoder, error) {
 		}
 		e.offsets = append(e.offsets, e.width)
 		e.width += k.segWidth()
-		if e.SegCanTie(i) {
+		if e.segCanTie(i) {
 			e.canTie = true
 		}
 	}
@@ -195,9 +195,24 @@ func (e *Encoder) Keys() []SortKey { return e.keys }
 // string key's prefix may truncate.
 func (e *Encoder) TiesPossible() bool { return e.canTie }
 
-// SegCanTie reports whether key k's segment alone may byte-tie between
+// segCanTie reports whether key k's segment alone may byte-tie between
 // unequal values: only a string prefix can.
-func (e *Encoder) SegCanTie(k int) bool { return e.keys[k].Type == vector.Varchar }
+func (e *Encoder) segCanTie(k int) bool { return e.keys[k].Type == vector.Varchar }
+
+// DecisiveWidth returns the key prefix over which byte order is the sort
+// order whatever the values: the whole key, or, when a segment may tie, the
+// key up to the end of the first such segment. Past a tied prefix the full
+// strings decide before any later segment's bytes, so byte (and
+// offset-value-code) comparisons must stop there; byte-equal rows fall to
+// Comparator.
+func (e *Encoder) DecisiveWidth() int {
+	for k := range e.keys {
+		if e.segCanTie(k) {
+			return e.offsets[k] + e.keys[k].segWidth()
+		}
+	}
+	return e.width
+}
 
 // Offset returns the byte offset of key k's segment within the key.
 func (e *Encoder) Offset(k int) int { return e.offsets[k] }
@@ -265,13 +280,9 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 	key := e.keys[k]
 	n := vec.Len()
 	seg := segment{out: out[offset+e.offsets[k]:], stride: stride, width: key.segWidth()}
-	seg.null, seg.valid = 0x00, 0x01
-	if (key.Nulls == NullsFirst) == (key.Order == Descending) {
-		seg.null, seg.valid = 0x01, 0x00
-	}
+	seg.valid, seg.null = key.validity()
 	if key.Order == Descending {
 		seg.inv = 0xFF
-		seg.null, seg.valid = ^seg.null, ^seg.valid
 	}
 	nulls := vec.Validity()
 	if nulls.AllValid() {
@@ -293,6 +304,20 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 		}
 	}
 	return ties
+}
+
+// validity returns the leading byte of the key's segment for a value and for
+// a NULL, as stored: chosen so that the requested NULL placement survives
+// DESC's inversion of the segment.
+func (k SortKey) validity() (valid, null byte) {
+	valid, null = 0x01, 0x00
+	if (k.Nulls == NullsFirst) == (k.Order == Descending) {
+		valid, null = 0x00, 0x01
+	}
+	if k.Order == Descending {
+		valid, null = ^valid, ^null
+	}
+	return valid, null
 }
 
 // segment is one key column's slot in a block of key rows: row r's segment

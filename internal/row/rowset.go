@@ -239,12 +239,17 @@ func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []by
 
 // String returns the string value of column c in row i. The column must be
 // a valid Varchar.
-func (rs *RowSet) String(i, c int) string {
+func (rs *RowSet) String(i, c int) string { return string(rs.StringBytes(i, c)) }
+
+// StringBytes is String without the copy: the bytes are the set's heap,
+// valid until the set is next written or reset. A comparison reads them in
+// place.
+func (rs *RowSet) StringBytes(i, c int) []byte {
 	row := rs.Row(i)
 	off := rs.layout.offsets[c]
 	ho := binary.LittleEndian.Uint32(row[off:])
 	hl := binary.LittleEndian.Uint32(row[off+4:])
-	return string(rs.heap[ho : ho+hl])
+	return rs.heap[ho : ho+hl : ho+hl]
 }
 
 // Valid reports whether column c of row i is non-NULL.

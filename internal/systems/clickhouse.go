@@ -39,12 +39,12 @@ func (c *ClickHouse) numThreads() int {
 
 // Sort implements System.
 func (c *ClickHouse) Sort(t *vector.Table, keys []core.SortColumn) (*vector.Table, error) {
-	if err := validateSpec(t.Schema, keys); err != nil {
+	nkeys, err := core.NormKeys(t.Schema, keys)
+	if err != nil {
 		return nil, err
 	}
 	cols := materialize(t)
 	n := t.NumRows()
-	nkeys := normKeys(t.Schema, keys)
 	kcols := keyColumns(cols, keys)
 
 	// For a single integer key, precompute the radix encoding once.

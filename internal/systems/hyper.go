@@ -69,25 +69,26 @@ type crow struct {
 type keyMeta struct {
 	desc bool
 	str  *vector.Vector // non-nil for Varchar keys: full-string tie-break
+	coll normkey.Collation
 }
 
 // Sort implements System.
 func (h *compiled) Sort(t *vector.Table, keys []core.SortColumn) (*vector.Table, error) {
-	if err := validateSpec(t.Schema, keys); err != nil {
+	nkeys, err := core.NormKeys(t.Schema, keys)
+	if err != nil {
 		return nil, err
 	}
 	if len(keys) > crowMaxKeys {
 		return nil, fmt.Errorf("systems: %s model supports at most %d key columns", h.name, crowMaxKeys)
 	}
 	cols := materialize(t)
-	nkeys := normKeys(t.Schema, keys)
 	kcols := keyColumns(cols, keys)
 	n := t.NumRows()
 
 	rows := buildCrows(nkeys, kcols, n)
 	meta := make([]keyMeta, len(nkeys))
 	for i, nk := range nkeys {
-		meta[i].desc = nk.Order == normkey.Descending
+		meta[i].desc, meta[i].coll = nk.Order == normkey.Descending, nk.Collation
 		if nk.Type == vector.Varchar {
 			meta[i].str = kcols[i]
 		}
@@ -140,16 +141,16 @@ func buildCrows(nkeys []normkey.SortKey, kcols []*vector.Vector, n int) []crow {
 				continue
 			}
 			rows[r].nulls[c] = 1
-			rows[r].k[c] = encodeSlot(nk.Type, col, r)
+			rows[r].k[c] = encodeSlot(nk, col, r)
 		}
 	}
 	return rows
 }
 
 // encodeSlot maps a value to a uint64 whose unsigned order matches the
-// value's order (ascending).
-func encodeSlot(t vector.Type, col *vector.Vector, r int) uint64 {
-	switch t {
+// value's order (ascending) under the key's collation.
+func encodeSlot(nk normkey.SortKey, col *vector.Vector, r int) uint64 {
+	switch nk.Type {
 	case vector.Bool:
 		if col.Bools()[r] {
 			return 1
@@ -176,8 +177,10 @@ func encodeSlot(t vector.Type, col *vector.Vector, r int) uint64 {
 	case vector.Float64:
 		return encodeFloatSlot(col.Float64s()[r])
 	case vector.Varchar:
-		// Big-endian 8-byte prefix; ties resolved against the full string.
+		// Big-endian 8-byte collated prefix; ties resolved against the full
+		// string.
 		s := col.Strings()[r]
+		s = nk.Collation.Apply(s[:min(len(s), 8)])
 		var v uint64
 		for i := 0; i < 8; i++ {
 			v <<= 8
@@ -230,7 +233,7 @@ func compareCrows(a, b *crow, meta []keyMeta, numKeys int) int {
 			return r
 		}
 		if s := meta[c].str; s != nil {
-			sa, sb := s.Strings()[a.id], s.Strings()[b.id]
+			sa, sb := meta[c].coll.Apply(s.Strings()[a.id]), meta[c].coll.Apply(s.Strings()[b.id])
 			if sa != sb {
 				r := 1
 				if sa < sb {

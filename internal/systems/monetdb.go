@@ -23,11 +23,11 @@ func (m *MonetDB) Name() string { return "MonetDB" }
 
 // Sort implements System.
 func (m *MonetDB) Sort(t *vector.Table, keys []core.SortColumn) (*vector.Table, error) {
-	if err := validateSpec(t.Schema, keys); err != nil {
+	nkeys, err := core.NormKeys(t.Schema, keys)
+	if err != nil {
 		return nil, err
 	}
 	cols := materialize(t)
-	nkeys := normKeys(t.Schema, keys)
 	kcols := keyColumns(cols, keys)
 
 	idx := make([]uint32, t.NumRows())

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"rowsort/internal/core"
-	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
@@ -81,23 +80,6 @@ func materialize(t *vector.Table) []*vector.Vector {
 		cols[c] = t.Column(c)
 	}
 	return cols
-}
-
-// normKeys translates the sort spec into the reference key descriptors.
-func normKeys(schema vector.Schema, keys []core.SortColumn) []normkey.SortKey {
-	out := make([]normkey.SortKey, len(keys))
-	for i, k := range keys {
-		order := normkey.Ascending
-		if k.Descending {
-			order = normkey.Descending
-		}
-		nulls := normkey.NullsFirst
-		if k.NullsLast {
-			nulls = normkey.NullsLast
-		}
-		out[i] = normkey.SortKey{Column: k.Column, Type: schema[k.Column].Type, Order: order, Nulls: nulls}
-	}
-	return out
 }
 
 // keyColumns selects the key columns from materialized columns.
@@ -160,17 +142,4 @@ func splitRanges(n, parts int) [][2]int {
 		}
 	}
 	return out
-}
-
-// validateSpec checks a sort specification against the schema.
-func validateSpec(schema vector.Schema, keys []core.SortColumn) error {
-	if len(keys) == 0 {
-		return fmt.Errorf("systems: sort needs at least one key column")
-	}
-	for i, k := range keys {
-		if k.Column < 0 || k.Column >= len(schema) {
-			return fmt.Errorf("systems: key %d column index %d out of range", i, k.Column)
-		}
-	}
-	return nil
 }

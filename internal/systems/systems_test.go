@@ -20,7 +20,10 @@ func checkSystemSorted(t *testing.T, input, got *vector.Table, keys []core.SortC
 		t.Fatalf("%s: got %d rows, want %d", ctx, got.NumRows(), input.NumRows())
 	}
 	cols := materialize(input)
-	nkeys := normKeys(input.Schema, keys)
+	nkeys, err := core.NormKeys(input.Schema, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	kcols := keyColumns(cols, keys)
 	idx := make([]int, input.NumRows())
 	for i := range idx {
@@ -215,5 +218,52 @@ func TestCompiledTooManyKeys(t *testing.T) {
 	}
 	if _, err := NewHyPer(1).Sort(tbl, keys); err == nil {
 		t.Fatal("9 keys should exceed the compiled model's limit")
+	}
+}
+
+// TestSystemsOrderAsCore pins every model to the sorter's order where a key's
+// spec goes beyond ASC binary: a case-insensitive varchar key (its values
+// distinct under the collation but not in binary order, some past HyPer's
+// 8-byte slot and the sorter's 12-byte prefix) and DESC NULLS LAST keys. Each
+// spec's keys are distinct, so the order is exact, rows and all.
+func TestSystemsOrderAsCore(t *testing.T) {
+	names := vector.New(vector.Varchar, 0)
+	ids := vector.New(vector.Int32, 0)
+	for i, s := range []string{"bob", "Alice", "", "carol", "Dave", "sameprefix_Z", "sameprefix_a",
+		"SAMEPREFIX_b", "longer_than_12_Zed", "LONGER_THAN_12_yes", "eve"} {
+		if s == "" {
+			names.AppendNull()
+			ids.AppendNull()
+			continue
+		}
+		names.AppendString(s)
+		ids.AppendInt32(int32(i * 7 % 11))
+	}
+	tbl, err := vector.TableFromColumns(vector.Schema{{Name: "name", Type: vector.Varchar}, {Name: "id", Type: vector.Int32}}, names, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range [][]core.SortColumn{
+		{{Column: 0, CaseInsensitive: true}},
+		{{Column: 0, Descending: true, NullsLast: true}},
+		{{Column: 1, Descending: true, NullsLast: true}},
+	} {
+		want, err := core.SortTable(tbl, keys, core.Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCols := materialize(want)
+		for _, sys := range All(1) {
+			got, err := sys.Sort(tbl, keys)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", sys.Name(), keys, err)
+			}
+			gotCols := materialize(got)
+			for r := 0; r < tbl.NumRows(); r++ {
+				if fingerprint(gotCols, r) != fingerprint(wantCols, r) {
+					t.Fatalf("%s %+v: row %d is %s, the sorter's is %s", sys.Name(), keys, r, fingerprint(gotCols, r), fingerprint(wantCols, r))
+				}
+			}
+		}
 	}
 }
