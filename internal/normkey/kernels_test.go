@@ -174,7 +174,8 @@ var allTypes = []vector.Type{
 // TestEncodeKernelsMatchReference runs the typed kernels against the per-row
 // reference encoder over type × direction × NULL placement × validity layout
 // × collation × prefix length, comparing every byte of the output block (the
-// bytes around each segment included) and the stats.
+// bytes around each segment included) and the stats, and at the tie flag's
+// edges (tieEdges) the flag itself.
 func TestEncodeKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const n = 150 // three validity words, the last one partial
@@ -206,6 +207,17 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 							checkAgainstReference(t, fmt.Sprintf("%v %v coll=%d prefix=%d %q", order, nulls, coll, p, s), key, vec)
 							cells++
 						}
+						// At the flag's edges every path must also raise it
+						// exactly where the edge says.
+						for _, edge := range tieEdges(key.prefixLen()) {
+							vec := vector.FromStrings([]string{edge.s, "\x00" + edge.s + "x", edge.s})
+							vec.SetNull(1)
+							ctx := fmt.Sprintf("%v %v coll=%d prefix=%d %s %q", order, nulls, coll, p, edge.name, edge.s)
+							if st := checkAgainstReference(t, ctx, key, vec); st.Ties != edge.ties {
+								t.Fatalf("%s: Ties=%v, want %v", ctx, st.Ties, edge.ties)
+							}
+							cells++
+						}
 					}
 				}
 			}
@@ -214,7 +226,33 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 	t.Logf("%d cells", cells)
 }
 
-func checkAgainstReference(t *testing.T, ctx string, key SortKey, vec *vector.Vector) {
+// tieEdge is one string at an edge of the tie flag for a prefix of p bytes,
+// with the flag it must raise.
+type tieEdge struct {
+	name string
+	s    string
+	ties bool
+}
+
+// tieEdges returns the strings at the tie flag's edges for a prefix of p
+// bytes, in mixed case so that NOCASE rewrites them: one that fills the
+// prefix and one a byte longer, a NUL as the last byte copied and a NUL only
+// past the prefix (tied by the overflow alone), and the empty string.
+func tieEdges(p int) []tieEdge {
+	mixed := func(n int) string { return strings.Repeat("aB", n)[:n] }
+	return []tieEdge{
+		{"fills the prefix", mixed(p), false},
+		{"one byte over", mixed(p + 1), true},
+		{"NUL last copied", mixed(p-1) + "\x00", true},
+		{"NUL past the prefix", mixed(p) + "\x00", true},
+		{"empty", "", false},
+	}
+}
+
+// checkAgainstReference encodes vec as key's column, fails unless the
+// kernels agree with the reference byte for byte and stat for stat, and
+// returns the stats.
+func checkAgainstReference(t *testing.T, ctx string, key SortKey, vec *vector.Vector) EncodeStats {
 	t.Helper()
 	// A second key after the one under test shows a kernel writing past its
 	// segment; the stride leaves untouched bytes on both sides.
@@ -257,6 +295,7 @@ func checkAgainstReference(t *testing.T, ctx string, key SortKey, vec *vector.Ve
 			t.Fatalf("%s: row %d: key bytes depend on what the buffer held: %x / %x", ctx, r, got[from:to], other[from:to])
 		}
 	}
+	return gotSt
 }
 
 // TestEncodeChunkAllocatesNothing pins the encoder's hot path at zero

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"rowsort/internal/vector"
 )
@@ -269,8 +270,8 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 
 // encodeColumn encodes all rows of key k from vec, reporting whether any of
 // them may byte-tie with a different value. What varies per column — the
-// type, whether any row is NULL, the direction — is decided here, once; the
-// loops below it decide nothing per row.
+// type, whether any row is NULL, the direction and collation — is decided
+// here, once; the loops below it decide nothing per row.
 //
 // DESC inverts every byte of the segment. It is folded into what is stored
 // (inv, XORed into every byte on its way out) rather than applied in a second
@@ -289,10 +290,13 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 		nulls = nil
 	}
 
-	if key.Type == vector.Varchar {
-		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
-	} else {
+	switch {
+	case key.Type != vector.Varchar:
 		seg.encodeFixed(vec, n)
+	case key.Order == Ascending && key.Collation == CollationBinary:
+		ties = seg.copyStrings(vec.Strings()[:n], nulls)
+	default:
+		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
 	}
 	// The loops above give a NULL row whatever its slot in the vector holds
 	// (or skip it); its segment is the NULL validity byte over zero bytes.
@@ -455,6 +459,25 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 		}
 		for i := len(s); i < len(dst); i++ {
 			dst[i] = inv
+		}
+	}
+	return ties
+}
+
+// copyStrings is encodeStrings for the column that neither folds nor
+// inverts (ASC, binary collation): each prefix is one copy, its padding one
+// clear, and the search for a NUL one IndexByte. A NULL row's slot is copied
+// like any other, for encodeColumn to overwrite; whether a row is NULL is
+// asked only of a string that would raise the flag.
+func (g *segment) copyStrings(vals []string, nulls *vector.Bitmap) (ties bool) {
+	for r, s := range vals {
+		row := g.row(r * g.stride)
+		row[0] = g.valid
+		dst := row[1:]
+		n := copy(dst, s)
+		clear(dst[n:])
+		if !ties && (len(s) > n || strings.IndexByte(s[:n], 0) >= 0) && nulls.Valid(r) {
+			ties = true
 		}
 	}
 	return ties

@@ -23,6 +23,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+
+	"rowsort/internal/row"
 )
 
 // Defaults matching the paper's implementation.
@@ -164,7 +166,7 @@ func scatter16(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 16; src = src[16:] {
 		p := pos[src[d]]
 		pos[src[d]] = p + 16
-		move16(dst[p:], src)
+		row.Move16(dst[p:], src)
 	}
 }
 
@@ -172,7 +174,7 @@ func scatter24(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 24; src = src[24:] {
 		p := pos[src[d]]
 		pos[src[d]] = p + 24
-		move24(dst[p:], src)
+		row.Move24(dst[p:], src)
 	}
 }
 
@@ -180,7 +182,7 @@ func scatter32(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 32; src = src[32:] {
 		p := pos[src[d]]
 		pos[src[d]] = p + 32
-		move32(dst[p:], src)
+		row.Move32(dst[p:], src)
 	}
 }
 
@@ -188,7 +190,7 @@ func scatter40(dst, src []byte, d int, pos *[256]int) {
 	for ; len(src) >= 40; src = src[40:] {
 		p := pos[src[d]]
 		pos[src[d]] = p + 40
-		move40(dst[p:], src)
+		row.Move40(dst[p:], src)
 	}
 }
 
@@ -205,8 +207,7 @@ func scatterWords(dst, src []byte, rowW, d int, pos *[256]int) {
 	}
 }
 
-// scatterCopy serves every other stride (the duplicate-group representatives
-// are keyWidth+8 bytes wide, whatever keyWidth is).
+// scatterCopy serves every stride that is not a multiple of 8.
 func scatterCopy(dst, src []byte, rowW, d int, pos *[256]int) {
 	for ; len(src) >= rowW; src = src[rowW:] {
 		row := src[:rowW]
@@ -379,16 +380,16 @@ func (s *sorter) insertion(rows []byte, d int) {
 	// prev is the word of the row before i: the last row that stayed put.
 	prev := s.word(rows[:rowW], d)
 	for i := rowW; i < len(rows); i += rowW {
-		row := rows[i : i+rowW]
-		w := s.word(row, d)
-		if w > prev || w == prev && bytes.Compare(row[rest:keyW], rows[i-rowW : i][rest:keyW]) >= 0 {
+		cur := rows[i : i+rowW]
+		w := s.word(cur, d)
+		if w > prev || w == prev && bytes.Compare(cur[rest:keyW], rows[i-rowW : i][rest:keyW]) >= 0 {
 			prev = w
 			continue
 		}
-		moveRow(tmp, row)
+		row.MoveRow(tmp, cur)
 		j := i
 		for {
-			moveRow(rows[j:j+rowW], rows[j-rowW:j])
+			row.MoveRow(rows[j:j+rowW], rows[j-rowW:j])
 			if j -= rowW; j == 0 {
 				break
 			}
@@ -397,64 +398,6 @@ func (s *sorter) insertion(rows []byte, d int) {
 				break
 			}
 		}
-		moveRow(rows[j:j+rowW], tmp)
+		row.MoveRow(rows[j:j+rowW], tmp)
 	}
-}
-
-// moveRow copies the row src to dst, as words when the stride is one of the
-// sorter's.
-func moveRow(dst, src []byte) {
-	switch len(src) {
-	case 16:
-		move16(dst, src)
-	case 24:
-		move24(dst, src)
-	case 32:
-		move32(dst, src)
-	case 40:
-		move40(dst, src)
-	default:
-		copy(dst, src)
-	}
-}
-
-// move16 to move40 copy that many bytes from the front of src to the front of
-// dst, which do not overlap, as 8-byte loads and stores: the loads first, so
-// that one bounds check a slice covers them all.
-
-func move16(dst, src []byte) {
-	dst, src = dst[:16:16], src[:16:16]
-	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
-	binary.LittleEndian.PutUint64(dst, w0)
-	binary.LittleEndian.PutUint64(dst[8:], w1)
-}
-
-func move24(dst, src []byte) {
-	dst, src = dst[:24:24], src[:24:24]
-	w0, w1, w2 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:]), binary.LittleEndian.Uint64(src[16:])
-	binary.LittleEndian.PutUint64(dst, w0)
-	binary.LittleEndian.PutUint64(dst[8:], w1)
-	binary.LittleEndian.PutUint64(dst[16:], w2)
-}
-
-func move32(dst, src []byte) {
-	dst, src = dst[:32:32], src[:32:32]
-	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
-	w2, w3 := binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:])
-	binary.LittleEndian.PutUint64(dst, w0)
-	binary.LittleEndian.PutUint64(dst[8:], w1)
-	binary.LittleEndian.PutUint64(dst[16:], w2)
-	binary.LittleEndian.PutUint64(dst[24:], w3)
-}
-
-func move40(dst, src []byte) {
-	dst, src = dst[:40:40], src[:40:40]
-	w0, w1 := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
-	w2, w3 := binary.LittleEndian.Uint64(src[16:]), binary.LittleEndian.Uint64(src[24:])
-	w4 := binary.LittleEndian.Uint64(src[32:])
-	binary.LittleEndian.PutUint64(dst, w0)
-	binary.LittleEndian.PutUint64(dst[8:], w1)
-	binary.LittleEndian.PutUint64(dst[16:], w2)
-	binary.LittleEndian.PutUint64(dst[24:], w3)
-	binary.LittleEndian.PutUint64(dst[32:], w4)
 }

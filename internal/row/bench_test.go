@@ -10,11 +10,13 @@ import (
 	"rowsort/internal/workload"
 )
 
-// The row kernels timed out of cache, at the benchmark's two payload shapes:
-// the wide row of mem-wide-payload (an Int32 key, twelve Int64 and a 24-byte
-// string: 112-byte rows) and the customer row of mem-customer-str (four
-// Int32, three with NULLs, and two name strings: 40-byte rows). Each round
-// moves one run of benchRunRows rows; the time is reported per row.
+// The row kernels timed out of cache, at the benchmark's three payload
+// shapes: the wide row of mem-wide-payload (an Int32 key, twelve Int64 and a
+// 24-byte string: 112-byte rows), the customer row of mem-customer-str (four
+// Int32, three with NULLs, and two name strings: 40-byte rows) and the int
+// row of mem-uniform-int (two Int64: 24-byte rows, the stride of
+// ext-catalog-spill's five Int32 too). Each round moves one run of
+// benchRunRows rows; the time is reported per row.
 
 const (
 	benchRunRows = 1 << 17
@@ -69,7 +71,11 @@ func benchShapes(b *testing.B) []*benchShape {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var shapes []*benchShape
-	for _, sh := range []*benchShape{{name: "wide", table: wideTable(benchRunRows)}, {name: "customer", table: customerTable(benchRunRows)}} {
+	for _, sh := range []*benchShape{
+		{name: "wide", table: wideTable(benchRunRows)},
+		{name: "customer", table: customerTable(benchRunRows)},
+		{name: "int", table: workload.UniformInt64s(benchRunRows, 1)},
+	} {
 		l := NewLayout(sh.table.Schema.Types())
 		sh.run = NewRowSet(l)
 		per := len(sh.table.Chunks) / benchRuns

@@ -237,12 +237,10 @@ func (rs *RowSet) GatherChunk(start, count int) []*vector.Vector {
 // batched form of AppendRowFrom that physically reorders a run's payload
 // after its keys are sorted.
 func (rs *RowSet) AppendRowsFrom(src *RowSet, idxs []uint32) {
-	w := rs.layout.width
+	srcs := []*RowSet{src}
 	rows := rs.extendRows(len(idxs))
-	for o, i := range idxs {
-		copy(rows[o*w:(o+1)*w], src.data[int(i)*w:int(i)*w+w])
-	}
-	rs.moveStrings(rows, []*RowSet{src}, nil)
+	copyRows(rows, rs.layout.width, srcs, nil, idxs)
+	rs.moveStrings(rows, srcs, nil)
 }
 
 // AppendRowsGather appends the rows named by (which[i], idxs[i]) — row
@@ -250,12 +248,8 @@ func (rs *RowSet) AppendRowsFrom(src *RowSet, idxs []uint32) {
 // payload scattered across several sets (a spill block's staging); all sets
 // must share this set's layout.
 func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
-	w := rs.layout.width
 	rows := rs.extendRows(len(idxs))
-	for o, i := range idxs {
-		src := srcs[which[o]]
-		copy(rows[o*w:(o+1)*w], src.data[int(i)*w:int(i)*w+w])
-	}
+	copyRows(rows, rs.layout.width, srcs, which, idxs)
 	rs.moveStrings(rows, srcs, which)
 }
 
@@ -273,6 +267,9 @@ func (rs *RowSet) extendRows(n int) []byte {
 // this set's heap, sized once, column after column, and the references
 // pointed there. Copying every row first and the strings after is what lets
 // the row loads overlap: a string's source offset is in the row just loaded.
+// A string of at most 16 bytes moves as two words where both heaps have 16
+// bytes from its offset on: the bytes past its end are written only ahead of
+// pos, where the strings still to come overwrite them.
 func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32) {
 	l := rs.layout
 	if len(l.strCols) == 0 || len(rows) == 0 {
@@ -301,10 +298,15 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32) {
 			if which != nil {
 				src = srcs[which[r]]
 			}
-			so := binary.LittleEndian.Uint32(slot)
-			hl := binary.LittleEndian.Uint32(slot[4:])
+			so := int(binary.LittleEndian.Uint32(slot))
+			hl := int(binary.LittleEndian.Uint32(slot[4:]))
 			binary.LittleEndian.PutUint32(slot, uint32(pos))
-			pos += copy(heap[pos:], src.heap[so:so+hl])
+			if sh := src.heap; hl <= 16 && so+16 <= len(sh) && pos+16 <= len(heap) {
+				Move16(heap[pos:], sh[so:])
+				pos += hl
+			} else {
+				pos += copy(heap[pos:], sh[so:so+hl])
+			}
 		}
 	}
 }

@@ -233,8 +233,9 @@ type kernelLayout struct {
 // kernelLayouts returns the row shapes column type typ is checked in: alone;
 // beside one varchar column and between two; packed (align 1: rows under a
 // word, so the mask is read a byte at a time); 32-byte aligned, where tail
-// padding outgrows a word; and in a 70-column row, whose 9-byte mask has no
-// word form either.
+// padding outgrows a word; in a 70-column row, whose 9-byte mask has no word
+// form either; and at each stride a row mover unrolls (16, 24, 32 and 40
+// bytes).
 func kernelLayouts(typ vector.Type) []kernelLayout {
 	wide := make([]vector.Type, 70)
 	for c := range wide {
@@ -243,7 +244,7 @@ func kernelLayouts(typ vector.Type) []kernelLayout {
 			wide[c] = typ
 		}
 	}
-	return []kernelLayout{
+	kls := []kernelLayout{
 		{"alone", NewLayout([]vector.Type{typ})},
 		{"one-string", NewLayout([]vector.Type{typ, vector.Varchar})},
 		{"two-strings", NewLayout([]vector.Type{vector.Varchar, typ, vector.Uint16, vector.Varchar})},
@@ -251,6 +252,25 @@ func kernelLayouts(typ vector.Type) []kernelLayout {
 		{"align32", NewLayoutAligned([]vector.Type{vector.Int64, typ, vector.Int8}, 32)},
 		{"70-columns", NewLayout(wide)},
 	}
+	for _, w := range []int{16, 24, 32, 40} {
+		kls = append(kls, kernelLayout{fmt.Sprintf("stride%d", w), strideLayout(typ, w)})
+	}
+	return kls
+}
+
+// strideLayout returns a layout of exactly w bytes a row: typ, then 8-byte
+// columns — a string first — until the row is w wide. Each one widens the
+// row by exactly a word, so w is reached, not passed.
+func strideLayout(typ vector.Type, w int) *Layout {
+	types := []vector.Type{typ}
+	for pad := vector.Varchar; NewLayout(types).width < w; pad = vector.Int64 {
+		types = append(types, pad)
+	}
+	l := NewLayout(types)
+	if l.width != w {
+		panic(fmt.Sprintf("row: %v padded to a %d-byte row, want %d", types, l.width, w))
+	}
+	return l
 }
 
 // nullShapes are the validity layouts a vector can arrive with.

@@ -73,7 +73,7 @@ func (w *Writer) Add(keyRow []byte, which, idx uint32) []byte {
 		w.buf = make([]byte, w.f.blockRows*rw)
 	}
 	dst := w.buf[w.pending*rw : (w.pending+1)*rw]
-	copy(dst, keyRow)
+	row.MoveRow(dst, keyRow[:rw])
 	w.which[w.pending], w.idxs[w.pending] = which, idx
 	w.pending++
 	w.keys = w.buf[:w.pending*rw]
