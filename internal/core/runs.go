@@ -77,7 +77,7 @@ func (k *Sink) flush() error {
 	sorted := s.getRowSet()
 	sorted.Reserve(n)
 	sorted.ReserveHeap(payload.HeapLen())
-	sorted.AppendRowsFrom(payload, idxs)
+	sorted.AppendPermuted(payload, idxs)
 	payload.Reset() // the sink's own set: the next run fills it
 	k.account()
 	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())

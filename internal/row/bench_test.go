@@ -176,7 +176,7 @@ func BenchmarkReorder(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dst.Reset()
-				dst.AppendRowsFrom(sh.run, sh.perm)
+				dst.AppendPermuted(sh.run, sh.perm)
 			}
 			perRow(b)
 		})

@@ -234,13 +234,17 @@ func (rs *RowSet) GatherChunk(start, count int) []*vector.Vector {
 }
 
 // AppendRowsFrom appends the rows of src named by idxs, in index order — the
-// batched form of AppendRowFrom that physically reorders a run's payload
-// after its keys are sorted.
+// batched form of AppendRowFrom. Indices may repeat and leave gaps.
 func (rs *RowSet) AppendRowsFrom(src *RowSet, idxs []uint32) {
-	srcs := []*RowSet{src}
-	rows := rs.extendRows(len(idxs))
-	copyRows(rows, rs.layout.width, srcs, nil, idxs)
-	rs.moveStrings(rows, srcs, nil)
+	rs.reorder([]*RowSet{src}, nil, idxs, -1)
+}
+
+// AppendPermuted is AppendRowsFrom for a perm that names no row of src twice:
+// the reorder of a run's payload after its keys are sorted. No two rows of a
+// set share heap bytes, so the strings fit in src's heap length, and the heap
+// is sized by it without the pass that sums them.
+func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
+	rs.reorder([]*RowSet{src}, nil, perm, len(src.heap))
 }
 
 // AppendRowsGather appends the rows named by (which[i], idxs[i]) — row
@@ -248,9 +252,16 @@ func (rs *RowSet) AppendRowsFrom(src *RowSet, idxs []uint32) {
 // payload scattered across several sets (a spill block's staging); all sets
 // must share this set's layout.
 func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
+	rs.reorder(srcs, which, idxs, -1)
+}
+
+// reorder appends row idxs[o] of srcs[which[o]] — of srcs[0] when which is
+// nil — for every o, in two passes: the rows, then their strings. room bounds
+// the heap bytes the strings take; -1 has them summed.
+func (rs *RowSet) reorder(srcs []*RowSet, which, idxs []uint32, room int) {
 	rows := rs.extendRows(len(idxs))
 	copyRows(rows, rs.layout.width, srcs, which, idxs)
-	rs.moveStrings(rows, srcs, which)
+	rs.moveStrings(rows, srcs, which, room)
 }
 
 // extendRows appends n rows, unwritten, and returns their bytes.
@@ -264,30 +275,33 @@ func (rs *RowSet) extendRows(n int) []byte {
 // moveStrings is the reorder's second pass. The rows were copied from their
 // sources — row o from srcs[which[o]], or from srcs[0] when which is nil —
 // with heap references into the sources' heaps; their strings are copied into
-// this set's heap, sized once, column after column, and the references
-// pointed there. Copying every row first and the strings after is what lets
-// the row loads overlap: a string's source offset is in the row just loaded.
-// A string of at most 16 bytes moves as two words where both heaps have 16
-// bytes from its offset on: the bytes past its end are written only ahead of
-// pos, where the strings still to come overwrite them.
-func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32) {
+// this set's heap, sized once to room bytes (summed first when room is -1)
+// and cut to what they took, column after column, and the references pointed
+// there. Copying every row first and the strings after is what lets the row
+// loads overlap: a string's source offset is in the row just loaded. A string
+// of at most 16 bytes moves as two words, one of at most 32 as four, where
+// both heaps have that many bytes from its offset on: the bytes past its end
+// are written only ahead of pos, where the strings still to come overwrite
+// them.
+func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32, room int) {
 	l := rs.layout
 	if len(l.strCols) == 0 || len(rows) == 0 {
 		return
 	}
 	w := l.width
-	total := 0
-	for o := 0; o < len(rows); o += w {
-		row := rows[o : o+w : o+w]
-		for _, c := range l.strCols {
-			if l.valid(row, c) {
-				total += int(binary.LittleEndian.Uint32(row[l.offsets[c]+4:]))
+	if room < 0 {
+		room = 0
+		for o := 0; o < len(rows); o += w {
+			row := rows[o : o+w : o+w]
+			for _, c := range l.strCols {
+				if l.valid(row, c) {
+					room += int(binary.LittleEndian.Uint32(row[l.offsets[c]+4:]))
+				}
 			}
 		}
 	}
 	pos := len(rs.heap)
-	rs.heap = extendBytes(rs.heap, total)
-	heap, src := rs.heap, srcs[0]
+	heap, src := extendBytes(rs.heap, room), srcs[0]
 	for _, c := range l.strCols {
 		off, mb, bit := l.offsets[c], c>>3, byte(1)<<(uint(c)&7)
 		for o, r := 0, 0; o < len(rows); o, r = o+w, r+1 {
@@ -301,14 +315,18 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32) {
 			so := int(binary.LittleEndian.Uint32(slot))
 			hl := int(binary.LittleEndian.Uint32(slot[4:]))
 			binary.LittleEndian.PutUint32(slot, uint32(pos))
-			if sh := src.heap; hl <= 16 && so+16 <= len(sh) && pos+16 <= len(heap) {
+			switch sh := src.heap; {
+			case hl <= 16 && so+16 <= len(sh) && pos+16 <= len(heap):
 				Move16(heap[pos:], sh[so:])
-				pos += hl
-			} else {
-				pos += copy(heap[pos:], sh[so:so+hl])
+			case hl <= 32 && so+32 <= len(sh) && pos+32 <= len(heap):
+				Move32(heap[pos:], sh[so:])
+			default:
+				copy(heap[pos:pos+hl], sh[so:so+hl])
 			}
+			pos += hl
 		}
 	}
+	rs.heap = heap[:pos]
 }
 
 // reserveBytes returns b with room for n more bytes, growing by amortized

@@ -2,7 +2,9 @@ package row
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rowsort/internal/vector"
@@ -234,6 +236,84 @@ func TestAppendRowsFromMatchesScalar(t *testing.T) {
 			if batch.Value(o, c) != src.Value(int(i), c) {
 				t.Fatalf("row %d col %d: got %v, want %v", o, c, batch.Value(o, c), src.Value(int(i), c))
 			}
+		}
+	}
+}
+
+// TestReorderStringBoundaries pins the reorder's word moves of strings at
+// the lengths either side of 16 and 32 bytes, where a move of two or four
+// words ends. A source's first and last rows hold the length under test, so
+// the last row's string ends the source heap. A list in order puts that string
+// last in the destination heap too; the other lists end with the first row,
+// whose string ends the destination heap but has room behind it in the
+// source, and hold the last row earlier: each heap's room is tested on its
+// own. Row and heap bytes must equal per-row AppendRowFrom's (one varchar
+// column, so the two heap orders agree), for permutations through all three
+// reorders and for a list with repeats and gaps through the two that allow
+// them.
+func TestReorderStringBoundaries(t *testing.T) {
+	lengths := []int{15, 16, 17, 31, 32, 33}
+	const n = 4 * 6
+	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
+	rng := rand.New(rand.NewSource(46))
+	source := func(edge int) *RowSet {
+		ints, strs := vector.New(vector.Int64, n), vector.New(vector.Varchar, n)
+		for r := 0; r < n; r++ {
+			b := make([]byte, lengths[r%len(lengths)])
+			if r == 0 || r == n-1 {
+				b = make([]byte, edge)
+			}
+			rng.Read(b)
+			ints.AppendInt64(int64(r))
+			strs.AppendString(string(b))
+		}
+		rs := NewRowSet(layout)
+		if err := rs.AppendChunk([]*vector.Vector{ints, strs}); err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	for _, edge := range lengths {
+		srcs := []*RowSet{source(edge), source(edge)}
+		inOrder, perm := make([]uint32, n), make([]uint32, n)
+		for o, p := range rng.Perm(n) {
+			inOrder[o], perm[o] = uint32(o), uint32(p)
+		}
+		at := slices.Index(perm, 0)
+		perm[at], perm[n-1] = perm[n-1], 0
+		repeats := make([]uint32, 2*n)
+		for o := range repeats {
+			repeats[o] = uint32(rng.Intn(n / 2)) // half the rows, some twice
+		}
+		repeats[n], repeats[2*n-1] = n-1, 0
+		which := make([]uint32, len(repeats))
+		for o := range which {
+			which[o] = uint32(rng.Intn(2))
+		}
+		for _, tc := range []struct {
+			name string
+			idxs []uint32
+		}{{"in order", inOrder}, {"permutation", perm}, {"repeats and gaps", repeats}} {
+			ctx := fmt.Sprintf("edge strings of %d bytes, %s", edge, tc.name)
+			want := NewRowSet(layout)
+			for _, i := range tc.idxs {
+				want.AppendRowFrom(srcs[0], int(i))
+			}
+			got := NewRowSet(layout)
+			got.AppendRowsFrom(srcs[0], tc.idxs)
+			sameSet(t, ctx+": AppendRowsFrom", got, want)
+			if len(tc.idxs) == n {
+				got = NewRowSet(layout)
+				got.AppendPermuted(srcs[0], tc.idxs)
+				sameSet(t, ctx+": AppendPermuted", got, want)
+			}
+			want = NewRowSet(layout)
+			for o, i := range tc.idxs {
+				want.AppendRowFrom(srcs[which[o]], int(i))
+			}
+			got = NewRowSet(layout)
+			got.AppendRowsGather(srcs, which[:len(tc.idxs)], tc.idxs)
+			sameSet(t, ctx+": AppendRowsGather", got, want)
 		}
 	}
 }

@@ -442,6 +442,13 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				got.AppendRowsGather(srcs, which, idxs)
 				refAppendRowsGather(ref, srcs, which, idxs)
 				sameSet(t, ctx+": AppendRowsGather", got, ref)
+				perm := make([]uint32, want.Len())
+				for o, p := range rng.Perm(len(perm)) {
+					perm[o] = uint32(p)
+				}
+				got.AppendPermuted(want, perm)
+				refAppendRowsGather(ref, srcs, nil, perm)
+				sameSet(t, ctx+": AppendPermuted", got, ref)
 				if len(l.strCols) <= 1 {
 					single := NewRowSet(l)
 					for _, i := range idxs {
@@ -502,9 +509,9 @@ func TestScatterAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReorderAllocatesNothing pins both reorders into a set with room at
-// zero allocations: a run's payload permuted out of one set, and a spill
-// block's gathered from several.
+// TestReorderAllocatesNothing pins the three reorders into a set with room
+// at zero allocations: rows named out of one set, a run's payload permuted
+// out of one, and a spill block's gathered from several.
 func TestReorderAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for name, tbl := range pinTables(3 * vector.DefaultVectorSize) {
@@ -526,6 +533,7 @@ func TestReorderAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() {
 			dst.Reset()
 			dst.AppendRowsFrom(srcs[0], perm)
+			dst.AppendPermuted(srcs[0], perm)
 			dst.AppendRowsGather(srcs, which, perm)
 		}); allocs != 0 {
 			t.Errorf("%s: the reorder allocated %.0f times per run", name, allocs)
