@@ -50,7 +50,7 @@ func (rs *RowSet) AppendTo(v *vector.Vector, i, c int) {
 
 // AppendRowFrom appends row i of src, which must share the layout, copying
 // any string data into this set's heap. It is the single-row form of the
-// payload reorder; run generation uses the batched AppendRowsFrom, which
+// payload reorder; run generation uses the batched AppendPermuted, which
 // hoists the varchar column scan out of the row loop.
 func (rs *RowSet) AppendRowFrom(src *RowSet, i int) {
 	rs.data = append(rs.data, src.Row(i)...)
