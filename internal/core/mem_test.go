@@ -484,32 +484,3 @@ func TestStreamingRowsSingleUse(t *testing.T) {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
 	}
 }
-
-// FuzzMemoryBudget drives tiny budgets and odd run sizes through a single
-// sink, forcing spills mid-sink at arbitrary points, and requires the
-// output to stay byte-identical to the unlimited sort with a zero broker
-// balance after Close.
-func FuzzMemoryBudget(f *testing.F) {
-	f.Add(uint32(1), uint16(100))
-	f.Add(uint32(4<<10), uint16(700))
-	f.Add(uint32(64<<10), uint16(37))
-	f.Add(uint32(1<<20), uint16(2000))
-	f.Fuzz(func(t *testing.T, rawBudget uint32, rawRunSize uint16) {
-		budget := int64(rawBudget%(1<<20)) + 1
-		runSize := int(rawRunSize)%1500 + 16
-		tbl := mixedTable(2*vector.DefaultVectorSize+777, 97)
-		keys := mergeTestKeys
-
-		want, _ := budgetedSort(t, tbl, keys, Options{Threads: 1, RunSize: runSize})
-		wantRows := rowify(t, want)
-
-		broker := mem.NewBroker("fuzz", budget)
-		got, _ := budgetedSort(t, tbl, keys, Options{Threads: 1, RunSize: runSize, Broker: broker})
-		if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-			t.Fatalf("budget %d, run size %d: output differs from unlimited sort", budget, runSize)
-		}
-		if used := broker.Used(); used != 0 {
-			t.Fatalf("budget %d, run size %d: broker holds %d bytes after Close", budget, runSize, used)
-		}
-	})
-}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,39 +28,6 @@ var mergeTestKeys = []SortColumn{
 	{Column: 1, NullsLast: true},
 	{Column: 2, Descending: true},
 	{Column: 0},
-}
-
-// TestExternalMergeEquivalence checks that the streaming external merge is
-// byte-identical to the in-memory merge across block sizes and thread counts
-// — and that the stream reads each spilled byte exactly once.
-func TestExternalMergeEquivalence(t *testing.T) {
-	tbl := mixedTable(3*vector.DefaultVectorSize+123, 93)
-	want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 1, RunSize: 700})
-	checkSorted(t, tbl, want, mergeTestKeys, "in-memory reference")
-	wantRows := rowify(t, want)
-
-	for _, blockRows := range []int{1, 64, 512, 100000} {
-		for _, threads := range []int{1, 4, 16} {
-			s := finalizedSorter(t, tbl, mergeTestKeys,
-				Options{Threads: threads, RunSize: 700, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
-			got := resultChecked(t, s)
-			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Fatalf("block=%d threads=%d: external merge differs from in-memory", blockRows, threads)
-			}
-			spill := s.Stats()
-			written, read := spill.SpillBytesWritten, spill.SpillBytesRead
-			if written == 0 {
-				t.Fatalf("block=%d: sort never spilled", blockRows)
-			}
-			if read != written {
-				t.Fatalf("block=%d threads=%d: read %d spill bytes, wrote %d (want exactly one pass)",
-					blockRows, threads, read, written)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 }
 
 // TestMergeStats checks the exported merge counters: comparisons are
@@ -194,21 +159,5 @@ func TestSpillErrorPropagation(t *testing.T) {
 	}
 	if sawErr == nil {
 		t.Fatal("sort with unwritable SpillDir reported no error")
-	}
-}
-
-// TestExternalMergeManyRunCounts sweeps run counts (including 1 and a
-// non-power-of-two k) through the streaming merge with a small block size.
-func TestExternalMergeManyRunCounts(t *testing.T) {
-	for _, runSize := range []int{100000, 2048, 777, 350} {
-		tbl := mixedTable(2*vector.DefaultVectorSize+13, 98)
-		name := fmt.Sprintf("runsize=%d", runSize)
-		want := sortWith(t, tbl, mergeTestKeys, Options{Threads: 1, RunSize: runSize})
-		wantRows := rowify(t, want)
-		got := sortWith(t, tbl, mergeTestKeys,
-			Options{Threads: 1, RunSize: runSize, SpillDir: t.TempDir()}, pinBlockRows(64))
-		if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-			t.Fatalf("%s: external merge differs from in-memory", name)
-		}
 	}
 }

@@ -57,86 +57,6 @@ func parallelSort(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Option
 	return out, st
 }
 
-// TestParallelExternalSortByteIdentity is the parallel external sort's
-// correctness bar: parallel run generation, read-ahead and the streamed final
-// merge under a tight budget produce output byte-identical to the scalar
-// external path at every thread count, and hand every reserved byte back on
-// Close.
-func TestParallelExternalSortByteIdentity(t *testing.T) {
-	tbl := mixedTable(40_000, 101)
-	scalar := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: -1}
-	want := sortWith(t, tbl, parallelTestKeys, scalar)
-	checkSorted(t, tbl, want, parallelTestKeys, "scalar external reference")
-	wantRows := rowify(t, want)
-
-	_, unlimited := parallelSort(t, tbl, parallelTestKeys, Options{Threads: 4, RunSize: 1500})
-	budget := unlimited.PeakResidentRunBytes / 3
-
-	for _, threads := range []int{1, 2, 4, 8} {
-		broker := mem.NewBroker("parallel-identity", budget)
-		opt := Options{Threads: threads, RunSize: 1500, Broker: broker}
-		got, st := parallelSort(t, tbl, parallelTestKeys, opt)
-		if st.SpillBytesWritten == 0 {
-			t.Fatalf("threads=%d: budget %d forced no spill", threads, budget)
-		}
-		if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-			t.Errorf("threads=%d: parallel external sort differs from scalar path", threads)
-		}
-		if used := broker.Used(); used != 0 {
-			t.Errorf("threads=%d: broker holds %d bytes after Close, want 0", threads, used)
-		}
-		if peak := broker.Peak(); peak >= unlimited.PeakResidentRunBytes {
-			t.Errorf("threads=%d: budgeted peak %d not below unlimited peak %d",
-				threads, peak, unlimited.PeakResidentRunBytes)
-		}
-	}
-}
-
-// TestPartitionedMergeMatchesSequential pins the final merge cut into
-// fence-key tasks against the sequential one on deterministic runs (single
-// sink): across worker counts and read-ahead depths the output must stay
-// byte-identical — including on keys with tie-breaks, where task bounds may
-// only cut on the byte-decisive safe prefix — and the read-ahead counters
-// must say what ran.
-func TestPartitionedMergeMatchesSequential(t *testing.T) {
-	tbl := mixedTable(40_000, 102)
-	base := Options{Threads: 1, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: -1}
-	want, wantStats := budgetedSort(t, tbl, mergeTestKeys, base, pinBlockRows(40_000))
-	if wantStats.SpillBytesWritten == 0 {
-		t.Fatal("reference sort never spilled")
-	}
-	if wantStats.ExtMergeParts != 1 || wantStats.PrefetchedBlocks != 0 {
-		t.Fatalf("the reference, of one block a run and no read-ahead, ran in tasks or read ahead: %+v", wantStats)
-	}
-	wantRows := rowify(t, want)
-
-	for _, threads := range []int{1, 2, 4, 8} {
-		for _, ra := range []int{-1, 0, 2} {
-			opt := Options{Threads: threads, RunSize: 1500, SpillDir: t.TempDir(), ReadAhead: ra}
-			got, st := budgetedSort(t, tbl, mergeTestKeys, opt, pinBlockRows(256))
-			if !bytes.Equal(rowify(t, got).Bytes(), wantRows.Bytes()) {
-				t.Errorf("threads=%d readahead=%d: output differs from sequential merge", threads, ra)
-			}
-			if st.ExtMergeParts < 2 {
-				t.Errorf("threads=%d: final merge ran in %d tasks, want >= 2", threads, st.ExtMergeParts)
-			}
-			if st.SpillBytesRead != st.SpillBytesWritten {
-				t.Errorf("threads=%d readahead=%d: read %d spill bytes, wrote %d", threads, ra, st.SpillBytesRead, st.SpillBytesWritten)
-			}
-			if ra >= 0 && st.PrefetchedBlocks == 0 {
-				t.Errorf("readahead=%d: no blocks prefetched", ra)
-			}
-			if ra < 0 && st.PrefetchedBlocks != 0 {
-				t.Errorf("readahead disabled but %d blocks prefetched", st.PrefetchedBlocks)
-			}
-			if st.PrefetchHits > st.PrefetchedBlocks {
-				t.Errorf("read-ahead hits %d exceed prefetched blocks %d",
-					st.PrefetchHits, st.PrefetchedBlocks)
-			}
-		}
-	}
-}
-
 // TestParallelSinkMatchesSink checks the streaming parallel ingest: a
 // single producer feeding a ParallelSink yields the same table as a plain
 // Sink at every worker count, in memory and with eager spilling.

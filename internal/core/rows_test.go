@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -21,9 +20,10 @@ const (
 	keysUnique = iota
 	keysDupHeavy
 	keysAllEqual
+	keysNearlySorted // workload.NearlySorted's, 0.1% disorder
+	keysSawtooth     // workload.SawtoothRuns', ramps of 1,024
+	numShapes
 )
-
-var drainKeyNames = [...]string{"unique", "dup-heavy", "all-equal"}
 
 // drainTable builds n rows of (k Int64, s Varchar, id Int32) in chunks of
 // chunkRows: k follows the named distribution, s is k's zero-padded decimal
@@ -33,6 +33,13 @@ var drainKeyNames = [...]string{"unique", "dup-heavy", "all-equal"}
 // same rows in the same order.
 func drainTable(n, chunkRows, dist int, seed uint64) *vector.Table {
 	rng := workload.NewRNG(seed)
+	var shaped []int64
+	switch dist {
+	case keysNearlySorted:
+		shaped = workload.NearlySorted(n, 0.001, seed).Column(0).Int64s()
+	case keysSawtooth:
+		shaped = workload.SawtoothRuns(n, 1024, seed).Column(0).Int64s()
+	}
 	schema := vector.Schema{
 		{Name: "k", Type: vector.Int64},
 		{Name: "s", Type: vector.Varchar},
@@ -49,6 +56,8 @@ func drainTable(n, chunkRows, dist int, seed uint64) *vector.Table {
 				k = int64(rng.Uint64() >> 1)
 			case keysDupHeavy:
 				k = int64(rng.Intn(8))
+			case keysNearlySorted, keysSawtooth:
+				k = shaped[start+r]
 			}
 			c.Vectors[0].AppendInt64(k)
 			c.Vectors[1].AppendString(fmt.Sprintf("%020d-tail", k))
@@ -122,31 +131,18 @@ func drainAll(t testing.TB, s *Sorter) *vector.Table {
 }
 
 // sameChunks fails unless got equals want chunk for chunk: the same chunk
-// boundaries and the same values in every column. It knows the column types
-// of this file's tables, none of which holds a NULL.
+// boundaries and the same row-format bytes in every chunk.
 func sameChunks(t *testing.T, ctx string, got, want *vector.Table) {
 	t.Helper()
 	if len(got.Chunks) != len(want.Chunks) {
 		t.Fatalf("%s: %d chunks, want %d", ctx, len(got.Chunks), len(want.Chunks))
 	}
+	rows := func(c *vector.Chunk) []byte {
+		return rowify(t, &vector.Table{Schema: got.Schema, Chunks: []*vector.Chunk{c}}).Bytes()
+	}
 	for i, g := range got.Chunks {
-		w := want.Chunks[i]
-		if g.Len() != w.Len() {
-			t.Fatalf("%s: chunk %d has %d rows, want %d", ctx, i, g.Len(), w.Len())
-		}
-		for c, col := range got.Schema {
-			same := false
-			switch col.Type {
-			case vector.Int64:
-				same = slices.Equal(g.Vectors[c].Int64s(), w.Vectors[c].Int64s())
-			case vector.Int32:
-				same = slices.Equal(g.Vectors[c].Int32s(), w.Vectors[c].Int32s())
-			case vector.Varchar:
-				same = slices.Equal(g.Vectors[c].Strings(), w.Vectors[c].Strings())
-			}
-			if !same {
-				t.Fatalf("%s: chunk %d column %d differs", ctx, i, c)
-			}
+		if w := want.Chunks[i]; g.Len() != w.Len() || !bytes.Equal(rows(g), rows(w)) {
+			t.Fatalf("%s: chunk %d (%d rows, want %d) differs", ctx, i, g.Len(), w.Len())
 		}
 	}
 }
@@ -159,59 +155,6 @@ func resultFences(s *Sorter) int {
 		n += (s.runs[id].rows + stride - 1) / stride
 	}
 	return n
-}
-
-// TestRowsThreadGridByteIdentity is the byte-identity bar of the lazy merge:
-// whatever the worker count, Rows yields what the inline drain (Threads: 1)
-// yields, chunk for chunk, and that is the scalar-merge oracle's rows — as
-// rows, since a task's last chunk may be short — across run counts on both
-// sides of a power of two, merges with and without the tie-break comparator,
-// unique, duplicate-heavy and all-equal keys, and row counts that fill
-// neither a chunk nor a task, plus one that keeps eight workers busy and
-// overflows two workers' window. Whatever the keys, equal ones and those
-// tying on their prefix included, a drain whose runs have more fences than a
-// task begins runs more than one task.
-func TestRowsThreadGridByteIdentity(t *testing.T) {
-	sizes := []int{1000, 3*vector.DefaultVectorSize + 17, drainTaskRows + vector.DefaultVectorSize + 5}
-	check := func(n, runs, dist int) {
-		// A sink cuts a run at the first chunk boundary at or past RunSize:
-		// a run is perRun chunks of chunkRows, about n/runs rows together.
-		perRun := ((n+runs-1)/runs + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
-		chunkRows := ((n+runs-1)/runs + perRun - 1) / perRun
-		tbl := drainTable(n, chunkRows, dist, uint64(n+runs))
-		for _, tieBreak := range []bool{false, true} {
-			// Rows reads the options when it is called: one finalized sort,
-			// re-iterated, serves every drain shape.
-			s := finalizedSorter(t, tbl, drainKeys(tieBreak), Options{Threads: 1, RunSize: perRun * chunkRows})
-			ctx := fmt.Sprintf("rows=%d runs=%d keys=%s tie=%v", n, runs, drainKeyNames[dist], tieBreak)
-			anyTie := slices.ContainsFunc(s.runs, func(r *sortedRun) bool { return r.tieBreak })
-			if len(s.runs) != runs || anyTie != tieBreak {
-				t.Fatalf("%s: %d runs generated, tie-break %v", ctx, len(s.runs), anyTie)
-			}
-			inline, tasks := drainAll(t, s), s.planSpillTasks(s.resultIDs, false).Tasks()
-			if !bytes.Equal(rowify(t, inline).Bytes(), rowify(t, oracleResult(t, s)).Bytes()) {
-				t.Fatalf("%s: rows differ from the oracle's", ctx)
-			}
-			if fences := resultFences(s); fences > drainTaskFences && tasks < 2 {
-				t.Fatalf("%s: %d task over %d fences", ctx, tasks, fences)
-			}
-			for _, threads := range []int{2, 4, 8} {
-				s.opt.Threads = threads
-				sameChunks(t, fmt.Sprintf("%s threads=%d", ctx, threads), drainAll(t, s), inline)
-			}
-			s.Close()
-		}
-	}
-	for _, n := range sizes {
-		for _, runs := range []int{1, 2, 3, 16, 17} {
-			for dist := range drainKeyNames {
-				check(n, runs, dist)
-			}
-		}
-	}
-	// Nine tasks and a tail: a task for each of eight workers, and more than
-	// two workers' window holds.
-	check(9*drainTaskRows+77, 16, keysDupHeavy)
 }
 
 // waitGoroutines polls until the goroutine count is back to base.

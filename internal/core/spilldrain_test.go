@@ -2,19 +2,15 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
-	"syscall"
 	"testing"
 	"time"
 
 	"rowsort/internal/mem"
 	"rowsort/internal/obs"
-	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -76,93 +72,6 @@ func within(t *testing.T, ctx string, limit time.Duration, f func()) {
 	case <-time.After(limit):
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%s: not done after %v\n%s", ctx, limit, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// TestSpilledRowsGridByteIdentity is the byte-identity bar of the merge over
-// spilled runs: whatever the worker count, the block size and which runs are
-// on disk, Rows yields the rows the scalar-merge oracle
-// yields for the same runs in memory — compared as rows, since a task's last
-// chunk may be short — across run counts on both sides of a power of two,
-// merges with and without the tie-break comparator, and unique,
-// duplicate-heavy and all-equal keys. Byte-decisive keys are cut in the
-// merge's whole order: a drain whose runs have more fences than a task
-// begins runs more than one task, equal keys or not. Keys that may tie, with
-// a run on disk, are cut on the byte-decisive prefix: all-equal ones, where
-// every fence ties, make one task. A budgeted drain over runs some of which
-// are still in memory cuts, at a pinned block size, the tasks the
-// all-spilled drain cuts: a resident run's fences stand where its file's
-// would.
-func TestSpilledRowsGridByteIdentity(t *testing.T) {
-	const n = 3*vector.DefaultVectorSize + 17
-	sorts, tasks := 0, int64(0)
-	for _, runs := range []int{1, 2, 3, 16, 17} {
-		// A sink cuts a run at the first chunk boundary at or past RunSize: a
-		// run is a whole number of chunks, about n/runs rows together.
-		chunks := ((n+runs-1)/runs + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
-		chunkRows := ((n+runs-1)/runs + chunks - 1) / chunks
-		perRun := chunks * chunkRows
-		tables := [len(drainKeyNames)]*vector.Table{}
-		for dist := range tables {
-			tables[dist] = drainTable(n, chunkRows, dist, uint64(n+runs))
-		}
-		for _, tieBreak := range []bool{false, true} {
-			for dist, tbl := range tables {
-				keys := drainKeys(tieBreak)
-				mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
-				if len(mem0.runs) != runs {
-					t.Fatalf("%d runs generated, want %d", len(mem0.runs), runs)
-				}
-				want := rowify(t, oracleResult(t, mem0)).Bytes()
-				mem0.Close()
-				// One block a run, the default, one that leaves a ragged last
-				// block, and blocks of a few rows.
-				for _, blockRows := range []int{perRun, 0, 2*perRun/5 + 1, 7} {
-					check := func(ctx string, opt Options, spill func(int) bool) int64 {
-						opt.RunSize = perRun
-						s := spilledSorter(t, tbl, keys, opt, blockRows, spill)
-						ctx = fmt.Sprintf("%s: runs=%d keys=%s tie=%v block=%d threads=%d",
-							ctx, runs, drainKeyNames[dist], tieBreak, blockRows, opt.Threads)
-						fences := resultFences(s)
-						got := drainAll(t, s)
-						if !bytes.Equal(rowify(t, got).Bytes(), want) {
-							t.Fatalf("%s: rows differ from the oracle's", ctx)
-						}
-						st := s.Stats()
-						if st.SpillBytesRead != st.SpillBytesWritten {
-							t.Fatalf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
-						}
-						switch {
-						case dist == keysAllEqual && tieBreak && st.ExtMergeParts != 1:
-							t.Fatalf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, st.ExtMergeParts)
-						case !tieBreak && fences > drainTaskFences && st.ExtMergeParts < 2:
-							t.Fatalf("%s: %d task over %d fences", ctx, st.ExtMergeParts, fences)
-						}
-						sorts++
-						tasks += st.ExtMergeParts
-						if err := s.Close(); err != nil {
-							t.Fatalf("%s: %v", ctx, err)
-						}
-						return st.ExtMergeParts
-					}
-					var spilledTasks int64
-					for _, th := range []int{1, 2, 4, 8} {
-						spilledTasks = check("all spilled", Options{Threads: th}, allRuns)
-					}
-					for _, th := range []int{1, 2, 4, 8} {
-						parts := check("mixed, budgeted", Options{Threads: th, Broker: mem.NewBroker("grid", 1<<30)},
-							func(run int) bool { return run%2 == 1 || runs == 1 })
-						if blockRows != 0 && parts != spilledTasks {
-							t.Fatalf("runs=%d keys=%s tie=%v block=%d threads=%d: the mixed drain ran %d tasks, the all-spilled one %d",
-								runs, drainKeyNames[dist], tieBreak, blockRows, th, parts, spilledTasks)
-						}
-					}
-				}
-			}
-		}
-	}
-	if tasks < 4*int64(sorts) {
-		t.Errorf("%d sorts ran %d tasks: the grid missed what it is for", sorts, tasks)
 	}
 }
 
@@ -352,49 +261,6 @@ func TestBudgetDecidesDrainClaimants(t *testing.T) {
 	}
 	if !seen[1] || !seen[threads] || len(seen) < 3 {
 		t.Errorf("claimant counts %v over the budgets: want one, %d and one between", seen, threads)
-	}
-}
-
-// TestAdaptiveFrontCodedSpillMatchesResident is the spill round trip through
-// the public options: an external sort of duplicate-heavy and of uniform keys
-// — eager, or under a budget small enough to force merge passes — must
-// produce exactly the rows of the same sort run fully in memory.
-func TestAdaptiveFrontCodedSpillMatchesResident(t *testing.T) {
-	vals := make([]uint32, 40_000)
-	for i := range vals {
-		vals[i] = uint32(i / 32)
-	}
-	dupHeavy := workload.UintColumnsTable([][]uint32{vals})
-	uniform := workload.UniformInt64s(1<<16, 7)
-	keys := []SortColumn{{Column: 0}}
-	for _, c := range []struct {
-		name   string
-		tbl    *vector.Table
-		budget bool
-	}{
-		{"duplicate-heavy, eager spill", dupHeavy, false},
-		{"duplicate-heavy, merge passes", dupHeavy, true},
-		{"uniform, merge passes", uniform, true},
-	} {
-		base := Options{Threads: 1, RunSize: 1500}
-		resident, err := SortTable(c.tbl, keys, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext := base
-		if c.budget {
-			ext.Broker = mem.NewBroker("passes", 64<<10)
-		} else {
-			ext.SpillDir = t.TempDir()
-		}
-		spilled, st, err := SortTableStats(c.tbl, keys, ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SpillBytesWritten == 0 || (st.MergePasses > 0) != c.budget {
-			t.Errorf("%s: %d spill bytes, %d merge passes", c.name, st.SpillBytesWritten, st.MergePasses)
-		}
-		tablesEqual(t, resident, spilled, c.name)
 	}
 }
 
@@ -604,204 +470,11 @@ func noLeaks(t *testing.T, ctx string, s *Sorter, dir string, base int) {
 	if left := spillFiles(t, dir); len(left) != 0 {
 		t.Errorf("%s: %d spill files left after Close", ctx, len(left))
 	}
-	if _, err := os.Stat(dir); dir != "" && !os.IsNotExist(err) {
+	if _, err := os.Stat(dir); dir != "" && s.opt.SpillDir == "" && !os.IsNotExist(err) {
 		t.Errorf("%s: the private spill directory is still there after Close (%v)", ctx, err)
 	}
 	if used := s.broker.Used(); used != 0 {
 		t.Errorf("%s: broker holds %d bytes after Close", ctx, used)
-	}
-}
-
-// A sort with runs on disk goes through these stages, in this order; a fault
-// is armed as the sort enters one.
-const (
-	stageRunSpill     = iota // resident runs are written out
-	stagePassRewrite         // Finalize, its budget all but gone, merges files into files
-	stageForecastRead        // the drain, read-ahead on: the fault is the forecast goroutine's
-	stageDemandRead          // the drain, read-ahead off: every read is a claimant's
-	stageClose               // Sorter.Close after a drain abandoned
-	numFaultStages
-)
-
-var faultStageNames = [numFaultStages]string{"run spill", "pass rewrite", "forecast read", "demand read", "close"}
-
-// spillFaults is the fault table's first axis: what the filesystem does, as
-// a function of the stage it does it in, and the stages it can be done in.
-var spillFaults = []struct {
-	name   string
-	stages []int
-	fault  func(stage int) fsFault
-}{
-	{"ENOSPC at byte 100000", []int{stageRunSpill, stagePassRewrite},
-		func(int) fsFault { return fsFault{writeErr: syscall.ENOSPC, writeAt: 100_000} }},
-	{"short write", []int{stageRunSpill, stagePassRewrite},
-		func(int) fsFault { return fsFault{writeErr: io.ErrShortWrite, writeAt: 7} }},
-	{"ENOSPC and a remove that fails", []int{stageRunSpill, stagePassRewrite},
-		func(int) fsFault { return fsFault{writeErr: syscall.ENOSPC, writeAt: 40_000, keepFiles: true} }},
-	{"EIO on read", []int{stagePassRewrite, stageForecastRead, stageDemandRead}, func(stage int) fsFault {
-		if stage == stageForecastRead {
-			return fsFault{readErr: syscall.EIO, from: "(*Stage).forecast"}
-		}
-		return fsFault{readErr: syscall.EIO, readAt: 10} // past the headers
-	}},
-	{"bit flip", []int{stagePassRewrite, stageForecastRead, stageDemandRead}, func(stage int) fsFault {
-		if stage == stageForecastRead {
-			return fsFault{flip: true, from: "(*Stage).forecast"}
-		}
-		return fsFault{flip: true, readAt: 10} // past the headers
-	}},
-	{"slow device", []int{stageForecastRead, stageDemandRead}, func(stage int) fsFault {
-		if stage == stageForecastRead {
-			return fsFault{stall: 20 * time.Millisecond, from: "(*Stage).forecast"}
-		}
-		return fsFault{stall: 20 * time.Millisecond, readAt: 10} // past the headers
-	}},
-	{"truncated file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
-		func(int) fsFault { return fsFault{truncateAt: 100_000} }},
-	{"missing file", []int{stagePassRewrite, stageForecastRead, stageDemandRead},
-		func(int) fsFault { return fsFault{missing: true} }},
-	{"failing remove", []int{stagePassRewrite, stageForecastRead, stageDemandRead, stageClose},
-		func(int) fsFault { return fsFault{keepFiles: true} }},
-	{"panicking FS", []int{stageForecastRead, stageDemandRead}, func(stage int) fsFault {
-		if stage == stageForecastRead {
-			return fsFault{panics: true, from: "(*Stage).forecast"}
-		}
-		return fsFault{panics: true, from: "(*Stage).Acquire"} // not under Rows, which is the caller's
-	}},
-}
-
-// TestSpilledDrainFaults is the fault table: every fault the filesystem seam
-// can produce, in every stage of a spilled sort it can occur in, inline and
-// with workers, under a private and a shared broker. Every cell ends in a
-// returned error — from the stage it hit, or from Sorter.Close when all that
-// failed was a removal, and then with the right rows — never a short or wrong
-// result, never a hang; a worker's or the forecast's panic is such an error
-// too, and a flipped bit is spill.ErrCorrupt. A slow device is no fault: its
-// cells end with the right rows and no error. When the fault is gone a second
-// Close succeeds, and nothing is left: no file, no goroutine, no broker byte.
-func TestSpilledDrainFaults(t *testing.T) {
-	const perRun, blockRows = 2 * vector.DefaultVectorSize, 512
-	tbl := drainTable(8*perRun, vector.DefaultVectorSize, keysUnique, 19)
-	keys := drainKeys(false)
-	mem0 := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun})
-	want := rowify(t, oracleResult(t, mem0)).Bytes()
-	mem0.Close()
-
-	for _, f := range spillFaults {
-		for _, stage := range f.stages {
-			for _, threads := range []int{1, 4} {
-				for _, shared := range []bool{false, true} {
-					ctx := fmt.Sprintf("%s in %s, threads=%d shared broker=%v", f.name, faultStageNames[stage], threads, shared)
-					base := runtime.NumGoroutine()
-					opt := Options{Threads: threads, RunSize: perRun}
-					if stage == stageDemandRead {
-						opt.ReadAhead = -1
-					}
-					var broker *mem.Broker
-					switch {
-					case shared:
-						broker = mem.NewBroker("shared", 1<<30)
-						opt.Broker = broker
-					case stage == stagePassRewrite:
-						opt.MemoryLimit = 1 << 30 // passes are a budget's doing
-					}
-					ffs := &faultFS{FS: spill.OS()}
-					s := ingestedSorter(t, tbl, keys, opt, pinBlockRows(blockRows), pinFS(ffs))
-					var out *vector.Table
-					var err error
-					var dir string
-					panicked := false
-					within(t, ctx, 30*time.Second, func() {
-						// The sort, stage by stage, until something fails.
-						steps := [numFaultStages]func() error{
-							stageRunSpill: func() error {
-								for _, r := range s.runs {
-									if err := s.spillRun(r, nil); err != nil {
-										return err
-									}
-								}
-								return nil
-							},
-							stagePassRewrite: func() error {
-								if stage == stagePassRewrite {
-									s.dropPools()
-									hog := s.broker.Reserve("hog", s.broker.Remaining()-(1<<10))
-									defer hog.Release()
-								}
-								return s.Finalize()
-							},
-							stageDemandRead: func() (err error) {
-								it, err := s.Rows()
-								if err != nil {
-									return err
-								}
-								defer func() {
-									if r := recover(); r != nil {
-										panicked, err = true, fmt.Errorf("Next panicked: %v", r)
-									}
-									if cerr := it.Close(); err == nil {
-										err = cerr
-									}
-								}()
-								out = vector.NewTable(tbl.Schema)
-								for len(out.Chunks) < 3 || stage != stageClose {
-									c, err := it.Next()
-									if c == nil {
-										return err
-									}
-									out.Chunks = append(out.Chunks, c)
-								}
-								return nil
-							},
-						}
-						for at, step := range steps {
-							if at == stage || (at == stageDemandRead && stage == stageForecastRead) {
-								ffs.arm(f.fault(stage))
-							}
-							if at == stagePassRewrite {
-								dir = s.spills.Root() // every run is out, or none will be
-							}
-							if step != nil && err == nil {
-								err = step()
-							}
-						}
-					})
-					// With Threads 1 the merge runs on the caller's goroutine and a
-					// panic under it is the caller's; a worker's must not be.
-					if panicked && threads > 1 {
-						t.Errorf("%s: %v", ctx, err)
-					}
-					cerr := s.Close()
-					slow := f.fault(stage).stall > 0
-					if err == nil && cerr == nil && !slow {
-						t.Errorf("%s: the fault went off %d times and no error was returned", ctx, ffs.fired)
-					}
-					if slow && (err != nil || cerr != nil) {
-						t.Errorf("%s: %v, %v from a read that was only slow", ctx, err, cerr)
-					}
-					if f.fault(stage).flip && !errors.Is(err, spill.ErrCorrupt) {
-						t.Errorf("%s: %v, want spill.ErrCorrupt", ctx, err)
-					}
-					if err == nil && stage != stageClose && !bytes.Equal(rowify(t, out).Bytes(), want) {
-						t.Errorf("%s: no step failed and the rows differ from the oracle's", ctx)
-					}
-					if ffs.fired == 0 {
-						t.Errorf("%s: the fault never went off", ctx)
-					}
-					// (Workers run ahead of an abandoned drain: by Close they may have
-					// read, and removed, every file, and what fails to go is the
-					// directory, which is reported and not counted.)
-					if removeErrs := s.ctr.Value(obs.SpillRemoveErrors); (removeErrs > 0) != f.fault(stage).keepFiles && stage != stageClose {
-						t.Errorf("%s: %d removals counted failed", ctx, removeErrs)
-					}
-					ffs.arm(fsFault{})
-					noLeaks(t, ctx, s, dir, base)
-					if used := broker.Used(); used != 0 {
-						t.Errorf("%s: the shared broker holds %d bytes after Close", ctx, used)
-					}
-				}
-			}
-		}
 	}
 }
 

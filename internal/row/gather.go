@@ -233,24 +233,19 @@ func (rs *RowSet) GatherChunk(start, count int) []*vector.Vector {
 	return out
 }
 
-// AppendRowsFrom appends the rows of src named by idxs, in index order — the
-// batched form of AppendRowFrom. Indices may repeat and leave gaps.
-func (rs *RowSet) AppendRowsFrom(src *RowSet, idxs []uint32) {
-	rs.reorder([]*RowSet{src}, nil, idxs, -1)
-}
-
-// AppendPermuted is AppendRowsFrom for a perm that names no row of src twice:
-// the reorder of a run's payload after its keys are sorted. No two rows of a
-// set share heap bytes, so the strings fit in src's heap length, and the heap
-// is sized by it without the pass that sums them.
+// AppendPermuted appends the rows of src in the order perm names them, a perm
+// that names no row of src twice: the reorder of a run's payload after its
+// keys are sorted. No two rows of a set share heap bytes, so the strings fit
+// in src's heap length, and the heap is sized by it without the pass that
+// sums them.
 func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
 	rs.reorder([]*RowSet{src}, nil, perm, len(src.heap))
 }
 
 // AppendRowsGather appends the rows named by (which[i], idxs[i]) — row
-// idxs[i] of srcs[which[i]] — in reference order. It is AppendRowsFrom for
-// payload scattered across several sets (a spill block's staging); all sets
-// must share this set's layout.
+// idxs[i] of srcs[which[i]], of srcs[0] when which is nil — in reference
+// order: payload scattered across several sets (a spill block's staging).
+// Indices may repeat and leave gaps; all sets must share this set's layout.
 func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
 	rs.reorder(srcs, which, idxs, -1)
 }

@@ -197,10 +197,10 @@ func TestGatherVarcharHeapCompaction(t *testing.T) {
 	}
 }
 
-// TestAppendRowsFromMatchesScalar checks the batched permute against the
-// single-row AppendRowFrom reference: same rows, same bytes, and a heap
-// holding only the referenced strings.
-func TestAppendRowsFromMatchesScalar(t *testing.T) {
+// TestAppendRowsGatherOneSource checks the batched reorder out of one set
+// (which nil) against the single-row AppendRowFrom reference: same rows, same
+// bytes, and a heap holding only the referenced strings.
+func TestAppendRowsGatherOneSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	layout := NewLayout(allTypes)
 	src := NewRowSet(layout)
@@ -214,7 +214,7 @@ func TestAppendRowsFromMatchesScalar(t *testing.T) {
 	}
 
 	batch := NewRowSet(layout)
-	batch.AppendRowsFrom(src, idxs)
+	batch.AppendRowsGather([]*RowSet{src}, nil, idxs)
 
 	ref := NewRowSet(layout)
 	for _, i := range idxs {
@@ -248,9 +248,9 @@ func TestAppendRowsFromMatchesScalar(t *testing.T) {
 // whose string ends the destination heap but has room behind it in the
 // source, and hold the last row earlier: each heap's room is tested on its
 // own. Row and heap bytes must equal per-row AppendRowFrom's (one varchar
-// column, so the two heap orders agree), for permutations through all three
-// reorders and for a list with repeats and gaps through the two that allow
-// them.
+// column, so the two heap orders agree), for permutations through both
+// reorders and for a list with repeats and gaps through AppendRowsGather, out
+// of one set and out of two.
 func TestReorderStringBoundaries(t *testing.T) {
 	lengths := []int{15, 16, 17, 31, 32, 33}
 	const n = 4 * 6
@@ -300,8 +300,8 @@ func TestReorderStringBoundaries(t *testing.T) {
 				want.AppendRowFrom(srcs[0], int(i))
 			}
 			got := NewRowSet(layout)
-			got.AppendRowsFrom(srcs[0], tc.idxs)
-			sameSet(t, ctx+": AppendRowsFrom", got, want)
+			got.AppendRowsGather(srcs, nil, tc.idxs)
+			sameSet(t, ctx+": AppendRowsGather out of one set", got, want)
 			if len(tc.idxs) == n {
 				got = NewRowSet(layout)
 				got.AppendPermuted(srcs[0], tc.idxs)
@@ -370,8 +370,8 @@ func TestAppendRowsGatherMultiSource(t *testing.T) {
 	}
 }
 
-// TestAppendRowsFromEmpty checks the degenerate inputs.
-func TestAppendRowsFromEmpty(t *testing.T) {
+// TestAppendRowsGatherEmpty checks the degenerate inputs.
+func TestAppendRowsGatherEmpty(t *testing.T) {
 	layout := NewLayout([]vector.Type{vector.Int32, vector.Varchar})
 	src := NewRowSet(layout)
 	v := vector.New(vector.Int32, 1)
@@ -382,8 +382,8 @@ func TestAppendRowsFromEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := NewRowSet(layout)
-	dst.AppendRowsFrom(src, nil)
 	dst.AppendRowsGather([]*RowSet{src}, nil, nil)
+	dst.AppendPermuted(src, nil)
 	if dst.Len() != 0 || len(dst.Bytes()) != 0 {
 		t.Fatal("empty permutes should append nothing")
 	}

@@ -436,9 +436,9 @@ func TestRowKernelsMatchReference(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				refAppendChunk(ref, prefix)
-				got.AppendRowsFrom(want, idxs)
+				got.AppendRowsGather(srcs, nil, idxs)
 				refAppendRowsGather(ref, srcs, nil, idxs)
-				sameSet(t, ctx+": AppendRowsFrom", got, ref)
+				sameSet(t, ctx+": AppendRowsGather out of one set", got, ref)
 				got.AppendRowsGather(srcs, which, idxs)
 				refAppendRowsGather(ref, srcs, which, idxs)
 				sameSet(t, ctx+": AppendRowsGather", got, ref)
@@ -455,8 +455,8 @@ func TestRowKernelsMatchReference(t *testing.T) {
 						single.AppendRowFrom(want, int(i))
 					}
 					batch := NewRowSet(l)
-					batch.AppendRowsFrom(want, idxs)
-					sameSet(t, ctx+": AppendRowsFrom against AppendRowFrom", batch, single)
+					batch.AppendRowsGather(srcs, nil, idxs)
+					sameSet(t, ctx+": AppendRowsGather against AppendRowFrom", batch, single)
 				}
 
 				// Gather: a range, an index list and references across sets.
@@ -532,7 +532,7 @@ func TestReorderAllocatesNothing(t *testing.T) {
 		dst := NewRowSet(l)
 		if allocs := testing.AllocsPerRun(10, func() {
 			dst.Reset()
-			dst.AppendRowsFrom(srcs[0], perm)
+			dst.AppendRowsGather(srcs[:1], nil, perm)
 			dst.AppendPermuted(srcs[0], perm)
 			dst.AppendRowsGather(srcs, which, perm)
 		}); allocs != 0 {
