@@ -19,9 +19,9 @@
 // growing without bound.
 //
 // The -serve flag mounts the live observability plane while the sort runs:
-// /debug/rowsort/ shows the sort's per-phase progress and ETA, /metrics its
-// Prometheus counters. The server stays up after the sort completes (the
-// finished snapshot stays queryable) until interrupted.
+// /debug/rowsort/ shows the sort's rows in/sorted/merged/out and per-phase
+// waterfall, /metrics its Prometheus counters. The server stays up after the
+// sort completes (the finished snapshot stays queryable) until interrupted.
 package main
 
 import (

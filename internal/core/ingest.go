@@ -236,16 +236,14 @@ func (k *Sink) Close() error {
 	return err
 }
 
-// ParallelSink parallelizes run generation behind a single streaming
-// producer. SortTable distributes a materialized table's chunks across
-// sinks morsel-style, but a pipelined producer (an operator tree, a CSV
-// reader) hands over one chunk at a time from one goroutine; ParallelSink
-// round-robins those chunks to Options.Threads workers over bounded
-// channels, each worker feeding a private Sink, so key normalization, run
-// sorting and pressure spilling run concurrently off the caller's
-// goroutine. Each private Sink carries its own broker reservation, so the
-// memory budget governs the pipelined ingest exactly as it does the
-// materialized one.
+// ParallelSink parallelizes run generation behind a single producer: a
+// pipelined one (an operator tree, a CSV reader) hands over one chunk at a
+// time from one goroutine, and SortTable hands over a materialized table's
+// chunks the same way. ParallelSink round-robins those chunks to
+// Options.Threads workers over bounded channels, each worker feeding a
+// private Sink, so key normalization, run sorting and pressure spilling run
+// concurrently off the caller's goroutine. Each private Sink carries its own
+// broker reservation, so the memory budget governs every sink's ingest alike.
 //
 // Like Sink, a ParallelSink is not safe for concurrent use: it multiplies
 // the workers behind one producer rather than accepting many producers
@@ -278,23 +276,29 @@ func (s *Sorter) NewParallelSink() *ParallelSink {
 	return p
 }
 
-// worker drains one chunk queue into a private Sink. After a failure
-// anywhere in the group it keeps draining (so the producer never blocks on
-// a full queue) but stops converting.
+// worker drains one chunk queue into a private Sink, made at its first
+// chunk, so a worker that gets none holds nothing. After a failure anywhere
+// in the group it keeps draining (so the producer never blocks on a full
+// queue) but stops converting.
 func (p *ParallelSink) worker(ch chan *vector.Chunk) {
 	defer p.wg.Done()
 	p.s.rec.Do("run-generation", func() {
-		sink := p.s.NewSink()
+		var sink *Sink
 		for c := range ch {
 			if p.failed.Load() {
 				continue
+			}
+			if sink == nil {
+				sink = p.s.NewSink()
 			}
 			if err := sink.Append(c); err != nil {
 				p.fail(err)
 			}
 		}
-		if err := sink.Close(); err != nil {
-			p.fail(err)
+		if sink != nil {
+			if err := sink.Close(); err != nil {
+				p.fail(err)
+			}
 		}
 	})
 }

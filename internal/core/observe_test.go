@@ -130,8 +130,10 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 		if merr := monotonicCounters(prev, snap); merr != nil {
 			t.Fatalf("poll %d: %v", polls, merr)
 		}
-		if snap.Fraction < 0 || snap.Fraction > 1 {
-			t.Fatalf("poll %d: fraction %v out of range", polls, snap.Fraction)
+		for _, ph := range snap.Phases {
+			if ph.Fraction < 0 || ph.Fraction > 1 {
+				t.Fatalf("poll %d: phase %s fraction %v out of range", polls, ph.Name, ph.Fraction)
+			}
 		}
 		prev, polls = snap, polls+1
 	}
@@ -142,8 +144,13 @@ func TestLiveRunEndpointTracksForcedSpillSort(t *testing.T) {
 	// The completed snapshot is the sorter's own stats: both are read from
 	// the one counter block, so every descriptor agrees, not a chosen few.
 	final := getSnapshot(t, srv.URL, id)
-	if !final.Done || final.Stage != "done" || final.Fraction != 1 || final.ETA != 0 || final.Label != "acceptance" {
+	if !final.Done || final.Stage != "done" || final.Label != "acceptance" {
 		t.Fatalf("final snapshot not settled: %+v", final)
+	}
+	for _, ph := range final.Phases {
+		if ph.Fraction != 1 {
+			t.Errorf("final phase %s at %d of %d rows, want all", ph.Name, ph.Done, ph.Planned)
+		}
 	}
 	st := s.Stats()
 	if st.MergePasses == 0 || st.PressureSpills == 0 {
@@ -195,6 +202,33 @@ func TestStageDurationsSumWithRegistryEnabled(t *testing.T) {
 	snaps := reg.Snapshots()
 	if len(snaps) != 1 || !snaps[0].Done {
 		t.Fatalf("registry did not record the completed run: %+v", snaps)
+	}
+}
+
+// TestDoneRunPhasesAreFinal: a done run's snapshot is its final record, its
+// per-phase rates included. Each rate is divided by the clocks of the stages
+// its phase ran in, which stop with them; a clock that kept running would
+// decay the rate with the wall time since the sort.
+func TestDoneRunPhasesAreFinal(t *testing.T) {
+	tbl := workload.CatalogSales(20_000, 10, 7)
+	reg := obs.NewRegistry(0)
+	if _, err := SortTable(tbl, []SortColumn{{Column: 0}, {Column: 1}}, Options{
+		Threads: 2, RunSize: 2_500, SpillDir: t.TempDir(), Telemetry: reg.Recorder("final"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	first := reg.Snapshots()[0]
+	if !first.Done {
+		t.Fatal("SortTable returned and its run is not done")
+	}
+	for _, ph := range first.Phases {
+		if ph.RowsPerSec <= 0 {
+			t.Fatalf("done phase %s has no rate: %+v", ph.Name, ph)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if later := reg.Snapshots()[0]; !reflect.DeepEqual(later.Phases, first.Phases) {
+		t.Errorf("a done run's phases moved in 50 ms:\nfirst: %+v\nlater: %+v", first.Phases, later.Phases)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"rowsort/internal/mergepath"
 	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
-	"rowsort/internal/perfmodel"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
 	"rowsort/internal/vector"
@@ -142,11 +141,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.ctr = obs.NewBlock(s.broker)
 	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
 	s.spills = spill.NewDir(spill.OS(), opt.SpillDir, s.ctr, s.rec)
-	s.run = s.rec.Register(obs.RunOptions{
-		Fingerprint: opt.Fingerprint(),
-		Block:       s.ctr,
-		Weights:     perfmodel.SortPhaseWeights(s.keyWidth, s.layout.Width(), opt.SpillDir != "" || opt.limited()),
-	})
+	s.run = s.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: s.ctr})
 	return s, nil
 }
 
@@ -288,9 +283,9 @@ func (s *Sorter) Close() error {
 	return err
 }
 
-// SortTable sorts a materialized table: chunks are distributed to worker
-// goroutines morsel-style, each feeding its own sink, then runs are merged
-// in parallel and the result gathered.
+// SortTable sorts a materialized table: its chunks are dealt round-robin to
+// a ParallelSink's workers, then runs are merged in parallel and the result
+// gathered.
 func SortTable(t *vector.Table, keys []SortColumn, opt Options) (*vector.Table, error) {
 	out, _, err := SortTableStats(t, keys, opt)
 	return out, err
@@ -328,30 +323,14 @@ func sortTable(s *Sorter, t *vector.Table) (*vector.Table, error) {
 		total += c.Len()
 	}
 	s.SetExpectedRows(int64(total))
-	threads := min(s.opt.threads(), max(1, len(t.Chunks)))
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s.rec.Do("run-generation", func() {
-				sink := s.NewSink()
-				for i := w; i < len(t.Chunks); i += threads {
-					if err := sink.Append(t.Chunks[i]); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				errs[w] = sink.Close()
-			})
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	p := s.NewParallelSink()
+	for _, c := range t.Chunks {
+		if p.Append(c) != nil {
+			break // Close returns the error
 		}
+	}
+	if err := p.Close(); err != nil {
+		return nil, err
 	}
 	if err := s.Finalize(); err != nil {
 		return nil, err

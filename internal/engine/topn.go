@@ -8,7 +8,6 @@ import (
 	"rowsort/internal/core"
 	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
-	"rowsort/internal/perfmodel"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
 )
@@ -58,11 +57,7 @@ func NewTopNHeap(schema vector.Schema, keys []core.SortColumn, limit int, opt co
 	t.h = &keyHeap{cmp: enc.Comparator(func(keyRow []byte, k int) []byte {
 		return t.payload.StringBytes(t.index(keyRow), nkeys[k].Column)
 	})}
-	t.run = t.rec.Register(obs.RunOptions{
-		Fingerprint: opt.Fingerprint(),
-		Block:       t.ctr,
-		Weights:     perfmodel.SortPhaseWeights(enc.Width(), layout.Width(), false),
-	})
+	t.run = t.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: t.ctr})
 	return t, nil
 }
 

@@ -78,8 +78,8 @@ func (g *Registry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // WritePrometheus writes the registry-wide Prometheus exposition: the
 // registry's own gauges, then the families of a sort's own exposition
 // (obs.WritePrometheus) with one sample per retained run, labelled with its
-// run id and label, then each run's completion, elapsed time, progress and
-// ETA. On a nil registry it writes nothing.
+// run id and label, then each run's completion and elapsed time. On a nil
+// registry it writes nothing.
 func (g *Registry) WritePrometheus(w io.Writer) error {
 	if g == nil {
 		return nil
@@ -102,14 +102,10 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	pw.counterFamilies(runs)
 	pw.phaseFamilies(runs)
 
-	// A negative value is an unknown one (the ETA before there is signal);
-	// its sample is left out.
 	perRun := func(name, help string, get func(RunSnapshot) float64) {
 		pw.Family(name, "gauge", help)
 		for i, s := range snaps {
-			if v := get(s); v >= 0 {
-				pw.Sample(runs[i].Labels, v)
-			}
+			pw.Sample(runs[i].Labels, get(s))
 		}
 	}
 	perRun("rowsort_run_done", "1 when the run has completed, 0 while in flight.",
@@ -121,10 +117,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		})
 	perRun("rowsort_run_elapsed_seconds", "Run wall time so far (total runtime once done).",
 		func(s RunSnapshot) float64 { return s.Elapsed.Seconds() })
-	perRun("rowsort_run_progress_ratio", "Weighted overall completion estimate in [0, 1].",
-		func(s RunSnapshot) float64 { return s.Fraction })
-	perRun("rowsort_run_eta_seconds", "Estimated remaining seconds; absent while unknown.",
-		func(s RunSnapshot) float64 { return s.ETA.Seconds() })
 	return pw.Flush(w)
 }
 
@@ -155,12 +147,7 @@ type waterBar struct {
 
 var indexTmpl = template.Must(template.New("index").Funcs(template.FuncMap{
 	"pct": func(f float64) string { return fmt.Sprintf("%.1f%%", f*100) },
-	"dur": func(d time.Duration) string {
-		if d < 0 {
-			return "–"
-		}
-		return d.Round(time.Millisecond).String()
-	},
+	"dur": func(d time.Duration) string { return d.Round(time.Millisecond).String() },
 }).Parse(`<!DOCTYPE html>
 <html><head><title>rowsort runs</title><style>
 body { font-family: system-ui, sans-serif; margin: 2em; color: #222; }
@@ -169,8 +156,6 @@ th, td { padding: 4px 10px; border-bottom: 1px solid #ddd; text-align: left; fon
 th { background: #f5f5f5; }
 .done { color: #666; }
 .live { font-weight: 600; color: #0a7d2c; }
-.meter { background: #eee; border-radius: 3px; width: 160px; height: 12px; display: inline-block; vertical-align: middle; }
-.meter > div { background: #4a90d9; height: 100%; border-radius: 3px; }
 .wf { position: relative; height: 18px; background: #fafafa; border: 1px solid #eee; margin: 1px 0; }
 .wf > span.bar { position: absolute; top: 2px; bottom: 2px; background: #7cb2e8; border-radius: 2px; }
 .wf > span.lbl { position: absolute; left: 4px; top: 1px; font-size: 11px; color: #345; z-index: 1; }
@@ -181,15 +166,13 @@ small { color: #888; }
 <p><small>{{len .Runs}} run(s) retained · snapshot at {{.Now.Format "15:04:05.000"}} ·
 <a href="/metrics">/metrics</a></small></p>
 <table>
-<tr><th>id</th><th>label</th><th>state</th><th>stage</th><th>progress</th><th>eta</th><th>rows in/sorted/merged/out</th><th>spill w/r</th><th>mem used/peak/limit</th><th>elapsed</th><th></th></tr>
+<tr><th>id</th><th>label</th><th>state</th><th>stage</th><th>rows in/sorted/merged/out</th><th>spill w/r</th><th>mem used/peak/limit</th><th>elapsed</th><th></th></tr>
 {{range .Runs}}
 <tr>
 <td><a href="/debug/rowsort/run?id={{.ID}}">{{.ID}}</a></td>
 <td title="{{.Fingerprint}}">{{.Label}}</td>
 <td>{{if .Done}}<span class="done">done</span>{{else}}<span class="live">live</span>{{end}}</td>
 <td>{{.Stage}}</td>
-<td><span class="meter"><div style="width: {{pct .Fraction}}"></div></span> {{pct .Fraction}}</td>
-<td>{{if .Done}}—{{else if lt .ETA 0}}?{{else}}{{dur .ETA}}{{end}}</td>
 <td>{{.Rows}}</td>
 <td>{{.Spill}}</td>
 <td>{{.Mem}}</td>
@@ -197,7 +180,7 @@ small { color: #888; }
 <td>{{if and .Done .Trace}}<a href="/debug/rowsort/trace?id={{.ID}}">trace</a>{{end}}</td>
 </tr>
 {{if .Bars}}
-<tr><td colspan="11"><div class="wfbox">
+<tr><td colspan="9"><div class="wfbox">
 {{range .Bars}}<div class="wf"><span class="lbl">{{.Phase}} <small>busy {{dur .Busy}} · wall {{dur .Wall}} · {{.Spans}} spans</small></span><span class="bar" style="left: {{pct .LeftPct}}; width: {{pct .WidPct}}"></span></div>
 {{end}}</div></td></tr>
 {{end}}

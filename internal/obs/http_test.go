@@ -162,11 +162,17 @@ func TestHTTPMetricsValidate(t *testing.T) {
 		`rowsort_phase_busy_seconds{run="` + live.ri.id + `",label="live-run",phase="sort"}`,
 		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="lsd-radix"} 2`,
 		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="pdqsort"} 1`,
-		"# HELP rowsort_run_progress_ratio",
-		"# TYPE rowsort_run_progress_ratio gauge",
+		"# HELP rowsort_run_elapsed_seconds",
+		"# TYPE rowsort_run_elapsed_seconds gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// Progress is counted per phase, not estimated per run.
+	for _, gone := range []string{"rowsort_run_progress_ratio", "rowsort_run_eta_seconds"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics still carry %s", gone)
 		}
 	}
 }

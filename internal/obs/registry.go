@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rowsort/internal/perfmodel"
 )
 
 // DefaultKeepDone is how many completed runs a registry retains when
@@ -63,11 +61,6 @@ type RunOptions struct {
 	// Recorder, when non-nil, is the run's span recorder: the HTTP plane
 	// renders its per-phase waterfall and serves its Chrome trace.
 	Recorder *Recorder
-	// Weights are the phases' relative per-row costs, which combine
-	// per-phase progress into the overall fraction and ETA (core seeds them
-	// from perfmodel.SortPhaseWeights); the zero value means equal weights
-	// with a cheaper gather.
-	Weights perfmodel.PhaseWeights
 }
 
 // runInfo is one registered run's registry record.
@@ -100,9 +93,6 @@ func (g *Registry) Register(o RunOptions) *RunHandle {
 	}
 	if o.Label == "" {
 		o.Label = "sort"
-	}
-	if w := o.Weights; w.Ingest+w.RunSort+w.Merge+w.Gather <= 0 {
-		o.Weights = perfmodel.PhaseWeights{Ingest: 1, RunSort: 1, Merge: 1, Gather: 0.5}
 	}
 	g.mu.Lock()
 	g.seq++
@@ -150,19 +140,19 @@ type PhaseProgress struct {
 	Name    string `json:"name"`
 	Done    int64  `json:"done"`
 	Planned int64  `json:"planned"`
-	// Weight is the phase's relative per-row cost in the overall fraction.
-	Weight float64 `json:"weight"`
 	// Fraction is Done/Planned clamped to [0, 1].
 	Fraction float64 `json:"fraction"`
-	// RowsPerSec is the phase's throughput since its stage began; 0 when
-	// the stage has not started.
+	// RowsPerSec is Done over the wall time of the stages the phase runs
+	// in, read off their stage clocks; 0 before those stages start. The
+	// clocks stop with their stages, so a finished phase's rate is final.
 	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
 }
 
 // RunSnapshot is a point-in-time view of one registered run: identity,
-// counters, weighted overall progress and ETA, decisions and spans. A
-// completed run's snapshot is its final record: the block stops moving when
-// the sorter closes.
+// counters, per-phase progress, decisions and spans. It counts and predicts
+// nothing: progress is rows done over rows planned. A completed run's
+// snapshot is its final record: the block stops moving when the sorter
+// closes, and with it every rate.
 type RunSnapshot struct {
 	ID          string    `json:"id"`
 	Label       string    `json:"label"`
@@ -176,11 +166,6 @@ type RunSnapshot struct {
 	// Counters is every counter of the descriptor table, keyed by name.
 	Counters Values          `json:"counters"`
 	Phases   []PhaseProgress `json:"phases"`
-	// Fraction is the weighted overall completion estimate in [0, 1].
-	Fraction float64 `json:"fraction"`
-	// ETA is the estimated remaining time (elapsed scaled by the remaining
-	// fraction); -1 when no estimate is possible yet.
-	ETA time.Duration `json:"eta_ns"`
 	// Trace is the run's per-phase span aggregate when it has a Recorder.
 	Trace *Summary `json:"trace,omitempty"`
 	// Strategy is the run's run-sort decisions so far (all
@@ -241,6 +226,7 @@ func (ri *runInfo) snapshot() RunSnapshot {
 	if finished != 0 {
 		elapsed = time.Unix(0, finished).Sub(ri.started)
 	}
+	vals := b.Snapshot()
 	s := RunSnapshot{
 		ID:          ri.id,
 		Label:       o.Label,
@@ -249,57 +235,41 @@ func (ri *runInfo) snapshot() RunSnapshot {
 		Elapsed:     elapsed,
 		Done:        finished != 0,
 		Stage:       b.Stage().String(),
-		Counters:    b.Snapshot(),
+		Counters:    vals,
+		Phases:      phaseProgress(vals),
 		Strategy:    b.Decisions(),
-		ETA:         -1,
 	}
 	if o.Recorder != nil {
 		sum := o.Recorder.Summary()
 		s.Trace = &sum
 	}
-
-	s.Phases = phaseProgress(b, s.Counters, o.Weights)
-	var doneUnits, plannedUnits float64
-	for _, ph := range s.Phases {
-		doneUnits += ph.Weight * float64(min(ph.Done, ph.Planned))
-		plannedUnits += ph.Weight * float64(ph.Planned)
-	}
-	switch {
-	case s.Done:
-		s.Fraction = 1
-		s.ETA = 0
-	case plannedUnits > 0:
-		s.Fraction = doneUnits / plannedUnits
-		// An ETA needs a sliver of signal; below half a percent the
-		// extrapolation is noise.
-		if s.Fraction >= 0.005 {
-			s.ETA = time.Duration(float64(elapsed) * (1 - s.Fraction) / s.Fraction)
-		}
-	}
 	return s
 }
 
-// phaseProgress derives the four logical phases' done/planned rows from the
-// counters. The planning target is RowsExpected when the caller declared
-// it, else the rows ingested so far (a moving target: progress reads low
-// until ingestion finishes, which is the honest answer for an unbounded
+// phaseProgress derives the four logical phases' done/planned rows and rates
+// from the counters. The planning target is RowsExpected when the caller
+// declared it, else the rows ingested so far (a moving target: progress reads
+// low until ingestion finishes, which is the honest answer for an unbounded
 // stream).
-func phaseProgress(b *Block, v Values, w perfmodel.PhaseWeights) []PhaseProgress {
+func phaseProgress(v Values) []PhaseProgress {
 	// A registered run that has not started plans one row; all fractions 0.
 	total := max(v[RowsExpected], v[RowsIngested], 1)
 	mergePlanned := max(v[MergeRowsPlanned], total)
 	phases := []PhaseProgress{
-		{Name: "ingest", Done: v[RowsIngested], Planned: total, Weight: w.Ingest},
-		{Name: "run-sort", Done: v[RowsSorted], Planned: total, Weight: w.RunSort},
-		{Name: "merge", Done: v[RowsMerged], Planned: mergePlanned, Weight: w.Merge},
-		{Name: "gather", Done: v[RowsGathered], Planned: total, Weight: w.Gather},
+		{Name: "ingest", Done: v[RowsIngested], Planned: total},
+		{Name: "run-sort", Done: v[RowsSorted], Planned: total},
+		{Name: "merge", Done: v[RowsMerged], Planned: mergePlanned},
+		{Name: "gather", Done: v[RowsGathered], Planned: total},
 	}
-	stageOf := [...]Stage{StageRunGen, StageRunGen, StageMerge, StageGather}
+	// The stage clocks each phase runs under: ingest and run sort during run
+	// generation, the merge in Finalize's passes and inside the drain, which
+	// the gather stage times.
+	wall := [...]int64{v[DurRunGen], v[DurRunGen], v[DurMerge] + v[DurGather], v[DurGather]}
 	for i := range phases {
 		ph := &phases[i]
 		ph.Fraction = float64(min(ph.Done, ph.Planned)) / float64(ph.Planned)
-		if dt := b.StageElapsed(stageOf[i]).Seconds(); dt > 0 {
-			ph.RowsPerSec = float64(ph.Done) / dt
+		if wall[i] > 0 {
+			ph.RowsPerSec = float64(ph.Done) / time.Duration(wall[i]).Seconds()
 		}
 	}
 	return phases

@@ -50,14 +50,20 @@ func TestRegistrySnapshotLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot of registered run not found")
 	}
-	if snap.Done || snap.Stage != "pending" || snap.Fraction != 0 || snap.ETA != -1 {
+	if snap.Done || snap.Stage != "pending" {
 		t.Fatalf("fresh run snapshot off: %+v", snap)
+	}
+	for _, ph := range snap.Phases {
+		if ph.Done != 0 || ph.Fraction != 0 || ph.RowsPerSec != 0 {
+			t.Fatalf("fresh run's phase %s has progress: %+v", ph.Name, ph)
+		}
 	}
 	if c := snap.Counters; c[MemUsed] != 100 || c[MemPeak] != 200 || c[MemPressureEvents] != 3 || c[MemLimit] != 1<<20 {
 		t.Fatalf("mem gauges not sampled: %+v", c)
 	}
 
-	// Publish some progress: fraction moves, stays in (0, 1), ETA appears.
+	// Publish some progress: the phases count it, each fraction in [0, 1],
+	// the merge's at half.
 	p.Store(RowsExpected, 1000)
 	p.AdvanceTo(StageRunGen)
 	p.Add(RowsIngested, 1000)
@@ -69,12 +75,6 @@ func TestRegistrySnapshotLifecycle(t *testing.T) {
 	if snap.Stage != "merge" {
 		t.Fatalf("stage = %q, want merge", snap.Stage)
 	}
-	if snap.Fraction <= 0 || snap.Fraction >= 1 {
-		t.Fatalf("mid-run fraction = %v, want in (0, 1)", snap.Fraction)
-	}
-	if snap.ETA < 0 {
-		t.Fatalf("ETA = %v, want an estimate once fraction is meaningful", snap.ETA)
-	}
 	if len(snap.Phases) != 4 {
 		t.Fatalf("phases = %d, want 4", len(snap.Phases))
 	}
@@ -83,15 +83,24 @@ func TestRegistrySnapshotLifecycle(t *testing.T) {
 			t.Fatalf("phase %s fraction %v out of range", ph.Name, ph.Fraction)
 		}
 	}
+	if f := snap.Phases[2].Fraction; snap.Phases[2].Name != "merge" || f != 0.5 {
+		t.Fatalf("mid-run phase %s fraction = %v, want merge at 0.5", snap.Phases[2].Name, f)
+	}
 
+	p.Add(RowsMerged, 500)
+	p.Add(RowsGathered, 1000)
 	h.Done()
 	h.Done() // idempotent
 	snap, _ = g.Snapshot(h.ri.id)
-	if !snap.Done || snap.Stage != "done" || snap.Fraction != 1 || snap.ETA != 0 {
-		t.Fatalf("done snapshot off: done=%v stage=%q fraction=%v eta=%v",
-			snap.Done, snap.Stage, snap.Fraction, snap.ETA)
+	if !snap.Done || snap.Stage != "done" {
+		t.Fatalf("done snapshot off: done=%v stage=%q", snap.Done, snap.Stage)
 	}
-	if snap.Counters[RowsMerged] != 500 {
+	for _, ph := range snap.Phases {
+		if ph.Fraction != 1 {
+			t.Fatalf("done run's phase %s fraction = %v, want 1", ph.Name, ph.Fraction)
+		}
+	}
+	if snap.Counters[RowsMerged] != 1000 {
 		t.Fatal("done run lost its counters")
 	}
 	elapsed := snap.Elapsed
@@ -149,16 +158,24 @@ func TestRegistryEvictsOldestDoneRuns(t *testing.T) {
 	}
 }
 
-func TestRegistryETAUnknownBelowSignalFloor(t *testing.T) {
+// TestRegistryPhasesPlanDeclaredRows: a declared row count is every phase's
+// denominator from the start, so a sliver of progress reads as the sliver it
+// is, not as a phase done.
+func TestRegistryPhasesPlanDeclaredRows(t *testing.T) {
 	g := NewRegistry(0)
 	p := NewBlock(nil)
 	h := g.Register(RunOptions{Block: p})
 	p.Store(RowsExpected, 1_000_000)
 	p.AdvanceTo(StageRunGen)
-	p.Add(RowsIngested, 10) // fraction far below 0.5%
+	p.Add(RowsIngested, 10)
 	snap, _ := g.Snapshot(h.ri.id)
-	if snap.ETA != -1 {
-		t.Fatalf("ETA = %v with ~0%% progress, want -1 (unknown)", snap.ETA)
+	for _, ph := range snap.Phases {
+		if ph.Planned != 1_000_000 {
+			t.Fatalf("phase %s plans %d rows, want the declared 1000000", ph.Name, ph.Planned)
+		}
+	}
+	if in := snap.Phases[0]; in.Done != 10 || in.Fraction != 1e-5 {
+		t.Fatalf("ingest = %+v, want 10 rows done, fraction 1e-5", in)
 	}
 }
 

@@ -2,15 +2,14 @@ package perfmodel
 
 import "math"
 
-// Run-sort cost models: per-row cost estimates (in the same cache-line
-// units as SortPhaseWeights) for the two run-generation sorts, driven by
-// the sampled distribution of the run about to be sorted. The strategy
-// planner, which the sorter no longer consults, compares them to pick the
-// sort per run — the paper's Future Work
-// asks for exactly this: algorithm choice following key size, tuple count
-// and uniqueness instead of a static rule. The old heuristic's hard-coded
-// "effective <= 2*log2(n)" crossover falls out of these curves instead of
-// being written down.
+// Run-sort cost models: per-row cost estimates, in cache-line units (the
+// cache model's first-order accounting), for the two run-generation sorts,
+// driven by the sampled distribution of the run about to be sorted. The
+// strategy planner, which the sorter no longer consults, compares them to
+// pick the sort per run — the paper's Future Work asks for exactly this:
+// algorithm choice following key size, tuple count and uniqueness instead of
+// a static rule. The old heuristic's hard-coded "effective <= 2*log2(n)"
+// crossover falls out of these curves instead of being written down.
 
 // PresortedCliff is the Sortedness at or above which PdqRunCost credits
 // pdqsort's pattern-detector fast path. Just under 1: a dense 2048-pair
