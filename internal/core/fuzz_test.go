@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"rowsort/internal/mem"
 	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
+	"rowsort/internal/row"
 	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -41,11 +43,17 @@ const (
 )
 
 // The table a plan sorts: drainTable keyed on k (byte-decisive) or on s, k
-// (the tie-break comparator), or a random schema and key spec.
+// (the tie-break comparator), a random schema and key spec, or fitMixTable —
+// whose runs mix chunks that leave s in the keys with chunks that cannot —
+// keyed on s ASC, on s twice (ASC beside DESC or NOCASE, or at two prefix
+// lengths) or on s DESC alone, which leaves no string in the keys.
 const (
 	schemaByteKeys = iota
 	schemaTieKeys
 	schemaRandom
+	schemaFitMix
+	schemaKeyedTwice
+	schemaDescOnly
 	numSchemas
 )
 
@@ -125,8 +133,11 @@ func (p plan) table() (tbl *vector.Table, keys []SortColumn, perRun int) {
 	per := max(1, (p.rows+p.runs-1)/p.runs)
 	chunks := (per + vector.DefaultVectorSize - 1) / vector.DefaultVectorSize
 	chunkRows := (per + chunks - 1) / chunks
-	if p.schema != schemaRandom {
+	switch p.schema {
+	case schemaByteKeys, schemaTieKeys:
 		return drainTable(p.rows, chunkRows, p.shape, uint64(p.seed)), drainKeys(p.schema == schemaTieKeys), chunks * chunkRows
+	case schemaFitMix, schemaKeyedTwice, schemaDescOnly:
+		return fitMixTable(p.rows, chunkRows, p.shape, uint64(p.seed)), fitMixKeys(p.schema, p.seed), chunks * chunkRows
 	}
 	rng := workload.NewRNG(uint64(p.seed))
 	schema := make(vector.Schema, 1+rng.Intn(6), 7)
@@ -155,6 +166,59 @@ func (p plan) table() (tbl *vector.Table, keys []SortColumn, perRun int) {
 		tbl.Chunks = append(tbl.Chunks, c)
 	}
 	return tbl, keys, chunks * chunkRows
+}
+
+// fitMixTable is drainTable with s rewritten chunk by chunk: short names —
+// NULLs, empty strings and strings exactly the 12-byte prefix among them, in
+// both cases, drawn from few values so that equal names are common — and, in
+// every third chunk, every eighth name overflowing the prefix, or in the next
+// one holding a NUL. A chunk of names that fit leaves them in the keys of an
+// ASC binary key on s; one where a name does not keeps all of its on the
+// heap. A run of several chunks holds both kinds, and merges under the
+// tie-break comparator.
+func fitMixTable(n, chunkRows, dist int, seed uint64) *vector.Table {
+	tbl := drainTable(n, chunkRows, dist, seed)
+	for i, c := range tbl.Chunks {
+		ks := c.Vectors[0].Int64s()
+		names := vector.New(vector.Varchar, c.Len())
+		for r, k := range ks[:c.Len()] {
+			name := fmt.Sprintf("%c%d", "nN"[k>>3&1], k%97)
+			switch {
+			case r%8 == 0 && (i+int(seed))%3 == 1:
+				name = fmt.Sprintf("%020d-tail", k)
+			case r%8 == 0 && (i+int(seed))%3 == 2:
+				name += "\x00z"
+			case r%16 == 1:
+				names.AppendNull()
+				continue
+			case r%16 == 3:
+				name = ""
+			case r%16 == 5:
+				name = fmt.Sprintf("%012d", k%1_000_000_000_000)
+			}
+			names.AppendString(name)
+		}
+		c.Vectors[1] = names
+	}
+	return tbl
+}
+
+// fitMixKeys returns the key spec of a fit-mix schema: s ASC then k; s keyed
+// twice, ASC beside DESC or NOCASE or at two prefix lengths (which the seed
+// picks), then k; or s DESC alone, then k.
+func fitMixKeys(schema, seed int) []SortColumn {
+	switch schema {
+	case schemaKeyedTwice:
+		return [][]SortColumn{
+			{{Column: 1}, {Column: 1, Descending: true}, {Column: 0}},
+			{{Column: 1, Descending: true, NullsLast: true}, {Column: 1}, {Column: 0}},
+			{{Column: 1, CaseInsensitive: true}, {Column: 1}, {Column: 0}},
+			{{Column: 1, PrefixLen: 4}, {Column: 1}, {Column: 0, Descending: true}},
+		}[seed%4]
+	case schemaDescOnly:
+		return []SortColumn{{Column: 1, Descending: true, NullsLast: seed%2 == 1}, {Column: 0}}
+	}
+	return []SortColumn{{Column: 1}, {Column: 0}}
 }
 
 // sorter returns a sorter of the plan on fsys, its pins set, and the broker
@@ -268,6 +332,22 @@ func FuzzSortPlanSpace(f *testing.F) {
 			seed(plan{rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 4, storage: storeShared, fault: sf.name, stage: stage, seed: 19})
 		}
 	}
+	// Strings left in the keys: runs that mix chunks whose names fit with
+	// chunks where one overflows or holds a NUL, in memory, on disk, through
+	// merge passes and through a budgeted drain; s keyed twice; s DESC alone.
+	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4})
+	seed(plan{schema: schemaFitMix, rows: 20_000, runs: 3, threads: 2, pdq: true, seed: 1})
+	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: odd, runs: 3, threads: 2, storage: storeEager, block: block7})
+	seed(plan{schema: schemaFitMix, rows: 20_000, runs: 16, threads: 4, storage: storeShared, block: blockRagged, seed: 2})
+	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight})
+	seed(plan{schema: schemaFitMix, rows: 40_000, runs: 17, several: true, threads: 2, storage: storeTight, seed: 1})
+	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: 40_000, runs: 17, threads: 2, storage: storePrivate, seed: 2})
+	seed(plan{schema: schemaKeyedTwice, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 2})
+	seed(plan{schema: schemaKeyedTwice, rows: 20_000, runs: 3, threads: 4, storage: storeEager, block: block7, seed: 1})
+	seed(plan{schema: schemaKeyedTwice, shape: keysDupHeavy, rows: 20_000, runs: 16, threads: 2, storage: storeShared, seed: 2})
+	seed(plan{schema: schemaKeyedTwice, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight, seed: 3})
+	seed(plan{schema: schemaDescOnly, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4})
+	seed(plan{schema: schemaDescOnly, rows: 20_000, runs: 17, threads: 2, storage: storeEager, block: blockRagged, seed: 1})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -280,7 +360,7 @@ func FuzzSortPlanSpace(f *testing.F) {
 	if f.Failed() || ran < seeds || flag.Lookup("test.fuzz").Value.String() != "" {
 		return // not a replay of the whole corpus
 	}
-	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk"}
+	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots"}
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
 			want = append(want, sf.name+" in "+faultStageNames[stage])
@@ -307,7 +387,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 	var out *vector.Table
 	var err error
 	var tasks int
-	panicked := false
+	panicked, mixed := false, false
 	within(t, ctx, 30*time.Second, func() {
 		// The sort, stage by stage, until something fails; a fault is armed
 		// as the sort enters its stage.
@@ -318,6 +398,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		}
 		arm(stageRunSpill)
 		err = p.ingest(s, tbl, p.fault != "")
+		mixed = mixesSlots(s)
 		arm(stagePassRewrite)
 		if err == nil {
 			hog := func() {}
@@ -344,6 +425,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		"a pressure spill":                          st.PressureSpills > 0,
 		"a merge pass":                              st.MergePasses > 0,
 		"a drain of several tasks from disk":        s.onDisk && tasks > 1,
+		"a tie-breaking run of both string slots":   mixed,
 	} {
 		if ok {
 			reached = append(reached, what)
@@ -377,6 +459,24 @@ func (p plan) check(t *testing.T) (reached []string) {
 		t.Errorf("%s: the shared broker holds %d bytes after Close", ctx, used)
 	}
 	return reached
+}
+
+// mixesSlots reports whether a run of s still in memory merges under the
+// tie-break comparator with strings both left in its keys and on its heap.
+func mixesSlots(s *Sorter) bool {
+	for _, r := range s.runs {
+		if r.keys == nil || !r.tieBreak || r.payload.HeapLen() == 0 {
+			continue
+		}
+		for c, key := range s.strKey {
+			for i := 0; key >= 0 && i < r.rows; i++ {
+				if r.payload.Valid(i, c) && binary.LittleEndian.Uint32(r.payload.Row(i)[s.layout.Offset(c):]) == row.KeyResident {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // drain reads s's result through Rows — three chunks of it when the plan's

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
@@ -34,6 +35,7 @@ type Sink struct {
 	scratch  []byte           // radix scatter buffer, key-buffer sized
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
+	inKey    []bool           // the current chunk's columns whose strings stay in the keys; nil when none can
 	n        int
 	runs     int   // runs this sink has cut
 	heapRow  int64 // string-heap bytes a pending row carried, last seen
@@ -46,6 +48,9 @@ func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0),
 		keys: s.getKeyBuf(), payload: s.getRowSet(),
 		keyCols: make([]*vector.Vector, len(s.keys))}
+	if s.strKey != nil {
+		k.inKey = make([]bool, len(s.strKey))
+	}
 	// A sink its owner abandons — an Append failed, a producer gave up —
 	// still holds its buffers' bytes: Sorter.Close gives them back.
 	s.mu.Lock()
@@ -151,9 +156,12 @@ func (k *Sink) growKeys(n int) int {
 	return start
 }
 
-// Append converts one chunk into the sink's pending run: payload columns
-// are scattered to the row format, key columns are normalized — both one
-// vector at a time.
+// Append converts one chunk into the sink's pending run: key columns are
+// normalized, then payload columns scattered to the row format — both one
+// vector at a time. The keys go first because what they hold decides what the
+// payload does not: a string key whose every value of the chunk fits its
+// prefix holds them whole, and the payload keeps only their lengths
+// (keyResidence). A chunk that fails either step leaves the sink as it was.
 func (k *Sink) Append(c *vector.Chunk) error {
 	if k.closed {
 		return fmt.Errorf("core: append to closed sink")
@@ -168,20 +176,18 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	}
 	s.ctr.AdvanceTo(obs.StageRunGen)
 	sp := k.ow.Begin(obs.PhaseIngest)
-	base := k.payload.Len()
-	k.reservePayload(n)
-	if err := k.payload.AppendChunk(c.Vectors); err != nil {
-		sp.End()
-		return err
-	}
-
 	for i, kc := range s.keys {
 		k.keyCols[i] = c.Vectors[kc.Column]
 	}
 	start := k.growKeys(n)
 	st, err := s.enc.EncodeChunk(k.keyCols, k.keys[start:], s.rowWidth, 0)
 	clear(k.keyCols) // the sink must not pin the caller's chunk
+	if err == nil {
+		k.reservePayload(n)
+		err = k.payload.AppendChunkKeyed(c.Vectors, k.keyResident(st))
+	}
 	if err != nil {
+		k.keys = k.keys[:start]
 		sp.End()
 		return err
 	}
@@ -189,7 +195,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	// the pending set — as one store, after one that zeroes the alignment
 	// padding past it: a recycled buffer carries stale bytes there.
 	kw, rw := s.keyWidth, s.rowWidth
-	ref := uint64(base) << 32
+	ref := uint64(k.n) << 32
 	for o := start; o < len(k.keys); o += rw {
 		keyRow := k.keys[o : o+rw : o+rw]
 		binary.LittleEndian.PutUint64(keyRow[rw-refBytes:], 0)
@@ -216,6 +222,18 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		return k.flush()
 	}
 	return nil
+}
+
+// keyResident returns the payload columns whose strings the chunk just
+// encoded leaves in its keys: those whose key (Sorter.strKey) did not tie.
+func (k *Sink) keyResident(st normkey.EncodeStats) []bool {
+	if k.inKey == nil {
+		return nil
+	}
+	for c, key := range k.s.strKey {
+		k.inKey[c] = key >= 0 && !st.Tied(key)
+	}
+	return k.inKey
 }
 
 // Close flushes the sink's remaining rows as a final (possibly short) run

@@ -28,13 +28,15 @@ import (
 // order. A tie is resolved against the full strings in the payload, which
 // lookup finds through the row's reference: the RowSet holding it and the
 // row's index there (a merge over spilled runs keeps only one block of each
-// run current, so the index is block-local). Rows that cannot tie are
-// compared with one bytes.Compare over the key, the paper's memcmp.
+// run current, so the index is block-local) — or, for a string left in its
+// key, in the key row itself. Rows that cannot tie are compared with one
+// bytes.Compare over the key, the paper's memcmp.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
 		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
 			p, i := lookup(s.getRef(keyRow))
-			return p.StringBytes(i, s.keys[k].Column)
+			c := s.keys[k].Column
+			return p.StringIn(i, c, s.keySegment(keyRow, c))
 		})
 		return tie, tie
 	}
@@ -288,9 +290,9 @@ func (e *extMerge) refill(r int) (mergepath.Run, bool) {
 	return mergepath.Run{Data: keys, Width: e.s.rowWidth}, true
 }
 
-// next emits the next merged row: its key row (valid until the following
-// next), and its payload as row idx of sets[which]. ok is false at the end of
-// the range and after a failed read: check err then.
+// next emits the next merged row: its key row (in the run's block, valid
+// until the next settle), and its payload as row idx of sets[which]. ok is
+// false at the end of the range and after a failed read: check err then.
 func (e *extMerge) next() (keyRow []byte, which, idx uint32, ok bool) {
 	run, pos, keyRow, ok := e.m.Next()
 	if !ok || e.err != nil {
@@ -476,8 +478,10 @@ func (s *Sorter) mergeBlockBytes(ids []uint32) int64 {
 // key range spans of the runs on disk and counted in those in memory; an
 // output row holds what a row on disk does, on average, less its key row,
 // with a string's 16-byte header where the row format has an 8-byte
-// reference. Every claimant must fit in the budget Finalize left, the first
-// of them the one reduceFanIn planned for.
+// reference — and, for a column whose strings may be left in the keys, the
+// key segment's bytes, which the output holds and the payload on disk does not.
+// Every claimant must fit in the budget Finalize left, the first of them the
+// one reduceFanIn planned for.
 func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window int64) {
 	blockRows := s.spillBlockRows()
 	disk, diskRows, taskRows := 0, 0, 0
@@ -502,9 +506,12 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 		taskRows = max(taskRows, rows)
 	}
 	rowBytes := (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.rowWidth)
-	for _, t := range s.layout.Types() {
+	for c, t := range s.layout.Types() {
 		if t == vector.Varchar {
 			rowBytes += 8
+		}
+		if s.keySegs != nil && s.keySegs[c] >= 0 {
+			rowBytes += int64(s.enc.Keys()[s.strKey[c]].Prefix())
 		}
 	}
 	blocks := int64(disk*s.opt.mergeBuffers()) * s.mergeBlockBytes(p.ids)

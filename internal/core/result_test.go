@@ -67,8 +67,8 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 // single-threaded mergepath.KWayMerge of the runs under the sort's whole-row
 // comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
 // one key array, then a value-at-a-time gather through RowSet.AppendTo (no
-// typed kernels). A sort with a run on disk has only the streaming iterator
-// to offer.
+// typed kernels; a string left in its key read through StringIn). A sort
+// with a run on disk has only the streaming iterator to offer.
 func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
 	if !s.finalized {
@@ -96,8 +96,14 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		chunk := vector.NewChunk(s.schema, count)
 		for c := range s.schema {
 			for r := start; r < start+count; r++ {
-				runID, idx := s.getRef(keys[r*s.rowWidth:])
-				s.runs[runID].payload.AppendTo(chunk.Vectors[c], int(idx), c)
+				keyRow := keys[r*s.rowWidth : (r+1)*s.rowWidth]
+				runID, idx := s.getRef(keyRow)
+				p := s.runs[runID].payload
+				if key := s.keySegment(keyRow, c); key != nil && p.Valid(int(idx), c) {
+					chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), c, key)))
+					continue
+				}
+				p.AppendTo(chunk.Vectors[c], int(idx), c)
 			}
 		}
 		if err := out.AppendChunk(chunk); err != nil {

@@ -188,6 +188,7 @@ type drainTask struct {
 	em          *extMerge         // the claimant's merge
 	m           *mergepath.Merger // em's loser tree on the task, until its counters are folded in
 	which, idxs []uint32          // one chunk's payload references
+	keys        [][]byte          // and its key rows, where strings may be left in them; else nil
 	g           *row.Gather       // the gather of its rows
 	index       int               // task index
 	open        bool              // on a task that has not ended
@@ -229,8 +230,13 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 }
 
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
-	return &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
+	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
 		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
+	if d.s.keySegs != nil {
+		t.keys = make([][]byte, vector.DefaultVectorSize)
+		t.g.SetKeySegments(d.s.keySegs)
+	}
+	return t
 }
 
 // start launches the drain's workers. Each is joined by the iterator's
@@ -344,7 +350,7 @@ func (d *rowsDrain) retire(t *drainTask) {
 func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	s := d.s
 	sp := t.ow.Begin(obs.PhaseMerge)
-	count := t.em.refs(t.which, t.idxs)
+	count := t.em.refs(t.which, t.idxs, t.keys)
 	sp.End()
 	if err := t.em.err; err != nil {
 		return nil, err
@@ -355,7 +361,11 @@ func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	}
 	s.ctr.Add(obs.RowsMerged, int64(count))
 	sp = t.ow.Begin(obs.PhaseGather)
-	t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count])
+	keys := t.keys
+	if keys != nil {
+		keys = keys[:count]
+	}
+	t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count], keys)
 	chunk := &vector.Chunk{Vectors: t.g.Vectors()}
 	s.countGathered(count)
 	sp.End()
@@ -433,15 +443,19 @@ func (d *rowsDrain) close(drained bool) {
 }
 
 // refs advances the merge by up to len(which) rows and stores their payload
-// references, returning how many: fewer at the end of the range and after a
-// failed read.
-func (e *extMerge) refs(which, idxs []uint32) int {
+// references — and, when keys is not nil, their key rows, which stay valid
+// until the next settle — returning how many: fewer at the end of the range
+// and after a failed read.
+func (e *extMerge) refs(which, idxs []uint32, keys [][]byte) int {
 	for i := range which {
-		_, slot, idx, ok := e.next()
+		keyRow, slot, idx, ok := e.next()
 		if !ok {
 			return i
 		}
 		which[i], idxs[i] = slot, idx
+		if keys != nil {
+			keys[i] = keyRow
+		}
 	}
 	return len(which)
 }

@@ -36,6 +36,13 @@ type Sorter struct {
 	keyWidth int         // normalized key bytes per row
 	rowWidth int         // key row stride: keyWidth + 8-byte payload ref, 8-aligned
 
+	// Strings a key holds whole are stored once, in the key (see keyResidence):
+	// strKey[c] is the key whose segment can hold payload column c's strings,
+	// keySegs[c] where they start in a key row; -1 for a column that has none,
+	// and both nil when no column has.
+	strKey  []int
+	keySegs []int
+
 	mu        sync.Mutex
 	runs      []*sortedRun
 	finalized bool
@@ -126,6 +133,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		rec:      opt.Telemetry,
 	}
 	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
+	s.strKey, s.keySegs = keyResidence(enc, len(schema))
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// The sorter always runs under a broker — a child of the shared one
@@ -143,6 +151,44 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.spills = spill.NewDir(spill.OS(), opt.SpillDir, s.ctr, s.rec)
 	s.run = s.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: s.ctr})
 	return s, nil
+}
+
+// keyResidence picks, for each payload column, the key whose segment can hold
+// the column's strings whole, and where in a key row they would start: a
+// varchar key in ASC order under binary collation, whose segment is the
+// string's own bytes, zero-padded, behind the validity byte — the longest
+// such prefix, where the column is keyed so more than once. DESC inverts a
+// segment and NOCASE folds it, so a column keyed only so keeps its strings on
+// the heap. A chunk whose strings fit that key's prefix (normkey reports the
+// key untied) leaves them there, and its payload holds only their lengths
+// (Sink.Append).
+func keyResidence(enc *normkey.Encoder, cols int) (strKey, segs []int) {
+	keys := enc.Keys()
+	for k, key := range keys {
+		if key.Type != vector.Varchar || key.Order != normkey.Ascending || key.Collation != normkey.CollationBinary {
+			continue
+		}
+		if strKey == nil {
+			strKey, segs = make([]int, cols), make([]int, cols)
+			for c := range strKey {
+				strKey[c], segs[c] = -1, -1
+			}
+		}
+		c := key.Column
+		if j := strKey[c]; j < 0 || keys[j].Prefix() < key.Prefix() {
+			strKey[c], segs[c] = k, enc.Offset(k)+1
+		}
+	}
+	return strKey, segs
+}
+
+// keySegment returns the key row from where column c's key-resident string
+// starts, for RowSet.StringIn; nil when the column has none.
+func (s *Sorter) keySegment(keyRow []byte, c int) []byte {
+	if s.keySegs == nil || s.keySegs[c] < 0 {
+		return nil
+	}
+	return keyRow[s.keySegs[c]:]
 }
 
 // SetExpectedRows declares the total input rows up front, when the caller

@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rowsort/internal/core"
@@ -174,9 +175,20 @@ func TestTopNRunReachesDone(t *testing.T) {
 		if !snap.Done || snap.Stage != "done" {
 			t.Errorf("a drained Top-N is %q, done=%v", snap.Stage, snap.Done)
 		}
-		// Top-N ingests every row and gathers only the limit: the phases
-		// count exactly that.
-		if in, ga := snap.Phases[0], snap.Phases[3]; in.Fraction != 1 || ga.Done != 25 {
+		// Top-N ingests every row and gathers only the limit; it sorts no
+		// run and merges nothing. The phases it reports are the two it runs,
+		// each done.
+		names := []string{}
+		for _, ph := range snap.Phases {
+			names = append(names, ph.Name)
+			if ph.Fraction != 1 || ph.Done != ph.Planned {
+				t.Errorf("a drained Top-N's %s phase is %+v, want done", ph.Name, ph)
+			}
+		}
+		if !slices.Equal(names, []string{"ingest", "gather"}) {
+			t.Errorf("a Top-N reports phases %v, want ingest and gather", names)
+		}
+		if in, ga := snap.Phases[0], snap.Phases[len(snap.Phases)-1]; in.Done != 3_000 || ga.Done != 25 {
 			t.Errorf("a drained Top-N's ingest is %+v and gather %+v, want all 3000 rows in and 25 out", in, ga)
 		}
 		if got := snap.Counters[obs.RowsIngested]; got != st.RowsIngested || got != 3_000 {

@@ -57,7 +57,7 @@ func NewTopNHeap(schema vector.Schema, keys []core.SortColumn, limit int, opt co
 	t.h = &keyHeap{cmp: enc.Comparator(func(keyRow []byte, k int) []byte {
 		return t.payload.StringBytes(t.index(keyRow), nkeys[k].Column)
 	})}
-	t.run = t.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: t.ctr})
+	t.run = t.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: t.ctr, TopN: true, Limit: int64(limit)})
 	return t, nil
 }
 

@@ -160,7 +160,7 @@ func FuzzNormKeyOrder(f *testing.F) {
 		if typ != vector.Varchar {
 			t.Fatalf("key %+v: encoded keys tie but CompareValues = %d", key, want)
 		}
-		p := key.prefixLen()
+		p := key.Prefix()
 		pa := prefixPad(key.Collation.Apply(as), p)
 		pb := prefixPad(key.Collation.Apply(bs), p)
 		if pa != pb {

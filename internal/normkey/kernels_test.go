@@ -20,6 +20,7 @@ func refEncodeChunk(e *Encoder, cols []*vector.Vector, out []byte, stride, offse
 	for k, vec := range cols {
 		if refEncodeColumn(e, k, vec, out, stride, offset) {
 			st.Ties = true
+			st.tied |= 1 << min(k, 63)
 		}
 	}
 	return st
@@ -54,7 +55,7 @@ func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, 
 			continue
 		}
 		s := key.Collation.Apply(vec.Strings()[r])
-		p := key.prefixLen()
+		p := key.Prefix()
 		nc := copy(seg[1:1+p], s)
 		for i := 1 + nc; i < segW; i++ {
 			seg[i] = 0
@@ -192,7 +193,7 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 						key := SortKey{Type: typ, Order: order, Nulls: nulls, Collation: coll, PrefixLen: p}
 						for _, shape := range nullShapes {
 							ctx := fmt.Sprintf("%v %v %v coll=%d prefix=%d %s", typ, order, nulls, coll, p, shape)
-							vec := withNulls(typ, n, shape, key.prefixLen(), rng)
+							vec := withNulls(typ, n, shape, key.Prefix(), rng)
 							checkAgainstReference(t, ctx, key, vec)
 							cells++
 						}
@@ -201,7 +202,7 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 						}
 						// One string alone decides the tie flag; the NULL row
 						// beside it holds a lossy one that must not.
-						for _, s := range kernelStrings(key.prefixLen(), rng) {
+						for _, s := range kernelStrings(key.Prefix(), rng) {
 							vec := vector.FromStrings([]string{s, "\x00" + s + s + s, s})
 							vec.SetNull(1)
 							checkAgainstReference(t, fmt.Sprintf("%v %v coll=%d prefix=%d %q", order, nulls, coll, p, s), key, vec)
@@ -209,7 +210,7 @@ func TestEncodeKernelsMatchReference(t *testing.T) {
 						}
 						// At the flag's edges every path must also raise it
 						// exactly where the edge says.
-						for _, edge := range tieEdges(key.prefixLen()) {
+						for _, edge := range tieEdges(key.Prefix()) {
 							vec := vector.FromStrings([]string{edge.s, "\x00" + edge.s + "x", edge.s})
 							vec.SetNull(1)
 							ctx := fmt.Sprintf("%v %v coll=%d prefix=%d %s %q", order, nulls, coll, p, edge.name, edge.s)

@@ -139,16 +139,14 @@ type SortKey struct {
 // segWidth returns the key's segment width including the validity byte.
 func (k SortKey) segWidth() int {
 	if k.Type == vector.Varchar {
-		p := k.PrefixLen
-		if p <= 0 {
-			p = DefaultStringPrefixLen
-		}
-		return 1 + p
+		return 1 + k.Prefix()
 	}
 	return 1 + k.Type.Width()
 }
 
-func (k SortKey) prefixLen() int {
+// Prefix returns the string bytes a Varchar key's segment holds: PrefixLen,
+// or DefaultStringPrefixLen when that is 0.
+func (k SortKey) Prefix() int {
 	if k.PrefixLen <= 0 {
 		return DefaultStringPrefixLen
 	}
@@ -224,7 +222,17 @@ type EncodeStats struct {
 	// value's encoding — the run holding these rows needs the semantic
 	// tie-break.
 	Ties bool
+	// tied has bit k set when key k's segment may tie in some row; keys past
+	// the 64th share the last bit.
+	tied uint64
 }
+
+// Tied reports whether key k's segment may byte-tie in some row of the chunk:
+// a string overflowed its prefix or held a NUL. A string key that did not
+// holds every value of the chunk whole in its segment, behind the validity
+// byte — as its collation and order encode it, so byte for byte only under
+// ASC and binary collation.
+func (st EncodeStats) Tied(k int) bool { return st.tied&(1<<min(k, 63)) != 0 }
 
 // Encode writes one normalized key per row into out. cols[i] supplies the
 // values for keys[i]; all columns must share a length. Row r's key is
@@ -262,9 +270,10 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 	}
 	for i, c := range cols {
 		if e.encodeColumn(i, c, out, stride, offset) {
-			st.Ties = true
+			st.tied |= 1 << min(i, 63)
 		}
 	}
+	st.Ties = st.tied != 0
 	return st, nil
 }
 
@@ -296,7 +305,7 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 	case key.Order == Ascending && key.Collation == CollationBinary:
 		ties = seg.copyStrings(vec.Strings()[:n], nulls)
 	default:
-		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.prefixLen(), key.Collation == CollationNoCase)
+		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.Prefix(), key.Collation == CollationNoCase)
 	}
 	// The loops above give a NULL row whatever its slot in the vector holds
 	// (or skip it); its segment is the NULL validity byte over zero bytes.

@@ -339,6 +339,54 @@ func TestStringPrefixTruncationTies(t *testing.T) {
 	}
 }
 
+// TestEncodeStatsTiedPerKey pins the per-key tie report a sink reads to
+// leave a chunk's strings in their key: one string key whose values fit, one
+// that overflows its prefix and one whose values hold a NUL, each keyed
+// twice, so that a column's ASC and DESC keys report alike; a fixed-width
+// key never ties.
+func TestEncodeStatsTiedPerKey(t *testing.T) {
+	str := func(vals ...string) *vector.Vector {
+		v := vector.New(vector.Varchar, len(vals))
+		for _, s := range vals {
+			v.AppendString(s)
+		}
+		v.AppendNull() // a NULL never ties
+		return v
+	}
+	fits := str("", "abc", "exactly12byt")
+	overflows := str("abc", "exactly13byte")
+	nul := str("a\x00b", "c")
+	ints := vector.New(vector.Int64, 3)
+	for i := 0; i < 3; i++ {
+		ints.AppendInt64(int64(i))
+	}
+	keys := []SortKey{{Type: vector.Varchar}, {Type: vector.Varchar}, {Type: vector.Varchar, Order: Descending},
+		{Type: vector.Int64}, {Type: vector.Varchar, Collation: CollationNoCase}, {Type: vector.Varchar, PrefixLen: 2}}
+	cols := []*vector.Vector{fits, overflows, nul, ints, fits, fits}
+	for _, c := range cols {
+		for c.Len() < 4 {
+			c.AppendNull()
+		}
+	}
+	e, err := NewEncoder(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.EncodeChunk(cols, make([]byte, 4*e.Width()), e.Width(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{false, true, true, false, false, true}
+	for k, w := range want {
+		if st.Tied(k) != w {
+			t.Errorf("key %d (%v): Tied %v, want %v", k, keys[k], st.Tied(k), w)
+		}
+	}
+	if !st.Ties {
+		t.Error("Ties is false with keys tied")
+	}
+}
+
 func TestStringNULByteTie(t *testing.T) {
 	// "a" and "a\x00" share a padded prefix; the oracle must order them.
 	v := vector.New(vector.Varchar, 2)

@@ -61,6 +61,11 @@ type RunOptions struct {
 	// Recorder, when non-nil, is the run's span recorder: the HTTP plane
 	// renders its per-phase waterfall and serves its Chrome trace.
 	Recorder *Recorder
+	// TopN registers a Top-N operator rather than a sort: it ingests every
+	// row, sorts no run, merges nothing and gathers at most Limit rows, so
+	// its snapshot plans the two phases it runs, the gather at that limit.
+	TopN  bool
+	Limit int64
 }
 
 // runInfo is one registered run's registry record.
@@ -236,7 +241,7 @@ func (ri *runInfo) snapshot() RunSnapshot {
 		Done:        finished != 0,
 		Stage:       b.Stage().String(),
 		Counters:    vals,
-		Phases:      phaseProgress(vals),
+		Phases:      phaseProgress(vals, o),
 		Strategy:    b.Decisions(),
 	}
 	if o.Recorder != nil {
@@ -246,25 +251,33 @@ func (ri *runInfo) snapshot() RunSnapshot {
 	return s
 }
 
-// phaseProgress derives the four logical phases' done/planned rows and rates
-// from the counters. The planning target is RowsExpected when the caller
-// declared it, else the rows ingested so far (a moving target: progress reads
-// low until ingestion finishes, which is the honest answer for an unbounded
-// stream).
-func phaseProgress(v Values) []PhaseProgress {
+// phaseProgress derives the logical phases' done/planned rows and rates from
+// the counters: a sort's four, a Top-N's two (RunOptions.TopN). The planning
+// target is RowsExpected when the caller declared it, else the rows ingested
+// so far (a moving target: progress reads low until ingestion finishes, which
+// is the honest answer for an unbounded stream).
+func phaseProgress(v Values, o RunOptions) []PhaseProgress {
 	// A registered run that has not started plans one row; all fractions 0.
 	total := max(v[RowsExpected], v[RowsIngested], 1)
-	mergePlanned := max(v[MergeRowsPlanned], total)
-	phases := []PhaseProgress{
-		{Name: "ingest", Done: v[RowsIngested], Planned: total},
-		{Name: "run-sort", Done: v[RowsSorted], Planned: total},
-		{Name: "merge", Done: v[RowsMerged], Planned: mergePlanned},
-		{Name: "gather", Done: v[RowsGathered], Planned: total},
-	}
+	ingest := PhaseProgress{Name: "ingest", Done: v[RowsIngested], Planned: total}
+	gather := PhaseProgress{Name: "gather", Done: v[RowsGathered], Planned: total}
 	// The stage clocks each phase runs under: ingest and run sort during run
 	// generation, the merge in Finalize's passes and inside the drain, which
 	// the gather stage times.
-	wall := [...]int64{v[DurRunGen], v[DurRunGen], v[DurMerge] + v[DurGather], v[DurGather]}
+	var phases []PhaseProgress
+	var wall []int64
+	if o.TopN {
+		// The heap keeps the limit, or every row when there are fewer, and
+		// the gather reads out what it kept.
+		gather.Planned = max(min(o.Limit, total), 1)
+		phases, wall = []PhaseProgress{ingest, gather}, []int64{v[DurRunGen], v[DurGather]}
+	} else {
+		phases = []PhaseProgress{ingest,
+			{Name: "run-sort", Done: v[RowsSorted], Planned: total},
+			{Name: "merge", Done: v[RowsMerged], Planned: max(v[MergeRowsPlanned], total)},
+			gather}
+		wall = []int64{v[DurRunGen], v[DurRunGen], v[DurMerge] + v[DurGather], v[DurGather]}
+	}
 	for i := range phases {
 		ph := &phases[i]
 		ph.Fraction = float64(min(ph.Done, ph.Planned)) / float64(ph.Planned)

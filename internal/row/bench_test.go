@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -15,8 +16,12 @@ import (
 // 24-byte string: 112-byte rows), the customer row of mem-customer-str (four
 // Int32, three with NULLs, and two name strings: 40-byte rows) and the int
 // row of mem-uniform-int (two Int64: 24-byte rows, the stride of
-// ext-catalog-spill's five Int32 too). Each round moves one run of
-// benchRunRows rows; the time is reported per row.
+// ext-catalog-spill's five Int32 too). The customer row is timed twice: with
+// its names on the heap ("customer"), and with them left in the keys of a
+// sort on them ("customer-inkey": every name fits the 12-byte prefix, so the
+// sorter stores none on the heap and its drain gathers them from the key
+// rows). Each round moves one run of benchRunRows rows; the time is reported
+// per row.
 
 const (
 	benchRunRows = 1 << 17
@@ -65,6 +70,15 @@ type benchShape struct {
 	runs        []*RowSet
 	perm        []uint32
 	which, idxs []uint32
+
+	// A shape sorted on string keys leaves them in its key rows: keyCols
+	// are the key columns, inKey each chunk's columns left in the keys,
+	// segs where the key rows hold them and refKeys the key row of each
+	// reference.
+	keyCols []int
+	inKey   [][]bool
+	segs    []int
+	refKeys [][]byte
 }
 
 func benchShapes(b *testing.B) []*benchShape {
@@ -74,19 +88,21 @@ func benchShapes(b *testing.B) []*benchShape {
 	for _, sh := range []*benchShape{
 		{name: "wide", table: wideTable(benchRunRows)},
 		{name: "customer", table: customerTable(benchRunRows)},
+		{name: "customer-inkey", table: customerTable(benchRunRows), keyCols: []int{4, 5}},
 		{name: "int", table: workload.UniformInt64s(benchRunRows, 1)},
 	} {
 		l := NewLayout(sh.table.Schema.Types())
+		runKeys := sh.encodeKeys(b)
 		sh.run = NewRowSet(l)
 		per := len(sh.table.Chunks) / benchRuns
 		for i, c := range sh.table.Chunks {
-			if err := sh.run.AppendChunk(c.Vectors); err != nil {
+			if err := sh.run.AppendChunkKeyed(c.Vectors, sh.chunkInKey(i)); err != nil {
 				b.Fatal(err)
 			}
 			if i%per == 0 {
 				sh.runs = append(sh.runs, NewRowSet(l))
 			}
-			if err := sh.runs[len(sh.runs)-1].AppendChunk(c.Vectors); err != nil {
+			if err := sh.runs[len(sh.runs)-1].AppendChunkKeyed(c.Vectors, sh.chunkInKey(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -100,11 +116,68 @@ func benchShapes(b *testing.B) []*benchShape {
 				continue
 			}
 			sh.which, sh.idxs = append(sh.which, uint32(r)), append(sh.idxs, next[r])
+			if runKeys != nil {
+				sh.refKeys = append(sh.refKeys, runKeys[r*per*benchChunk+int(next[r])])
+			}
 			next[r]++
 		}
 		shapes = append(shapes, sh)
 	}
 	return shapes
+}
+
+// encodeKeys encodes the shape's key columns, ASC, into one key row per input
+// row, recording each chunk's columns whose strings fit the keys; nil for a
+// shape with no keys.
+func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
+	if sh.keyCols == nil {
+		return nil
+	}
+	keys := make([]normkey.SortKey, len(sh.keyCols))
+	for i, c := range sh.keyCols {
+		keys[i] = normkey.SortKey{Column: c, Type: sh.table.Schema[c].Type}
+	}
+	enc, err := normkey.NewEncoder(keys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh.segs = make([]int, len(sh.table.Schema))
+	for c := range sh.segs {
+		sh.segs[c] = -1
+	}
+	for i, c := range sh.keyCols {
+		sh.segs[c] = enc.Offset(i) + 1
+	}
+	rw := enc.Width() + 8
+	var rows [][]byte
+	cols := make([]*vector.Vector, len(sh.keyCols))
+	for _, c := range sh.table.Chunks {
+		for i, kc := range sh.keyCols {
+			cols[i] = c.Vectors[kc]
+		}
+		buf := make([]byte, c.Len()*rw)
+		st, err := enc.EncodeChunk(cols, buf, rw, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inKey := make([]bool, len(sh.table.Schema))
+		for i, kc := range sh.keyCols {
+			inKey[kc] = !st.Tied(i)
+		}
+		sh.inKey = append(sh.inKey, inKey)
+		for o := 0; o < len(buf); o += rw {
+			rows = append(rows, buf[o:o+rw])
+		}
+	}
+	return rows
+}
+
+// chunkInKey returns the columns chunk i leaves in its keys, nil for none.
+func (sh *benchShape) chunkInKey(i int) []bool {
+	if sh.inKey == nil {
+		return nil
+	}
+	return sh.inKey[i]
 }
 
 // perRow reports the round's time per row moved.
@@ -124,8 +197,8 @@ func BenchmarkScatter(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rs.Reset()
-				for _, c := range sh.table.Chunks {
-					if err := rs.AppendChunk(c.Vectors); err != nil {
+				for ci, c := range sh.table.Chunks {
+					if err := rs.AppendChunkKeyed(c.Vectors, sh.chunkInKey(ci)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -137,18 +210,29 @@ func BenchmarkScatter(b *testing.B) {
 
 // BenchmarkGather times Gather in its three shapes, a chunk at a time: a
 // sequential scan of the run, its rows in a random order, and references
-// merged from benchRuns runs (the drain's shape).
+// merged from benchRuns runs (the drain's shape). A shape with strings left
+// in its keys has only the last: the drain's, which has the key rows.
 func BenchmarkGather(b *testing.B) {
 	for _, sh := range benchShapes(b) {
 		g := NewGather(sh.run.Layout())
+		g.SetKeySegments(sh.segs)
+		refKeys := func(at, n int) [][]byte {
+			if sh.refKeys == nil {
+				return nil
+			}
+			return sh.refKeys[at : at+n]
+		}
 		for _, shape := range []struct {
 			name    string
 			resolve func(at, n int)
 		}{
 			{"range", func(at, n int) { g.Range(sh.run, at, n) }},
 			{"index", func(at, n int) { g.Index(sh.run, sh.perm[at:at+n]) }},
-			{"refs", func(at, n int) { g.Refs(sh.runs, sh.which[at:at+n], sh.idxs[at:at+n]) }},
+			{"refs", func(at, n int) { g.Refs(sh.runs, sh.which[at:at+n], sh.idxs[at:at+n], refKeys(at, n)) }},
 		} {
+			if sh.keyCols != nil && shape.name != "refs" {
+				continue
+			}
 			b.Run(sh.name+"/"+shape.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package row
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -20,7 +21,9 @@ import (
 // across sets sharing a layout (Refs: a merge's output). Resolving also ANDs
 // the rows' masks, so the gather knows exactly which columns hold a NULL.
 // Vectors then converts each column with one typed loop over the resolved
-// rows, and tests validity only in those columns.
+// rows, and tests validity only in those columns. A string left in its row's
+// key (KeyResident) is read from the key row Refs is given beside the row, at
+// the column's key segment (SetKeySegments).
 //
 // A Gather is scratch for one goroutine; reused, it allocates only the
 // vectors it returns and one backing string per varchar column.
@@ -28,11 +31,18 @@ type Gather struct {
 	layout *Layout
 	rows   [][]byte // the resolved rows, in output order
 	heaps  [][]byte // each one's string heap
+	keys   [][]byte // each one's key row, when Refs was given them
+	segs   []int    // per column: where its key-resident strings start in a key row
 	nulls  []byte   // per mask byte: the columns NULL in some resolved row
 }
 
 // NewGather returns a gather of rows of layout l.
 func NewGather(l *Layout) *Gather { return &Gather{layout: l} }
+
+// SetKeySegments tells the gather where a key-resident string of column c
+// lies in its row's key row: from byte segs[c] on (a negative segs[c], or a
+// nil segs, says column c has none).
+func (g *Gather) SetKeySegments(segs []int) { g.segs = segs }
 
 // Range resolves rows [start, start+count) of rs.
 func (g *Gather) Range(rs *RowSet, start, count int) {
@@ -59,23 +69,25 @@ func (g *Gather) Index(rs *RowSet, idxs []uint32) {
 }
 
 // Refs resolves row idxs[o] of sets[which[o]], for every o. The sets share
-// the gather's layout; those no reference names may be nil.
-func (g *Gather) Refs(sets []*RowSet, which, idxs []uint32) {
+// the gather's layout; those no reference names may be nil. keys[o], when
+// keys is not nil, is the row's key row, where its key-resident strings are.
+func (g *Gather) Refs(sets []*RowSet, which, idxs []uint32, keys [][]byte) {
 	w := g.layout.width
 	rows, heaps := g.resolve(len(idxs))
 	for o, i := range idxs {
 		src, at := sets[which[o]], int(i)*w
 		rows[o], heaps[o] = src.data[at:at+w:at+w], src.heap
 	}
+	g.keys = keys
 	g.scanMasks()
 }
 
-// resolve readies the scratch for n rows.
+// resolve readies the scratch for n rows, with no key rows.
 func (g *Gather) resolve(n int) (rows, heaps [][]byte) {
 	if cap(g.rows) < n {
 		g.rows, g.heaps = make([][]byte, n), make([][]byte, n)
 	}
-	g.rows, g.heaps = g.rows[:n], g.heaps[:n]
+	g.rows, g.heaps, g.keys = g.rows[:n], g.heaps[:n], nil
 	return g.rows, g.heaps
 }
 
@@ -183,7 +195,7 @@ func (g *Gather) column(c int, v *vector.Vector) {
 			d[o] = math.Float64frombits(binary.LittleEndian.Uint64(r[off:]))
 		}
 	case vector.Varchar:
-		g.strings(off, v.Strings()[:len(rows)])
+		g.strings(c, off, v.Strings()[:len(rows)])
 	}
 	if bit := byte(1) << (uint(c) & 7); g.nulls[c>>3]&bit != 0 {
 		for o, r := range rows {
@@ -194,13 +206,18 @@ func (g *Gather) column(c int, v *vector.Vector) {
 	}
 }
 
-// strings gathers the string slot at offset off of the resolved rows into d.
-// The bytes are copied once, in output order, into one allocation that every
-// value is a slice of.
-func (g *Gather) strings(off int, d []string) {
+// strings gathers column c's string slot, at offset off, of the resolved rows
+// into d. The bytes are copied once, in output order, into one allocation
+// that every value is a slice of: a string from its heap, or from its key
+// row when it was left there.
+func (g *Gather) strings(c, off int, d []string) {
 	total := 0
 	for _, r := range g.rows {
 		total += int(binary.LittleEndian.Uint32(r[off+4:]))
+	}
+	seg := -1
+	if g.keys != nil && c < len(g.segs) {
+		seg = g.segs[c]
 	}
 	var b strings.Builder
 	b.Grow(total)
@@ -208,7 +225,15 @@ func (g *Gather) strings(off int, d []string) {
 		ho := binary.LittleEndian.Uint32(r[off:])
 		hl := binary.LittleEndian.Uint32(r[off+4:])
 		pos := b.Len()
-		b.Write(g.heaps[o][ho : ho+hl])
+		if ho != KeyResident {
+			b.Write(g.heaps[o][ho : ho+hl])
+		} else if seg >= 0 {
+			b.Write(g.keys[o][seg : seg+int(hl)])
+		} else {
+			// Without the key row there is nothing to read: a heap at
+			// KeyResident is not the string.
+			panic(fmt.Sprintf("row: column %d of gathered row %d is a string left in its key, and the gather has no key for it", c, o))
+		}
 		// The builder never reallocates past Grow, so the bytes behind
 		// every earlier String stay put.
 		d[o] = b.String()[pos:]
@@ -237,7 +262,7 @@ func (rs *RowSet) GatherChunk(start, count int) []*vector.Vector {
 // that names no row of src twice: the reorder of a run's payload after its
 // keys are sorted. No two rows of a set share heap bytes, so the strings fit
 // in src's heap length, and the heap is sized by it without the pass that
-// sums them.
+// sums them. Strings left in their keys keep their slots and take no bytes.
 func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
 	rs.reorder([]*RowSet{src}, nil, perm, len(src.heap))
 }
@@ -246,6 +271,8 @@ func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
 // idxs[i] of srcs[which[i]], of srcs[0] when which is nil — in reference
 // order: payload scattered across several sets (a spill block's staging).
 // Indices may repeat and leave gaps; all sets must share this set's layout.
+// Strings left in their keys keep their slots, and the pass that sums the
+// heap bytes counts none of theirs.
 func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
 	rs.reorder(srcs, which, idxs, -1)
 }
@@ -289,8 +316,8 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32, room 
 		for o := 0; o < len(rows); o += w {
 			row := rows[o : o+w : o+w]
 			for _, c := range l.strCols {
-				if l.valid(row, c) {
-					room += int(binary.LittleEndian.Uint32(row[l.offsets[c]+4:]))
+				if slot := row[l.offsets[c]:]; l.valid(row, c) && binary.LittleEndian.Uint32(slot) != KeyResident {
+					room += int(binary.LittleEndian.Uint32(slot[4:]))
 				}
 			}
 		}
@@ -307,8 +334,11 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32, room 
 			if which != nil {
 				src = srcs[which[r]]
 			}
-			so := int(binary.LittleEndian.Uint32(slot))
-			hl := int(binary.LittleEndian.Uint32(slot[4:]))
+			so32 := binary.LittleEndian.Uint32(slot)
+			if so32 == KeyResident {
+				continue
+			}
+			so, hl := int(so32), int(binary.LittleEndian.Uint32(slot[4:]))
 			binary.LittleEndian.PutUint32(slot, uint32(pos))
 			switch sh := src.heap; {
 			case hl <= 16 && so+16 <= len(sh) && pos+16 <= len(heap):

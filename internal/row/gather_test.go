@@ -2,11 +2,13 @@ package row
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
@@ -41,7 +43,7 @@ func gatherIndex(rs *RowSet, idxs []uint32) []*vector.Vector {
 
 func gatherRefs(l *Layout, sets []*RowSet, which, idxs []uint32) []*vector.Vector {
 	g := NewGather(l)
-	g.Refs(sets, which, idxs)
+	g.Refs(sets, which, idxs, nil)
 	return g.Vectors()
 }
 
@@ -247,29 +249,39 @@ func TestAppendRowsGatherOneSource(t *testing.T) {
 // last in the destination heap too; the other lists end with the first row,
 // whose string ends the destination heap but has room behind it in the
 // source, and hold the last row earlier: each heap's room is tested on its
-// own. Row and heap bytes must equal per-row AppendRowFrom's (one varchar
-// column, so the two heap orders agree), for permutations through both
-// reorders and for a list with repeats and gaps through AppendRowsGather, out
-// of one set and out of two.
+// own. The middle third of a source's rows leave their strings in their keys
+// (KeyResident slots amid the heap's): the reorders copy those slots as they
+// are, and the heap strings around them keep the edges. Row and heap bytes
+// must equal per-row AppendRowFrom's (one varchar column, so the two heap
+// orders agree), for permutations through both reorders and for a list with
+// repeats and gaps through AppendRowsGather, out of one set and out of two,
+// whose summing pass must count no key-resident string.
 func TestReorderStringBoundaries(t *testing.T) {
 	lengths := []int{15, 16, 17, 31, 32, 33}
 	const n = 4 * 6
 	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
 	rng := rand.New(rand.NewSource(46))
+	inKey := []bool{false, true}
 	source := func(edge int) *RowSet {
-		ints, strs := vector.New(vector.Int64, n), vector.New(vector.Varchar, n)
-		for r := 0; r < n; r++ {
-			b := make([]byte, lengths[r%len(lengths)])
-			if r == 0 || r == n-1 {
-				b = make([]byte, edge)
-			}
-			rng.Read(b)
-			ints.AppendInt64(int64(r))
-			strs.AppendString(string(b))
-		}
 		rs := NewRowSet(layout)
-		if err := rs.AppendChunk([]*vector.Vector{ints, strs}); err != nil {
-			t.Fatal(err)
+		for third := 0; third < 3; third++ {
+			ints, strs := vector.New(vector.Int64, n/3), vector.New(vector.Varchar, n/3)
+			for r := third * n / 3; r < (third+1)*n/3; r++ {
+				b := make([]byte, lengths[r%len(lengths)])
+				if r == 0 || r == n-1 {
+					b = make([]byte, edge)
+				}
+				rng.Read(b)
+				ints.AppendInt64(int64(r))
+				strs.AppendString(string(b))
+			}
+			keyed := inKey
+			if third != 1 {
+				keyed = nil
+			}
+			if err := rs.AppendChunkKeyed([]*vector.Vector{ints, strs}, keyed); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return rs
 	}
@@ -302,6 +314,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 			got := NewRowSet(layout)
 			got.AppendRowsGather(srcs, nil, tc.idxs)
 			sameSet(t, ctx+": AppendRowsGather out of one set", got, want)
+			heapSummedExactly(t, ctx+": AppendRowsGather out of one set", got)
 			if len(tc.idxs) == n {
 				got = NewRowSet(layout)
 				got.AppendPermuted(srcs[0], tc.idxs)
@@ -314,6 +327,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 			got = NewRowSet(layout)
 			got.AppendRowsGather(srcs, which[:len(tc.idxs)], tc.idxs)
 			sameSet(t, ctx+": AppendRowsGather", got, want)
+			heapSummedExactly(t, ctx+": AppendRowsGather", got)
 		}
 	}
 }
@@ -431,4 +445,150 @@ func TestGatherChunkMatchesScalarAcrossWidths(t *testing.T) {
 		}
 		assertVectorsEqual(t, rs.GatherChunk(0, 33), gatherReference(rs, idxs))
 	}
+}
+
+// TestGatherResolvesKeyResidentStrings scatters chunks whose key strings are
+// encoded by a real normkey.Encoder — a column keyed at the default 12-byte
+// prefix and one at 4 — leaving each key column's strings in the keys where
+// the chunk's encoding of it did not tie, as the sorter does: empty strings,
+// strings exactly a prefix long and NULLs in the keys, and in the same
+// chunks a heap-only column and a key column that overflowed or held a NUL.
+// The rows are then permuted and gathered by references across both sets,
+// with their key rows, and must come back as the input's values. A gather,
+// accessor or reference that cannot resolve a key-resident string must panic
+// rather than read a heap at KeyResident.
+func TestGatherResolvesKeyResidentStrings(t *testing.T) {
+	types := []vector.Type{vector.Varchar, vector.Int64, vector.Varchar, vector.Varchar}
+	layout := NewLayout(types)
+	keys := []normkey.SortKey{{Column: 0, Type: vector.Varchar}, {Column: 2, Type: vector.Varchar, PrefixLen: 4}}
+	enc, err := normkey.NewEncoder(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := []int{enc.Offset(0) + 1, -1, enc.Offset(1) + 1, -1}
+	str := func(vals ...any) *vector.Vector {
+		v := vector.New(vector.Varchar, len(vals))
+		for _, x := range vals {
+			if x == nil {
+				v.AppendNull()
+			} else {
+				v.AppendString(x.(string))
+			}
+		}
+		return v
+	}
+	chunks := [][]*vector.Vector{
+		// Every key string fits: both columns stay in the keys.
+		{str("", "abcdefghijkl", nil, "x"), nil, str("", "abcd", nil, "z"), str("h0", "", nil, "heap string of 26 bytes..")},
+		// Column 0 overflows its prefix in one row: its strings go to the heap.
+		{str("abcdefghijklm", "b", "", nil), nil, str("abc", nil, "", "wxyz"), str(nil, "h1", "h2", "h3")},
+		// Column 2 holds a NUL: its strings go to the heap.
+		{str("c", nil, "abcdefghijkl", ""), nil, str("a\x00", "b", nil, ""), str("h4", "h5", "h6", "h7")},
+	}
+	var want [][]any // the input's values, row by row
+	var keyRows [][]byte
+	rs := NewRowSet(layout)
+	inKey := make([]bool, len(types))
+	for ci, chunk := range chunks {
+		ints := vector.New(vector.Int64, 4)
+		for r := 0; r < 4; r++ {
+			ints.AppendInt64(int64(10*ci + r))
+		}
+		chunk[1] = ints
+		rw := enc.Width() + 8
+		kb := make([]byte, 4*rw)
+		st, err := enc.EncodeChunk([]*vector.Vector{chunk[0], chunk[2]}, kb, rw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inKey[0], inKey[2] = !st.Tied(0), !st.Tied(1)
+		if wantKeyed := []bool{ci != 1, ci != 2}; inKey[0] != wantKeyed[0] || inKey[2] != wantKeyed[1] {
+			t.Fatalf("chunk %d: key columns left in the keys %v, want %v", ci, []bool{inKey[0], inKey[2]}, wantKeyed)
+		}
+		if err := rs.AppendChunkKeyed(chunk, inKey); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 4; r++ {
+			keyRows = append(keyRows, kb[r*rw:(r+1)*rw])
+			row := make([]any, len(types))
+			for c, v := range chunk {
+				row[c] = v.Value(r)
+			}
+			want = append(want, row)
+		}
+	}
+	heapBytes, resident := 0, 0
+	for i, row := range want {
+		for c, v := range row {
+			s, ok := v.(string)
+			switch {
+			case !ok:
+			case binary.LittleEndian.Uint32(rs.Row(i)[layout.Offset(c):]) == KeyResident:
+				resident++
+			default:
+				heapBytes += len(s)
+			}
+		}
+	}
+	// Chunk 0 leaves six strings in its keys, chunk 1 three and chunk 2 three.
+	if resident != 12 || rs.HeapLen() != heapBytes {
+		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 12 and the other strings' %d bytes", resident, rs.HeapLen(), heapBytes)
+	}
+
+	// Permute into a second set, then gather references across both.
+	perm := []uint32{11, 0, 5, 7, 2, 9, 1, 10, 3, 8, 4, 6}
+	permuted := NewRowSet(layout)
+	permuted.AppendPermuted(rs, perm)
+	if permuted.HeapLen() != heapBytes {
+		t.Fatalf("the permuted set's heap holds %d bytes, want %d", permuted.HeapLen(), heapBytes)
+	}
+	rng := rand.New(rand.NewSource(47))
+	var which, idxs []uint32
+	var refKeys [][]byte
+	var wantRows [][]any
+	for o := 0; o < 40; o++ {
+		i := uint32(rng.Intn(len(want)))
+		src := i
+		if o%2 == 1 {
+			src = perm[i]
+		}
+		which, idxs = append(which, uint32(o%2)), append(idxs, i)
+		refKeys, wantRows = append(refKeys, keyRows[src]), append(wantRows, want[src])
+	}
+	sets := []*RowSet{rs, permuted}
+	g := NewGather(layout)
+	g.SetKeySegments(segs)
+	g.Refs(sets, which, idxs, refKeys)
+	got := g.Vectors()
+	for o, row := range wantRows {
+		for c, v := range row {
+			if got[c].Value(o) != v {
+				t.Fatalf("row %d (set %d, row %d) column %d: gathered %q, want %q", o, which[o], idxs[o], c, got[c].Value(o), v)
+			}
+		}
+		for _, c := range []int{0, 2} {
+			if v, ok := row[c].(string); ok {
+				if s := sets[which[o]].StringIn(int(idxs[o]), c, refKeys[o][segs[c]:]); string(s) != v {
+					t.Fatalf("row %d column %d: StringIn %q, want %q", o, c, s, v)
+				}
+			}
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s read a string left in its key without its key", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Range", func() { g.Range(rs, 0, 4); g.Vectors() })
+	mustPanic("Index", func() { g.Index(permuted, perm); g.Vectors() })
+	mustPanic("Refs without keys", func() { g.Refs(sets, which, idxs, nil); g.Vectors() })
+	mustPanic("Refs without segments", func() { h := NewGather(layout); h.Refs(sets, which, idxs, refKeys); h.Vectors() })
+	mustPanic("StringBytes", func() { rs.StringBytes(0, 0) })
+	mustPanic("Value", func() { rs.Value(1, 2) })
+	mustPanic("AppendTo", func() { rs.AppendTo(vector.New(vector.Varchar, 1), 0, 0) })
 }

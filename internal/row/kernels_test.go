@@ -14,8 +14,9 @@ import (
 // refAppendChunk is AppendChunk as it was before the typed kernels: the new
 // rows cleared, every row's mask copied in, then one pass per column that
 // asks Valid of every value. It is kept here as the oracle the scatter must
-// match byte for byte.
-func refAppendChunk(rs *RowSet, vecs []*vector.Vector) {
+// match byte for byte; inKey names the string columns AppendChunkKeyed
+// leaves in the keys, whose values take a KeyResident slot and no heap byte.
+func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []bool) {
 	n := vecs[0].Len()
 	w := rs.layout.width
 	start := rs.n
@@ -26,7 +27,7 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector) {
 	}
 	rs.n += n
 	for c, v := range vecs {
-		refScatterColumn(rs, c, v, start)
+		refScatterColumn(rs, c, v, start, inKey != nil && inKey[c])
 	}
 }
 
@@ -34,7 +35,7 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector) {
 func refSetNull(row []byte, c int) { row[c>>3] &^= 1 << (uint(c) & 7) }
 
 // refScatterColumn writes column c of n rows starting at row index start.
-func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int) {
+func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, inKey bool) {
 	l := rs.layout
 	off := l.offsets[c]
 	n := v.Len()
@@ -157,7 +158,7 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int) {
 		vals := v.Strings()
 		total := 0
 		for r := 0; r < n; r++ {
-			if v.Valid(r) {
+			if v.Valid(r) && !inKey {
 				total += len(vals[r])
 			}
 		}
@@ -169,8 +170,12 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int) {
 				continue
 			}
 			s := vals[r]
-			binary.LittleEndian.PutUint32(row[off:], uint32(len(rs.heap)))
 			binary.LittleEndian.PutUint32(row[off+4:], uint32(len(s)))
+			if inKey {
+				binary.LittleEndian.PutUint32(row[off:], KeyResident)
+				continue
+			}
+			binary.LittleEndian.PutUint32(row[off:], uint32(len(rs.heap)))
 			rs.heap = append(rs.heap, s...)
 		}
 	}
@@ -181,7 +186,8 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int) {
 // through a closure naming each row's source and append. Row o comes from
 // srcs[which[o]], or srcs[0] when which is nil. It is the oracle the reorder
 // must match byte for byte; per-row AppendRowFrom orders the heap row after
-// row instead, which agrees with it only with one varchar column.
+// row instead, which agrees with it only with one varchar column. A slot
+// left in its key is copied with its row and takes no heap byte.
 func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 	w := rs.layout.width
 	base := rs.n
@@ -206,14 +212,14 @@ func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 		total := 0
 		for o := range idxs {
 			rowb := rs.Row(base + o)
-			if l.valid(rowb, c) {
+			if l.valid(rowb, c) && binary.LittleEndian.Uint32(rowb[off:]) != KeyResident {
 				total += int(binary.LittleEndian.Uint32(rowb[off+4:]))
 			}
 		}
 		rs.heap = reserveBytes(rs.heap, total)
 		for o := range idxs {
 			rowb := rs.Row(base + o)
-			if !l.valid(rowb, c) {
+			if !l.valid(rowb, c) || binary.LittleEndian.Uint32(rowb[off:]) == KeyResident {
 				continue
 			}
 			so := binary.LittleEndian.Uint32(rowb[off:])
@@ -376,15 +382,22 @@ func sameVectors(t *testing.T, ctx string, got, want []*vector.Vector) {
 }
 
 // refGather gathers row idxs[o] of sets[which[o]] (of sets[0] when which is
-// nil) value-at-a-time through AppendTo, the reference of every shape.
-func refGather(l *Layout, sets []*RowSet, which, idxs []uint32) []*vector.Vector {
+// nil) value-at-a-time through AppendTo, the reference of every shape. A
+// string of a column with a key segment (segs[c] >= 0) is read through
+// StringIn from its key row, keys[set][row], from that segment on.
+func refGather(l *Layout, sets []*RowSet, which, idxs []uint32, keys [][][]byte, segs []int) []*vector.Vector {
 	out := make([]*vector.Vector, l.NumColumns())
 	for c, t := range l.Types() {
 		out[c] = vector.New(t, len(idxs))
 		for o, i := range idxs {
-			src := sets[0]
+			s := uint32(0)
 			if which != nil {
-				src = sets[which[o]]
+				s = which[o]
+			}
+			src := sets[s]
+			if segs != nil && segs[c] >= 0 && src.Valid(int(i), c) {
+				out[c].AppendString(string(src.StringIn(int(i), c, keys[s][i][segs[c]:])))
+				continue
 			}
 			src.AppendTo(out[c], int(i), c)
 		}
@@ -392,12 +405,69 @@ func refGather(l *Layout, sets []*RowSet, which, idxs []uint32) []*vector.Vector
 	return out
 }
 
+// testKeySeg is where a test's key rows hold the strings left in them.
+const testKeySeg = 3
+
+// testKeyColumn returns which of l's columns the kernel tests leave in the
+// keys — the first varchar column, none when l has none — as the inKey of
+// AppendChunkKeyed and the segments of Gather.SetKeySegments.
+func testKeyColumn(l *Layout) (inKey []bool, segs []int) {
+	if len(l.strCols) == 0 {
+		return nil, nil
+	}
+	inKey, segs = make([]bool, l.NumColumns()), make([]int, l.NumColumns())
+	for c := range segs {
+		segs[c] = -1
+	}
+	inKey[l.strCols[0]], segs[l.strCols[0]] = true, testKeySeg
+	return inKey, segs
+}
+
+// testKeyRows returns a key row for each row of the chunk: column c's value at
+// testKeySeg, between bytes no string holds.
+func testKeyRows(vecs []*vector.Vector, c int) [][]byte {
+	keys := make([][]byte, vecs[c].Len())
+	for r := range keys {
+		keys[r] = append(append(bytes.Repeat([]byte{0xAB}, testKeySeg), vecs[c].Strings()[r]...), 0xCD, 0xCD)
+	}
+	return keys
+}
+
+// refsKeys returns the key rows of references (which, idxs) into sets whose
+// rows have key rows keys[set].
+func refsKeys(keys [][][]byte, which, idxs []uint32) [][]byte {
+	out := make([][]byte, len(idxs))
+	for o, i := range idxs {
+		s := uint32(0)
+		if which != nil {
+			s = which[o]
+		}
+		out[o] = keys[s][i]
+	}
+	return out
+}
+
+// heapSummedExactly fails unless rs's heap holds no spare byte: a set grown
+// from empty by one AppendRowsGather reserves exactly what its summing pass
+// counted, so a spare byte is a string counted and not copied — one left in
+// its key.
+func heapSummedExactly(t *testing.T, ctx string, rs *RowSet) {
+	t.Helper()
+	if cap(rs.heap) != len(rs.heap) {
+		t.Fatalf("%s: the heap reserved %d bytes for %d", ctx, cap(rs.heap), len(rs.heap))
+	}
+}
+
 // TestRowKernelsMatchReference runs the scatter, the reorder and the three
 // gather shapes against the references above over type × row shape × NULL
 // layout. The sets written into start poisoned, as recycled ones are, and
 // already hold rows, so every byte of a new row and of its heap — padding
 // and NULL slots included — must be written, and written where the
-// reference writes it.
+// reference writes it. In a row with a string column, some chunks leave
+// the first one's values in their keys (KeyResident slots beside heap slots,
+// in one set and across sets): the reorders must copy those slots as they
+// are and neither sum nor take heap bytes for them, and Refs must read them
+// from the key rows it is given.
 func TestRowKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const n = 150 // three validity words, the last one partial
@@ -406,25 +476,43 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		for _, kl := range kernelLayouts(typ) {
 			l, types := kl.layout, kl.layout.Types()
 			heapCap := 8 * n * 20 * len(l.strCols)
+			inKey, segs := testKeyColumn(l)
+			keyRows := func(vecs []*vector.Vector) [][]byte {
+				if inKey == nil {
+					return nil
+				}
+				return testKeyRows(vecs, l.strCols[0])
+			}
 			for _, shape := range nullShapes {
 				ctx := fmt.Sprintf("%v %s nulls=%s", typ, kl.name, shape)
 
-				// Scatter: two chunks, the second behind the first.
+				// Scatter: two chunks, the second behind the first; the
+				// first leaves a string column in its keys.
 				chunks := [][]*vector.Vector{kernelChunk(types, n, shape, rng), kernelChunk(types, n/3, "some", rng)}
-				got, want := poisonedSet(l, 8*n, heapCap), NewRowSet(l)
-				for _, chunk := range chunks {
-					if err := got.AppendChunk(chunk); err != nil {
+				got, want, plain := poisonedSet(l, 8*n, heapCap), NewRowSet(l), NewRowSet(l)
+				var wantKeys [][]byte
+				for i, chunk := range chunks {
+					keyed := inKey
+					if i > 0 {
+						keyed = nil
+					}
+					if err := got.AppendChunkKeyed(chunk, keyed); err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
-					refAppendChunk(want, chunk)
+					refAppendChunk(want, chunk, keyed)
+					refAppendChunk(plain, chunk, nil)
+					wantKeys = append(wantKeys, keyRows(chunk)...)
 				}
 				sameSet(t, ctx+": scatter", got, want)
 
 				// Reorder: a permutation with repeats out of one set, then
-				// references across three, behind rows already there.
+				// references across three, behind rows already there; the
+				// second set leaves its strings in its keys too.
 				srcs := []*RowSet{want, NewRowSet(l), nil, NewRowSet(l)}
-				refAppendChunk(srcs[1], kernelChunk(types, n, shape, rng))
-				refAppendChunk(srcs[3], kernelChunk(types, n, "some", rng))
+				keyed, heaped := kernelChunk(types, n, shape, rng), kernelChunk(types, n, "some", rng)
+				refAppendChunk(srcs[1], keyed, inKey)
+				refAppendChunk(srcs[3], heaped, nil)
+				keys := [][][]byte{wantKeys, keyRows(keyed), nil, keyRows(heaped)}
 				idxs := make([]uint32, 2*n)
 				which := make([]uint32, len(idxs))
 				for o := range idxs {
@@ -435,13 +523,18 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				if err := got.AppendChunk(prefix); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				refAppendChunk(ref, prefix)
+				refAppendChunk(ref, prefix, nil)
 				got.AppendRowsGather(srcs, nil, idxs)
 				refAppendRowsGather(ref, srcs, nil, idxs)
 				sameSet(t, ctx+": AppendRowsGather out of one set", got, ref)
 				got.AppendRowsGather(srcs, which, idxs)
 				refAppendRowsGather(ref, srcs, which, idxs)
 				sameSet(t, ctx+": AppendRowsGather", got, ref)
+				for _, w := range [][]uint32{nil, which} {
+					fresh := NewRowSet(l)
+					fresh.AppendRowsGather(srcs, w, idxs)
+					heapSummedExactly(t, ctx+": AppendRowsGather into an empty set", fresh)
+				}
 				perm := make([]uint32, want.Len())
 				for o, p := range rng.Perm(len(perm)) {
 					perm[o] = uint32(p)
@@ -459,22 +552,29 @@ func TestRowKernelsMatchReference(t *testing.T) {
 					sameSet(t, ctx+": AppendRowsGather against AppendRowFrom", batch, single)
 				}
 
-				// Gather: a range, an index list and references across sets.
+				// Gather: a range and an index list of the chunks' rows, all on
+				// the heap, and references across sets, given their key rows.
 				all := make([]uint32, want.Len())
 				for i := range all {
 					all[i] = uint32(i)
 				}
 				g := NewGather(l)
-				g.Range(want, 0, want.Len())
-				sameVectors(t, ctx+": Range", g.Vectors(), refGather(l, srcs, nil, all))
-				g.Range(want, 7, 100)
-				sameVectors(t, ctx+": Range from 7", g.Vectors(), refGather(l, srcs, nil, all[7:107]))
-				g.Index(want, idxs)
-				sameVectors(t, ctx+": Index", g.Vectors(), refGather(l, srcs, nil, idxs))
-				g.Refs(srcs, which, idxs)
-				sameVectors(t, ctx+": Refs", g.Vectors(), refGather(l, srcs, which, idxs))
-				g.Index(want, nil)
-				sameVectors(t, ctx+": no rows", g.Vectors(), refGather(l, srcs, nil, nil))
+				g.SetKeySegments(segs)
+				heapOnly := []*RowSet{plain}
+				g.Range(plain, 0, plain.Len())
+				sameVectors(t, ctx+": Range", g.Vectors(), refGather(l, heapOnly, nil, all, nil, nil))
+				g.Range(plain, 7, 100)
+				sameVectors(t, ctx+": Range from 7", g.Vectors(), refGather(l, heapOnly, nil, all[7:107], nil, nil))
+				g.Index(plain, idxs)
+				sameVectors(t, ctx+": Index", g.Vectors(), refGather(l, heapOnly, nil, idxs, nil, nil))
+				var refKeys [][]byte
+				if inKey != nil {
+					refKeys = refsKeys(keys, which, idxs)
+				}
+				g.Refs(srcs, which, idxs, refKeys)
+				sameVectors(t, ctx+": Refs", g.Vectors(), refGather(l, srcs, which, idxs, keys, segs))
+				g.Index(plain, nil)
+				sameVectors(t, ctx+": no rows", g.Vectors(), refGather(l, heapOnly, nil, nil, nil, nil))
 				cells++
 			}
 		}
@@ -567,7 +667,7 @@ func TestGatherAllocatesOnlyOutput(t *testing.T) {
 	for shape, resolve := range map[string]func(){
 		"range": func() { g.Range(rs, 0, n) },
 		"index": func() { g.Index(rs, idxs) },
-		"refs":  func() { g.Refs(sets, which, idxs) },
+		"refs":  func() { g.Refs(sets, which, idxs, nil) },
 	} {
 		if allocs := testing.AllocsPerRun(10, func() {
 			resolve()

@@ -82,6 +82,13 @@ func withCap(b []byte, c int) []byte {
 	return nb
 }
 
+// KeyResident is the heap offset of a string slot whose bytes are not in the
+// set's heap but in the row's normalized key: the slot holds it, then the
+// string's length, and the heap holds nothing for it. Only a caller that
+// keeps each row's key row beside it can read such a string back (StringIn,
+// Gather.Refs); the reorders move the slot as it is.
+const KeyResident = ^uint32(0)
+
 // AppendChunk scatters the chunk's vectors into rows (DSM to NSM). Vectors
 // must match the layout's types in order. Every byte of the new rows is
 // written, so a recycled buffer needs no clearing: each row starts with its
@@ -89,7 +96,13 @@ func withCap(b []byte, c int) []byte {
 // column then stores every row's value — NULL rows' too, whatever their slot
 // in the vector holds — and a walk over the column's NULL rows alone clears
 // their bit and slot.
-func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error {
+func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error { return rs.AppendChunkKeyed(vecs, nil) }
+
+// AppendChunkKeyed is AppendChunk leaving the strings of the varchar columns
+// inKey names (inKey[c]; nil names none) in the rows' keys: each non-NULL
+// value's slot is KeyResident and its length, and the heap takes none of its
+// bytes. The caller vouches that every such value lies whole in its row's key.
+func (rs *RowSet) AppendChunkKeyed(vecs []*vector.Vector, inKey []bool) error {
 	if len(vecs) != len(rs.layout.types) {
 		return fmt.Errorf("row: got %d vectors for %d columns", len(vecs), len(rs.layout.types))
 	}
@@ -110,7 +123,7 @@ func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error {
 	rows := rs.extendRows(n)
 	rs.layout.startRows(rows)
 	for c, v := range vecs {
-		rs.scatter(c, v, rows)
+		rs.scatter(c, v, rows, inKey != nil && inKey[c])
 	}
 	return nil
 }
@@ -134,8 +147,9 @@ func (l *Layout) startRows(rows []byte) {
 	}
 }
 
-// scatter writes column c of the v.Len() rows at the head of rows from v.
-func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte) {
+// scatter writes column c of the v.Len() rows at the head of rows from v; a
+// string column's values stay in the keys when inKey says so.
+func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte, inKey bool) {
 	l := rs.layout
 	w, off, n := l.width, l.offsets[c], v.Len()
 	o := off
@@ -200,7 +214,11 @@ func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte) {
 			o += w
 		}
 	case vector.Varchar:
-		rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w)
+		if inKey {
+			keyStrings(v.Strings()[:n], rows[off:], w)
+		} else {
+			rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w)
+		}
 	}
 	nulls, bit, slot := v.Validity(), byte(1)<<(uint(c)&7), l.types[c].Width()
 	for r := nulls.NextNull(0); r >= 0; r = nulls.NextNull(r + 1) {
@@ -237,18 +255,40 @@ func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []by
 	}
 }
 
+// keyStrings writes the slots of strings left in the keys: KeyResident and
+// the length, NULL rows' too (the NULL walk clears theirs).
+func keyStrings(vals []string, slots []byte, w int) {
+	for r, s := range vals {
+		slot := slots[r*w : r*w+8 : r*w+8]
+		binary.LittleEndian.PutUint32(slot, KeyResident)
+		binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
+	}
+}
+
 // String returns the string value of column c in row i. The column must be
-// a valid Varchar.
+// a valid Varchar in the heap.
 func (rs *RowSet) String(i, c int) string { return string(rs.StringBytes(i, c)) }
 
 // StringBytes is String without the copy: the bytes are the set's heap,
 // valid until the set is next written or reset. A comparison reads them in
-// place.
-func (rs *RowSet) StringBytes(i, c int) []byte {
+// place. A string left in its key is not here to read: StringBytes panics on
+// one, where StringIn, given the key, resolves it.
+func (rs *RowSet) StringBytes(i, c int) []byte { return rs.StringIn(i, c, nil) }
+
+// StringIn is StringBytes for a row whose key is at hand: a key-resident
+// string's bytes are the first of key — the row's key row from where the
+// column's key segment holds the value — as many as the slot says.
+func (rs *RowSet) StringIn(i, c int, key []byte) []byte {
 	row := rs.Row(i)
 	off := rs.layout.offsets[c]
 	ho := binary.LittleEndian.Uint32(row[off:])
 	hl := binary.LittleEndian.Uint32(row[off+4:])
+	if ho == KeyResident {
+		if key == nil {
+			panic(fmt.Sprintf("row: column %d of row %d is a string left in its key, and no key was given", c, i))
+		}
+		return key[:hl:hl]
+	}
 	return rs.heap[ho : ho+hl : ho+hl]
 }
 
@@ -256,7 +296,7 @@ func (rs *RowSet) StringBytes(i, c int) []byte {
 func (rs *RowSet) Valid(i, c int) bool { return rs.layout.valid(rs.Row(i), c) }
 
 // Value returns column c of row i as an any (nil for NULL). For tests and
-// debugging.
+// debugging; like StringBytes it panics on a string left in its key.
 func (rs *RowSet) Value(i, c int) any {
 	row := rs.Row(i)
 	l := rs.layout
