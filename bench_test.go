@@ -52,18 +52,29 @@ func BenchmarkCompModel(b *testing.B) { benchExperiment(b, "compmodel") }
 // --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationPrefixLen sweeps the normalized string prefix length:
-// short prefixes shrink keys but force more tie-breaks.
+// short prefixes shrink keys but force more tie-breaks. Its shared-prefix
+// arm is the tie-break's worst case: 2^17 URLs whose common start fills the
+// prefix, so every run is one group of byte-equal keys that the comparator
+// alone orders.
 func BenchmarkAblationPrefixLen(b *testing.B) {
+	sortTable := func(b *testing.B, tbl *vector.Table, keys []core.SortColumn, threads int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.SortTable(tbl, keys, core.Options{Threads: threads}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	tbl := workload.Customer(20_000, 4)
 	for _, prefix := range []int{2, 4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("prefix=%d", prefix), func(b *testing.B) {
-			keys := []core.SortColumn{{Column: 4, PrefixLen: prefix}, {Column: 5, PrefixLen: prefix}}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SortTable(tbl, keys, core.Options{Threads: 2}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			sortTable(b, tbl, []core.SortColumn{{Column: 4, PrefixLen: prefix}, {Column: 5, PrefixLen: prefix}}, 2)
+		})
+	}
+	urls := workload.SharedPrefixStrings(1<<17, 5)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shared-prefix/threads=%d", threads), func(b *testing.B) {
+			sortTable(b, urls, []core.SortColumn{{Column: 0}}, threads)
 		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 	"syscall"
 	"testing"
 	"time"
@@ -68,7 +67,6 @@ type plan struct {
 	threads             int
 	storage, block      int
 	readAhead           int
-	pdq                 bool   // pinPdqsort
 	fault               string // a spillFaults row, or ""
 	stage               int
 	seed                int
@@ -90,7 +88,7 @@ func decodePlan(b []byte) plan {
 	p.runs, p.several = planRuns[next(len(planRuns))], next(2) == 1
 	p.threads = planThreads[next(len(planThreads))]
 	p.storage, p.block = next(numStores), next(numBlocks)
-	p.readAhead, p.pdq = planAhead[next(len(planAhead))], next(2) == 1
+	p.readAhead = planAhead[next(len(planAhead))]
 	fault, stage := next(len(spillFaults)+1), next(256)
 	p.seed = next(256) | next(256)<<8
 	p.several = p.several && p.threads > 1
@@ -121,7 +119,7 @@ func (p plan) encode() []byte {
 	}
 	return []byte{byte(p.schema), byte(p.shape), byte(p.rows), byte(p.rows >> 8), byte(p.rows >> 16),
 		at(planRuns, p.runs), bit[p.several], at(planThreads, p.threads), byte(p.storage), byte(p.block),
-		at(planAhead, p.readAhead), bit[p.pdq], byte(fault + 1), byte(stage), byte(p.seed), byte(p.seed >> 8)}
+		at(planAhead, p.readAhead), byte(fault + 1), byte(stage), byte(p.seed), byte(p.seed >> 8)}
 }
 
 // table builds the plan's input, its last column numbering the rows, in
@@ -240,7 +238,6 @@ func (p plan) sorter(t *testing.T, tbl *vector.Table, keys []SortColumn, perRun 
 		t.Fatalf("%+v: %v", p, err)
 	}
 	s.pinBlockRows = [numBlocks]int{0, perRun, 2*perRun/5 + 1, 7}[p.block]
-	s.pinPdqsort = p.pdq
 	pinFS(fsys)(s)
 	return s, opt.Broker
 }
@@ -302,13 +299,13 @@ func FuzzSortPlanSpace(f *testing.F) {
 	seed(plan{rows: odd, runs: 16, threads: 2, storage: storeShared, block: blockOneARun})
 	// TestOrderShapesMatchOracle's order shapes, mixed and eager.
 	seed(plan{shape: keysNearlySorted, rows: 20_000, runs: 3, threads: 4, storage: storeShared, block: block7})
-	seed(plan{shape: keysSawtooth, rows: 20_000, runs: 16, threads: 2, storage: storeEager, pdq: true})
+	seed(plan{shape: keysSawtooth, rows: 20_000, runs: 16, threads: 2, storage: storeEager})
 	// TestQuickRandomSchemasAndSpecs: random schemas and specs, several sinks, no row.
 	seed(plan{schema: schemaRandom, rows: 3999, runs: 17, several: true, threads: 4, seed: 1})
-	seed(plan{schema: schemaRandom, rows: 2500, runs: 3, several: true, threads: 2, pdq: true, seed: 2})
+	seed(plan{schema: schemaRandom, rows: 2500, runs: 3, several: true, threads: 2, seed: 2})
 	seed(plan{schema: schemaRandom, rows: 1, runs: 1, threads: 4, seed: 3})
 	seed(plan{schema: schemaRandom, runs: 2, threads: 1, storage: storeEager, seed: 4})
-	seed(plan{schema: schemaRandom, rows: 3000, runs: 16, threads: 4, storage: storeEager, pdq: true, seed: 5})
+	seed(plan{schema: schemaRandom, rows: 3000, runs: 16, threads: 4, storage: storeEager, seed: 5})
 	// FuzzMemoryBudget: budgets that spill mid-sink, against the unlimited sort's order.
 	seed(plan{schema: schemaRandom, rows: 2*vector.DefaultVectorSize + 777, runs: 16, threads: 1, storage: storeTight, seed: 6})
 	seed(plan{schema: schemaRandom, rows: 2*vector.DefaultVectorSize + 777, runs: 2, threads: 1, storage: storePrivate, seed: 7})
@@ -336,7 +333,7 @@ func FuzzSortPlanSpace(f *testing.F) {
 	// chunks where one overflows or holds a NUL, in memory, on disk, through
 	// merge passes and through a budgeted drain; s keyed twice; s DESC alone.
 	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4})
-	seed(plan{schema: schemaFitMix, rows: 20_000, runs: 3, threads: 2, pdq: true, seed: 1})
+	seed(plan{schema: schemaFitMix, rows: 20_000, runs: 3, threads: 2, seed: 1})
 	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: odd, runs: 3, threads: 2, storage: storeEager, block: block7})
 	seed(plan{schema: schemaFitMix, rows: 20_000, runs: 16, threads: 4, storage: storeShared, block: blockRagged, seed: 2})
 	seed(plan{schema: schemaFitMix, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight})
@@ -512,19 +509,7 @@ func (p plan) drain(s *Sorter, schema vector.Schema) (out *vector.Table, panicke
 func (p plan) checkDrain(t *testing.T, s *Sorter, tbl *vector.Table, keys []SortColumn, perRun int, out *vector.Table, st SortStats, tasks int) {
 	t.Helper()
 	ctx := fmt.Sprintf("%+v", p)
-	var runEnds []int
-	if !p.several {
-		ds := slices.Clone(st.StrategyDecisions)
-		slices.SortFunc(ds, func(a, b StrategyDecision) int { return a.Run - b.Run })
-		for _, d := range ds {
-			runEnds = append(runEnds, d.Rows)
-			if n := len(runEnds); n > 1 {
-				runEnds[n-1] += runEnds[n-2]
-			}
-		}
-	}
-	stable := !p.several && !slices.ContainsFunc(st.StrategyDecisions, func(d StrategyDecision) bool { return d.Algo == "pdqsort" })
-	checkOracle(t, ctx, tbl, out, keys, runEnds, stable)
+	checkOracle(t, ctx, tbl, out, keys, !p.several)
 	anyTie := slices.ContainsFunc(s.resultIDs, func(id uint32) bool { return s.runs[id].tieBreak })
 	switch fences := resultFences(s); {
 	case st.SpillBytesRead != st.SpillBytesWritten:
@@ -558,12 +543,10 @@ func (p plan) checkDrain(t *testing.T, s *Sorter, tbl *vector.Table, keys []Sort
 }
 
 // checkOracle fails unless got is tbl sorted on keys, every input row once
-// and intact (tbl's last column numbers its rows). When stable, each row is
-// where oracleSort's stable order puts it. Else each position holds the
-// oracle's keys and, given runEnds (one sink's runs, as the input rows each
-// ends at), a row of the oracle's run: a run sorted by pdqsort, which is not
-// stable, may reorder only rows whose keys tie and that came in one run.
-func checkOracle(t *testing.T, ctx string, tbl, got *vector.Table, keys []SortColumn, runEnds []int, stable bool) {
+// and intact (tbl's last column numbers its rows). When stable — one sink,
+// whose chunks arrive in input order — each row is where oracleSort's stable
+// order puts it; else each position holds the oracle's keys.
+func checkOracle(t *testing.T, ctx string, tbl, got *vector.Table, keys []SortColumn, stable bool) {
 	t.Helper()
 	n := tbl.NumRows()
 	if got.NumRows() != n {
@@ -575,7 +558,6 @@ func checkOracle(t *testing.T, ctx string, tbl, got *vector.Table, keys []SortCo
 	for i, k := range keys {
 		keyCols[i] = cols[k.Column]
 	}
-	runOf := func(id int) int { return sort.SearchInts(runEnds, id+1) }
 	gotCols := make([]*vector.Vector, len(cols))
 	for c := range cols {
 		gotCols[c] = got.Column(c)
@@ -597,8 +579,6 @@ func checkOracle(t *testing.T, ctx string, tbl, got *vector.Table, keys []SortCo
 			t.Fatalf("%s: position %d holds input row %d, the stable oracle row %d", ctx, pos, id, want)
 		case normkey.CompareRows(nkeys, keyCols, id, want) != 0:
 			t.Fatalf("%s: position %d holds input row %d, whose keys are not the oracle's (row %d)", ctx, pos, id, want)
-		case runEnds != nil && runOf(id) != runOf(want):
-			t.Fatalf("%s: position %d holds input row %d of run %d, the oracle a row of run %d", ctx, pos, id, runOf(id), runOf(want))
 		}
 	}
 }

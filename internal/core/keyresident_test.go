@@ -64,18 +64,18 @@ func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 			t.Errorf("run %d: tie-break %v and a %d-byte heap, want neither", r.id, r.tieBreak, r.payload.HeapLen())
 		}
 	}
-	checkOracle(t, "in memory", fit, resultChecked(t, s), keys, nil, true)
+	checkOracle(t, "in memory", fit, resultChecked(t, s), keys, true)
 
-	spilled := func(tbl *vector.Table, stable bool) int64 {
+	spilled := func(tbl *vector.Table) int64 {
 		t.Helper()
 		opt := opt
 		opt.SpillDir = t.TempDir()
 		s := finalizedSorter(t, tbl, keys, opt)
 		defer s.Close()
-		checkOracle(t, "on disk", tbl, drainAll(t, s), keys, nil, stable)
+		checkOracle(t, "on disk", tbl, drainAll(t, s), keys, true)
 		return s.Stats().SpillBytesWritten
 	}
-	fitBytes, longBytes := spilled(fit, true), spilled(long, false)
+	fitBytes, longBytes := spilled(fit), spilled(long)
 	names := int64(0)
 	for _, c := range long.Chunks {
 		for _, col := range []int{4, 5} {
@@ -177,5 +177,5 @@ func TestAppendFailureLeavesSinkAsItWas(t *testing.T) {
 	}
 	in := vector.NewTable(schema)
 	in.Chunks = append(good, last)
-	checkOracle(t, "after the failures", in, resultChecked(t, s), keys, nil, false)
+	checkOracle(t, "after the failures", in, resultChecked(t, s), keys, true)
 }

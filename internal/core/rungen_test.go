@@ -447,8 +447,9 @@ func TestBudgetedSinkCutsAtPlannedRunSize(t *testing.T) {
 // decision per generated run, run ids unique and in range, each naming the
 // kernel that ran and, where a rule other than radix's decided, why. Random
 // keys radix-sort; runs that arrive in order — sorted, all equal — are not
-// sorted at all; a run in order but for its last row radix-sorts; keys that
-// may tie go to pdqsort under the comparator.
+// sorted at all; a run in order but for its last row radix-sorts; a run whose
+// keys may tie radix-sorts, then sorts its byte-equal groups under the
+// comparator.
 func TestStrategyDecisionsRecorded(t *testing.T) {
 	const runRows, runs = vector.DefaultVectorSize, 4
 	sorted, lastOut := make([]uint32, runs*runRows), make([]uint32, runs*runRows)
@@ -470,7 +471,7 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 		{"sorted", workload.UintColumnsTable([][]uint32{sorted}), col0, "none", "presorted"},
 		{"all equal", workload.UintColumnsTable([][]uint32{make([]uint32, len(sorted))}), col0, "none", "presorted"},
 		{"in order but the last row", workload.UintColumnsTable([][]uint32{lastOut}), col0, "msd-radix", ""},
-		{"tie-break", mixedTable(len(sorted), 91), mergeTestKeys, "pdqsort", "tie-break"},
+		{"tie-break", mixedTable(len(sorted), 91), mergeTestKeys, "msd-radix", "tie-break"},
 	} {
 		// One sink, a run a chunk.
 		s := finalizedSorter(t, tc.tbl, tc.keys, Options{Threads: 2, RunSize: runRows})
@@ -500,11 +501,10 @@ func TestStrategyDecisionsRecorded(t *testing.T) {
 }
 
 // TestSortRunComparesBytesUnlessTied pins the paper's memcmp: a run whose
-// keys cannot tie is compared, when pdqsort sorts it, with one
-// bytes.Compare over the key prefix — never through the segment-wise
-// tie-breaking comparator, whose payload lookup the varchar key's equal
-// values would reach on every match. The lookup handed to sortRun fails the
-// test if it is ever called.
+// keys cannot tie is ordered by its key bytes alone — never through the
+// segment-wise tie-breaking comparator, whose payload lookup the varchar
+// key's equal values would reach on every match. The lookup handed to sortRun
+// fails the test if it is ever called.
 func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 	// 14-byte names under a 16-byte prefix, so the run is byte-decisive, drawn
 	// from 40 values, so equal keys meet all the time.
@@ -524,7 +524,7 @@ func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 	if tieBreak || !s.enc.TiesPossible() {
 		t.Fatalf("the run should be byte-decisive (tieBreak = %v) on a segment that could tie", tieBreak)
 	}
-	k.sortRun(keys, "pdqsort", false, func(uint32, uint32) (*row.RowSet, int) {
+	k.sortRun(keys, "msd-radix", tieBreak, func(uint32, uint32) (*row.RowSet, int) {
 		t.Error("a byte-decisive run was compared through the payload lookup")
 		return k.payload, 0
 	})

@@ -7,7 +7,6 @@ import (
 	"rowsort/internal/obs"
 	"rowsort/internal/radix"
 	"rowsort/internal/row"
-	"rowsort/internal/sortalgo"
 	"rowsort/internal/spill"
 )
 
@@ -111,34 +110,30 @@ func (k *Sink) cut() (keys []byte, payload *row.RowSet, n int, tieBreak bool) {
 	return keys, payload, n, tieBreak
 }
 
-// planRun decides the cut run's sort by three exact rules, sampling
-// nothing, and returns the decision to log. A run whose keys may tie on their
-// bytes (tieBreak) sorts as the paper's rule says, pdqsort under the
-// tie-breaking comparator. A byte-decisive run is radix-sorted, unless it
-// arrived in order (inOrder): radix.Sort is stable, so such a run is left as
-// it is, byte-identical to sorting it. Why names the rule when radix's did not
-// decide.
+// planRun decides the cut run's sort by exact rules, sampling nothing, and
+// returns the decision to log. A run whose keys cannot tie on their bytes and
+// that arrived in order is left as it is: radix.Sort is stable, so that is
+// byte-identical to sorting it. Every other run is radix-sorted, and one whose
+// keys may tie (tieBreak) then gets the tie pass (sortTies), which Why names.
 func (k *Sink) planRun(keys []byte, n int, tieBreak bool) StrategyDecision {
 	s := k.s
-	switch {
-	case s.pinPdqsort:
-		return StrategyDecision{Rows: n, Algo: "pdqsort", Why: "pin"}
-	case tieBreak:
-		return StrategyDecision{Rows: n, Algo: "pdqsort", Why: "tie-break"}
-	case inOrder(keys, s.rowWidth, s.keyWidth):
+	d := StrategyDecision{Rows: n, Algo: "msd-radix"}
+	if tieBreak {
+		d.Why = "tie-break"
+	} else if _, cmp := s.mergeOrder(false, nil); inOrder(keys, s.rowWidth, cmp) {
 		return StrategyDecision{Rows: n, Algo: "none", Why: "presorted"}
-	case radix.UseLSD(s.keyWidth):
-		return StrategyDecision{Rows: n, Algo: "lsd-radix"}
 	}
-	return StrategyDecision{Rows: n, Algo: "msd-radix"}
+	if radix.UseLSD(s.keyWidth) {
+		d.Algo = "lsd-radix"
+	}
+	return d
 }
 
-// inOrder reports whether key rows are already non-decreasing on their key
-// prefix. It stops at the first descent, so on unsorted input it reads a few
-// rows.
-func inOrder(keys []byte, rowWidth, keyWidth int) bool {
-	for o := rowWidth; o < len(keys); o += rowWidth {
-		if bytes.Compare(keys[o-rowWidth:o-rowWidth+keyWidth], keys[o:o+keyWidth]) > 0 {
+// inOrder reports whether rows of width rw are non-decreasing under cmp. It
+// stops at the first descent, so on unsorted input it reads a few rows.
+func inOrder(rows []byte, rw int, cmp func(a, b []byte) int) bool {
+	for o := rw; o < len(rows); o += rw {
+		if cmp(rows[o-rw:o], rows[o:o+rw]) > 0 {
 			return false
 		}
 	}
@@ -147,21 +142,83 @@ func inOrder(keys []byte, rowWidth, keyWidth int) bool {
 
 // sortRun sorts the cut run in place with the kernel algo names, the one place
 // each run-sort kernel is started from. lookup resolves a key row's payload
-// reference; only a run whose keys may tie (tieBreak) is ever compared through
-// it — any other is compared, if at all, as plain bytes.
+// reference; only the tie pass of a run whose keys may tie (tieBreak) ever
+// compares through it — any other run is ordered by its bytes alone.
 func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) {
 	s := k.s
-	switch algo {
-	case "none":
-	case "pdqsort":
-		r := sortalgo.NewRows(keys, s.rowWidth)
-		_, r.Compare = s.mergeOrder(tieBreak, lookup)
-		r.Pdqsort()
-	default:
-		// Which radix sort runs is radix's own width rule, the one planRun
-		// names the decision by.
-		radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
+	if algo == "none" {
+		return
 	}
+	// Which radix sort runs is radix's own width rule, the one planRun names
+	// the decision by.
+	radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
+	if tieBreak {
+		k.sortTies(keys, lookup)
+	}
+}
+
+// sortTies is the tie pass over a radix-sorted run: it sorts each group of
+// rows byte-equal on the decisive prefix (normkey's DecisiveWidth) under the
+// tie comparator, unless it is in order already, as a group of equal values
+// comes out of radix. Radix left rows equal under the comparator, whose key
+// bytes are equal, in input order, and the group sort is stable, so the run
+// is the stable order.
+func (k *Sink) sortTies(keys []byte, lookup func(runID, idx uint32) (*row.RowSet, int)) {
+	s := k.s
+	rw, dw := s.rowWidth, s.enc.DecisiveWidth()
+	tie, _ := s.mergeOrder(true, lookup)
+	buf := k.radixScratch(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + rw
+		for hi < len(keys) && bytes.Equal(keys[lo:lo+dw], keys[hi:hi+dw]) {
+			hi += rw
+		}
+		if g := keys[lo:hi]; !inOrder(g, rw, tie) {
+			mergeSortRows(g, buf[:len(g)], rw, tie)
+		}
+		lo = hi
+	}
+}
+
+// mergeSortRows sorts rows of width rw stably under cmp, moving the rows
+// themselves: top-down, by insertion below 16 rows, skipping a merge whose
+// halves are in order. buf is scratch as long as rows.
+func mergeSortRows(rows, buf []byte, rw int, cmp func(a, b []byte) int) {
+	if len(rows) < 16*rw {
+		tmp := buf[:rw]
+		for i := rw; i < len(rows); i += rw {
+			copy(tmp, rows[i:i+rw])
+			j := i
+			for j > 0 && cmp(rows[j-rw:j], tmp) > 0 {
+				j -= rw
+			}
+			copy(rows[j+rw:i+rw], rows[j:i])
+			copy(rows[j:j+rw], tmp)
+		}
+		return
+	}
+	mid := len(rows) / rw / 2 * rw
+	mergeSortRows(rows[:mid], buf[:mid], rw, cmp)
+	mergeSortRows(rows[mid:], buf[mid:], rw, cmp)
+	if cmp(rows[mid-rw:mid], rows[mid:mid+rw]) <= 0 {
+		return
+	}
+	// Merge the left half, moved to buf, with the right one in place: the
+	// output never overtakes the right half's next row. A tie takes the left
+	// row, which came first.
+	left := buf[:mid]
+	copy(left, rows[:mid])
+	l, r, o := 0, mid, 0
+	for ; l < mid && r < len(rows); o += rw {
+		if cmp(rows[r:r+rw], left[l:l+rw]) < 0 {
+			copy(rows[o:o+rw], rows[r:r+rw])
+			r += rw
+		} else {
+			copy(rows[o:o+rw], left[l:l+rw])
+			l += rw
+		}
+	}
+	copy(rows[o:], left[l:])
 }
 
 // radixScratch returns the sink's radix scatter buffer, sized for keys. It

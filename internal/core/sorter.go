@@ -102,12 +102,10 @@ type Sorter struct {
 	ctr *obs.Block
 	run *obs.RunHandle
 
-	// Test pins, written only by this package's tests and each read at one
-	// site: spill blocks of this many rows whatever the budget says
-	// (spillBlockRows), and pdqsort under the comparator for every run
-	// whatever its rule would be (planRun).
+	// A test pin, written only by this package's tests and read at one site:
+	// spill blocks of this many rows whatever the budget says
+	// (spillBlockRows).
 	pinBlockRows int
-	pinPdqsort   bool
 }
 
 // NewSorter validates the specification and returns a sorter.

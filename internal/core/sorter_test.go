@@ -369,10 +369,9 @@ func TestSortTableCaseInsensitive(t *testing.T) {
 // (low-cardinality names two bytes longer than the prefix, URLs whose shared
 // start fills it) through default SortTable, resident and spilled, on one
 // thread and four: the output must equal the stable-sort oracle on key
-// sequence and row multiset whatever each run's rule was, and pdqsort pinned
-// on every run must yield the same key sequence. A byte-decisive run is left
-// unsorted, recorded "presorted", exactly when it arrived in order, which
-// cutRuns replays; across the shapes radix, pdqsort and no sort all run.
+// sequence and row multiset whatever each run's rule was. A byte-decisive run
+// is left unsorted, recorded "presorted", exactly when it arrived in order,
+// which cutRuns replays; across the shapes both radix and no sort run.
 func TestOrderShapesMatchOracle(t *testing.T) {
 	const n, runSize = 20_000, 2_500
 	keys := []SortColumn{{Column: 0}}
@@ -424,21 +423,10 @@ func TestOrderShapesMatchOracle(t *testing.T) {
 				if !maps.Equal(logged, cut) {
 					t.Fatalf("%s: runs (rows, left unsorted) logged %v, cut %v", ctx, logged, cut)
 				}
-
-				s, err := NewSorter(sh.tbl.Schema, keys, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.pinPdqsort = true
-				pinned, err := sortTable(s, sh.tbl)
-				if cerr := s.Close(); err != nil || cerr != nil {
-					t.Fatalf("%s, pdqsort pinned: %v, close: %v", ctx, err, cerr)
-				}
-				checkKeyColumnsEqual(t, got, pinned, keys, ctx+", pdqsort pinned")
 			}
 		}
 	}
-	for _, algo := range []string{"msd-radix", "pdqsort", "none"} {
+	for _, algo := range []string{"msd-radix", "none"} {
 		if !ran[algo] {
 			t.Errorf("no run of any shape was sorted by %s: the shapes missed what they are for", algo)
 		}

@@ -4,9 +4,9 @@
 // (Figure 11):
 //
 //	input chunks → per-thread sinks → normalized keys + payload row format
-//	→ thread-local run generation (each run sorted by rule: pdqsort when
-//	string prefixes may tie, no sort when the run arrived in order, else
-//	radix)
+//	→ thread-local run generation (each run sorted by rule: radix, then,
+//	when string prefixes may tie, the comparator inside each group of
+//	byte-equal keys; no sort when a run that cannot tie arrived in order)
 //	→ single-pass k-way loser-tree merge with offset-value coding, cut
 //	into tasks at fences of the runs by Merge Path's stable rule and run
 //	on Options.Threads workers, fused with
@@ -106,8 +106,8 @@ type Options struct {
 	// timelines, exportable as Chrome trace_event JSON and Prometheus text,
 	// and labels worker goroutines for pprof. A recorder made by an
 	// obs.Registry (Registry.Recorder(label)) also registers the sort as a
-	// live run there: its counters, progress, ETA and decisions are served by
-	// the registry's HTTP handler (/debug/rowsort/, /metrics) while it runs
+	// live run there: its counters, progress and decisions are served by the
+	// registry's HTTP handler (/debug/rowsort/, /metrics) while it runs
 	// and after Close. SortStats counters and stage durations are collected
 	// either way (plain atomic adds); nil only means no spans and nobody
 	// watching (the zero-allocation fast path).

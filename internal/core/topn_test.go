@@ -139,63 +139,67 @@ func TestTopNDescendingIntegers(t *testing.T) {
 	}
 }
 
-// TestTopNRunReachesDone registers a Top-N with a registry and drains it: the
-// run must end — done, stage done, evictable — and the registry must have
-// counted the rows the operator's own stats counted. (Top-N used to add its
-// rows to the sorter's counter and not to the registry's, and, having no
-// Close, stayed a live run for ever.)
+// TestTopNRunReachesDone registers a Top-N with a registry and drains it, at
+// LIMIT 25 and at LIMIT 0: the run must end — done, stage done, evictable,
+// both of its phases done — and the registry must have counted the rows the
+// operator's own stats counted. (Top-N used to add its rows to the sorter's
+// counter and not to the registry's, and, having no Close, stayed a live run
+// for ever.)
 func TestTopNRunReachesDone(t *testing.T) {
 	tbl := workload.CatalogSales(3_000, 10, 7)
 	reg := obs.NewRegistry(1)
-	for round := 0; round < 2; round++ {
-		top, err := engine.NewTopNHeap(tbl.Schema, []core.SortColumn{{Column: 3, Descending: true}}, 25,
-			core.Options{Telemetry: reg.Recorder("topn")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range tbl.Chunks {
-			if err := top.Append(c); err != nil {
+	for _, limit := range []int{25, 0} {
+		for round := 0; round < 2; round++ {
+			ctx := fmt.Sprintf("LIMIT %d, round %d", limit, round)
+			top, err := engine.NewTopNHeap(tbl.Schema, []core.SortColumn{{Column: 3, Descending: true}}, limit,
+				core.Options{Telemetry: reg.Recorder("topn")})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if live := reg.Snapshots()[0]; live.Done || live.Stage != "run-generation" {
-			t.Fatalf("before Result the run is %q, done=%v", live.Stage, live.Done)
-		}
-		out, err := top.Result()
-		if err != nil || out.NumRows() != 25 {
-			t.Fatalf("Result: %d rows, %v", out.NumRows(), err)
-		}
-		top.Close() // a no-op after Result
-		st := top.Stats()
-		snaps := reg.Snapshots()
-		if len(snaps) != 1 { // keep is 1: the first round's run is evicted by the second's
-			t.Fatalf("round %d: the registry retains %d runs, want 1", round, len(snaps))
-		}
-		snap := snaps[0]
-		if !snap.Done || snap.Stage != "done" {
-			t.Errorf("a drained Top-N is %q, done=%v", snap.Stage, snap.Done)
-		}
-		// Top-N ingests every row and gathers only the limit; it sorts no
-		// run and merges nothing. The phases it reports are the two it runs,
-		// each done.
-		names := []string{}
-		for _, ph := range snap.Phases {
-			names = append(names, ph.Name)
-			if ph.Fraction != 1 || ph.Done != ph.Planned {
-				t.Errorf("a drained Top-N's %s phase is %+v, want done", ph.Name, ph)
+			for _, c := range tbl.Chunks {
+				if err := top.Append(c); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if !slices.Equal(names, []string{"ingest", "gather"}) {
-			t.Errorf("a Top-N reports phases %v, want ingest and gather", names)
-		}
-		if in, ga := snap.Phases[0], snap.Phases[len(snap.Phases)-1]; in.Done != 3_000 || ga.Done != 25 {
-			t.Errorf("a drained Top-N's ingest is %+v and gather %+v, want all 3000 rows in and 25 out", in, ga)
-		}
-		if got := snap.Counters[obs.RowsIngested]; got != st.RowsIngested || got != 3_000 {
-			t.Errorf("snapshot rows ingested %d, Stats() %d, want 3000", got, st.RowsIngested)
-		}
-		if snap.Counters[obs.RowsGathered] != 25 || st.DurTotal <= 0 || st.DurTotal < st.DurRunGen {
-			t.Errorf("rows gathered %d, total %v, run generation %v", snap.Counters[obs.RowsGathered], st.DurTotal, st.DurRunGen)
+			if live := reg.Snapshots()[0]; live.Done || live.Stage != "run-generation" {
+				t.Fatalf("%s: before Result the run is %q, done=%v", ctx, live.Stage, live.Done)
+			}
+			out, err := top.Result()
+			if err != nil || out.NumRows() != limit {
+				t.Fatalf("%s: Result: %d rows, %v", ctx, out.NumRows(), err)
+			}
+			top.Close() // a no-op after Result
+			st := top.Stats()
+			snaps := reg.Snapshots()
+			if len(snaps) != 1 { // keep is 1: each run evicts the one before
+				t.Fatalf("%s: the registry retains %d runs, want 1", ctx, len(snaps))
+			}
+			snap := snaps[0]
+			if !snap.Done || snap.Stage != "done" {
+				t.Errorf("%s: a drained Top-N is %q, done=%v", ctx, snap.Stage, snap.Done)
+			}
+			// Top-N ingests every row and gathers only the limit; it sorts no
+			// run and merges nothing. The phases it reports are the two it
+			// runs, each done.
+			names := []string{}
+			for _, ph := range snap.Phases {
+				names = append(names, ph.Name)
+				if ph.Fraction != 1 || ph.Done != ph.Planned {
+					t.Errorf("%s: a drained Top-N's %s phase is %+v, want done", ctx, ph.Name, ph)
+				}
+			}
+			if !slices.Equal(names, []string{"ingest", "gather"}) {
+				t.Errorf("%s: a Top-N reports phases %v, want ingest and gather", ctx, names)
+			}
+			if in, ga := snap.Phases[0], snap.Phases[len(snap.Phases)-1]; in.Done != 3_000 || ga.Done != int64(limit) {
+				t.Errorf("%s: a drained Top-N's ingest is %+v and gather %+v, want all 3000 rows in and %d out", ctx, in, ga, limit)
+			}
+			if got := snap.Counters[obs.RowsIngested]; got != st.RowsIngested || got != 3_000 {
+				t.Errorf("%s: snapshot rows ingested %d, Stats() %d, want 3000", ctx, got, st.RowsIngested)
+			}
+			if snap.Counters[obs.RowsGathered] != int64(limit) || st.DurTotal <= 0 || st.DurTotal < st.DurRunGen {
+				t.Errorf("%s: rows gathered %d, total %v, run generation %v", ctx, snap.Counters[obs.RowsGathered], st.DurTotal, st.DurRunGen)
+			}
 		}
 	}
 }

@@ -103,13 +103,17 @@ func (t *TopNHeap) Append(c *vector.Chunk) error {
 		return fmt.Errorf("engine: chunk has %d columns, schema has %d", len(c.Vectors), len(t.schema))
 	}
 	n := c.Len()
-	if n == 0 || t.limit == 0 {
+	if n == 0 {
 		return nil
 	}
 	t.ctr.AdvanceTo(obs.StageRunGen)
 	sp := t.ow.Begin(obs.PhaseIngest)
 	defer sp.End()
+	// Every row is ingested, even one that a LIMIT 0 keeps none of.
 	t.ctr.Add(obs.RowsIngested, int64(n))
+	if t.limit == 0 {
+		return nil
+	}
 
 	base := t.payload.Len()
 	if err := t.payload.AppendChunk(c.Vectors); err != nil {

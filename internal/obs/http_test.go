@@ -139,7 +139,7 @@ func TestHTTPMetricsValidate(t *testing.T) {
 	finished.Done()
 	plans := NewBlock(nil)
 	planned := g.Register(RunOptions{Label: "planned-run", Block: plans})
-	for i, algo := range []string{"lsd-radix", "pdqsort", "lsd-radix"} {
+	for i, algo := range []string{"lsd-radix", "msd-radix", "lsd-radix"} {
 		plans.Decide(StrategyDecision{Run: i, Rows: 10, Algo: algo})
 	}
 
@@ -161,7 +161,7 @@ func TestHTTPMetricsValidate(t *testing.T) {
 		`rowsort_mem_used_bytes{run="` + live.ri.id + `",label="live-run"} 7`,
 		`rowsort_phase_busy_seconds{run="` + live.ri.id + `",label="live-run",phase="sort"}`,
 		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="lsd-radix"} 2`,
-		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="pdqsort"} 1`,
+		`rowsort_strategy_runs_total{run="` + planned.ri.id + `",label="planned-run",algo="msd-radix"} 1`,
 		"# HELP rowsort_run_elapsed_seconds",
 		"# TYPE rowsort_run_elapsed_seconds gauge",
 	} {

@@ -39,8 +39,9 @@ const (
 	// PhaseIngest is chunk conversion: payload scatter to the row format
 	// plus normalized-key encoding.
 	PhaseIngest
-	// PhaseRunSort is sorting one thread-local run's key rows (radix or
-	// pdqsort) and reordering its payload.
+	// PhaseRunSort is sorting one thread-local run's key rows (radix, then
+	// any byte-equal groups under the tie comparator) and reordering its
+	// payload.
 	PhaseRunSort
 	// PhaseSpillWrite is serializing a sorted run to its spill file.
 	PhaseSpillWrite

@@ -145,7 +145,7 @@ type PhaseProgress struct {
 	Name    string `json:"name"`
 	Done    int64  `json:"done"`
 	Planned int64  `json:"planned"`
-	// Fraction is Done/Planned clamped to [0, 1].
+	// Fraction is Done/Planned clamped to [0, 1]; 1 when Planned is 0.
 	Fraction float64 `json:"fraction"`
 	// RowsPerSec is Done over the wall time of the stages the phase runs
 	// in, read off their stage clocks; 0 before those stages start. The
@@ -257,7 +257,8 @@ func (ri *runInfo) snapshot() RunSnapshot {
 // so far (a moving target: progress reads low until ingestion finishes, which
 // is the honest answer for an unbounded stream).
 func phaseProgress(v Values, o RunOptions) []PhaseProgress {
-	// A registered run that has not started plans one row; all fractions 0.
+	// A registered run that has not started plans one row; all fractions 0
+	// but a LIMIT 0's gather, which plans none.
 	total := max(v[RowsExpected], v[RowsIngested], 1)
 	ingest := PhaseProgress{Name: "ingest", Done: v[RowsIngested], Planned: total}
 	gather := PhaseProgress{Name: "gather", Done: v[RowsGathered], Planned: total}
@@ -268,8 +269,8 @@ func phaseProgress(v Values, o RunOptions) []PhaseProgress {
 	var wall []int64
 	if o.TopN {
 		// The heap keeps the limit, or every row when there are fewer, and
-		// the gather reads out what it kept.
-		gather.Planned = max(min(o.Limit, total), 1)
+		// the gather reads out what it kept: nothing under a LIMIT 0.
+		gather.Planned = min(o.Limit, total)
 		phases, wall = []PhaseProgress{ingest, gather}, []int64{v[DurRunGen], v[DurGather]}
 	} else {
 		phases = []PhaseProgress{ingest,
@@ -280,7 +281,10 @@ func phaseProgress(v Values, o RunOptions) []PhaseProgress {
 	}
 	for i := range phases {
 		ph := &phases[i]
-		ph.Fraction = float64(min(ph.Done, ph.Planned)) / float64(ph.Planned)
+		ph.Fraction = 1 // a phase planned at no rows has nothing left to do
+		if ph.Planned > 0 {
+			ph.Fraction = float64(min(ph.Done, ph.Planned)) / float64(ph.Planned)
+		}
 		if wall[i] > 0 {
 			ph.RowsPerSec = float64(ph.Done) / time.Duration(wall[i]).Seconds()
 		}

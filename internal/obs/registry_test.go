@@ -245,10 +245,10 @@ func TestStrategySnapshotLifecycle(t *testing.T) {
 		t.Fatalf("live snapshot strategy = %+v", live.Strategy)
 	}
 
-	b.Decide(StrategyDecision{Run: 1, Rows: 50, Algo: "pdqsort", Why: "tie-break"})
+	b.Decide(StrategyDecision{Run: 1, Rows: 50, Algo: "msd-radix", Why: "tie-break"})
 	h.Done()
 	snap, ok := g.Snapshot(h.ri.id)
-	if !ok || len(snap.Strategy) != 2 || snap.Strategy[1].Algo != "pdqsort" {
+	if !ok || len(snap.Strategy) != 2 || snap.Strategy[1].Algo != "msd-radix" {
 		t.Fatalf("done snapshot strategy = %+v", snap.Strategy)
 	}
 	if len(live.Strategy) != 1 {
@@ -260,7 +260,7 @@ func TestStrategySnapshotLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `[{"run":0,"rows":100,"algo":"lsd-radix"},{"run":1,"rows":50,"algo":"pdqsort","why":"tie-break"}]`; string(raw) != want {
+	if want := `[{"run":0,"rows":100,"algo":"lsd-radix"},{"run":1,"rows":50,"algo":"msd-radix","why":"tie-break"}]`; string(raw) != want {
 		t.Fatalf("decisions serialize as %s, want %s", raw, want)
 	}
 }
@@ -292,8 +292,8 @@ func TestRecorderFromRegistryRegistersRuns(t *testing.T) {
 // TestAlgoCountsTalliesInNameOrder pins the one per-algorithm tally that
 // SortStats.String and both Prometheus exports print.
 func TestAlgoCountsTalliesInNameOrder(t *testing.T) {
-	got := AlgoCounts([]StrategyDecision{{Algo: "pdqsort"}, {Algo: "none"}, {Algo: "pdqsort"}})
-	if want := []AlgoCount{{"none", 1}, {"pdqsort", 2}}; !slices.Equal(got, want) {
+	got := AlgoCounts([]StrategyDecision{{Algo: "none"}, {Algo: "lsd-radix"}, {Algo: "none"}})
+	if want := []AlgoCount{{"lsd-radix", 1}, {"none", 2}}; !slices.Equal(got, want) {
 		t.Fatalf("AlgoCounts = %v, want %v", got, want)
 	}
 	if got := AlgoCounts(nil); len(got) != 0 {

@@ -10,12 +10,13 @@ type StrategyDecision struct {
 	// Run is the run's id within its sorter; Rows its row count.
 	Run  int `json:"run"`
 	Rows int `json:"rows"`
-	// Algo is the executed run-generation sort ("lsd-radix", "msd-radix",
-	// "pdqsort"), or "none" for a run that arrived in order.
+	// Algo is the executed run-generation sort ("lsd-radix", "msd-radix"),
+	// or "none" for a run that arrived in order.
 	Algo string `json:"algo"`
-	// Why, when non-empty, names the rule that kept the run from radix:
-	// "tie-break" (its keys may tie on their bytes), "presorted" (it was
-	// already in order), or "pin" in the sorter's own tests.
+	// Why, when non-empty, names the rule that decided beyond radix:
+	// "tie-break" (its keys may tie on their bytes, so after radix its
+	// byte-equal groups were sorted under the comparator) or "presorted"
+	// (it was already in order).
 	Why string `json:"why,omitempty"`
 }
 
