@@ -42,10 +42,13 @@ const (
 )
 
 // The table a plan sorts: drainTable keyed on k (byte-decisive) or on s, k
-// (the tie-break comparator), a random schema and key spec, or fitMixTable —
+// (the tie-break comparator), a random schema and key spec, fitMixTable —
 // whose runs mix chunks that leave s in the keys with chunks that cannot —
 // keyed on s ASC, on s twice (ASC beside DESC or NOCASE, or at two prefix
-// lengths) or on s DESC alone, which leaves no string in the keys.
+// lengths) or on s DESC alone, which leaves no string in the keys; or
+// heldTable, whose integer keys the payload does not store: keyed on every
+// column, which leaves the payload no column at all, or with integers keyed
+// beside the payload's strings.
 const (
 	schemaByteKeys = iota
 	schemaTieKeys
@@ -53,6 +56,8 @@ const (
 	schemaFitMix
 	schemaKeyedTwice
 	schemaDescOnly
+	schemaAllKeys
+	schemaHeldMix
 	numSchemas
 )
 
@@ -136,6 +141,9 @@ func (p plan) table() (tbl *vector.Table, keys []SortColumn, perRun int) {
 		return drainTable(p.rows, chunkRows, p.shape, uint64(p.seed)), drainKeys(p.schema == schemaTieKeys), chunks * chunkRows
 	case schemaFitMix, schemaKeyedTwice, schemaDescOnly:
 		return fitMixTable(p.rows, chunkRows, p.shape, uint64(p.seed)), fitMixKeys(p.schema, p.seed), chunks * chunkRows
+	case schemaAllKeys, schemaHeldMix:
+		tbl, keys := heldTable(p.schema, p.rows, chunkRows, p.shape, p.seed)
+		return tbl, keys, chunks * chunkRows
 	}
 	rng := workload.NewRNG(uint64(p.seed))
 	schema := make(vector.Schema, 1+rng.Intn(6), 7)
@@ -217,6 +225,52 @@ func fitMixKeys(schema, seed int) []SortColumn {
 		return []SortColumn{{Column: 1, Descending: true, NullsLast: seed%2 == 1}, {Column: 0}}
 	}
 	return []SortColumn{{Column: 1}, {Column: 0}}
+}
+
+// heldTable is drainTable with two integer columns before id — g, an Int16 of
+// eleven values, and b, a Bool, both with NULLs — and its key spec, in which
+// the integer keys are held by the keys alone. For schemaAllKeys s is dropped
+// and every column is keyed (g and b ASC or DESC, NULLS FIRST or LAST as the
+// seed picks, then k and id), so the payload has no column; for
+// schemaHeldMix the seed picks k keyed twice, ASC then DESC, or integer keys
+// DESC NULLS LAST beside s.
+func heldTable(schema, n, chunkRows, dist, seed int) (*vector.Table, []SortColumn) {
+	src := drainTable(n, chunkRows, dist, uint64(seed))
+	cols := vector.Schema{src.Schema[0], src.Schema[1]}
+	if schema == schemaAllKeys {
+		cols = cols[:1]
+	}
+	cols = append(cols, vector.Column{Name: "g", Type: vector.Int16}, vector.Column{Name: "b", Type: vector.Bool}, src.Schema[2])
+	tbl := vector.NewTable(cols)
+	for _, c := range src.Chunks {
+		g, b := vector.New(vector.Int16, c.Len()), vector.New(vector.Bool, c.Len())
+		for r, k := range c.Vectors[0].Int64s()[:c.Len()] {
+			id := c.Vectors[2].Int32s()[r]
+			if id%13 == 3 {
+				g.AppendNull()
+			} else {
+				g.AppendInt16(int16(k%11) - 5)
+			}
+			if id%7 == 2 {
+				b.AppendNull()
+			} else {
+				b.AppendBool(k&1 == 1)
+			}
+		}
+		vecs := []*vector.Vector{c.Vectors[0], c.Vectors[1], g, b, c.Vectors[2]}
+		if schema == schemaAllKeys {
+			vecs = append(vecs[:1], vecs[2:]...)
+		}
+		tbl.Chunks = append(tbl.Chunks, &vector.Chunk{Vectors: vecs})
+	}
+	if schema == schemaAllKeys {
+		return tbl, []SortColumn{{Column: 1, Descending: seed%2 == 1, NullsLast: seed%4 < 2},
+			{Column: 2, Descending: seed%2 == 0, NullsLast: seed%4 >= 2}, {Column: 0}, {Column: 3}}
+	}
+	if seed%2 == 0 {
+		return tbl, []SortColumn{{Column: 0}, {Column: 0, Descending: true}}
+	}
+	return tbl, []SortColumn{{Column: 2, Descending: true, NullsLast: true}, {Column: 1}, {Column: 0, Descending: true, NullsLast: true}}
 }
 
 // sorter returns a sorter of the plan on fsys, its pins set, and the broker
@@ -345,6 +399,19 @@ func FuzzSortPlanSpace(f *testing.F) {
 	seed(plan{schema: schemaKeyedTwice, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight, seed: 3})
 	seed(plan{schema: schemaDescOnly, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4})
 	seed(plan{schema: schemaDescOnly, rows: 20_000, runs: 17, threads: 2, storage: storeEager, block: blockRagged, seed: 1})
+	// Columns the keys hold exactly, which the payload does not store: every
+	// column keyed — a payload of no column — in memory, spilled eagerly and
+	// through merge passes; k keyed ASC and DESC; integer keys DESC NULLS
+	// LAST beside a varchar key.
+	seed(plan{schema: schemaAllKeys, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4})
+	seed(plan{schema: schemaAllKeys, rows: odd, runs: 3, threads: 2, storage: storeEager, block: block7, seed: 1})
+	seed(plan{schema: schemaAllKeys, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight, seed: 2})
+	seed(plan{schema: schemaAllKeys, rows: 40_000, runs: 17, threads: 2, storage: storePrivate, seed: 3})
+	seed(plan{schema: schemaHeldMix, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 2})
+	seed(plan{schema: schemaHeldMix, rows: 20_000, runs: 16, threads: 4, storage: storeShared, block: blockRagged})
+	seed(plan{schema: schemaHeldMix, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4, seed: 1})
+	seed(plan{schema: schemaHeldMix, rows: odd, runs: 17, threads: 2, storage: storeEager, block: block7, seed: 1})
+	seed(plan{schema: schemaHeldMix, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight, seed: 3})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -357,7 +424,8 @@ func FuzzSortPlanSpace(f *testing.F) {
 	if f.Failed() || ran < seeds || flag.Lookup("test.fuzz").Value.String() != "" {
 		return // not a replay of the whole corpus
 	}
-	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots"}
+	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots",
+		"a spilled run with an empty payload"}
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
 			want = append(want, sf.name+" in "+faultStageNames[stage])
@@ -384,7 +452,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 	var out *vector.Table
 	var err error
 	var tasks int
-	panicked, mixed := false, false
+	panicked, mixed, emptySpill := false, false, false
 	within(t, ctx, 30*time.Second, func() {
 		// The sort, stage by stage, until something fails; a fault is armed
 		// as the sort enters its stage.
@@ -406,6 +474,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 			err = s.Finalize()
 			hog()
 		}
+		emptySpill = s.layout.NumColumns() == 0 && slices.ContainsFunc(s.runs, func(r *sortedRun) bool { return r.spill != nil })
 		arm(stageForecastRead, stageDemandRead)
 		if err == nil {
 			tasks = s.planSpillTasks(s.resultIDs, false).Tasks()
@@ -423,6 +492,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		"a merge pass":                              st.MergePasses > 0,
 		"a drain of several tasks from disk":        s.onDisk && tasks > 1,
 		"a tie-breaking run of both string slots":   mixed,
+		"a spilled run with an empty payload":       emptySpill,
 	} {
 		if ok {
 			reached = append(reached, what)

@@ -35,7 +35,8 @@ type Sink struct {
 	scratch  []byte           // radix scatter buffer, key-buffer sized
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
-	inKey    []bool           // the current chunk's columns whose strings stay in the keys; nil when none can
+	payVecs  []*vector.Vector // and its payload columns
+	inKey    []int            // the current chunk's strings that stay in the keys, per payload column; nil when none can
 	n        int
 	runs     int   // runs this sink has cut
 	heapRow  int64 // string-heap bytes a pending row carried, last seen
@@ -47,9 +48,9 @@ type Sink struct {
 func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0),
 		keys: s.getKeyBuf(), payload: s.getRowSet(),
-		keyCols: make([]*vector.Vector, len(s.keys))}
+		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, len(s.payCols))}
 	if s.strKey != nil {
-		k.inKey = make([]bool, len(s.strKey))
+		k.inKey = make([]int, len(s.strKey))
 	}
 	// A sink its owner abandons — an Append failed, a producer gave up —
 	// still holds its buffers' bytes: Sorter.Close gives them back.
@@ -81,8 +82,8 @@ func (s *Sorter) planIngest() {
 }
 
 // pendingRowBytes is what a sink's reservation holds for one fixed-width
-// pending row: a key row, a radix-scratch row, a payload row and a
-// permutation entry.
+// pending row: a key row, a radix-scratch row, a payload row — of the columns
+// the keys do not hold — and a permutation entry.
 func (s *Sorter) pendingRowBytes() int64 {
 	return int64(2*s.rowWidth + s.layout.Width() + 4)
 }
@@ -158,10 +159,11 @@ func (k *Sink) growKeys(n int) int {
 
 // Append converts one chunk into the sink's pending run: key columns are
 // normalized, then payload columns scattered to the row format — both one
-// vector at a time. The keys go first because what they hold decides what the
-// payload does not: a string key whose every value of the chunk fits its
-// prefix holds them whole, and the payload keeps only their lengths
-// (keyResidence). A chunk that fails either step leaves the sink as it was.
+// vector at a time. A column a key holds exactly is not scattered at all
+// (payloadColumns). The keys go first because what they hold decides what the
+// payload does not: a string that fits its key's prefix is held whole there,
+// and the payload keeps only its length (keyResidence). A chunk that fails
+// either step leaves the sink as it was.
 func (k *Sink) Append(c *vector.Chunk) error {
 	if k.closed {
 		return fmt.Errorf("core: append to closed sink")
@@ -176,16 +178,28 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	}
 	s.ctr.AdvanceTo(obs.StageRunGen)
 	sp := k.ow.Begin(obs.PhaseIngest)
+	// The payload checks its columns' lengths, the encoder its own against
+	// each other; a key column must also agree with the payload's.
+	var err error
 	for i, kc := range s.keys {
-		k.keyCols[i] = c.Vectors[kc.Column]
+		if k.keyCols[i] = c.Vectors[kc.Column]; k.keyCols[i].Len() != n {
+			err = fmt.Errorf("core: key column %d has %d rows, the chunk %d", kc.Column, k.keyCols[i].Len(), n)
+		}
+	}
+	for i, pc := range s.payCols {
+		k.payVecs[i] = c.Vectors[pc]
 	}
 	start := k.growKeys(n)
-	st, err := s.enc.EncodeChunk(k.keyCols, k.keys[start:], s.rowWidth, 0)
-	clear(k.keyCols) // the sink must not pin the caller's chunk
+	var st normkey.EncodeStats
+	if err == nil {
+		st, err = s.enc.EncodeChunk(k.keyCols, k.keys[start:], s.rowWidth, 0)
+	}
 	if err == nil {
 		k.reservePayload(n)
-		err = k.payload.AppendChunkKeyed(c.Vectors, k.keyResident(st))
+		err = k.payload.AppendChunkKeyed(n, k.payVecs, k.keyResident(st))
 	}
+	clear(k.keyCols) // the sink must not pin the caller's chunk
+	clear(k.payVecs)
 	if err != nil {
 		k.keys = k.keys[:start]
 		sp.End()
@@ -224,14 +238,23 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	return nil
 }
 
-// keyResident returns the payload columns whose strings the chunk just
-// encoded leaves in its keys: those whose key (Sorter.strKey) did not tie.
-func (k *Sink) keyResident(st normkey.EncodeStats) []bool {
+// keyResident returns, per payload column, the strings the chunk just encoded
+// leaves in its keys, as row.RowSet.AppendChunkKeyed takes them: all of a
+// column whose key (Sorter.strKey) did not tie, and where it did, each that
+// fits the key's prefix.
+func (k *Sink) keyResident(st normkey.EncodeStats) []int {
 	if k.inKey == nil {
 		return nil
 	}
 	for c, key := range k.s.strKey {
-		k.inKey[c] = key >= 0 && !st.Tied(key)
+		switch {
+		case key < 0:
+			k.inKey[c] = 0
+		case !st.Tied(key):
+			k.inKey[c] = row.AllInKey
+		default:
+			k.inKey[c] = k.s.enc.Keys()[key].Prefix()
+		}
 	}
 	return k.inKey
 }

@@ -35,7 +35,7 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 	if anyTieBreak {
 		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
 			p, i := lookup(s.getRef(keyRow))
-			c := s.keys[k].Column
+			c := s.payCol[s.keys[k].Column] // a string is never held
 			return p.StringIn(i, c, s.keySegment(keyRow, c))
 		})
 		return tie, tie
@@ -476,12 +476,8 @@ func (s *Sorter) mergeBlockBytes(ids []uint32) int64 {
 // one, a window: the output of drainWindowPerThread tasks it has produced
 // and the consumer not yet taken. A task's rows are bounded by the blocks its
 // key range spans of the runs on disk and counted in those in memory; an
-// output row holds what a row on disk does, on average, less its key row,
-// with a string's 16-byte header where the row format has an 8-byte
-// reference — and, for a column whose strings may be left in the keys, the
-// key segment's bytes, which the output holds and the payload on disk does not.
-// Every claimant must fit in the budget Finalize left, the first of them the
-// one reduceFanIn planned for.
+// output row is outputRowBytes. Every claimant must fit in the budget
+// Finalize left, the first of them the one reduceFanIn planned for.
 func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window int64) {
 	blockRows := s.spillBlockRows()
 	disk, diskRows, taskRows := 0, 0, 0
@@ -505,6 +501,22 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 		}
 		taskRows = max(taskRows, rows)
 	}
+	blocks := int64(disk*s.opt.mergeBuffers()) * s.mergeBlockBytes(p.ids)
+	window = int64(drainWindowPerThread*taskRows) * s.outputRowBytes(diskBytes, diskRows)
+	claimants = min(most, int(s.broker.Remaining()/max(blocks+window, 1)))
+	if claimants <= 1 {
+		return 1, 0
+	}
+	return claimants, int64(claimants) * window
+}
+
+// outputRowBytes is what a drain's output chunk holds for one row of runs on
+// disk that hold diskRows rows in diskBytes bytes: what a row there holds, on
+// average, less its key row, with a string's 16-byte header where the row
+// format has an 8-byte reference; for a column whose strings may be left in
+// the keys, the key segment's bytes; and for a column a key holds, its vector
+// slot — the output holds both, the payload on disk neither.
+func (s *Sorter) outputRowBytes(diskBytes int64, diskRows int) int64 {
 	rowBytes := (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.rowWidth)
 	for c, t := range s.layout.Types() {
 		if t == vector.Varchar {
@@ -514,13 +526,12 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 			rowBytes += int64(s.enc.Keys()[s.strKey[c]].Prefix())
 		}
 	}
-	blocks := int64(disk*s.opt.mergeBuffers()) * s.mergeBlockBytes(p.ids)
-	window = int64(drainWindowPerThread*taskRows) * rowBytes
-	claimants = min(most, int(s.broker.Remaining()/max(blocks+window, 1)))
-	if claimants <= 1 {
-		return 1, 0
+	for c, k := range s.held {
+		if k >= 0 {
+			rowBytes += int64(s.schema[c].Type.Width())
+		}
 	}
-	return claimants, int64(claimants) * window
+	return rowBytes
 }
 
 // newBlockStage opens the stage that serves p's blocks to claimants

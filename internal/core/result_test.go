@@ -67,8 +67,9 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 // single-threaded mergepath.KWayMerge of the runs under the sort's whole-row
 // comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
 // one key array, then a value-at-a-time gather through RowSet.AppendTo (no
-// typed kernels; a string left in its key read through StringIn). A sort
-// with a run on disk has only the streaming iterator to offer.
+// typed kernels; a string left in its key read through StringIn) of the
+// payload's columns, and of a column a key holds, Encoder.DecodeValue of the
+// key row. A sort with a run on disk has only the streaming iterator to offer.
 func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
 	if !s.finalized {
@@ -97,13 +98,21 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		for c := range s.schema {
 			for r := start; r < start+count; r++ {
 				keyRow := keys[r*s.rowWidth : (r+1)*s.rowWidth]
-				runID, idx := s.getRef(keyRow)
-				p := s.runs[runID].payload
-				if key := s.keySegment(keyRow, c); key != nil && p.Valid(int(idx), c) {
-					chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), c, key)))
+				if k := s.held[c]; k >= 0 {
+					v, err := s.enc.DecodeValue(k, keyRow)
+					if err != nil {
+						t.Fatal(err)
+					}
+					appendAny(chunk.Vectors[c], v)
 					continue
 				}
-				p.AppendTo(chunk.Vectors[c], int(idx), c)
+				runID, idx := s.getRef(keyRow)
+				p, pc := s.runs[runID].payload, s.payCol[c]
+				if key := s.keySegment(keyRow, pc); key != nil && p.Valid(int(idx), pc) {
+					chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), pc, key)))
+					continue
+				}
+				p.AppendTo(chunk.Vectors[c], int(idx), pc)
 			}
 		}
 		if err := out.AppendChunk(chunk); err != nil {
@@ -111,6 +120,35 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		}
 	}
 	return out
+}
+
+// appendAny appends v, a value as DecodeValue returns it (nil for NULL), to a
+// vector of its type.
+func appendAny(vec *vector.Vector, v any) {
+	switch x := v.(type) {
+	case nil:
+		vec.AppendNull()
+	case bool:
+		vec.AppendBool(x)
+	case int8:
+		vec.AppendInt8(x)
+	case int16:
+		vec.AppendInt16(x)
+	case int32:
+		vec.AppendInt32(x)
+	case int64:
+		vec.AppendInt64(x)
+	case uint8:
+		vec.AppendUint8(x)
+	case uint16:
+		vec.AppendUint16(x)
+	case uint32:
+		vec.AppendUint32(x)
+	case uint64:
+		vec.AppendUint64(x)
+	default:
+		panic(fmt.Sprintf("appendAny: a held key decoded to %T", v))
+	}
 }
 
 // resultChecked drains the sorter through Result — the production path —

@@ -188,7 +188,7 @@ type drainTask struct {
 	em          *extMerge         // the claimant's merge
 	m           *mergepath.Merger // em's loser tree on the task, until its counters are folded in
 	which, idxs []uint32          // one chunk's payload references
-	keys        [][]byte          // and its key rows, where strings may be left in them; else nil
+	keys        [][]byte          // and its key rows, where they hold values the payload does not; else nil
 	g           *row.Gather       // the gather of its rows
 	index       int               // task index
 	open        bool              // on a task that has not ended
@@ -232,7 +232,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
 	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
 		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
-	if d.s.keySegs != nil {
+	if d.s.keySegs != nil || len(d.s.payCols) < len(d.s.schema) {
 		t.keys = make([][]byte, vector.DefaultVectorSize)
 		t.g.SetKeySegments(d.s.keySegs)
 	}
@@ -345,8 +345,9 @@ func (d *rowsDrain) retire(t *drainTask) {
 }
 
 // nextChunk produces the next chunk of t's task: merge the chunk's payload
-// references out of the key rows, then gather them. A nil chunk is the
-// task's end; the chunk before it may be short.
+// references out of the key rows, then gather them, and decode the columns
+// the keys hold from the key rows. A nil chunk is the task's end; the chunk
+// before it may be short.
 func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	s := d.s
 	sp := t.ow.Begin(obs.PhaseMerge)
@@ -366,7 +367,7 @@ func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 		keys = keys[:count]
 	}
 	t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count], keys)
-	chunk := &vector.Chunk{Vectors: t.g.Vectors()}
+	chunk := &vector.Chunk{Vectors: s.outputVectors(t.g.Vectors(), keys)}
 	s.countGathered(count)
 	sp.End()
 	t.em.settle()
@@ -460,7 +461,26 @@ func (e *extMerge) refs(which, idxs []uint32, keys [][]byte) int {
 	return len(which)
 }
 
-// countGathered publishes n rows materialized into an output chunk.
+// outputVectors returns an output chunk's vectors in schema order: the
+// payload's, gathered, and for each column a key holds, the key decoded from
+// the chunk's key rows.
+func (s *Sorter) outputVectors(payload []*vector.Vector, keys [][]byte) []*vector.Vector {
+	if len(payload) == len(s.schema) {
+		return payload
+	}
+	out := make([]*vector.Vector, len(s.schema))
+	for c, k := range s.held {
+		if k >= 0 {
+			out[c] = s.enc.DecodeColumn(k, keys)
+		} else {
+			out[c] = payload[s.payCol[c]]
+		}
+	}
+	return out
+}
+
+// countGathered publishes n rows materialized into an output chunk: the
+// payload's bytes, which the decoded columns do not add to.
 func (s *Sorter) countGathered(n int) {
 	s.ctr.Add(obs.RowsGathered, int64(n))
 	s.ctr.Add(obs.GatherBytes, int64(n)*int64(s.layout.Width()))

@@ -1,6 +1,7 @@
 package normkey
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -8,12 +9,112 @@ import (
 	"rowsort/internal/vector"
 )
 
+// DecodeColumn reads key k back out of the key rows, one row each, into a new
+// dense vector: the inverse of the encoding of an Exact key, which it must
+// be, with one typed loop for the column. A row whose validity byte says NULL
+// is NULL in the vector, and its slot holds zero. It is how a sort returns a
+// column its keys hold exactly, which its payload then need not.
+func (e *Encoder) DecodeColumn(k int, keyRows [][]byte) *vector.Vector {
+	key := e.keys[k]
+	if !key.Exact() {
+		panic(fmt.Sprintf("normkey: key %d (%v) does not hold its values exactly", k, key.Type))
+	}
+	v := vector.NewDense(key.Type, len(keyRows))
+	off, n := e.offsets[k], len(keyRows)
+	inv64 := uint64(0)
+	if key.Order == Descending {
+		inv64 = ^inv64
+	}
+	inv32, inv16, inv8 := uint32(inv64), uint16(inv64), uint8(inv64)
+	switch key.Type {
+	case vector.Bool:
+		d := v.Bools()[:n]
+		for o, r := range keyRows {
+			d[o] = r[off+1]^inv8 != 0
+		}
+	case vector.Uint8:
+		d := v.Uint8s()[:n]
+		for o, r := range keyRows {
+			d[o] = r[off+1] ^ inv8
+		}
+	case vector.Int8:
+		d := v.Int8s()[:n]
+		for o, r := range keyRows {
+			d[o] = int8(r[off+1] ^ 0x80 ^ inv8)
+		}
+	case vector.Uint16:
+		d := v.Uint16s()[:n]
+		for o, r := range keyRows {
+			d[o] = binary.BigEndian.Uint16(r[off+1:]) ^ inv16
+		}
+	case vector.Int16:
+		d := v.Int16s()[:n]
+		for o, r := range keyRows {
+			d[o] = int16(binary.BigEndian.Uint16(r[off+1:]) ^ 0x8000 ^ inv16)
+		}
+	case vector.Uint32:
+		d := v.Uint32s()[:n]
+		for o, r := range keyRows {
+			d[o] = binary.BigEndian.Uint32(r[off+1:]) ^ inv32
+		}
+	case vector.Int32:
+		d := v.Int32s()[:n]
+		for o, r := range keyRows {
+			d[o] = int32(binary.BigEndian.Uint32(r[off+1:]) ^ 0x80000000 ^ inv32)
+		}
+	case vector.Uint64:
+		d := v.Uint64s()[:n]
+		for o, r := range keyRows {
+			d[o] = binary.BigEndian.Uint64(r[off+1:]) ^ inv64
+		}
+	case vector.Int64:
+		d := v.Int64s()[:n]
+		for o, r := range keyRows {
+			d[o] = int64(binary.BigEndian.Uint64(r[off+1:]) ^ 0x8000000000000000 ^ inv64)
+		}
+	}
+	// A NULL's value bytes decode to zero but for a signed type's flipped
+	// sign bit: its slot is cleared with its validity.
+	_, null := key.validity()
+	for o, r := range keyRows {
+		if r[off] == null {
+			v.SetNull(o)
+			zeroSlot(v, o)
+		}
+	}
+	return v
+}
+
+// zeroSlot stores the zero value in row o of a dense fixed-width vector.
+func zeroSlot(v *vector.Vector, o int) {
+	switch v.Type() {
+	case vector.Bool:
+		v.Bools()[o] = false
+	case vector.Uint8:
+		v.Uint8s()[o] = 0
+	case vector.Int8:
+		v.Int8s()[o] = 0
+	case vector.Uint16:
+		v.Uint16s()[o] = 0
+	case vector.Int16:
+		v.Int16s()[o] = 0
+	case vector.Uint32:
+		v.Uint32s()[o] = 0
+	case vector.Int32:
+		v.Int32s()[o] = 0
+	case vector.Uint64:
+		v.Uint64s()[o] = 0
+	case vector.Int64:
+		v.Int64s()[o] = 0
+	}
+}
+
 // DecodeValue decodes key k's segment of the normalized key row back into a
 // Go value, returning nil for NULL. Varchar keys decode to their encoded
 // prefix with trailing padding removed (the full string is not recoverable
-// from the key; the sorter keeps it in the payload). DecodeValue exists for
-// tests, debugging and the Figure 7 demonstration; the sort itself never
-// decodes keys.
+// from the key; the sorter keeps it in the payload). DecodeValue is the
+// value-at-a-time reference DecodeColumn is tested against, and serves
+// debugging and the Figure 7 demonstration.
 func (e *Encoder) DecodeValue(k int, keyRow []byte) (any, error) {
 	if k < 0 || k >= len(e.keys) {
 		return nil, fmt.Errorf("normkey: key index %d out of range", k)

@@ -2,6 +2,7 @@ package normkey
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -75,7 +76,9 @@ func cmpSign(c int) int {
 // against the full values, agrees with it exactly. The sanctioned divergence is a lossy
 // byte-tie: encoded keys may tie where the values differ only if the encoder
 // flagged the chunk as needing a tie-break (EncodeStats.Ties), and only for
-// a varchar whose collated padded prefixes are genuinely identical.
+// a varchar whose collated padded prefixes are genuinely identical. An Exact
+// key's encoding is also inverted exactly: DecodeColumn of both key rows is
+// the values — a NULL with a zero slot — and agrees with DecodeValue.
 func FuzzNormKeyOrder(f *testing.F) {
 	f.Add(uint8(4), uint8(0), uint8(0), uint64(5), uint64(1<<63), "", "")                                // int64 sign straddle
 	f.Add(uint8(10), uint8(1), uint8(0), uint64(0), uint64(1)<<63, "", "")                               // float64 +0 vs -0, DESC
@@ -88,6 +91,9 @@ func FuzzNormKeyOrder(f *testing.F) {
 	f.Add(uint8(11), uint8(5), uint8(2), uint64(0), uint64(0), "x", "wz")                                // DESC, NULLS FIRST, a NULL string
 	f.Add(uint8(11), uint8(17), uint8(1), uint64(0), uint64(0), "ABc", "abD")                            // nocase DESC tie past the prefix
 	f.Add(uint8(9), uint8(3), uint8(0), uint64(0x7FC00001), uint64(0xFF800000), "", "")                  // float32 NaN vs -Inf, DESC NULLS LAST
+	f.Add(uint8(3), uint8(7), uint8(0), uint64(1<<31), uint64(0), "", "")                                // int32 NULL vs its minimum, DESC NULLS LAST: decoded back
+	f.Add(uint8(0), uint8(9), uint8(0), uint64(1), uint64(0), "", "")                                    // bool true vs NULL, DESC: decoded back
+	f.Add(uint8(8), uint8(2), uint8(0), uint64(1<<64-1), uint64(1), "", "")                              // uint64 maximum, NULLS LAST: decoded back
 
 	f.Fuzz(func(t *testing.T, typeSel, flags, prefix uint8, abits, bbits uint64, as, bs string) {
 		typ := fuzzTypes[int(typeSel)%len(fuzzTypes)]
@@ -122,6 +128,10 @@ func FuzzNormKeyOrder(f *testing.F) {
 		stb, err := enc.EncodeChunk([]*vector.Vector{vb}, eb, enc.Width(), 0)
 		if err != nil {
 			t.Fatalf("Encode b: %v", err)
+		}
+
+		if key.Exact() {
+			checkDecode(t, enc, key, []*vector.Vector{va, vb}, [][]byte{ea, eb})
 		}
 
 		got := cmpSign(bytes.Compare(ea, eb))
@@ -167,6 +177,56 @@ func FuzzNormKeyOrder(f *testing.F) {
 			t.Fatalf("key %+v: encoded keys tie but collated prefixes differ: %q vs %q", key, pa, pb)
 		}
 	})
+}
+
+// checkDecode fails unless DecodeColumn of the key rows, one a vector of
+// vals, gives back their values, a NULL as NULL with a zero slot, and agrees
+// with DecodeValue row by row.
+func checkDecode(t *testing.T, enc *Encoder, key SortKey, vals []*vector.Vector, rows [][]byte) {
+	t.Helper()
+	got := enc.DecodeColumn(0, rows)
+	zero := slotValue(vector.NewDense(key.Type, 1), 0)
+	for i, v := range vals {
+		want := v.Value(0)
+		ref, err := enc.DecodeValue(0, rows[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case got.Value(i) != want:
+			t.Fatalf("key %+v: row % x decoded to %v, encoded from %v", key, rows[i], got.Value(i), want)
+		case ref != want:
+			t.Fatalf("key %+v: row % x: DecodeValue %v, DecodeColumn %v", key, rows[i], ref, got.Value(i))
+		case want == nil && slotValue(got, i) != zero:
+			t.Fatalf("key %+v: a NULL decoded with slot %v", key, slotValue(got, i))
+		}
+	}
+}
+
+// slotValue returns what row i's slot of a vector of an Exact type holds,
+// NULL or not.
+func slotValue(v *vector.Vector, i int) any {
+	switch v.Type() {
+	case vector.Bool:
+		return v.Bools()[i]
+	case vector.Int8:
+		return v.Int8s()[i]
+	case vector.Int16:
+		return v.Int16s()[i]
+	case vector.Int32:
+		return v.Int32s()[i]
+	case vector.Int64:
+		return v.Int64s()[i]
+	case vector.Uint8:
+		return v.Uint8s()[i]
+	case vector.Uint16:
+		return v.Uint16s()[i]
+	case vector.Uint32:
+		return v.Uint32s()[i]
+	case vector.Uint64:
+		return v.Uint64s()[i]
+	}
+	panic(fmt.Sprintf("slotValue: %v is not an exact key type", v.Type()))
 }
 
 // prefixPad truncates s to p bytes and zero-pads it to exactly p bytes,

@@ -153,6 +153,29 @@ func (k SortKey) Prefix() int {
 	return k.PrefixLen
 }
 
+// Exact reports whether the key's segment is an exact, invertible image of
+// every value, NULL included, whatever its order and NULL placement: a Bool or
+// an integer key, which DecodeColumn reads back. A float's is not (its
+// encoding folds -0 into +0 and every NaN into one), nor a string's prefix.
+func (k SortKey) Exact() bool {
+	switch k.Type {
+	case vector.Bool, vector.Int8, vector.Int16, vector.Int32, vector.Int64,
+		vector.Uint8, vector.Uint16, vector.Uint32, vector.Uint64:
+		return true
+	}
+	return false
+}
+
+// FitsPrefix reports whether an ASC, binary-collation key segment of prefix
+// bytes holds s whole and tells it from every other string: s is no longer
+// than the prefix and holds no NUL, which the zero padding could not be told
+// from. A string that does not is what makes a chunk's key tie (EncodeStats);
+// one that does may be read back from the segment instead of being stored
+// again (row.RowSet.AppendChunkKeyed).
+func FitsPrefix(s string, prefix int) bool {
+	return len(s) <= prefix && strings.IndexByte(s, 0) < 0
+}
+
 // Encoder turns tuples of key-column values into normalized keys. It is
 // built once per sort (interpreting the type and order of each key exactly
 // once) and then applied vector at a time, which is how a vectorized engine
@@ -475,7 +498,7 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 
 // copyStrings is encodeStrings for the column that neither folds nor
 // inverts (ASC, binary collation): each prefix is one copy, its padding one
-// clear, and the search for a NUL one IndexByte. A NULL row's slot is copied
+// clear, and whether it ties one FitsPrefix. A NULL row's slot is copied
 // like any other, for encodeColumn to overwrite; whether a row is NULL is
 // asked only of a string that would raise the flag.
 func (g *segment) copyStrings(vals []string, nulls *vector.Bitmap) (ties bool) {
@@ -483,9 +506,8 @@ func (g *segment) copyStrings(vals []string, nulls *vector.Bitmap) (ties bool) {
 		row := g.row(r * g.stride)
 		row[0] = g.valid
 		dst := row[1:]
-		n := copy(dst, s)
-		clear(dst[n:])
-		if !ties && (len(s) > n || strings.IndexByte(s[:n], 0) >= 0) && nulls.Valid(r) {
+		clear(dst[copy(dst, s):])
+		if !ties && !FitsPrefix(s, len(dst)) && nulls.Valid(r) {
 			ties = true
 		}
 	}

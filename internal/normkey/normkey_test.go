@@ -236,6 +236,84 @@ func TestFixedWidthRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeColumnMatchesDecodeValue runs the decode kernel over a chunk of
+// key rows laid out as the sorter lays them out — the exact key behind a
+// varchar key, a payload reference and padding after it — for every exact
+// type, order and NULL placement, with NULLs: each row is its input value, a
+// NULL is NULL with a zero slot, and each agrees with DecodeValue.
+func TestDecodeColumnMatchesDecodeValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const n = vector.DefaultVectorSize
+	strs := randomVector(vector.Varchar, n, 0.1, true, rng)
+	for _, typ := range fixedTypes {
+		key := SortKey{Column: 1, Type: typ}
+		if !key.Exact() {
+			continue
+		}
+		col := randomVector(typ, n, 0.1, false, rng)
+		for _, order := range []Order{Ascending, Descending} {
+			for _, nulls := range []NullOrder{NullsFirst, NullsLast} {
+				key.Order, key.Nulls = order, nulls
+				enc, err := NewEncoder([]SortKey{{Type: vector.Varchar, PrefixLen: 5}, key})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stride := (enc.Width() + 8 + 7) &^ 7
+				out := bytes.Repeat([]byte{0xEE}, n*stride)
+				if _, err := enc.EncodeChunk([]*vector.Vector{strs, col}, out, stride, 0); err != nil {
+					t.Fatal(err)
+				}
+				rows := make([][]byte, n)
+				for i := range rows {
+					rows[i] = out[i*stride : (i+1)*stride]
+				}
+				got := enc.DecodeColumn(1, rows)
+				zero := slotValue(vector.NewDense(typ, 1), 0)
+				for i, r := range rows {
+					want, err := enc.DecodeValue(1, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g := got.Value(i); g != want || g != col.Value(i) || g == nil && slotValue(got, i) != zero {
+						t.Fatalf("%v %v %v row %d: DecodeColumn %v (slot %v), DecodeValue %v, input %v",
+							typ, order, nulls, i, g, slotValue(got, i), want, col.Value(i))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLossyKeysAreNotExact pins which keys hold their values exactly: a Bool
+// or integer key, whose encoding DecodeColumn inverts, and no other — not a
+// float, whose encoding folds -0 into +0 and every NaN into one, nor a
+// string's prefix — and DecodeColumn refuses those.
+func TestLossyKeysAreNotExact(t *testing.T) {
+	for _, typ := range allTypes {
+		lossy := typ == vector.Float32 || typ == vector.Float64 || typ == vector.Varchar
+		for _, key := range []SortKey{{Type: typ}, {Type: typ, Order: Descending, Nulls: NullsLast}} {
+			if key.Exact() == lossy {
+				t.Errorf("%v %v %v: Exact %v", typ, key.Order, key.Nulls, key.Exact())
+			}
+		}
+		if !lossy {
+			continue
+		}
+		enc, err := NewEncoder([]SortKey{{Type: typ}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: DecodeColumn decoded a key that does not hold its values exactly", typ)
+				}
+			}()
+			enc.DecodeColumn(0, [][]byte{make([]byte, enc.Width())})
+		}()
+	}
+}
+
 // valuesEqual compares decoded values, treating NaN==NaN and -0==+0 (the
 // encoder canonicalizes both).
 func valuesEqual(typ vector.Type, got, want any) bool {

@@ -72,11 +72,12 @@ type benchShape struct {
 	which, idxs []uint32
 
 	// A shape sorted on string keys leaves them in its key rows: keyCols
-	// are the key columns, inKey each chunk's columns left in the keys,
-	// segs where the key rows hold them and refKeys the key row of each
-	// reference.
+	// are the key columns, inKey each chunk's strings left in the keys (as
+	// the sorter leaves them: all of a column whose key did not tie, else
+	// those that fit its prefix), segs where the key rows hold them and
+	// refKeys the key row of each reference.
 	keyCols []int
-	inKey   [][]bool
+	inKey   [][]int
 	segs    []int
 	refKeys [][]byte
 }
@@ -96,13 +97,13 @@ func benchShapes(b *testing.B) []*benchShape {
 		sh.run = NewRowSet(l)
 		per := len(sh.table.Chunks) / benchRuns
 		for i, c := range sh.table.Chunks {
-			if err := sh.run.AppendChunkKeyed(c.Vectors, sh.chunkInKey(i)); err != nil {
+			if err := sh.run.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(i)); err != nil {
 				b.Fatal(err)
 			}
 			if i%per == 0 {
 				sh.runs = append(sh.runs, NewRowSet(l))
 			}
-			if err := sh.runs[len(sh.runs)-1].AppendChunkKeyed(c.Vectors, sh.chunkInKey(i)); err != nil {
+			if err := sh.runs[len(sh.runs)-1].AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -160,9 +161,12 @@ func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inKey := make([]bool, len(sh.table.Schema))
+		inKey := make([]int, len(sh.table.Schema))
 		for i, kc := range sh.keyCols {
-			inKey[kc] = !st.Tied(i)
+			inKey[kc] = AllInKey
+			if st.Tied(i) {
+				inKey[kc] = keys[i].Prefix()
+			}
 		}
 		sh.inKey = append(sh.inKey, inKey)
 		for o := 0; o < len(buf); o += rw {
@@ -172,8 +176,9 @@ func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 	return rows
 }
 
-// chunkInKey returns the columns chunk i leaves in its keys, nil for none.
-func (sh *benchShape) chunkInKey(i int) []bool {
+// chunkInKey returns the strings chunk i leaves in its keys, as
+// AppendChunkKeyed takes them; nil for none.
+func (sh *benchShape) chunkInKey(i int) []int {
 	if sh.inKey == nil {
 		return nil
 	}
@@ -198,7 +203,7 @@ func BenchmarkScatter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs.Reset()
 				for ci, c := range sh.table.Chunks {
-					if err := rs.AppendChunkKeyed(c.Vectors, sh.chunkInKey(ci)); err != nil {
+					if err := rs.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(ci)); err != nil {
 						b.Fatal(err)
 					}
 				}

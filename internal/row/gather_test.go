@@ -261,7 +261,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 	const n = 4 * 6
 	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
 	rng := rand.New(rand.NewSource(46))
-	inKey := []bool{false, true}
+	inKey := []int{0, AllInKey}
 	source := func(edge int) *RowSet {
 		rs := NewRowSet(layout)
 		for third := 0; third < 3; third++ {
@@ -279,7 +279,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 			if third != 1 {
 				keyed = nil
 			}
-			if err := rs.AppendChunkKeyed([]*vector.Vector{ints, strs}, keyed); err != nil {
+			if err := rs.AppendChunkKeyed(n/3, []*vector.Vector{ints, strs}, keyed); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -449,10 +449,11 @@ func TestGatherChunkMatchesScalarAcrossWidths(t *testing.T) {
 
 // TestGatherResolvesKeyResidentStrings scatters chunks whose key strings are
 // encoded by a real normkey.Encoder — a column keyed at the default 12-byte
-// prefix and one at 4 — leaving each key column's strings in the keys where
-// the chunk's encoding of it did not tie, as the sorter does: empty strings,
+// prefix and one at 4 — leaving them in the keys as the sorter does: all of a
+// key column's strings where the chunk's encoding of it did not tie, and
+// where it did, each that fits the prefix and holds no NUL: empty strings,
 // strings exactly a prefix long and NULLs in the keys, and in the same
-// chunks a heap-only column and a key column that overflowed or held a NUL.
+// chunks a heap-only column and key strings that overflowed or held a NUL.
 // The rows are then permuted and gathered by references across both sets,
 // with their key rows, and must come back as the input's values. A gather,
 // accessor or reference that cannot resolve a key-resident string must panic
@@ -480,15 +481,15 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 	chunks := [][]*vector.Vector{
 		// Every key string fits: both columns stay in the keys.
 		{str("", "abcdefghijkl", nil, "x"), nil, str("", "abcd", nil, "z"), str("h0", "", nil, "heap string of 26 bytes..")},
-		// Column 0 overflows its prefix in one row: its strings go to the heap.
+		// Column 0 overflows its prefix in one row: that string goes to the heap.
 		{str("abcdefghijklm", "b", "", nil), nil, str("abc", nil, "", "wxyz"), str(nil, "h1", "h2", "h3")},
-		// Column 2 holds a NUL: its strings go to the heap.
+		// Column 2 holds a NUL in one row: that string goes to the heap.
 		{str("c", nil, "abcdefghijkl", ""), nil, str("a\x00", "b", nil, ""), str("h4", "h5", "h6", "h7")},
 	}
 	var want [][]any // the input's values, row by row
 	var keyRows [][]byte
 	rs := NewRowSet(layout)
-	inKey := make([]bool, len(types))
+	inKey := make([]int, len(types))
 	for ci, chunk := range chunks {
 		ints := vector.New(vector.Int64, 4)
 		for r := 0; r < 4; r++ {
@@ -501,11 +502,16 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inKey[0], inKey[2] = !st.Tied(0), !st.Tied(1)
-		if wantKeyed := []bool{ci != 1, ci != 2}; inKey[0] != wantKeyed[0] || inKey[2] != wantKeyed[1] {
-			t.Fatalf("chunk %d: key columns left in the keys %v, want %v", ci, []bool{inKey[0], inKey[2]}, wantKeyed)
+		for i, c := range []int{0, 2} {
+			inKey[c] = AllInKey
+			if st.Tied(i) {
+				inKey[c] = keys[i].Prefix()
+			}
 		}
-		if err := rs.AppendChunkKeyed(chunk, inKey); err != nil {
+		if tied := []bool{inKey[0] != AllInKey, inKey[2] != AllInKey}; tied[0] != (ci == 1) || tied[1] != (ci == 2) {
+			t.Fatalf("chunk %d: key columns tied %v", ci, tied)
+		}
+		if err := rs.AppendChunkKeyed(4, chunk, inKey); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < 4; r++ {
@@ -530,9 +536,9 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 			}
 		}
 	}
-	// Chunk 0 leaves six strings in its keys, chunk 1 three and chunk 2 three.
-	if resident != 12 || rs.HeapLen() != heapBytes {
-		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 12 and the other strings' %d bytes", resident, rs.HeapLen(), heapBytes)
+	// Chunk 0 leaves six strings in its keys, chunk 1 five and chunk 2 five.
+	if resident != 16 || rs.HeapLen() != heapBytes {
+		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 16 and the other strings' %d bytes", resident, rs.HeapLen(), heapBytes)
 	}
 
 	// Permute into a second set, then gather references across both.

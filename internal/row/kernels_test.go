@@ -8,15 +8,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
 // refAppendChunk is AppendChunk as it was before the typed kernels: the new
 // rows cleared, every row's mask copied in, then one pass per column that
 // asks Valid of every value. It is kept here as the oracle the scatter must
-// match byte for byte; inKey names the string columns AppendChunkKeyed
-// leaves in the keys, whose values take a KeyResident slot and no heap byte.
-func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []bool) {
+// match byte for byte; inKey says which strings AppendChunkKeyed leaves in
+// the keys, each taking a KeyResident slot and no heap byte.
+func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []int) {
 	n := vecs[0].Len()
 	w := rs.layout.width
 	start := rs.n
@@ -27,7 +28,11 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []bool) {
 	}
 	rs.n += n
 	for c, v := range vecs {
-		refScatterColumn(rs, c, v, start, inKey != nil && inKey[c])
+		fit := 0
+		if inKey != nil {
+			fit = inKey[c]
+		}
+		refScatterColumn(rs, c, v, start, fit)
 	}
 }
 
@@ -35,7 +40,7 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []bool) {
 func refSetNull(row []byte, c int) { row[c>>3] &^= 1 << (uint(c) & 7) }
 
 // refScatterColumn writes column c of n rows starting at row index start.
-func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, inKey bool) {
+func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, fit int) {
 	l := rs.layout
 	off := l.offsets[c]
 	n := v.Len()
@@ -156,9 +161,10 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, inKey bool
 		}
 	case vector.Varchar:
 		vals := v.Strings()
+		inKey := func(s string) bool { return fit == AllInKey || fit > 0 && normkey.FitsPrefix(s, fit) }
 		total := 0
 		for r := 0; r < n; r++ {
-			if v.Valid(r) && !inKey {
+			if v.Valid(r) && !inKey(vals[r]) {
 				total += len(vals[r])
 			}
 		}
@@ -171,7 +177,7 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, inKey bool
 			}
 			s := vals[r]
 			binary.LittleEndian.PutUint32(row[off+4:], uint32(len(s)))
-			if inKey {
+			if inKey(s) {
 				binary.LittleEndian.PutUint32(row[off:], KeyResident)
 				continue
 			}
@@ -410,18 +416,24 @@ const testKeySeg = 3
 
 // testKeyColumn returns which of l's columns the kernel tests leave in the
 // keys — the first varchar column, none when l has none — as the inKey of
-// AppendChunkKeyed and the segments of Gather.SetKeySegments.
-func testKeyColumn(l *Layout) (inKey []bool, segs []int) {
+// AppendChunkKeyed for a chunk whose key did not tie (all of them) and for
+// one whose key did (those that fit testKeyPrefix), and the segments of
+// Gather.SetKeySegments.
+func testKeyColumn(l *Layout) (inKey, tied []int, segs []int) {
 	if len(l.strCols) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	inKey, segs = make([]bool, l.NumColumns()), make([]int, l.NumColumns())
+	inKey, tied, segs = make([]int, l.NumColumns()), make([]int, l.NumColumns()), make([]int, l.NumColumns())
 	for c := range segs {
 		segs[c] = -1
 	}
-	inKey[l.strCols[0]], segs[l.strCols[0]] = true, testKeySeg
-	return inKey, segs
+	inKey[l.strCols[0]], tied[l.strCols[0]], segs[l.strCols[0]] = AllInKey, testKeyPrefix, testKeySeg
+	return inKey, tied, segs
 }
+
+// testKeyPrefix is the key prefix a tied chunk's strings must fit to stay in
+// the test's key rows; the random strings are up to 19 bytes long.
+const testKeyPrefix = 8
 
 // testKeyRows returns a key row for each row of the chunk: column c's value at
 // testKeySeg, between bytes no string holds.
@@ -476,7 +488,7 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		for _, kl := range kernelLayouts(typ) {
 			l, types := kl.layout, kl.layout.Types()
 			heapCap := 8 * n * 20 * len(l.strCols)
-			inKey, segs := testKeyColumn(l)
+			inKey, tied, segs := testKeyColumn(l)
 			keyRows := func(vecs []*vector.Vector) [][]byte {
 				if inKey == nil {
 					return nil
@@ -486,17 +498,15 @@ func TestRowKernelsMatchReference(t *testing.T) {
 			for _, shape := range nullShapes {
 				ctx := fmt.Sprintf("%v %s nulls=%s", typ, kl.name, shape)
 
-				// Scatter: two chunks, the second behind the first; the
-				// first leaves a string column in its keys.
-				chunks := [][]*vector.Vector{kernelChunk(types, n, shape, rng), kernelChunk(types, n/3, "some", rng)}
+				// Scatter: three chunks, each behind the last; the first
+				// leaves a string column in its keys, the second those of
+				// its strings that fit a prefix.
+				chunks := [][]*vector.Vector{kernelChunk(types, n, shape, rng), kernelChunk(types, n/2, shape, rng), kernelChunk(types, n/3, "some", rng)}
 				got, want, plain := poisonedSet(l, 8*n, heapCap), NewRowSet(l), NewRowSet(l)
 				var wantKeys [][]byte
 				for i, chunk := range chunks {
-					keyed := inKey
-					if i > 0 {
-						keyed = nil
-					}
-					if err := got.AppendChunkKeyed(chunk, keyed); err != nil {
+					keyed := [][]int{inKey, tied, nil}[i]
+					if err := got.AppendChunkKeyed(chunk[0].Len(), chunk, keyed); err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
 					refAppendChunk(want, chunk, keyed)

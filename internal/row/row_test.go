@@ -274,6 +274,56 @@ func TestAppendChunkErrors(t *testing.T) {
 	}
 }
 
+// TestRowsOfNoColumns pins a layout of no columns — a sort whose keys hold
+// every column — as rows of no bytes that are still counted: the scatter
+// appends as many as it is told, the two reorders as many as they are named,
+// a gather resolves them into no vectors, and a set of them serializes and
+// views back with its count.
+func TestRowsOfNoColumns(t *testing.T) {
+	l := NewLayout(nil)
+	if l.Width() != 0 || l.NumColumns() != 0 {
+		t.Fatalf("a layout of no columns is %d bytes and %d columns", l.Width(), l.NumColumns())
+	}
+	rs := NewRowSet(l)
+	rs.Reserve(100)
+	if err := rs.AppendChunkKeyed(5, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.AppendChunk(nil); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Len() != 5 || rs.MemSize() != 0 || rs.Cap() < rs.Len() {
+		t.Fatalf("%d rows in %d bytes, room for %d; want 5 in none", rs.Len(), rs.MemSize(), rs.Cap())
+	}
+	idxs, which := []uint32{4, 0, 3, 1, 2}, []uint32{1, 0, 1, 0, 0}
+	permuted, gathered := NewRowSet(l), NewRowSet(l)
+	permuted.AppendPermuted(rs, idxs)
+	gathered.AppendRowsGather([]*RowSet{rs, permuted}, which, idxs)
+	gathered.AppendRowsGather([]*RowSet{rs}, nil, idxs[:2])
+	if permuted.Len() != 5 || gathered.Len() != 7 {
+		t.Fatalf("reorders of 5 and 7 rows made %d and %d", permuted.Len(), gathered.Len())
+	}
+	g := NewGather(l)
+	g.Refs([]*RowSet{rs, permuted}, which, idxs, nil)
+	if vecs := g.Vectors(); len(vecs) != 0 {
+		t.Fatalf("a gather of no columns made %d vectors", len(vecs))
+	}
+	if vecs := gathered.GatherChunk(2, 3); len(vecs) != 0 {
+		t.Fatalf("a gather of no columns made %d vectors", len(vecs))
+	}
+	var b bytes.Buffer
+	if _, err := gathered.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ViewRowSet(b.Bytes(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 7 {
+		t.Fatalf("viewed back %d rows, wrote 7", back.Len())
+	}
+}
+
 func TestRowBytesLayout(t *testing.T) {
 	// A single Uint32 column: row = [mask][u32][pad...]; check raw bytes.
 	l := NewLayout([]vector.Type{vector.Uint32})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
@@ -59,8 +60,14 @@ func (rs *RowSet) Row(i int) []byte {
 	return rs.data[i*w : (i+1)*w]
 }
 
-// Cap returns the number of rows the row buffer can hold without growing.
-func (rs *RowSet) Cap() int { return cap(rs.data) / rs.layout.width }
+// Cap returns the number of rows the row buffer can hold without growing: any
+// number, when the layout has no columns and so its rows no bytes.
+func (rs *RowSet) Cap() int {
+	if rs.layout.width == 0 {
+		return math.MaxInt
+	}
+	return cap(rs.data) / rs.layout.width
+}
 
 // HeapLen returns the bytes live in the string heap.
 func (rs *RowSet) HeapLen() int { return len(rs.heap) }
@@ -89,6 +96,10 @@ func withCap(b []byte, c int) []byte {
 // Gather.Refs); the reorders move the slot as it is.
 const KeyResident = ^uint32(0)
 
+// AllInKey, as a column's entry in AppendChunkKeyed's inKey, says that every
+// string of the column lies whole in its row's key.
+const AllInKey = -1
+
 // AppendChunk scatters the chunk's vectors into rows (DSM to NSM). Vectors
 // must match the layout's types in order. Every byte of the new rows is
 // written, so a recycled buffer needs no clearing: each row starts with its
@@ -96,24 +107,32 @@ const KeyResident = ^uint32(0)
 // column then stores every row's value — NULL rows' too, whatever their slot
 // in the vector holds — and a walk over the column's NULL rows alone clears
 // their bit and slot.
-func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error { return rs.AppendChunkKeyed(vecs, nil) }
+func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error {
+	n := 0
+	if len(vecs) > 0 {
+		n = vecs[0].Len()
+	}
+	return rs.AppendChunkKeyed(n, vecs, nil)
+}
 
-// AppendChunkKeyed is AppendChunk leaving the strings of the varchar columns
-// inKey names (inKey[c]; nil names none) in the rows' keys: each non-NULL
-// value's slot is KeyResident and its length, and the heap takes none of its
-// bytes. The caller vouches that every such value lies whole in its row's key.
-func (rs *RowSet) AppendChunkKeyed(vecs []*vector.Vector, inKey []bool) error {
+// AppendChunkKeyed is AppendChunk of n rows — every vector must have n, and a
+// layout of no columns takes n rows of no bytes — leaving strings of varchar
+// columns in the rows' keys, as inKey says (nil says none): inKey[c] is 0 for
+// a column whose strings all go to the heap, AllInKey for one whose non-NULL
+// strings all stay in the keys, and a key prefix's length p for one where each
+// that normkey.FitsPrefix(s, p) stays and the others go to the heap. A string
+// that stays has the slot KeyResident and its length, and the heap takes none
+// of its bytes. The caller vouches that every such value lies whole in its
+// row's key.
+func (rs *RowSet) AppendChunkKeyed(n int, vecs []*vector.Vector, inKey []int) error {
 	if len(vecs) != len(rs.layout.types) {
 		return fmt.Errorf("row: got %d vectors for %d columns", len(vecs), len(rs.layout.types))
 	}
-	n := -1
 	for c, v := range vecs {
 		if v.Type() != rs.layout.types[c] {
 			return fmt.Errorf("row: column %d is %v, layout wants %v", c, v.Type(), rs.layout.types[c])
 		}
-		if n == -1 {
-			n = v.Len()
-		} else if v.Len() != n {
+		if v.Len() != n {
 			return fmt.Errorf("row: column %d has %d rows, want %d", c, v.Len(), n)
 		}
 	}
@@ -123,7 +142,11 @@ func (rs *RowSet) AppendChunkKeyed(vecs []*vector.Vector, inKey []bool) error {
 	rows := rs.extendRows(n)
 	rs.layout.startRows(rows)
 	for c, v := range vecs {
-		rs.scatter(c, v, rows, inKey != nil && inKey[c])
+		fit := 0
+		if inKey != nil {
+			fit = inKey[c]
+		}
+		rs.scatter(c, v, rows, fit)
 	}
 	return nil
 }
@@ -148,8 +171,8 @@ func (l *Layout) startRows(rows []byte) {
 }
 
 // scatter writes column c of the v.Len() rows at the head of rows from v; a
-// string column's values stay in the keys when inKey says so.
-func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte, inKey bool) {
+// string column's values stay in the keys as fit, its inKey entry, says.
+func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte, fit int) {
 	l := rs.layout
 	w, off, n := l.width, l.offsets[c], v.Len()
 	o := off
@@ -214,10 +237,10 @@ func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte, inKey bool) {
 			o += w
 		}
 	case vector.Varchar:
-		if inKey {
+		if fit == AllInKey {
 			keyStrings(v.Strings()[:n], rows[off:], w)
 		} else {
-			rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w)
+			rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w, fit)
 		}
 	}
 	nulls, bit, slot := v.Validity(), byte(1)<<(uint(c)&7), l.types[c].Width()
@@ -230,15 +253,16 @@ func (rs *RowSet) scatter(c int, v *vector.Vector, rows []byte, inKey bool) {
 
 // scatterStrings copies the non-NULL strings of vals into the heap, sized
 // once, and writes their (offset, length) references into the slots at stride
-// w. A NULL row's string must not reach the heap, so only here does a column
-// with NULLs test validity per value.
-func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []byte, w int) {
+// w — but for those that fit a key prefix of fit bytes, when fit is one,
+// which stay in the keys (see keyStrings). A NULL row's string must not reach
+// the heap, so only here does a column with NULLs test validity per value.
+func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []byte, w, fit int) {
 	if nulls.AllValid() {
 		nulls = nil
 	}
 	total := 0
 	for r, s := range vals {
-		if nulls == nil || nulls.Valid(r) {
+		if (nulls == nil || nulls.Valid(r)) && !(fit > 0 && normkey.FitsPrefix(s, fit)) {
 			total += len(s)
 		}
 	}
@@ -246,12 +270,17 @@ func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []by
 	rs.heap = extendBytes(rs.heap, total)
 	heap := rs.heap
 	for r, s := range vals {
-		if nulls == nil || nulls.Valid(r) {
-			slot := slots[r*w : r*w+8 : r*w+8]
+		if nulls != nil && !nulls.Valid(r) {
+			continue
+		}
+		slot := slots[r*w : r*w+8 : r*w+8]
+		if fit > 0 && normkey.FitsPrefix(s, fit) {
+			binary.LittleEndian.PutUint32(slot, KeyResident)
+		} else {
 			binary.LittleEndian.PutUint32(slot, uint32(pos))
-			binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
 			pos += copy(heap[pos:], s)
 		}
+		binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
 	}
 }
 
