@@ -166,7 +166,8 @@ func widePayloadTable(n int, seed uint64) *vector.Table {
 
 // BenchmarkRowsDrain is the drain of Sorter.Rows out of cache, on the two
 // in-memory benchmark shapes that bracket it — mem-uniform-int (2^21 rows,
-// 9-byte key, 8-byte payload: the merge dominates) and mem-wide-payload (2^20
+// 9-byte key, 8-byte payload riding inline in 24-byte key rows: the merge
+// dominates) and mem-wide-payload (2^20
 // rows of 125 bytes: the gather does) — at the sorter's default run size, and
 // on ext-catalog-spill's (2^20 rows by four keys in 16 spilled runs of 2^16:
 // the same merge, its runs read back block by block), inline (Threads: 1)

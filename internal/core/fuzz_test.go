@@ -48,7 +48,8 @@ const (
 // lengths) or on s DESC alone, which leaves no string in the keys; or
 // heldTable, whose integer keys the payload does not store: keyed on every
 // column, which leaves the payload no column at all, or with integers keyed
-// beside the payload's strings.
+// beside the payload's strings; or inlineTable, whose fixed-width payload
+// rides in its key rows.
 const (
 	schemaByteKeys = iota
 	schemaTieKeys
@@ -58,6 +59,7 @@ const (
 	schemaDescOnly
 	schemaAllKeys
 	schemaHeldMix
+	schemaInline
 	numSchemas
 )
 
@@ -143,6 +145,9 @@ func (p plan) table() (tbl *vector.Table, keys []SortColumn, perRun int) {
 		return fitMixTable(p.rows, chunkRows, p.shape, uint64(p.seed)), fitMixKeys(p.schema, p.seed), chunks * chunkRows
 	case schemaAllKeys, schemaHeldMix:
 		tbl, keys := heldTable(p.schema, p.rows, chunkRows, p.shape, p.seed)
+		return tbl, keys, chunks * chunkRows
+	case schemaInline:
+		tbl, keys := inlineTable(p.rows, chunkRows, p.shape, p.seed)
 		return tbl, keys, chunks * chunkRows
 	}
 	rng := workload.NewRNG(uint64(p.seed))
@@ -271,6 +276,46 @@ func heldTable(schema, n, chunkRows, dist, seed int) (*vector.Table, []SortColum
 		return tbl, []SortColumn{{Column: 0}, {Column: 0, Descending: true}}
 	}
 	return tbl, []SortColumn{{Column: 2, Descending: true, NullsLast: true}, {Column: 1}, {Column: 0, Descending: true, NullsLast: true}}
+}
+
+// inlineTable is drainTable's k beside n, an Int32, and g, an Int16, both
+// functions of k with NULLs, all three keyed — k ASC, n DESC NULLS LAST, then
+// g, or n, g DESC NULLS LAST, then k DESC, as the seed picks — and a payload
+// of b, a Bool, i8, an Int8, and f, a Float64, each with NULLs of its own,
+// and id: 17 key bytes, 15 of payload, which rides inline in 32-byte key
+// rows. Equal k make equal keys, all-equal k one key.
+func inlineTable(n, chunkRows, dist, seed int) (*vector.Table, []SortColumn) {
+	src := drainTable(n, chunkRows, dist, uint64(seed))
+	schema := vector.Schema{src.Schema[0], {Name: "n", Type: vector.Int32}, {Name: "g", Type: vector.Int16},
+		{Name: "b", Type: vector.Bool}, {Name: "i8", Type: vector.Int8}, {Name: "f", Type: vector.Float64}, src.Schema[2]}
+	tbl := vector.NewTable(schema)
+	for _, c := range src.Chunks {
+		out := vector.NewChunk(schema, c.Len())
+		out.Vectors[0], out.Vectors[6] = c.Vectors[0], c.Vectors[2]
+		for r, k := range c.Vectors[0].Int64s()[:c.Len()] {
+			id := c.Vectors[2].Int32s()[r]
+			nulls := [5]bool{k%13 == 3, k%7 == 2, id%5 == 1, id%7 == 4, id%3 == 0}
+			vals := []func(){
+				func() { out.Vectors[1].AppendInt32(int32(k%1000) - 500) },
+				func() { out.Vectors[2].AppendInt16(int16(k%11) - 5) },
+				func() { out.Vectors[3].AppendBool(id&1 == 1) },
+				func() { out.Vectors[4].AppendInt8(int8(id)) },
+				func() { out.Vectors[5].AppendFloat64(float64(id) / 3) },
+			}
+			for i, null := range nulls {
+				if null {
+					out.Vectors[1+i].AppendNull()
+				} else {
+					vals[i]()
+				}
+			}
+		}
+		tbl.Chunks = append(tbl.Chunks, out)
+	}
+	if seed%2 == 0 {
+		return tbl, []SortColumn{{Column: 0}, {Column: 1, Descending: true, NullsLast: true}, {Column: 2}}
+	}
+	return tbl, []SortColumn{{Column: 1}, {Column: 2, Descending: true, NullsLast: true}, {Column: 0, Descending: true}}
 }
 
 // sorter returns a sorter of the plan on fsys, its pins set, and the broker
@@ -412,6 +457,23 @@ func FuzzSortPlanSpace(f *testing.F) {
 	seed(plan{schema: schemaHeldMix, shape: keysDupHeavy, rows: 20_000, runs: 3, threads: 4, seed: 1})
 	seed(plan{schema: schemaHeldMix, rows: odd, runs: 17, threads: 2, storage: storeEager, block: block7, seed: 1})
 	seed(plan{schema: schemaHeldMix, shape: keysDupHeavy, rows: 40_000, runs: 16, threads: 1, storage: storeTight, seed: 3})
+	// A payload that rides inline in its key rows: all-equal keys cut into
+	// tasks in memory, on disk and mixed — a constant key drains on every
+	// thread — merge passes, and faults at a run's spill, a pass's rewrite
+	// and a drain's reads.
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: pastTask, runs: 16, threads: 2})
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: odd, runs: 16, threads: 4, storage: storeEager, block: block7, seed: 1})
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: pastTask, runs: 3, threads: 2, storage: storeShared})
+	seed(plan{schema: schemaInline, shape: keysDupHeavy, rows: odd, runs: 17, threads: 4, storage: storeShared, block: blockRagged, seed: 1})
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: 40_000, runs: 16, threads: 2, storage: storeTight})
+	seed(plan{schema: schemaInline, rows: 40_000, runs: 17, threads: 1, storage: storeTight, seed: 3})
+	seed(plan{schema: schemaInline, rows: 40_000, runs: 17, several: true, threads: 2, storage: storePrivate, seed: 2})
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 1,
+		fault: "ENOSPC at byte 100000", stage: stageRunSpill})
+	seed(plan{schema: schemaInline, rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 2, storage: storePrivate,
+		fault: "bit flip", stage: stagePassRewrite, seed: 1})
+	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 4, storage: storeShared,
+		fault: "EIO on read", stage: stageDemandRead})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -425,7 +487,8 @@ func FuzzSortPlanSpace(f *testing.F) {
 		return // not a replay of the whole corpus
 	}
 	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots",
-		"a spilled run with an empty payload"}
+		"a spilled run with an empty payload", "an inline payload through a merge pass",
+		"an inline payload's equal keys drained from disk in several tasks", "a fault under an inline payload"}
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
 			want = append(want, sf.name+" in "+faultStageNames[stage])
@@ -487,12 +550,15 @@ func (p plan) check(t *testing.T) (reached []string) {
 	st := s.Stats()
 	fired, slow := ffs.fired > 0, fault.stall > 0
 	for what, ok := range map[string]bool{
-		p.fault + " in " + faultStageNames[p.stage]: fired,
-		"a pressure spill":                          st.PressureSpills > 0,
-		"a merge pass":                              st.MergePasses > 0,
-		"a drain of several tasks from disk":        s.onDisk && tasks > 1,
-		"a tie-breaking run of both string slots":   mixed,
-		"a spilled run with an empty payload":       emptySpill,
+		p.fault + " in " + faultStageNames[p.stage]:                         fired,
+		"a pressure spill":                                                  st.PressureSpills > 0,
+		"a merge pass":                                                      st.MergePasses > 0,
+		"a drain of several tasks from disk":                                s.onDisk && tasks > 1,
+		"a tie-breaking run of both string slots":                           mixed,
+		"a spilled run with an empty payload":                               emptySpill,
+		"an inline payload through a merge pass":                            s.inline && st.MergePasses > 0,
+		"an inline payload's equal keys drained from disk in several tasks": s.inline && p.shape == keysAllEqual && s.onDisk && tasks > 1,
+		"a fault under an inline payload":                                   s.inline && fired,
 	} {
 		if ok {
 			reached = append(reached, what)

@@ -20,18 +20,20 @@ import (
 //
 // A row is copied where Figure 11 copies it and nowhere else: scattered
 // into payload once at ingest, reordered into the run's own set once after
-// the keys are sorted. To keep it that way the sink owns, for its whole
-// life, the buffers a run only passes through — the pending payload set,
-// the radix scatter buffer, the reorder permutation — sized once (see
-// pendingCap) and emptied, not replaced, at each cut; only the key buffer
-// and the reordered payload, which stay resident as the run, are new per
-// run. All of it is charged to res (see account).
+// the keys are sorted — or, for an inline payload, scattered into its key row
+// and moved with it by the sort. To keep it that way the sink owns, for its
+// whole life, the buffers a run only passes through — the pending payload
+// set, the radix scatter buffer, the reorder permutation (an inline payload
+// has neither set nor permutation) — sized once (see pendingCap) and emptied,
+// not replaced, at each cut; only the key buffer and the reordered payload,
+// which stay resident as the run, are new per run. All of it is charged to
+// res (see account).
 type Sink struct {
 	s        *Sorter
 	ow       *obs.Worker      // this sink's trace lane (nil without telemetry)
 	res      *mem.Reservation // everything the sink retains, charged to the sorter's broker
 	keys     []byte           // pending key rows; leaves with each cut run
-	payload  *row.RowSet      // pending payload rows; emptied at each cut
+	payload  *row.RowSet      // pending payload rows; emptied at each cut; nil for an inline payload
 	scratch  []byte           // radix scatter buffer, key-buffer sized
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
@@ -46,9 +48,11 @@ type Sink struct {
 
 // NewSink registers and returns a new ingestion sink.
 func (s *Sorter) NewSink() *Sink {
-	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0),
-		keys: s.getKeyBuf(), payload: s.getRowSet(),
+	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0), keys: s.getKeyBuf(),
 		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, len(s.payCols))}
+	if !s.inline {
+		k.payload = s.getRowSet()
+	}
 	if s.strKey != nil {
 		k.inKey = make([]int, len(s.strKey))
 	}
@@ -82,9 +86,13 @@ func (s *Sorter) planIngest() {
 }
 
 // pendingRowBytes is what a sink's reservation holds for one fixed-width
-// pending row: a key row, a radix-scratch row, a payload row — of the columns
-// the keys do not hold — and a permutation entry.
+// pending row: a key row, a radix-scratch row and, unless the payload is
+// inline in the key row, a payload row — of the columns the keys do not hold
+// — and a permutation entry.
 func (s *Sorter) pendingRowBytes() int64 {
+	if s.inline {
+		return int64(2 * s.rowWidth)
+	}
 	return int64(2*s.rowWidth + s.layout.Width() + 4)
 }
 
@@ -96,9 +104,13 @@ func (k *Sink) account() {
 }
 
 // liveBytes is what the pending run holds, by length: its key rows, as many
-// again for the radix scratch, a permutation entry a row and the payload with
-// its string heap. A recycled buffer's spare capacity cannot move a cut.
+// again for the radix scratch and, unless the payload is inline, a
+// permutation entry a row and the payload with its string heap. A recycled
+// buffer's spare capacity cannot move a cut.
 func (k *Sink) liveBytes() int64 {
+	if k.s.inline {
+		return int64(k.n) * int64(2*k.s.rowWidth)
+	}
 	return int64(k.n)*int64(2*k.s.rowWidth+4) + int64(k.payload.MemSize())
 }
 
@@ -126,12 +138,13 @@ func (k *Sink) pendingCap(need int) int {
 }
 
 // reservePayload makes room in the pending payload set for n more rows,
-// following pendingCap. The string heap is sized with the row buffer, by
+// following pendingCap; an inline payload has no set, and its rows are the
+// key rows'. The string heap is sized with the row buffer, by
 // extrapolating the bytes per row seen so far plus an eighth; a heap that
 // outgrows the guess doubles inside RowSet like any other.
 func (k *Sink) reservePayload(n int) {
 	need := k.n + n
-	if k.payload.Cap() >= need {
+	if k.payload == nil || k.payload.Cap() >= need {
 		return
 	}
 	c := k.pendingCap(need)
@@ -158,12 +171,13 @@ func (k *Sink) growKeys(n int) int {
 }
 
 // Append converts one chunk into the sink's pending run: key columns are
-// normalized, then payload columns scattered to the row format — both one
-// vector at a time. A column a key holds exactly is not scattered at all
-// (payloadColumns). The keys go first because what they hold decides what the
-// payload does not: a string that fits its key's prefix is held whole there,
-// and the payload keeps only its length (keyResidence). A chunk that fails
-// either step leaves the sink as it was.
+// normalized, then payload columns scattered to the row format — into the
+// payload set, or behind each key in its key row when the payload is inline —
+// both one vector at a time. A column a key holds exactly is not scattered at
+// all (payloadColumns). The keys go first because what they hold decides what
+// the payload does not: a string that fits its key's prefix is held whole
+// there, and the payload keeps only its length (keyResidence). A chunk that
+// fails either step leaves the sink as it was.
 func (k *Sink) Append(c *vector.Chunk) error {
 	if k.closed {
 		return fmt.Errorf("core: append to closed sink")
@@ -190,11 +204,22 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		k.payVecs[i] = c.Vectors[pc]
 	}
 	start := k.growKeys(n)
+	kw, rw := s.keyWidth, s.rowWidth
+	if s.inline && kw+s.layout.Width() < rw {
+		// A recycled buffer carries stale bytes in the alignment padding past
+		// an inline payload: its last word is zeroed before key and payload
+		// are written.
+		for o := start + rw - 8; o < len(k.keys); o += rw {
+			binary.LittleEndian.PutUint64(k.keys[o:], 0)
+		}
+	}
 	var st normkey.EncodeStats
 	if err == nil {
-		st, err = s.enc.EncodeChunk(k.keyCols, k.keys[start:], s.rowWidth, 0)
+		st, err = s.enc.EncodeChunk(k.keyCols, k.keys[start:], rw, 0)
 	}
-	if err == nil {
+	if err == nil && s.inline {
+		err = s.layout.ScatterRows(k.keys[start+kw:], rw, n, k.payVecs)
+	} else if err == nil {
 		k.reservePayload(n)
 		err = k.payload.AppendChunkKeyed(n, k.payVecs, k.keyResident(st))
 	}
@@ -205,16 +230,18 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		sp.End()
 		return err
 	}
-	// Behind each key goes its payload reference — run 0, the row's index in
-	// the pending set — as one store, after one that zeroes the alignment
-	// padding past it: a recycled buffer carries stale bytes there.
-	kw, rw := s.keyWidth, s.rowWidth
-	ref := uint64(k.n) << 32
-	for o := start; o < len(k.keys); o += rw {
-		keyRow := k.keys[o : o+rw : o+rw]
-		binary.LittleEndian.PutUint64(keyRow[rw-refBytes:], 0)
-		binary.LittleEndian.PutUint64(keyRow[kw:], ref)
-		ref += 1 << 32
+	if !s.inline {
+		// Behind each key goes its payload reference — run 0, the row's index
+		// in the pending set — as one store, after one that zeroes the
+		// alignment padding past it: a recycled buffer carries stale bytes
+		// there.
+		ref := uint64(k.n) << 32
+		for o := start; o < len(k.keys); o += rw {
+			keyRow := k.keys[o : o+rw : o+rw]
+			binary.LittleEndian.PutUint64(keyRow[rw-refBytes:], 0)
+			binary.LittleEndian.PutUint64(keyRow[kw:], ref)
+			ref += 1 << 32
+		}
 	}
 	k.n += n
 	k.heapRow = int64(k.payload.HeapLen() / k.n)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rowsort/internal/mem"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -124,12 +125,14 @@ func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 
 // TestHeldKeysNarrowThePayload pins the payload the keys leave: a column a
 // Bool or integer key holds, in any order and NULL placement, is stored once,
-// in the key, and the payload row holds only the other columns — 8 bytes for
-// catalog_sales on its four Int32 keys, 16 for IntKeySchema on its Int64 key,
-// none for a schema whose every column is a key — while a float or string key
-// holds no column. On disk, catalog_sales' spill files are exactly their key
-// rows and those 8-byte payload rows, with each file's header and each
-// block's, and the sort is the oracle's.
+// in the key, and the payload row holds only the other columns — a mask byte
+// and an Int32, 5 bytes, for catalog_sales on its four Int32 keys, 9 for
+// IntKeySchema on its Int64 key, both inline in their key rows, none for a
+// schema whose every column is a key — while a float or string key holds no
+// column. On disk, catalog_sales' spill files are exactly their key rows,
+// each file's header and each block's, and an empty payload set a block:
+// 200,032 bytes, where a payload reference and 8-byte payload rows took
+// 249,984. The sort is the oracle's.
 func TestHeldKeysNarrowThePayload(t *testing.T) {
 	allKeys := vector.Schema{{Name: "b", Type: vector.Bool}, {Name: "u", Type: vector.Uint8}, {Name: "i", Type: vector.Int16}, {Name: "id", Type: vector.Int32}}
 	lossy := vector.Schema{{Name: "f", Type: vector.Float32}, {Name: "d", Type: vector.Float64}, {Name: "s", Type: vector.Varchar}}
@@ -139,8 +142,8 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 		keys   []SortColumn
 		width  int
 	}{
-		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, 8},
-		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, 16},
+		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, 5},
+		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, 9},
 		{"every column a key", allKeys, []SortColumn{{Column: 3, Descending: true}, {Column: 0, NullsLast: true},
 			{Column: 2, Descending: true, NullsLast: true}, {Column: 1}}, 0},
 		{"float and string keys", lossy, []SortColumn{{Column: 0}, {Column: 1, Descending: true}, {Column: 2}}, row.NewLayout(lossy.Types()).Width()},
@@ -174,10 +177,120 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 	const fileHeader, blockHeader = 16, 20 + 4 // the file's; a block's row set header and checksum
 	want := int64(0)
 	for _, r := range s.runs {
-		want += fileHeader + int64((r.rows+999)/1000*blockHeader) + int64(r.rows*(s.rowWidth+8))
+		want += fileHeader + int64((r.rows+999)/1000*blockHeader) + int64(r.rows*s.rowWidth)
 	}
-	if got := s.Stats().SpillBytesWritten; got != want {
-		t.Errorf("catalog_sales spilled %d bytes, want %d: %d-byte key rows and 8-byte payload rows", got, want, s.rowWidth)
+	if got := s.Stats().SpillBytesWritten; got != want || got != 200_032 {
+		t.Errorf("catalog_sales spilled %d bytes, want %d: %d-byte key rows and no payload rows", got, want, s.rowWidth)
+	}
+}
+
+// TestPayloadRidesInlineWhereItFits pins NewSorter's one decision of where
+// the payload lives, and the key row's stride: inline, behind the key, when no
+// key can tie and the payload, fixed-width and packed unaligned, fits where
+// the 8-byte payload reference would go — IntKeySchema 24 bytes, catalog_sales
+// 32, an Int64 key over an Int8 16, every column a key the key alone, 16 —
+// and else in a payload set, with a reference: customer's varchar keys 40,
+// the wide row's string column 16, an Int64 key over two Int64s, which do not
+// fit, 24. An inline sort, in memory, spilled and through a merge pass, keeps
+// no payload set — no sink's, no run's — and is the oracle's.
+func TestPayloadRidesInlineWhereItFits(t *testing.T) {
+	int8Pay := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "v", Type: vector.Int8}}
+	twoInts := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64}}
+	allKeys := vector.Schema{{Name: "b", Type: vector.Bool}, {Name: "u", Type: vector.Uint8}, {Name: "i", Type: vector.Int16}, {Name: "id", Type: vector.Int32}}
+	wide := vector.Schema{{Name: "k", Type: vector.Int32}}
+	for c := 0; c < 12; c++ {
+		wide = append(wide, vector.Column{Name: "v", Type: vector.Int64})
+	}
+	wide = append(wide, vector.Column{Name: "s", Type: vector.Varchar})
+	for _, tc := range []struct {
+		name     string
+		schema   vector.Schema
+		keys     []SortColumn
+		inline   bool
+		rowWidth int
+	}{
+		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, true, 24},
+		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, true, 32},
+		{"an Int64 key over an Int8", int8Pay, []SortColumn{{Column: 0}}, true, 16},
+		{"every column a key", allKeys, []SortColumn{{Column: 3}, {Column: 0}, {Column: 2}, {Column: 1}}, true, 16},
+		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 40},
+		{"the wide row", wide, []SortColumn{{Column: 0}}, false, 16},
+		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 24},
+	} {
+		s, err := NewSorter(tc.schema, tc.keys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.inline != tc.inline || s.rowWidth != tc.rowWidth {
+			t.Errorf("%s: inline %v in %d-byte key rows, want %v in %d", tc.name, s.inline, s.rowWidth, tc.inline, tc.rowWidth)
+		}
+		s.Close()
+	}
+
+	// An Int64 key over a Float64, a Bool, both with NULLs, and the row's id,
+	// in chunks of 256 rows, cut into 25 runs by one sink: in memory, spilled
+	// as cut, and merged to disk by a budget that cannot stream them all.
+	const n = 3*vector.DefaultVectorSize + 100
+	schema := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "f", Type: vector.Float64}, {Name: "b", Type: vector.Bool}, {Name: "id", Type: vector.Int32}}
+	tbl := vector.NewTable(schema)
+	for start := 0; start < n; start += 256 {
+		count := min(256, n-start)
+		c := vector.NewChunk(schema, count)
+		for r := start; r < start+count; r++ {
+			c.Vectors[0].AppendInt64(int64(r*7919%97) - 40)
+			if r%5 == 0 {
+				c.Vectors[1].AppendNull()
+			} else {
+				c.Vectors[1].AppendFloat64(float64(r) / 4)
+			}
+			if r%3 == 0 {
+				c.Vectors[2].AppendNull()
+			} else {
+				c.Vectors[2].AppendBool(r%2 == 0)
+			}
+			c.Vectors[3].AppendInt32(int32(r))
+		}
+		tbl.Chunks = append(tbl.Chunks, c)
+	}
+	keys := []SortColumn{{Column: 0, Descending: true}}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"in memory", Options{Threads: 1, RunSize: 256}},
+		{"spilled", Options{Threads: 1, RunSize: 256, SpillDir: t.TempDir()}},
+		{"merged to disk", Options{Threads: 1, RunSize: 256, Broker: mem.NewBroker("tight", 64<<10)}},
+	} {
+		s, err := NewSorter(schema, keys, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.pinBlockRows = 100
+		k := s.NewSink()
+		if !s.inline || k.payload != nil {
+			t.Fatalf("%s: inline %v, the sink holds a payload set %v", tc.name, s.inline, k.payload != nil)
+		}
+		for _, c := range tbl.Chunks {
+			if err := k.Append(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.runs {
+			if r.payload != nil {
+				t.Errorf("%s: run %d holds a payload set", tc.name, r.id)
+			}
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if tc.opt.Broker != nil && s.Stats().MergePasses == 0 {
+			t.Errorf("%s: no merge pass", tc.name)
+		}
+		checkOracle(t, tc.name, tbl, resultChecked(t, s), keys, true)
+		s.Close()
 	}
 }
 

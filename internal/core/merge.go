@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 
@@ -45,14 +44,14 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 }
 
 // mergePlan is one merge over runs in memory, on disk or both: the runs, and
-// the tasks internal/spill's planner cuts it into.
+// the tasks internal/spill's planner cuts it into, whose bounds compare in
+// boundOrder.
 type mergePlan struct {
 	*spill.Plan
-	ids    []uint32              // the runs, in merge (tie) order
-	index  []int32               // a run id's position in ids
-	anyTie bool                  // some run needs the tie-break comparator
-	safe   int                   // width of the byte-decisive key prefix
-	cmp    mergepath.CompareFunc // the order task bounds compare in (boundOrder)
+	ids    []uint32 // the runs, in merge (tie) order
+	index  []int32  // a run id's position in ids
+	anyTie bool     // some run needs the tie-break comparator
+	safe   int      // width of the byte-decisive key prefix
 }
 
 // drainTaskFences is the fences a task of the drain begins: as many as make
@@ -83,41 +82,31 @@ func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 	if p.anyTie {
 		p.safe = s.enc.DecisiveWidth()
 	}
-	p.cmp = s.boundOrder(p, disk)
 	taskFences := drainTaskFences
 	if single {
 		taskFences = 0
 	}
-	p.Plan = spill.PlanTasks(files, resident, p.cmp, taskFences)
+	p.Plan = spill.PlanTasks(files, resident, s.spillBlockRows(), s.boundOrder(p, disk), taskFences)
 	return p
 }
 
 // boundOrder returns the order p's task bounds compare in: the merge's whole
 // order — the key, then the run's place in the merge, then the row's place in
-// its run, both read off the row's payload reference. It is total, and every
-// run, block and fence list is sorted under it, so a bound row's LowerBound in
-// a run is its Merge Path rank there, and rows of equal keys are split
-// between tasks where the stable merge would. The tie comparator, though,
-// reads a row's payload, which a fence of a run on disk does not have at
-// hand: a plan whose keys may tie and that has a run on disk compares the
-// byte-decisive prefix alone, so rows tying on it stay in one task.
-func (s *Sorter) boundOrder(p *mergePlan, disk bool) mergepath.CompareFunc {
+// its run, both taken from where the row sits (spill.Order's Total). Every
+// row is distinct under it, and every run, block and fence list is sorted
+// under it, so a bound row's rank in a run is its Merge Path rank there, and
+// rows of equal keys are split between tasks where the stable merge would.
+// The tie comparator, though, reads a row's payload, which a fence of a run
+// on disk does not have at hand: a plan whose keys may tie and that has a run
+// on disk compares the byte-decisive prefix alone, so rows tying on it stay
+// in one task.
+func (s *Sorter) boundOrder(p *mergePlan, disk bool) spill.Order {
 	if p.anyTie && disk {
 		safe := p.safe
-		return func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }
+		return spill.Order{Key: func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }}
 	}
 	_, key := s.mergeOrder(p.anyTie, s.residentPayload)
-	return func(a, b []byte) int {
-		if c := key(a, b); c != 0 {
-			return c
-		}
-		ra, ia := s.getRef(a)
-		rb, ib := s.getRef(b)
-		if c := cmp.Compare(p.index[ra], p.index[rb]); c != 0 {
-			return c
-		}
-		return cmp.Compare(ia, ib)
-	}
+	return spill.Order{Key: key, Total: true}
 }
 
 // residentPayload resolves a key row's payload reference against the
@@ -157,7 +146,7 @@ type extMerge struct {
 	ow  *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
 	tie mergepath.CompareFunc
 
-	lo, hi  []byte // the range being merged, under the plan's bound order; nil is open
+	lo, hi  spill.Bound // the range being merged, under the plan's bound order; a nil Key is open
 	cur     []extCursor
 	m       *mergepath.Merger
 	sets    []*row.RowSet    // gather sources; the first len(cur) are the runs' current blocks at the last settle
@@ -203,7 +192,7 @@ func (e *extMerge) open(t int) error {
 		c, r := &e.cur[i], s.runs[p.ids[i]]
 		var keys []byte
 		if r.spill == nil {
-			from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, e.lo, e.hi, p.cmp)
+			from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.rowWidth}, i, 0, e.lo, e.hi)
 			*c = extCursor{payload: r.payload, pad: uint32(from)}
 			keys = r.keys[from*s.rowWidth : to*s.rowWidth]
 		} else {
@@ -238,7 +227,7 @@ func (e *extMerge) load(i int) ([]byte, error) {
 			}
 			return nil, err
 		}
-		from, to := keyRange(mergepath.Run{Data: b.Keys, Width: rw}, e.lo, e.hi, e.p.cmp)
+		from, to := e.p.Range(mergepath.Run{Data: b.Keys, Width: rw}, i, b.Start, e.lo, e.hi)
 		if from < to {
 			c.payload, c.start, c.pad = b.Payload, b.Start, uint32(from)
 			return b.Keys[from*rw : to*rw], nil
@@ -247,20 +236,6 @@ func (e *extMerge) load(i int) ([]byte, error) {
 	}
 	c.payload = nil
 	return nil, nil
-}
-
-// keyRange returns the rows [from, to) of sorted keys in the range [lo, hi)
-// under cmp, a plan's bound order; a nil bound is open. Only a task's first
-// and last block of a run can hold a row outside its range.
-func keyRange(keys mergepath.Run, lo, hi []byte, cmp mergepath.CompareFunc) (from, to int) {
-	to = keys.Len()
-	if lo != nil {
-		from = mergepath.LowerBound(keys, lo, cmp)
-	}
-	if hi != nil {
-		to = mergepath.LowerBound(keys, hi, cmp)
-	}
-	return from, to
 }
 
 // refill is the loser tree's callback: run r's block has run out. The block
@@ -368,10 +343,11 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 }
 
 // mergeRunsToSpill streams one intermediate merge pass over the given runs
-// directly into a new spilled run (refs rewritten to the merged run),
-// registers it — Finalize already holds s.mu, so no locking — and releases
-// the consumed inputs, whose files the pass's block stage deleted as it
-// finished with them. Resident memory is the stage's blocks plus one output
+// directly into a new spilled run (payload references, where the key rows
+// carry them, rewritten to the merged run; an inline payload moves with its
+// key row), registers it — Finalize already holds s.mu, so no locking — and
+// releases the consumed inputs, whose files the pass's block stage deleted as
+// it finished with them. Resident memory is the stage's blocks plus one output
 // block. Each pass is one PhaseMergePass span and is counted in SortStats
 // (passes, input runs, bytes rewritten).
 func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) {
@@ -429,7 +405,9 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 		if !ok {
 			break
 		}
-		s.putRef(w.Add(keyRow, slot, idx), merged.id, outPos)
+		if dst := w.Add(keyRow, slot, idx); !s.inline {
+			s.putRef(dst, merged.id, outPos)
+		}
 		if w.Room() == 0 {
 			if err := flush(); err != nil {
 				return 0, err
@@ -495,7 +473,7 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 				first, end := p.Span(i, lo, hi)
 				rows += (end - first) * blockRows
 			} else {
-				from, to := keyRange(mergepath.Run{Data: r.keys, Width: s.rowWidth}, lo, hi, p.cmp)
+				from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.rowWidth}, i, 0, lo, hi)
 				rows += to - from
 			}
 		}
@@ -513,11 +491,15 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 // outputRowBytes is what a drain's output chunk holds for one row of runs on
 // disk that hold diskRows rows in diskBytes bytes: what a row there holds, on
 // average, less its key row, with a string's 16-byte header where the row
-// format has an 8-byte reference; for a column whose strings may be left in
-// the keys, the key segment's bytes; and for a column a key holds, its vector
-// slot — the output holds both, the payload on disk neither.
+// format has an 8-byte reference; an inline payload's bytes, which the key
+// row held; for a column whose strings may be left in the keys, the key
+// segment's bytes; and for a column a key holds, its vector slot — the output
+// holds both, the payload on disk neither.
 func (s *Sorter) outputRowBytes(diskBytes int64, diskRows int) int64 {
 	rowBytes := (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.rowWidth)
+	if s.inline {
+		rowBytes += int64(s.layout.Width())
+	}
 	for c, t := range s.layout.Types() {
 		if t == vector.Varchar {
 			rowBytes += 8

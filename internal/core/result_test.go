@@ -68,7 +68,8 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 // comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
 // one key array, then a value-at-a-time gather through RowSet.AppendTo (no
 // typed kernels; a string left in its key read through StringIn) of the
-// payload's columns, and of a column a key holds, Encoder.DecodeValue of the
+// payload's columns — through Layout.AppendValue of the key row, for an
+// inline payload — and of a column a key holds, Encoder.DecodeValue of the
 // key row. A sort with a run on disk has only the streaming iterator to offer.
 func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
@@ -104,6 +105,10 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 						t.Fatal(err)
 					}
 					appendAny(chunk.Vectors[c], v)
+					continue
+				}
+				if s.inline {
+					s.layout.AppendValue(chunk.Vectors[c], keyRow[s.keyWidth:], s.payCol[c])
 					continue
 				}
 				runID, idx := s.getRef(keyRow)

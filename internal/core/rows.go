@@ -188,7 +188,7 @@ type drainTask struct {
 	em          *extMerge         // the claimant's merge
 	m           *mergepath.Merger // em's loser tree on the task, until its counters are folded in
 	which, idxs []uint32          // one chunk's payload references
-	keys        [][]byte          // and its key rows, where they hold values the payload does not; else nil
+	keys        [][]byte          // and its key rows, where they hold values the payload set does not; else nil
 	g           *row.Gather       // the gather of its rows
 	index       int               // task index
 	open        bool              // on a task that has not ended
@@ -232,7 +232,7 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
 	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
 		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
-	if d.s.keySegs != nil || len(d.s.payCols) < len(d.s.schema) {
+	if d.s.inline || d.s.keySegs != nil || len(d.s.payCols) < len(d.s.schema) {
 		t.keys = make([][]byte, vector.DefaultVectorSize)
 		t.g.SetKeySegments(d.s.keySegs)
 	}
@@ -345,9 +345,9 @@ func (d *rowsDrain) retire(t *drainTask) {
 }
 
 // nextChunk produces the next chunk of t's task: merge the chunk's payload
-// references out of the key rows, then gather them, and decode the columns
-// the keys hold from the key rows. A nil chunk is the task's end; the chunk
-// before it may be short.
+// references out of the key rows, then gather them — or the inline payload
+// behind each key — and decode the columns the keys hold from the key rows. A
+// nil chunk is the task's end; the chunk before it may be short.
 func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	s := d.s
 	sp := t.ow.Begin(obs.PhaseMerge)
@@ -366,7 +366,11 @@ func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	if keys != nil {
 		keys = keys[:count]
 	}
-	t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count], keys)
+	if s.inline {
+		t.g.Inline(keys, s.keyWidth)
+	} else {
+		t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count], keys)
+	}
 	chunk := &vector.Chunk{Vectors: s.outputVectors(t.g.Vectors(), keys)}
 	s.countGathered(count)
 	sp.End()
@@ -480,7 +484,8 @@ func (s *Sorter) outputVectors(payload []*vector.Vector, keys [][]byte) []*vecto
 }
 
 // countGathered publishes n rows materialized into an output chunk: the
-// payload's bytes, which the decoded columns do not add to.
+// payload's bytes — an inline payload's unaligned width — which the decoded
+// columns do not add to.
 func (s *Sorter) countGathered(n int) {
 	s.ctr.Add(obs.RowsGathered, int64(n))
 	s.ctr.Add(obs.GatherBytes, int64(n)*int64(s.layout.Width()))

@@ -323,8 +323,8 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 func leadingRows(s *Sorter, p *mergePlan, n int) int64 {
 	_, hi := p.Bound(min(n, p.Tasks()) - 1)
 	rows := 0
-	for _, id := range p.ids {
-		_, to := keyRange(mergepath.Run{Data: s.runs[id].keys, Width: s.rowWidth}, nil, hi, p.cmp)
+	for i, id := range p.ids {
+		_, to := p.Range(mergepath.Run{Data: s.runs[id].keys, Width: s.rowWidth}, i, 0, spill.Bound{}, hi)
 		rows += to
 	}
 	return int64(rows)

@@ -20,14 +20,15 @@ import (
 // many rows — and the pools that recycle a run's buffers.
 
 // sortedRun is one thread-local sorted run: sorted key rows plus the
-// payload physically reordered to match (so scans read it sequentially).
+// payload physically reordered to match (so scans read it sequentially), or
+// only the key rows, when they carry the payload inline.
 type sortedRun struct {
 	id       uint32
 	keys     []byte
-	payload  *row.RowSet
-	rows     int  // row count, valid even after the buffers move to disk
-	tieBreak bool // some string may exceed its prefix (or embed NUL)
-	spilling bool // claimed by a spiller (guarded by Sorter.mu)
+	payload  *row.RowSet // nil for an inline payload
+	rows     int         // row count, valid even after the buffers move to disk
+	tieBreak bool        // some string may exceed its prefix (or embed NUL)
+	spilling bool        // claimed by a spiller (guarded by Sorter.mu)
 	spill    *spill.File
 }
 
@@ -50,10 +51,10 @@ func (k *Sink) flush() error {
 	k.sortRun(keys, dec.Algo, tb, func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
 
 	// Register the run id first (so merge order is stable), then physically
-	// reorder the payload to the sorted order and point the key refs at the
-	// new positions. The buffers are published under s.mu only once they
-	// are final: concurrent pressure spillers scan s.runs and must never
-	// observe a half-built run.
+	// reorder the payload to the sorted order — an inline one is there
+	// already. The buffers are published under s.mu only once they are
+	// final: concurrent pressure spillers scan s.runs and must never observe
+	// a half-built run.
 	s.mu.Lock()
 	runID := uint32(len(s.runs))
 	run := &sortedRun{id: runID, tieBreak: tb, rows: n}
@@ -62,6 +63,28 @@ func (k *Sink) flush() error {
 	s.ctr.Decide(dec) // under mu: the log is in run-id order
 	s.mu.Unlock()
 
+	var sorted *row.RowSet
+	if !s.inline {
+		sorted = k.reorder(keys, payload, n, runID)
+	}
+	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
+	s.mu.Lock()
+	run.keys = keys
+	run.payload = sorted
+	s.mu.Unlock()
+	sp.End()
+
+	s.ctr.Add(obs.RunsGenerated, 1)
+	s.ctr.Add(obs.RowsSorted, int64(n))
+	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.keyWidth))
+	return s.placeRun(run, withinBudget, k.ow)
+}
+
+// reorder moves the cut payload rows into a new set in the order of the
+// sorted key rows, which name them by their payload references, and points
+// the references at the rows' places in run runID.
+func (k *Sink) reorder(keys []byte, payload *row.RowSet, n int, runID uint32) *row.RowSet {
+	s := k.s
 	if cap(k.idxs) < n {
 		k.idxs = make([]uint32, max(n, cap(keys)/s.rowWidth))
 	}
@@ -79,17 +102,7 @@ func (k *Sink) flush() error {
 	sorted.AppendPermuted(payload, idxs)
 	payload.Reset() // the sink's own set: the next run fills it
 	k.account()
-	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
-	s.mu.Lock()
-	run.keys = keys
-	run.payload = sorted
-	s.mu.Unlock()
-	sp.End()
-
-	s.ctr.Add(obs.RunsGenerated, 1)
-	s.ctr.Add(obs.RowsSorted, int64(n))
-	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.keyWidth))
-	return s.placeRun(run, withinBudget, k.ow)
+	return sorted
 }
 
 // cut detaches the pending rows from the sink, which goes on with an empty
@@ -251,9 +264,10 @@ func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) err
 	return nil
 }
 
-// spillFormat is the shape of this sort's rows, as its spill files hold them.
+// spillFormat is the shape of this sort's rows, as its spill files hold them:
+// an inline payload is in the key rows, and the blocks' payload of no column.
 func (s *Sorter) spillFormat() spill.Format {
-	return spill.Format{RowWidth: s.rowWidth, Layout: s.layout}
+	return spill.Format{RowWidth: s.rowWidth, Layout: s.setLayout}
 }
 
 // spillBlockRows is the rows of every block of every spill file of this
@@ -404,7 +418,7 @@ func (s *Sorter) getRowSet() *row.RowSet {
 	if rs := s.sets.Get(); rs != nil {
 		return rs
 	}
-	return row.NewRowSet(s.layout)
+	return row.NewRowSet(s.setLayout)
 }
 
 // putRowSet recycles a payload row set whose contents are dead.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rowsort/internal/mem"
@@ -33,18 +34,24 @@ type Sorter struct {
 	// The key shape, fixed by NewSorter: read without s.mu.
 	enc      *normkey.Encoder
 	keyWidth int // normalized key bytes per row
-	rowWidth int // key row stride: keyWidth + 8-byte payload ref, 8-aligned
+	rowWidth int // key row stride, 8-aligned: the key and its payload reference, or its inline payload (see payloadLayout)
 
 	// The payload, fixed by NewSorter (see payloadColumns): a value some key
 	// holds exactly is stored once, in that key. held[c] is the key that holds
 	// schema column c, -1 for a column the payload holds; payCols are those
 	// columns, in schema order, and payCol[c] is column c's place among them
 	// (-1 for a held one). layout is the payload's row layout, of payCols'
-	// types alone — no columns at all when the keys hold every one.
-	held    []int
-	payCols []int
-	payCol  []int
-	layout  *row.Layout
+	// types alone — no columns at all when the keys hold every one. An inline
+	// payload rides in its key row, right behind the key: no payload set, no
+	// reference, no reorder. setLayout is the layout of the payload's row
+	// sets: layout, or for an inline payload one of no columns — the empty
+	// payload of its spill blocks.
+	held      []int
+	payCols   []int
+	payCol    []int
+	layout    *row.Layout
+	inline    bool
+	setLayout *row.Layout
 
 	// Strings a key holds whole are stored once, in the key (see keyResidence):
 	// strKey[c] is the key whose segment can hold payload column c's strings,
@@ -139,13 +146,16 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		keyWidth: enc.Width(),
 		rec:      opt.Telemetry,
 	}
-	s.rowWidth = (s.keyWidth + refBytes + 7) &^ 7
 	s.held, s.payCols, s.payCol = payloadColumns(enc, len(schema))
 	types := make([]vector.Type, len(s.payCols))
 	for i, c := range s.payCols {
 		types[i] = schema[c].Type
 	}
-	s.layout = row.NewLayout(types)
+	s.layout, s.inline, s.rowWidth = payloadLayout(enc, types)
+	s.setLayout = s.layout
+	if s.inline {
+		s.setLayout = row.NewLayout(nil)
+	}
 	s.strKey, s.keySegs = keyResidence(enc, s.payCol, len(s.payCols))
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
@@ -157,7 +167,7 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.runRes = s.broker.Reserve("runs", 0)
 	s.poolRes = s.broker.Reserve("pools", 0)
 	s.keyBufs = row.NewBufPool(s.poolRes)
-	s.sets = row.NewSetPool(s.layout, s.poolRes)
+	s.sets = row.NewSetPool(s.setLayout, s.poolRes)
 	s.planIngest()
 	s.ctr = obs.NewBlock(s.broker)
 	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
@@ -191,6 +201,25 @@ func payloadColumns(enc *normkey.Encoder, cols int) (held, payCols, payCol []int
 		}
 	}
 	return held, payCols, payCol
+}
+
+// payloadLayout decides, once for the sort, where the payload of types lives,
+// and returns its row layout and the key row's stride. By default a key row
+// is the key and an 8-byte payload reference, 8-aligned, and the payload rows
+// live in row sets of the aligned layout. A payload rides inline — its mask
+// and values packed unaligned behind the key, in a key row no wider than the
+// reference would make it — when no key can tie, so the comparator never
+// looks for a payload, and it has no string, which would want a heap: the
+// stride is then the key and the payload, 8-aligned (the key alone, when the
+// keys hold every column).
+func payloadLayout(enc *normkey.Encoder, types []vector.Type) (layout *row.Layout, inline bool, rowWidth int) {
+	kw := enc.Width()
+	rowWidth = (kw + refBytes + 7) &^ 7
+	packed := row.NewLayoutAligned(types, 1)
+	if enc.TiesPossible() || slices.Contains(types, vector.Varchar) || kw+packed.Width() > rowWidth {
+		return row.NewLayout(types), false, rowWidth
+	}
+	return packed, true, (kw + packed.Width() + 7) &^ 7
 }
 
 // keyResidence picks, for each payload column, the key whose segment can hold
@@ -237,8 +266,9 @@ func (s *Sorter) keySegment(keyRow []byte, c int) []byte {
 // denominator before ingestion finishes. Optional; harmless to skip.
 func (s *Sorter) SetExpectedRows(n int64) { s.ctr.Store(obs.RowsExpected, n) }
 
-// refBytes is the payload reference appended to every key row: the run id
-// and the row index within the run's payload.
+// refBytes is the payload reference behind the key of a key row whose
+// payload is not inline: the run id and the row index within the run's
+// payload. The tie comparator's lookup is its one reader.
 const refBytes = 8
 
 // putRef stores the payload reference behind the key bytes. The reference

@@ -11,6 +11,7 @@ import (
 
 	"rowsort/internal/mem"
 	"rowsort/internal/obs"
+	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
 )
@@ -357,7 +358,7 @@ func TestSpilledRowsMergesLazily(t *testing.T) {
 		_, hi := plan.Bound(min(window, plan.Tasks()) - 1)
 		spanned := 0
 		for i := range plan.ids {
-			first, end := plan.Span(i, nil, hi)
+			first, end := plan.Span(i, spill.Bound{}, hi)
 			spanned += end - first
 		}
 		claimants := min(threads, plan.Tasks())

@@ -20,8 +20,11 @@ import (
 // its names on the heap ("customer"), and with them left in the keys of a
 // sort on them ("customer-inkey": every name fits the 12-byte prefix, so the
 // sorter stores none on the heap and its drain gathers them from the key
-// rows). Each round moves one run of benchRunRows rows; the time is reported
-// per row.
+// rows). The int row is also timed as the sorter lays out mem-uniform-int's
+// payload: v alone, a mask byte and 8 bytes unaligned, riding inline behind
+// a 9-byte key in 24-byte key rows ("int-inline": scattered into the key
+// rows, gathered from them in the merge's order). Each round moves one run of
+// benchRunRows rows; the time is reported per row.
 
 const (
 	benchRunRows = 1 << 17
@@ -80,6 +83,43 @@ type benchShape struct {
 	inKey   [][]int
 	segs    []int
 	refKeys [][]byte
+}
+
+// inlineKeyWidth and inlineRowWidth are mem-uniform-int's key row: a 9-byte
+// Int64 key and, behind it, its v column riding inline.
+const inlineKeyWidth, inlineRowWidth = 9, 24
+
+// inlineShape is the int shape's v column laid out inline: keyRows, the
+// run's key rows with v behind each 9-byte key (which stays zero), and refs,
+// those key rows in the order of the int shape's merged references.
+type inlineShape struct {
+	layout  *Layout
+	table   *vector.Table
+	keyRows []byte
+	refs    [][]byte
+}
+
+// scatter writes the shape's v column behind the keys of keyRows.
+func (in *inlineShape) scatter(b *testing.B, keyRows []byte) {
+	for i, c := range in.table.Chunks {
+		at := i * benchChunk * inlineRowWidth
+		if err := in.layout.ScatterRows(keyRows[at+inlineKeyWidth:], inlineRowWidth, c.Len(), c.Vectors[1:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newInlineShape lays out sh, the int shape, inline.
+func newInlineShape(b *testing.B, sh *benchShape) *inlineShape {
+	in := &inlineShape{layout: NewLayoutAligned([]vector.Type{vector.Int64}, 1), table: sh.table,
+		keyRows: make([]byte, benchRunRows*inlineRowWidth)}
+	in.scatter(b, in.keyRows)
+	per := len(sh.table.Chunks) / benchRuns * benchChunk
+	for o, r := range sh.which {
+		at := (int(r)*per + int(sh.idxs[o])) * inlineRowWidth
+		in.refs = append(in.refs, in.keyRows[at:at+inlineRowWidth])
+	}
+	return in
 }
 
 func benchShapes(b *testing.B) []*benchShape {
@@ -191,9 +231,20 @@ func perRow(b *testing.B) {
 }
 
 // BenchmarkScatter times AppendChunk over a run's chunks into a set reserved
-// once and emptied between rounds, as a sink's pending set is.
+// once and emptied between rounds, as a sink's pending set is, and ScatterRows
+// of the int shape's v into key rows ("int-inline").
 func BenchmarkScatter(b *testing.B) {
-	for _, sh := range benchShapes(b) {
+	shapes := benchShapes(b)
+	b.Run("int-inline", func(b *testing.B) {
+		in := newInlineShape(b, shapes[len(shapes)-1])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in.scatter(b, in.keyRows)
+		}
+		perRow(b)
+	})
+	for _, sh := range shapes {
 		b.Run(sh.name, func(b *testing.B) {
 			rs := NewRowSet(sh.run.Layout())
 			rs.Reserve(sh.run.Len())
@@ -216,9 +267,25 @@ func BenchmarkScatter(b *testing.B) {
 // BenchmarkGather times Gather in its three shapes, a chunk at a time: a
 // sequential scan of the run, its rows in a random order, and references
 // merged from benchRuns runs (the drain's shape). A shape with strings left
-// in its keys has only the last: the drain's, which has the key rows.
+// in its keys has only the last: the drain's, which has the key rows. The int
+// shape laid out inline is gathered from its key rows, in the order of the
+// same merged references (the drain's shape for an inline payload).
 func BenchmarkGather(b *testing.B) {
-	for _, sh := range benchShapes(b) {
+	shapes := benchShapes(b)
+	b.Run("int-inline/inline", func(b *testing.B) {
+		in := newInlineShape(b, shapes[len(shapes)-1])
+		g := NewGather(in.layout)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for at := 0; at < benchRunRows; at += benchChunk {
+				g.Inline(in.refs[at:at+benchChunk], inlineKeyWidth)
+				g.Vectors()
+			}
+		}
+		perRow(b)
+	})
+	for _, sh := range shapes {
 		g := NewGather(sh.run.Layout())
 		g.SetKeySegments(sh.segs)
 		refKeys := func(at, n int) [][]byte {

@@ -2,6 +2,7 @@ package row
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"rowsort/internal/vector"
@@ -14,8 +15,16 @@ import (
 // scalar-vs-vectorized ablation is measured) against. A string left in its
 // key is not here to read: AppendTo panics on one (see StringIn).
 func (rs *RowSet) AppendTo(v *vector.Vector, i, c int) {
-	l := rs.layout
-	rowb := rs.Row(i)
+	if rs.layout.types[c] == vector.Varchar && rs.Valid(i, c) {
+		v.AppendString(rs.String(i, c))
+		return
+	}
+	rs.layout.AppendValue(v, rs.Row(i), c)
+}
+
+// AppendValue is AppendTo of rowb, a row of the layout wherever it lies (a
+// payload riding behind its key, say), whose column c is NULL or fixed-width.
+func (l *Layout) AppendValue(v *vector.Vector, rowb []byte, c int) {
 	if !l.valid(rowb, c) {
 		v.AppendNull()
 		return
@@ -44,8 +53,8 @@ func (rs *RowSet) AppendTo(v *vector.Vector, i, c int) {
 		v.AppendFloat32(math.Float32frombits(binary.LittleEndian.Uint32(rowb[off:])))
 	case vector.Float64:
 		v.AppendFloat64(math.Float64frombits(binary.LittleEndian.Uint64(rowb[off:])))
-	case vector.Varchar:
-		v.AppendString(rs.String(i, c))
+	default:
+		panic(fmt.Sprintf("row: AppendValue of a %v column", l.types[c]))
 	}
 }
 

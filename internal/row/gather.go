@@ -16,10 +16,12 @@ import (
 
 // Gather converts rows back to vectors, a chunk at a time. A chunk's rows are
 // first resolved — each output row's bytes found once, wherever they are — in
-// one of three shapes: a contiguous range of one set (Range), an index list
-// into one set (Index: a sorted run's payload), or (set, index) references
-// across sets sharing a layout (Refs: a merge's output). Resolving also ANDs
-// the rows' masks, so the gather knows exactly which columns hold a NULL.
+// one of four shapes: a contiguous range of one set (Range), an index list
+// into one set (Index: a sorted run's payload), (set, index) references
+// across sets sharing a layout (Refs: a merge's output), or rows riding
+// behind their keys in key rows (Inline: a merge's output whose payload is
+// in its key rows). Resolving also ANDs the rows' masks, so the gather knows
+// exactly which columns hold a NULL.
 // Vectors then converts each column with one typed loop over the resolved
 // rows, and tests validity only in those columns. A string left in its row's
 // key (KeyResident) is read from the key row Refs is given beside the row, at
@@ -79,6 +81,17 @@ func (g *Gather) Refs(sets []*RowSet, which, idxs []uint32, keys [][]byte) {
 		rows[o], heaps[o] = src.data[at:at+w:at+w], src.heap
 	}
 	g.keys = keys
+	g.scanMasks()
+}
+
+// Inline resolves rows that ride in key rows: the row of keys[o] is
+// keys[o][off:], of the gather's layout, which has no string column.
+func (g *Gather) Inline(keys [][]byte, off int) {
+	w := g.layout.width
+	rows, heaps := g.resolve(len(keys))
+	for o, k := range keys {
+		rows[o], heaps[o] = k[off:off+w:off+w], nil
+	}
 	g.scanMasks()
 }
 
@@ -282,6 +295,9 @@ func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
 // the heap bytes the strings take; -1 has them summed.
 func (rs *RowSet) reorder(srcs []*RowSet, which, idxs []uint32, room int) {
 	rows := rs.extendRows(len(idxs))
+	if rs.layout.width == 0 {
+		return // rows of no bytes: the sources need not even exist
+	}
 	copyRows(rows, rs.layout.width, srcs, which, idxs)
 	rs.moveStrings(rows, srcs, which, room)
 }

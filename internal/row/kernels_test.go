@@ -592,6 +592,81 @@ func TestRowKernelsMatchReference(t *testing.T) {
 	t.Logf("%d cells", cells)
 }
 
+// TestInlineRowsMatchRowSet runs the kernels of a payload riding inline —
+// ScatterRows into key rows, Gather.Inline from them, AppendValue of one —
+// against a set of the same packed layout, over fixed-width type × layout ×
+// NULL layout. The key rows start poisoned, as a recycled buffer does: every
+// byte of a row's payload must be written as AppendChunk writes it, and no
+// byte around it — the key before it, the padding after — touched. A layout
+// with a string column, or vectors that do not match it, are refused.
+func TestInlineRowsMatchRowSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const n, kw = 150, 9
+	for _, typ := range allTypes {
+		if typ == vector.Varchar {
+			continue
+		}
+		for _, types := range [][]vector.Type{{typ}, {vector.Bool, typ, vector.Int8}, {vector.Int8, typ, vector.Float64, vector.Int32}} {
+			l := NewLayoutAligned(types, 1)
+			w := l.Width()
+			stride := (kw + w + 7) &^ 7
+			for _, shape := range nullShapes {
+				ctx := fmt.Sprintf("%v in %v nulls=%s", typ, types, shape)
+				chunk := kernelChunk(types, n, shape, rng)
+				keyRows := bytes.Repeat([]byte{0xEE}, n*stride)
+				if err := l.ScatterRows(keyRows[kw:], stride, n, chunk); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				want := NewRowSet(l)
+				if err := want.AppendChunk(chunk); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				rows := make([][]byte, n)
+				for r := range rows {
+					row := keyRows[r*stride : (r+1)*stride]
+					if !bytes.Equal(row[kw:kw+w], want.Row(r)) {
+						t.Fatalf("%s: row %d:\n got %x\nwant %x", ctx, r, row[kw:kw+w], want.Row(r))
+					}
+					if bytes.Count(row[:kw], []byte{0xEE}) != kw || bytes.Count(row[kw+w:], []byte{0xEE}) != stride-kw-w {
+						t.Fatalf("%s: row %d: the bytes around the payload were written: %x", ctx, r, row)
+					}
+					rows[r] = row
+				}
+				idxs, refs := make([]uint32, n), make([][]byte, n)
+				for o, p := range rng.Perm(n) {
+					idxs[o], refs[o] = uint32(p), rows[p]
+				}
+				g := NewGather(l)
+				g.Inline(refs, kw)
+				sameVectors(t, ctx+": Inline", g.Vectors(), refGather(l, []*RowSet{want}, nil, idxs, nil, nil))
+				for c, typ := range types {
+					got, ref := vector.New(typ, n), vector.New(typ, n)
+					for r := range rows {
+						l.AppendValue(got, rows[r][kw:], c)
+						want.AppendTo(ref, r, c)
+					}
+					sameVectors(t, ctx+": AppendValue", []*vector.Vector{got}, []*vector.Vector{ref})
+				}
+			}
+		}
+	}
+	l := NewLayoutAligned([]vector.Type{vector.Int64}, 1)
+	buf := make([]byte, 3*16)
+	for name, vecs := range map[string][]*vector.Vector{
+		"a vector of the wrong type": kernelChunk([]vector.Type{vector.Int32}, 3, "none", rng),
+		"a short vector":             kernelChunk([]vector.Type{vector.Int64}, 2, "none", rng),
+		"no vector":                  nil,
+	} {
+		if err := l.ScatterRows(buf, 16, 3, vecs); err == nil {
+			t.Errorf("ScatterRows took %s", name)
+		}
+	}
+	strs := NewLayoutAligned([]vector.Type{vector.Varchar}, 1)
+	if err := strs.ScatterRows(buf, 16, 3, kernelChunk([]vector.Type{vector.Varchar}, 3, "none", rng)); err == nil {
+		t.Error("ScatterRows took a string column")
+	}
+}
+
 // pinTables returns the two benchmark payload shapes, n rows each: the wide
 // row, with no NULL, and the customer row, with NULLs in three columns and
 // two varchar columns.

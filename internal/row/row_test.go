@@ -276,9 +276,10 @@ func TestAppendChunkErrors(t *testing.T) {
 
 // TestRowsOfNoColumns pins a layout of no columns — a sort whose keys hold
 // every column — as rows of no bytes that are still counted: the scatter
-// appends as many as it is told, the two reorders as many as they are named,
-// a gather resolves them into no vectors, and a set of them serializes and
-// views back with its count.
+// appends as many as it is told, the two reorders as many as they are named —
+// out of sets that need not exist, as an inline payload's spill blocks name
+// theirs — a gather resolves them into no vectors, and a set of them
+// serializes and views back with its count.
 func TestRowsOfNoColumns(t *testing.T) {
 	l := NewLayout(nil)
 	if l.Width() != 0 || l.NumColumns() != 0 {
@@ -302,6 +303,11 @@ func TestRowsOfNoColumns(t *testing.T) {
 	gathered.AppendRowsGather([]*RowSet{rs}, nil, idxs[:2])
 	if permuted.Len() != 5 || gathered.Len() != 7 {
 		t.Fatalf("reorders of 5 and 7 rows made %d and %d", permuted.Len(), gathered.Len())
+	}
+	absent := NewRowSet(l)
+	absent.AppendRowsGather([]*RowSet{nil, nil}, which, idxs)
+	if absent.Len() != 5 {
+		t.Fatalf("a reorder of 5 rows out of no set made %d", absent.Len())
 	}
 	g := NewGather(l)
 	g.Refs([]*RowSet{rs, permuted}, which, idxs, nil)

@@ -44,10 +44,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // that does not match its checksum.
 var ErrCorrupt = errors.New("corrupt spill file")
 
-// Format is the shape of the rows in a sort's spill files.
+// Format is the shape of the rows in a sort's spill files. A payload that
+// rides inline in its key rows is written with them, and its blocks' payload
+// sets have a layout of no column.
 type Format struct {
-	RowWidth int         // key row stride: the key, the payload reference, padding
-	Layout   *row.Layout // payload rows
+	RowWidth int         // key row stride: the key, then its payload reference or inline payload, padding
+	Layout   *row.Layout // payload set rows
 }
 
 // File is a run on disk: its name and the block index recorded while it was

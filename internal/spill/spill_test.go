@@ -2,7 +2,6 @@ package spill
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -121,7 +120,7 @@ func TestFileFormat(t *testing.T) {
 	}
 
 	// Read it back, without read-ahead: every block on demand.
-	st, err := d.NewStage(PlanTasks([]*File{f}, nil, byKey, 0), nil, 0, 1)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,20 +316,14 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 
 // byKey orders test key rows by their key bytes alone: an order under which
 // equal keys tie.
-func byKey(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }
+var byKey = Order{Key: func(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }}
 
-// wholeOrder is byKey, then the run and the row the payload reference names:
-// the merge's whole order over testRun's rows (run ids in merge order), under
-// which no two rows tie.
-func wholeOrder(a, b []byte) int {
-	if c := byKey(a, b); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(binary.LittleEndian.Uint32(a[9:]), binary.LittleEndian.Uint32(b[9:])); c != 0 {
-		return c
-	}
-	return cmp.Compare(binary.LittleEndian.Uint32(a[13:]), binary.LittleEndian.Uint32(b[13:]))
-}
+// wholeOrder is byKey, then a row's place in the merge: the merge's whole
+// order, under which no two rows tie.
+var wholeOrder = Order{Key: byKey.Key, Total: true}
+
+// sameBound reports whether two bounds are the same row.
+func sameBound(a, b Bound) bool { return bytes.Equal(a.Key, b.Key) && a.Run == b.Run && a.Row == b.Row }
 
 // fence returns the first key row of block ref.
 func (p *Plan) fence(ref BlockRef) []byte { return p.files[ref.Run].fence(int(ref.Blk)) }
@@ -349,12 +342,12 @@ func TestPlanTasks(t *testing.T) {
 		keys, payload := testRun(uint32(id), 640, func(i int) uint64 { return uint64(3*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64))
 	}
-	p := PlanTasks(files, nil, byKey, 4)
-	if len(p.order) != 30 || p.Tasks() < 5 {
-		t.Fatalf("%d blocks forecast, %d tasks", len(p.order), p.Tasks())
+	p := PlanTasks(files, nil, 0, byKey, 4)
+	if len(p.forecast) != 30 || p.Tasks() < 5 {
+		t.Fatalf("%d blocks forecast, %d tasks", len(p.forecast), p.Tasks())
 	}
-	for i := 1; i < len(p.order); i++ {
-		if byKey(p.fence(p.order[i-1]), p.fence(p.order[i])) > 0 {
+	for i := 1; i < len(p.forecast); i++ {
+		if byKey.Key(p.fence(p.forecast[i-1]), p.fence(p.forecast[i])) > 0 {
 			t.Fatalf("forecast position %d is below its predecessor", i)
 		}
 	}
@@ -364,15 +357,15 @@ func TestPlanTasks(t *testing.T) {
 	}
 	for task := 0; task < p.Tasks(); task++ {
 		lo, hi := p.Bound(task)
-		if lo != nil && hi != nil && byKey(lo, hi) >= 0 {
+		if lo.Key != nil && hi.Key != nil && byKey.Key(lo.Key, hi.Key) >= 0 {
 			t.Fatalf("task %d: bounds do not increase", task)
 		}
 		for i, f := range files {
 			first, end := p.Span(i, lo, hi)
 			for b := 0; b < f.NumBlocks(); b++ {
 				// The block's keys run from its fence to just below the next.
-				holds := (hi == nil || byKey(f.fence(b), hi) < 0) &&
-					(lo == nil || b+1 == f.NumBlocks() || byKey(f.fence(b+1), lo) > 0)
+				holds := (hi.Key == nil || byKey.Key(f.fence(b), hi.Key) < 0) &&
+					(lo.Key == nil || b+1 == f.NumBlocks() || byKey.Key(f.fence(b+1), lo.Key) > 0)
 				if holds && (b < first || b >= end) {
 					t.Fatalf("task %d: block %d of run %d can hold a key of its range and is not in its span [%d,%d)", task, b, i, first, end)
 				}
@@ -399,36 +392,71 @@ func TestPlanTasks(t *testing.T) {
 	for i := 0; i < 640; i += 64 {
 		fences = append(fences, keys1[i*rw:(i+1)*rw]...)
 	}
-	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, byKey, 4)
-	if mixed.Tasks() != p.Tasks() || len(mixed.order) != 20 || mixed.refs[1] != nil {
-		t.Errorf("with a run in memory: %d tasks over %d blocks, want %d over 20", mixed.Tasks(), len(mixed.order), p.Tasks())
+	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, 64, byKey, 4)
+	if mixed.Tasks() != p.Tasks() || len(mixed.forecast) != 20 || mixed.refs[1] != nil {
+		t.Errorf("with a run in memory: %d tasks over %d blocks, want %d over 20", mixed.Tasks(), len(mixed.forecast), p.Tasks())
 	}
 	for task := 0; task < min(mixed.Tasks(), p.Tasks()); task++ {
 		lo, hi := mixed.Bound(task)
 		wlo, whi := p.Bound(task)
 		first, end := mixed.Span(1, lo, hi)
 		wfirst, wend := p.Span(1, wlo, whi)
-		if !bytes.Equal(lo, wlo) || !bytes.Equal(hi, whi) || first != wfirst || end != wend {
+		if !sameBound(lo, wlo) || !sameBound(hi, whi) || first != wfirst || end != wend {
 			t.Errorf("with a run in memory, task %d differs from the all-disk plan's", task)
 		}
 	}
-	for _, ref := range mixed.order {
+	for _, ref := range mixed.forecast {
 		if ref.Run == 1 {
 			t.Fatal("the forecast holds a block of the run in memory")
 		}
 	}
-	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, byKey, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
+	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, 64, byKey, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
 		t.Errorf("a run in memory without fences: %d tasks, want fewer than %d, and more than one", q.Tasks(), p.Tasks())
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
 	constant := writeRun(t, d, 9, keys, payload, 64)
-	if p := PlanTasks([]*File{constant}, nil, byKey, 4); p.Tasks() != 1 {
+	if p := PlanTasks([]*File{constant}, nil, 0, byKey, 4); p.Tasks() != 1 {
 		t.Errorf("keys that all collide, compared by key: %d tasks, want 1", p.Tasks())
 	}
-	if p := PlanTasks([]*File{constant}, nil, wholeOrder, 4); p.Tasks() != 3 {
+	if p := PlanTasks([]*File{constant}, nil, 0, wholeOrder, 4); p.Tasks() != 3 {
 		t.Errorf("keys that all collide, in the whole order: %d tasks of 10 fences, want 3", p.Tasks())
 	}
-	if got := mergepath.LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), byKey); got != 3 {
+	// The same constant keys on disk as run 0 and in memory as run 1, fenced
+	// every 64 rows: in the whole order the 20 fences cut 5 tasks of 256 rows,
+	// where the stable merge puts them — run 0's rows, then run 1's — each
+	// row's place taken from where it sits: its block's start, or the run's.
+	rw = testFormat.RowWidth
+	var cfences []byte
+	for i := 0; i < 640; i += 64 {
+		cfences = append(cfences, keys[i*rw:(i+1)*rw]...)
+	}
+	both := PlanTasks([]*File{constant, nil}, []mergepath.Run{1: {Data: cfences, Width: rw}}, 64, wholeOrder, 4)
+	// Each task's rows of run 0 and of run 1, an empty range as [0,0).
+	want := [][4]int{{0, 256, 0, 0}, {256, 512, 0, 0}, {512, 640, 0, 128}, {0, 0, 128, 384}, {0, 0, 384, 640}}
+	if both.Tasks() != len(want) {
+		t.Fatalf("constant keys on disk and in memory, in the whole order: %d tasks, want %d", both.Tasks(), len(want))
+	}
+	for task, w := range want {
+		lo, hi := both.Bound(task)
+		var got [4]int
+		first, end := both.Span(0, lo, hi)
+		for b := first; b < end; b++ {
+			from, to := both.Range(mergepath.Run{Data: keys[b*64*rw : (b+1)*64*rw], Width: rw}, 0, b*64, lo, hi)
+			if from < to && got[1] == 0 {
+				got[0] = b*64 + from
+			}
+			if from < to {
+				got[1] = b*64 + to
+			}
+		}
+		if from, to := both.Range(mergepath.Run{Data: keys, Width: rw}, 1, 0, lo, hi); from < to {
+			got[2], got[3] = from, to
+		}
+		if got != w {
+			t.Errorf("task %d takes rows [%d,%d) of run 0 and [%d,%d) of run 1, want %v", task, got[0], got[1], got[2], got[3], w)
+		}
+	}
+	if got := mergepath.LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), byKey.Key); got != 3 {
 		t.Errorf("LowerBound of a run's fourth fence among its fences: %d", got)
 	}
 }
@@ -446,7 +474,7 @@ func TestStageForecastServesClaimants(t *testing.T) {
 		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512))
 	}
-	p := PlanTasks(files, nil, byKey, 0)
+	p := PlanTasks(files, nil, 0, byKey, 0)
 	st, err := d.NewStage(p, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ type Stage struct {
 
 	mu    sync.Mutex
 	runs  []stageRun
-	next  int // the forecast's position in plan.order
+	next  int // the forecast's position in plan.forecast
 	ahead int // rows decoded, or being, and not asked for
 	wake  chan struct{}
 	err   error
@@ -127,10 +127,10 @@ func (st *Stage) forecast(ctx context.Context) {
 	ow := st.d.rec.Worker("prefetch")
 	for {
 		st.mu.Lock()
-		for st.next < len(st.plan.order) && st.block(st.plan.order[st.next]).state != blockPending {
+		for st.next < len(st.plan.forecast) && st.block(st.plan.forecast[st.next]).state != blockPending {
 			st.next++
 		}
-		if st.err != nil || st.next == len(st.plan.order) || st.ahead >= st.limit {
+		if st.err != nil || st.next == len(st.plan.forecast) || st.ahead >= st.limit {
 			// Nothing to do until a block is asked for, or ever.
 			wait := st.waitLocked()
 			st.mu.Unlock()
@@ -141,7 +141,7 @@ func (st *Stage) forecast(ctx context.Context) {
 				return
 			}
 		}
-		ref := st.plan.order[st.next]
+		ref := st.plan.forecast[st.next]
 		sb := st.block(ref)
 		sb.state, sb.ahead = blockDecoding, true
 		st.ahead += st.runs[ref.Run].file.blockLen(int(ref.Blk))
