@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -48,8 +49,9 @@ const (
 // lengths) or on s DESC alone, which leaves no string in the keys; or
 // heldTable, whose integer keys the payload does not store: keyed on every
 // column, which leaves the payload no column at all, or with integers keyed
-// beside the payload's strings; or inlineTable, whose fixed-width payload
-// rides in its key rows.
+// beside the payload's strings; inlineTable, whose fixed-width payload rides
+// in its key rows; or longTable, whose 1,000-byte strings end a sink's runs
+// before RunSize, budget or none.
 const (
 	schemaByteKeys = iota
 	schemaTieKeys
@@ -60,6 +62,7 @@ const (
 	schemaAllKeys
 	schemaHeldMix
 	schemaInline
+	schemaLongStrings
 	numSchemas
 )
 
@@ -149,6 +152,8 @@ func (p plan) table() (tbl *vector.Table, keys []SortColumn, perRun int) {
 	case schemaInline:
 		tbl, keys := inlineTable(p.rows, chunkRows, p.shape, p.seed)
 		return tbl, keys, chunks * chunkRows
+	case schemaLongStrings:
+		return longTable(p.rows, chunkRows, p.shape, uint64(p.seed)), drainKeys(p.seed%2 == 1), chunks * chunkRows
 	}
 	rng := workload.NewRNG(uint64(p.seed))
 	schema := make(vector.Schema, 1+rng.Intn(6), 7)
@@ -318,6 +323,22 @@ func inlineTable(n, chunkRows, dist, seed int) (*vector.Table, []SortColumn) {
 	return tbl, []SortColumn{{Column: 1}, {Column: 2, Descending: true, NullsLast: true}, {Column: 0, Descending: true}}
 }
 
+// longTable is drainTable with each s lengthened to 1,000 bytes by a run of
+// '~' before it, so that its 12-byte key prefixes all tie: a sink's pending
+// run outgrows its share by its string heap, a few thousand rows in.
+func longTable(n, chunkRows, dist int, seed uint64) *vector.Table {
+	tbl := drainTable(n, chunkRows, dist, seed)
+	pad := strings.Repeat("~", 1000-len("00000000000000000000-tail"))
+	for _, c := range tbl.Chunks {
+		long := vector.New(vector.Varchar, c.Len())
+		for _, str := range c.Vectors[1].Strings()[:c.Len()] {
+			long.AppendString(pad + str)
+		}
+		c.Vectors[1] = long
+	}
+	return tbl
+}
+
 // sorter returns a sorter of the plan on fsys, its pins set, and the broker
 // it shares, if any.
 func (p plan) sorter(t *testing.T, tbl *vector.Table, keys []SortColumn, perRun int, fsys spill.FS) (*Sorter, *mem.Broker) {
@@ -474,6 +495,13 @@ func FuzzSortPlanSpace(f *testing.F) {
 		fault: "bit flip", stage: stagePassRewrite, seed: 1})
 	seed(plan{schema: schemaInline, shape: keysAllEqual, rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 4, storage: storeShared,
 		fault: "EIO on read", stage: stageDemandRead})
+	// Without a budget, runs that 1,000-byte strings end at a sink's share,
+	// before RunSize: keyed on k and on the tying strings, in memory and
+	// spilled as cut, all-equal keys among them.
+	seed(plan{schema: schemaLongStrings, rows: 30_000, runs: 2, threads: 2})
+	seed(plan{schema: schemaLongStrings, shape: keysAllEqual, rows: 30_000, runs: 2, threads: 2, seed: 1})
+	seed(plan{schema: schemaLongStrings, rows: 30_000, runs: 2, threads: 2, storage: storeEager, seed: 1})
+	seed(plan{schema: schemaLongStrings, shape: keysAllEqual, rows: 30_000, runs: 2, threads: 2, storage: storeEager})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -488,7 +516,8 @@ func FuzzSortPlanSpace(f *testing.F) {
 	}
 	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots",
 		"a spilled run with an empty payload", "an inline payload through a merge pass",
-		"an inline payload's equal keys drained from disk in several tasks", "a fault under an inline payload"}
+		"an inline payload's equal keys drained from disk in several tasks", "a fault under an inline payload",
+		"an unbudgeted run its string heap cut short of RunSize"}
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
 			want = append(want, sf.name+" in "+faultStageNames[stage])
@@ -515,7 +544,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 	var out *vector.Table
 	var err error
 	var tasks int
-	panicked, mixed, emptySpill := false, false, false
+	panicked, mixed, emptySpill, heapCut := false, false, false, false
 	within(t, ctx, 30*time.Second, func() {
 		// The sort, stage by stage, until something fails; a fault is armed
 		// as the sort enters its stage.
@@ -527,6 +556,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		arm(stageRunSpill)
 		err = p.ingest(s, tbl, p.fault != "")
 		mixed = mixesSlots(s)
+		heapCut = !s.opt.limited() && len(s.runs) > 1 && s.runs[0].rows < perRun
 		arm(stagePassRewrite)
 		if err == nil {
 			hog := func() {}
@@ -559,6 +589,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		"an inline payload through a merge pass":                            s.inline && st.MergePasses > 0,
 		"an inline payload's equal keys drained from disk in several tasks": s.inline && p.shape == keysAllEqual && s.onDisk && tasks > 1,
 		"a fault under an inline payload":                                   s.inline && fired,
+		"an unbudgeted run its string heap cut short of RunSize":            heapCut,
 	} {
 		if ok {
 			reached = append(reached, what)

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -65,25 +64,28 @@ func (s *Sorter) NewSink() *Sink {
 	return k
 }
 
-// planIngest fixes the run size. Without a budget a run is RunSize rows and
-// nothing else ends it. Under one — a limit somewhere in the broker chain,
-// judged by the headroom it has now — the sinks' pending buffers get half the
-// budget, split evenly over Threads sinks; resident runs, the run being
-// flushed and the drain get the other half. A run is then as many whole
-// vectors as a sink's share holds at pendingRowBytes, capped at RunSize and
-// never under one vector; only a string heap can end it sooner. Whole
-// vectors, because a sink cuts between chunks: a run planned a few rows past
-// a chunk would take in the next one whole, and its sink twice its share.
+// planIngest fixes the run size, one rule for every sort. A sink's share is
+// what its pending run may hold: sinkCacheShare, or less under a budget — a
+// limit somewhere in the broker chain, judged by the headroom it has now —
+// whose sinks' pending buffers get half of it, split evenly over Threads
+// sinks; resident runs, the run being flushed and the drain get the other
+// half. A run is then as many whole vectors as the share holds at
+// pendingRowBytes, capped at RunSize and never under one vector; only a string
+// heap can end it sooner. Whole vectors, because a sink cuts between chunks: a
+// run planned a few rows past a chunk would take in the next one whole, and
+// its sink twice its share.
 func (s *Sorter) planIngest() {
-	s.runRows, s.sinkShare = s.opt.runSize(), math.MaxInt64
-	rem := s.broker.Remaining()
-	if rem == math.MaxInt64 {
-		return
-	}
-	s.sinkShare = rem / int64(2*s.opt.threads())
+	s.sinkShare = min(s.broker.Remaining()/int64(2*s.opt.threads()), sinkCacheShare)
 	v := vector.DefaultVectorSize
-	s.runRows = min(s.runRows, max(int(s.sinkShare/s.pendingRowBytes())/v*v, v))
+	s.runRows = min(s.opt.runSize(), max(int(s.sinkShare/s.pendingRowBytes())/v*v, v))
 }
+
+// sinkCacheShare bounds a sink's share with no budget or a large one: a run
+// sorts and reorders its payload by random gather while it is in cache, and a
+// run of 2^17 wide rows (about 19 MB) is not. 8 MiB won a sweep of 4 to 16 MiB
+// on wide and customer rows (EXPERIMENTS.md, "A run is what a sink's byte
+// share holds"); it leaves runs of rows up to 64 bytes at DefaultRunSize.
+const sinkCacheShare = 8 << 20
 
 // pendingRowBytes is what a sink's reservation holds for one fixed-width
 // pending row: a key row, a radix-scratch row and, unless the payload is
@@ -122,13 +124,13 @@ func (k *Sink) liveBytes() int64 {
 // sink's very first chunk, which gets exactly its own size so that a sort
 // of one chunk per sink does not pay for a run. A declared input size
 // (SetExpectedRows) below the run size bounds the run instead, for as long
-// as the declaration holds. Under a budget the run size is what the sink's
-// share holds, so reserving it ahead stays within the share; where the string
-// heap the sink has seen fills the share first, the run is sized for the rows
-// the share holds with it, as the cut will end it there.
+// as the declaration holds. The run size is what the sink's share holds, so
+// reserving it ahead stays within the share; where the string heap the sink
+// has seen fills the share first, the run is sized for the whole vectors the
+// cut will end it at: the first past the rows the share holds with it.
 func (k *Sink) pendingCap(need int) int {
-	s := k.s
-	c := int(min(int64(s.runRows), s.sinkShare/(s.pendingRowBytes()+k.heapRow)))
+	s, v := k.s, int64(vector.DefaultVectorSize)
+	c := int(min(int64(s.runRows), (s.sinkShare/(s.pendingRowBytes()+k.heapRow)/v+1)*v))
 	if k.n == 0 && k.runs == 0 {
 		c = need
 	} else if exp := s.ctr.Value(obs.RowsExpected); int64(need) <= exp && exp < int64(c) {
@@ -258,7 +260,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	sp.End()
 
 	// Cut the run at the planned size, or when the pending rows outgrow the
-	// sink's share of a budget, which only a string heap makes them do.
+	// sink's share, which only a string heap makes them do.
 	if k.n >= s.runRows || k.liveBytes() > s.sinkShare {
 		return k.flush()
 	}

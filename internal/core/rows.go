@@ -187,7 +187,7 @@ type drainTask struct {
 	ow          *obs.Worker
 	em          *extMerge         // the claimant's merge
 	m           *mergepath.Merger // em's loser tree on the task, until its counters are folded in
-	which, idxs []uint32          // one chunk's payload references
+	which, idxs []uint32          // one chunk's payload references; nil for an inline payload
 	keys        [][]byte          // and its key rows, where they hold values the payload set does not; else nil
 	g           *row.Gather       // the gather of its rows
 	index       int               // task index
@@ -230,8 +230,10 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 }
 
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
-	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow),
-		which: make([]uint32, vector.DefaultVectorSize), idxs: make([]uint32, vector.DefaultVectorSize)}
+	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow)}
+	if !d.s.inline {
+		t.which, t.idxs = make([]uint32, vector.DefaultVectorSize), make([]uint32, vector.DefaultVectorSize)
+	}
 	if d.s.inline || d.s.keySegs != nil || len(d.s.payCols) < len(d.s.schema) {
 		t.keys = make([][]byte, vector.DefaultVectorSize)
 		t.g.SetKeySegments(d.s.keySegs)
@@ -447,22 +449,24 @@ func (d *rowsDrain) close(drained bool) {
 	s.publishMerge(total)
 }
 
-// refs advances the merge by up to len(which) rows and stores their payload
-// references — and, when keys is not nil, their key rows, which stay valid
-// until the next settle — returning how many: fewer at the end of the range
-// and after a failed read.
+// refs advances the merge by up to a chunk's rows and stores their payload
+// references, unless which is nil (an inline payload has none), and their key
+// rows, unless keys is, which stay valid until the next settle — returning how
+// many: fewer at the end of the range and after a failed read.
 func (e *extMerge) refs(which, idxs []uint32, keys [][]byte) int {
-	for i := range which {
+	for i := range vector.DefaultVectorSize {
 		keyRow, slot, idx, ok := e.next()
 		if !ok {
 			return i
 		}
-		which[i], idxs[i] = slot, idx
+		if which != nil {
+			which[i], idxs[i] = slot, idx
+		}
 		if keys != nil {
 			keys[i] = keyRow
 		}
 	}
-	return len(which)
+	return vector.DefaultVectorSize
 }
 
 // outputVectors returns an output chunk's vectors in schema order: the

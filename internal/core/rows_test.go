@@ -364,6 +364,34 @@ func TestRowsMergesLazily(t *testing.T) {
 	}
 }
 
+// TestInlineDrainStoresNoReferences pins that a drain of a payload inline in
+// its key rows keeps no payload references: its claimant merges key rows
+// only, without the two chunk-sized reference arrays (16 KiB) a payload set's
+// drain fills. A 16-row IntKeySchema sort, one claimant, measured 73,181
+// bytes with them and 56,795 without; the bound sits between the two.
+func TestInlineDrainStoresNoReferences(t *testing.T) {
+	const sorts, bound = 50, 65 << 10
+	tbl := workload.UniformInt64s(16, 3)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < sorts; i++ {
+		out, err := SortTable(tbl, []SortColumn{{Column: 0}}, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != tbl.NumRows() {
+			t.Fatalf("sorted %d rows, want %d", out.NumRows(), tbl.NumRows())
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perSort := (m1.TotalAlloc - m0.TotalAlloc) / sorts
+	t.Logf("a 16-row inline sort allocated %d bytes", perSort)
+	if perSort > bound {
+		t.Errorf("a 16-row inline sort allocated %d bytes, over %d: does its drain store payload references again?", perSort, bound)
+	}
+}
+
 // TestInMemorySortAllocatesNoMergedKeys pins what the lazy merge saves: an
 // in-memory sort no longer allocates a second key array (rows x rowWidth
 // bytes) to merge into. Finalize allocates next to nothing, and the drain

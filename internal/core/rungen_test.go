@@ -320,15 +320,87 @@ func TestRecycledBuffersLeakNoStaleBytes(t *testing.T) {
 	}
 }
 
+// TestIngestPlanFollowsSinkShare pins planIngest's one rule, budget or not: a
+// sink's share is the budget's half split over Threads, or sinkCacheShare
+// (8 MiB) where that is less, and a run is the whole vectors the share holds
+// at pendingRowBytes, capped at RunSize. Rows of 64 bytes or less — the int
+// and catalog rows, their payload inline — keep RunSize; the customer and
+// wide rows, whose payload sits in a set, take what 8 MiB holds; a 16 MiB
+// budget at two threads shares 4 MiB; an explicit RunSize under the share
+// stands. Unbudgeted, the wide row's 24-byte strings end its runs at 24
+// vectors, before the planned 27, and from its second chunk on the sink's
+// key buffer holds exactly those rows: no run regrows it at its last chunk.
+func TestIngestPlanFollowsSinkShare(t *testing.T) {
+	const mib = 1 << 20
+	v := vector.DefaultVectorSize
+	wide := widePayloadTable(0, 1).Schema
+	catalog := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
+	for _, tc := range []struct {
+		name   string
+		schema vector.Schema
+		keys   []SortColumn
+		opt    Options
+		row    int64 // pendingRowBytes
+		share  int64
+		rows   int
+	}{
+		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, Options{Threads: 2}, 48, 8 * mib, DefaultRunSize},
+		{"catalog_sales at RunSize 2^16", workload.CatalogSalesSchema, catalog, Options{Threads: 2, RunSize: 1 << 16}, 64, 8 * mib, 1 << 16},
+		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, Options{Threads: 2}, 124, 8 * mib, 33 * v},
+		{"the wide row", wide, []SortColumn{{Column: 0}}, Options{Threads: 2}, 148, 8 * mib, 27 * v},
+		{"catalog_sales under 16 MiB", workload.CatalogSalesSchema, catalog, Options{Threads: 2, MemoryLimit: 16 * mib}, 64, 4 * mib, 32 * v},
+		{"the wide row at RunSize 4,096", wide, []SortColumn{{Column: 0}}, Options{Threads: 2, RunSize: 2 * v}, 148, 8 * mib, 2 * v},
+	} {
+		s, err := NewSorter(tc.schema, tc.keys, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.pendingRowBytes(); got != tc.row {
+			t.Errorf("%s: %d bytes a pending row, want %d", tc.name, got, tc.row)
+		}
+		if s.sinkShare != tc.share || s.runRows != tc.rows {
+			t.Errorf("%s: runs of %d rows in a %d-byte share, want %d rows in %d", tc.name, s.runRows, s.sinkShare, tc.rows, tc.share)
+		}
+		s.Close()
+	}
+
+	tbl := widePayloadTable(2*24*v+v, 3)
+	s, err := NewSorter(tbl.Schema, []SortColumn{{Column: 0}}, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := s.NewSink()
+	for i, c := range tbl.Chunks {
+		if err := sink.Append(c); err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(sink.keys) / s.rowWidth; i == 1 && got != 24*v {
+			t.Errorf("after two chunks of wide rows the sink's key buffer holds %d rows, want the %d its heap cuts at", got, 24*v)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.runs) != 3 {
+		t.Fatalf("wide rows cut %d runs, want 3", len(s.runs))
+	}
+	for i, r := range s.runs[:2] {
+		if r.rows != 24*v {
+			t.Errorf("wide run %d holds %d rows, want %d", i, r.rows, 24*v)
+		}
+	}
+}
+
 // TestBudgetedSinkCutsAtPlannedRunSize is the budgeted side of run-sized
 // pending buffers. A budget fixes the run size up front (planIngest), and a
-// sink reserves that run as an unbudgeted one reserves RunSize: its
+// sink reserves that run as it reserves a RunSize under the cache share: its
 // reservation never exceeds its share of the budget plus the chunk it is
 // taking in, and on fixed-width input every run but the last holds exactly
 // the planned rows; on strings that fill the share first, runs end sooner,
-// all of one length. The same input unbudgeted reserves the whole run by its
-// second chunk, which the test checks too — otherwise the budgeted bound
-// would hold for the wrong reason.
+// all of one length. Unbudgeted, a RunSize the cache share holds is reserved
+// whole by the sink's second chunk, which the test checks too — otherwise
+// the budgeted bound would hold for the wrong reason.
 func TestBudgetedSinkCutsAtPlannedRunSize(t *testing.T) {
 	const runSize = 32 * vector.DefaultVectorSize
 	keys := []SortColumn{{Column: 0}}
@@ -433,10 +505,12 @@ func TestBudgetedSinkCutsAtPlannedRunSize(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Unbudgeted, the same sink reserves the whole run ahead: its largest
-	// excess of reservation over twice its live bytes passes one chunk.
-	tbl := widePayloadTable(runSize-vector.DefaultVectorSize, 5)
-	u, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: runSize})
+	// Unbudgeted, wide rows at half that RunSize — 16 vectors, which the cache
+	// share holds, strings and all — are reserved whole ahead: the sink's
+	// largest excess of reservation over twice its live bytes passes one chunk.
+	const underShare = runSize / 2
+	tbl := widePayloadTable(underShare-vector.DefaultVectorSize, 5)
+	u, err := NewSorter(tbl.Schema, keys, Options{Threads: 1, RunSize: underShare})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,12 @@ type SortColumn struct {
 type Options struct {
 	// Threads bounds the sorter's parallelism; 0 means GOMAXPROCS.
 	Threads int
-	// RunSize is the number of rows per thread-local sorted run; 0 means
+	// RunSize caps the rows per thread-local sorted run; 0 means
 	// DefaultRunSize. Smaller runs mean more merging; larger runs mean more
 	// run-generation work per thread (Section II's comparison-count model).
-	// Under a memory budget it is a cap: the sorter plans a run that fits
-	// each sink's share of the budget (see MemoryLimit).
+	// Every sort plans a run that fits each sink's byte share — a few MiB,
+	// so that a run sorts and reorders its payload in cache, or less under a
+	// memory budget (see MemoryLimit) — and RunSize caps that plan.
 	RunSize int
 	// SpillDir, when non-empty, writes sorted runs to files in this
 	// directory after run generation and streams them back through
@@ -85,7 +86,7 @@ type Options struct {
 	ReadAhead int
 	// MemoryLimit, when positive, bounds this sorter's resident bytes:
 	// sink buffers, sorted runs, pooled buffers, merge blocks, the chunks a
-	// parallel merge has produced ahead of the consumer. The budget fixes
+	// parallel merge has produced ahead of the consumer. The budget bounds
 	// the run size up front: the sinks' pending runs get half of it, split
 	// evenly over Threads sinks, so a run is a function of the input and
 	// the budget, not of when pressure struck. Crossing the limit does not
@@ -114,7 +115,8 @@ type Options struct {
 	Telemetry *obs.Recorder
 }
 
-// DefaultRunSize is the default thread-local run size in rows.
+// DefaultRunSize is the default cap on a thread-local run, in rows: what a
+// sink's share holds of rows up to 64 bytes pending; wider rows plan fewer.
 const DefaultRunSize = 1 << 17
 
 // DefaultSpillBlockRows is the default spill block granularity.
@@ -168,9 +170,9 @@ func (o Options) limited() bool { return o.MemoryLimit > 0 || o.Broker != nil }
 // configuration signature in the observability registry, so an operator can
 // tell two concurrent runs' setups apart at a glance. It says what the
 // options fix: the resolved parallelism and RunSize, then every behavioural
-// option set away from its default. Under a budget runsize= is the cap the
-// sorter plans its runs under; what a sort plans — its runs, the block
-// shape, the fan-in — is in its SortStats, not here.
+// option set away from its default. runsize= is the cap the sorter plans
+// its runs under; what a sort plans — its runs, the block shape, the
+// fan-in — is in its SortStats, not here.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "threads=%d runsize=%d", o.threads(), o.runSize())
