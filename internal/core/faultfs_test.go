@@ -42,11 +42,11 @@ type fsFault struct {
 	readAt  int
 	flip    bool
 	stall   time.Duration
-	// With from set, only reads made under a function whose name ends in it
-	// go wrong, or are counted, and a claimant's read (under Acquire) waits
-	// for the fault to go off first, fromFirst at most: the forecast's reads
-	// race the claimants' for the same blocks, and a forecast that lost every
-	// race would leave its fault untried.
+	// With from set, only reads and writes made under a function whose name
+	// ends in it go wrong, or are counted, and a claimant's read (under
+	// Acquire) waits for the fault to go off first, fromFirst at most: the
+	// forecast's reads race the claimants' for the same blocks, and a
+	// forecast that lost every race would leave its fault untried.
 	from string
 	// Files read as if they ended at byte truncateAt.
 	truncateAt int64
@@ -114,7 +114,7 @@ type faultWriter struct {
 }
 
 func (w *faultWriter) Write(p []byte) (int, error) {
-	if w.fault.panics {
+	if w.fault.panics && (w.fault.from == "" || calledFrom(w.fault.from)) {
 		w.fs.fire()
 		panic("faultFS: write")
 	}

@@ -114,6 +114,13 @@ func decodePlan(b []byte) plan {
 		p.readAhead = max(p.readAhead, 0)
 	case p.stage == stagePassRewrite && p.storage <= storeEager:
 		p.storage = storePrivate // passes are a budget's doing
+	case p.fault == "panicking FS" && p.stage == stageRunSpill:
+		// A sink worker's write: several sinks, which spill as they cut or
+		// under pressure.
+		p.several, p.threads = true, max(p.threads, 2)
+		if p.storage == storeMemory || p.storage == storeShared {
+			p.storage = storeEager
+		}
 	}
 	return p
 }
@@ -445,6 +452,9 @@ func FuzzSortPlanSpace(f *testing.F) {
 	// TestSpilledDrainFaults: each cell at Threads 1, private, and 4, shared.
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
+			if sf.name == "panicking FS" && stage == stageRunSpill {
+				continue // a sink worker's: appended below
+			}
 			seed(plan{rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 1, fault: sf.name, stage: stage, seed: 19})
 			seed(plan{rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, threads: 4, storage: storeShared, fault: sf.name, stage: stage, seed: 19})
 		}
@@ -502,6 +512,12 @@ func FuzzSortPlanSpace(f *testing.F) {
 	seed(plan{schema: schemaLongStrings, shape: keysAllEqual, rows: 30_000, runs: 2, threads: 2, seed: 1})
 	seed(plan{schema: schemaLongStrings, rows: 30_000, runs: 2, threads: 2, storage: storeEager, seed: 1})
 	seed(plan{schema: schemaLongStrings, shape: keysAllEqual, rows: 30_000, runs: 2, threads: 2, storage: storeEager})
+	// A write that panics under a ParallelSink's worker, as it spills a run it
+	// cut, and one it sheds under a shared budget: an error, not a crash.
+	seed(plan{rows: 8 * 2 * vector.DefaultVectorSize, runs: 3, several: true, threads: 2, storage: storeEager,
+		fault: "panicking FS", stage: stageRunSpill, seed: 19})
+	seed(plan{rows: 40_000, runs: 17, several: true, threads: 4, storage: storeTight,
+		fault: "panicking FS", stage: stageRunSpill, seed: 19})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -567,7 +583,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 			err = s.Finalize()
 			hog()
 		}
-		emptySpill = s.layout.NumColumns() == 0 && slices.ContainsFunc(s.runs, func(r *sortedRun) bool { return r.spill != nil })
+		emptySpill = s.place.layout.NumColumns() == 0 && slices.ContainsFunc(s.runs, func(r *sortedRun) bool { return r.spill != nil })
 		arm(stageForecastRead, stageDemandRead)
 		if err == nil {
 			tasks = s.planSpillTasks(s.resultIDs, false).Tasks()
@@ -586,9 +602,9 @@ func (p plan) check(t *testing.T) (reached []string) {
 		"a drain of several tasks from disk":                                s.onDisk && tasks > 1,
 		"a tie-breaking run of both string slots":                           mixed,
 		"a spilled run with an empty payload":                               emptySpill,
-		"an inline payload through a merge pass":                            s.inline && st.MergePasses > 0,
-		"an inline payload's equal keys drained from disk in several tasks": s.inline && p.shape == keysAllEqual && s.onDisk && tasks > 1,
-		"a fault under an inline payload":                                   s.inline && fired,
+		"an inline payload through a merge pass":                            s.place.inline && st.MergePasses > 0,
+		"an inline payload's equal keys drained from disk in several tasks": s.place.inline && p.shape == keysAllEqual && s.onDisk && tasks > 1,
+		"a fault under an inline payload":                                   s.place.inline && fired,
 		"an unbudgeted run its string heap cut short of RunSize":            heapCut,
 	} {
 		if ok {
@@ -632,9 +648,9 @@ func mixesSlots(s *Sorter) bool {
 		if r.keys == nil || !r.tieBreak || r.payload.HeapLen() == 0 {
 			continue
 		}
-		for c, key := range s.strKey {
-			for i := 0; key >= 0 && i < r.rows; i++ {
-				if r.payload.Valid(i, c) && binary.LittleEndian.Uint32(r.payload.Row(i)[s.layout.Offset(c):]) == row.KeyResident {
+		for _, c := range s.place.cols {
+			for i := 0; c.where == inSegment && i < r.rows; i++ {
+				if r.payload.Valid(i, c.pay) && binary.LittleEndian.Uint32(r.payload.Row(i)[s.place.layout.Offset(c.pay):]) == row.KeyResident {
 					return true
 				}
 			}
@@ -857,9 +873,12 @@ var spillFaults = []spillFault{
 		func(int) fsFault { return fsFault{missing: true} }},
 	{"failing remove", []int{stagePassRewrite, stageForecastRead, stageDemandRead, stageClose},
 		func(int) fsFault { return fsFault{keepFiles: true} }},
-	{"panicking FS", []int{stageForecastRead, stageDemandRead}, func(stage int) fsFault {
-		if stage == stageForecastRead {
+	{"panicking FS", []int{stageForecastRead, stageDemandRead, stageRunSpill}, func(stage int) fsFault {
+		switch stage {
+		case stageForecastRead:
 			return fsFault{panics: true, from: "(*Stage).forecast"}
+		case stageRunSpill:
+			return fsFault{panics: true, from: "(*ParallelSink).worker"} // not a Sink's, which is the caller's
 		}
 		return fsFault{panics: true, from: "(*Stage).Acquire"} // not under Rows, which is the caller's
 	}},

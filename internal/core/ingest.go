@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +38,7 @@ type Sink struct {
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
 	payVecs  []*vector.Vector // and its payload columns
-	inKey    []int            // the current chunk's strings that stay in the keys, per payload column; nil when none can
+	inKey    []int            // the current chunk's strings that stay in the keys, per payload column
 	n        int
 	runs     int   // runs this sink has cut
 	heapRow  int64 // string-heap bytes a pending row carried, last seen
@@ -48,12 +49,10 @@ type Sink struct {
 // NewSink registers and returns a new ingestion sink.
 func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0), keys: s.getKeyBuf(),
-		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, len(s.payCols))}
-	if !s.inline {
+		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, s.place.layout.NumColumns()),
+		inKey: make([]int, len(s.place.segs))}
+	if !s.place.inline {
 		k.payload = s.getRowSet()
-	}
-	if s.strKey != nil {
-		k.inKey = make([]int, len(s.strKey))
 	}
 	// A sink its owner abandons — an Append failed, a producer gave up —
 	// still holds its buffers' bytes: Sorter.Close gives them back.
@@ -70,14 +69,14 @@ func (s *Sorter) NewSink() *Sink {
 // whose sinks' pending buffers get half of it, split evenly over Threads
 // sinks; resident runs, the run being flushed and the drain get the other
 // half. A run is then as many whole vectors as the share holds at
-// pendingRowBytes, capped at RunSize and never under one vector; only a string
+// placement.pendingRow, capped at RunSize and never under one vector; only a string
 // heap can end it sooner. Whole vectors, because a sink cuts between chunks: a
 // run planned a few rows past a chunk would take in the next one whole, and
 // its sink twice its share.
 func (s *Sorter) planIngest() {
 	s.sinkShare = min(s.broker.Remaining()/int64(2*s.opt.threads()), sinkCacheShare)
 	v := vector.DefaultVectorSize
-	s.runRows = min(s.opt.runSize(), max(int(s.sinkShare/s.pendingRowBytes())/v*v, v))
+	s.runRows = min(s.opt.runSize(), max(int(s.sinkShare/s.place.pendingRow)/v*v, v))
 }
 
 // sinkCacheShare bounds a sink's share with no budget or a large one: a run
@@ -87,17 +86,6 @@ func (s *Sorter) planIngest() {
 // share holds"); it leaves runs of rows up to 64 bytes at DefaultRunSize.
 const sinkCacheShare = 8 << 20
 
-// pendingRowBytes is what a sink's reservation holds for one fixed-width
-// pending row: a key row, a radix-scratch row and, unless the payload is
-// inline in the key row, a payload row — of the columns the keys do not hold
-// — and a permutation entry.
-func (s *Sorter) pendingRowBytes() int64 {
-	if s.inline {
-		return int64(2 * s.rowWidth)
-	}
-	return int64(2*s.rowWidth + s.layout.Width() + 4)
-}
-
 // account syncs the sink's reservation with the capacity of every buffer
 // it holds: pending keys and payload, radix scratch, reorder permutation.
 func (k *Sink) account() {
@@ -105,15 +93,11 @@ func (k *Sink) account() {
 		int64(cap(k.scratch)) + 4*int64(cap(k.idxs)))
 }
 
-// liveBytes is what the pending run holds, by length: its key rows, as many
-// again for the radix scratch and, unless the payload is inline, a
-// permutation entry a row and the payload with its string heap. A recycled
-// buffer's spare capacity cannot move a cut.
+// liveBytes is what the pending run holds, by length: its rows' fixed bytes
+// and the payload's string heap. A recycled buffer's spare capacity cannot
+// move a cut.
 func (k *Sink) liveBytes() int64 {
-	if k.s.inline {
-		return int64(k.n) * int64(2*k.s.rowWidth)
-	}
-	return int64(k.n)*int64(2*k.s.rowWidth+4) + int64(k.payload.MemSize())
+	return int64(k.n)*k.s.place.pendingRow + int64(k.payload.HeapLen())
 }
 
 // pendingCap returns the row capacity a pending buffer should grow to so
@@ -130,7 +114,7 @@ func (k *Sink) liveBytes() int64 {
 // cut will end it at: the first past the rows the share holds with it.
 func (k *Sink) pendingCap(need int) int {
 	s, v := k.s, int64(vector.DefaultVectorSize)
-	c := int(min(int64(s.runRows), (s.sinkShare/(s.pendingRowBytes()+k.heapRow)/v+1)*v))
+	c := int(min(int64(s.runRows), (s.sinkShare/(s.place.pendingRow+k.heapRow)/v+1)*v))
 	if k.n == 0 && k.runs == 0 {
 		c = need
 	} else if exp := s.ctr.Value(obs.RowsExpected); int64(need) <= exp && exp < int64(c) {
@@ -160,7 +144,7 @@ func (k *Sink) reservePayload(n int) {
 // growKeys extends the sink's key buffer by n rows and returns the byte
 // offset of the new region, growing capacity as pendingCap says.
 func (k *Sink) growKeys(n int) int {
-	rw := k.s.rowWidth
+	rw := k.s.place.rowWidth
 	need := len(k.keys) + n*rw
 	if cap(k.keys) < need {
 		nb := make([]byte, len(k.keys), k.pendingCap(need/rw)*rw)
@@ -176,10 +160,10 @@ func (k *Sink) growKeys(n int) int {
 // normalized, then payload columns scattered to the row format — into the
 // payload set, or behind each key in its key row when the payload is inline —
 // both one vector at a time. A column a key holds exactly is not scattered at
-// all (payloadColumns). The keys go first because what they hold decides what
-// the payload does not: a string that fits its key's prefix is held whole
-// there, and the payload keeps only its length (keyResidence). A chunk that
-// fails either step leaves the sink as it was.
+// all (see place). The keys go first because what they hold decides what the
+// payload does not: a string that fits its key's segment is held whole there,
+// and the payload keeps only its length. A chunk that fails either step leaves
+// the sink as it was.
 func (k *Sink) Append(c *vector.Chunk) error {
 	if k.closed {
 		return fmt.Errorf("core: append to closed sink")
@@ -202,15 +186,13 @@ func (k *Sink) Append(c *vector.Chunk) error {
 			err = fmt.Errorf("core: key column %d has %d rows, the chunk %d", kc.Column, k.keyCols[i].Len(), n)
 		}
 	}
-	for i, pc := range s.payCols {
-		k.payVecs[i] = c.Vectors[pc]
-	}
+	s.place.payloadVectors(k.payVecs, c.Vectors)
 	start := k.growKeys(n)
-	kw, rw := s.keyWidth, s.rowWidth
-	if s.inline && kw+s.layout.Width() < rw {
+	kw, rw := s.keyWidth, s.place.rowWidth
+	if s.place.padded {
 		// A recycled buffer carries stale bytes in the alignment padding past
-		// an inline payload: its last word is zeroed before key and payload
-		// are written.
+		// a key row's reference or inline payload: its last word is zeroed
+		// before they and the key are written.
 		for o := start + rw - 8; o < len(k.keys); o += rw {
 			binary.LittleEndian.PutUint64(k.keys[o:], 0)
 		}
@@ -219,11 +201,16 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	if err == nil {
 		st, err = s.enc.EncodeChunk(k.keyCols, k.keys[start:], rw, 0)
 	}
-	if err == nil && s.inline {
-		err = s.layout.ScatterRows(k.keys[start+kw:], rw, n, k.payVecs)
+	if err == nil && s.place.inline {
+		err = s.place.layout.ScatterRows(k.keys[start+kw:], rw, n, k.payVecs)
 	} else if err == nil {
 		k.reservePayload(n)
-		err = k.payload.AppendChunkKeyed(n, k.payVecs, k.keyResident(st))
+		err = k.payload.AppendChunkKeyed(n, k.payVecs, s.place.keyResident(k.inKey, st, s.enc.Keys()))
+		// Behind each key goes its payload reference — run 0, the row's index
+		// in the pending set — as one store.
+		for o, ref := start+kw, uint64(k.n)<<32; o < len(k.keys); o, ref = o+rw, ref+1<<32 {
+			binary.LittleEndian.PutUint64(k.keys[o:], ref)
+		}
 	}
 	clear(k.keyCols) // the sink must not pin the caller's chunk
 	clear(k.payVecs)
@@ -231,19 +218,6 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		k.keys = k.keys[:start]
 		sp.End()
 		return err
-	}
-	if !s.inline {
-		// Behind each key goes its payload reference — run 0, the row's index
-		// in the pending set — as one store, after one that zeroes the
-		// alignment padding past it: a recycled buffer carries stale bytes
-		// there.
-		ref := uint64(k.n) << 32
-		for o := start; o < len(k.keys); o += rw {
-			keyRow := k.keys[o : o+rw : o+rw]
-			binary.LittleEndian.PutUint64(keyRow[rw-refBytes:], 0)
-			binary.LittleEndian.PutUint64(keyRow[kw:], ref)
-			ref += 1 << 32
-		}
 	}
 	k.n += n
 	k.heapRow = int64(k.payload.HeapLen() / k.n)
@@ -265,27 +239,6 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		return k.flush()
 	}
 	return nil
-}
-
-// keyResident returns, per payload column, the strings the chunk just encoded
-// leaves in its keys, as row.RowSet.AppendChunkKeyed takes them: all of a
-// column whose key (Sorter.strKey) did not tie, and where it did, each that
-// fits the key's prefix.
-func (k *Sink) keyResident(st normkey.EncodeStats) []int {
-	if k.inKey == nil {
-		return nil
-	}
-	for c, key := range k.s.strKey {
-		switch {
-		case key < 0:
-			k.inKey[c] = 0
-		case !st.Tied(key):
-			k.inKey[c] = row.AllInKey
-		default:
-			k.inKey[c] = k.s.enc.Keys()[key].Prefix()
-		}
-	}
-	return k.inKey
 }
 
 // Close flushes the sink's remaining rows as a final (possibly short) run
@@ -349,9 +302,18 @@ func (s *Sorter) NewParallelSink() *ParallelSink {
 // worker drains one chunk queue into a private Sink, made at its first
 // chunk, so a worker that gets none holds nothing. After a failure anywhere
 // in the group it keeps draining (so the producer never blocks on a full
-// queue) but stops converting.
+// queue) but stops converting. Its panic — a filesystem's, a broken
+// invariant — is the group's failure, not the process's: Close returns it,
+// and what the sink held goes back with Sorter.Close.
 func (p *ParallelSink) worker(ch chan *vector.Chunk) {
 	defer p.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			p.fail(fmt.Errorf("core: an ingest worker panicked: %v\n%s", r, debug.Stack()))
+			for range ch {
+			}
+		}
+	}()
 	p.s.rec.Do("run-generation", func() {
 		var sink *Sink
 		for c := range ch {

@@ -152,7 +152,7 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.layout.Width(); got != tc.width {
+		if got := s.place.layout.Width(); got != tc.width {
 			t.Errorf("%s: payload rows of %d bytes, want %d", tc.name, got, tc.width)
 		}
 		s.Close()
@@ -177,10 +177,10 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 	const fileHeader, blockHeader = 16, 20 + 4 // the file's; a block's row set header and checksum
 	want := int64(0)
 	for _, r := range s.runs {
-		want += fileHeader + int64((r.rows+999)/1000*blockHeader) + int64(r.rows*s.rowWidth)
+		want += fileHeader + int64((r.rows+999)/1000*blockHeader) + int64(r.rows*s.place.rowWidth)
 	}
 	if got := s.Stats().SpillBytesWritten; got != want || got != 200_032 {
-		t.Errorf("catalog_sales spilled %d bytes, want %d: %d-byte key rows and no payload rows", got, want, s.rowWidth)
+		t.Errorf("catalog_sales spilled %d bytes, want %d: %d-byte key rows and no payload rows", got, want, s.place.rowWidth)
 	}
 }
 
@@ -191,8 +191,12 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 // 32, an Int64 key over an Int8 16, every column a key the key alone, 16 —
 // and else in a payload set, with a reference: customer's varchar keys 40,
 // the wide row's string column 16, an Int64 key over two Int64s, which do not
-// fit, 24. An inline sort, in memory, spilled and through a merge pass, keeps
-// no payload set — no sink's, no run's — and is the oracle's.
+// fit, 24. Each row pins where one column lives too (place): a varchar keyed
+// only DESC, or only NOCASE, keeps its strings in the payload set, with no key
+// segment; one keyed ASC at PrefixLen 4 and at the default leaves them in the
+// 12-byte key's segment; an integer keyed twice is held by the first key. An
+// inline sort, in memory, spilled and through a merge pass, keeps no payload
+// set — no sink's, no run's — and is the oracle's.
 func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 	int8Pay := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "v", Type: vector.Int8}}
 	twoInts := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "a", Type: vector.Int64}, {Name: "b", Type: vector.Int64}}
@@ -202,27 +206,48 @@ func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 		wide = append(wide, vector.Column{Name: "v", Type: vector.Int64})
 	}
 	wide = append(wide, vector.Column{Name: "s", Type: vector.Varchar})
+	named := vector.Schema{{Name: "k", Type: vector.Int64}, {Name: "s", Type: vector.Varchar}, {Name: "id", Type: vector.Int32}}
 	for _, tc := range []struct {
 		name     string
 		schema   vector.Schema
 		keys     []SortColumn
 		inline   bool
 		rowWidth int
+		col      int // and where it lives
+		place    colPlace
 	}{
-		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, true, 24},
-		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, true, 32},
-		{"an Int64 key over an Int8", int8Pay, []SortColumn{{Column: 0}}, true, 16},
-		{"every column a key", allKeys, []SortColumn{{Column: 3}, {Column: 0}, {Column: 2}, {Column: 1}}, true, 16},
-		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 40},
-		{"the wide row", wide, []SortColumn{{Column: 0}}, false, 16},
-		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 24},
+		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, true, 24,
+			1, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, true, 32,
+			4, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+		{"an Int64 key over an Int8", int8Pay, []SortColumn{{Column: 0}}, true, 16,
+			1, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+		{"every column a key", allKeys, []SortColumn{{Column: 3}, {Column: 0}, {Column: 2}, {Column: 1}}, true, 16,
+			3, colPlace{where: heldByKey, key: 0, pay: -1, seg: -1}},
+		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 40,
+			5, colPlace{where: inSegment, key: 1, pay: 5, seg: 14}},
+		{"the wide row", wide, []SortColumn{{Column: 0}}, false, 16,
+			13, colPlace{where: inSet, key: -1, pay: 12, seg: -1}},
+		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 24,
+			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
+		{"a varchar keyed only DESC", named, []SortColumn{{Column: 1, Descending: true}, {Column: 0}}, false, 32,
+			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
+		{"a varchar keyed only NOCASE", named, []SortColumn{{Column: 1, CaseInsensitive: true}, {Column: 0}}, false, 32,
+			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
+		{"a varchar keyed ASC at PrefixLen 4 and at the default", named, []SortColumn{{Column: 1, PrefixLen: 4}, {Column: 1}}, false, 32,
+			1, colPlace{where: inSegment, key: 1, pay: 1, seg: 6}},
+		{"an integer keyed twice", workload.IntKeySchema, []SortColumn{{Column: 0, Descending: true}, {Column: 0}}, true, 32,
+			0, colPlace{where: heldByKey, key: 0, pay: -1, seg: -1}},
 	} {
 		s, err := NewSorter(tc.schema, tc.keys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.inline != tc.inline || s.rowWidth != tc.rowWidth {
-			t.Errorf("%s: inline %v in %d-byte key rows, want %v in %d", tc.name, s.inline, s.rowWidth, tc.inline, tc.rowWidth)
+		if s.place.inline != tc.inline || s.place.rowWidth != tc.rowWidth {
+			t.Errorf("%s: inline %v in %d-byte key rows, want %v in %d", tc.name, s.place.inline, s.place.rowWidth, tc.inline, tc.rowWidth)
+		}
+		if got := s.place.cols[tc.col]; got != tc.place {
+			t.Errorf("%s: column %d placed %+v, want %+v", tc.name, tc.col, got, tc.place)
 		}
 		s.Close()
 	}
@@ -267,8 +292,8 @@ func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 		}
 		s.pinBlockRows = 100
 		k := s.NewSink()
-		if !s.inline || k.payload != nil {
-			t.Fatalf("%s: inline %v, the sink holds a payload set %v", tc.name, s.inline, k.payload != nil)
+		if !s.place.inline || k.payload != nil {
+			t.Fatalf("%s: inline %v, the sink holds a payload set %v", tc.name, s.place.inline, k.payload != nil)
 		}
 		for _, c := range tbl.Chunks {
 			if err := k.Append(c); err != nil {

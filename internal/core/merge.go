@@ -9,7 +9,6 @@ import (
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
 	"rowsort/internal/spill"
-	"rowsort/internal/vector"
 )
 
 // The merge. Every merge — the tasks of the result iterator, over runs in
@@ -28,14 +27,15 @@ import (
 // lookup finds through the row's reference: the RowSet holding it and the
 // row's index there (a merge over spilled runs keeps only one block of each
 // run current, so the index is block-local) — or, for a string left in its
-// key, in the key row itself. Rows that cannot tie are compared with one
-// bytes.Compare over the key, the paper's memcmp.
+// key, in the key row itself, at the segment the placement resolved for the
+// key. Rows that cannot tie are compared with one bytes.Compare over the key,
+// the paper's memcmp.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
+		byKey := s.place.byKey
 		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
 			p, i := lookup(s.getRef(keyRow))
-			c := s.payCol[s.keys[k].Column] // a string is never held
-			return p.StringIn(i, c, s.keySegment(keyRow, c))
+			return p.StringIn(i, byKey[k].pay, byKey[k].keySegment(keyRow))
 		})
 		return tie, tie
 	}
@@ -118,7 +118,7 @@ func (s *Sorter) residentPayload(runID, idx uint32) (*row.RowSet, int) {
 // residentFences returns the fences of a run in memory: its key rows at
 // every spillBlockRows, where its blocks would start were it on disk.
 func (s *Sorter) residentFences(r *sortedRun) mergepath.Run {
-	rw, stride := s.rowWidth, s.spillBlockRows()
+	rw, stride := s.place.rowWidth, s.spillBlockRows()
 	fences := make([]byte, 0, (r.rows+stride-1)/stride*rw)
 	for i := 0; i < r.rows; i += stride {
 		fences = append(fences, r.keys[i*rw:(i+1)*rw]...)
@@ -192,9 +192,9 @@ func (e *extMerge) open(t int) error {
 		c, r := &e.cur[i], s.runs[p.ids[i]]
 		var keys []byte
 		if r.spill == nil {
-			from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.rowWidth}, i, 0, e.lo, e.hi)
+			from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, e.lo, e.hi)
 			*c = extCursor{payload: r.payload, pad: uint32(from)}
-			keys = r.keys[from*s.rowWidth : to*s.rowWidth]
+			keys = r.keys[from*s.place.rowWidth : to*s.place.rowWidth]
 		} else {
 			*c = extCursor{}
 			c.first, c.end = p.Span(i, e.lo, e.hi)
@@ -205,7 +205,7 @@ func (e *extMerge) open(t int) error {
 			}
 		}
 		c.slot, e.sets[i] = uint32(i), c.payload
-		mruns[i] = mergepath.Run{Data: keys, Width: s.rowWidth}
+		mruns[i] = mergepath.Run{Data: keys, Width: s.place.rowWidth}
 	}
 	e.m = mergepath.NewMerger(mruns, p.safe, e.tie)
 	e.m.SetRefill(e.refill)
@@ -217,7 +217,7 @@ func (e *extMerge) open(t int) error {
 // none left.
 func (e *extMerge) load(i int) ([]byte, error) {
 	c := &e.cur[i]
-	rw := e.s.rowWidth
+	rw := e.s.place.rowWidth
 	for ; c.blk < c.end; c.blk++ {
 		ref := spill.BlockRef{Run: int32(i), Blk: int32(c.blk)}
 		b, err := e.st.Acquire(e.ctx, ref, e.ow)
@@ -262,7 +262,7 @@ func (e *extMerge) refill(r int) (mergepath.Run, bool) {
 	}
 	c.slot = uint32(len(e.sets))
 	e.sets = append(e.sets, c.payload)
-	return mergepath.Run{Data: keys, Width: e.s.rowWidth}, true
+	return mergepath.Run{Data: keys, Width: e.s.place.rowWidth}, true
 }
 
 // next emits the next merged row: its key row (in the run's block, valid
@@ -405,7 +405,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 		if !ok {
 			break
 		}
-		if dst := w.Add(keyRow, slot, idx); !s.inline {
+		if dst := w.Add(keyRow, slot, idx); !s.place.inline {
 			s.putRef(dst, merged.id, outPos)
 		}
 		if w.Room() == 0 {
@@ -427,7 +427,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 
 	consumed = true
 	mst := e.m.Stats()
-	mst.BytesMoved = uint64(total * s.rowWidth)
+	mst.BytesMoved = uint64(total * s.place.rowWidth)
 	s.mergeStats.Add(mst)
 	s.publishMerge(s.mergeStats)
 	s.ctr.Add(obs.MergePasses, 1)
@@ -473,7 +473,7 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 				first, end := p.Span(i, lo, hi)
 				rows += (end - first) * blockRows
 			} else {
-				from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.rowWidth}, i, 0, lo, hi)
+				from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, lo, hi)
 				rows += to - from
 			}
 		}
@@ -490,30 +490,10 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 
 // outputRowBytes is what a drain's output chunk holds for one row of runs on
 // disk that hold diskRows rows in diskBytes bytes: what a row there holds, on
-// average, less its key row, with a string's 16-byte header where the row
-// format has an 8-byte reference; an inline payload's bytes, which the key
-// row held; for a column whose strings may be left in the keys, the key
-// segment's bytes; and for a column a key holds, its vector slot — the output
-// holds both, the payload on disk neither.
+// average, less its key row, plus what the output holds that the payload on
+// disk does not (placement.outputRow).
 func (s *Sorter) outputRowBytes(diskBytes int64, diskRows int) int64 {
-	rowBytes := (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.rowWidth)
-	if s.inline {
-		rowBytes += int64(s.layout.Width())
-	}
-	for c, t := range s.layout.Types() {
-		if t == vector.Varchar {
-			rowBytes += 8
-		}
-		if s.keySegs != nil && s.keySegs[c] >= 0 {
-			rowBytes += int64(s.enc.Keys()[s.strKey[c]].Prefix())
-		}
-	}
-	for c, k := range s.held {
-		if k >= 0 {
-			rowBytes += int64(s.schema[c].Type.Width())
-		}
-	}
-	return rowBytes
+	return (diskBytes+int64(diskRows)-1)/int64(max(diskRows, 1)) - int64(s.place.rowWidth) + s.place.outputRow
 }
 
 // newBlockStage opens the stage that serves p's blocks to claimants

@@ -86,11 +86,11 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	runs := make([]mergepath.Run, len(s.runs))
 	anyTie := false
 	for i, r := range s.runs {
-		runs[i] = mergepath.Run{Data: r.keys, Width: s.rowWidth}
+		runs[i] = mergepath.Run{Data: r.keys, Width: s.place.rowWidth}
 		anyTie = anyTie || r.tieBreak
 	}
 	_, cmp := s.mergeOrder(anyTie, s.residentPayload)
-	keys := make([]byte, s.resultRows*s.rowWidth)
+	keys := make([]byte, s.resultRows*s.place.rowWidth)
 	mergepath.KWayMerge(keys, runs, cmp)
 	out := vector.NewTable(s.schema)
 	for start := 0; start < s.resultRows; start += vector.DefaultVectorSize {
@@ -98,26 +98,25 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		chunk := vector.NewChunk(s.schema, count)
 		for c := range s.schema {
 			for r := start; r < start+count; r++ {
-				keyRow := keys[r*s.rowWidth : (r+1)*s.rowWidth]
-				if k := s.held[c]; k >= 0 {
-					v, err := s.enc.DecodeValue(k, keyRow)
+				keyRow := keys[r*s.place.rowWidth : (r+1)*s.place.rowWidth]
+				switch cp := s.place.cols[c]; cp.where {
+				case heldByKey:
+					v, err := s.enc.DecodeValue(cp.key, keyRow)
 					if err != nil {
 						t.Fatal(err)
 					}
 					appendAny(chunk.Vectors[c], v)
-					continue
+				case inRow:
+					s.place.layout.AppendValue(chunk.Vectors[c], keyRow[s.keyWidth:], cp.pay)
+				default:
+					runID, idx := s.getRef(keyRow)
+					p := s.runs[runID].payload
+					if key := cp.keySegment(keyRow); key != nil && p.Valid(int(idx), cp.pay) {
+						chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), cp.pay, key)))
+					} else {
+						p.AppendTo(chunk.Vectors[c], int(idx), cp.pay)
+					}
 				}
-				if s.inline {
-					s.layout.AppendValue(chunk.Vectors[c], keyRow[s.keyWidth:], s.payCol[c])
-					continue
-				}
-				runID, idx := s.getRef(keyRow)
-				p, pc := s.runs[runID].payload, s.payCol[c]
-				if key := s.keySegment(keyRow, pc); key != nil && p.Valid(int(idx), pc) {
-					chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), pc, key)))
-					continue
-				}
-				p.AppendTo(chunk.Vectors[c], int(idx), pc)
 			}
 		}
 		if err := out.AppendChunk(chunk); err != nil {

@@ -230,13 +230,14 @@ func (s *Sorter) newRowsDrain(gw *obs.Worker) (*rowsDrain, error) {
 }
 
 func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
-	t := &drainTask{ow: ow, g: row.NewGather(d.s.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow)}
-	if !d.s.inline {
+	p := &d.s.place
+	t := &drainTask{ow: ow, g: row.NewGather(p.layout), em: d.s.newExtMerge(d.ctx, d.plan, d.stage, ow)}
+	if !p.inline {
 		t.which, t.idxs = make([]uint32, vector.DefaultVectorSize), make([]uint32, vector.DefaultVectorSize)
 	}
-	if d.s.inline || d.s.keySegs != nil || len(d.s.payCols) < len(d.s.schema) {
+	if p.readsKeys {
 		t.keys = make([][]byte, vector.DefaultVectorSize)
-		t.g.SetKeySegments(d.s.keySegs)
+		t.g.SetKeySegments(p.segs)
 	}
 	return t
 }
@@ -368,12 +369,12 @@ func (d *rowsDrain) nextChunk(t *drainTask) (*vector.Chunk, error) {
 	if keys != nil {
 		keys = keys[:count]
 	}
-	if s.inline {
+	if s.place.inline {
 		t.g.Inline(keys, s.keyWidth)
 	} else {
 		t.g.Refs(t.em.sets, t.which[:count], t.idxs[:count], keys)
 	}
-	chunk := &vector.Chunk{Vectors: s.outputVectors(t.g.Vectors(), keys)}
+	chunk := &vector.Chunk{Vectors: s.place.outputVectors(s.enc, t.g.Vectors(), keys)}
 	s.countGathered(count)
 	sp.End()
 	t.em.settle()
@@ -469,28 +470,10 @@ func (e *extMerge) refs(which, idxs []uint32, keys [][]byte) int {
 	return vector.DefaultVectorSize
 }
 
-// outputVectors returns an output chunk's vectors in schema order: the
-// payload's, gathered, and for each column a key holds, the key decoded from
-// the chunk's key rows.
-func (s *Sorter) outputVectors(payload []*vector.Vector, keys [][]byte) []*vector.Vector {
-	if len(payload) == len(s.schema) {
-		return payload
-	}
-	out := make([]*vector.Vector, len(s.schema))
-	for c, k := range s.held {
-		if k >= 0 {
-			out[c] = s.enc.DecodeColumn(k, keys)
-		} else {
-			out[c] = payload[s.payCol[c]]
-		}
-	}
-	return out
-}
-
 // countGathered publishes n rows materialized into an output chunk: the
 // payload's bytes — an inline payload's unaligned width — which the decoded
 // columns do not add to.
 func (s *Sorter) countGathered(n int) {
 	s.ctr.Add(obs.RowsGathered, int64(n))
-	s.ctr.Add(obs.GatherBytes, int64(n)*int64(s.layout.Width()))
+	s.ctr.Add(obs.GatherBytes, int64(n)*int64(s.place.layout.Width()))
 }

@@ -258,7 +258,7 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		s := finalizedSorter(t, tbl, []SortColumn{{Column: 0}}, Options{Threads: threads})
 		defer s.Close()
-		full := int64(lifecycleRows) * int64(s.layout.Width())
+		full := int64(lifecycleRows) * int64(s.place.layout.Width())
 		if st := s.Stats(); st.GatherBytesMoved != 0 {
 			t.Fatalf("threads=%d: %d gather bytes before any Rows", threads, st.GatherBytesMoved)
 		}
@@ -299,7 +299,7 @@ func TestRowsReiterationAndCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		st3 := s.Stats()
-		window := leadingRows(s, it.d.plan, drainWindowPerThread*threads) * int64(s.layout.Width())
+		window := leadingRows(s, it.d.plan, drainWindowPerThread*threads) * int64(s.place.layout.Width())
 		if moved := st3.GatherBytesMoved - st2.GatherBytesMoved; moved <= 0 || moved > window || moved >= full {
 			t.Errorf("threads=%d: an iterator closed after one chunk moved %d gather bytes; want some, at most the window's %d, under the drain's %d",
 				threads, moved, window, full)
@@ -324,7 +324,7 @@ func leadingRows(s *Sorter, p *mergePlan, n int) int64 {
 	_, hi := p.Bound(min(n, p.Tasks()) - 1)
 	rows := 0
 	for i, id := range p.ids {
-		_, to := p.Range(mergepath.Run{Data: s.runs[id].keys, Width: s.rowWidth}, i, 0, spill.Bound{}, hi)
+		_, to := p.Range(mergepath.Run{Data: s.runs[id].keys, Width: s.place.rowWidth}, i, 0, spill.Bound{}, hi)
 		rows += to
 	}
 	return int64(rows)
@@ -413,7 +413,7 @@ func TestInMemorySortAllocatesNoMergedKeys(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mergedKeys := uint64(rows * s.rowWidth)
+	mergedKeys := uint64(rows * s.place.rowWidth)
 
 	var m0, m1, m2 runtime.MemStats
 	runtime.GC()

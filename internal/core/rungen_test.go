@@ -118,7 +118,7 @@ func TestRunGenerationCopiesOnce(t *testing.T) {
 		}
 	}
 
-	rowBytes := float64(s.layout.Width() + s.rowWidth)
+	rowBytes := float64(s.place.layout.Width() + s.place.rowWidth)
 	perRow := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(tbl.NumRows())
 	const bound = 4.0
 	t.Logf("allocated %.1f bytes/row = %.2fx of the %v row-format bytes", perRow, perRow/rowBytes, rowBytes)
@@ -202,7 +202,7 @@ func sortImage(t *testing.T, tbl *vector.Table, keys []SortColumn, opt Options, 
 		// row-aligned: a recycled key buffer may hold anything anywhere,
 		// the alignment padding behind each row's reference included.
 		for i := 0; i < 4; i++ {
-			s.putKeyBuf(bytes.Repeat([]byte{0xEE}, opt.RunSize*s.rowWidth)[:0])
+			s.putKeyBuf(bytes.Repeat([]byte{0xEE}, opt.RunSize*s.place.rowWidth)[:0])
 		}
 	}
 	var sinks [2]*Sink
@@ -340,7 +340,7 @@ func TestIngestPlanFollowsSinkShare(t *testing.T) {
 		schema vector.Schema
 		keys   []SortColumn
 		opt    Options
-		row    int64 // pendingRowBytes
+		row    int64 // placement.pendingRow
 		share  int64
 		rows   int
 	}{
@@ -355,7 +355,7 @@ func TestIngestPlanFollowsSinkShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.pendingRowBytes(); got != tc.row {
+		if got := s.place.pendingRow; got != tc.row {
 			t.Errorf("%s: %d bytes a pending row, want %d", tc.name, got, tc.row)
 		}
 		if s.sinkShare != tc.share || s.runRows != tc.rows {
@@ -375,7 +375,7 @@ func TestIngestPlanFollowsSinkShare(t *testing.T) {
 		if err := sink.Append(c); err != nil {
 			t.Fatal(err)
 		}
-		if got := cap(sink.keys) / s.rowWidth; i == 1 && got != 24*v {
+		if got := cap(sink.keys) / s.place.rowWidth; i == 1 && got != 24*v {
 			t.Errorf("after two chunks of wide rows the sink's key buffer holds %d rows, want the %d its heap cuts at", got, 24*v)
 		}
 	}
@@ -413,7 +413,7 @@ func TestBudgetedSinkCutsAtPlannedRunSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRow := probe.pendingRowBytes()
+	perRow := probe.place.pendingRow
 	probe.Close()
 	limit := 2 * int64(planned) * perRow
 	s, err := NewSorter(fixed.Schema, keys, Options{Threads: 1, RunSize: runSize, MemoryLimit: limit})
@@ -622,7 +622,7 @@ func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 		return k.payload, 0
 	})
 	for i := 1; i < n; i++ {
-		if bytes.Compare(keys[(i-1)*s.rowWidth:][:s.keyWidth], keys[i*s.rowWidth:][:s.keyWidth]) > 0 {
+		if bytes.Compare(keys[(i-1)*s.place.rowWidth:][:s.keyWidth], keys[i*s.place.rowWidth:][:s.keyWidth]) > 0 {
 			t.Fatalf("key rows %d and %d are out of order", i-1, i)
 		}
 	}

@@ -64,7 +64,7 @@ func (k *Sink) flush() error {
 	s.mu.Unlock()
 
 	var sorted *row.RowSet
-	if !s.inline {
+	if !s.place.inline {
 		sorted = k.reorder(keys, payload, n, runID)
 	}
 	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
@@ -86,11 +86,11 @@ func (k *Sink) flush() error {
 func (k *Sink) reorder(keys []byte, payload *row.RowSet, n int, runID uint32) *row.RowSet {
 	s := k.s
 	if cap(k.idxs) < n {
-		k.idxs = make([]uint32, max(n, cap(keys)/s.rowWidth))
+		k.idxs = make([]uint32, max(n, cap(keys)/s.place.rowWidth))
 	}
 	idxs := k.idxs[:n]
 	ref := uint64(runID)
-	for i, o := 0, s.keyWidth; i < n; i, o = i+1, o+s.rowWidth {
+	for i, o := 0, s.keyWidth; i < n; i, o = i+1, o+s.place.rowWidth {
 		at := keys[o : o+refBytes : o+refBytes]
 		idxs[i] = uint32(binary.LittleEndian.Uint64(at) >> 32)
 		binary.LittleEndian.PutUint64(at, ref)
@@ -133,7 +133,7 @@ func (k *Sink) planRun(keys []byte, n int, tieBreak bool) StrategyDecision {
 	d := StrategyDecision{Rows: n, Algo: "msd-radix"}
 	if tieBreak {
 		d.Why = "tie-break"
-	} else if _, cmp := s.mergeOrder(false, nil); inOrder(keys, s.rowWidth, cmp) {
+	} else if _, cmp := s.mergeOrder(false, nil); inOrder(keys, s.place.rowWidth, cmp) {
 		return StrategyDecision{Rows: n, Algo: "none", Why: "presorted"}
 	}
 	if radix.UseLSD(s.keyWidth) {
@@ -164,7 +164,7 @@ func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runI
 	}
 	// Which radix sort runs is radix's own width rule, the one planRun names
 	// the decision by.
-	radix.SortOpts(keys, s.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
+	radix.SortOpts(keys, s.place.rowWidth, s.keyWidth, radix.Options{Scratch: k.radixScratch(keys)})
 	if tieBreak {
 		k.sortTies(keys, lookup)
 	}
@@ -178,7 +178,7 @@ func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runI
 // is the stable order.
 func (k *Sink) sortTies(keys []byte, lookup func(runID, idx uint32) (*row.RowSet, int)) {
 	s := k.s
-	rw, dw := s.rowWidth, s.enc.DecisiveWidth()
+	rw, dw := s.place.rowWidth, s.enc.DecisiveWidth()
 	tie, _ := s.mergeOrder(true, lookup)
 	buf := k.radixScratch(keys)
 	for lo := 0; lo < len(keys); {
@@ -267,7 +267,7 @@ func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) err
 // spillFormat is the shape of this sort's rows, as its spill files hold them:
 // an inline payload is in the key rows, and the blocks' payload of no column.
 func (s *Sorter) spillFormat() spill.Format {
-	return spill.Format{RowWidth: s.rowWidth, Layout: s.setLayout}
+	return spill.Format{RowWidth: s.place.rowWidth, Layout: s.place.setLayout}
 }
 
 // spillBlockRows is the rows of every block of every spill file of this
@@ -370,7 +370,7 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	if err != nil {
 		return err
 	}
-	rw, payload := s.rowWidth, []*row.RowSet{r.payload}
+	rw, payload := s.place.rowWidth, []*row.RowSet{r.payload}
 	for i := 0; i < r.rows; {
 		n := min(w.Room(), r.rows-i)
 		w.AddRows(r.keys[i*rw:(i+n)*rw], 0, uint32(i))
@@ -418,7 +418,7 @@ func (s *Sorter) getRowSet() *row.RowSet {
 	if rs := s.sets.Get(); rs != nil {
 		return rs
 	}
-	return row.NewRowSet(s.setLayout)
+	return row.NewRowSet(s.place.setLayout)
 }
 
 // putRowSet recycles a payload row set whose contents are dead.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 
 	"rowsort/internal/mem"
@@ -31,34 +30,11 @@ type Sorter struct {
 	keys   []SortColumn
 	opt    Options
 
-	// The key shape, fixed by NewSorter: read without s.mu.
+	// The key shape and where each column's values live, fixed by NewSorter:
+	// read without s.mu.
 	enc      *normkey.Encoder
 	keyWidth int // normalized key bytes per row
-	rowWidth int // key row stride, 8-aligned: the key and its payload reference, or its inline payload (see payloadLayout)
-
-	// The payload, fixed by NewSorter (see payloadColumns): a value some key
-	// holds exactly is stored once, in that key. held[c] is the key that holds
-	// schema column c, -1 for a column the payload holds; payCols are those
-	// columns, in schema order, and payCol[c] is column c's place among them
-	// (-1 for a held one). layout is the payload's row layout, of payCols'
-	// types alone — no columns at all when the keys hold every one. An inline
-	// payload rides in its key row, right behind the key: no payload set, no
-	// reference, no reorder. setLayout is the layout of the payload's row
-	// sets: layout, or for an inline payload one of no columns — the empty
-	// payload of its spill blocks.
-	held      []int
-	payCols   []int
-	payCol    []int
-	layout    *row.Layout
-	inline    bool
-	setLayout *row.Layout
-
-	// Strings a key holds whole are stored once, in the key (see keyResidence):
-	// strKey[c] is the key whose segment can hold payload column c's strings,
-	// keySegs[c] where they start in a key row; -1 for a column that has none,
-	// and both nil when no column has.
-	strKey  []int
-	keySegs []int
+	place    placement
 
 	mu        sync.Mutex
 	runs      []*sortedRun
@@ -144,19 +120,9 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 		opt:      opt,
 		enc:      enc,
 		keyWidth: enc.Width(),
+		place:    place(schema, enc),
 		rec:      opt.Telemetry,
 	}
-	s.held, s.payCols, s.payCol = payloadColumns(enc, len(schema))
-	types := make([]vector.Type, len(s.payCols))
-	for i, c := range s.payCols {
-		types[i] = schema[c].Type
-	}
-	s.layout, s.inline, s.rowWidth = payloadLayout(enc, types)
-	s.setLayout = s.layout
-	if s.inline {
-		s.setLayout = row.NewLayout(nil)
-	}
-	s.strKey, s.keySegs = keyResidence(enc, s.payCol, len(s.payCols))
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// The sorter always runs under a broker — a child of the shared one
@@ -167,98 +133,13 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 	s.runRes = s.broker.Reserve("runs", 0)
 	s.poolRes = s.broker.Reserve("pools", 0)
 	s.keyBufs = row.NewBufPool(s.poolRes)
-	s.sets = row.NewSetPool(s.setLayout, s.poolRes)
+	s.sets = row.NewSetPool(s.place.setLayout, s.poolRes)
 	s.planIngest()
 	s.ctr = obs.NewBlock(s.broker)
 	s.ctr.Store(obs.MemLimit, opt.MemoryLimit)
 	s.spills = spill.NewDir(spill.OS(), opt.SpillDir, s.ctr, s.rec)
 	s.run = s.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: s.ctr})
 	return s, nil
-}
-
-// payloadColumns decides, once for the sort, which of cols schema columns the
-// payload stores: every one but those a key holds exactly (normkey's Exact: a
-// Bool or integer key, in any order and NULL placement), which the drain
-// decodes from the key rows instead (outputVectors). It returns the key
-// holding each column (the first, for a column keyed more than once; -1 for
-// none), the payload's columns in schema order, and each column's place among
-// them (-1 for a held one).
-func payloadColumns(enc *normkey.Encoder, cols int) (held, payCols, payCol []int) {
-	held, payCol = make([]int, cols), make([]int, cols)
-	for c := range held {
-		held[c] = -1
-	}
-	for k, key := range enc.Keys() {
-		if key.Exact() && held[key.Column] < 0 {
-			held[key.Column] = k
-		}
-	}
-	for c := range held {
-		payCol[c] = -1
-		if held[c] < 0 {
-			payCol[c] = len(payCols)
-			payCols = append(payCols, c)
-		}
-	}
-	return held, payCols, payCol
-}
-
-// payloadLayout decides, once for the sort, where the payload of types lives,
-// and returns its row layout and the key row's stride. By default a key row
-// is the key and an 8-byte payload reference, 8-aligned, and the payload rows
-// live in row sets of the aligned layout. A payload rides inline — its mask
-// and values packed unaligned behind the key, in a key row no wider than the
-// reference would make it — when no key can tie, so the comparator never
-// looks for a payload, and it has no string, which would want a heap: the
-// stride is then the key and the payload, 8-aligned (the key alone, when the
-// keys hold every column).
-func payloadLayout(enc *normkey.Encoder, types []vector.Type) (layout *row.Layout, inline bool, rowWidth int) {
-	kw := enc.Width()
-	rowWidth = (kw + refBytes + 7) &^ 7
-	packed := row.NewLayoutAligned(types, 1)
-	if enc.TiesPossible() || slices.Contains(types, vector.Varchar) || kw+packed.Width() > rowWidth {
-		return row.NewLayout(types), false, rowWidth
-	}
-	return packed, true, (kw + packed.Width() + 7) &^ 7
-}
-
-// keyResidence picks, for each payload column, the key whose segment can hold
-// the column's strings whole, and where in a key row they would start: a
-// varchar key in ASC order under binary collation, whose segment is the
-// string's own bytes, zero-padded, behind the validity byte — the longest
-// such prefix, where the column is keyed so more than once. DESC inverts a
-// segment and NOCASE folds it, so a column keyed only so keeps its strings on
-// the heap. A string that fits that key's prefix (normkey.FitsPrefix) stays
-// there, and its payload slot holds only its length (Sink.Append). payCol
-// maps a schema column to its place among the payload's cols columns; a
-// string column is never held.
-func keyResidence(enc *normkey.Encoder, payCol []int, cols int) (strKey, segs []int) {
-	keys := enc.Keys()
-	for k, key := range keys {
-		if key.Type != vector.Varchar || key.Order != normkey.Ascending || key.Collation != normkey.CollationBinary {
-			continue
-		}
-		if strKey == nil {
-			strKey, segs = make([]int, cols), make([]int, cols)
-			for c := range strKey {
-				strKey[c], segs[c] = -1, -1
-			}
-		}
-		c := payCol[key.Column]
-		if j := strKey[c]; j < 0 || keys[j].Prefix() < key.Prefix() {
-			strKey[c], segs[c] = k, enc.Offset(k)+1
-		}
-	}
-	return strKey, segs
-}
-
-// keySegment returns the key row from where payload column c's key-resident
-// string starts, for RowSet.StringIn; nil when the column has none.
-func (s *Sorter) keySegment(keyRow []byte, c int) []byte {
-	if s.keySegs == nil || s.keySegs[c] < 0 {
-		return nil
-	}
-	return keyRow[s.keySegs[c]:]
 }
 
 // SetExpectedRows declares the total input rows up front, when the caller

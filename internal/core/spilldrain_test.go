@@ -419,7 +419,7 @@ func TestSpilledSortHoldsNoOutput(t *testing.T) {
 	s := ingestedSorter(t, tbl, keys, Options{Threads: 1, RunSize: perRun, SpillDir: t.TempDir()}, pinBlockRows(blockRows))
 	defer s.Close()
 	rungenPeak := s.broker.Peak()
-	mergedKeys := uint64(tbl.NumRows() * s.rowWidth)
+	mergedKeys := uint64(tbl.NumRows() * s.place.rowWidth)
 
 	var m0, m1 runtime.MemStats
 	runtime.GC()
