@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -16,7 +14,6 @@ import (
 	"rowsort/internal/mem"
 	"rowsort/internal/normkey"
 	"rowsort/internal/obs"
-	"rowsort/internal/row"
 	"rowsort/internal/spill"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -550,7 +547,7 @@ func FuzzSortPlanSpace(f *testing.F) {
 func (p plan) check(t *testing.T) (reached []string) {
 	ctx := fmt.Sprintf("%+v", p)
 	tbl, keys, perRun := p.table()
-	base := runtime.NumGoroutine()
+	base := leakBaseline()
 	ffs := &faultFS{FS: spill.OS()}
 	s, shared := p.sorter(t, tbl, keys, perRun, ffs)
 	var fault fsFault
@@ -642,15 +639,21 @@ func (p plan) check(t *testing.T) (reached []string) {
 }
 
 // mixesSlots reports whether a run of s still in memory merges under the
-// tie-break comparator with strings both left in its keys and on its heap.
+// tie-break comparator with strings both left in its keys — a valid string
+// whose segment's residence byte says it fits — and on its heap.
 func mixesSlots(s *Sorter) bool {
+	rw := s.place.rowWidth
 	for _, r := range s.runs {
 		if r.keys == nil || !r.tieBreak || r.payload.HeapLen() == 0 {
 			continue
 		}
 		for _, c := range s.place.cols {
-			for i := 0; c.where == inSegment && i < r.rows; i++ {
-				if r.payload.Valid(i, c.pay) && binary.LittleEndian.Uint32(r.payload.Row(i)[s.place.layout.Offset(c.pay):]) == row.KeyResident {
+			if c.where != inSegment {
+				continue
+			}
+			res := s.enc.Offset(c.key) + 1 + s.enc.Keys()[c.key].Prefix()
+			for o := 0; o < len(r.keys); o += rw {
+				if _, i := s.getRef(r.keys[o:]); r.keys[o+res] == 0 && r.payload.Valid(int(i), c.pay) {
 					return true
 				}
 			}

@@ -38,7 +38,6 @@ type Sink struct {
 	idxs     []uint32         // payload reorder permutation
 	keyCols  []*vector.Vector // the current chunk's key columns
 	payVecs  []*vector.Vector // and its payload columns
-	inKey    []int            // the current chunk's strings that stay in the keys, per payload column
 	n        int
 	runs     int   // runs this sink has cut
 	heapRow  int64 // string-heap bytes a pending row carried, last seen
@@ -49,8 +48,7 @@ type Sink struct {
 // NewSink registers and returns a new ingestion sink.
 func (s *Sorter) NewSink() *Sink {
 	k := &Sink{s: s, ow: s.rec.Worker("sink"), res: s.broker.Reserve("sink", 0), keys: s.getKeyBuf(),
-		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, s.place.layout.NumColumns()),
-		inKey: make([]int, len(s.place.segs))}
+		keyCols: make([]*vector.Vector, len(s.keys)), payVecs: make([]*vector.Vector, s.place.layout.NumColumns())}
 	if !s.place.inline {
 		k.payload = s.getRowSet()
 	}
@@ -161,9 +159,9 @@ func (k *Sink) growKeys(n int) int {
 // payload set, or behind each key in its key row when the payload is inline —
 // both one vector at a time. A column a key holds exactly is not scattered at
 // all (see place). The keys go first because what they hold decides what the
-// payload does not: a string that fits its key's segment is held whole there,
-// and the payload keeps only its length. A chunk that fails either step leaves
-// the sink as it was.
+// payload does not: a string its key's segment holds whole, as the segment's
+// residence byte says, stays there, and its payload slot is empty. A chunk
+// that fails either step leaves the sink as it was.
 func (k *Sink) Append(c *vector.Chunk) error {
 	if k.closed {
 		return fmt.Errorf("core: append to closed sink")
@@ -205,7 +203,7 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		err = s.place.layout.ScatterRows(k.keys[start+kw:], rw, n, k.payVecs)
 	} else if err == nil {
 		k.reservePayload(n)
-		err = k.payload.AppendChunkKeyed(n, k.payVecs, s.place.keyResident(k.inKey, st, s.enc.Keys()))
+		err = k.payload.AppendChunkKeyed(n, k.payVecs, k.keys[start:], rw)
 		// Behind each key goes its payload reference — run 0, the row's index
 		// in the pending set — as one store.
 		for o, ref := start+kw, uint64(k.n)<<32; o < len(k.keys); o, ref = o+rw, ref+1<<32 {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"strings"
 	"testing"
 
 	"rowsort/internal/mem"
+	"rowsort/internal/normkey"
 	"rowsort/internal/row"
 	"rowsort/internal/vector"
 	"rowsort/internal/workload"
@@ -193,8 +196,10 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 // the wide row's string column 16, an Int64 key over two Int64s, which do not
 // fit, 24. Each row pins where one column lives too (place): a varchar keyed
 // only DESC, or only NOCASE, keeps its strings in the payload set, with no key
-// segment; one keyed ASC at PrefixLen 4 and at the default leaves them in the
-// 12-byte key's segment; an integer keyed twice is held by the first key. An
+// segment; one keyed ASC at the default and at PrefixLen 4 leaves them in the
+// shorter, second key's segment, and one keyed DESC at 4 and ASC at the
+// default keeps them in the set; an integer keyed twice is held by the first
+// key. An
 // inline sort, in memory, spilled and through a merge pass, keeps no payload
 // set — no sink's, no run's — and is the oracle's.
 func TestPayloadRidesInlineWhereItFits(t *testing.T) {
@@ -217,27 +222,29 @@ func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 		place    colPlace
 	}{
 		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, true, 24,
-			1, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+			1, colPlace{where: inRow, key: -1, pay: 0}},
 		{"catalog_sales", workload.CatalogSalesSchema, []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, true, 32,
-			4, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+			4, colPlace{where: inRow, key: -1, pay: 0}},
 		{"an Int64 key over an Int8", int8Pay, []SortColumn{{Column: 0}}, true, 16,
-			1, colPlace{where: inRow, key: -1, pay: 0, seg: -1}},
+			1, colPlace{where: inRow, key: -1, pay: 0}},
 		{"every column a key", allKeys, []SortColumn{{Column: 3}, {Column: 0}, {Column: 2}, {Column: 1}}, true, 16,
-			3, colPlace{where: heldByKey, key: 0, pay: -1, seg: -1}},
+			3, colPlace{where: heldByKey, key: 0, pay: -1}},
 		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 40,
-			5, colPlace{where: inSegment, key: 1, pay: 5, seg: 14}},
+			5, colPlace{where: inSegment, key: 1, pay: 5}},
 		{"the wide row", wide, []SortColumn{{Column: 0}}, false, 16,
-			13, colPlace{where: inSet, key: -1, pay: 12, seg: -1}},
+			13, colPlace{where: inSet, key: -1, pay: 12}},
 		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 24,
-			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
+			1, colPlace{where: inSet, key: -1, pay: 0}},
 		{"a varchar keyed only DESC", named, []SortColumn{{Column: 1, Descending: true}, {Column: 0}}, false, 32,
-			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
+			1, colPlace{where: inSet, key: -1, pay: 0}},
 		{"a varchar keyed only NOCASE", named, []SortColumn{{Column: 1, CaseInsensitive: true}, {Column: 0}}, false, 32,
-			1, colPlace{where: inSet, key: -1, pay: 0, seg: -1}},
-		{"a varchar keyed ASC at PrefixLen 4 and at the default", named, []SortColumn{{Column: 1, PrefixLen: 4}, {Column: 1}}, false, 32,
-			1, colPlace{where: inSegment, key: 1, pay: 1, seg: 6}},
+			1, colPlace{where: inSet, key: -1, pay: 0}},
+		{"a varchar keyed ASC at PrefixLen 4 and at the default", named, []SortColumn{{Column: 1}, {Column: 1, PrefixLen: 4}}, false, 32,
+			1, colPlace{where: inSegment, key: 1, pay: 1}},
+		{"a varchar keyed DESC at PrefixLen 4 and ASC at the default", named, []SortColumn{{Column: 1, Descending: true, PrefixLen: 4}, {Column: 1}}, false, 32,
+			1, colPlace{where: inSet, key: -1, pay: 1}},
 		{"an integer keyed twice", workload.IntKeySchema, []SortColumn{{Column: 0, Descending: true}, {Column: 0}}, true, 32,
-			0, colPlace{where: heldByKey, key: 0, pay: -1, seg: -1}},
+			0, colPlace{where: heldByKey, key: 0, pay: -1}},
 	} {
 		s, err := NewSorter(tc.schema, tc.keys, Options{})
 		if err != nil {
@@ -446,5 +453,96 @@ func TestDrainEstimateHoldsAGatheredChunk(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestTieBreakFetchesOnlyOverflowingPairs counts the full-string fetches of
+// the merge's comparator (mergeOrder's lookup) over every pair of key rows of
+// a sort whose chunks mix names that fit the 12-byte prefix — the empty
+// string, exactly 12 bytes, a NOCASE twin — with names that overflow it or
+// hold a NUL, and NULLs, under ASC, DESC and NOCASE and both NULL placements.
+// A pair where either side fits, or is NULL, is decided by its key bytes
+// alone, the residence byte included: no fetch. Pairs of overflowing names
+// that tie on their prefixes are fetched, and every pair compares as the
+// oracle does. The sort equals the stable oracle order.
+func TestTieBreakFetchesOnlyOverflowingPairs(t *testing.T) {
+	names := []string{"", "a", "Ab", "ab\x00", "abcdefghijkl", "ABCDEFGHIJKL", "abcdefghijklm", "abcdefghijklz",
+		"ABCDEFGHIJKLM", "abcdefghijkl\x00", "zz", "abcdefghijk"}
+	schema := vector.Schema{{Name: "s", Type: vector.Varchar}, {Name: "id", Type: vector.Int32}}
+	tbl := vector.NewTable(schema)
+	var vals []*string // by id: nil for NULL
+	for chunk := 0; chunk < 4; chunk++ {
+		c := vector.NewChunk(schema, 48)
+		for r := 0; r < 48; r++ {
+			id := len(vals)
+			switch name := names[(id*7+chunk)%len(names)]; {
+			case r%11 == 3:
+				c.Vectors[0].AppendNull()
+				vals = append(vals, nil)
+			case chunk == 0 && !normkey.FitsPrefix(name, normkey.DefaultStringPrefixLen):
+				c.Vectors[0].AppendString(name[:2]) // the first chunk's names all fit
+				vals = append(vals, &[]string{name[:2]}[0])
+			default:
+				c.Vectors[0].AppendString(name)
+				vals = append(vals, &[]string{name}[0])
+			}
+			c.Vectors[1].AppendInt32(int32(id))
+		}
+		tbl.Chunks = append(tbl.Chunks, c)
+	}
+	fits := func(id int32) bool {
+		return vals[id] == nil || normkey.FitsPrefix(*vals[id], normkey.DefaultStringPrefixLen)
+	}
+	show := func(id int32) string {
+		if vals[id] == nil {
+			return "NULL"
+		}
+		return fmt.Sprintf("%q", *vals[id])
+	}
+	fetched := 0
+	for _, desc := range []bool{false, true} {
+		for _, nocase := range []bool{false, true} {
+			for _, last := range []bool{false, true} {
+				keys := []SortColumn{{Column: 0, Descending: desc, CaseInsensitive: nocase, NullsLast: last}}
+				ctx := fmt.Sprintf("%+v", keys[0])
+				s := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: 96})
+				idPay := s.place.cols[1].pay
+				id := func(keyRow []byte) int32 {
+					run, idx := s.getRef(keyRow)
+					return s.runs[run].payload.Value(int(idx), idPay).(int32)
+				}
+				calls := 0
+				_, order := s.mergeOrder(true, func(run, idx uint32) (*row.RowSet, int) {
+					calls++
+					return s.residentPayload(run, idx)
+				})
+				var rows [][]byte
+				for _, r := range s.runs {
+					for o := 0; o < len(r.keys); o += s.place.rowWidth {
+						rows = append(rows, r.keys[o:o+s.place.rowWidth])
+					}
+				}
+				col := tbl.Column(0)
+				for _, a := range rows {
+					for _, b := range rows {
+						before := calls
+						got := order(a, b)
+						ia, ib := id(a), id(b)
+						if calls > before && (fits(ia) || fits(ib)) {
+							t.Fatalf("%s: comparing %s with %s fetched %d full strings", ctx, show(ia), show(ib), calls-before)
+						}
+						if want := normkey.CompareValues(s.enc.Keys()[0], col, int(ia), col, int(ib)); cmp.Compare(got, 0) != cmp.Compare(want, 0) {
+							t.Fatalf("%s: rows %d and %d compare %d, want %d", ctx, ia, ib, got, want)
+						}
+					}
+				}
+				fetched += calls
+				checkOracle(t, ctx, tbl, resultChecked(t, s), keys, true)
+				s.Close()
+			}
+		}
+	}
+	if fetched == 0 {
+		t.Error("no pair of overflowing names was fetched: the tie path went untested")
 	}
 }

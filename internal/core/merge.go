@@ -23,19 +23,18 @@ import (
 // mergeOrder returns the merge's comparators over key rows: tie orders rows
 // equal on the byte-decisive prefix (normkey's DecisiveWidth), the one a
 // loser tree is coded on, and is nil when no run can tie; cmp is the whole
-// order. A tie is resolved against the full strings in the payload, which
+// order. A tie is resolved against the full strings in the payload — only
+// strings that overflow their prefixes tie, and those lie on the heap — which
 // lookup finds through the row's reference: the RowSet holding it and the
 // row's index there (a merge over spilled runs keeps only one block of each
-// run current, so the index is block-local) — or, for a string left in its
-// key, in the key row itself, at the segment the placement resolved for the
-// key. Rows that cannot tie are compared with one bytes.Compare over the key,
-// the paper's memcmp.
+// run current, so the index is block-local). Rows that cannot tie are
+// compared with one bytes.Compare over the key, the paper's memcmp.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
 		byKey := s.place.byKey
 		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
 			p, i := lookup(s.getRef(keyRow))
-			return p.StringIn(i, byKey[k].pay, byKey[k].keySegment(keyRow))
+			return p.StringBytes(i, byKey[k].pay)
 		})
 		return tie, tie
 	}
@@ -392,6 +391,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 	if err != nil {
 		return 0, err
 	}
+	defer w.Abort(nil) // a panic's way out closes the file too
 	// flush moves the payload rows merged since the last call into the output
 	// block, after which the merge may let their input blocks go.
 	flush := func() error {

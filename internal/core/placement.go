@@ -19,21 +19,11 @@ const (
 )
 
 // colPlace is where one schema column lives: the key that holds it, or whose
-// segment may hold its strings (-1 for neither); its place in the payload row
-// (-1 for a held column); and where its strings start in a key row, for
-// inSegment.
+// segment may hold its strings (-1 for neither), and its place in the payload
+// row (-1 for a held column).
 type colPlace struct {
-	where         where
-	key, pay, seg int
-}
-
-// keySegment returns the key row from where the column's key-resident string
-// starts, for RowSet.StringIn; nil when it has none.
-func (c colPlace) keySegment(keyRow []byte) []byte {
-	if c.where != inSegment {
-		return nil
-	}
-	return keyRow[c.seg:]
+	where    where
+	key, pay int
 }
 
 // placement is where a sort keeps each column's values, and what follows from
@@ -49,7 +39,6 @@ type placement struct {
 	inline    bool        // the payload rides in the key row, which then carries no reference
 	rowWidth  int         // key row stride, 8-aligned
 	padded    bool        // a key row has padding behind its reference or inline payload
-	segs      []int       // per payload column, its seg: -1 unless inSegment
 	readsKeys bool        // the drain reads an output row's key row: some column lives outside the payload's sets
 
 	// A pending row's fixed bytes: its key row, a radix-scratch row and, with
@@ -71,30 +60,41 @@ type placement struct {
 // a key row no wider than the reference makes it — when no key can tie, so
 // the comparator never looks for a payload, and it has no string, which would
 // want a heap. A string column keyed ASC under binary collation has a segment
-// that is the string's own bytes, zero-padded, behind the validity byte — the
-// longest such prefix's, where the column is keyed so more than once: a
-// string that fits it (normkey.FitsPrefix) stays there, and its payload slot
-// holds only its length (Sink.Append). DESC inverts a segment and NOCASE
-// folds it, so a column keyed only so keeps its strings on the heap.
+// that is the string's own bytes, zero-padded, behind the validity byte and
+// ahead of the residence byte that says whether they are the whole string
+// (normkey.FitsPrefix): a string that fits stays there, and its payload slot
+// is empty (row.Layout.WithKeySegments). The segment is that of the column's
+// shortest key, which must be such a key: a string that overflows any key of
+// the column then overflows that one, and lies on the heap, where the tie-break
+// reads it. DESC inverts a segment and NOCASE folds it, so a column whose
+// shortest key is keyed so keeps its strings on the heap.
 func place(schema vector.Schema, enc *normkey.Encoder) placement {
 	keys, kw := enc.Keys(), enc.Width()
-	p := placement{cols: slices.Repeat([]colPlace{{key: -1, pay: -1, seg: -1}}, len(schema))}
+	p := placement{cols: slices.Repeat([]colPlace{{key: -1, pay: -1}}, len(schema))}
 	for k, key := range keys {
 		switch c := &p.cols[key.Column]; {
 		case key.Exact() && c.key < 0:
 			c.where, c.key = heldByKey, k
-		case key.Type == vector.Varchar && key.Order == normkey.Ascending && key.Collation == normkey.CollationBinary &&
-			(c.key < 0 || keys[c.key].Prefix() < key.Prefix()):
-			c.where, c.key, c.seg = inSegment, k, enc.Offset(k)+1
+		case key.Type == vector.Varchar && (c.key < 0 || key.Prefix() < keys[c.key].Prefix()):
+			c.key = k // the column's shortest key, the first of them
 		}
 	}
 	var types []vector.Type
-	for i, c := range p.cols {
-		if c.where != heldByKey {
-			p.cols[i].pay = len(types)
-			types = append(types, schema[i].Type)
-			p.segs = append(p.segs, c.seg)
+	var segs []row.KeySegment
+	for i := range p.cols {
+		c := &p.cols[i]
+		if c.where == heldByKey {
+			continue
 		}
+		var seg row.KeySegment
+		if k := c.key; k >= 0 && keys[k].Order == normkey.Ascending && keys[k].Collation == normkey.CollationBinary {
+			c.where, seg = inSegment, row.KeySegment{Off: enc.Offset(k) + 1, Prefix: keys[k].Prefix()}
+		} else {
+			c.key = -1
+		}
+		c.pay = len(types)
+		types = append(types, schema[i].Type)
+		segs = append(segs, seg)
 	}
 	p.rowWidth = (kw + refBytes + 7) &^ 7
 	p.layout = row.NewLayoutAligned(types, 1)
@@ -105,7 +105,7 @@ func place(schema vector.Schema, enc *normkey.Encoder) placement {
 		p.setLayout = row.NewLayout(nil)
 		p.pendingRow, p.outputRow = int64(2*p.rowWidth), int64(p.layout.Width())
 	} else {
-		p.layout = row.NewLayout(types)
+		p.layout = row.NewLayout(types).WithKeySegments(segs)
 		p.setLayout = p.layout
 		p.padded = kw+refBytes < p.rowWidth
 		p.pendingRow = int64(2*p.rowWidth + p.layout.Width() + 4)
@@ -137,22 +137,6 @@ func (p *placement) payloadVectors(dst, vecs []*vector.Vector) {
 			dst[c.pay] = vecs[i]
 		}
 	}
-}
-
-// keyResident fills inKey, per payload column, with the strings a chunk's keys
-// just encoded (st) leave there, as row.RowSet.AppendChunkKeyed takes them:
-// all of a column whose key did not tie, and where it did, each that fits the
-// key's prefix.
-func (p *placement) keyResident(inKey []int, st normkey.EncodeStats, keys []normkey.SortKey) []int {
-	for _, c := range p.cols {
-		if c.where == inSegment {
-			inKey[c.pay] = row.AllInKey
-			if st.Tied(c.key) {
-				inKey[c.pay] = keys[c.key].Prefix()
-			}
-		}
-	}
-	return inKey
 }
 
 // outputVectors returns an output chunk's vectors in schema order: the

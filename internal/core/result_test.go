@@ -67,10 +67,10 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 // single-threaded mergepath.KWayMerge of the runs under the sort's whole-row
 // comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
 // one key array, then a value-at-a-time gather through RowSet.AppendTo (no
-// typed kernels; a string left in its key read through StringIn) of the
-// payload's columns — through Layout.AppendValue of the key row, for an
-// inline payload — and of a column a key holds, Encoder.DecodeValue of the
-// key row. A sort with a run on disk has only the streaming iterator to offer.
+// typed kernels) of the payload's columns — through Layout.AppendValue of the
+// key row, for an inline payload — and of a column a key holds, or of a
+// string its key's residence byte says the key holds, Encoder.DecodeValue of
+// the key row. A sort with a run on disk has only the streaming iterator to offer.
 func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 	t.Helper()
 	if !s.finalized {
@@ -108,14 +108,19 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 					appendAny(chunk.Vectors[c], v)
 				case inRow:
 					s.place.layout.AppendValue(chunk.Vectors[c], keyRow[s.keyWidth:], cp.pay)
+				case inSegment:
+					if keyRow[s.enc.Offset(cp.key)+1+s.enc.Keys()[cp.key].Prefix()] == 0 {
+						v, err := s.enc.DecodeValue(cp.key, keyRow)
+						if err != nil {
+							t.Fatal(err)
+						}
+						appendAny(chunk.Vectors[c], v)
+						break
+					}
+					fallthrough
 				default:
 					runID, idx := s.getRef(keyRow)
-					p := s.runs[runID].payload
-					if key := cp.keySegment(keyRow); key != nil && p.Valid(int(idx), cp.pay) {
-						chunk.Vectors[c].AppendString(string(p.StringIn(int(idx), cp.pay, key)))
-					} else {
-						p.AppendTo(chunk.Vectors[c], int(idx), cp.pay)
-					}
+					s.runs[runID].payload.AppendTo(chunk.Vectors[c], int(idx), cp.pay)
 				}
 			}
 		}
@@ -150,6 +155,8 @@ func appendAny(vec *vector.Vector, v any) {
 		vec.AppendUint32(x)
 	case uint64:
 		vec.AppendUint64(x)
+	case string:
+		vec.AppendString(x)
 	default:
 		panic(fmt.Sprintf("appendAny: a held key decoded to %T", v))
 	}

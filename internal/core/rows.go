@@ -237,7 +237,6 @@ func (d *rowsDrain) newTask(ow *obs.Worker) *drainTask {
 	}
 	if p.readsKeys {
 		t.keys = make([][]byte, vector.DefaultVectorSize)
-		t.g.SetKeySegments(p.segs)
 	}
 	return t
 }

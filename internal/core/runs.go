@@ -370,6 +370,7 @@ func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
 	if err != nil {
 		return err
 	}
+	defer w.Abort(nil) // a panic's way out closes the file too
 	rw, payload := s.place.rowWidth, []*row.RowSet{r.payload}
 	for i := 0; i < r.rows; {
 		n := min(w.Room(), r.rows-i)

@@ -460,14 +460,34 @@ func faultySorter(t *testing.T, threads int) (*Sorter, string) {
 	return s, s.spills.Root()
 }
 
+// leakBase is what a sort starts from: the goroutines running and the file
+// descriptors open (-1 where the process's cannot be listed).
+type leakBase struct{ goroutines, fds int }
+
+func leakBaseline() leakBase { return leakBase{runtime.NumGoroutine(), openFDs()} }
+
+// openFDs counts the process's open file descriptors: -1 where
+// /proc/self/fd does not exist. No GC runs first, so a descriptor that only a
+// finalizer would close counts as open.
+func openFDs() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
 // noLeaks checks what every end of a spilled sort must leave behind: no
-// goroutine, no file, no broker byte.
-func noLeaks(t *testing.T, ctx string, s *Sorter, dir string, base int) {
+// goroutine, no file, open or on disk, no broker byte.
+func noLeaks(t *testing.T, ctx string, s *Sorter, dir string, base leakBase) {
 	t.Helper()
 	if err := s.Close(); err != nil {
 		t.Errorf("%s: Sorter.Close: %v", ctx, err)
 	}
-	waitGoroutines(t, ctx, base)
+	waitGoroutines(t, ctx, base.goroutines)
+	if fds := openFDs(); base.fds >= 0 && fds > base.fds {
+		t.Errorf("%s: %d file descriptors open after Close, %d before the sort", ctx, fds, base.fds)
+	}
 	if left := spillFiles(t, dir); len(left) != 0 {
 		t.Errorf("%s: %d spill files left after Close", ctx, len(left))
 	}
@@ -493,7 +513,7 @@ func TestSpilledDrainAbandoned(t *testing.T) {
 	shapes := []shape{{1, false, false}, {1, true, false}, {4, false, false}, {4, true, false}, {4, false, true}}
 	for _, sh := range shapes {
 		ctx := fmt.Sprintf("threads=%d sorter closed first=%v oversized tasks=%v", sh.threads, sh.closeSorter, sh.oversize)
-		base := runtime.NumGoroutine()
+		base := leakBaseline()
 		var s *Sorter
 		if sh.oversize {
 			const perRun = 1 << 15

@@ -33,33 +33,37 @@ func CompareRows(keys []SortKey, cols []*vector.Vector, i, j int) int {
 
 // Comparator returns the sort order over the key rows the encoder wrote, each
 // row's key at its start: their bytes, segment by segment, where a segment
-// that may tie (a varchar prefix) and did is resolved against the collated
-// full values. full(keyRow, k) fetches key k's whole string for the row, in
-// place: the comparator neither keeps nor writes it. It is called only on
-// such a tie, and never for a NULL: byte-tied segments share their validity
-// byte, so both rows are NULL, and equal, or both valid. A caller whose rows
-// cannot tie compares the key bytes alone (the paper's memcmp) and needs no
-// Comparator.
+// that may tie (a varchar prefix) and did, with its residence byte saying
+// that neither row's prefix holds its string whole, is resolved against the
+// collated full values. full(keyRow, k) fetches key k's whole string for the
+// row, in place: the comparator neither keeps nor writes it. It is called
+// only on such a tie, so never for a string that fits its prefix, nor for a
+// NULL, whose residence byte says it fits: byte-tied segments share their
+// validity and residence bytes. A caller whose rows cannot tie compares the
+// key bytes alone (the paper's memcmp) and needs no Comparator.
 func (e *Encoder) Comparator(full func(keyRow []byte, k int) []byte) func(a, b []byte) int {
 	type seg struct {
 		off, end int
 		canTie   bool
 		desc     bool
-		null     byte
+		fits     byte // the residence byte, as stored, of a string that fits
 		coll     Collation
 	}
 	segs := make([]seg, len(e.keys))
 	for k, key := range e.keys {
-		_, null := key.validity()
+		desc := key.Order == Descending
 		segs[k] = seg{off: e.offsets[k], end: e.offsets[k] + key.segWidth(), canTie: e.segCanTie(k),
-			desc: key.Order == Descending, null: null, coll: key.Collation}
+			desc: desc, coll: key.Collation}
+		if desc {
+			segs[k].fits = 0xFF
+		}
 	}
 	return func(a, b []byte) int {
 		for k, sg := range segs {
 			if c := bytes.Compare(a[sg.off:sg.end], b[sg.off:sg.end]); c != 0 {
 				return c
 			}
-			if !sg.canTie || a[sg.off] == sg.null {
+			if !sg.canTie || a[sg.end-1] == sg.fits {
 				continue
 			}
 			fa, fb := full(a, k), full(b, k)

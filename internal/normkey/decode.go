@@ -166,7 +166,7 @@ func (e *Encoder) DecodeValue(k int, keyRow []byte) (any, error) {
 	case vector.Float64:
 		return decodeFloat64(getU64(v)), nil
 	case vector.Varchar:
-		return strings.TrimRight(string(v), "\x00"), nil
+		return strings.TrimRight(string(v[:key.Prefix()]), "\x00"), nil
 	}
 	return nil, fmt.Errorf("normkey: cannot decode type %v", key.Type)
 }

@@ -76,7 +76,9 @@ func cmpSign(c int) int {
 // against the full values, agrees with it exactly. The sanctioned divergence is a lossy
 // byte-tie: encoded keys may tie where the values differ only if the encoder
 // flagged the chunk as needing a tie-break (EncodeStats.Ties), and only for
-// a varchar whose collated padded prefixes are genuinely identical. An Exact
+// a varchar whose collated padded prefixes are genuinely identical and
+// neither of which holds its string whole: where either side fits, the
+// residence byte ends the segment and byte order is the order. An Exact
 // key's encoding is also inverted exactly: DecodeColumn of both key rows is
 // the values — a NULL with a zero slot — and agrees with DecodeValue.
 func FuzzNormKeyOrder(f *testing.F) {
@@ -94,6 +96,16 @@ func FuzzNormKeyOrder(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(0), uint64(1<<31), uint64(0), "", "")                                // int32 NULL vs its minimum, DESC NULLS LAST: decoded back
 	f.Add(uint8(0), uint8(9), uint8(0), uint64(1), uint64(0), "", "")                                    // bool true vs NULL, DESC: decoded back
 	f.Add(uint8(8), uint8(2), uint8(0), uint64(1<<64-1), uint64(1), "", "")                              // uint64 maximum, NULLS LAST: decoded back
+	// One side fits its prefix, the other shares its prefix bytes and
+	// overflows: the residence byte decides, ASC and DESC.
+	f.Add(uint8(11), uint8(0), uint8(11), uint64(0), uint64(0), "abcdefghijkl", "abcdefghijklm")
+	f.Add(uint8(11), uint8(1), uint8(11), uint64(0), uint64(0), "abcdefghijkl", "abcdefghijklm")
+	f.Add(uint8(11), uint8(0), uint8(7), uint64(0), uint64(0), "ab", "ab\x00")
+	f.Add(uint8(11), uint8(1), uint8(7), uint64(0), uint64(0), "ab", "ab\x00")
+	f.Add(uint8(11), uint8(0), uint8(3), uint64(0), uint64(0), "", "\x00")
+	f.Add(uint8(11), uint8(1), uint8(3), uint64(0), uint64(0), "", "\x00")
+	f.Add(uint8(11), uint8(16), uint8(2), uint64(0), uint64(0), "ABC", "abcd") // NOCASE: both fold to the prefix "abc"
+	f.Add(uint8(11), uint8(17), uint8(2), uint64(0), uint64(0), "ABC", "abcd")
 
 	f.Fuzz(func(t *testing.T, typeSel, flags, prefix uint8, abits, bbits uint64, as, bs string) {
 		typ := fuzzTypes[int(typeSel)%len(fuzzTypes)]
@@ -136,9 +148,20 @@ func FuzzNormKeyOrder(f *testing.F) {
 
 		got := cmpSign(bytes.Compare(ea, eb))
 		want := cmpSign(CompareValues(key, va, 0, vb, 0))
-		// The order over key rows fetches the full values only on a tie, and
-		// with them agrees with the oracle everywhere.
+		// Where either side is NULL or a string its prefix holds whole, the
+		// bytes alone are the order: no tie-break is needed or made.
+		decided := aNull || bNull || typ != vector.Varchar || FitsPrefix(as, key.Prefix()) || FitsPrefix(bs, key.Prefix())
+		if decided && got != want {
+			t.Fatalf("key %+v: one side fits, yet bytes.Compare = %d and CompareValues = %d\na = % x\nb = % x",
+				key, got, want, ea, eb)
+		}
+		// The order over key rows fetches the full values only on a tie of
+		// two strings that overflow, and with them agrees with the oracle
+		// everywhere.
 		full := func(keyRow []byte, _ int) []byte {
+			if decided {
+				t.Fatalf("key %+v: Comparator fetched %q and %q, one of which fits", key, as, bs)
+			}
 			if &keyRow[0] == &ea[0] {
 				return []byte(as)
 			}

@@ -20,7 +20,6 @@ func refEncodeChunk(e *Encoder, cols []*vector.Vector, out []byte, stride, offse
 	for k, vec := range cols {
 		if refEncodeColumn(e, k, vec, out, stride, offset) {
 			st.Ties = true
-			st.tied |= 1 << min(k, 63)
 		}
 	}
 	return st
@@ -61,9 +60,10 @@ func refEncodeColumn(e *Encoder, k int, vec *vector.Vector, out []byte, stride, 
 			seg[i] = 0
 		}
 		// An overlong string, or a NUL the zero padding cannot be told from,
-		// may collide with a different string's prefix.
+		// may collide with a different string's prefix: its residence byte
+		// says the prefix does not hold it.
 		if len(s) > p || strings.IndexByte(s, 0) >= 0 {
-			ties = true
+			seg[1+p], ties = 1, true
 		}
 	}
 

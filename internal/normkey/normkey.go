@@ -16,9 +16,13 @@
 //     values, flip only the sign bit of non-negative values. NaN is
 //     canonicalized to a positive quiet NaN (ordering after +Inf) and -0 is
 //     normalized to +0.
-//   - Strings contribute a fixed-length prefix, zero-padded; rows whose
-//     prefixes tie must be resolved against the full strings (Comparator
-//     does this, fetching them through the caller's function).
+//   - Strings contribute a fixed-length prefix, zero-padded, and one
+//     residence byte: 0 when the prefix holds the collated string whole
+//     (FitsPrefix), 1 when it does not. A string that fits orders before one
+//     that overflows the same prefix bytes, as the string it is a prefix of,
+//     so only rows whose segments tie with both residence bytes 1 must be
+//     resolved against the full strings (Comparator does this, fetching them
+//     through the caller's function).
 //   - DESC inverts every byte of the column's segment; the validity byte is
 //     chosen so the requested NULL placement survives the inversion.
 package normkey
@@ -136,10 +140,11 @@ type SortKey struct {
 	Collation Collation
 }
 
-// segWidth returns the key's segment width including the validity byte.
+// segWidth returns the key's segment width including the validity byte and,
+// for a Varchar, the residence byte.
 func (k SortKey) segWidth() int {
 	if k.Type == vector.Varchar {
-		return 1 + k.Prefix()
+		return 2 + k.Prefix()
 	}
 	return 1 + k.Type.Width()
 }
@@ -166,12 +171,14 @@ func (k SortKey) Exact() bool {
 	return false
 }
 
-// FitsPrefix reports whether an ASC, binary-collation key segment of prefix
-// bytes holds s whole and tells it from every other string: s is no longer
-// than the prefix and holds no NUL, which the zero padding could not be told
-// from. A string that does not is what makes a chunk's key tie (EncodeStats);
-// one that does may be read back from the segment instead of being stored
-// again (row.RowSet.AppendChunkKeyed).
+// FitsPrefix reports whether a key segment of prefix bytes holds s whole and
+// tells it from every other string: s is no longer than the prefix and holds
+// no NUL, which the zero padding could not be told from. It is what a
+// segment's residence byte records, of the collated string (which has the
+// same length and NULs): a string that does not fit is what makes a chunk's
+// key tie (EncodeStats); one that does, under ASC and binary collation, may be
+// read back from the segment instead of being stored again
+// (row.RowSet.AppendChunkKeyed).
 func FitsPrefix(s string, prefix int) bool {
 	return len(s) <= prefix && strings.IndexByte(s, 0) < 0
 }
@@ -242,20 +249,10 @@ func (e *Encoder) Offset(k int) int { return e.offsets[k] }
 // EncodeStats reports what one Encode call observed about lossiness.
 type EncodeStats struct {
 	// Ties is set when some encoded row could byte-tie with a different
-	// value's encoding — the run holding these rows needs the semantic
-	// tie-break.
+	// value's encoding — a string overflowed its prefix or held a NUL — and
+	// the run holding these rows needs the semantic tie-break.
 	Ties bool
-	// tied has bit k set when key k's segment may tie in some row; keys past
-	// the 64th share the last bit.
-	tied uint64
 }
-
-// Tied reports whether key k's segment may byte-tie in some row of the chunk:
-// a string overflowed its prefix or held a NUL. A string key that did not
-// holds every value of the chunk whole in its segment, behind the validity
-// byte — as its collation and order encode it, so byte for byte only under
-// ASC and binary collation.
-func (st EncodeStats) Tied(k int) bool { return st.tied&(1<<min(k, 63)) != 0 }
 
 // Encode writes one normalized key per row into out. cols[i] supplies the
 // values for keys[i]; all columns must share a length. Row r's key is
@@ -293,10 +290,9 @@ func (e *Encoder) EncodeChunk(cols []*vector.Vector, out []byte, stride, offset 
 	}
 	for i, c := range cols {
 		if e.encodeColumn(i, c, out, stride, offset) {
-			st.tied |= 1 << min(i, 63)
+			st.Ties = true
 		}
 	}
-	st.Ties = st.tied != 0
 	return st, nil
 }
 
@@ -331,7 +327,9 @@ func (e *Encoder) encodeColumn(k int, vec *vector.Vector, out []byte, stride, of
 		ties = seg.encodeStrings(vec.Strings()[:n], nulls, key.Prefix(), key.Collation == CollationNoCase)
 	}
 	// The loops above give a NULL row whatever its slot in the vector holds
-	// (or skip it); its segment is the NULL validity byte over zero bytes.
+	// (or skip it); its segment is the NULL validity byte over zero bytes, a
+	// varchar's residence byte saying, like a fitting string's, that there is
+	// nothing to fetch.
 	for r := nulls.NextNull(0); r >= 0; r = nulls.NextNull(r + 1) {
 		row := seg.row(r * stride)
 		row[0] = seg.null
@@ -461,10 +459,10 @@ func (g *segment) encodeFixed(vec *vector.Vector, n int) {
 }
 
 // encodeStrings writes the zero-padded, collated prefix of every non-NULL
-// string and reports whether any of them can byte-tie with a different
-// string: it overflows the prefix, or one of the bytes just copied is a NUL,
-// which the padding cannot be told from. fold is CollationNoCase, evaluated
-// on the bytes as they are copied.
+// string and its residence byte, and reports whether any of them can byte-tie
+// with a different string: it overflows the prefix, or one of the bytes just
+// copied is a NUL, which the padding cannot be told from. fold is
+// CollationNoCase, evaluated on the bytes as they are copied.
 func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int, fold bool) (ties bool) {
 	o, inv := 0, g.inv
 	for r, s := range vals {
@@ -475,9 +473,10 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 		row := g.row(o)
 		o += g.stride
 		row[0] = g.valid
-		dst := row[1:]
+		dst := row[1 : 1+prefix]
+		over := byte(0)
 		if len(s) > prefix {
-			s, ties = s[:prefix], true
+			s, over = s[:prefix], 1
 		}
 		for i := 0; i < len(s) && i < len(dst); i++ {
 			c := s[i]
@@ -485,30 +484,35 @@ func (g *segment) encodeStrings(vals []string, nulls *vector.Bitmap, prefix int,
 				c = lowerASCII(c)
 			}
 			if c == 0 {
-				ties = true
+				over = 1
 			}
 			dst[i] = c ^ inv
 		}
 		for i := len(s); i < len(dst); i++ {
 			dst[i] = inv
 		}
+		row[1+prefix] = over ^ inv
+		ties = ties || over != 0
 	}
 	return ties
 }
 
 // copyStrings is encodeStrings for the column that neither folds nor
 // inverts (ASC, binary collation): each prefix is one copy, its padding one
-// clear, and whether it ties one FitsPrefix. A NULL row's slot is copied
-// like any other, for encodeColumn to overwrite; whether a row is NULL is
-// asked only of a string that would raise the flag.
+// clear, and its residence byte one FitsPrefix. A NULL row's segment is
+// written like any other, for encodeColumn to overwrite; whether a row is
+// NULL is asked only of a string that would raise the flag.
 func (g *segment) copyStrings(vals []string, nulls *vector.Bitmap) (ties bool) {
+	last := g.width - 1
 	for r, s := range vals {
 		row := g.row(r * g.stride)
 		row[0] = g.valid
-		dst := row[1:]
+		dst := row[1:last]
 		clear(dst[copy(dst, s):])
-		if !ties && !FitsPrefix(s, len(dst)) && nulls.Valid(r) {
-			ties = true
+		row[last] = 0
+		if !FitsPrefix(s, last-1) {
+			row[last] = 1
+			ties = ties || nulls.Valid(r)
 		}
 	}
 	return ties

@@ -136,11 +136,12 @@ func TestEncoderWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := (1 + 4) + (1 + DefaultStringPrefixLen) + (1 + 4) + (1 + 1)
+	// A varchar's segment is its validity byte, its prefix and its residence byte.
+	want := (1 + 4) + (1 + DefaultStringPrefixLen + 1) + (1 + 4 + 1) + (1 + 1)
 	if e.Width() != want {
 		t.Fatalf("Width = %d, want %d", e.Width(), want)
 	}
-	if e.Offset(0) != 0 || e.Offset(1) != 5 || e.Offset(2) != 5+13 {
+	if e.Offset(0) != 0 || e.Offset(1) != 5 || e.Offset(2) != 5+14 {
 		t.Fatalf("offsets wrong: %d %d %d", e.Offset(0), e.Offset(1), e.Offset(2))
 	}
 	if !e.TiesPossible() {
@@ -417,67 +418,90 @@ func TestStringPrefixTruncationTies(t *testing.T) {
 	}
 }
 
-// TestEncodeStatsTiedPerKey pins the per-key tie report a sink reads to
-// leave a chunk's strings in their key: one string key whose values fit, one
-// that overflows its prefix and one whose values hold a NUL, each keyed
-// twice, so that a column's ASC and DESC keys report alike; a fixed-width
-// key never ties.
-func TestEncodeStatsTiedPerKey(t *testing.T) {
+// TestResidenceBytePerRow pins the byte that ends every varchar segment,
+// which a sink reads to leave a string in its key: 0 for a string its prefix
+// holds whole, 1 for one that overflows it or holds a NUL, inverted under
+// DESC, and a NULL's that of a string that fits. One string key whose values
+// fit, one that overflows its prefix and one whose values hold a NUL, keyed
+// ASC, DESC, NOCASE and at a 2-byte prefix; Ties is the OR of the rows', and
+// a fixed-width key never ties.
+func TestResidenceBytePerRow(t *testing.T) {
 	str := func(vals ...string) *vector.Vector {
-		v := vector.New(vector.Varchar, len(vals))
+		v := vector.New(vector.Varchar, 4)
 		for _, s := range vals {
 			v.AppendString(s)
 		}
-		v.AppendNull() // a NULL never ties
+		for v.Len() < 4 {
+			v.AppendNull()
+		}
 		return v
 	}
 	fits := str("", "abc", "exactly12byt")
-	overflows := str("abc", "exactly13byte")
-	nul := str("a\x00b", "c")
+	for _, tc := range []struct {
+		key  SortKey
+		col  *vector.Vector
+		over []byte // per row, NULL last
+	}{
+		{SortKey{Type: vector.Varchar}, fits, []byte{0, 0, 0, 0}},
+		{SortKey{Type: vector.Varchar}, str("abc", "exactly13byte"), []byte{0, 1, 0, 0}},
+		{SortKey{Type: vector.Varchar, Order: Descending}, str("a\x00b", "c"), []byte{1, 0, 0, 0}},
+		{SortKey{Type: vector.Varchar, Collation: CollationNoCase}, fits, []byte{0, 0, 0, 0}},
+		{SortKey{Type: vector.Varchar, Order: Descending, Collation: CollationNoCase}, str("ABC", "ABCDEFGHIJKLM"), []byte{0, 1, 0, 0}},
+		{SortKey{Type: vector.Varchar, PrefixLen: 2}, fits, []byte{0, 1, 1, 0}},
+	} {
+		e, out := encodeTuples(t, []SortKey{tc.key}, []*vector.Vector{tc.col})
+		inv := byte(0)
+		if tc.key.Order == Descending {
+			inv = 0xFF
+		}
+		var ties bool
+		for r, want := range tc.over {
+			if got := keyRow(out, e.Width(), r)[e.Width()-1] ^ inv; got != want {
+				t.Errorf("%+v row %d: residence byte %d, want %d", tc.key, r, got, want)
+			}
+			ties = ties || want != 0
+		}
+		st, err := e.EncodeChunk([]*vector.Vector{tc.col}, out, e.Width(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ties != ties {
+			t.Errorf("%+v: Ties %v, want %v", tc.key, st.Ties, ties)
+		}
+	}
 	ints := vector.New(vector.Int64, 3)
 	for i := 0; i < 3; i++ {
 		ints.AppendInt64(int64(i))
 	}
-	keys := []SortKey{{Type: vector.Varchar}, {Type: vector.Varchar}, {Type: vector.Varchar, Order: Descending},
-		{Type: vector.Int64}, {Type: vector.Varchar, Collation: CollationNoCase}, {Type: vector.Varchar, PrefixLen: 2}}
-	cols := []*vector.Vector{fits, overflows, nul, ints, fits, fits}
-	for _, c := range cols {
-		for c.Len() < 4 {
-			c.AppendNull()
-		}
-	}
-	e, err := NewEncoder(keys)
+	e, err := NewEncoder([]SortKey{{Type: vector.Int64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.EncodeChunk(cols, make([]byte, 4*e.Width()), e.Width(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, true, true, false, false, true}
-	for k, w := range want {
-		if st.Tied(k) != w {
-			t.Errorf("key %d (%v): Tied %v, want %v", k, keys[k], st.Tied(k), w)
-		}
-	}
-	if !st.Ties {
-		t.Error("Ties is false with keys tied")
+	if st, err := e.EncodeChunk([]*vector.Vector{ints}, make([]byte, 3*e.Width()), e.Width(), 0); err != nil || st.Ties {
+		t.Errorf("an Int64 key: Ties %v, %v", st.Ties, err)
 	}
 }
 
+// TestStringNULByteTie pins what a NUL does to a string's segment: "a" and
+// "a\x00" share a padded prefix, and the residence byte — "a" fits, "a\x00"
+// does not — orders them; "a\x00" and "a\x00\x00" share the whole segment,
+// residence byte included, and only the oracle orders them.
 func TestStringNULByteTie(t *testing.T) {
-	// "a" and "a\x00" share a padded prefix; the oracle must order them.
-	v := vector.New(vector.Varchar, 2)
+	v := vector.New(vector.Varchar, 3)
 	v.AppendString("a")
 	v.AppendString("a\x00")
+	v.AppendString("a\x00\x00")
 	keys := []SortKey{{Type: vector.Varchar}}
 	cols := []*vector.Vector{v}
 	e, out := encodeTuples(t, keys, cols)
-	if bytes.Compare(keyRow(out, e.Width(), 0), keyRow(out, e.Width(), 1)) != 0 {
-		t.Fatal("NUL-padded prefixes should encode equal")
+	if bytes.Compare(keyRow(out, e.Width(), 0), keyRow(out, e.Width(), 1)) >= 0 {
+		t.Fatal(`"a" must encode before "a\x00"`)
 	}
-	if CompareRows(keys, cols, 0, 1) >= 0 {
-		t.Fatal(`"a" must order before "a\x00"`)
+	if bytes.Compare(keyRow(out, e.Width(), 1), keyRow(out, e.Width(), 2)) != 0 {
+		t.Fatal("NUL-padded prefixes that both overflow should encode equal")
+	}
+	if CompareRows(keys, cols, 1, 2) >= 0 {
+		t.Fatal(`"a\x00" must order before "a\x00\x00"`)
 	}
 }
 

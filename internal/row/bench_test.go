@@ -74,15 +74,15 @@ type benchShape struct {
 	perm        []uint32
 	which, idxs []uint32
 
-	// A shape sorted on string keys leaves them in its key rows: keyCols
-	// are the key columns, inKey each chunk's strings left in the keys (as
-	// the sorter leaves them: all of a column whose key did not tie, else
-	// those that fit its prefix), segs where the key rows hold them and
-	// refKeys the key row of each reference.
-	keyCols []int
-	inKey   [][]int
-	segs    []int
-	refKeys [][]byte
+	// A shape sorted on string keys leaves those that fit in its key rows,
+	// as the sorter does: keyCols are the key columns, chunkKeys each
+	// chunk's key rows, of keyStride bytes, segs where the key rows hold the
+	// strings and refKeys the key row of each reference.
+	keyCols   []int
+	chunkKeys [][]byte
+	keyStride int
+	segs      []KeySegment
+	refKeys   [][]byte
 }
 
 // inlineKeyWidth and inlineRowWidth are mem-uniform-int's key row: a 9-byte
@@ -132,18 +132,18 @@ func benchShapes(b *testing.B) []*benchShape {
 		{name: "customer-inkey", table: customerTable(benchRunRows), keyCols: []int{4, 5}},
 		{name: "int", table: workload.UniformInt64s(benchRunRows, 1)},
 	} {
-		l := NewLayout(sh.table.Schema.Types())
 		runKeys := sh.encodeKeys(b)
+		l := NewLayout(sh.table.Schema.Types()).WithKeySegments(sh.segs)
 		sh.run = NewRowSet(l)
 		per := len(sh.table.Chunks) / benchRuns
 		for i, c := range sh.table.Chunks {
-			if err := sh.run.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(i)); err != nil {
+			if err := sh.run.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkKey(i), sh.keyStride); err != nil {
 				b.Fatal(err)
 			}
 			if i%per == 0 {
 				sh.runs = append(sh.runs, NewRowSet(l))
 			}
-			if err := sh.runs[len(sh.runs)-1].AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(i)); err != nil {
+			if err := sh.runs[len(sh.runs)-1].AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkKey(i), sh.keyStride); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,8 +168,7 @@ func benchShapes(b *testing.B) []*benchShape {
 }
 
 // encodeKeys encodes the shape's key columns, ASC, into one key row per input
-// row, recording each chunk's columns whose strings fit the keys; nil for a
-// shape with no keys.
+// row, keeping each chunk's; nil for a shape with no keys.
 func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 	if sh.keyCols == nil {
 		return nil
@@ -182,14 +181,12 @@ func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh.segs = make([]int, len(sh.table.Schema))
-	for c := range sh.segs {
-		sh.segs[c] = -1
-	}
+	sh.segs = make([]KeySegment, len(sh.table.Schema))
 	for i, c := range sh.keyCols {
-		sh.segs[c] = enc.Offset(i) + 1
+		sh.segs[c] = KeySegment{Off: enc.Offset(i) + 1, Prefix: keys[i].Prefix()}
 	}
 	rw := enc.Width() + 8
+	sh.keyStride = rw
 	var rows [][]byte
 	cols := make([]*vector.Vector, len(sh.keyCols))
 	for _, c := range sh.table.Chunks {
@@ -197,18 +194,10 @@ func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 			cols[i] = c.Vectors[kc]
 		}
 		buf := make([]byte, c.Len()*rw)
-		st, err := enc.EncodeChunk(cols, buf, rw, 0)
-		if err != nil {
+		if _, err := enc.EncodeChunk(cols, buf, rw, 0); err != nil {
 			b.Fatal(err)
 		}
-		inKey := make([]int, len(sh.table.Schema))
-		for i, kc := range sh.keyCols {
-			inKey[kc] = AllInKey
-			if st.Tied(i) {
-				inKey[kc] = keys[i].Prefix()
-			}
-		}
-		sh.inKey = append(sh.inKey, inKey)
+		sh.chunkKeys = append(sh.chunkKeys, buf)
 		for o := 0; o < len(buf); o += rw {
 			rows = append(rows, buf[o:o+rw])
 		}
@@ -216,13 +205,13 @@ func (sh *benchShape) encodeKeys(b *testing.B) [][]byte {
 	return rows
 }
 
-// chunkInKey returns the strings chunk i leaves in its keys, as
-// AppendChunkKeyed takes them; nil for none.
-func (sh *benchShape) chunkInKey(i int) []int {
-	if sh.inKey == nil {
+// chunkKey returns chunk i's key rows, as AppendChunkKeyed takes them; nil
+// for a shape with no keys.
+func (sh *benchShape) chunkKey(i int) []byte {
+	if sh.chunkKeys == nil {
 		return nil
 	}
-	return sh.inKey[i]
+	return sh.chunkKeys[i]
 }
 
 // perRow reports the round's time per row moved.
@@ -254,7 +243,7 @@ func BenchmarkScatter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs.Reset()
 				for ci, c := range sh.table.Chunks {
-					if err := rs.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkInKey(ci)); err != nil {
+					if err := rs.AppendChunkKeyed(c.Len(), c.Vectors, sh.chunkKey(ci), sh.keyStride); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -287,7 +276,6 @@ func BenchmarkGather(b *testing.B) {
 	})
 	for _, sh := range shapes {
 		g := NewGather(sh.run.Layout())
-		g.SetKeySegments(sh.segs)
 		refKeys := func(at, n int) [][]byte {
 			if sh.refKeys == nil {
 				return nil

@@ -12,8 +12,8 @@ import (
 // type. It is the single-value gather: the type switch re-dispatches per
 // value, so hot paths use the vectorized kernels in gather.go instead.
 // It remains the reference implementation they are tested (and the
-// scalar-vs-vectorized ablation is measured) against. A string left in its
-// key is not here to read: AppendTo panics on one (see StringIn).
+// scalar-vs-vectorized ablation is measured) against. A string its key holds
+// is not here to read: it appends as empty (see StringBytes).
 func (rs *RowSet) AppendTo(v *vector.Vector, i, c int) {
 	if rs.layout.types[c] == vector.Varchar && rs.Valid(i, c) {
 		v.AppendString(rs.String(i, c))
@@ -59,8 +59,7 @@ func (l *Layout) AppendValue(v *vector.Vector, rowb []byte, c int) {
 }
 
 // AppendRowFrom appends row i of src, which must share the layout, copying
-// any string data into this set's heap; a string left in its key keeps its
-// slot, as the reorders keep it. It is the single-row form of the payload
+// any string data into this set's heap. It is the single-row form of the payload
 // reorder; run generation uses the batched AppendPermuted, which hoists the
 // varchar column scan out of the row loop.
 func (rs *RowSet) AppendRowFrom(src *RowSet, i int) {
@@ -75,9 +74,6 @@ func (rs *RowSet) AppendRowFrom(src *RowSet, i int) {
 		off := rs.layout.offsets[c]
 		srcOff := binary.LittleEndian.Uint32(dst[off:])
 		length := binary.LittleEndian.Uint32(dst[off+4:])
-		if srcOff == KeyResident {
-			continue
-		}
 		binary.LittleEndian.PutUint32(dst[off:], uint32(len(rs.heap)))
 		rs.heap = append(rs.heap, src.heap[srcOff:srcOff+length]...)
 	}

@@ -1,9 +1,11 @@
 package row
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -23,9 +25,9 @@ import (
 // in its key rows). Resolving also ANDs the rows' masks, so the gather knows
 // exactly which columns hold a NULL.
 // Vectors then converts each column with one typed loop over the resolved
-// rows, and tests validity only in those columns. A string left in its row's
-// key (KeyResident) is read from the key row Refs is given beside the row, at
-// the column's key segment (SetKeySegments).
+// rows, and tests validity only in those columns. A string of a keyed
+// layout's column that its key segment holds is read from the key row Refs is
+// given beside the row.
 //
 // A Gather is scratch for one goroutine; reused, it allocates only the
 // vectors it returns and one backing string per varchar column.
@@ -34,17 +36,12 @@ type Gather struct {
 	rows   [][]byte // the resolved rows, in output order
 	heaps  [][]byte // each one's string heap
 	keys   [][]byte // each one's key row, when Refs was given them
-	segs   []int    // per column: where its key-resident strings start in a key row
+	lens   []uint32 // a string column's lengths, in output order
 	nulls  []byte   // per mask byte: the columns NULL in some resolved row
 }
 
 // NewGather returns a gather of rows of layout l.
 func NewGather(l *Layout) *Gather { return &Gather{layout: l} }
-
-// SetKeySegments tells the gather where a key-resident string of column c
-// lies in its row's key row: from byte segs[c] on (a negative segs[c], or a
-// nil segs, says column c has none).
-func (g *Gather) SetKeySegments(segs []int) { g.segs = segs }
 
 // Range resolves rows [start, start+count) of rs.
 func (g *Gather) Range(rs *RowSet, start, count int) {
@@ -72,7 +69,8 @@ func (g *Gather) Index(rs *RowSet, idxs []uint32) {
 
 // Refs resolves row idxs[o] of sets[which[o]], for every o. The sets share
 // the gather's layout; those no reference names may be nil. keys[o], when
-// keys is not nil, is the row's key row, where its key-resident strings are.
+// keys is not nil, is the row's key row, where the strings its key segments
+// hold are; a keyed layout's gather must be given them.
 func (g *Gather) Refs(sets []*RowSet, which, idxs []uint32, keys [][]byte) {
 	w := g.layout.width
 	rows, heaps := g.resolve(len(idxs))
@@ -221,36 +219,65 @@ func (g *Gather) column(c int, v *vector.Vector) {
 
 // strings gathers column c's string slot, at offset off, of the resolved rows
 // into d. The bytes are copied once, in output order, into one allocation
-// that every value is a slice of: a string from its heap, or from its key
-// row when it was left there.
+// that every value is a slice of: a string from its heap, or, where its key
+// segment's residence byte says the segment holds it, from its key row.
 func (g *Gather) strings(c, off int, d []string) {
-	total := 0
-	for _, r := range g.rows {
-		total += int(binary.LittleEndian.Uint32(r[off+4:]))
+	seg := g.layout.keySegment(c)
+	if seg.Prefix > 0 && g.keys == nil {
+		panic(fmt.Sprintf("row: column %d's strings may lie in their keys, and the gather has no key rows", c))
 	}
-	seg := -1
-	if g.keys != nil && c < len(g.segs) {
-		seg = g.segs[c]
+	if cap(g.lens) < len(g.rows) {
+		g.lens = make([]uint32, len(g.rows))
+	}
+	lens, total := g.lens[:len(g.rows)], 0
+	words := seg.Prefix <= 16 // a held string's length is read as two words
+	for o, r := range g.rows {
+		if k := g.keys; seg.Prefix > 0 && k[o][seg.Off+seg.Prefix] == 0 {
+			var n uint32
+			if k := k[o][seg.Off:]; words && len(k) >= 16 {
+				n = heldLen(k)
+			} else {
+				n = uint32(bytes.IndexByte(k, 0))
+			}
+			lens[o], total = n|inKey, total+int(n)
+			continue
+		}
+		n := binary.LittleEndian.Uint32(r[off+4:])
+		lens[o], total = n, total+int(n)
 	}
 	var b strings.Builder
 	b.Grow(total)
 	for o, r := range g.rows {
-		ho := binary.LittleEndian.Uint32(r[off:])
-		hl := binary.LittleEndian.Uint32(r[off+4:])
-		pos := b.Len()
-		if ho != KeyResident {
-			b.Write(g.heaps[o][ho : ho+hl])
-		} else if seg >= 0 {
-			b.Write(g.keys[o][seg : seg+int(hl)])
+		pos, n := b.Len(), lens[o]
+		if n&inKey != 0 {
+			b.Write(g.keys[o][seg.Off : seg.Off+int(n&^inKey)])
 		} else {
-			// Without the key row there is nothing to read: a heap at
-			// KeyResident is not the string.
-			panic(fmt.Sprintf("row: column %d of gathered row %d is a string left in its key, and the gather has no key for it", c, o))
+			ho := binary.LittleEndian.Uint32(r[off:])
+			b.Write(g.heaps[o][ho : ho+n])
 		}
 		// The builder never reallocates past Grow, so the bytes behind
 		// every earlier String stay put.
 		d[o] = b.String()[pos:]
 	}
+}
+
+// inKey flags a gathered string's length: the string lies in its key row.
+const inKey = 1 << 31
+
+// heldLen returns the length of the string a key segment of at most 16
+// bytes holds, given at least 16 bytes of the key row from the segment's
+// first byte on: its first zero byte's index (a held string has no NUL, and
+// the residence byte behind it is 0), found with no branch on the length.
+func heldLen(key []byte) uint32 {
+	lo := bits.TrailingZeros64(zeroBytes(binary.LittleEndian.Uint64(key[:8]))) >> 3
+	hi := bits.TrailingZeros64(zeroBytes(binary.LittleEndian.Uint64(key[8:16]))) >> 3
+	return uint32(lo + (lo>>3)*hi)
+}
+
+// zeroBytes returns a word whose lowest set bit is the high bit of x's
+// lowest zero byte: 0 when x has none.
+func zeroBytes(x uint64) uint64 {
+	return (x - 0x0101010101010101) &^ x & 0x8080808080808080
 }
 
 // gathers recycles the scratch of GatherChunk's one-off gathers, so that a
@@ -275,7 +302,7 @@ func (rs *RowSet) GatherChunk(start, count int) []*vector.Vector {
 // that names no row of src twice: the reorder of a run's payload after its
 // keys are sorted. No two rows of a set share heap bytes, so the strings fit
 // in src's heap length, and the heap is sized by it without the pass that
-// sums them. Strings left in their keys keep their slots and take no bytes.
+// sums them. Strings their keys hold have empty slots and take no bytes.
 func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
 	rs.reorder([]*RowSet{src}, nil, perm, len(src.heap))
 }
@@ -284,8 +311,6 @@ func (rs *RowSet) AppendPermuted(src *RowSet, perm []uint32) {
 // idxs[i] of srcs[which[i]], of srcs[0] when which is nil — in reference
 // order: payload scattered across several sets (a spill block's staging).
 // Indices may repeat and leave gaps; all sets must share this set's layout.
-// Strings left in their keys keep their slots, and the pass that sums the
-// heap bytes counts none of theirs.
 func (rs *RowSet) AppendRowsGather(srcs []*RowSet, which, idxs []uint32) {
 	rs.reorder(srcs, which, idxs, -1)
 }
@@ -332,8 +357,8 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32, room 
 		for o := 0; o < len(rows); o += w {
 			row := rows[o : o+w : o+w]
 			for _, c := range l.strCols {
-				if slot := row[l.offsets[c]:]; l.valid(row, c) && binary.LittleEndian.Uint32(slot) != KeyResident {
-					room += int(binary.LittleEndian.Uint32(slot[4:]))
+				if l.valid(row, c) {
+					room += int(binary.LittleEndian.Uint32(row[l.offsets[c]+4:]))
 				}
 			}
 		}
@@ -350,13 +375,10 @@ func (rs *RowSet) moveStrings(rows []byte, srcs []*RowSet, which []uint32, room 
 			if which != nil {
 				src = srcs[which[r]]
 			}
-			so32 := binary.LittleEndian.Uint32(slot)
-			if so32 == KeyResident {
-				continue
-			}
-			so, hl := int(so32), int(binary.LittleEndian.Uint32(slot[4:]))
+			so, hl := int(binary.LittleEndian.Uint32(slot)), int(binary.LittleEndian.Uint32(slot[4:]))
 			binary.LittleEndian.PutUint32(slot, uint32(pos))
 			switch sh := src.heap; {
+			case hl == 0: // no bytes: an empty string, or one its key holds
 			case hl <= 16 && so+16 <= len(sh) && pos+16 <= len(heap):
 				Move16(heap[pos:], sh[so:])
 			case hl <= 32 && so+32 <= len(sh) && pos+32 <= len(heap):

@@ -2,7 +2,6 @@ package row
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -250,18 +249,20 @@ func TestAppendRowsGatherOneSource(t *testing.T) {
 // whose string ends the destination heap but has room behind it in the
 // source, and hold the last row earlier: each heap's room is tested on its
 // own. The middle third of a source's rows leave their strings in their keys
-// (KeyResident slots amid the heap's): the reorders copy those slots as they
-// are, and the heap strings around them keep the edges. Row and heap bytes
+// (empty slots amid the heap's), and the heap strings around them keep the
+// edges. Row and heap bytes
 // must equal per-row AppendRowFrom's (one varchar column, so the two heap
 // orders agree), for permutations through both reorders and for a list with
 // repeats and gaps through AppendRowsGather, out of one set and out of two,
-// whose summing pass must count no key-resident string.
+// whose summing pass must count no string its key holds.
 func TestReorderStringBoundaries(t *testing.T) {
 	lengths := []int{15, 16, 17, 31, 32, 33}
 	const n = 4 * 6
-	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
+	// A key row of two bytes, the second a residence byte saying the
+	// string lies in the key (its bytes are not read here).
+	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar}).WithKeySegments([]KeySegment{{}, {Off: 0, Prefix: 1}})
 	rng := rand.New(rand.NewSource(46))
-	inKey := []int{0, AllInKey}
+	inKey := make([]byte, 2*n/3)
 	source := func(edge int) *RowSet {
 		rs := NewRowSet(layout)
 		for third := 0; third < 3; third++ {
@@ -279,7 +280,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 			if third != 1 {
 				keyed = nil
 			}
-			if err := rs.AppendChunkKeyed(n/3, []*vector.Vector{ints, strs}, keyed); err != nil {
+			if err := rs.AppendChunkKeyed(n/3, []*vector.Vector{ints, strs}, keyed, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -447,26 +448,25 @@ func TestGatherChunkMatchesScalarAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestGatherResolvesKeyResidentStrings scatters chunks whose key strings are
+// TestGatherReadsHeldStringsFromKeys scatters chunks whose key strings are
 // encoded by a real normkey.Encoder — a column keyed at the default 12-byte
-// prefix and one at 4 — leaving them in the keys as the sorter does: all of a
-// key column's strings where the chunk's encoding of it did not tie, and
-// where it did, each that fits the prefix and holds no NUL: empty strings,
-// strings exactly a prefix long and NULLs in the keys, and in the same
-// chunks a heap-only column and key strings that overflowed or held a NUL.
-// The rows are then permuted and gathered by references across both sets,
-// with their key rows, and must come back as the input's values. A gather,
-// accessor or reference that cannot resolve a key-resident string must panic
-// rather than read a heap at KeyResident.
-func TestGatherResolvesKeyResidentStrings(t *testing.T) {
+// prefix and one at 4 — leaving in the keys, as the sorter does, each that
+// its segment's residence byte says fits the prefix: empty strings, strings
+// exactly a prefix long and NULLs, and in the same chunks a heap-only column
+// and key strings that overflowed or held a NUL. The held strings take empty
+// slots and no heap byte. The rows are then permuted and gathered by
+// references across both sets, with their key rows, and must come back as the
+// input's values. A gather of the keyed layout without key rows must panic
+// rather than read a held string's empty slot.
+func TestGatherReadsHeldStringsFromKeys(t *testing.T) {
 	types := []vector.Type{vector.Varchar, vector.Int64, vector.Varchar, vector.Varchar}
-	layout := NewLayout(types)
 	keys := []normkey.SortKey{{Column: 0, Type: vector.Varchar}, {Column: 2, Type: vector.Varchar, PrefixLen: 4}}
 	enc, err := normkey.NewEncoder(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := []int{enc.Offset(0) + 1, -1, enc.Offset(1) + 1, -1}
+	segs := []KeySegment{{Off: enc.Offset(0) + 1, Prefix: 12}, {}, {Off: enc.Offset(1) + 1, Prefix: 4}, {}}
+	layout := NewLayout(types).WithKeySegments(segs)
 	str := func(vals ...any) *vector.Vector {
 		v := vector.New(vector.Varchar, len(vals))
 		for _, x := range vals {
@@ -489,7 +489,6 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 	var want [][]any // the input's values, row by row
 	var keyRows [][]byte
 	rs := NewRowSet(layout)
-	inKey := make([]int, len(types))
 	for ci, chunk := range chunks {
 		ints := vector.New(vector.Int64, 4)
 		for r := 0; r < 4; r++ {
@@ -498,20 +497,10 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 		chunk[1] = ints
 		rw := enc.Width() + 8
 		kb := make([]byte, 4*rw)
-		st, err := enc.EncodeChunk([]*vector.Vector{chunk[0], chunk[2]}, kb, rw, 0)
-		if err != nil {
+		if _, err := enc.EncodeChunk([]*vector.Vector{chunk[0], chunk[2]}, kb, rw, 0); err != nil {
 			t.Fatal(err)
 		}
-		for i, c := range []int{0, 2} {
-			inKey[c] = AllInKey
-			if st.Tied(i) {
-				inKey[c] = keys[i].Prefix()
-			}
-		}
-		if tied := []bool{inKey[0] != AllInKey, inKey[2] != AllInKey}; tied[0] != (ci == 1) || tied[1] != (ci == 2) {
-			t.Fatalf("chunk %d: key columns tied %v", ci, tied)
-		}
-		if err := rs.AppendChunkKeyed(4, chunk, inKey); err != nil {
+		if err := rs.AppendChunkKeyed(4, chunk, kb, rw); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < 4; r++ {
@@ -523,22 +512,28 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 			want = append(want, row)
 		}
 	}
-	heapBytes, resident := 0, 0
+	heapBytes, held := 0, 0
 	for i, row := range want {
 		for c, v := range row {
 			s, ok := v.(string)
 			switch {
 			case !ok:
-			case binary.LittleEndian.Uint32(rs.Row(i)[layout.Offset(c):]) == KeyResident:
-				resident++
+			case segs[c].Prefix > 0 && normkey.FitsPrefix(s, segs[c].Prefix):
+				held++
+				if got := rs.StringBytes(i, c); len(got) != 0 {
+					t.Errorf("row %d column %d: %q fits its key, yet its slot holds %q", i, c, s, got)
+				}
 			default:
 				heapBytes += len(s)
+				if got := rs.StringBytes(i, c); string(got) != s {
+					t.Errorf("row %d column %d: StringBytes %q, want %q", i, c, got, s)
+				}
 			}
 		}
 	}
 	// Chunk 0 leaves six strings in its keys, chunk 1 five and chunk 2 five.
-	if resident != 16 || rs.HeapLen() != heapBytes {
-		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 16 and the other strings' %d bytes", resident, rs.HeapLen(), heapBytes)
+	if held != 16 || rs.HeapLen() != heapBytes {
+		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 16 and the other strings' %d bytes", held, rs.HeapLen(), heapBytes)
 	}
 
 	// Permute into a second set, then gather references across both.
@@ -563,7 +558,6 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 	}
 	sets := []*RowSet{rs, permuted}
 	g := NewGather(layout)
-	g.SetKeySegments(segs)
 	g.Refs(sets, which, idxs, refKeys)
 	got := g.Vectors()
 	for o, row := range wantRows {
@@ -572,20 +566,13 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 				t.Fatalf("row %d (set %d, row %d) column %d: gathered %q, want %q", o, which[o], idxs[o], c, got[c].Value(o), v)
 			}
 		}
-		for _, c := range []int{0, 2} {
-			if v, ok := row[c].(string); ok {
-				if s := sets[which[o]].StringIn(int(idxs[o]), c, refKeys[o][segs[c]:]); string(s) != v {
-					t.Fatalf("row %d column %d: StringIn %q, want %q", o, c, s, v)
-				}
-			}
-		}
 	}
 
 	mustPanic := func(what string, f func()) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s read a string left in its key without its key", what)
+				t.Errorf("%s gathered strings that may lie in their keys without the key rows", what)
 			}
 		}()
 		f()
@@ -593,8 +580,27 @@ func TestGatherResolvesKeyResidentStrings(t *testing.T) {
 	mustPanic("Range", func() { g.Range(rs, 0, 4); g.Vectors() })
 	mustPanic("Index", func() { g.Index(permuted, perm); g.Vectors() })
 	mustPanic("Refs without keys", func() { g.Refs(sets, which, idxs, nil); g.Vectors() })
-	mustPanic("Refs without segments", func() { h := NewGather(layout); h.Refs(sets, which, idxs, refKeys); h.Vectors() })
-	mustPanic("StringBytes", func() { rs.StringBytes(0, 0) })
-	mustPanic("Value", func() { rs.Value(1, 2) })
-	mustPanic("AppendTo", func() { rs.AppendTo(vector.New(vector.Varchar, 1), 0, 0) })
+}
+
+// TestHeldLenFindsTheFirstZeroByte checks the word-at-a-time length of a held
+// string against bytes.IndexByte, for every prefix up to 16 bytes and every
+// length that fits it, each string of random non-zero bytes (0x01 and 0x80,
+// the bytes the zero test borrows through, among them) followed by its zero
+// padding, the residence byte and non-zero bytes beyond.
+func TestHeldLenFindsTheFirstZeroByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for prefix := 1; prefix <= 16; prefix++ {
+		for n := 0; n <= prefix; n++ {
+			for trial := 0; trial < 20; trial++ {
+				key := make([]byte, 24)
+				for i := range key {
+					key[i] = []byte{0x01, 0x80, 0xFF, byte(1 + rng.Intn(255))}[rng.Intn(4)]
+				}
+				clear(key[n : prefix+1])
+				if got := heldLen(key); int(got) != n || n != bytes.IndexByte(key, 0) {
+					t.Fatalf("prefix %d: heldLen(% x) = %d, want %d", prefix, key, got, n)
+				}
+			}
+		}
+	}
 }

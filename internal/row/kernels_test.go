@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rowsort/internal/normkey"
@@ -15,9 +16,10 @@ import (
 // refAppendChunk is AppendChunk as it was before the typed kernels: the new
 // rows cleared, every row's mask copied in, then one pass per column that
 // asks Valid of every value. It is kept here as the oracle the scatter must
-// match byte for byte; inKey says which strings AppendChunkKeyed leaves in
-// the keys, each taking a KeyResident slot and no heap byte.
-func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []int) {
+// match byte for byte; keys, when not nil, are the chunk's key rows, as
+// AppendChunkKeyed takes them: a string whose key segment's residence byte is
+// 0 takes an empty slot and no heap byte.
+func refAppendChunk(rs *RowSet, vecs []*vector.Vector, keys [][]byte) {
 	n := vecs[0].Len()
 	w := rs.layout.width
 	start := rs.n
@@ -28,11 +30,7 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []int) {
 	}
 	rs.n += n
 	for c, v := range vecs {
-		fit := 0
-		if inKey != nil {
-			fit = inKey[c]
-		}
-		refScatterColumn(rs, c, v, start, fit)
+		refScatterColumn(rs, c, v, start, keys)
 	}
 }
 
@@ -40,7 +38,7 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector, inKey []int) {
 func refSetNull(row []byte, c int) { row[c>>3] &^= 1 << (uint(c) & 7) }
 
 // refScatterColumn writes column c of n rows starting at row index start.
-func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, fit int) {
+func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, keys [][]byte) {
 	l := rs.layout
 	off := l.offsets[c]
 	n := v.Len()
@@ -160,11 +158,12 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, fit int) {
 			binary.LittleEndian.PutUint64(row[off:], math.Float64bits(vals[r]))
 		}
 	case vector.Varchar:
+		seg := l.keySegment(c)
+		held := func(r int) bool { return keys != nil && seg.Prefix > 0 && keys[r][seg.Off+seg.Prefix] == 0 }
 		vals := v.Strings()
-		inKey := func(s string) bool { return fit == AllInKey || fit > 0 && normkey.FitsPrefix(s, fit) }
 		total := 0
 		for r := 0; r < n; r++ {
-			if v.Valid(r) && !inKey(vals[r]) {
+			if v.Valid(r) && !held(r) {
 				total += len(vals[r])
 			}
 		}
@@ -176,11 +175,10 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, fit int) {
 				continue
 			}
 			s := vals[r]
-			binary.LittleEndian.PutUint32(row[off+4:], uint32(len(s)))
-			if inKey(s) {
-				binary.LittleEndian.PutUint32(row[off:], KeyResident)
-				continue
+			if held(r) {
+				continue // an empty slot, as cleared
 			}
+			binary.LittleEndian.PutUint32(row[off+4:], uint32(len(s)))
 			binary.LittleEndian.PutUint32(row[off:], uint32(len(rs.heap)))
 			rs.heap = append(rs.heap, s...)
 		}
@@ -192,8 +190,7 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, fit int) {
 // through a closure naming each row's source and append. Row o comes from
 // srcs[which[o]], or srcs[0] when which is nil. It is the oracle the reorder
 // must match byte for byte; per-row AppendRowFrom orders the heap row after
-// row instead, which agrees with it only with one varchar column. A slot
-// left in its key is copied with its row and takes no heap byte.
+// row instead, which agrees with it only with one varchar column.
 func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 	w := rs.layout.width
 	base := rs.n
@@ -218,14 +215,14 @@ func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 		total := 0
 		for o := range idxs {
 			rowb := rs.Row(base + o)
-			if l.valid(rowb, c) && binary.LittleEndian.Uint32(rowb[off:]) != KeyResident {
+			if l.valid(rowb, c) {
 				total += int(binary.LittleEndian.Uint32(rowb[off+4:]))
 			}
 		}
 		rs.heap = reserveBytes(rs.heap, total)
 		for o := range idxs {
 			rowb := rs.Row(base + o)
-			if !l.valid(rowb, c) || binary.LittleEndian.Uint32(rowb[off:]) == KeyResident {
+			if !l.valid(rowb, c) {
 				continue
 			}
 			so := binary.LittleEndian.Uint32(rowb[off:])
@@ -389,20 +386,21 @@ func sameVectors(t *testing.T, ctx string, got, want []*vector.Vector) {
 
 // refGather gathers row idxs[o] of sets[which[o]] (of sets[0] when which is
 // nil) value-at-a-time through AppendTo, the reference of every shape. A
-// string of a column with a key segment (segs[c] >= 0) is read through
-// StringIn from its key row, keys[set][row], from that segment on.
-func refGather(l *Layout, sets []*RowSet, which, idxs []uint32, keys [][][]byte, segs []int) []*vector.Vector {
+// string of a column with a key segment whose residence byte in its key row,
+// keys[set][row], is 0 is that segment's prefix less its zero padding.
+func refGather(l *Layout, sets []*RowSet, which, idxs []uint32, keys [][][]byte) []*vector.Vector {
 	out := make([]*vector.Vector, l.NumColumns())
 	for c, t := range l.Types() {
 		out[c] = vector.New(t, len(idxs))
+		seg := l.keySegment(c)
 		for o, i := range idxs {
 			s := uint32(0)
 			if which != nil {
 				s = which[o]
 			}
 			src := sets[s]
-			if segs != nil && segs[c] >= 0 && src.Valid(int(i), c) {
-				out[c].AppendString(string(src.StringIn(int(i), c, keys[s][i][segs[c]:])))
+			if seg.Prefix > 0 && src.Valid(int(i), c) && keys[s][i][seg.Off+seg.Prefix] == 0 {
+				out[c].AppendString(strings.TrimRight(string(keys[s][i][seg.Off:seg.Off+seg.Prefix]), "\x00"))
 				continue
 			}
 			src.AppendTo(out[c], int(i), c)
@@ -411,38 +409,44 @@ func refGather(l *Layout, sets []*RowSet, which, idxs []uint32, keys [][][]byte,
 	return out
 }
 
-// testKeySeg is where a test's key rows hold the strings left in them.
-const testKeySeg = 3
+// testKeySeg is where a test's key rows hold the strings left in them, and
+// testKeyPrefix how many bytes of them: the random strings are up to 19 bytes
+// long, so some fit and some do not.
+const testKeySeg, testKeyPrefix = 3, 8
 
-// testKeyColumn returns which of l's columns the kernel tests leave in the
-// keys — the first varchar column, none when l has none — as the inKey of
-// AppendChunkKeyed for a chunk whose key did not tie (all of them) and for
-// one whose key did (those that fit testKeyPrefix), and the segments of
-// Gather.SetKeySegments.
-func testKeyColumn(l *Layout) (inKey, tied []int, segs []int) {
+// testKeyed returns l as the kernel tests key it: its first varchar column's
+// strings may lie in their key rows; l itself when it has no string column.
+func testKeyed(l *Layout) *Layout {
 	if len(l.strCols) == 0 {
-		return nil, nil, nil
+		return l
 	}
-	inKey, tied, segs = make([]int, l.NumColumns()), make([]int, l.NumColumns()), make([]int, l.NumColumns())
-	for c := range segs {
-		segs[c] = -1
-	}
-	inKey[l.strCols[0]], tied[l.strCols[0]], segs[l.strCols[0]] = AllInKey, testKeyPrefix, testKeySeg
-	return inKey, tied, segs
+	segs := make([]KeySegment, l.NumColumns())
+	segs[l.strCols[0]] = KeySegment{Off: testKeySeg, Prefix: testKeyPrefix}
+	return l.WithKeySegments(segs)
 }
 
-// testKeyPrefix is the key prefix a tied chunk's strings must fit to stay in
-// the test's key rows; the random strings are up to 19 bytes long.
-const testKeyPrefix = 8
-
-// testKeyRows returns a key row for each row of the chunk: column c's value at
-// testKeySeg, between bytes no string holds.
-func testKeyRows(vecs []*vector.Vector, c int) [][]byte {
-	keys := make([][]byte, vecs[c].Len())
-	for r := range keys {
-		keys[r] = append(append(bytes.Repeat([]byte{0xAB}, testKeySeg), vecs[c].Strings()[r]...), 0xCD, 0xCD)
+// testKeyRows returns a key row for each row of the chunk, stride bytes apart
+// in flat: column c's value at testKeySeg, zero-padded or cut to
+// testKeyPrefix bytes, and its residence byte, between bytes no string holds;
+// a NULL's, as an encoder writes it, zero bytes.
+func testKeyRows(vecs []*vector.Vector, c int) (flat []byte, rows [][]byte, stride int) {
+	stride = testKeySeg + testKeyPrefix + 2
+	for r, s := range vecs[c].Strings()[:vecs[c].Len()] {
+		key := append(bytes.Repeat([]byte{0xAB}, testKeySeg), make([]byte, testKeyPrefix+2)...)
+		if !vecs[c].Valid(r) {
+			s = ""
+		}
+		copy(key[testKeySeg:testKeySeg+testKeyPrefix], s)
+		if !normkey.FitsPrefix(s, testKeyPrefix) {
+			key[testKeySeg+testKeyPrefix] = 1
+		}
+		key[stride-1] = 0xCD
+		flat = append(flat, key...)
 	}
-	return keys
+	for o := 0; o < len(flat); o += stride {
+		rows = append(rows, flat[o:o+stride])
+	}
+	return flat, rows, stride
 }
 
 // refsKeys returns the key rows of references (which, idxs) into sets whose
@@ -475,11 +479,11 @@ func heapSummedExactly(t *testing.T, ctx string, rs *RowSet) {
 // layout. The sets written into start poisoned, as recycled ones are, and
 // already hold rows, so every byte of a new row and of its heap — padding
 // and NULL slots included — must be written, and written where the
-// reference writes it. In a row with a string column, some chunks leave
-// the first one's values in their keys (KeyResident slots beside heap slots,
-// in one set and across sets): the reorders must copy those slots as they
-// are and neither sum nor take heap bytes for them, and Refs must read them
-// from the key rows it is given.
+// reference writes it. In a row with a string column, the first one's
+// strings may lie in their key rows, and some chunks leave those that fit
+// there (empty slots beside heap slots, in one set and across sets): the
+// reorders must neither sum nor take heap bytes for them, and Refs must read
+// them from the key rows it is given.
 func TestRowKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const n = 150 // three validity words, the last one partial
@@ -487,49 +491,53 @@ func TestRowKernelsMatchReference(t *testing.T) {
 	for _, typ := range allTypes {
 		for _, kl := range kernelLayouts(typ) {
 			l, types := kl.layout, kl.layout.Types()
+			lk := testKeyed(l)
 			heapCap := 8 * n * 20 * len(l.strCols)
-			inKey, tied, segs := testKeyColumn(l)
-			keyRows := func(vecs []*vector.Vector) [][]byte {
-				if inKey == nil {
-					return nil
+			keyRows := func(vecs []*vector.Vector) (flat []byte, rows [][]byte, stride int) {
+				if lk == l {
+					return nil, nil, 0
 				}
 				return testKeyRows(vecs, l.strCols[0])
 			}
 			for _, shape := range nullShapes {
 				ctx := fmt.Sprintf("%v %s nulls=%s", typ, kl.name, shape)
 
-				// Scatter: three chunks, each behind the last; the first
-				// leaves a string column in its keys, the second those of
-				// its strings that fit a prefix.
+				// Scatter: three chunks, each behind the last; the first two
+				// leave the strings that fit in their keys, the last none.
 				chunks := [][]*vector.Vector{kernelChunk(types, n, shape, rng), kernelChunk(types, n/2, shape, rng), kernelChunk(types, n/3, "some", rng)}
-				got, want, plain := poisonedSet(l, 8*n, heapCap), NewRowSet(l), NewRowSet(l)
+				got, want, plain := poisonedSet(lk, 8*n, heapCap), NewRowSet(lk), NewRowSet(l)
 				var wantKeys [][]byte
 				for i, chunk := range chunks {
-					keyed := [][]int{inKey, tied, nil}[i]
-					if err := got.AppendChunkKeyed(chunk[0].Len(), chunk, keyed); err != nil {
+					flat, rows, stride := keyRows(chunk)
+					wantKeys = append(wantKeys, rows...)
+					if i == 2 {
+						flat, rows = nil, nil
+					}
+					if err := got.AppendChunkKeyed(chunk[0].Len(), chunk, flat, stride); err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
-					refAppendChunk(want, chunk, keyed)
+					refAppendChunk(want, chunk, rows)
 					refAppendChunk(plain, chunk, nil)
-					wantKeys = append(wantKeys, keyRows(chunk)...)
 				}
 				sameSet(t, ctx+": scatter", got, want)
 
 				// Reorder: a permutation with repeats out of one set, then
 				// references across three, behind rows already there; the
 				// second set leaves its strings in its keys too.
-				srcs := []*RowSet{want, NewRowSet(l), nil, NewRowSet(l)}
+				srcs := []*RowSet{want, NewRowSet(lk), nil, NewRowSet(lk)}
 				keyed, heaped := kernelChunk(types, n, shape, rng), kernelChunk(types, n, "some", rng)
-				refAppendChunk(srcs[1], keyed, inKey)
+				_, keyedKeys, _ := keyRows(keyed)
+				_, heapedKeys, _ := keyRows(heaped)
+				refAppendChunk(srcs[1], keyed, keyedKeys)
 				refAppendChunk(srcs[3], heaped, nil)
-				keys := [][][]byte{wantKeys, keyRows(keyed), nil, keyRows(heaped)}
+				keys := [][][]byte{wantKeys, keyedKeys, nil, heapedKeys}
 				idxs := make([]uint32, 2*n)
 				which := make([]uint32, len(idxs))
 				for o := range idxs {
 					idxs[o], which[o] = uint32(rng.Intn(n)), []uint32{0, 1, 3}[rng.Intn(3)]
 				}
 				prefix := kernelChunk(types, 5, "some", rng)
-				got, ref := poisonedSet(l, 8*n, 2*heapCap), NewRowSet(l)
+				got, ref := poisonedSet(lk, 8*n, 2*heapCap), NewRowSet(lk)
 				if err := got.AppendChunk(prefix); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
@@ -541,7 +549,7 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				refAppendRowsGather(ref, srcs, which, idxs)
 				sameSet(t, ctx+": AppendRowsGather", got, ref)
 				for _, w := range [][]uint32{nil, which} {
-					fresh := NewRowSet(l)
+					fresh := NewRowSet(lk)
 					fresh.AppendRowsGather(srcs, w, idxs)
 					heapSummedExactly(t, ctx+": AppendRowsGather into an empty set", fresh)
 				}
@@ -553,11 +561,11 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				refAppendRowsGather(ref, srcs, nil, perm)
 				sameSet(t, ctx+": AppendPermuted", got, ref)
 				if len(l.strCols) <= 1 {
-					single := NewRowSet(l)
+					single := NewRowSet(lk)
 					for _, i := range idxs {
 						single.AppendRowFrom(want, int(i))
 					}
-					batch := NewRowSet(l)
+					batch := NewRowSet(lk)
 					batch.AppendRowsGather(srcs, nil, idxs)
 					sameSet(t, ctx+": AppendRowsGather against AppendRowFrom", batch, single)
 				}
@@ -569,22 +577,22 @@ func TestRowKernelsMatchReference(t *testing.T) {
 					all[i] = uint32(i)
 				}
 				g := NewGather(l)
-				g.SetKeySegments(segs)
 				heapOnly := []*RowSet{plain}
 				g.Range(plain, 0, plain.Len())
-				sameVectors(t, ctx+": Range", g.Vectors(), refGather(l, heapOnly, nil, all, nil, nil))
+				sameVectors(t, ctx+": Range", g.Vectors(), refGather(l, heapOnly, nil, all, nil))
 				g.Range(plain, 7, 100)
-				sameVectors(t, ctx+": Range from 7", g.Vectors(), refGather(l, heapOnly, nil, all[7:107], nil, nil))
+				sameVectors(t, ctx+": Range from 7", g.Vectors(), refGather(l, heapOnly, nil, all[7:107], nil))
 				g.Index(plain, idxs)
-				sameVectors(t, ctx+": Index", g.Vectors(), refGather(l, heapOnly, nil, idxs, nil, nil))
+				sameVectors(t, ctx+": Index", g.Vectors(), refGather(l, heapOnly, nil, idxs, nil))
 				var refKeys [][]byte
-				if inKey != nil {
+				if lk != l {
 					refKeys = refsKeys(keys, which, idxs)
 				}
+				g = NewGather(lk)
 				g.Refs(srcs, which, idxs, refKeys)
-				sameVectors(t, ctx+": Refs", g.Vectors(), refGather(l, srcs, which, idxs, keys, segs))
-				g.Index(plain, nil)
-				sameVectors(t, ctx+": no rows", g.Vectors(), refGather(l, heapOnly, nil, nil, nil, nil))
+				sameVectors(t, ctx+": Refs", g.Vectors(), refGather(lk, srcs, which, idxs, keys))
+				g.Refs(srcs, nil, nil, [][]byte{})
+				sameVectors(t, ctx+": no rows", g.Vectors(), refGather(lk, srcs, nil, nil, nil))
 				cells++
 			}
 		}
@@ -638,7 +646,7 @@ func TestInlineRowsMatchRowSet(t *testing.T) {
 				}
 				g := NewGather(l)
 				g.Inline(refs, kw)
-				sameVectors(t, ctx+": Inline", g.Vectors(), refGather(l, []*RowSet{want}, nil, idxs, nil, nil))
+				sameVectors(t, ctx+": Inline", g.Vectors(), refGather(l, []*RowSet{want}, nil, idxs, nil))
 				for c, typ := range types {
 					got, ref := vector.New(typ, n), vector.New(typ, n)
 					for r := range rows {

@@ -35,7 +35,16 @@ type Layout struct {
 	// as a little-endian word.
 	wordMask bool
 	maskWord uint64
+	keySegs  []KeySegment // per column, where its strings may lie in a key row (WithKeySegments)
 }
+
+// A KeySegment is where a string column's values may lie in their row's key
+// row instead of the heap: the Prefix bytes from Off on, the string's own
+// bytes zero-padded (a normalized key's ASC, binary-collation varchar
+// segment), when the residence byte behind them is 0, as it is for a NULL.
+// Such a string holds no NUL, so it ends at its first zero byte, or at the
+// residence byte.
+type KeySegment struct{ Off, Prefix int }
 
 // NewLayout computes the row layout for the given column types with the
 // default alignment.
@@ -72,6 +81,24 @@ func NewLayoutAligned(types []vector.Type, align int) *Layout {
 	}
 	l.wordMask = l.maskBytes <= 8 && l.width >= 8 && l.width-off <= 8
 	return l
+}
+
+// WithKeySegments returns l for rows whose key rows hold strings: column c's
+// may lie in segs[c] (none where its Prefix is 0). Such a string takes an
+// empty slot (AppendChunkKeyed) and is read back from its key row
+// (Gather.Refs).
+func (l *Layout) WithKeySegments(segs []KeySegment) *Layout {
+	k := *l
+	k.keySegs = append([]KeySegment(nil), segs...)
+	return &k
+}
+
+// keySegment returns column c's key segment: the zero KeySegment for none.
+func (l *Layout) keySegment(c int) KeySegment {
+	if l.keySegs == nil {
+		return KeySegment{}
+	}
+	return l.keySegs[c]
 }
 
 // Width returns the aligned row width in bytes.

@@ -287,7 +287,7 @@ func TestRowsOfNoColumns(t *testing.T) {
 	}
 	rs := NewRowSet(l)
 	rs.Reserve(100)
-	if err := rs.AppendChunkKeyed(5, nil, nil); err != nil {
+	if err := rs.AppendChunkKeyed(5, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := rs.AppendChunk(nil); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
 )
 
@@ -94,17 +93,6 @@ func withCap(b []byte, c int) []byte {
 	return nb
 }
 
-// KeyResident is the heap offset of a string slot whose bytes are not in the
-// set's heap but in the row's normalized key: the slot holds it, then the
-// string's length, and the heap holds nothing for it. Only a caller that
-// keeps each row's key row beside it can read such a string back (StringIn,
-// Gather.Refs); the reorders move the slot as it is.
-const KeyResident = ^uint32(0)
-
-// AllInKey, as a column's entry in AppendChunkKeyed's inKey, says that every
-// string of the column lies whole in its row's key.
-const AllInKey = -1
-
 // AppendChunk scatters the chunk's vectors into rows (DSM to NSM). Vectors
 // must match the layout's types in order. Every byte of the new rows is
 // written, so a recycled buffer needs no clearing: each row starts with its
@@ -117,19 +105,16 @@ func (rs *RowSet) AppendChunk(vecs []*vector.Vector) error {
 	if len(vecs) > 0 {
 		n = vecs[0].Len()
 	}
-	return rs.AppendChunkKeyed(n, vecs, nil)
+	return rs.AppendChunkKeyed(n, vecs, nil, 0)
 }
 
 // AppendChunkKeyed is AppendChunk of n rows — every vector must have n, and a
-// layout of no columns takes n rows of no bytes — leaving strings of varchar
-// columns in the rows' keys, as inKey says (nil says none): inKey[c] is 0 for
-// a column whose strings all go to the heap, AllInKey for one whose non-NULL
-// strings all stay in the keys, and a key prefix's length p for one where each
-// that normkey.FitsPrefix(s, p) stays and the others go to the heap. A string
-// that stays has the slot KeyResident and its length, and the heap takes none
-// of its bytes. The caller vouches that every such value lies whole in its
-// row's key.
-func (rs *RowSet) AppendChunkKeyed(n int, vecs []*vector.Vector, inKey []int) error {
+// layout of no columns takes n rows of no bytes — whose key rows are at hand:
+// row r's is keys[r*stride:]. A string of a column with a key segment
+// (Layout.WithKeySegments) that its segment's residence byte says the segment holds
+// takes an empty slot and no heap byte; every other string, and every string
+// when keys is nil, goes to the heap.
+func (rs *RowSet) AppendChunkKeyed(n int, vecs []*vector.Vector, keys []byte, stride int) error {
 	l := rs.layout
 	if err := l.check(n, vecs); err != nil || n == 0 {
 		return err
@@ -137,11 +122,11 @@ func (rs *RowSet) AppendChunkKeyed(n int, vecs []*vector.Vector, inKey []int) er
 	rows := rs.extendRows(n)
 	l.startRows(rows, l.width, n)
 	for c, v := range vecs {
-		fit := 0
-		if inKey != nil {
-			fit = inKey[c]
+		var res []byte
+		if seg := l.keySegment(c); keys != nil && seg.Prefix > 0 {
+			res = keys[seg.Off+seg.Prefix:]
 		}
-		l.scatter(rs, c, v, rows, l.width, fit)
+		l.scatter(rs, c, v, rows, l.width, res, stride)
 	}
 	return nil
 }
@@ -160,7 +145,7 @@ func (l *Layout) ScatterRows(rows []byte, stride, n int, vecs []*vector.Vector) 
 	}
 	l.startRows(rows, stride, n)
 	for c, v := range vecs {
-		l.scatter(nil, c, v, rows, stride, 0)
+		l.scatter(nil, c, v, rows, stride, nil, 0)
 	}
 	return nil
 }
@@ -203,9 +188,10 @@ func (l *Layout) startRows(rows []byte, stride, n int) {
 }
 
 // scatter writes column c of the v.Len() rows at stride w from the head of
-// rows from v; a string column's values go to rs's heap, or stay in the keys
-// as fit, its inKey entry, says.
-func (l *Layout) scatter(rs *RowSet, c int, v *vector.Vector, rows []byte, w, fit int) {
+// rows from v; a string column's values go to rs's heap, but for those whose
+// residence byte — row r's at res[r*rstride], when res is not nil — says
+// their key holds them.
+func (l *Layout) scatter(rs *RowSet, c int, v *vector.Vector, rows []byte, w int, res []byte, rstride int) {
 	off, n := l.offsets[c], v.Len()
 	o := off
 	switch v.Type() {
@@ -269,11 +255,7 @@ func (l *Layout) scatter(rs *RowSet, c int, v *vector.Vector, rows []byte, w, fi
 			o += w
 		}
 	case vector.Varchar:
-		if fit == AllInKey {
-			keyStrings(v.Strings()[:n], rows[off:], w)
-		} else {
-			rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w, fit)
-		}
+		rs.scatterStrings(v.Strings()[:n], v.Validity(), rows[off:], w, res, rstride)
 	}
 	nulls, bit, slot := v.Validity(), byte(1)<<(uint(c)&7), l.types[c].Width()
 	for r := nulls.NextNull(0); r >= 0; r = nulls.NextNull(r + 1) {
@@ -285,55 +267,39 @@ func (l *Layout) scatter(rs *RowSet, c int, v *vector.Vector, rows []byte, w, fi
 
 // scatterStrings copies the non-NULL strings of vals into the heap, sized
 // once, and writes their (offset, length) references into the slots at stride
-// w — but for those that fit a key prefix of fit bytes, when fit is one,
-// which stay in the keys (see keyStrings). Whether a string fits is asked
-// once: the sizing pass marks its slot KeyResident, or not, and the copying
-// pass reads the mark. A NULL row's string must not reach the heap, so only
-// here does a column with NULLs test validity per value.
-func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []byte, w, fit int) {
-	if nulls.AllValid() {
+// w — but for those whose residence byte in res, at stride rstride, is 0:
+// their key holds them, and their slot is empty, offset and length 0. A NULL
+// row's string must not reach the heap, so only here does a column with NULLs
+// test validity per value — and only without key rows, since a NULL's
+// residence byte is 0 too. With them, a string that overflows its key has a
+// byte at least, so a chunk whose strings all lie in their keys takes one pass.
+func (rs *RowSet) scatterStrings(vals []string, nulls *vector.Bitmap, slots []byte, w int, res []byte, rstride int) {
+	if nulls.AllValid() || res != nil {
 		nulls = nil
 	}
 	total := 0
 	for r, s := range vals {
-		if nulls != nil && !nulls.Valid(r) {
-			continue
+		switch {
+		case res != nil && res[r*rstride] == 0:
+			binary.LittleEndian.PutUint64(slots[r*w:], 0)
+		case nulls == nil || nulls.Valid(r):
+			total += len(s)
 		}
-		if fit > 0 {
-			mark := uint32(0)
-			if normkey.FitsPrefix(s, fit) {
-				mark = KeyResident
-			} else {
-				total += len(s)
-			}
-			binary.LittleEndian.PutUint32(slots[r*w:], mark)
-			continue
-		}
-		total += len(s)
+	}
+	if total == 0 && res != nil {
+		return
 	}
 	pos := len(rs.heap)
 	rs.heap = extendBytes(rs.heap, total)
 	heap := rs.heap
 	for r, s := range vals {
-		if nulls != nil && !nulls.Valid(r) {
+		if nulls != nil && !nulls.Valid(r) || res != nil && res[r*rstride] == 0 {
 			continue
 		}
 		slot := slots[r*w : r*w+8 : r*w+8]
-		if fit <= 0 || binary.LittleEndian.Uint32(slot) != KeyResident {
-			binary.LittleEndian.PutUint32(slot, uint32(pos))
-			pos += copy(heap[pos:], s)
-		}
+		binary.LittleEndian.PutUint32(slot, uint32(pos))
 		binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
-	}
-}
-
-// keyStrings writes the slots of strings left in the keys: KeyResident and
-// the length, NULL rows' too (the NULL walk clears theirs).
-func keyStrings(vals []string, slots []byte, w int) {
-	for r, s := range vals {
-		slot := slots[r*w : r*w+8 : r*w+8]
-		binary.LittleEndian.PutUint32(slot, KeyResident)
-		binary.LittleEndian.PutUint32(slot[4:], uint32(len(s)))
+		pos += copy(heap[pos:], s)
 	}
 }
 
@@ -343,24 +309,11 @@ func (rs *RowSet) String(i, c int) string { return string(rs.StringBytes(i, c)) 
 
 // StringBytes is String without the copy: the bytes are the set's heap,
 // valid until the set is next written or reset. A comparison reads them in
-// place. A string left in its key is not here to read: StringBytes panics on
-// one, where StringIn, given the key, resolves it.
-func (rs *RowSet) StringBytes(i, c int) []byte { return rs.StringIn(i, c, nil) }
-
-// StringIn is StringBytes for a row whose key is at hand: a key-resident
-// string's bytes are the first of key — the row's key row from where the
-// column's key segment holds the value — as many as the slot says.
-func (rs *RowSet) StringIn(i, c int, key []byte) []byte {
-	row := rs.Row(i)
-	off := rs.layout.offsets[c]
-	ho := binary.LittleEndian.Uint32(row[off:])
-	hl := binary.LittleEndian.Uint32(row[off+4:])
-	if ho == KeyResident {
-		if key == nil {
-			panic(fmt.Sprintf("row: column %d of row %d is a string left in its key, and no key was given", c, i))
-		}
-		return key[:hl:hl]
-	}
+// place. A string its key holds is not here: its slot is empty.
+func (rs *RowSet) StringBytes(i, c int) []byte {
+	slot := rs.Row(i)[rs.layout.offsets[c]:]
+	ho := binary.LittleEndian.Uint32(slot)
+	hl := binary.LittleEndian.Uint32(slot[4:])
 	return rs.heap[ho : ho+hl : ho+hl]
 }
 
@@ -368,7 +321,7 @@ func (rs *RowSet) StringIn(i, c int, key []byte) []byte {
 func (rs *RowSet) Valid(i, c int) bool { return rs.layout.valid(rs.Row(i), c) }
 
 // Value returns column c of row i as an any (nil for NULL). For tests and
-// debugging; like StringBytes it panics on a string left in its key.
+// debugging; like StringBytes it reads a string its key holds as empty.
 func (rs *RowSet) Value(i, c int) any {
 	row := rs.Row(i)
 	l := rs.layout

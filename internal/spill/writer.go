@@ -29,7 +29,8 @@ type Writer struct {
 	bw *bufio.Writer
 	cw countingWriter // over bw: the file's length so far, and the block's checksum
 
-	flushed int // rows written so far
+	flushed int  // rows written so far
+	done    bool // Finish returned the file, or the writer gave it up
 	// One block under construction: its pending rows' key rows — in buf,
 	// which the first Add makes, or where AddRows found them — and payload
 	// references (a full block's worth of room), and the set their payload is
@@ -140,14 +141,20 @@ func (w *Writer) Finish() (*File, error) {
 		return nil, w.fail(err)
 	}
 	w.d.ctr.Add(obs.SpillBytesWritten, w.cw.n)
-	w.f.size = w.cw.n
+	w.f.size, w.done = w.cw.n, true
 	return w.f, nil
 }
 
 // Abort gives up on the file: it is removed, and err returned — joined with
 // the removal's own failure if it has one, which leaves the file to
-// Dir.Close. For the caller whose own source of rows failed.
+// Dir.Close. For the caller whose own source of rows failed, and for an
+// owner's defer, which a panic unwinds through too: once Finish has returned
+// the file, or the writer has given it up, Abort only returns err.
 func (w *Writer) Abort(err error) error {
+	if w.done {
+		return err
+	}
+	w.done = true
 	if w.wc != nil {
 		w.wc.Close()
 		w.wc = nil
