@@ -170,7 +170,9 @@ func widePayloadTable(n int, seed uint64) *vector.Table {
 // dominates) and mem-wide-payload (2^20
 // rows of 125 bytes: the gather does) — at the sorter's default run size, and
 // on ext-catalog-spill's (2^20 rows by four keys in 16 spilled runs of 2^16:
-// the same merge, its runs read back block by block), inline (Threads: 1)
+// the same merge, its runs read back block by block), and on 2^18 URLs whose
+// shared start fills the key prefix in 16 spilled runs of 2^14 (every
+// comparison a tie-break, the bounds' among them), inline (Threads: 1)
 // against two workers; and, inline, on a result of one run (2^17 rows, the
 // default run size), which merges through a one-run tree.
 func BenchmarkRowsDrain(b *testing.B) {
@@ -186,6 +188,8 @@ func BenchmarkRowsDrain(b *testing.B) {
 		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }, one, core.Options{}, []int{1, 2}},
 		{"catalog-spill", func() *vector.Table { return workload.CatalogSales(1<<20, 10, 42) },
 			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, core.Options{RunSize: 1 << 16, SpillDir: b.TempDir()}, []int{1, 2}},
+		{"shared-prefix-spill", func() *vector.Table { return workload.SharedPrefixStrings(1<<18, 5) }, one,
+			core.Options{RunSize: 1 << 14, SpillDir: b.TempDir()}, []int{1, 2}},
 		{"one-run", func() *vector.Table { return workload.UniformInt64s(core.DefaultRunSize, 42) }, one, core.Options{}, []int{1}},
 	} {
 		b.Run(wl.name, func(b *testing.B) {

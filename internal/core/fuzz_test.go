@@ -400,7 +400,7 @@ func (p plan) ingest(s *Sorter, tbl *vector.Table, spillAll bool) error {
 // off ends in an error, never a short or wrong result; nothing hangs or is
 // left after Close (check). The seeds are the corners of the tests it
 // replaced; a replay of them must reach every fault cell, a pressure spill, a
-// merge pass and a drain of several tasks from disk.
+// merge pass and a drain of several tasks from disk, tie keys' among them.
 func FuzzSortPlanSpace(f *testing.F) {
 	seeds := 0
 	seed := func(p plan) { f.Add(p.encode()); seeds++ }
@@ -515,6 +515,16 @@ func FuzzSortPlanSpace(f *testing.F) {
 		fault: "panicking FS", stage: stageRunSpill, seed: 19})
 	seed(plan{rows: 40_000, runs: 17, several: true, threads: 4, storage: storeTight,
 		fault: "panicking FS", stage: stageRunSpill, seed: 19})
+	// A panicking read that Next makes itself: a one-task drain under a
+	// shared broker at Threads 2, which the consumer runs.
+	f.Add([]byte("70000001010A1"))
+	seeds++
+	// Keys that all tie on the cut prefix, on disk — spilled as cut, mixed
+	// with runs in memory, and shed under a budget — cut a task every
+	// drainTaskFences fences, as any other keys do.
+	seed(plan{schema: schemaTieKeys, shape: keysAllEqual, rows: pastTask, runs: 3, threads: 2, storage: storeEager})
+	seed(plan{schema: schemaTieKeys, shape: keysAllEqual, rows: pastTask, runs: 16, threads: 4, storage: storeShared, block: blockRagged})
+	seed(plan{schema: schemaTieKeys, shape: keysAllEqual, rows: 40_000, runs: 17, threads: 2, storage: storePrivate})
 
 	reached := map[string]bool{}
 	ran := 0
@@ -530,6 +540,7 @@ func FuzzSortPlanSpace(f *testing.F) {
 	want := []string{"a pressure spill", "a merge pass", "a drain of several tasks from disk", "a tie-breaking run of both string slots",
 		"a spilled run with an empty payload", "an inline payload through a merge pass",
 		"an inline payload's equal keys drained from disk in several tasks", "a fault under an inline payload",
+		"tie keys drained from disk in several tasks",
 		"an unbudgeted run its string heap cut short of RunSize"}
 	for _, sf := range spillFaults {
 		for _, stage := range sf.stages {
@@ -601,6 +612,7 @@ func (p plan) check(t *testing.T) (reached []string) {
 		"a spilled run with an empty payload":                               emptySpill,
 		"an inline payload through a merge pass":                            s.place.inline && st.MergePasses > 0,
 		"an inline payload's equal keys drained from disk in several tasks": s.place.inline && p.shape == keysAllEqual && s.onDisk && tasks > 1,
+		"tie keys drained from disk in several tasks":                       p.schema == schemaTieKeys && p.shape == keysAllEqual && s.onDisk && tasks > 1,
 		"a fault under an inline payload":                                   s.place.inline && fired,
 		"an unbudgeted run its string heap cut short of RunSize":            heapCut,
 	} {
@@ -608,9 +620,9 @@ func (p plan) check(t *testing.T) (reached []string) {
 			reached = append(reached, what)
 		}
 	}
-	// With Threads 1 the merge runs on the caller's goroutine and a panic
-	// under it is the caller's; a worker's must not be.
-	if panicked && p.threads > 1 {
+	// A panic under the drain — a worker's, or under a read Next makes
+	// itself — is the sort's error, at every thread count.
+	if panicked {
 		t.Errorf("%s: %v", ctx, err)
 	}
 	switch {
@@ -696,7 +708,6 @@ func (p plan) checkDrain(t *testing.T, s *Sorter, tbl *vector.Table, keys []Sort
 	t.Helper()
 	ctx := fmt.Sprintf("%+v", p)
 	checkOracle(t, ctx, tbl, out, keys, !p.several)
-	anyTie := slices.ContainsFunc(s.resultIDs, func(id uint32) bool { return s.runs[id].tieBreak })
 	switch fences := resultFences(s); {
 	case st.SpillBytesRead != st.SpillBytesWritten:
 		t.Errorf("%s: read %d spill bytes, wrote %d", ctx, st.SpillBytesRead, st.SpillBytesWritten)
@@ -705,10 +716,8 @@ func (p plan) checkDrain(t *testing.T, s *Sorter, tbl *vector.Table, keys []Sort
 		t.Errorf("%s: %d blocks prefetched, %d hits", ctx, st.PrefetchedBlocks, st.PrefetchHits)
 	case p.storage == storeEager && (st.MergePasses != 0 || p.rows > 0 && st.SpillBytesWritten == 0):
 		t.Errorf("%s: eager spill wrote %d bytes in %d merge passes", ctx, st.SpillBytesWritten, st.MergePasses)
-	case fences > drainTaskFences && !(anyTie && s.onDisk) && tasks < 2:
+	case fences > drainTaskFences && tasks < 2:
 		t.Errorf("%s: %d task over %d fences", ctx, tasks, fences)
-	case p.schema == schemaTieKeys && p.shape == keysAllEqual && s.onDisk && tasks != 1:
-		t.Errorf("%s: %d tasks over keys that all tie on the cut prefix, want 1", ctx, tasks)
 	}
 	if p.several || p.fault != "" || p.threads == 1 && p.storage != storeShared {
 		return

@@ -514,7 +514,7 @@ func TestTieBreakFetchesOnlyOverflowingPairs(t *testing.T) {
 				calls := 0
 				_, order := s.mergeOrder(true, func(run, idx uint32) (*row.RowSet, int) {
 					calls++
-					return s.residentPayload(run, idx)
+					return s.payloadOf(nil, nil)(run, idx)
 				})
 				var rows [][]byte
 				for _, r := range s.runs {

@@ -26,9 +26,8 @@ import (
 // order. A tie is resolved against the full strings in the payload — only
 // strings that overflow their prefixes tie, and those lie on the heap — which
 // lookup finds through the row's reference: the RowSet holding it and the
-// row's index there (a merge over spilled runs keeps only one block of each
-// run current, so the index is block-local). Rows that cannot tie are
-// compared with one bytes.Compare over the key, the paper's memcmp.
+// row's index there (payloadOf). Rows that cannot tie are compared with one
+// bytes.Compare over the key, the paper's memcmp.
 func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
 	if anyTieBreak {
 		byKey := s.place.byKey
@@ -44,13 +43,16 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 
 // mergePlan is one merge over runs in memory, on disk or both: the runs, and
 // the tasks internal/spill's planner cuts it into, whose bounds compare in
-// boundOrder.
+// the merge's whole order — the key under cmp, then the run's place in the
+// merge, then the row's in its run — so rows of equal keys are split between
+// tasks where the stable merge would.
 type mergePlan struct {
 	*spill.Plan
-	ids    []uint32 // the runs, in merge (tie) order
-	index  []int32  // a run id's position in ids
-	anyTie bool     // some run needs the tie-break comparator
-	safe   int      // width of the byte-decisive key prefix
+	ids    []uint32              // the runs, in merge (tie) order
+	index  []int32               // a run id's position in ids
+	anyTie bool                  // some run needs the tie-break comparator
+	safe   int                   // width of the byte-decisive key prefix
+	cmp    mergepath.CompareFunc // the merge's order on keys, for whoever holds no block: fences and runs in memory
 }
 
 // drainTaskFences is the fences a task of the drain begins: as many as make
@@ -67,12 +69,10 @@ const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
 	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
-	disk := false
 	for i, id := range ids {
 		r := s.runs[id]
 		p.index[id] = int32(i)
 		p.anyTie = p.anyTie || r.tieBreak
-		disk = disk || r.spill != nil
 		if files[i] = r.spill; r.spill == nil && !single {
 			resident[i] = s.residentFences(r)
 		}
@@ -85,33 +85,30 @@ func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 	if single {
 		taskFences = 0
 	}
-	p.Plan = spill.PlanTasks(files, resident, s.spillBlockRows(), s.boundOrder(p, disk), taskFences)
+	_, p.cmp = s.mergeOrder(p.anyTie, s.payloadOf(p, nil))
+	p.Plan = spill.PlanTasks(files, resident, s.spillBlockRows(), p.cmp, taskFences)
 	return p
 }
 
-// boundOrder returns the order p's task bounds compare in: the merge's whole
-// order — the key, then the run's place in the merge, then the row's place in
-// its run, both taken from where the row sits (spill.Order's Total). Every
-// row is distinct under it, and every run, block and fence list is sorted
-// under it, so a bound row's rank in a run is its Merge Path rank there, and
-// rows of equal keys are split between tasks where the stable merge would.
-// The tie comparator, though, reads a row's payload, which a fence of a run
-// on disk does not have at hand: a plan whose keys may tie and that has a run
-// on disk compares the byte-decisive prefix alone, so rows tying on it stay
-// in one task.
-func (s *Sorter) boundOrder(p *mergePlan, disk bool) spill.Order {
-	if p.anyTie && disk {
-		safe := p.safe
-		return spill.Order{Key: func(a, b []byte) int { return bytes.Compare(a[:safe], b[:safe]) }}
+// payloadOf returns the tie lookup of a merge of p by a claimant whose
+// cursors are cur (nil for the planner, which has none): a row's payload is
+// in the block of its run that the claimant holds, when that block contains
+// the row; else in a run in memory's own payload; else the row is a fence of
+// a run on disk — a claimant's bound, or the planner's — whose payload its
+// file keeps.
+func (s *Sorter) payloadOf(p *mergePlan, cur []extCursor) func(runID, idx uint32) (*row.RowSet, int) {
+	return func(runID, idx uint32) (*row.RowSet, int) {
+		if cur != nil {
+			if c := &cur[p.index[runID]]; c.payload != nil && int(idx) >= c.start && int(idx) < c.start+c.payload.Len() {
+				return c.payload, int(idx) - c.start
+			}
+		}
+		r := s.runs[runID]
+		if r.spill == nil {
+			return r.payload, int(idx)
+		}
+		return r.spill.FencePayload(), int(idx) / r.spill.BlockRows()
 	}
-	_, key := s.mergeOrder(p.anyTie, s.residentPayload)
-	return spill.Order{Key: key, Total: true}
-}
-
-// residentPayload resolves a key row's payload reference against the
-// in-memory runs.
-func (s *Sorter) residentPayload(runID, idx uint32) (*row.RowSet, int) {
-	return s.runs[runID].payload, int(idx)
 }
 
 // residentFences returns the fences of a run in memory: its key rows at
@@ -142,10 +139,11 @@ type extMerge struct {
 	p   *mergePlan
 	st  *spill.Stage
 	ctx context.Context
-	ow  *obs.Worker // the claimant's trace lane, for the blocks it decodes itself
-	tie mergepath.CompareFunc
+	ow  *obs.Worker           // the claimant's trace lane, for the blocks it decodes itself
+	tie mergepath.CompareFunc // the loser tree's, nil when no run can tie
+	cmp mergepath.CompareFunc // the merge's order on keys, which ranks the rows this claimant holds
 
-	lo, hi  spill.Bound // the range being merged, under the plan's bound order; a nil Key is open
+	lo, hi  spill.Bound // the range being merged; a nil Key is open
 	cur     []extCursor
 	m       *mergepath.Merger
 	sets    []*row.RowSet    // gather sources; the first len(cur) are the runs' current blocks at the last settle
@@ -170,12 +168,7 @@ func (s *Sorter) newExtMerge(ctx context.Context, p *mergePlan, st *spill.Stage,
 	k := len(p.ids)
 	e := &extMerge{s: s, p: p, st: st, ctx: ctx, ow: ow,
 		cur: make([]extCursor, k), sets: make([]*row.RowSet, k, 2*k)}
-	// Tie-break lookups resolve against the run's current block: references
-	// store absolute run indexes, the cursor knows its block's offset.
-	e.tie, _ = s.mergeOrder(p.anyTie, func(runID, idx uint32) (*row.RowSet, int) {
-		c := &e.cur[p.index[runID]]
-		return c.payload, int(idx) - c.start
-	})
+	e.tie, e.cmp = s.mergeOrder(p.anyTie, s.payloadOf(p, e.cur))
 	return e
 }
 
@@ -191,8 +184,9 @@ func (e *extMerge) open(t int) error {
 		c, r := &e.cur[i], s.runs[p.ids[i]]
 		var keys []byte
 		if r.spill == nil {
-			from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, e.lo, e.hi)
-			*c = extCursor{payload: r.payload, pad: uint32(from)}
+			*c = extCursor{payload: r.payload}
+			from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, e.lo, e.hi, e.cmp)
+			c.pad = uint32(from)
 			keys = r.keys[from*s.place.rowWidth : to*s.place.rowWidth]
 		} else {
 			*c = extCursor{}
@@ -213,7 +207,8 @@ func (e *extMerge) open(t int) error {
 
 // load makes run i's block c.blk — or the first one after it with a key in
 // range — the cursor's, and returns its keys in range; nil when the run has
-// none left.
+// none left. A block is the cursor's before it is ranked: the tie lookup
+// finds its rows there.
 func (e *extMerge) load(i int) ([]byte, error) {
 	c := &e.cur[i]
 	rw := e.s.place.rowWidth
@@ -226,9 +221,10 @@ func (e *extMerge) load(i int) ([]byte, error) {
 			}
 			return nil, err
 		}
-		from, to := e.p.Range(mergepath.Run{Data: b.Keys, Width: rw}, i, b.Start, e.lo, e.hi)
+		c.payload, c.start = b.Payload, b.Start
+		from, to := e.p.Range(mergepath.Run{Data: b.Keys, Width: rw}, i, b.Start, e.lo, e.hi, e.cmp)
 		if from < to {
-			c.payload, c.start, c.pad = b.Payload, b.Start, uint32(from)
+			c.pad = uint32(from)
 			return b.Keys[from*rw : to*rw], nil
 		}
 		e.st.Release(ref)
@@ -473,7 +469,7 @@ func (s *Sorter) drainClaimants(p *mergePlan, most int) (claimants int, window i
 				first, end := p.Span(i, lo, hi)
 				rows += (end - first) * blockRows
 			} else {
-				from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, lo, hi)
+				from, to := p.Range(mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, i, 0, lo, hi, p.cmp)
 				rows += to - from
 			}
 		}

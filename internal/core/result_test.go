@@ -89,7 +89,7 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		runs[i] = mergepath.Run{Data: r.keys, Width: s.place.rowWidth}
 		anyTie = anyTie || r.tieBreak
 	}
-	_, cmp := s.mergeOrder(anyTie, s.residentPayload)
+	_, cmp := s.mergeOrder(anyTie, s.payloadOf(nil, nil))
 	keys := make([]byte, s.resultRows*s.place.rowWidth)
 	mergepath.KWayMerge(keys, runs, cmp)
 	out := vector.NewTable(s.schema)

@@ -324,7 +324,7 @@ func leadingRows(s *Sorter, p *mergePlan, n int) int64 {
 	_, hi := p.Bound(min(n, p.Tasks()) - 1)
 	rows := 0
 	for i, id := range p.ids {
-		_, to := p.Range(mergepath.Run{Data: s.runs[id].keys, Width: s.place.rowWidth}, i, 0, spill.Bound{}, hi)
+		_, to := p.Range(mergepath.Run{Data: s.runs[id].keys, Width: s.place.rowWidth}, i, 0, spill.Bound{}, hi, p.cmp)
 		rows += to
 	}
 	return int64(rows)

@@ -407,6 +407,46 @@ func TestSpilledDrainReadsEachBlockOnce(t *testing.T) {
 	}
 }
 
+// TestTiedKeysOnDiskCutTasks pins the drain of keys that all tie on their
+// bytes, on disk: 2^18 URLs whose shared start fills the key prefix, so the
+// tie-break decides every comparison, in 16 runs spilled as cut, 4 blocks
+// each. Their 64 fences compare in the merge's whole order, strings and all,
+// and cut 4 tasks as any other keys' would; the output is the oracle's, in
+// the same chunks at Threads 1, 2 and 4.
+func TestTiedKeysOnDiskCutTasks(t *testing.T) {
+	urls := workload.SharedPrefixStrings(1<<18, 5)
+	tbl := vector.NewTable(append(slices.Clone(urls.Schema), vector.Column{Name: "id", Type: vector.Int32}))
+	n := int32(0)
+	for _, c := range urls.Chunks {
+		id := vector.New(vector.Int32, c.Len())
+		for range c.Len() {
+			id.AppendInt32(n)
+			n++
+		}
+		tbl.Chunks = append(tbl.Chunks, &vector.Chunk{Vectors: append(slices.Clone(c.Vectors), id)})
+	}
+	keys := []SortColumn{{Column: 0}}
+	var first *vector.Table
+	for _, threads := range []int{1, 2, 4} {
+		ctx := fmt.Sprintf("threads=%d", threads)
+		s := finalizedSorter(t, tbl, keys, Options{Threads: threads, RunSize: 1 << 14, SpillDir: t.TempDir()})
+		out, fences := drainAll(t, s), resultFences(s)
+		st := s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.RunsGenerated != 16 || fences != 64 || st.ExtMergeParts != 4 {
+			t.Errorf("%s: %d runs, %d fences, drained in %d tasks; want 16, 64 and 4", ctx, st.RunsGenerated, fences, st.ExtMergeParts)
+		}
+		if first == nil {
+			checkOracle(t, ctx, tbl, out, keys, true)
+			first = out
+		} else {
+			sameChunks(t, ctx+", against Threads 1", out, first)
+		}
+	}
+}
+
 // TestSpilledSortHoldsNoOutput pins what the lazy merge saves a spilled sort:
 // Finalize and the drain hold no more than the stage's blocks — the peak stays
 // run generation's — and allocate the blocks they read and the chunks they

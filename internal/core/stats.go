@@ -62,9 +62,8 @@ type SortStats struct {
 	MergeStall       time.Duration
 	// The executed multi-pass plan, the final merge's fan-in (0 when nothing
 	// merged from disk) and the fence-cut tasks the latest result iterator
-	// over runs on disk claimed. Tasks split equal keys, but a plan whose keys
-	// may tie and that has a run on disk cuts on the byte-decisive prefix, so
-	// rows tying on it share a task (one, when every key does).
+	// over runs on disk claimed: a task every 16 fences, equal keys — a
+	// varchar prefix's ties too — split where the stable merge would.
 	MergePasses    int64
 	MergePassBytes int64
 	MergeFanIn     int64

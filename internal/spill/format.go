@@ -2,9 +2,10 @@
 // flat key rows plus a row-format payload — offloaded to secondary storage in
 // one unified format with no conversion (the paper's §IX). It holds the
 // format and its checksummed block, the writer, the index a written file
-// leaves in memory (block offsets and fences), the stage that reads the
-// blocks back for a merge, and the planner that cuts a merge into tasks at
-// the fences. It knows nothing of the sorter: key and payload shapes, a
+// leaves in memory (block offsets and fences: each block's first key row and
+// its payload row), the stage that reads the blocks back for a merge, and the
+// planner that cuts a merge into tasks at the fences, in the merge's whole
+// order. It knows nothing of the sorter: key and payload shapes, a
 // broker reservation and the counter block come in as values, and the disk
 // is reached only through FS. What to spill and when, and the merge itself,
 // are the sorter's.
@@ -53,21 +54,24 @@ type Format struct {
 }
 
 // File is a run on disk: its name and the block index recorded while it was
-// written — the byte offset of every block and the block's first key row (the
-// fences, concatenated at the key-row stride so they form a mergepath.Run the
-// task planner can search directly), and the file's length, which ends the
-// last block. The offsets let a merge read any block with one positioned
-// read; the fences bound each block's key range without reading it. The index
-// costs one key row plus one offset per block and is part of the sorter's
-// documented budget slack.
+// written — the byte offset of every block and the block's first row (the
+// fences: key rows concatenated at the key-row stride, so they form a
+// mergepath.Run the task planner can search directly, and their payload
+// rows, strings and all, so a fence compares in the merge's whole order even
+// where its key ties), and the file's length, which ends the last block. The
+// offsets let a merge read any block with one positioned read; the fences
+// bound each block's key range without reading it. The index costs one row
+// plus one offset per block, lives only in memory, and is part of the
+// sorter's documented budget slack.
 type File struct {
-	name      string
-	format    Format
-	blockRows int // rows in every block but the last
-	rows      int
-	offs      []int64
-	fences    []byte
-	size      int64
+	name         string
+	format       Format
+	blockRows    int // rows in every block but the last
+	rows         int
+	offs         []int64
+	fences       []byte
+	fencePayload *row.RowSet // row b is block b's first payload row
+	size         int64
 }
 
 // NumBlocks returns how many blocks the file holds.
@@ -75,6 +79,10 @@ func (f *File) NumBlocks() int { return len(f.offs) }
 
 // BlockRows returns the rows of every block but the last.
 func (f *File) BlockRows() int { return f.blockRows }
+
+// FencePayload returns the payload rows of the fences: row b is the payload
+// of block b's first row, which is the run's row b*BlockRows.
+func (f *File) FencePayload() *row.RowSet { return f.fencePayload }
 
 // Size returns the file's length in bytes.
 func (f *File) Size() int64 { return f.size }

@@ -84,8 +84,9 @@ func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet,
 // TestFileFormat pins the bytes on disk: the header ("RSB3", rows per block,
 // rows), every block at the offset the index says, its raw key rows followed
 // by its payload and the CRC-32C of both, and the file ending where the index
-// says — and that a stage hands back, block by block, exactly the rows that
-// went in.
+// says; that the index in memory keeps each block's first row, key row and
+// payload row, strings included; and that a stage hands back, block by block,
+// exactly the rows that went in.
 func TestFileFormat(t *testing.T) {
 	const n, blockRows = 1000, 256
 	ctr := obs.NewBlock(nil)
@@ -116,6 +117,16 @@ func TestFileFormat(t *testing.T) {
 		}
 		if !bytes.Equal(f.fence(b), rawKeys[:testFormat.RowWidth]) {
 			t.Errorf("block %d: fence is not its first key row", b)
+		}
+	}
+	fp := f.FencePayload()
+	if fp.Len() != f.NumBlocks() {
+		t.Fatalf("%d fence payload rows for %d blocks", fp.Len(), f.NumBlocks())
+	}
+	for b := 0; b < fp.Len(); b++ {
+		first := b * blockRows
+		if k, s := fp.Value(b, 0), fp.String(b, 1); k != payload.Value(first, 0) || s != fmt.Sprintf("row %d", first) {
+			t.Errorf("block %d: fence payload (%v, %q), want its first row's (%v, %q)", b, k, s, payload.Value(first, 0), fmt.Sprintf("row %d", first))
 		}
 	}
 
@@ -314,13 +325,9 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 	}
 }
 
-// byKey orders test key rows by their key bytes alone: an order under which
-// equal keys tie.
-var byKey = Order{Key: func(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }}
-
-// wholeOrder is byKey, then a row's place in the merge: the merge's whole
-// order, under which no two rows tie.
-var wholeOrder = Order{Key: byKey.Key, Total: true}
+// byKey orders test key rows by their key bytes: the merge's order on keys,
+// whose ties a plan breaks by the rows' places in the merge.
+func byKey(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }
 
 // sameBound reports whether two bounds are the same row.
 func sameBound(a, b Bound) bool { return bytes.Equal(a.Key, b.Key) && a.Run == b.Run && a.Row == b.Row }
@@ -332,8 +339,8 @@ func (p *Plan) fence(ref BlockRef) []byte { return p.files[ref.Run].fence(int(re
 // forecast holds every block once, in fence order; bounds strictly increase;
 // every block is due to the tasks whose range can hold one of its keys, and
 // to at least one; a run in memory cuts tasks by the fences it is given and
-// is never forecast. Keys that all collide make one task under an order that
-// ties them, and a task every taskFences fences under the whole order.
+// is never forecast. Keys that all collide make a task every taskFences
+// fences, cut by the rows' places in the merge.
 func TestPlanTasks(t *testing.T) {
 	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
 	defer d.Close()
@@ -347,7 +354,7 @@ func TestPlanTasks(t *testing.T) {
 		t.Fatalf("%d blocks forecast, %d tasks", len(p.forecast), p.Tasks())
 	}
 	for i := 1; i < len(p.forecast); i++ {
-		if byKey.Key(p.fence(p.forecast[i-1]), p.fence(p.forecast[i])) > 0 {
+		if byKey(p.fence(p.forecast[i-1]), p.fence(p.forecast[i])) > 0 {
 			t.Fatalf("forecast position %d is below its predecessor", i)
 		}
 	}
@@ -357,15 +364,15 @@ func TestPlanTasks(t *testing.T) {
 	}
 	for task := 0; task < p.Tasks(); task++ {
 		lo, hi := p.Bound(task)
-		if lo.Key != nil && hi.Key != nil && byKey.Key(lo.Key, hi.Key) >= 0 {
+		if lo.Key != nil && hi.Key != nil && byKey(lo.Key, hi.Key) >= 0 {
 			t.Fatalf("task %d: bounds do not increase", task)
 		}
 		for i, f := range files {
 			first, end := p.Span(i, lo, hi)
 			for b := 0; b < f.NumBlocks(); b++ {
 				// The block's keys run from its fence to just below the next.
-				holds := (hi.Key == nil || byKey.Key(f.fence(b), hi.Key) < 0) &&
-					(lo.Key == nil || b+1 == f.NumBlocks() || byKey.Key(f.fence(b+1), lo.Key) > 0)
+				holds := (hi.Key == nil || byKey(f.fence(b), hi.Key) < 0) &&
+					(lo.Key == nil || b+1 == f.NumBlocks() || byKey(f.fence(b+1), lo.Key) > 0)
 				if holds && (b < first || b >= end) {
 					t.Fatalf("task %d: block %d of run %d can hold a key of its range and is not in its span [%d,%d)", task, b, i, first, end)
 				}
@@ -415,10 +422,7 @@ func TestPlanTasks(t *testing.T) {
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
 	constant := writeRun(t, d, 9, keys, payload, 64)
-	if p := PlanTasks([]*File{constant}, nil, 0, byKey, 4); p.Tasks() != 1 {
-		t.Errorf("keys that all collide, compared by key: %d tasks, want 1", p.Tasks())
-	}
-	if p := PlanTasks([]*File{constant}, nil, 0, wholeOrder, 4); p.Tasks() != 3 {
+	if p := PlanTasks([]*File{constant}, nil, 0, byKey, 4); p.Tasks() != 3 {
 		t.Errorf("keys that all collide, in the whole order: %d tasks of 10 fences, want 3", p.Tasks())
 	}
 	// The same constant keys on disk as run 0 and in memory as run 1, fenced
@@ -430,7 +434,7 @@ func TestPlanTasks(t *testing.T) {
 	for i := 0; i < 640; i += 64 {
 		cfences = append(cfences, keys[i*rw:(i+1)*rw]...)
 	}
-	both := PlanTasks([]*File{constant, nil}, []mergepath.Run{1: {Data: cfences, Width: rw}}, 64, wholeOrder, 4)
+	both := PlanTasks([]*File{constant, nil}, []mergepath.Run{1: {Data: cfences, Width: rw}}, 64, byKey, 4)
 	// Each task's rows of run 0 and of run 1, an empty range as [0,0).
 	want := [][4]int{{0, 256, 0, 0}, {256, 512, 0, 0}, {512, 640, 0, 128}, {0, 0, 128, 384}, {0, 0, 384, 640}}
 	if both.Tasks() != len(want) {
@@ -441,7 +445,7 @@ func TestPlanTasks(t *testing.T) {
 		var got [4]int
 		first, end := both.Span(0, lo, hi)
 		for b := first; b < end; b++ {
-			from, to := both.Range(mergepath.Run{Data: keys[b*64*rw : (b+1)*64*rw], Width: rw}, 0, b*64, lo, hi)
+			from, to := both.Range(mergepath.Run{Data: keys[b*64*rw : (b+1)*64*rw], Width: rw}, 0, b*64, lo, hi, byKey)
 			if from < to && got[1] == 0 {
 				got[0] = b*64 + from
 			}
@@ -449,14 +453,14 @@ func TestPlanTasks(t *testing.T) {
 				got[1] = b*64 + to
 			}
 		}
-		if from, to := both.Range(mergepath.Run{Data: keys, Width: rw}, 1, 0, lo, hi); from < to {
+		if from, to := both.Range(mergepath.Run{Data: keys, Width: rw}, 1, 0, lo, hi, byKey); from < to {
 			got[2], got[3] = from, to
 		}
 		if got != w {
 			t.Errorf("task %d takes rows [%d,%d) of run 0 and [%d,%d) of run 1, want %v", task, got[0], got[1], got[2], got[3], w)
 		}
 	}
-	if got := mergepath.LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), byKey.Key); got != 3 {
+	if got := mergepath.LowerBound(mergepath.Run{Data: files[0].fences, Width: testFormat.RowWidth}, files[0].fence(3), byKey); got != 3 {
 		t.Errorf("LowerBound of a run's fourth fence among its fences: %d", got)
 	}
 }

@@ -116,14 +116,7 @@ func (st *Stage) Start(ctx context.Context, join *sync.WaitGroup) {
 }
 
 // forecast decodes ahead of the claimants until ctx is done or a read fails.
-// A panic under it — the filesystem's, a decoder's — fails the stage like a
-// read error does: the claimants get it from Acquire.
 func (st *Stage) forecast(ctx context.Context) {
-	defer func() {
-		if r := recover(); r != nil {
-			st.fail(fmt.Errorf("spill: the block stage's forecast panicked: %v\n%s", r, debug.Stack()))
-		}
-	}()
 	ow := st.d.rec.Worker("prefetch")
 	for {
 		st.mu.Lock()
@@ -150,17 +143,6 @@ func (st *Stage) forecast(ctx context.Context) {
 			return
 		}
 	}
-}
-
-// fail makes err the stage's error, if it has none yet, and wakes whoever
-// waits on a block.
-func (st *Stage) fail(err error) {
-	st.mu.Lock()
-	if st.err == nil {
-		st.err = err
-	}
-	st.wakeLocked()
-	st.mu.Unlock()
 }
 
 func (st *Stage) block(ref BlockRef) *stageBlock { return &st.runs[ref.Run].blocks[ref.Blk] }
@@ -194,11 +176,20 @@ func (st *Stage) notAheadLocked(sr *stageRun, b int) {
 }
 
 // read decodes block ref, which its caller marked decoding, and publishes
-// it, charged to the broker — or the stage's first error, which it returns.
+// it, charged to the broker — or the stage's first error, which it returns. A
+// panic under the read — the filesystem's, a decoder's — fails the stage like
+// a read error does, whoever reads: the claimants get it from Acquire.
 func (st *Stage) read(ref BlockRef, ow *obs.Worker, phase obs.Phase) error {
 	sp := ow.Begin(phase)
 	sr := &st.runs[ref.Run]
-	blk, err := sr.file.read(sr.r, int(ref.Blk), st.d.ctr)
+	blk, err := func() (blk *Block, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("spill: reading block %d of %s panicked: %v\n%s", ref.Blk, sr.file.name, r, debug.Stack())
+			}
+		}()
+		return sr.file.read(sr.r, int(ref.Blk), st.d.ctr)
+	}()
 	sp.End()
 	st.mu.Lock()
 	defer st.mu.Unlock()

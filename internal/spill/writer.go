@@ -53,7 +53,7 @@ func (d *Dir) NewWriter(id uint32, format Format, blockRows, rows int, staging *
 	numBlocks := (rows + blockRows - 1) / blockRows
 	w := &Writer{d: d, wc: wc, bw: bufio.NewWriter(wc), staging: staging,
 		f: &File{name: name, format: format, blockRows: blockRows, rows: rows,
-			offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*format.RowWidth)},
+			offs: make([]int64, 0, numBlocks), fences: make([]byte, 0, numBlocks*format.RowWidth), fencePayload: row.NewRowSet(format.Layout)},
 		which: make([]uint32, blockRows), idxs: make([]uint32, blockRows)}
 	w.cw.w = w.bw
 	hdr := w.f.header()
@@ -98,8 +98,9 @@ func (w *Writer) AddRows(keyRows []byte, which, idx uint32) {
 func (w *Writer) Room() int { return w.f.blockRows - w.pending }
 
 // Flush writes the rows added since the last as one block, their payload
-// gathered from sets, and reports how many there were. After it the caller
-// may let go of what the references pointed into.
+// gathered from sets, keeps the block's first row — key row and payload — as
+// its fence, and reports how many there were. After it the caller may let go
+// of what the references pointed into.
 func (w *Writer) Flush(sets []*row.RowSet) (int, error) {
 	rows, rw := w.pending, w.f.format.RowWidth
 	if rows == 0 {
@@ -109,6 +110,7 @@ func (w *Writer) Flush(sets []*row.RowSet) (int, error) {
 	w.staging.AppendRowsGather(sets, w.which[:rows], w.idxs[:rows])
 	w.f.offs = append(w.f.offs, w.cw.n)
 	w.f.fences = append(w.f.fences, w.keys[:rw]...)
+	w.f.fencePayload.AppendRowFrom(w.staging, 0)
 	w.cw.sum = 0
 	_, err := w.cw.Write(w.keys)
 	if err == nil {
