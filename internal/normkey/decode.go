@@ -26,87 +26,93 @@ func (e *Encoder) DecodeColumn(k int, keyRows [][]byte) *vector.Vector {
 		inv64 = ^inv64
 	}
 	inv32, inv16, inv8 := uint32(inv64), uint16(inv64), uint8(inv64)
+	// A NULL's value bytes decode to zero but for a signed type's flipped
+	// sign bit: its slot is cleared where its validity byte is read.
+	_, null := key.validity()
 	switch key.Type {
 	case vector.Bool:
 		d := v.Bools()[:n]
 		for o, r := range keyRows {
 			d[o] = r[off+1]^inv8 != 0
+			if r[off] == null {
+				d[o] = false
+				v.SetNull(o)
+			}
 		}
 	case vector.Uint8:
 		d := v.Uint8s()[:n]
 		for o, r := range keyRows {
 			d[o] = r[off+1] ^ inv8
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Int8:
 		d := v.Int8s()[:n]
 		for o, r := range keyRows {
 			d[o] = int8(r[off+1] ^ 0x80 ^ inv8)
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Uint16:
 		d := v.Uint16s()[:n]
 		for o, r := range keyRows {
 			d[o] = binary.BigEndian.Uint16(r[off+1:]) ^ inv16
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Int16:
 		d := v.Int16s()[:n]
 		for o, r := range keyRows {
 			d[o] = int16(binary.BigEndian.Uint16(r[off+1:]) ^ 0x8000 ^ inv16)
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Uint32:
 		d := v.Uint32s()[:n]
 		for o, r := range keyRows {
 			d[o] = binary.BigEndian.Uint32(r[off+1:]) ^ inv32
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Int32:
 		d := v.Int32s()[:n]
 		for o, r := range keyRows {
 			d[o] = int32(binary.BigEndian.Uint32(r[off+1:]) ^ 0x80000000 ^ inv32)
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Uint64:
 		d := v.Uint64s()[:n]
 		for o, r := range keyRows {
 			d[o] = binary.BigEndian.Uint64(r[off+1:]) ^ inv64
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	case vector.Int64:
 		d := v.Int64s()[:n]
 		for o, r := range keyRows {
 			d[o] = int64(binary.BigEndian.Uint64(r[off+1:]) ^ 0x8000000000000000 ^ inv64)
-		}
-	}
-	// A NULL's value bytes decode to zero but for a signed type's flipped
-	// sign bit: its slot is cleared with its validity.
-	_, null := key.validity()
-	for o, r := range keyRows {
-		if r[off] == null {
-			v.SetNull(o)
-			zeroSlot(v, o)
+			if r[off] == null {
+				d[o] = 0
+				v.SetNull(o)
+			}
 		}
 	}
 	return v
-}
-
-// zeroSlot stores the zero value in row o of a dense fixed-width vector.
-func zeroSlot(v *vector.Vector, o int) {
-	switch v.Type() {
-	case vector.Bool:
-		v.Bools()[o] = false
-	case vector.Uint8:
-		v.Uint8s()[o] = 0
-	case vector.Int8:
-		v.Int8s()[o] = 0
-	case vector.Uint16:
-		v.Uint16s()[o] = 0
-	case vector.Int16:
-		v.Int16s()[o] = 0
-	case vector.Uint32:
-		v.Uint32s()[o] = 0
-	case vector.Int32:
-		v.Int32s()[o] = 0
-	case vector.Uint64:
-		v.Uint64s()[o] = 0
-	case vector.Int64:
-		v.Int64s()[o] = 0
-	}
 }
 
 // DecodeValue decodes key k's segment of the normalized key row back into a

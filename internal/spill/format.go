@@ -142,19 +142,23 @@ func (f *File) open(d *Dir) (ReadAtCloser, error) {
 	return r, nil
 }
 
-// Block is one decoded block of a spilled run.
+// Block is one decoded block of a spilled run. Its key rows and payload alias
+// buf, the read buffer it was read into, which the stage that read it reuses
+// once the block is freed.
 type Block struct {
 	Keys    []byte      // the block's key rows
 	Payload *row.RowSet // its payload rows: row i of the run is row i-Start
 	Start   int         // the run's row index of the block's first row
-	bytes   int64       // accounted footprint
+	buf     []byte      // the read buffer: its capacity is what the block is charged
 }
 
-// read reads block b with one positioned read, checks it against its
-// checksum and decodes it in place: its key rows and payload alias the read
-// buffer. Bytes that are not those the block was written with are ErrCorrupt.
-func (f *File) read(r io.ReaderAt, b int, ctr *obs.Block) (*Block, error) {
-	raw := make([]byte, f.blockEnd(b)-f.offs[b])
+// read reads block b into buf, which must hold the block's bytes within its
+// capacity, with one positioned read, checks it against its checksum and
+// decodes it in place: its key rows and payload alias buf. Bytes that are not
+// those the block was written with are ErrCorrupt.
+func (f *File) read(r io.ReaderAt, b int, buf []byte, ctr *obs.Block) (*Block, error) {
+	n := f.blockEnd(b) - f.offs[b]
+	raw := buf[:n:n]
 	got, err := r.ReadAt(raw, f.offs[b])
 	ctr.Add(obs.SpillBytesRead, int64(got))
 	if got < len(raw) {
@@ -167,6 +171,7 @@ func (f *File) read(r io.ReaderAt, b int, ctr *obs.Block) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: block %d of %s: %w: %w", b, f.name, ErrCorrupt, err)
 	}
+	blk.buf = buf
 	return blk, nil
 }
 
@@ -180,7 +185,7 @@ func (f *File) decode(raw []byte, b int) (*Block, error) {
 	if want, got := binary.LittleEndian.Uint32(raw[len(body):]), crc32.Checksum(body, castagnoli); got != want {
 		return nil, fmt.Errorf("checksum %#08x, written as %#08x", got, want)
 	}
-	blk := &Block{Keys: body[: rows*rw : rows*rw], Start: b * f.blockRows, bytes: int64(len(raw))}
+	blk := &Block{Keys: body[: rows*rw : rows*rw], Start: b * f.blockRows}
 	var err error
 	if blk.Payload, err = row.ViewRowSet(body[rows*rw:], f.format.Layout); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)

@@ -10,10 +10,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"rowsort/internal/mem"
 	"rowsort/internal/mergepath"
 	"rowsort/internal/obs"
 	"rowsort/internal/row"
@@ -193,6 +195,7 @@ func TestEveryBitFlipIsCaught(t *testing.T) {
 	if err != nil || f.NumBlocks() != 3 {
 		t.Fatalf("%d blocks: %v", f.NumBlocks(), err)
 	}
+	buf := make([]byte, f.MaxBlockBytes())
 	for bit := 0; bit < 8*len(data); bit++ {
 		flipped := bytes.Clone(data)
 		flipped[bit/8] ^= 1 << (bit % 8)
@@ -209,7 +212,7 @@ func TestEveryBitFlipIsCaught(t *testing.T) {
 		}
 		for b := range f.NumBlocks() {
 			covers := int64(bit/8) >= f.offs[b] && int64(bit/8) < f.blockEnd(b)
-			if _, err := f.read(r, b, fd.ctr); covers && !errors.Is(err, ErrCorrupt) || !covers && err != nil {
+			if _, err := f.read(r, b, buf, fd.ctr); covers && !errors.Is(err, ErrCorrupt) || !covers && err != nil {
 				t.Fatalf("bit %d, block %d of [%d, %d): %v", bit, b, f.offs[b], f.blockEnd(b), err)
 			}
 		}
@@ -513,4 +516,77 @@ func TestStageForecastServesClaimants(t *testing.T) {
 	}
 	st.Close(true)
 	join.Wait()
+}
+
+// TestStageRecyclesBlockBuffers drains one run of 64 blocks through a stage
+// with one claimant and read-ahead: the stage reads every block into one of a
+// few read buffers of its own, not into one allocated a block, every block
+// still matches its checksum and holds the rows written, the budget sees the
+// live blocks and idle buffers and nothing once the stage is closed, and under
+// the race detector a released block's bytes are overwritten.
+func TestStageRecyclesBlockBuffers(t *testing.T) {
+	const blockRows, blocks = 512, 64
+	d := NewDir(OS(), t.TempDir(), obs.NewBlock(nil), nil)
+	defer d.Close()
+	keys, payload := testRun(0, blockRows*blocks, func(i int) uint64 { return uint64(i) })
+	f := writeRun(t, d, 0, keys, payload, blockRows)
+	broker := mem.NewBroker("test", 0)
+	res := broker.Reserve("merge", 0)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), res, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var join sync.WaitGroup
+	st.Start(ctx, &join)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rw := testFormat.RowWidth
+	for b := 0; b < f.NumBlocks(); b++ {
+		ref := BlockRef{Run: 0, Blk: int32(b)}
+		blk, err := st.Acquire(ctx, ref, nil)
+		if err != nil {
+			t.Fatal(err) // a block that fails its checksum is ErrCorrupt here
+		}
+		if !bytes.Equal(blk.Keys, keys[b*blockRows*rw:(b+1)*blockRows*rw]) || blk.Payload.String(blockRows-1, 1) != fmt.Sprintf("row %d", blk.Start+blockRows-1) {
+			t.Fatalf("block %d: rows differ from those written", b)
+		}
+		if held := res.Bytes(); held < f.MaxBlockBytes() {
+			t.Fatalf("block %d: %d bytes charged while it is live, want at least %d", b, held, f.MaxBlockBytes())
+		}
+		st.Release(ref)
+	}
+	runtime.ReadMemStats(&after)
+	if got, most := int64(after.TotalAlloc-before.TotalAlloc), 8*f.MaxBlockBytes(); got > most {
+		t.Errorf("draining %d blocks of at most %d bytes allocated %d bytes, want at most %d: a buffer a block", blocks, f.MaxBlockBytes(), got, most)
+	}
+	cancel()
+	st.Close(true)
+	join.Wait()
+	if res.Bytes() != 0 || broker.Used() != 0 {
+		t.Errorf("after Close the stage holds %d bytes, the broker %d", res.Bytes(), broker.Used())
+	}
+
+	if !poisonFreed {
+		return
+	}
+	keys, payload = testRun(1, 2*blockRows, func(i int) uint64 { return uint64(i) })
+	f = writeRun(t, d, 1, keys, payload, blockRows)
+	st, err = d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close(true)
+	ref := BlockRef{Run: 0, Blk: 0}
+	blk, err := st.Acquire(context.Background(), ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Release(ref)
+	for i, c := range blk.Keys {
+		if c != poisonByte {
+			t.Fatalf("a released block's key rows still hold byte %#x at %d, want every byte %#x", c, i, poisonByte)
+		}
+	}
 }

@@ -9,22 +9,32 @@ import (
 
 	"rowsort/internal/mem"
 	"rowsort/internal/obs"
+	"rowsort/internal/row"
 )
 
 // The block stage: run reading as its own pipeline stage (Polyntsov et al.).
 // Every merge over spilled runs — the tasks of a result iterator, an
 // intermediate fan-in pass — takes its blocks from one stage, which reads
-// each block of each run exactly once and decodes it where it landed. The
-// files' fences say in which order the merge will want the blocks before a
-// byte is read (Knuth's forecasting): with read-ahead enabled one goroutine
-// decodes in that order, ahead of the claimants — whichever tasks they are on
-// — until ReadAhead blocks per run and claimant are decoded and not yet asked
-// for; all of it is charged to the broker. A claimant that asks for a block
-// the forecast has not reached decodes it itself, at once, and is never
-// refused — so neither a skewed run nor a slow stage can make a merge wait
-// for anything but the read it needs. A block that straddles a task boundary
-// is handed, decoded, to every task whose key range overlaps it, and freed by
-// the last. A read is one positioned read of one block.
+// each block of each run exactly once, into a read buffer of the stage's own,
+// and decodes it there. The files' fences say in which order the merge will
+// want the blocks before a byte is read (Knuth's forecasting): with
+// read-ahead enabled one goroutine decodes in that order, ahead of the
+// claimants — whichever tasks they are on — until ReadAhead blocks per run
+// and claimant are decoded and not yet asked for; all of it is charged to the
+// broker. A claimant that asks for a block the forecast has not reached
+// decodes it itself, at once, and is never refused — so neither a skewed run
+// nor a slow stage can make a merge wait for anything but the read it needs.
+// A block that straddles a task boundary is handed, decoded, to every task
+// whose key range overlaps it, and freed by the last. A read is one
+// positioned read of one block.
+//
+// Every read buffer is as large as the largest block of the stage's files,
+// so any buffer holds any block: the last release of a block returns its
+// buffer to the stage's pool, and a read takes one from there, allocating only
+// when more blocks are live at once than ever before in the stage. A live
+// block is charged at its buffer's capacity — the block size the sorter's
+// fan-in plan counts — and an idle buffer stays charged while the pool keeps
+// it; one that would land the broker over budget is dropped instead.
 
 // A staged block is pending until somebody decodes it, ready until the last
 // task that wants it lets go, and freed from then on.
@@ -55,10 +65,12 @@ type stageRun struct {
 // Stage serves the blocks of one Plan. All fields below mu are guarded by it;
 // wake is closed, and replaced, whenever a waiter may have something to do.
 type Stage struct {
-	d     *Dir
-	plan  *Plan
-	res   *mem.Reservation
-	limit int // rows the forecast may hold decoded and not asked for; 0 without read-ahead
+	d      *Dir
+	plan   *Plan
+	res    *mem.Reservation
+	limit  int          // rows the forecast may hold decoded and not asked for; 0 without read-ahead
+	bufs   *row.BufPool // idle read buffers, charged to res
+	bufLen int          // every read buffer's length: the largest block of plan's files
 
 	mu    sync.Mutex
 	runs  []stageRun
@@ -73,11 +85,11 @@ type Stage struct {
 // and claimant the stage holds the block a merge is on and readAhead blocks
 // ahead of it — what the sorter's fan-in plan reserves under a budget — and,
 // until their rows are gathered, the blocks a chunk's rows came from: about a
-// chunk of rows, the slack a staging buffer would be. Decoded blocks are
-// charged to res, which is the stage's from here on: Close releases it, as
-// does a NewStage that fails.
+// chunk of rows, the slack a staging buffer would be. Decoded blocks and idle
+// read buffers are charged to res, which is the stage's from here on: Close
+// releases it, as does a NewStage that fails.
 func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants int) (*Stage, error) {
-	st := &Stage{d: d, plan: plan, res: res, runs: make([]stageRun, len(plan.files))}
+	st := &Stage{d: d, plan: plan, res: res, bufs: row.NewBufPool(res), runs: make([]stageRun, len(plan.files))}
 	for i, f := range plan.files {
 		if f == nil {
 			continue
@@ -95,6 +107,7 @@ func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants in
 			sr.blocks[b].refs = plan.refs[i][b]
 		}
 		st.limit += claimants * readAhead * f.blockRows
+		st.bufLen = max(st.bufLen, int(f.MaxBlockBytes()))
 	}
 	return st, nil
 }
@@ -175,22 +188,30 @@ func (st *Stage) notAheadLocked(sr *stageRun, b int) {
 	}
 }
 
-// read decodes block ref, which its caller marked decoding, and publishes
-// it, charged to the broker — or the stage's first error, which it returns. A
-// panic under the read — the filesystem's, a decoder's — fails the stage like
-// a read error does, whoever reads: the claimants get it from Acquire.
+// read decodes block ref, which its caller marked decoding, into a pooled read
+// buffer and publishes it, charged to the broker — or the stage's first error,
+// which it returns. A panic under the read — the filesystem's, a decoder's —
+// fails the stage like a read error does, whoever reads: the claimants get it
+// from Acquire.
 func (st *Stage) read(ref BlockRef, ow *obs.Worker, phase obs.Phase) error {
 	sp := ow.Begin(phase)
 	sr := &st.runs[ref.Run]
+	buf := st.bufs.Get()
+	if buf == nil {
+		buf = make([]byte, st.bufLen)
+	}
 	blk, err := func() (blk *Block, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("spill: reading block %d of %s panicked: %v\n%s", ref.Blk, sr.file.name, r, debug.Stack())
 			}
 		}()
-		return sr.file.read(sr.r, int(ref.Blk), st.d.ctr)
+		return sr.file.read(sr.r, int(ref.Blk), buf, st.d.ctr)
 	}()
 	sp.End()
+	if err != nil {
+		st.free(buf)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if sb := &sr.blocks[ref.Blk]; err != nil {
@@ -201,7 +222,7 @@ func (st *Stage) read(ref BlockRef, ow *obs.Worker, phase obs.Phase) error {
 		}
 	} else {
 		sb.blk, sb.state = blk, blockReady
-		st.res.Grow(blk.bytes)
+		st.res.Grow(int64(cap(blk.buf)))
 		if st.limit > 0 {
 			st.d.ctr.Add(obs.PrefetchedBlocks, 1)
 		}
@@ -266,34 +287,58 @@ func (st *Stage) Acquire(ctx context.Context, ref BlockRef, ow *obs.Worker) (*Bl
 	return blk, nil
 }
 
-// Release ends one task's use of a block. The last release frees the block;
-// the last block freed takes its run's file with it. A failed removal leaves
-// the file tracked: Dir.Close tries again and reports it.
+// Release ends one task's use of a block. The last release frees the block,
+// whose read buffer goes back to the pool; the last block freed takes its
+// run's file with it. A failed removal leaves the file tracked: Dir.Close
+// tries again and reports it.
 func (st *Stage) Release(ref BlockRef) {
 	sr := &st.runs[ref.Run]
 	sb := &sr.blocks[ref.Blk]
+	var buf []byte
 	var r ReadAtCloser
 	st.mu.Lock()
 	if sb.refs--; sb.refs == 0 {
-		st.res.Shrink(sb.blk.bytes)
+		buf = sb.blk.buf
+		st.res.Shrink(int64(cap(buf)))
 		sb.blk, sb.state = nil, blockFreed
 		if sr.live--; sr.live == 0 {
 			r, sr.r = sr.r, nil
 		}
 	}
 	st.mu.Unlock()
+	if buf != nil {
+		st.free(buf)
+	}
 	if r != nil {
 		r.Close()
 		_ = st.d.remove(sr.file.name) // counted, and Dir.Close's to report
 	}
 }
 
+// poisonByte is what a freed read buffer holds when poisonFreed is set.
+const poisonByte = 0xA5
+
+// free returns a read buffer nothing reads any more to the pool — poisoned
+// first under the race detector, so that a merge still reading the block it
+// held reads garbage, not the rows it expects.
+func (st *Stage) free(buf []byte) {
+	if poisonFreed {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = poisonByte
+		}
+	}
+	st.bufs.Put(buf)
+}
+
 // Close ends the stage once its claimants have stopped and the context it was
 // started under is done: the forecast goroutine is joined, every block still
-// held goes back to the budget and the files are closed — and, when the merge
-// consumed them (remove), deleted; otherwise they stay tracked for Dir.Close.
+// held and every idle buffer goes back to the budget and the files are closed
+// — and, when the merge consumed them (remove), deleted; otherwise they stay
+// tracked for Dir.Close.
 func (st *Stage) Close(remove bool) {
 	st.wg.Wait()
+	st.bufs.Drop()
 	st.res.Release()
 	for i := range st.runs {
 		sr := &st.runs[i]
