@@ -168,7 +168,9 @@ func widePayloadTable(n int, seed uint64) *vector.Table {
 // in-memory benchmark shapes that bracket it — mem-uniform-int (2^21 rows,
 // 9-byte key, 8-byte payload riding inline in 24-byte key rows: the merge
 // dominates) and mem-wide-payload (2^20
-// rows of 125 bytes: the gather does) — at the sorter's default run size, and
+// rows of 125 bytes: the gather does) — and on mem-customer-str's (2^20
+// customer rows keyed on both names, every name held by its key: the gather
+// reads them from the key rows), at the sorter's default run size, and
 // on ext-catalog-spill's (2^20 rows by four keys in 16 spilled runs of 2^16:
 // the same merge, its runs read back block by block), and on 2^18 URLs whose
 // shared start fills the key prefix in 16 spilled runs of 2^14 (every
@@ -186,6 +188,8 @@ func BenchmarkRowsDrain(b *testing.B) {
 	}{
 		{"uniform-int", func() *vector.Table { return workload.UniformInt64s(1<<21, 42) }, one, core.Options{}, []int{1, 2}},
 		{"wide-payload", func() *vector.Table { return widePayloadTable(1<<20, 42) }, one, core.Options{}, []int{1, 2}},
+		{"customer-str", func() *vector.Table { return workload.Customer(1<<20, 42) },
+			[]core.SortColumn{{Column: 4}, {Column: 5}}, core.Options{}, []int{1, 2}},
 		{"catalog-spill", func() *vector.Table { return workload.CatalogSales(1<<20, 10, 42) },
 			[]core.SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}, core.Options{RunSize: 1 << 16, SpillDir: b.TempDir()}, []int{1, 2}},
 		{"shared-prefix-spill", func() *vector.Table { return workload.SharedPrefixStrings(1<<18, 5) }, one,

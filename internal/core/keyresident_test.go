@@ -51,10 +51,12 @@ func customerRows(n int, seed uint64, longer int) *vector.Table {
 // their keys on the customer shape at the default prefix, whose names all
 // fit it: every run's payload heap is empty, and the result is the oracle's.
 // On disk, the same sort with every name 13 bytes longer — past the prefix,
-// so on the heap — writes exactly those names' bytes more: the fitting
-// names' spill files hold none of theirs. In a chunk that mixes the two,
-// whose keys therefore tie, each name is decided on its own: the heap holds
-// the overflowing names' bytes and nothing of the others'.
+// so in each row's overflow record — writes exactly those names' bytes more,
+// and the two length words, 8 bytes, of each row with a name: the fitting
+// names' spill files hold none of theirs, and their rows no record. In a chunk
+// that mixes the two, whose keys therefore tie, each name is decided on its
+// own: the heap holds the overflowing names' bytes and the records' length
+// words, and nothing of the others'.
 func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 	const n = 5*vector.DefaultVectorSize + 300
 	keys := []SortColumn{{Column: 4}, {Column: 5}}
@@ -85,23 +87,27 @@ func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 	fitBytes, longBytes := spilled(fit), spilled(long)
 	names := int64(0)
 	for _, c := range long.Chunks {
-		for _, col := range []int{4, 5} {
-			for r, name := range c.Vectors[col].Strings()[:c.Len()] {
+		for r := 0; r < c.Len(); r++ {
+			named := false
+			for _, col := range []int{4, 5} {
 				if c.Vectors[col].Valid(r) {
-					names += int64(len(name))
+					names, named = names+int64(len(c.Vectors[col].Strings()[r])), true
 				}
+			}
+			if named {
+				names += 8
 			}
 		}
 	}
 	if longBytes-fitBytes != names {
-		t.Errorf("spilled %d bytes with names that fit and %d with longer ones, %d apart; want the longer names' %d",
+		t.Errorf("spilled %d bytes with names that fit and %d with longer ones, %d apart; want the longer names' and their records' %d",
 			fitBytes, longBytes, longBytes-fitBytes, names)
 	}
 
 	// Every seventh last name and every eighth first name of the one chunk
 	// overflows the prefix.
 	mix := customerRows(vector.DefaultVectorSize, 6, 0)
-	over := int64(0)
+	over, records := int64(0), make([]bool, vector.DefaultVectorSize)
 	for _, col := range []int{4, 5} {
 		v, src := vector.New(vector.Varchar, vector.DefaultVectorSize), mix.Chunks[0].Vectors[col]
 		for r, name := range src.Strings()[:src.Len()] {
@@ -112,15 +118,21 @@ func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 			case r%(col+3) == 0:
 				name += strings.Repeat("~", 13)
 				over += int64(len(name))
+				records[r] = true
 			}
 			v.AppendString(name)
 		}
 		mix.Chunks[0].Vectors[col] = v
 	}
+	for _, rec := range records {
+		if rec {
+			over += 8
+		}
+	}
 	s = finalizedSorter(t, mix, keys, opt)
 	defer s.Close()
 	if r := s.runs[0]; len(s.runs) != 1 || !r.tieBreak || int64(r.payload.HeapLen()) != over {
-		t.Errorf("%d runs, the first with tie-break %v and a %d-byte heap; want 1, a tie-break and the overflowing names' %d bytes",
+		t.Errorf("%d runs, the first with tie-break %v and a %d-byte heap; want 1, a tie-break and the overflowing names' and their records' %d bytes",
 			len(s.runs), r.tieBreak, r.payload.HeapLen(), over)
 	}
 	checkOracle(t, "a chunk of names that fit and names that overflow", mix, resultChecked(t, s), keys, true)
@@ -131,8 +143,13 @@ func TestFittingNamesLeaveTheHeapEmpty(t *testing.T) {
 // in the key, and the payload row holds only the other columns — a mask byte
 // and an Int32, 5 bytes, for catalog_sales on its four Int32 keys, 9 for
 // IntKeySchema on its Int64 key, both inline in their key rows, none for a
-// schema whose every column is a key — while a float or string key holds no
-// column. On disk, catalog_sales' spill files are exactly their key rows,
+// schema whose every column is a key, 112 for the wide row on its Int32 key
+// (a 2-byte mask, twelve Int64s and a string slot) — while a float or string
+// key holds no column. A string keyed ASC has no slot: the row carries one
+// 4-byte overflow reference for all such strings instead, so customer on its
+// two names takes 24 bytes (a mask byte, four Int32s, the reference) where two
+// slots took 40, and the float and string keys' row 24 (a mask byte, the
+// Float32, the Float64, the reference). On disk, catalog_sales' spill files are exactly their key rows,
 // each file's header and each block's, and an empty payload set a block:
 // 200,032 bytes, where a payload reference and 8-byte payload rows took
 // 249,984. The sort is the oracle's.
@@ -149,7 +166,9 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, 9},
 		{"every column a key", allKeys, []SortColumn{{Column: 3, Descending: true}, {Column: 0, NullsLast: true},
 			{Column: 2, Descending: true, NullsLast: true}, {Column: 1}}, 0},
-		{"float and string keys", lossy, []SortColumn{{Column: 0}, {Column: 1, Descending: true}, {Column: 2}}, row.NewLayout(lossy.Types()).Width()},
+		{"float and string keys", lossy, []SortColumn{{Column: 0}, {Column: 1, Descending: true}, {Column: 2}}, 24},
+		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, 24},
+		{"the wide row", widePayloadTable(0, 1).Schema, []SortColumn{{Column: 0}}, 112},
 	} {
 		s, err := NewSorter(tc.schema, tc.keys, Options{})
 		if err != nil {

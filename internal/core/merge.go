@@ -33,6 +33,9 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 		byKey := s.place.byKey
 		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
 			p, i := lookup(s.getRef(keyRow))
+			if c := byKey[k]; c.where == inSegment {
+				return p.OverflowBytes(i, c.pay) // inlined: StringBytes is not
+			}
 			return p.StringBytes(i, byKey[k].pay)
 		})
 		return tie, tie

@@ -44,8 +44,9 @@ type placement struct {
 	// A pending row's fixed bytes: its key row, a radix-scratch row and, with
 	// a set, its payload row and a permutation entry. And what an output row
 	// holds that a spilled one, less its key row, does not: a string's 16-byte
-	// header where the row has an 8-byte reference, an inline payload's bytes,
-	// a key segment's bytes and a held column's vector slot.
+	// header where the row has an 8-byte reference, and all of it beside a key
+	// segment's bytes where the row has no slot; an inline payload's bytes; and
+	// a held column's vector slot.
 	pendingRow, outputRow int64
 }
 
@@ -62,8 +63,9 @@ type placement struct {
 // want a heap. A string column keyed ASC under binary collation has a segment
 // that is the string's own bytes, zero-padded, behind the validity byte and
 // ahead of the residence byte that says whether they are the whole string
-// (normkey.FitsPrefix): a string that fits stays there, and its payload slot
-// is empty (row.Layout.WithKeySegments). The segment is that of the column's
+// (normkey.FitsPrefix): a string that fits stays there, and the payload row
+// has no slot for the column — a string that overflows lies in the row's
+// overflow record (row.Layout.WithKeySegments). The segment is that of the column's
 // shortest key, which must be such a key: a string that overflows any key of
 // the column then overflows that one, and lies on the heap, where the tie-break
 // reads it. DESC inverts a segment and NOCASE folds it, so a column whose
@@ -117,9 +119,8 @@ func place(schema vector.Schema, enc *normkey.Encoder) placement {
 		case p.inline:
 			p.cols[i].where = inRow
 		case c.where == inSegment:
-			p.outputRow += int64(keys[c.key].Prefix())
-		}
-		if schema[i].Type == vector.Varchar {
+			p.outputRow += int64(keys[c.key].Prefix()) + 16
+		case schema[i].Type == vector.Varchar:
 			p.outputRow += 8
 		}
 		p.readsKeys = p.readsKeys || p.cols[i].where != inSet

@@ -325,7 +325,9 @@ func TestRecycledBuffersLeakNoStaleBytes(t *testing.T) {
 // (8 MiB) where that is less, and a run is the whole vectors the share holds
 // at pendingRowBytes, capped at RunSize. Rows of 64 bytes or less — the int
 // and catalog rows, their payload inline — keep RunSize; the customer and
-// wide rows, whose payload sits in a set, take what 8 MiB holds; a 16 MiB
+// wide rows, whose payload sits in a set, take what 8 MiB holds (customer's
+// 108-byte pending row, two 40-byte key rows, a 24-byte payload row and a
+// permutation entry, 37 vectors); a 16 MiB
 // budget at two threads shares 4 MiB; an explicit RunSize under the share
 // stands. Unbudgeted, the wide row's 24-byte strings end its runs at 24
 // vectors, before the planned 27, and from its second chunk on the sink's
@@ -346,7 +348,7 @@ func TestIngestPlanFollowsSinkShare(t *testing.T) {
 	}{
 		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, Options{Threads: 2}, 48, 8 * mib, DefaultRunSize},
 		{"catalog_sales at RunSize 2^16", workload.CatalogSalesSchema, catalog, Options{Threads: 2, RunSize: 1 << 16}, 64, 8 * mib, 1 << 16},
-		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, Options{Threads: 2}, 124, 8 * mib, 33 * v},
+		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, Options{Threads: 2}, 108, 8 * mib, 37 * v},
 		{"the wide row", wide, []SortColumn{{Column: 0}}, Options{Threads: 2}, 148, 8 * mib, 27 * v},
 		{"catalog_sales under 16 MiB", workload.CatalogSalesSchema, catalog, Options{Threads: 2, MemoryLimit: 16 * mib}, 64, 4 * mib, 32 * v},
 		{"the wide row at RunSize 4,096", wide, []SortColumn{{Column: 0}}, Options{Threads: 2, RunSize: 2 * v}, 148, 8 * mib, 2 * v},

@@ -19,8 +19,9 @@ import (
 // ext-catalog-spill's five Int32 too). The customer row is timed twice: with
 // its names on the heap ("customer"), and with them left in the keys of a
 // sort on them ("customer-inkey": every name fits the 12-byte prefix, so the
-// sorter stores none on the heap and its drain gathers them from the key
-// rows). The int row is also timed as the sorter lays out mem-uniform-int's
+// sorter stores none on the heap, its rows have no name slot — 24 bytes, the
+// overflow reference in place of two slots — and its drain gathers them from
+// the key rows). The int row is also timed as the sorter lays out mem-uniform-int's
 // payload: v alone, a mask byte and 8 bytes unaligned, riding inline behind
 // a 9-byte key in 24-byte key rows ("int-inline": scattered into the key
 // rows, gathered from them in the merge's order). Each round moves one run of

@@ -57,24 +57,3 @@ func (l *Layout) AppendValue(v *vector.Vector, rowb []byte, c int) {
 		panic(fmt.Sprintf("row: AppendValue of a %v column", l.types[c]))
 	}
 }
-
-// AppendRowFrom appends row i of src, which must share the layout, copying
-// any string data into this set's heap. It is the single-row form of the payload
-// reorder; run generation uses the batched AppendPermuted, which hoists the
-// varchar column scan out of the row loop.
-func (rs *RowSet) AppendRowFrom(src *RowSet, i int) {
-	rs.data = append(rs.data, src.Row(i)...)
-	rs.n++
-	dst := rs.Row(rs.n - 1)
-	// Rewrite heap references for valid varchar columns.
-	for c, t := range rs.layout.types {
-		if t != vector.Varchar || !rs.layout.valid(dst, c) {
-			continue
-		}
-		off := rs.layout.offsets[c]
-		srcOff := binary.LittleEndian.Uint32(dst[off:])
-		length := binary.LittleEndian.Uint32(dst[off+4:])
-		binary.LittleEndian.PutUint32(dst[off:], uint32(len(rs.heap)))
-		rs.heap = append(rs.heap, src.heap[srcOff:srcOff+length]...)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rowsort/internal/normkey"
 	"rowsort/internal/vector"
@@ -241,26 +242,40 @@ func TestAppendRowsGatherOneSource(t *testing.T) {
 	}
 }
 
-// TestReorderStringBoundaries pins the reorder's word moves of strings at
-// the lengths either side of 16 and 32 bytes, where a move of two or four
-// words ends. A source's first and last rows hold the length under test, so
-// the last row's string ends the source heap. A list in order puts that string
-// last in the destination heap too; the other lists end with the first row,
-// whose string ends the destination heap but has room behind it in the
+// TestReorderStringBoundaries pins the reorder's word moves of strings, and
+// of overflow records, at the lengths either side of 16 and 32 bytes, where a
+// move of two or four words ends: a string in its slot's heap bytes, and, in
+// a keyed layout whose string column has no slot, a record of one length word
+// and the string. A source's first and last rows hold the length under test,
+// so the last row's string ends the source heap. A list in order puts that
+// string last in the destination heap too; the other lists end with the first
+// row, whose string ends the destination heap but has room behind it in the
 // source, and hold the last row earlier: each heap's room is tested on its
-// own. The middle third of a source's rows leave their strings in their keys
-// (empty slots amid the heap's), and the heap strings around them keep the
-// edges. Row and heap bytes
-// must equal per-row AppendRowFrom's (one varchar column, so the two heap
-// orders agree), for permutations through both reorders and for a list with
-// repeats and gaps through AppendRowsGather, out of one set and out of two,
-// whose summing pass must count no string its key holds.
+// own. In the keyed layout the middle third of a source's rows leave their
+// strings in their keys (rows with no record amid the others), and the
+// records around them keep the edges. Row and heap bytes must equal per-row
+// AppendRowFrom's (one varchar column, so the two heap orders agree), for
+// permutations through both reorders and for a list with repeats and gaps
+// through AppendRowsGather, out of one set and out of two, whose summing pass
+// must count no string its key holds.
 func TestReorderStringBoundaries(t *testing.T) {
-	lengths := []int{15, 16, 17, 31, 32, 33}
-	const n = 4 * 6
+	plain := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
 	// A key row of two bytes, the second a residence byte saying the
 	// string lies in the key (its bytes are not read here).
-	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar}).WithKeySegments([]KeySegment{{}, {Off: 0, Prefix: 1}})
+	keyed := plain.WithKeySegments([]KeySegment{{}, {Off: 0, Prefix: 1}})
+	for _, layout := range []*Layout{plain, keyed} {
+		reorderBoundaries(t, layout)
+	}
+}
+
+// reorderBoundaries is TestReorderStringBoundaries in one layout.
+func reorderBoundaries(t *testing.T, layout *Layout) {
+	hdr := 0 // the bytes a moved string carries besides its own
+	if layout.strCols == nil {
+		hdr = lenBytes
+	}
+	lengths := []int{15 - hdr, 16 - hdr, 17 - hdr, 31 - hdr, 32 - hdr, 33 - hdr}
+	const n = 4 * 6
 	rng := rand.New(rand.NewSource(46))
 	inKey := make([]byte, 2*n/3)
 	source := func(edge int) *RowSet {
@@ -277,7 +292,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 				strs.AppendString(string(b))
 			}
 			keyed := inKey
-			if third != 1 {
+			if third != 1 || hdr == 0 {
 				keyed = nil
 			}
 			if err := rs.AppendChunkKeyed(n/3, []*vector.Vector{ints, strs}, keyed, 2); err != nil {
@@ -307,7 +322,7 @@ func TestReorderStringBoundaries(t *testing.T) {
 			name string
 			idxs []uint32
 		}{{"in order", inOrder}, {"permutation", perm}, {"repeats and gaps", repeats}} {
-			ctx := fmt.Sprintf("edge strings of %d bytes, %s", edge, tc.name)
+			ctx := fmt.Sprintf("edge strings of %d bytes and %d more, %s", edge, hdr, tc.name)
 			want := NewRowSet(layout)
 			for _, i := range tc.idxs {
 				want.AppendRowFrom(srcs[0], int(i))
@@ -453,8 +468,9 @@ func TestGatherChunkMatchesScalarAcrossWidths(t *testing.T) {
 // prefix and one at 4 — leaving in the keys, as the sorter does, each that
 // its segment's residence byte says fits the prefix: empty strings, strings
 // exactly a prefix long and NULLs, and in the same chunks a heap-only column
-// and key strings that overflowed or held a NUL. The held strings take empty
-// slots and no heap byte. The rows are then permuted and gathered by
+// and key strings that overflowed or held a NUL. The held strings take no
+// heap byte, and a row whose key strings are all held no overflow record, in
+// rows of 24 bytes with no slot for a keyed column. The rows are then permuted and gathered by
 // references across both sets, with their key rows, and must come back as the
 // input's values. A gather of the keyed layout without key rows must panic
 // rather than read a held string's empty slot.
@@ -512,8 +528,9 @@ func TestGatherReadsHeldStringsFromKeys(t *testing.T) {
 			want = append(want, row)
 		}
 	}
-	heapBytes, held := 0, 0
+	heapBytes, held, records := 0, 0, 0
 	for i, row := range want {
+		overflows := false
 		for c, v := range row {
 			s, ok := v.(string)
 			switch {
@@ -521,19 +538,29 @@ func TestGatherReadsHeldStringsFromKeys(t *testing.T) {
 			case segs[c].Prefix > 0 && normkey.FitsPrefix(s, segs[c].Prefix):
 				held++
 				if got := rs.StringBytes(i, c); len(got) != 0 {
-					t.Errorf("row %d column %d: %q fits its key, yet its slot holds %q", i, c, s, got)
+					t.Errorf("row %d column %d: %q fits its key, yet its record holds %q", i, c, s, got)
 				}
 			default:
 				heapBytes += len(s)
+				overflows = overflows || segs[c].Prefix > 0
 				if got := rs.StringBytes(i, c); string(got) != s {
 					t.Errorf("row %d column %d: StringBytes %q, want %q", i, c, got, s)
 				}
 			}
 		}
+		if overflows {
+			records++
+		}
 	}
-	// Chunk 0 leaves six strings in its keys, chunk 1 five and chunk 2 five.
-	if held != 16 || rs.HeapLen() != heapBytes {
-		t.Fatalf("%d strings left in the keys and a %d-byte heap, want 16 and the other strings' %d bytes", held, rs.HeapLen(), heapBytes)
+	// Chunk 0 leaves six strings in its keys, chunk 1 five and chunk 2 five;
+	// one row of each of chunks 1 and 2 has an overflow record, whose two
+	// length words take 8 bytes.
+	if heapBytes += 8 * records; held != 16 || records != 2 || rs.HeapLen() != heapBytes {
+		t.Fatalf("%d strings left in the keys, %d overflow records and a %d-byte heap, want 16, 2 and the other strings' bytes and the records' length words, %d",
+			held, records, rs.HeapLen(), heapBytes)
+	}
+	if w := layout.Width(); w != 24 {
+		t.Errorf("rows of %d bytes, want 24: a mask byte, a string slot, an Int64 and the overflow reference", w)
 	}
 
 	// Permute into a second set, then gather references across both.
@@ -580,6 +607,68 @@ func TestGatherReadsHeldStringsFromKeys(t *testing.T) {
 	mustPanic("Range", func() { g.Range(rs, 0, 4); g.Vectors() })
 	mustPanic("Index", func() { g.Index(permuted, perm); g.Vectors() })
 	mustPanic("Refs without keys", func() { g.Refs(sets, which, idxs, nil); g.Vectors() })
+}
+
+// TestGatherSharesEqualHeldStrings pins the gather's sharing of strings
+// their keys hold: an output row whose held string's segment, validity byte
+// through last prefix byte, equals the previous output row's held one takes
+// that row's string, bytes and all, and no builder byte. Under both NULL
+// placements, "smith" twice, NULL twice and "" twice side by side share; a
+// NULL next to "" does not (their validity bytes differ), nor a held "smith"
+// after an overflowing name, nor "jones" after "smith". Every value still
+// reads as its input.
+func TestGatherSharesEqualHeldStrings(t *testing.T) {
+	vals := []any{"smith", "smith", nil, nil, "", "", "a-name-past-the-prefix", "smith", "smith", "jones"}
+	shares := []bool{false, true, false, true, false, true, false, false, true, false}
+	for _, nulls := range []normkey.NullOrder{normkey.NullsFirst, normkey.NullsLast} {
+		enc, err := normkey.NewEncoder([]normkey.SortKey{{Column: 0, Type: vector.Varchar, Nulls: nulls}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout := NewLayout([]vector.Type{vector.Varchar}).WithKeySegments([]KeySegment{{Off: enc.Offset(0) + 1, Prefix: 12}})
+		v := vector.New(vector.Varchar, len(vals))
+		for _, x := range vals {
+			if x == nil {
+				v.AppendNull()
+				continue
+			}
+			v.AppendString(x.(string))
+		}
+		rw := enc.Width() + 8
+		kb := make([]byte, len(vals)*rw)
+		if _, err := enc.EncodeChunk([]*vector.Vector{v}, kb, rw, 0); err != nil {
+			t.Fatal(err)
+		}
+		rs := NewRowSet(layout)
+		if err := rs.AppendChunkKeyed(len(vals), []*vector.Vector{v}, kb, rw); err != nil {
+			t.Fatal(err)
+		}
+		idxs, which, keys := make([]uint32, len(vals)), make([]uint32, len(vals)), make([][]byte, len(vals))
+		for i := range vals {
+			idxs[i], keys[i] = uint32(i), kb[i*rw:(i+1)*rw]
+		}
+		g := NewGather(layout)
+		g.Refs([]*RowSet{rs}, which, idxs, keys)
+		got := g.Vectors()[0]
+		strs := got.Strings()
+		for o, x := range vals {
+			if got.Value(o) != x {
+				t.Fatalf("%v: row %d gathered %v, want %v", nulls, o, got.Value(o), x)
+			}
+			if shared := g.lens[o] == sameAsPrev; shared != shares[o] {
+				t.Errorf("%v: row %d (%v after %v) shared the previous row's string: %v, want %v", nulls, o, x, vals[max(o-1, 0)], shared, shares[o])
+			}
+			if s := strs[o]; shares[o] && len(s) > 0 && unsafe.StringData(s) != unsafe.StringData(strs[o-1]) {
+				t.Errorf("%v: row %d's %q does not share the previous row's bytes", nulls, o, s)
+			}
+		}
+		// The builder took only the unshared strings' bytes: "smith", "",
+		// the overflowing name and "smith" lie ahead of "jones".
+		ahead := uintptr(unsafe.Pointer(unsafe.StringData(strs[9]))) - uintptr(unsafe.Pointer(unsafe.StringData(strs[0])))
+		if want := uintptr(5 + len(vals[6].(string)) + 5); ahead != want {
+			t.Errorf("%v: the builder holds %d bytes ahead of the last string, want %d", nulls, ahead, want)
+		}
+	}
 }
 
 // TestHeldLenFindsTheFirstZeroByte checks the word-at-a-time length of a held

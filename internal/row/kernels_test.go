@@ -15,10 +15,10 @@ import (
 
 // refAppendChunk is AppendChunk as it was before the typed kernels: the new
 // rows cleared, every row's mask copied in, then one pass per column that
-// asks Valid of every value. It is kept here as the oracle the scatter must
-// match byte for byte; keys, when not nil, are the chunk's key rows, as
-// AppendChunkKeyed takes them: a string whose key segment's residence byte is
-// 0 takes an empty slot and no heap byte.
+// asks Valid of every value, and last each row's overflow record built on its
+// own. It is kept here as the oracle the scatter must match byte for byte;
+// keys, when not nil, are the chunk's key rows, as AppendChunkKeyed takes
+// them: a string whose key segment's residence byte is 0 takes no heap byte.
 func refAppendChunk(rs *RowSet, vecs []*vector.Vector, keys [][]byte) {
 	n := vecs[0].Len()
 	w := rs.layout.width
@@ -30,18 +30,65 @@ func refAppendChunk(rs *RowSet, vecs []*vector.Vector, keys [][]byte) {
 	}
 	rs.n += n
 	for c, v := range vecs {
-		refScatterColumn(rs, c, v, start, keys)
+		refScatterColumn(rs, c, v, start)
+	}
+	refAppendRecords(rs, vecs, start, keys)
+}
+
+// keySegment returns column c's key segment: the zero KeySegment for none.
+func (l *Layout) keySegment(c int) KeySegment {
+	if l.keySegs == nil {
+		return KeySegment{}
+	}
+	return l.keySegs[c]
+}
+
+// refAppendRecords writes the overflow reference of the rows from start on,
+// one per row of vecs, and appends the record of each whose slotless columns
+// hold a string that overflows: one its key row, keys[r], does not hold —
+// every non-NULL one when keys is nil — a length each column, 0 for the
+// others, then the strings.
+func refAppendRecords(rs *RowSet, vecs []*vector.Vector, start int, keys [][]byte) {
+	l := rs.layout
+	if len(l.segCols) == 0 {
+		return
+	}
+	for r := 0; r < vecs[0].Len(); r++ {
+		var lens, body []byte
+		for _, c := range l.segCols {
+			seg, s := l.keySegment(c), ""
+			if vecs[c].Valid(r) && (keys == nil || keys[r][seg.Off+seg.Prefix] != 0) {
+				s = vecs[c].Strings()[r]
+			}
+			lens, body = binary.LittleEndian.AppendUint32(lens, uint32(len(s))), append(body, s...)
+		}
+		row := rs.Row(start + r)
+		if len(body) == 0 {
+			binary.LittleEndian.PutUint32(row[l.refOff:], noRecord)
+			continue
+		}
+		binary.LittleEndian.PutUint32(row[l.refOff:], uint32(len(rs.heap)))
+		rs.heap = append(append(rs.heap, lens...), body...)
 	}
 }
 
 // refSetNull marks column c of the row NULL.
 func refSetNull(row []byte, c int) { row[c>>3] &^= 1 << (uint(c) & 7) }
 
-// refScatterColumn writes column c of n rows starting at row index start.
-func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, keys [][]byte) {
+// refScatterColumn writes column c of n rows starting at row index start: of
+// a slotless column, only its NULLs.
+func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int) {
 	l := rs.layout
 	off := l.offsets[c]
 	n := v.Len()
+	if off < 0 {
+		for r := 0; r < n; r++ {
+			if !v.Valid(r) {
+				refSetNull(rs.Row(start+r), c)
+			}
+		}
+		return
+	}
 	switch v.Type() {
 	case vector.Bool:
 		vals := v.Bools()
@@ -158,12 +205,10 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, keys [][]b
 			binary.LittleEndian.PutUint64(row[off:], math.Float64bits(vals[r]))
 		}
 	case vector.Varchar:
-		seg := l.keySegment(c)
-		held := func(r int) bool { return keys != nil && seg.Prefix > 0 && keys[r][seg.Off+seg.Prefix] == 0 }
 		vals := v.Strings()
 		total := 0
 		for r := 0; r < n; r++ {
-			if v.Valid(r) && !held(r) {
+			if v.Valid(r) {
 				total += len(vals[r])
 			}
 		}
@@ -175,13 +220,39 @@ func refScatterColumn(rs *RowSet, c int, v *vector.Vector, start int, keys [][]b
 				continue
 			}
 			s := vals[r]
-			if held(r) {
-				continue // an empty slot, as cleared
-			}
 			binary.LittleEndian.PutUint32(row[off+4:], uint32(len(s)))
 			binary.LittleEndian.PutUint32(row[off:], uint32(len(rs.heap)))
 			rs.heap = append(rs.heap, s...)
 		}
+	}
+}
+
+// AppendRowFrom appends row i of src, which must share the layout, copying
+// its strings into this set's heap: each slot column's, then its overflow
+// record, whole. It is the single-row form of the payload reorder, the
+// reference AppendRowsGather matches where the two heap orders agree — with
+// one string column, slotted or slotless.
+func (rs *RowSet) AppendRowFrom(src *RowSet, i int) {
+	rs.data = append(rs.data, src.Row(i)...)
+	rs.n++
+	dst := rs.Row(rs.n - 1)
+	l := rs.layout
+	for _, c := range l.strCols {
+		if !l.valid(dst, c) {
+			continue
+		}
+		off := l.offsets[c]
+		srcOff := binary.LittleEndian.Uint32(dst[off:])
+		length := binary.LittleEndian.Uint32(dst[off+4:])
+		binary.LittleEndian.PutUint32(dst[off:], uint32(len(rs.heap)))
+		rs.heap = append(rs.heap, src.heap[srcOff:srcOff+length]...)
+	}
+	if len(l.segCols) == 0 {
+		return
+	}
+	if ref := binary.LittleEndian.Uint32(dst[l.refOff:]); ref != noRecord {
+		binary.LittleEndian.PutUint32(dst[l.refOff:], uint32(len(rs.heap)))
+		rs.heap = append(rs.heap, src.heap[ref:int(ref)+l.recordLen(src.heap[ref:])]...)
 	}
 }
 
@@ -207,10 +278,7 @@ func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 	}
 	rs.n += len(idxs)
 	l := rs.layout
-	for c, t := range l.types {
-		if t != vector.Varchar {
-			continue
-		}
+	for _, c := range l.strCols {
 		off := l.offsets[c]
 		total := 0
 		for o := range idxs {
@@ -230,6 +298,19 @@ func refAppendRowsGather(rs *RowSet, srcs []*RowSet, which, idxs []uint32) {
 			binary.LittleEndian.PutUint32(rowb[off:], uint32(len(rs.heap)))
 			rs.heap = append(rs.heap, srcAt(o).heap[so:so+hl]...)
 		}
+	}
+	for o := 0; len(l.segCols) > 0 && o < len(idxs); o++ {
+		rowb := rs.Row(base + o)
+		ref := int(binary.LittleEndian.Uint32(rowb[l.refOff:]))
+		if uint32(ref) == noRecord {
+			continue
+		}
+		end, heap := ref+4*len(l.segCols), srcAt(o).heap
+		for j := range l.segCols {
+			end += int(binary.LittleEndian.Uint32(heap[ref+4*j:]))
+		}
+		binary.LittleEndian.PutUint32(rowb[l.refOff:], uint32(len(rs.heap)))
+		rs.heap = append(rs.heap, heap[ref:end]...)
 	}
 }
 

@@ -110,7 +110,7 @@ func (w *Writer) Flush(sets []*row.RowSet) (int, error) {
 	w.staging.AppendRowsGather(sets, w.which[:rows], w.idxs[:rows])
 	w.f.offs = append(w.f.offs, w.cw.n)
 	w.f.fences = append(w.f.fences, w.keys[:rw]...)
-	w.f.fencePayload.AppendRowFrom(w.staging, 0)
+	w.f.fencePayload.AppendRowsGather([]*row.RowSet{w.staging}, nil, firstRow)
 	w.cw.sum = 0
 	_, err := w.cw.Write(w.keys)
 	if err == nil {
@@ -127,6 +127,9 @@ func (w *Writer) Flush(sets []*row.RowSet) (int, error) {
 	w.pending, w.keys = 0, nil
 	return rows, nil
 }
+
+// firstRow names a block's fence payload: its staging's first row.
+var firstRow = []uint32{0}
 
 // Finish closes the file, which must have been fed every row its header
 // promised and flushed, and returns its index.
