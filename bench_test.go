@@ -80,8 +80,7 @@ func BenchmarkAblationPrefixLen(b *testing.B) {
 }
 
 // finalizedSorter ingests tbl through one sink and finalizes the sort: the
-// state a drain of Rows starts from. A resident sort is re-iterable, so one
-// sorter serves every iteration of a drain benchmark.
+// state a drain of Rows starts from. The caller closes it.
 func finalizedSorter(b *testing.B, tbl *vector.Table, keys []core.SortColumn, opt core.Options) *core.Sorter {
 	b.Helper()
 	s, err := core.NewSorter(tbl.Schema, keys, opt)
@@ -100,21 +99,30 @@ func finalizedSorter(b *testing.B, tbl *vector.Table, keys []core.SortColumn, op
 	if err := s.Finalize(); err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { s.Close() })
 	return s
 }
 
 // benchDrain times full drains of Rows and reports ns per output row. sorter
-// returns the finalized sort to drain next, untimed: the same one every
-// time when its runs are resident, a fresh one when they are on disk and can
-// be read once.
-func benchDrain(b *testing.B, sorter func() *core.Sorter) {
+// returns a finalized sort, untimed. A resident result is re-iterable, so one
+// sort serves every drain; one on disk (spilled) is read once, so each drain
+// gets a fresh sort, closed after it outside the timer: no drain runs beside
+// the sorts before it.
+func benchDrain(b *testing.B, spilled bool, sorter func() *core.Sorter) {
 	b.ReportAllocs()
 	rows := 0
+	var s *core.Sorter
+	closeSort := func() {
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		s = nil
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := sorter()
+		if s == nil {
+			s = sorter()
+		}
 		b.StartTimer()
 		it, err := s.Rows()
 		if err != nil {
@@ -133,6 +141,15 @@ func benchDrain(b *testing.B, sorter func() *core.Sorter) {
 		if err := it.Close(); err != nil {
 			b.Fatal(err)
 		}
+		if spilled {
+			b.StopTimer()
+			closeSort()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	if s != nil {
+		closeSort()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
@@ -202,13 +219,7 @@ func BenchmarkRowsDrain(b *testing.B) {
 				b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 					opt := wl.opt
 					opt.Threads = threads
-					var s *core.Sorter
-					benchDrain(b, func() *core.Sorter {
-						if s == nil || opt.SpillDir != "" {
-							s = finalizedSorter(b, tbl, wl.keys, opt)
-						}
-						return s
-					})
+					benchDrain(b, opt.SpillDir != "", func() *core.Sorter { return finalizedSorter(b, tbl, wl.keys, opt) })
 				})
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,13 +27,16 @@ import (
 // set, the radix scatter buffer, the reorder permutation (an inline payload
 // has neither set nor permutation) — sized once (see pendingCap) and emptied,
 // not replaced, at each cut; only the key buffer and the reordered payload,
-// which stay resident as the run, are new per run. All of it is charged to
-// res (see account).
+// which stay resident as the run, leave with each run. The next key buffer is
+// taken from the pools once the run is placed (place): a run that placement
+// spilled hands its own straight back. All of it is charged to res (see
+// account).
 type Sink struct {
 	s        *Sorter
 	ow       *obs.Worker      // this sink's trace lane (nil without telemetry)
 	res      *mem.Reservation // everything the sink retains, charged to the sorter's broker
 	keys     []byte           // pending key rows; leaves with each cut run
+	placing  *sortedRun       // the run cut last, until it is placed (place)
 	payload  *row.RowSet      // pending payload rows; emptied at each cut; nil for an inline payload
 	scratch  []byte           // radix scatter buffer, key-buffer sized
 	idxs     []uint32         // payload reorder permutation
@@ -56,6 +60,7 @@ func (s *Sorter) NewSink() *Sink {
 	// still holds its buffers' bytes: Sorter.Close gives them back.
 	s.mu.Lock()
 	s.sinkRes = append(s.sinkRes, k.res)
+	s.openSinks = append(s.openSinks, k.res)
 	s.mu.Unlock()
 	k.account()
 	return k
@@ -72,7 +77,8 @@ func (s *Sorter) NewSink() *Sink {
 // run planned a few rows past a chunk would take in the next one whole, and
 // its sink twice its share.
 func (s *Sorter) planIngest() {
-	s.sinkShare = min(s.broker.Remaining()/int64(2*s.opt.threads()), sinkCacheShare)
+	s.headroom = s.broker.Remaining()
+	s.sinkShare = min(s.headroom/int64(2*s.opt.threads()), sinkCacheShare)
 	v := vector.DefaultVectorSize
 	s.runRows = min(s.opt.runSize(), max(int(s.sinkShare/s.place.pendingRow)/v*v, v))
 }
@@ -175,6 +181,9 @@ func (k *Sink) Append(c *vector.Chunk) error {
 		return nil
 	}
 	s.ctr.AdvanceTo(obs.StageRunGen)
+	if err := k.place(); err != nil {
+		return err
+	}
 	sp := k.ow.Begin(obs.PhaseIngest)
 	// The payload checks its columns' lengths, the encoder its own against
 	// each other; a key column must also agree with the payload's.
@@ -234,26 +243,40 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	// Cut the run at the planned size, or when the pending rows outgrow the
 	// sink's share, which only a string heap makes them do.
 	if k.n >= s.runRows || k.liveBytes() > s.sinkShare {
-		return k.flush()
+		k.placing = k.flush()
 	}
 	return nil
 }
 
-// Close flushes the sink's remaining rows as a final (possibly short) run
-// and returns the sink's buffers to the sorter's pools.
+// Close flushes the sink's remaining rows as a final (possibly short) run,
+// returns the sink's buffers to the sorter's pools and places its last runs.
 func (k *Sink) Close() error {
 	if k.closed {
 		return nil
 	}
 	k.closed = true
-	var err error
+	// From here the plan counts the sink at what it holds, not its share:
+	// once its buffers are back, nothing.
+	s := k.s
+	s.mu.Lock()
+	s.openSinks = slices.DeleteFunc(s.openSinks, func(r *mem.Reservation) bool { return r == k.res })
+	s.mu.Unlock()
+	runs := []*sortedRun{k.placing, nil}
 	if k.n > 0 {
-		err = k.flush()
+		runs[1] = k.flush()
 	}
-	k.s.putKeyBuf(k.keys)
-	k.s.putRowSet(k.payload)
-	k.keys, k.payload, k.scratch, k.idxs = nil, nil, nil, nil
+	// The reservation goes first: a buffer the pools take must not be
+	// charged twice, to the sink and to them.
 	k.res.Release()
+	s.putKeyBuf(k.keys)
+	s.putRowSet(k.payload)
+	k.keys, k.payload, k.scratch, k.idxs, k.placing = nil, nil, nil, nil, nil
+	var err error
+	for _, r := range runs {
+		if r != nil && err == nil {
+			err = s.placeRun(r, k.ow)
+		}
+	}
 	return err
 }
 

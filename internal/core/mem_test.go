@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -164,13 +166,15 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 	}
 
 	// The balance returns to zero and the peak respects the budget up to
-	// the documented slack: the run being reordered when the limit tripped
-	// plus the merge's staging block (bounded here as 2x over the budget).
+	// the documented slack: the payload of the run being reordered, charged
+	// when the run is published and before the plan sheds a run for it.
+	// That is 1.19 times the budget here (1.33 before runs were admitted by
+	// the plan); the bound leaves a margin over it.
 	if used := broker.Used(); used != 0 {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
 	}
-	if peak := broker.Peak(); peak > 3*budget {
-		t.Errorf("broker peak %d exceeds budget %d beyond the documented slack", peak, budget)
+	if peak := broker.Peak(); peak > budget*5/4 {
+		t.Errorf("broker peak %d exceeds 1.25 times the budget %d", peak, budget)
 	}
 	if broker.Peak() >= unlimited.PeakResidentRunBytes {
 		t.Errorf("budgeted peak %d not below unlimited peak %d",
@@ -181,9 +185,11 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 // TestPrivateBudgetCutsSameRuns pins that under a private budget the runs
 // are a function of the input: the budget fixes the run size before ingest
 // (planIngest), so five sorts of one table cut as many runs, and merge in as
-// many passes, whatever the sinks' interleaving. Each output is value for
-// value the unlimited sort's (the keys take in a unique column, so the order
-// is total), and the peak stays within half the limit over it. Customer's
+// many passes, whatever the sinks' interleaving; and the plan, not the race
+// between sinks, decides which runs go to disk (spillUnderPressure), so they
+// shed as many runs and write as many bytes. Each output is value for value
+// the unlimited sort's (the keys take in a unique column, so the order is
+// total), and the peak stays within a tenth of the limit over it. Customer's
 // names add a string heap to the bytes the cut counts. (A run the heap ends
 // before its planned rows is TestBudgetedSinkCutsAtPlannedRunSize's.)
 func TestPrivateBudgetCutsSameRuns(t *testing.T) {
@@ -195,7 +201,7 @@ func TestPrivateBudgetCutsSameRuns(t *testing.T) {
 		threads []int
 	}{
 		{"catalog", workload.CatalogSales(rows, 10, 42),
-			[]SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}, {Column: 4}}, []int{2, 4}},
+			[]SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}, {Column: 4}}, []int{1, 2, 4}},
 		{"customer", workload.Customer(rows, 42),
 			[]SortColumn{{Column: 4}, {Column: 5}, {Column: 0}}, []int{2}},
 	}
@@ -214,21 +220,103 @@ func TestPrivateBudgetCutsSameRuns(t *testing.T) {
 					}
 					if i == 0 {
 						first = st
-					} else if st.RunsGenerated != first.RunsGenerated || st.MergePasses != first.MergePasses {
-						t.Errorf("sort %d cut %d runs in %d passes, sort 1 cut %d in %d",
-							i+1, st.RunsGenerated, st.MergePasses, first.RunsGenerated, first.MergePasses)
+					} else if st.RunsGenerated != first.RunsGenerated || st.MergePasses != first.MergePasses ||
+						st.PressureSpills != first.PressureSpills || st.SpillBytesWritten != first.SpillBytesWritten {
+						t.Errorf("sort %d cut %d runs, shed %d writing %d bytes, in %d passes; sort 1 cut %d, shed %d writing %d, in %d",
+							i+1, st.RunsGenerated, st.PressureSpills, st.SpillBytesWritten, st.MergePasses,
+							first.RunsGenerated, first.PressureSpills, first.SpillBytesWritten, first.MergePasses)
 					}
 					tablesEqual(t, want, got, fmt.Sprintf("sort %d", i+1))
-					if st.PeakResidentRunBytes > limit*3/2 {
-						t.Errorf("sort %d: peak %d is over 1.5 times the %d-byte limit", i+1, st.PeakResidentRunBytes, limit)
+					if st.PeakResidentRunBytes > limit*11/10 {
+						t.Errorf("sort %d: peak %d is over 1.1 times the %d-byte limit", i+1, st.PeakResidentRunBytes, limit)
 					}
 				}
+				t.Logf("%d runs, %d shed, %d bytes written, peak %.3f of the limit", first.RunsGenerated,
+					first.PressureSpills, first.SpillBytesWritten, float64(first.PeakResidentRunBytes)/limit)
 				if first.SpillBytesWritten == 0 {
 					t.Error("the budget sent nothing to disk; it is meant to be tight")
 				}
 			})
 		}
 	}
+}
+
+// TestBudgetShedsByPlan runs the benchmark's ext-budget-pressure shape —
+// 2^19 catalog_sales rows by four keys under a 16 MiB limit, one Sink a
+// thread at Threads 2, each fed its chunks from its own goroutine — twelve
+// times. A sink's share is 4 MiB and a run 2 MiB of key rows, so beside two
+// open sinks the plan holds four runs. A sink places each run when it next
+// needs memory, its last one in Close, when it counts for nothing; so only
+// the six runs placed while both sinks are open can be shed: two at most, and
+// one where a sink closes before the other's third run is placed. The peak is
+// the limit at most. (Before the plan admitted runs, the peak was 18 or
+// 20 MiB and one to four runs were shed, by timing.)
+func TestBudgetShedsByPlan(t *testing.T) {
+	const rows, limit, threads, sorts = 1 << 19, 16 << 20, 2, 12
+	tbl := workload.CatalogSales(rows, 10, 42)
+	keys := []SortColumn{{Column: 0}, {Column: 1}, {Column: 2}, {Column: 3}}
+	want, _, err := SortTableStats(tbl, keys, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	least, most := int64(math.MaxInt64), int64(0)
+	for i := 0; i < sorts; i++ {
+		s, err := NewSorter(tbl.Schema, keys, Options{Threads: threads, MemoryLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, threads)
+		var wg sync.WaitGroup
+		for w := range threads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sink := s.NewSink()
+				for c := w; c < len(tbl.Chunks) && errs[w] == nil; c += threads {
+					errs[w] = sink.Append(tbl.Chunks[c])
+				}
+				if err := sink.Close(); errs[w] == nil {
+					errs[w] = err
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Result()
+		if err := errors.Join(err, s.Close()); err != nil {
+			t.Fatal(err)
+		}
+		// Rows equal on the four keys may come in another order from two
+		// sinks; the keys may not.
+		if got.NumRows() != rows {
+			t.Fatalf("sort %d: %d rows, want %d", i+1, got.NumRows(), rows)
+		}
+		for _, k := range keys {
+			wc, gc := want.Column(k.Column), got.Column(k.Column)
+			for r := 0; r < rows; r++ {
+				if wc.Value(r) != gc.Value(r) {
+					t.Fatalf("sort %d: row %d key column %d: got %v, want %v", i+1, r, k.Column, gc.Value(r), wc.Value(r))
+				}
+			}
+		}
+		st := s.Stats()
+		if st.RunsGenerated != 8 || st.MergePasses != 0 {
+			t.Errorf("sort %d: %d runs in %d passes, want 8 in none", i+1, st.RunsGenerated, st.MergePasses)
+		}
+		if st.PressureSpills < 1 || st.PressureSpills > 2 {
+			t.Errorf("sort %d shed %d runs, want one or two", i+1, st.PressureSpills)
+		}
+		if st.PeakResidentRunBytes > limit {
+			t.Errorf("sort %d: peak %d is over the %d-byte limit", i+1, st.PeakResidentRunBytes, limit)
+		}
+		least, most = min(least, st.PressureSpills), max(most, st.PressureSpills)
+	}
+	t.Logf("%d sorts shed %d to %d runs", sorts, least, most)
 }
 
 // TestBudgetedSortAllocatesLikeEagerSpill pins what a budgeted sort

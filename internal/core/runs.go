@@ -12,12 +12,13 @@ import (
 
 // Run generation's second half: a sink's cut rows become a sorted run
 // (flush), sorted by rule (planRun, sortRun), and the run is placed in memory
-// or on disk (placeRun). Spilling demonstrates the paper's future-work
-// direction: because a run is just flat key rows plus a row-format payload, it
-// can be offloaded to secondary storage in one unified format with no
-// conversion. The format and the files are internal/spill's; this file is
-// what the sorter decides — which runs go to disk and when, in blocks of how
-// many rows — and the pools that recycle a run's buffers.
+// or on disk (placeRun) when the sink next needs memory (place). Spilling
+// demonstrates the paper's future-work direction: because a run is just flat
+// key rows plus a row-format payload, it can be offloaded to secondary
+// storage in one unified format with no conversion. The format and the
+// files are internal/spill's; this file is what the sorter decides — which
+// runs go to disk and when, in blocks of how many rows — and the pools that
+// recycle a run's buffers.
 
 // sortedRun is one thread-local sorted run: sorted key rows plus the
 // payload physically reordered to match (so scans read it sequentially), or
@@ -40,8 +41,9 @@ func runBytes(r *sortedRun) int64 {
 }
 
 // flush turns the pending rows into a run: cut them loose, decide its sort,
-// execute it, publish the sorted run and hand it to the spill policy.
-func (k *Sink) flush() error {
+// execute it and publish the sorted run, which the sink places (place) when
+// it next needs memory — at its next Append, or in Close.
+func (k *Sink) flush() *sortedRun {
 	s := k.s
 	keys, payload, n, tb := k.cut()
 	sp := k.ow.Begin(obs.PhaseRunSort)
@@ -67,7 +69,7 @@ func (k *Sink) flush() error {
 	if !s.place.inline {
 		sorted = k.reorder(keys, payload, n, runID)
 	}
-	withinBudget := s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
+	s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
 	s.mu.Lock()
 	run.keys = keys
 	run.payload = sorted
@@ -77,7 +79,24 @@ func (k *Sink) flush() error {
 	s.ctr.Add(obs.RunsGenerated, 1)
 	s.ctr.Add(obs.RowsSorted, int64(n))
 	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.keyWidth))
-	return s.placeRun(run, withinBudget, k.ow)
+	return run
+}
+
+// place hands the run the sink cut last to the spill policy (placeRun) and
+// only then takes the sink's next key buffer, so that a run the placement
+// spilled hands the sink its own. It runs when the sink is about to grow
+// again, not at the cut: a sink that closes instead places its last run
+// holding nothing (Close).
+func (k *Sink) place() error {
+	run := k.placing
+	if run == nil {
+		return nil
+	}
+	k.placing = nil
+	err := k.s.placeRun(run, k.ow)
+	k.keys = k.s.getKeyBuf()
+	k.account()
+	return err
 }
 
 // reorder moves the cut payload rows into a new set in the order of the
@@ -105,20 +124,22 @@ func (k *Sink) reorder(keys []byte, payload *row.RowSet, n int, runID uint32) *r
 	return sorted
 }
 
-// cut detaches the pending rows from the sink, which goes on with an empty
-// key buffer, and returns them with whether their keys may tie on bytes.
+// cut detaches the pending rows from the sink, which holds no key buffer
+// until its run is placed (place), and returns them with whether their keys
+// may tie on bytes.
 func (k *Sink) cut() (keys []byte, payload *row.RowSet, n int, tieBreak bool) {
-	s := k.s
 	keys, payload, n, tieBreak = k.keys, k.payload, k.n, k.tieBreak
-	k.keys, k.n, k.tieBreak = s.getKeyBuf(), 0, false
+	k.keys, k.n, k.tieBreak = nil, 0, false
 	k.runs++
 	// The cut key buffer leaves the sink's reservation here and enters the
 	// resident-run one once sorted, together with the reordered payload
 	// copy. In between — the sort plus the reorder — neither the cut keys
 	// nor the copy being built is charged anywhere: that is the per-sink
-	// accounting slack documented in DESIGN.md. The pending payload set
-	// (which holds the cut rows until they are reordered), the radix scratch
-	// and the permutation stay in the sink's reservation throughout.
+	// accounting slack documented in DESIGN.md. The plan still holds the
+	// sink at its full share (overPlan), so the keys are not lost to it. The
+	// pending payload set (which holds the cut rows until they are
+	// reordered), the radix scratch and the permutation stay in the sink's
+	// reservation throughout.
 	k.account()
 	return keys, payload, n, tieBreak
 }
@@ -248,16 +269,13 @@ func (k *Sink) radixScratch(keys []byte) []byte {
 	return k.scratch[:len(keys)]
 }
 
-// placeRun is the spill policy for a run just published: under a budget
-// runs go to disk, largest first, only while the broker is over it; without
-// one, a sort given a SpillDir writes every run as it is cut (the original
-// eager policy).
-func (s *Sorter) placeRun(run *sortedRun, withinBudget bool, ow *obs.Worker) error {
+// placeRun is the spill policy for a run its sink cut: a budgeted sort is
+// held to its plan (spillUnderPressure); without a budget, a sort given a
+// SpillDir writes every run to disk (the original eager policy).
+func (s *Sorter) placeRun(run *sortedRun, ow *obs.Worker) error {
 	switch {
 	case s.opt.limited():
-		if !withinBudget || s.broker.OverBudget() {
-			return s.spillUnderPressure(ow)
-		}
+		return s.spillUnderPressure(ow)
 	case s.opt.SpillDir != "":
 		return s.spillRun(run, ow)
 	}
@@ -301,14 +319,24 @@ func (s *Sorter) spillRun(r *sortedRun, ow *obs.Worker) error {
 	return err
 }
 
-// spillUnderPressure sheds resident runs to disk, largest first, until the
-// broker is back under budget (or nothing spillable is left). Multiple
-// sinks may shed concurrently; each claims runs under s.mu.
+// spillUnderPressure holds the sort to its plan: while it is over it
+// (overPlan), it first lets go of the idle pooled bytes no open sink will
+// take, then sheds resident runs to disk, largest first, until it fits (or
+// nothing spillable is left). One sink sheds at a time, so that a second
+// does not shed a run for bytes the first is still writing out.
 func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
+	s.shedMu.Lock()
+	defer s.shedMu.Unlock()
+	short, over := s.overPlan()
+	if !over {
+		return nil
+	}
 	sp := ow.Begin(obs.PhasePressureSpill)
 	defer sp.End()
-	s.dropPools()
-	for s.broker.OverBudget() {
+	for ; over; short, over = s.overPlan() {
+		if s.trimPools(short) {
+			continue
+		}
 		run := s.claimSpillableRun()
 		if run == nil {
 			return nil
@@ -323,6 +351,31 @@ func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 		}
 	}
 	return nil
+}
+
+// overPlan reports whether the sort holds more than the headroom
+// planIngest planned from, and returns short, the bytes its open sinks have
+// yet to take to fill their shares. What it holds is every byte it has
+// charged — resident runs, a closing sink's buffers, the pools — plus the
+// part of short the pools cannot give: an open sink counts at its full
+// share, since it grows to it before its next cut. The broker chain being
+// over budget is over too: that is how another sorter on a shared broker
+// makes itself felt.
+func (s *Sorter) overPlan() (short int64, over bool) {
+	s.mu.Lock()
+	for _, r := range s.openSinks {
+		short += max(0, s.sinkShare-r.Bytes())
+	}
+	s.mu.Unlock()
+	planned := s.broker.Used() + max(0, short-s.poolRes.Bytes())
+	return short, planned > s.headroom || s.broker.OverBudget()
+}
+
+// trimPools lets go of the idle pooled bytes no open sink will take — every
+// set, since a sink takes only key buffers, and the key buffers beyond its
+// open sinks' shortfall, short — and reports whether there were any.
+func (s *Sorter) trimPools(short int64) bool {
+	return s.sets.Drop()+s.keyBufs.Trim(short) > 0
 }
 
 // claimSpillableRun picks the largest resident run and marks it claimed;

@@ -68,9 +68,10 @@ type Sorter struct {
 	// broker — sink buffers through per-sink reservations, sorted runs
 	// through runRes, recycled buffers parked in the pools through poolRes,
 	// merge block buffers through per-merge reservations. The broker's
-	// high-water mark feeds SortStats.PeakResidentRunBytes; a run published
-	// while the broker chain is over budget sheds resident runs to disk
-	// (placeRun).
+	// high-water mark feeds SortStats.PeakResidentRunBytes. Under a budget a
+	// sink places each run it cuts (placeRun) before it takes its next key
+	// buffer, and the sort sheds resident runs to disk while it holds more
+	// than its plan (overPlan) or the broker chain is over budget.
 	broker  *mem.Broker
 	runRes  *mem.Reservation   // resident sorted runs (keys + payload capacity)
 	poolRes *mem.Reservation   // recycled buffers parked in the pools
@@ -80,9 +81,16 @@ type Sorter struct {
 
 	// The ingest plan, fixed by NewSorter: a sink cuts its pending run at
 	// runRows rows, or earlier when its live bytes pass sinkShare (see
-	// planIngest).
+	// planIngest). headroom is what the broker chain had left then, which a
+	// budgeted sort's resident runs, pools and sinks — each open one at its
+	// full share — must fit (overPlan). openSinks is the reservation of every
+	// sink not yet closing (guarded by mu); shedMu lets one sink at a time
+	// shed runs to the plan (spillUnderPressure).
 	runRows   int
 	sinkShare int64
+	headroom  int64
+	openSinks []*mem.Reservation
+	shedMu    sync.Mutex
 
 	// Telemetry: rec records phase spans when Options.Telemetry is set (nil
 	// disables span recording at zero cost). ctr is the sort's counter block,

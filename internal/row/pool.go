@@ -21,14 +21,29 @@ import (
 // survive until the next run asks for them. What bounds a free list is the
 // reservation (under a budget) and the life of the sorter that owns it.
 
+// PoisonByte is what a released buffer holds when PoisonReleased is set.
+const PoisonByte = 0xA5
+
+// poison overwrites b's whole capacity with PoisonByte when PoisonReleased
+// is set.
+func poison(b []byte) {
+	if PoisonReleased {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = PoisonByte
+		}
+	}
+}
+
 // freeList is the accounted LIFO both pools share. size reports the
 // capacity an item holds on to.
 type freeList[T any] struct {
 	res  *mem.Reservation
 	size func(T) int64
 
-	mu   sync.Mutex
-	idle []T
+	mu    sync.Mutex
+	idle  []T
+	bytes int64 // the capacity idle holds
 }
 
 // get pops the most recently parked item and takes its bytes off the
@@ -40,6 +55,7 @@ func (f *freeList[T]) get() (v T, ok bool) {
 		v, ok = f.idle[n-1], true
 		f.idle[n-1] = zero
 		f.idle = f.idle[:n-1]
+		f.bytes -= f.size(v)
 	}
 	f.mu.Unlock()
 	if ok {
@@ -58,19 +74,26 @@ func (f *freeList[T]) put(v T) {
 	}
 	f.mu.Lock()
 	f.idle = append(f.idle, v)
+	f.bytes += c
 	f.mu.Unlock()
 }
 
-// drop empties the list, leaving everything parked to the garbage
-// collector and taking it off the reservation.
-func (f *freeList[T]) drop() {
+// trim leaves the oldest parked items to the garbage collector, taking them
+// off the reservation, until what the list holds is at most keep bytes, and
+// returns the bytes it let go.
+func (f *freeList[T]) trim(keep int64) int64 {
 	f.mu.Lock()
-	idle := f.idle
-	f.idle = nil
-	f.mu.Unlock()
-	for _, v := range idle {
-		f.res.Shrink(f.size(v))
+	var gone int64
+	n := 0
+	for ; n < len(f.idle) && f.bytes-gone > keep; n++ {
+		gone += f.size(f.idle[n])
 	}
+	f.idle = f.idle[:copy(f.idle, f.idle[n:])]
+	clear(f.idle[len(f.idle):cap(f.idle)])
+	f.bytes -= gone
+	f.mu.Unlock()
+	f.res.Shrink(gone)
+	return gone
 }
 
 // SetPool recycles RowSets of one layout. The zero value is unusable;
@@ -99,22 +122,26 @@ func (p *SetPool) Get() *RowSet {
 	return NewRowSet(p.layout)
 }
 
-// Put recycles a set whose contents are dead. Under budget pressure the
-// set is dropped instead of pooled, returning its capacity to the GC.
+// Put recycles a set whose contents are dead — its rows and string heap
+// poisoned first under the race detector. Under budget pressure the set is
+// dropped instead of pooled, returning its capacity to the GC.
 func (p *SetPool) Put(rs *RowSet) {
 	if p == nil || rs == nil {
 		return
 	}
+	poison(rs.data)
+	poison(rs.heap)
 	rs.Reset()
 	p.list.put(rs)
 }
 
-// Drop releases every idle set: the cheapest memory a sorter over its
-// budget can give back.
-func (p *SetPool) Drop() {
-	if p != nil {
-		p.list.drop()
+// Drop releases every idle set — the cheapest memory a sorter over its
+// budget can give back — and returns the bytes they held.
+func (p *SetPool) Drop() int64 {
+	if p == nil {
+		return 0
 	}
+	return p.list.trim(0)
 }
 
 // BufPool recycles byte buffers (the sorter's key-row buffers) with the
@@ -139,18 +166,25 @@ func (p *BufPool) Get() []byte {
 	return b
 }
 
-// Put recycles a buffer whose contents are dead; under budget pressure it
-// is dropped instead.
+// Put recycles a buffer whose contents are dead — poisoned first under the
+// race detector; under budget pressure it is dropped instead.
 func (p *BufPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
 	}
+	poison(b)
 	p.list.put(b[:0])
 }
 
 // Drop releases every idle buffer, as SetPool.Drop does.
-func (p *BufPool) Drop() {
-	if p != nil {
-		p.list.drop()
+func (p *BufPool) Drop() int64 { return p.Trim(0) }
+
+// Trim releases the oldest idle buffers until the pool holds at most keep
+// bytes — a sorter keeps what its sinks will take and gives back the rest —
+// and returns the bytes it released.
+func (p *BufPool) Trim(keep int64) int64 {
+	if p == nil {
+		return 0
 	}
+	return p.list.trim(keep)
 }

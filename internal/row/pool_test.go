@@ -176,3 +176,68 @@ func TestNilPools(t *testing.T) {
 	sp.Drop()
 	bp.Drop()
 }
+
+// TestBufPoolTrimKeepsTheNewest pins Trim: the oldest idle buffers go, with
+// their charge, until the pool holds at most what it was told to keep, and
+// the buffer parked last — the one the next Get returns — stays.
+func TestBufPoolTrimKeepsTheNewest(t *testing.T) {
+	b := mem.NewBroker("test", 1<<20)
+	res := b.Reserve("pool", 0)
+	defer res.Release()
+	p := NewBufPool(res)
+	bufs := [][]byte{make([]byte, 0, 100), make([]byte, 0, 200), make([]byte, 0, 300)}
+	for _, buf := range bufs {
+		p.Put(buf)
+	}
+	if gone, got := p.Trim(500), res.Bytes(); gone != 100 || got != 500 {
+		t.Fatalf("Trim(500) let %d bytes go and left %d, want 100 and 500", gone, got)
+	}
+	if gone, got := p.Trim(499), res.Bytes(); gone != 200 || got != 300 {
+		t.Fatalf("Trim(499) let %d bytes go and left %d, want 200 and 300", gone, got)
+	}
+	if got := p.Get(); cap(got) != 300 || &got[:1][0] != &bufs[2][:1][0] {
+		t.Fatalf("Trim kept a buffer of %d bytes, want the last one parked", cap(got))
+	}
+	if got := p.Get(); got != nil || res.Bytes() != 0 {
+		t.Fatalf("the pool still holds %d bytes after its last buffer was taken", res.Bytes())
+	}
+}
+
+// TestPoolsPoisonWhatComesBack pins that under the race detector a key
+// buffer put back is overwritten with PoisonByte over its whole capacity,
+// and a set's rows and string heap too, so a reader that kept one past its
+// release reads poison, not its rows.
+func TestPoolsPoisonWhatComesBack(t *testing.T) {
+	if !PoisonReleased {
+		t.Skip("the pools poison only under the race detector")
+	}
+	buf := append(make([]byte, 0, 64), "key rows"...)
+	NewBufPool(nil).Put(buf)
+	for i, c := range buf[:cap(buf)] {
+		if c != PoisonByte {
+			t.Fatalf("a released key buffer holds %#x at %d, want %#x", c, i, PoisonByte)
+		}
+	}
+	layout := NewLayout([]vector.Type{vector.Int64, vector.Varchar})
+	rs := NewRowSet(layout)
+	v, sv := vector.NewDense(vector.Int64, 4), vector.NewDense(vector.Varchar, 4)
+	for i := range 4 {
+		v.Int64s()[i] = int64(i)
+		sv.Strings()[i] = "a string longer than its slot"
+	}
+	if err := rs.AppendChunk([]*vector.Vector{v, sv}); err != nil {
+		t.Fatal(err)
+	}
+	data, heap := rs.data[:cap(rs.data)], rs.heap[:cap(rs.heap)]
+	if len(heap) == 0 {
+		t.Fatal("the set's strings left its heap empty")
+	}
+	NewSetPool(layout, nil).Put(rs)
+	for _, b := range [][]byte{data, heap} {
+		for i, c := range b {
+			if c != PoisonByte {
+				t.Fatalf("a released set holds %#x at %d, want %#x", c, i, PoisonByte)
+			}
+		}
+	}
+}

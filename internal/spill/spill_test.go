@@ -568,7 +568,7 @@ func TestStageRecyclesBlockBuffers(t *testing.T) {
 		t.Errorf("after Close the stage holds %d bytes, the broker %d", res.Bytes(), broker.Used())
 	}
 
-	if !poisonFreed {
+	if !row.PoisonReleased {
 		return
 	}
 	keys, payload = testRun(1, 2*blockRows, func(i int) uint64 { return uint64(i) })
@@ -585,8 +585,8 @@ func TestStageRecyclesBlockBuffers(t *testing.T) {
 	}
 	st.Release(ref)
 	for i, c := range blk.Keys {
-		if c != poisonByte {
-			t.Fatalf("a released block's key rows still hold byte %#x at %d, want every byte %#x", c, i, poisonByte)
+		if c != row.PoisonByte {
+			t.Fatalf("a released block's key rows still hold byte %#x at %d, want every byte %#x", c, i, row.PoisonByte)
 		}
 	}
 }

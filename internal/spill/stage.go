@@ -20,8 +20,10 @@ import (
 // want the blocks before a byte is read (Knuth's forecasting): with
 // read-ahead enabled one goroutine decodes in that order, ahead of the
 // claimants — whichever tasks they are on — until ReadAhead blocks per run
-// and claimant are decoded and not yet asked for; all of it is charged to the
-// broker. A claimant that asks for a block the forecast has not reached
+// and claimant are decoded and not yet asked for, and while the stage holds
+// fewer than the 1 + ReadAhead blocks per run and claimant a budget plans a
+// merge at (blocks a merge has run past but not let go count too); all of it
+// is charged to the broker. A claimant that asks for a block the forecast has not reached
 // decodes it itself, at once, and is never refused — so neither a skewed run
 // nor a slow stage can make a merge wait for anything but the read it needs.
 // A block that straddles a task boundary is handed, decoded, to every task
@@ -69,6 +71,7 @@ type Stage struct {
 	plan   *Plan
 	res    *mem.Reservation
 	limit  int          // rows the forecast may hold decoded and not asked for; 0 without read-ahead
+	most   int          // blocks held at which the forecast waits: (1 + readAhead) a run and claimant
 	bufs   *row.BufPool // idle read buffers, charged to res
 	bufLen int          // every read buffer's length: the largest block of plan's files
 
@@ -76,6 +79,7 @@ type Stage struct {
 	runs  []stageRun
 	next  int // the forecast's position in plan.forecast
 	ahead int // rows decoded, or being, and not asked for
+	held  int // blocks decoded, or being, and not freed
 	wake  chan struct{}
 	err   error
 	wg    sync.WaitGroup
@@ -84,8 +88,9 @@ type Stage struct {
 // NewStage opens the plan's files for claimants concurrent merges. Per run
 // and claimant the stage holds the block a merge is on and readAhead blocks
 // ahead of it — what the sorter's fan-in plan reserves under a budget — and,
-// until their rows are gathered, the blocks a chunk's rows came from: about a
-// chunk of rows, the slack a staging buffer would be. Decoded blocks and idle
+// until their rows are gathered, the blocks a chunk's rows came from, which
+// the forecast waits on rather than read past the plan: only a claimant's
+// own read can, by a block or so. Decoded blocks and idle
 // read buffers are charged to res, which is the stage's from here on: Close
 // releases it, as does a NewStage that fails.
 func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants int) (*Stage, error) {
@@ -107,6 +112,7 @@ func (d *Dir) NewStage(plan *Plan, res *mem.Reservation, readAhead, claimants in
 			sr.blocks[b].refs = plan.refs[i][b]
 		}
 		st.limit += claimants * readAhead * f.blockRows
+		st.most += claimants * (1 + readAhead)
 		st.bufLen = max(st.bufLen, int(f.MaxBlockBytes()))
 	}
 	return st, nil
@@ -136,8 +142,8 @@ func (st *Stage) forecast(ctx context.Context) {
 		for st.next < len(st.plan.forecast) && st.block(st.plan.forecast[st.next]).state != blockPending {
 			st.next++
 		}
-		if st.err != nil || st.next == len(st.plan.forecast) || st.ahead >= st.limit {
-			// Nothing to do until a block is asked for, or ever.
+		if st.err != nil || st.next == len(st.plan.forecast) || st.ahead >= st.limit || st.held >= st.most {
+			// Nothing to do until a block is asked for or freed, or ever.
 			wait := st.waitLocked()
 			st.mu.Unlock()
 			select {
@@ -151,6 +157,7 @@ func (st *Stage) forecast(ctx context.Context) {
 		sb := st.block(ref)
 		sb.state, sb.ahead = blockDecoding, true
 		st.ahead += st.runs[ref.Run].file.blockLen(int(ref.Blk))
+		st.held++
 		st.mu.Unlock()
 		if st.read(ref, ow, obs.PhasePrefetch) != nil {
 			return
@@ -210,12 +217,13 @@ func (st *Stage) read(ref BlockRef, ow *obs.Worker, phase obs.Phase) error {
 	}()
 	sp.End()
 	if err != nil {
-		st.free(buf)
+		st.bufs.Put(buf)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if sb := &sr.blocks[ref.Blk]; err != nil {
 		sb.state = blockPending
+		st.held--
 		st.notAheadLocked(sr, int(ref.Blk))
 		if st.err == nil {
 			st.err = err
@@ -263,6 +271,7 @@ func (st *Stage) Acquire(ctx context.Context, ref BlockRef, ow *obs.Worker) (*Bl
 		switch sb.state {
 		case blockPending:
 			sb.state = blockDecoding
+			st.held++
 			st.mu.Unlock()
 			_ = st.read(ref, ow, obs.PhaseSpillRead) // a failure is st.err by now
 			st.mu.Lock()
@@ -304,31 +313,18 @@ func (st *Stage) Release(ref BlockRef) {
 		if sr.live--; sr.live == 0 {
 			r, sr.r = sr.r, nil
 		}
+		if st.held--; st.held == st.most-1 {
+			st.wakeLocked()
+		}
 	}
 	st.mu.Unlock()
 	if buf != nil {
-		st.free(buf)
+		st.bufs.Put(buf)
 	}
 	if r != nil {
 		r.Close()
 		_ = st.d.remove(sr.file.name) // counted, and Dir.Close's to report
 	}
-}
-
-// poisonByte is what a freed read buffer holds when poisonFreed is set.
-const poisonByte = 0xA5
-
-// free returns a read buffer nothing reads any more to the pool — poisoned
-// first under the race detector, so that a merge still reading the block it
-// held reads garbage, not the rows it expects.
-func (st *Stage) free(buf []byte) {
-	if poisonFreed {
-		buf = buf[:cap(buf)]
-		for i := range buf {
-			buf[i] = poisonByte
-		}
-	}
-	st.bufs.Put(buf)
 }
 
 // Close ends the stage once its claimants have stopped and the context it was
