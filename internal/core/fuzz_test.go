@@ -740,7 +740,7 @@ func mixesSlots(s *Sorter) bool {
 			}
 			res := s.enc.Offset(c.key) + 1 + s.enc.Keys()[c.key].Prefix()
 			for o := 0; o < len(r.keys); o += rw {
-				if _, i := s.getRef(r.keys[o:]); r.keys[o+res] == 0 && r.payload.Valid(int(i), c.pay) {
+				if i := s.getRef(r.keys[o:]); r.keys[o+res] == 0 && r.payload.Valid(int(i), c.pay) {
 					return true
 				}
 			}

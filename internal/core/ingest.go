@@ -213,10 +213,10 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	} else if err == nil {
 		k.reservePayload(n)
 		err = k.payload.AppendChunkKeyed(n, k.payVecs, k.keys[start:], rw)
-		// Behind each key goes its payload reference — run 0, the row's index
-		// in the pending set — as one store.
-		for o, ref := start+kw, uint64(k.n)<<32; o < len(k.keys); o, ref = o+rw, ref+1<<32 {
-			binary.LittleEndian.PutUint64(k.keys[o:], ref)
+		// Behind each key goes its payload reference: the row's index in the
+		// pending set.
+		for o, ref := start+kw, uint32(k.n); o < len(k.keys); o, ref = o+rw, ref+1 {
+			binary.LittleEndian.PutUint32(k.keys[o:], ref)
 		}
 	}
 	clear(k.keyCols) // the sink must not pin the caller's chunk
@@ -243,9 +243,9 @@ func (k *Sink) Append(c *vector.Chunk) error {
 	// Cut the run at the planned size, or when the pending rows outgrow the
 	// sink's share, which only a string heap makes them do.
 	if k.n >= s.runRows || k.liveBytes() > s.sinkShare {
-		k.placing = k.flush()
+		k.placing, err = k.flush()
 	}
-	return nil
+	return err
 }
 
 // Close flushes the sink's remaining rows as a final (possibly short) run,
@@ -262,8 +262,9 @@ func (k *Sink) Close() error {
 	s.openSinks = slices.DeleteFunc(s.openSinks, func(r *mem.Reservation) bool { return r == k.res })
 	s.mu.Unlock()
 	runs := []*sortedRun{k.placing, nil}
+	var err error
 	if k.n > 0 {
-		runs[1] = k.flush()
+		runs[1], err = k.flush()
 	}
 	// The reservation goes first: a buffer the pools take must not be
 	// charged twice, to the sink and to them.
@@ -271,7 +272,6 @@ func (k *Sink) Close() error {
 	s.putKeyBuf(k.keys)
 	s.putRowSet(k.payload)
 	k.keys, k.payload, k.scratch, k.idxs, k.placing = nil, nil, nil, nil, nil
-	var err error
 	for _, r := range runs {
 		if r != nil && err == nil {
 			err = s.placeRun(r, k.ow)

@@ -208,12 +208,15 @@ func TestHeldKeysNarrowThePayload(t *testing.T) {
 
 // TestPayloadRidesInlineWhereItFits pins NewSorter's one decision of where
 // the payload lives, and the key row's stride: inline, behind the key, when no
-// key can tie and the payload, fixed-width and packed unaligned, fits where
-// the 8-byte payload reference would go — IntKeySchema 24 bytes, catalog_sales
-// 32, an Int64 key over an Int8 16, every column a key the key alone, 16 —
-// and else in a payload set, with a reference: customer's varchar keys 40,
-// the wide row's string column 16, an Int64 key over two Int64s, which do not
-// fit, 24. Each row pins where one column lives too (place): a varchar keyed
+// key can tie and the payload, fixed-width and packed unaligned, reaches no
+// more than inlineBytes past the key, to the stride — IntKeySchema 24 bytes,
+// catalog_sales 32, an Int64 key over an Int8 16, every column a key the key
+// alone, 16 — and else in a payload set, behind a 4-byte reference:
+// customer's varchar keys 32, the wide row's string column 16, an Int64 key
+// over two Int64s, which do not fit, 16. The inline rule does not follow the
+// reference: IntKeySchema and catalog_sales ride inline in rows a word wider
+// than a reference row of their keys, and would lose inline under a rule
+// that did. Each row pins where one column lives too (place): a varchar keyed
 // only DESC, or only NOCASE, keeps its strings in the payload set, with no key
 // segment; one keyed ASC at the default and at PrefixLen 4 leaves them in the
 // shorter, second key's segment, and one keyed DESC at 4 and ASC at the
@@ -248,19 +251,19 @@ func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 			1, colPlace{where: inRow, key: -1, pay: 0}},
 		{"every column a key", allKeys, []SortColumn{{Column: 3}, {Column: 0}, {Column: 2}, {Column: 1}}, true, 16,
 			3, colPlace{where: heldByKey, key: 0, pay: -1}},
-		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 40,
+		{"customer", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, false, 32,
 			5, colPlace{where: inSegment, key: 1, pay: 5}},
 		{"the wide row", wide, []SortColumn{{Column: 0}}, false, 16,
 			13, colPlace{where: inSet, key: -1, pay: 12}},
-		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 24,
+		{"an Int64 key over two Int64s", twoInts, []SortColumn{{Column: 0}}, false, 16,
 			1, colPlace{where: inSet, key: -1, pay: 0}},
 		{"a varchar keyed only DESC", named, []SortColumn{{Column: 1, Descending: true}, {Column: 0}}, false, 32,
 			1, colPlace{where: inSet, key: -1, pay: 0}},
 		{"a varchar keyed only NOCASE", named, []SortColumn{{Column: 1, CaseInsensitive: true}, {Column: 0}}, false, 32,
 			1, colPlace{where: inSet, key: -1, pay: 0}},
-		{"a varchar keyed ASC at PrefixLen 4 and at the default", named, []SortColumn{{Column: 1}, {Column: 1, PrefixLen: 4}}, false, 32,
+		{"a varchar keyed ASC at PrefixLen 4 and at the default", named, []SortColumn{{Column: 1}, {Column: 1, PrefixLen: 4}}, false, 24,
 			1, colPlace{where: inSegment, key: 1, pay: 1}},
-		{"a varchar keyed DESC at PrefixLen 4 and ASC at the default", named, []SortColumn{{Column: 1, Descending: true, PrefixLen: 4}, {Column: 1}}, false, 32,
+		{"a varchar keyed DESC at PrefixLen 4 and ASC at the default", named, []SortColumn{{Column: 1, Descending: true, PrefixLen: 4}, {Column: 1}}, false, 24,
 			1, colPlace{where: inSet, key: -1, pay: 1}},
 		{"an integer keyed twice", workload.IntKeySchema, []SortColumn{{Column: 0, Descending: true}, {Column: 0}}, true, 32,
 			0, colPlace{where: heldByKey, key: 0, pay: -1}},
@@ -274,6 +277,10 @@ func TestPayloadRidesInlineWhereItFits(t *testing.T) {
 		}
 		if got := s.place.cols[tc.col]; got != tc.place {
 			t.Errorf("%s: column %d placed %+v, want %+v", tc.name, tc.col, got, tc.place)
+		}
+		if refRow := (s.keyWidth + refBytes + 7) &^ 7; (tc.name == "IntKeySchema" || tc.name == "catalog_sales") && s.place.rowWidth <= refRow {
+			t.Errorf("%s: inline in %d-byte key rows, which a %d-byte reference row would hold: the case no longer tells the inline rule from the reference's width",
+				tc.name, s.place.rowWidth, refRow)
 		}
 		s.Close()
 	}
@@ -526,26 +533,29 @@ func TestTieBreakFetchesOnlyOverflowingPairs(t *testing.T) {
 				ctx := fmt.Sprintf("%+v", keys[0])
 				s := finalizedSorter(t, tbl, keys, Options{Threads: 1, RunSize: 96})
 				idPay := s.place.cols[1].pay
-				id := func(keyRow []byte) int32 {
-					run, idx := s.getRef(keyRow)
-					return s.runs[run].payload.Value(int(idx), idPay).(int32)
+				type keyRow struct {
+					run int
+					row []byte
+				}
+				id := func(r keyRow) int32 {
+					return s.runs[r.run].payload.Value(int(s.getRef(r.row)), idPay).(int32)
 				}
 				calls := 0
-				_, order := s.mergeOrder(true, func(run, idx uint32) (*row.RowSet, int) {
+				_, order := s.mergeOrder(true, func(run int, idx uint32) (*row.RowSet, int) {
 					calls++
-					return s.payloadOf(nil, nil)(run, idx)
+					return s.payloadOf(&mergePlan{ids: s.resultIDs}, nil)(run, idx)
 				})
-				var rows [][]byte
-				for _, r := range s.runs {
+				var rows []keyRow
+				for i, r := range s.runs {
 					for o := 0; o < len(r.keys); o += s.place.rowWidth {
-						rows = append(rows, r.keys[o:o+s.place.rowWidth])
+						rows = append(rows, keyRow{i, r.keys[o : o+s.place.rowWidth]})
 					}
 				}
 				col := tbl.Column(0)
 				for _, a := range rows {
 					for _, b := range rows {
 						before := calls
-						got := order(a, b)
+						got := order(a.row, a.run, b.row, b.run)
 						ia, ib := id(a), id(b)
 						if calls > before && (fits(ia) || fits(ib)) {
 							t.Fatalf("%s: comparing %s with %s fetched %d full strings", ctx, show(ia), show(ib), calls-before)

@@ -165,16 +165,14 @@ func TestAdaptiveSpillOverBudget(t *testing.T) {
 		}
 	}
 
-	// The balance returns to zero and the peak respects the budget up to
-	// the documented slack: the payload of the run being reordered, charged
-	// when the run is published and before the plan sheds a run for it.
-	// That is 1.19 times the budget here (1.33 before runs were admitted by
-	// the plan); the bound leaves a margin over it.
+	// The balance returns to zero and the peak respects the budget to
+	// within a tenth: the plan sheds for a run's reordered payload before it
+	// is built, so charging it does not carry the sort past its headroom.
 	if used := broker.Used(); used != 0 {
 		t.Errorf("broker holds %d bytes after Close, want 0", used)
 	}
-	if peak := broker.Peak(); peak > budget*5/4 {
-		t.Errorf("broker peak %d exceeds 1.25 times the budget %d", peak, budget)
+	if peak := broker.Peak(); peak > budget*11/10 {
+		t.Errorf("broker peak %d exceeds 1.1 times the budget %d", peak, budget)
 	}
 	if broker.Peak() >= unlimited.PeakResidentRunBytes {
 		t.Errorf("budgeted peak %d not below unlimited peak %d",

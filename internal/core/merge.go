@@ -20,19 +20,20 @@ import (
 // drain affords — and runs it. Resident memory is bounded by the stage's
 // blocks, not by the output, and every spilled byte is read exactly once.
 
-// mergeOrder returns the merge's comparators over key rows: tie orders rows
-// equal on the byte-decisive prefix (normkey's DecisiveWidth), the one a
-// loser tree is coded on, and is nil when no run can tie; cmp is the whole
-// order. A tie is resolved against the full strings in the payload — only
-// strings that overflow their prefixes tie, and those lie on the heap — which
-// lookup finds through the row's reference: the RowSet holding it and the
+// mergeOrder returns the merge's comparators over key rows, each beside its
+// run's place in the merge: tie orders rows equal on the byte-decisive prefix
+// (normkey's DecisiveWidth), the one a loser tree is coded on, and is nil
+// when no run can tie; cmp is the whole order. A tie is resolved against the
+// full strings in the payload — only strings that overflow their prefixes
+// tie, and those lie on the heap — which lookup finds by the row's run and
+// its reference, the row's index in that run: the RowSet holding it and the
 // row's index there (payloadOf). Rows that cannot tie are compared with one
 // bytes.Compare over the key, the paper's memcmp.
-func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.CompareFunc) {
+func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(run int, idx uint32) (*row.RowSet, int)) (tie, cmp mergepath.RunCompareFunc) {
 	if anyTieBreak {
 		byKey := s.place.byKey
-		tie = s.enc.Comparator(func(keyRow []byte, k int) []byte {
-			p, i := lookup(s.getRef(keyRow))
+		tie = s.enc.Comparator(func(keyRow []byte, run, k int) []byte {
+			p, i := lookup(run, s.getRef(keyRow))
 			if c := byKey[k]; c.where == inSegment {
 				return p.OverflowBytes(i, c.pay) // inlined: StringBytes is not
 			}
@@ -41,7 +42,7 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 		return tie, tie
 	}
 	kw := s.keyWidth
-	return nil, func(a, b []byte) int { return bytes.Compare(a[:kw], b[:kw]) }
+	return nil, func(a []byte, _ int, b []byte, _ int) int { return bytes.Compare(a[:kw], b[:kw]) }
 }
 
 // mergePlan is one merge over runs in memory, on disk or both: the runs, and
@@ -51,11 +52,10 @@ func (s *Sorter) mergeOrder(anyTieBreak bool, lookup func(runID, idx uint32) (*r
 // tasks where the stable merge would.
 type mergePlan struct {
 	*spill.Plan
-	ids    []uint32              // the runs, in merge (tie) order
-	index  []int32               // a run id's position in ids
-	anyTie bool                  // some run needs the tie-break comparator
-	safe   int                   // width of the byte-decisive key prefix
-	cmp    mergepath.CompareFunc // the merge's order on keys, for whoever holds no block: fences and runs in memory
+	ids    []uint32                 // the runs, in merge (tie) order
+	anyTie bool                     // some run needs the tie-break comparator
+	safe   int                      // width of the byte-decisive key prefix
+	cmp    mergepath.RunCompareFunc // the merge's order on keys, for whoever holds no block: fences and runs in memory
 }
 
 // drainTaskFences is the fences a task of the drain begins: as many as make
@@ -70,11 +70,10 @@ const drainTaskFences = drainTaskRows / DefaultSpillBlockRows
 // spillBlockRows of its key rows — or, when single says so, one: a merge
 // pass writes one output file.
 func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
-	p := &mergePlan{ids: ids, index: make([]int32, len(s.runs))}
+	p := &mergePlan{ids: ids}
 	files, resident := make([]*spill.File, len(ids)), make([]mergepath.Run, len(ids))
 	for i, id := range ids {
 		r := s.runs[id]
-		p.index[id] = int32(i)
 		p.anyTie = p.anyTie || r.tieBreak
 		if files[i] = r.spill; r.spill == nil && !single {
 			resident[i] = s.residentFences(r)
@@ -94,19 +93,19 @@ func (s *Sorter) planSpillTasks(ids []uint32, single bool) *mergePlan {
 }
 
 // payloadOf returns the tie lookup of a merge of p by a claimant whose
-// cursors are cur (nil for the planner, which has none): a row's payload is
-// in the block of its run that the claimant holds, when that block contains
-// the row; else in a run in memory's own payload; else the row is a fence of
-// a run on disk — a claimant's bound, or the planner's — whose payload its
-// file keeps.
-func (s *Sorter) payloadOf(p *mergePlan, cur []extCursor) func(runID, idx uint32) (*row.RowSet, int) {
-	return func(runID, idx uint32) (*row.RowSet, int) {
+// cursors are cur (nil for the planner, which has none), for row idx of the
+// run at place run in the merge: its payload is in the block of the run that
+// the claimant holds, when that block contains the row; else in a run in
+// memory's own payload; else the row is a fence of a run on disk — a
+// claimant's bound, or the planner's — whose payload its file keeps.
+func (s *Sorter) payloadOf(p *mergePlan, cur []extCursor) func(run int, idx uint32) (*row.RowSet, int) {
+	return func(run int, idx uint32) (*row.RowSet, int) {
 		if cur != nil {
-			if c := &cur[p.index[runID]]; c.payload != nil && int(idx) >= c.start && int(idx) < c.start+c.payload.Len() {
+			if c := &cur[run]; c.payload != nil && int(idx) >= c.start && int(idx) < c.start+c.payload.Len() {
 				return c.payload, int(idx) - c.start
 			}
 		}
-		r := s.runs[runID]
+		r := s.runs[p.ids[run]]
 		if r.spill == nil {
 			return r.payload, int(idx)
 		}
@@ -142,9 +141,9 @@ type extMerge struct {
 	p   *mergePlan
 	st  *spill.Stage
 	ctx context.Context
-	ow  *obs.Worker           // the claimant's trace lane, for the blocks it decodes itself
-	tie mergepath.CompareFunc // the loser tree's, nil when no run can tie
-	cmp mergepath.CompareFunc // the merge's order on keys, which ranks the rows this claimant holds
+	ow  *obs.Worker              // the claimant's trace lane, for the blocks it decodes itself
+	tie mergepath.RunCompareFunc // the loser tree's, nil when no run can tie
+	cmp mergepath.RunCompareFunc // the merge's order on keys, which ranks the rows this claimant holds
 
 	lo, hi  spill.Bound // the range being merged; a nil Key is open
 	cur     []extCursor
@@ -342,8 +341,9 @@ func (s *Sorter) reduceFanIn(ids []uint32, mw *obs.Worker) ([]uint32, error) {
 
 // mergeRunsToSpill streams one intermediate merge pass over the given runs
 // directly into a new spilled run (payload references, where the key rows
-// carry them, rewritten to the merged run; an inline payload moves with its
-// key row), registers it — Finalize already holds s.mu, so no locking — and
+// carry them, rewritten to the rows' places in the merged run; an inline
+// payload moves with its key row), registers it — Finalize already holds
+// s.mu, so no locking — and
 // releases the consumed inputs, whose files the pass's block stage deleted as
 // it finished with them. Resident memory is the stage's blocks plus one output
 // block. Each pass is one PhaseMergePass span and is counted in SortStats
@@ -405,7 +405,7 @@ func (s *Sorter) mergeRunsToSpill(ids []uint32, mw *obs.Worker) (uint32, error) 
 			break
 		}
 		if dst := w.Add(keyRow, slot, idx); !s.place.inline {
-			s.putRef(dst, merged.id, outPos)
+			s.putRef(dst, outPos)
 		}
 		if w.Room() == 0 {
 			if err := flush(); err != nil {

@@ -50,17 +50,24 @@ type placement struct {
 	pendingRow, outputRow int64
 }
 
+// inlineBytes is how far past the key, to the next 8-byte boundary, a payload
+// may reach and ride inline: a key row at most one word wider than the
+// reference's, which costs run generation and the merge less than the payload
+// set, its reorder and the drain's second fetch that it saves (EXPERIMENTS.md,
+// "A small payload rides in its key row"). It is not the reference's width.
+const inlineBytes = 8
+
 // place decides, once for the sort, where each of schema's columns lives.
 //
 // A Bool or integer key holds its column exactly (normkey's Exact, in any
 // order and NULL placement): the first such key holds it, and the drain
 // decodes it from the key rows (outputVectors). The payload is the other
-// columns. By default a key row is the key and an 8-byte payload reference,
+// columns. By default a key row is the key and a 4-byte payload reference,
 // and the payload rows live in row sets of the aligned layout. The payload
-// rides inline instead — mask and values packed unaligned behind the key, in
-// a key row no wider than the reference makes it — when no key can tie, so
-// the comparator never looks for a payload, and it has no string, which would
-// want a heap. A string column keyed ASC under binary collation has a segment
+// rides inline instead — mask and values packed unaligned behind the key,
+// within inlineBytes of it — when no key can tie, so the comparator never
+// looks for a payload, and it has no string, which would want a heap. A
+// string column keyed ASC under binary collation has a segment
 // that is the string's own bytes, zero-padded, behind the validity byte and
 // ahead of the residence byte that says whether they are the whole string
 // (normkey.FitsPrefix): a string that fits stays there, and the payload row
@@ -100,7 +107,7 @@ func place(schema vector.Schema, enc *normkey.Encoder) placement {
 	}
 	p.rowWidth = (kw + refBytes + 7) &^ 7
 	p.layout = row.NewLayoutAligned(types, 1)
-	p.inline = !enc.TiesPossible() && !slices.Contains(types, vector.Varchar) && kw+p.layout.Width() <= p.rowWidth
+	p.inline = !enc.TiesPossible() && !slices.Contains(types, vector.Varchar) && kw+p.layout.Width() <= (kw+inlineBytes+7)&^7
 	if p.inline {
 		p.rowWidth = (kw + p.layout.Width() + 7) &^ 7
 		p.padded = kw+p.layout.Width() < p.rowWidth

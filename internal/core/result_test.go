@@ -64,9 +64,10 @@ func rowify(t testing.TB, tbl *vector.Table) *row.RowSet {
 
 // oracleResult is the reference result of a finalized sorter whose runs are
 // all in memory, built with none of the machinery Rows uses: one
-// single-threaded mergepath.KWayMerge of the runs under the sort's whole-row
-// comparator (no tasks, no bounds, no offset-value codes, no goroutines) into
-// one key array, then a value-at-a-time gather through RowSet.AppendTo (no
+// single-threaded loser tree over the runs under the sort's whole-row
+// comparator (mergepath.NewMerger at key width 0: no tasks, no bounds, no
+// offset-value codes, no goroutines) into one key array, each row beside its
+// run, then a value-at-a-time gather through RowSet.AppendTo (no
 // typed kernels) of the payload's columns — through Layout.AppendValue of the
 // key row, for an inline payload — and of a column a key holds, or of a
 // string its key's residence byte says the key holds, Encoder.DecodeValue of
@@ -84,14 +85,22 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 		return out
 	}
 	runs := make([]mergepath.Run, len(s.runs))
+	ids := make([]uint32, len(s.runs))
 	anyTie := false
 	for i, r := range s.runs {
-		runs[i] = mergepath.Run{Data: r.keys, Width: s.place.rowWidth}
+		runs[i], ids[i] = mergepath.Run{Data: r.keys, Width: s.place.rowWidth}, uint32(i)
 		anyTie = anyTie || r.tieBreak
 	}
-	_, cmp := s.mergeOrder(anyTie, s.payloadOf(nil, nil))
-	keys := make([]byte, s.resultRows*s.place.rowWidth)
-	mergepath.KWayMerge(keys, runs, cmp)
+	_, cmp := s.mergeOrder(anyTie, s.payloadOf(&mergePlan{ids: ids}, nil))
+	keys := make([]byte, 0, s.resultRows*s.place.rowWidth)
+	from := make([]int, 0, s.resultRows) // each merged row's run
+	for m := mergepath.NewMerger(runs, 0, cmp); ; {
+		run, _, keyRow, ok := m.Next()
+		if !ok {
+			break
+		}
+		keys, from = append(keys, keyRow...), append(from, run)
+	}
 	out := vector.NewTable(s.schema)
 	for start := 0; start < s.resultRows; start += vector.DefaultVectorSize {
 		count := min(vector.DefaultVectorSize, s.resultRows-start)
@@ -119,8 +128,7 @@ func oracleResult(t testing.TB, s *Sorter) *vector.Table {
 					}
 					fallthrough
 				default:
-					runID, idx := s.getRef(keyRow)
-					s.runs[runID].payload.AppendTo(chunk.Vectors[c], int(idx), cp.pay)
+					s.runs[from[r]].payload.AppendTo(chunk.Vectors[c], int(s.getRef(keyRow)), cp.pay)
 				}
 			}
 		}

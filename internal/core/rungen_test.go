@@ -326,8 +326,8 @@ func TestRecycledBuffersLeakNoStaleBytes(t *testing.T) {
 // at pendingRowBytes, capped at RunSize. Rows of 64 bytes or less — the int
 // and catalog rows, their payload inline — keep RunSize; the customer and
 // wide rows, whose payload sits in a set, take what 8 MiB holds (customer's
-// 108-byte pending row, two 40-byte key rows, a 24-byte payload row and a
-// permutation entry, 37 vectors); a 16 MiB
+// 92-byte pending row, two 32-byte key rows, a 24-byte payload row and a
+// permutation entry, 44 vectors); a 16 MiB
 // budget at two threads shares 4 MiB; an explicit RunSize under the share
 // stands. Unbudgeted, the wide row's 24-byte strings end its runs at 24
 // vectors, before the planned 27, and from its second chunk on the sink's
@@ -348,7 +348,7 @@ func TestIngestPlanFollowsSinkShare(t *testing.T) {
 	}{
 		{"IntKeySchema", workload.IntKeySchema, []SortColumn{{Column: 0}}, Options{Threads: 2}, 48, 8 * mib, DefaultRunSize},
 		{"catalog_sales at RunSize 2^16", workload.CatalogSalesSchema, catalog, Options{Threads: 2, RunSize: 1 << 16}, 64, 8 * mib, 1 << 16},
-		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, Options{Threads: 2}, 108, 8 * mib, 37 * v},
+		{"customer names", workload.CustomerSchema, []SortColumn{{Column: 4}, {Column: 5}}, Options{Threads: 2}, 92, 8 * mib, 44 * v},
 		{"the wide row", wide, []SortColumn{{Column: 0}}, Options{Threads: 2}, 148, 8 * mib, 27 * v},
 		{"catalog_sales under 16 MiB", workload.CatalogSalesSchema, catalog, Options{Threads: 2, MemoryLimit: 16 * mib}, 64, 4 * mib, 32 * v},
 		{"the wide row at RunSize 4,096", wide, []SortColumn{{Column: 0}}, Options{Threads: 2, RunSize: 2 * v}, 148, 8 * mib, 2 * v},
@@ -619,7 +619,7 @@ func TestSortRunComparesBytesUnlessTied(t *testing.T) {
 	if tieBreak || !s.enc.TiesPossible() {
 		t.Fatalf("the run should be byte-decisive (tieBreak = %v) on a segment that could tie", tieBreak)
 	}
-	k.sortRun(keys, "msd-radix", tieBreak, func(uint32, uint32) (*row.RowSet, int) {
+	k.sortRun(keys, "msd-radix", tieBreak, func(int, uint32) (*row.RowSet, int) {
 		t.Error("a byte-decisive run was compared through the payload lookup")
 		return k.payload, 0
 	})

@@ -41,45 +41,100 @@ func runBytes(r *sortedRun) int64 {
 }
 
 // flush turns the pending rows into a run: cut them loose, decide its sort,
-// execute it and publish the sorted run, which the sink places (place) when
-// it next needs memory — at its next Append, or in Close.
-func (k *Sink) flush() *sortedRun {
+// execute it, reorder the payload to match and publish the sorted run, which
+// the sink places (place) when it next needs memory — at its next Append, or
+// in Close. Under a budget the plan admits the run of an open sink before it
+// is charged, and its reordered payload before it is built: the sort sheds
+// for both (spillUnderPressure) as it would once they were charged. A run the
+// plan cannot admit with every other run on disk goes there as it was cut:
+// its payload rows are gathered from the cut set into the spill blocks, and
+// no reordered copy is built. A closing sink's last run is admitted when it
+// is placed, once the sink has let go of its buffers (Close).
+func (k *Sink) flush() (*sortedRun, error) {
 	s := k.s
 	keys, payload, n, tb := k.cut()
-	sp := k.ow.Begin(obs.PhaseRunSort)
-	dec := k.planRun(keys, n, tb)
-	// Until the run is published its payload references are row indexes into
-	// the cut set.
-	k.sortRun(keys, dec.Algo, tb, func(_, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
-
-	// Register the run id first (so merge order is stable), then physically
-	// reorder the payload to the sorted order — an inline one is there
-	// already. The buffers are published under s.mu only once they are
-	// final: concurrent pressure spillers scan s.runs and must never observe
-	// a half-built run.
-	s.mu.Lock()
-	runID := uint32(len(s.runs))
-	run := &sortedRun{id: runID, tieBreak: tb, rows: n}
-	s.runs = append(s.runs, run)
-	dec.Run = int(runID)
-	s.ctr.Decide(dec) // under mu: the log is in run-id order
-	s.mu.Unlock()
-
 	var sorted *row.RowSet
 	if !s.place.inline {
-		sorted = k.reorder(keys, payload, n, runID)
+		sorted = s.getRowSet()
 	}
-	s.runRes.Grow(int64(cap(keys)) + sorted.CapBytes())
+	admit := true
+	if s.opt.limited() && !k.closed {
+		var err error
+		if admit, err = k.admit(keys, n, sorted.CapBytesFor(n, payload.HeapLen())); err != nil {
+			return nil, err
+		}
+	}
+	sp := k.ow.Begin(obs.PhaseRunSort)
+	dec := k.planRun(keys, n, tb)
+	// Until the payload is reordered the payload references are row indexes
+	// into the cut set.
+	k.sortRun(keys, dec.Algo, tb, func(_ int, idx uint32) (*row.RowSet, int) { return payload, int(idx) })
+	var perm []uint32
+	if payload != nil {
+		perm = k.permute(keys, n)
+	}
+	// An admitted run's payload is physically reordered to the sorted order —
+	// an inline one is there already. A run is published under s.mu only
+	// once its buffers are final: concurrent pressure spillers scan s.runs
+	// and must never observe a half-built run.
+	run := &sortedRun{tieBreak: tb, rows: n}
+	if admit {
+		if sorted != nil {
+			sorted.Reserve(n)
+			sorted.ReserveHeap(payload.HeapLen())
+			sorted.AppendPermuted(payload, perm)
+		}
+		run.keys, run.payload = keys, sorted
+		s.runRes.Grow(runBytes(run))
+	}
 	s.mu.Lock()
-	run.keys = keys
-	run.payload = sorted
+	run.id = uint32(len(s.runs))
+	s.runs = append(s.runs, run)
+	dec.Run = int(run.id)
+	s.ctr.Decide(dec) // under mu: the log is in run-id order
 	s.mu.Unlock()
 	sp.End()
+	if !admit {
+		s.ctr.Add(obs.PressureSpills, 1)
+		staging := s.getRowSet()
+		f, err := s.writeRun(run.id, keys, payload, perm, staging, k.ow)
+		s.putKeyBuf(keys) // the sink's next
+		s.putRowSet(staging)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		run.spill = f
+		s.mu.Unlock()
+	}
+	if payload != nil {
+		payload.Reset() // the sink's own set: the next run fills it
+	}
 
 	s.ctr.Add(obs.RunsGenerated, 1)
 	s.ctr.Add(obs.RowsSorted, int64(n))
 	s.ctr.Add(obs.NormKeyBytes, int64(n)*int64(s.keyWidth))
-	return run
+	return run, nil
+}
+
+// admit holds the sort to its plan for the n rows an open sink has cut, keys,
+// before their run is charged, and reports whether the run fits it (see
+// spillUnderPressure). The sink first sizes its radix scratch and
+// permutation for the run, so that they are charged when the plan is read.
+// The plan counts the keys in the sink's shortfall (overPlan) as far as the
+// sink's share still has room for them, and the rest not at all; nor the
+// reordered payload, of setBytes, which is not built yet. Both are charged
+// with the run.
+func (k *Sink) admit(keys []byte, n int, setBytes int64) (bool, error) {
+	s := k.s
+	k.radixScratch(keys)
+	if !s.place.inline {
+		k.perm(keys, n)
+	}
+	k.account()
+	keyBytes := int64(cap(keys))
+	counted := min(keyBytes, max(0, s.sinkShare-k.res.Bytes()))
+	return s.spillUnderPressure(k.ow, keyBytes-counted+setBytes)
 }
 
 // place hands the run the sink cut last to the spill policy (placeRun) and
@@ -99,29 +154,28 @@ func (k *Sink) place() error {
 	return err
 }
 
-// reorder moves the cut payload rows into a new set in the order of the
-// sorted key rows, which name them by their payload references, and points
-// the references at the rows' places in run runID.
-func (k *Sink) reorder(keys []byte, payload *row.RowSet, n int, runID uint32) *row.RowSet {
+// permute returns the order of the cut payload rows that the n sorted key
+// rows name by their payload references, and points each reference at its
+// row's place in the run.
+func (k *Sink) permute(keys []byte, n int) []uint32 {
 	s := k.s
-	if cap(k.idxs) < n {
-		k.idxs = make([]uint32, max(n, cap(keys)/s.place.rowWidth))
-	}
-	idxs := k.idxs[:n]
-	ref := uint64(runID)
+	idxs := k.perm(keys, n)
 	for i, o := 0, s.keyWidth; i < n; i, o = i+1, o+s.place.rowWidth {
 		at := keys[o : o+refBytes : o+refBytes]
-		idxs[i] = uint32(binary.LittleEndian.Uint64(at) >> 32)
-		binary.LittleEndian.PutUint64(at, ref)
-		ref += 1 << 32
+		idxs[i] = binary.LittleEndian.Uint32(at)
+		binary.LittleEndian.PutUint32(at, uint32(i))
 	}
-	sorted := s.getRowSet()
-	sorted.Reserve(n)
-	sorted.ReserveHeap(payload.HeapLen())
-	sorted.AppendPermuted(payload, idxs)
-	payload.Reset() // the sink's own set: the next run fills it
-	k.account()
-	return sorted
+	return idxs
+}
+
+// perm returns the sink's permutation buffer for n rows, sized once: at the
+// rows its key buffer holds.
+func (k *Sink) perm(keys []byte, n int) []uint32 {
+	if cap(k.idxs) < n {
+		k.idxs = make([]uint32, max(n, cap(keys)/k.s.place.rowWidth))
+		k.account()
+	}
+	return k.idxs[:n]
 }
 
 // cut detaches the pending rows from the sink, which holds no key buffer
@@ -154,7 +208,7 @@ func (k *Sink) planRun(keys []byte, n int, tieBreak bool) StrategyDecision {
 	d := StrategyDecision{Rows: n, Algo: "msd-radix"}
 	if tieBreak {
 		d.Why = "tie-break"
-	} else if _, cmp := s.mergeOrder(false, nil); inOrder(keys, s.place.rowWidth, cmp) {
+	} else if kw := s.keyWidth; inOrder(keys, s.place.rowWidth, func(a, b []byte) int { return bytes.Compare(a[:kw], b[:kw]) }) {
 		return StrategyDecision{Rows: n, Algo: "none", Why: "presorted"}
 	}
 	if radix.UseLSD(s.keyWidth) {
@@ -178,7 +232,7 @@ func inOrder(rows []byte, rw int, cmp func(a, b []byte) int) bool {
 // each run-sort kernel is started from. lookup resolves a key row's payload
 // reference; only the tie pass of a run whose keys may tie (tieBreak) ever
 // compares through it — any other run is ordered by its bytes alone.
-func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runID, idx uint32) (*row.RowSet, int)) {
+func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(run int, idx uint32) (*row.RowSet, int)) {
 	s := k.s
 	if algo == "none" {
 		return
@@ -196,11 +250,12 @@ func (k *Sink) sortRun(keys []byte, algo string, tieBreak bool, lookup func(runI
 // tie comparator, unless it is in order already, as a group of equal values
 // comes out of radix. Radix left rows equal under the comparator, whose key
 // bytes are equal, in input order, and the group sort is stable, so the run
-// is the stable order.
-func (k *Sink) sortTies(keys []byte, lookup func(runID, idx uint32) (*row.RowSet, int)) {
+// is the stable order. Every row is the run's own: lookup is handed run 0.
+func (k *Sink) sortTies(keys []byte, lookup func(run int, idx uint32) (*row.RowSet, int)) {
 	s := k.s
 	rw, dw := s.place.rowWidth, s.enc.DecisiveWidth()
-	tie, _ := s.mergeOrder(true, lookup)
+	order, _ := s.mergeOrder(true, lookup)
+	tie := func(a, b []byte) int { return order(a, 0, b, 0) }
 	buf := k.radixScratch(keys)
 	for lo := 0; lo < len(keys); {
 		hi := lo + rw
@@ -275,7 +330,8 @@ func (k *Sink) radixScratch(keys []byte) []byte {
 func (s *Sorter) placeRun(run *sortedRun, ow *obs.Worker) error {
 	switch {
 	case s.opt.limited():
-		return s.spillUnderPressure(ow)
+		_, err := s.spillUnderPressure(ow, 0)
+		return err
 	case s.opt.SpillDir != "":
 		return s.spillRun(run, ow)
 	}
@@ -319,27 +375,28 @@ func (s *Sorter) spillRun(r *sortedRun, ow *obs.Worker) error {
 	return err
 }
 
-// spillUnderPressure holds the sort to its plan: while it is over it
-// (overPlan), it first lets go of the idle pooled bytes no open sink will
-// take, then sheds resident runs to disk, largest first, until it fits (or
-// nothing spillable is left). One sink sheds at a time, so that a second
-// does not shed a run for bytes the first is still writing out.
-func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
+// spillUnderPressure holds the sort to its plan with extra more bytes about
+// to be charged: while it is over it (overPlan), it first lets go of the idle
+// pooled bytes no open sink will take, then sheds resident runs to disk,
+// largest first, until it fits — and reports that it does — or nothing
+// spillable is left. One sink sheds at a time, so that a second does not shed
+// a run for bytes the first is still writing out.
+func (s *Sorter) spillUnderPressure(ow *obs.Worker, extra int64) (fits bool, err error) {
 	s.shedMu.Lock()
 	defer s.shedMu.Unlock()
-	short, over := s.overPlan()
+	short, over := s.overPlan(extra)
 	if !over {
-		return nil
+		return true, nil
 	}
 	sp := ow.Begin(obs.PhasePressureSpill)
 	defer sp.End()
-	for ; over; short, over = s.overPlan() {
+	for ; over; short, over = s.overPlan(extra) {
 		if s.trimPools(short) {
 			continue
 		}
 		run := s.claimSpillableRun()
 		if run == nil {
-			return nil
+			return false, nil
 		}
 		s.ctr.Add(obs.PressureSpills, 1)
 		err := run.spillTo(s, ow)
@@ -347,27 +404,27 @@ func (s *Sorter) spillUnderPressure(ow *obs.Worker) error {
 		run.spilling = false
 		s.mu.Unlock()
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// overPlan reports whether the sort holds more than the headroom
-// planIngest planned from, and returns short, the bytes its open sinks have
-// yet to take to fill their shares. What it holds is every byte it has
-// charged — resident runs, a closing sink's buffers, the pools — plus the
-// part of short the pools cannot give: an open sink counts at its full
-// share, since it grows to it before its next cut. The broker chain being
-// over budget is over too: that is how another sorter on a shared broker
-// makes itself felt.
-func (s *Sorter) overPlan() (short int64, over bool) {
+// overPlan reports whether the sort, with extra more bytes charged, holds
+// more than the headroom planIngest planned from, and returns short, the
+// bytes its open sinks have yet to take to fill their shares. What it holds
+// is every byte it has charged — resident runs, a closing sink's buffers, the
+// pools — plus the part of short the pools cannot give: an open sink counts
+// at its full share, since it grows to it before its next cut. The broker
+// chain being over budget is over too: that is how another sorter on a
+// shared broker makes itself felt.
+func (s *Sorter) overPlan(extra int64) (short int64, over bool) {
 	s.mu.Lock()
 	for _, r := range s.openSinks {
 		short += max(0, s.sinkShare-r.Bytes())
 	}
 	s.mu.Unlock()
-	planned := s.broker.Used() + max(0, short-s.poolRes.Bytes())
+	planned := s.broker.Used() + extra + max(0, short-s.poolRes.Bytes())
 	return short, planned > s.headroom || s.broker.OverBudget()
 }
 
@@ -411,35 +468,46 @@ func (s *Sorter) largestResident() *sortedRun {
 }
 
 // spillTo writes the run to its spill file and releases its in-memory
-// buffers. On any error the partial file is removed; nothing is leaked. ow is
-// the calling worker's trace lane. Callers on concurrent paths must hold the
-// run's claim (see spillRun).
+// buffers. ow is the calling worker's trace lane. Callers on concurrent paths
+// must hold the run's claim (see spillRun).
 func (r *sortedRun) spillTo(s *Sorter, ow *obs.Worker) error {
-	sp := ow.Begin(obs.PhaseSpillWrite)
-	defer sp.End()
 	staging := s.getRowSet()
-	defer s.putRowSet(staging)
-	w, err := s.spills.NewWriter(r.id, s.spillFormat(), s.spillBlockRows(), r.rows, staging)
+	defer s.putRowSet(staging) // after the run's buffers: it is charged to the pool again
+	f, err := s.writeRun(r.id, r.keys, r.payload, nil, staging, ow)
 	if err != nil {
 		return err
 	}
-	defer w.Abort(nil) // a panic's way out closes the file too
-	rw, payload := s.place.rowWidth, []*row.RowSet{r.payload}
-	for i := 0; i < r.rows; {
-		n := min(w.Room(), r.rows-i)
-		w.AddRows(r.keys[i*rw:(i+n)*rw], 0, uint32(i))
-		if _, err := w.Flush(payload); err != nil {
-			return err
-		}
-		i += n
-	}
-	if r.spill, err = w.Finish(); err != nil {
-		return err
-	}
+	r.spill = f
 	// The in-memory buffers are dead once the run is on disk: give their
 	// bytes back to the budget and recycle them for the next pending run.
 	s.releaseRun(r)
 	return nil
+}
+
+// writeRun writes run id's sorted key rows, keys, to its spill file, with
+// their payload rows from payload, in the keys' order or gathered by perm,
+// each block's staged in staging. On any error the partial file is removed;
+// nothing is leaked. ow is the calling worker's trace lane.
+func (s *Sorter) writeRun(id uint32, keys []byte, payload *row.RowSet, perm []uint32, staging *row.RowSet, ow *obs.Worker) (*spill.File, error) {
+	sp := ow.Begin(obs.PhaseSpillWrite)
+	defer sp.End()
+	rw := s.place.rowWidth
+	rows := len(keys) / rw
+	w, err := s.spills.NewWriter(id, s.spillFormat(), s.spillBlockRows(), rows, staging)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Abort(nil) // a panic's way out closes the file too
+	sets := []*row.RowSet{payload}
+	for i := 0; i < rows; {
+		n := min(w.Room(), rows-i)
+		w.AddRows(keys[i*rw:(i+n)*rw], 0, uint32(i), perm)
+		if _, err := w.Flush(sets); err != nil {
+			return nil, err
+		}
+		i += n
+	}
+	return w.Finish()
 }
 
 // releaseRun returns a consumed run's buffers to the pools and its bytes to

@@ -156,21 +156,21 @@ func NewSorter(schema vector.Schema, keys []SortColumn, opt Options) (*Sorter, e
 func (s *Sorter) SetExpectedRows(n int64) { s.ctr.Store(obs.RowsExpected, n) }
 
 // refBytes is the payload reference behind the key of a key row whose
-// payload is not inline: the run id and the row index within the run's
-// payload. The tie comparator's lookup is its one reader.
-const refBytes = 8
+// payload is not inline: the row's index in its run's payload. The run is
+// not in the row: whoever holds a row knows it — a sink its cut set, a merge
+// the run behind each cursor and bound — and hands it to the tie
+// comparator's lookup, the reference's one reader, beside the row.
+const refBytes = 4
 
 // putRef stores the payload reference behind the key bytes. The reference
 // is never part of the compared prefix, so its byte order is free to be
 // native little-endian.
-func (s *Sorter) putRef(keyRow []byte, runID, idx uint32) {
-	binary.LittleEndian.PutUint32(keyRow[s.keyWidth:], runID)
-	binary.LittleEndian.PutUint32(keyRow[s.keyWidth+4:], idx)
+func (s *Sorter) putRef(keyRow []byte, idx uint32) {
+	binary.LittleEndian.PutUint32(keyRow[s.keyWidth:], idx)
 }
 
-func (s *Sorter) getRef(keyRow []byte) (runID, idx uint32) {
-	return binary.LittleEndian.Uint32(keyRow[s.keyWidth:]),
-		binary.LittleEndian.Uint32(keyRow[s.keyWidth+4:])
+func (s *Sorter) getRef(keyRow []byte) uint32 {
+	return binary.LittleEndian.Uint32(keyRow[s.keyWidth:])
 }
 
 // Finalize ends run generation and plans the result; it merges nothing. The

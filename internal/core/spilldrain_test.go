@@ -113,7 +113,7 @@ func TestSpillFilesAreOneFormat(t *testing.T) {
 	// With the budget a byte over, a sink sheds the largest resident run.
 	s.dropPools()
 	hog := broker.Reserve("hog", broker.Remaining()+1)
-	if err := s.spillUnderPressure(nil); err != nil {
+	if _, err := s.spillUnderPressure(nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	hog.Release()

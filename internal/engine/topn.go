@@ -54,7 +54,7 @@ func NewTopNHeap(schema vector.Schema, keys []core.SortColumn, limit int, opt co
 	t := &TopNHeap{schema: schema, enc: enc, layout: layout, rowWidth: enc.Width() + 4,
 		limit: limit, payload: row.NewRowSet(layout),
 		rec: opt.Telemetry, ow: opt.Telemetry.Worker("topn"), ctr: obs.NewBlock(nil)}
-	t.h = &keyHeap{cmp: enc.Comparator(func(keyRow []byte, k int) []byte {
+	t.h = &keyHeap{cmp: enc.Comparator(func(keyRow []byte, _, k int) []byte {
 		return t.payload.StringBytes(t.index(keyRow), nkeys[k].Column)
 	})}
 	t.run = t.rec.Register(obs.RunOptions{Fingerprint: opt.Fingerprint(), Block: t.ctr, TopN: true, Limit: int64(limit)})
@@ -79,11 +79,11 @@ func (t *TopNHeap) Close() { t.run.Done() }
 // best n, so a new row only enters if it beats the root.
 type keyHeap struct {
 	rows [][]byte
-	cmp  func(a, b []byte) int
+	cmp  func(a []byte, _ int, b []byte, _ int) int // every row is the payload's: no source
 }
 
 func (h *keyHeap) Len() int           { return len(h.rows) }
-func (h *keyHeap) Less(i, j int) bool { return h.cmp(h.rows[i], h.rows[j]) > 0 }
+func (h *keyHeap) Less(i, j int) bool { return h.cmp(h.rows[i], 0, h.rows[j], 0) > 0 }
 func (h *keyHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
 func (h *keyHeap) Push(x any)         { h.rows = append(h.rows, x.([]byte)) }
 func (h *keyHeap) Pop() any {
@@ -136,7 +136,7 @@ func (t *TopNHeap) Append(c *vector.Chunk) error {
 			heap.Push(t.h, append([]byte(nil), keyRow...))
 			continue
 		}
-		if t.h.cmp(keyRow, t.h.rows[0]) < 0 {
+		if t.h.cmp(keyRow, 0, t.h.rows[0], 0) < 0 {
 			// Beats the current worst: replace the root.
 			copy(t.h.rows[0], keyRow)
 			heap.Fix(t.h, 0)

@@ -42,8 +42,8 @@ func BenchmarkParallelMerge(b *testing.B) {
 // benchKeyRuns builds k sorted runs of rows width-byte rows with kw-byte
 // keys: a constant first byte (the NULL indicator of a normalized key) and
 // random bytes after it, drawn from a pool of distinct keys when distinct > 0
-// (duplicate-heavy) and independently otherwise. The bytes after the key
-// hold the row's run and index, like the sorter's payload references.
+// (duplicate-heavy) and independently otherwise. The 4 bytes after the key
+// hold the row's index in its run, like the sorter's payload references.
 func benchKeyRuns(k, rows, width, kw, distinct int, seed uint64) []Run {
 	rng := workload.NewRNG(seed)
 	randKey := func(key []byte) {
@@ -75,8 +75,7 @@ func benchKeyRuns(k, rows, width, kw, distinct int, seed uint64) []Run {
 		for i, key := range keys {
 			row := data[i*width : (i+1)*width]
 			copy(row, key)
-			binary.LittleEndian.PutUint32(row[width-8:], uint32(r))
-			binary.LittleEndian.PutUint32(row[width-4:], uint32(i))
+			binary.LittleEndian.PutUint32(row[kw:], uint32(i))
 		}
 		runs[r] = Run{Data: data, Width: width}
 	}
@@ -94,7 +93,7 @@ func BenchmarkKWayMergeOVC(b *testing.B) {
 		k, rows, width, kw, distinct int
 	}{
 		{"16x128Ki/w24/key9", 16, 1 << 17, 24, 9, 0},
-		{"8x128Ki/w40/key26/dup", 8, 1 << 17, 40, 26, 1 << 14},
+		{"8x128Ki/w32/key28/dup", 8, 1 << 17, 32, 28, 1 << 14},
 		{"16x64Ki/w32/key20", 16, 1 << 16, 32, 20, 0},
 	} {
 		runs := benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 7)

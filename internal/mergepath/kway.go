@@ -1,6 +1,7 @@
 package mergepath
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 )
@@ -98,8 +99,10 @@ type cursor struct {
 // compares offset-value codes first and row bytes only on code ties, calling
 // tie for byte-equal keys (nil means byte-equal rows are equal); with
 // keyWidth == 0 every code is zero, so every match is a code tie played with
-// tie as the full comparator (nil means bytes.Compare). Ties resolve to the
-// lower run index, so the merge is stable across runs either way.
+// tie as the full comparator (nil means bytes.Compare). tie is handed each
+// candidate's run index beside its row: a caller whose rows do not carry
+// their run finds what breaks the tie by it. Ties resolve to the lower run
+// index, so the merge is stable across runs either way.
 //
 // keyWidth must be a byte-decisive prefix: whenever two rows differ within
 // their first keyWidth bytes, that byte order must be the sort order, and
@@ -116,7 +119,7 @@ type Merger struct {
 	k        int
 	keyWidth int // 0 disables offset-value coding
 	wordSpan int // keyWidth rounded up to whole 8-byte words
-	tie      CompareFunc
+	tie      RunCompareFunc
 	refill   func(r int) (Run, bool)
 	carry    []byte // k × keyWidth: the last key of each run's previous block
 	stats    Stats
@@ -124,10 +127,10 @@ type Merger struct {
 }
 
 // NewMerger builds the tournament over runs.
-func NewMerger(runs []Run, keyWidth int, tie CompareFunc) *Merger {
+func NewMerger(runs []Run, keyWidth int, tie RunCompareFunc) *Merger {
 	m := &Merger{k: len(runs), keyWidth: keyWidth, wordSpan: (keyWidth + 7) &^ 7, tie: tie}
-	if keyWidth == 0 {
-		m.tie = cmpOrDefault(tie)
+	if keyWidth == 0 && tie == nil {
+		m.tie = ByRows(bytes.Compare)
 	}
 	m.cur = make([]cursor, m.k)
 	for i := range runs {
@@ -331,7 +334,7 @@ func (m *Merger) byteMatch(a, b uint64) (w, l uint64) {
 		if kw > 0 {
 			m.stats.TieBreaks++
 		}
-		c = m.tie(ra, rb)
+		c = m.tie(ra, int(uint32(a)), rb, int(uint32(b)))
 	}
 	if c < 0 || (c == 0 && uint32(a) < uint32(b)) {
 		return a, b & 0xffffffff
@@ -344,7 +347,7 @@ func (m *Merger) byteMatch(a, b uint64) (w, l uint64) {
 // tie (may be nil) breaks byte-equal keys, and remaining ties resolve to the
 // lower run index. dst must hold the total number of rows. codes is ignored:
 // the merger derives every code from the rows.
-func KWayMergeOVC(dst []byte, runs []Run, keyWidth int, codes [][]uint32, tie CompareFunc) Stats {
+func KWayMergeOVC(dst []byte, runs []Run, keyWidth int, codes [][]uint32, tie RunCompareFunc) Stats {
 	m := NewMerger(runs, keyWidth, tie)
 	drainMerger(m, dst, runWidth(runs))
 	return m.stats

@@ -366,14 +366,14 @@ func TestMergerMatchesReference(t *testing.T) {
 						want := make([]byte, total*width)
 						wantSt := refKWayMergeOVC(want, runs, tc.keyWidth, tc.tie)
 						got := make([]byte, total*width)
-						if st := KWayMergeOVC(got, runs, tc.keyWidth, nil, tc.tie); st != wantSt {
+						if st := KWayMergeOVC(got, runs, tc.keyWidth, nil, ByRows(tc.tie)); st != wantSt {
 							t.Fatalf("%s: stats %+v, reference %+v", ctx, st, wantSt)
 						}
 						if !bytes.Equal(got, want) {
 							t.Fatalf("%s: output differs from the reference tree", ctx)
 						}
 						for _, blockRows := range []int{1, 2, 4096} {
-							got, st := blockedMerge(runs, tc.keyWidth, tc.tie, blockRows)
+							got, st := blockedMerge(runs, tc.keyWidth, ByRows(tc.tie), blockRows)
 							if st != wantSt {
 								t.Fatalf("%s blockRows=%d: stats %+v, reference %+v", ctx, blockRows, st, wantSt)
 							}

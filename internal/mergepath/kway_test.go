@@ -78,7 +78,7 @@ func TestKWayMergeOVCTieComparator(t *testing.T) {
 	want := bytes.Join(rows, nil)
 
 	got := make([]byte, total*8)
-	st := KWayMergeOVC(got, runs, 4, nil, bytes.Compare)
+	st := KWayMergeOVC(got, runs, 4, nil, ByRows(bytes.Compare))
 	if !bytes.Equal(got, want) {
 		t.Fatal("tie-break merge differs from full-row stable sort")
 	}
@@ -137,9 +137,9 @@ func partitionedMerge(dst []byte, runs []Run, keyWidth int, tie CompareFunc, p i
 			}
 			sub[r] = Run{Data: run.Data[prev[r]*w : cut[r]*w], Width: w}
 		}
-		m := NewMerger(sub, 0, eff)
+		m := NewMerger(sub, 0, ByRows(eff))
 		if useOVC {
-			m = NewMerger(sub, keyWidth, tie)
+			m = NewMerger(sub, keyWidth, ByRows(tie))
 		}
 		drainMerger(m, dst[start*w:end*w], w)
 		st.Add(m.stats)
@@ -167,7 +167,7 @@ func TestPartitionedKWayMerge(t *testing.T) {
 			total += n
 		}
 		want := make([]byte, total*8)
-		KWayMergeOVC(want, runs, 4, nil, bytes.Compare)
+		KWayMergeOVC(want, runs, 4, nil, ByRows(bytes.Compare))
 
 		for _, useOVC := range []bool{true, false} {
 			for p := 1; p <= 16; p++ {
@@ -194,7 +194,7 @@ func TestPartitionedKWayMerge(t *testing.T) {
 // blocks pass through one recycled buffer, as the synchronous spill reader's
 // do, so the exhausted block is gone by the time refill returns and only the
 // carry the Merger kept itself can code the next block's first row.
-func blockedMerge(full []Run, keyWidth int, tie CompareFunc, blockRows int) ([]byte, Stats) {
+func blockedMerge(full []Run, keyWidth int, tie RunCompareFunc, blockRows int) ([]byte, Stats) {
 	width := runWidth(full)
 	off := make([]int, len(full))
 	bufs := make([][]byte, len(full))
@@ -228,6 +228,70 @@ func blockedMerge(full []Run, keyWidth int, tie CompareFunc, blockRows int) ([]b
 	return out, st
 }
 
+// TestMergerTieNamesRuns checks that the tie-break is handed each
+// candidate's run index beside its row, through refills too: rows of 8 bytes
+// carry a 2-byte key of few values, their run and their place in it, and the
+// tie checks the runs it is told against the rows, then orders byte-equal
+// keys by a rank of their runs that no row holds. The merge must come out as
+// the stable sort by key, then run rank.
+func TestMergerTieNamesRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const k, kw, width = 6, 2, 8
+	rank := []int{3, 0, 5, 1, 4, 2}
+	full := make([]Run, k)
+	var rows [][]byte
+	for r := range full {
+		n := 50 + rng.Intn(100)
+		data := make([]byte, 0, n*width)
+		keys := make([]uint16, n)
+		for i := range keys {
+			keys[i] = uint16(rng.Intn(4))
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			data = binary.BigEndian.AppendUint16(data, key)
+			data = append(data, byte(r), 0)
+			data = binary.BigEndian.AppendUint32(data, uint32(i))
+		}
+		full[r] = Run{Data: data, Width: width}
+		for i := 0; i < n; i++ {
+			rows = append(rows, full[r].Row(i))
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b []byte) int {
+		if c := bytes.Compare(a[:kw], b[:kw]); c != 0 {
+			return c
+		}
+		return rank[a[kw]] - rank[b[kw]]
+	})
+	want := bytes.Join(rows, nil)
+	calls := 0
+	tie := func(a []byte, ra int, b []byte, rb int) int {
+		if int(a[kw]) != ra || int(b[kw]) != rb {
+			t.Fatalf("tie told runs %d and %d for rows of runs %d and %d", ra, rb, a[kw], b[kw])
+		}
+		calls++
+		return rank[ra] - rank[rb]
+	}
+	for _, blockRows := range []int{1, 7, 1 << 10} {
+		if got, _ := blockedMerge(full, kw, tie, blockRows); !bytes.Equal(got, want) {
+			t.Fatalf("blocks of %d rows: the merge does not order ties by the runs' rank", blockRows)
+		}
+	}
+	dst := make([]byte, len(want))
+	if KWayMergeOVC(dst, full, 0, nil, func(a []byte, ra int, b []byte, rb int) int {
+		if c := bytes.Compare(a[:kw], b[:kw]); c != 0 {
+			return c
+		}
+		return tie(a, ra, b, rb)
+	}); !bytes.Equal(dst, want) {
+		t.Fatal("with no coded prefix the merge does not order ties by the runs' rank")
+	}
+	if calls == 0 {
+		t.Fatal("no match reached the tie-break")
+	}
+}
+
 // TestMergerRefillBlocks streams each run through fixed-size blocks, as the
 // external merge does, and checks the output and every counter match the
 // whole-run merge: the carry makes a block boundary invisible to the codes.
@@ -243,9 +307,9 @@ func TestMergerRefillBlocks(t *testing.T) {
 	}
 	for _, tie := range []CompareFunc{nil, bytes.Compare} {
 		want := make([]byte, total*width)
-		wantSt := KWayMergeOVC(want, full, kw, nil, tie)
+		wantSt := KWayMergeOVC(want, full, kw, nil, ByRows(tie))
 		for _, blockRows := range []int{1, 7, 64, 1000} {
-			got, st := blockedMerge(full, kw, tie, blockRows)
+			got, st := blockedMerge(full, kw, ByRows(tie), blockRows)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("tie=%v blockRows=%d: streamed merge differs from whole-run merge", tie != nil, blockRows)
 			}
@@ -299,9 +363,9 @@ func FuzzKWayMerge(f *testing.F) {
 		blockRows := []int{0, 1, 2, 4096}[block%4] // 0: whole runs, no refill
 		merge := func(dst []byte, runs []Run, tie CompareFunc) Stats {
 			if blockRows == 0 {
-				return KWayMergeOVC(dst, runs, 4, nil, tie)
+				return KWayMergeOVC(dst, runs, 4, nil, ByRows(tie))
 			}
-			out, st := blockedMerge(runs, 4, tie, blockRows)
+			out, st := blockedMerge(runs, 4, ByRows(tie), blockRows)
 			copy(dst, out)
 			return st
 		}
@@ -400,9 +464,9 @@ func TestMergerNextAllocates(t *testing.T) {
 		tie                          CompareFunc
 	}{
 		{"8x4Ki/w24/key9", 8, 1 << 12, 24, 9, 0, nil},
-		{"8x4Ki/w40/key26/dup/tie", 8, 1 << 12, 40, 26, 64, bytes.Compare},
+		{"8x4Ki/w32/key28/dup/tie", 8, 1 << 12, 32, 28, 64, bytes.Compare},
 	} {
-		m := NewMerger(benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 11), sh.kw, sh.tie)
+		m := NewMerger(benchKeyRuns(sh.k, sh.rows, sh.width, sh.kw, sh.distinct, 11), sh.kw, ByRows(sh.tie))
 		for i := 0; i < 64; i++ {
 			m.Next()
 		}
@@ -464,7 +528,7 @@ func TestMergerDupRunFastPath(t *testing.T) {
 	// With a tie comparator installed byte-equal rows may order
 	// semantically: the fast path must stay off.
 	got2 := make([]byte, total*8)
-	st2 := KWayMergeOVC(got2, runs, 4, nil, bytes.Compare)
+	st2 := KWayMergeOVC(got2, runs, 4, nil, ByRows(bytes.Compare))
 	if st2.DupRunHits != 0 {
 		t.Fatalf("fast path fired with a tie comparator: %+v", st2)
 	}

@@ -46,6 +46,19 @@ func (r Run) Row(i int) []byte { return r.Data[i*r.Width : (i+1)*r.Width] }
 // CompareFunc compares two rows; nil means bytes.Compare.
 type CompareFunc func(a, b []byte) int
 
+// RunCompareFunc compares row a of run ra with row b of run rb, each run
+// named by its index among a merge's runs: the order of rows a key cannot
+// decide alone, whose run holds what breaks their tie.
+type RunCompareFunc func(a []byte, ra int, b []byte, rb int) int
+
+// ByRows is cmp as an order that needs no run; nil stays nil.
+func ByRows(cmp CompareFunc) RunCompareFunc {
+	if cmp == nil {
+		return nil
+	}
+	return func(a []byte, _ int, b []byte, _ int) int { return cmp(a, b) }
+}
+
 func cmpOrDefault(cmp CompareFunc) CompareFunc {
 	if cmp == nil {
 		return bytes.Compare
@@ -211,6 +224,6 @@ func CascadeMerge(runs []Run, cmp CompareFunc, p int) Run {
 // matches; see KWayMergeOVC for the offset-value-coded variant that avoids
 // the full-width comparison in most matches.
 func KWayMerge(dst []byte, runs []Run, cmp CompareFunc) {
-	m := NewMerger(runs, 0, cmp)
+	m := NewMerger(runs, 0, ByRows(cmp))
 	drainMerger(m, dst, runWidth(runs))
 }

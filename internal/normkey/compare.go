@@ -35,13 +35,15 @@ func CompareRows(keys []SortKey, cols []*vector.Vector, i, j int) int {
 // row's key at its start: their bytes, segment by segment, where a segment
 // that may tie (a varchar prefix) and did, with its residence byte saying
 // that neither row's prefix holds its string whole, is resolved against the
-// collated full values. full(keyRow, k) fetches key k's whole string for the
-// row, in place: the comparator neither keeps nor writes it. It is called
-// only on such a tie, so never for a string that fits its prefix, nor for a
-// NULL, whose residence byte says it fits: byte-tied segments share their
-// validity and residence bytes. A caller whose rows cannot tie compares the
-// key bytes alone (the paper's memcmp) and needs no Comparator.
-func (e *Encoder) Comparator(full func(keyRow []byte, k int) []byte) func(a, b []byte) int {
+// collated full values. Each row is compared beside its source, an index
+// the caller names it by (a merge's run, say), and full(keyRow, src, k)
+// fetches key k's whole string for the row from there, in place: the
+// comparator neither keeps nor writes it. It is called only on such a tie,
+// so never for a string that fits its prefix, nor for a NULL, whose
+// residence byte says it fits: byte-tied segments share their validity and
+// residence bytes. A caller whose rows cannot tie compares the key bytes
+// alone (the paper's memcmp) and needs no Comparator.
+func (e *Encoder) Comparator(full func(keyRow []byte, src, k int) []byte) func(a []byte, srcA int, b []byte, srcB int) int {
 	type seg struct {
 		off, end int
 		canTie   bool
@@ -58,7 +60,7 @@ func (e *Encoder) Comparator(full func(keyRow []byte, k int) []byte) func(a, b [
 			segs[k].fits = 0xFF
 		}
 	}
-	return func(a, b []byte) int {
+	return func(a []byte, srcA int, b []byte, srcB int) int {
 		for k, sg := range segs {
 			if c := bytes.Compare(a[sg.off:sg.end], b[sg.off:sg.end]); c != 0 {
 				return c
@@ -66,7 +68,7 @@ func (e *Encoder) Comparator(full func(keyRow []byte, k int) []byte) func(a, b [
 			if !sg.canTie || a[sg.end-1] == sg.fits {
 				continue
 			}
-			fa, fb := full(a, k), full(b, k)
+			fa, fb := full(a, srcA, k), full(b, srcB, k)
 			var c int
 			if sg.coll == CollationBinary {
 				c = bytes.Compare(fa, fb)

@@ -158,7 +158,7 @@ func FuzzNormKeyOrder(f *testing.F) {
 		// The order over key rows fetches the full values only on a tie of
 		// two strings that overflow, and with them agrees with the oracle
 		// everywhere.
-		full := func(keyRow []byte, _ int) []byte {
+		full := func(keyRow []byte, _, _ int) []byte {
 			if decided {
 				t.Fatalf("key %+v: Comparator fetched %q and %q, one of which fits", key, as, bs)
 			}
@@ -167,7 +167,7 @@ func FuzzNormKeyOrder(f *testing.F) {
 			}
 			return []byte(bs)
 		}
-		if c := cmpSign(enc.Comparator(full)(ea, eb)); c != want {
+		if c := cmpSign(enc.Comparator(full)(ea, 0, eb, 0)); c != want {
 			t.Fatalf("key %+v: Comparator = %d but CompareValues = %d\na = % x (null=%v)\nb = % x (null=%v)",
 				key, c, want, ea, aNull, eb, bNull)
 		}

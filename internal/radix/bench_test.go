@@ -44,8 +44,9 @@ func BenchmarkSortDuplicateHeavy(b *testing.B) {
 }
 
 // sorterShapes are the key rows the sorter hands to Sort on the benchmark's
-// workloads: a validity byte before every value, an 8-byte payload reference
-// behind the key, the row padded to a multiple of 8.
+// workloads: a validity byte before every value and a residence byte behind
+// every name, a 4-byte payload reference or an inline payload behind the key,
+// the row padded to a multiple of 8.
 var sorterShapes = []struct {
 	name       string
 	keyW, rowW int
@@ -66,11 +67,13 @@ var sorterShapes = []struct {
 			binary.BigEndian.PutUint32(key[5*i+1:], 0x80000000|uint32(rng.Intn(domain)))
 		}
 	}},
-	// Two 12-byte zero-padded names, each one of a few hundred values.
-	{"2xname", 26, 40, func(key []byte, rng *rand.Rand) {
+	// Two 12-byte zero-padded names, each one of a few hundred values, each
+	// with the residence byte of a name its prefix holds.
+	{"2xname", 28, 32, func(key []byte, rng *rand.Rand) {
 		for i := 0; i < 2; i++ {
-			key[13*i] = 1
-			copy(key[13*i+1:13*i+13], benchNames[rng.Intn(len(benchNames))])
+			key[14*i] = 1
+			copy(key[14*i+1:14*i+13], benchNames[rng.Intn(len(benchNames))])
+			key[14*i+13] = 0
 		}
 	}},
 }
@@ -99,7 +102,7 @@ func BenchmarkSortShapes(b *testing.B) {
 		for i := 0; i < n; i++ {
 			row := base[i*sh.rowW : (i+1)*sh.rowW]
 			sh.fill(row[:sh.keyW], rng)
-			binary.LittleEndian.PutUint64(row[sh.keyW:], uint64(i))
+			binary.LittleEndian.PutUint32(row[sh.keyW:], uint32(i))
 		}
 		b.Run(fmt.Sprintf("%s/key=%d/row=%d", sh.name, sh.keyW, sh.rowW), func(b *testing.B) {
 			data := make([]byte, len(base))

@@ -82,6 +82,16 @@ func (rs *RowSet) Reserve(n int) { rs.data = withCap(rs.data, n*rs.layout.width)
 // ReserveHeap grows the string heap capacity to hold at least n bytes.
 func (rs *RowSet) ReserveHeap(n int) { rs.heap = withCap(rs.heap, n) }
 
+// CapBytesFor returns what CapBytes will be once Reserve(n) and
+// ReserveHeap(heap) have run: the bytes a set of n rows and heap string bytes
+// takes, sized before it is. Nil-safe.
+func (rs *RowSet) CapBytesFor(n, heap int) int64 {
+	if rs == nil {
+		return 0
+	}
+	return int64(max(cap(rs.data), n*rs.layout.width)) + int64(max(cap(rs.heap), heap))
+}
+
 // withCap returns b with capacity at least c — exactly c when it has to
 // grow, since the caller has named the size it wants.
 func withCap(b []byte, c int) []byte {

@@ -35,10 +35,10 @@ type Bound struct {
 // Plan is the task plan of one merge over runs of which some, usually all,
 // are on disk.
 type Plan struct {
-	files  []*File               // the runs, in merge (tie) order; nil for one in memory
-	fences []mergepath.Run       // every run's fences: a file's, or those a run in memory was given
-	stride []int                 // the rows between two of a run's fences
-	key    mergepath.CompareFunc // the merge's order on keys, for comparing fences
+	files  []*File                  // the runs, in merge (tie) order; nil for one in memory
+	fences []mergepath.Run          // every run's fences: a file's, or those a run in memory was given
+	stride []int                    // the rows between two of a run's fences
+	key    mergepath.RunCompareFunc // the merge's order on keys, for comparing fences
 
 	forecast []BlockRef // every block on disk, by fence
 	bounds   []Bound    // task t merges the rows in [bounds[t-1], bounds[t]); one fewer than tasks
@@ -47,13 +47,14 @@ type Plan struct {
 
 // PlanTasks plans the merge of runs, given in merge order with nil for a run
 // still in memory, whose rows are sorted under key, the merge's order on
-// keys; key compares any two fences. resident[i], when runs[i] is nil, is
+// keys; key compares any two fences, each beside its run's place in the
+// merge. resident[i], when runs[i] is nil, is
 // that run's fences — its key rows every stride rows from its first, the
 // files' block size — and may be empty (nil: none for any run). With
 // taskFences 0 the plan is one task; otherwise the merged fences are cut
 // wherever taskFences of them have gone by. A run in memory is trimmed to a
 // task's range by its rows, not its fences: they only balance the tasks.
-func PlanTasks(runs []*File, resident []mergepath.Run, stride int, key mergepath.CompareFunc, taskFences int) *Plan {
+func PlanTasks(runs []*File, resident []mergepath.Run, stride int, key mergepath.RunCompareFunc, taskFences int) *Plan {
 	p := &Plan{files: runs, fences: make([]mergepath.Run, len(runs)), stride: make([]int, len(runs)), key: key,
 		refs: make([][]int32, len(runs))}
 	blocks := 0
@@ -136,10 +137,11 @@ func (p *Plan) Span(i int, lo, hi Bound) (first, end int) {
 
 // Range returns the rows [from, to) of rows, sorted rows of run i from its
 // row start on (a block, or the whole run in memory), that lie in [lo, hi),
-// comparing keys under key: the claimant's order, which must find the payload
-// of each of rows and of the bounds' fences. Only a task's first and last
-// block of a run can hold a row outside its range.
-func (p *Plan) Range(rows mergepath.Run, i, start int, lo, hi Bound, key mergepath.CompareFunc) (from, to int) {
+// comparing keys under key: the claimant's order, which is handed run i
+// beside each of rows and a bound's Run beside its fence, and must find the
+// payload of each by them. Only a task's first and last block of a run can
+// hold a row outside its range.
+func (p *Plan) Range(rows mergepath.Run, i, start int, lo, hi Bound, key mergepath.RunCompareFunc) (from, to int) {
 	to = rows.Len()
 	if lo.Key != nil {
 		from = rank(rows, i, start, 1, lo, key)
@@ -155,12 +157,13 @@ func (p *Plan) Range(rows mergepath.Run, i, start int, lo, hi Bound, key mergepa
 // under key decides but among rows whose key is b's, which are below b when
 // their run comes earlier in the merge, or it is b's run and their row comes
 // before b's.
-func rank(rows mergepath.Run, i, start, step int, b Bound, key mergepath.CompareFunc) int {
-	lo := mergepath.LowerBound(rows, b.Key, key)
+func rank(rows mergepath.Run, i, start, step int, b Bound, key mergepath.RunCompareFunc) int {
+	byKey := func(a, k []byte) int { return key(a, i, k, b.Run) }
+	lo := mergepath.LowerBound(rows, b.Key, byKey)
 	if i > b.Run {
 		return lo
 	}
-	hi := mergepath.LowerBound(rows, b.Key, func(a, k []byte) int { return cmp.Or(key(a, k), -1) }) // the first row above b's key
+	hi := mergepath.LowerBound(rows, b.Key, func(a, k []byte) int { return cmp.Or(byKey(a, k), -1) }) // the first row above b's key
 	if i < b.Run {
 		return hi
 	}

@@ -65,7 +65,7 @@ func writeRun(t *testing.T, d *Dir, id uint32, keys []byte, payload *row.RowSet,
 	for i, b := 0, 0; i < n; b++ {
 		take := min(w.Room(), n-i)
 		if b%2 == 1 {
-			w.AddRows(keys[i*rw:(i+take)*rw], 0, uint32(i))
+			w.AddRows(keys[i*rw:(i+take)*rw], 0, uint32(i), nil)
 		} else {
 			for j := i; j < i+take; j++ {
 				w.Add(keys[j*rw:(j+1)*rw], 0, uint32(j))
@@ -133,7 +133,7 @@ func TestFileFormat(t *testing.T) {
 	}
 
 	// Read it back, without read-ahead: every block on demand.
-	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), nil, 0, 1)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, keyOrder, 0), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AddRows(keys, 0, 0)
+	w.AddRows(keys, 0, 0, nil)
 	if _, err := w.Flush([]*row.RowSet{payload}); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Flush to a full disk: %v", err)
 	}
@@ -331,6 +331,9 @@ func TestFailedWriteLeavesNoFile(t *testing.T) {
 // byKey orders test key rows by their key bytes: the merge's order on keys,
 // whose ties a plan breaks by the rows' places in the merge.
 func byKey(a, b []byte) int { return bytes.Compare(a[:testKeyWidth], b[:testKeyWidth]) }
+
+// keyOrder is byKey as the planner takes it: its rows need no run.
+var keyOrder = mergepath.ByRows(byKey)
 
 // sameBound reports whether two bounds are the same row.
 func sameBound(a, b Bound) bool { return bytes.Equal(a.Key, b.Key) && a.Run == b.Run && a.Row == b.Row }
@@ -352,7 +355,7 @@ func TestPlanTasks(t *testing.T) {
 		keys, payload := testRun(uint32(id), 640, func(i int) uint64 { return uint64(3*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 64))
 	}
-	p := PlanTasks(files, nil, 0, byKey, 4)
+	p := PlanTasks(files, nil, 0, keyOrder, 4)
 	if len(p.forecast) != 30 || p.Tasks() < 5 {
 		t.Fatalf("%d blocks forecast, %d tasks", len(p.forecast), p.Tasks())
 	}
@@ -402,7 +405,7 @@ func TestPlanTasks(t *testing.T) {
 	for i := 0; i < 640; i += 64 {
 		fences = append(fences, keys1[i*rw:(i+1)*rw]...)
 	}
-	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, 64, byKey, 4)
+	mixed := PlanTasks([]*File{files[0], nil, files[2]}, []mergepath.Run{1: {Data: fences, Width: rw}}, 64, keyOrder, 4)
 	if mixed.Tasks() != p.Tasks() || len(mixed.forecast) != 20 || mixed.refs[1] != nil {
 		t.Errorf("with a run in memory: %d tasks over %d blocks, want %d over 20", mixed.Tasks(), len(mixed.forecast), p.Tasks())
 	}
@@ -420,12 +423,12 @@ func TestPlanTasks(t *testing.T) {
 			t.Fatal("the forecast holds a block of the run in memory")
 		}
 	}
-	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, 64, byKey, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
+	if q := PlanTasks([]*File{files[0], nil, files[2]}, nil, 64, keyOrder, 4); q.Tasks() >= p.Tasks() || q.Tasks() < 2 {
 		t.Errorf("a run in memory without fences: %d tasks, want fewer than %d, and more than one", q.Tasks(), p.Tasks())
 	}
 	keys, payload := testRun(9, 640, func(int) uint64 { return 7 })
 	constant := writeRun(t, d, 9, keys, payload, 64)
-	if p := PlanTasks([]*File{constant}, nil, 0, byKey, 4); p.Tasks() != 3 {
+	if p := PlanTasks([]*File{constant}, nil, 0, keyOrder, 4); p.Tasks() != 3 {
 		t.Errorf("keys that all collide, in the whole order: %d tasks of 10 fences, want 3", p.Tasks())
 	}
 	// The same constant keys on disk as run 0 and in memory as run 1, fenced
@@ -437,7 +440,7 @@ func TestPlanTasks(t *testing.T) {
 	for i := 0; i < 640; i += 64 {
 		cfences = append(cfences, keys[i*rw:(i+1)*rw]...)
 	}
-	both := PlanTasks([]*File{constant, nil}, []mergepath.Run{1: {Data: cfences, Width: rw}}, 64, byKey, 4)
+	both := PlanTasks([]*File{constant, nil}, []mergepath.Run{1: {Data: cfences, Width: rw}}, 64, keyOrder, 4)
 	// Each task's rows of run 0 and of run 1, an empty range as [0,0).
 	want := [][4]int{{0, 256, 0, 0}, {256, 512, 0, 0}, {512, 640, 0, 128}, {0, 0, 128, 384}, {0, 0, 384, 640}}
 	if both.Tasks() != len(want) {
@@ -448,7 +451,7 @@ func TestPlanTasks(t *testing.T) {
 		var got [4]int
 		first, end := both.Span(0, lo, hi)
 		for b := first; b < end; b++ {
-			from, to := both.Range(mergepath.Run{Data: keys[b*64*rw : (b+1)*64*rw], Width: rw}, 0, b*64, lo, hi, byKey)
+			from, to := both.Range(mergepath.Run{Data: keys[b*64*rw : (b+1)*64*rw], Width: rw}, 0, b*64, lo, hi, keyOrder)
 			if from < to && got[1] == 0 {
 				got[0] = b*64 + from
 			}
@@ -456,7 +459,7 @@ func TestPlanTasks(t *testing.T) {
 				got[1] = b*64 + to
 			}
 		}
-		if from, to := both.Range(mergepath.Run{Data: keys, Width: rw}, 1, 0, lo, hi, byKey); from < to {
+		if from, to := both.Range(mergepath.Run{Data: keys, Width: rw}, 1, 0, lo, hi, keyOrder); from < to {
 			got[2], got[3] = from, to
 		}
 		if got != w {
@@ -481,7 +484,7 @@ func TestStageForecastServesClaimants(t *testing.T) {
 		keys, payload := testRun(uint32(id), 4096, func(i int) uint64 { return uint64(2*i + id) })
 		files = append(files, writeRun(t, d, uint32(id), keys, payload, 512))
 	}
-	p := PlanTasks(files, nil, 0, byKey, 0)
+	p := PlanTasks(files, nil, 0, keyOrder, 0)
 	st, err := d.NewStage(p, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +535,7 @@ func TestStageRecyclesBlockBuffers(t *testing.T) {
 	f := writeRun(t, d, 0, keys, payload, blockRows)
 	broker := mem.NewBroker("test", 0)
 	res := broker.Reserve("merge", 0)
-	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), res, 1, 1)
+	st, err := d.NewStage(PlanTasks([]*File{f}, nil, 0, keyOrder, 0), res, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +576,7 @@ func TestStageRecyclesBlockBuffers(t *testing.T) {
 	}
 	keys, payload = testRun(1, 2*blockRows, func(i int) uint64 { return uint64(i) })
 	f = writeRun(t, d, 1, keys, payload, blockRows)
-	st, err = d.NewStage(PlanTasks([]*File{f}, nil, 0, byKey, 0), nil, 0, 1)
+	st, err = d.NewStage(PlanTasks([]*File{f}, nil, 0, keyOrder, 0), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,13 +83,16 @@ func (w *Writer) Add(keyRow []byte, which, idx uint32) []byte {
 
 // AddRows names a whole block, or the run's last rows, at once: keyRows holds
 // the key rows back to back — no more than the empty block has Room for —
-// and their payloads are rows idx, idx+1, … of the which-th set. The key rows
-// are not copied: they must stay as they are until the Flush that has to
-// follow.
-func (w *Writer) AddRows(keyRows []byte, which, idx uint32) {
+// and their payloads are rows idx, idx+1, … of the which-th set or, given a
+// permutation perm, its rows perm[idx], perm[idx+1], …. The key rows are not
+// copied: they must stay as they are until the Flush that has to follow.
+func (w *Writer) AddRows(keyRows []byte, which, idx uint32, perm []uint32) {
 	w.keys, w.pending = keyRows, len(keyRows)/w.f.format.RowWidth
 	for i := 0; i < w.pending; i++ {
 		w.which[i], w.idxs[i] = which, idx+uint32(i)
+	}
+	if perm != nil {
+		copy(w.idxs[:w.pending], perm[idx:])
 	}
 }
 
